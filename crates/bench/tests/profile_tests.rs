@@ -160,3 +160,41 @@ fn golden_critical_path_report_matches() {
          re-bless with UPDATE_GOLDEN=1"
     );
 }
+
+/// A `pred` whose file the continuous executor has to swap in waits for
+/// the copy, not for the queue: the transfer window lands in the
+/// `kv-swap-in` bucket and the buckets still partition e2e latency.
+#[test]
+fn executor_swap_in_wait_is_booked_as_kv_swap_in() {
+    use symphony::{ContinuousConfig, ExecMode, Mode, OwnerId, Phase, QueueDiscipline};
+    const DOC: usize = 400;
+    let mut cfg = KernelConfig::for_tests();
+    cfg.telemetry = true;
+    cfg.causal = true;
+    cfg.exec = ExecMode::Continuous(ContinuousConfig {
+        chunk_tokens: Some(8),
+        discipline: QueueDiscipline::Fifo,
+    });
+    let transfer = cfg
+        .device
+        .transfer_time(DOC as u64 * cfg.model.kv_bytes_per_token());
+    let mut k = Kernel::new(cfg);
+    let tokens: Vec<u32> = (0..DOC as u32).map(|i| 1 + i % 1500).collect();
+    let doc = k
+        .preload_kv("doc.kv", &tokens, Mode::SHARED_READ, false)
+        .unwrap();
+    k.store_mut().swap_out(doc, OwnerId::ADMIN).unwrap();
+    k.spawn_process("reader", "", |ctx| {
+        let doc = ctx.kv_open("doc.kv")?;
+        let kv = ctx.kv_fork(doc)?;
+        ctx.pred(kv, &[(7, DOC as u32)])?;
+        ctx.kv_remove(kv)
+    });
+    k.run();
+    assert_eq!(k.events_dropped(), 0);
+    let breakdowns = analyze(&build_forest(k.telemetry_events()));
+    let b = &breakdowns[0];
+    assert_eq!(b.attributed_ns(), b.total_ns, "buckets must partition e2e");
+    assert_eq!(b.get(Phase::KvSwapIn), transfer.as_nanos());
+    assert_eq!(b.get(Phase::QueueWait), 0, "nothing else was in the way");
+}

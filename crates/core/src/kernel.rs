@@ -263,6 +263,9 @@ struct Proc {
     limits: Limits,
     io_waiting: u32,
     offloaded: Vec<FileId>,
+    /// When the D2H copies of `offloaded` complete; the restore cannot
+    /// start reading them back earlier.
+    offload_done: SimTime,
     finished: bool,
     /// Absolute virtual deadline (spawn time + `Limits::deadline`).
     deadline_at: Option<SimTime>,
@@ -308,6 +311,12 @@ struct PendingPred {
     start_len: usize,
     /// Queue delay observed (first admission only).
     delay_recorded: bool,
+    /// Completion time of a copy this sequence waits on — its KV coming
+    /// in over H2D, or victims leaving over D2H to free its pages. Set
+    /// when the copy is booked and cleared when the sequence next
+    /// executes: until then it sits out of iterations and is not a
+    /// preemption candidate (its transfer was paid for but not yet used).
+    ready_at: Option<SimTime>,
     /// Effect-sequence id for the WAL `PredEffect` record of this call.
     seq: u64,
 }
@@ -346,6 +355,9 @@ struct KernelMetrics {
     gpu_pages_used: Gauge,
     /// Disk-tier KV pages in use, sampled after each batch.
     disk_pages_used: Gauge,
+    /// GPU pages that keep a lower-tier backing copy, sampled after each
+    /// batch.
+    backing_pages: Gauge,
     /// KV files swapped out to free GPU pages for an executing sequence
     /// (continuous executor only).
     preemptions: Counter,
@@ -382,6 +394,7 @@ impl KernelMetrics {
             tool_latency_ns: registry.histogram("tools.call_latency_ns", &latency_bounds_ns()),
             gpu_pages_used: registry.gauge("kvfs.gpu_pages_used"),
             disk_pages_used: registry.gauge("kvfs.disk_pages_used"),
+            backing_pages: registry.gauge("kvfs.backing_pages"),
             preemptions: registry.counter("sched.preemptions"),
             prefill_chunks: registry.counter("sched.prefill_chunks"),
             io_waiting_underflow: registry.counter("kernel.io_waiting_underflow"),
@@ -414,6 +427,10 @@ pub struct Kernel {
     /// Continuous-mode sequences admitted to the GPU, carried across
     /// iterations until they finish, fail or are preempted.
     active: Vec<PendingPred>,
+    /// Swap-ins still crossing the H2D lane: `(file, ready_at)`. A peer
+    /// whose file shares those pages (a fork of the same document) must
+    /// wait for the same bytes.
+    inflight: Vec<(FileId, SimTime)>,
     gpu_busy: bool,
     pending_batches: IdSlab<Vec<(Tid, SysReply)>>,
     next_batch: u64,
@@ -594,6 +611,7 @@ impl Kernel {
                 ExecMode::Continuous(c) => c.discipline,
             }),
             active: Vec::new(),
+            inflight: Vec::new(),
             gpu_busy: false,
             pending_batches: IdSlab::new(),
             next_batch: 0,
@@ -960,6 +978,7 @@ impl Kernel {
                 limits,
                 io_waiting: 0,
                 offloaded: Vec::new(),
+                offload_done: SimTime::ZERO,
                 finished: false,
                 deadline_at,
                 deadline_hit: false,
@@ -1264,6 +1283,7 @@ impl Kernel {
                 limits: rp.limits,
                 io_waiting: 0,
                 offloaded: Vec::new(),
+                offload_done: SimTime::ZERO,
                 finished: false,
                 deadline_at,
                 deadline_hit: false,
@@ -1321,6 +1341,7 @@ impl Kernel {
                 limits: rs.limits,
                 io_waiting: 0,
                 offloaded: Vec::new(),
+                offload_done: SimTime::ZERO,
                 finished: false,
                 deadline_at,
                 deadline_hit: false,
@@ -1982,6 +2003,7 @@ impl Kernel {
                                 dists: Vec::new(),
                                 start_len: 0,
                                 delay_recorded: false,
+                                ready_at: None,
                                 seq,
                             },
                         },
@@ -2068,13 +2090,17 @@ impl Kernel {
 
     /// Picks the preemption victim among active peers of `i`: the
     /// lowest-priority (highest MLFQ level, then latest-arrived) sequence
-    /// whose KV is GPU-resident and neither pinned nor locked. Sequences in
-    /// `retire` or `preempted` are already leaving the active set.
+    /// that is not pinned or locked and has GPU pages no file in `landing`
+    /// also references. Sequences in `retire` or `preempted` are already
+    /// leaving the active set, and one with a copy booked (`ready_at`, its
+    /// file is in `landing`) has not yet used the transfer it paid for —
+    /// evicting it now would trade places forever.
     fn lowest_priority_peer(
         &self,
         i: usize,
         retire: &[usize],
         preempted: &[usize],
+        landing: &[FileId],
     ) -> Option<usize> {
         self.active
             .iter()
@@ -2083,10 +2109,8 @@ impl Kernel {
                 *j != i
                     && !retire.contains(j)
                     && !preempted.contains(j)
-                    && matches!(
-                        self.store.residency(s.req.file),
-                        Ok(Residency::Gpu | Residency::Mixed)
-                    )
+                    && s.ready_at.is_none()
+                    && self.store.movable_gpu_pages(s.req.file, landing) > 0
                     && self
                         .store
                         .stat(s.req.file)
@@ -2102,113 +2126,171 @@ impl Kernel {
             .map(|(j, _)| j)
     }
 
-    /// Virtual time to move one swap's traffic: DRAM-tier tokens cross
-    /// PCIe, disk-tier tokens additionally cross the (slower) NVMe lane.
-    fn swap_cost(&self, moved: SwapReport) -> SimDuration {
+    /// Books a swap-in on the H2D copy lane; returns when its bytes have
+    /// landed. Every PCIe/NVMe charge in the kernel goes through this or
+    /// [`Kernel::copy_out`], so contention for the link is modelled once.
+    fn copy_in(&mut self, not_before: SimTime, moved: SwapReport) -> SimTime {
         let bpt = self.store.bytes_per_token();
-        self.gpu.swap_time(moved.dram_tokens as u64, bpt)
-            + self.gpu.disk_swap_time(moved.disk_tokens as u64, bpt)
+        self.gpu.copy_in(not_before, moved, bpt)
     }
 
-    /// Runs one token iteration: swap admitted-but-evicted KV back in,
-    /// execute one chunk of every resident sequence, retire finished
-    /// sequences, and recover from KV exhaustion by preempting.
+    /// Books a swap-out on the D2H copy lane; returns when the GPU pages
+    /// it vacates are free (at once for clean drops).
+    fn copy_out(&mut self, not_before: SimTime, moved: SwapReport) -> SimTime {
+        let bpt = self.store.bytes_per_token();
+        self.gpu.copy_out(not_before, moved, bpt)
+    }
+
+    /// Frees GPU pages on behalf of active sequence `i`: evicts the idle
+    /// LRU file, else preempts the lowest-priority resident peer (highest
+    /// MLFQ level, then latest arrival) and records it in `preempted`.
+    /// Forks of one document share its pages, and swap moves whole pages:
+    /// an idle victim leaves behind whatever a running sequence also
+    /// references, a preempted peer whatever a still-landing one does.
+    /// Returns when the victim's dirty bytes have left over D2H, or `None`
+    /// when nothing is evictable.
+    fn evict_for(
+        &mut self,
+        i: usize,
+        retire: &[usize],
+        preempted: &mut Vec<usize>,
+    ) -> Option<SimTime> {
+        let now = self.events.now();
+        let exclude: Vec<FileId> = self
+            .active
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| !retire.contains(j) && !preempted.contains(j))
+            .map(|(_, s)| s.req.file)
+            .collect();
+        let (victim, moved, vtid) = match self.store.evict_lru(&exclude) {
+            Some((victim, moved)) => (victim, moved, 0),
+            None => {
+                let landing: Vec<FileId> = self
+                    .active
+                    .iter()
+                    .filter(|s| s.ready_at.is_some())
+                    .map(|s| s.req.file)
+                    .collect();
+                let j = self.lowest_priority_peer(i, retire, preempted, &landing)?;
+                let (vfile, vtid, vpid) = {
+                    let v = &self.active[j];
+                    (v.req.file, v.tid, v.pid)
+                };
+                let moved = self
+                    .store
+                    .swap_out_except(vfile, OwnerId::ADMIN, &landing)
+                    .ok()?;
+                if self.causal {
+                    // Swap dependency: the victim's eviction funds this
+                    // sequence's pages.
+                    let (spid, stid) = (self.active[i].pid, self.active[i].tid);
+                    self.bus.emit(now, || EventKind::CausalEdge {
+                        edge: EdgeKind::Preempt,
+                        src_pid: vpid.0,
+                        src_tid: vtid.0,
+                        src_at: now,
+                        dst_pid: spid.0,
+                        dst_tid: stid.0,
+                    });
+                }
+                preempted.push(j);
+                (vfile, moved, vtid.0)
+            }
+        };
+        self.kmetrics.preemptions.inc();
+        self.bus.emit(now, || EventKind::Preempt {
+            file: victim.0,
+            tokens: moved.total() as u64,
+            victim_tid: vtid,
+        });
+        Some(self.copy_out(now, moved))
+    }
+
+    /// When the first copy an active sequence still waits on completes.
+    fn earliest_landing(&self) -> Option<SimTime> {
+        let now = self.events.now();
+        self.active
+            .iter()
+            .filter_map(|s| s.ready_at)
+            .filter(|&t| t > now)
+            .min()
+    }
+
+    /// Moves preempted and requeued sequences out of the active set and
+    /// drops retired ones (preemption only changes timing, never results:
+    /// chunk progress travels with the sequence).
+    fn rebuild_active(&mut self, retire: &[usize], preempted: &[usize], requeued: &[usize]) {
+        let now = self.events.now();
+        let mut kept = Vec::with_capacity(self.active.len());
+        for (j, mut s) in std::mem::take(&mut self.active).into_iter().enumerate() {
+            if retire.contains(&j) {
+                continue;
+            }
+            if preempted.contains(&j) {
+                let (spid, scrit) = (s.pid.0, s.critical);
+                self.cqueue.push_front(spid, scrit, s);
+            } else if requeued.contains(&j) {
+                s.requeues += 1;
+                let delay = self.admission.map(|a| a.retry_delay).unwrap_or_default();
+                self.events
+                    .schedule(now + delay, Event::RequeuePred { pred: s });
+            } else {
+                kept.push(s);
+            }
+        }
+        self.active = kept;
+    }
+
+    /// Runs one token iteration: start swapping admitted-but-evicted KV
+    /// back in, execute one chunk of every sequence whose KV is on the
+    /// GPU, retire finished sequences, and recover from KV exhaustion by
+    /// preempting. Swap traffic rides the copy lanes beside the iteration;
+    /// only the sequence that needs the bytes waits for them.
     fn launch_iteration(&mut self, cfg: ContinuousConfig) {
         let now = self.events.now();
         let chunk = cfg.chunk_tokens.unwrap_or(usize::MAX).max(1);
-        // PCIe/NVMe time for swaps performed on behalf of this iteration is
-        // charged to the iteration's duration.
-        let mut swap_extra = SimDuration::ZERO;
 
         // 1. Bring non-resident participants' KV back to the GPU (files
         // evicted by an earlier preemption, or swapped while their owner
         // was between `pred`s). A swap-in is only worth its PCIe time if
         // the sequence can then actually *run*, so require headroom for
-        // the file plus its next chunk — otherwise the swapped-in file
-        // refills exactly the pages a preemption just freed and the
-        // iteration appends nothing, forever. Make headroom by evicting
+        // the file's off-GPU pages plus its next chunk — otherwise the
+        // swapped-in file refills exactly the pages a preemption just freed
+        // and the iteration appends nothing, forever. Make headroom by evicting
         // idle LRU files first, then by preempting the lowest-priority
-        // resident peer.
+        // resident peer. The copy starts once the victims' dirty bytes
+        // have left, and the sequence joins iterations once it lands.
         let pt = self.store.page_tokens().max(1);
         let mut preempted: Vec<usize> = Vec::new();
         for i in 0..self.active.len() {
             if preempted.contains(&i) {
                 continue;
             }
-            let (file, spid, stid, need_pages) = {
+            let (file, spid, stid, take) = {
                 let s = &self.active[i];
                 let take = (s.req.tokens.len() - s.done).min(chunk);
-                let len = self.store.len(s.req.file).unwrap_or(0);
-                (
-                    s.req.file,
-                    s.pid,
-                    s.tid,
-                    len.div_ceil(pt) + take.div_ceil(pt),
-                )
+                (s.req.file, s.pid, s.tid, take)
             };
-            if matches!(
-                self.store.residency(file),
-                Ok(Residency::Gpu | Residency::Empty)
-            ) {
+            let off_gpu = self.store.pages_off_gpu(file).unwrap_or(0);
+            if off_gpu == 0 {
                 continue;
             }
+            let need_pages = off_gpu + take.div_ceil(pt);
+            let mut freed_at = now;
             while self.store.gpu_pages_free() < need_pages {
-                let exclude: Vec<FileId> = self
-                    .active
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| !preempted.contains(j))
-                    .map(|(_, s)| s.req.file)
-                    .collect();
-                if let Some((victim, moved)) = self.store.evict_lru(&exclude) {
-                    swap_extra += self.swap_cost(moved);
-                    self.kmetrics.preemptions.inc();
-                    self.bus.emit(now, || EventKind::Preempt {
-                        file: victim.0,
-                        tokens: moved.total() as u64,
-                        victim_tid: 0,
-                    });
-                    continue;
-                }
-                let Some(j) = self.lowest_priority_peer(i, &[], &preempted) else {
-                    break;
-                };
-                let (vfile, vtid, vpid) = (
-                    self.active[j].req.file,
-                    self.active[j].tid,
-                    self.active[j].pid,
-                );
-                match self.store.swap_out(vfile, OwnerId::ADMIN) {
-                    Ok(moved) => {
-                        swap_extra += self.swap_cost(moved);
-                        self.kmetrics.preemptions.inc();
-                        self.bus.emit(now, || EventKind::Preempt {
-                            file: vfile.0,
-                            tokens: moved.total() as u64,
-                            victim_tid: vtid.0,
-                        });
-                        if self.causal {
-                            // Swap dependency: the victim's eviction funds
-                            // this sequence's swap-in.
-                            self.bus.emit(now, || EventKind::CausalEdge {
-                                edge: EdgeKind::Preempt,
-                                src_pid: vpid.0,
-                                src_tid: vtid.0,
-                                src_at: now,
-                                dst_pid: spid.0,
-                                dst_tid: stid.0,
-                            });
-                        }
-                        preempted.push(j);
-                    }
-                    Err(_) => break,
+                match self.evict_for(i, &[], &mut preempted) {
+                    Some(done) => freed_at = freed_at.max(done),
+                    None => break,
                 }
             }
             if self.store.gpu_pages_free() < need_pages {
                 continue; // cannot fit this iteration; retry later
             }
             if let Ok(moved) = self.store.swap_in(file, OwnerId::ADMIN) {
-                swap_extra += self.swap_cost(moved);
+                let ready_at = self.copy_in(freed_at, moved);
+                self.active[i].ready_at = Some(ready_at);
+                self.inflight.push((file, ready_at));
                 self.bus.emit(now, || EventKind::KvSwap {
                     pid: spid.0,
                     tid: stid.0,
@@ -2216,20 +2298,39 @@ impl Kernel {
                     tokens: moved.total() as u64,
                     disk_tokens: moved.disk_tokens as u64,
                     dir: SwapDir::In,
+                    done_at: ready_at,
                 });
             }
         }
 
-        // 2. One slice per resident sequence, at most `chunk` tokens.
+        // 2. One slice per sequence whose KV is on the GPU, at most
+        // `chunk` tokens. A sequence still waiting on a copy sits out; so
+        // does one whose pages are part of a peer's in-flight swap-in, and
+        // a phase-1 victim even if a sibling's swap-in brought the pages
+        // they share straight back.
+        self.inflight.retain(|&(_, ready_at)| ready_at > now);
         let mut parts: Vec<usize> = Vec::new();
         let mut requests: Vec<PredRequest> = Vec::new();
-        for (i, s) in self.active.iter().enumerate() {
-            if !matches!(
-                self.store.residency(s.req.file),
-                Ok(Residency::Gpu | Residency::Empty)
-            ) {
+        for (i, s) in self.active.iter_mut().enumerate() {
+            if preempted.contains(&i)
+                || !matches!(
+                    self.store.residency(s.req.file),
+                    Ok(Residency::Gpu | Residency::Empty)
+                )
+            {
                 continue;
             }
+            let shared = self
+                .inflight
+                .iter()
+                .filter(|(f, _)| self.store.shares_gpu_page(*f, s.req.file))
+                .map(|&(_, ready_at)| ready_at)
+                .max();
+            s.ready_at = s.ready_at.max(shared);
+            if s.ready_at.is_some_and(|t| t > now) {
+                continue;
+            }
+            s.ready_at = None;
             let take = (s.req.tokens.len() - s.done).min(chunk);
             requests.push(PredRequest {
                 file: s.req.file,
@@ -2239,6 +2340,16 @@ impl Kernel {
             parts.push(i);
         }
         if parts.is_empty() {
+            // Everyone admitted is waiting on a copy (or cannot fit yet):
+            // hand phase 1's victims back to the queue and come back when
+            // the first transfer lands.
+            self.rebuild_active(&[], &preempted, &[]);
+            if let Some(t) = self.earliest_landing() {
+                if self.timer_armed_until.is_none_or(|armed| armed > t) {
+                    self.events.schedule(t, Event::BatchTimer);
+                    self.timer_armed_until = Some(t);
+                }
+            }
             return;
         }
 
@@ -2376,50 +2487,26 @@ impl Kernel {
             }
             let file = self.active[i].req.file;
             let need = (self.active[i].req.tokens.len() - self.active[i].done).min(chunk);
-            loop {
-                if self.store.can_append(file, need).unwrap_or(false) {
-                    break;
-                }
-                let exclude: Vec<FileId> = self
-                    .active
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| !retire.contains(j) && !preempted.contains(j))
-                    .map(|(_, s)| s.req.file)
-                    .collect();
-                if let Some((victim, moved)) = self.store.evict_lru(&exclude) {
-                    swap_extra += self.swap_cost(moved);
-                    self.kmetrics.preemptions.inc();
-                    self.bus.emit(now, || EventKind::Preempt {
-                        file: victim.0,
-                        tokens: moved.total() as u64,
-                        victim_tid: 0,
-                    });
-                    continue;
-                }
-                // No idle victim left: preempt the lowest-priority peer
-                // (highest MLFQ level, then latest arrival).
-                let Some(j) = self.lowest_priority_peer(i, &retire, &preempted) else {
-                    break; // nothing evictable at all
-                };
-                let vfile = self.active[j].req.file;
-                let vtid = self.active[j].tid;
-                match self.store.swap_out(vfile, OwnerId::ADMIN) {
-                    Ok(moved) => {
-                        swap_extra += self.swap_cost(moved);
-                        self.kmetrics.preemptions.inc();
-                        self.bus.emit(now, || EventKind::Preempt {
-                            file: vfile.0,
-                            tokens: moved.total() as u64,
-                            victim_tid: vtid.0,
-                        });
-                        preempted.push(j);
-                    }
-                    Err(_) => break,
+            let mut freed_at = now;
+            while !self.store.can_append(file, need).unwrap_or(false) {
+                match self.evict_for(i, &retire, &mut preempted) {
+                    Some(done) => freed_at = freed_at.max(done),
+                    None => break, // nothing evictable at all
                 }
             }
             if self.store.can_append(file, need).unwrap_or(false) {
-                continue; // stays active; next iteration makes progress
+                // Stays active and makes progress once the victims' dirty
+                // bytes have actually left the pages it needs.
+                if freed_at > now {
+                    self.active[i].ready_at = Some(freed_at);
+                }
+                continue;
+            }
+            // Peers whose swap-in is still landing hold pages nobody may
+            // take yet; wait for the first of them instead of failing.
+            if let Some(t) = self.earliest_landing() {
+                self.active[i].ready_at = Some(t);
+                continue;
             }
             let (stid, srequeues, sdone) = {
                 let s = &self.active[i];
@@ -2454,26 +2541,8 @@ impl Kernel {
         }
 
         // 6. Rebuild the active set: drop retired sequences, move preempted
-        // and requeued ones back to the wait queue (keeping their chunk
-        // progress — preemption only changes timing, never results).
-        let mut kept = Vec::with_capacity(self.active.len());
-        for (j, mut s) in std::mem::take(&mut self.active).into_iter().enumerate() {
-            if retire.contains(&j) {
-                continue;
-            }
-            if preempted.contains(&j) {
-                let (spid, scrit) = (s.pid.0, s.critical);
-                self.cqueue.push_front(spid, scrit, s);
-            } else if requeued.contains(&j) {
-                s.requeues += 1;
-                let delay = adm.map(|a| a.retry_delay).unwrap_or_default();
-                self.events
-                    .schedule(now + delay, Event::RequeuePred { pred: s });
-            } else {
-                kept.push(s);
-            }
-        }
-        self.active = kept;
+        // and requeued ones back to the wait queue.
+        self.rebuild_active(&retire, &preempted, &requeued);
 
         self.kmetrics
             .gpu_pages_used
@@ -2481,19 +2550,21 @@ impl Kernel {
         self.kmetrics
             .disk_pages_used
             .set(self.store.disk_pages_used() as i64);
-        let duration = swap_extra + report.duration;
+        self.kmetrics
+            .backing_pages
+            .set(self.store.backing_pages() as i64);
         self.trace.record_with(
             now,
             "infer_sched",
             || format!(
-                "iter_launch id={batch_id} n={} new_tokens={} dur={duration}",
-                report.requests, report.new_tokens
+                "iter_launch id={batch_id} n={} new_tokens={} dur={}",
+                report.requests, report.new_tokens, report.duration
             ),
         );
         self.pending_batches.insert(batch_id, replies);
         self.gpu_busy = true;
         self.events
-            .schedule(now + duration, Event::BatchDone { batch_id });
+            .schedule(now + report.duration, Event::BatchDone { batch_id });
     }
 
     // ---- syscall dispatch -----------------------------------------------------------
@@ -2685,6 +2756,7 @@ impl Kernel {
                     dists: Vec::new(),
                     start_len: 0,
                     delay_recorded: false,
+                    ready_at: None,
                     seq,
                 };
                 match self.exec {
@@ -2803,6 +2875,7 @@ impl Kernel {
             }
             Syscall::KvSwapOut { kv } => {
                 let moved = kv!(self.store.swap_out(kv, owner));
+                let done_at = self.copy_out(sys_at, moved);
                 self.bus.emit(sys_at, || EventKind::KvSwap {
                     pid: pid.0,
                     tid: tid.0,
@@ -2810,9 +2883,9 @@ impl Kernel {
                     tokens: moved.total() as u64,
                     disk_tokens: moved.disk_tokens as u64,
                     dir: SwapDir::Out,
+                    done_at,
                 });
-                let cost = self.swap_cost(moved);
-                let at = self.events.now() + self.syscall_cost + cost;
+                let at = done_at + self.syscall_cost;
                 self.events.schedule(at, Event::Resume(tid, SysReply::Unit));
             }
             Syscall::KvSwapIn { kv } => {
@@ -2825,6 +2898,7 @@ impl Kernel {
                     return;
                 }
                 let moved = kv!(self.store.swap_in(kv, owner));
+                let done_at = self.copy_in(sys_at, moved);
                 self.bus.emit(sys_at, || EventKind::KvSwap {
                     pid: pid.0,
                     tid: tid.0,
@@ -2832,9 +2906,9 @@ impl Kernel {
                     tokens: moved.total() as u64,
                     disk_tokens: moved.disk_tokens as u64,
                     dir: SwapDir::In,
+                    done_at,
                 });
-                let cost = self.swap_cost(moved);
-                let at = self.events.now() + self.syscall_cost + cost;
+                let at = done_at + self.syscall_cost;
                 self.events.schedule(at, Event::Resume(tid, SysReply::Unit));
             }
             Syscall::Spawn { f } => {
@@ -3404,11 +3478,15 @@ impl Kernel {
             .map(|s| s.id)
             .collect();
         for f in victims {
-            if self.store.swap_out(f, owner).is_ok() {
+            if let Ok(moved) = self.store.swap_out(f, owner) {
+                let at = self.events.now();
+                // Nobody waits for the offload itself, but it occupies the
+                // D2H lane and the restore cannot overtake it.
+                let done = self.copy_out(at, moved);
                 if let Some(proc) = self.procs.get_mut(pid.0) {
                     proc.offloaded.push(f);
+                    proc.offload_done = proc.offload_done.max(done);
                 }
-                let at = self.events.now();
                 self.bus.emit(at, || EventKind::KvOffload {
                     pid: pid.0,
                     file: f.0,
@@ -3462,6 +3540,7 @@ impl Kernel {
             None => return,
         };
         let mut restored = SwapReport::default();
+        let offload_done = proc.offload_done;
         if proc.io_waiting == 0 && !proc.offloaded.is_empty() {
             let files = std::mem::take(&mut proc.offloaded);
             let owner = OwnerId(pid.0);
@@ -3492,10 +3571,10 @@ impl Kernel {
         };
         let restore_tokens = restored.total();
         if restore_tokens > 0 {
-            // The thread pays the PCIe (and NVMe, for disk-spilled pages)
-            // restore time before resuming.
-            let cost = self.swap_cost(restored);
+            // The thread resumes once the restore has crossed the H2D lane
+            // (and NVMe, for disk-spilled pages).
             let at = self.events.now();
+            let done = self.copy_in(at.max(offload_done), restored);
             self.bus.emit(at, || EventKind::KvRestore {
                 pid: pid.0,
                 tokens: restore_tokens as u64,
@@ -3505,8 +3584,7 @@ impl Kernel {
                 "io",
                 || format!("restore pid={} tokens={restore_tokens}", pid.0),
             );
-            self.events
-                .schedule(self.events.now() + cost, Event::Resume(tid, reply));
+            self.events.schedule(done, Event::Resume(tid, reply));
         } else {
             self.ready.push_back((tid, reply));
         }

@@ -250,3 +250,243 @@ fn mlfq_serves_fresh_programs_ahead_of_long_runners() {
          (short {s:?}, long {l:?})"
     );
 }
+
+// ---- KV swap traffic rides the copy lanes --------------------------------
+
+/// Token ids for a preloaded document of `len` tokens.
+fn doc_tokens(len: usize, salt: u32) -> Vec<u32> {
+    (0..len as u32).map(|i| 1 + (i * 7 + salt) % 1500).collect()
+}
+
+/// Preloads `doc{d}.kv` for each length; `in_dram` leaves them swapped out
+/// so the executor has to bring them back for whoever forks them.
+fn preload_docs(k: &mut Kernel, lens: &[usize], in_dram: bool) {
+    for (d, &len) in lens.iter().enumerate() {
+        let file = k
+            .preload_kv(
+                &format!("doc{d}.kv"),
+                &doc_tokens(len, d as u32),
+                symphony::Mode::SHARED_READ,
+                false,
+            )
+            .unwrap();
+        if in_dram {
+            k.store_mut()
+                .swap_out(file, symphony::OwnerId::ADMIN)
+                .unwrap();
+        }
+    }
+}
+
+/// Forks `doc{d}.kv`, decodes `tokens` greedy tokens on the fork and emits
+/// the virtual time after each one (`t=<ns>` lines) behind the text.
+fn reader(
+    d: usize,
+    tokens: u32,
+) -> impl FnOnce(&mut symphony::Ctx) -> Result<(), symphony::SysError> {
+    move |ctx| {
+        let doc = ctx.kv_open(&format!("doc{d}.kv"))?;
+        let kv = ctx.kv_fork(doc)?;
+        let mut pos = ctx.kv_next_pos(kv)?;
+        let mut tok = 7u32;
+        let mut stamps = String::new();
+        for _ in 0..tokens {
+            let dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+            tok = dist.argmax();
+            pos += 1;
+            ctx.emit_tokens(&[tok])?;
+            stamps.push_str(&format!(" t={}", ctx.now()?.as_nanos()));
+        }
+        ctx.kv_remove(kv)?;
+        ctx.emit(&stamps)?;
+        Ok(())
+    }
+}
+
+/// Splits a reader's output into its text and its per-token timestamps.
+fn text_and_stamps(out: &str) -> (String, Vec<u64>) {
+    let mut parts = out.split(" t=");
+    let text = parts.next().unwrap_or_default().to_string();
+    (text, parts.map(|p| p.parse().unwrap()).collect())
+}
+
+fn fifo_continuous() -> KernelConfig {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.exec = continuous(Some(8), QueueDiscipline::Fifo);
+    cfg
+}
+
+#[test]
+fn lone_swapped_out_sequence_runs_when_its_transfer_lands() {
+    // Nothing else is runnable while the only sequence's KV crosses PCIe:
+    // the executor must come back for it on its own, and the first token
+    // costs exactly transfer + compute.
+    fn first_token_at(in_dram: bool) -> (Kernel, u64) {
+        let mut k = Kernel::new(fifo_continuous());
+        preload_docs(&mut k, &[400], in_dram);
+        let pid = k.spawn_process("reader", "", reader(0, 1));
+        k.run();
+        assert_eq!(k.live_threads(), 0, "run must not strand the waiter");
+        let rec = k.record(pid).unwrap();
+        assert!(rec.status.is_ok(), "{:?}", rec.status);
+        let at = text_and_stamps(&rec.output).1[0];
+        (k, at)
+    }
+    let (_, compute) = first_token_at(false);
+    let (k, swapped) = first_token_at(true);
+    let cfg = KernelConfig::for_tests();
+    let transfer = cfg
+        .device
+        .transfer_time(400 * cfg.model.kv_bytes_per_token());
+    assert_eq!(swapped, compute + transfer.as_nanos());
+    assert_eq!(k.kv_stats().swapped_in_tokens, 400);
+    k.store().verify().unwrap();
+}
+
+#[test]
+fn swap_placement_changes_timing_never_outputs() {
+    // The same readers over {documents resident, documents in DRAM, a pool
+    // too small for everyone}: identical text every time, and two runs of
+    // one configuration are identical to the nanosecond.
+    fn run(in_dram: bool, gpu_pages: Option<u64>) -> (Kernel, Vec<String>) {
+        let mut cfg = fifo_continuous();
+        cfg.gpu_kv_bytes_override = gpu_pages.map(|p| p * 4 * 512);
+        let mut k = Kernel::new(cfg);
+        preload_docs(&mut k, &[120, 90, 150], in_dram);
+        let mut pids = Vec::new();
+        for i in 0..6u64 {
+            let at = symphony::SimTime::ZERO + SimDuration::from_millis(i);
+            let d = (i % 3) as usize;
+            pids.push(k.schedule_process(at, &format!("r{i}"), "", reader(d, 6)));
+        }
+        k.run();
+        assert_eq!(k.live_threads(), 0);
+        k.store().verify().unwrap();
+        let outs = outputs(&k, &pids);
+        (k, outs)
+    }
+    let texts =
+        |outs: &[String]| -> Vec<String> { outs.iter().map(|o| text_and_stamps(o).0).collect() };
+    let (_, resident) = run(false, None);
+    let (dram, dram_out) = run(true, None);
+    // 60 pages: the three documents alone are 90 pages.
+    let (tiny, tiny_out) = run(true, Some(60));
+    assert_eq!(
+        texts(&dram_out),
+        texts(&resident),
+        "swap-in changed outputs"
+    );
+    assert_eq!(
+        texts(&tiny_out),
+        texts(&resident),
+        "preemption changed outputs"
+    );
+    assert!(dram.kv_stats().swapped_in_tokens > 0);
+    assert!(tiny.preemptions() > 0, "60 pages cannot hold all readers");
+    // Documents came from DRAM unmodified: evicting them again is free.
+    assert!(tiny.kv_stats().clean_dropped_tokens > 0);
+    let (again, again_out) = run(true, Some(60));
+    assert_eq!(again_out, tiny_out, "same configuration, different run");
+    assert_eq!(again.trace().fingerprint(), tiny.trace().fingerprint());
+}
+
+#[test]
+fn bystander_decodes_at_full_speed_while_a_peer_swaps_in() {
+    // The headline property: a 2k-token swap-in (1 MB, 10 ms on the test
+    // link) occupies the H2D lane, not the GPU. A sequence that is already
+    // decoding keeps its inter-token gap for the whole transfer.
+    const DOC: usize = 2048;
+    let arrive = symphony::SimTime::ZERO + SimDuration::from_millis(6);
+    let stamps = |with_peer: bool| -> Vec<u64> {
+        let mut k = Kernel::new(fifo_continuous());
+        preload_docs(&mut k, &[32, DOC], false);
+        let doc1 = k.store().lookup("doc1.kv").unwrap();
+        k.store_mut()
+            .swap_out(doc1, symphony::OwnerId::ADMIN)
+            .unwrap();
+        let bystander = k.spawn_process("bystander", "", reader(0, 12));
+        if with_peer {
+            k.schedule_process(arrive, "peer", "", reader(1, 1));
+        }
+        k.run();
+        assert_eq!(k.live_threads(), 0);
+        text_and_stamps(&k.record(bystander).unwrap().output).1
+    };
+    let alone = stamps(false);
+    let shared = stamps(true);
+    let cfg = KernelConfig::for_tests();
+    let transfer = cfg
+        .device
+        .transfer_time(DOC as u64 * cfg.model.kv_bytes_per_token());
+    let window = arrive.as_nanos()..(arrive + transfer).as_nanos();
+    let during: Vec<usize> = (0..alone.len())
+        .filter(|&i| window.contains(&alone[i]))
+        .collect();
+    assert!(
+        during.len() >= 3,
+        "transfer should span several decode steps"
+    );
+    for i in during {
+        assert_eq!(
+            shared[i], alone[i],
+            "token {i} was delayed by the peer's swap-in"
+        );
+    }
+}
+
+#[test]
+fn tiny_pools_never_strand_or_fail_anyone() {
+    // Readers forking three shared documents plus fresh prefills, over
+    // pools from "barely holds one document" to "almost everything":
+    // whatever gets evicted, preempted or left waiting on a copy, every
+    // program finishes and `run` leaves no thread behind.
+    for pages in (42..100u64).step_by(6) {
+        for (chunk, discipline) in [
+            (8, QueueDiscipline::Fifo),
+            (64, QueueDiscipline::Fifo),
+            (
+                4,
+                QueueDiscipline::Mlfq(MlfqConfig {
+                    levels: 3,
+                    quantum_tokens: 16,
+                }),
+            ),
+        ] {
+            for gap_us in [0u64, 300] {
+                let mut cfg = KernelConfig::for_tests();
+                cfg.exec = continuous(Some(chunk), discipline);
+                cfg.gpu_kv_bytes_override = Some(pages * 4 * 512);
+                let mut k = Kernel::new(cfg);
+                preload_docs(&mut k, &[120, 90, 150], true);
+                let mut pids = Vec::new();
+                for i in 0..14u64 {
+                    let at = symphony::SimTime::ZERO + SimDuration::from_micros(i * gap_us);
+                    let name = format!("p{i}");
+                    pids.push(if i % 4 == 3 {
+                        k.schedule_process(at, &name, "", move |ctx| {
+                            let kv = ctx.kv_create()?;
+                            let prompt: Vec<u32> = (1..=30 + i as u32 * 5).collect();
+                            ctx.pred_positions(kv, &prompt, 0)?;
+                            ctx.kv_remove(kv)
+                        })
+                    } else {
+                        k.schedule_process(
+                            at,
+                            &name,
+                            "",
+                            reader((i * 7 % 3) as usize, 4 + (i % 5) as u32),
+                        )
+                    });
+                }
+                k.run();
+                let at = format!("pages={pages} chunk={chunk} {discipline:?} gap={gap_us}us");
+                assert_eq!(k.live_threads(), 0, "stranded a thread: {at}");
+                for &pid in &pids {
+                    let rec = k.record(pid).unwrap();
+                    assert!(rec.status.is_ok(), "{:?}: {at}", rec.status);
+                }
+                k.store().verify().unwrap();
+            }
+        }
+    }
+}

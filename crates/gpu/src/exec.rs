@@ -1,9 +1,9 @@
 //! The batch executor: turns `pred` requests into distributions, KV entries
 //! and virtual time.
 
-use symphony_kvfs::{FileId, KvEntry, KvError, KvStore, OwnerId, Residency};
+use symphony_kvfs::{FileId, KvEntry, KvError, KvStore, OwnerId, Residency, SwapReport};
 use symphony_model::{Dist, Surrogate, TokenId, WorkEstimate};
-use symphony_sim::SimDuration;
+use symphony_sim::{SimDuration, SimTime};
 use symphony_telemetry::{Counter, MetricsRegistry};
 
 use crate::device::DeviceSpec;
@@ -113,12 +113,38 @@ impl GpuCounters {
     }
 }
 
+/// One direction of the host link: a DMA engine that runs beside the SMs,
+/// busy until `free_at`. A pure function of virtual time.
+#[derive(Debug)]
+struct CopyLane {
+    free_at: SimTime,
+    busy_ns: Counter,
+}
+
+impl CopyLane {
+    /// Queues a transfer that may start at `not_before` behind whatever
+    /// the lane already carries; returns its completion time.
+    fn reserve(&mut self, not_before: SimTime, transfer: SimDuration) -> SimTime {
+        if transfer == SimDuration::ZERO {
+            return not_before;
+        }
+        let done = not_before.max(self.free_at) + transfer;
+        self.free_at = done;
+        self.busy_ns.add(transfer.as_nanos());
+        done
+    }
+}
+
 /// The simulated GPU executor.
 #[derive(Debug)]
 pub struct GpuExecutor {
     device: DeviceSpec,
     model: Surrogate,
     counters: GpuCounters,
+    /// Host→device and device→host copy lanes (PCIe is full duplex), so KV
+    /// swap traffic overlaps compute instead of extending a batch.
+    h2d: CopyLane,
+    d2h: CopyLane,
 }
 
 impl GpuExecutor {
@@ -135,6 +161,14 @@ impl GpuExecutor {
             device,
             model,
             counters: GpuCounters::register(registry),
+            h2d: CopyLane {
+                free_at: SimTime::ZERO,
+                busy_ns: registry.counter("gpu.copy.h2d_busy_ns"),
+            },
+            d2h: CopyLane {
+                free_at: SimTime::ZERO,
+                busy_ns: registry.counter("gpu.copy.d2h_busy_ns"),
+            },
         }
     }
 
@@ -175,16 +209,38 @@ impl GpuExecutor {
         )
     }
 
-    /// Time to move `tokens` worth of KV across PCIe (swap traffic).
-    pub fn swap_time(&self, tokens: u64, bytes_per_token: u64) -> SimDuration {
-        self.device.transfer_time(tokens * bytes_per_token)
+    /// Books a swap-in's traffic on the host→device lane, starting no
+    /// earlier than `not_before`; returns when the last byte has landed.
+    /// DRAM tokens cross PCIe, disk tokens the (slower) NVMe lane.
+    pub fn copy_in(
+        &mut self,
+        not_before: SimTime,
+        moved: SwapReport,
+        bytes_per_token: u64,
+    ) -> SimTime {
+        let transfer = self.copy_time(moved, bytes_per_token);
+        self.h2d.reserve(not_before, transfer)
     }
 
-    /// Time to move `tokens` worth of KV across the NVMe lane (disk-tier
-    /// swap traffic). Strictly more expensive than [`Self::swap_time`] for
-    /// the same payload: the lane is slower and charges an access latency.
-    pub fn disk_swap_time(&self, tokens: u64, bytes_per_token: u64) -> SimDuration {
-        self.device.disk_transfer_time(tokens * bytes_per_token)
+    /// Books a swap-out's traffic on the device→host lane; returns when
+    /// the GPU pages it vacates are actually free. Clean drops move
+    /// nothing and complete at `not_before`.
+    pub fn copy_out(
+        &mut self,
+        not_before: SimTime,
+        moved: SwapReport,
+        bytes_per_token: u64,
+    ) -> SimTime {
+        let transfer = self.copy_time(moved, bytes_per_token);
+        self.d2h.reserve(not_before, transfer)
+    }
+
+    fn copy_time(&self, moved: SwapReport, bytes_per_token: u64) -> SimDuration {
+        self.device
+            .transfer_time(moved.dram_tokens as u64 * bytes_per_token)
+            + self
+                .device
+                .disk_transfer_time(moved.disk_tokens as u64 * bytes_per_token)
     }
 
     /// Executes a batch of `pred` requests against the KV store.
@@ -506,12 +562,33 @@ mod tests {
     }
 
     #[test]
-    fn disk_swap_is_dearer_than_pcie_swap() {
-        let (gpu, _) = setup();
-        let pcie = gpu.swap_time(1_000, 2);
-        let disk = gpu.disk_swap_time(1_000, 2);
-        assert!(disk > pcie, "disk={disk:?} pcie={pcie:?}");
-        assert_eq!(gpu.disk_swap_time(0, 2), SimDuration::ZERO);
+    fn copy_lanes_queue_per_direction_and_run_beside_each_other() {
+        let (mut gpu, _) = setup();
+        let t0 = SimTime::from_nanos(1_000);
+        let dram = SwapReport {
+            dram_tokens: 1_000,
+            ..SwapReport::default()
+        };
+        let disk = SwapReport {
+            disk_tokens: 1_000,
+            ..SwapReport::default()
+        };
+        let one = gpu.copy_in(t0, dram, 2);
+        assert!(one > t0);
+        // Same lane: the second transfer queues behind the first.
+        let two = gpu.copy_in(t0, dram, 2);
+        assert_eq!(two - one, one - t0);
+        // Full duplex: the other direction is idle and starts at once.
+        assert_eq!(gpu.copy_out(t0, dram, 2), one);
+        // Disk tokens cross the slower NVMe lane.
+        let t1 = SimTime::from_nanos(10_000_000_000);
+        assert!(gpu.copy_in(t1, disk, 2) - t1 > one - t0);
+        // Clean drops move nothing and do not wait for the lane.
+        let clean = SwapReport {
+            dropped_tokens: 1_000,
+            ..SwapReport::default()
+        };
+        assert_eq!(gpu.copy_out(t0, clean, 2), t0);
     }
 
     #[test]

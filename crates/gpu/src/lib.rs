@@ -11,6 +11,12 @@
 //! this lands on the familiar regime: single-stream decode ≈ 13 ms/token
 //! (weight-bandwidth bound), 3000-token prefill ≈ 0.5 s (compute bound).
 //!
+//! KV swap traffic does not ride on batches: the executor has one
+//! host→device and one device→host copy lane ([`GpuExecutor::copy_in`],
+//! [`GpuExecutor::copy_out`]), each a busy-until timestamp over the
+//! device's PCIe/NVMe bandwidth, so transfers overlap compute and queue
+//! only behind each other.
+//!
 //! # Examples
 //!
 //! ```

@@ -1,11 +1,19 @@
 //! Pages and the three-tier page pool.
 //!
-//! A page holds up to `page_tokens` KV entries and lives in exactly one
-//! memory tier. Pages are reference-counted: [`crate::store::KvStore::fork`]
-//! shares pages between files and copies only on divergence (copy-on-write
-//! of the mutable tail). The pool enforces per-tier capacity; allocation
-//! failure is an explicit error so callers can run eviction policies — the
-//! central mechanism/policy split the paper argues for.
+//! A page holds up to `page_tokens` KV entries and is *resident* in exactly
+//! one memory tier. A GPU-resident page that was swapped in from a lower
+//! tier additionally keeps the slot it came from as a *backing copy* (a
+//! host copy does not vanish when it is read): while the page's content is
+//! unchanged, evicting it frees the GPU slot without moving a byte. Any
+//! content mutation drops the backing copy, and a full lower tier reclaims
+//! backing copies before it reports itself full. Pages are
+//! reference-counted: [`crate::store::KvStore::fork`] shares pages between
+//! files and copies only on divergence (copy-on-write of the mutable
+//! tail). The pool enforces per-tier capacity; allocation failure is an
+//! explicit error so callers can run eviction policies — the central
+//! mechanism/policy split the paper argues for.
+
+use std::collections::BTreeSet;
 
 use symphony_model::CtxFingerprint;
 use symphony_tokenizer::TokenId;
@@ -62,6 +70,19 @@ pub(crate) struct Page {
     pub entries: Vec<KvEntry>,
     pub refcount: u32,
     pub tier: Tier,
+    /// Lower tier still holding a byte-identical copy of this GPU-resident
+    /// page (counted in that tier's `*_used`). `None` off the GPU.
+    pub backing: Option<Tier>,
+}
+
+/// What [`PagePool::migrate`] did with a page's tokens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Migrated {
+    /// The tokens crossed a lane into the destination tier.
+    Copied(usize),
+    /// The destination already held the page's backing copy: the GPU slot
+    /// was freed and nothing moved.
+    Dropped(usize),
 }
 
 /// The three-tier page pool.
@@ -76,11 +97,17 @@ pub(crate) struct PagePool {
     gpu_used: usize,
     cpu_used: usize,
     disk_used: usize,
+    /// GPU-resident pages with a backing copy in DRAM / on disk.
+    backed_cpu: usize,
+    backed_disk: usize,
+    /// Slot where the next backing-copy reclaim scan resumes, so a tier
+    /// under sustained pressure sweeps the pool once, not once per page.
+    reclaim_from: usize,
     /// Pages whose content or tier changed since the last
     /// [`PagePool::take_dirty`] drain. `None` (the default) disables
     /// tracking entirely so the hot paths pay only an `Option` check;
     /// the store enables it when a delta journal is opened.
-    dirty: Option<std::collections::BTreeSet<u32>>,
+    dirty: Option<BTreeSet<u32>>,
 }
 
 impl PagePool {
@@ -101,13 +128,16 @@ impl PagePool {
             gpu_used: 0,
             cpu_used: 0,
             disk_used: 0,
+            backed_cpu: 0,
+            backed_disk: 0,
+            reclaim_from: 0,
             dirty: None,
         }
     }
 
     /// Starts tracking content/tier changes for delta journalling.
     pub(crate) fn enable_dirty_tracking(&mut self) {
-        self.dirty = Some(std::collections::BTreeSet::new());
+        self.dirty = Some(BTreeSet::new());
     }
 
     /// Drains the dirty set, returning the still-live page ids in
@@ -128,9 +158,9 @@ impl PagePool {
     }
 
     /// Marks a page dirty for the next delta drain (no-op while disabled).
-    /// Content mutations that bypass `alloc`/`migrate`/`copy_entries_into`
-    /// — direct `page_mut(..).entries` edits in the store — must call this.
-    pub(crate) fn mark_dirty(&mut self, id: PageId) {
+    /// Content mutations go through [`PagePool::entries_mut`], which calls
+    /// this.
+    fn mark_dirty(&mut self, id: PageId) {
         if let Some(d) = self.dirty.as_mut() {
             d.insert(id.0);
         }
@@ -189,15 +219,70 @@ impl PagePool {
         }
     }
 
-    /// Allocates an empty page in `tier` with refcount 1.
-    pub(crate) fn alloc(&mut self, tier: Tier) -> Result<PageId, KvError> {
-        if let Some(err) = self.tier_full(tier) {
+    fn backed(&mut self, tier: Tier) -> &mut usize {
+        match tier {
+            Tier::Cpu => &mut self.backed_cpu,
+            // The GPU never holds a backing copy; the arm is never taken.
+            Tier::Disk | Tier::Gpu => &mut self.backed_disk,
+        }
+    }
+
+    /// GPU-resident pages that currently keep a lower-tier backing copy.
+    pub(crate) fn backing_pages(&self) -> usize {
+        self.backed_cpu + self.backed_disk
+    }
+
+    /// Ensures `tier` can take one more page. Backing copies are only a
+    /// cache of pages that live on the GPU, so a full tier reclaims one
+    /// (next in slot order from where the last reclaim stopped) before it
+    /// reports itself full.
+    fn make_room(&mut self, tier: Tier) -> Result<(), KvError> {
+        let Some(err) = self.tier_full(tier) else {
+            return Ok(());
+        };
+        if tier == Tier::Gpu || *self.backed(tier) == 0 {
             return Err(err);
         }
+        let n = self.slots.len();
+        for step in 0..n {
+            let idx = (self.reclaim_from + step) % n;
+            if self.slots[idx]
+                .as_ref()
+                .is_some_and(|p| p.backing == Some(tier))
+            {
+                self.reclaim_from = idx + 1;
+                self.unback(PageId(idx as u32));
+                return Ok(());
+            }
+        }
+        Err(err)
+    }
+
+    /// Gives up a page's backing copy, if it has one.
+    fn unback(&mut self, id: PageId) {
+        if let Some(tier) = self.page_mut(id).backing.take() {
+            *self.backed(tier) -= 1;
+            self.sub_used(tier);
+        }
+    }
+
+    /// Mutable access to a page's entries. The lower-tier copy no longer
+    /// matches after the edit, so the backing copy is dropped and the page
+    /// is marked for the next delta drain.
+    pub(crate) fn entries_mut(&mut self, id: PageId) -> &mut Vec<KvEntry> {
+        self.unback(id);
+        self.mark_dirty(id);
+        &mut self.page_mut(id).entries
+    }
+
+    /// Allocates an empty page in `tier` with refcount 1.
+    pub(crate) fn alloc(&mut self, tier: Tier) -> Result<PageId, KvError> {
+        self.make_room(tier)?;
         let page = Page {
             entries: Vec::with_capacity(self.page_tokens),
             refcount: 1,
             tier,
+            backing: None,
         };
         self.add_used(tier);
         let id = if let Some(idx) = self.free.pop() {
@@ -228,6 +313,7 @@ impl PagePool {
             }
             tier = page.tier;
         }
+        self.unback(id);
         self.slots[id.0 as usize] = None;
         self.free.push(id.0);
         self.sub_used(tier);
@@ -238,22 +324,39 @@ impl PagePool {
         }
     }
 
-    /// Moves a page between tiers; returns the number of tokens moved.
-    pub(crate) fn migrate(&mut self, id: PageId, to: Tier) -> Result<usize, KvError> {
-        let from = self.page(id).tier;
+    /// Moves a page's residency to `to`. Swapping into the GPU keeps the
+    /// lower-tier slot as a backing copy; leaving the GPU for the tier that
+    /// holds the backing copy frees the GPU slot without moving anything.
+    pub(crate) fn migrate(&mut self, id: PageId, to: Tier) -> Result<Migrated, KvError> {
+        let (from, backing, tokens) = {
+            let page = self.page(id);
+            (page.tier, page.backing, page.entries.len())
+        };
         if from == to {
-            return Ok(0);
+            return Ok(Migrated::Copied(0));
         }
-        if let Some(err) = self.tier_full(to) {
-            return Err(err);
+        if backing == Some(to) {
+            *self.backed(to) -= 1;
+            self.sub_used(from);
+            let page = self.page_mut(id);
+            page.backing = None;
+            page.tier = to;
+            self.mark_dirty(id);
+            return Ok(Migrated::Dropped(tokens));
         }
-        self.sub_used(from);
+        self.make_room(to)?;
         self.add_used(to);
-        let page = self.page_mut(id);
-        page.tier = to;
-        let moved = page.entries.len();
+        if to == Tier::Gpu {
+            self.page_mut(id).backing = Some(from);
+            *self.backed(from) += 1;
+        } else {
+            // A copy in some third tier is not worth tracking.
+            self.unback(id);
+            self.sub_used(from);
+        }
+        self.page_mut(id).tier = to;
         self.mark_dirty(id);
-        Ok(moved)
+        Ok(Migrated::Copied(tokens))
     }
 
     /// Installs a page with a known id, content and refcount — journal
@@ -281,6 +384,7 @@ impl PagePool {
             entries,
             refcount,
             tier,
+            backing: None,
         });
         self.add_used(tier);
         Ok(())
@@ -364,6 +468,44 @@ impl PagePool {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
+    /// Checks per-tier accounting: `used = resident + backing`, and only
+    /// GPU pages are backed, by a lower tier.
+    pub(crate) fn verify_accounting(&self) -> Result<(), String> {
+        let mut used = [0usize; 3];
+        let mut backed = [0usize; 3];
+        let slot = |t: Tier| match t {
+            Tier::Gpu => 0,
+            Tier::Cpu => 1,
+            Tier::Disk => 2,
+        };
+        for (pid, page) in self.iter() {
+            used[slot(page.tier)] += 1;
+            if let Some(b) = page.backing {
+                if page.tier != Tier::Gpu || b == Tier::Gpu {
+                    return Err(format!(
+                        "page {pid:?}: tier {:?} cannot be backed by {b:?}",
+                        page.tier
+                    ));
+                }
+                used[slot(b)] += 1;
+                backed[slot(b)] += 1;
+            }
+        }
+        if used != [self.gpu_used, self.cpu_used, self.disk_used] {
+            return Err(format!(
+                "tier accounting: resident+backing gpu/cpu/disk {used:?} but used {}/{}/{}",
+                self.gpu_used, self.cpu_used, self.disk_used
+            ));
+        }
+        if backed != [0, self.backed_cpu, self.backed_disk] {
+            return Err(format!(
+                "backing copies gpu/cpu/disk {backed:?} but counted {}/{}",
+                self.backed_cpu, self.backed_disk
+            ));
+        }
+        Ok(())
+    }
+
     /// Iterates over live pages.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (PageId, &Page)> {
         self.slots
@@ -423,12 +565,12 @@ mod tests {
         pool.page_mut(p).entries.push(entry(1));
         pool.page_mut(p).entries.push(entry(2));
         let moved = pool.migrate(p, Tier::Cpu).unwrap();
-        assert_eq!(moved, 2);
+        assert_eq!(moved, Migrated::Copied(2));
         assert_eq!(pool.gpu_used(), 0);
         assert_eq!(pool.cpu_used(), 1);
         assert_eq!(pool.page(p).tier, Tier::Cpu);
         // No-op migration.
-        assert_eq!(pool.migrate(p, Tier::Cpu).unwrap(), 0);
+        assert_eq!(pool.migrate(p, Tier::Cpu).unwrap(), Migrated::Copied(0));
     }
 
     #[test]
@@ -445,7 +587,7 @@ mod tests {
         let mut pool = PagePool::new(4, 1, 1, 1);
         let p = pool.alloc(Tier::Gpu).unwrap();
         pool.page_mut(p).entries.push(entry(7));
-        assert_eq!(pool.migrate(p, Tier::Disk).unwrap(), 1);
+        assert_eq!(pool.migrate(p, Tier::Disk).unwrap(), Migrated::Copied(1));
         assert_eq!(pool.page(p).tier, Tier::Disk);
         assert_eq!(pool.disk_used(), 1);
         assert_eq!(pool.gpu_used(), 0);

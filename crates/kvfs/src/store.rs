@@ -8,7 +8,7 @@ use symphony_telemetry::{Counter, Gauge, MetricsRegistry};
 
 use crate::error::KvError;
 use crate::journal::{self, JournalHeader, JournalWriter, Record, RestoreReport};
-use crate::page::{KvEntry, PageId, PagePool, Tier, PAGE_TOKENS_DEFAULT};
+use crate::page::{KvEntry, Migrated, PageId, PagePool, Tier, PAGE_TOKENS_DEFAULT};
 
 /// A tenant identity (a Symphony process, a baseline engine, or "the admin").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -191,6 +191,9 @@ pub struct KvStats {
     pub cow_copies: u64,
     /// Entries copied by `extract`/`merge`.
     pub copied_entries: u64,
+    /// Tokens that left GPU HBM without crossing a lane: their pages'
+    /// backing copies were still current.
+    pub clean_dropped_tokens: u64,
 }
 
 /// Live counter handles into the metrics registry backing [`KvStats`].
@@ -202,6 +205,7 @@ struct KvCounters {
     disk_loaded_tokens: Counter,
     cow_copies: Counter,
     copied_entries: Counter,
+    clean_dropped_tokens: Counter,
     compactions: Counter,
     journal_bytes: Gauge,
     journal_frames_page_write: Gauge,
@@ -220,6 +224,7 @@ impl KvCounters {
             disk_loaded_tokens: registry.counter("kvfs.disk_loaded_tokens"),
             cow_copies: registry.counter("kvfs.cow_copies"),
             copied_entries: registry.counter("kvfs.copied_entries"),
+            clean_dropped_tokens: registry.counter("kvfs.clean_dropped_tokens"),
             compactions: registry.counter("kvfs.compactions"),
             journal_bytes: registry.gauge("kvfs.journal_bytes"),
             journal_frames_page_write: registry.gauge("kvfs.journal_frames.page_write"),
@@ -234,18 +239,31 @@ impl KvCounters {
 /// Token-move breakdown of one swap operation, split by the lane the bytes
 /// crossed: `dram_tokens` moved over PCIe (GPU↔CPU), `disk_tokens` crossed
 /// the NVMe lane (anything↔disk). Callers charge each lane's cost model.
+/// `dropped_tokens` left the GPU for free because a lower tier still held
+/// their backing copy.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SwapReport {
     /// Tokens moved between GPU HBM and CPU DRAM (PCIe traffic).
     pub dram_tokens: usize,
     /// Tokens moved to or from the disk tier (NVMe traffic).
     pub disk_tokens: usize,
+    /// Tokens whose GPU slot was freed without a transfer (clean pages).
+    pub dropped_tokens: usize,
 }
 
 impl SwapReport {
-    /// Total tokens moved, regardless of lane.
+    /// Total tokens that crossed a lane (clean drops move nothing).
     pub fn total(&self) -> usize {
         self.dram_tokens + self.disk_tokens
+    }
+
+    /// Books one page migration whose lower-tier end is `lower`.
+    fn add(&mut self, lower: Tier, moved: Migrated) {
+        match (moved, lower) {
+            (Migrated::Dropped(n), _) => self.dropped_tokens += n,
+            (Migrated::Copied(n), Tier::Disk) => self.disk_tokens += n,
+            (Migrated::Copied(n), Tier::Cpu | Tier::Gpu) => self.dram_tokens += n,
+        }
     }
 }
 
@@ -267,6 +285,27 @@ struct DeltaLog {
     shadow_namespace: BTreeMap<String, u64>,
     /// Per-owner quota limits as of the last drain.
     shadow_quotas: BTreeMap<u64, Option<u64>>,
+}
+
+/// Page tables of the files in `keep`, `id` itself left out.
+fn kept_tables<'a>(
+    files: &'a BTreeMap<u64, FileMeta>,
+    id: FileId,
+    keep: &[FileId],
+) -> Vec<&'a FileMeta> {
+    keep.iter()
+        .filter(|&&x| x != id)
+        .filter_map(|x| files.get(&x.0))
+        .collect()
+}
+
+/// `true` when one of the `kept` tables also references page `p`, which
+/// sits at index `k` of the table being swapped out. Shared pages always
+/// sit at the same index in every page table that references them — `fork`
+/// clones the table and `append`/`truncate` only touch its tail
+/// ([`KvStore::verify`] checks this) — so one probe per table decides.
+fn held(kept: &[&FileMeta], k: usize, p: PageId) -> bool {
+    kept.iter().any(|m| m.pages.get(k) == Some(&p))
 }
 
 /// The KV file store.
@@ -356,6 +395,11 @@ impl KvStore {
         self.pool.disk_capacity()
     }
 
+    /// GPU-resident pages that keep a backing copy in a lower tier.
+    pub fn backing_pages(&self) -> usize {
+        self.pool.backing_pages()
+    }
+
     /// Total live pages across all tiers.
     pub fn live_pages(&self) -> usize {
         self.pool.live_pages()
@@ -375,6 +419,7 @@ impl KvStore {
             disk_loaded_tokens: self.counters.disk_loaded_tokens.get(),
             cow_copies: self.counters.cow_copies.get(),
             copied_entries: self.counters.copied_entries.get(),
+            clean_dropped_tokens: self.counters.clean_dropped_tokens.get(),
         }
     }
 
@@ -717,18 +762,15 @@ impl KvStore {
             let take = remaining.len().min(tail_free);
             let tail = *self.meta(id)?.pages.last().ok_or(KvError::BadRange)?;
             self.pool
-                .page_mut(tail)
-                .entries
+                .entries_mut(tail)
                 .extend_from_slice(&remaining[..take]);
-            self.pool.mark_dirty(tail);
             remaining = &remaining[take..];
         }
         while !remaining.is_empty() {
             let p = self.pool.alloc(Tier::Gpu)?;
             let take = remaining.len().min(pt);
             self.pool
-                .page_mut(p)
-                .entries
+                .entries_mut(p)
                 .extend_from_slice(&remaining[..take]);
             self.meta_mut(id)?.pages.push(p);
             remaining = &remaining[take..];
@@ -773,8 +815,7 @@ impl KvStore {
                     self.counters.cow_copies.inc();
                 }
                 let last = *self.meta(id)?.pages.last().ok_or(KvError::BadRange)?;
-                self.pool.page_mut(last).entries.truncate(within);
-                self.pool.mark_dirty(last);
+                self.pool.entries_mut(last).truncate(within);
             }
         }
         self.meta_mut(id)?.len = new_len;
@@ -925,44 +966,99 @@ impl KvStore {
         })
     }
 
+    /// Pages of the file that a swap-in would have to bring onto the GPU.
+    pub fn pages_off_gpu(&self, id: FileId) -> Result<usize, KvError> {
+        let m = self.meta(id)?;
+        Ok(m.pages
+            .iter()
+            .filter(|&&p| self.pool.page(p).tier != Tier::Gpu)
+            .count())
+    }
+
     /// Swaps all GPU pages out of HBM; returns the per-lane token counts
-    /// (for PCIe/NVMe timing). Pages go to CPU DRAM first; under CPU
-    /// pressure they spill one level further to the disk tier. Shared
-    /// pages move too — swap is a whole-page property. Pages already off
-    /// the GPU stay where they are.
+    /// (for PCIe/NVMe timing). Pages whose backing copy is still current
+    /// free their GPU slot without moving (`dropped_tokens`). The rest go to
+    /// CPU DRAM first; under CPU pressure — once other pages' backing
+    /// copies are reclaimed — they spill one level further to the disk
+    /// tier. Shared pages move too — swap is a whole-page property. Pages
+    /// already off the GPU stay where they are.
     ///
     /// When the disk tier is disabled (zero capacity) a full DRAM surfaces
     /// as [`KvError::NoCpuMemory`], exactly as it did before the disk tier
     /// existed.
     pub fn swap_out(&mut self, id: FileId, caller: OwnerId) -> Result<SwapReport, KvError> {
+        self.swap_out_except(id, caller, &[])
+    }
+
+    /// [`KvStore::swap_out`] that leaves on the GPU every page a file in
+    /// `keep` also references: evicting an idle document (or preempting a
+    /// sequence) must not yank shared pages from under a fork that is
+    /// still executing. `id` itself may appear in `keep` and is ignored.
+    pub fn swap_out_except(
+        &mut self,
+        id: FileId,
+        caller: OwnerId,
+        keep: &[FileId],
+    ) -> Result<SwapReport, KvError> {
         self.check_write(id, caller)?;
         if self.meta(id)?.pinned {
             return Err(KvError::Pinned);
         }
-        // Split borrow: the page table is read-only while the pool migrates,
-        // so the per-call `pages.clone()` this path used to do is unneeded.
+        // Split borrow: the page tables are read-only while the pool
+        // migrates, so no page list is cloned or collected.
         let (files, pool) = (&self.files, &mut self.pool);
         let m = files.get(&id.0).ok_or(KvError::NotFound)?;
+        let kept = kept_tables(files, id, keep);
         let mut report = SwapReport::default();
-        for &p in &m.pages {
-            if pool.page(p).tier != Tier::Gpu {
+        // Clean pages first, so the dirty ones below never reclaim a
+        // backing copy this very call could have dropped to for free.
+        for (k, &p) in m.pages.iter().enumerate() {
+            let page = pool.page(p);
+            if let (Tier::Gpu, Some(backing)) = (page.tier, page.backing) {
+                if !held(&kept, k, p) {
+                    report.add(backing, pool.migrate(p, backing)?);
+                }
+            }
+        }
+        for (k, &p) in m.pages.iter().enumerate() {
+            if pool.page(p).tier != Tier::Gpu || held(&kept, k, p) {
                 continue;
             }
             match pool.migrate(p, Tier::Cpu) {
-                Ok(n) => report.dram_tokens += n,
+                Ok(moved) => report.add(Tier::Cpu, moved),
                 Err(KvError::NoCpuMemory) => match pool.migrate(p, Tier::Disk) {
-                    Ok(n) => report.disk_tokens += n,
+                    Ok(moved) => report.add(Tier::Disk, moved),
                     Err(KvError::NoDiskMemory) => return Err(KvError::NoCpuMemory),
                     Err(e) => return Err(e),
                 },
                 Err(e) => return Err(e),
             }
         }
-        self.counters.swapped_out_tokens.add(report.total() as u64);
+        self.count_swap_out(report.total(), &report);
+        Ok(report)
+    }
+
+    /// How many GPU pages [`KvStore::swap_out_except`] would free.
+    pub fn movable_gpu_pages(&self, id: FileId, keep: &[FileId]) -> usize {
+        let Some(m) = self.files.get(&id.0) else {
+            return 0;
+        };
+        let kept = kept_tables(&self.files, id, keep);
+        m.pages
+            .iter()
+            .enumerate()
+            .filter(|&(k, &p)| self.pool.page(p).tier == Tier::Gpu && !held(&kept, k, p))
+            .count()
+    }
+
+    fn count_swap_out(&self, left_gpu: usize, report: &SwapReport) {
+        self.counters.swapped_out_tokens.add(left_gpu as u64);
         self.counters
             .disk_spilled_tokens
             .add(report.disk_tokens as u64);
-        Ok(report)
+        self.counters
+            .clean_dropped_tokens
+            .add(report.dropped_tokens as u64);
     }
 
     /// Demotes every page of a file to the disk tier (cold persistence or
@@ -978,24 +1074,19 @@ impl KvStore {
         let mut left_gpu = 0usize;
         for &p in &m.pages {
             let from = pool.page(p).tier;
-            if from == Tier::Disk {
-                continue;
-            }
-            let n = pool.migrate(p, Tier::Disk)?;
-            if from == Tier::Gpu {
+            let moved = pool.migrate(p, Tier::Disk)?;
+            if let (Tier::Gpu, Migrated::Copied(n)) = (from, moved) {
                 left_gpu += n;
             }
-            report.disk_tokens += n;
+            report.add(Tier::Disk, moved);
         }
-        self.counters.swapped_out_tokens.add(left_gpu as u64);
-        self.counters
-            .disk_spilled_tokens
-            .add(report.disk_tokens as u64);
+        self.count_swap_out(left_gpu, &report);
         Ok(report)
     }
 
     /// Swaps all pages back into the GPU tier; returns the per-lane token
-    /// counts (disk pages cross the NVMe lane, DRAM pages cross PCIe).
+    /// counts (disk pages cross the NVMe lane, DRAM pages cross PCIe). The
+    /// lower-tier slots stay behind as backing copies.
     pub fn swap_in(&mut self, id: FileId, caller: OwnerId) -> Result<SwapReport, KvError> {
         self.check_write(id, caller)?;
         let (files, pool) = (&self.files, &mut self.pool);
@@ -1003,11 +1094,7 @@ impl KvStore {
         let mut report = SwapReport::default();
         for &p in &m.pages {
             let from = pool.page(p).tier;
-            let n = pool.migrate(p, Tier::Gpu)?;
-            match from {
-                Tier::Disk => report.disk_tokens += n,
-                Tier::Cpu | Tier::Gpu => report.dram_tokens += n,
-            }
+            report.add(from, pool.migrate(p, Tier::Gpu)?);
         }
         self.counters.swapped_in_tokens.add(report.total() as u64);
         self.counters
@@ -1017,19 +1104,33 @@ impl KvStore {
         Ok(report)
     }
 
-    /// Preemption eviction hook: swaps out the least-recently-used
-    /// GPU-resident file to free pages, skipping pinned, locked and
-    /// `exclude`d files (the scheduler excludes files of sequences still
-    /// executing). Returns the victim and the per-lane token counts, or
+    /// `true` when the two files reference a common GPU-resident page, so
+    /// a transfer of one file's pages is a transfer of the other's too.
+    pub fn shares_gpu_page(&self, a: FileId, b: FileId) -> bool {
+        let (Some(ma), Some(mb)) = (self.files.get(&a.0), self.files.get(&b.0)) else {
+            return false;
+        };
+        // Same-index probe: see `held`.
+        ma.pages
+            .iter()
+            .zip(&mb.pages)
+            .any(|(pa, pb)| pa == pb && self.pool.page(*pa).tier == Tier::Gpu)
+    }
+
+    /// Preemption eviction hook: frees GPU pages by swapping out the
+    /// least-recently-used file that has any to give, skipping pinned,
+    /// locked and `exclude`d files (the scheduler excludes files of
+    /// sequences still executing). Pages an excluded file also references
+    /// stay put — an idle parent document must not be yanked from under
+    /// its running fork — so a file made only of such pages is no
+    /// candidate. Returns the victim and the per-lane token counts, or
     /// `None` when no file is evictable. Deterministic: ties on
     /// `last_access` break by file id.
     pub fn evict_lru(&mut self, exclude: &[FileId]) -> Option<(FileId, SwapReport)> {
         // Scan the file table directly instead of materialising a full
         // `list_files()` stat vector: this runs on the preemption hot path.
-        // A file with any GPU page is exactly the old `Gpu | Mixed`
-        // residency filter.
         let pool = &self.pool;
-        let victim = self
+        let mut candidates: Vec<(u64, u64)> = self
             .files
             .iter()
             .filter(|&(id, m)| {
@@ -1038,12 +1139,17 @@ impl KvStore {
                     && !exclude.contains(&FileId(*id))
                     && m.pages.iter().any(|&p| pool.page(p).tier == Tier::Gpu)
             })
-            .min_by_key(|&(id, m)| (m.last_access, *id))
-            .map(|(&id, _)| FileId(id))?;
-        // The victim just passed the evictability filter, so `swap_out`
+            .map(|(&id, m)| (m.last_access, id))
+            .collect();
+        candidates.sort_unstable();
+        let victim = candidates
+            .into_iter()
+            .map(|(_, id)| FileId(id))
+            .find(|&c| self.movable_gpu_pages(c, exclude) > 0)?;
+        // The victim just passed the evictability filter, so the swap
         // should succeed; if it does not, report "nothing evictable"
         // rather than panicking mid-preemption (lint rule k1).
-        let moved = self.swap_out(victim, OwnerId::ADMIN).ok()?;
+        let moved = self.swap_out_except(victim, OwnerId::ADMIN, exclude).ok()?;
         Some((victim, moved))
     }
 
@@ -1621,10 +1727,17 @@ impl KvStore {
     /// violation. Tests call this after every mutation sequence.
     pub fn verify(&self) -> Result<(), String> {
         // Refcounts must equal the number of file references.
+        // A shared page must sit at the same index in every page table.
         let mut refs: BTreeMap<crate::page::PageId, u32> = BTreeMap::new();
-        for m in self.files.values() {
-            for &p in &m.pages {
+        let mut index: BTreeMap<crate::page::PageId, usize> = BTreeMap::new();
+        for (idf, m) in &self.files {
+            for (k, &p) in m.pages.iter().enumerate() {
                 *refs.entry(p).or_insert(0) += 1;
+                if *index.entry(p).or_insert(k) != k {
+                    return Err(format!(
+                        "file {idf}: shared page {p:?} at a different index {k}"
+                    ));
+                }
             }
         }
         let mut live = 0;
@@ -1647,6 +1760,7 @@ impl KvStore {
                 refs.len()
             ));
         }
+        self.pool.verify_accounting()?;
         // File lengths must match page contents.
         for (idf, m) in &self.files {
             let total: usize = m
@@ -2050,6 +2164,37 @@ mod tests {
     }
 
     #[test]
+    fn evict_lru_leaves_pages_a_running_fork_references() {
+        let mut s = store();
+        let doc = s.create(U1).unwrap();
+        s.append(doc, U1, &entries(0..8)).unwrap(); // 2 full pages
+        let other = s.create(U1).unwrap();
+        s.append(other, U1, &entries(0..4)).unwrap();
+        let fork = s.fork(doc, U1).unwrap();
+        // The parent document is the LRU file, but every page it has is
+        // also the (excluded) fork's: the next candidate is chosen.
+        let (victim, _) = s.evict_lru(&[fork]).unwrap();
+        assert_eq!(victim, other);
+        assert_eq!(s.residency(fork).unwrap(), Residency::Gpu);
+        assert!(s.evict_lru(&[fork]).is_none(), "only shared pages are left");
+        // Once the fork has diverged, the parent's own tail can go — and
+        // only that.
+        s.append(fork, U1, &entries(8..10)).unwrap();
+        s.append(doc, U1, &entries(8..12)).unwrap();
+        let (victim, moved) = s.evict_lru(&[fork]).unwrap();
+        assert_eq!(victim, doc);
+        assert_eq!(moved.total(), 4);
+        assert_eq!(s.residency(doc).unwrap(), Residency::Mixed);
+        assert_eq!(s.residency(fork).unwrap(), Residency::Gpu);
+        // With nobody running, the shared pages are fair game again and
+        // move with whichever file goes first.
+        let (victim, moved) = s.evict_lru(&[]).unwrap();
+        assert_eq!((victim, moved.total()), (fork, 10));
+        assert_eq!(s.residency(doc).unwrap(), Residency::Cpu);
+        s.verify().unwrap();
+    }
+
+    #[test]
     fn evict_lru_skips_pinned_and_locked() {
         let mut s = store();
         let a = s.create(U1).unwrap();
@@ -2110,6 +2255,99 @@ mod tests {
         assert_eq!(s.stats().disk_loaded_tokens, 8);
         assert_eq!(s.residency(f).unwrap(), Residency::Gpu);
         s.verify().unwrap();
+    }
+
+    #[test]
+    fn backing_copies_make_clean_evictions_free_until_the_page_changes() {
+        let mut s = store();
+        let f = s.create(U1).unwrap();
+        s.append(f, U1, &entries(0..10)).unwrap(); // 2 full pages + 2 tokens
+        assert_eq!(s.swap_out(f, U1).unwrap().total(), 10);
+        assert_eq!(s.swap_in(f, U1).unwrap().total(), 10);
+        // Resident on the GPU, with the DRAM slots kept as backing copies.
+        assert_eq!((s.gpu_pages_used(), s.cpu_pages_used()), (3, 3));
+        assert_eq!(s.backing_pages(), 3);
+        let out = s.swap_out(f, U1).unwrap();
+        assert_eq!((out.total(), out.dropped_tokens), (0, 10));
+        assert_eq!((s.gpu_pages_used(), s.cpu_pages_used()), (0, 3));
+        assert_eq!(s.stats().clean_dropped_tokens, 10);
+        assert_eq!(
+            s.stats().swapped_out_tokens,
+            10,
+            "only the first eviction moved"
+        );
+        // Appending rewrites the tail page; truncating rewrites the new
+        // boundary page. Each loses its backing copy, the rest stay clean.
+        s.swap_in(f, U1).unwrap();
+        s.append(f, U1, &entries(10..11)).unwrap();
+        assert_eq!(s.backing_pages(), 2);
+        let out = s.swap_out(f, U1).unwrap();
+        assert_eq!((out.dram_tokens, out.dropped_tokens), (3, 8));
+        s.swap_in(f, U1).unwrap();
+        s.truncate(f, U1, 6).unwrap();
+        assert_eq!(s.backing_pages(), 1);
+        let out = s.swap_out(f, U1).unwrap();
+        assert_eq!((out.dram_tokens, out.dropped_tokens), (2, 4));
+        // Removing a backed file returns both of its slots per page.
+        s.swap_in(f, U1).unwrap();
+        s.remove(f, U1).unwrap();
+        assert_eq!((s.gpu_pages_used(), s.cpu_pages_used()), (0, 0));
+        s.verify().unwrap();
+    }
+
+    #[test]
+    fn full_dram_reclaims_backing_copies_before_spilling_to_disk() {
+        let mut s = KvStore::new(KvStoreConfig {
+            page_tokens: 4,
+            gpu_pages: 8,
+            cpu_pages: 2,
+            disk_pages: 8,
+            bytes_per_token: 1,
+        });
+        let a = s.create(U1).unwrap();
+        let b = s.create(U1).unwrap();
+        s.append(a, U1, &entries(0..8)).unwrap();
+        s.append(b, U1, &entries(0..8)).unwrap();
+        s.swap_out(a, U1).unwrap();
+        s.swap_in(a, U1).unwrap();
+        assert_eq!(s.cpu_pages_used(), 2, "DRAM is full of a's backing copies");
+        // b still lands in DRAM, exactly where it would have without
+        // backing copies: a's are reclaimed first and nothing spills.
+        let out = s.swap_out(b, U1).unwrap();
+        assert_eq!((out.dram_tokens, out.disk_tokens), (8, 0));
+        assert_eq!(s.backing_pages(), 0);
+        // a lost its backing copies, so its eviction moves again — to
+        // disk, DRAM being full of resident pages now.
+        let out = s.swap_out(a, U1).unwrap();
+        assert_eq!(
+            (out.dram_tokens, out.disk_tokens, out.dropped_tokens),
+            (0, 8, 0)
+        );
+        s.verify().unwrap();
+    }
+
+    #[test]
+    fn restored_store_treats_gpu_pages_as_unbacked() {
+        let mut s = store();
+        let f = s.create(U1).unwrap();
+        s.append(f, U1, &entries(0..8)).unwrap();
+        s.swap_out(f, U1).unwrap();
+        s.swap_in(f, U1).unwrap();
+        assert_eq!(s.backing_pages(), 2);
+        let bytes = s.journal_bytes();
+        let (mut r, _) = KvStore::restore_from_journal_bytes(
+            KvStoreConfig::for_tests(),
+            &MetricsRegistry::new(),
+            &bytes,
+        )
+        .unwrap();
+        assert_eq!((r.gpu_pages_used(), r.cpu_pages_used()), (2, 0));
+        assert_eq!(r.backing_pages(), 0);
+        assert_eq!(
+            r.swap_out(f, U1).unwrap().total(),
+            8,
+            "conservative: it moves"
+        );
     }
 
     #[test]

@@ -188,8 +188,13 @@ proptest! {
         // Observable state: contents, stat fields, pool usage (CoW shares
         // restore as shares, so the tier counts match exactly).
         prop_assert_eq!(restored.gpu_pages_used(), store.gpu_pages_used());
-        prop_assert_eq!(restored.cpu_pages_used(), store.cpu_pages_used());
-        prop_assert_eq!(restored.disk_pages_used(), store.disk_pages_used());
+        // Backing copies are not journalled: a restored store holds only
+        // the resident copy of each page.
+        prop_assert_eq!(
+            restored.cpu_pages_used() + restored.disk_pages_used(),
+            store.cpu_pages_used() + store.disk_pages_used() - store.backing_pages()
+        );
+        prop_assert_eq!(restored.backing_pages(), 0);
         prop_assert_eq!(restored.live_pages(), store.live_pages());
         for f in live {
             let a = store.stat(f).unwrap();
@@ -304,8 +309,13 @@ proptest! {
         prop_assert_eq!(report.torn, None);
         restored.verify().unwrap();
         prop_assert_eq!(restored.gpu_pages_used(), store.gpu_pages_used());
-        prop_assert_eq!(restored.cpu_pages_used(), store.cpu_pages_used());
-        prop_assert_eq!(restored.disk_pages_used(), store.disk_pages_used());
+        // Backing copies are not journalled: a restored store holds only
+        // the resident copy of each page.
+        prop_assert_eq!(
+            restored.cpu_pages_used() + restored.disk_pages_used(),
+            store.cpu_pages_used() + store.disk_pages_used() - store.backing_pages()
+        );
+        prop_assert_eq!(restored.backing_pages(), 0);
         prop_assert_eq!(restored.live_pages(), store.live_pages());
         for f in live {
             let a = store.stat(f).unwrap();

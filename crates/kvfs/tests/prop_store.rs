@@ -4,7 +4,11 @@
 //! while random operation sequences run against the real store. After every
 //! operation the store's internal invariants ([`KvStore::verify`]) must hold
 //! and the contents must match the shadow — including across copy-on-write
-//! forks, truncation, extraction, merging and tier migration.
+//! forks, truncation, extraction, merging and tier migration. `verify`
+//! covers the tier accounting (`used = resident + backing copies`), so the
+//! random swap/append/truncate/fork/remove mix also checks that backing
+//! copies are conserved; `Bounce` and `MutateBounced` pin what a backing
+//! copy buys (a free eviction) and what ends it (any content mutation).
 
 use std::collections::BTreeMap;
 
@@ -24,6 +28,15 @@ enum Op {
     SwapOut { file: usize },
     SwapIn { file: usize },
     Demote { file: usize },
+    /// Out, in, out again: the second eviction finds every page backed.
+    Bounce {
+        file: usize,
+    },
+    /// Out, in, append, out: only the pages the append touched move.
+    MutateBounced {
+        file: usize,
+        count: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -38,6 +51,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0usize..8).prop_map(|file| Op::SwapOut { file }),
         1 => (0usize..8).prop_map(|file| Op::SwapIn { file }),
         1 => (0usize..8).prop_map(|file| Op::Demote { file }),
+        2 => (0usize..8).prop_map(|file| Op::Bounce { file }),
+        2 => (0usize..8, 1usize..7).prop_map(|(file, count)| Op::MutateBounced { file, count }),
     ]
 }
 
@@ -150,6 +165,44 @@ proptest! {
                     if let Some(f) = pick(&model, file) {
                         // May fail only if the disk tier fills; both fine.
                         let _ = store.demote_to_disk(f, owner);
+                    }
+                }
+                Op::Bounce { file } => {
+                    if let Some(f) = pick(&model, file) {
+                        if store.swap_out(f, owner).is_ok() && store.swap_in(f, owner).is_ok() {
+                            // Every page just came up from a lower tier and
+                            // nothing touched it: evicting is free, and the
+                            // contents check below reads the same bytes back.
+                            let before = store.stats();
+                            let again = store.swap_out(f, owner).unwrap();
+                            prop_assert_eq!(again.total(), 0);
+                            prop_assert_eq!(again.dropped_tokens, model[&f.0].len());
+                            let after = store.stats();
+                            prop_assert_eq!(after.swapped_out_tokens, before.swapped_out_tokens);
+                            prop_assert_eq!(
+                                after.clean_dropped_tokens - before.clean_dropped_tokens,
+                                again.dropped_tokens as u64
+                            );
+                        }
+                    }
+                }
+                Op::MutateBounced { file, count } => {
+                    if let Some(f) = pick(&model, file) {
+                        if store.swap_out(f, owner).is_ok() && store.swap_in(f, owner).is_ok() {
+                            let old_len = model[&f.0].len();
+                            let new: Vec<KvEntry> =
+                                (0..count as u32).map(|i| entry(next_token + i)).collect();
+                            next_token += count as u32;
+                            store.append(f, owner, &new).unwrap();
+                            model.get_mut(&f.0).unwrap().extend(new);
+                            // The append rewrote the partial tail page (if
+                            // any) and added pages; exactly those lost
+                            // their backing copy and have to move.
+                            let touched = old_len % 4 + count;
+                            let out = store.swap_out(f, owner).unwrap();
+                            prop_assert_eq!(out.total(), touched);
+                            prop_assert_eq!(out.dropped_tokens, old_len - old_len % 4);
+                        }
                     }
                 }
             }

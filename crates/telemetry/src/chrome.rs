@@ -492,17 +492,19 @@ fn export(events: &[TimedEvent], flows: bool) -> String {
                 tokens,
                 disk_tokens,
                 dir,
+                done_at,
             } => {
                 let name = match dir {
                     SwapDir::In => "kv_swap_in",
                     SwapDir::Out => "kv_swap_out",
                 };
-                // Disk traffic only when present, so pure DRAM swaps render
-                // byte-identically to the pre-disk-tier format.
+                // The instant marks the issue time; `done_ts` closes the
+                // transfer window on the same track.
+                let done = ts(*done_at);
                 let args = if *disk_tokens > 0 {
-                    format!("{{\"file\":{file},\"tokens\":{tokens},\"disk_tokens\":{disk_tokens}}}")
+                    format!("{{\"file\":{file},\"tokens\":{tokens},\"disk_tokens\":{disk_tokens},\"done_ts\":{done}}}")
                 } else {
-                    format!("{{\"file\":{file},\"tokens\":{tokens}}}")
+                    format!("{{\"file\":{file},\"tokens\":{tokens},\"done_ts\":{done}}}")
                 };
                 w.instant(at, *pid, *tid, name, Some(args));
             }

@@ -33,7 +33,9 @@ pub enum Phase {
     Prefill,
     /// GPU execution windows contributing exactly one token.
     Decode,
-    /// `kv_swap_in` syscalls (PCIe/NVMe transfer into HBM).
+    /// Waiting on a transfer into HBM (PCIe/NVMe): `kv_swap_in` syscalls,
+    /// and the part of a pooled `pred`'s wait during which the executor
+    /// was swapping its file back in.
     KvSwapIn,
     /// `kv_swap_out` syscalls (transfer out of HBM).
     KvSwapOut,
@@ -204,18 +206,36 @@ impl<'a> Walker<'a> {
     }
 
     /// Splits a `pred` span into GPU execution windows (prefill/decode)
-    /// and queue-wait remainder, walking the windows back to front.
+    /// and the waiting remainder, walking the windows back to front.
     fn attribute_pred(&mut self, span: &SyscallSpan, end: SimTime) {
         let mut cursor = end;
         for w in span.execs.iter().rev() {
             let ws = w.start.max(span.start).min(cursor);
             let we = w.end.min(cursor).max(ws);
-            self.add(Phase::QueueWait, we, cursor);
+            self.add_wait(span, we, cursor);
             let phase = if w.tokens > 1 { Phase::Prefill } else { Phase::Decode };
             self.add(phase, ws, we);
             cursor = ws;
         }
-        self.add(Phase::QueueWait, span.start, cursor);
+        self.add_wait(span, span.start, cursor);
+    }
+
+    /// Attributes a `pred`'s non-executing interval `[lo, hi]`: the parts
+    /// inside one of its swap-in windows are transfer wait, the rest is
+    /// queueing.
+    fn add_wait(&mut self, span: &SyscallSpan, lo: SimTime, hi: SimTime) {
+        if hi <= lo {
+            return;
+        }
+        let mut cursor = lo;
+        for &(issued, ready) in &span.swap_ins {
+            let s = issued.clamp(cursor, hi);
+            let e = ready.clamp(s, hi);
+            self.add(Phase::QueueWait, cursor, s);
+            self.add(Phase::KvSwapIn, s, e);
+            cursor = e;
+        }
+        self.add(Phase::QueueWait, cursor, hi);
     }
 }
 
@@ -446,6 +466,85 @@ mod tests {
         assert_eq!(b.get(Phase::Decode), 30);
         assert_eq!(b.get(Phase::QueueWait), 20);
         assert_eq!(b.get(Phase::Other), 20);
+        assert_eq!(b.attributed_ns(), 120);
+    }
+
+    #[test]
+    fn executor_swap_in_window_splits_a_pred_wait() {
+        use crate::event::SwapDir;
+        // pred [10,120]: queued [10,20], its file swapped in over [20,70],
+        // then one more idle gap [70,80] before the decode step [80,110].
+        let events = vec![
+            ev(
+                0,
+                EventKind::ProcessSpawn {
+                    pid: 4,
+                    name: "rag".into(),
+                },
+            ),
+            ev(0, EventKind::ThreadSpawn { pid: 4, tid: 40 }),
+            ev(
+                10,
+                EventKind::SyscallEnter {
+                    pid: 4,
+                    tid: 40,
+                    name: "pred",
+                },
+            ),
+            ev(
+                20,
+                EventKind::KvSwap {
+                    pid: 4,
+                    tid: 40,
+                    file: 1,
+                    tokens: 64,
+                    disk_tokens: 0,
+                    dir: SwapDir::In,
+                    done_at: t(70),
+                },
+            ),
+            ev(
+                80,
+                EventKind::BatchBegin {
+                    id: 2,
+                    requests: 1,
+                    occupancy_pct: 5,
+                    new_tokens: 1,
+                },
+            ),
+            ev(
+                80,
+                EventKind::PredExec {
+                    pid: 4,
+                    tid: 40,
+                    batch: 2,
+                    tokens: 1,
+                    enqueued_at: t(10),
+                },
+            ),
+            ev(110, EventKind::BatchEnd { id: 2 }),
+            ev(
+                120,
+                EventKind::SyscallExit {
+                    pid: 4,
+                    tid: 40,
+                    name: "pred",
+                },
+            ),
+            ev(
+                120,
+                EventKind::ThreadExit {
+                    pid: 4,
+                    tid: 40,
+                    ok: true,
+                },
+            ),
+            ev(120, EventKind::ProcessExit { pid: 4, ok: true }),
+        ];
+        let b = &analyze(&build_forest(&events))[0];
+        assert_eq!(b.get(Phase::KvSwapIn), 50);
+        assert_eq!(b.get(Phase::QueueWait), 30);
+        assert_eq!(b.get(Phase::Decode), 30);
         assert_eq!(b.attributed_ns(), 120);
     }
 

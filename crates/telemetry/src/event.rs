@@ -120,9 +120,12 @@ pub enum EventKind {
     /// Copy-on-write page copies performed while executing a batch
     /// (GPU track; count is the delta for that batch).
     KvCow { copies: u64 },
-    /// An explicit KV swap across the PCIe boundary (thread track).
-    /// `disk_tokens` counts the subset that crossed the NVMe lane too
-    /// (disk-tier spill or load); zero for pure DRAM swaps.
+    /// A KV swap across the PCIe boundary on behalf of a thread — its own
+    /// `kv_swap_*` syscall, or the continuous executor bringing its file
+    /// back for a pooled `pred` (thread track). `disk_tokens` counts the
+    /// subset that crossed the NVMe lane too (disk-tier spill or load);
+    /// zero for pure DRAM swaps. The transfer occupies its copy lane over
+    /// `[at, done_at]`; the thread cannot run on the file before `done_at`.
     KvSwap {
         pid: u64,
         tid: u64,
@@ -130,6 +133,7 @@ pub enum EventKind {
         tokens: u64,
         disk_tokens: u64,
         dir: SwapDir,
+        done_at: SimTime,
     },
     /// A whole tool call was planned: `attempts` tries totalling
     /// `latency_ns` of virtual I/O time (thread track).

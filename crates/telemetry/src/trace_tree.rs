@@ -13,6 +13,9 @@
 //!   [`ExecWindow`]s inside the owning `pred` span, splitting blocked time
 //!   into GPU execution versus pool queueing, and carry the pred's pool
 //!   entry time ([`SyscallSpan::enqueued_at`]).
+//! * [`EventKind::KvSwap`] swap-ins issued by the executor while a `pred`
+//!   waits in the pool become [`SyscallSpan::swap_ins`] windows, so the
+//!   wait for the transfer is told apart from plain queueing.
 //! * [`EventKind::ReplayAnswered`] marks a span as answered from the WAL
 //!   effect journal during recovery ([`SyscallSpan::replayed`]).
 //!
@@ -25,7 +28,7 @@ use std::collections::BTreeMap;
 
 use symphony_sim::SimTime;
 
-use crate::event::{EdgeKind, EventKind, TimedEvent};
+use crate::event::{EdgeKind, EventKind, SwapDir, TimedEvent};
 
 /// A causal pointer to the source point that enabled some progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +71,9 @@ pub struct SyscallSpan {
     /// GPU execution windows inside this span (`pred` spans only), in
     /// batch order.
     pub execs: Vec<ExecWindow>,
+    /// Swap-in transfer windows `(issued, ready)` the span waited on, in
+    /// time order (`pred` spans under the continuous executor).
+    pub swap_ins: Vec<(SimTime, SimTime)>,
     /// Answered from the WAL effect journal during recovery replay.
     pub replayed: bool,
     /// The IPC send or thread exit that unblocked this span (`recv` and
@@ -181,6 +187,7 @@ impl ThreadBuilder {
             end: at,
             enqueued_at: None,
             execs: Vec::new(),
+            swap_ins: Vec::new(),
             replayed: false,
             wake: None,
         });
@@ -330,6 +337,17 @@ pub fn build_forest(events: &[TimedEvent]) -> TraceForest {
                             });
                         }
                     }
+                }
+            }
+            EventKind::KvSwap {
+                pid,
+                tid,
+                dir: SwapDir::In,
+                done_at,
+                ..
+            } => {
+                if let Some(span) = threads.get_mut(&(*pid, *tid)).and_then(|t| t.open.as_mut()) {
+                    span.swap_ins.push((at, *done_at));
                 }
             }
             EventKind::ReplayAnswered { pid, tid, .. } => {
