@@ -17,7 +17,7 @@
 //! Run: `cargo run -p symphony-bench --release --bin exp_batching`
 
 use serde::Serialize;
-use symphony::{BatchPolicy, Kernel, KernelConfig, SimDuration, SimTime, SysError};
+use symphony::{BatchPolicy, ExecMode, Kernel, KernelConfig, SimDuration, SimTime, SysError};
 use symphony_bench::{write_json_with_metrics, Table, TelemetryOpts};
 use symphony_sim::{PoissonProcess, Rng};
 
@@ -43,7 +43,7 @@ fn run_point(
     designated: bool,
 ) -> (Point, Option<symphony::MetricsSnapshot>) {
     let mut cfg = KernelConfig::paper_setup();
-    cfg.batch_policy = policy;
+    cfg.exec = ExecMode::Static(policy);
     cfg.max_batch = 64;
     cfg.trace = false;
     cfg.telemetry = telemetry.record(designated);

@@ -194,6 +194,14 @@ fn parse_marks(out: &str) -> (u64, Vec<u64>) {
     (ttft.parse().expect("ttft mark"), itl)
 }
 
+fn base_config(s: Scale) -> KernelConfig {
+    if s.smoke {
+        KernelConfig::for_tests()
+    } else {
+        KernelConfig::paper_setup()
+    }
+}
+
 fn run_point(
     mode_name: &str,
     exec: ExecMode,
@@ -203,11 +211,7 @@ fn run_point(
     telemetry: &TelemetryOpts,
     designated: bool,
 ) -> (Point, Option<symphony::MetricsSnapshot>) {
-    let mut cfg = if s.smoke {
-        KernelConfig::for_tests()
-    } else {
-        KernelConfig::paper_setup()
-    };
+    let mut cfg = base_config(s);
     cfg.exec = exec;
     if let Some(cap) = batch_cap {
         cfg.max_batch = cap;
@@ -296,7 +300,8 @@ fn main() {
     // FIFO and the program-aware MLFQ actually order a contended queue.
     let cap = if s.smoke { 2 } else { 8 };
     let modes: Vec<(&str, ExecMode, Option<usize>)> = vec![
-        ("static", ExecMode::Static, None),
+        // The base configuration's own preset: `Static` with its policy.
+        ("static", base_config(s).exec, None),
         (
             "continuous",
             ExecMode::Continuous(ContinuousConfig {

@@ -296,8 +296,7 @@ pub fn run_symphony_point_persist(
         device: scale.device,
         // Work-conserving continuous batching, matching the baselines'
         // scheduler (the policy trade-off itself is studied in exp E1).
-        batch_policy: BatchPolicy::Immediate,
-        exec: symphony::ExecMode::Static,
+        exec: symphony::ExecMode::Static(BatchPolicy::Immediate),
         max_batch: 64,
         page_tokens: scale.page_tokens,
         cpu_swap_bytes: 256_000_000_000,

@@ -1,10 +1,12 @@
-//! Trace regression tests for the continuous (iteration-level) executor:
-//! same seed ⇒ byte-identical Chrome trace, and a checked-in golden
-//! fixture so the `chunk`/`preempt` instrumentation cannot drift silently.
+//! Trace regression tests for the GPU loop's presets: same seed ⇒
+//! byte-identical Chrome trace, and checked-in golden fixtures so neither
+//! the continuous preset's `chunk`/`preempt` instrumentation nor the static
+//! preset's launch gate (timers, requeue, shed, `NotResident`) can drift
+//! silently.
 
 use symphony::{
-    ContinuousConfig, Ctx, ExecMode, Kernel, KernelConfig, MlfqConfig, QueueDiscipline,
-    SysError,
+    AdmissionPolicy, BatchPolicy, ContinuousConfig, Ctx, ExecMode, Kernel, KernelConfig,
+    KvError, MlfqConfig, QueueDiscipline, SimDuration, SysError,
 };
 
 /// A miniature exp_sched point: three programs racing chunked prefills and
@@ -67,19 +69,15 @@ fn same_seed_continuous_run_exports_byte_identical_trace() {
     }
 }
 
-/// A tiny fixed-seed continuous-mode run whose exported trace is checked
-/// into the repo. Regenerate after intentional format/instrumentation
-/// changes with:
-/// `UPDATE_GOLDEN=1 cargo test -p symphony-bench --test sched_tests golden`
-#[test]
-fn golden_sched_trace_matches() {
-    let (k, _, trace) = run_traced(0x5C_4E_D0);
-    assert_eq!(k.events_dropped(), 0, "golden run must not drop events");
+/// Compares `trace` with the checked-in fixture `tests/golden/<name>`, or
+/// rewrites the fixture under `UPDATE_GOLDEN=1`.
+fn assert_matches_golden(name: &str, trace: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/tiny_sched_trace.json");
+        .join("tests/golden")
+        .join(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("mkdir golden/");
-        std::fs::write(&path, &trace).expect("write golden");
+        std::fs::write(&path, trace).expect("write golden");
         eprintln!("updated {}", path.display());
         return;
     }
@@ -88,7 +86,94 @@ fn golden_sched_trace_matches() {
     assert_eq!(
         trace,
         golden,
-        "continuous-mode trace drifted from the golden fixture; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
+        "{name} drifted from the golden fixture; if intentional, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// A tiny fixed-seed continuous-mode run whose exported trace is checked
+/// into the repo. Regenerate after intentional format/instrumentation
+/// changes with:
+/// `UPDATE_GOLDEN=1 cargo test -p symphony-bench --test sched_tests golden`
+#[test]
+fn golden_sched_trace_matches() {
+    let (k, _, trace) = run_traced(0x5C_4E_D0);
+    assert_eq!(k.events_dropped(), 0, "golden run must not drop events");
+    assert_matches_golden("tiny_sched_trace.json", &trace);
+}
+
+/// The static preset under KV pressure, traced: a hog fills 14 of the 16
+/// GPU pages, a victim's 16-token `pred` is requeued three times and then
+/// shed with `Busy`, and a third program `pred`s a file it swapped out
+/// itself and gets `NotResident` (the kernel never moves a static
+/// program's KV). Staggered arrivals make the windowed policies arm, and
+/// re-arm earlier, their `WaitUntil` timers.
+fn static_gate_trace(policy: BatchPolicy) -> String {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.seed = 0x0057_A71C;
+    cfg.telemetry = true;
+    cfg.exec = ExecMode::Static(policy);
+    cfg.gpu_kv_bytes_override = Some(16 * 4 * cfg.model.kv_bytes_per_token());
+    cfg.admission = Some(AdmissionPolicy {
+        max_queue: 64,
+        retry_delay: SimDuration::from_millis(2),
+        max_retries: 3,
+    });
+    let mut k = Kernel::new(cfg);
+    let hog = k.spawn_process("hog", "", |ctx: &mut Ctx| {
+        let kv = ctx.kv_create()?;
+        let tokens: Vec<(u32, u32)> = (0..56).map(|i| (i + 1, i)).collect();
+        ctx.pred(kv, &tokens)?;
+        ctx.sleep(SimDuration::from_millis(40))?;
+        Ok(())
+    });
+    let swapper = k.spawn_process("swapper", "", |ctx: &mut Ctx| {
+        ctx.sleep(SimDuration::from_micros(500))?;
+        let kv = ctx.kv_create()?;
+        let mut dist = ctx.pred(kv, &[(7, 0), (8, 1)])?.pop().ok_or(SysError::BadArgument)?;
+        for i in 0..3u32 {
+            dist = ctx.pred(kv, &[(dist.argmax(), 2 + i)])?.remove(0);
+        }
+        ctx.kv_swap_out(kv)?;
+        assert_eq!(
+            ctx.pred(kv, &[(dist.argmax(), 5)]).unwrap_err(),
+            SysError::Kv(KvError::NotResident)
+        );
+        Ok(())
+    });
+    let victim = k.spawn_process("victim", "", |ctx: &mut Ctx| {
+        ctx.sleep(SimDuration::from_millis(1))?;
+        let kv = ctx.kv_create()?;
+        let tokens: Vec<(u32, u32)> = (0..16).map(|i| (i + 1, i)).collect();
+        assert_eq!(ctx.pred(kv, &tokens).unwrap_err(), SysError::Busy);
+        Ok(())
+    });
+    k.run();
+    for pid in [hog, swapper, victim] {
+        let rec = k.record(pid).unwrap();
+        assert!(rec.status.is_ok(), "{:?}", rec.status);
+    }
+    let rs = k.resilience_stats();
+    assert_eq!(rs.preds_requeued, 3, "{rs:?}");
+    assert_eq!(rs.preds_shed, 1, "{rs:?}");
+    assert_eq!(k.events_dropped(), 0, "golden run must not drop events");
+    k.export_chrome_trace()
+}
+
+/// The static gate's fixture: one run per windowed policy, in one JSON
+/// document. Regenerate as for `golden_sched_trace_matches`.
+#[test]
+fn golden_static_gate_trace_matches() {
+    let adaptive = static_gate_trace(BatchPolicy::Adaptive {
+        target_batch: 4,
+        max_wait: SimDuration::from_millis(5),
+    });
+    let fixed_window = static_gate_trace(BatchPolicy::FixedWindow {
+        max_wait: SimDuration::from_millis(3),
+        max_batch: 3,
+    });
+    for needle in ["pred_requeue", "pred_shed"] {
+        assert!(adaptive.contains(needle), "trace missing {needle}");
+    }
+    let both = format!("{{\"adaptive\":{adaptive},\n\"fixed_window\":{fixed_window}}}\n");
+    assert_matches_golden("static_gate_trace.json", &both);
 }

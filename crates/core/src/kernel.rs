@@ -33,9 +33,7 @@ use crate::resilience::{
     AdmissionPolicy, BreakerBank, BreakerPolicy, BreakerVerdict, ResilienceCounters,
     ResilienceStats,
 };
-use crate::sched::{
-    BatchPolicy, ContinuousConfig, Decision, ExecMode, InferScheduler, ProgramQueue,
-};
+use crate::sched::{BatchGate, BatchPolicy, Decision, ExecMode, ProgramQueue, QueueDiscipline};
 use crate::syscall::{thread_main, Ctx, LipFn, SysReply, Syscall, UpCall};
 use crate::tools::{ToolOutcome, ToolRegistry, ToolSpec};
 use crate::types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SysError, Tid};
@@ -57,13 +55,10 @@ pub struct KernelConfig {
     pub model_seed: u64,
     /// Simulated accelerator.
     pub device: DeviceSpec,
-    /// Batch inference scheduling policy (§4.4). Only consulted in
-    /// [`ExecMode::Static`]; the continuous executor admits at iteration
-    /// boundaries instead of closing pool snapshots.
-    pub batch_policy: BatchPolicy,
-    /// How the GPU loop forms batches: run-to-completion snapshots
-    /// ([`ExecMode::Static`]) or iteration-level continuous batching with
-    /// chunked prefill and KVFS preemption ([`ExecMode::Continuous`]).
+    /// Preset of the GPU loop (§4.4): run-to-completion batches gated by
+    /// a [`BatchPolicy`] ([`ExecMode::Static`]) or iteration-level
+    /// continuous batching with chunked prefill and KVFS preemption
+    /// ([`ExecMode::Continuous`]).
     pub exec: ExecMode,
     /// Global cap on requests per GPU batch.
     pub max_batch: usize,
@@ -129,8 +124,7 @@ impl KernelConfig {
             model: ModelConfig::tiny(),
             model_seed: 7,
             device: DeviceSpec::test_device(),
-            batch_policy: BatchPolicy::Immediate,
-            exec: ExecMode::Static,
+            exec: ExecMode::Static(BatchPolicy::Immediate),
             max_batch: 64,
             page_tokens: 4,
             cpu_swap_bytes: 4_000_000,
@@ -163,11 +157,10 @@ impl KernelConfig {
             model: ModelConfig::llama_13b(),
             model_seed: 13,
             device: DeviceSpec::a100_80g(),
-            batch_policy: BatchPolicy::Adaptive {
+            exec: ExecMode::Static(BatchPolicy::Adaptive {
                 target_batch: 16,
                 max_wait: SimDuration::from_millis(10),
-            },
-            exec: ExecMode::Static,
+            }),
             max_batch: 64,
             page_tokens: 16,
             cpu_swap_bytes: 256_000_000_000,
@@ -192,6 +185,30 @@ impl KernelConfig {
     }
 }
 
+/// What [`ExecMode`] lowers to, once, in `Kernel::build`: the three things
+/// the GPU loop reads as data.
+struct LoopPreset {
+    /// Most tokens one sequence contributes to an iteration.
+    slice: usize,
+    gate: LaunchGate,
+    /// The kernel keeps admitted sequences' KV on the GPU itself: swaps it
+    /// in, evicts idle files, preempts peers. When `false`, residency is
+    /// the program's business and a `pred` that does not fit or whose file
+    /// is off the GPU fails.
+    manages_residency: bool,
+}
+
+/// When an idle GPU with work waiting may start an iteration.
+enum LaunchGate {
+    /// When the [`BatchPolicy`] says the pool is worth closing.
+    Batch(BatchGate),
+    /// As soon as the current virtual instant has drained. Replies and
+    /// syscalls cascade at one instant (per-syscall cost can be zero), so
+    /// launching mid-cascade would fragment same-time arrivals into
+    /// single-request iterations.
+    Drain,
+}
+
 /// Kernel events on the virtual clock.
 enum Event {
     /// Deliver a reply to a parked thread.
@@ -205,7 +222,7 @@ enum Event {
         result: Result<String, SysError>,
         issued_at: SimTime,
     },
-    /// Re-evaluate the batch scheduler.
+    /// Re-evaluate the launch gate.
     BatchTimer,
     /// A scheduled program arrival. `main_tid` is pre-assigned for durable
     /// programs so their per-thread RNG stream survives a crash before the
@@ -293,23 +310,27 @@ struct PendingPred {
     /// When the `pred` first joined the pool (queue-delay metric; preserved
     /// across requeues so the delay covers the whole wait).
     enqueued_at: SimTime,
+    /// When the `pred` last joined the pool: `enqueued_at`, or the end of
+    /// its latest requeue backoff. The batch gate's wait window runs from
+    /// the oldest of these.
+    pooled_at: SimTime,
     /// Owning program (MLFQ service accounting).
     pid: Pid,
     /// `true` when issued by the program's main thread: a blocking,
     /// critical-path `pred`. Spawned threads' preds are treated as
     /// speculative/background work by the program-aware queue.
     critical: bool,
-    // ---- continuous-executor progress (unused in static mode) ----
+    // ---- progress across iterations ----
     /// Input tokens already executed in earlier iterations.
     done: usize,
     /// Distributions accumulated across chunks, delivered when `done`
     /// reaches the request length.
     dists: Vec<symphony_model::Dist>,
     /// File length at first admission, for rollback when a later chunk
-    /// faults (a failed `pred` must leave no partial work, as in static
-    /// mode).
+    /// faults (a failed `pred` must leave no partial work).
     start_len: usize,
-    /// Queue delay observed (first admission only).
+    /// Queue delay observed (once per pooling: not again when a preempted
+    /// sequence is readmitted).
     delay_recorded: bool,
     /// Completion time of a copy this sequence waits on — its KV coming
     /// in over H2D, or victims leaving over D2H to free its pages. Set
@@ -359,10 +380,10 @@ struct KernelMetrics {
     /// batch.
     backing_pages: Gauge,
     /// KV files swapped out to free GPU pages for an executing sequence
-    /// (continuous executor only).
+    /// (only where the loop manages residency).
     preemptions: Counter,
-    /// Prefill chunks executed by the continuous executor (requests that
-    /// spanned more than one iteration).
+    /// Prefill chunks executed (requests that spanned more than one
+    /// iteration).
     prefill_chunks: Counter,
     /// `finish_io` observed `io_waiting == 0` for the owning process — a
     /// bookkeeping bug (the decrement is clamped; this makes it visible).
@@ -420,12 +441,12 @@ pub struct Kernel {
     // Scheduling.
     events: EventQueue<Event>,
     ready: VecDeque<(Tid, SysReply)>,
-    sched: InferScheduler<PendingPred>,
-    exec: ExecMode,
-    /// Continuous-mode wait queue (FIFO or program-aware MLFQ).
+    /// What `KernelConfig::exec` lowered to.
+    preset: LoopPreset,
+    /// Waiting `pred`s (FIFO or program-aware MLFQ).
     cqueue: ProgramQueue<PendingPred>,
-    /// Continuous-mode sequences admitted to the GPU, carried across
-    /// iterations until they finish, fail or are preempted.
+    /// Sequences admitted to the GPU, carried across iterations until they
+    /// finish, fail or are preempted.
     active: Vec<PendingPred>,
     /// Swap-ins still crossing the H2D lane: `(file, ready_at)`. A peer
     /// whose file shares those pages (a fork of the same document) must
@@ -596,6 +617,24 @@ impl Kernel {
         };
         let (up_tx, up_rx) = unbounded();
         let wal_config = config.wal.clone();
+        let (preset, discipline) = match config.exec {
+            ExecMode::Static(policy) => (
+                LoopPreset {
+                    slice: usize::MAX,
+                    gate: LaunchGate::Batch(BatchGate::new(policy, config.max_batch)),
+                    manages_residency: false,
+                },
+                QueueDiscipline::Fifo,
+            ),
+            ExecMode::Continuous(c) => (
+                LoopPreset {
+                    slice: c.chunk_tokens.unwrap_or(usize::MAX).max(1),
+                    gate: LaunchGate::Drain,
+                    manages_residency: true,
+                },
+                c.discipline,
+            ),
+        };
         let mut kernel = Kernel {
             store,
             restored,
@@ -604,12 +643,8 @@ impl Kernel {
             tools: ToolRegistry::new(),
             events: EventQueue::new(),
             ready: VecDeque::new(),
-            sched: InferScheduler::new(config.batch_policy, config.max_batch),
-            exec: config.exec,
-            cqueue: ProgramQueue::new(match config.exec {
-                ExecMode::Static => crate::sched::QueueDiscipline::Fifo,
-                ExecMode::Continuous(c) => c.discipline,
-            }),
+            preset,
+            cqueue: ProgramQueue::new(discipline),
             active: Vec::new(),
             inflight: Vec::new(),
             gpu_busy: false,
@@ -849,11 +884,10 @@ impl Kernel {
     /// Installs an admission-time static cost hint for a program: the
     /// verifier's upper bound on critical-path pred tokens
     /// ([`EffectSummary::service_estimate`] in `symphony-lipscript`), or
-    /// `None` when the bound is statically unbounded. The continuous
-    /// executor's MLFQ adds the hint to observed service when picking a
-    /// queue level, so known-cheap programs keep top priority and
-    /// unbounded ones start at the bottom of the ladder. A no-op beyond
-    /// bookkeeping under FIFO or the batch executor.
+    /// `None` when the bound is statically unbounded. The MLFQ adds the
+    /// hint to observed service when picking a queue level, so known-cheap
+    /// programs keep top priority and unbounded ones start at the bottom
+    /// of the ladder. A no-op beyond bookkeeping under FIFO.
     pub fn set_cost_hint(&mut self, pid: Pid, est_service_tokens: Option<u64>) {
         self.cqueue.set_static_hint(pid.0, est_service_tokens);
         self.kmetrics.cost_hints.inc();
@@ -1503,8 +1537,8 @@ impl Kernel {
     }
 
     /// Discrete events processed by the kernel's virtual clock since boot.
-    /// The numerator of the `sim.events_per_sec` throughput metric the
-    /// `exp_bench` harness reports.
+    /// The numerator of the `sim.events_per_sec` gauge and of symbench's
+    /// `core.events_per_s` row.
     pub fn events_processed(&self) -> u64 {
         self.events.events_processed()
     }
@@ -1529,16 +1563,17 @@ impl Kernel {
         self.store.stats()
     }
 
-    /// Sequences preempted (KV swapped out) by the continuous executor to
-    /// free GPU pages. Always 0 in [`ExecMode::Static`].
+    /// Sequences preempted (KV swapped out) by the GPU loop to free GPU
+    /// pages. Always 0 under the static preset, which leaves residency to
+    /// the programs.
     pub fn preemptions(&self) -> u64 {
         self.registry
             .counter_value("sched.preemptions")
             .unwrap_or(0)
     }
 
-    /// Prefill chunks executed by the continuous executor (requests that
-    /// spanned more than one GPU iteration).
+    /// Prefill chunks executed (requests that spanned more than one GPU
+    /// iteration).
     pub fn prefill_chunks(&self) -> u64 {
         self.registry
             .counter_value("sched.prefill_chunks")
@@ -1663,7 +1698,7 @@ impl Kernel {
             if self.crashed.is_some() {
                 break;
             }
-            self.maybe_launch_batch();
+            self.maybe_launch_iteration();
             if !self.ready.is_empty() {
                 continue;
             }
@@ -1785,12 +1820,7 @@ impl Kernel {
                 self.start_process(pid, args, f, main_tid);
             }
             Event::DeadlineCheck { pid } => self.enforce_deadline(pid),
-            Event::RequeuePred { pred } => match self.exec {
-                ExecMode::Static => self.sched.on_arrival(self.events.now(), pred),
-                ExecMode::Continuous(_) => {
-                    self.cqueue.push(pred.pid.0, pred.critical, pred);
-                }
-            },
+            Event::RequeuePred { pred } => self.pool_pred(pred),
         }
     }
 
@@ -1870,188 +1900,31 @@ impl Kernel {
         }
     }
 
-    // ---- batch scheduling --------------------------------------------------------
+    // ---- the GPU loop -------------------------------------------------------------
 
-    fn maybe_launch_batch(&mut self) {
-        if let ExecMode::Continuous(cfg) = self.exec {
-            self.maybe_launch_iteration(cfg);
-            return;
-        }
-        match self.sched.decide(self.events.now(), !self.gpu_busy) {
-            Decision::LaunchNow => self.launch_batch(),
-            Decision::WaitUntil(t) => {
-                let already = self.timer_armed_until.is_some_and(|a| a <= t);
-                if !already {
-                    self.events.schedule(t, Event::BatchTimer);
-                    self.timer_armed_until = Some(t);
-                }
-            }
-            Decision::Idle => {}
-        }
-    }
-
-    fn launch_batch(&mut self) {
-        let pending = self.sched.take_batch();
-        debug_assert!(!pending.is_empty());
+    /// Adds a `pred` to the wait queue: a fresh call, or one whose requeue
+    /// backoff has run out.
+    fn pool_pred(&mut self, mut pred: PendingPred) {
         let now = self.events.now();
-        let tids: Vec<Tid> = pending.iter().map(|p| p.tid).collect();
-        let requeues: Vec<u32> = pending.iter().map(|p| p.requeues).collect();
-        let enqueued: Vec<SimTime> = pending.iter().map(|p| p.enqueued_at).collect();
-        let metas: Vec<(Pid, bool, u64)> =
-            pending.iter().map(|p| (p.pid, p.critical, p.seq)).collect();
-        let requests: Vec<PredRequest> = pending.into_iter().map(|p| p.req).collect();
-        for &at in &enqueued {
-            self.kmetrics.queue_delay_ns.observe((now - at).as_nanos());
+        pred.pooled_at = now;
+        if let LaunchGate::Batch(gate) = &mut self.preset.gate {
+            gate.on_arrival(now);
         }
-        let occupancy_pct = (requests.len() * 100 / self.max_batch.max(1)).min(100) as u32;
-        self.kmetrics
-            .batch_occupancy_pct
-            .observe(occupancy_pct as u64);
-        // One fault draw per request, in pool order (rate 0 draws nothing).
-        let faulted: Vec<bool> = requests
-            .iter()
-            .map(|_| self.injector.pred_request())
-            .collect();
-        for f in &faulted {
-            if *f {
-                self.bus
-                    .emit(now, || EventKind::FaultInjected { site: "gpu.pred" });
-            }
-        }
-        let cow_before = self.store.stats().cow_copies;
-        let (results, report) =
-            self.gpu
-                .execute_batch_with_faults(&mut self.store, &requests, &faulted);
-        let batch_id = self.next_batch;
-        self.next_batch += 1;
-        let n_requests = requests.len() as u32;
-        let new_tokens = report.new_tokens;
-        self.bus.emit(now, || EventKind::BatchBegin {
-            id: batch_id,
-            requests: n_requests,
-            occupancy_pct,
-            new_tokens,
-        });
-        if self.causal {
-            // One scheduler→GPU hop per member: which pooled pred executes
-            // in this batch, and how long it queued. Batched emission —
-            // one reserve and one capacity check for the whole iteration.
-            self.bus
-                .emit_batch(now, requests.len(), |k| EventKind::PredExec {
-                    pid: metas[k].0 .0,
-                    tid: tids[k].0,
-                    batch: batch_id,
-                    tokens: requests[k].tokens.len() as u32,
-                    enqueued_at: enqueued[k],
-                });
-        }
-        let cow_delta = self.store.stats().cow_copies - cow_before;
-        if cow_delta > 0 {
-            self.bus
-                .emit(now, || EventKind::KvCow { copies: cow_delta });
-        }
-        self.kmetrics
-            .gpu_pages_used
-            .set(self.store.gpu_pages_used() as i64);
-        self.kmetrics
-            .disk_pages_used
-            .set(self.store.disk_pages_used() as i64);
-        let adm = self.admission;
-        let mut replies: Vec<(Tid, SysReply)> = Vec::with_capacity(requests.len());
-        for (((((tid, res), req), requeues), enqueued_at), (ppid, critical, seq)) in tids
-            .into_iter()
-            .zip(results)
-            .zip(requests)
-            .zip(requeues)
-            .zip(enqueued)
-            .zip(metas)
-        {
-            let reply = match res {
-                Ok(r) => {
-                    if self.is_durable(ppid) {
-                        self.wal_buffer_pred(WalRecord::PredEffect {
-                            at: now,
-                            pid: ppid.0,
-                            seq,
-                            dists: r.dists.clone(),
-                        });
-                    }
-                    SysReply::Dists(r.dists)
-                }
-                // KV-pool exhaustion: with admission control on, back the
-                // request off and re-pool it instead of failing the LIP.
-                Err(ExecError::Kv(KvError::NoGpuMemory))
-                    if adm.is_some_and(|a| requeues < a.max_retries) =>
-                {
-                    let delay = adm.map(|a| a.retry_delay).unwrap_or_default();
-                    self.res_counters.preds_requeued.inc();
-                    self.bus.emit(now, || EventKind::PredRequeue {
-                        tid: tid.0,
-                        attempt: requeues + 1,
-                    });
-                    self.events.schedule(
-                        self.events.now() + delay,
-                        Event::RequeuePred {
-                            pred: PendingPred {
-                                tid,
-                                req,
-                                requeues: requeues + 1,
-                                enqueued_at,
-                                pid: ppid,
-                                critical,
-                                done: 0,
-                                dists: Vec::new(),
-                                start_len: 0,
-                                delay_recorded: false,
-                                ready_at: None,
-                                seq,
-                            },
-                        },
-                    );
-                    continue;
-                }
-                Err(ExecError::Kv(KvError::NoGpuMemory)) if adm.is_some() => {
-                    // Requeue budget exhausted: shed the request.
-                    self.res_counters.preds_shed.inc();
-                    self.bus.emit(now, || EventKind::PredShed { tid: tid.0 });
-                    SysReply::Err(SysError::Busy)
-                }
-                Err(ExecError::Kv(e)) => SysReply::Err(SysError::Kv(e)),
-                Err(ExecError::NotResident) => SysReply::Err(SysError::Kv(KvError::NotResident)),
-                Err(ExecError::EmptyRequest) => SysReply::Err(SysError::BadArgument),
-                Err(ExecError::Faulted) => SysReply::Err(SysError::Fault("gpu.pred")),
-            };
-            replies.push((tid, reply));
-        }
-        self.trace.record_with(
-            self.events.now(),
-            "infer_sched",
-            || format!(
-                "batch_launch id={batch_id} n={} new_tokens={} dur={}",
-                report.requests, report.new_tokens, report.duration
-            ),
-        );
-        self.pending_batches.insert(batch_id, replies);
-        self.gpu_busy = true;
-        self.events.schedule(
-            self.events.now() + report.duration,
-            Event::BatchDone { batch_id },
-        );
+        self.cqueue.push(pred.pid.0, pred.critical, pred);
     }
 
-    // ---- continuous (iteration-level) executor ---------------------------------
-
-    /// Waiting `pred`s in whichever queue the execution mode uses.
-    fn pred_queue_len(&self) -> usize {
-        match self.exec {
-            ExecMode::Static => self.sched.pool_len(),
-            ExecMode::Continuous(_) => self.cqueue.len(),
+    /// Makes sure the loop re-evaluates at `t`: arms a timer unless one is
+    /// already due by then.
+    fn arm_timer(&mut self, t: SimTime) {
+        if self.timer_armed_until.is_none_or(|armed| armed > t) {
+            self.events.schedule(t, Event::BatchTimer);
+            self.timer_armed_until = Some(t);
         }
     }
 
     /// Iteration-level admission: runs one GPU iteration whenever the GPU
-    /// is idle and work is admitted or waiting.
-    fn maybe_launch_iteration(&mut self, cfg: ContinuousConfig) {
+    /// is idle, work is admitted or waiting, and the launch gate is open.
+    fn maybe_launch_iteration(&mut self) {
         if self.gpu_busy {
             return;
         }
@@ -2059,12 +1932,20 @@ impl Kernel {
             return;
         }
         let now = self.events.now();
-        // Iteration boundary: let the current virtual instant drain first.
-        // Replies and syscalls cascade at one instant (per-syscall cost can
-        // be zero), so launching mid-cascade would fragment same-time
-        // arrivals into single-request iterations.
-        if self.events.peek_time() == Some(now) {
-            return;
+        match &self.preset.gate {
+            LaunchGate::Drain => {
+                if self.events.peek_time() == Some(now) {
+                    return;
+                }
+            }
+            LaunchGate::Batch(gate) => {
+                let oldest = self.cqueue.peek().map(|p| p.pooled_at);
+                match gate.decide(now, self.cqueue.len(), oldest) {
+                    Decision::LaunchNow => {}
+                    Decision::WaitUntil(t) => return self.arm_timer(t),
+                    Decision::Idle => return,
+                }
+            }
         }
         // Admit from the wait queue — the program-aware (or FIFO) order.
         while self.active.len() < self.max_batch {
@@ -2085,7 +1966,7 @@ impl Kernel {
         if self.active.is_empty() {
             return;
         }
-        self.launch_iteration(cfg);
+        self.launch_iteration();
     }
 
     /// Picks the preemption victim among active peers of `i`: the
@@ -2207,6 +2088,16 @@ impl Kernel {
         Some(self.copy_out(now, moved))
     }
 
+    /// Undoes the chunks active sequence `i` appended before it failed (a
+    /// failed `pred` leaves no partial work behind); returns its thread.
+    fn roll_back(&mut self, i: usize) -> Tid {
+        let s = &self.active[i];
+        if s.done > 0 {
+            let _ = self.store.truncate(s.req.file, s.req.owner, s.start_len);
+        }
+        s.tid
+    }
+
     /// When the first copy an active sequence still waits on completes.
     fn earliest_landing(&self) -> Option<SimTime> {
         let now = self.events.now();
@@ -2232,6 +2123,8 @@ impl Kernel {
                 self.cqueue.push_front(spid, scrit, s);
             } else if requeued.contains(&j) {
                 s.requeues += 1;
+                // The next pooling's wait is its own queue-delay sample.
+                s.delay_recorded = false;
                 let delay = self.admission.map(|a| a.retry_delay).unwrap_or_default();
                 self.events
                     .schedule(now + delay, Event::RequeuePred { pred: s });
@@ -2242,25 +2135,20 @@ impl Kernel {
         self.active = kept;
     }
 
-    /// Runs one token iteration: start swapping admitted-but-evicted KV
-    /// back in, execute one chunk of every sequence whose KV is on the
-    /// GPU, retire finished sequences, and recover from KV exhaustion by
-    /// preempting. Swap traffic rides the copy lanes beside the iteration;
-    /// only the sequence that needs the bytes waits for them.
-    fn launch_iteration(&mut self, cfg: ContinuousConfig) {
+    /// Brings non-resident participants' KV back to the GPU (files evicted
+    /// by an earlier preemption, or swapped while their owner was between
+    /// `pred`s) and returns the peers preempted to make room. A swap-in is
+    /// only worth its PCIe time if the sequence can then actually *run*,
+    /// so require headroom for the file's off-GPU pages plus its next
+    /// chunk — otherwise the swapped-in file refills exactly the pages a
+    /// preemption just freed and the iteration appends nothing, forever.
+    /// Make headroom by evicting idle LRU files first, then by preempting
+    /// the lowest-priority resident peer. The copy starts once the
+    /// victims' dirty bytes have left, and the sequence joins iterations
+    /// once it lands.
+    fn swap_in_admitted(&mut self) -> Vec<usize> {
         let now = self.events.now();
-        let chunk = cfg.chunk_tokens.unwrap_or(usize::MAX).max(1);
-
-        // 1. Bring non-resident participants' KV back to the GPU (files
-        // evicted by an earlier preemption, or swapped while their owner
-        // was between `pred`s). A swap-in is only worth its PCIe time if
-        // the sequence can then actually *run*, so require headroom for
-        // the file's off-GPU pages plus its next chunk — otherwise the
-        // swapped-in file refills exactly the pages a preemption just freed
-        // and the iteration appends nothing, forever. Make headroom by evicting
-        // idle LRU files first, then by preempting the lowest-priority
-        // resident peer. The copy starts once the victims' dirty bytes
-        // have left, and the sequence joins iterations once it lands.
+        let chunk = self.preset.slice;
         let pt = self.store.page_tokens().max(1);
         let mut preempted: Vec<usize> = Vec::new();
         for i in 0..self.active.len() {
@@ -2302,21 +2190,45 @@ impl Kernel {
                 });
             }
         }
+        preempted
+    }
 
-        // 2. One slice per sequence whose KV is on the GPU, at most
-        // `chunk` tokens. A sequence still waiting on a copy sits out; so
-        // does one whose pages are part of a peer's in-flight swap-in, and
-        // a phase-1 victim even if a sibling's swap-in brought the pages
-        // they share straight back.
+    /// Runs one token iteration: start swapping admitted-but-evicted KV
+    /// back in, execute one chunk of every sequence whose KV is on the
+    /// GPU, retire finished sequences, and recover from KV exhaustion by
+    /// preempting. Swap traffic rides the copy lanes beside the iteration;
+    /// only the sequence that needs the bytes waits for them. Where the
+    /// loop does not manage residency, phases 1 and 5 move nothing: a
+    /// non-resident file's slice goes to the GPU and fails there.
+    fn launch_iteration(&mut self) {
+        let now = self.events.now();
+        let chunk = self.preset.slice;
+        let manages_residency = self.preset.manages_residency;
+
+        // 1. Where the loop manages residency, start swapping admitted
+        // sequences' KV back in; `preempted` are the peers that made room.
+        let mut preempted = if manages_residency {
+            self.swap_in_admitted()
+        } else {
+            Vec::new()
+        };
+
+        // 2. One slice per sequence whose KV is on the GPU (or whose
+        // residency is not the loop's to check), at most `chunk` tokens. A
+        // sequence still waiting on a copy sits out; so does one whose
+        // pages are part of a peer's in-flight swap-in, and a phase-1
+        // victim even if a sibling's swap-in brought the pages they share
+        // straight back.
         self.inflight.retain(|&(_, ready_at)| ready_at > now);
         let mut parts: Vec<usize> = Vec::new();
         let mut requests: Vec<PredRequest> = Vec::new();
         for (i, s) in self.active.iter_mut().enumerate() {
             if preempted.contains(&i)
-                || !matches!(
-                    self.store.residency(s.req.file),
-                    Ok(Residency::Gpu | Residency::Empty)
-                )
+                || (manages_residency
+                    && !matches!(
+                        self.store.residency(s.req.file),
+                        Ok(Residency::Gpu | Residency::Empty)
+                    ))
             {
                 continue;
             }
@@ -2345,10 +2257,7 @@ impl Kernel {
             // the first transfer lands.
             self.rebuild_active(&[], &preempted, &[]);
             if let Some(t) = self.earliest_landing() {
-                if self.timer_armed_until.is_none_or(|armed| armed > t) {
-                    self.events.schedule(t, Event::BatchTimer);
-                    self.timer_armed_until = Some(t);
-                }
+                self.arm_timer(t);
             }
             return;
         }
@@ -2408,7 +2317,7 @@ impl Kernel {
         // 4. Apply results: accumulate chunk progress, retire finished or
         // terminally failed sequences, collect KV-exhausted ones.
         let adm = self.admission;
-        let mut replies: Vec<(Tid, SysReply)> = Vec::new();
+        let mut replies: Vec<(usize, Tid, SysReply)> = Vec::new();
         let mut retire: Vec<usize> = Vec::new();
         let mut failed_mem: Vec<usize> = Vec::new();
         for (k, res) in results.into_iter().enumerate() {
@@ -2447,39 +2356,32 @@ impl Kernel {
                                 dists: dists.clone(),
                             });
                         }
-                        replies.push((ctid, SysReply::Dists(dists)));
+                        replies.push((i, ctid, SysReply::Dists(dists)));
                         retire.push(i);
                     }
                     self.cqueue.charge(cpid.0, ccrit, take as u64);
                 }
                 Err(ExecError::Kv(KvError::NoGpuMemory)) => failed_mem.push(i),
                 Err(e) => {
-                    let (file, owner, start_len, done, stid) = {
-                        let s = &self.active[i];
-                        (s.req.file, s.req.owner, s.start_len, s.done, s.tid)
-                    };
-                    // A failed pred leaves no partial work behind, exactly
-                    // as in static mode: roll earlier chunks back.
-                    if done > 0 {
-                        let _ = self.store.truncate(file, owner, start_len);
-                    }
+                    let stid = self.roll_back(i);
                     let reply = match e {
                         ExecError::NotResident => SysReply::Err(SysError::Kv(KvError::NotResident)),
                         ExecError::EmptyRequest => SysReply::Err(SysError::BadArgument),
                         ExecError::Faulted => SysReply::Err(SysError::Fault("gpu.pred")),
                         ExecError::Kv(ke) => SysReply::Err(SysError::Kv(ke)),
                     };
-                    replies.push((stid, reply));
+                    replies.push((i, stid, reply));
                     retire.push(i);
                 }
             }
         }
 
-        // 5. KV exhaustion: free pages by evicting idle files, then by
-        // preempting the lowest-priority co-running sequence; only when
-        // nothing is evictable fall back to admission-control requeue/shed
-        // (static-mode semantics). `preempted` carries over phase 1's
-        // swap-in victims so phase 6 requeues them too.
+        // 5. KV exhaustion: where the loop manages residency, free pages by
+        // evicting idle files, then by preempting the lowest-priority
+        // co-running sequence. When nothing is evictable (or may be
+        // evicted), fall back to admission-control requeue/shed, or fail
+        // the `pred`. `preempted` carries over phase 1's swap-in victims so
+        // phase 6 requeues them too.
         let mut requeued: Vec<usize> = Vec::new();
         for &i in &failed_mem {
             if preempted.contains(&i) {
@@ -2488,13 +2390,13 @@ impl Kernel {
             let file = self.active[i].req.file;
             let need = (self.active[i].req.tokens.len() - self.active[i].done).min(chunk);
             let mut freed_at = now;
-            while !self.store.can_append(file, need).unwrap_or(false) {
+            while manages_residency && !self.store.can_append(file, need).unwrap_or(false) {
                 match self.evict_for(i, &retire, &mut preempted) {
                     Some(done) => freed_at = freed_at.max(done),
                     None => break, // nothing evictable at all
                 }
             }
-            if self.store.can_append(file, need).unwrap_or(false) {
+            if manages_residency && self.store.can_append(file, need).unwrap_or(false) {
                 // Stays active and makes progress once the victims' dirty
                 // bytes have actually left the pages it needs.
                 if freed_at > now {
@@ -2508,10 +2410,7 @@ impl Kernel {
                 self.active[i].ready_at = Some(t);
                 continue;
             }
-            let (stid, srequeues, sdone) = {
-                let s = &self.active[i];
-                (s.tid, s.requeues, s.done)
-            };
+            let (stid, srequeues) = (self.active[i].tid, self.active[i].requeues);
             if adm.is_some_and(|a| srequeues < a.max_retries) {
                 self.res_counters.preds_requeued.inc();
                 let attempt = srequeues + 1;
@@ -2521,13 +2420,7 @@ impl Kernel {
                 });
                 requeued.push(i);
             } else {
-                let (file, owner, start_len) = {
-                    let s = &self.active[i];
-                    (s.req.file, s.req.owner, s.start_len)
-                };
-                if sdone > 0 {
-                    let _ = self.store.truncate(file, owner, start_len);
-                }
+                self.roll_back(i);
                 let reply = if adm.is_some() {
                     self.res_counters.preds_shed.inc();
                     self.bus.emit(now, || EventKind::PredShed { tid: stid.0 });
@@ -2535,10 +2428,13 @@ impl Kernel {
                 } else {
                     SysReply::Err(SysError::Kv(KvError::NoGpuMemory))
                 };
-                replies.push((stid, reply));
+                replies.push((i, stid, reply));
                 retire.push(i);
             }
         }
+        // Replies go out in admission order, whichever phase wrote them.
+        replies.sort_by_key(|&(i, _, _)| i);
+        let replies = replies.into_iter().map(|(_, tid, r)| (tid, r)).collect();
 
         // 6. Rebuild the active set: drop retired sequences, move preempted
         // and requeued ones back to the wait queue.
@@ -2687,7 +2583,7 @@ impl Kernel {
                 }
                 // Bounded admission queue: shed before accounting the work.
                 if let Some(adm) = self.admission {
-                    if self.pred_queue_len() >= adm.max_queue {
+                    if self.cqueue.len() >= adm.max_queue {
                         self.res_counters.preds_shed.inc();
                         self.bus.emit(sys_at, || EventKind::PredShed { tid: tid.0 });
                         self.complete(tid, SysReply::Err(SysError::Busy));
@@ -2710,7 +2606,7 @@ impl Kernel {
                     || format!("pred tid={} n={}", tid.0, tokens.len()),
                 );
                 let n_tokens = tokens.len() as u32;
-                let pool = self.pred_queue_len() as u32;
+                let pool = self.cqueue.len() as u32;
                 self.bus.emit(sys_at, || EventKind::PredEnqueue {
                     tid: tid.0,
                     tokens: n_tokens,
@@ -2750,6 +2646,7 @@ impl Kernel {
                     },
                     requeues: 0,
                     enqueued_at: self.events.now(),
+                    pooled_at: self.events.now(),
                     pid,
                     critical,
                     done: 0,
@@ -2759,11 +2656,8 @@ impl Kernel {
                     ready_at: None,
                     seq,
                 };
-                match self.exec {
-                    ExecMode::Static => self.sched.on_arrival(self.events.now(), pending),
-                    ExecMode::Continuous(_) => self.cqueue.push(pid.0, critical, pending),
-                }
-                // Thread stays parked; the batch scheduler will resume it.
+                self.pool_pred(pending);
+                // Thread stays parked; the GPU loop will resume it.
             }
             Syscall::KvCreate => {
                 let f = kv!(self.store.create(owner));

@@ -1,12 +1,14 @@
 //! The batch inference scheduler (§4.4).
 //!
-//! `pred` system calls park their threads in the *inference pool*; this
-//! scheduler decides **when** to close a pool snapshot into a GPU batch.
-//! "Executing the batch prematurely can result in underutilized GPU
-//! resources ... delaying it excessively can increase wait times": the
-//! [`BatchPolicy`] spans that trade-off, including the paper's adaptive
-//! policy that sizes the wait from the observed `pred` arrival rate
-//! (a Poisson-process view of syscall arrivals).
+//! `pred` system calls park their threads in the kernel's one wait queue,
+//! a [`ProgramQueue`]; one GPU loop drains it an iteration at a time.
+//! [`ExecMode`] names the presets of that loop. The static preset decides
+//! **when** to close the queue into a run-to-completion batch: "executing
+//! the batch prematurely can result in underutilized GPU resources ...
+//! delaying it excessively can increase wait times". Its [`BatchPolicy`]
+//! spans that trade-off, including the paper's adaptive policy that sizes
+//! the wait from the observed `pred` arrival rate (a Poisson-process view
+//! of syscall arrivals).
 
 use std::collections::VecDeque;
 
@@ -36,14 +38,14 @@ pub enum BatchPolicy {
     },
 }
 
-/// Scheduler verdict for the current state.
+/// Gate verdict for the current state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// Close the pool into a batch now.
     LaunchNow,
     /// Re-evaluate at this time (the kernel arms a timer).
     WaitUntil(SimTime),
-    /// Nothing to do (empty pool or busy GPU).
+    /// Nothing to do (empty pool).
     Idle,
 }
 
@@ -56,46 +58,32 @@ const GAP_ALPHA: f64 = 0.2;
 /// degenerate. One virtual nanosecond.
 const MIN_GAP_SECS: f64 = 1e-9;
 
-/// The inference pool plus launch policy.
+/// The static preset's launch gate: a [`BatchPolicy`] plus the `pred`
+/// arrival-rate estimator the adaptive policy reads. It pools nothing
+/// itself — the kernel's [`ProgramQueue`] holds the calls and
+/// [`BatchGate::decide`] is told how many wait and since when.
 #[derive(Debug)]
-pub struct InferScheduler<T> {
+pub struct BatchGate {
     policy: BatchPolicy,
     max_batch: usize,
-    pool: VecDeque<(SimTime, T)>,
     last_arrival: Option<SimTime>,
     ewma_gap: Option<f64>,
 }
 
-impl<T> InferScheduler<T> {
-    /// Creates a scheduler with a policy and a global batch-size cap.
+impl BatchGate {
+    /// Creates a gate with a policy and a global batch-size cap.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch == 0`.
     pub fn new(policy: BatchPolicy, max_batch: usize) -> Self {
         assert!(max_batch > 0, "max_batch must be positive");
-        InferScheduler {
+        BatchGate {
             policy,
             max_batch,
-            pool: VecDeque::new(),
             last_arrival: None,
             ewma_gap: None,
         }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
-    /// Pending `pred` calls.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Returns `true` when no calls are pooled.
-    pub fn is_empty(&self) -> bool {
-        self.pool.is_empty()
     }
 
     /// Current arrival-rate estimate in calls/second.
@@ -104,15 +92,16 @@ impl<T> InferScheduler<T> {
     /// first inter-arrival gap, and the gap is floored at one virtual
     /// nanosecond so a burst of simultaneous arrivals reports a large but
     /// *finite* rate instead of dividing by zero. The adaptive policy maps
-    /// `None` to [`Decision::LaunchNow`] (see [`InferScheduler::decide`]);
+    /// `None` to [`Decision::LaunchNow`] (see [`BatchGate::decide`]);
     /// it never guesses a wait from an estimate this method won't stand
     /// behind.
     pub fn estimated_rate(&self) -> Option<f64> {
         self.ewma_gap.map(|g| 1.0 / g.max(MIN_GAP_SECS))
     }
 
-    /// Records a `pred` arrival.
-    pub fn on_arrival(&mut self, now: SimTime, entry: T) {
+    /// Records a `pred` joining the pool: a fresh call, or one re-pooled
+    /// after a KV-exhaustion backoff.
+    pub fn on_arrival(&mut self, now: SimTime) {
         if let Some(last) = self.last_arrival {
             let gap = now.duration_since(last).as_secs_f64();
             self.ewma_gap = Some(match self.ewma_gap {
@@ -121,16 +110,14 @@ impl<T> InferScheduler<T> {
             });
         }
         self.last_arrival = Some(now);
-        self.pool.push_back((now, entry));
     }
 
-    /// Decides what to do given the GPU's state. Idempotent: safe to call
-    /// after every kernel state change and on stale timers.
-    pub fn decide(&self, now: SimTime, gpu_idle: bool) -> Decision {
-        if !gpu_idle {
-            return Decision::Idle;
-        }
-        let Some(oldest) = self.pool.front().map(|e| e.0) else {
+    /// Decides what an idle GPU should do with `pooled` waiting calls, the
+    /// `oldest` of which joined the pool at that time (`None`: empty pool).
+    /// Idempotent: safe to call after every kernel state change and on
+    /// stale timers.
+    pub fn decide(&self, now: SimTime, pooled: usize, oldest: Option<SimTime>) -> Decision {
+        let Some(oldest) = oldest else {
             return Decision::Idle;
         };
         match self.policy {
@@ -139,7 +126,7 @@ impl<T> InferScheduler<T> {
                 max_wait,
                 max_batch,
             } => {
-                if self.pool.len() >= max_batch.min(self.max_batch) {
+                if pooled >= max_batch.min(self.max_batch) {
                     return Decision::LaunchNow;
                 }
                 let deadline = oldest + max_wait;
@@ -154,7 +141,7 @@ impl<T> InferScheduler<T> {
                 max_wait,
             } => {
                 let target = target_batch.min(self.max_batch);
-                if self.pool.len() >= target {
+                if pooled >= target {
                     return Decision::LaunchNow;
                 }
                 // Expected time to fill the rest of the batch at the
@@ -172,7 +159,7 @@ impl<T> InferScheduler<T> {
                 if SimDuration::from_secs_f64(gap) >= max_wait {
                     return Decision::LaunchNow;
                 }
-                let need = (target - self.pool.len()) as f64;
+                let need = (target - pooled) as f64;
                 let fill = SimDuration::from_secs_f64(need * gap);
                 let deadline = oldest + fill.min(max_wait);
                 if now >= deadline {
@@ -183,28 +170,29 @@ impl<T> InferScheduler<T> {
             }
         }
     }
-
-    /// Removes up to the batch-size cap of oldest entries.
-    pub fn take_batch(&mut self) -> Vec<T> {
-        let n = self.pool.len().min(self.max_batch);
-        self.pool.drain(..n).map(|(_, e)| e).collect()
-    }
 }
 
-/// How the GPU loop forms batches.
+/// Preset of the GPU loop. There is one loop — every iteration admits
+/// waiting `pred`s, runs one slice of each admitted sequence and retires
+/// the finished — and a mode fixes three things it reads as data: how
+/// large a slice is, what gates a launch, and whether the kernel moves KV
+/// between tiers on the programs' behalf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Run-to-completion batches: a pool snapshot closes into a batch
-    /// (per [`BatchPolicy`]) and runs until every request in it finishes.
-    Static,
+    /// Run-to-completion batches: a slice is the whole request, the
+    /// [`BatchPolicy`] gates each launch, and KV residency is the
+    /// program's business — a `pred` on a swapped-out file fails with
+    /// `NotResident`, pool exhaustion with `NoGpuMemory` (or goes to
+    /// `AdmissionPolicy` requeue/shed).
+    Static(BatchPolicy),
     /// Iteration-level continuous batching: sequences are admitted and
-    /// retired at token-iteration granularity, long prefills are split
-    /// into chunks, and sequences are preempted via KVFS swap when GPU
-    /// pages run out.
+    /// retired at token-iteration granularity as soon as the current
+    /// instant has drained, long prefills are split into chunks, and the
+    /// kernel swaps KV in, evicts and preempts when GPU pages run out.
     Continuous(ContinuousConfig),
 }
 
-/// Parameters of the continuous-batching executor.
+/// Parameters of the continuous-batching preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContinuousConfig {
     /// Maximum tokens one request contributes to a single iteration.
@@ -226,7 +214,7 @@ impl Default for ContinuousConfig {
     }
 }
 
-/// Admission order for the continuous executor's wait queue.
+/// Admission order for the continuous preset's wait queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueDiscipline {
     /// First-come first-served, program-oblivious.
@@ -260,7 +248,7 @@ impl Default for MlfqConfig {
     }
 }
 
-/// The continuous executor's wait queue: FIFO or program-aware MLFQ.
+/// The GPU loop's wait queue: FIFO or program-aware MLFQ.
 ///
 /// Entries are tagged with the owning program and whether the `pred` is on
 /// the program's *critical path* (issued by its main thread) or
@@ -390,6 +378,11 @@ impl<T> ProgramQueue<T> {
         self.levels.iter_mut().find_map(VecDeque::pop_front)
     }
 
+    /// The entry [`ProgramQueue::pop`] would return.
+    pub fn peek(&self) -> Option<&T> {
+        self.levels.iter().find_map(VecDeque::front)
+    }
+
     /// Records executed service. Only critical-path tokens move a program
     /// down the ladder.
     pub fn charge(&mut self, pid: u64, critical: bool, tokens: u64) {
@@ -454,32 +447,57 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
+    /// A gate beside the pool as the kernel keeps it: a FIFO queue of pooled
+    /// times, which `decide` reads exactly as the kernel does.
+    struct Pooled {
+        gate: BatchGate,
+        queue: ProgramQueue<SimTime>,
+    }
+
+    impl Pooled {
+        fn new(policy: BatchPolicy, max_batch: usize) -> Self {
+            Pooled {
+                gate: BatchGate::new(policy, max_batch),
+                queue: ProgramQueue::new(QueueDiscipline::Fifo),
+            }
+        }
+
+        fn arrive(&mut self, now: SimTime) {
+            self.gate.on_arrival(now);
+            self.queue.push(0, true, now);
+        }
+
+        fn decide(&self, now: SimTime) -> Decision {
+            self.gate
+                .decide(now, self.queue.len(), self.queue.peek().copied())
+        }
+    }
+
     #[test]
-    fn immediate_launches_when_idle_and_nonempty() {
-        let mut s = InferScheduler::new(BatchPolicy::Immediate, 8);
-        assert_eq!(s.decide(at(0), true), Decision::Idle);
-        s.on_arrival(at(1), "a");
-        assert_eq!(s.decide(at(1), true), Decision::LaunchNow);
-        assert_eq!(s.decide(at(1), false), Decision::Idle, "GPU busy");
+    fn immediate_launches_when_nonempty() {
+        let mut s = Pooled::new(BatchPolicy::Immediate, 8);
+        assert_eq!(s.decide(at(0)), Decision::Idle);
+        s.arrive(at(1));
+        assert_eq!(s.decide(at(1)), Decision::LaunchNow);
     }
 
     #[test]
     fn fixed_window_waits_then_fires() {
-        let mut s = InferScheduler::new(
+        let mut s = Pooled::new(
             BatchPolicy::FixedWindow {
                 max_wait: SimDuration::from_millis(10),
                 max_batch: 4,
             },
             8,
         );
-        s.on_arrival(at(5), 1);
-        assert_eq!(s.decide(at(5), true), Decision::WaitUntil(at(15)));
-        assert_eq!(s.decide(at(15), true), Decision::LaunchNow);
+        s.arrive(at(5));
+        assert_eq!(s.decide(at(5)), Decision::WaitUntil(at(15)));
+        assert_eq!(s.decide(at(15)), Decision::LaunchNow);
     }
 
     #[test]
     fn fixed_window_fires_on_full_batch() {
-        let mut s = InferScheduler::new(
+        let mut s = Pooled::new(
             BatchPolicy::FixedWindow {
                 max_wait: SimDuration::from_secs(1),
                 max_batch: 3,
@@ -487,27 +505,44 @@ mod tests {
             8,
         );
         for i in 0..3 {
-            s.on_arrival(at(i), i);
+            s.arrive(at(i));
         }
-        assert_eq!(s.decide(at(2), true), Decision::LaunchNow);
+        assert_eq!(s.decide(at(2)), Decision::LaunchNow);
+    }
+
+    #[test]
+    fn fixed_window_measures_from_the_oldest_remaining_call() {
+        let mut s = Pooled::new(
+            BatchPolicy::FixedWindow {
+                max_wait: SimDuration::from_millis(10),
+                max_batch: 4,
+            },
+            8,
+        );
+        s.arrive(at(0));
+        s.arrive(at(6));
+        assert_eq!(s.decide(at(6)), Decision::WaitUntil(at(10)));
+        // The kernel admits the head; the window restarts at the next call.
+        assert_eq!(s.queue.pop(), Some(at(0)));
+        assert_eq!(s.decide(at(10)), Decision::WaitUntil(at(16)));
     }
 
     #[test]
     fn adaptive_launches_without_rate_estimate() {
-        let mut s = InferScheduler::new(
+        let mut s = Pooled::new(
             BatchPolicy::Adaptive {
                 target_batch: 8,
                 max_wait: SimDuration::from_millis(50),
             },
             8,
         );
-        s.on_arrival(at(0), ());
-        assert_eq!(s.decide(at(0), true), Decision::LaunchNow);
+        s.arrive(at(0));
+        assert_eq!(s.decide(at(0)), Decision::LaunchNow);
     }
 
     #[test]
     fn adaptive_waits_proportionally_to_rate() {
-        let mut s = InferScheduler::new(
+        let mut s = Pooled::new(
             BatchPolicy::Adaptive {
                 target_batch: 4,
                 max_wait: SimDuration::from_millis(100),
@@ -515,9 +550,9 @@ mod tests {
             8,
         );
         // Arrivals every 2 ms -> gap estimate 2 ms.
-        s.on_arrival(at(0), ());
-        s.on_arrival(at(2), ());
-        match s.decide(at(2), true) {
+        s.arrive(at(0));
+        s.arrive(at(2));
+        match s.decide(at(2)) {
             Decision::WaitUntil(t) => {
                 // Needs 2 more at ~2 ms each: deadline ≈ oldest + 4 ms.
                 assert!(t > at(2) && t <= at(0) + SimDuration::from_millis(10), "t={t}");
@@ -525,14 +560,14 @@ mod tests {
             other => panic!("expected WaitUntil, got {other:?}"),
         }
         // Target reached -> launch.
-        s.on_arrival(at(3), ());
-        s.on_arrival(at(4), ());
-        assert_eq!(s.decide(at(4), true), Decision::LaunchNow);
+        s.arrive(at(3));
+        s.arrive(at(4));
+        assert_eq!(s.decide(at(4)), Decision::LaunchNow);
     }
 
     #[test]
     fn adaptive_is_work_conserving_at_low_rate() {
-        let mut s = InferScheduler::new(
+        let mut s = Pooled::new(
             BatchPolicy::Adaptive {
                 target_batch: 64,
                 max_wait: SimDuration::from_millis(5),
@@ -541,44 +576,63 @@ mod tests {
         );
         // Slow arrivals: 1 per 100 ms — no further call can land within the
         // 5 ms window, so waiting would be pure latency tax.
-        s.on_arrival(at(0), ());
-        s.on_arrival(at(100), ());
-        assert_eq!(s.decide(at(100), true), Decision::LaunchNow);
+        s.arrive(at(0));
+        s.arrive(at(100));
+        assert_eq!(s.decide(at(100)), Decision::LaunchNow);
     }
 
     #[test]
     fn adaptive_waits_when_rate_justifies_it() {
-        let mut s = InferScheduler::new(
+        let mut s = Pooled::new(
             BatchPolicy::Adaptive {
                 target_batch: 64,
                 max_wait: SimDuration::from_millis(5),
             },
             64,
         );
-        // Fast arrivals: 1 per ms — the window can accumulate ~5 calls.
-        s.on_arrival(at(0), ());
-        s.on_arrival(at(1), ());
-        match s.decide(at(1), true) {
+        // Fast arrivals: 1 per ms — the window can accumulate ~5 calls, and
+        // the wait is capped at `max_wait` past the oldest.
+        s.arrive(at(0));
+        s.arrive(at(1));
+        match s.decide(at(1)) {
             Decision::WaitUntil(t) => assert_eq!(t, at(0) + SimDuration::from_millis(5)),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
-    fn take_batch_respects_cap_and_order() {
-        let mut s = InferScheduler::new(BatchPolicy::Immediate, 3);
-        for i in 0..5 {
-            s.on_arrival(at(i), i);
-        }
-        assert_eq!(s.take_batch(), vec![0, 1, 2]);
-        assert_eq!(s.pool_len(), 2);
-        assert_eq!(s.take_batch(), vec![3, 4]);
-        assert!(s.is_empty());
+    fn requeued_pred_feeds_the_estimator_like_a_fresh_arrival() {
+        // A pred backed off after KV exhaustion re-enters through
+        // `on_arrival` with its re-pooling time: the gap it closes moves the
+        // EWMA, and the wait window is measured from when it re-pooled.
+        let mut s = Pooled::new(
+            BatchPolicy::Adaptive {
+                target_batch: 4,
+                max_wait: SimDuration::from_millis(20),
+            },
+            8,
+        );
+        s.arrive(at(0));
+        s.arrive(at(1));
+        assert_eq!(s.queue.pop(), Some(at(0)));
+        assert_eq!(s.queue.pop(), Some(at(1)));
+        let before = s.gate.estimated_rate().expect("one gap");
+        // The second call failed for memory and comes back 2 ms later.
+        s.arrive(at(3));
+        let after = s.gate.estimated_rate().expect("two gaps");
+        // EWMA: 1 ms * 0.8 + 2 ms * 0.2 = 1.2 ms.
+        assert!((before - 1000.0).abs() < 1e-6, "before={before}");
+        assert!((1.0 / after - 1.2e-3).abs() < 1e-9, "after={after}");
+        // Three more calls at 1.2 ms each, from the re-pooling time.
+        assert_eq!(
+            s.decide(at(3)),
+            Decision::WaitUntil(at(3) + SimDuration::from_micros(3600))
+        );
     }
 
     #[test]
     fn rate_estimate_cold_start_is_none_until_first_gap() {
-        let mut s = InferScheduler::new(
+        let mut s = Pooled::new(
             BatchPolicy::Adaptive {
                 target_batch: 8,
                 max_wait: SimDuration::from_millis(50),
@@ -586,22 +640,22 @@ mod tests {
             8,
         );
         // Zero arrivals: no estimate, nothing to decide.
-        assert_eq!(s.estimated_rate(), None);
-        assert_eq!(s.decide(at(0), true), Decision::Idle);
+        assert_eq!(s.gate.estimated_rate(), None);
+        assert_eq!(s.decide(at(0)), Decision::Idle);
         // One arrival: still no gap, so still no estimate — the adaptive
         // policy's explicit fallback is to launch, not to guess a wait.
-        s.on_arrival(at(0), ());
-        assert_eq!(s.estimated_rate(), None);
-        assert_eq!(s.decide(at(0), true), Decision::LaunchNow);
+        s.arrive(at(0));
+        assert_eq!(s.gate.estimated_rate(), None);
+        assert_eq!(s.decide(at(0)), Decision::LaunchNow);
         // Two arrivals: one gap, estimate commits.
-        s.on_arrival(at(10), ());
-        let rate = s.estimated_rate().expect("estimate after first gap");
+        s.arrive(at(10));
+        let rate = s.gate.estimated_rate().expect("estimate after first gap");
         assert!((rate - 100.0).abs() < 1.0, "rate={rate}");
     }
 
     #[test]
     fn rate_estimate_simultaneous_arrivals_stay_finite() {
-        let mut s = InferScheduler::new(
+        let mut s = Pooled::new(
             BatchPolicy::Adaptive {
                 target_batch: 8,
                 max_wait: SimDuration::from_millis(50),
@@ -609,27 +663,42 @@ mod tests {
             8,
         );
         // A burst at one instant: gap 0 must clamp, not divide by zero.
-        s.on_arrival(at(3), ());
-        s.on_arrival(at(3), ());
-        let rate = s.estimated_rate().expect("estimate exists");
+        s.arrive(at(3));
+        s.arrive(at(3));
+        let rate = s.gate.estimated_rate().expect("estimate exists");
         assert!(rate.is_finite(), "rate={rate}");
         // And with an (apparently) infinite rate the fill time is ~zero:
         // launch immediately, don't wait on a degenerate deadline.
-        assert_eq!(s.decide(at(3), true), Decision::LaunchNow);
+        assert_eq!(s.decide(at(3)), Decision::LaunchNow);
     }
 
     #[test]
     fn rate_estimate_converges() {
-        let mut s: InferScheduler<()> = InferScheduler::new(BatchPolicy::Immediate, 8);
-        assert_eq!(s.estimated_rate(), None);
+        let mut gate = BatchGate::new(BatchPolicy::Immediate, 8);
+        assert_eq!(gate.estimated_rate(), None);
         let mut t = SimTime::ZERO;
         for _ in 0..100 {
-            s.on_arrival(t, ());
-            s.take_batch();
+            gate.on_arrival(t);
             t += SimDuration::from_millis(10);
         }
-        let rate = s.estimated_rate().unwrap();
+        let rate = gate.estimated_rate().unwrap();
         assert!((rate - 100.0).abs() < 5.0, "rate={rate}");
+    }
+
+    #[test]
+    fn peek_is_what_pop_returns() {
+        let cfg = MlfqConfig {
+            levels: 4,
+            quantum_tokens: 10,
+        };
+        let mut q = ProgramQueue::new(QueueDiscipline::Mlfq(cfg));
+        assert_eq!(q.peek(), None);
+        q.charge(1, true, 1000);
+        q.push(1, true, "old");
+        q.push(2, true, "new");
+        assert_eq!(q.peek(), Some(&"new"));
+        assert_eq!(q.pop(), Some("new"));
+        assert_eq!(q.peek(), Some(&"old"));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use symphony::sampling::{self, GenOpts};
 use symphony::{
-    ContinuousConfig, ExecMode, Kernel, KernelConfig, MlfqConfig, Pid, QueueDiscipline,
-    SimDuration,
+    BatchPolicy, ContinuousConfig, EventKind, ExecMode, ExitStatus, Kernel, KernelConfig,
+    KvError, MlfqConfig, Pid, QueueDiscipline, SimDuration, SysError,
 };
 
 fn continuous(chunk: Option<usize>, discipline: QueueDiscipline) -> ExecMode {
@@ -74,6 +74,13 @@ fn continuous_modes_agree_with_static_outputs() {
     let want = outputs(&ks, &pids);
     assert_eq!(outputs(&kc, &pidc), want, "continuous changed outputs");
     assert_eq!(outputs(&kk, &pidk), want, "chunking changed outputs");
+    // With whole-request slices on a pool that fits, the two presets differ
+    // only in their launch gate: same batches, not just same tokens.
+    assert_eq!(
+        kc.gpu_metrics().batches,
+        ks.gpu_metrics().batches,
+        "unchunked continuous and static formed different batches"
+    );
     // The chunked run actually split prefills.
     assert!(kk.prefill_chunks() > 0, "expected chunked prefill iterations");
     assert_eq!(ks.prefill_chunks(), 0, "static mode never chunks");
@@ -185,6 +192,24 @@ fn preemption_under_tiny_pool_completes_everyone() {
     let stats = k.kv_stats();
     assert!(stats.swapped_out_tokens > 0);
     k.store().verify().unwrap();
+
+    // The static preset on the same pool never moves a program's KV on its
+    // own: what does not fit fails, nothing is preempted or swapped.
+    let mut c = cfg(ExecMode::Static(BatchPolicy::Immediate));
+    c.telemetry = true;
+    let (ks, spids) = run(c);
+    assert!(
+        spids.iter().any(|&p| ks.record(p).unwrap().status
+            == ExitStatus::Error(SysError::Kv(KvError::NoGpuMemory))),
+        "pool is too small for all four programs; expected a failed pred"
+    );
+    assert_eq!(ks.preemptions(), 0);
+    assert_eq!(ks.kv_stats().swapped_out_tokens, 0);
+    assert!(!ks
+        .telemetry_events()
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::KvSwap { .. })));
+    ks.store().verify().unwrap();
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use symphony::sampling::{self, Constraint, GenOpts, JsonConstraint, TrieConstraint};
 use symphony::{
-    BatchPolicy, ExitStatus, Kernel, KernelConfig, Limits, Mode, SimDuration, SysError,
+    BatchPolicy, EventKind, ExecMode, ExitStatus, Kernel, KernelConfig, Limits, Mode, SimDuration, SysError,
     ToolOutcome, ToolSpec,
 };
 
@@ -465,10 +465,10 @@ fn scheduled_arrivals_run_at_their_times() {
 #[test]
 fn fixed_window_batching_aggregates_concurrent_preds() {
     let mut cfg = KernelConfig::for_tests();
-    cfg.batch_policy = BatchPolicy::FixedWindow {
+    cfg.exec = ExecMode::Static(BatchPolicy::FixedWindow {
         max_wait: SimDuration::from_millis(50),
         max_batch: 8,
-    };
+    });
     let mut k = Kernel::new(cfg);
     for i in 0..8 {
         k.spawn_process(&format!("p{i}"), "", move |ctx| {
@@ -488,12 +488,42 @@ fn fixed_window_batching_aggregates_concurrent_preds() {
 }
 
 #[test]
+fn max_batch_caps_a_static_batch() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.exec = ExecMode::Static(BatchPolicy::FixedWindow {
+        max_wait: SimDuration::from_millis(50),
+        max_batch: 8,
+    });
+    cfg.max_batch = 2;
+    cfg.telemetry = true;
+    let mut k = Kernel::new(cfg);
+    for i in 0..5 {
+        k.spawn_process(&format!("p{i}"), "", move |ctx| {
+            let kv = ctx.kv_create()?;
+            ctx.pred_positions(kv, &[i, i + 1], 0)?;
+            Ok(())
+        });
+    }
+    k.run();
+    assert_eq!(k.gpu_metrics().requests_ok, 5);
+    let sizes: Vec<u32> = k
+        .telemetry_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::BatchBegin { requests, .. } => Some(requests),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sizes, [2, 2, 1], "never more than the cap per batch");
+}
+
+#[test]
 fn adaptive_batching_completes_all_work() {
     let mut cfg = KernelConfig::for_tests();
-    cfg.batch_policy = BatchPolicy::Adaptive {
+    cfg.exec = ExecMode::Static(BatchPolicy::Adaptive {
         target_batch: 4,
         max_wait: SimDuration::from_millis(20),
-    };
+    });
     let mut k = Kernel::new(cfg);
     let mut pids = Vec::new();
     for i in 0..10u64 {

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use symphony::telemetry::EventKind;
 use symphony::{ExitStatus, Kernel, Pid, SessionEvent, SimTime, SysError};
-use symphony_lipscript::{parse::parse, run_lip, verify::verify, InterpLimits};
+use symphony_lipscript::{parse::parse, verify::verify, InterpLimits, Interpreter, LipError};
 use symphony_rpc::{
     ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, CONN_SCOPE, DEFAULT_MAX_FRAME,
     WIRE_VERSION,
@@ -345,7 +345,7 @@ impl ServerCore {
                 name,
                 args,
                 source,
-            } => self.handle_submit(conn, session, not_before_ns, fuel, &name, &args, source),
+            } => self.handle_submit(conn, session, not_before_ns, fuel, &name, &args, &source),
             ClientMsg::Cancel { session } => self.handle_cancel(conn, session),
             ClientMsg::Ping { nonce } => self.reply(conn, &ServerMsg::Pong { nonce }),
             ClientMsg::Bye => {
@@ -395,7 +395,7 @@ impl ServerCore {
         fuel: u64,
         name: &str,
         args: &str,
-        source: String,
+        source: &str,
     ) {
         let (tenant, closing, duplicate) = {
             // lint:allow(k1): conn presence established by the caller
@@ -409,24 +409,24 @@ impl ServerCore {
         // Admission checks, cheapest first; each refusal is one typed
         // session-scoped ERROR and costs no kernel state.
         let mut static_hint: Option<Option<u64>> = None;
-        let refusal = if session == CONN_SCOPE {
-            Some((ErrCode::ProgramRejected, "session id 0 is reserved".into()))
+        let admitted = if session == CONN_SCOPE {
+            Err((ErrCode::ProgramRejected, "session id 0 is reserved".into()))
         } else if duplicate {
-            Some((
+            Err((
                 ErrCode::DuplicateSession,
                 format!("session {session} is live"),
             ))
         } else if closing {
-            Some((ErrCode::ProgramRejected, "connection is closing".into()))
+            Err((ErrCode::ProgramRejected, "connection is closing".into()))
         } else if source.len() > self.cfg.max_source_bytes {
-            Some((
+            Err((
                 ErrCode::SourceTooLarge,
                 format!("{} bytes > cap {}", source.len(), self.cfg.max_source_bytes),
             ))
         } else if self.live_by_tenant.get(&tenant).copied().unwrap_or(0)
             >= self.cfg.tenant_session_quota
         {
-            Some((
+            Err((
                 ErrCode::QuotaExceeded,
                 format!(
                     "tenant {tenant} at {} live sessions",
@@ -434,7 +434,7 @@ impl ServerCore {
                 ),
             ))
         } else if self.live_total >= self.cfg.max_live_sessions {
-            Some((
+            Err((
                 ErrCode::ServerBusy,
                 format!("server at {} live sessions", self.cfg.max_live_sessions),
             ))
@@ -444,44 +444,47 @@ impl ServerCore {
             // compiler-style `name:line:col: message` detail and cost
             // zero interpreter fuel. An admissible program's effect
             // summary doubles as the scheduler's static cost hint.
-            match parse(&source) {
-                Err(e) => Some((ErrCode::ProgramRejected, e.render(name))),
+            match parse(source) {
+                Err(e) => Err((ErrCode::ProgramRejected, e.render(name))),
                 Ok(prog) if self.cfg.verify => {
                     let report = verify(&prog);
                     match report.first_error() {
-                        Some(d) => Some((ErrCode::VerifyRejected, d.render(name))),
+                        Some(d) => Err((ErrCode::VerifyRejected, d.render(name))),
                         None => {
                             if self.cfg.cost_hints {
                                 static_hint = Some(report.effects.service_estimate());
                             }
-                            None
+                            Ok(Arc::new(prog))
                         }
                     }
                 }
-                Ok(_) => None,
+                Ok(prog) => Ok(Arc::new(prog)),
             }
         };
-        if let Some((code, detail)) = refusal {
-            self.kernel
-                .metrics_registry()
-                .counter("serve.sessions.shed")
-                .inc();
-            if code == ErrCode::VerifyRejected {
+        let program = match admitted {
+            Ok(program) => program,
+            Err((code, detail)) => {
                 self.kernel
                     .metrics_registry()
-                    .counter("serve.sessions.verify_rejected")
+                    .counter("serve.sessions.shed")
                     .inc();
+                if code == ErrCode::VerifyRejected {
+                    self.kernel
+                        .metrics_registry()
+                        .counter("serve.sessions.verify_rejected")
+                        .inc();
+                }
+                self.reply(
+                    conn,
+                    &ServerMsg::Error {
+                        session,
+                        code,
+                        detail,
+                    },
+                );
+                return;
             }
-            self.reply(
-                conn,
-                &ServerMsg::Error {
-                    session,
-                    code,
-                    detail,
-                },
-            );
-            return;
-        }
+        };
 
         let limits = InterpLimits {
             fuel: if fuel == 0 {
@@ -494,10 +497,12 @@ impl ServerCore {
         // A SUBMIT may carry a virtual arrival floor (trace replay with
         // simulated RTT); past floors mean "now".
         let at = SimTime::from_nanos(not_before_ns.max(self.kernel.now().as_nanos()));
+        // The program parsed for the verifier is the one that runs.
         let pid = self.kernel.schedule_process(at, name, args, move |ctx| {
-            run_lip(&source, ctx, limits)
+            Interpreter::new(program, limits)
+                .run(ctx)
                 .map(|_| ())
-                .map_err(|e| SysError::ToolFailed(e.to_string()))
+                .map_err(|e| SysError::ToolFailed(LipError::from(e).to_string()))
         });
         if let Some(hint) = static_hint {
             self.kernel.set_cost_hint(pid, hint);
