@@ -33,7 +33,10 @@ use crate::resilience::{
     AdmissionPolicy, BreakerBank, BreakerPolicy, BreakerVerdict, ResilienceCounters,
     ResilienceStats,
 };
-use crate::sched::{BatchGate, BatchPolicy, Decision, ExecMode, ProgramQueue, QueueDiscipline};
+use crate::sched::{
+    threads_parked_gate, BatchGate, BatchPolicy, Decision, ExecMode, ProgramQueue,
+    QueueDiscipline,
+};
 use crate::syscall::{thread_main, Ctx, LipFn, SysReply, Syscall, UpCall};
 use crate::tools::{ToolOutcome, ToolRegistry, ToolSpec};
 use crate::types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SysError, Tid};
@@ -202,17 +205,24 @@ struct LoopPreset {
 enum LaunchGate {
     /// When the [`BatchPolicy`] says the pool is worth closing.
     Batch(BatchGate),
-    /// As soon as the current virtual instant has drained. Replies and
-    /// syscalls cascade at one instant (per-syscall cost can be zero), so
-    /// launching mid-cascade would fragment same-time arrivals into
-    /// single-request iterations.
-    Drain,
+    /// When no LIP thread is runnable ([`threads_parked_gate`]). Sampling
+    /// runs in the LIP, so the threads an iteration just woke are on the
+    /// CPU for a few syscalls before their next `pred` pools; launching
+    /// ahead of them would leave with whoever was already queued and split
+    /// the live sequences into two cohorts that take turns. At zero
+    /// per-syscall cost the whole cascade is one virtual instant and the
+    /// gate reduces to "the current instant has drained".
+    ThreadsParked,
 }
 
 /// Kernel events on the virtual clock.
 enum Event {
-    /// Deliver a reply to a parked thread.
+    /// Deliver a reply once the per-syscall CPU charge has elapsed. The
+    /// thread was runnable throughout (counted in `Kernel::on_cpu`).
     Resume(Tid, SysReply),
+    /// Deliver a reply to a thread that was blocked on a device or a
+    /// timer — `sleep`, a swap's copy lane, the post-I/O restore.
+    Wake(Tid, SysReply),
     /// A GPU batch finished.
     BatchDone { batch_id: u64 },
     /// An I/O (tool) completion. `issued_at` is when the call entered the
@@ -385,6 +395,12 @@ struct KernelMetrics {
     /// Prefill chunks executed (requests that spanned more than one
     /// iteration).
     prefill_chunks: Counter,
+    /// Virtual time a launch was held for runnable threads, one sample per
+    /// held launch.
+    gate_hold_ns: Histogram,
+    /// Held launches that left with threads still runnable because the
+    /// hold reached the last iteration's duration.
+    gate_hold_timeouts: Counter,
     /// `finish_io` observed `io_waiting == 0` for the owning process — a
     /// bookkeeping bug (the decrement is clamped; this makes it visible).
     io_waiting_underflow: Counter,
@@ -418,6 +434,8 @@ impl KernelMetrics {
             backing_pages: registry.gauge("kvfs.backing_pages"),
             preemptions: registry.counter("sched.preemptions"),
             prefill_chunks: registry.counter("sched.prefill_chunks"),
+            gate_hold_ns: registry.histogram("sched.gate_hold_ns", &latency_bounds_ns()),
+            gate_hold_timeouts: registry.counter("sched.gate_hold_timeouts"),
             io_waiting_underflow: registry.counter("kernel.io_waiting_underflow"),
             recoveries: registry.counter("kernel.recoveries"),
             replayed_frames: registry.counter("kernel.replayed_frames"),
@@ -441,6 +459,10 @@ pub struct Kernel {
     // Scheduling.
     events: EventQueue<Event>,
     ready: VecDeque<(Tid, SysReply)>,
+    /// Threads whose reply is in flight for nothing but the per-syscall
+    /// CPU charge ([`Event::Resume`]). With `ready` these are the runnable
+    /// threads; everyone else is blocked on the GPU, a device or a timer.
+    on_cpu: usize,
     /// What `KernelConfig::exec` lowered to.
     preset: LoopPreset,
     /// Waiting `pred`s (FIFO or program-aware MLFQ).
@@ -453,6 +475,12 @@ pub struct Kernel {
     /// wait for the same bytes.
     inflight: Vec<(FileId, SimTime)>,
     gpu_busy: bool,
+    /// Since when the GPU has been idle with work waiting and the launch
+    /// gate shut (`None`: busy, nothing waiting, or not yet asked).
+    idle_since: Option<SimTime>,
+    /// Compute time of the latest iteration: how long the continuous gate
+    /// will hold a launch for runnable threads at most.
+    last_iteration: SimDuration,
     pending_batches: IdSlab<Vec<(Tid, SysReply)>>,
     next_batch: u64,
     timer_armed_until: Option<SimTime>,
@@ -629,7 +657,7 @@ impl Kernel {
             ExecMode::Continuous(c) => (
                 LoopPreset {
                     slice: c.chunk_tokens.unwrap_or(usize::MAX).max(1),
-                    gate: LaunchGate::Drain,
+                    gate: LaunchGate::ThreadsParked,
                     manages_residency: true,
                 },
                 c.discipline,
@@ -643,11 +671,14 @@ impl Kernel {
             tools: ToolRegistry::new(),
             events: EventQueue::new(),
             ready: VecDeque::new(),
+            on_cpu: 0,
             preset,
             cqueue: ProgramQueue::new(discipline),
             active: Vec::new(),
             inflight: Vec::new(),
             gpu_busy: false,
+            idle_since: None,
+            last_iteration: SimDuration::ZERO,
             pending_batches: IdSlab::new(),
             next_batch: 0,
             timer_armed_until: None,
@@ -1762,7 +1793,11 @@ impl Kernel {
 
     fn handle_event(&mut self, ev: Event) {
         match ev {
-            Event::Resume(tid, reply) => self.ready.push_back((tid, reply)),
+            Event::Resume(tid, reply) => {
+                self.on_cpu -= 1;
+                self.ready.push_back((tid, reply));
+            }
+            Event::Wake(tid, reply) => self.ready.push_back((tid, reply)),
             Event::BatchDone { batch_id } => {
                 self.gpu_busy = false;
                 // Results are recorded at launch; an unknown id would mean a
@@ -1929,22 +1964,35 @@ impl Kernel {
             return;
         }
         if self.active.is_empty() && self.cqueue.is_empty() {
+            self.idle_since = None;
             return;
         }
         let now = self.events.now();
-        match &self.preset.gate {
-            LaunchGate::Drain => {
+        let runnable = self.ready.len() + self.on_cpu;
+        let verdict = match &self.preset.gate {
+            LaunchGate::ThreadsParked => {
+                // Replies and syscalls at zero cost cascade at one instant;
+                // launching mid-cascade would fragment same-time arrivals.
                 if self.events.peek_time() == Some(now) {
                     return;
                 }
+                let idle_since = *self.idle_since.get_or_insert(now);
+                threads_parked_gate(now, runnable, Some(idle_since), self.last_iteration)
             }
             LaunchGate::Batch(gate) => {
                 let oldest = self.cqueue.peek().map(|p| p.pooled_at);
-                match gate.decide(now, self.cqueue.len(), oldest) {
-                    Decision::LaunchNow => {}
-                    Decision::WaitUntil(t) => return self.arm_timer(t),
-                    Decision::Idle => return,
-                }
+                gate.decide(now, self.cqueue.len(), oldest)
+            }
+        };
+        match verdict {
+            Decision::LaunchNow => {}
+            Decision::WaitUntil(t) => return self.arm_timer(t),
+            Decision::Idle => return,
+        }
+        if let Some(since) = self.idle_since.take().filter(|&since| since < now) {
+            self.kmetrics.gate_hold_ns.observe((now - since).as_nanos());
+            if runnable > 0 {
+                self.kmetrics.gate_hold_timeouts.inc();
             }
         }
         // Admit from the wait queue — the program-aware (or FIFO) order.
@@ -2459,15 +2507,18 @@ impl Kernel {
         );
         self.pending_batches.insert(batch_id, replies);
         self.gpu_busy = true;
+        self.last_iteration = report.duration;
         self.events
             .schedule(now + report.duration, Event::BatchDone { batch_id });
     }
 
     // ---- syscall dispatch -----------------------------------------------------------
 
-    /// Schedules a reply after the per-syscall CPU charge.
+    /// Schedules a reply after the per-syscall CPU charge; the thread
+    /// stays runnable until it is delivered.
     fn complete(&mut self, tid: Tid, reply: SysReply) {
         let at = self.events.now() + self.syscall_cost;
+        self.on_cpu += 1;
         self.events.schedule(at, Event::Resume(tid, reply));
     }
 
@@ -2780,7 +2831,7 @@ impl Kernel {
                     done_at,
                 });
                 let at = done_at + self.syscall_cost;
-                self.events.schedule(at, Event::Resume(tid, SysReply::Unit));
+                self.events.schedule(at, Event::Wake(tid, SysReply::Unit));
             }
             Syscall::KvSwapIn { kv } => {
                 // Injected PCIe/host-memory fault: the transfer fails, the
@@ -2803,7 +2854,7 @@ impl Kernel {
                     done_at,
                 });
                 let at = done_at + self.syscall_cost;
-                self.events.schedule(at, Event::Resume(tid, SysReply::Unit));
+                self.events.schedule(at, Event::Wake(tid, SysReply::Unit));
             }
             Syscall::Spawn { f } => {
                 let proc = &self.procs[pid.0];
@@ -3275,7 +3326,7 @@ impl Kernel {
             }
             Syscall::Sleep { dur } => {
                 let at = self.events.now() + dur;
-                self.events.schedule(at, Event::Resume(tid, SysReply::Unit));
+                self.events.schedule(at, Event::Wake(tid, SysReply::Unit));
             }
             Syscall::Emit { text } => {
                 sys!(self.records.get_mut(pid.0), "process record missing")
@@ -3478,7 +3529,7 @@ impl Kernel {
                 "io",
                 || format!("restore pid={} tokens={restore_tokens}", pid.0),
             );
-            self.events.schedule(done, Event::Resume(tid, reply));
+            self.events.schedule(done, Event::Wake(tid, reply));
         } else {
             self.ready.push_back((tid, reply));
         }

@@ -172,6 +172,37 @@ impl BatchGate {
     }
 }
 
+/// The continuous preset's launch gate: what an idle GPU with work waiting
+/// since `idle_since` (`None`: nothing waits) should do while `runnable`
+/// LIP threads are on the CPU — handed a reply and not yet back in a
+/// blocking syscall. Sampling runs in the LIP, so those threads are about
+/// to `pred` again and an iteration that leaves without them costs each of
+/// them a whole extra iteration of queueing; threads blocked on a device or
+/// a timer are not counted and never waited for. The hold is bounded by
+/// `last_iteration`, the compute time of the iteration before: past that,
+/// waiting has cost more than launching without the stragglers would have,
+/// so a thread that never blocks can idle the GPU at most half the time.
+///
+/// At zero per-syscall cost no thread is ever runnable once the current
+/// instant has drained, and the gate is [`BatchPolicy::Immediate`]'s.
+/// Idempotent like [`BatchGate::decide`].
+pub fn threads_parked_gate(
+    now: SimTime,
+    runnable: usize,
+    idle_since: Option<SimTime>,
+    last_iteration: SimDuration,
+) -> Decision {
+    let Some(idle_since) = idle_since else {
+        return Decision::Idle;
+    };
+    let bound = idle_since + last_iteration;
+    if runnable == 0 || now >= bound {
+        Decision::LaunchNow
+    } else {
+        Decision::WaitUntil(bound)
+    }
+}
+
 /// Preset of the GPU loop. There is one loop — every iteration admits
 /// waiting `pred`s, runs one slice of each admitted sequence and retires
 /// the finished — and a mode fixes three things it reads as data: how
@@ -186,9 +217,10 @@ pub enum ExecMode {
     /// `AdmissionPolicy` requeue/shed).
     Static(BatchPolicy),
     /// Iteration-level continuous batching: sequences are admitted and
-    /// retired at token-iteration granularity as soon as the current
-    /// instant has drained, long prefills are split into chunks, and the
-    /// kernel swaps KV in, evicts and preempts when GPU pages run out.
+    /// retired at token-iteration granularity as soon as no LIP thread is
+    /// runnable ([`threads_parked_gate`]), long prefills are split into
+    /// chunks, and the kernel swaps KV in, evicts and preempts when GPU
+    /// pages run out.
     Continuous(ContinuousConfig),
 }
 
@@ -479,6 +511,37 @@ mod tests {
         assert_eq!(s.decide(at(0)), Decision::Idle);
         s.arrive(at(1));
         assert_eq!(s.decide(at(1)), Decision::LaunchNow);
+    }
+
+    #[test]
+    fn threads_parked_gate_waits_for_runnable_threads_up_to_one_iteration() {
+        let iter = SimDuration::from_millis(14);
+        // Nothing waiting.
+        assert_eq!(threads_parked_gate(at(3), 2, None, iter), Decision::Idle);
+        // Everyone is parked: launch, however short the wait has been.
+        assert_eq!(
+            threads_parked_gate(at(3), 0, Some(at(3)), iter),
+            Decision::LaunchNow
+        );
+        // A woken thread is still on the CPU: hold, but only to the bound.
+        assert_eq!(
+            threads_parked_gate(at(3), 1, Some(at(3)), iter),
+            Decision::WaitUntil(at(17))
+        );
+        assert_eq!(
+            threads_parked_gate(at(16), 5, Some(at(3)), iter),
+            Decision::WaitUntil(at(17))
+        );
+        // Held as long as the last iteration ran: launch with whoever is here.
+        assert_eq!(
+            threads_parked_gate(at(17), 5, Some(at(3)), iter),
+            Decision::LaunchNow
+        );
+        // No iteration has run yet: nothing to hold for.
+        assert_eq!(
+            threads_parked_gate(at(3), 1, Some(at(3)), SimDuration::ZERO),
+            Decision::LaunchNow
+        );
     }
 
     #[test]

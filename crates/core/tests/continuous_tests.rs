@@ -16,9 +16,10 @@ fn continuous(chunk: Option<usize>, discipline: QueueDiscipline) -> ExecMode {
 }
 
 /// A small mixed workload: staggered arrivals, longish prompts, greedy
-/// decode. Returns the per-process outputs in spawn order.
-fn run_workload(mut cfg: KernelConfig) -> (Kernel, Vec<Pid>) {
-    cfg.syscall_cost = SimDuration::from_micros(1);
+/// decode, `cost_us` of CPU charge per syscall. Returns the per-process
+/// outputs in spawn order.
+fn run_workload(mut cfg: KernelConfig, cost_us: u64) -> (Kernel, Vec<Pid>) {
+    cfg.syscall_cost = SimDuration::from_micros(cost_us);
     let mut k = Kernel::new(cfg);
     let mut pids = Vec::new();
     for i in 0..6u64 {
@@ -47,6 +48,16 @@ fn run_workload(mut cfg: KernelConfig) -> (Kernel, Vec<Pid>) {
     (k, pids)
 }
 
+/// `(launches the gate held for runnable threads, of those forced by the bound)`.
+fn gate_holds(k: &Kernel) -> (u64, u64) {
+    let snap = k.metrics_snapshot();
+    let held = match snap.get("sched.gate_hold_ns") {
+        Some(symphony::telemetry::MetricValue::Histogram { count, .. }) => *count,
+        other => panic!("sched.gate_hold_ns missing: {other:?}"),
+    };
+    (held, snap.counter("sched.gate_hold_timeouts").unwrap())
+}
+
 fn outputs(k: &Kernel, pids: &[Pid]) -> Vec<String> {
     pids.iter()
         .map(|&p| {
@@ -61,26 +72,38 @@ fn outputs(k: &Kernel, pids: &[Pid]) -> Vec<String> {
 fn continuous_modes_agree_with_static_outputs() {
     // Same seed, same programs: run-to-completion, unchunked continuous,
     // and chunked continuous must produce identical generations.
-    let (ks, pids) = run_workload(KernelConfig::for_tests());
+    let (ks, pids) = run_workload(KernelConfig::for_tests(), 1);
 
     let mut cfg = KernelConfig::for_tests();
     cfg.exec = continuous(None, QueueDiscipline::Fifo);
-    let (kc, pidc) = run_workload(cfg);
+    let (kc, pidc) = run_workload(cfg, 1);
 
     let mut cfg = KernelConfig::for_tests();
     cfg.exec = continuous(Some(8), QueueDiscipline::Fifo);
-    let (kk, pidk) = run_workload(cfg);
+    let (kk, pidk) = run_workload(cfg, 1);
 
     let want = outputs(&ks, &pids);
     assert_eq!(outputs(&kc, &pidc), want, "continuous changed outputs");
     assert_eq!(outputs(&kk, &pidk), want, "chunking changed outputs");
     // With whole-request slices on a pool that fits, the two presets differ
-    // only in their launch gate: same batches, not just same tokens.
-    assert_eq!(
+    // only in their launch gate. `Immediate` leaves with whoever is queued;
+    // the continuous gate waits for the threads the last iteration woke, so
+    // it never needs more batches for the same tokens.
+    assert!(
+        kc.gpu_metrics().batches <= ks.gpu_metrics().batches,
+        "unchunked continuous formed more batches ({}) than static ({})",
         kc.gpu_metrics().batches,
-        ks.gpu_metrics().batches,
-        "unchunked continuous and static formed different batches"
+        ks.gpu_metrics().batches
     );
+    // At zero syscall cost no thread is runnable once the instant has
+    // drained: the gate never holds a launch, which is the rule the
+    // zero-cost goldens were recorded under.
+    let mut cfg = KernelConfig::for_tests();
+    cfg.exec = continuous(None, QueueDiscipline::Fifo);
+    let (kc0, pidc0) = run_workload(cfg, 0);
+    assert_eq!(outputs(&kc0, &pidc0), want, "syscall cost changed outputs");
+    assert_eq!(gate_holds(&kc0), (0, 0), "a launch was held at zero cost");
+    assert!(gate_holds(&kc).0 > 0, "no launch was held at 1 us per syscall");
     // The chunked run actually split prefills.
     assert!(kk.prefill_chunks() > 0, "expected chunked prefill iterations");
     assert_eq!(ks.prefill_chunks(), 0, "static mode never chunks");
@@ -89,10 +112,14 @@ fn continuous_modes_agree_with_static_outputs() {
 
 #[test]
 fn continuous_mode_is_deterministic() {
-    fn once(chunk: Option<usize>, discipline: QueueDiscipline) -> (u64, Vec<String>) {
+    fn once(
+        chunk: Option<usize>,
+        discipline: QueueDiscipline,
+        cost_us: u64,
+    ) -> (u64, Vec<String>) {
         let mut cfg = KernelConfig::for_tests();
         cfg.exec = continuous(chunk, discipline);
-        let (k, pids) = run_workload(cfg);
+        let (k, pids) = run_workload(cfg, cost_us);
         let out = outputs(&k, &pids);
         (k.trace().fingerprint(), out)
     }
@@ -100,10 +127,17 @@ fn continuous_mode_is_deterministic() {
         QueueDiscipline::Fifo,
         QueueDiscipline::Mlfq(MlfqConfig::default()),
     ] {
-        let (fp1, out1) = once(Some(8), discipline);
-        let (fp2, out2) = once(Some(8), discipline);
-        assert_eq!(fp1, fp2, "trace fingerprints differ ({discipline:?})");
-        assert_eq!(out1, out2);
+        // Zero cost (one-instant cascades) and the paper's 2 µs, where the
+        // launch gate holds for runnable threads.
+        for cost_us in [0, 2] {
+            let (fp1, out1) = once(Some(8), discipline, cost_us);
+            let (fp2, out2) = once(Some(8), discipline, cost_us);
+            assert_eq!(
+                fp1, fp2,
+                "trace fingerprints differ ({discipline:?}, {cost_us} us)"
+            );
+            assert_eq!(out1, out2);
+        }
     }
 }
 
@@ -312,20 +346,30 @@ fn reader(
     move |ctx| {
         let doc = ctx.kv_open(&format!("doc{d}.kv"))?;
         let kv = ctx.kv_fork(doc)?;
-        let mut pos = ctx.kv_next_pos(kv)?;
-        let mut tok = 7u32;
-        let mut stamps = String::new();
-        for _ in 0..tokens {
-            let dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
-            tok = dist.argmax();
-            pos += 1;
-            ctx.emit_tokens(&[tok])?;
-            stamps.push_str(&format!(" t={}", ctx.now()?.as_nanos()));
-        }
-        ctx.kv_remove(kv)?;
-        ctx.emit(&stamps)?;
-        Ok(())
+        decode_stamped(ctx, kv, tokens)
     }
+}
+
+/// Decodes `tokens` greedy tokens on `kv`, one `pred` each, and emits the
+/// virtual time after each one (`t=<ns>` lines) behind the text.
+fn decode_stamped(
+    ctx: &mut symphony::Ctx,
+    kv: symphony::FileId,
+    tokens: u32,
+) -> Result<(), symphony::SysError> {
+    let mut pos = ctx.kv_next_pos(kv)?;
+    let mut tok = 7u32;
+    let mut stamps = String::new();
+    for _ in 0..tokens {
+        let dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+        tok = dist.argmax();
+        pos += 1;
+        ctx.emit_tokens(&[tok])?;
+        stamps.push_str(&format!(" t={}", ctx.now()?.as_nanos()));
+    }
+    ctx.kv_remove(kv)?;
+    ctx.emit(&stamps)?;
+    Ok(())
 }
 
 /// Splits a reader's output into its text and its per-token timestamps.
@@ -514,4 +558,231 @@ fn tiny_pools_never_strand_or_fail_anyone() {
             }
         }
     }
+}
+
+// ---- the launch gate waits for the threads it just woke -------------------
+
+/// FIFO continuous batching at `paper_setup()`'s 2 µs per-syscall CPU
+/// charge, with telemetry on so the tests can read each iteration's
+/// membership.
+fn paper_cost(chunk: Option<usize>) -> KernelConfig {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.exec = continuous(chunk, QueueDiscipline::Fifo);
+    cfg.syscall_cost = SimDuration::from_micros(2);
+    cfg.telemetry = true;
+    cfg
+}
+
+/// A greedy decoder on a fresh file: `tokens` stamped tokens.
+fn decoder(tokens: u32) -> impl FnOnce(&mut symphony::Ctx) -> Result<(), symphony::SysError> {
+    move |ctx| {
+        let kv = ctx.kv_create()?;
+        decode_stamped(ctx, kv, tokens)
+    }
+}
+
+fn stamps(k: &Kernel, pid: Pid) -> Vec<u64> {
+    let rec = k.record(pid).unwrap();
+    assert!(rec.status.is_ok(), "{:?}", rec.status);
+    text_and_stamps(&rec.output).1
+}
+
+fn gaps(stamps: &[u64]) -> Vec<u64> {
+    stamps.windows(2).map(|w| w[1] - w[0]).collect()
+}
+
+fn median(mut v: Vec<u64>) -> u64 {
+    assert!(!v.is_empty(), "median of nothing");
+    v.sort_unstable();
+    v[v.len() / 2]
+}
+
+/// `(batch id, requests, duration in ns)` of every iteration, in launch order.
+fn iterations(k: &Kernel) -> Vec<(u64, u32, u64)> {
+    let events = k.telemetry_events();
+    events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::BatchBegin { id, requests, .. } => {
+                let end = events
+                    .iter()
+                    .find(|d| matches!(d.kind, EventKind::BatchEnd { id: done } if done == id))
+                    .expect("every iteration ends");
+                Some((id, requests, (end.at - e.at).as_nanos()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Median iteration time of `n` decoders running in step.
+fn iteration_time(n: usize) -> SimDuration {
+    let mut k = Kernel::new(paper_cost(None));
+    for i in 0..n {
+        k.spawn_process(&format!("d{i}"), "", decoder(16));
+    }
+    k.run();
+    let durs = iterations(&k).into_iter().map(|(_, _, d)| d).collect();
+    SimDuration::from_nanos(median(durs))
+}
+
+#[test]
+fn woken_decoders_rejoin_the_next_iteration() {
+    // Two cohorts of decoders start half an iteration apart: the second
+    // cohort's preds queue while the first is on the GPU. A gate that
+    // launches the moment the GPU goes idle leaves with the queued cohort
+    // while the other is still sampling, and the two take turns forever —
+    // every token costs two iterations. Waiting for the woken threads
+    // merges them: one iteration per token.
+    const N: usize = 4;
+    const TOKENS: u32 = 24;
+    let half = SimDuration::from_nanos(iteration_time(N).as_nanos() / 2);
+    let mut k = Kernel::new(paper_cost(None));
+    let mut pids = Vec::new();
+    for i in 0..2 * N {
+        let at = if i < N {
+            symphony::SimTime::ZERO
+        } else {
+            symphony::SimTime::ZERO + half
+        };
+        pids.push(k.schedule_process(at, &format!("d{i}"), "", decoder(TOKENS)));
+    }
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    let iters = iterations(&k);
+    // Iteration 0 is the first cohort alone and the last one the second
+    // cohort's final token; everything between carries everyone.
+    for &(id, requests, _) in &iters[2..TOKENS as usize] {
+        assert_eq!(requests as usize, 2 * N, "iteration {id} left someone behind");
+    }
+    let iter = median(iters.iter().map(|&(_, _, d)| d).collect());
+    for &pid in &pids {
+        let gap = median(gaps(&stamps(&k, pid)));
+        assert!(
+            gap * 10 <= iter * 11,
+            "median inter-token gap {gap} ns is not one iteration ({iter} ns)"
+        );
+    }
+    // The holds are the few syscalls between `Dists` and the next `pred`.
+    let (held, timeouts) = gate_holds(&k);
+    assert!(held > 0, "the cohorts merged without a hold");
+    assert_eq!(timeouts, 0, "no hold should have reached the bound");
+}
+
+#[test]
+fn decoders_keep_pace_with_a_chunked_prefill() {
+    // A 512-token prefill in 32-token chunks stays admitted across sixteen
+    // iterations, so at every `BatchDone` the loop has work in hand while
+    // the decoders it just woke are still sampling. They must be back for
+    // the next chunk's iteration, not the one after.
+    const N: usize = 4;
+    let start = symphony::SimTime::ZERO + iteration_time(N) * 3;
+    let mut k = Kernel::new(paper_cost(Some(32)));
+    for i in 0..N {
+        k.spawn_process(&format!("d{i}"), "", decoder(40));
+    }
+    let prefiller = k.schedule_process(start, "prefiller", "", |ctx| {
+        let kv = ctx.kv_create()?;
+        ctx.pred_positions(kv, &doc_tokens(512, 3), 0)?;
+        Ok(())
+    });
+    k.run();
+    assert!(k.record(prefiller).unwrap().status.is_ok());
+    let iters = iterations(&k);
+    let chunk_batches: Vec<u64> = k
+        .telemetry_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::ChunkExec { batch, .. } => Some(batch),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(chunk_batches.len(), 16);
+    for batch in &chunk_batches[2..] {
+        let &(_, requests, _) = iters.iter().find(|(id, _, _)| id == batch).unwrap();
+        assert_eq!(
+            requests as usize,
+            N + 1,
+            "the decoders missed the chunk in iteration {batch}"
+        );
+    }
+}
+
+#[test]
+fn a_spinning_thread_cannot_idle_the_gpu_past_one_iteration() {
+    // 50 000 non-blocking syscalls are 100 ms of CPU charge during which a
+    // thread is always runnable. The gate holds each launch for it, but
+    // only for as long as the last iteration ran: decoders beside it pay
+    // at most one extra iteration per token, and the kernel still quiesces.
+    const N: usize = 4;
+    let iter = iteration_time(N);
+    let mut k = Kernel::new(paper_cost(None));
+    let spinner = k.spawn_process("spinner", "", |ctx| {
+        for _ in 0..50_000 {
+            ctx.now()?;
+        }
+        Ok(())
+    });
+    let pids: Vec<Pid> = (0..N)
+        .map(|i| k.spawn_process(&format!("d{i}"), "", decoder(16)))
+        .collect();
+    k.run();
+    assert_eq!(k.live_threads(), 0, "run must quiesce");
+    assert!(k.record(spinner).unwrap().status.is_ok());
+    let limit = (iter * 2 + SimDuration::from_millis(1)).as_nanos();
+    for &pid in &pids {
+        let gaps = gaps(&stamps(&k, pid));
+        let worst = *gaps.iter().max().unwrap();
+        assert!(
+            worst <= limit,
+            "a decoder waited {worst} ns for one token (limit {limit} ns)"
+        );
+        // The control: the spinner really was waited for, up to the bound.
+        assert!(median(gaps) > iter.as_nanos() * 3 / 2);
+    }
+    let (held, timeouts) = gate_holds(&k);
+    assert!(timeouts > 0, "no hold reached the bound");
+    assert!(held >= timeouts);
+}
+
+#[test]
+fn blocked_threads_are_not_waited_for() {
+    // A thread in `sleep`, in a 150 ms tool call or waiting for its
+    // `kv_swap_in` to land is parked on a timer or a device, not runnable:
+    // a decoder beside them runs exactly as it does alone.
+    let run = |with_peers: bool| -> (Kernel, Vec<u64>) {
+        let mut k = Kernel::new(paper_cost(None));
+        k.register_tool(
+            "slow",
+            symphony::ToolSpec::fixed(SimDuration::from_millis(150), |_| {
+                symphony::ToolOutcome::Ok("done".into())
+            }),
+        );
+        preload_docs(&mut k, &[2048], true);
+        if with_peers {
+            k.spawn_process("sleeper", "", |ctx| ctx.sleep(SimDuration::from_millis(50)));
+            k.spawn_process("caller", "", |ctx| ctx.call_tool("slow", "").map(|_| ()));
+            k.spawn_process("swapper", "", |ctx| {
+                let doc = ctx.kv_open("doc0.kv")?;
+                let kv = ctx.kv_fork(doc)?;
+                ctx.kv_swap_in(kv)
+            });
+        }
+        let at = symphony::SimTime::ZERO + SimDuration::from_millis(1);
+        let bystander = k.schedule_process(at, "bystander", "", decoder(32));
+        k.run();
+        assert_eq!(k.live_threads(), 0);
+        let stamps = stamps(&k, bystander);
+        (k, stamps)
+    };
+    let (_, alone) = run(false);
+    let (k, beside) = run(true);
+    assert_eq!(beside, alone, "a blocked peer delayed the bystander");
+    assert!(k.kv_stats().swapped_in_tokens >= 2048, "the swap-in ran");
+    let span = *alone.last().unwrap();
+    assert!(
+        span > 50_000_000,
+        "the bystander should still be decoding when the sleeper wakes ({span} ns)"
+    );
+    assert_eq!(gate_holds(&k), (0, 0), "a launch was held for a blocked thread");
 }
