@@ -65,7 +65,9 @@ fn bench_kvfs(c: &mut Criterion) {
         let f = s.create(OWNER).unwrap();
         s.append(f, OWNER, &ents).unwrap();
         b.iter(|| {
-            let e = s.extract(f, OWNER, &[1000..2000]).unwrap();
+            let e = s
+                .extract(f, OWNER, std::slice::from_ref(&(1000..2000)))
+                .unwrap();
             s.remove(e, OWNER).unwrap();
         })
     });

@@ -38,7 +38,6 @@ fn sessions() -> Vec<symphony_workloads::ChatSession> {
 fn run(retain: bool) -> Vec<Vec<f64>> {
     let mut cfg = KernelConfig::paper_setup();
     cfg.model = cfg.model.with_mean_output_tokens(ANSWER_TOKENS as u32);
-    cfg.trace = false;
     let mut kernel = Kernel::new(cfg);
     let mut pids = Vec::new();
     for (i, session) in sessions().into_iter().enumerate() {

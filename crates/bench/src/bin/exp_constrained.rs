@@ -31,7 +31,6 @@ struct Point {
 fn run_mode(mode: &'static str) -> Point {
     let mut cfg = KernelConfig::paper_setup();
     cfg.model = cfg.model.with_mean_output_tokens(48);
-    cfg.trace = false;
     let mut kernel = Kernel::new(cfg);
     let mut pids = Vec::new();
     for i in 0..RUNS {

@@ -41,7 +41,6 @@ fn trace(buffer_words: usize) -> symphony_workloads::EditorTrace {
 fn run_symphony(buffer_words: usize) -> Point {
     let mut cfg = KernelConfig::paper_setup();
     cfg.model = cfg.model.with_mean_output_tokens(100_000);
-    cfg.trace = false;
     let mut kernel = Kernel::new(cfg);
     let tr = trace(buffer_words);
     let tr2 = tr.clone();
@@ -68,14 +67,12 @@ fn run_symphony(buffer_words: usize) -> Point {
             // Probe a short suggestion on a fork, keeping the buffer exact.
             let probe = ctx.kv_fork(kv)?;
             let mut d = dist.clone();
-            let mut p = pos;
-            for _ in 0..SUGGESTION_TOKENS {
+            for p in (pos..).take(SUGGESTION_TOKENS) {
                 let t = d.argmax();
                 if t == ctx.eos() {
                     break;
                 }
                 d = ctx.pred(probe, &[(t, p)])?.remove(0);
-                p += 1;
             }
             ctx.kv_remove(probe)?;
             let t1 = ctx.now()?;

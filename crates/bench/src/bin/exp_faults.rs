@@ -60,7 +60,6 @@ fn run_cell(
 ) -> (Point, Option<symphony::MetricsSnapshot>) {
     let mut cfg = KernelConfig::paper_setup();
     cfg.seed = SEED;
-    cfg.trace = false;
     cfg.telemetry = telemetry.record(designated);
     cfg.model = cfg.model.with_mean_output_tokens(1_000); // segments end by cap
     cfg.faults = FaultPlan {

@@ -47,7 +47,6 @@ kv_remove(kv);
 fn run_mode(lipscript: bool) -> Point {
     let mut cfg = KernelConfig::for_tests();
     cfg.model = cfg.model.with_mean_output_tokens(100_000);
-    cfg.trace = false;
     let mut kernel = Kernel::new(cfg);
     let fuel_total = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
     let mut pids = Vec::new();
@@ -76,15 +75,13 @@ fn run_mode(lipscript: bool) -> Point {
                     .pred_positions(kv, &prompt, 0)?
                     .pop()
                     .ok_or(SysError::BadArgument)?;
-                let mut pos = prompt.len() as u32;
-                for _ in 0..MAX_TOKENS {
+                for pos in (prompt.len() as u32..).take(MAX_TOKENS) {
                     let t = d.argmax();
                     if t == ctx.eos() {
                         break;
                     }
                     ctx.emit_tokens(&[t])?;
                     d = ctx.pred(kv, &[(t, pos)])?.remove(0);
-                    pos += 1;
                 }
                 ctx.kv_remove(kv)?;
                 Ok(())

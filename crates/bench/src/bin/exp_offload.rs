@@ -51,7 +51,6 @@ fn run_point(
         // refuse the swap-outs (NoCpuMemory) and keep HBM full.
         cfg.cpu_swap_bytes = (2 * AGENT_CONTEXT_TOKENS) as u64 * kv_per_token;
     }
-    cfg.trace = false;
     cfg.telemetry = telemetry.record(designated);
     let mut kernel = Kernel::new(cfg);
     kernel.register_tool(

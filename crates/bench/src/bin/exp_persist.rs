@@ -133,7 +133,6 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
         c.model = c.model.with_mean_output_tokens(16);
         c
     };
-    cfg.trace = false;
     if warm {
         cfg.journal_path = Some(journal.to_path_buf());
     }

@@ -199,14 +199,12 @@ fn rag_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
     let kv = ctx.kv_create()?;
     let prompt = tokens(seed, s.rag_prompt, 0);
     let mut dist = ctx.pred(kv, &prompt)?.pop().ok_or(SysError::BadArgument)?;
-    let mut pos = s.rag_prompt as u32;
     ctx.kv_swap_out(kv)?;
     ctx.call_tool("rerank", &format!("query {seed}"))?;
     ctx.kv_swap_in(kv)?;
-    for _ in 0..s.rag_decode {
+    for pos in (s.rag_prompt as u32..).take(s.rag_decode) {
         let tok = dist.argmax();
         dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
-        pos += 1;
     }
     ctx.kv_remove(kv)?;
     Ok(())
@@ -237,7 +235,6 @@ fn run_point(
     if let Some(cap) = batch_cap {
         cfg.max_batch = cap;
     }
-    cfg.trace = false;
     // Observability is the experiment: every run records causal telemetry.
     // Recording never changes results — the bus only observes.
     cfg.telemetry = true;

@@ -49,16 +49,14 @@ fn greedy_truth(cfg: &KernelConfig, prompt_text: &str, n: usize) -> Vec<u32> {
     for (i, &t) in prompt.iter().enumerate() {
         fp = fpr.advance(fp, t, i as u32);
     }
-    let mut pos = prompt.len() as u32;
     let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
+    for pos in (prompt.len() as u32..).take(n) {
         let t = model.next_dist(fp).argmax();
         if t == model.vocab().eos {
             break;
         }
         out.push(t);
         fp = fpr.advance(fp, t, pos);
-        pos += 1;
     }
     out
 }
@@ -66,7 +64,6 @@ fn greedy_truth(cfg: &KernelConfig, prompt_text: &str, n: usize) -> Vec<u32> {
 fn run_point(draft_len: usize) -> (f64, f64, f64) {
     let mut cfg = KernelConfig::paper_setup();
     cfg.model = cfg.model.with_mean_output_tokens(100_000); // no early EOS
-    cfg.trace = false;
     let kernel_cfg = cfg.clone();
     let mut kernel = Kernel::new(cfg);
     let mut pids = Vec::new();

@@ -8,15 +8,17 @@
 //! RNG streams must not perturb fault-free runs.
 
 use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig, SimDuration, ToolOutcome, ToolSpec};
+use symphony::{Kernel, KernelConfig, SimDuration, TimedEvent, ToolOutcome, ToolSpec};
 use symphony_workloads::ChatWorkload;
+
+/// (name, status_ok, output, syscalls, pred_tokens, tool_calls, latency_ns)
+type ProcDigest = (String, bool, String, u64, u64, u64, Option<u64>);
 
 /// Everything observable about a finished run, comparable with `==`.
 #[derive(Debug, PartialEq)]
 struct RunDigest {
-    trace_fingerprint: u64,
-    // (name, status_ok, output, syscalls, pred_tokens, tool_calls, latency_ns)
-    procs: Vec<(String, bool, String, u64, u64, u64, Option<u64>)>,
+    events: Vec<TimedEvent>,
+    procs: Vec<ProcDigest>,
     gpu_ok: u64,
     gpu_new_tokens: u64,
     kv_cow_copies: u64,
@@ -24,7 +26,7 @@ struct RunDigest {
 
 fn digest(k: &Kernel) -> RunDigest {
     RunDigest {
-        trace_fingerprint: k.trace().fingerprint(),
+        events: k.telemetry_events().to_vec(),
         procs: k
             .records()
             .map(|r| {
@@ -50,6 +52,7 @@ fn digest(k: &Kernel) -> RunDigest {
 fn toolcalls_run(seed: u64) -> RunDigest {
     let mut cfg = KernelConfig::for_tests();
     cfg.seed = seed;
+    cfg.telemetry = true;
     let mut k = Kernel::new(cfg);
     k.register_tool(
         "api",
@@ -86,6 +89,7 @@ fn toolcalls_run(seed: u64) -> RunDigest {
 fn chat_run(seed: u64) -> RunDigest {
     let mut cfg = KernelConfig::for_tests();
     cfg.seed = seed;
+    cfg.telemetry = true;
     let mut k = Kernel::new(cfg);
     let mut wl = ChatWorkload::new(4.0, SimDuration::from_millis(500), 40, 0xC4A7);
     for i in 0..4 {
@@ -137,10 +141,7 @@ fn exp_chat_setup_is_deterministic() {
 fn seed_changes_the_run() {
     // The guarantee is meaningful only if the seed actually steers the run:
     // tool latencies and LIP RNG streams derive from it.
-    assert_ne!(
-        toolcalls_run(1).trace_fingerprint,
-        toolcalls_run(2).trace_fingerprint
-    );
+    assert!(toolcalls_run(1).events != toolcalls_run(2).events);
 }
 
 #[test]
@@ -149,7 +150,9 @@ fn error_paths_are_deterministic_too() {
     // exhausts a limit exits with the same typed error at the same virtual
     // time in both runs.
     fn run() -> RunDigest {
-        let mut k = Kernel::new(KernelConfig::for_tests());
+        let mut cfg = KernelConfig::for_tests();
+        cfg.telemetry = true;
+        let mut k = Kernel::new(cfg);
         let limits = symphony::Limits {
             max_pred_tokens: Some(10),
             ..Default::default()

@@ -20,7 +20,6 @@ use symphony::{
 /// Everything observable about a finished run, comparable with `==`.
 #[derive(Debug, PartialEq)]
 struct RunDigest {
-    trace_fingerprint: u64,
     procs: Vec<(String, bool, String, u64, u64, Option<u64>)>,
     gpu_ok: u64,
     gpu_new_tokens: u64,
@@ -29,7 +28,6 @@ struct RunDigest {
 
 fn digest(k: &Kernel) -> RunDigest {
     RunDigest {
-        trace_fingerprint: k.trace().fingerprint(),
         procs: k
             .records()
             .map(|r| {

@@ -7,7 +7,7 @@
 //! delivers one reply, then blocks until *that* thread's next syscall (or
 //! exit) arrives before touching anything else. Combined with the virtual
 //! clock and seeded RNG streams, a whole serving run replays bit-identically
-//! — the integration tests compare trace fingerprints across runs.
+//! — the integration tests compare the typed telemetry streams of two runs.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use symphony_kvfs::{
 };
 use symphony_model::surrogate::VocabInfo;
 use symphony_model::{ModelConfig, Surrogate, TokenId};
-use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime, Trace};
+use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
     export_chrome_trace, export_chrome_trace_with_flows, latency_bounds_ns, percent_bounds,
     Collector, Counter, EdgeKind, EventBus, EventKind, Gauge, Histogram, MetricsRegistry,
@@ -87,8 +87,6 @@ pub struct KernelConfig {
     pub seed: u64,
     /// Default per-process limits.
     pub default_limits: Limits,
-    /// Record a structured trace (disable for long benchmark runs).
-    pub trace: bool,
     /// Record typed telemetry events for Chrome-trace export. When `false`
     /// (the default) the event bus is a no-op: no event is ever constructed.
     pub telemetry: bool,
@@ -141,7 +139,6 @@ impl KernelConfig {
             offload_min_latency: SimDuration::from_millis(10),
             seed: 42,
             default_limits: Limits::default(),
-            trace: true,
             telemetry: false,
             causal: false,
             telemetry_capacity: None,
@@ -175,7 +172,6 @@ impl KernelConfig {
             offload_min_latency: SimDuration::from_millis(20),
             seed: 42,
             default_limits: Limits::default(),
-            trace: false,
             telemetry: false,
             causal: false,
             telemetry_capacity: None,
@@ -496,7 +492,6 @@ pub struct Kernel {
     up_tx: Sender<UpCall>,
     up_rx: Receiver<UpCall>,
     rng: Rng,
-    trace: Trace,
     // Telemetry.
     registry: MetricsRegistry,
     bus: EventBus,
@@ -692,11 +687,6 @@ impl Kernel {
             up_tx,
             up_rx,
             rng: Rng::new(config.seed),
-            trace: if config.trace {
-                Trace::new()
-            } else {
-                Trace::disabled()
-            },
             bus: {
                 // The drop counter registers unconditionally so metrics
                 // snapshots are identical with telemetry on or off.
@@ -931,18 +921,7 @@ impl Kernel {
     /// [`Kernel::resume_programs`] can re-execute it deterministically
     /// after a crash. The image must be re-invocable; see [`ProgramImage`].
     pub fn spawn_durable(&mut self, name: &str, args: &str, image: ProgramImage) -> Pid {
-        self.spawn_durable_with_limits(name, args, self.default_limits, image)
-    }
-
-    /// Spawns a durable LIP with explicit limits.
-    pub fn spawn_durable_with_limits(
-        &mut self,
-        name: &str,
-        args: &str,
-        limits: Limits,
-        image: ProgramImage,
-    ) -> Pid {
-        let pid = self.alloc_pid(name, self.events.now(), limits);
+        let pid = self.alloc_pid(name, self.events.now(), self.default_limits);
         self.mark_durable(pid);
         let f: LipFn = Box::new(move |ctx| image(ctx));
         self.start_process(pid, args.to_string(), f, None);
@@ -961,18 +940,7 @@ impl Kernel {
         args: &str,
         image: ProgramImage,
     ) -> Pid {
-        self.schedule_durable_with_limits(at, name, args, self.default_limits, image)
-    }
-
-    /// Schedules a durable LIP with explicit limits.
-    pub fn schedule_durable_with_limits(
-        &mut self,
-        at: SimTime,
-        name: &str,
-        args: &str,
-        limits: Limits,
-        image: ProgramImage,
-    ) -> Pid {
+        let limits = self.default_limits;
         let pid = self.alloc_pid(name, at, limits);
         self.mark_durable(pid);
         // Pre-assign the main tid: recovery re-admits this program from the
@@ -1110,11 +1078,6 @@ impl Kernel {
                 limits,
             });
         }
-        self.trace.record_with(
-            self.events.now(),
-            "kernel",
-            || format!("spawn pid={} tid={}", pid.0, tid.0),
-        );
     }
 
     fn spawn_thread(&mut self, pid: Pid, args: String, f: LipFn) -> Tid {
@@ -1258,11 +1221,6 @@ impl Kernel {
             resumed: resumed_u,
             replayed_frames: frames,
         });
-        self.trace.record_with(
-            at,
-            "kernel",
-            || format!("recovered resumed={resumed} finished={finished} lost={lost}"),
-        );
         RecoveryReport {
             resumed,
             finished,
@@ -1444,7 +1402,7 @@ impl Kernel {
         self.kmetrics.wal_bytes.set(w.bytes_written as i64);
     }
 
-    /// Buffers a bulky pred frame for the next checkpoint (no-op when the
+    /// Buffers a pred marker frame for the next checkpoint (no-op when the
     /// WAL is disabled).
     fn wal_buffer_pred(&mut self, rec: WalRecord) {
         if let Some(w) = self.wal.as_mut() {
@@ -1493,8 +1451,6 @@ impl Kernel {
         let at = self.events.now();
         self.bus
             .emit(at, move || EventKind::KernelCrash { boundary });
-        self.trace
-            .record_with(at, "kernel", || format!("crash at boundary {boundary}"));
         if let Some(w) = self.wal.as_mut() {
             w.pred_buf.clear();
             w.buffered_frames = 0;
@@ -1507,31 +1463,34 @@ impl Kernel {
         self.procs.get(pid.0).is_some_and(|p| p.durable)
     }
 
-    /// Rebuilds the KV entries a replayed `pred` appended pre-crash, so
-    /// later live `pred`s against the same file see identical contents.
-    /// Charges no GPU time (the work was already paid for before the
-    /// crash). Returns `false` if the file state does not admit the append
-    /// (the caller then falls back to live execution).
-    fn replay_pred_append(
+    /// Answers a replayed `pred`: rebuilds the KV entries it appended
+    /// pre-crash, so later live `pred`s against the same file see identical
+    /// contents, and re-derives its reply along the fingerprint chain the
+    /// GPU executor walked. Charges no GPU time (the work was already paid
+    /// for before the crash). `None` if the file state does not admit the
+    /// append (the caller then falls back to live execution).
+    fn replay_pred(
         &mut self,
         file: FileId,
         owner: OwnerId,
         tokens: &[(TokenId, u32)],
-    ) -> bool {
-        let fpr = self.gpu.model().fingerprinter();
-        let mut fp = match self.store.tail_fingerprint(file) {
-            Ok(Some(fp)) => fp,
-            Ok(None) => fpr.origin(),
-            Err(_) => return false,
-        };
-        let entries: Vec<symphony_kvfs::KvEntry> = tokens
+    ) -> Option<Vec<symphony_model::Dist>> {
+        let model = self.gpu.model();
+        let fpr = model.fingerprinter();
+        let mut fp = self
+            .store
+            .tail_fingerprint(file)
+            .ok()?
+            .unwrap_or_else(|| fpr.origin());
+        let (entries, dists) = tokens
             .iter()
             .map(|&(t, p)| {
                 fp = fpr.advance(fp, t, p);
-                symphony_kvfs::KvEntry::new(t, p, fp)
+                (symphony_kvfs::KvEntry::new(t, p, fp), model.next_dist(fp))
             })
-            .collect();
-        self.store.append(file, owner, &entries).is_ok()
+            .unzip::<_, _, Vec<_>, Vec<_>>();
+        self.store.append(file, owner, &entries).ok()?;
+        Some(dists)
     }
 
     /// The kill-point that halted this kernel, when an injected crash fired.
@@ -1574,7 +1533,7 @@ impl Kernel {
         self.events.events_processed()
     }
 
-    /// The record for a process (live or exited).
+    /// The record for a process (live, or exited and not yet reaped).
     pub fn record(&self, pid: Pid) -> Option<&ProcessRecord> {
         self.records.get(pid.0)
     }
@@ -1686,11 +1645,6 @@ impl Kernel {
     /// Admin access to the KV store for setup/inspection.
     pub fn store_mut(&mut self) -> &mut KvStore {
         &mut self.store
-    }
-
-    /// The run trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// LIP threads that are still alive (blocked or runnable).
@@ -1808,11 +1762,6 @@ impl Kernel {
                 };
                 let now = self.events.now();
                 self.bus.emit(now, || EventKind::BatchEnd { id: batch_id });
-                self.trace.record_with(
-                    now,
-                    "infer_sched",
-                    || format!("batch_done id={batch_id} n={}", results.len()),
-                );
                 for (tid, reply) in results {
                     // Token-latency metrics: a delivered distribution is a
                     // decoded token from the process's point of view.
@@ -1874,6 +1823,40 @@ impl Kernel {
         self.bus.emit(at, f);
     }
 
+    /// Forgets every process that has exited: its record, its name and its
+    /// process- and thread-table entries (with each thread's reply
+    /// channel). Returns how many were dropped. The kernel keeps finished
+    /// processes so callers can read [`Kernel::record`] after a run; a
+    /// server that stays up calls this once their outcomes are reported,
+    /// or the tables grow with every program ever served.
+    pub fn reap_exited(&mut self) -> usize {
+        // Ascending pid order, which the thread sweep's search relies on.
+        let exited: Vec<u64> = self
+            .records
+            .iter()
+            .filter(|(_, r)| r.exited_at.is_some())
+            .map(|(pid, _)| pid)
+            .collect();
+        for &pid in &exited {
+            if let Some(rec) = self.records.remove(pid) {
+                if self.names.get(&rec.name) == Some(&rec.pid) {
+                    self.names.remove(&rec.name);
+                }
+            }
+            self.procs.remove(pid);
+        }
+        let tids: Vec<u64> = self
+            .threads
+            .iter()
+            .filter(|(_, t)| exited.binary_search(&t.pid.0).is_ok())
+            .map(|(tid, _)| tid)
+            .collect();
+        for tid in tids {
+            self.threads.remove(tid);
+        }
+        exited.len()
+    }
+
     /// Cancels a running process from outside (session teardown at the
     /// serving layer). Mirrors deadline enforcement: threads blocked in
     /// `recv_msg` are woken with [`SysError::Cancelled`], and every
@@ -1889,11 +1872,6 @@ impl Kernel {
         }
         proc.cancelled = true;
         let waiters = std::mem::take(&mut proc.recv_waiters);
-        self.trace.record_with(
-            self.events.now(),
-            "kernel",
-            || format!("cancel pid={} woke={}", pid.0, waiters.len()),
-        );
         for (w, _seq) in waiters {
             self.complete(w, SysReply::Err(SysError::Cancelled));
         }
@@ -1925,11 +1903,6 @@ impl Kernel {
             let at = self.events.now();
             self.bus.emit(at, || EventKind::DeadlineHit { pid: pid.0 });
         }
-        self.trace.record_with(
-            self.events.now(),
-            "kernel",
-            || format!("deadline pid={} woke={}", pid.0, waiters.len()),
-        );
         for (w, _seq) in waiters {
             self.complete(w, SysReply::Err(SysError::DeadlineExceeded));
         }
@@ -2390,18 +2363,14 @@ impl Kernel {
                         });
                     }
                     let (cpid, ccrit, cseq, ctid) = (s.pid, s.critical, s.seq, s.tid);
-                    let finished_dists = if s.done == total {
-                        Some(std::mem::take(&mut s.dists))
-                    } else {
-                        None
-                    };
-                    if let Some(dists) = finished_dists {
+                    if s.done == total {
+                        let dists = std::mem::take(&mut s.dists);
                         if self.is_durable(cpid) {
                             self.wal_buffer_pred(WalRecord::PredEffect {
                                 at: now,
                                 pid: cpid.0,
                                 seq: cseq,
-                                dists: dists.clone(),
+                                n_tokens: total as u32,
                             });
                         }
                         replies.push((i, ctid, SysReply::Dists(dists)));
@@ -2497,14 +2466,6 @@ impl Kernel {
         self.kmetrics
             .backing_pages
             .set(self.store.backing_pages() as i64);
-        self.trace.record_with(
-            now,
-            "infer_sched",
-            || format!(
-                "iter_launch id={batch_id} n={} new_tokens={} dur={}",
-                report.requests, report.new_tokens, report.duration
-            ),
-        );
         self.pending_batches.insert(batch_id, replies);
         self.gpu_busy = true;
         self.last_iteration = report.duration;
@@ -2651,11 +2612,6 @@ impl Kernel {
                         return;
                     }
                 }
-                self.trace.record_with(
-                    self.events.now(),
-                    "kernel",
-                    || format!("pred tid={} n={}", tid.0, tokens.len()),
-                );
                 let n_tokens = tokens.len() as u32;
                 let pool = self.cqueue.len() as u32;
                 self.bus.emit(sys_at, || EventKind::PredEnqueue {
@@ -2669,18 +2625,18 @@ impl Kernel {
                     p.seqs.pred += 1;
                     s
                 };
-                // Recovery replay: a pred whose distributions were durable
-                // at the crash answers from the log, rebuilding its KV
-                // append without charging GPU time.
+                // Recovery replay: a pred whose completion was durable at
+                // the crash is answered without charging GPU time — its KV
+                // append is rebuilt and the distributions re-derived from
+                // the same fingerprint chain.
                 if self.is_durable(pid) {
                     let hit = self
                         .replay
                         .as_ref()
                         .and_then(|r| r.preds.get(&(pid.0, seq)))
-                        .filter(|d| d.len() == tokens.len())
-                        .cloned();
-                    if let Some(dists) = hit {
-                        if self.replay_pred_append(kv, owner, &tokens) {
+                        .is_some_and(|&n| n as usize == tokens.len());
+                    if hit {
+                        if let Some(dists) = self.replay_pred(kv, owner, &tokens) {
                             self.note_replay_hit(pid, tid, sys_name);
                             self.complete(tid, SysReply::Dists(dists));
                             return;
@@ -2935,11 +2891,6 @@ impl Kernel {
                                 );
                             }
                         }
-                        self.trace.record_with(
-                            now,
-                            "io",
-                            || format!("tool={} tid={} replayed", name, tid.0),
-                        );
                         let reply = match rec.result {
                             Ok(s) => SysReply::Text(s),
                             Err(e) => SysReply::Err(e),
@@ -2955,11 +2906,6 @@ impl Kernel {
                     match bank.admit(&name, now) {
                         BreakerVerdict::Allow | BreakerVerdict::AllowTrial => {}
                         BreakerVerdict::Reject => {
-                            self.trace.record_with(
-                                now,
-                                "io",
-                                || format!("tool={} tid={} breaker_open", name, tid.0),
-                            );
                             if self.bus.is_enabled() {
                                 let tool = name.clone();
                                 self.bus.emit(now, || EventKind::BreakerReject {
@@ -3059,17 +3005,6 @@ impl Kernel {
                         self.bus.emit(now, || EventKind::BreakerTrip { tool });
                     }
                 }
-                self.trace.record_with(
-                    now,
-                    "io",
-                    || format!(
-                        "tool={} tid={} attempts={} latency={}",
-                        name,
-                        tid.0,
-                        failures + u32::from(final_result.is_ok()),
-                        total
-                    ),
-                );
                 self.kmetrics.tool_latency_ns.observe(total.as_nanos());
                 if self.bus.is_enabled() {
                     let tool = name.clone();
@@ -3161,11 +3096,6 @@ impl Kernel {
                 // resilient LIPs need acks/timeouts, which the chaos tests
                 // exercise.
                 if self.injector.ipc_send() {
-                    self.trace.record_with(
-                        self.events.now(),
-                        "kernel",
-                        || format!("ipc_drop from={} to={}", pid.0, to.0),
-                    );
                     self.bus.emit(sys_at, || EventKind::IpcDrop {
                         from: pid.0,
                         to: to.0,
@@ -3436,8 +3366,6 @@ impl Kernel {
                     pid: pid.0,
                     file: f.0,
                 });
-                self.trace
-                    .record_with(at, "io", || format!("offload pid={} file={}", pid.0, f.0));
             }
         }
     }
@@ -3497,11 +3425,6 @@ impl Kernel {
                     let at = self.events.now();
                     self.bus
                         .emit(at, || EventKind::FaultInjected { site: "kv.restore" });
-                    self.trace.record_with(
-                        at,
-                        "io",
-                        || format!("restore_fault pid={} file={}", pid.0, f.0),
-                    );
                     continue;
                 }
                 if let Ok(moved) = self.store.swap_in(f, owner) {
@@ -3524,11 +3447,6 @@ impl Kernel {
                 pid: pid.0,
                 tokens: restore_tokens as u64,
             });
-            self.trace.record_with(
-                at,
-                "io",
-                || format!("restore pid={} tokens={restore_tokens}", pid.0),
-            );
             self.events.schedule(done, Event::Wake(tid, reply));
         } else {
             self.ready.push_back((tid, reply));
@@ -3591,11 +3509,6 @@ impl Kernel {
             tid: tid.0,
             ok,
         });
-        self.trace.record_with(
-            at,
-            "kernel",
-            || format!("exit tid={} pid={} ok={}", tid.0, pid.0, status.is_ok()),
-        );
         if process_done {
             self.finalize_process(pid);
         }
@@ -3659,8 +3572,6 @@ impl Kernel {
                 usage,
             });
         }
-        self.trace
-            .record_with(now, "kernel", || format!("reap pid={}", pid.0));
     }
 }
 

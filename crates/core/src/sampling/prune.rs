@@ -78,12 +78,10 @@ mod tests {
                 .pred_positions(kv, &[1, 2, 3, 4, 5, 6, 7, 8], 0)?
                 .pop()
                 .ok_or(SysError::BadArgument)?;
-            let mut pos = 8u32;
             let mut max_len = 0usize;
-            for _ in 0..300 {
+            for pos in 8..308u32 {
                 let t = dist.entries()[1].0; // avoid EOS-heavy argmax path
                 dist = ctx.pred(kv, &[(t, pos)])?.remove(0);
-                pos += 1;
                 kv = policy.maybe_prune(ctx, kv)?;
                 max_len = max_len.max(ctx.kv_len(kv)?);
             }

@@ -101,16 +101,14 @@ mod tests {
         let mut generate = |watermarked: bool| -> Vec<TokenId> {
             let mut fp = m.context_of(&[5, 6, 7]);
             let mut prev = 7u32;
-            let mut pos = 3u32;
             let mut out = Vec::new();
-            for _ in 0..300 {
+            for pos in 3..303u32 {
                 let d = m.next_dist(fp);
                 let d = if watermarked { wm.bias(&d, prev) } else { d };
                 let t = d.top_p(0.9).sample_with(rng.next_f64(), 1_900);
                 out.push(t);
                 fp = fpr.advance(fp, t, pos);
                 prev = t;
-                pos += 1;
             }
             out
         };

@@ -916,7 +916,7 @@ mod tests {
         let mut q: ProgramQueue<u64> = ProgramQueue::new(QueueDiscipline::Mlfq(cfg));
         let mut reference: std::collections::BTreeMap<u64, (u64, u64)> =
             std::collections::BTreeMap::new();
-        let mut x = 0x2545F491_4F6C_DD1Du64;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
         for _ in 0..4000 {
             x ^= x << 13;
             x ^= x >> 7;
@@ -929,7 +929,7 @@ mod tests {
                     reference.entry(pid).or_default().0 += tokens;
                 }
                 1 => {
-                    let hint = if (x >> 16) % 3 == 0 {
+                    let hint = if (x >> 16).is_multiple_of(3) {
                         None
                     } else {
                         Some((x >> 16) % 500)

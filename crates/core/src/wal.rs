@@ -18,10 +18,12 @@
 //!   `now` reads. These are small and must never be lost — a re-executed
 //!   LIP that cannot find its tool call in the log would fire the tool
 //!   twice.
-//! - **Buffered** (flushed at checkpoints): pred results, which carry
-//!   whole token distributions. A crash loses the buffer; the recovered
-//!   LIP re-executes those preds on the GPU. Wasted work therefore
-//!   scales with the checkpoint interval, which E14 measures.
+//! - **Buffered** (flushed at checkpoints): pred completion markers. A
+//!   marker only saves GPU time on replay, so losing one costs
+//!   re-execution, never correctness, and is not worth a flush per token.
+//!   A crash loses the buffer; the recovered LIP re-executes those preds
+//!   on the GPU. Wasted work therefore scales with the checkpoint
+//!   interval, which E14 measures.
 //!
 //! # Recovery model
 //!
@@ -29,18 +31,20 @@
 //! snapshot one mid-flight. Recovery instead *re-executes* every
 //! unfinished program from its start with the same pid, main tid and
 //! per-thread RNG stream, answering every journalled syscall effect from
-//! the log (same tool results, same IPC data, same pred distributions —
-//! bit-exact via [`Dist::from_normalized_parts`]) so the re-execution
+//! the log (same tool results, same IPC data) so the re-execution
 //! deterministically reaches the pre-crash state without re-firing
-//! side effects, then falls through to live execution. Sequence numbers
+//! side effects, then falls through to live execution. A `pred` reply is
+//! a pure function of the model and the file's fingerprint chain, so the
+//! log records only *that* a pred completed; replay rebuilds its KV
+//! append and re-derives the distributions bit-exactly. Sequence numbers
 //! per `(pid, effect kind)` key the replay maps.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 use symphony_kvfs::KvError;
-use symphony_model::Dist;
 use symphony_sim::frame::{
     append_frame, fnv1a, push_opt_u64, push_str, push_u32, push_u64, read_frames, Cursor,
 };
@@ -53,7 +57,7 @@ use crate::types::{ExitStatus, Limits, ProcessUsage, SysError};
 pub const WAL_MAGIC: [u8; 4] = *b"SYMW";
 
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+pub const WAL_VERSION: u32 = 2;
 
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
@@ -79,7 +83,7 @@ pub struct WalConfig {
     /// `Kernel::new`; appended to by `Kernel::recover`.
     pub path: PathBuf,
     /// Virtual-time interval between checkpoints. Shorter intervals lose
-    /// less pred work to a crash but write (and fsync) more often.
+    /// less pred work to a crash but write more often.
     pub checkpoint_every: SimDuration,
 }
 
@@ -199,11 +203,13 @@ pub(crate) enum WalRecord {
         seq: u64,
         t: SimTime,
     },
+    /// A `pred` that completed: a marker, not its reply (see the module
+    /// docs). `n_tokens` guards against matching a different call.
     PredEffect {
         at: SimTime,
         pid: u64,
         seq: u64,
-        dists: Vec<Dist>,
+        n_tokens: u32,
     },
     Checkpoint {
         at: SimTime,
@@ -277,25 +283,20 @@ fn decode_kv_error(b: u8) -> KvError {
         .unwrap_or(KvError::NotFound)
 }
 
-/// Re-materialises a `&'static str` error payload. Known kernel constants
-/// come back as themselves; anything else is leaked once per distinct
-/// string, which is bounded by the (small, fixed) set of payloads the
-/// kernel can produce.
+/// Re-materialises a `&'static str` error payload. Each distinct string
+/// is leaked once and handed back on every later decode, so the leak is
+/// bounded by the (small, fixed) set of payloads the kernel can produce.
 fn intern(s: String) -> &'static str {
-    for known in [
-        "tool",
-        "gpu.pred",
-        "kv.swap_in",
-        "syscalls",
-        "pred_tokens",
-        "tool_calls",
-        "threads",
-    ] {
-        if s == known {
-            return known;
-        }
+    static LEAKED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    // An insert cannot leave the set half-updated, so a poisoned lock
+    // still guards valid data.
+    let mut leaked = LEAKED.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&known) = leaked.get(s.as_str()) {
+        return known;
     }
-    Box::leak(s.into_boxed_str())
+    let fresh: &'static str = Box::leak(s.into_boxed_str());
+    leaked.insert(fresh);
+    fresh
 }
 
 fn encode_sys_error(out: &mut Vec<u8>, e: &SysError) {
@@ -496,21 +497,11 @@ fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
             push_u64(out, t.as_nanos());
         }
         WalRecord::PredEffect {
-            pid, seq, dists, ..
+            pid, seq, n_tokens, ..
         } => {
             push_u64(out, *pid);
             push_u64(out, *seq);
-            push_u32(out, dists.len() as u32);
-            for d in dists {
-                let entries = d.entries();
-                push_u32(out, entries.len() as u32);
-                for &(tok, p) in entries {
-                    push_u32(out, tok);
-                    push_u64(out, p.to_bits());
-                }
-                push_u64(out, d.tail_mass().to_bits());
-                push_u32(out, d.tail_tokens());
-            }
+            push_u32(out, *n_tokens);
         }
         WalRecord::Checkpoint {
             next_pid,
@@ -645,45 +636,12 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
             seq: c.u64()?,
             t: SimTime::from_nanos(c.u64()?),
         },
-        TAG_PRED_EFFECT => {
-            let pid = c.u64()?;
-            let seq = c.u64()?;
-            let n = c.u32()? as usize;
-            let mut dists = Vec::with_capacity(n.min(payload.len()));
-            for _ in 0..n {
-                let ne = c.u32()? as usize;
-                let mut entries = Vec::with_capacity(ne.min(payload.len()));
-                for _ in 0..ne {
-                    let tok = c.u32()?;
-                    let p = f64::from_bits(c.u64()?);
-                    if !p.is_finite() || p < 0.0 {
-                        return None;
-                    }
-                    entries.push((tok, p));
-                }
-                let tail_mass = f64::from_bits(c.u64()?);
-                let tail_tokens = c.u32()?;
-                if entries.is_empty() || !tail_mass.is_finite() || tail_mass < 0.0 {
-                    return None;
-                }
-                let total: f64 = entries.iter().map(|e| e.1).sum::<f64>() + tail_mass;
-                if (total - 1.0).abs() >= 1e-6 {
-                    return None;
-                }
-                for w in entries.windows(2) {
-                    if !(w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)) {
-                        return None;
-                    }
-                }
-                dists.push(Dist::from_normalized_parts(entries, tail_mass, tail_tokens));
-            }
-            WalRecord::PredEffect {
-                at,
-                pid,
-                seq,
-                dists,
-            }
-        }
+        TAG_PRED_EFFECT => WalRecord::PredEffect {
+            at,
+            pid: c.u64()?,
+            seq: c.u64()?,
+            n_tokens: c.u32()?,
+        },
         TAG_CHECKPOINT => {
             let next_pid = c.u64()?;
             let next_tid = c.u64()?;
@@ -985,7 +943,8 @@ pub(crate) struct Replay {
     pub(crate) recvs: BTreeMap<(u64, u64), (u64, String)>,
     pub(crate) lookups: BTreeMap<(u64, u64), Option<u64>>,
     pub(crate) nows: BTreeMap<(u64, u64), SimTime>,
-    pub(crate) preds: BTreeMap<(u64, u64), Vec<Dist>>,
+    /// `(pid, seq)` → input tokens of a `pred` that completed pre-crash.
+    pub(crate) preds: BTreeMap<(u64, u64), u32>,
     pub(crate) breakers: Vec<(String, BreakerStateView)>,
     pub(crate) frames: u64,
     pub(crate) wal_bytes: u64,
@@ -1104,9 +1063,9 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 r.nows.insert((pid, seq), t);
             }
             WalRecord::PredEffect {
-                pid, seq, dists, ..
+                pid, seq, n_tokens, ..
             } => {
-                r.preds.insert((pid, seq), dists);
+                r.preds.insert((pid, seq), n_tokens);
             }
             WalRecord::Checkpoint {
                 next_pid,
@@ -1221,7 +1180,7 @@ mod tests {
                 at: SimTime::from_nanos(40),
                 pid: 1,
                 seq: 0,
-                dists: vec![Dist::from_weights(vec![(3, 2.0), (9, 1.0)], 1.0, 64)],
+                n_tokens: 5,
             },
             WalRecord::Checkpoint {
                 at: SimTime::from_nanos(50),
@@ -1285,24 +1244,25 @@ mod tests {
         assert_eq!(seed, 42);
         assert_eq!(valid_len, bytes.len() as u64);
         assert!(!torn);
-        assert_eq!(back.len(), recs.len());
-        for (a, b) in recs.iter().zip(&back) {
-            match (a, b) {
-                // Dist has no PartialEq on purpose-equal float compare; the
-                // pred record is checked field-by-field below.
-                (WalRecord::PredEffect { .. }, WalRecord::PredEffect { .. }) => {}
-                _ => assert_eq!(a, b),
-            }
+        assert_eq!(back, recs);
+    }
+
+    #[test]
+    fn pred_effect_frame_size_is_independent_of_the_reply() {
+        // at + pid + seq + n_tokens, plus the frame's tag/len/crc: the
+        // distributions (vocabulary-sized, one per token) are not in it.
+        for n_tokens in [1, 512, u32::MAX] {
+            let frame = encode_frame(&WalRecord::PredEffect {
+                at: SimTime::from_nanos(40),
+                pid: 1,
+                seq: 0,
+                n_tokens,
+            });
+            assert_eq!(
+                frame.len(),
+                8 + 8 + 8 + 4 + symphony_sim::frame::FRAME_OVERHEAD
+            );
         }
-        let (WalRecord::PredEffect { dists: orig, .. }, WalRecord::PredEffect { dists: got, .. }) =
-            (&recs[7], &back[7])
-        else {
-            panic!("expected pred records at index 7");
-        };
-        assert_eq!(orig.len(), got.len());
-        assert_eq!(orig[0].entries(), got[0].entries());
-        assert_eq!(orig[0].tail_mass().to_bits(), got[0].tail_mass().to_bits());
-        assert_eq!(orig[0].tail_tokens(), got[0].tail_tokens());
     }
 
     #[test]
@@ -1368,12 +1328,12 @@ mod tests {
         assert!(r.procs[&1].exit.is_some());
         assert!(r.tools.contains_key(&(1, 0)));
         assert!(matches!(r.tools[&(1, 1)].result, Err(SysError::Timeout)));
-        assert_eq!(r.send_results[&(1, 0)], true);
+        assert!(r.send_results[&(1, 0)]);
         assert_eq!(r.sends.len(), 1);
         assert_eq!(r.recvs[&(2, 0)], (1, "hello".into()));
         assert_eq!(r.lookups[&(1, 0)], Some(2));
         assert_eq!(r.nows[&(1, 0)], SimTime::from_nanos(33));
-        assert_eq!(r.preds[&(1, 0)].len(), 1);
+        assert_eq!(r.preds[&(1, 0)], 5);
         assert_eq!(r.breakers.len(), 2);
         assert_eq!(r.recv_counts()[&2], 1);
         assert_eq!(r.scheduled.len(), 1);
@@ -1400,6 +1360,17 @@ mod tests {
             assert_eq!(decode_sys_error(&mut c).unwrap(), e);
             assert!(c.done());
         }
+    }
+
+    #[test]
+    fn decoding_an_error_payload_twice_leaks_it_once() {
+        let mut buf = Vec::new();
+        encode_sys_error(&mut buf, &SysError::Internal("payload outside any list"));
+        let decode = || match decode_sys_error(&mut Cursor::new(&buf)) {
+            Some(SysError::Internal(s)) => s,
+            other => panic!("expected Internal, got {other:?}"),
+        };
+        assert!(std::ptr::eq(decode(), decode()));
     }
 
     #[test]

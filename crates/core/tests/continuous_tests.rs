@@ -116,12 +116,13 @@ fn continuous_mode_is_deterministic() {
         chunk: Option<usize>,
         discipline: QueueDiscipline,
         cost_us: u64,
-    ) -> (u64, Vec<String>) {
+    ) -> (Vec<symphony::TimedEvent>, Vec<String>) {
         let mut cfg = KernelConfig::for_tests();
         cfg.exec = continuous(chunk, discipline);
+        cfg.telemetry = true;
         let (k, pids) = run_workload(cfg, cost_us);
         let out = outputs(&k, &pids);
-        (k.trace().fingerprint(), out)
+        (k.telemetry_events().to_vec(), out)
     }
     for discipline in [
         QueueDiscipline::Fifo,
@@ -130,11 +131,11 @@ fn continuous_mode_is_deterministic() {
         // Zero cost (one-instant cascades) and the paper's 2 µs, where the
         // launch gate holds for runnable threads.
         for cost_us in [0, 2] {
-            let (fp1, out1) = once(Some(8), discipline, cost_us);
-            let (fp2, out2) = once(Some(8), discipline, cost_us);
-            assert_eq!(
-                fp1, fp2,
-                "trace fingerprints differ ({discipline:?}, {cost_us} us)"
+            let (events1, out1) = once(Some(8), discipline, cost_us);
+            let (events2, out2) = once(Some(8), discipline, cost_us);
+            assert!(
+                events1 == events2,
+                "event streams differ ({discipline:?}, {cost_us} us)"
             );
             assert_eq!(out1, out2);
         }
@@ -357,13 +358,12 @@ fn decode_stamped(
     kv: symphony::FileId,
     tokens: u32,
 ) -> Result<(), symphony::SysError> {
-    let mut pos = ctx.kv_next_pos(kv)?;
+    let start = ctx.kv_next_pos(kv)?;
     let mut tok = 7u32;
     let mut stamps = String::new();
-    for _ in 0..tokens {
+    for pos in start..start + tokens {
         let dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
         tok = dist.argmax();
-        pos += 1;
         ctx.emit_tokens(&[tok])?;
         stamps.push_str(&format!(" t={}", ctx.now()?.as_nanos()));
     }
@@ -420,6 +420,7 @@ fn swap_placement_changes_timing_never_outputs() {
     fn run(in_dram: bool, gpu_pages: Option<u64>) -> (Kernel, Vec<String>) {
         let mut cfg = fifo_continuous();
         cfg.gpu_kv_bytes_override = gpu_pages.map(|p| p * 4 * 512);
+        cfg.telemetry = true;
         let mut k = Kernel::new(cfg);
         preload_docs(&mut k, &[120, 90, 150], in_dram);
         let mut pids = Vec::new();
@@ -456,7 +457,7 @@ fn swap_placement_changes_timing_never_outputs() {
     assert!(tiny.kv_stats().clean_dropped_tokens > 0);
     let (again, again_out) = run(true, Some(60));
     assert_eq!(again_out, tiny_out, "same configuration, different run");
-    assert_eq!(again.trace().fingerprint(), tiny.trace().fingerprint());
+    assert!(again.telemetry_events() == tiny.telemetry_events());
 }
 
 #[test]

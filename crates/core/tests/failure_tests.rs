@@ -18,9 +18,7 @@ fn syscall_limit_cuts_off_runaway_process() {
     };
     let pid = k.spawn_process_with_limits("runaway", "", limits, |ctx| {
         for i in 0..100 {
-            if let Err(e) = ctx.emit(&format!("{i}")) {
-                return Err(e);
-            }
+            ctx.emit(&format!("{i}"))?;
         }
         Ok(())
     });
@@ -187,7 +185,7 @@ fn tool_failure_mid_parallel_search_is_contained() {
         ToolSpec::fixed(SimDuration::from_millis(5), move |_| {
             // Fails on every second invocation (stateful via closure).
             n.set(n.get() + 1);
-            if n.get() % 2 == 0 {
+            if n.get().is_multiple_of(2) {
                 ToolOutcome::Failed("transient".into())
             } else {
                 ToolOutcome::Ok("data".into())

@@ -3,8 +3,8 @@
 
 use symphony::sampling::{self, Constraint, GenOpts, JsonConstraint, TrieConstraint};
 use symphony::{
-    BatchPolicy, EventKind, ExecMode, ExitStatus, Kernel, KernelConfig, Limits, Mode, SimDuration, SysError,
-    ToolOutcome, ToolSpec,
+    BatchPolicy, BreakerPolicy, EventKind, ExecMode, ExitStatus, FaultPlan, Kernel, KernelConfig,
+    Limits, Mode, SimDuration, SysError, ToolOutcome, ToolSpec,
 };
 
 fn kernel() -> Kernel {
@@ -55,8 +55,11 @@ fn generation_advances_virtual_time() {
 
 #[test]
 fn deterministic_across_runs() {
-    fn run_once() -> (u64, String) {
-        let mut k = kernel();
+    fn run_once(seed: u64, telemetry: bool) -> (Kernel, String) {
+        let mut cfg = KernelConfig::for_tests();
+        cfg.seed = seed;
+        cfg.telemetry = telemetry;
+        let mut k = Kernel::new(cfg);
         let mut pids = Vec::new();
         for i in 0..4 {
             let args = format!("request number {i}");
@@ -81,12 +84,204 @@ fn deterministic_across_runs() {
             .iter()
             .map(|&p| k.record(p).unwrap().output.clone())
             .collect();
-        (k.trace().fingerprint(), outputs)
+        (k, outputs)
     }
-    let (fp1, out1) = run_once();
-    let (fp2, out2) = run_once();
-    assert_eq!(fp1, fp2, "trace fingerprints must match across runs");
-    assert_eq!(out1, out2);
+    let (a, out_a) = run_once(42, true);
+    let (b, out_b) = run_once(42, true);
+    assert!(!a.telemetry_events().is_empty());
+    assert_eq!(
+        a.telemetry_events(),
+        b.telemetry_events(),
+        "same seed must replay the same typed event stream"
+    );
+    assert_eq!(out_a, out_b);
+    let (c, _) = run_once(43, true);
+    assert_ne!(
+        a.telemetry_events(),
+        c.telemetry_events(),
+        "the event stream must be sensitive to the seed"
+    );
+    // With telemetry off nothing per-syscall is retained, or even built.
+    let (off, out_off) = run_once(42, false);
+    assert!(off.telemetry_events().is_empty());
+    assert_eq!(off.telemetry_constructed(), 0);
+    assert_eq!(out_off, out_a);
+}
+
+/// The typed stream is the only record of a run, so every kernel decision
+/// a determinism comparison relies on must put an event on the path that
+/// takes it: spawn, pred, iteration launch/done, tool outcomes, breaker
+/// rejections, IPC drops, offload/restore (and a faulted restore),
+/// deadlines, thread and process exit.
+#[test]
+fn every_decision_path_emits_a_typed_event() {
+    fn run(restore_faults: bool) -> (Vec<symphony::TimedEvent>, u64) {
+        let mut cfg = KernelConfig::for_tests();
+        cfg.telemetry = true;
+        cfg.offload_on_io_wait = true;
+        cfg.breaker = Some(BreakerPolicy::new(1, SimDuration::from_secs(1)));
+        cfg.faults = FaultPlan {
+            ipc_drop_rate: 1.0,
+            swap_in_fault_rate: if restore_faults { 1.0 } else { 0.0 },
+            ..FaultPlan::none()
+        };
+        let mut k = Kernel::new(cfg);
+        k.register_tool(
+            "slow",
+            ToolSpec::fixed(SimDuration::from_millis(50), |_| {
+                ToolOutcome::Ok("ok".into())
+            }),
+        );
+        k.register_tool(
+            "down",
+            ToolSpec::fixed(SimDuration::from_millis(1), |_| {
+                ToolOutcome::Failed("503".into())
+            }),
+        );
+        let limits = Limits {
+            deadline: Some(SimDuration::from_millis(10)),
+            ..Default::default()
+        };
+        let sink = k.spawn_process_with_limits("sink", "", limits, |ctx| {
+            assert_eq!(ctx.recv_msg().unwrap_err(), SysError::DeadlineExceeded);
+            Ok(())
+        });
+        k.spawn_process("agent", "", move |ctx| {
+            let kv = ctx.kv_create()?;
+            ctx.pred_positions(kv, &[1, 2, 3, 4, 5], 0)?;
+            ctx.send_msg(sink, "lost in flight")?;
+            ctx.call_tool("slow", "")?; // KV offloaded while waiting, restored after
+            assert!(matches!(
+                ctx.call_tool("down", ""),
+                Err(SysError::ToolFailed(_))
+            ));
+            assert_eq!(
+                ctx.call_tool("down", "").unwrap_err(),
+                SysError::Unavailable
+            );
+            Ok(())
+        });
+        k.run();
+        assert_eq!(k.live_threads(), 0);
+        assert!(
+            k.records().all(|r| r.status.is_ok()),
+            "a LIP-side assert failed"
+        );
+        (k.telemetry_events().to_vec(), sink.0)
+    }
+    let (events, sink) = run(false);
+    let has = |what: &str, f: &dyn Fn(&EventKind) -> bool| {
+        assert!(events.iter().any(|e| f(&e.kind)), "no {what} event");
+    };
+    has(
+        "spawn",
+        &|k| matches!(k, EventKind::ProcessSpawn { name, .. } if name == "agent"),
+    );
+    has("thread spawn", &|k| {
+        matches!(k, EventKind::ThreadSpawn { .. })
+    });
+    has("pred", &|k| {
+        matches!(k, EventKind::PredEnqueue { tokens: 5, .. })
+    });
+    has("iteration launch", &|k| {
+        matches!(k, EventKind::BatchBegin { new_tokens: 5, .. })
+    });
+    has("iteration done", &|k| {
+        matches!(k, EventKind::BatchEnd { .. })
+    });
+    has(
+        "tool outcome",
+        &|k| matches!(k, EventKind::ToolInvoke { tool, attempts: 1, .. } if tool == "slow"),
+    );
+    has(
+        "breaker rejection",
+        &|k| matches!(k, EventKind::BreakerReject { tool, .. } if tool == "down"),
+    );
+    has("ipc drop", &|k| matches!(k, EventKind::IpcDrop { .. }));
+    has("offload", &|k| matches!(k, EventKind::KvOffload { .. }));
+    has("restore", &|k| {
+        matches!(k, EventKind::KvRestore { tokens: 5, .. })
+    });
+    has(
+        "deadline",
+        &|k| matches!(k, EventKind::DeadlineHit { pid } if *pid == sink),
+    );
+    has("thread exit", &|k| {
+        matches!(k, EventKind::ThreadExit { ok: true, .. })
+    });
+    has("process exit", &|k| {
+        matches!(k, EventKind::ProcessExit { ok: true, .. })
+    });
+
+    let (events, _) = run(true);
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::FaultInjected { site: "kv.restore" })),
+        "no faulted-restore event"
+    );
+    assert!(!events
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::KvRestore { .. })));
+}
+
+/// A cancellation has no event of its own: it is visible as the typed
+/// exit of every syscall it fails.
+#[test]
+fn cancel_is_visible_as_the_woken_threads_syscall_exits() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.telemetry = true;
+    let mut k = Kernel::new(cfg);
+    let pid = k.spawn_process("waiter", "", |ctx| {
+        assert_eq!(ctx.recv_msg().unwrap_err(), SysError::Cancelled);
+        Ok(())
+    });
+    k.run();
+    assert_eq!(k.live_threads(), 1, "parked in recv");
+    let parked = k.telemetry_events().len();
+    assert!(k.cancel_process(pid));
+    k.run();
+    assert!(
+        k.record(pid).unwrap().status.is_ok(),
+        "recv did not fail as cancelled"
+    );
+    assert!(matches!(
+        k.telemetry_events()[parked].kind,
+        EventKind::SyscallExit { name: "recv", .. }
+    ));
+}
+
+#[test]
+fn reap_exited_forgets_finished_processes_only() {
+    let mut k = kernel();
+    let waiter = k.spawn_process("waiter", "", |ctx| {
+        let m = ctx.recv_msg()?;
+        ctx.emit(&m.data)
+    });
+    let done: Vec<_> = (0..3)
+        .map(|i| k.spawn_process(&format!("done{i}"), "", |ctx| ctx.emit("bye")))
+        .collect();
+    k.run();
+    assert_eq!(k.reap_exited(), 3);
+    assert!(done.iter().all(|&p| k.record(p).is_none()));
+    assert_eq!(
+        k.records().count(),
+        1,
+        "the parked process keeps its record"
+    );
+    assert_eq!(k.reap_exited(), 0);
+    // The survivor is untouched: still addressable by name, still runs.
+    k.spawn_process("sender", "", |ctx| {
+        let to = ctx.lookup_process("waiter")?.ok_or(SysError::NotFound)?;
+        assert_eq!(ctx.lookup_process("done0")?, None);
+        ctx.send_msg(to, "hello")
+    });
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    assert_eq!(k.record(waiter).unwrap().output, "hello");
+    assert!(k.records().all(|r| r.status.is_ok()));
+    assert_eq!(k.reap_exited(), 2);
+    assert_eq!(k.records().count(), 0);
 }
 
 #[test]
@@ -200,7 +395,7 @@ fn fork_cow_shares_pages_across_branches() {
     // Only the pinned prefix remains.
     assert_eq!(k.store().gpu_pages_used(), pages_before);
     // COW happened (the prefix tail page was partial and got copied).
-    assert!(k.kv_stats().cow_copies > 0 || n % 4 == 0);
+    assert!(k.kv_stats().cow_copies > 0 || n.is_multiple_of(4));
 }
 
 #[test]
@@ -614,18 +809,10 @@ fn speculative_decoding_with_truncate() {
         let mut pos = prompt.len() as u32;
         let mut produced = 0usize;
         while produced < 24 {
-            // Draft 4 tokens greedily from a temperature-sharpened view
-            // (stands in for a cheap draft model with identical semantics).
-            let mut draft = Vec::new();
-            let mut d = dist.clone();
-            for _ in 0..4 {
-                let t = d.with_temperature(1.3).argmax();
-                draft.push(t);
-                // Draft model peeks ahead by sampling its own chain; the
-                // target will verify below.
-                d = d.top_k(1); // placeholder: draft chain ends here
-                break;
-            }
+            // Draft one token greedily from a temperature-sharpened view
+            // (stands in for a cheap draft model with identical semantics);
+            // the target verifies it below.
+            let draft = vec![dist.with_temperature(1.3).argmax()];
             let pairs: Vec<(u32, u32)> = draft
                 .iter()
                 .enumerate()

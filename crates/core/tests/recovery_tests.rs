@@ -17,12 +17,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use symphony::sampling::{self, GenOpts};
 use symphony::{
-    ExitStatus, FaultPlan, Kernel, KernelConfig, ProgramImage, SimDuration, SimTime, SysError,
-    ToolOutcome, ToolSpec, WalConfig,
+    ContinuousConfig, Dist, EventKind, ExecMode, ExitStatus, FaultPlan, Kernel, KernelConfig,
+    ProgramImage, QueueDiscipline, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
+    WalConfig,
 };
 
 /// Unique-per-process temp path so parallel test runs don't collide.
@@ -223,22 +224,110 @@ fn kill_at_every_syscall_boundary_recovers_equivalently() {
 fn recovery_is_deterministic() {
     let run = |tag: &str| {
         let path = tmp(&format!("det-{tag}.wal"));
+        let traced = |crash_at| {
+            let mut cfg = config(&path, crash_at);
+            cfg.telemetry = true;
+            cfg
+        };
         {
-            let mut k = Kernel::new(config(&path, Some(17)));
+            let mut k = Kernel::new(traced(Some(17)));
             k.register_tool("search", search_tool(Arc::new(AtomicU64::new(0))));
             spawn_fleet(&mut k);
             k.run();
             assert_eq!(k.crashed(), Some(17));
+            assert!(matches!(
+                k.telemetry_events().last().map(|e| &e.kind),
+                Some(EventKind::KernelCrash { boundary: 17 })
+            ));
         }
-        let (mut k, _) = Kernel::recover(config(&path, None)).unwrap();
+        let (mut k, _) = Kernel::recover(traced(None)).unwrap();
         k.register_tool("search", search_tool(Arc::new(AtomicU64::new(0))));
-        k.resume_programs(resolver);
+        let resumed = k.resume_programs(resolver).resumed as u64;
         k.run();
-        let out = (outcomes(&k), k.trace().fingerprint());
+        assert!(k.telemetry_events().iter().any(
+            |e| matches!(e.kind, EventKind::KernelRecovery { resumed: r, .. } if r == resumed)
+        ));
+        let out = (outcomes(&k), k.telemetry_events().to_vec());
         std::fs::remove_file(&path).ok();
         out
     };
     assert_eq!(run("a"), run("b"));
+}
+
+/// A replayed `pred` is answered from a marker frame, not a stored reply:
+/// the distributions are re-derived along the file's fingerprint chain and
+/// must equal the ones the GPU produced before the crash bit for bit —
+/// for a prefill that spanned several chunks as much as for single-token
+/// decodes.
+#[test]
+fn replayed_pred_replies_equal_the_live_ones() {
+    type Replies = Arc<Mutex<Vec<Vec<Dist>>>>;
+    fn image(seen: Replies) -> ProgramImage {
+        Arc::new(move |ctx| {
+            let record = |d: &Vec<Dist>| seen.lock().unwrap().push(d.clone());
+            let prompt = ctx.tokenize("a prompt long enough to be prefilled in several chunks")?;
+            let kv = ctx.kv_create()?;
+            let mut dists = ctx.pred_positions(kv, &prompt, 0)?;
+            record(&dists);
+            for pos in prompt.len() as u32..prompt.len() as u32 + 12 {
+                let t = ctx.sample(&dists[dists.len() - 1]);
+                dists = ctx.pred(kv, &[(t, pos)])?;
+                record(&dists);
+            }
+            ctx.emit("done")?;
+            Ok(())
+        })
+    }
+    let path = tmp("pred-replay.wal");
+    let cfg = |crash_at| {
+        let mut cfg = config(&path, crash_at);
+        cfg.exec = ExecMode::Continuous(ContinuousConfig {
+            chunk_tokens: Some(4),
+            discipline: QueueDiscipline::Fifo,
+        });
+        cfg.wal = Some(WalConfig::new(&path).with_checkpoint_every(SimDuration::from_micros(100)));
+        cfg.telemetry = true;
+        cfg.causal = true;
+        cfg
+    };
+    let boundaries = {
+        let mut k = Kernel::new(cfg(None));
+        k.spawn_durable("decoder", "", image(Replies::default()));
+        k.run();
+        k.syscall_boundaries()
+    };
+
+    let live = Replies::default();
+    let mut k = Kernel::new(cfg(Some(boundaries)));
+    k.spawn_durable("decoder", "", image(live.clone()));
+    k.run();
+    assert_eq!(k.crashed(), Some(boundaries));
+    assert!(k.prefill_chunks() > 1, "the prompt was prefilled in chunks");
+    drop(k);
+
+    let replayed = Replies::default();
+    let (mut k, _) = Kernel::recover(cfg(None)).unwrap();
+    let resolve = replayed.clone();
+    k.resume_programs(move |_| Some(image(resolve.clone())));
+    k.run();
+    let from_markers = k
+        .telemetry_events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::ReplayAnswered { sys: "pred", .. }))
+        .count();
+    let live = live.lock().unwrap();
+    assert_eq!(live.len(), 13);
+    assert!(
+        from_markers > live.len() / 2,
+        "only {from_markers} of {} preds were answered from the log",
+        live.len()
+    );
+    assert!(
+        *replayed.lock().unwrap() == *live,
+        "a replayed reply differs"
+    );
+    assert_eq!(outcomes(&k)["decoder"], ("done".to_string(), true));
+    std::fs::remove_file(&path).ok();
 }
 
 /// A clean shutdown leaves a WAL from which recovery restores every record

@@ -2026,7 +2026,10 @@ mod tests {
         assert_eq!(got, want);
         // Positions are preserved (discontiguous layout).
         assert_eq!(got[2].position, 6);
-        assert_eq!(s.extract(f, U1, &[4..20]), Err(KvError::BadRange));
+        assert_eq!(
+            s.extract(f, U1, std::slice::from_ref(&(4..20))),
+            Err(KvError::BadRange)
+        );
         assert_eq!(s.extract(f, U1, &[]), Err(KvError::EmptyInput));
         s.verify().unwrap();
     }

@@ -135,7 +135,7 @@ proptest! {
                             std::mem::swap(&mut lo, &mut hi);
                         }
                         if lo < hi {
-                            let g = store.extract(f, owner, &[lo..hi]).unwrap();
+                            let g = store.extract(f, owner, std::slice::from_ref(&(lo..hi))).unwrap();
                             model.insert(g.0, model[&f.0][lo..hi].to_vec());
                         }
                     }

@@ -99,7 +99,7 @@ pub fn sanitize(src: &str) -> String {
                     // literal, `'a` (not followed by a closing quote) is a
                     // lifetime label and stays code.
                     let is_lifetime = match next {
-                        Some(n) if n == '\\' => false,
+                        Some('\\') => false,
                         Some(n) if is_ident(n) => chars.get(i + 2) != Some(&'\''),
                         _ => false,
                     };

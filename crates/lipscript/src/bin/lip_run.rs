@@ -92,7 +92,7 @@ fn main() {
     }
 
     let mut cfg = KernelConfig::for_tests();
-    cfg.trace = trace;
+    cfg.telemetry = trace;
     let mut kernel = Kernel::new(cfg);
 
     // A small standard environment so sample programs have something to
@@ -141,8 +141,8 @@ fn main() {
         rec.usage.pred_tokens,
         rec.usage.emitted_tokens,
     );
-    if trace {
-        eprint!("{}", kernel.trace().render());
+    for e in kernel.telemetry_events() {
+        eprintln!("[{}] {:?}", e.at, e.kind);
     }
     if !rec.status.is_ok() {
         eprintln!("-- status: {:?}", rec.status);

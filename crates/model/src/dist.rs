@@ -96,47 +96,6 @@ impl Dist {
         }
     }
 
-    /// Reassembles a distribution from the exact parts a previous
-    /// [`Dist::entries`] / [`Dist::tail_mass`] / [`Dist::tail_tokens`]
-    /// reported, without re-normalising. [`Dist::from_weights`] divides by
-    /// the total, which is floating-point-inexact; a journal replay that
-    /// went through it could flip a near-tie sample. Entries must already
-    /// be sorted by descending probability (token-ascending on ties) and
-    /// sum with the tail to ~1.
-    pub fn from_normalized_parts(
-        entries: Vec<(TokenId, f64)>,
-        tail_mass: f64,
-        tail_tokens: u32,
-    ) -> Self {
-        assert!(!entries.is_empty(), "distribution needs at least one entry");
-        assert!(
-            tail_mass >= 0.0 && tail_mass.is_finite(),
-            "tail mass must be non-negative"
-        );
-        let mut seen = std::collections::BTreeSet::new();
-        let mut total = tail_mass;
-        for w in entries.windows(2) {
-            assert!(
-                w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0),
-                "entries must be sorted descending"
-            );
-        }
-        for &(t, p) in &entries {
-            assert!(p.is_finite() && p >= 0.0, "probabilities must be non-negative");
-            assert!(seen.insert(t), "duplicate token {t} in distribution");
-            total += p;
-        }
-        assert!(
-            (total - 1.0).abs() < 1e-6,
-            "parts must already be normalised (total {total})"
-        );
-        Dist {
-            entries,
-            tail_mass: if tail_tokens == 0 { 0.0 } else { tail_mass },
-            tail_tokens,
-        }
-    }
-
     /// The explicit candidates, highest probability first.
     pub fn entries(&self) -> &[(TokenId, f64)] {
         &self.entries
@@ -423,24 +382,5 @@ mod tests {
     #[should_panic(expected = "positive mass")]
     fn rejects_zero_mass() {
         Dist::from_weights(vec![(1, 0.0)], 0.0, 0);
-    }
-
-    #[test]
-    fn normalized_parts_round_trip_is_bit_exact() {
-        let orig = Dist::from_weights(vec![(7, 3.0), (2, 1.0), (9, 1.0)], 0.5, 100);
-        let back = Dist::from_normalized_parts(
-            orig.entries().to_vec(),
-            orig.tail_mass(),
-            orig.tail_tokens(),
-        );
-        assert_eq!(orig.entries(), back.entries());
-        assert_eq!(orig.tail_mass().to_bits(), back.tail_mass().to_bits());
-        assert_eq!(orig.tail_tokens(), back.tail_tokens());
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted descending")]
-    fn normalized_parts_reject_unsorted() {
-        Dist::from_normalized_parts(vec![(1, 0.25), (2, 0.75)], 0.0, 0);
     }
 }

@@ -17,9 +17,7 @@
 //!    frame while leaving its checksum valid.
 
 use proptest::prelude::*;
-use symphony_rpc::{
-    ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, WireError, WIRE_VERSION,
-};
+use symphony_rpc::{ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, WireError};
 
 fn any_client_msg() -> impl Strategy<Value = ClientMsg> {
     prop_oneof![

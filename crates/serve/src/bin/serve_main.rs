@@ -121,6 +121,7 @@ fn serve_loop(listener: TcpListener, cfg: ServeConfig, stop: &AtomicBool) {
             }
         }
         core.pump();
+        core.reap_exited();
         socks.retain(|&conn, sock| {
             let out = core.take_output(conn);
             if !out.is_empty() {

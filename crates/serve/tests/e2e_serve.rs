@@ -255,9 +255,11 @@ fn cancelling_an_unknown_session_is_a_typed_session_error() {
 
 #[test]
 fn quota_and_capacity_shed_with_typed_errors() {
-    let mut cfg = ServeConfig::default();
-    cfg.tenant_session_quota = 1;
-    cfg.max_live_sessions = 2;
+    let cfg = ServeConfig {
+        tenant_session_quota: 1,
+        max_live_sessions: 2,
+        ..ServeConfig::default()
+    };
     let mut core = ServerCore::new(standard_kernel(KernelConfig::for_tests()), cfg);
     // Tenant 1 fills its quota of one...
     let mut c1 = Client::connect(&mut core, 1);

@@ -307,12 +307,12 @@ mod tests {
         let z = Zipf::new(20, 1.2);
         let mut rng = Rng::new(4);
         let n = 200_000;
-        let mut counts = vec![0usize; 20];
+        let mut counts = [0usize; 20];
         for _ in 0..n {
             counts[z.sample(&mut rng)] += 1;
         }
-        for i in 0..20 {
-            let emp = counts[i] as f64 / n as f64;
+        for (i, &count) in counts.iter().enumerate() {
+            let emp = count as f64 / n as f64;
             assert!(
                 (emp - z.mass(i)).abs() < 0.01,
                 "rank {i}: empirical {emp} vs mass {}",

@@ -18,7 +18,11 @@
 /// `0x01000193`). Not cryptographic: it detects torn and bit-flipped
 /// frames, not an adversary.
 pub fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
+    fnv1a_fold(0x811c_9dc5, bytes)
+}
+
+/// Continues an FNV-1a hash over `bytes` from the running value `hash`.
+fn fnv1a_fold(mut hash: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         hash ^= u32::from(b);
         hash = hash.wrapping_mul(0x0100_0193);
@@ -40,10 +44,7 @@ pub fn append_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 
 /// The CRC a valid frame with this tag and payload must carry.
 pub fn frame_crc(tag: u8, payload: &[u8]) -> u32 {
-    let mut crc_input = Vec::with_capacity(payload.len() + 1);
-    crc_input.push(tag);
-    crc_input.extend_from_slice(payload);
-    fnv1a(&crc_input)
+    fnv1a_fold(fnv1a(&[tag]), payload)
 }
 
 /// Walks raw frames from the start of `bytes`, returning the longest valid
@@ -221,6 +222,16 @@ mod tests {
         assert_eq!(c.opt_u64(), Some(Some(42)));
         assert_eq!(c.opt_u64(), Some(None));
         assert!(c.done());
+    }
+
+    #[test]
+    fn frame_crc_is_fnv1a_over_tag_then_payload() {
+        // Pinned: every SYMJ/SYMW log on disk and every SYMR frame on the
+        // wire carries these checksums.
+        let ramp: Vec<u8> = (0..=255).collect();
+        assert_eq!(frame_crc(7, b"hello"), 0xea7b_9d96);
+        assert_eq!(frame_crc(39, b""), 0x220c_8ac6);
+        assert_eq!(frame_crc(255, &ramp), 0xbfce_984e);
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod rng;
 pub mod slab;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use dist::{Categorical, Exponential, LogNormal, Pareto, PoissonProcess, Zipf};
 pub use events::EventQueue;
@@ -43,4 +42,3 @@ pub use rng::Rng;
 pub use slab::IdSlab;
 pub use stats::{Histogram, OnlineStats, Series};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};

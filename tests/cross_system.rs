@@ -59,11 +59,13 @@ fn symphony_and_baselines_agree_on_greedy_output() {
 }
 
 /// Whole-stack determinism: a mixed workload (generation + tools + threads
-/// + IPC) replays identically, trace fingerprint included.
+/// + IPC) replays identically, Chrome trace included.
 #[test]
 fn full_stack_determinism() {
-    fn run_once() -> (u64, Vec<String>) {
-        let mut kernel = Kernel::new(KernelConfig::for_tests());
+    fn run_once() -> (String, Vec<String>) {
+        let mut cfg = KernelConfig::for_tests();
+        cfg.telemetry = true;
+        let mut kernel = Kernel::new(cfg);
         kernel.register_tool(
             "search",
             symphony::ToolSpec::new(symphony::SimDuration::from_millis(20), |q| {
@@ -104,11 +106,11 @@ fn full_stack_determinism() {
             .iter()
             .map(|&p| kernel.record(p).unwrap().output.clone())
             .collect();
-        (kernel.trace().fingerprint(), outputs)
+        (kernel.export_chrome_trace(), outputs)
     }
-    let (fp1, out1) = run_once();
-    let (fp2, out2) = run_once();
-    assert_eq!(fp1, fp2);
+    let (trace1, out1) = run_once();
+    let (trace2, out2) = run_once();
+    assert!(trace1 == trace2, "same seed, different Chrome trace");
     assert_eq!(out1, out2);
 }
 
