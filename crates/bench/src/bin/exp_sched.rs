@@ -9,10 +9,12 @@
 //! - `continuous`: iteration-level admission and retirement, prefills
 //!   still monolithic. Decoders rejoin every iteration, but one long
 //!   prefill still pins the iteration length.
-//! - `cont+chunked`: prefills split into fixed-size chunks interleaved
-//!   with decode steps — the iteration length (and therefore p99 ITL) is
-//!   bounded by the chunk, at the cost of re-streaming weights once per
-//!   extra chunk.
+//! - `cont+chunked`: prefills split across iterations, each iteration
+//!   sized to the roofline ridge (decoders first, prefills share what is
+//!   left of 78 tokens on A100/13B) — the iteration length, and therefore
+//!   p99 ITL, stays about one weight stream, and a prefill that is
+//!   compute-bound either way loses nothing. Its first token queues behind
+//!   the decoders instead of stalling them: TTFT is the side that pays.
 //! - `program-aware`: chunked, plus a non-clairvoyant MLFQ over *programs*:
 //!   queue order favours programs with the least critical-path service, so
 //!   fresh arrivals are not stuck behind long-running agents.
@@ -388,10 +390,11 @@ fn main() {
         );
     }
     println!(
-        "Chunked iterations bound the time a decoder waits behind a prefill to one\n\
-         chunk; the tax is one weight re-stream per extra chunk, hidden while the\n\
-         chunk itself is compute-bound. MLFQ additionally orders the wait queue by\n\
-         accumulated critical-path service, favouring fresh programs."
+        "Chunked iterations are sized to the roofline ridge: decoders first, prefills\n\
+         share the tokens whose compute one weight stream still hides, so a decoder\n\
+         waits about one stream per token whatever prefills run beside it. MLFQ\n\
+         additionally orders the wait queue by accumulated critical-path service,\n\
+         favouring fresh programs."
     );
     let metrics = captured.as_ref().filter(|_| opts.metrics);
     write_json_with_metrics("exp_sched", &results, metrics);

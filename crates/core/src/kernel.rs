@@ -22,9 +22,9 @@ use symphony_model::surrogate::VocabInfo;
 use symphony_model::{ModelConfig, Surrogate, TokenId};
 use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
-    export_chrome_trace, export_chrome_trace_with_flows, latency_bounds_ns, percent_bounds,
-    Collector, Counter, EdgeKind, EventBus, EventKind, Gauge, Histogram, MetricsRegistry,
-    MetricsSnapshot, SwapDir, TimedEvent,
+    export_chrome_trace, export_chrome_trace_with_flows, latency_bounds_ns, occupancy_bounds,
+    percent_bounds, Collector, Counter, EdgeKind, EventBus, EventKind, Gauge, Histogram,
+    MetricsRegistry, MetricsSnapshot, SwapDir, TimedEvent,
 };
 use symphony_tokenizer::Bpe;
 
@@ -81,7 +81,8 @@ pub struct KernelConfig {
     pub syscall_cost: SimDuration,
     /// Offload a process's KV files to host memory while it waits on I/O.
     pub offload_on_io_wait: bool,
-    /// Only offload for tool calls at least this slow.
+    /// Only offload for tool calls at least this slow — and then only the
+    /// files whose copy out and back over PCIe fits inside the call.
     pub offload_min_latency: SimDuration,
     /// Kernel RNG seed (tool latencies, LIP thread RNG streams).
     pub seed: u64,
@@ -184,11 +185,19 @@ impl KernelConfig {
     }
 }
 
-/// What [`ExecMode`] lowers to, once, in `Kernel::build`: the three things
+/// What [`ExecMode`] lowers to, once, in `Kernel::build`: the four things
 /// the GPU loop reads as data.
 struct LoopPreset {
-    /// Most tokens one sequence contributes to an iteration.
+    /// Most tokens one sequence contributes to an iteration: the mode's
+    /// `chunk_tokens`, and never more than the budget (or one KV page, if
+    /// that is larger).
     slice: usize,
+    /// New tokens the sequences of one iteration share: the roofline ridge
+    /// ([`GpuExecutor::ridge_tokens`]) where prefills are chunked,
+    /// unbounded where a slice is the whole request. Handed out
+    /// shortest-remaining first; once it is spent every remaining sequence
+    /// still advances one KV page (see `launch_iteration`, phase 2).
+    budget: usize,
     gate: LaunchGate,
     /// The kernel keeps admitted sequences' KV on the GPU itself: swaps it
     /// in, evicts idle files, preempts peers. When `false`, residency is
@@ -391,6 +400,11 @@ struct KernelMetrics {
     /// Prefill chunks executed (requests that spanned more than one
     /// iteration).
     prefill_chunks: Counter,
+    /// New tokens per iteration, one sample per `BatchBegin`.
+    iteration_tokens: Histogram,
+    /// The iteration token budget's source, [`GpuExecutor::ridge_tokens`];
+    /// set once at build.
+    ridge_tokens: Gauge,
     /// Virtual time a launch was held for runnable threads, one sample per
     /// held launch.
     gate_hold_ns: Histogram,
@@ -430,6 +444,8 @@ impl KernelMetrics {
             backing_pages: registry.gauge("kvfs.backing_pages"),
             preemptions: registry.counter("sched.preemptions"),
             prefill_chunks: registry.counter("sched.prefill_chunks"),
+            iteration_tokens: registry.histogram("sched.iteration_tokens", &occupancy_bounds()),
+            ridge_tokens: registry.gauge("sched.ridge_tokens"),
             gate_hold_ns: registry.histogram("sched.gate_hold_ns", &latency_bounds_ns()),
             gate_hold_timeouts: registry.counter("sched.gate_hold_timeouts"),
             io_waiting_underflow: registry.counter("kernel.io_waiting_underflow"),
@@ -640,28 +656,42 @@ impl Kernel {
         };
         let (up_tx, up_rx) = unbounded();
         let wal_config = config.wal.clone();
+        let gpu = GpuExecutor::with_registry(config.device, model, &registry);
+        let kmetrics = KernelMetrics::register(&registry);
+        let ridge = gpu.ridge_tokens();
+        kmetrics.ridge_tokens.set(ridge as i64);
         let (preset, discipline) = match config.exec {
             ExecMode::Static(policy) => (
                 LoopPreset {
                     slice: usize::MAX,
+                    budget: usize::MAX,
                     gate: LaunchGate::Batch(BatchGate::new(policy, config.max_batch)),
                     manages_residency: false,
                 },
                 QueueDiscipline::Fifo,
             ),
-            ExecMode::Continuous(c) => (
-                LoopPreset {
-                    slice: c.chunk_tokens.unwrap_or(usize::MAX).max(1),
-                    gate: LaunchGate::ThreadsParked,
-                    manages_residency: true,
-                },
-                c.discipline,
-            ),
+            ExecMode::Continuous(c) => {
+                // Chunked prefills share one ridge of tokens per iteration;
+                // whole-request slices are by definition unbudgeted.
+                let (slice, budget) = match c.chunk_tokens {
+                    Some(chunk) => (chunk.clamp(1, ridge.max(store.page_tokens())), ridge),
+                    None => (usize::MAX, usize::MAX),
+                };
+                (
+                    LoopPreset {
+                        slice,
+                        budget,
+                        gate: LaunchGate::ThreadsParked,
+                        manages_residency: true,
+                    },
+                    c.discipline,
+                )
+            }
         };
         let mut kernel = Kernel {
             store,
             restored,
-            gpu: GpuExecutor::with_registry(config.device, model, &registry),
+            gpu,
             tokenizer,
             tools: ToolRegistry::new(),
             events: EventQueue::new(),
@@ -700,7 +730,7 @@ impl Kernel {
                     EventBus::disabled()
                 }
             },
-            kmetrics: KernelMetrics::register(&registry),
+            kmetrics,
             injector: FaultInjector::with_registry(config.faults, config.seed, &registry),
             breakers: config
                 .breaker
@@ -2235,14 +2265,12 @@ impl Kernel {
         };
 
         // 2. One slice per sequence whose KV is on the GPU (or whose
-        // residency is not the loop's to check), at most `chunk` tokens. A
-        // sequence still waiting on a copy sits out; so does one whose
-        // pages are part of a peer's in-flight swap-in, and a phase-1
-        // victim even if a sibling's swap-in brought the pages they share
-        // straight back.
+        // residency is not the loop's to check). A sequence still waiting
+        // on a copy sits out; so does one whose pages are part of a peer's
+        // in-flight swap-in, and a phase-1 victim even if a sibling's
+        // swap-in brought the pages they share straight back.
         self.inflight.retain(|&(_, ready_at)| ready_at > now);
         let mut parts: Vec<usize> = Vec::new();
-        let mut requests: Vec<PredRequest> = Vec::new();
         for (i, s) in self.active.iter_mut().enumerate() {
             if preempted.contains(&i)
                 || (manages_residency
@@ -2264,14 +2292,42 @@ impl Kernel {
                 continue;
             }
             s.ready_at = None;
-            let take = (s.req.tokens.len() - s.done).min(chunk);
-            requests.push(PredRequest {
-                file: s.req.file,
-                owner: s.req.owner,
-                tokens: s.req.tokens[s.done..s.done + take].to_vec(),
-            });
             parts.push(i);
         }
+        // The participants share the iteration's token budget, shortest
+        // remaining first (ties in admission order): decoders, then short
+        // prefills, then long ones, so nobody's next token waits behind a
+        // chunk that is compute-bound whenever it runs. A sequence the
+        // budget no longer covers still advances one KV page — a long
+        // prefill cannot starve under a stream of short ones, and a
+        // sub-page request is never cut or deferred.
+        let remaining = |k: usize| {
+            let s = &self.active[parts[k]];
+            s.req.tokens.len() - s.done
+        };
+        let mut order: Vec<usize> = (0..parts.len()).collect();
+        order.sort_by_key(|&k| remaining(k));
+        let page = self.store.page_tokens().max(1);
+        let mut budget_left = self.preset.budget;
+        let mut takes = vec![0usize; parts.len()];
+        for k in order {
+            takes[k] = remaining(k).min(chunk).min(budget_left.max(page));
+            budget_left = budget_left.saturating_sub(takes[k]);
+        }
+        // Requests go to the GPU in admission order, whatever the packing
+        // order was: reply order, CoW order and fault draws do not move.
+        let requests: Vec<PredRequest> = parts
+            .iter()
+            .zip(&takes)
+            .map(|(&i, &take)| {
+                let s = &self.active[i];
+                PredRequest {
+                    file: s.req.file,
+                    owner: s.req.owner,
+                    tokens: s.req.tokens[s.done..s.done + take].to_vec(),
+                }
+            })
+            .collect();
         if parts.is_empty() {
             // Everyone admitted is waiting on a copy (or cannot fit yet):
             // hand phase 1's victims back to the queue and come back when
@@ -2307,6 +2363,7 @@ impl Kernel {
             .observe(occupancy_pct as u64);
         let n_requests = parts.len() as u32;
         let new_tokens = report.new_tokens;
+        self.kmetrics.iteration_tokens.observe(new_tokens);
         self.bus.emit(now, || EventKind::BatchBegin {
             id: batch_id,
             requests: n_requests,
@@ -3343,13 +3400,19 @@ impl Kernel {
         if !self.offload_on_io_wait || latency < self.offload_min_latency {
             return;
         }
-        // Offload the process's GPU-resident, unpinned files to host memory.
+        // Offload the process's GPU-resident, unpinned files to host memory
+        // — those whose round trip over PCIe fits inside the wait. A file
+        // that takes longer to copy out and back than the tool runs would
+        // resume its thread late for pages nobody had time to use.
         let owner = OwnerId(pid.0);
+        let bpt = self.store.bytes_per_token();
+        let device = self.gpu.device();
         let victims: Vec<FileId> = self
             .store
             .list_files()
             .into_iter()
             .filter(|s| s.owner == owner && !s.pinned && s.residency == Residency::Gpu)
+            .filter(|s| device.transfer_time(s.len as u64 * bpt) * 2 <= latency)
             .map(|s| s.id)
             .collect();
         for f in victims {

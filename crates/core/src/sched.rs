@@ -205,9 +205,10 @@ pub fn threads_parked_gate(
 
 /// Preset of the GPU loop. There is one loop — every iteration admits
 /// waiting `pred`s, runs one slice of each admitted sequence and retires
-/// the finished — and a mode fixes three things it reads as data: how
-/// large a slice is, what gates a launch, and whether the kernel moves KV
-/// between tiers on the programs' behalf.
+/// the finished — and a mode fixes four things it reads as data: how
+/// large a slice is, how many tokens an iteration's slices share, what
+/// gates a launch, and whether the kernel moves KV between tiers on the
+/// programs' behalf.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Run-to-completion batches: a slice is the whole request, the
@@ -219,7 +220,8 @@ pub enum ExecMode {
     /// Iteration-level continuous batching: sequences are admitted and
     /// retired at token-iteration granularity as soon as no LIP thread is
     /// runnable ([`threads_parked_gate`]), long prefills are split into
-    /// chunks, and the kernel swaps KV in, evicts and preempts when GPU
+    /// chunks that fill what the decoders leave of the iteration's token
+    /// budget, and the kernel swaps KV in, evicts and preempts when GPU
     /// pages run out.
     Continuous(ContinuousConfig),
 }
@@ -229,9 +231,15 @@ pub enum ExecMode {
 pub struct ContinuousConfig {
     /// Maximum tokens one request contributes to a single iteration.
     /// `None` runs each request's whole remaining prompt in one iteration
-    /// (continuous batching without chunked prefill). Smaller chunks bound
-    /// inter-token latency for co-scheduled decoders at the price of
-    /// re-streaming the model weights once per extra iteration.
+    /// (continuous batching without chunked prefill). With `Some`, the
+    /// sequences of an iteration also share one token budget — the ridge
+    /// of the device × model roofline (`GpuExecutor::ridge_tokens`: 78 on
+    /// A100-80G, the most tokens whose compute one weight stream still
+    /// hides) — handed out shortest-remaining first, and a sequence the
+    /// budget no longer covers still advances one KV page. So decoders'
+    /// inter-token gap stays about one weight stream whatever prefills
+    /// run beside them, a prefill (compute-bound either way) loses
+    /// nothing, and this field only binds below the ridge.
     pub chunk_tokens: Option<usize>,
     /// Admission order for waiting `pred` calls.
     pub discipline: QueueDiscipline,

@@ -108,6 +108,51 @@ fn continuous_modes_agree_with_static_outputs() {
     assert!(kk.prefill_chunks() > 0, "expected chunked prefill iterations");
     assert_eq!(ks.prefill_chunks(), 0, "static mode never chunks");
     kk.store().verify().unwrap();
+
+    // On `paper_setup()` the iteration budget (78 tokens) binds long before
+    // `chunk_tokens` does: 200-token prompts are cut at the ridge and at the
+    // page floor, in shortest-first order. Same tokens out, and the same KV
+    // entries left behind, as run-to-completion batches.
+    fn kept(exec: ExecMode) -> (Kernel, Vec<String>, Vec<Vec<symphony::KvEntry>>) {
+        let mut cfg = KernelConfig::paper_setup();
+        cfg.exec = exec;
+        let mut k = Kernel::new(cfg);
+        let mut pids = Vec::new();
+        for i in 0..5u32 {
+            let at = symphony::SimTime::ZERO + SimDuration::from_millis(u64::from(i) * 3);
+            pids.push(k.schedule_process(at, &format!("p{i}"), "", move |ctx| {
+                let kv = ctx.kv_create()?;
+                let prompt = doc_tokens(200 - 30 * i as usize, i);
+                let opts = GenOpts {
+                    max_tokens: 6,
+                    ..Default::default()
+                };
+                sampling::generate(ctx, kv, &prompt, &opts)?;
+                ctx.kv_link(kv, &format!("out{i}.kv"))
+            }));
+        }
+        k.run();
+        let outs = outputs(&k, &pids);
+        let files = (0..5)
+            .map(|i| {
+                let file = k.store().lookup(&format!("out{i}.kv")).unwrap();
+                k.store().read_all_unchecked(file).unwrap()
+            })
+            .collect();
+        (k, outs, files)
+    }
+    let (_, want, want_kv) = kept(KernelConfig::paper_setup().exec);
+    let (kb, got, got_kv) = kept(continuous(Some(512), QueueDiscipline::Fifo));
+    assert_eq!(got, want, "the iteration budget changed outputs");
+    assert!(
+        got_kv == want_kv,
+        "the iteration budget changed KV contents"
+    );
+    assert!(
+        kb.prefill_chunks() > 0,
+        "no prompt was cut: the budget never bound"
+    );
+    kb.store().verify().unwrap();
 }
 
 #[test]
@@ -786,4 +831,229 @@ fn blocked_threads_are_not_waited_for() {
         "the bystander should still be decoding when the sleeper wakes ({span} ns)"
     );
     assert_eq!(gate_holds(&k), (0, 0), "a launch was held for a blocked thread");
+}
+
+// ---- every iteration is sized to the roofline ridge -----------------------
+
+/// `paper_setup()` — Llama-13B on an A100-80G, where one weight stream
+/// hides 78 tokens of linear-layer compute — under FIFO continuous batching
+/// at `chunk_tokens: Some(512)`, telemetry on.
+fn paper_budgeted() -> KernelConfig {
+    let mut cfg = KernelConfig::paper_setup();
+    cfg.exec = continuous(Some(512), QueueDiscipline::Fifo);
+    cfg.telemetry = true;
+    cfg
+}
+
+/// Prefills `len` fresh tokens in one `pred` and stamps its completion.
+fn prefill_stamped(
+    len: usize,
+    salt: u32,
+) -> impl FnOnce(&mut symphony::Ctx) -> Result<(), symphony::SysError> {
+    move |ctx| {
+        let kv = ctx.kv_create()?;
+        ctx.pred_positions(kv, &doc_tokens(len, salt), 0)?;
+        ctx.emit(&format!(" t={}", ctx.now()?.as_nanos()))
+    }
+}
+
+fn ridge(k: &Kernel) -> u64 {
+    match k.metrics_snapshot().get("sched.ridge_tokens") {
+        Some(symphony::MetricValue::Gauge(r)) => *r as u64,
+        other => panic!("sched.ridge_tokens missing: {other:?}"),
+    }
+}
+
+/// `(requests, new tokens)` of every iteration, in launch order; checks on
+/// the way that none carried more than the budget plus a page per member.
+fn budgeted_iterations(k: &Kernel) -> Vec<(u32, u64)> {
+    let page = KernelConfig::paper_setup().page_tokens as u64;
+    let iters: Vec<(u32, u64)> = k
+        .telemetry_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::BatchBegin {
+                requests,
+                new_tokens,
+                ..
+            } => Some((requests, new_tokens)),
+            _ => None,
+        })
+        .collect();
+    let ridge = ridge(k);
+    for (id, &(requests, tokens)) in iters.iter().enumerate() {
+        assert!(
+            tokens <= ridge + page * u64::from(requests),
+            "iteration {id} carried {tokens} tokens for {requests} sequences"
+        );
+    }
+    iters
+}
+
+/// A decoder beside a long prefill and a late short one.
+struct CoRun {
+    /// The decoder's inter-token gaps running alone, in ns.
+    alone: Vec<u64>,
+    /// Its gaps in company.
+    company: Vec<u64>,
+    /// When the short prefill arrived and when its `pred` returned, in ns.
+    asked: u64,
+    answered: u64,
+    kernel: Kernel,
+}
+
+/// A decoder, a 3 000-token prefill arriving three tokens in and — half-way
+/// through that prefill — a 15-token question.
+fn beside_a_long_prefill() -> CoRun {
+    const TOKENS: u32 = 64;
+    let mut k = Kernel::new(paper_budgeted());
+    let d = k.spawn_process("decoder", "", decoder(TOKENS));
+    k.run();
+    let alone = gaps(&stamps(&k, d));
+    let step = SimDuration::from_nanos(median(alone.clone()));
+
+    let mut k = Kernel::new(paper_budgeted());
+    let d = k.spawn_process("decoder", "", decoder(TOKENS));
+    k.schedule_process(
+        symphony::SimTime::ZERO + step * 3,
+        "publisher",
+        "",
+        prefill_stamped(3_000, 1),
+    );
+    // 3 000 tokens at a ridge per iteration are some forty iterations.
+    let asked = symphony::SimTime::ZERO + step * 23 + SimDuration::from_millis(5);
+    let q = k.schedule_process(asked, "question", "", prefill_stamped(15, 2));
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    CoRun {
+        alone,
+        company: gaps(&stamps(&k, d)),
+        asked: asked.as_nanos(),
+        answered: stamps(&k, q)[0],
+        kernel: k,
+    }
+}
+
+#[test]
+fn a_long_prefill_does_not_stall_the_decoder_beside_it() {
+    // The publisher's chunks are what is left of the ridge after the
+    // decoder's token, so every iteration is still about one weight stream
+    // long. Under a fixed 512-token slice the worst gap was six times the
+    // decoder's own.
+    let run = beside_a_long_prefill();
+    let own = median(run.alone);
+    let worst = *run.company.iter().max().unwrap();
+    let mid = median(run.company);
+    assert!(
+        mid * 4 <= own * 5,
+        "median gap {mid} ns against {own} ns alone"
+    );
+    assert!(
+        worst * 4 <= own * 5,
+        "worst gap {worst} ns against {own} ns alone"
+    );
+    // The prefill was really there, in ridge-sized pieces.
+    let iters = budgeted_iterations(&run.kernel);
+    let ridge = ridge(&run.kernel);
+    assert!(iters.iter().filter(|&&(_, t)| t == ridge).count() >= 30);
+}
+
+#[test]
+fn a_short_prefill_overtakes_a_long_one() {
+    // Shortest remaining first: the question's 15 tokens are covered before
+    // the publisher's next chunk, so its first distribution comes with the
+    // first iteration it could join — the one in flight when it arrived
+    // ends, the next one carries it.
+    let CoRun {
+        alone,
+        asked,
+        answered,
+        kernel: k,
+        ..
+    } = beside_a_long_prefill();
+    let ended = k
+        .telemetry_events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::BatchEnd { .. }))
+        .filter(|e| (asked + 1..=answered).contains(&e.at.as_nanos()))
+        .count();
+    assert!(ended <= 2, "the question waited {ended} iterations");
+    let own = median(alone);
+    assert!(
+        (answered - asked) * 2 <= own * 5,
+        "the question waited {} ns; an iteration alone is {own} ns",
+        answered - asked
+    );
+}
+
+#[test]
+fn a_long_prefill_does_not_starve_under_a_stream_of_short_ones() {
+    // Eight streams of back-to-back 15-token prefills are 120 tokens an
+    // iteration, all of them shorter than the publisher's remainder: the
+    // budget is spent before its turn, every time. The page floor still
+    // moves it one KV page per iteration.
+    const LONG: usize = 3_000;
+    let cfg = paper_budgeted();
+    let bound = LONG.div_ceil(cfg.page_tokens);
+    let mut k = Kernel::new(cfg);
+    k.spawn_process("publisher", "", prefill_stamped(LONG, 1));
+    for i in 0..8u32 {
+        k.spawn_process(&format!("stream{i}"), "", move |ctx| {
+            for _ in 0..bound + 8 {
+                let kv = ctx.kv_create()?;
+                ctx.pred_positions(kv, &doc_tokens(15, i), 0)?;
+                ctx.kv_remove(kv)?;
+            }
+            Ok(())
+        });
+    }
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    assert!(k.records().all(|r| r.status.is_ok()));
+    let chunks: Vec<u64> = k
+        .telemetry_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::ChunkExec { batch, total, .. } if total as usize == LONG => Some(batch),
+            _ => None,
+        })
+        .collect();
+    // It ran in every iteration from the first, and needed no more of them
+    // than it has pages.
+    let last = *chunks.last().unwrap() as usize;
+    assert_eq!(chunks.len(), last + 1, "the publisher sat out an iteration");
+    assert!(
+        chunks.len() <= bound,
+        "{} iterations for {bound} pages",
+        chunks.len()
+    );
+    // The control: the streams did spend the budget each time.
+    let iters = budgeted_iterations(&k);
+    let ridge = ridge(&k);
+    for (id, &(_, tokens)) in iters[..=last].iter().enumerate() {
+        assert!(tokens >= ridge, "iteration {id} had budget to spare");
+    }
+}
+
+#[test]
+fn simultaneous_prefills_share_one_budget() {
+    // Two 2 000-token prefills do not get a ridge each: the first in takes
+    // the budget, the other its page, and the iteration stays one weight
+    // stream long. Every iteration is on the histogram.
+    let mut k = Kernel::new(paper_budgeted());
+    for i in 0..2 {
+        k.spawn_process(&format!("p{i}"), "", prefill_stamped(2_000, i));
+    }
+    k.run();
+    assert!(k.records().all(|r| r.status.is_ok()));
+    let iters = budgeted_iterations(&k);
+    let page = KernelConfig::paper_setup().page_tokens as u64;
+    assert_eq!(iters[0], (2, ridge(&k) + page));
+    assert_eq!(iters.iter().map(|&(_, t)| t).sum::<u64>(), 4_000);
+    match k.metrics_snapshot().get("sched.iteration_tokens") {
+        Some(symphony::MetricValue::Histogram { count, sum, .. }) => {
+            assert_eq!((*count, *sum), (iters.len() as u64, 4_000));
+        }
+        other => panic!("sched.iteration_tokens missing: {other:?}"),
+    }
 }

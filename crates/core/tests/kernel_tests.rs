@@ -478,6 +478,75 @@ fn kv_offload_during_io_wait() {
 }
 
 #[test]
+fn offload_only_when_the_round_trip_fits_the_wait() {
+    // A 2 000-token Llama-13B file is 1.6 GB: 65 ms out over PCIe and 65 ms
+    // back. Around a 25 ms tool call the copies would outlast the wait and
+    // the thread would resume late for pages nobody could have used; around
+    // a 3 s call they are what the offload is for.
+    const DOC: u32 = 2_000;
+    fn run(tool: SimDuration) -> (Kernel, SimDuration) {
+        let mut cfg = KernelConfig::paper_setup();
+        cfg.telemetry = true;
+        let mut k = Kernel::new(cfg);
+        k.register_tool(
+            "tool",
+            ToolSpec::fixed(tool, |_| ToolOutcome::Ok("ok".into())),
+        );
+        let pid = k.spawn_process("caller", "", |ctx| {
+            let kv = ctx.kv_create()?;
+            let doc: Vec<u32> = (1..=DOC).collect();
+            ctx.pred_positions(kv, &doc, 0)?;
+            let before = ctx.now()?;
+            ctx.call_tool("tool", "")?;
+            let waited = ctx.now()? - before;
+            ctx.pred(kv, &[(5, DOC)])?; // the file is usable again
+            ctx.emit(&waited.as_nanos().to_string())
+        });
+        k.run();
+        let rec = k.record(pid).unwrap();
+        assert!(rec.status.is_ok(), "{:?}", rec.status);
+        let waited = SimDuration::from_nanos(rec.output.parse().unwrap());
+        (k, waited)
+    }
+    let offloads = |k: &Kernel| {
+        k.telemetry_events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::KvOffload { .. }))
+            .count()
+    };
+    let cfg = KernelConfig::paper_setup();
+    let syscalls = cfg.syscall_cost * 2;
+
+    let short = SimDuration::from_millis(25);
+    assert!(
+        short >= cfg.offload_min_latency,
+        "the floor alone would offload"
+    );
+    let (k, waited) = run(short);
+    assert_eq!(offloads(&k), 0, "a 130 ms round trip does not fit 25 ms");
+    assert_eq!(k.kv_stats().swapped_out_tokens, 0);
+    assert!(
+        waited <= short + syscalls,
+        "the thread resumed {waited} after a {short} tool call"
+    );
+
+    let long = SimDuration::from_secs(3);
+    let (k, waited) = run(long);
+    assert_eq!(offloads(&k), 1, "a 3 s wait is worth 130 ms of copies");
+    let stats = k.kv_stats();
+    assert_eq!(stats.swapped_out_tokens, u64::from(DOC));
+    assert_eq!(stats.swapped_in_tokens, u64::from(DOC));
+    let restore = cfg
+        .device
+        .transfer_time(u64::from(DOC) * cfg.model.kv_bytes_per_token());
+    assert!(
+        waited >= long + restore,
+        "the restore crosses PCIe after the call"
+    );
+    k.store().verify().unwrap();
+}
+
+#[test]
 fn ipc_between_processes() {
     let mut k = kernel();
     let consumer = k.spawn_process("consumer", "", |ctx| {

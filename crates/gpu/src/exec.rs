@@ -209,6 +209,22 @@ impl GpuExecutor {
         )
     }
 
+    /// The ridge of this device × model roofline, in tokens per iteration:
+    /// the most new tokens whose linear-layer compute (`2 × params` FLOPs
+    /// each) still hides under the one weight stream every iteration pays
+    /// (`params × dtype_bytes` over HBM). Up to the ridge a token is free;
+    /// past it every token lengthens the iteration for the whole batch.
+    /// `params` cancels, so the ridge is a property of the device and the
+    /// weight precision: 78 on an A100-80G, 132 on an H100, in FP16. The
+    /// scheduler reads its per-iteration token budget from here, so the
+    /// policy cannot drift from the cost model above.
+    pub fn ridge_tokens(&self) -> usize {
+        let dtype_bytes = f64::from(self.model.config().dtype_bytes);
+        let ridge = dtype_bytes * self.device.peak_flops * self.device.mfu
+            / (2.0 * self.device.hbm_bandwidth);
+        (ridge as usize).max(1)
+    }
+
     /// Books a swap-in's traffic on the host→device lane, starting no
     /// earlier than `not_before`; returns when the last byte has landed.
     /// DRAM tokens cross PCIe, disk tokens the (slower) NVMe lane.
@@ -492,6 +508,52 @@ mod tests {
         assert!(
             warm.as_secs_f64() * 5.0 < cold.as_secs_f64(),
             "cache hit should be much faster: warm={warm} cold={cold}"
+        );
+    }
+
+    #[test]
+    fn ridge_is_where_linear_compute_meets_the_weight_stream() {
+        let ridge = |device: DeviceSpec, cfg: ModelConfig| {
+            GpuExecutor::new(device, Surrogate::new(cfg, 7)).ridge_tokens()
+        };
+        assert_eq!(ridge(DeviceSpec::a100_80g(), ModelConfig::llama_13b()), 78);
+        // `params` cancels: the ridge belongs to the device and the dtype.
+        assert_eq!(ridge(DeviceSpec::a100_80g(), ModelConfig::llama_7b()), 78);
+        assert_eq!(ridge(DeviceSpec::h100_80g(), ModelConfig::llama_13b()), 132);
+        // Never zero, however compute-starved the device: a zero budget
+        // would schedule nothing.
+        let starved = DeviceSpec {
+            peak_flops: 1e9,
+            ..DeviceSpec::a100_80g()
+        };
+        assert_eq!(ridge(starved, ModelConfig::llama_13b()), 1);
+    }
+
+    #[test]
+    fn ridge_is_the_knee_of_chunked_prefill_time() {
+        // On the real cost function: a 2 048-token prefill cut at the ridge
+        // costs about what the unchunked pass costs (every chunk's compute
+        // hides under the weight stream it needs anyway), and cut at half
+        // the ridge about twice that (half of every stream is idle compute).
+        let cfg = ModelConfig::llama_13b();
+        let gpu = GpuExecutor::new(DeviceSpec::a100_80g(), Surrogate::new(cfg, 7));
+        let chunked = |chunk: u64| -> f64 {
+            cfg.chunked_prefill_work(2_048, 0, chunk)
+                .iter()
+                .map(|w| gpu.batch_time(w).as_secs_f64())
+                .sum()
+        };
+        let whole = chunked(2_048);
+        let ridge = gpu.ridge_tokens() as u64;
+        assert!(
+            chunked(ridge) <= whole * 1.1,
+            "ridge-sized chunks: {} s against {whole} s unchunked",
+            chunked(ridge)
+        );
+        assert!(
+            chunked(ridge / 2) >= whole * 1.8,
+            "half-ridge chunks: {} s against {whole} s unchunked",
+            chunked(ridge / 2)
         );
     }
 
