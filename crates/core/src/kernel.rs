@@ -256,7 +256,9 @@ enum Event {
 
 struct ThreadState {
     pid: Pid,
-    reply_tx: Sender<SysReply>,
+    /// Where syscall replies go; `None` once the thread has exited, so a
+    /// finished thread's table entry does not keep its channel allocated.
+    reply_tx: Option<Sender<SysReply>>,
     handle: Option<crate::lip_pool::JobHandle>,
     status: Option<ExitStatus>,
     join_waiters: Vec<Tid>,
@@ -1134,7 +1136,7 @@ impl Kernel {
             tid.0,
             ThreadState {
                 pid,
-                reply_tx,
+                reply_tx: Some(reply_tx),
                 handle: Some(handle),
                 status: None,
                 join_waiters: Vec::new(),
@@ -1743,10 +1745,12 @@ impl Kernel {
             let Some(ts) = self.threads.get_mut(tid.0) else {
                 return;
             };
-            if ts.status.is_some() {
-                return; // Thread already exited (e.g. killed reply raced).
-            }
-            if ts.reply_tx.send(reply).is_err() {
+            // Thread already exited (e.g. killed reply raced): `handle_exit`
+            // dropped its sender.
+            let Some(reply_tx) = &ts.reply_tx else {
+                return;
+            };
+            if reply_tx.send(reply).is_err() {
                 return;
             }
             (ts.pid, ts.open_syscall.take())
@@ -1854,11 +1858,12 @@ impl Kernel {
     }
 
     /// Forgets every process that has exited: its record, its name and its
-    /// process- and thread-table entries (with each thread's reply
-    /// channel). Returns how many were dropped. The kernel keeps finished
-    /// processes so callers can read [`Kernel::record`] after a run; a
-    /// server that stays up calls this once their outcomes are reported,
-    /// or the tables grow with every program ever served.
+    /// process- and thread-table entries (a thread's reply channel is
+    /// already gone, dropped when it exited). Returns how many were
+    /// dropped. The kernel keeps finished processes so callers can read
+    /// [`Kernel::record`] after a run; a server that stays up calls this
+    /// once their outcomes are reported, or the tables grow with every
+    /// program ever served.
     pub fn reap_exited(&mut self) -> usize {
         // Ascending pid order, which the thread sweep's search relies on.
         let exited: Vec<u64> = self
@@ -3527,6 +3532,7 @@ impl Kernel {
                 return;
             };
             ts.status = Some(status.clone());
+            ts.reply_tx = None;
             (
                 ts.pid,
                 std::mem::take(&mut ts.join_waiters),
@@ -3652,6 +3658,29 @@ impl Drop for Kernel {
         }
         for h in handles {
             h.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exited_threads_hold_no_reply_sender() {
+        let mut k = Kernel::new(KernelConfig::for_tests());
+        for i in 0..3 {
+            k.spawn_process(&format!("p{i}"), "a b c", |ctx| {
+                let child = ctx.spawn(|ctx| ctx.tokenize("child").map(drop))?;
+                ctx.join(child)?;
+                Ok(())
+            });
+        }
+        k.run();
+        assert_eq!(k.threads.len(), 6);
+        for (tid, ts) in k.threads.iter() {
+            assert!(ts.status.is_some(), "thread {tid} still live after run()");
+            assert!(ts.reply_tx.is_none(), "exited thread {tid} kept its sender");
         }
     }
 }

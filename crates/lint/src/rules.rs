@@ -42,6 +42,10 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     // verify must produce identical diagnostics and effect summaries on
     // every replica, or admission decisions diverge across a fleet.
     "lipscript",
+    // Token ids feed every surrogate distribution, digest and golden: the
+    // trainer's merge choice and the encoder's output must not depend on
+    // hasher order.
+    "tokenizer",
 ];
 
 /// Kernel-path files for `k1`: every line of these runs under a syscall or
@@ -348,7 +352,7 @@ pub fn explain(rule: Rule) -> &'static str {
             "d3: no order-unstable hash collections in deterministic crates\n\
              \n\
              Matches `HashMap`/`HashSet` in crates/{core,kvfs,gpu,sim,model,\n\
-             telemetry}/src.\n\
+             telemetry,rpc,serve,lipscript,tokenizer}/src.\n\
              \n\
              `std` hash collections iterate in a per-process random order.\n\
              Even a use that only calls `len`/`contains` today is one\n\

@@ -224,3 +224,13 @@ fn d3_applies_to_the_lipscript_front_end() {
         "order-unstable collections must fire in lipscript: {v:?}"
     );
 }
+
+#[test]
+fn d3_applies_to_the_tokenizer() {
+    let src = include_str!("fixtures/d3_hash_collections.rs");
+    let v = lint("crates/tokenizer/src/bpe.rs", src);
+    assert!(
+        v.iter().filter(|v| v.rule == Rule::D3).count() >= 2,
+        "order-unstable collections must fire in the tokenizer: {v:?}"
+    );
+}

@@ -220,20 +220,23 @@ fn selftest_client(addr: &str) -> Result<String, String> {
     }
 
     // Three submissions against a quota of 2: the third must shed with a
-    // typed QuotaExceeded, the first two must stream and complete.
+    // typed QuotaExceeded, the first two must stream and complete. They go
+    // out in one write so the server reads them in one pass: it pumps what
+    // it has read to completion before it reads again, and a first session
+    // already finished when the third arrives leaves the quota free.
+    let mut wire = Vec::new();
     for session in 1..=3u64 {
-        send(
-            &mut sock,
-            &ClientMsg::Submit {
-                session,
-                not_before_ns: 0,
-                fuel: 0,
-                name: format!("selftest-{session}"),
-                args: format!("task {session}"),
-                source: agent_source(1, 8),
-            },
-        )?;
+        ClientMsg::Submit {
+            session,
+            not_before_ns: 0,
+            fuel: 0,
+            name: format!("selftest-{session}"),
+            args: format!("task {session}"),
+            source: agent_source(1, 8),
+        }
+        .encode(&mut wire);
     }
+    sock.write_all(&wire).map_err(|e| format!("write: {e}"))?;
     let mut accepted = 0;
     let mut quota_shed = false;
     let mut streamed_tokens = 0u64;

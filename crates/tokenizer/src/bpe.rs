@@ -1,12 +1,15 @@
 //! BPE trainer, encoder and decoder.
 //!
 //! Training operates on a word histogram (each distinct pre-token trained
-//! once, weighted by count) which keeps it fast enough to train the default
-//! vocabulary at first use. Encoding splits text into pre-tokens (a run of
-//! whitespace is glued to the following word, GPT-style) and applies merges
-//! greedily in rank order; per-word results are memoised.
+//! once, weighted by count) and keeps its pair statistics up to date across
+//! merges instead of recounting them, which is what lets the default
+//! vocabulary be trained eagerly at every process start. Encoding splits
+//! text into pre-tokens (a run of whitespace is glued to the following
+//! word, GPT-style) and applies merges greedily in rank order; per-word
+//! results are memoised, for up to 65 536 distinct words.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use parking_lot_shim::Mutex;
@@ -34,48 +37,171 @@ mod parking_lot_shim {
     }
 }
 
+/// Two adjacent symbols.
+type Pair = (TokenId, TokenId);
+
+/// Merge table: pair → (rank, merged id); lower rank merges first.
+// lint:allow(d3): point lookups only, never iterated, so hasher order cannot reach a token id
+type Ranks = std::collections::HashMap<Pair, (u32, TokenId)>;
+
+/// Encoded-word memo, keyed by the raw pre-token bytes.
+// lint:allow(d3): point lookups only, never iterated; a hit and a miss return the same ids
+type Memo = std::collections::HashMap<Vec<u8>, Vec<TokenId>>;
+
+/// Most distinct words the encoder memoises. Past it a new word is encoded
+/// without being remembered, so a long-lived process that keeps meeting new
+/// words stops growing here (of the order of 100 B a word: under 10 MB).
+const MEMO_CAP: usize = 65_536;
+
 /// A trained byte-pair encoder.
 #[derive(Debug)]
 pub struct Bpe {
     vocab: Vocab,
-    /// Merge rank by pair: lower rank merges first.
-    ranks: HashMap<(TokenId, TokenId), (u32, TokenId)>,
-    /// Encoded-word memo; keyed by the raw pre-token bytes.
-    cache: Mutex<HashMap<Vec<u8>, Vec<TokenId>>>,
+    ranks: Ranks,
+    cache: Mutex<Memo>,
+}
+
+/// What training knows about one adjacent pair.
+#[derive(Default)]
+struct PairStat {
+    /// Occurrences over the corpus: Σ word count × occurrences in the word.
+    count: u64,
+    /// Indices of the words that contain the pair, ascending. A word stays
+    /// listed after another merge consumed its occurrence; rewriting such
+    /// a word is a no-op.
+    words: Vec<usize>,
 }
 
 impl Bpe {
-    /// Trains a BPE model on `text`, learning up to `num_merges` merges.
+    /// Trains a BPE model on `text`, learning at most `num_merges` merges.
     ///
-    /// Training is deterministic: ties in pair frequency break on the
-    /// lexicographically smaller pair.
+    /// Each step merges the most frequent adjacent pair of the word
+    /// histogram (ties break on the lexicographically smaller pair, so
+    /// training is deterministic) into a new token, and training stops
+    /// early once no pair occurs twice: the default corpus asks for 1 500
+    /// merges and yields 1 144.
+    ///
+    /// Pair statistics are maintained, not recomputed. One pass over the
+    /// distinct words builds the count of every pair, the list of words
+    /// containing it, and an index ordered by `(count, Reverse(pair))`.
+    /// A merge then reads the index's maximum in O(log P), rewrites only
+    /// the words listed for that pair (left to right, non-overlapping) and
+    /// applies the difference between those words' pair windows before and
+    /// after to the counts and the index. That is O(L log P) to build plus
+    /// O(t log t) per merge, for L symbols in the distinct words, P live
+    /// pairs and t symbols in the words the merge touches, where recounting
+    /// cost O(L) per merge: 4.5 ms instead of 47 ms for the default
+    /// vocabulary in a release build, 28 ms instead of 600 ms in a debug
+    /// build.
     pub fn train(text: &str, num_merges: usize) -> Self {
-        // Histogram of pre-tokens.
-        let mut word_counts: HashMap<Vec<u8>, u64> = HashMap::new();
-        for word in pretokenize(text.as_bytes()) {
-            *word_counts.entry(word.to_vec()).or_insert(0) += 1;
+        let mut words = word_histogram(text);
+
+        let mut stats: BTreeMap<Pair, PairStat> = BTreeMap::new();
+        for (wi, (sym, count)) in words.iter().enumerate() {
+            for w in sym.windows(2) {
+                let stat = stats.entry((w[0], w[1])).or_default();
+                stat.count += count;
+                if stat.words.last() != Some(&wi) {
+                    stat.words.push(wi);
+                }
+            }
         }
-        // Each distinct word as a mutable symbol sequence.
-        let mut words: Vec<(Vec<TokenId>, u64)> = word_counts
-            .into_iter()
-            .map(|(w, c)| (w.iter().map(|&b| b as TokenId).collect(), c))
+        let mut by_count: BTreeSet<(u64, Reverse<Pair>)> = stats
+            .iter()
+            .map(|(&pair, stat)| (stat.count, Reverse(pair)))
             .collect();
-        // Deterministic iteration order.
-        words.sort_by(|a, b| a.0.cmp(&b.0));
 
         let mut merge_expansions: Vec<Vec<u8>> = Vec::with_capacity(num_merges);
-        let mut ranks: HashMap<(TokenId, TokenId), (u32, TokenId)> = HashMap::new();
-        let expansion_of = |id: TokenId, merges: &Vec<Vec<u8>>| -> Vec<u8> {
-            if (id as usize) < BYTE_TOKENS {
-                vec![id as u8]
-            } else {
-                merges[id as usize - BYTE_TOKENS].clone()
+        let mut ranks = Ranks::new();
+        // Signed count changes of one merge: every pair window of a touched
+        // word, minus its weight before the rewrite and plus it after.
+        let mut deltas: Vec<(Pair, i64)> = Vec::new();
+
+        while merge_expansions.len() < num_merges {
+            let Some(&(count, Reverse(pair))) = by_count.last() else {
+                break;
+            };
+            if count < 2 {
+                break;
             }
-        };
+            let rank = merge_expansions.len();
+            let new_id = (BYTE_TOKENS + rank) as TokenId;
+            let mut bytes = expansion_of(pair.0, &merge_expansions);
+            bytes.extend(expansion_of(pair.1, &merge_expansions));
+            merge_expansions.push(bytes);
+            ranks.insert(pair, (rank as u32, new_id));
+
+            let touched = stats
+                .get_mut(&pair)
+                .map(|stat| std::mem::take(&mut stat.words))
+                .unwrap_or_default();
+            for wi in touched {
+                let (sym, count) = &mut words[wi];
+                let weight = *count as i64;
+                deltas.extend(sym.windows(2).map(|w| ((w[0], w[1]), -weight)));
+                merge_in_place(sym, pair, new_id);
+                for w in sym.windows(2) {
+                    let p = (w[0], w[1]);
+                    deltas.push((p, weight));
+                    // Two symbols adjacent now were adjacent before unless
+                    // one of them is the new token, so only those pairs can
+                    // be new to this word; `touched` ascends, so `last`
+                    // dedups a pair that occurs twice in it.
+                    if p.0 == new_id || p.1 == new_id {
+                        let listed = &mut stats.entry(p).or_default().words;
+                        if listed.last() != Some(&wi) {
+                            listed.push(wi);
+                        }
+                    }
+                }
+            }
+
+            // Windows the rewrite left alone cancel; what remains moves the
+            // counts and the ordered index together.
+            deltas.sort_unstable_by_key(|&(p, _)| p);
+            for run in deltas.chunk_by(|a, b| a.0 == b.0) {
+                let p = run[0].0;
+                let net: i64 = run.iter().map(|&(_, d)| d).sum();
+                if net == 0 {
+                    continue;
+                }
+                let stat = stats
+                    .get_mut(&p)
+                    .expect("every window of a touched word was counted or listed above");
+                let old = stat.count;
+                stat.count = old
+                    .checked_add_signed(net)
+                    .expect("a pair is never removed more often than it was counted");
+                // Not indexed yet when the pair is new (`old == 0`).
+                by_count.remove(&(old, Reverse(p)));
+                if stat.count == 0 {
+                    // Gone for good: merges replace symbols, they never
+                    // bring two old ones together.
+                    stats.remove(&p);
+                } else {
+                    by_count.insert((stat.count, Reverse(p)));
+                }
+            }
+            deltas.clear();
+        }
+
+        Self::from_merges(merge_expansions, ranks)
+    }
+
+    /// The trainer [`Bpe::train`] replaced, kept as the reference its tests
+    /// compare against: recounts every pair of every word before each merge
+    /// and rescans every word after it.
+    #[cfg(test)]
+    fn train_reference(text: &str, num_merges: usize) -> Self {
+        use std::collections::HashMap;
+
+        let mut words = word_histogram(text);
+        let mut merge_expansions: Vec<Vec<u8>> = Vec::with_capacity(num_merges);
+        let mut ranks = Ranks::new();
 
         for rank in 0..num_merges {
             // Count adjacent pairs across all words.
-            let mut pair_counts: HashMap<(TokenId, TokenId), u64> = HashMap::new();
+            let mut pair_counts: HashMap<Pair, u64> = HashMap::new();
             for (sym, count) in &words {
                 for w in sym.windows(2) {
                     *pair_counts.entry((w[0], w[1])).or_insert(0) += count;
@@ -107,10 +233,14 @@ impl Bpe {
             }
         }
 
+        Self::from_merges(merge_expansions, ranks)
+    }
+
+    fn from_merges(merge_expansions: Vec<Vec<u8>>, ranks: Ranks) -> Self {
         Bpe {
             vocab: Vocab::new(merge_expansions),
             ranks,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(Memo::new()),
         }
     }
 
@@ -137,13 +267,17 @@ impl Bpe {
     pub fn encode(&self, text: &str) -> Vec<TokenId> {
         let mut out = Vec::new();
         for word in pretokenize(text.as_bytes()) {
-            if let Some(hit) = self.cache.lock().get(word) {
+            // One lock per word, hit or miss.
+            let mut memo = self.cache.lock();
+            if let Some(hit) = memo.get(word) {
                 out.extend_from_slice(hit);
                 continue;
             }
             let ids = self.encode_word(word);
-            self.cache.lock().insert(word.to_vec(), ids.clone());
-            out.extend(ids);
+            out.extend_from_slice(&ids);
+            if memo.len() < MEMO_CAP {
+                memo.insert(word.to_vec(), ids);
+            }
         }
         out
     }
@@ -192,6 +326,50 @@ impl Bpe {
     }
 }
 
+/// Byte expansion of `id` during training, when the merges so far are all
+/// there is of the vocabulary.
+fn expansion_of(id: TokenId, merges: &[Vec<u8>]) -> Vec<u8> {
+    match (id as usize).checked_sub(BYTE_TOKENS) {
+        None => vec![id as u8],
+        Some(m) => merges[m].clone(),
+    }
+}
+
+/// Replaces every non-overlapping occurrence of `pair` in `sym`, scanning
+/// left to right, with `new_id`.
+fn merge_in_place(sym: &mut Vec<TokenId>, pair: Pair, new_id: TokenId) {
+    let (mut read, mut write) = (0, 0);
+    while read < sym.len() {
+        if read + 1 < sym.len() && (sym[read], sym[read + 1]) == pair {
+            sym[write] = new_id;
+            read += 2;
+        } else {
+            sym[write] = sym[read];
+            read += 1;
+        }
+        write += 1;
+    }
+    sym.truncate(write);
+}
+
+/// The distinct pre-tokens of `text` as symbol sequences with how often each
+/// occurs, in ascending order.
+fn word_histogram(text: &str) -> Vec<(Vec<TokenId>, u64)> {
+    // A BTreeMap would need no sort, and takes 3.0 ms on the default corpus
+    // where this takes 1.2.
+    // lint:allow(d3): drained into a Vec and sorted before anything reads it in order
+    let mut word_counts: std::collections::HashMap<&[u8], u64> = Default::default();
+    for word in pretokenize(text.as_bytes()) {
+        *word_counts.entry(word).or_insert(0) += 1;
+    }
+    let mut word_counts: Vec<(&[u8], u64)> = word_counts.into_iter().collect();
+    word_counts.sort_unstable();
+    word_counts
+        .into_iter()
+        .map(|(w, c)| (w.iter().map(|&b| b as TokenId).collect(), c))
+        .collect()
+}
+
 /// Splits bytes into pre-tokens: each pre-token is an optional whitespace run
 /// followed by a maximal non-whitespace run (or a trailing whitespace run).
 fn pretokenize(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
@@ -214,9 +392,18 @@ fn pretokenize(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> Bpe {
         Bpe::train("the cat sat on the mat the cat sat on the mat the theme", 50)
+    }
+
+    /// The learned merges' byte expansions, in rank (= id) order.
+    fn merges(bpe: &Bpe) -> Vec<Vec<u8>> {
+        let vocab = bpe.vocab();
+        (0..vocab.merge_count())
+            .map(|m| vocab.bytes((BYTE_TOKENS + m) as TokenId).to_vec())
+            .collect()
     }
 
     #[test]
@@ -257,8 +444,9 @@ mod tests {
     fn training_is_deterministic() {
         let a = Bpe::train("abc abc abd abd abe", 20);
         let b = Bpe::train("abc abc abd abd abe", 20);
-        assert_eq!(a.vocab().len(), b.vocab().len());
-        assert_eq!(a.encode("abc abd"), b.encode("abc abd"));
+        assert!(a.vocab().merge_count() > 0);
+        assert_eq!(merges(&a), merges(&b));
+        assert_eq!(a.ranks, b.ranks);
     }
 
     #[test]
@@ -290,11 +478,95 @@ mod tests {
     #[test]
     fn default_tokenizer_trains_and_roundtrips() {
         let bpe = Bpe::default_tokenizer();
-        assert!(bpe.vocab().merge_count() > 500);
+        // The default vocabulary, pinned where it is made: every token id,
+        // surrogate distribution and benchmark `output_digest` hangs off
+        // it. The digest (FNV-1a/64 over each merge's bytes and a 0xFF
+        // terminator, in id order) was recorded with the recounting
+        // trainer before the incremental one replaced it.
+        assert_eq!(bpe.vocab().merge_count(), 1144);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for expansion in merges(bpe) {
+            for b in expansion.into_iter().chain([0xFF]) {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, 0xbd46_5237_8689_2247, "default vocabulary drifted");
+
         let text = "retrieval augmented generation with cached context";
         assert_eq!(bpe.decode(&bpe.encode(text)), text);
         // Common corpus words should compress well below byte length.
         assert!(bpe.encode(text).len() < text.len() / 2);
+    }
+
+    #[test]
+    fn incremental_trainer_is_several_times_faster_than_recounting() {
+        // A ratio inside one process, not a wall-clock threshold: both
+        // sides slow down together on a loaded or debug-build host
+        // (measured 10 x in release, 21 x in debug). Best of three for the
+        // fast side, so one preemption cannot fail it.
+        let corpus = CorpusGen::new(0xC0FFEE).training_corpus(400);
+        let timed = |train: fn(&str, usize) -> Bpe| {
+            // lint:allow(d1): times the host on purpose; only the ratio is asserted
+            let start = std::time::Instant::now();
+            let merges = train(&corpus, 1500).vocab().merge_count();
+            (start.elapsed(), merges)
+        };
+        let (reference, expected) = timed(Bpe::train_reference);
+        let incremental = (0..3)
+            .map(|_| {
+                let (elapsed, merges) = timed(Bpe::train);
+                assert_eq!(merges, expected);
+                elapsed
+            })
+            .min()
+            .expect("three runs");
+        assert!(
+            reference >= 3 * incremental,
+            "incremental {incremental:?} vs recounting {reference:?}"
+        );
+    }
+
+    #[test]
+    fn memo_is_bounded_and_never_changes_an_encoding() {
+        let bpe = small();
+        for i in 0..100_000u32 {
+            let word = format!(" w{i}the");
+            assert_eq!(bpe.encode(&word), bpe.encode_word(word.as_bytes()));
+        }
+        assert_eq!(bpe.cache.lock().len(), MEMO_CAP);
+        // A word met after the cap filled is encoded, just not remembered.
+        let late = " w99999the";
+        assert!(!bpe.cache.lock().contains_key(late.as_bytes()));
+        assert_eq!(bpe.decode(&bpe.encode(late)), late);
+    }
+
+    /// Small alphabets, repeated words and runs of one letter: count ties
+    /// at every step, and merges such as `(a, a)` in `aaaa` whose
+    /// occurrences overlap and whose neighbours are the pair itself.
+    fn tie_heavy_corpus() -> impl Strategy<Value = String> {
+        let word = prop_oneof!["[ab]{1,8}", "[abc]{1,8}", "[abcd]{1,10}", "a{2,9}"];
+        proptest::collection::vec((word, 1usize..4), 1..10).prop_map(|words| {
+            let mut text = String::new();
+            for (word, repeats) in words {
+                for _ in 0..repeats {
+                    text.push_str(&word);
+                    text.push(' ');
+                }
+            }
+            text
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn incremental_trainer_matches_recounting(text in tie_heavy_corpus(), budget in 0usize..65) {
+            let new = Bpe::train(&text, budget);
+            let old = Bpe::train_reference(&text, budget);
+            prop_assert_eq!(merges(&new), merges(&old), "merge list for {:?}", text);
+            prop_assert_eq!(&new.ranks, &old.ranks);
+        }
     }
 
     #[test]
