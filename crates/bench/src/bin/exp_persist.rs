@@ -167,7 +167,6 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
             .open_kv_journal(
                 journal,
                 symphony_kvfs::JournalConfig {
-                    flush_every_bytes: 1024,
                     compact_threshold_bytes: threshold,
                 },
             )

@@ -309,7 +309,6 @@ pub fn run_symphony_point_persist(
         seed: cfg.seed,
         default_limits: symphony::Limits::default(),
         telemetry: false,
-        telemetry_capacity: None,
         causal: false,
         faults: symphony::FaultPlan::none(),
         tool_retry: None,

@@ -122,17 +122,6 @@ impl TelemetryOpts {
         }
     }
 
-    /// The metrics snapshot to fold into the report: `snap` when
-    /// `--metrics` was given, `None` otherwise (legacy byte-identical
-    /// report).
-    pub fn report_metrics<'a>(&self, snap: &'a MetricsSnapshot) -> Option<&'a MetricsSnapshot> {
-        if self.metrics {
-            Some(snap)
-        } else {
-            None
-        }
-    }
-
     /// Whether a run's kernel should record telemetry events: only the
     /// designated run, and only when `--trace` asked for an export.
     pub fn record(&self, designated: bool) -> bool {

@@ -1,5 +1,7 @@
-//! The Symphony kernel: process table, event loop, syscall dispatch, the
-//! two-level scheduler, and I/O with KV offload.
+//! The Symphony kernel: event loop, syscall dispatch, the two-level
+//! scheduler, and I/O with KV offload. The process table and a process's
+//! way through it live in [`crate::proc`]; writing the WAL and recovering
+//! from it in [`crate::recovery`].
 //!
 //! # Determinism
 //!
@@ -9,7 +11,7 @@
 //! clock and seeded RNG streams, a whole serving run replays bit-identically
 //! — the integration tests compare the typed telemetry streams of two runs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -29,18 +31,19 @@ use symphony_telemetry::{
 use symphony_tokenizer::Bpe;
 
 use crate::faults::{FaultInjector, FaultPlan, FaultStats, ToolFaultKind};
+use crate::proc::{Proc, ThreadState};
+use crate::recovery::Asked;
 use crate::resilience::{
     AdmissionPolicy, BreakerBank, BreakerPolicy, BreakerVerdict, ResilienceCounters,
     ResilienceStats,
 };
 use crate::sched::{
-    threads_parked_gate, BatchGate, BatchPolicy, Decision, ExecMode, ProgramQueue,
-    QueueDiscipline,
+    threads_parked_gate, BatchGate, BatchPolicy, Decision, ExecMode, ProgramQueue, QueueDiscipline,
 };
-use crate::syscall::{thread_main, Ctx, LipFn, SysReply, Syscall, UpCall};
+use crate::syscall::{Ctx, LipFn, SysReply, Syscall, UpCall};
 use crate::tools::{ToolOutcome, ToolRegistry, ToolSpec};
-use crate::types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SysError, Tid};
-use crate::wal::{self, RecoveryReport, WalConfig, WalError, WalRecord, WalState};
+use crate::types::{ExitStatus, Limits, Pid, ProcessUsage, SysError, Tid};
+use crate::wal::{self, Effect, EffectClass, WalConfig, WalState};
 
 /// A re-constructible program body for crash recovery. Unlike the plain
 /// `FnOnce` closures accepted by [`Kernel::spawn_process`], an image can be
@@ -98,10 +101,6 @@ pub struct KernelConfig {
     /// without it stay byte-identical to the pre-causal format. Only
     /// meaningful together with `telemetry`.
     pub causal: bool,
-    /// Cap on events retained by the telemetry bus; beyond it, emissions
-    /// are dropped and counted under `telemetry.events_dropped`. `None`
-    /// (the default) keeps everything.
-    pub telemetry_capacity: Option<usize>,
     /// Fault-injection plan (all-zero = no faults, no extra RNG draws).
     pub faults: FaultPlan,
     /// Kernel-wide tool retry policy; a [`ToolSpec::with_retry`] overrides
@@ -142,7 +141,6 @@ impl KernelConfig {
             default_limits: Limits::default(),
             telemetry: false,
             causal: false,
-            telemetry_capacity: None,
             faults: FaultPlan::none(),
             tool_retry: None,
             breaker: None,
@@ -175,7 +173,6 @@ impl KernelConfig {
             default_limits: Limits::default(),
             telemetry: false,
             causal: false,
-            telemetry_capacity: None,
             faults: FaultPlan::none(),
             tool_retry: None,
             breaker: None,
@@ -221,7 +218,7 @@ enum LaunchGate {
 }
 
 /// Kernel events on the virtual clock.
-enum Event {
+pub(crate) enum Event {
     /// Deliver a reply once the per-syscall CPU charge has elapsed. The
     /// thread was runnable throughout (counted in `Kernel::on_cpu`).
     Resume(Tid, SysReply),
@@ -244,7 +241,6 @@ enum Event {
     /// arrival fires.
     SpawnProgram {
         pid: Pid,
-        args: String,
         f: LipFn,
         main_tid: Option<Tid>,
     },
@@ -254,72 +250,7 @@ enum Event {
     RequeuePred { pred: PendingPred },
 }
 
-struct ThreadState {
-    pid: Pid,
-    /// Where syscall replies go; `None` once the thread has exited, so a
-    /// finished thread's table entry does not keep its channel allocated.
-    reply_tx: Option<Sender<SysReply>>,
-    handle: Option<crate::lip_pool::JobHandle>,
-    status: Option<ExitStatus>,
-    join_waiters: Vec<Tid>,
-    /// Name of the syscall this thread is currently parked in, for the
-    /// telemetry `sys:*` span (closed when the reply is delivered).
-    open_syscall: Option<&'static str>,
-}
-
-/// Per-process monotone sequence numbers for journalled syscall effects.
-/// Each effectful syscall class draws the next id from its own stream; on
-/// recovery the re-executed program draws the same ids in the same order,
-/// which is how WAL records are matched back to their call sites (and how
-/// tool side-effects are deduplicated).
-#[derive(Debug, Clone, Copy, Default)]
-struct EffectSeqs {
-    tool: u64,
-    send: u64,
-    recv: u64,
-    lookup: u64,
-    now: u64,
-    pred: u64,
-}
-
-struct Proc {
-    main_tid: Tid,
-    args: String,
-    live_threads: u32,
-    /// Undelivered messages: `(sender, payload, sent_at, sender_tid)`. The
-    /// send context feeds the causal IPC edge when a later `recv` pops the
-    /// entry; `sender_tid` 0 marks a mailbox rebuilt from the WAL (the
-    /// pre-crash sender thread is unknown, so no edge is emitted).
-    mailbox: VecDeque<(Pid, String, SimTime, u64)>,
-    /// Threads parked in `recv`, with the effect-sequence id their eventual
-    /// delivery will be journalled under.
-    recv_waiters: VecDeque<(Tid, u64)>,
-    limits: Limits,
-    io_waiting: u32,
-    offloaded: Vec<FileId>,
-    /// When the D2H copies of `offloaded` complete; the restore cannot
-    /// start reading them back earlier.
-    offload_done: SimTime,
-    finished: bool,
-    /// Absolute virtual deadline (spawn time + `Limits::deadline`).
-    deadline_at: Option<SimTime>,
-    /// Deadline already detected (counts once per process).
-    deadline_hit: bool,
-    /// Cancelled from outside ([`Kernel::cancel_process`]): every
-    /// subsequent syscall fails with [`SysError::Cancelled`].
-    cancelled: bool,
-    /// First `pred` completion observed (TTFT recorded).
-    ttft_done: bool,
-    /// Completion time of the last `pred` (inter-token latency).
-    last_pred_done: Option<SimTime>,
-    /// Effect-sequence counters for WAL journalling/replay.
-    seqs: EffectSeqs,
-    /// `true` for processes spawned via the durable API (journalled to the
-    /// WAL and resumable after a crash).
-    durable: bool,
-}
-
-struct PendingPred {
+pub(crate) struct PendingPred {
     tid: Tid,
     req: PredRequest,
     /// Times this request was requeued after KV-pool exhaustion.
@@ -355,7 +286,7 @@ struct PendingPred {
     /// executes: until then it sits out of iterations and is not a
     /// preemption candidate (its transfer was paid for but not yet used).
     ready_at: Option<SimTime>,
-    /// Effect-sequence id for the WAL `PredEffect` record of this call.
+    /// Sequence id the call's completion is journalled under.
     seq: u64,
 }
 
@@ -378,7 +309,7 @@ fn install_quiet_lip_panics() {
 }
 
 /// Kernel-level latency/occupancy metrics in the unified registry.
-struct KernelMetrics {
+pub(crate) struct KernelMetrics {
     /// Virtual time from process spawn to its first `pred` completion.
     ttft_ns: Histogram,
     /// Virtual time between consecutive `pred` completions of a process.
@@ -417,13 +348,13 @@ struct KernelMetrics {
     /// bookkeeping bug (the decrement is clamped; this makes it visible).
     io_waiting_underflow: Counter,
     /// Successful `Kernel::recover` boots.
-    recoveries: Counter,
+    pub(crate) recoveries: Counter,
     /// WAL frames replayed across all recoveries.
-    replayed_frames: Counter,
+    pub(crate) replayed_frames: Counter,
     /// WAL checkpoints written.
-    checkpoints: Counter,
+    pub(crate) checkpoints: Counter,
     /// Durable bytes in the kernel WAL (header + synced frames).
-    wal_bytes: Gauge,
+    pub(crate) wal_bytes: Gauge,
     /// Admission-time static cost hints installed on the scheduler
     /// ([`Kernel::set_cost_hint`]).
     cost_hints: Counter,
@@ -461,18 +392,19 @@ impl KernelMetrics {
     }
 }
 
-/// The Symphony kernel.
+/// The Symphony kernel. `impl Kernel` continues in [`crate::proc`] and
+/// [`crate::recovery`]; the fields those two touch are `pub(crate)`.
 pub struct Kernel {
     // Substrate.
-    store: KvStore,
+    pub(crate) store: KvStore,
     /// Warm-restart report when the store was restored from a journal.
     restored: Option<RestoreReport>,
-    gpu: GpuExecutor,
-    tokenizer: &'static Bpe,
+    pub(crate) gpu: GpuExecutor,
+    pub(crate) tokenizer: &'static Bpe,
     tools: ToolRegistry,
     // Scheduling.
-    events: EventQueue<Event>,
-    ready: VecDeque<(Tid, SysReply)>,
+    pub(crate) events: EventQueue<Event>,
+    pub(crate) ready: VecDeque<(Tid, SysReply)>,
     /// Threads whose reply is in flight for nothing but the per-syscall
     /// CPU charge ([`Event::Resume`]). With `ready` these are the runnable
     /// threads; everyone else is blocked on the GPU, a device or a timer.
@@ -480,7 +412,7 @@ pub struct Kernel {
     /// What `KernelConfig::exec` lowered to.
     preset: LoopPreset,
     /// Waiting `pred`s (FIFO or program-aware MLFQ).
-    cqueue: ProgramQueue<PendingPred>,
+    pub(crate) cqueue: ProgramQueue<PendingPred>,
     /// Sequences admitted to the GPU, carried across iterations until they
     /// finish, fail or are preempted.
     active: Vec<PendingPred>,
@@ -498,52 +430,49 @@ pub struct Kernel {
     pending_batches: IdSlab<Vec<(Tid, SysReply)>>,
     next_batch: u64,
     timer_armed_until: Option<SimTime>,
-    // Processes and threads.
-    threads: IdSlab<ThreadState>,
-    next_tid: u64,
-    procs: IdSlab<Proc>,
-    next_pid: u64,
-    records: IdSlab<ProcessRecord>,
-    names: BTreeMap<String, Pid>,
-    live_threads: usize,
+    // Processes and threads (see `crate::proc`).
+    pub(crate) threads: IdSlab<ThreadState>,
+    pub(crate) next_tid: u64,
+    pub(crate) procs: IdSlab<Proc>,
+    pub(crate) next_pid: u64,
+    pub(crate) names: BTreeMap<String, Pid>,
+    pub(crate) live_threads: usize,
     // Plumbing.
-    up_tx: Sender<UpCall>,
+    pub(crate) up_tx: Sender<UpCall>,
     up_rx: Receiver<UpCall>,
-    rng: Rng,
+    pub(crate) rng: Rng,
     // Telemetry.
-    registry: MetricsRegistry,
-    bus: EventBus,
-    kmetrics: KernelMetrics,
+    pub(crate) registry: MetricsRegistry,
+    pub(crate) bus: EventBus,
+    pub(crate) kmetrics: KernelMetrics,
     // Resilience.
     injector: FaultInjector,
-    breakers: Option<BreakerBank>,
+    pub(crate) breakers: Option<BreakerBank>,
     admission: Option<AdmissionPolicy>,
     tool_retry: Option<RetryPolicy>,
-    res_counters: ResilienceCounters,
+    pub(crate) res_counters: ResilienceCounters,
     // Config extracts.
-    causal: bool,
+    pub(crate) causal: bool,
     syscall_cost: SimDuration,
     offload_on_io_wait: bool,
     offload_min_latency: SimDuration,
-    default_limits: Limits,
+    pub(crate) default_limits: Limits,
     max_batch: usize,
     /// Open incremental KV journal ([`Kernel::open_kv_journal`]): deltas
     /// appended by [`Kernel::persist_kv_delta`], bounded by compaction.
     kv_journal: Option<symphony_kvfs::Journal>,
     // Crash tolerance.
     /// Open write-ahead log (`None` when journalling is disabled).
-    wal: Option<WalState>,
+    pub(crate) wal: Option<WalState>,
     /// Journalled state being replayed after `recover`; consulted by
     /// effectful syscalls to answer from the log instead of re-firing.
-    replay: Option<wal::Replay>,
-    /// Pids spawned through the durable API (their effects are journalled).
-    durable_pids: BTreeSet<u64>,
+    pub(crate) replay: Option<wal::Replay>,
     /// `resume_programs` already ran (it must run at most once).
-    programs_resumed: bool,
+    pub(crate) programs_resumed: bool,
     /// Syscall boundaries crossed (crash-injection kill-points).
     syscall_boundaries: u64,
     /// Set when an injected kernel crash fired; the run loop halts.
-    crashed: Option<u64>,
+    pub(crate) crashed: Option<u64>,
     // Serving.
     /// Streaming upcall sink: invoked synchronously on `emit`/`emit_tokens`
     /// and process exit so a front door (crates/serve) can forward output
@@ -592,39 +521,7 @@ impl Kernel {
         Self::build(config, None)
     }
 
-    /// Boots a kernel from the write-ahead log at `config.wal.path`,
-    /// restoring the virtual clock, pid/tid allocators, circuit-breaker
-    /// state and the durable process table. In-flight durable programs are
-    /// *not* re-executed yet — call [`Kernel::resume_programs`] with their
-    /// program images, then [`Kernel::run`].
-    ///
-    /// The returned report counts candidates: `resumed` is the number of
-    /// in-flight programs awaiting [`Kernel::resume_programs`], `finished`
-    /// the completed ones restored as records, `lost` always zero here
-    /// (images are only resolved at resume time).
-    pub fn recover(config: KernelConfig) -> Result<(Self, RecoveryReport), WalError> {
-        let wal_cfg = config.wal.clone().ok_or(WalError::Disabled)?;
-        let bytes = std::fs::read(&wal_cfg.path).map_err(|_| WalError::Unreadable)?;
-        let (seed, records, valid_len, torn) = wal::read_wal(&bytes)?;
-        if seed != config.seed {
-            return Err(WalError::Incompatible);
-        }
-        let replay = wal::build_replay(records, valid_len, torn);
-        let report = RecoveryReport {
-            resumed: replay.procs.values().filter(|p| p.exit.is_none()).count()
-                + replay.scheduled.len(),
-            finished: replay.procs.values().filter(|p| p.exit.is_some()).count(),
-            lost: 0,
-            frames: replay.frames,
-            wal_bytes: replay.wal_bytes,
-            torn: replay.torn,
-            clock: replay.clock,
-        };
-        let kernel = Self::build(config, Some(replay));
-        Ok((kernel, report))
-    }
-
-    fn build(config: KernelConfig, replay: Option<wal::Replay>) -> Self {
+    pub(crate) fn build(config: KernelConfig, replay: Option<wal::Replay>) -> Self {
         install_quiet_lip_panics();
         let tokenizer = Bpe::default_tokenizer();
         let model = Surrogate::new(config.model, config.model_seed)
@@ -657,7 +554,6 @@ impl Kernel {
             None => KvStore::with_registry(store_config, &registry),
         };
         let (up_tx, up_rx) = unbounded();
-        let wal_config = config.wal.clone();
         let gpu = GpuExecutor::with_registry(config.device, model, &registry);
         let kmetrics = KernelMetrics::register(&registry);
         let ridge = gpu.ridge_tokens();
@@ -713,7 +609,6 @@ impl Kernel {
             next_tid: 1,
             procs: IdSlab::new(),
             next_pid: 1,
-            records: IdSlab::new(),
             names: BTreeMap::new(),
             live_threads: 0,
             up_tx,
@@ -725,7 +620,6 @@ impl Kernel {
                 let dropped = registry.counter("telemetry.events_dropped");
                 if config.telemetry {
                     let mut bus = EventBus::recording();
-                    bus.set_capacity(config.telemetry_capacity);
                     bus.set_drop_counter(dropped);
                     bus
                 } else {
@@ -750,39 +644,12 @@ impl Kernel {
             kv_journal: None,
             wal: None,
             replay: None,
-            durable_pids: BTreeSet::new(),
             programs_resumed: false,
             syscall_boundaries: 0,
             crashed: None,
             session_sink: None,
         };
-        if let Some(r) = replay {
-            // Restore the virtual clock and allocators so re-executed
-            // programs see identical pids, tids (hence RNG streams) and
-            // scheduling decisions.
-            kernel.events.advance_to(r.clock);
-            kernel.next_pid = kernel.next_pid.max(r.next_pid);
-            kernel.next_tid = kernel.next_tid.max(r.next_tid);
-            if let Some(bank) = kernel.breakers.as_mut() {
-                bank.import_states(r.breakers.clone());
-            }
-            kernel.kmetrics.recoveries.inc();
-            kernel.kmetrics.replayed_frames.add(r.frames);
-            if let Some(cfg) = &wal_config {
-                let w = WalState::open_append(cfg, r.wal_bytes, r.clock)
-                    // lint:allow(k1): an unusable WAL at recovery boot is unrecoverable
-                    .expect("reopen kernel WAL");
-                kernel.kmetrics.wal_bytes.set(w.bytes_written as i64);
-                kernel.wal = Some(w);
-            }
-            kernel.replay = Some(r);
-        } else if let Some(cfg) = &wal_config {
-            let w = WalState::create(cfg, config.seed)
-                // lint:allow(k1): WAL creation failing at kernel boot is unrecoverable
-                .expect("create kernel WAL");
-            kernel.kmetrics.wal_bytes.set(w.bytes_written as i64);
-            kernel.wal = Some(w);
-        }
+        kernel.open_wal(config.wal.as_ref(), config.seed, replay);
         kernel
     }
 
@@ -877,7 +744,7 @@ impl Kernel {
             return Ok(false);
         };
         for rec in self.store.take_delta() {
-            journal.append(&rec)?;
+            journal.append(&rec);
         }
         journal.flush()?;
         let mut compacted = false;
@@ -891,49 +758,6 @@ impl Kernel {
         Ok(compacted)
     }
 
-    /// Spawns a LIP immediately (at the current virtual time) with the
-    /// default limits.
-    pub fn spawn_process<F>(&mut self, name: &str, args: &str, f: F) -> Pid
-    where
-        F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
-    {
-        self.spawn_process_with_limits(name, args, self.default_limits, f)
-    }
-
-    /// Spawns a LIP immediately with explicit limits.
-    pub fn spawn_process_with_limits<F>(
-        &mut self,
-        name: &str,
-        args: &str,
-        limits: Limits,
-        f: F,
-    ) -> Pid
-    where
-        F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
-    {
-        let pid = self.alloc_pid(name, self.events.now(), limits);
-        self.start_process(pid, args.to_string(), Box::new(f), None);
-        pid
-    }
-
-    /// Schedules a LIP to arrive at a future virtual time (workload driving).
-    pub fn schedule_process<F>(&mut self, at: SimTime, name: &str, args: &str, f: F) -> Pid
-    where
-        F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
-    {
-        let pid = self.alloc_pid(name, at, self.default_limits);
-        self.events.schedule(
-            at,
-            Event::SpawnProgram {
-                pid,
-                args: args.to_string(),
-                f: Box::new(f),
-                main_tid: None,
-            },
-        );
-        pid
-    }
-
     /// Installs an admission-time static cost hint for a program: the
     /// verifier's upper bound on critical-path pred tokens
     /// ([`EffectSummary::service_estimate`] in `symphony-lipscript`), or
@@ -944,590 +768,6 @@ impl Kernel {
     pub fn set_cost_hint(&mut self, pid: Pid, est_service_tokens: Option<u64>) {
         self.cqueue.set_static_hint(pid.0, est_service_tokens);
         self.kmetrics.cost_hints.inc();
-    }
-
-    // ---- durable (crash-tolerant) process API ---------------------------------
-
-    /// Spawns a durable LIP immediately: its spawn and effectful syscalls
-    /// are journalled to the WAL so [`Kernel::recover`] +
-    /// [`Kernel::resume_programs`] can re-execute it deterministically
-    /// after a crash. The image must be re-invocable; see [`ProgramImage`].
-    pub fn spawn_durable(&mut self, name: &str, args: &str, image: ProgramImage) -> Pid {
-        let pid = self.alloc_pid(name, self.events.now(), self.default_limits);
-        self.mark_durable(pid);
-        let f: LipFn = Box::new(move |ctx| image(ctx));
-        self.start_process(pid, args.to_string(), f, None);
-        pid
-    }
-
-    /// Schedules a durable LIP for a future virtual arrival. The schedule
-    /// itself is journalled — with a main thread id pre-assigned *now*, so
-    /// the program's per-thread RNG stream is identical whether or not a
-    /// crash intervenes before it starts — and a crash before the arrival
-    /// does not drop the program.
-    pub fn schedule_durable(
-        &mut self,
-        at: SimTime,
-        name: &str,
-        args: &str,
-        image: ProgramImage,
-    ) -> Pid {
-        let limits = self.default_limits;
-        let pid = self.alloc_pid(name, at, limits);
-        self.mark_durable(pid);
-        // Pre-assign the main tid: recovery re-admits this program from the
-        // journal and must fork the same per-thread RNG stream.
-        let main_tid = Tid(self.next_tid);
-        self.next_tid += 1;
-        self.wal_append(WalRecord::ProcSched {
-            at: self.events.now(),
-            pid: pid.0,
-            main_tid: main_tid.0,
-            arrival: at,
-            durable: true,
-            name: name.to_string(),
-            args: args.to_string(),
-            limits,
-        });
-        let f: LipFn = Box::new(move |ctx| image(ctx));
-        self.events.schedule(
-            at,
-            Event::SpawnProgram {
-                pid,
-                args: args.to_string(),
-                f,
-                main_tid: Some(main_tid),
-            },
-        );
-        pid
-    }
-
-    fn mark_durable(&mut self, pid: Pid) {
-        if let Some(p) = self.procs.get_mut(pid.0) {
-            p.durable = true;
-        }
-        self.durable_pids.insert(pid.0);
-    }
-
-    fn alloc_pid(&mut self, name: &str, spawned_at: SimTime, limits: Limits) -> Pid {
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        self.records.insert(
-            pid.0,
-            ProcessRecord {
-                pid,
-                name: name.to_string(),
-                spawned_at,
-                exited_at: None,
-                status: ExitStatus::Ok,
-                output: String::new(),
-                usage: ProcessUsage::default(),
-            },
-        );
-        self.names.insert(name.to_string(), pid);
-        if let Some(q) = limits.kv_quota_pages {
-            self.store.set_quota(OwnerId(pid.0), Some(q));
-        }
-        let deadline_at = limits.deadline.map(|d| spawned_at + d);
-        if let Some(t) = deadline_at {
-            self.events.schedule(t, Event::DeadlineCheck { pid });
-        }
-        self.procs.insert(
-            pid.0,
-            Proc {
-                main_tid: Tid(0),
-                args: String::new(),
-                live_threads: 0,
-                mailbox: VecDeque::new(),
-                recv_waiters: VecDeque::new(),
-                limits,
-                io_waiting: 0,
-                offloaded: Vec::new(),
-                offload_done: SimTime::ZERO,
-                finished: false,
-                deadline_at,
-                deadline_hit: false,
-                cancelled: false,
-                ttft_done: false,
-                last_pred_done: None,
-                seqs: EffectSeqs::default(),
-                durable: false,
-            },
-        );
-        pid
-    }
-
-    fn start_process(&mut self, pid: Pid, args: String, f: LipFn, forced_tid: Option<Tid>) {
-        // `spawn` just inserted the record; a miss would mean the caller
-        // passed a foreign pid. Degrade to a no-op instead of panicking.
-        let Some(proc) = self.procs.get_mut(pid.0) else {
-            debug_assert!(false, "start_process: unknown pid {}", pid.0);
-            return;
-        };
-        proc.args = args.clone();
-        if self.bus.is_enabled() {
-            let name = self.records[pid.0].name.clone();
-            let at = self.events.now();
-            self.bus
-                .emit(at, move || EventKind::ProcessSpawn { pid: pid.0, name });
-        }
-        let tid = match forced_tid {
-            Some(t) => self.spawn_thread_with_tid(t, pid, args, f),
-            None => self.spawn_thread(pid, args, f),
-        };
-        if let Some(proc) = self.procs.get_mut(pid.0) {
-            proc.main_tid = tid;
-        }
-        // Journal durable spawns, except re-executions of already-journalled
-        // programs during recovery (their spawn frame is already durable).
-        let journal_spawn = self.durable_pids.contains(&pid.0)
-            && !self
-                .replay
-                .as_ref()
-                .is_some_and(|r| r.procs.contains_key(&pid.0));
-        if journal_spawn {
-            let (name, limits) = {
-                let rec = &self.records[pid.0];
-                let limits = self
-                    .procs
-                    .get(pid.0)
-                    .map(|p| p.limits)
-                    .unwrap_or(self.default_limits);
-                (rec.name.clone(), limits)
-            };
-            let args = self
-                .procs
-                .get(pid.0)
-                .map(|p| p.args.clone())
-                .unwrap_or_default();
-            self.wal_append(WalRecord::ProcSpawn {
-                at: self.events.now(),
-                pid: pid.0,
-                main_tid: tid.0,
-                durable: true,
-                name,
-                args,
-                limits,
-            });
-        }
-    }
-
-    fn spawn_thread(&mut self, pid: Pid, args: String, f: LipFn) -> Tid {
-        let tid = Tid(self.next_tid);
-        self.next_tid += 1;
-        self.spawn_thread_with_tid(tid, pid, args, f)
-    }
-
-    /// Spawns the LIP thread under a pre-assigned tid (recovery re-admission
-    /// and journalled schedules, where tid identity pins the RNG stream).
-    fn spawn_thread_with_tid(&mut self, tid: Tid, pid: Pid, args: String, f: LipFn) -> Tid {
-        let (reply_tx, reply_rx) = unbounded();
-        let ctx = Ctx::new(
-            tid,
-            pid,
-            args,
-            self.up_tx.clone(),
-            reply_rx,
-            self.rng.fork(tid.0),
-            self.tokenizer.specials(),
-        );
-        let handle = crate::lip_pool::spawn_lip(Box::new(move || thread_main(ctx, f)));
-        self.threads.insert(
-            tid.0,
-            ThreadState {
-                pid,
-                reply_tx: Some(reply_tx),
-                handle: Some(handle),
-                status: None,
-                join_waiters: Vec::new(),
-                open_syscall: None,
-            },
-        );
-        let at = self.events.now();
-        self.bus.emit(at, || EventKind::ThreadSpawn {
-            pid: pid.0,
-            tid: tid.0,
-        });
-        if let Some(proc) = self.procs.get_mut(pid.0) {
-            proc.live_threads += 1;
-        }
-        if let Some(r) = self.records.get_mut(pid.0) {
-            r.usage.threads_spawned += 1;
-        }
-        self.live_threads += 1;
-        self.ready.push_back((tid, SysReply::Start));
-        tid
-    }
-
-    // ---- recovery --------------------------------------------------------------
-
-    /// Re-admits journalled programs after [`Kernel::recover`]. `resolve`
-    /// maps a program name to its image: unfinished programs re-execute
-    /// deterministically from their start (journalled effects answer their
-    /// syscalls up to the crash point), finished programs are restored as
-    /// records without re-execution, and unresolvable programs are recorded
-    /// as crashed. Returns the final recovery report; a second call (or a
-    /// call on a non-recovered kernel) is a no-op reporting zeros.
-    pub fn resume_programs<F>(&mut self, resolve: F) -> RecoveryReport
-    where
-        F: Fn(&str) -> Option<ProgramImage>,
-    {
-        let empty = RecoveryReport {
-            resumed: 0,
-            finished: 0,
-            lost: 0,
-            frames: 0,
-            wal_bytes: 0,
-            torn: false,
-            clock: self.events.now(),
-        };
-        if self.programs_resumed {
-            return empty;
-        }
-        let Some(replay) = self.replay.as_ref() else {
-            return empty;
-        };
-        self.programs_resumed = true;
-        let procs: Vec<(u64, wal::ReplayProc)> =
-            replay.procs.iter().map(|(k, v)| (*k, v.clone())).collect();
-        let scheduled: Vec<(u64, wal::ReplaySched)> = replay
-            .scheduled
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        let sends = replay.sends.clone();
-        let mut to_skip = replay.recv_counts();
-        let (frames, wal_bytes, torn, clock) =
-            (replay.frames, replay.wal_bytes, replay.torn, replay.clock);
-        let (mut resumed, mut finished, mut lost) = (0, 0, 0);
-        for (pid, rp) in &procs {
-            match &rp.exit {
-                Some(exit) => {
-                    self.restore_finished(*pid, rp, exit);
-                    finished += 1;
-                }
-                None => match resolve(&rp.name) {
-                    Some(image) => {
-                        self.readmit(*pid, rp, image);
-                        resumed += 1;
-                    }
-                    None => {
-                        self.restore_lost(*pid, &rp.name, rp.spawned_at);
-                        lost += 1;
-                    }
-                },
-            }
-        }
-        for (pid, rs) in &scheduled {
-            match resolve(&rs.name) {
-                Some(image) => {
-                    self.reschedule(*pid, rs, image);
-                    resumed += 1;
-                }
-                None => {
-                    self.restore_lost(*pid, &rs.name, rs.arrival);
-                    lost += 1;
-                }
-            }
-        }
-        // Rebuild mailboxes: delivered sends in journal order, minus the
-        // prefix each receiver already consumed (journalled recvs replay
-        // from the log, not from the mailbox).
-        for s in sends {
-            if !s.delivered {
-                continue;
-            }
-            if let Some(n) = to_skip.get_mut(&s.to) {
-                if *n > 0 {
-                    *n -= 1;
-                    continue;
-                }
-            }
-            if let Some(p) = self.procs.get_mut(s.to) {
-                p.mailbox.push_back((Pid(s.from), s.data, SimTime::ZERO, 0));
-            }
-        }
-        let at = self.events.now();
-        let resumed_u = resumed as u64;
-        self.bus.emit(at, move || EventKind::KernelRecovery {
-            resumed: resumed_u,
-            replayed_frames: frames,
-        });
-        RecoveryReport {
-            resumed,
-            finished,
-            lost,
-            frames,
-            wal_bytes,
-            torn,
-            clock,
-        }
-    }
-
-    /// Restores a journalled, completed process as a record (no
-    /// re-execution; its outputs are already durable).
-    fn restore_finished(&mut self, pid: u64, rp: &wal::ReplayProc, exit: &wal::ReplayExit) {
-        self.records.insert(
-            pid,
-            ProcessRecord {
-                pid: Pid(pid),
-                name: rp.name.clone(),
-                spawned_at: rp.spawned_at,
-                exited_at: Some(exit.at),
-                status: exit.status.clone(),
-                output: exit.output.clone(),
-                usage: exit.usage,
-            },
-        );
-        self.names.insert(rp.name.clone(), Pid(pid));
-        self.durable_pids.insert(pid);
-    }
-
-    /// Records an unfinished program whose image could not be resolved.
-    fn restore_lost(&mut self, pid: u64, name: &str, spawned_at: SimTime) {
-        self.records.insert(
-            pid,
-            ProcessRecord {
-                pid: Pid(pid),
-                name: name.to_string(),
-                spawned_at,
-                exited_at: Some(self.events.now()),
-                status: ExitStatus::Crashed,
-                output: String::new(),
-                usage: ProcessUsage::default(),
-            },
-        );
-        self.names.insert(name.to_string(), Pid(pid));
-    }
-
-    /// Re-admits one unfinished program under its original pid and main
-    /// tid, so re-execution draws the same RNG stream and allocates the
-    /// same identifiers as the pre-crash run.
-    fn readmit(&mut self, pid: u64, rp: &wal::ReplayProc, image: ProgramImage) {
-        self.records.insert(
-            pid,
-            ProcessRecord {
-                pid: Pid(pid),
-                name: rp.name.clone(),
-                spawned_at: rp.spawned_at,
-                exited_at: None,
-                status: ExitStatus::Ok,
-                output: String::new(),
-                usage: ProcessUsage::default(),
-            },
-        );
-        self.names.insert(rp.name.clone(), Pid(pid));
-        if let Some(q) = rp.limits.kv_quota_pages {
-            self.store.set_quota(OwnerId(pid), Some(q));
-        }
-        let deadline_at = rp.limits.deadline.map(|d| rp.spawned_at + d);
-        if let Some(t) = deadline_at {
-            self.events.schedule(
-                t.max(self.events.now()),
-                Event::DeadlineCheck { pid: Pid(pid) },
-            );
-        }
-        self.procs.insert(
-            pid,
-            Proc {
-                main_tid: Tid(rp.main_tid),
-                args: rp.args.clone(),
-                live_threads: 0,
-                mailbox: VecDeque::new(),
-                recv_waiters: VecDeque::new(),
-                limits: rp.limits,
-                io_waiting: 0,
-                offloaded: Vec::new(),
-                offload_done: SimTime::ZERO,
-                finished: false,
-                deadline_at,
-                deadline_hit: false,
-                cancelled: false,
-                ttft_done: false,
-                last_pred_done: None,
-                seqs: EffectSeqs::default(),
-                durable: rp.durable,
-            },
-        );
-        self.durable_pids.insert(pid);
-        if self.bus.is_enabled() {
-            let name = rp.name.clone();
-            let at = self.events.now();
-            self.bus
-                .emit(at, move || EventKind::ProcessSpawn { pid, name });
-        }
-        let f: LipFn = Box::new(move |ctx| image(ctx));
-        self.spawn_thread_with_tid(Tid(rp.main_tid), Pid(pid), rp.args.clone(), f);
-    }
-
-    /// Re-schedules a journalled future arrival that had not started by the
-    /// crash. Arrivals already in the past fire at the restored clock.
-    fn reschedule(&mut self, pid: u64, rs: &wal::ReplaySched, image: ProgramImage) {
-        let arrival = rs.arrival.max(self.events.now());
-        self.records.insert(
-            pid,
-            ProcessRecord {
-                pid: Pid(pid),
-                name: rs.name.clone(),
-                spawned_at: rs.arrival,
-                exited_at: None,
-                status: ExitStatus::Ok,
-                output: String::new(),
-                usage: ProcessUsage::default(),
-            },
-        );
-        self.names.insert(rs.name.clone(), Pid(pid));
-        if let Some(q) = rs.limits.kv_quota_pages {
-            self.store.set_quota(OwnerId(pid), Some(q));
-        }
-        let deadline_at = rs.limits.deadline.map(|d| rs.arrival + d);
-        if let Some(t) = deadline_at {
-            self.events
-                .schedule(t.max(arrival), Event::DeadlineCheck { pid: Pid(pid) });
-        }
-        self.procs.insert(
-            pid,
-            Proc {
-                main_tid: Tid(0),
-                args: String::new(),
-                live_threads: 0,
-                mailbox: VecDeque::new(),
-                recv_waiters: VecDeque::new(),
-                limits: rs.limits,
-                io_waiting: 0,
-                offloaded: Vec::new(),
-                offload_done: SimTime::ZERO,
-                finished: false,
-                deadline_at,
-                deadline_hit: false,
-                cancelled: false,
-                ttft_done: false,
-                last_pred_done: None,
-                seqs: EffectSeqs::default(),
-                durable: rs.durable,
-            },
-        );
-        self.durable_pids.insert(pid);
-        let args = rs.args.clone();
-        let f: LipFn = Box::new(move |ctx| image(ctx));
-        self.events.schedule(
-            arrival,
-            Event::SpawnProgram {
-                pid: Pid(pid),
-                args,
-                f,
-                main_tid: Some(Tid(rs.main_tid)),
-            },
-        );
-    }
-
-    // ---- WAL plumbing ----------------------------------------------------------
-
-    /// Appends one synchronous frame (no-op when the WAL is disabled).
-    fn wal_append(&mut self, rec: WalRecord) {
-        let Some(w) = self.wal.as_mut() else {
-            return;
-        };
-        w.append_sync(&rec)
-            // lint:allow(k1): a failed WAL write silently voids durability
-            .expect("kernel WAL append");
-        self.kmetrics.wal_bytes.set(w.bytes_written as i64);
-    }
-
-    /// Buffers a pred marker frame for the next checkpoint (no-op when the
-    /// WAL is disabled).
-    fn wal_buffer_pred(&mut self, rec: WalRecord) {
-        if let Some(w) = self.wal.as_mut() {
-            w.buffer_pred(&rec);
-        }
-    }
-
-    /// Writes a checkpoint frame (flushing buffered pred frames) when the
-    /// virtual clock has passed the next checkpoint boundary.
-    fn maybe_checkpoint(&mut self) {
-        let now = self.events.now();
-        if self.wal.as_ref().is_none_or(|w| now < w.next_checkpoint_at) {
-            return;
-        }
-        let breakers = self
-            .breakers
-            .as_ref()
-            .map(|b| b.export_states())
-            .unwrap_or_default();
-        let rec = WalRecord::Checkpoint {
-            at: now,
-            next_pid: self.next_pid,
-            next_tid: self.next_tid,
-            breakers,
-        };
-        let Some(w) = self.wal.as_mut() else {
-            return;
-        };
-        let frames = w
-            .checkpoint(&rec)
-            // lint:allow(k1): a failed WAL write silently voids durability
-            .expect("kernel WAL checkpoint");
-        while w.next_checkpoint_at <= now {
-            w.next_checkpoint_at += w.checkpoint_every;
-        }
-        let wal_bytes = w.bytes_written;
-        self.kmetrics.checkpoints.inc();
-        self.kmetrics.wal_bytes.set(wal_bytes as i64);
-        self.bus
-            .emit(now, move || EventKind::WalCheckpoint { frames, wal_bytes });
-    }
-
-    /// An injected kernel crash: halt the run loop, dropping buffered
-    /// (unflushed) pred frames exactly as a real crash would.
-    fn crash_now(&mut self, boundary: u64) {
-        let at = self.events.now();
-        self.bus
-            .emit(at, move || EventKind::KernelCrash { boundary });
-        if let Some(w) = self.wal.as_mut() {
-            w.pred_buf.clear();
-            w.buffered_frames = 0;
-        }
-        self.crashed = Some(boundary);
-    }
-
-    /// `true` when `pid`'s effectful syscalls are journalled.
-    fn is_durable(&self, pid: Pid) -> bool {
-        self.procs.get(pid.0).is_some_and(|p| p.durable)
-    }
-
-    /// Answers a replayed `pred`: rebuilds the KV entries it appended
-    /// pre-crash, so later live `pred`s against the same file see identical
-    /// contents, and re-derives its reply along the fingerprint chain the
-    /// GPU executor walked. Charges no GPU time (the work was already paid
-    /// for before the crash). `None` if the file state does not admit the
-    /// append (the caller then falls back to live execution).
-    fn replay_pred(
-        &mut self,
-        file: FileId,
-        owner: OwnerId,
-        tokens: &[(TokenId, u32)],
-    ) -> Option<Vec<symphony_model::Dist>> {
-        let model = self.gpu.model();
-        let fpr = model.fingerprinter();
-        let mut fp = self
-            .store
-            .tail_fingerprint(file)
-            .ok()?
-            .unwrap_or_else(|| fpr.origin());
-        let (entries, dists) = tokens
-            .iter()
-            .map(|&(t, p)| {
-                fp = fpr.advance(fp, t, p);
-                (symphony_kvfs::KvEntry::new(t, p, fp), model.next_dist(fp))
-            })
-            .unzip::<_, _, Vec<_>, Vec<_>>();
-        self.store.append(file, owner, &entries).ok()?;
-        Some(dists)
-    }
-
-    /// The kill-point that halted this kernel, when an injected crash fired.
-    pub fn crashed(&self) -> Option<u64> {
-        self.crashed
     }
 
     /// Syscall boundaries crossed so far — the kill-point space the
@@ -1544,13 +784,6 @@ impl Kernel {
         self.tools.invocations()
     }
 
-    /// WAL frames replayed by `recover` across this kernel's lifetime.
-    pub fn replayed_frames(&self) -> u64 {
-        self.registry
-            .counter_value("kernel.replayed_frames")
-            .unwrap_or(0)
-    }
-
     // ---- introspection ----------------------------------------------------------
 
     /// Current virtual time.
@@ -1563,16 +796,6 @@ impl Kernel {
     /// `core.events_per_s` row.
     pub fn events_processed(&self) -> u64 {
         self.events.events_processed()
-    }
-
-    /// The record for a process (live, or exited and not yet reaped).
-    pub fn record(&self, pid: Pid) -> Option<&ProcessRecord> {
-        self.records.get(pid.0)
-    }
-
-    /// All process records, in PID order.
-    pub fn records(&self) -> impl Iterator<Item = &ProcessRecord> {
-        self.records.values()
     }
 
     /// GPU executor metrics.
@@ -1663,8 +886,8 @@ impl Kernel {
         export_chrome_trace_with_flows(self.bus.events())
     }
 
-    /// Telemetry events discarded by the bus capacity cap
-    /// ([`KernelConfig::telemetry_capacity`]); 0 while unbounded.
+    /// Telemetry events the bus discarded. The kernel's bus is unbounded,
+    /// so this stays 0; goldens assert it to catch a bus that ever drops.
     pub fn events_dropped(&self) -> u64 {
         self.bus.dropped()
     }
@@ -1697,11 +920,7 @@ impl Kernel {
     /// [`Kernel::live_threads`] is non-zero afterwards, the remaining threads
     /// are deadlocked (e.g. blocked in `recv_msg` with no sender).
     pub fn run(&mut self) -> usize {
-        let before: usize = self
-            .records
-            .values()
-            .filter(|r| r.exited_at.is_some())
-            .count();
+        let before = self.records().filter(|r| r.exited_at.is_some()).count();
         // lint:allow(d1): sim.events_per_sec measures real host throughput — the gauge is observation-only and is never read back into simulation state
         let wall_start = std::time::Instant::now();
         let events_before = self.events.events_processed();
@@ -1732,12 +951,7 @@ impl Kernel {
                 .events_per_sec
                 .set((processed as f64 / secs) as i64);
         }
-        let after: usize = self
-            .records
-            .values()
-            .filter(|r| r.exited_at.is_some())
-            .count();
-        after - before
+        self.records().filter(|r| r.exited_at.is_some()).count() - before
     }
 
     fn resume(&mut self, tid: Tid, reply: SysReply) {
@@ -1800,22 +1014,18 @@ impl Kernel {
                     // Token-latency metrics: a delivered distribution is a
                     // decoded token from the process's point of view.
                     if matches!(reply, SysReply::Dists(_)) {
-                        if let Some(ts) = self.threads.get(tid.0) {
-                            let pid = ts.pid;
-                            let spawned_at = self.records.get(pid.0).map(|r| r.spawned_at);
-                            if let (Some(proc), Some(spawned_at)) =
-                                (self.procs.get_mut(pid.0), spawned_at)
-                            {
-                                if !proc.ttft_done {
-                                    proc.ttft_done = true;
-                                    self.kmetrics.ttft_ns.observe((now - spawned_at).as_nanos());
-                                } else if let Some(prev) = proc.last_pred_done {
-                                    self.kmetrics
-                                        .inter_token_ns
-                                        .observe((now - prev).as_nanos());
-                                }
-                                proc.last_pred_done = Some(now);
+                        let pid = self.threads.get(tid.0).map(|ts| ts.pid.0);
+                        if let Some(proc) = pid.and_then(|pid| self.procs.get_mut(pid)) {
+                            if !proc.ttft_done {
+                                proc.ttft_done = true;
+                                let ttft = now - proc.record.spawned_at;
+                                self.kmetrics.ttft_ns.observe(ttft.as_nanos());
+                            } else if let Some(prev) = proc.last_pred_done {
+                                self.kmetrics
+                                    .inter_token_ns
+                                    .observe((now - prev).as_nanos());
                             }
+                            proc.last_pred_done = Some(now);
                         }
                     }
                     self.ready.push_back((tid, reply));
@@ -1829,13 +1039,8 @@ impl Kernel {
             Event::BatchTimer => {
                 self.timer_armed_until = None;
             }
-            Event::SpawnProgram {
-                pid,
-                args,
-                f,
-                main_tid,
-            } => {
-                self.start_process(pid, args, f, main_tid);
+            Event::SpawnProgram { pid, f, main_tid } => {
+                self.start(pid, main_tid, f);
             }
             Event::DeadlineCheck { pid } => self.enforce_deadline(pid),
             Event::RequeuePred { pred } => self.pool_pred(pred),
@@ -1857,89 +1062,9 @@ impl Kernel {
         self.bus.emit(at, f);
     }
 
-    /// Forgets every process that has exited: its record, its name and its
-    /// process- and thread-table entries (a thread's reply channel is
-    /// already gone, dropped when it exited). Returns how many were
-    /// dropped. The kernel keeps finished processes so callers can read
-    /// [`Kernel::record`] after a run; a server that stays up calls this
-    /// once their outcomes are reported, or the tables grow with every
-    /// program ever served.
-    pub fn reap_exited(&mut self) -> usize {
-        // Ascending pid order, which the thread sweep's search relies on.
-        let exited: Vec<u64> = self
-            .records
-            .iter()
-            .filter(|(_, r)| r.exited_at.is_some())
-            .map(|(pid, _)| pid)
-            .collect();
-        for &pid in &exited {
-            if let Some(rec) = self.records.remove(pid) {
-                if self.names.get(&rec.name) == Some(&rec.pid) {
-                    self.names.remove(&rec.name);
-                }
-            }
-            self.procs.remove(pid);
-        }
-        let tids: Vec<u64> = self
-            .threads
-            .iter()
-            .filter(|(_, t)| exited.binary_search(&t.pid.0).is_ok())
-            .map(|(tid, _)| tid)
-            .collect();
-        for tid in tids {
-            self.threads.remove(tid);
-        }
-        exited.len()
-    }
-
-    /// Cancels a running process from outside (session teardown at the
-    /// serving layer). Mirrors deadline enforcement: threads blocked in
-    /// `recv_msg` are woken with [`SysError::Cancelled`], and every
-    /// subsequent syscall from any of the process's threads fails with the
-    /// same error, driving the program to a prompt, typed exit. Returns
-    /// `false` if the pid is unknown or already finished.
-    pub fn cancel_process(&mut self, pid: Pid) -> bool {
-        let Some(proc) = self.procs.get_mut(pid.0) else {
-            return false;
-        };
-        if proc.finished || proc.cancelled {
-            return false;
-        }
-        proc.cancelled = true;
-        let waiters = std::mem::take(&mut proc.recv_waiters);
-        for (w, _seq) in waiters {
-            self.complete(w, SysReply::Err(SysError::Cancelled));
-        }
-        true
-    }
-
-    fn notify_session(&mut self, ev: SessionEvent) {
+    pub(crate) fn notify_session(&mut self, ev: SessionEvent) {
         if let Some(sink) = self.session_sink.as_mut() {
             sink(ev);
-        }
-    }
-
-    /// Fires when a process's deadline passes: mark it, and fail its
-    /// threads blocked in `recv_msg` (other blocked threads — pooled
-    /// `pred`s, in-flight I/O, sleeps — already have completions scheduled
-    /// and hit the syscall-entry deadline check on their next call).
-    fn enforce_deadline(&mut self, pid: Pid) {
-        let Some(proc) = self.procs.get_mut(pid.0) else {
-            return;
-        };
-        if proc.finished {
-            return;
-        }
-        let first_hit = !proc.deadline_hit;
-        proc.deadline_hit = true;
-        let waiters = std::mem::take(&mut proc.recv_waiters);
-        if first_hit {
-            self.res_counters.deadline_kills.inc();
-            let at = self.events.now();
-            self.bus.emit(at, || EventKind::DeadlineHit { pid: pid.0 });
-        }
-        for (w, _seq) in waiters {
-            self.complete(w, SysReply::Err(SysError::DeadlineExceeded));
         }
     }
 
@@ -2427,14 +1552,8 @@ impl Kernel {
                     let (cpid, ccrit, cseq, ctid) = (s.pid, s.critical, s.seq, s.tid);
                     if s.done == total {
                         let dists = std::mem::take(&mut s.dists);
-                        if self.is_durable(cpid) {
-                            self.wal_buffer_pred(WalRecord::PredEffect {
-                                at: now,
-                                pid: cpid.0,
-                                seq: cseq,
-                                n_tokens: total as u32,
-                            });
-                        }
+                        let n_tokens = total as u32;
+                        self.journal(cpid, None, cseq, || Effect::Pred { n_tokens });
                         replies.push((i, ctid, SysReply::Dists(dists)));
                         retire.push(i);
                     }
@@ -2539,23 +1658,10 @@ impl Kernel {
 
     /// Schedules a reply after the per-syscall CPU charge; the thread
     /// stays runnable until it is delivered.
-    fn complete(&mut self, tid: Tid, reply: SysReply) {
+    pub(crate) fn complete(&mut self, tid: Tid, reply: SysReply) {
         let at = self.events.now() + self.syscall_cost;
         self.on_cpu += 1;
         self.events.schedule(at, Event::Resume(tid, reply));
-    }
-
-    /// Marks a syscall answered from the WAL effect journal during recovery
-    /// replay (causal mode only) — the recovery-replay phase bucket.
-    fn note_replay_hit(&mut self, pid: Pid, tid: Tid, sys: &'static str) {
-        if self.causal {
-            let at = self.events.now();
-            self.bus.emit(at, || EventKind::ReplayAnswered {
-                pid: pid.0,
-                tid: tid.0,
-                sys,
-            });
-        }
     }
 
     fn owner_of(&self, tid: Tid) -> Option<(Pid, OwnerId)> {
@@ -2606,21 +1712,17 @@ impl Kernel {
         }
 
         // Global syscall accounting and limit.
-        let (syscalls_so_far, max_syscalls) = {
-            let rec = sys!(self.records.get_mut(pid.0), "process record missing");
-            rec.usage.syscalls += 1;
-            (rec.usage.syscalls, self.procs[pid.0].limits.max_syscalls)
-        };
-        if let Some(max) = max_syscalls {
-            if syscalls_so_far > max {
+        let proc = sys!(self.procs.get_mut(pid.0), "process missing");
+        proc.record.usage.syscalls += 1;
+        if let Some(max) = proc.limits.max_syscalls {
+            if proc.record.usage.syscalls > max {
                 self.complete(tid, SysReply::Err(SysError::LimitExceeded("syscalls")));
                 return;
             }
         }
         // Wall-clock deadline: once past it, every syscall fails.
-        if let Some(t) = self.procs[pid.0].deadline_at {
-            if self.events.now() >= t {
-                let proc = sys!(self.procs.get_mut(pid.0), "process missing");
+        if let Some(t) = proc.deadline_at {
+            if sys_at >= t {
                 if !proc.deadline_hit {
                     proc.deadline_hit = true;
                     self.res_counters.deadline_kills.inc();
@@ -2632,7 +1734,7 @@ impl Kernel {
             }
         }
         // Cancellation: like a deadline hit, once set every syscall fails.
-        if self.procs[pid.0].cancelled {
+        if proc.cancelled {
             self.complete(tid, SysReply::Err(SysError::Cancelled));
             return;
         }
@@ -2664,12 +1766,11 @@ impl Kernel {
                         return;
                     }
                 }
-                let limit = self.procs[pid.0].limits.max_pred_tokens;
-                let rec = sys!(self.records.get_mut(pid.0), "process record missing");
-                rec.usage.pred_calls += 1;
-                rec.usage.pred_tokens += tokens.len() as u64;
-                if let Some(max) = limit {
-                    if rec.usage.pred_tokens > max {
+                let usage = &mut proc.record.usage;
+                usage.pred_calls += 1;
+                usage.pred_tokens += tokens.len() as u64;
+                if let Some(max) = proc.limits.max_pred_tokens {
+                    if usage.pred_tokens > max {
                         self.complete(tid, SysReply::Err(SysError::LimitExceeded("pred_tokens")));
                         return;
                     }
@@ -2681,31 +1782,17 @@ impl Kernel {
                     tokens: n_tokens,
                     pool,
                 });
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.pred;
-                    p.seqs.pred += 1;
-                    s
-                };
+                let critical = proc.main_tid == tid;
                 // Recovery replay: a pred whose completion was durable at
-                // the crash is answered without charging GPU time — its KV
-                // append is rebuilt and the distributions re-derived from
-                // the same fingerprint chain.
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.preds.get(&(pid.0, seq)))
-                        .is_some_and(|&n| n as usize == tokens.len());
-                    if hit {
-                        if let Some(dists) = self.replay_pred(kv, owner, &tokens) {
-                            self.note_replay_hit(pid, tid, sys_name);
-                            self.complete(tid, SysReply::Dists(dists));
-                            return;
-                        }
-                    }
+                // the crash is answered without charging GPU time.
+                let seq = proc.next_seq(EffectClass::Pred);
+                let asked = Asked::Pred {
+                    kv,
+                    tokens: &tokens,
+                };
+                if self.answer_from_journal(pid, tid, seq, asked) {
+                    return;
                 }
-                let critical = self.procs[pid.0].main_tid == tid;
                 let pending = PendingPred {
                     tid,
                     req: PredRequest {
@@ -2875,16 +1962,13 @@ impl Kernel {
                 self.events.schedule(at, Event::Wake(tid, SysReply::Unit));
             }
             Syscall::Spawn { f } => {
-                let proc = &self.procs[pid.0];
                 if let Some(max) = proc.limits.max_threads {
                     if proc.live_threads >= max {
                         self.complete(tid, SysReply::Err(SysError::LimitExceeded("threads")));
                         return;
                     }
                 }
-                // Sibling threads inherit the process's args string.
-                let args = self.procs[pid.0].args.clone();
-                let new_tid = self.spawn_thread(pid, args, f);
+                let new_tid = sys!(self.start(pid, None, f), "process missing");
                 if self.causal {
                     self.bus.emit(sys_at, || EventKind::CausalEdge {
                         edge: EdgeKind::Spawn,
@@ -2908,9 +1992,8 @@ impl Kernel {
                 },
             },
             Syscall::CallTool { name, args } => {
-                let proc = sys!(self.procs.get_mut(pid.0), "process missing");
                 if let Some(max) = proc.limits.max_tool_calls {
-                    if self.records[pid.0].usage.tool_calls >= max {
+                    if proc.record.usage.tool_calls >= max {
                         self.complete(tid, SysReply::Err(SysError::LimitExceeded("tool_calls")));
                         return;
                     }
@@ -2921,47 +2004,16 @@ impl Kernel {
                     self.complete(tid, SysReply::Err(SysError::NoSuchTool(name)));
                     return;
                 }
-                sys!(self.records.get_mut(pid.0), "process record missing")
-                    .usage
-                    .tool_calls += 1;
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.tool;
-                    p.seqs.tool += 1;
-                    s
-                };
-                let now = self.events.now();
+                proc.record.usage.tool_calls += 1;
+                let timeout = proc.limits.tool_timeout;
                 // Recovery replay: a journalled outcome answers without
                 // re-invoking the handler — the side-effect already happened
-                // pre-crash, and firing it again would double it. The
-                // breaker re-learns the outcome (post-checkpoint reports
-                // were lost with the crash) unless the journalled result
-                // was itself a breaker rejection.
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.tools.get(&(pid.0, seq)))
-                        .cloned();
-                    if let Some(rec) = hit {
-                        if !matches!(rec.result, Err(SysError::Unavailable)) {
-                            if let Some(bank) = self.breakers.as_mut() {
-                                bank.report(
-                                    &name,
-                                    rec.result.is_ok(),
-                                    now + SimDuration::from_nanos(rec.latency_ns),
-                                );
-                            }
-                        }
-                        let reply = match rec.result {
-                            Ok(s) => SysReply::Text(s),
-                            Err(e) => SysReply::Err(e),
-                        };
-                        self.note_replay_hit(pid, tid, sys_name);
-                        self.complete(tid, reply);
-                        return;
-                    }
+                // pre-crash, and firing it again would double it.
+                let seq = proc.next_seq(EffectClass::Tool);
+                if self.answer_from_journal(pid, tid, seq, Asked::Tool { name: &name }) {
+                    return;
                 }
+                let now = self.events.now();
                 // Circuit breaker: fast-fail while open (no latency charge
                 // beyond the syscall cost — that is the point of breaking).
                 if let Some(bank) = self.breakers.as_mut() {
@@ -2976,16 +2028,10 @@ impl Kernel {
                                     tool,
                                 });
                             }
-                            if self.is_durable(pid) {
-                                self.wal_append(WalRecord::ToolEffect {
-                                    at: now,
-                                    pid: pid.0,
-                                    seq,
-                                    latency_ns: 0,
-                                    fired: false,
-                                    result: Err(SysError::Unavailable),
-                                });
-                            }
+                            self.journal(pid, None, seq, || Effect::Tool {
+                                latency_ns: 0,
+                                result: Err(SysError::Unavailable),
+                            });
                             self.complete(tid, SysReply::Err(SysError::Unavailable));
                             return;
                         }
@@ -2997,7 +2043,6 @@ impl Kernel {
                     .retry_policy(&name)
                     .or(self.tool_retry)
                     .unwrap_or_default();
-                let timeout = self.procs[pid.0].limits.tool_timeout;
                 // All attempts are planned synchronously: the virtual time
                 // the call occupies is the sum of per-attempt charges
                 // (latency clamped to the timeout) plus backoff delays, and
@@ -3084,16 +2129,10 @@ impl Kernel {
                 // durable *now*, atomically with the effect under the
                 // syscall-boundary crash model, so recovery never re-fires
                 // the tool (exactly-once side-effects).
-                if self.is_durable(pid) {
-                    self.wal_append(WalRecord::ToolEffect {
-                        at: now,
-                        pid: pid.0,
-                        seq,
-                        latency_ns: total.as_nanos(),
-                        fired: true,
-                        result: final_result.clone(),
-                    });
-                }
+                self.journal(pid, None, seq, || Effect::Tool {
+                    latency_ns: total.as_nanos(),
+                    result: final_result.clone(),
+                });
                 self.begin_io(pid, total);
                 self.events.schedule(
                     now + total,
@@ -3105,215 +2144,100 @@ impl Kernel {
                 );
             }
             Syscall::SendMsg { to, data } => {
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.send;
-                    p.seqs.send += 1;
-                    s
-                };
-                // Recovery replay: the delivery (if any) happened pre-crash
-                // and is already in the rebuilt mailbox or a journalled
-                // recv; re-delivering would duplicate the message.
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.send_results.get(&(pid.0, seq)))
-                        .copied();
-                    if let Some(ok) = hit {
-                        let reply = if ok {
-                            SysReply::Unit
-                        } else {
-                            SysReply::Err(SysError::NotFound)
-                        };
-                        self.note_replay_hit(pid, tid, sys_name);
-                        self.complete(tid, reply);
-                        return;
-                    }
+                // Recovery replay: re-delivering would duplicate the message.
+                let seq = proc.next_seq(EffectClass::Send);
+                if self.answer_from_journal(pid, tid, seq, Asked::Send) {
+                    return;
                 }
-                // Journal the send when either endpoint is durable: the
-                // sender's replay needs the result; the receiver's mailbox
-                // rebuild needs the payload.
-                let journal = self.is_durable(pid) || self.is_durable(to);
-                match self.procs.get(to.0) {
-                    Some(target) if !target.finished => {}
-                    _ => {
-                        if journal {
-                            self.wal_append(WalRecord::IpcSend {
-                                at: sys_at,
-                                from: pid.0,
-                                to: to.0,
-                                seq,
-                                ok: false,
-                                delivered: false,
-                                data: data.clone(),
-                            });
-                        }
-                        self.complete(tid, SysReply::Err(SysError::NotFound));
-                        return;
-                    }
-                }
+                let alive = self.procs.get(to.0).is_some_and(|t| !t.finished);
                 // Injected drop: the message vanishes in flight. The sender
                 // still sees success — IPC is at-most-once, like UDP — so
                 // resilient LIPs need acks/timeouts, which the chaos tests
                 // exercise.
-                if self.injector.ipc_send() {
+                let dropped = alive && self.injector.ipc_send();
+                self.journal(pid, Some(to), seq, || Effect::Send {
+                    to: to.0,
+                    ok: alive,
+                    delivered: alive && !dropped,
+                    data: data.clone(),
+                });
+                if !alive {
+                    self.complete(tid, SysReply::Err(SysError::NotFound));
+                    return;
+                }
+                if dropped {
                     self.bus.emit(sys_at, || EventKind::IpcDrop {
                         from: pid.0,
                         to: to.0,
                     });
-                    if journal {
-                        self.wal_append(WalRecord::IpcSend {
-                            at: sys_at,
-                            from: pid.0,
-                            to: to.0,
-                            seq,
-                            ok: true,
-                            delivered: false,
-                            data: data.clone(),
-                        });
-                    }
                     self.complete(tid, SysReply::Unit);
                     return;
                 }
-                let waiter = {
-                    let target = sys!(self.procs.get_mut(to.0), "ipc target missing");
-                    match target.recv_waiters.pop_front() {
-                        Some(w) => Some(w),
-                        None => {
-                            target.mailbox.push_back((pid, data.clone(), sys_at, tid.0));
-                            None
-                        }
-                    }
-                };
-                if journal {
-                    self.wal_append(WalRecord::IpcSend {
-                        at: sys_at,
-                        from: pid.0,
-                        to: to.0,
-                        seq,
-                        ok: true,
-                        delivered: true,
-                        data: data.clone(),
-                    });
-                }
-                if let Some((wtid, rseq)) = waiter {
-                    if self.is_durable(to) {
-                        self.wal_append(WalRecord::IpcRecv {
-                            at: sys_at,
-                            pid: to.0,
-                            seq: rseq,
+                let target = sys!(self.procs.get_mut(to.0), "ipc target missing");
+                match target.recv_waiters.pop_front() {
+                    None => target.mailbox.push_back((pid, data, sys_at, tid.0)),
+                    Some((wtid, rseq)) => {
+                        self.journal(to, None, rseq, || Effect::Recv {
                             from: pid.0,
                             data: data.clone(),
                         });
+                        if self.causal {
+                            // Direct delivery: this send wakes the parked recv.
+                            self.bus.emit(sys_at, || EventKind::CausalEdge {
+                                edge: EdgeKind::Ipc,
+                                src_pid: pid.0,
+                                src_tid: tid.0,
+                                src_at: sys_at,
+                                dst_pid: to.0,
+                                dst_tid: wtid.0,
+                            });
+                        }
+                        self.complete(wtid, SysReply::Msg { from: pid, data });
                     }
-                    if self.causal {
-                        // Direct delivery: this send wakes the parked recv.
-                        self.bus.emit(sys_at, || EventKind::CausalEdge {
-                            edge: EdgeKind::Ipc,
-                            src_pid: pid.0,
-                            src_tid: tid.0,
-                            src_at: sys_at,
-                            dst_pid: to.0,
-                            dst_tid: wtid.0,
-                        });
-                    }
-                    self.complete(wtid, SysReply::Msg { from: pid, data });
                 }
                 self.complete(tid, SysReply::Unit);
             }
             Syscall::Recv => {
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.recv;
-                    p.seqs.recv += 1;
-                    s
-                };
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.recvs.get(&(pid.0, seq)))
-                        .cloned();
-                    if let Some((from, data)) = hit {
-                        self.note_replay_hit(pid, tid, sys_name);
-                        self.complete(
-                            tid,
-                            SysReply::Msg {
-                                from: Pid(from),
-                                data,
-                            },
-                        );
-                        return;
-                    }
+                let seq = proc.next_seq(EffectClass::Recv);
+                if self.answer_from_journal(pid, tid, seq, Asked::Recv) {
+                    return;
                 }
-                let delivered = {
-                    let proc = sys!(self.procs.get_mut(pid.0), "process missing");
-                    match proc.mailbox.pop_front() {
-                        Some(m) => Some(m),
-                        None => {
-                            proc.recv_waiters.push_back((tid, seq));
-                            None
-                        }
-                    }
+                let proc = sys!(self.procs.get_mut(pid.0), "process missing");
+                let Some((from, data, sent_at, sender_tid)) = proc.mailbox.pop_front() else {
+                    proc.recv_waiters.push_back((tid, seq));
+                    return;
                 };
-                if let Some((from, data, sent_at, sender_tid)) = delivered {
-                    if self.is_durable(pid) {
-                        self.wal_append(WalRecord::IpcRecv {
-                            at: sys_at,
-                            pid: pid.0,
-                            seq,
-                            from: from.0,
-                            data: data.clone(),
-                        });
-                    }
-                    if self.causal && sender_tid != 0 {
-                        // Mailbox hit: the buffered send (at `sent_at`) is
-                        // what answers this recv.
-                        self.bus.emit(sys_at, || EventKind::CausalEdge {
-                            edge: EdgeKind::Ipc,
-                            src_pid: from.0,
-                            src_tid: sender_tid,
-                            src_at: sent_at,
-                            dst_pid: pid.0,
-                            dst_tid: tid.0,
-                        });
-                    }
-                    self.complete(tid, SysReply::Msg { from, data });
+                self.journal(pid, None, seq, || Effect::Recv {
+                    from: from.0,
+                    data: data.clone(),
+                });
+                if self.causal && sender_tid != 0 {
+                    // Mailbox hit: the buffered send (at `sent_at`) is
+                    // what answers this recv.
+                    self.bus.emit(sys_at, || EventKind::CausalEdge {
+                        edge: EdgeKind::Ipc,
+                        src_pid: from.0,
+                        src_tid: sender_tid,
+                        src_at: sent_at,
+                        dst_pid: pid.0,
+                        dst_tid: tid.0,
+                    });
                 }
+                self.complete(tid, SysReply::Msg { from, data });
             }
             Syscall::LookupProcess { name } => {
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.lookup;
-                    p.seqs.lookup += 1;
-                    s
-                };
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.lookups.get(&(pid.0, seq)))
-                        .copied();
-                    if let Some(found) = hit {
-                        self.note_replay_hit(pid, tid, sys_name);
-                        self.complete(tid, SysReply::MaybePid(found.map(Pid)));
-                        return;
-                    }
+                let seq = proc.next_seq(EffectClass::Lookup);
+                if self.answer_from_journal(pid, tid, seq, Asked::Lookup) {
+                    return;
                 }
                 let found = self
                     .names
                     .get(&name)
                     .copied()
                     .filter(|p| self.procs.get(p.0).is_some_and(|pr| !pr.finished));
-                if self.is_durable(pid) {
-                    self.wal_append(WalRecord::Lookup {
-                        at: sys_at,
-                        pid: pid.0,
-                        seq,
-                        found: found.map(|p| p.0),
-                    });
-                }
+                self.journal(pid, None, seq, || Effect::Lookup {
+                    found: found.map(|p| p.0),
+                });
                 self.complete(tid, SysReply::MaybePid(found));
             }
             Syscall::Sleep { dur } => {
@@ -3321,9 +2245,7 @@ impl Kernel {
                 self.events.schedule(at, Event::Wake(tid, SysReply::Unit));
             }
             Syscall::Emit { text } => {
-                sys!(self.records.get_mut(pid.0), "process record missing")
-                    .output
-                    .push_str(&text);
+                proc.record.output.push_str(&text);
                 if self.session_sink.is_some() {
                     self.notify_session(SessionEvent::Emitted {
                         pid,
@@ -3336,9 +2258,8 @@ impl Kernel {
             }
             Syscall::EmitTokens { tokens } => {
                 let text = self.tokenizer.decode(&tokens);
-                let rec = sys!(self.records.get_mut(pid.0), "process record missing");
-                rec.output.push_str(&text);
-                rec.usage.emitted_tokens += tokens.len() as u64;
+                proc.record.output.push_str(&text);
+                proc.record.usage.emitted_tokens += tokens.len() as u64;
                 if self.session_sink.is_some() {
                     let n = tokens.len() as u64;
                     self.notify_session(SessionEvent::Emitted {
@@ -3359,36 +2280,12 @@ impl Kernel {
                 self.complete(tid, SysReply::Text(text));
             }
             Syscall::Now => {
-                let seq = {
-                    let p = sys!(self.procs.get_mut(pid.0), "process missing");
-                    let s = p.seqs.now;
-                    p.seqs.now += 1;
-                    s
-                };
-                // Replayed `now` returns the *original* observation: the
-                // recovered clock starts past the crash point, and a LIP
-                // branching on time must see the same values it saw before.
-                if self.is_durable(pid) {
-                    let hit = self
-                        .replay
-                        .as_ref()
-                        .and_then(|r| r.nows.get(&(pid.0, seq)))
-                        .copied();
-                    if let Some(t) = hit {
-                        self.note_replay_hit(pid, tid, sys_name);
-                        self.complete(tid, SysReply::Time(t));
-                        return;
-                    }
+                let seq = proc.next_seq(EffectClass::Now);
+                if self.answer_from_journal(pid, tid, seq, Asked::Now) {
+                    return;
                 }
                 let t = self.events.now();
-                if self.is_durable(pid) {
-                    self.wal_append(WalRecord::NowEffect {
-                        at: sys_at,
-                        pid: pid.0,
-                        seq,
-                        t,
-                    });
-                }
+                self.journal(pid, None, seq, || Effect::Now { t });
                 self.complete(tid, SysReply::Time(t));
             }
         }
@@ -3518,128 +2415,6 @@ impl Kernel {
             self.events.schedule(done, Event::Wake(tid, reply));
         } else {
             self.ready.push_back((tid, reply));
-        }
-    }
-
-    // ---- exit and cleanup --------------------------------------------------------
-
-    fn handle_exit(&mut self, tid: Tid, status: ExitStatus) {
-        let (pid, waiters, handle) = {
-            // An exit from a thread the kernel never tracked has nothing to
-            // clean up; the count is only decremented on a real exit.
-            let Some(ts) = self.threads.get_mut(tid.0) else {
-                debug_assert!(false, "exit from unknown tid {}", tid.0);
-                return;
-            };
-            ts.status = Some(status.clone());
-            ts.reply_tx = None;
-            (
-                ts.pid,
-                std::mem::take(&mut ts.join_waiters),
-                ts.handle.take(),
-            )
-        };
-        self.live_threads -= 1;
-        if let Some(h) = handle {
-            h.join();
-        }
-        for w in waiters {
-            if self.causal {
-                // Join edge: this thread's exit unblocks the joiner.
-                let at = self.events.now();
-                let dst_pid = self.threads.get(w.0).map(|t| t.pid.0).unwrap_or(pid.0);
-                self.bus.emit(at, || EventKind::CausalEdge {
-                    edge: EdgeKind::Join,
-                    src_pid: pid.0,
-                    src_tid: tid.0,
-                    src_at: at,
-                    dst_pid,
-                    dst_tid: w.0,
-                });
-            }
-            self.complete(w, SysReply::Joined(status.clone()));
-        }
-        let Some(proc) = self.procs.get_mut(pid.0) else {
-            debug_assert!(false, "exit for unknown pid {}", pid.0);
-            return;
-        };
-        proc.live_threads -= 1;
-        let is_main = proc.main_tid == tid;
-        let process_done = proc.live_threads == 0;
-        if is_main {
-            if let Some(rec) = self.records.get_mut(pid.0) {
-                rec.status = status.clone();
-            }
-        }
-        let at = self.events.now();
-        let ok = status.is_ok();
-        self.bus.emit(at, || EventKind::ThreadExit {
-            pid: pid.0,
-            tid: tid.0,
-            ok,
-        });
-        if process_done {
-            self.finalize_process(pid);
-        }
-    }
-
-    /// Reclaims a finished process's resources: releases its locks and
-    /// removes its *unnamed* KV files. Files published under a path persist
-    /// beyond the process lifetime (§4.2).
-    fn finalize_process(&mut self, pid: Pid) {
-        let owner = OwnerId(pid.0);
-        self.store.release_locks(owner);
-        self.cqueue.forget(pid.0);
-        let victims: Vec<FileId> = self
-            .store
-            .list_files()
-            .into_iter()
-            .filter(|s| s.owner == owner && s.links == 0)
-            .map(|s| s.id)
-            .collect();
-        for f in victims {
-            let _ = self.store.remove(f, OwnerId::ADMIN);
-        }
-        if let Some(proc) = self.procs.get_mut(pid.0) {
-            proc.finished = true;
-            proc.mailbox.clear();
-        }
-        let now = self.events.now();
-        let Some(rec) = self.records.get_mut(pid.0) else {
-            debug_assert!(false, "finalize for unknown pid {}", pid.0);
-            return;
-        };
-        rec.exited_at = Some(now);
-        let ok = rec.status.is_ok();
-        let exit_rec = if self.durable_pids.contains(&pid.0) {
-            Some(WalRecord::ProcExit {
-                at: now,
-                pid: pid.0,
-                status: rec.status.clone(),
-                output: rec.output.clone(),
-                usage: rec.usage,
-            })
-        } else {
-            None
-        };
-        if let Some(r) = exit_rec {
-            // A durable exit frame makes the whole program's outcome
-            // durable: recovery restores it as a record, no re-execution.
-            self.wal_append(r);
-        }
-        self.bus
-            .emit(now, || EventKind::ProcessExit { pid: pid.0, ok });
-        if self.session_sink.is_some() {
-            let (status, usage) = match self.records.get(pid.0) {
-                Some(rec) => (rec.status.clone(), rec.usage),
-                None => return,
-            };
-            self.notify_session(SessionEvent::Exited {
-                pid,
-                at: now,
-                status,
-                usage,
-            });
         }
     }
 }

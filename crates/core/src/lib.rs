@@ -62,6 +62,8 @@
 pub mod faults;
 pub mod kernel;
 mod lip_pool;
+mod proc;
+mod recovery;
 pub mod resilience;
 pub mod sampling;
 pub mod sched;

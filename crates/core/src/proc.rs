@@ -1,0 +1,571 @@
+//! The process table: what the kernel keeps per program and per LIP
+//! thread, and the one path a process takes through it.
+//!
+//! **install** enters a process (record, name binding, quota, deadline,
+//! live state), **start** runs a thread of it, **exit** takes a thread out,
+//! **finalize** closes the process when its last thread is gone, and
+//! **reap** forgets it. Every entry point — the five public `spawn_*` /
+//! `schedule_*` names, a scheduled arrival firing, recovery re-admitting a
+//! journalled program — is a caller of `install` and `start`; whether a
+//! process is durable is one field set at `install`, read by
+//! `Kernel::journal` and by the spawn/exit frames written here.
+
+use std::collections::VecDeque;
+
+use crossbeam::channel::{unbounded, Sender};
+use symphony_kvfs::{FileId, OwnerId};
+use symphony_sim::SimTime;
+use symphony_telemetry::{EdgeKind, EventKind};
+
+use crate::kernel::{Event, Kernel, ProgramImage, SessionEvent};
+use crate::syscall::{thread_main, Ctx, LipFn, SysReply};
+use crate::types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SysError, Tid};
+use crate::wal::{self, EffectClass, WalRecord};
+
+pub(crate) struct ThreadState {
+    pub(crate) pid: Pid,
+    /// Where syscall replies go; `None` once the thread has exited, so a
+    /// finished thread's table entry does not keep its channel allocated.
+    pub(crate) reply_tx: Option<Sender<SysReply>>,
+    pub(crate) handle: Option<crate::lip_pool::JobHandle>,
+    pub(crate) status: Option<ExitStatus>,
+    pub(crate) join_waiters: Vec<Tid>,
+    /// Name of the syscall this thread is currently parked in, for the
+    /// telemetry `sys:*` span (closed when the reply is delivered).
+    pub(crate) open_syscall: Option<&'static str>,
+}
+
+pub(crate) struct Proc {
+    /// What [`Kernel::record`] hands out, kept after exit until reaped.
+    pub(crate) record: ProcessRecord,
+    /// `Tid(0)` until the process starts: its first thread is the main one.
+    pub(crate) main_tid: Tid,
+    pub(crate) args: String,
+    pub(crate) live_threads: u32,
+    /// Undelivered messages: `(sender, payload, sent_at, sender_tid)`. The
+    /// send context feeds the causal IPC edge when a later `recv` pops the
+    /// entry; `sender_tid` 0 marks a mailbox rebuilt from the WAL (the
+    /// pre-crash sender thread is unknown, so no edge is emitted).
+    pub(crate) mailbox: VecDeque<(Pid, String, SimTime, u64)>,
+    /// Threads parked in `recv`, with the effect-sequence id their eventual
+    /// delivery will be journalled under.
+    pub(crate) recv_waiters: VecDeque<(Tid, u64)>,
+    pub(crate) limits: Limits,
+    pub(crate) io_waiting: u32,
+    pub(crate) offloaded: Vec<FileId>,
+    /// When the D2H copies of `offloaded` complete; the restore cannot
+    /// start reading them back earlier.
+    pub(crate) offload_done: SimTime,
+    pub(crate) finished: bool,
+    /// Absolute virtual deadline (arrival + `Limits::deadline`).
+    pub(crate) deadline_at: Option<SimTime>,
+    /// Deadline already detected (counts once per process).
+    pub(crate) deadline_hit: bool,
+    /// Cancelled from outside ([`Kernel::cancel_process`]): every
+    /// subsequent syscall fails with [`SysError::Cancelled`].
+    pub(crate) cancelled: bool,
+    /// First `pred` completion observed (TTFT recorded).
+    pub(crate) ttft_done: bool,
+    /// Completion time of the last `pred` (inter-token latency).
+    pub(crate) last_pred_done: Option<SimTime>,
+    /// Next sequence id per effect class. A re-executed program draws the
+    /// same ids in the same order, which is how journalled effects are
+    /// matched back to their call sites (and tool side-effects deduplicated).
+    seqs: [u64; EffectClass::COUNT],
+    /// Spawn, effects and exit are journalled to the WAL, and the program
+    /// is resumable after a crash. Set once, at `install`.
+    pub(crate) durable: bool,
+}
+
+impl Proc {
+    /// Draws the next sequence id of `class`.
+    pub(crate) fn next_seq(&mut self, class: EffectClass) -> u64 {
+        let slot = &mut self.seqs[class.index()];
+        *slot += 1;
+        *slot - 1
+    }
+}
+
+impl Kernel {
+    // ---- admission ---------------------------------------------------------------
+
+    /// Spawns a LIP immediately (at the current virtual time) with the
+    /// default limits.
+    pub fn spawn_process<F>(&mut self, name: &str, args: &str, f: F) -> Pid
+    where
+        F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
+    {
+        self.spawn_process_with_limits(name, args, self.default_limits, f)
+    }
+
+    /// Spawns a LIP immediately with explicit limits.
+    pub fn spawn_process_with_limits<F>(
+        &mut self,
+        name: &str,
+        args: &str,
+        limits: Limits,
+        f: F,
+    ) -> Pid
+    where
+        F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
+    {
+        self.admit(name, args, None, limits, false, Box::new(f))
+    }
+
+    /// Schedules a LIP to arrive at a future virtual time (workload driving).
+    pub fn schedule_process<F>(&mut self, at: SimTime, name: &str, args: &str, f: F) -> Pid
+    where
+        F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
+    {
+        self.admit(
+            name,
+            args,
+            Some(at),
+            self.default_limits,
+            false,
+            Box::new(f),
+        )
+    }
+
+    /// Spawns a durable LIP immediately: its spawn and effectful syscalls
+    /// are journalled to the WAL so [`Kernel::recover`] +
+    /// [`Kernel::resume_programs`] can re-execute it deterministically
+    /// after a crash. The image must be re-invocable; see [`ProgramImage`].
+    pub fn spawn_durable(&mut self, name: &str, args: &str, image: ProgramImage) -> Pid {
+        let f = Box::new(move |ctx: &mut Ctx| image(ctx));
+        self.admit(name, args, None, self.default_limits, true, f)
+    }
+
+    /// Schedules a durable LIP for a future virtual arrival. The schedule
+    /// itself is journalled — with a main thread id pre-assigned *now*, so
+    /// the program's per-thread RNG stream is identical whether or not a
+    /// crash intervenes before it starts — and a crash before the arrival
+    /// does not drop the program.
+    pub fn schedule_durable(
+        &mut self,
+        at: SimTime,
+        name: &str,
+        args: &str,
+        image: ProgramImage,
+    ) -> Pid {
+        let f = Box::new(move |ctx: &mut Ctx| image(ctx));
+        self.admit(name, args, Some(at), self.default_limits, true, f)
+    }
+
+    /// The one way in: installs the process, then starts it now or
+    /// schedules its arrival for `at`.
+    fn admit(
+        &mut self,
+        name: &str,
+        args: &str,
+        at: Option<SimTime>,
+        limits: Limits,
+        durable: bool,
+        f: LipFn,
+    ) -> Pid {
+        let now = self.events.now();
+        let pid = self.install(None, name, args, at.unwrap_or(now), limits, durable);
+        let Some(at) = at else {
+            self.start(pid, None, f);
+            return pid;
+        };
+        // Pre-assign a durable arrival's main tid: recovery re-admits the
+        // program from this frame and must fork the same RNG stream.
+        let main_tid = durable.then(|| self.alloc_tid());
+        if let Some(tid) = main_tid {
+            self.wal_append(WalRecord::ProcSched {
+                at: now,
+                pid: pid.0,
+                main_tid: tid.0,
+                arrival: at,
+                name: name.to_string(),
+                args: args.to_string(),
+                limits,
+            });
+        }
+        self.events
+            .schedule(at, Event::SpawnProgram { pid, f, main_tid });
+        pid
+    }
+
+    fn alloc_tid(&mut self) -> Tid {
+        self.next_tid += 1;
+        Tid(self.next_tid - 1)
+    }
+
+    /// Enters a process into the table under `pid` (allocated when `None`;
+    /// recovery re-installs journalled programs under their old one):
+    /// record, name binding, KV quota, deadline event and live state. The
+    /// only constructor of a [`Proc`] and of the [`ProcessRecord`] in it.
+    pub(crate) fn install(
+        &mut self,
+        pid: Option<Pid>,
+        name: &str,
+        args: &str,
+        arrival: SimTime,
+        limits: Limits,
+        durable: bool,
+    ) -> Pid {
+        let pid = pid.unwrap_or_else(|| {
+            self.next_pid += 1;
+            Pid(self.next_pid - 1)
+        });
+        self.names.insert(name.to_string(), pid);
+        if let Some(q) = limits.kv_quota_pages {
+            self.store.set_quota(OwnerId(pid.0), Some(q));
+        }
+        let deadline_at = limits.deadline.map(|d| arrival + d);
+        if let Some(t) = deadline_at {
+            // A recovered program's deadline may lie behind the restored
+            // clock; it is then due at once.
+            let due = t.max(self.events.now());
+            self.events.schedule(due, Event::DeadlineCheck { pid });
+        }
+        let record = ProcessRecord {
+            pid,
+            name: name.to_string(),
+            spawned_at: arrival,
+            exited_at: None,
+            status: ExitStatus::Ok,
+            output: String::new(),
+            usage: ProcessUsage::default(),
+        };
+        let proc = Proc {
+            record,
+            main_tid: Tid(0),
+            args: args.to_string(),
+            live_threads: 0,
+            mailbox: VecDeque::new(),
+            recv_waiters: VecDeque::new(),
+            limits,
+            io_waiting: 0,
+            offloaded: Vec::new(),
+            offload_done: SimTime::ZERO,
+            finished: false,
+            deadline_at,
+            deadline_hit: false,
+            cancelled: false,
+            ttft_done: false,
+            last_pred_done: None,
+            seqs: [0; EffectClass::COUNT],
+            durable,
+        };
+        self.procs.insert(pid.0, proc);
+        pid
+    }
+
+    /// Starts one LIP thread of `pid` running `f`, under `tid` when given
+    /// (a journalled schedule or recovery pins it: tid identity pins the
+    /// thread's RNG stream). The first thread of a process is its main
+    /// thread, and starting it is what starts the process: the spawn event
+    /// and, for a durable process not already in the log, the spawn frame.
+    /// `None` for a pid the table does not hold.
+    pub(crate) fn start(&mut self, pid: Pid, tid: Option<Tid>, f: LipFn) -> Option<Tid> {
+        let now = self.events.now();
+        let tid = tid.unwrap_or_else(|| self.alloc_tid());
+        let Some(proc) = self.procs.get_mut(pid.0) else {
+            debug_assert!(false, "start: unknown pid {}", pid.0);
+            return None;
+        };
+        let is_main = proc.main_tid == Tid(0);
+        if is_main {
+            proc.main_tid = tid;
+            if self.bus.is_enabled() {
+                let name = proc.record.name.clone();
+                self.bus
+                    .emit(now, move || EventKind::ProcessSpawn { pid: pid.0, name });
+            }
+        }
+        let journal_spawn = is_main && proc.durable;
+        proc.live_threads += 1;
+        proc.record.usage.threads_spawned += 1;
+        // Sibling threads inherit the process's args string.
+        let args = proc.args.clone();
+        let (reply_tx, reply_rx) = unbounded();
+        let ctx = Ctx::new(
+            tid,
+            pid,
+            args,
+            self.up_tx.clone(),
+            reply_rx,
+            self.rng.fork(tid.0),
+            self.tokenizer.specials(),
+        );
+        let handle = crate::lip_pool::spawn_lip(Box::new(move || thread_main(ctx, f)));
+        self.threads.insert(
+            tid.0,
+            ThreadState {
+                pid,
+                reply_tx: Some(reply_tx),
+                handle: Some(handle),
+                status: None,
+                join_waiters: Vec::new(),
+                open_syscall: None,
+            },
+        );
+        self.bus.emit(now, || EventKind::ThreadSpawn {
+            pid: pid.0,
+            tid: tid.0,
+        });
+        self.live_threads += 1;
+        self.ready.push_back((tid, SysReply::Start));
+        // A re-execution's spawn frame is already in the log it replays.
+        let replayed = |r: &wal::Replay| r.procs.contains_key(&pid.0);
+        if journal_spawn && !self.replay.as_ref().is_some_and(replayed) {
+            let p = &self.procs[pid.0];
+            let rec = WalRecord::ProcSpawn {
+                at: now,
+                pid: pid.0,
+                main_tid: tid.0,
+                name: p.record.name.clone(),
+                args: p.args.clone(),
+                limits: p.limits,
+            };
+            self.wal_append(rec);
+        }
+        Some(tid)
+    }
+
+    // ---- records -----------------------------------------------------------------
+
+    /// The record for a process (live, or exited and not yet reaped).
+    pub fn record(&self, pid: Pid) -> Option<&ProcessRecord> {
+        self.procs.get(pid.0).map(|p| &p.record)
+    }
+
+    /// All process records, in PID order.
+    pub fn records(&self) -> impl Iterator<Item = &ProcessRecord> {
+        self.procs.values().map(|p| &p.record)
+    }
+
+    /// Forgets every process that has exited: its record, its name and its
+    /// process- and thread-table entries (a thread's reply channel is
+    /// already gone, dropped when it exited). Returns how many were
+    /// dropped. The kernel keeps finished processes so callers can read
+    /// [`Kernel::record`] after a run; a server that stays up calls this
+    /// once their outcomes are reported, or the tables grow with every
+    /// program ever served.
+    pub fn reap_exited(&mut self) -> usize {
+        // Ascending pid order, which the thread sweep's search relies on.
+        let exited: Vec<u64> = self
+            .procs
+            .iter()
+            .filter(|(_, p)| p.record.exited_at.is_some())
+            .map(|(pid, _)| pid)
+            .collect();
+        for &pid in &exited {
+            if let Some(p) = self.procs.remove(pid) {
+                if self.names.get(&p.record.name) == Some(&p.record.pid) {
+                    self.names.remove(&p.record.name);
+                }
+            }
+        }
+        let tids: Vec<u64> = self
+            .threads
+            .iter()
+            .filter(|(_, t)| exited.binary_search(&t.pid.0).is_ok())
+            .map(|(tid, _)| tid)
+            .collect();
+        for tid in tids {
+            self.threads.remove(tid);
+        }
+        exited.len()
+    }
+
+    // ---- cancellation and deadlines ------------------------------------------------
+
+    /// Cancels a running process from outside (session teardown at the
+    /// serving layer). Mirrors deadline enforcement: threads blocked in
+    /// `recv_msg` are woken with [`SysError::Cancelled`], and every
+    /// subsequent syscall from any of the process's threads fails with the
+    /// same error, driving the program to a prompt, typed exit. Returns
+    /// `false` if the pid is unknown or already finished.
+    pub fn cancel_process(&mut self, pid: Pid) -> bool {
+        let Some(proc) = self.procs.get_mut(pid.0) else {
+            return false;
+        };
+        if proc.finished || proc.cancelled {
+            return false;
+        }
+        proc.cancelled = true;
+        let waiters = std::mem::take(&mut proc.recv_waiters);
+        for (w, _seq) in waiters {
+            self.complete(w, SysReply::Err(SysError::Cancelled));
+        }
+        true
+    }
+
+    /// Fires when a process's deadline passes: mark it, and fail its
+    /// threads blocked in `recv_msg` (other blocked threads — pooled
+    /// `pred`s, in-flight I/O, sleeps — already have completions scheduled
+    /// and hit the syscall-entry deadline check on their next call).
+    pub(crate) fn enforce_deadline(&mut self, pid: Pid) {
+        let Some(proc) = self.procs.get_mut(pid.0) else {
+            return;
+        };
+        if proc.finished {
+            return;
+        }
+        let first_hit = !proc.deadline_hit;
+        proc.deadline_hit = true;
+        let waiters = std::mem::take(&mut proc.recv_waiters);
+        if first_hit {
+            self.res_counters.deadline_kills.inc();
+            let at = self.events.now();
+            self.bus.emit(at, || EventKind::DeadlineHit { pid: pid.0 });
+        }
+        for (w, _seq) in waiters {
+            self.complete(w, SysReply::Err(SysError::DeadlineExceeded));
+        }
+    }
+
+    // ---- exit and cleanup ----------------------------------------------------------
+
+    pub(crate) fn handle_exit(&mut self, tid: Tid, status: ExitStatus) {
+        let (pid, waiters, handle) = {
+            // An exit from a thread the kernel never tracked has nothing to
+            // clean up; the count is only decremented on a real exit.
+            let Some(ts) = self.threads.get_mut(tid.0) else {
+                debug_assert!(false, "exit from unknown tid {}", tid.0);
+                return;
+            };
+            ts.status = Some(status.clone());
+            ts.reply_tx = None;
+            (
+                ts.pid,
+                std::mem::take(&mut ts.join_waiters),
+                ts.handle.take(),
+            )
+        };
+        self.live_threads -= 1;
+        if let Some(h) = handle {
+            h.join();
+        }
+        for w in waiters {
+            if self.causal {
+                // Join edge: this thread's exit unblocks the joiner.
+                let at = self.events.now();
+                let dst_pid = self.threads.get(w.0).map(|t| t.pid.0).unwrap_or(pid.0);
+                self.bus.emit(at, || EventKind::CausalEdge {
+                    edge: EdgeKind::Join,
+                    src_pid: pid.0,
+                    src_tid: tid.0,
+                    src_at: at,
+                    dst_pid,
+                    dst_tid: w.0,
+                });
+            }
+            self.complete(w, SysReply::Joined(status.clone()));
+        }
+        let Some(proc) = self.procs.get_mut(pid.0) else {
+            debug_assert!(false, "exit for unknown pid {}", pid.0);
+            return;
+        };
+        proc.live_threads -= 1;
+        let process_done = proc.live_threads == 0;
+        let ok = status.is_ok();
+        if proc.main_tid == tid {
+            proc.record.status = status;
+        }
+        let at = self.events.now();
+        self.bus.emit(at, || EventKind::ThreadExit {
+            pid: pid.0,
+            tid: tid.0,
+            ok,
+        });
+        if process_done {
+            self.finalize_process(pid);
+        }
+    }
+
+    /// Reclaims a finished process's resources: releases its locks and
+    /// removes its *unnamed* KV files. Files published under a path persist
+    /// beyond the process lifetime (§4.2).
+    fn finalize_process(&mut self, pid: Pid) {
+        let owner = OwnerId(pid.0);
+        self.store.release_locks(owner);
+        self.cqueue.forget(pid.0);
+        let victims: Vec<FileId> = self
+            .store
+            .list_files()
+            .into_iter()
+            .filter(|s| s.owner == owner && s.links == 0)
+            .map(|s| s.id)
+            .collect();
+        for f in victims {
+            let _ = self.store.remove(f, OwnerId::ADMIN);
+        }
+        let now = self.events.now();
+        let Some(proc) = self.procs.get_mut(pid.0) else {
+            debug_assert!(false, "finalize for unknown pid {}", pid.0);
+            return;
+        };
+        proc.finished = true;
+        proc.mailbox.clear();
+        let rec = &mut proc.record;
+        rec.exited_at = Some(now);
+        let (status, usage) = (rec.status.clone(), rec.usage);
+        if proc.durable {
+            // A durable exit frame makes the whole program's outcome
+            // durable: recovery restores it as a record, no re-execution.
+            let output = rec.output.clone();
+            self.wal_append(WalRecord::ProcExit {
+                at: now,
+                pid: pid.0,
+                status: status.clone(),
+                output,
+                usage,
+            });
+        }
+        let ok = status.is_ok();
+        self.bus
+            .emit(now, || EventKind::ProcessExit { pid: pid.0, ok });
+        self.notify_session(SessionEvent::Exited {
+            pid,
+            at: now,
+            status,
+            usage,
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use symphony_sim::SimDuration;
+
+    use super::*;
+    use crate::kernel::KernelConfig;
+    use crate::wal::WalConfig;
+
+    #[test]
+    fn reaping_leaves_nothing_keyed_by_a_durable_process() {
+        let path = std::env::temp_dir().join(format!("symphony-proc-{}.wal", std::process::id()));
+        let mut cfg = KernelConfig::for_tests();
+        cfg.wal = Some(WalConfig::new(&path));
+        let mut k = Kernel::new(cfg);
+        let image: ProgramImage = Arc::new(|ctx| {
+            let prompt = ctx.tokenize(&ctx.args())?;
+            let kv = ctx.kv_create()?;
+            ctx.pred_positions(kv, &prompt, 0)?;
+            ctx.emit("done")
+        });
+        for i in 0..1000 {
+            let at = SimTime::ZERO + SimDuration::from_micros(200 * i);
+            let pid = k.schedule_durable(at, &format!("p{i}"), "a b c", image.clone());
+            k.set_cost_hint(pid, Some(3));
+        }
+        assert_eq!(k.run(), 1000);
+        assert!(k.records().all(|r| r.status.is_ok()));
+        assert_eq!(k.reap_exited(), 1000);
+        assert!(k.procs.is_empty() && k.names.is_empty() && k.threads.is_empty());
+        assert!(k.store.list_files().is_empty());
+        for pid in 1..=1000 {
+            assert_eq!(k.store.quota_used(OwnerId(pid)), 0);
+            assert_eq!(k.cqueue.static_hint_of(pid), None);
+            assert!(!k.is_durable(Pid(pid)));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -36,8 +36,8 @@
 //! side effects, then falls through to live execution. A `pred` reply is
 //! a pure function of the model and the file's fingerprint chain, so the
 //! log records only *that* a pred completed; replay rebuilds its KV
-//! append and re-derives the distributions bit-exactly. Sequence numbers
-//! per `(pid, effect kind)` key the replay maps.
+//! append and re-derives the distributions bit-exactly. A sequence number
+//! per `(pid, effect class)` keys the one replay map ([`EffectClass`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
@@ -57,7 +57,7 @@ use crate::types::{ExitStatus, Limits, ProcessUsage, SysError};
 pub const WAL_MAGIC: [u8; 4] = *b"SYMW";
 
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 2;
+pub const WAL_VERSION: u32 = 3;
 
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
@@ -147,15 +147,86 @@ pub struct RecoveryReport {
 
 // ---- records ---------------------------------------------------------------
 
-/// One journalled kernel effect. Every payload starts with the virtual
-/// time it was recorded at, which recovery uses to restore the clock.
+/// The class of a journalled syscall effect. The discriminant *is* the
+/// frame tag; each process draws sequence ids per class, and
+/// `(pid, class, seq)` is what matches a frame back to its call site on
+/// re-execution (per-class streams stay aligned when a sibling thread's
+/// un-journalled syscalls interleave differently under replay).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
+pub(crate) enum EffectClass {
+    Tool = TAG_TOOL_EFFECT,
+    Send = TAG_IPC_SEND,
+    Recv = TAG_IPC_RECV,
+    Lookup = TAG_LOOKUP,
+    Now = TAG_NOW,
+    Pred = TAG_PRED_EFFECT,
+}
+
+impl EffectClass {
+    pub(crate) const COUNT: usize = 6;
+
+    /// Position in a process's per-class counter array.
+    pub(crate) fn index(self) -> usize {
+        (self as u8 - EffectClass::Tool as u8) as usize
+    }
+}
+
+/// What one effectful syscall observed or caused: everything replay needs
+/// to answer the re-executed call without performing it again.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Effect {
+    /// A whole tool call (all attempts plus backoff) and its outcome.
+    Tool {
+        latency_ns: u64,
+        result: Result<String, SysError>,
+    },
+    /// A send: `ok` is what the sender saw, `delivered` whether the
+    /// message reached `to`'s mailbox (an injected drop is `ok` only).
+    Send {
+        to: u64,
+        ok: bool,
+        delivered: bool,
+        data: String,
+    },
+    Recv {
+        from: u64,
+        data: String,
+    },
+    Lookup {
+        found: Option<u64>,
+    },
+    Now {
+        t: SimTime,
+    },
+    /// A `pred` that completed: a marker, not its reply (see the module
+    /// docs). `n_tokens` guards against matching a different call.
+    Pred {
+        n_tokens: u32,
+    },
+}
+
+impl Effect {
+    pub(crate) fn class(&self) -> EffectClass {
+        match self {
+            Effect::Tool { .. } => EffectClass::Tool,
+            Effect::Send { .. } => EffectClass::Send,
+            Effect::Recv { .. } => EffectClass::Recv,
+            Effect::Lookup { .. } => EffectClass::Lookup,
+            Effect::Now { .. } => EffectClass::Now,
+            Effect::Pred { .. } => EffectClass::Pred,
+        }
+    }
+}
+
+/// One journalled frame. Every payload starts with the virtual time it
+/// was recorded at, which recovery uses to restore the clock.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WalRecord {
     ProcSpawn {
         at: SimTime,
         pid: u64,
         main_tid: u64,
-        durable: bool,
         name: String,
         args: String,
         limits: Limits,
@@ -167,49 +238,13 @@ pub(crate) enum WalRecord {
         output: String,
         usage: ProcessUsage,
     },
-    ToolEffect {
+    /// The `seq`-th effect of its class drawn by `pid`; the frame tag is
+    /// the class.
+    Effect {
         at: SimTime,
         pid: u64,
         seq: u64,
-        latency_ns: u64,
-        fired: bool,
-        result: Result<String, SysError>,
-    },
-    IpcSend {
-        at: SimTime,
-        from: u64,
-        to: u64,
-        seq: u64,
-        ok: bool,
-        delivered: bool,
-        data: String,
-    },
-    IpcRecv {
-        at: SimTime,
-        pid: u64,
-        seq: u64,
-        from: u64,
-        data: String,
-    },
-    Lookup {
-        at: SimTime,
-        pid: u64,
-        seq: u64,
-        found: Option<u64>,
-    },
-    NowEffect {
-        at: SimTime,
-        pid: u64,
-        seq: u64,
-        t: SimTime,
-    },
-    /// A `pred` that completed: a marker, not its reply (see the module
-    /// docs). `n_tokens` guards against matching a different call.
-    PredEffect {
-        at: SimTime,
-        pid: u64,
-        seq: u64,
-        n_tokens: u32,
+        effect: Effect,
     },
     Checkpoint {
         at: SimTime,
@@ -228,7 +263,6 @@ pub(crate) enum WalRecord {
         pid: u64,
         main_tid: u64,
         arrival: SimTime,
-        durable: bool,
         name: String,
         args: String,
         limits: Limits,
@@ -240,12 +274,7 @@ impl WalRecord {
         match self {
             WalRecord::ProcSpawn { at, .. }
             | WalRecord::ProcExit { at, .. }
-            | WalRecord::ToolEffect { at, .. }
-            | WalRecord::IpcSend { at, .. }
-            | WalRecord::IpcRecv { at, .. }
-            | WalRecord::Lookup { at, .. }
-            | WalRecord::NowEffect { at, .. }
-            | WalRecord::PredEffect { at, .. }
+            | WalRecord::Effect { at, .. }
             | WalRecord::Checkpoint { at, .. }
             | WalRecord::ProcSched { at, .. } => *at,
         }
@@ -379,12 +408,7 @@ fn record_tag(rec: &WalRecord) -> u8 {
     match rec {
         WalRecord::ProcSpawn { .. } => TAG_PROC_SPAWN,
         WalRecord::ProcExit { .. } => TAG_PROC_EXIT,
-        WalRecord::ToolEffect { .. } => TAG_TOOL_EFFECT,
-        WalRecord::IpcSend { .. } => TAG_IPC_SEND,
-        WalRecord::IpcRecv { .. } => TAG_IPC_RECV,
-        WalRecord::Lookup { .. } => TAG_LOOKUP,
-        WalRecord::NowEffect { .. } => TAG_NOW,
-        WalRecord::PredEffect { .. } => TAG_PRED_EFFECT,
+        WalRecord::Effect { effect, .. } => effect.class() as u8,
         WalRecord::Checkpoint { .. } => TAG_CHECKPOINT,
         WalRecord::ProcSched { .. } => TAG_PROC_SCHED,
     }
@@ -396,7 +420,6 @@ fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
         WalRecord::ProcSpawn {
             pid,
             main_tid,
-            durable,
             name,
             args,
             limits,
@@ -404,7 +427,6 @@ fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
         } => {
             push_u64(out, *pid);
             push_u64(out, *main_tid);
-            out.push(u8::from(*durable));
             push_str(out, name);
             push_str(out, args);
             encode_limits(out, limits);
@@ -433,75 +455,45 @@ fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
             push_u64(out, usage.tool_calls);
             push_u32(out, usage.threads_spawned);
         }
-        WalRecord::ToolEffect {
-            pid,
-            seq,
-            latency_ns,
-            fired,
-            result,
-            ..
+        // One shape for every class: `(at, pid, seq, payload)`.
+        WalRecord::Effect {
+            pid, seq, effect, ..
         } => {
             push_u64(out, *pid);
             push_u64(out, *seq);
-            push_u64(out, *latency_ns);
-            out.push(u8::from(*fired));
-            match result {
-                Ok(text) => {
-                    out.push(0);
-                    push_str(out, text);
+            match effect {
+                Effect::Tool { latency_ns, result } => {
+                    push_u64(out, *latency_ns);
+                    match result {
+                        Ok(text) => {
+                            out.push(0);
+                            push_str(out, text);
+                        }
+                        Err(e) => {
+                            out.push(1);
+                            encode_sys_error(out, e);
+                        }
+                    }
                 }
-                Err(e) => {
-                    out.push(1);
-                    encode_sys_error(out, e);
+                Effect::Send {
+                    to,
+                    ok,
+                    delivered,
+                    data,
+                } => {
+                    push_u64(out, *to);
+                    out.push(u8::from(*ok));
+                    out.push(u8::from(*delivered));
+                    push_str(out, data);
                 }
+                Effect::Recv { from, data } => {
+                    push_u64(out, *from);
+                    push_str(out, data);
+                }
+                Effect::Lookup { found } => push_opt_u64(out, *found),
+                Effect::Now { t } => push_u64(out, t.as_nanos()),
+                Effect::Pred { n_tokens } => push_u32(out, *n_tokens),
             }
-        }
-        WalRecord::IpcSend {
-            from,
-            to,
-            seq,
-            ok,
-            delivered,
-            data,
-            ..
-        } => {
-            push_u64(out, *from);
-            push_u64(out, *to);
-            push_u64(out, *seq);
-            out.push(u8::from(*ok));
-            out.push(u8::from(*delivered));
-            push_str(out, data);
-        }
-        WalRecord::IpcRecv {
-            pid,
-            seq,
-            from,
-            data,
-            ..
-        } => {
-            push_u64(out, *pid);
-            push_u64(out, *seq);
-            push_u64(out, *from);
-            push_str(out, data);
-        }
-        WalRecord::Lookup {
-            pid, seq, found, ..
-        } => {
-            push_u64(out, *pid);
-            push_u64(out, *seq);
-            push_opt_u64(out, *found);
-        }
-        WalRecord::NowEffect { pid, seq, t, .. } => {
-            push_u64(out, *pid);
-            push_u64(out, *seq);
-            push_u64(out, t.as_nanos());
-        }
-        WalRecord::PredEffect {
-            pid, seq, n_tokens, ..
-        } => {
-            push_u64(out, *pid);
-            push_u64(out, *seq);
-            push_u32(out, *n_tokens);
         }
         WalRecord::Checkpoint {
             next_pid,
@@ -536,7 +528,6 @@ fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
             pid,
             main_tid,
             arrival,
-            durable,
             name,
             args,
             limits,
@@ -545,12 +536,43 @@ fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
             push_u64(out, *pid);
             push_u64(out, *main_tid);
             push_u64(out, arrival.as_nanos());
-            out.push(u8::from(*durable));
             push_str(out, name);
             push_str(out, args);
             encode_limits(out, limits);
         }
     }
+}
+
+/// The payload of an effect frame; its tag says which class it is.
+fn decode_effect(tag: u8, c: &mut Cursor<'_>) -> Option<Effect> {
+    Some(match tag {
+        TAG_TOOL_EFFECT => Effect::Tool {
+            latency_ns: c.u64()?,
+            result: match c.u8()? {
+                0 => Ok(c.str()?),
+                1 => Err(decode_sys_error(c)?),
+                _ => return None,
+            },
+        },
+        TAG_IPC_SEND => Effect::Send {
+            to: c.u64()?,
+            ok: c.u8()? != 0,
+            delivered: c.u8()? != 0,
+            data: c.str()?,
+        },
+        TAG_IPC_RECV => Effect::Recv {
+            from: c.u64()?,
+            data: c.str()?,
+        },
+        TAG_LOOKUP => Effect::Lookup {
+            found: c.opt_u64()?,
+        },
+        TAG_NOW => Effect::Now {
+            t: SimTime::from_nanos(c.u64()?),
+        },
+        TAG_PRED_EFFECT => Effect::Pred { n_tokens: c.u32()? },
+        _ => return None,
+    })
 }
 
 fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
@@ -561,7 +583,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
             at,
             pid: c.u64()?,
             main_tid: c.u64()?,
-            durable: c.u8()? != 0,
             name: c.str()?,
             args: c.str()?,
             limits: decode_limits(&mut c)?,
@@ -589,59 +610,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
                 },
             }
         }
-        TAG_TOOL_EFFECT => {
-            let pid = c.u64()?;
-            let seq = c.u64()?;
-            let latency_ns = c.u64()?;
-            let fired = c.u8()? != 0;
-            let result = match c.u8()? {
-                0 => Ok(c.str()?),
-                1 => Err(decode_sys_error(&mut c)?),
-                _ => return None,
-            };
-            WalRecord::ToolEffect {
-                at,
-                pid,
-                seq,
-                latency_ns,
-                fired,
-                result,
-            }
-        }
-        TAG_IPC_SEND => WalRecord::IpcSend {
-            at,
-            from: c.u64()?,
-            to: c.u64()?,
-            seq: c.u64()?,
-            ok: c.u8()? != 0,
-            delivered: c.u8()? != 0,
-            data: c.str()?,
-        },
-        TAG_IPC_RECV => WalRecord::IpcRecv {
-            at,
-            pid: c.u64()?,
-            seq: c.u64()?,
-            from: c.u64()?,
-            data: c.str()?,
-        },
-        TAG_LOOKUP => WalRecord::Lookup {
-            at,
-            pid: c.u64()?,
-            seq: c.u64()?,
-            found: c.opt_u64()?,
-        },
-        TAG_NOW => WalRecord::NowEffect {
-            at,
-            pid: c.u64()?,
-            seq: c.u64()?,
-            t: SimTime::from_nanos(c.u64()?),
-        },
-        TAG_PRED_EFFECT => WalRecord::PredEffect {
-            at,
-            pid: c.u64()?,
-            seq: c.u64()?,
-            n_tokens: c.u32()?,
-        },
         TAG_CHECKPOINT => {
             let next_pid = c.u64()?;
             let next_tid = c.u64()?;
@@ -675,12 +643,16 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
             pid: c.u64()?,
             main_tid: c.u64()?,
             arrival: SimTime::from_nanos(c.u64()?),
-            durable: c.u8()? != 0,
             name: c.str()?,
             args: c.str()?,
             limits: decode_limits(&mut c)?,
         },
-        _ => return None,
+        _ => WalRecord::Effect {
+            at,
+            pid: c.u64()?,
+            seq: c.u64()?,
+            effect: decode_effect(tag, &mut c)?,
+        },
     };
     c.done().then_some(rec)
 }
@@ -876,16 +848,16 @@ impl WalState {
 
 // ---- replay state ----------------------------------------------------------
 
-/// One journalled process, assembled from its spawn (and maybe exit)
-/// frames.
+/// One journalled process, assembled from its schedule and/or spawn (and
+/// maybe exit) frames.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplayProc {
     pub(crate) name: String,
     pub(crate) args: String,
-    pub(crate) spawned_at: SimTime,
+    /// When it started (spawn frame) or is due to (schedule frame only).
+    pub(crate) arrival: SimTime,
     pub(crate) main_tid: u64,
     pub(crate) limits: Limits,
-    pub(crate) durable: bool,
     pub(crate) exit: Option<ReplayExit>,
 }
 
@@ -898,53 +870,21 @@ pub(crate) struct ReplayExit {
     pub(crate) usage: ProcessUsage,
 }
 
-/// A program journalled as scheduled but (per the log) never started.
-#[derive(Debug, Clone)]
-pub(crate) struct ReplaySched {
-    pub(crate) name: String,
-    pub(crate) args: String,
-    pub(crate) main_tid: u64,
-    pub(crate) arrival: SimTime,
-    pub(crate) limits: Limits,
-    pub(crate) durable: bool,
-}
-
-/// A journalled whole-tool-call outcome.
-#[derive(Debug, Clone)]
-pub(crate) struct ToolOutcomeRec {
-    pub(crate) latency_ns: u64,
-    pub(crate) result: Result<String, SysError>,
-}
-
-/// A journalled IPC send, kept in journal (= delivery) order for mailbox
-/// reconstruction.
-#[derive(Debug, Clone)]
-pub(crate) struct SendRec {
-    pub(crate) to: u64,
-    pub(crate) delivered: bool,
-    pub(crate) data: String,
-    pub(crate) from: u64,
-}
-
 /// Everything recovery needs, keyed for O(log n) replay hits.
 #[derive(Debug, Default)]
 pub(crate) struct Replay {
     pub(crate) clock: SimTime,
     pub(crate) next_pid: u64,
     pub(crate) next_tid: u64,
+    /// Programs that started (a `ProcSpawn` frame exists).
     pub(crate) procs: BTreeMap<u64, ReplayProc>,
     /// Scheduled-but-never-started programs (no `ProcSpawn` frame).
-    pub(crate) scheduled: BTreeMap<u64, ReplaySched>,
-    pub(crate) tools: BTreeMap<(u64, u64), ToolOutcomeRec>,
-    /// `(from, seq)` → whether the send succeeded (suppresses re-sends).
-    pub(crate) send_results: BTreeMap<(u64, u64), bool>,
-    /// Successful sends in journal order (mailbox reconstruction).
-    pub(crate) sends: Vec<SendRec>,
-    pub(crate) recvs: BTreeMap<(u64, u64), (u64, String)>,
-    pub(crate) lookups: BTreeMap<(u64, u64), Option<u64>>,
-    pub(crate) nows: BTreeMap<(u64, u64), SimTime>,
-    /// `(pid, seq)` → input tokens of a `pred` that completed pre-crash.
-    pub(crate) preds: BTreeMap<(u64, u64), u32>,
+    pub(crate) scheduled: BTreeMap<u64, ReplayProc>,
+    /// Every journalled syscall effect, by `(pid, class, seq)`.
+    pub(crate) effects: BTreeMap<(u64, EffectClass, u64), Effect>,
+    /// `(from, seq)` of the delivered sends in journal (= delivery) order,
+    /// for mailbox reconstruction; the payloads are in `effects`.
+    pub(crate) sends: Vec<(u64, u64)>,
     pub(crate) breakers: Vec<(String, BreakerStateView)>,
     pub(crate) frames: u64,
     pub(crate) wal_bytes: u64,
@@ -956,14 +896,16 @@ impl Replay {
     /// prefix when rebuilding mailboxes.
     pub(crate) fn recv_counts(&self) -> BTreeMap<u64, usize> {
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for &(pid, _) in self.recvs.keys() {
-            *counts.entry(pid).or_default() += 1;
+        for &(pid, class, _) in self.effects.keys() {
+            if class == EffectClass::Recv {
+                *counts.entry(pid).or_default() += 1;
+            }
         }
         counts
     }
 }
 
-/// Folds a record stream into replay maps. Re-journalled frames from a
+/// Folds a record stream into replay state. Re-journalled frames from a
 /// previous recovery are idempotent: later frames for the same key simply
 /// overwrite identical content.
 pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) -> Replay {
@@ -973,7 +915,6 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
         frames: records.len() as u64,
         ..Replay::default()
     };
-    let mut send_keys_seen: BTreeSet<(u64, u64)> = BTreeSet::new();
     for rec in records {
         r.clock = r.clock.max(rec.at());
         match rec {
@@ -981,20 +922,20 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 at,
                 pid,
                 main_tid,
-                durable,
                 name,
                 args,
                 limits,
             } => {
                 r.next_pid = r.next_pid.max(pid + 1);
                 r.next_tid = r.next_tid.max(main_tid + 1);
+                // A spawn frame supersedes the schedule frame for its pid.
+                r.scheduled.remove(&pid);
                 r.procs.entry(pid).or_insert(ReplayProc {
                     name,
                     args,
-                    spawned_at: at,
+                    arrival: at,
                     main_tid,
                     limits,
-                    durable,
                     exit: None,
                 });
             }
@@ -1014,58 +955,25 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                     });
                 }
             }
-            WalRecord::ToolEffect {
-                pid,
-                seq,
-                latency_ns,
-                result,
-                ..
+            WalRecord::Effect {
+                pid, seq, effect, ..
             } => {
-                r.tools
-                    .insert((pid, seq), ToolOutcomeRec { latency_ns, result });
-            }
-            WalRecord::IpcSend {
-                from,
-                to,
-                seq,
-                ok,
-                delivered,
-                data,
-                ..
-            } => {
-                r.send_results.insert((from, seq), ok);
-                // Journal order is delivery order; only first sight counts
-                // (a recovered run re-journals nothing, but belt and braces).
-                if ok && delivered && send_keys_seen.insert((from, seq)) {
-                    r.sends.push(SendRec {
-                        to,
-                        delivered,
-                        data,
-                        from,
-                    });
+                let delivered = matches!(
+                    effect,
+                    Effect::Send {
+                        ok: true,
+                        delivered: true,
+                        ..
+                    }
+                );
+                // Journal order is delivery order; only first sight counts.
+                let first = r
+                    .effects
+                    .insert((pid, effect.class(), seq), effect)
+                    .is_none();
+                if first && delivered {
+                    r.sends.push((pid, seq));
                 }
-            }
-            WalRecord::IpcRecv {
-                pid,
-                seq,
-                from,
-                data,
-                ..
-            } => {
-                r.recvs.insert((pid, seq), (from, data));
-            }
-            WalRecord::Lookup {
-                pid, seq, found, ..
-            } => {
-                r.lookups.insert((pid, seq), found);
-            }
-            WalRecord::NowEffect { pid, seq, t, .. } => {
-                r.nows.insert((pid, seq), t);
-            }
-            WalRecord::PredEffect {
-                pid, seq, n_tokens, ..
-            } => {
-                r.preds.insert((pid, seq), n_tokens);
             }
             WalRecord::Checkpoint {
                 next_pid,
@@ -1081,7 +989,6 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 pid,
                 main_tid,
                 arrival,
-                durable,
                 name,
                 args,
                 limits,
@@ -1089,26 +996,18 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
             } => {
                 r.next_pid = r.next_pid.max(pid + 1);
                 r.next_tid = r.next_tid.max(main_tid + 1);
-                r.scheduled.entry(pid).or_insert(ReplaySched {
-                    name,
-                    args,
-                    main_tid,
-                    arrival,
-                    limits,
-                    durable,
-                });
+                if !r.procs.contains_key(&pid) {
+                    r.scheduled.entry(pid).or_insert(ReplayProc {
+                        name,
+                        args,
+                        arrival,
+                        main_tid,
+                        limits,
+                        exit: None,
+                    });
+                }
             }
         }
-    }
-    // A spawn frame supersedes the schedule frame for the same pid.
-    let started: Vec<u64> = r
-        .scheduled
-        .keys()
-        .filter(|p| r.procs.contains_key(p))
-        .copied()
-        .collect();
-    for pid in started {
-        r.scheduled.remove(&pid);
     }
     r
 }
@@ -1117,13 +1016,21 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
 mod tests {
     use super::*;
 
+    fn effect(at: u64, pid: u64, seq: u64, effect: Effect) -> WalRecord {
+        WalRecord::Effect {
+            at: SimTime::from_nanos(at),
+            pid,
+            seq,
+            effect,
+        }
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::ProcSpawn {
                 at: SimTime::from_nanos(10),
                 pid: 1,
                 main_tid: 7,
-                durable: true,
                 name: "agent0".into(),
                 args: "x=1".into(),
                 limits: Limits {
@@ -1132,56 +1039,54 @@ mod tests {
                     ..Limits::default()
                 },
             },
-            WalRecord::ToolEffect {
-                at: SimTime::from_nanos(20),
-                pid: 1,
-                seq: 0,
-                latency_ns: 1_000_000,
-                fired: true,
-                result: Ok("searched: q".into()),
-            },
-            WalRecord::ToolEffect {
-                at: SimTime::from_nanos(25),
-                pid: 1,
-                seq: 1,
-                latency_ns: 500,
-                fired: false,
-                result: Err(SysError::Timeout),
-            },
-            WalRecord::IpcSend {
-                at: SimTime::from_nanos(30),
-                from: 1,
-                to: 2,
-                seq: 0,
-                ok: true,
-                delivered: true,
-                data: "hello".into(),
-            },
-            WalRecord::IpcRecv {
-                at: SimTime::from_nanos(31),
-                pid: 2,
-                seq: 0,
-                from: 1,
-                data: "hello".into(),
-            },
-            WalRecord::Lookup {
-                at: SimTime::from_nanos(32),
-                pid: 1,
-                seq: 0,
-                found: Some(2),
-            },
-            WalRecord::NowEffect {
-                at: SimTime::from_nanos(33),
-                pid: 1,
-                seq: 0,
-                t: SimTime::from_nanos(33),
-            },
-            WalRecord::PredEffect {
-                at: SimTime::from_nanos(40),
-                pid: 1,
-                seq: 0,
-                n_tokens: 5,
-            },
+            effect(
+                20,
+                1,
+                0,
+                Effect::Tool {
+                    latency_ns: 1_000_000,
+                    result: Ok("searched: q".into()),
+                },
+            ),
+            effect(
+                25,
+                1,
+                1,
+                Effect::Tool {
+                    latency_ns: 500,
+                    result: Err(SysError::Timeout),
+                },
+            ),
+            effect(
+                30,
+                1,
+                0,
+                Effect::Send {
+                    to: 2,
+                    ok: true,
+                    delivered: true,
+                    data: "hello".into(),
+                },
+            ),
+            effect(
+                31,
+                2,
+                0,
+                Effect::Recv {
+                    from: 1,
+                    data: "hello".into(),
+                },
+            ),
+            effect(32, 1, 0, Effect::Lookup { found: Some(2) }),
+            effect(
+                33,
+                1,
+                0,
+                Effect::Now {
+                    t: SimTime::from_nanos(33),
+                },
+            ),
+            effect(40, 1, 0, Effect::Pred { n_tokens: 5 }),
             WalRecord::Checkpoint {
                 at: SimTime::from_nanos(50),
                 next_pid: 3,
@@ -1220,7 +1125,6 @@ mod tests {
                 pid: 4,
                 main_tid: 11,
                 arrival: SimTime::from_nanos(900),
-                durable: true,
                 name: "late-agent".into(),
                 args: "y=2".into(),
                 limits: Limits::default(),
@@ -1252,12 +1156,7 @@ mod tests {
         // at + pid + seq + n_tokens, plus the frame's tag/len/crc: the
         // distributions (vocabulary-sized, one per token) are not in it.
         for n_tokens in [1, 512, u32::MAX] {
-            let frame = encode_frame(&WalRecord::PredEffect {
-                at: SimTime::from_nanos(40),
-                pid: 1,
-                seq: 0,
-                n_tokens,
-            });
+            let frame = encode_frame(&effect(40, 1, 0, Effect::Pred { n_tokens }));
             assert_eq!(
                 frame.len(),
                 8 + 8 + 8 + 4 + symphony_sim::frame::FRAME_OVERHEAD
@@ -1299,8 +1198,12 @@ mod tests {
         wrong_magic[0] = b'X';
         assert_eq!(read_wal(&wrong_magic), Err(WalError::Incompatible));
         let mut wrong_version = bytes.clone();
-        wrong_version[4] = 99;
-        assert_eq!(read_wal(&wrong_version), Err(WalError::Incompatible));
+        // A log written by the previous format (v2: `fired`/`durable`
+        // bytes, per-class shapes) is refused, not misread.
+        for version in [WAL_VERSION - 1, 99] {
+            wrong_version[4] = version as u8;
+            assert_eq!(read_wal(&wrong_version), Err(WalError::Incompatible));
+        }
         let mut bad_crc = bytes;
         bad_crc[9] ^= 0xff;
         assert_eq!(read_wal(&bad_crc), Err(WalError::Unreadable));
@@ -1317,7 +1220,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_maps_key_by_pid_and_seq() {
+    fn every_effect_class_replays_from_one_map() {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 5);
         let (_, records, _, torn) = read_wal(&bytes).unwrap();
@@ -1326,20 +1229,90 @@ mod tests {
         assert_eq!(r.next_pid, 5);
         assert_eq!(r.procs.len(), 1);
         assert!(r.procs[&1].exit.is_some());
-        assert!(r.tools.contains_key(&(1, 0)));
-        assert!(matches!(r.tools[&(1, 1)].result, Err(SysError::Timeout)));
-        assert!(r.send_results[&(1, 0)]);
-        assert_eq!(r.sends.len(), 1);
-        assert_eq!(r.recvs[&(2, 0)], (1, "hello".into()));
-        assert_eq!(r.lookups[&(1, 0)], Some(2));
-        assert_eq!(r.nows[&(1, 0)], SimTime::from_nanos(33));
-        assert_eq!(r.preds[&(1, 0)], 5);
-        assert_eq!(r.breakers.len(), 2);
+        // Every effect frame of the log is in the map under its own
+        // `(pid, class, seq)`, and nothing else is.
+        let journalled: Vec<_> = recs
+            .iter()
+            .filter_map(|rec| match rec {
+                WalRecord::Effect {
+                    pid, seq, effect, ..
+                } => Some(((*pid, effect.class(), *seq), effect.clone())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(journalled.len(), 7);
+        assert_eq!(r.effects.len(), journalled.len());
+        for (key, effect) in &journalled {
+            assert_eq!(r.effects.get(key), Some(effect), "{key:?}");
+        }
+        // Classes do not collide: pid 1 drew seq 0 in five of them.
+        let classes: BTreeSet<EffectClass> = r
+            .effects
+            .keys()
+            .filter(|&&(pid, _, seq)| pid == 1 && seq == 0)
+            .map(|&(_, class, _)| class)
+            .collect();
+        assert_eq!(classes.len(), 5);
+        assert_eq!(r.sends, vec![(1, 0)]);
         assert_eq!(r.recv_counts()[&2], 1);
+        assert_eq!(r.breakers.len(), 2);
         assert_eq!(r.scheduled.len(), 1);
         assert_eq!(r.scheduled[&4].arrival, SimTime::from_nanos(900));
         assert_eq!(r.scheduled[&4].main_tid, 11);
         assert_eq!(r.next_tid, 12, "sched main tid raises the tid floor");
+    }
+
+    #[test]
+    fn undelivered_and_repeated_sends_stay_out_of_the_mailbox_order() {
+        let send = |seq, ok, delivered| {
+            effect(
+                5,
+                1,
+                seq,
+                Effect::Send {
+                    to: 2,
+                    ok,
+                    delivered,
+                    data: "m".into(),
+                },
+            )
+        };
+        let records = vec![
+            send(0, true, true),
+            send(1, true, false),  // dropped in flight
+            send(2, false, false), // no such target
+            send(0, true, true),   // re-journalled by an earlier recovery
+        ];
+        let r = build_replay(records, 0, false);
+        assert_eq!(r.sends, vec![(1, 0)]);
+        assert_eq!(r.effects.len(), 3, "the sender's replay sees all three");
+    }
+
+    #[test]
+    fn effect_class_is_the_frame_tag() {
+        for rec in sample_records() {
+            let frame = encode_frame(&rec);
+            if let WalRecord::Effect { effect, .. } = &rec {
+                assert_eq!(frame[0], effect.class() as u8);
+                assert!(effect.class().index() < EffectClass::COUNT);
+            }
+            let payload = &frame[5..frame.len() - 4];
+            assert_eq!(decode_payload(frame[0], payload), Some(rec));
+        }
+        let names = frame_counts(&wal_bytes(&sample_records(), 1)).unwrap();
+        let expected = [
+            ("checkpoint", 1),
+            ("ipc_recv", 1),
+            ("ipc_send", 1),
+            ("lookup", 1),
+            ("now", 1),
+            ("pred_effect", 1),
+            ("proc_exit", 1),
+            ("proc_sched", 1),
+            ("proc_spawn", 1),
+            ("tool_effect", 2),
+        ];
+        assert_eq!(names.into_iter().collect::<Vec<_>>(), expected);
     }
 
     #[test]

@@ -997,3 +997,69 @@ fn deadlocked_receiver_is_detected() {
     assert!(k.record(pid).unwrap().exited_at.is_none());
     // Dropping the kernel must not hang (threads are unblocked and joined).
 }
+
+/// Durability is a property of a process, not a second path through the
+/// kernel: the same body admitted through `spawn_process` and through
+/// `spawn_durable` issues the same syscalls, gets the same replies at the
+/// same virtual times and leaves the same record. Only the log differs.
+#[test]
+fn durability_changes_what_is_logged_not_what_happens() {
+    // One call of every journalled class: pred, tool, lookup, send, recv, now.
+    fn body(ctx: &mut symphony::Ctx) -> Result<(), SysError> {
+        let prompt = ctx.tokenize(&ctx.args())?;
+        let kv = ctx.kv_create()?;
+        let opts = GenOpts { max_tokens: 6, temperature: 0.0, ..Default::default() };
+        let gen = sampling::generate(ctx, kv, &prompt, &opts)?;
+        let doc = ctx.call_tool("search", "q")?;
+        let me = ctx.lookup_process("prog")?.ok_or(SysError::NotFound)?;
+        ctx.send_msg(me, &doc)?;
+        let echoed = ctx.recv_msg()?.data;
+        let t = ctx.now()?;
+        ctx.emit(&format!("{echoed} at {t:?} after {} tokens", gen.tokens.len()))
+    }
+    let run = |durable: bool| {
+        let path = std::env::temp_dir().join(format!(
+            "symphony-kernel-tests-{}-durable-{durable}.wal",
+            std::process::id()
+        ));
+        let mut cfg = KernelConfig::for_tests();
+        cfg.wal = Some(symphony::WalConfig::new(&path));
+        cfg.telemetry = true;
+        cfg.causal = true;
+        let mut k = Kernel::new(cfg);
+        let tool = |args: &str| ToolOutcome::Ok(format!("doc({args})"));
+        k.register_tool("search", ToolSpec::fixed(SimDuration::from_millis(7), tool));
+        if durable {
+            k.spawn_durable("prog", "what the log is for", std::sync::Arc::new(body));
+        } else {
+            k.spawn_process("prog", "what the log is for", body);
+        }
+        k.run();
+        let records: Vec<String> = k.records().map(|r| format!("{r:?}")).collect();
+        // A checkpoint event reports the frames it flushed — what is
+        // logged — so only *that* it fired is compared.
+        let (checkpoints, events): (Vec<_>, Vec<_>) = k
+            .telemetry_events()
+            .iter()
+            .cloned()
+            .partition(|e| matches!(e.kind, EventKind::WalCheckpoint { .. }));
+        let frames = symphony::wal::frame_counts(&std::fs::read(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).ok();
+        (records, events, checkpoints.len(), frames)
+    };
+    let (plain, durable) = (run(false), run(true));
+    assert!(plain.0[0].contains("doc(q) at "), "the body ran: {:?}", plain.0);
+    assert_eq!(plain.0, durable.0, "records");
+    assert_eq!(plain.1, durable.1, "telemetry events");
+    assert_eq!(plain.2, durable.2, "checkpoints fired");
+    assert!(plain.2 > 0, "the run crosses a checkpoint");
+    assert_eq!(
+        plain.3.keys().copied().collect::<Vec<_>>(),
+        ["checkpoint"],
+        "a kernel with no durable process journals nothing but checkpoints"
+    );
+    for class in ["proc_spawn", "tool_effect", "lookup", "ipc_send", "ipc_recv", "now", "proc_exit"] {
+        assert_eq!(durable.3.get(class), Some(&1), "{class}: {:?}", durable.3);
+    }
+    assert!(durable.3["pred_effect"] > 1);
+}

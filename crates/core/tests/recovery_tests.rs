@@ -218,6 +218,66 @@ fn kill_at_every_syscall_boundary_recovers_equivalently() {
     std::fs::remove_file(&base_path).ok();
 }
 
+/// Recovery is itself crash-tolerant: kill the kernel, recover, kill the
+/// *recovered* run (early, midway and at its last boundary but one),
+/// recover again from the same log, and the three runs together are still
+/// indistinguishable from an uninterrupted one — same outputs, and every
+/// tool handler fired exactly once across both crashes.
+#[test]
+fn a_crash_during_recovery_recovers_equivalently() {
+    let base_path = tmp("double-base.wal");
+    let baseline = run_baseline(&base_path);
+    std::fs::remove_file(&base_path).ok();
+
+    // Crashes a fresh fleet at `b1`, then recovers it with the next
+    // kill-point armed at `b2` of the recovered run (`None`: run it out).
+    let crash_then_recover = |path: &std::path::Path, b1: u64, b2: Option<u64>| {
+        let fired = Arc::new(AtomicU64::new(0));
+        {
+            let mut k = Kernel::new(config(path, Some(b1)));
+            k.register_tool("search", search_tool(fired.clone()));
+            spawn_fleet(&mut k);
+            k.run();
+            assert_eq!(k.crashed(), Some(b1));
+        }
+        let recover = |crash_at: Option<u64>| {
+            let (mut k, _) = Kernel::recover(config(path, crash_at)).expect("recoverable WAL");
+            k.register_tool("search", search_tool(fired.clone()));
+            assert_eq!(k.resume_programs(resolver).lost, 0);
+            k.run();
+            assert_eq!(k.crashed(), crash_at);
+            k
+        };
+        let k = recover(b2);
+        (b2.map_or(k, |_| recover(None)), fired.load(Ordering::SeqCst))
+    };
+
+    for b1 in (5..=baseline.boundaries).step_by(5) {
+        let path = tmp(&format!("double-{b1}.wal"));
+        // The recovered run's own kill-point space.
+        let (recovered, _) = crash_then_recover(&path, b1, None);
+        let last = recovered.syscall_boundaries();
+        drop(recovered);
+        let second: std::collections::BTreeSet<u64> = [1, last / 2, last.saturating_sub(1)]
+            .into_iter()
+            .filter(|b2| (1..=last).contains(b2))
+            .collect();
+        for b2 in second {
+            let (k, fired) = crash_then_recover(&path, b1, Some(b2));
+            assert_eq!(
+                outcomes(&k),
+                baseline.outcomes,
+                "crash at {b1}, then at {b2} of the recovered run"
+            );
+            assert_eq!(
+                fired, baseline.fired,
+                "crash at {b1}, then at {b2}: a tool handler fired twice or never"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 /// Two independent crash+recover sequences with identical configs are
 /// byte-identical — recovery itself is deterministic.
 #[test]

@@ -8,11 +8,11 @@
 //! instead of failing the whole restore — the truncate-and-continue
 //! recovery of append-only stores like diskomap.
 //!
-//! [`crate::store::KvStore::snapshot_to_journal`] serialises a store as a
+//! [`crate::store::KvStore::journal_bytes`] serialises a store as a
 //! record sequence (pages, file metadata, links, quotas, pool state);
 //! [`crate::store::KvStore::restore_from_journal`] replays any record
-//! sequence — snapshot or incremental appends of page writes, truncates,
-//! links and removes — back into a byte-identical store.
+//! sequence — snapshot or incremental appends of page writes, file
+//! metadata, links and removes — back into a byte-identical store.
 
 use symphony_model::CtxFingerprint;
 
@@ -89,13 +89,6 @@ pub enum Record {
         /// File id.
         file: u64,
     },
-    /// File truncation to `new_len` entries.
-    Truncate {
-        /// File id.
-        file: u64,
-        /// New entry count.
-        new_len: u64,
-    },
     /// An owner's page-quota limit (`None` = unlimited).
     Quota {
         /// Owner id.
@@ -121,7 +114,6 @@ const TAG_FILE_META: u8 = 2;
 const TAG_LINK: u8 = 3;
 const TAG_UNLINK: u8 = 4;
 const TAG_REMOVE: u8 = 5;
-const TAG_TRUNCATE: u8 = 6;
 const TAG_QUOTA: u8 = 7;
 const TAG_POOL_STATE: u8 = 8;
 const TAG_END: u8 = 9;
@@ -208,10 +200,6 @@ fn encode_payload(rec: &Record, out: &mut Vec<u8>) {
             out.extend_from_slice(path.as_bytes());
         }
         Record::Remove { file } => push_u64(out, *file),
-        Record::Truncate { file, new_len } => {
-            push_u64(out, *file);
-            push_u64(out, *new_len);
-        }
         Record::Quota { owner, limit } => {
             push_u64(out, *owner);
             out.push(u8::from(limit.is_some()));
@@ -235,7 +223,6 @@ fn record_tag(rec: &Record) -> u8 {
         Record::Link { .. } => TAG_LINK,
         Record::Unlink { .. } => TAG_UNLINK,
         Record::Remove { .. } => TAG_REMOVE,
-        Record::Truncate { .. } => TAG_TRUNCATE,
         Record::Quota { .. } => TAG_QUOTA,
         Record::PoolState { .. } => TAG_POOL_STATE,
         Record::End => TAG_END,
@@ -298,10 +285,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<Record> {
             Record::Unlink { path }
         }
         TAG_REMOVE => Record::Remove { file: c.u64()? },
-        TAG_TRUNCATE => Record::Truncate {
-            file: c.u64()?,
-            new_len: c.u64()?,
-        },
         TAG_QUOTA => {
             let owner = c.u64()?;
             let has_limit = c.u8()? != 0;
@@ -421,7 +404,6 @@ fn record_name(rec: &Record) -> &'static str {
         Record::Link { .. } => "link",
         Record::Unlink { .. } => "unlink",
         Record::Remove { .. } => "remove",
-        Record::Truncate { .. } => "truncate",
         Record::Quota { .. } => "quota",
         Record::PoolState { .. } => "pool_state",
         Record::End => "end",
@@ -449,10 +431,6 @@ const END_FRAME_LEN: u64 = 9;
 /// Tuning for an on-disk [`Journal`] handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalConfig {
-    /// Buffered record bytes that trigger an automatic [`Journal::flush`]
-    /// from inside [`Journal::append`] — the periodic write worker. Small
-    /// deltas coalesce in memory; a flush writes them in one syscall pair.
-    pub flush_every_bytes: usize,
     /// Total journal size (disk + buffered) at which
     /// [`Journal::needs_compaction`] reports `true`.
     pub compact_threshold_bytes: u64,
@@ -461,7 +439,6 @@ pub struct JournalConfig {
 impl Default for JournalConfig {
     fn default() -> Self {
         JournalConfig {
-            flush_every_bytes: 8 * 1024,
             compact_threshold_bytes: 256 * 1024,
         }
     }
@@ -507,16 +484,12 @@ impl Journal {
         })
     }
 
-    /// Buffers one framed record, flushing when the buffer crosses
-    /// [`JournalConfig::flush_every_bytes`].
-    pub fn append(&mut self, rec: &Record) -> std::io::Result<()> {
+    /// Buffers one framed record; [`Journal::flush`] at the end of the
+    /// batch writes it.
+    pub fn append(&mut self, rec: &Record) {
         let mut payload = Vec::new();
         encode_payload(rec, &mut payload);
         append_frame(&mut self.pending, record_tag(rec), &payload);
-        if self.pending.len() >= self.config.flush_every_bytes {
-            self.flush()?;
-        }
-        Ok(())
     }
 
     /// Writes buffered records to disk: unseal (drop the `End` frame),
@@ -639,10 +612,6 @@ mod tests {
                 path: "rag/doc.kv".to_string(),
                 id: 1,
             },
-            Record::Truncate {
-                file: 1,
-                new_len: 0,
-            },
             Record::Unlink {
                 path: "rag/doc.kv".to_string(),
             },
@@ -730,6 +699,22 @@ mod tests {
     }
 
     #[test]
+    fn retired_truncate_tag_ends_the_valid_prefix_like_any_unknown_tag() {
+        // Tag 6 was `Truncate`, a record no writer ever emitted.
+        let records = sample_records();
+        let mut payload = Vec::new();
+        push_u64(&mut payload, 1);
+        push_u64(&mut payload, 0);
+        let mut w = JournalWriter::new(&header());
+        w.append(&records[0]);
+        append_frame(&mut w.buf, 6, &payload);
+        w.append(&records[1]);
+        let (_, read, torn) = read_journal(&w.finish()).unwrap();
+        assert_eq!(read, records[..1]);
+        assert!(torn);
+    }
+
+    #[test]
     fn empty_journal_is_complete() {
         let bytes = JournalWriter::new(&header()).finish();
         let (_, records, torn) = read_journal(&bytes).unwrap();
@@ -775,17 +760,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("appends.journal");
         let base = JournalWriter::new(&header()).finish();
-        let mut j = Journal::create(
-            &path,
-            &base,
-            JournalConfig {
-                flush_every_bytes: 1, // flush on every append
-                compact_threshold_bytes: u64::MAX,
-            },
-        )
-        .unwrap();
+        let config = JournalConfig {
+            compact_threshold_bytes: u64::MAX,
+        };
+        let mut j = Journal::create(&path, &base, config).unwrap();
         for r in sample_records() {
-            j.append(&r).unwrap();
+            j.append(&r);
+            j.flush().unwrap();
             // Every post-flush state is a sealed, complete journal.
             let bytes = std::fs::read(&path).unwrap();
             assert_eq!(bytes.len() as u64, j.bytes());
@@ -800,25 +781,19 @@ mod tests {
     }
 
     #[test]
-    fn journal_handle_buffers_until_flush_threshold() {
+    fn journal_handle_buffers_until_flush() {
         let dir = std::env::temp_dir().join("symj_handle_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("buffers.journal");
         let base = JournalWriter::new(&header()).finish();
-        let mut j = Journal::create(
-            &path,
-            &base,
-            JournalConfig {
-                flush_every_bytes: 1 << 20,
-                compact_threshold_bytes: u64::MAX,
-            },
-        )
-        .unwrap();
+        let config = JournalConfig {
+            compact_threshold_bytes: u64::MAX,
+        };
+        let mut j = Journal::create(&path, &base, config).unwrap();
         j.append(&Record::Quota {
             owner: 1,
             limit: Some(4),
-        })
-        .unwrap();
+        });
         // Unflushed: disk still holds only the sealed base snapshot.
         assert_eq!(std::fs::read(&path).unwrap(), base);
         assert!(j.bytes() > base.len() as u64);
@@ -835,18 +810,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("compacts.journal");
         let base = JournalWriter::new(&header()).finish();
-        let mut j = Journal::create(
-            &path,
-            &base,
-            JournalConfig {
-                flush_every_bytes: 1,
-                compact_threshold_bytes: 128,
-            },
-        )
-        .unwrap();
+        let config = JournalConfig {
+            compact_threshold_bytes: 128,
+        };
+        let mut j = Journal::create(&path, &base, config).unwrap();
         for r in sample_records() {
-            j.append(&r).unwrap();
+            j.append(&r);
         }
+        j.flush().unwrap();
         assert!(j.needs_compaction());
         // "Snapshot" here is any complete sealed stream — smaller than the
         // threshold, so compaction actually clears the trigger.

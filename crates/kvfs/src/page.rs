@@ -186,14 +186,6 @@ impl PagePool {
         self.gpu_capacity
     }
 
-    pub(crate) fn cpu_capacity(&self) -> usize {
-        self.cpu_capacity
-    }
-
-    pub(crate) fn disk_capacity(&self) -> usize {
-        self.disk_capacity
-    }
-
     fn tier_full(&self, tier: Tier) -> Option<KvError> {
         match tier {
             Tier::Gpu if self.gpu_used >= self.gpu_capacity => Some(KvError::NoGpuMemory),

@@ -283,8 +283,8 @@ struct DeltaLog {
     shadow_files: std::collections::BTreeSet<u64>,
     /// Namespace as of the last drain.
     shadow_namespace: BTreeMap<String, u64>,
-    /// Per-owner quota limits as of the last drain.
-    shadow_quotas: BTreeMap<u64, Option<u64>>,
+    /// The owners with a quota limit, and the limit, as of the last drain.
+    shadow_quotas: BTreeMap<u64, u64>,
 }
 
 /// Page tables of the files in `keep`, `id` itself left out.
@@ -380,19 +380,9 @@ impl KvStore {
         self.pool.cpu_used()
     }
 
-    /// CPU page capacity.
-    pub fn cpu_pages_capacity(&self) -> usize {
-        self.pool.cpu_capacity()
-    }
-
     /// Disk pages in use.
     pub fn disk_pages_used(&self) -> usize {
         self.pool.disk_used()
-    }
-
-    /// Disk page capacity (0 when the disk tier is disabled).
-    pub fn disk_pages_capacity(&self) -> usize {
-        self.pool.disk_capacity()
     }
 
     /// GPU-resident pages that keep a backing copy in a lower tier.
@@ -426,6 +416,17 @@ impl KvStore {
     /// Sets an owner's page quota (`None` = unlimited).
     pub fn set_quota(&mut self, owner: OwnerId, limit_pages: Option<usize>) {
         self.quotas.entry(owner).or_default().limit_pages = limit_pages;
+        self.forget_idle_quota(owner);
+    }
+
+    /// Drops `owner`'s entry once it says nothing — no pages charged, no
+    /// limit set — so the map is bounded by the owners that hold something,
+    /// not by every owner that ever allocated.
+    fn forget_idle_quota(&mut self, owner: OwnerId) {
+        let idle = |q: &Quota| q.used_pages == 0 && q.limit_pages.is_none();
+        if self.quotas.get(&owner).is_some_and(idle) {
+            self.quotas.remove(&owner);
+        }
     }
 
     /// Pages currently charged to an owner.
@@ -434,13 +435,14 @@ impl KvStore {
     }
 
     fn charge(&mut self, owner: OwnerId, pages: usize) -> Result<(), KvError> {
-        let q = self.quotas.entry(owner).or_default();
-        if let Some(limit) = q.limit_pages {
-            if q.used_pages + pages > limit {
-                return Err(KvError::QuotaExceeded);
-            }
+        let q = self.quotas.get(&owner).copied().unwrap_or_default();
+        if q.limit_pages.is_some_and(|limit| q.used_pages + pages > limit) {
+            return Err(KvError::QuotaExceeded);
         }
-        q.used_pages += pages;
+        // A zero charge leaves no entry behind.
+        if pages > 0 {
+            self.quotas.entry(owner).or_default().used_pages += pages;
+        }
         Ok(())
     }
 
@@ -448,6 +450,7 @@ impl KvStore {
         let q = self.quotas.entry(owner).or_default();
         debug_assert!(q.used_pages >= pages, "quota underflow");
         q.used_pages = q.used_pages.saturating_sub(pages);
+        self.forget_idle_quota(owner);
     }
 
     // ---- permission helpers ----------------------------------------------
@@ -1194,7 +1197,7 @@ impl KvStore {
         d.shadow_quotas = self
             .quotas
             .iter()
-            .map(|(o, q)| (o.0, q.limit_pages.map(|l| l as u64)))
+            .filter_map(|(o, q)| Some((o.0, q.limit_pages? as u64)))
             .collect();
     }
 
@@ -1259,13 +1262,21 @@ impl KvStore {
                 });
             }
         }
+        // Limits set or changed, then limits lifted (an unlimited owner
+        // may have no entry left to find the change on).
+        let limited = |q: &Quota| q.limit_pages.map(|l| l as u64);
         for (owner, q) in &self.quotas {
-            let limit = q.limit_pages.map(|l| l as u64);
-            if d.shadow_quotas.get(&owner.0).copied().unwrap_or(None) != limit {
+            let limit = limited(q);
+            if limit.is_some() && d.shadow_quotas.get(&owner.0) != limit.as_ref() {
                 recs.push(Record::Quota {
                     owner: owner.0,
                     limit,
                 });
+            }
+        }
+        for &owner in d.shadow_quotas.keys() {
+            if self.quotas.get(&OwnerId(owner)).and_then(limited).is_none() {
+                recs.push(Record::Quota { owner, limit: None });
             }
         }
         if !recs.is_empty() {
@@ -1363,11 +1374,6 @@ impl KvStore {
         bytes
     }
 
-    /// Writes the journal snapshot to a file.
-    pub fn snapshot_to_journal(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.journal_bytes())
-    }
-
     /// Restores a store from a journal file. I/O errors surface as
     /// [`KvError::JournalTorn`] (an unreadable journal and a torn one get
     /// the same cold-start handling from callers).
@@ -1421,7 +1427,7 @@ impl KvStore {
         let mut torn = tail_torn;
 
         // An inconsistent record body (a file referencing unwritten pages,
-        // a truncate past the end, ...) is treated exactly like a torn
+        // a link to a missing file, ...) is treated exactly like a torn
         // frame: keep what replayed cleanly, stop there.
         'replay: for rec in records {
             // Any page/file mutation invalidates an earlier PoolState
@@ -1507,64 +1513,6 @@ impl KvStore {
                     }
                     namespace.retain(|_, v| v.0 != file);
                 }
-                Record::Truncate { file, new_len } => {
-                    let new_len = new_len as usize;
-                    let (pages_now, len_now) = match staged_files.get(&file) {
-                        Some(f) => (f.pages.clone(), f.len),
-                        None => {
-                            torn = true;
-                            break 'replay;
-                        }
-                    };
-                    if new_len > len_now {
-                        torn = true;
-                        break 'replay;
-                    }
-                    let keep = new_len.div_ceil(pt).min(pages_now.len());
-                    let mut new_pages = pages_now[..keep].to_vec();
-                    let within = new_len % pt;
-                    if within != 0 {
-                        if let Some(&last) = new_pages.last() {
-                            // Copy-on-write a boundary page other staged
-                            // files still reference in full.
-                            let refs: usize = staged_files
-                                .values()
-                                .map(|f| f.pages.iter().filter(|&&p| p == last).count())
-                                .sum();
-                            let boundary = if refs > 1 {
-                                let fresh =
-                                    staged_pages.keys().next_back().map_or(0, |&m| m + 1);
-                                match staged_pages.get(&last) {
-                                    Some(src) => {
-                                        let copy = src.clone();
-                                        staged_pages.insert(fresh, copy);
-                                    }
-                                    None => {
-                                        torn = true;
-                                        break 'replay;
-                                    }
-                                }
-                                if let Some(slot) = new_pages.last_mut() {
-                                    *slot = fresh;
-                                }
-                                fresh
-                            } else {
-                                last
-                            };
-                            match staged_pages.get_mut(&boundary) {
-                                Some((_, entries)) => entries.truncate(within),
-                                None => {
-                                    torn = true;
-                                    break 'replay;
-                                }
-                            }
-                        }
-                    }
-                    if let Some(f) = staged_files.get_mut(&file) {
-                        f.pages = new_pages;
-                        f.len = new_len;
-                    }
-                }
                 Record::Quota { owner, limit } => {
                     limits.insert(OwnerId(owner), limit.map(|l| l as usize));
                 }
@@ -1577,7 +1525,7 @@ impl KvStore {
         }
 
         // Reference counts from the final staged file set; pages no file
-        // references any more (truncated or removed tails) are dropped.
+        // references any more (rewritten or removed tails) are dropped.
         let mut refs: BTreeMap<u32, u32> = BTreeMap::new();
         for f in staged_files.values() {
             for &p in &f.pages {
@@ -1628,7 +1576,8 @@ impl KvStore {
         for (owner, used) in per_owner {
             store.quotas.entry(owner).or_default().used_pages = used;
         }
-        for (owner, limit) in limits {
+        // A lifted limit (`None`) leaves no entry of its own.
+        for (owner, limit) in limits.into_iter().filter(|(_, l)| l.is_some()) {
             store.quotas.entry(owner).or_default().limit_pages = limit;
         }
         store.next_file = header.next_file.max(max_file + 1);
@@ -1930,6 +1879,58 @@ mod tests {
         s.remove(f, U1).unwrap();
         assert_eq!(s.quota_used(U1), 0);
         s.verify().unwrap();
+    }
+
+    #[test]
+    fn an_owner_with_nothing_charged_and_no_limit_has_no_quota_entry() {
+        let mut s = store();
+        for owner in 10..1010 {
+            let f = s.create(OwnerId(owner)).unwrap();
+            let g = s.fork(f, OwnerId(owner)).unwrap(); // a zero-page charge
+            s.append(f, OwnerId(owner), &entries(0..6)).unwrap();
+            s.remove(f, OwnerId(owner)).unwrap();
+            s.remove(g, OwnerId(owner)).unwrap();
+        }
+        assert!(s.quotas.is_empty(), "{} entries left", s.quotas.len());
+        // A limit is state of its own: it stays, and is journalled.
+        s.set_quota(U1, Some(4));
+        let f = s.create(U1).unwrap();
+        s.append(f, U1, &entries(0..6)).unwrap();
+        s.remove(f, U1).unwrap();
+        assert_eq!(s.quotas.len(), 1);
+        s.set_quota(U1, None);
+        assert!(s.quotas.is_empty());
+        s.verify().unwrap();
+    }
+
+    #[test]
+    fn a_lifted_quota_limit_reaches_the_delta_journal() {
+        let mut s = store();
+        s.set_quota(U1, Some(4));
+        s.enable_delta_log();
+        let base = s.journal_bytes();
+        s.set_quota(U1, None);
+        let delta = s.take_delta();
+        let lifted = Record::Quota {
+            owner: U1.0,
+            limit: None,
+        };
+        assert!(delta.contains(&lifted), "{delta:?}");
+        // Replayed over the base snapshot, the limit is gone again.
+        let (header, mut records, _) = crate::journal::read_journal(&base).unwrap();
+        records.extend(delta);
+        let mut w = JournalWriter::new(&header);
+        for r in &records {
+            w.append(r);
+        }
+        let (r, _) = KvStore::restore_from_journal_bytes(
+            KvStoreConfig::for_tests(),
+            &MetricsRegistry::new(),
+            &w.finish(),
+        )
+        .unwrap();
+        assert!(r.quotas.is_empty());
+        assert_eq!(r.journal_bytes(), s.journal_bytes());
     }
 
     #[test]
@@ -2463,10 +2464,10 @@ mod tests {
         s.link(f, "a", U1).unwrap();
         let bytes = s.journal_bytes();
         // Rebuild the record stream without the End terminator, then tack
-        // on a truncate (CoW boundary) and an unlink.
+        // on a remove (of a file sharing pages) and an unlink.
         let (header, mut records, torn) = crate::journal::read_journal(&bytes).unwrap();
         assert!(!torn);
-        records.push(Record::Truncate { file: g.0, new_len: 5 });
+        records.push(Record::Remove { file: g.0 });
         records.push(Record::Unlink { path: "a".to_string() });
         let mut w = JournalWriter::new(&header);
         for r in &records {
@@ -2480,9 +2481,12 @@ mod tests {
         .unwrap();
         assert_eq!(report.torn, None);
         r.verify().unwrap();
-        assert_eq!(r.len(g).unwrap(), 5);
-        assert_eq!(r.read_all_unchecked(g).unwrap(), entries(0..5));
-        assert_eq!(r.read_all_unchecked(f).unwrap(), entries(0..10), "CoW protected");
+        assert_eq!(r.len(g), Err(KvError::NotFound));
+        assert_eq!(
+            r.read_all_unchecked(f).unwrap(),
+            entries(0..10),
+            "shared pages survive their other holder"
+        );
         assert_eq!(r.lookup("a"), None);
         assert_eq!(r.stat(f).unwrap().links, 0);
     }

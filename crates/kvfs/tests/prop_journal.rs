@@ -270,7 +270,6 @@ fn build_delta_journal(ops: &[Op], batch: usize, tag: &str) -> (KvStore, Vec<Fil
         &path,
         &base,
         JournalConfig {
-            flush_every_bytes: usize::MAX,
             compact_threshold_bytes: u64::MAX,
         },
     )
@@ -281,13 +280,13 @@ fn build_delta_journal(ops: &[Op], batch: usize, tag: &str) -> (KvStore, Vec<Fil
         apply_op(&mut store, &mut live, &mut next_token, op);
         if (k + 1) % batch == 0 {
             for rec in store.take_delta() {
-                journal.append(&rec).unwrap();
+                journal.append(&rec);
             }
             journal.flush().unwrap();
         }
     }
     for rec in store.take_delta() {
-        journal.append(&rec).unwrap();
+        journal.append(&rec);
     }
     journal.flush().unwrap();
     let bytes = std::fs::read(&path).unwrap();
@@ -390,7 +389,6 @@ fn crash_mid_compaction_preserves_the_old_journal() {
         &path,
         &base,
         JournalConfig {
-            flush_every_bytes: usize::MAX,
             compact_threshold_bytes: 1,
         },
     )
@@ -399,7 +397,7 @@ fn crash_mid_compaction_preserves_the_old_journal() {
     store.append(f, admin, &[entry(1), entry(2), entry(3)]).unwrap();
     store.link(f, "p/crash", admin).unwrap();
     for rec in store.take_delta() {
-        journal.append(&rec).unwrap();
+        journal.append(&rec);
     }
     journal.flush().unwrap();
     let before = std::fs::read(&path).unwrap();

@@ -52,6 +52,11 @@ const DETERMINISTIC_CRATES: &[&str] = &[
 /// the event loop, where a panic kills the whole serving kernel.
 const KERNEL_PATHS: &[&str] = &[
     "crates/core/src/kernel.rs",
+    // `impl Kernel` continues in these two, and the codec under them
+    // decodes a log that a crash may have left in any state.
+    "crates/core/src/proc.rs",
+    "crates/core/src/recovery.rs",
+    "crates/core/src/wal.rs",
     "crates/core/src/syscall.rs",
     "crates/core/src/sched.rs",
     "crates/core/src/resilience.rs",

@@ -66,6 +66,24 @@ fn k1_flags_kernel_panics_but_not_tests() {
     assert!(!v.iter().any(|v| v.rule == Rule::K1));
 }
 
+/// `impl Kernel` is spread over several files; the rule follows the code.
+#[test]
+fn k1_covers_every_file_the_kernel_is_written_in() {
+    let src = include_str!("fixtures/k1_kernel_panics.rs");
+    for path in [
+        "crates/core/src/proc.rs",
+        "crates/core/src/recovery.rs",
+        "crates/core/src/wal.rs",
+    ] {
+        let v = lint(path, src);
+        assert!(
+            v.iter()
+                .any(|v| v.rule == Rule::K1 && v.snippet.contains("panic!")),
+            "a panic! in {path} must be reported: {v:?}"
+        );
+    }
+}
+
 #[test]
 fn o1_flags_library_prints_not_binaries() {
     let src = include_str!("fixtures/o1_library_prints.rs");

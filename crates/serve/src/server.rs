@@ -259,8 +259,15 @@ impl ServerCore {
     /// ([`Kernel::reap_exited`]). After [`ServerCore::pump`] every one of
     /// them has been reported as a DONE frame, which is all a client ever
     /// sees of it; a harness that reads `kernel().records()` afterwards
-    /// simply does not call this.
+    /// simply does not call this. Also forgets every connection that is
+    /// closed with nothing left to flush or to route — to the transport
+    /// it reads as before, [`ServerCore::is_closed`] with no output — so a
+    /// server that stays up keeps state for the connections it has, not
+    /// for every one it ever had.
     pub fn reap_exited(&mut self) -> usize {
+        self.conns.retain(|_, c| {
+            !matches!(c.state, ConnState::Closed(_)) || !c.out.is_empty() || !c.sessions.is_empty()
+        });
         self.kernel.reap_exited()
     }
 
@@ -754,5 +761,40 @@ impl ServerCore {
             .metrics_registry()
             .counter("serve.conns.closed")
             .inc();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use symphony::KernelConfig;
+    use symphony_rpc::{ClientMsg, WIRE_VERSION};
+
+    use super::*;
+
+    #[test]
+    fn closed_and_drained_connections_are_forgotten() {
+        let kernel = Kernel::new(KernelConfig::for_tests());
+        let mut core = ServerCore::new(kernel, ServeConfig::default());
+        let mut wire = Vec::new();
+        ClientMsg::Hello {
+            version: WIRE_VERSION,
+            tenant: 1,
+        }
+        .encode(&mut wire);
+        ClientMsg::Bye.encode(&mut wire);
+        for _ in 0..1000 {
+            let conn = core.open_conn();
+            core.feed(conn, &wire);
+            core.pump();
+            // BYE_OK is still queued: the connection stays until the
+            // transport has taken it.
+            core.reap_exited();
+            assert_eq!(core.close_reason(conn), Some(CloseReason::Bye));
+            assert!(!core.take_output(conn).is_empty());
+            core.reap_exited();
+            assert!(core.is_closed(conn));
+            assert_eq!(core.pending_output(conn), 0);
+        }
+        assert!(core.conns.is_empty(), "{} kept", core.conns.len());
     }
 }

@@ -143,11 +143,6 @@ impl<T> IdSlab<T> {
         self.slots.iter().filter_map(Option::as_ref)
     }
 
-    /// Iterates values mutably in ascending id order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().filter_map(Option::as_mut)
-    }
-
     /// Iterates live ids in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.iter().map(|(id, _)| id)
