@@ -5,13 +5,17 @@
 //!
 //! # Determinism
 //!
-//! LIPs run on real OS threads, but the kernel is the only scheduler: it
-//! delivers one reply, then blocks until *that* thread's next syscall (or
-//! exit) arrives before touching anything else. Combined with the virtual
-//! clock and seeded RNG streams, a whole serving run replays bit-identically
-//! — the integration tests compare the typed telemetry streams of two runs.
+//! The kernel is the only scheduler: it delivers one reply, then takes
+//! *that* thread's next syscall (or exit) before touching anything else —
+//! by stepping an inline body on its own thread, or by blocking until a
+//! hosted closure's OS thread sends it up (see [`crate::syscall`]).
+//! Combined with the virtual clock and seeded RNG streams, a whole serving
+//! run replays bit-identically — the integration tests compare the typed
+//! telemetry streams of two runs.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -31,7 +35,7 @@ use symphony_telemetry::{
 use symphony_tokenizer::Bpe;
 
 use crate::faults::{FaultInjector, FaultPlan, FaultStats, ToolFaultKind};
-use crate::proc::{Proc, ThreadState};
+use crate::proc::{Proc, Seat, ThreadState};
 use crate::recovery::Asked;
 use crate::resilience::{
     AdmissionPolicy, BreakerBank, BreakerPolicy, BreakerVerdict, ResilienceCounters,
@@ -40,7 +44,7 @@ use crate::resilience::{
 use crate::sched::{
     threads_parked_gate, BatchGate, BatchPolicy, Decision, ExecMode, ProgramQueue, QueueDiscipline,
 };
-use crate::syscall::{Ctx, LipFn, SysReply, Syscall, UpCall};
+use crate::syscall::{Body, Ctx, Next, SysReply, Syscall, UpCall};
 use crate::tools::{ToolOutcome, ToolRegistry, ToolSpec};
 use crate::types::{ExitStatus, Limits, Pid, ProcessUsage, SysError, Tid};
 use crate::wal::{self, Effect, EffectClass, WalConfig, WalState};
@@ -241,7 +245,7 @@ pub(crate) enum Event {
     /// arrival fires.
     SpawnProgram {
         pid: Pid,
-        f: LipFn,
+        body: Body,
         main_tid: Option<Tid>,
     },
     /// A process's wall-clock deadline passed: fail its blocked receivers.
@@ -290,17 +294,25 @@ pub(crate) struct PendingPred {
     seq: u64,
 }
 
-/// Ensure LIP-thread panics (crash tests, shutdown unwinds) do not spam
-/// stderr: the hook suppresses output for threads named `lip-*`.
+thread_local! {
+    /// Set while this thread is inside an inline body's `resume`: a panic
+    /// there is a LIP's, though no `lip-*` thread has its name on it.
+    static STEPPING_LIP: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Ensure LIP panics (crash tests, shutdown unwinds) do not spam stderr:
+/// the hook suppresses output for threads named `lip-*` and for a thread
+/// that is stepping an inline body.
 fn install_quiet_lip_panics() {
     use std::sync::OnceLock;
     static HOOK: OnceLock<()> = OnceLock::new();
     HOOK.get_or_init(|| {
         let default = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let is_lip = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("lip-"));
+            let is_lip = STEPPING_LIP.with(Cell::get)
+                || std::thread::current()
+                    .name()
+                    .is_some_and(|n| n.starts_with("lip-"));
             if !is_lip {
                 default(info);
             }
@@ -362,6 +374,13 @@ pub(crate) struct KernelMetrics {
     /// processed per real second. Observability only — never read back
     /// into scheduling, so it cannot perturb determinism.
     events_per_sec: Gauge,
+    /// Replies delivered by stepping an inline body on the kernel's thread.
+    inline_steps: Counter,
+    /// Replies delivered over a hosted body's channel: one OS-thread
+    /// hand-off there and one back.
+    hosted_handoffs: Counter,
+    /// Hosted bodies alive, each holding a pool worker.
+    pub(crate) hosted_threads: Gauge,
 }
 
 impl KernelMetrics {
@@ -388,6 +407,9 @@ impl KernelMetrics {
             wal_bytes: registry.gauge("kernel.wal_bytes"),
             cost_hints: registry.counter("sched.cost_hints"),
             events_per_sec: registry.gauge("sim.events_per_sec"),
+            inline_steps: registry.counter("kernel.lip.inline_steps"),
+            hosted_handoffs: registry.counter("kernel.lip.hosted_handoffs"),
+            hosted_threads: registry.gauge("kernel.lip.hosted_threads"),
         }
     }
 }
@@ -437,6 +459,9 @@ pub struct Kernel {
     pub(crate) next_pid: u64,
     pub(crate) names: BTreeMap<String, Pid>,
     pub(crate) live_threads: usize,
+    /// Processes finalized since boot ([`Kernel::run`] returns how far it
+    /// moved).
+    pub(crate) exited: usize,
     // Plumbing.
     pub(crate) up_tx: Sender<UpCall>,
     up_rx: Receiver<UpCall>,
@@ -611,6 +636,7 @@ impl Kernel {
             next_pid: 1,
             names: BTreeMap::new(),
             live_threads: 0,
+            exited: 0,
             up_tx,
             up_rx,
             rng: Rng::new(config.seed),
@@ -920,7 +946,7 @@ impl Kernel {
     /// [`Kernel::live_threads`] is non-zero afterwards, the remaining threads
     /// are deadlocked (e.g. blocked in `recv_msg` with no sender).
     pub fn run(&mut self) -> usize {
-        let before = self.records().filter(|r| r.exited_at.is_some()).count();
+        let before = self.exited;
         // lint:allow(d1): sim.events_per_sec measures real host throughput — the gauge is observation-only and is never read back into simulation state
         let wall_start = std::time::Instant::now();
         let events_before = self.events.events_processed();
@@ -951,27 +977,28 @@ impl Kernel {
                 .events_per_sec
                 .set((processed as f64 / secs) as i64);
         }
-        self.records().filter(|r| r.exited_at.is_some()).count() - before
+        self.exited - before
     }
 
+    /// Hands the CPU to thread `tid` with `reply` and takes what it does
+    /// next. The one place that knows where a body sits: a hosted one gets
+    /// the reply over its channel and the kernel blocks for its upcall, an
+    /// inline one is stepped right here. Everything around that — the span
+    /// close, the dispatch event, `handle_syscall`, `handle_exit` — is the
+    /// same code for both.
     fn resume(&mut self, tid: Tid, reply: SysReply) {
-        let (pid, open) = {
-            let Some(ts) = self.threads.get_mut(tid.0) else {
-                return;
-            };
-            // Thread already exited (e.g. killed reply raced): `handle_exit`
-            // dropped its sender.
-            let Some(reply_tx) = &ts.reply_tx else {
-                return;
-            };
-            if reply_tx.send(reply).is_err() {
-                return;
-            }
-            (ts.pid, ts.open_syscall.take())
+        let Some(ts) = self.threads.get_mut(tid.0) else {
+            return;
+        };
+        // Thread already exited (e.g. killed reply raced): `handle_exit`
+        // emptied its seat.
+        let Some(seat) = ts.seat.as_mut() else {
+            return;
         };
         // Every reply delivery funnels through here, so this is the single
         // point where a thread's syscall span closes and the CPU is handed
         // back to it.
+        let (pid, open) = (ts.pid, ts.open_syscall.take());
         let at = self.events.now();
         if let Some(name) = open {
             self.bus.emit(at, || EventKind::SyscallExit {
@@ -982,11 +1009,34 @@ impl Kernel {
         }
         self.bus
             .emit(at, || EventKind::SchedDispatch { tid: tid.0 });
-        let up = self
-            .up_rx
-            .recv()
-            // lint:allow(k1): the kernel holds up_tx, so the channel cannot close
-            .expect("a resumed LIP thread must issue a syscall or exit");
+        let up = match seat {
+            Seat::Hosted { reply_tx, .. } => {
+                if reply_tx.send(reply).is_err() {
+                    return;
+                }
+                self.kmetrics.hosted_handoffs.inc();
+                self.up_rx
+                    .recv()
+                    // lint:allow(k1): the kernel holds up_tx, so the channel cannot close
+                    .expect("a resumed LIP thread must issue a syscall or exit")
+            }
+            Seat::Inline { body, env } => {
+                self.kmetrics.inline_steps.inc();
+                STEPPING_LIP.with(|s| s.set(true));
+                // The body is a sandboxed program's state and nothing of
+                // the kernel's: if stepping it panics, it is dropped at
+                // exit and never looked at again.
+                let next = catch_unwind(AssertUnwindSafe(|| body.resume(env, reply)));
+                STEPPING_LIP.with(|s| s.set(false));
+                let status = match next {
+                    Ok(Next::Syscall(call)) => return self.handle_syscall(tid, call),
+                    Ok(Next::Exit(Ok(()))) => ExitStatus::Ok,
+                    Ok(Next::Exit(Err(e))) => ExitStatus::Error(e),
+                    Err(_) => ExitStatus::Crashed,
+                };
+                UpCall::Exited { tid, status }
+            }
+        };
         match up {
             UpCall::Syscall { tid, call } => self.handle_syscall(tid, call),
             UpCall::Exited { tid, status } => self.handle_exit(tid, status),
@@ -1039,8 +1089,12 @@ impl Kernel {
             Event::BatchTimer => {
                 self.timer_armed_until = None;
             }
-            Event::SpawnProgram { pid, f, main_tid } => {
-                self.start(pid, main_tid, f);
+            Event::SpawnProgram {
+                pid,
+                body,
+                main_tid,
+            } => {
+                self.start(pid, main_tid, body);
             }
             Event::DeadlineCheck { pid } => self.enforce_deadline(pid),
             Event::RequeuePred { pred } => self.pool_pred(pred),
@@ -1961,14 +2015,14 @@ impl Kernel {
                 let at = done_at + self.syscall_cost;
                 self.events.schedule(at, Event::Wake(tid, SysReply::Unit));
             }
-            Syscall::Spawn { f } => {
+            Syscall::Spawn { body } => {
                 if let Some(max) = proc.limits.max_threads {
                     if proc.live_threads >= max {
                         self.complete(tid, SysReply::Err(SysError::LimitExceeded("threads")));
                         return;
                     }
                 }
-                let new_tid = sys!(self.start(pid, None, f), "process missing");
+                let new_tid = sys!(self.start(pid, None, body), "process missing");
                 if self.causal {
                     self.bus.emit(sys_at, || EventKind::CausalEdge {
                         edge: EdgeKind::Spawn,
@@ -2421,14 +2475,15 @@ impl Kernel {
 
 impl Drop for Kernel {
     fn drop(&mut self) {
-        // Unblock every parked LIP thread (their recv fails once the reply
-        // sender drops), then join the OS threads.
+        // Unblock every parked hosted thread (their recv fails once the
+        // reply sender drops), then join the OS threads. Parked inline
+        // bodies are values: they drop here, unstepped.
         let mut threads = std::mem::take(&mut self.threads);
         let mut handles = Vec::new();
         for (_, ts) in threads.drain() {
-            drop(ts.reply_tx);
-            if let Some(h) = ts.handle {
-                handles.push(h);
+            if let Some(Seat::Hosted { reply_tx, handle }) = ts.seat {
+                drop(reply_tx);
+                handles.push(handle);
             }
         }
         for h in handles {
@@ -2455,7 +2510,7 @@ mod tests {
         assert_eq!(k.threads.len(), 6);
         for (tid, ts) in k.threads.iter() {
             assert!(ts.status.is_some(), "thread {tid} still live after run()");
-            assert!(ts.reply_tx.is_none(), "exited thread {tid} kept its sender");
+            assert!(ts.seat.is_none(), "exited thread {tid} kept its sender");
         }
     }
 }

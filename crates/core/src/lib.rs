@@ -22,10 +22,14 @@
 //!
 //! # Execution model
 //!
-//! LIPs are real OS threads, but the kernel resumes them **one at a time** on
-//! a discrete-event virtual clock and waits for each thread's next syscall
-//! before touching another, so whole serving runs are deterministic given a
-//! seed. LIP compute is *charged* (per-syscall virtual cost), not measured.
+//! The kernel resumes LIP threads **one at a time** on a discrete-event
+//! virtual clock and takes each thread's next syscall before touching
+//! another, so whole serving runs are deterministic given a seed. A thread's
+//! body is either a native closure *hosted* on a pooled OS thread (what
+//! [`Kernel::spawn_process`] takes: blocking code needs a stack) or an
+//! [`InlineBody`] the kernel steps on its own thread (what a served
+//! LipScript program is: [`Kernel::admit_inline`]); see [`syscall`]. LIP
+//! compute is *charged* (per-syscall virtual cost), not measured.
 //!
 //! # Examples
 //!
@@ -78,7 +82,7 @@ pub use resilience::{AdmissionPolicy, BreakerPolicy, BreakerStateView, Resilienc
 pub use sched::{
     BatchPolicy, ContinuousConfig, ExecMode, MlfqConfig, ProgramQueue, QueueDiscipline,
 };
-pub use syscall::Ctx;
+pub use syscall::{Body, Ctx, InlineBody, Next, SysReply, Syscall, ThreadEnv};
 pub use tools::{ToolOutcome, ToolRegistry, ToolSpec};
 pub use types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SysError, Tid};
 pub use wal::{RecoveryReport, WalConfig, WalError, DEFAULT_CHECKPOINT_EVERY};

@@ -1,4 +1,10 @@
-//! A process-global pool of reusable OS threads for LIP bodies.
+//! A process-global pool of reusable OS threads for *hosted* LIP bodies.
+//!
+//! Hosts native closures only: a blocking `FnOnce(&mut Ctx)` needs a stack
+//! to block on, and this pool is where it gets one. Inline bodies — every
+//! served LipScript program — never come here; the kernel steps them on its
+//! own thread (`crate::syscall::InlineBody`), so a server that runs only
+//! those never spawns a worker.
 //!
 //! Spawning a fresh OS thread per program costs tens of microseconds of
 //! clone/page-table work, which dominates kernel wall time once a run sweeps

@@ -18,16 +18,32 @@ use symphony_sim::SimTime;
 use symphony_telemetry::{EdgeKind, EventKind};
 
 use crate::kernel::{Event, Kernel, ProgramImage, SessionEvent};
-use crate::syscall::{thread_main, Ctx, LipFn, SysReply};
+use crate::syscall::{thread_main, Body, Ctx, InlineBody, SysReply, ThreadEnv};
 use crate::types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SysError, Tid};
 use crate::wal::{self, EffectClass, WalRecord};
 
+/// Where a live thread's body sits between system calls. `Kernel::resume`
+/// is the only code that tells the two kinds apart.
+pub(crate) enum Seat {
+    /// On a pool worker, blocked on its reply channel.
+    Hosted {
+        reply_tx: Sender<SysReply>,
+        handle: crate::lip_pool::JobHandle,
+    },
+    /// In the thread table, as a value the kernel steps itself. The
+    /// environment is boxed so that the entry of a thread long exited —
+    /// tables are only emptied by `reap_exited` — is no bigger for it.
+    Inline {
+        body: Box<dyn InlineBody>,
+        env: Box<ThreadEnv>,
+    },
+}
+
 pub(crate) struct ThreadState {
     pub(crate) pid: Pid,
-    /// Where syscall replies go; `None` once the thread has exited, so a
-    /// finished thread's table entry does not keep its channel allocated.
-    pub(crate) reply_tx: Option<Sender<SysReply>>,
-    pub(crate) handle: Option<crate::lip_pool::JobHandle>,
+    /// `None` once the thread has exited, so a finished thread's table
+    /// entry keeps neither a channel nor a program state allocated.
+    pub(crate) seat: Option<Seat>,
     pub(crate) status: Option<ExitStatus>,
     pub(crate) join_waiters: Vec<Tid>,
     /// Name of the syscall this thread is currently parked in, for the
@@ -109,7 +125,8 @@ impl Kernel {
     where
         F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
     {
-        self.admit(name, args, None, limits, false, Box::new(f))
+        let body = Body::Hosted(Box::new(f));
+        self.admit(name, args, None, limits, false, body)
     }
 
     /// Schedules a LIP to arrive at a future virtual time (workload driving).
@@ -117,14 +134,23 @@ impl Kernel {
     where
         F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
     {
-        self.admit(
-            name,
-            args,
-            Some(at),
-            self.default_limits,
-            false,
-            Box::new(f),
-        )
+        let body = Body::Hosted(Box::new(f));
+        self.admit(name, args, Some(at), self.default_limits, false, body)
+    }
+
+    /// Admits a LIP whose body the kernel steps on its own thread — now,
+    /// or at the virtual arrival `at` — with the default limits. This is
+    /// how a served LipScript program enters: no OS thread is involved at
+    /// any point of its life.
+    pub fn admit_inline(
+        &mut self,
+        name: &str,
+        args: &str,
+        at: Option<SimTime>,
+        body: Box<dyn InlineBody>,
+    ) -> Pid {
+        let body = Body::Inline(body);
+        self.admit(name, args, at, self.default_limits, false, body)
     }
 
     /// Spawns a durable LIP immediately: its spawn and effectful syscalls
@@ -132,8 +158,8 @@ impl Kernel {
     /// [`Kernel::resume_programs`] can re-execute it deterministically
     /// after a crash. The image must be re-invocable; see [`ProgramImage`].
     pub fn spawn_durable(&mut self, name: &str, args: &str, image: ProgramImage) -> Pid {
-        let f = Box::new(move |ctx: &mut Ctx| image(ctx));
-        self.admit(name, args, None, self.default_limits, true, f)
+        let body = Body::Hosted(Box::new(move |ctx: &mut Ctx| image(ctx)));
+        self.admit(name, args, None, self.default_limits, true, body)
     }
 
     /// Schedules a durable LIP for a future virtual arrival. The schedule
@@ -148,8 +174,8 @@ impl Kernel {
         args: &str,
         image: ProgramImage,
     ) -> Pid {
-        let f = Box::new(move |ctx: &mut Ctx| image(ctx));
-        self.admit(name, args, Some(at), self.default_limits, true, f)
+        let body = Body::Hosted(Box::new(move |ctx: &mut Ctx| image(ctx)));
+        self.admit(name, args, Some(at), self.default_limits, true, body)
     }
 
     /// The one way in: installs the process, then starts it now or
@@ -161,12 +187,12 @@ impl Kernel {
         at: Option<SimTime>,
         limits: Limits,
         durable: bool,
-        f: LipFn,
+        body: Body,
     ) -> Pid {
         let now = self.events.now();
         let pid = self.install(None, name, args, at.unwrap_or(now), limits, durable);
         let Some(at) = at else {
-            self.start(pid, None, f);
+            self.start(pid, None, body);
             return pid;
         };
         // Pre-assign a durable arrival's main tid: recovery re-admits the
@@ -183,8 +209,12 @@ impl Kernel {
                 limits,
             });
         }
-        self.events
-            .schedule(at, Event::SpawnProgram { pid, f, main_tid });
+        let ev = Event::SpawnProgram {
+            pid,
+            body,
+            main_tid,
+        };
+        self.events.schedule(at, ev);
         pid
     }
 
@@ -254,13 +284,13 @@ impl Kernel {
         pid
     }
 
-    /// Starts one LIP thread of `pid` running `f`, under `tid` when given
+    /// Starts one LIP thread of `pid` running `body`, under `tid` when given
     /// (a journalled schedule or recovery pins it: tid identity pins the
     /// thread's RNG stream). The first thread of a process is its main
     /// thread, and starting it is what starts the process: the spawn event
     /// and, for a durable process not already in the log, the spawn frame.
     /// `None` for a pid the table does not hold.
-    pub(crate) fn start(&mut self, pid: Pid, tid: Option<Tid>, f: LipFn) -> Option<Tid> {
+    pub(crate) fn start(&mut self, pid: Pid, tid: Option<Tid>, body: Body) -> Option<Tid> {
         let now = self.events.now();
         let tid = tid.unwrap_or_else(|| self.alloc_tid());
         let Some(proc) = self.procs.get_mut(pid.0) else {
@@ -281,23 +311,31 @@ impl Kernel {
         proc.record.usage.threads_spawned += 1;
         // Sibling threads inherit the process's args string.
         let args = proc.args.clone();
-        let (reply_tx, reply_rx) = unbounded();
-        let ctx = Ctx::new(
+        let env = ThreadEnv::new(
             tid,
             pid,
             args,
-            self.up_tx.clone(),
-            reply_rx,
             self.rng.fork(tid.0),
             self.tokenizer.specials(),
         );
-        let handle = crate::lip_pool::spawn_lip(Box::new(move || thread_main(ctx, f)));
+        let seat = match body {
+            Body::Hosted(f) => {
+                let (reply_tx, reply_rx) = unbounded();
+                let ctx = Ctx::new(env, self.up_tx.clone(), reply_rx);
+                let handle = crate::lip_pool::spawn_lip(Box::new(move || thread_main(ctx, f)));
+                self.kmetrics.hosted_threads.add(1);
+                Seat::Hosted { reply_tx, handle }
+            }
+            Body::Inline(body) => Seat::Inline {
+                body,
+                env: Box::new(env),
+            },
+        };
         self.threads.insert(
             tid.0,
             ThreadState {
                 pid,
-                reply_tx: Some(reply_tx),
-                handle: Some(handle),
+                seat: Some(seat),
                 status: None,
                 join_waiters: Vec::new(),
                 open_syscall: None,
@@ -339,8 +377,8 @@ impl Kernel {
     }
 
     /// Forgets every process that has exited: its record, its name and its
-    /// process- and thread-table entries (a thread's reply channel is
-    /// already gone, dropped when it exited). Returns how many were
+    /// process- and thread-table entries (a thread's reply channel or
+    /// inline body is already gone, dropped when it exited). Returns how many were
     /// dropped. The kernel keeps finished processes so callers can read
     /// [`Kernel::record`] after a run; a server that stays up calls this
     /// once their outcomes are reported, or the tables grow with every
@@ -422,7 +460,7 @@ impl Kernel {
     // ---- exit and cleanup ----------------------------------------------------------
 
     pub(crate) fn handle_exit(&mut self, tid: Tid, status: ExitStatus) {
-        let (pid, waiters, handle) = {
+        let (pid, waiters, seat) = {
             // An exit from a thread the kernel never tracked has nothing to
             // clean up; the count is only decremented on a real exit.
             let Some(ts) = self.threads.get_mut(tid.0) else {
@@ -430,16 +468,12 @@ impl Kernel {
                 return;
             };
             ts.status = Some(status.clone());
-            ts.reply_tx = None;
-            (
-                ts.pid,
-                std::mem::take(&mut ts.join_waiters),
-                ts.handle.take(),
-            )
+            (ts.pid, std::mem::take(&mut ts.join_waiters), ts.seat.take())
         };
         self.live_threads -= 1;
-        if let Some(h) = handle {
-            h.join();
+        if let Some(Seat::Hosted { handle, .. }) = seat {
+            handle.join();
+            self.kmetrics.hosted_threads.add(-1);
         }
         for w in waiters {
             if self.causal {
@@ -501,6 +535,7 @@ impl Kernel {
             return;
         };
         proc.finished = true;
+        self.exited += 1;
         proc.mailbox.clear();
         let rec = &mut proc.record;
         rec.exited_at = Some(now);

@@ -14,7 +14,7 @@ use symphony_sim::{SimDuration, SimTime};
 use symphony_telemetry::EventKind;
 
 use crate::kernel::{Event, Kernel, KernelConfig, ProgramImage};
-use crate::syscall::{LipFn, SysReply};
+use crate::syscall::{Body, SysReply};
 use crate::types::{ExitStatus, Limits, Pid, SysError, Tid};
 use crate::wal::{
     self, Effect, EffectClass, RecoveryReport, ReplayProc, WalConfig, WalError, WalRecord, WalState,
@@ -167,14 +167,18 @@ impl Kernel {
                 true,
             );
             let main_tid = Some(Tid(rp.main_tid));
-            let f: LipFn = Box::new(move |ctx| image(ctx));
+            let body = Body::Hosted(Box::new(move |ctx| image(ctx)));
             if started {
-                self.start(pid, main_tid, f);
+                self.start(pid, main_tid, body);
             } else {
                 // Arrivals already in the past fire at the restored clock.
                 let at = rp.arrival.max(now);
-                self.events
-                    .schedule(at, Event::SpawnProgram { pid, f, main_tid });
+                let ev = Event::SpawnProgram {
+                    pid,
+                    body,
+                    main_tid,
+                };
+                self.events.schedule(at, ev);
             }
             report.resumed += 1;
         }

@@ -1,10 +1,19 @@
 //! The system-call interface between LIP threads and the kernel.
 //!
-//! A LIP runs on a real OS thread holding a [`Ctx`]. Every syscall sends one
-//! message up to the kernel and blocks on the private reply channel; the
-//! kernel resumes exactly one thread at a time, so LIP execution is
-//! deterministic. The wire types (`Syscall`/`SysReply`) are crate-private;
-//! LIP code only sees the typed wrappers on [`Ctx`].
+//! A thread's [`Body`] is one of two things, and the kernel treats both
+//! alike: it delivers a [`SysReply`], gets the thread's next [`Syscall`]
+//! (or its exit status) back, and touches nothing else in between, so LIP
+//! execution is deterministic.
+//!
+//! - **Hosted**: a native Rust closure on a pooled OS thread, holding a
+//!   [`Ctx`]. Each typed wrapper on `Ctx` sends one `Syscall` up to the
+//!   kernel and blocks on the thread's private reply channel. A blocking
+//!   closure needs a stack of its own, which is what the OS thread is for.
+//! - **Inline**: an [`InlineBody`] — a program held as a value (the
+//!   LipScript machine) that the kernel resumes on its own thread with the
+//!   reply and that returns its next `Syscall`. No OS thread, no channel.
+//!
+//! `Kernel::resume` is the only code that tells the two apart.
 
 use std::ops::Range;
 
@@ -16,8 +25,35 @@ use symphony_tokenizer::SpecialTokens;
 
 use crate::types::{ExitStatus, Pid, SysError, Tid};
 
-/// The type of a LIP body: the program the client "sends to the server".
+/// A hosted LIP body: a native closure run on a pooled OS thread.
 pub type LipFn = Box<dyn FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static>;
+
+/// A LIP thread's body: the program the client "sends to the server".
+pub enum Body {
+    /// A blocking closure; the kernel hands it replies over a channel.
+    Hosted(LipFn),
+    /// A resumable value; the kernel steps it on its own thread.
+    Inline(Box<dyn InlineBody>),
+}
+
+/// A LIP body the kernel runs without an OS thread: a state machine that
+/// is resumed with the reply to its last system call and runs until it
+/// needs the next one.
+pub trait InlineBody: Send {
+    /// Continues the body. The first call delivers [`SysReply::Start`];
+    /// every later one the reply to the [`Syscall`] returned before. A
+    /// panic in here is contained: the thread exits
+    /// [`ExitStatus::Crashed`] and the body is dropped.
+    fn resume(&mut self, env: &mut ThreadEnv, reply: SysReply) -> Next;
+}
+
+/// What an [`InlineBody`] does next.
+pub enum Next {
+    /// Block in this system call.
+    Syscall(Syscall),
+    /// The body is done; `Err` exits the thread [`ExitStatus::Error`].
+    Exit(Result<(), SysError>),
+}
 
 /// Payload used to unwind LIP threads when the kernel shuts down.
 pub(crate) struct ShutdownSignal;
@@ -34,8 +70,10 @@ pub(crate) enum UpCall {
     Exited { tid: Tid, status: ExitStatus },
 }
 
-/// The system calls (wire format).
-pub(crate) enum Syscall {
+/// The system calls (wire format). Hosted bodies never see it — they call
+/// the typed wrappers on [`Ctx`]; an [`InlineBody`] returns it.
+#[allow(missing_docs)]
+pub enum Syscall {
     Pred { kv: FileId, tokens: Vec<(TokenId, u32)> },
     KvCreate,
     KvOpen { path: String },
@@ -57,7 +95,7 @@ pub(crate) enum Syscall {
     KvStat { kv: FileId },
     KvSwapOut { kv: FileId },
     KvSwapIn { kv: FileId },
-    Spawn { f: LipFn },
+    Spawn { body: Body },
     Join { tid: Tid },
     CallTool { name: String, args: String },
     SendMsg { to: Pid, data: String },
@@ -114,7 +152,8 @@ impl Syscall {
 }
 
 /// Kernel replies (wire format).
-pub(crate) enum SysReply {
+#[allow(missing_docs)]
+pub enum SysReply {
     /// Initial "go" delivered to a freshly spawned thread.
     Start,
     Unit,
@@ -143,80 +182,32 @@ pub struct Message {
     pub data: String,
 }
 
-/// A LIP thread's handle to the kernel.
-///
-/// All methods block the calling thread until the kernel services the call on
-/// the virtual clock; from the LIP's perspective they are ordinary function
-/// calls, exactly like POSIX syscalls.
-pub struct Ctx {
+/// A LIP thread's own state: identity, argument string, private RNG
+/// stream and the tokenizer's special tokens — everything a body can read
+/// without asking the kernel. A hosted body reaches it through its
+/// [`Ctx`]; an inline body is handed it on every resume.
+pub struct ThreadEnv {
     tid: Tid,
     pid: Pid,
     args: String,
-    up: Sender<UpCall>,
-    reply: Receiver<SysReply>,
     rng: symphony_sim::Rng,
     specials: SpecialTokens,
 }
 
-impl Ctx {
+impl ThreadEnv {
     pub(crate) fn new(
         tid: Tid,
         pid: Pid,
         args: String,
-        up: Sender<UpCall>,
-        reply: Receiver<SysReply>,
         rng: symphony_sim::Rng,
         specials: SpecialTokens,
     ) -> Self {
-        Ctx {
+        ThreadEnv {
             tid,
             pid,
             args,
-            up,
-            reply,
             rng,
             specials,
-        }
-    }
-
-    /// Blocks until the kernel delivers the initial [`SysReply::Start`].
-    pub(crate) fn wait_start(&self) {
-        match self.reply.recv() {
-            Ok(SysReply::Start) => {}
-            _ => shutdown_unwind(),
-        }
-    }
-
-    fn call(&self, call: Syscall) -> SysReply {
-        if self
-            .up
-            .send(UpCall::Syscall {
-                tid: self.tid,
-                call,
-            })
-            .is_err()
-        {
-            shutdown_unwind();
-        }
-        match self.reply.recv() {
-            Ok(r) => r,
-            Err(_) => shutdown_unwind(),
-        }
-    }
-
-    fn expect_unit(&self, call: Syscall) -> Result<(), SysError> {
-        match self.call(call) {
-            SysReply::Unit => Ok(()),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
-    }
-
-    fn expect_handle(&self, call: Syscall) -> Result<FileId, SysError> {
-        match self.call(call) {
-            SysReply::Handle(h) => Ok(h),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
         }
     }
 
@@ -264,6 +255,83 @@ impl Ctx {
         let u = self.rng.next_f64();
         dist.sample_with(u, self.specials.bos)
     }
+}
+
+/// A hosted LIP thread's handle to the kernel: its [`ThreadEnv`] (reached
+/// through `Deref`, so `ctx.args()` and `ctx.sample(..)` read as before)
+/// plus the channel pair the system calls travel over.
+///
+/// All methods block the calling thread until the kernel services the call on
+/// the virtual clock; from the LIP's perspective they are ordinary function
+/// calls, exactly like POSIX syscalls.
+pub struct Ctx {
+    env: ThreadEnv,
+    up: Sender<UpCall>,
+    reply: Receiver<SysReply>,
+}
+
+impl std::ops::Deref for Ctx {
+    type Target = ThreadEnv;
+
+    fn deref(&self) -> &ThreadEnv {
+        &self.env
+    }
+}
+
+impl std::ops::DerefMut for Ctx {
+    fn deref_mut(&mut self) -> &mut ThreadEnv {
+        &mut self.env
+    }
+}
+
+impl Ctx {
+    pub(crate) fn new(env: ThreadEnv, up: Sender<UpCall>, reply: Receiver<SysReply>) -> Self {
+        Ctx { env, up, reply }
+    }
+
+    /// Blocks until the kernel delivers the initial [`SysReply::Start`].
+    pub(crate) fn wait_start(&self) {
+        match self.reply.recv() {
+            Ok(SysReply::Start) => {}
+            _ => shutdown_unwind(),
+        }
+    }
+
+    /// Issues one system call in wire format and blocks for its reply:
+    /// the hosted counterpart of an [`InlineBody`] returning the same
+    /// [`Syscall`]. The typed wrappers below are shorthands over it.
+    pub fn syscall(&self, call: Syscall) -> SysReply {
+        if self
+            .up
+            .send(UpCall::Syscall {
+                tid: self.env.tid,
+                call,
+            })
+            .is_err()
+        {
+            shutdown_unwind();
+        }
+        match self.reply.recv() {
+            Ok(r) => r,
+            Err(_) => shutdown_unwind(),
+        }
+    }
+
+    fn expect_unit(&self, call: Syscall) -> Result<(), SysError> {
+        match self.syscall(call) {
+            SysReply::Unit => Ok(()),
+            SysReply::Err(e) => Err(e),
+            _ => Err(SysError::BadArgument),
+        }
+    }
+
+    fn expect_handle(&self, call: Syscall) -> Result<FileId, SysError> {
+        match self.syscall(call) {
+            SysReply::Handle(h) => Ok(h),
+            SysReply::Err(e) => Err(e),
+            _ => Err(SysError::BadArgument),
+        }
+    }
 
     // ---- model computation (§4.1) ---------------------------------------------
 
@@ -271,7 +339,7 @@ impl Ctx {
     /// context cached in `kv`, returning one distribution per input token.
     /// The KV file gains one entry per token.
     pub fn pred(&self, kv: FileId, tokens: &[(TokenId, u32)]) -> Result<Vec<Dist>, SysError> {
-        match self.call(Syscall::Pred {
+        match self.syscall(Syscall::Pred {
             kv,
             tokens: tokens.to_vec(),
         }) {
@@ -337,7 +405,7 @@ impl Ctx {
 
     /// Number of cached tokens in a file.
     pub fn kv_len(&self, kv: FileId) -> Result<usize, SysError> {
-        match self.call(Syscall::KvLen { kv }) {
+        match self.syscall(Syscall::KvLen { kv }) {
             SysReply::Len(n) => Ok(n),
             SysReply::Err(e) => Err(e),
             _ => Err(SysError::BadArgument),
@@ -346,7 +414,7 @@ impl Ctx {
 
     /// Position following the file's last entry.
     pub fn kv_next_pos(&self, kv: FileId) -> Result<u32, SysError> {
-        match self.call(Syscall::KvNextPos { kv }) {
+        match self.syscall(Syscall::KvNextPos { kv }) {
             SysReply::Pos(p) => Ok(p),
             SysReply::Err(e) => Err(e),
             _ => Err(SysError::BadArgument),
@@ -378,7 +446,7 @@ impl Ctx {
         start: usize,
         count: usize,
     ) -> Result<Vec<KvEntry>, SysError> {
-        match self.call(Syscall::KvRead { kv, start, count }) {
+        match self.syscall(Syscall::KvRead { kv, start, count }) {
             SysReply::Entries(e) => Ok(e),
             SysReply::Err(e) => Err(e),
             _ => Err(SysError::BadArgument),
@@ -412,7 +480,7 @@ impl Ctx {
 
     /// Stats a file.
     pub fn kv_stat(&self, kv: FileId) -> Result<FileStat, SysError> {
-        match self.call(Syscall::KvStat { kv }) {
+        match self.syscall(Syscall::KvStat { kv }) {
             SysReply::Stat(s) => Ok(*s),
             SysReply::Err(e) => Err(e),
             _ => Err(SysError::BadArgument),
@@ -436,7 +504,8 @@ impl Ctx {
     where
         F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
     {
-        match self.call(Syscall::Spawn { f: Box::new(f) }) {
+        let body = Body::Hosted(Box::new(f));
+        match self.syscall(Syscall::Spawn { body }) {
             SysReply::NewTid(t) => Ok(t),
             SysReply::Err(e) => Err(e),
             _ => Err(SysError::BadArgument),
@@ -445,7 +514,7 @@ impl Ctx {
 
     /// Blocks until `tid` exits; returns its status.
     pub fn join(&self, tid: Tid) -> Result<ExitStatus, SysError> {
-        match self.call(Syscall::Join { tid }) {
+        match self.syscall(Syscall::Join { tid }) {
             SysReply::Joined(s) => Ok(s),
             SysReply::Err(e) => Err(e),
             _ => Err(SysError::BadArgument),
@@ -456,7 +525,7 @@ impl Ctx {
     /// (virtual) latency. While blocked, the kernel may offload this
     /// process's KV files to host memory.
     pub fn call_tool(&self, name: &str, args: &str) -> Result<String, SysError> {
-        match self.call(Syscall::CallTool {
+        match self.syscall(Syscall::CallTool {
             name: name.to_string(),
             args: args.to_string(),
         }) {
@@ -476,7 +545,7 @@ impl Ctx {
 
     /// Receives the next IPC message, blocking until one arrives.
     pub fn recv_msg(&self) -> Result<Message, SysError> {
-        match self.call(Syscall::Recv) {
+        match self.syscall(Syscall::Recv) {
             SysReply::Msg { from, data } => Ok(Message { from, data }),
             SysReply::Err(e) => Err(e),
             _ => Err(SysError::BadArgument),
@@ -485,7 +554,7 @@ impl Ctx {
 
     /// Finds a live process by its spawn name.
     pub fn lookup_process(&self, name: &str) -> Result<Option<Pid>, SysError> {
-        match self.call(Syscall::LookupProcess {
+        match self.syscall(Syscall::LookupProcess {
             name: name.to_string(),
         }) {
             SysReply::MaybePid(p) => Ok(p),
@@ -518,7 +587,7 @@ impl Ctx {
 
     /// Tokenises text with the server's tokenizer.
     pub fn tokenize(&self, text: &str) -> Result<Vec<TokenId>, SysError> {
-        match self.call(Syscall::Tokenize {
+        match self.syscall(Syscall::Tokenize {
             text: text.to_string(),
         }) {
             SysReply::Tokens(t) => Ok(t),
@@ -529,7 +598,7 @@ impl Ctx {
 
     /// Detokenises tokens with the server's tokenizer.
     pub fn detokenize(&self, tokens: &[TokenId]) -> Result<String, SysError> {
-        match self.call(Syscall::Detokenize {
+        match self.syscall(Syscall::Detokenize {
             tokens: tokens.to_vec(),
         }) {
             SysReply::Text(t) => Ok(t),
@@ -540,7 +609,7 @@ impl Ctx {
 
     /// Current virtual time.
     pub fn now(&self) -> Result<SimTime, SysError> {
-        match self.call(Syscall::Now) {
+        match self.syscall(Syscall::Now) {
             SysReply::Time(t) => Ok(t),
             SysReply::Err(e) => Err(e),
             _ => Err(SysError::BadArgument),

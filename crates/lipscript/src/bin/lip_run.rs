@@ -14,10 +14,12 @@
 //!
 //! Exit code 0 on clean completion, 1 on program failure, 2 on usage error.
 
-use symphony::{Kernel, KernelConfig, Mode, SimDuration, SysError, ToolOutcome, ToolSpec};
+use std::sync::Arc;
+
+use symphony::{Kernel, KernelConfig, Mode, SimDuration, ToolOutcome, ToolSpec};
 use symphony_lipscript::parse::parse;
 use symphony_lipscript::verify::verify;
-use symphony_lipscript::{run_lip, InterpLimits};
+use symphony_lipscript::{InterpLimits, LipBody};
 
 fn usage() -> ! {
     eprintln!("usage: lip_run <program.lip> [args-string] [--fuel N] [--trace] [--no-verify]");
@@ -65,7 +67,7 @@ fn main() {
     // Admission check before spending any kernel time: parse errors and
     // verifier errors print compiler-style and exit 1; warnings print but
     // don't block.
-    match parse(&src) {
+    let program = match parse(&src) {
         Err(e) => {
             eprintln!("{}", e.render(&path));
             std::process::exit(1);
@@ -88,8 +90,9 @@ fn main() {
                     std::process::exit(1);
                 }
             }
+            Arc::new(prog)
         }
-    }
+    };
 
     let mut cfg = KernelConfig::for_tests();
     cfg.telemetry = trace;
@@ -120,12 +123,10 @@ fn main() {
         fuel,
         ..Default::default()
     };
-    let src_for_lip = src.clone();
-    let pid = kernel.spawn_process("lip_run", &program_args, move |ctx| {
-        run_lip(&src_for_lip, ctx, limits)
-            .map(|_| ())
-            .map_err(|e| SysError::ToolFailed(e.to_string()))
-    });
+    // As the server does: the program enters the kernel as a value it
+    // steps, not as a closure on a thread.
+    let body = Box::new(LipBody::new(program, limits));
+    let pid = kernel.admit_inline("lip_run", &program_args, None, body);
     kernel.run();
 
     let rec = kernel.record(pid).expect("record");

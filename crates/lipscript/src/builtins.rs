@@ -1,12 +1,18 @@
 //! Builtin functions: the standard library plus the system-call surface.
+//!
+//! A builtin runs in two halves around the interpreter's one kind of yield
+//! point. `begin` checks the arguments and either finishes on the spot
+//! (the core library, the distribution operations) or builds the one
+//! [`HostCall`] the builtin makes; `finish` turns the host's reply into
+//! the builtin's value. No builtin calls the host twice.
 
 use std::sync::Arc;
 
 use symphony_model::Dist;
 
 use crate::error::{RuntimeError, RuntimeErrorKind, Span};
-use crate::host::Host;
-use crate::interp::Interpreter;
+use crate::host::{HostCall, HostReply, HostResult};
+use crate::interp::Core;
 use crate::value::Value;
 
 /// All builtin names, used both for dispatch and to reject shadowing.
@@ -30,7 +36,7 @@ pub fn is_builtin(name: &str) -> bool {
 
 /// The fixed argument count of a builtin, `None` for non-builtins.
 ///
-/// Single source of truth shared by [`call`] (runtime enforcement via
+/// Single source of truth shared by `begin` (runtime enforcement via
 /// [`RuntimeErrorKind::BadArity`]) and the static verifier
 /// (`crate::verify` pass 1), so the two can never disagree.
 pub fn arity_of(name: &str) -> Option<usize> {
@@ -137,24 +143,28 @@ fn token_list(v: &Value, span: Span) -> Result<Vec<u32>, RuntimeError> {
         .collect()
 }
 
-fn host_err(span: Span) -> impl Fn(String) -> RuntimeError {
-    move |m| err(RuntimeErrorKind::Host(m), span)
+/// How far [`begin`] got.
+pub(crate) enum Begun {
+    /// The builtin needed nobody: here is its value.
+    Done(Value),
+    /// The builtin's one host call; its value is [`finish`] of the reply.
+    Ask(HostCall),
 }
 
-/// Invokes a builtin. Callers must check [`is_builtin`] first.
+/// First half of a builtin: argument checks, then its value or its host
+/// call. Callers must check [`is_builtin`] first.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not a builtin.
-pub fn call(
-    interp: &mut Interpreter,
-    host: &mut dyn Host,
+pub(crate) fn begin(
+    core: &mut Core,
     name: &str,
-    args: Vec<Value>,
+    mut args: Vec<Value>,
     span: Span,
-) -> Result<Value, RuntimeError> {
-    let he = host_err(span);
-    match name {
+) -> Result<Begun, RuntimeError> {
+    let ask = |call: HostCall| Ok(Begun::Ask(call));
+    let value = match name {
         // ---- core library --------------------------------------------------
         "len" => {
             arity(name, 1, args.len(), span)?;
@@ -166,12 +176,11 @@ pub fn call(
         }
         "push" => {
             arity(name, 2, args.len(), span)?;
-            let mut args = args;
             let v = args.pop().expect("two args");
             match args.pop().expect("two args") {
                 Value::List(mut l) => {
                     l.push(v);
-                    interp.charge(1 + l.len() as u64, span)?;
+                    core.charge(1 + l.len() as u64, span)?;
                     Ok(Value::List(l))
                 }
                 other => Err(type_err(format!("push into {}", other.type_name()), span)),
@@ -188,7 +197,7 @@ pub fn call(
                         return Err(err(RuntimeErrorKind::IndexOutOfBounds(b, l.len()), span));
                     }
                     let out = l[a as usize..b as usize].to_vec();
-                    interp.charge(1 + out.len() as u64, span)?;
+                    core.charge(1 + out.len() as u64, span)?;
                     Ok(Value::List(out))
                 }
                 Value::Str(s) => {
@@ -214,13 +223,13 @@ pub fn call(
             let a = as_int(&args[0], "start", span)?;
             let b = as_int(&args[1], "end", span)?;
             let n = (b - a).max(0) as u64;
-            interp.charge(1 + n, span)?;
+            core.charge(1 + n, span)?;
             Ok(Value::List((a..b).map(Value::Int).collect()))
         }
         "str" => {
             arity(name, 1, args.len(), span)?;
             let s = args[0].to_string();
-            interp.charge(1 + s.len() as u64 / 8, span)?;
+            core.charge(1 + s.len() as u64 / 8, span)?;
             Ok(Value::Str(s))
         }
         "int" => {
@@ -265,7 +274,7 @@ pub fn call(
                 .map(|v| v.to_string())
                 .collect::<Vec<_>>()
                 .join(sep);
-            interp.charge(1 + s.len() as u64 / 8, span)?;
+            core.charge(1 + s.len() as u64 / 8, span)?;
             Ok(Value::Str(s))
         }
         "split" => {
@@ -276,25 +285,26 @@ pub fn call(
                 .split(sep)
                 .map(|p| Value::Str(p.to_string()))
                 .collect();
-            interp.charge(1 + s.len() as u64 / 8 + parts.len() as u64, span)?;
+            core.charge(1 + s.len() as u64 / 8 + parts.len() as u64, span)?;
             Ok(Value::List(parts))
         }
         "print" => {
             arity(name, 1, args.len(), span)?;
-            host.emit(&format!("{}\n", args[0])).map_err(he)?;
-            Ok(Value::Nil)
+            return ask(HostCall::Emit(format!("{}\n", args[0])));
         }
         "rand" => {
             arity(name, 0, args.len(), span)?;
-            Ok(Value::Float(host.rand_f64()))
+            return ask(HostCall::Rand);
         }
 
         // ---- distribution operations ---------------------------------------
         "sample" => {
             arity(name, 1, args.len(), span)?;
-            let d = as_dist(&args[0], "dist", span)?;
-            let u = host.rand_f64();
-            Ok(Value::Int(d.sample_with(u, host.vocab_hint()) as i64))
+            as_dist(&args[0], "dist", span)?;
+            match args.swap_remove(0) {
+                Value::Dist(d) => return ask(HostCall::Sample(d)),
+                _ => unreachable!("checked by as_dist"),
+            }
         }
         "sample_t" => {
             arity(name, 2, args.len(), span)?;
@@ -303,9 +313,7 @@ pub fn call(
             if !(t.is_finite() && t >= 0.0) {
                 return Err(type_err("temperature must be non-negative", span));
             }
-            let d = d.with_temperature(t);
-            let u = host.rand_f64();
-            Ok(Value::Int(d.sample_with(u, host.vocab_hint()) as i64))
+            return ask(HostCall::Sample(d.with_temperature(t)));
         }
         "argmax" => {
             arity(name, 1, args.len(), span)?;
@@ -349,26 +357,20 @@ pub fn call(
         // ---- system calls ---------------------------------------------------
         "args" => {
             arity(name, 0, args.len(), span)?;
-            let s = host.args();
-            interp.charge(1 + s.len() as u64 / 8, span)?;
-            Ok(Value::Str(s))
+            return ask(HostCall::Args);
         }
         "eos" => {
             arity(name, 0, args.len(), span)?;
-            Ok(Value::Int(host.eos() as i64))
+            return ask(HostCall::Eos);
         }
         "tokenize" => {
             arity(name, 1, args.len(), span)?;
-            let toks = host.tokenize(as_str(&args[0], "text", span)?).map_err(he)?;
-            interp.charge(1 + toks.len() as u64, span)?;
-            Ok(Value::List(toks.into_iter().map(|t| Value::Int(t as i64)).collect()))
+            let text = as_str(&args[0], "text", span)?;
+            return ask(HostCall::Tokenize(text.to_string()));
         }
         "detokenize" => {
             arity(name, 1, args.len(), span)?;
-            let toks = token_list(&args[0], span)?;
-            let s = host.detokenize(&toks).map_err(he)?;
-            interp.charge(1 + s.len() as u64 / 8, span)?;
-            Ok(Value::Str(s))
+            return ask(HostCall::Detokenize(token_list(&args[0], span)?));
         }
         "pred" => {
             arity(name, 3, args.len(), span)?;
@@ -378,17 +380,12 @@ pub fn call(
             if start < 0 {
                 return Err(type_err("start position must be >= 0", span));
             }
-            let pairs: Vec<(u32, u32)> = toks
+            let tokens: Vec<(u32, u32)> = toks
                 .iter()
                 .enumerate()
                 .map(|(i, &t)| (t, start as u32 + i as u32))
                 .collect();
-            let dists = host.pred(kv, &pairs).map_err(he)?;
-            interp.charge(
-                1 + dists.iter().map(|d| 1 + d.entries().len() as u64).sum::<u64>(),
-                span,
-            )?;
-            Ok(Value::List(dists.into_iter().map(Value::Dist).collect()))
+            return ask(HostCall::Pred { kv, tokens });
         }
         "pred_at" => {
             arity(name, 3, args.len(), span)?;
@@ -401,45 +398,33 @@ pub fn call(
             if toks.len() != positions.len() {
                 return Err(type_err("tokens and positions must have equal length", span));
             }
-            let pairs: Vec<(u32, u32)> = toks.into_iter().zip(positions).collect();
-            let dists = host.pred(kv, &pairs).map_err(he)?;
-            interp.charge(
-                1 + dists.iter().map(|d| 1 + d.entries().len() as u64).sum::<u64>(),
-                span,
-            )?;
-            Ok(Value::List(dists.into_iter().map(Value::Dist).collect()))
+            let tokens: Vec<(u32, u32)> = toks.into_iter().zip(positions).collect();
+            return ask(HostCall::Pred { kv, tokens });
         }
         "kv_create" => {
             arity(name, 0, args.len(), span)?;
-            Ok(Value::Handle(host.kv_create().map_err(he)?))
+            return ask(HostCall::KvCreate);
         }
         "kv_open" => {
             arity(name, 1, args.len(), span)?;
-            Ok(Value::Handle(
-                host.kv_open(as_str(&args[0], "path", span)?).map_err(he)?,
-            ))
+            let path = as_str(&args[0], "path", span)?;
+            return ask(HostCall::KvOpen(path.to_string()));
         }
         "kv_fork" => {
             arity(name, 1, args.len(), span)?;
-            let kv = as_handle(&args[0], "kv", span)?;
-            Ok(Value::Handle(host.kv_fork(kv).map_err(he)?))
+            return ask(HostCall::KvFork(as_handle(&args[0], "kv", span)?));
         }
         "kv_remove" => {
             arity(name, 1, args.len(), span)?;
-            host.kv_remove(as_handle(&args[0], "kv", span)?).map_err(he)?;
-            Ok(Value::Nil)
+            return ask(HostCall::KvRemove(as_handle(&args[0], "kv", span)?));
         }
         "kv_len" => {
             arity(name, 1, args.len(), span)?;
-            let n = host.kv_len(as_handle(&args[0], "kv", span)?).map_err(he)?;
-            Ok(Value::Int(n as i64))
+            return ask(HostCall::KvLen(as_handle(&args[0], "kv", span)?));
         }
         "kv_next_pos" => {
             arity(name, 1, args.len(), span)?;
-            let p = host
-                .kv_next_pos(as_handle(&args[0], "kv", span)?)
-                .map_err(he)?;
-            Ok(Value::Int(p as i64))
+            return ask(HostCall::KvNextPos(as_handle(&args[0], "kv", span)?));
         }
         "kv_truncate" => {
             arity(name, 2, args.len(), span)?;
@@ -448,8 +433,10 @@ pub fn call(
             if n < 0 {
                 return Err(type_err("length must be >= 0", span));
             }
-            host.kv_truncate(kv, n as usize).map_err(he)?;
-            Ok(Value::Nil)
+            return ask(HostCall::KvTruncate {
+                kv,
+                len: n as usize,
+            });
         }
         "kv_extract" => {
             arity(name, 3, args.len(), span)?;
@@ -459,9 +446,11 @@ pub fn call(
             if a < 0 || b < a {
                 return Err(type_err("bad extract range", span));
             }
-            Ok(Value::Handle(
-                host.kv_extract(kv, a as usize, b as usize).map_err(he)?,
-            ))
+            return ask(HostCall::KvExtract {
+                kv,
+                start: a as usize,
+                end: b as usize,
+            });
         }
         "kv_merge" => {
             arity(name, 1, args.len(), span)?;
@@ -469,53 +458,45 @@ pub fn call(
                 .iter()
                 .map(|h| as_handle(h, "file", span))
                 .collect::<Result<_, _>>()?;
-            Ok(Value::Handle(host.kv_merge(&handles).map_err(he)?))
+            return ask(HostCall::KvMerge(handles));
         }
         "kv_link" => {
             arity(name, 2, args.len(), span)?;
             let kv = as_handle(&args[0], "kv", span)?;
-            host.kv_link(kv, as_str(&args[1], "path", span)?).map_err(he)?;
-            Ok(Value::Nil)
+            let path = as_str(&args[1], "path", span)?.to_string();
+            return ask(HostCall::KvLink { kv, path });
         }
         "kv_unlink" => {
             arity(name, 1, args.len(), span)?;
-            host.kv_unlink(as_str(&args[0], "path", span)?).map_err(he)?;
-            Ok(Value::Nil)
+            let path = as_str(&args[0], "path", span)?;
+            return ask(HostCall::KvUnlink(path.to_string()));
         }
         "kv_pin" => {
             arity(name, 1, args.len(), span)?;
-            host.kv_pin(as_handle(&args[0], "kv", span)?).map_err(he)?;
-            Ok(Value::Nil)
+            return ask(HostCall::KvPin(as_handle(&args[0], "kv", span)?));
         }
         "kv_unpin" => {
             arity(name, 1, args.len(), span)?;
-            host.kv_unpin(as_handle(&args[0], "kv", span)?).map_err(he)?;
-            Ok(Value::Nil)
+            return ask(HostCall::KvUnpin(as_handle(&args[0], "kv", span)?));
         }
         "emit" => {
             arity(name, 1, args.len(), span)?;
-            host.emit(as_str(&args[0], "text", span)?).map_err(he)?;
-            Ok(Value::Nil)
+            let text = as_str(&args[0], "text", span)?;
+            return ask(HostCall::Emit(text.to_string()));
         }
         "emit_token" => {
             arity(name, 1, args.len(), span)?;
-            let t = as_token(&args[0], span)?;
-            host.emit_tokens(&[t]).map_err(he)?;
-            Ok(Value::Nil)
+            return ask(HostCall::EmitTokens(vec![as_token(&args[0], span)?]));
         }
         "emit_tokens" => {
             arity(name, 1, args.len(), span)?;
-            let toks = token_list(&args[0], span)?;
-            host.emit_tokens(&toks).map_err(he)?;
-            Ok(Value::Nil)
+            return ask(HostCall::EmitTokens(token_list(&args[0], span)?));
         }
         "call_tool" => {
             arity(name, 2, args.len(), span)?;
-            let tool = as_str(&args[0], "tool name", span)?;
-            let targs = as_str(&args[1], "tool args", span)?;
-            let out = host.call_tool(tool, targs).map_err(he)?;
-            interp.charge(1 + out.len() as u64 / 8, span)?;
-            Ok(Value::Str(out))
+            let name = as_str(&args[0], "tool name", span)?.to_string();
+            let args = as_str(&args[1], "tool args", span)?.to_string();
+            return ask(HostCall::CallTool { name, args });
         }
         "send" => {
             arity(name, 2, args.len(), span)?;
@@ -523,23 +504,20 @@ pub fn call(
             if pid < 0 {
                 return Err(type_err("pid must be >= 0", span));
             }
-            host.send_msg(pid as u64, as_str(&args[1], "data", span)?)
-                .map_err(he)?;
-            Ok(Value::Nil)
+            let data = as_str(&args[1], "data", span)?.to_string();
+            return ask(HostCall::Send {
+                pid: pid as u64,
+                data,
+            });
         }
         "recv" => {
             arity(name, 0, args.len(), span)?;
-            let (from, data) = host.recv_msg().map_err(he)?;
-            interp.charge(1 + data.len() as u64 / 8, span)?;
-            Ok(Value::List(vec![Value::Int(from as i64), Value::Str(data)]))
+            return ask(HostCall::Recv);
         }
         "lookup" => {
             arity(name, 1, args.len(), span)?;
-            let found = host.lookup(as_str(&args[0], "name", span)?).map_err(he)?;
-            Ok(match found {
-                Some(p) => Value::Int(p as i64),
-                None => Value::Nil,
-            })
+            let name = as_str(&args[0], "name", span)?;
+            return ask(HostCall::Lookup(name.to_string()));
         }
         "sleep_ms" => {
             arity(name, 1, args.len(), span)?;
@@ -547,29 +525,30 @@ pub fn call(
             if ms < 0 {
                 return Err(type_err("sleep duration must be >= 0", span));
             }
-            host.sleep_ms(ms as u64).map_err(he)?;
-            Ok(Value::Nil)
+            return ask(HostCall::SleepMs(ms as u64));
         }
         "now_ms" => {
             arity(name, 0, args.len(), span)?;
-            Ok(Value::Float(host.now_ms().map_err(he)?))
+            return ask(HostCall::NowMs);
         }
         "spawn" => {
             arity(name, 2, args.len(), span)?;
             let func = as_str(&args[0], "function name", span)?.to_string();
             let call_args = as_list(&args[1], "arguments", span)?.to_vec();
-            if interp.program.function(&func).is_none() {
+            if core.program.function(&func).is_none() {
                 return Err(err(RuntimeErrorKind::Undefined(func), span));
             }
-            let program = Arc::clone(&interp.program);
-            let limits = interp.limits;
-            let tid = host.spawn_fn(program, func, call_args, limits).map_err(he)?;
-            Ok(Value::Thread(tid))
+            return ask(HostCall::Spawn {
+                program: Arc::clone(&core.program),
+                func,
+                args: call_args,
+                limits: core.limits,
+            });
         }
         "join" => {
             arity(name, 1, args.len(), span)?;
             match &args[0] {
-                Value::Thread(t) => Ok(Value::Bool(host.join_thread(*t).map_err(he)?)),
+                Value::Thread(t) => return ask(HostCall::Join(*t)),
                 other => Err(type_err(
                     format!("join needs a thread handle, got {}", other.type_name()),
                     span,
@@ -577,5 +556,43 @@ pub fn call(
             }
         }
         other => unreachable!("not a builtin: {other}"),
-    }
+    };
+    value.map(Begun::Done)
+}
+
+/// Second half of a host-calling builtin: the reply as a value, charged to
+/// the memory budget where it allocates. A host error becomes the
+/// program's [`RuntimeErrorKind::Host`] at the call's span.
+pub(crate) fn finish(
+    core: &mut Core,
+    reply: HostResult<HostReply>,
+    span: Span,
+) -> Result<Value, RuntimeError> {
+    let reply = reply.map_err(|m| err(RuntimeErrorKind::Host(m), span))?;
+    Ok(match reply {
+        HostReply::Unit => Value::Nil,
+        HostReply::Handle(h) => Value::Handle(h),
+        HostReply::Int(i) => Value::Int(i),
+        HostReply::Float(f) => Value::Float(f),
+        HostReply::Text(s) => {
+            core.charge(1 + s.len() as u64 / 8, span)?;
+            Value::Str(s)
+        }
+        HostReply::Tokens(toks) => {
+            core.charge(1 + toks.len() as u64, span)?;
+            Value::List(toks.into_iter().map(|t| Value::Int(t as i64)).collect())
+        }
+        HostReply::Dists(dists) => {
+            let cells = dists.iter().map(|d| 1 + d.entries().len() as u64);
+            core.charge(1 + cells.sum::<u64>(), span)?;
+            Value::List(dists.into_iter().map(Value::Dist).collect())
+        }
+        HostReply::Msg(from, data) => {
+            core.charge(1 + data.len() as u64 / 8, span)?;
+            Value::List(vec![Value::Int(from as i64), Value::Str(data)])
+        }
+        HostReply::MaybePid(found) => found.map_or(Value::Nil, |p| Value::Int(p as i64)),
+        HostReply::Thread(tid) => Value::Thread(tid),
+        HostReply::Joined(ok) => Value::Bool(ok),
+    })
 }

@@ -1,8 +1,21 @@
 //! The host interface: everything a LipScript program can do to the world.
 //!
-//! [`Host`] is the sandbox boundary. The production implementation is
-//! [`symphony::Ctx`] — every method is a Symphony system call — while tests
-//! use [`MockHost`] to exercise the interpreter without a kernel.
+//! The interpreter is a resumable machine ([`crate::interp`]): when a
+//! program needs the outside it yields one [`HostCall`] and is resumed with
+//! the [`HostReply`]. Who answers depends on where the program runs:
+//!
+//! - **Inside the kernel**, served inline ([`crate::inline`]): the call is
+//!   lowered to a Symphony system call and the machine is parked as a plain
+//!   value until the kernel has the reply. No OS thread.
+//! - **Against a [`Host`]**, driven by a blocking loop
+//!   ([`crate::Interpreter::run`]): the call goes to [`Host::call`], which
+//!   by default dispatches to the trait's named methods. [`MockHost`] — no
+//!   kernel at all — is that case; a hosted native LIP's [`symphony::Ctx`]
+//!   overrides `call` to go through the same lowering as the inline path,
+//!   so a program issues the same system calls whichever way it runs.
+//!
+//! [`Host`] is the sandbox boundary: a program can do nothing a `HostCall`
+//! does not name.
 
 use std::sync::Arc;
 
@@ -10,11 +23,92 @@ use symphony::{SysError, Tid};
 use symphony_model::Dist;
 
 use crate::ast::Program;
+use crate::inline::{lift, lower};
 use crate::interp::{InterpLimits, Interpreter};
 use crate::value::Value;
 
 /// Host call result; errors are surfaced to the program as runtime errors.
 pub type HostResult<T> = Result<T, String>;
+
+/// One request from a running program to its host — each variant is the
+/// [`Host`] method of (nearly) the same name, as a value.
+#[derive(Debug, Clone)]
+#[allow(missing_docs)]
+pub enum HostCall {
+    Args,
+    Eos,
+    Rand,
+    /// Draws a token from the distribution with the host's RNG stream.
+    Sample(Dist),
+    Tokenize(String),
+    Detokenize(Vec<u32>),
+    Pred {
+        kv: u64,
+        tokens: Vec<(u32, u32)>,
+    },
+    KvCreate,
+    KvOpen(String),
+    KvFork(u64),
+    KvRemove(u64),
+    KvLen(u64),
+    KvNextPos(u64),
+    KvTruncate {
+        kv: u64,
+        len: usize,
+    },
+    KvExtract {
+        kv: u64,
+        start: usize,
+        end: usize,
+    },
+    KvMerge(Vec<u64>),
+    KvLink {
+        kv: u64,
+        path: String,
+    },
+    KvUnlink(String),
+    KvPin(u64),
+    KvUnpin(u64),
+    Emit(String),
+    EmitTokens(Vec<u32>),
+    CallTool {
+        name: String,
+        args: String,
+    },
+    Send {
+        pid: u64,
+        data: String,
+    },
+    Recv,
+    Lookup(String),
+    SleepMs(u64),
+    NowMs,
+    Spawn {
+        program: Arc<Program>,
+        func: String,
+        args: Vec<Value>,
+        limits: InterpLimits,
+    },
+    Join(u64),
+}
+
+/// What a host answers a [`HostCall`] with: the `Ok` types of the
+/// [`Host`] methods, as one value.
+#[derive(Debug, Clone, PartialEq)]
+#[allow(missing_docs)]
+pub enum HostReply {
+    Unit,
+    Handle(u64),
+    Int(i64),
+    Float(f64),
+    Text(String),
+    Tokens(Vec<u32>),
+    Dists(Vec<Dist>),
+    Msg(u64, String),
+    MaybePid(Option<u64>),
+    Thread(u64),
+    Joined(bool),
+}
 
 /// The system-call surface visible to LipScript builtins.
 pub trait Host {
@@ -84,19 +178,78 @@ pub trait Host {
     ) -> HostResult<u64>;
     /// Joins a spawned thread; `true` if it exited cleanly.
     fn join_thread(&mut self, tid: u64) -> HostResult<bool>;
+
+    /// Answers one request of a running program, blocking until the answer
+    /// exists. This is what the interpreter's driver loop calls; the
+    /// default hands the request to the named method it stands for.
+    fn call(&mut self, call: HostCall) -> HostResult<HostReply> {
+        use HostReply as R;
+        let unit = |done: HostResult<()>| done.map(|()| R::Unit);
+        Ok(match call {
+            HostCall::Args => R::Text(self.args()),
+            HostCall::Eos => R::Int(self.eos() as i64),
+            HostCall::Rand => R::Float(self.rand_f64()),
+            HostCall::Sample(dist) => {
+                let u = self.rand_f64();
+                R::Int(dist.sample_with(u, self.vocab_hint()) as i64)
+            }
+            HostCall::Tokenize(s) => R::Tokens(self.tokenize(&s)?),
+            HostCall::Detokenize(toks) => R::Text(self.detokenize(&toks)?),
+            HostCall::Pred { kv, tokens } => R::Dists(self.pred(kv, &tokens)?),
+            HostCall::KvCreate => R::Handle(self.kv_create()?),
+            HostCall::KvOpen(path) => R::Handle(self.kv_open(&path)?),
+            HostCall::KvFork(kv) => R::Handle(self.kv_fork(kv)?),
+            HostCall::KvRemove(kv) => unit(self.kv_remove(kv))?,
+            HostCall::KvLen(kv) => R::Int(self.kv_len(kv)? as i64),
+            HostCall::KvNextPos(kv) => R::Int(self.kv_next_pos(kv)? as i64),
+            HostCall::KvTruncate { kv, len } => unit(self.kv_truncate(kv, len))?,
+            HostCall::KvExtract { kv, start, end } => R::Handle(self.kv_extract(kv, start, end)?),
+            HostCall::KvMerge(kvs) => R::Handle(self.kv_merge(&kvs)?),
+            HostCall::KvLink { kv, path } => unit(self.kv_link(kv, &path))?,
+            HostCall::KvUnlink(path) => unit(self.kv_unlink(&path))?,
+            HostCall::KvPin(kv) => unit(self.kv_pin(kv))?,
+            HostCall::KvUnpin(kv) => unit(self.kv_unpin(kv))?,
+            HostCall::Emit(s) => unit(self.emit(&s))?,
+            HostCall::EmitTokens(toks) => unit(self.emit_tokens(&toks))?,
+            HostCall::CallTool { name, args } => R::Text(self.call_tool(&name, &args)?),
+            HostCall::Send { pid, data } => unit(self.send_msg(pid, &data))?,
+            HostCall::Recv => {
+                let (from, data) = self.recv_msg()?;
+                R::Msg(from, data)
+            }
+            HostCall::Lookup(name) => R::MaybePid(self.lookup(&name)?),
+            HostCall::SleepMs(ms) => unit(self.sleep_ms(ms))?,
+            HostCall::NowMs => R::Float(self.now_ms()?),
+            HostCall::Spawn {
+                program,
+                func,
+                args,
+                limits,
+            } => R::Thread(self.spawn_fn(program, func, args, limits)?),
+            HostCall::Join(tid) => R::Joined(self.join_thread(tid)?),
+        })
+    }
 }
 
 fn se(e: SysError) -> String {
     e.to_string()
 }
 
+/// A hosted native LIP's context as a LipScript host (what `run_lip`
+/// runs on). The interpreter reaches the kernel through [`Host::call`],
+/// overridden here to share [`crate::inline`]'s lowering with the inline
+/// path; the named methods serve Rust code that holds a `dyn Host`.
 impl Host for symphony::Ctx {
+    fn call(&mut self, call: HostCall) -> HostResult<HostReply> {
+        lower(call, self).or_else(|call| lift(self.syscall(call)))
+    }
+
     fn args(&self) -> String {
-        symphony::Ctx::args(self)
+        symphony::ThreadEnv::args(self)
     }
 
     fn eos(&self) -> u32 {
-        symphony::Ctx::eos(self)
+        symphony::ThreadEnv::eos(self)
     }
 
     fn vocab_hint(&self) -> u32 {

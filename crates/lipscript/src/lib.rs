@@ -20,6 +20,14 @@
 //!   structured error — never the server.
 //! - **Threads**: `spawn("fn_name", [args...])` runs a top-level function
 //!   on a new kernel thread with its own fuel budget; `join(tid)` waits.
+//! - **Execution** ([`interp`], [`inline`]): the interpreter is a resumable
+//!   machine — [`Interpreter::step`] runs to the next host call and is
+//!   resumed with the reply — so a running program is a value. A server
+//!   hands that value to the kernel as a [`LipBody`]
+//!   (`Kernel::admit_inline`) and the kernel steps it on its own thread:
+//!   a served program owns no OS thread. [`run_lip`], below, is the
+//!   blocking driver over the same machine, for native code that wants to
+//!   run a script on the thread it already has.
 //!
 //! # Examples
 //!
@@ -57,19 +65,28 @@
 //! assert!(!rec.output.is_empty());
 //! ```
 
+// `tests/arb`, which `reference.rs` includes by path, names this crate
+// the way an integration test does.
+#[cfg(test)]
+extern crate self as symphony_lipscript;
+
 pub mod ast;
 pub mod builtins;
 pub mod error;
 pub mod host;
+pub mod inline;
 pub mod interp;
 pub mod lex;
 pub mod parse;
 pub mod printer;
+#[cfg(test)]
+mod reference;
 pub mod value;
 pub mod verify;
 
 pub use error::{LipError, RuntimeError};
-pub use host::Host;
-pub use interp::{run_lip, run_with_host, InterpLimits, Interpreter};
+pub use host::{Host, HostCall, HostReply};
+pub use inline::LipBody;
+pub use interp::{run_lip, run_with_host, InterpLimits, Interpreter, Step};
 pub use value::Value;
 pub use verify::{verify, verify_source, Bound, Diag, EffectSummary, Severity, VerifyReport};

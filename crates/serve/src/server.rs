@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use symphony::telemetry::EventKind;
 use symphony::{ExitStatus, Kernel, Pid, SessionEvent, SimTime, SysError};
-use symphony_lipscript::{parse::parse, verify::verify, InterpLimits, Interpreter, LipError};
+use symphony_lipscript::{parse::parse, verify::verify, InterpLimits, LipBody};
 use symphony_rpc::{
     ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, CONN_SCOPE, DEFAULT_MAX_FRAME,
     WIRE_VERSION,
@@ -513,13 +513,11 @@ impl ServerCore {
         // A SUBMIT may carry a virtual arrival floor (trace replay with
         // simulated RTT); past floors mean "now".
         let at = SimTime::from_nanos(not_before_ns.max(self.kernel.now().as_nanos()));
-        // The program parsed for the verifier is the one that runs.
-        let pid = self.kernel.schedule_process(at, name, args, move |ctx| {
-            Interpreter::new(program, limits)
-                .run(ctx)
-                .map(|_| ())
-                .map_err(|e| SysError::ToolFailed(LipError::from(e).to_string()))
-        });
+        // The program parsed for the verifier is the one that runs — as a
+        // value the kernel steps on its own thread, not on a thread of its
+        // own.
+        let body = Box::new(LipBody::new(program, limits));
+        let pid = self.kernel.admit_inline(name, args, Some(at), body);
         if let Some(hint) = static_hint {
             self.kernel.set_cost_hint(pid, hint);
         }

@@ -628,3 +628,86 @@ fn admission_cost_hints_reach_the_scheduler() {
     let (_, core) = symphony_serve::replay::run_replay_on(&spec, core);
     assert_eq!(core.kernel().cost_hints(), 0);
 }
+
+/// Spawn and join: the paper's Figure 2.
+const PARALLEL: &str = include_str!("../../../examples/lipscript/parallel.lip");
+
+#[test]
+fn served_sessions_use_no_os_threads() {
+    let mut core = new_core();
+    // Eight tenants of eight sessions: the door's default quota, full.
+    let mut clients: Vec<Client> = (1..=8).map(|t| Client::connect(&mut core, t)).collect();
+    for (c, client) in clients.iter_mut().enumerate() {
+        for s in 1..=8 {
+            let session = (c * 8 + s) as u64;
+            match s % 3 {
+                0 => client.submit(&mut core, session, PARALLEL, ""),
+                1 => client.submit(&mut core, session, &agent_source(2, 6), "a question"),
+                _ => client.submit(&mut core, session, &rag_source(6), "1|and an answer?"),
+            }
+        }
+    }
+    core.pump();
+    let done = clients
+        .iter_mut()
+        .flat_map(|client| client.drain(&mut core))
+        .filter(|m| {
+            matches!(
+                m,
+                ServerMsg::Done {
+                    status: SessionStatus::Ok,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(done, 64);
+    let reg = core.kernel().metrics_registry();
+    assert_eq!(reg.counter_value("kernel.lip.hosted_handoffs"), Some(0));
+    assert_eq!(reg.gauge("kernel.lip.hosted_threads").get(), 0);
+    let steps = reg.counter_value("kernel.lip.inline_steps").unwrap_or(0);
+    assert!(steps > 64 * 10, "only {steps} inline steps for 64 sessions");
+}
+
+#[test]
+fn a_spinning_program_still_runs_out_of_fuel_over_the_wire() {
+    let mut core = ServerCore::new(
+        standard_kernel(KernelConfig::for_tests()),
+        // The verifier's verdict on an unbounded loop is not the point.
+        ServeConfig {
+            verify: false,
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = Client::connect(&mut core, 1);
+    client.send(
+        &mut core,
+        &ClientMsg::Submit {
+            session: 1,
+            not_before_ns: 0,
+            fuel: 50_000,
+            name: "spinner".to_string(),
+            args: String::new(),
+            source: "while (true) {}".to_string(),
+        },
+    );
+    client.submit(&mut core, 2, &agent_source(1, 4), "its neighbour");
+    core.pump();
+    let msgs = client.drain(&mut core);
+    let outcome = |session| {
+        msgs.iter().find_map(|m| match m {
+            ServerMsg::Done {
+                session: s,
+                status,
+                detail,
+                ..
+            } if *s == session => Some((*status, detail.clone())),
+            _ => None,
+        })
+    };
+    let (status, detail) = outcome(1).expect("the spinner's DONE");
+    assert_eq!(status, SessionStatus::Error);
+    assert!(detail.contains("out of fuel"), "{detail}");
+    let (status, _) = outcome(2).expect("its neighbour's DONE");
+    assert_eq!(status, SessionStatus::Ok);
+}
