@@ -26,6 +26,7 @@ use symphony_kvfs::{
 };
 use symphony_model::surrogate::VocabInfo;
 use symphony_model::{ModelConfig, Surrogate, TokenId};
+use symphony_sim::seglog::SegLog;
 use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
     export_chrome_trace, export_chrome_trace_with_flows, latency_bounds_ns, occupancy_bounds,
@@ -723,10 +724,11 @@ impl Kernel {
     }
 
     /// Snapshots the KV store to an append-only journal at `path` for a
-    /// later warm restart. Returns `Ok(true)` when the journal landed
-    /// complete; under an injected `kv.journal_write` fault the write is
-    /// torn mid-record (the tail third is lost) and `Ok(false)` is returned
-    /// — replay will recover the valid prefix.
+    /// later warm restart, atomically replacing any journal already there.
+    /// Returns `Ok(true)` when the journal landed complete; under an
+    /// injected `kv.journal_write` fault the write is torn mid-record (the
+    /// tail third is lost) and `Ok(false)` is returned — replay will
+    /// recover the valid prefix.
     pub fn persist_kv(&mut self, path: &std::path::Path) -> std::io::Result<bool> {
         let mut bytes = self.store.journal_bytes();
         let torn = self.injector.journal_write();
@@ -738,7 +740,7 @@ impl Kernel {
                 site: "kv.journal_write",
             });
         }
-        std::fs::write(path, bytes)?;
+        SegLog::create(path, &bytes)?;
         Ok(!torn)
     }
 

@@ -101,7 +101,7 @@ impl Kernel {
         if let Some(opened) = opened {
             // lint:allow(k1): a kernel asked for a WAL it cannot open or reopen must not serve
             let w = opened.expect("open kernel WAL");
-            self.kmetrics.wal_bytes.set(w.bytes_written as i64);
+            self.kmetrics.wal_bytes.set(w.log.disk_len() as i64);
             self.wal = Some(w);
         }
     }
@@ -241,15 +241,16 @@ impl Kernel {
         self.procs.get(pid.0).is_some_and(|p| p.durable)
     }
 
-    /// Appends one synchronous frame (no-op when the WAL is disabled).
+    /// Journals one frame under its durability class (no-op when the WAL
+    /// is disabled).
     pub(crate) fn wal_append(&mut self, rec: WalRecord) {
         let Some(w) = self.wal.as_mut() else {
             return;
         };
-        w.append_sync(&rec)
+        w.write(&rec)
             // lint:allow(k1): a failed WAL write silently voids durability
             .expect("kernel WAL append");
-        self.kmetrics.wal_bytes.set(w.bytes_written as i64);
+        self.kmetrics.wal_bytes.set(w.log.disk_len() as i64);
     }
 
     /// Journals the `seq`-th effect `pid` drew in the effect's class — the
@@ -272,25 +273,19 @@ impl Kernel {
         if !self.is_durable(pid) && !peer.is_some_and(|p| self.is_durable(p)) {
             return;
         }
-        let effect = effect();
-        let buffered = effect.class() == EffectClass::Pred;
-        let rec = WalRecord::Effect {
+        self.wal_append(WalRecord::Effect {
             at: self.events.now(),
             pid: pid.0,
             seq,
-            effect,
-        };
-        match self.wal.as_mut() {
-            Some(w) if buffered => w.buffer_pred(&rec),
-            _ => self.wal_append(rec),
-        }
+            effect: effect(),
+        });
     }
 
     /// Writes a checkpoint frame (flushing buffered pred frames) when the
     /// virtual clock has passed the next checkpoint boundary.
     pub(crate) fn maybe_checkpoint(&mut self) {
         let now = self.events.now();
-        if self.wal.as_ref().is_none_or(|w| now < w.next_checkpoint_at) {
+        if !self.wal.as_ref().is_some_and(|w| w.checkpoint_due(now)) {
             return;
         }
         let breakers = self
@@ -311,10 +306,7 @@ impl Kernel {
             .checkpoint(&rec)
             // lint:allow(k1): a failed WAL write silently voids durability
             .expect("kernel WAL checkpoint");
-        while w.next_checkpoint_at <= now {
-            w.next_checkpoint_at += w.checkpoint_every;
-        }
-        let wal_bytes = w.bytes_written;
+        let wal_bytes = w.log.disk_len();
         self.kmetrics.checkpoints.inc();
         self.kmetrics.wal_bytes.set(wal_bytes as i64);
         self.bus
@@ -328,8 +320,7 @@ impl Kernel {
         self.bus
             .emit(at, move || EventKind::KernelCrash { boundary });
         if let Some(w) = self.wal.as_mut() {
-            w.pred_buf.clear();
-            w.buffered_frames = 0;
+            w.log.drop_pending();
         }
         self.crashed = Some(boundary);
     }

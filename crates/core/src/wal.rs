@@ -1,29 +1,33 @@
 //! The kernel write-ahead log: crash-tolerant serving state.
 //!
-//! PR 5 made KV pages durable; this module makes the *kernel* durable —
-//! process table, tool side-effects, IPC traffic and pred results — so a
-//! mid-run crash costs bounded re-execution instead of every in-flight
-//! program. The format reuses the SYMJ frame discipline from
-//! `symphony_kvfs::journal` (`[tag u8][len u32][payload][crc u32]`,
-//! FNV-1a over tag + payload, torn tails truncated) under a distinct
-//! magic and tag space (32+), so one set of tooling reads both logs.
+//! The file is a `symphony_sim::seglog` log (header, frames, torn-tail
+//! rule: docs/RESILIENCE.md, "Log file format"); its header carries the
+//! kernel seed. What is the WAL's own:
+//!
+//! | tag | frame | written |
+//! |---|---|---|
+//! | 32 | process spawn | synchronously |
+//! | 33 | process exit | synchronously |
+//! | 34 | tool effect | synchronously |
+//! | 35 | IPC send | synchronously |
+//! | 36 | IPC receive | synchronously |
+//! | 37 | name lookup | synchronously |
+//! | 38 | `now` read | synchronously |
+//! | 39 | `pred` completion marker | buffered |
+//! | 40 | checkpoint | synchronously, after the buffered markers |
+//! | 41 | process scheduled for a future arrival | synchronously |
 //!
 //! # Durability classes
 //!
-//! Frames split into two classes, and the split is what makes the
-//! checkpoint interval a real knob:
-//!
-//! - **Synchronous** (flushed before the effect is observable): process
-//!   spawn/exit, tool effects, IPC sends/receives, name lookups and
-//!   `now` reads. These are small and must never be lost — a re-executed
+//! - **Synchronous** frames go to `write(2)` before the effect they record
+//!   is observable. They are small and must never be lost — a re-executed
 //!   LIP that cannot find its tool call in the log would fire the tool
 //!   twice.
-//! - **Buffered** (flushed at checkpoints): pred completion markers. A
+//! - **Buffered** frames (`pred` markers) wait for the next checkpoint. A
 //!   marker only saves GPU time on replay, so losing one costs
-//!   re-execution, never correctness, and is not worth a flush per token.
-//!   A crash loses the buffer; the recovered LIP re-executes those preds
-//!   on the GPU. Wasted work therefore scales with the checkpoint
-//!   interval, which E14 measures.
+//!   re-execution, never correctness, and is not worth a write per token.
+//!   A crash loses the buffer; wasted work therefore scales with the
+//!   checkpoint interval, which E14 measures.
 //!
 //! # Recovery model
 //!
@@ -40,14 +44,12 @@
 //! per `(pid, effect class)` keys the one replay map ([`EffectClass`]).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
 
 use symphony_kvfs::KvError;
-use symphony_sim::frame::{
-    append_frame, fnv1a, push_opt_u64, push_str, push_u32, push_u64, read_frames, Cursor,
-};
+use symphony_sim::frame::{push_opt_u64, push_str, push_u32, push_u64, Cursor};
+use symphony_sim::seglog::{self, Head, HeadError, SegLog};
 use symphony_sim::{SimDuration, SimTime};
 
 use crate::resilience::BreakerStateView;
@@ -62,7 +64,11 @@ pub const WAL_VERSION: u32 = 3;
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
 
-const HEADER_LEN: usize = 4 + 4 + 8 + 4;
+/// The header's one field is the writing kernel's seed.
+const HEAD: Head<1> = Head {
+    magic: WAL_MAGIC,
+    version: WAL_VERSION,
+};
 
 const TAG_PROC_SPAWN: u8 = 32;
 const TAG_PROC_EXIT: u8 = 33;
@@ -113,6 +119,15 @@ pub enum WalError {
     /// Magic/version mismatch, or the log was written under a different
     /// kernel seed (replay would diverge).
     Incompatible,
+}
+
+impl From<HeadError> for WalError {
+    fn from(e: HeadError) -> Self {
+        match e {
+            HeadError::Torn => WalError::Unreadable,
+            HeadError::Incompatible => WalError::Incompatible,
+        }
+    }
 }
 
 impl core::fmt::Display for WalError {
@@ -414,7 +429,10 @@ fn record_tag(rec: &WalRecord) -> u8 {
     }
 }
 
-fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
+/// A record's frame payload: the time it was recorded at, then its fields.
+fn encode_payload(rec: &WalRecord) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let out = &mut buf;
     push_u64(out, rec.at().as_nanos());
     match rec {
         WalRecord::ProcSpawn {
@@ -541,6 +559,7 @@ fn encode_payload(rec: &WalRecord, out: &mut Vec<u8>) {
             encode_limits(out, limits);
         }
     }
+    buf
 }
 
 /// The payload of an effect frame; its tag says which class it is.
@@ -679,31 +698,8 @@ pub fn tag_name(tag: u8) -> &'static str {
 /// observability hook `exp_recovery` reports, answering "what is this log
 /// made of" without replaying it.
 pub fn frame_counts(bytes: &[u8]) -> Result<BTreeMap<&'static str, u64>, WalError> {
-    let (_seed, records, _len, _torn) = read_wal(bytes)?;
-    let mut counts = BTreeMap::new();
-    for rec in &records {
-        *counts.entry(tag_name(record_tag(rec))).or_insert(0u64) += 1;
-    }
-    Ok(counts)
-}
-
-/// Encodes one record as a complete SYMJ frame.
-pub(crate) fn encode_frame(rec: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::new();
-    encode_payload(rec, &mut payload);
-    let mut frame = Vec::with_capacity(payload.len() + 9);
-    append_frame(&mut frame, record_tag(rec), &payload);
-    frame
-}
-
-fn header_bytes(seed: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN);
-    buf.extend_from_slice(&WAL_MAGIC);
-    push_u32(&mut buf, WAL_VERSION);
-    push_u64(&mut buf, seed);
-    let crc = fnv1a(&buf);
-    push_u32(&mut buf, crc);
-    buf
+    let name_of = |tag, payload: &[u8]| decode_payload(tag, payload).map(|_| tag_name(tag));
+    Ok(seglog::tag_counts(bytes, &HEAD, name_of)?)
 }
 
 /// Parses WAL bytes: the writing kernel's seed, the longest valid record
@@ -713,80 +709,29 @@ fn header_bytes(seed: u64) -> Vec<u8> {
 /// prefix exactly like a torn frame — forward-compatible and crash-safe
 /// in the same code path.
 pub(crate) fn read_wal(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>, u64, bool), WalError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(WalError::Unreadable);
-    }
-    if bytes[..4] != WAL_MAGIC {
-        return Err(WalError::Incompatible);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap_or([0; 4]));
-    if version != WAL_VERSION {
-        return Err(WalError::Incompatible);
-    }
-    let seed = u64::from_le_bytes(bytes[8..16].try_into().unwrap_or([0; 8]));
-    let stored_crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap_or([0; 4]));
-    if stored_crc != fnv1a(&bytes[..HEADER_LEN - 4]) {
-        return Err(WalError::Unreadable);
-    }
-    let (frames, mut torn) = read_frames(&bytes[HEADER_LEN..]);
-    let mut records = Vec::with_capacity(frames.len());
-    let mut valid_len = HEADER_LEN as u64;
-    for (tag, payload) in frames {
-        match decode_payload(tag, &payload) {
-            Some(rec) => {
-                // Frame layout: tag u8 + len u32 + payload + crc u32.
-                valid_len += 9 + payload.len() as u64;
-                records.push(rec);
-            }
-            None => {
-                torn = true;
-                break;
-            }
-        }
-    }
-    Ok((seed, records, valid_len, torn))
+    let ([seed], body) = seglog::parse_head(&HEAD, bytes)?;
+    let (records, valid_len, torn) = seglog::scan(body, decode_payload);
+    Ok((seed, records, (Head::<1>::LEN + valid_len) as u64, torn))
 }
 
 // ---- writer ----------------------------------------------------------------
 
-/// Appends frames to the WAL file. Synchronous frames are flushed as they
-/// are written; buffered pred frames accumulate in [`WalState::pred_buf`]
-/// until a checkpoint.
+/// The open WAL: the log handle, which frames may wait in its buffer, and
+/// when the next checkpoint flushes them.
 #[derive(Debug)]
 pub(crate) struct WalState {
-    file: std::fs::File,
-    /// Total bytes durably appended (header included).
-    pub(crate) bytes_written: u64,
-    /// Frames durably appended.
-    pub(crate) frames_written: u64,
-    /// Encoded pred frames awaiting the next checkpoint.
-    pub(crate) pred_buf: Vec<u8>,
-    /// Pred frames currently buffered.
-    pub(crate) buffered_frames: u64,
+    pub(crate) log: SegLog,
     /// Checkpoint spacing on the virtual clock.
-    pub(crate) checkpoint_every: SimDuration,
+    checkpoint_every: SimDuration,
     /// Next checkpoint due at this virtual time.
-    pub(crate) next_checkpoint_at: SimTime,
+    next_checkpoint_at: SimTime,
 }
 
 impl WalState {
-    /// Creates (truncating) the WAL for a fresh kernel.
+    /// Creates the WAL for a fresh kernel, replacing any previous log.
     pub(crate) fn create(config: &WalConfig, seed: u64) -> std::io::Result<Self> {
-        let mut file = std::fs::File::create(&config.path)?;
-        let header = header_bytes(seed);
-        file.write_all(&header)?;
-        file.flush()?;
-        // A zero interval would make the checkpoint catch-up loop spin.
-        let every = config.checkpoint_every.max(SimDuration::from_nanos(1));
-        Ok(WalState {
-            file,
-            bytes_written: header.len() as u64,
-            frames_written: 0,
-            pred_buf: Vec::new(),
-            buffered_frames: 0,
-            checkpoint_every: every,
-            next_checkpoint_at: SimTime::ZERO + every,
-        })
+        let log = SegLog::create(&config.path, &seglog::encode_head(&HEAD, [seed]))?;
+        Ok(Self::over(log, config, SimTime::ZERO))
     }
 
     /// Opens the WAL for appending after recovery. `durable_len` is how
@@ -797,52 +742,48 @@ impl WalState {
         durable_len: u64,
         clock: SimTime,
     ) -> std::io::Result<Self> {
-        let file = std::fs::OpenOptions::new().write(true).open(&config.path)?;
-        file.set_len(durable_len)?;
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::End(0))?;
-        let every = config.checkpoint_every.max(SimDuration::from_nanos(1));
-        Ok(WalState {
-            file,
-            bytes_written: durable_len,
-            frames_written: 0,
-            pred_buf: Vec::new(),
-            buffered_frames: 0,
-            checkpoint_every: every,
-            next_checkpoint_at: clock + every,
-        })
+        let mut log = SegLog::open(&config.path)?;
+        log.truncate_to(durable_len)?;
+        Ok(Self::over(log, config, clock))
     }
 
-    /// Appends one synchronous frame and flushes it.
-    pub(crate) fn append_sync(&mut self, rec: &WalRecord) -> std::io::Result<()> {
-        let frame = encode_frame(rec);
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
-        self.bytes_written += frame.len() as u64;
-        self.frames_written += 1;
+    fn over(log: SegLog, config: &WalConfig, clock: SimTime) -> Self {
+        // A zero interval would make the checkpoint catch-up loop spin.
+        let every = config.checkpoint_every.max(SimDuration::from_nanos(1));
+        WalState {
+            log,
+            checkpoint_every: every,
+            next_checkpoint_at: clock + every,
+        }
+    }
+
+    /// Journals one record under its durability class (module docs): a
+    /// `pred` marker waits in the buffer, anything else is on its way to
+    /// disk when this returns.
+    pub(crate) fn write(&mut self, rec: &WalRecord) -> std::io::Result<()> {
+        match record_tag(rec) {
+            TAG_PRED_EFFECT => self.log.push(TAG_PRED_EFFECT, &encode_payload(rec)),
+            tag => self.log.append(tag, &encode_payload(rec))?,
+        }
         Ok(())
     }
 
-    /// Buffers one pred frame for the next checkpoint.
-    pub(crate) fn buffer_pred(&mut self, rec: &WalRecord) {
-        self.pred_buf.extend_from_slice(&encode_frame(rec));
-        self.buffered_frames += 1;
+    /// Whether a checkpoint is due at virtual time `now`.
+    pub(crate) fn checkpoint_due(&self, now: SimTime) -> bool {
+        now >= self.next_checkpoint_at
     }
 
-    /// Flushes the pred buffer and the checkpoint frame. Returns the
-    /// number of frames made durable.
+    /// Writes the buffered markers and then `rec`, a checkpoint frame, and
+    /// moves the next checkpoint past `rec`'s time. Returns the number of
+    /// frames made durable.
     pub(crate) fn checkpoint(&mut self, rec: &WalRecord) -> std::io::Result<u64> {
-        let flushed = self.buffered_frames;
-        if !self.pred_buf.is_empty() {
-            self.file.write_all(&self.pred_buf)?;
-            self.bytes_written += self.pred_buf.len() as u64;
-            self.frames_written += self.buffered_frames;
-            self.pred_buf.clear();
-            self.buffered_frames = 0;
+        self.log.push(record_tag(rec), &encode_payload(rec));
+        let frames = self.log.pending_frames();
+        self.log.flush()?;
+        while self.next_checkpoint_at <= rec.at() {
+            self.next_checkpoint_at += self.checkpoint_every;
         }
-        self.append_sync(rec)?;
-        Ok(flushed + 1)
+        Ok(frames)
     }
 }
 
@@ -1015,6 +956,16 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symphony_sim::frame::{append_frame, fnv1a, FRAME_OVERHEAD};
+
+    const HEADER_LEN: usize = Head::<1>::LEN;
+
+    /// One record as a complete frame.
+    fn encode_frame(rec: &WalRecord) -> Vec<u8> {
+        let mut frame = Vec::new();
+        append_frame(&mut frame, record_tag(rec), &encode_payload(rec));
+        frame
+    }
 
     fn effect(at: u64, pid: u64, seq: u64, effect: Effect) -> WalRecord {
         WalRecord::Effect {
@@ -1133,7 +1084,7 @@ mod tests {
     }
 
     fn wal_bytes(records: &[WalRecord], seed: u64) -> Vec<u8> {
-        let mut buf = header_bytes(seed);
+        let mut buf = seglog::encode_head(&HEAD, [seed]);
         for r in records {
             buf.extend_from_slice(&encode_frame(r));
         }
@@ -1157,10 +1108,7 @@ mod tests {
         // distributions (vocabulary-sized, one per token) are not in it.
         for n_tokens in [1, 512, u32::MAX] {
             let frame = encode_frame(&effect(40, 1, 0, Effect::Pred { n_tokens }));
-            assert_eq!(
-                frame.len(),
-                8 + 8 + 8 + 4 + symphony_sim::frame::FRAME_OVERHEAD
-            );
+            assert_eq!(frame.len(), 8 + 8 + 8 + 4 + FRAME_OVERHEAD);
         }
     }
 
@@ -1353,9 +1301,9 @@ mod tests {
         let path = dir.join("unit.wal");
         let cfg = WalConfig::new(&path);
         let mut w = WalState::create(&cfg, 9).unwrap();
-        w.append_sync(&sample_records()[0]).unwrap();
-        w.buffer_pred(&sample_records()[7]);
-        assert_eq!(w.buffered_frames, 1);
+        w.write(&sample_records()[0]).unwrap();
+        w.write(&sample_records()[7]).unwrap();
+        assert_eq!(w.log.pending_frames(), 1);
         let on_disk = std::fs::read(&path).unwrap();
         let (_, recs, _, _) = read_wal(&on_disk).unwrap();
         assert_eq!(recs.len(), 1, "pred not durable before checkpoint");
@@ -1372,6 +1320,32 @@ mod tests {
         let (_, recs, _, torn) = read_wal(&on_disk).unwrap();
         assert!(!torn);
         assert_eq!(recs.len(), 3, "spawn + pred + checkpoint");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Logs already on disk must stay readable: length and FNV-1a of this
+    /// record list's encoding under seed 42, computed at commit 108e8f8
+    /// (before the segment log existed).
+    #[test]
+    fn on_disk_format_is_pinned() {
+        let recs = sample_records();
+        let bytes = wal_bytes(&recs, 42);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (750, 0xa4d5_ff02));
+        // The writer lays down the same bytes: the pred marker waits for
+        // the checkpoint that follows it in the list, so file order is
+        // list order.
+        let dir = std::env::temp_dir().join(format!("symwal-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = WalConfig::new(dir.join("pinned.wal"));
+        let mut w = WalState::create(&cfg, 42).unwrap();
+        for rec in &recs {
+            match rec {
+                WalRecord::Checkpoint { .. } => drop(w.checkpoint(rec).unwrap()),
+                _ => w.write(rec).unwrap(),
+            }
+        }
+        assert_eq!(std::fs::read(&cfg.path).unwrap(), bytes);
+        assert_eq!(w.log.disk_len(), bytes.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -142,3 +142,45 @@ fn torn_journal_write_is_recovered_on_replay() {
     assert!(warm.record(pid).unwrap().status.is_ok());
     std::fs::remove_file(&path).ok();
 }
+
+/// Persisting over a journal replaces it by rename: killed between staging
+/// and rename the old journal is still whole, and a finished persist never
+/// truncated it in place.
+#[test]
+fn repersisting_never_exposes_a_partial_journal() {
+    use std::io::Read;
+    use symphony_sim::seglog::SegLog;
+    let path = tmp("repersist.journal");
+    let complete = |bytes: &[u8]| !symphony_kvfs::journal::read_journal(bytes).unwrap().2;
+    let mut k = Kernel::new(KernelConfig::for_tests());
+    preload(&mut k);
+    assert!(k.persist_kv(&path).unwrap());
+    let old = std::fs::read(&path).unwrap();
+    let mut reader = std::fs::File::open(&path).unwrap();
+
+    k.preload_kv(
+        "more.kv",
+        &k.tokenizer().encode(SYS_TEXT),
+        Mode::SHARED_READ,
+        false,
+    )
+    .unwrap();
+    let new = k.store().journal_bytes();
+    assert_ne!(new, old);
+    SegLog::replace_crash_before_rename(&path, &new).unwrap();
+    let on_disk = std::fs::read(&path).unwrap();
+    assert!(
+        on_disk == old && complete(&on_disk),
+        "a crash mid-persist keeps the old journal"
+    );
+
+    assert!(k.persist_kv(&path).unwrap());
+    assert_eq!(std::fs::read(&path).unwrap(), new);
+    let mut seen = Vec::new();
+    reader.read_to_end(&mut seen).unwrap();
+    assert!(
+        seen == old,
+        "the old journal was replaced, not rewritten in place"
+    );
+    std::fs::remove_file(&path).ok();
+}

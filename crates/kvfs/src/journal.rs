@@ -1,18 +1,31 @@
-//! Append-only page journal: the KVFS persistence format.
+//! Append-only page journal: the KVFS client of the segment log.
 //!
-//! A journal is a fixed header followed by framed, typed, checksummed
-//! records and a terminating [`Record::End`]. Every frame is
-//! `[tag u8][len u32][payload][crc u32]` with the CRC (FNV-1a over tag and
-//! payload) making torn tails detectable: replay keeps the longest valid
-//! record prefix and reports the tear as [`KvError::JournalTorn`] detail
-//! instead of failing the whole restore — the truncate-and-continue
-//! recovery of append-only stores like diskomap.
+//! The file is a `symphony_sim::seglog` log (header, frames, torn-tail
+//! rule and replace-by-rename are described there and in
+//! docs/RESILIENCE.md, "Log file format"). What is the journal's own:
 //!
-//! [`crate::store::KvStore::journal_bytes`] serialises a store as a
-//! record sequence (pages, file metadata, links, quotas, pool state);
-//! [`crate::store::KvStore::restore_from_journal`] replays any record
-//! sequence — snapshot or incremental appends of page writes, file
-//! metadata, links and removes — back into a byte-identical store.
+//! | tag | record | |
+//! |---|---|---|
+//! | 1 | [`Record::PageWrite`] | a page's entries and tier |
+//! | 2 | [`Record::FileMeta`] | a file's metadata and page list |
+//! | 3 | [`Record::Link`] | path → file |
+//! | 4 | [`Record::Unlink`] | path removed |
+//! | 5 | [`Record::Remove`] | file removed |
+//! | 7 | [`Record::Quota`] | an owner's page limit |
+//! | 8 | [`Record::PoolState`] | slot geometry, a snapshot's last state record |
+//! | 9 | [`Record::End`] | the seal |
+//!
+//! (6 is retired.) The header carries `page_tokens`, `bytes_per_token`,
+//! `next_file` and `access_clock`.
+//!
+//! **Durability.** A journal is *complete* when it ends in `End` and
+//! *torn* otherwise: replay keeps the longest valid record prefix and
+//! reports the tear as [`KvError::JournalTorn`] detail instead of failing
+//! the restore. [`crate::store::KvStore::journal_bytes`] serialises a store
+//! as a sealed record sequence; a [`Journal`] handle appends delta batches
+//! to one, resealing after each, and
+//! [`crate::store::KvStore::restore_from_journal`] replays either back into
+//! a byte-identical store.
 
 use symphony_model::CtxFingerprint;
 
@@ -122,13 +135,22 @@ const TIER_GPU: u8 = 0;
 const TIER_CPU: u8 = 1;
 const TIER_DISK: u8 = 2;
 
-// The SYMJ frame layout — `[tag u8][len u32][payload][crc u32]`, FNV-1a
-// over tag + payload — is the workspace-wide codec from
-// `symphony_sim::frame`, re-exported here because the kernel WAL predates
-// the shared module and imports the framing through this path.
-pub use symphony_sim::frame::{append_frame, read_frames};
+use symphony_sim::frame::{append_frame, push_u32, push_u64, Cursor, FRAME_OVERHEAD};
+use symphony_sim::seglog::{self, Head, HeadError, SegLog};
 
-use symphony_sim::frame::{fnv1a, next_frame, push_u32, push_u64, Cursor};
+const HEAD: Head<4> = Head {
+    magic: JOURNAL_MAGIC,
+    version: JOURNAL_VERSION,
+};
+
+impl From<HeadError> for KvError {
+    fn from(e: HeadError) -> Self {
+        match e {
+            HeadError::Torn => KvError::JournalTorn,
+            HeadError::Incompatible => KvError::JournalIncompatible,
+        }
+    }
+}
 
 fn encode_tier(tier: Tier) -> u8 {
     match tier {
@@ -320,16 +342,15 @@ pub struct JournalWriter {
 impl JournalWriter {
     /// Starts a journal with the given header.
     pub fn new(header: &JournalHeader) -> Self {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&JOURNAL_MAGIC);
-        push_u32(&mut buf, JOURNAL_VERSION);
-        push_u64(&mut buf, header.page_tokens);
-        push_u64(&mut buf, header.bytes_per_token);
-        push_u64(&mut buf, header.next_file);
-        push_u64(&mut buf, header.access_clock);
-        let crc = fnv1a(&buf);
-        push_u32(&mut buf, crc);
-        JournalWriter { buf }
+        let fields = [
+            header.page_tokens,
+            header.bytes_per_token,
+            header.next_file,
+            header.access_clock,
+        ];
+        JournalWriter {
+            buf: seglog::encode_head(&HEAD, fields),
+        }
     }
 
     /// Appends one framed record.
@@ -348,52 +369,26 @@ impl JournalWriter {
     }
 }
 
-const HEADER_LEN: usize = 4 + 4 + 8 * 4 + 4;
-
 /// Parses a journal: the header, the longest valid record prefix, and
-/// whether the tail was torn (short frame, bad checksum, malformed payload
-/// or missing [`Record::End`]).
+/// whether the tail was torn (the segment log's torn-tail rule, or a
+/// missing [`Record::End`]).
 ///
 /// Returns `Err(KvError::JournalTorn)` only when the header itself is
 /// unusable — there is nothing to restore. A version or magic mismatch is
 /// [`KvError::JournalIncompatible`].
 pub fn read_journal(bytes: &[u8]) -> Result<(JournalHeader, Vec<Record>, bool), KvError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(KvError::JournalTorn);
-    }
-    let mut c = Cursor::new(bytes);
-    let magic = c.take(4).ok_or(KvError::JournalTorn)?;
-    if magic != JOURNAL_MAGIC {
-        return Err(KvError::JournalIncompatible);
-    }
-    let version = c.u32().ok_or(KvError::JournalTorn)?;
-    if version != JOURNAL_VERSION {
-        return Err(KvError::JournalIncompatible);
-    }
+    let ([page_tokens, bytes_per_token, next_file, access_clock], body) =
+        seglog::parse_head(&HEAD, bytes)?;
     let header = JournalHeader {
-        page_tokens: c.u64().ok_or(KvError::JournalTorn)?,
-        bytes_per_token: c.u64().ok_or(KvError::JournalTorn)?,
-        next_file: c.u64().ok_or(KvError::JournalTorn)?,
-        access_clock: c.u64().ok_or(KvError::JournalTorn)?,
+        page_tokens,
+        bytes_per_token,
+        next_file,
+        access_clock,
     };
-    let stored_crc = c.u32().ok_or(KvError::JournalTorn)?;
-    if stored_crc != fnv1a(&bytes[..HEADER_LEN - 4]) {
-        return Err(KvError::JournalTorn);
-    }
-
-    let mut records = Vec::new();
-    let mut complete = false;
-    while let Some((tag, payload)) = next_frame(&mut c) {
-        let Some(rec) = decode_payload(tag, payload) else {
-            break;
-        };
-        if rec == Record::End {
-            complete = true;
-            break;
-        }
-        records.push(rec);
-    }
-    Ok((header, records, !complete))
+    let (mut records, _, _) = seglog::scan(body, decode_payload);
+    let end = records.iter().position(|r| matches!(r, Record::End));
+    records.truncate(end.unwrap_or(records.len()));
+    Ok((header, records, end.is_none()))
 }
 
 /// Human-readable name for a record's frame type.
@@ -417,16 +412,15 @@ fn record_name(rec: &Record) -> &'static str {
 pub fn frame_counts(
     bytes: &[u8],
 ) -> Result<std::collections::BTreeMap<&'static str, u64>, KvError> {
-    let (_header, records, _torn) = read_journal(bytes)?;
-    let mut counts = std::collections::BTreeMap::new();
-    for rec in &records {
-        *counts.entry(record_name(rec)).or_insert(0u64) += 1;
-    }
-    Ok(counts)
+    let name_of = |tag, payload: &[u8]| {
+        let rec = decode_payload(tag, payload).filter(|r| !matches!(r, Record::End))?;
+        Some(record_name(&rec))
+    };
+    Ok(seglog::tag_counts(bytes, &HEAD, name_of)?)
 }
 
-/// Byte length of a framed [`Record::End`]: tag + length + CRC, no payload.
-const END_FRAME_LEN: u64 = 9;
+/// Byte length of a framed [`Record::End`]: no payload.
+const END_FRAME_LEN: u64 = FRAME_OVERHEAD as u64;
 
 /// Tuning for an on-disk [`Journal`] handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -447,40 +441,29 @@ impl Default for JournalConfig {
 /// An appendable on-disk journal: a base snapshot plus flushed delta
 /// batches, bounded by threshold-triggered compaction.
 ///
-/// Every flush *unseals* the file (strips the trailing [`Record::End`]
-/// frame), appends the buffered frames, and reseals with a fresh `End` —
-/// so every crash window leaves either the previous sealed journal or a
+/// The file on disk is always *sealed* — it ends in [`Record::End`]. Every
+/// flush cuts the seal off, writes the buffered frames and a fresh `End`,
+/// so a crash at any point leaves either the previous sealed journal or a
 /// torn tail that [`read_journal`] truncates back to a valid record
-/// prefix. [`Journal::compact`] rewrites the whole file as a
-/// snapshot-equivalent stream via a sibling temp file and an atomic
-/// rename: a crash before the rename leaves the old journal untouched.
+/// prefix. Creating and compacting replace the whole file atomically.
 #[derive(Debug)]
 pub struct Journal {
-    path: std::path::PathBuf,
+    log: SegLog,
     config: JournalConfig,
-    /// Framed records not yet written to disk.
-    pending: Vec<u8>,
-    /// Sealed on-disk length, including the trailing `End` frame.
-    disk_len: u64,
-    compactions: u64,
 }
 
 impl Journal {
-    /// Creates (or truncates) the journal at `path` with `snapshot` — a
-    /// complete sealed stream from [`JournalWriter::finish`] or
-    /// `KvStore::journal_bytes` — as its base.
+    /// Creates the journal at `path` (atomically replacing any file
+    /// there) with `snapshot` — a complete sealed stream from
+    /// [`JournalWriter::finish`] or `KvStore::journal_bytes` — as its base.
     pub fn create(
         path: &std::path::Path,
         snapshot: &[u8],
         config: JournalConfig,
     ) -> std::io::Result<Journal> {
-        std::fs::write(path, snapshot)?;
         Ok(Journal {
-            path: path.to_path_buf(),
+            log: SegLog::create(path, snapshot)?,
             config,
-            pending: Vec::new(),
-            disk_len: snapshot.len() as u64,
-            compactions: 0,
         })
     }
 
@@ -489,31 +472,23 @@ impl Journal {
     pub fn append(&mut self, rec: &Record) {
         let mut payload = Vec::new();
         encode_payload(rec, &mut payload);
-        append_frame(&mut self.pending, record_tag(rec), &payload);
+        self.log.push(record_tag(rec), &payload);
     }
 
-    /// Writes buffered records to disk: unseal (drop the `End` frame),
+    /// Writes buffered records to disk: unseal (cut the `End` frame off),
     /// append, reseal. A no-op with an empty buffer.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        if self.pending.is_empty() {
+        if self.log.pending_len() == 0 {
             return Ok(());
         }
-        use std::io::{Seek, SeekFrom, Write};
-        let mut f = std::fs::OpenOptions::new().write(true).open(&self.path)?;
-        f.set_len(self.disk_len - END_FRAME_LEN)?;
-        f.seek(SeekFrom::End(0))?;
-        f.write_all(&self.pending)?;
-        let mut end = Vec::new();
-        append_frame(&mut end, TAG_END, &[]);
-        f.write_all(&end)?;
-        self.disk_len += self.pending.len() as u64;
-        self.pending.clear();
-        Ok(())
+        self.log.truncate_to(self.log.disk_len() - END_FRAME_LEN)?;
+        self.log.push(TAG_END, &[]);
+        self.log.flush()
     }
 
     /// Journal size: sealed bytes on disk plus the unflushed buffer.
     pub fn bytes(&self) -> u64 {
-        self.disk_len + self.pending.len() as u64
+        self.log.disk_len() + self.log.pending_len()
     }
 
     /// `true` once [`Journal::bytes`] reaches the compaction threshold.
@@ -523,41 +498,10 @@ impl Journal {
 
     /// Rewrites the journal as `snapshot` (which must describe the store
     /// state the journal's records replay to, so buffered records are
-    /// subsumed and dropped). Crash-safe: the snapshot lands in a sibling
-    /// temp file first and replaces the journal with one atomic rename.
+    /// subsumed and dropped), atomically: a crash before the rename leaves
+    /// the old journal untouched.
     pub fn compact(&mut self, snapshot: &[u8]) -> std::io::Result<()> {
-        let tmp = self.tmp_path();
-        std::fs::write(&tmp, snapshot)?;
-        std::fs::rename(&tmp, &self.path)?;
-        self.disk_len = snapshot.len() as u64;
-        self.pending.clear();
-        self.compactions += 1;
-        Ok(())
-    }
-
-    /// Fault-injection twin of [`Journal::compact`]: writes the temp file
-    /// and "crashes" before the rename. The journal on disk is untouched
-    /// and the handle's accounting is unchanged — chaos tests call this to
-    /// prove a mid-compaction crash cannot lose the old journal.
-    #[doc(hidden)]
-    pub fn compact_crash_before_rename(&mut self, snapshot: &[u8]) -> std::io::Result<()> {
-        std::fs::write(self.tmp_path(), snapshot)
-    }
-
-    fn tmp_path(&self) -> std::path::PathBuf {
-        let mut name = self.path.file_name().unwrap_or_default().to_os_string();
-        name.push(".compact");
-        self.path.with_file_name(name)
-    }
-
-    /// Compactions performed over this handle's lifetime.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// The journal's on-disk path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
+        self.log.replace(snapshot)
     }
 }
 
@@ -651,7 +595,7 @@ mod tests {
         // Cut at every byte length: replay must never panic and must keep
         // a prefix of the full record sequence.
         let mut seen_lens = std::collections::BTreeSet::new();
-        for cut in HEADER_LEN..bytes.len() {
+        for cut in Head::<4>::LEN..bytes.len() {
             let (h, records, torn) = read_journal(&bytes[..cut]).unwrap();
             assert_eq!(h, header());
             assert!(torn, "cut at {cut} must read as torn");
@@ -723,38 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_frames_round_trip_and_tear_at_every_cut() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, 32, b"alpha");
-        append_frame(&mut buf, 40, &[]);
-        append_frame(&mut buf, 33, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        let (frames, torn) = read_frames(&buf);
-        assert!(!torn);
-        assert_eq!(
-            frames,
-            vec![
-                (32u8, b"alpha".to_vec()),
-                (40u8, Vec::new()),
-                (33u8, vec![1, 2, 3, 4, 5, 6, 7, 8]),
-            ]
-        );
-        // Frame boundaries: a cut exactly between frames is a clean
-        // (shorter) log, not a tear.
-        let mut boundaries = vec![0usize];
-        let mut off = 0usize;
-        for (_, payload) in &frames {
-            off += 9 + payload.len();
-            boundaries.push(off);
-        }
-        for cut in 0..buf.len() {
-            let (prefix, torn) = read_frames(&buf[..cut]);
-            assert_eq!(torn, !boundaries.contains(&cut), "tear flag at cut {cut}");
-            assert!(prefix.len() <= frames.len());
-            assert_eq!(prefix[..], frames[..prefix.len()], "prefix at {cut}");
-        }
-    }
-
-    #[test]
     fn journal_handle_appends_and_reseals() {
         let dir = std::env::temp_dir().join("symj_handle_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -773,10 +685,12 @@ mod tests {
             let (_, _, torn) = read_journal(&bytes).unwrap();
             assert!(!torn);
         }
-        let (h, records, torn) = read_journal(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(h, header());
-        assert!(!torn);
-        assert_eq!(records, sample_records());
+        // Seven one-record batches leave what one writer pass leaves.
+        let mut w = JournalWriter::new(&header());
+        for r in sample_records() {
+            w.append(&r);
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), w.finish());
         std::fs::remove_file(&path).ok();
     }
 
@@ -831,27 +745,31 @@ mod tests {
 
         // Crash before the rename: old journal bytes intact and valid.
         let before = std::fs::read(&path).unwrap();
-        j.compact_crash_before_rename(&snap).unwrap();
+        SegLog::replace_crash_before_rename(&path, &snap).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), before);
-        assert_eq!(j.compactions(), 0);
 
         // Real compaction: the file is exactly the snapshot.
         j.compact(&snap).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), snap);
         assert_eq!(j.bytes(), snap.len() as u64);
-        assert_eq!(j.compactions(), 1);
         assert!(!j.needs_compaction());
         std::fs::remove_file(&path).ok();
     }
 
+    /// Journals already on disk must stay readable: length and FNV-1a of
+    /// this record list's encoding, computed at commit 108e8f8 (before the
+    /// segment log existed). `journal_handle_appends_and_reseals` holds the
+    /// file handle to the same bytes.
     #[test]
-    fn raw_frame_crc_rejects_corruption() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, 32, b"payload");
-        append_frame(&mut buf, 33, b"second");
-        buf[3] ^= 0xff;
-        let (frames, torn) = read_frames(&buf);
-        assert!(torn);
-        assert!(frames.is_empty());
+    fn on_disk_format_is_pinned() {
+        let mut w = JournalWriter::new(&header());
+        for r in sample_records() {
+            w.append(&r);
+        }
+        let bytes = w.finish();
+        assert_eq!(
+            (bytes.len(), symphony_sim::frame::fnv1a(&bytes)),
+            (267, 0x6d7c_6ee2)
+        );
     }
 }

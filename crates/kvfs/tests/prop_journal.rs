@@ -24,6 +24,7 @@ use symphony_kvfs::{
     FileId, Journal, JournalConfig, KvEntry, KvError, KvStore, KvStoreConfig, OwnerId,
 };
 use symphony_model::CtxFingerprint;
+use symphony_sim::seglog::SegLog;
 use symphony_telemetry::MetricsRegistry;
 
 #[derive(Debug, Clone)]
@@ -405,7 +406,7 @@ fn crash_mid_compaction_preserves_the_old_journal() {
 
     // Crash after writing the temp file but before the atomic rename:
     // the live journal is byte-for-byte untouched and still restores.
-    journal.compact_crash_before_rename(&store.journal_bytes()).unwrap();
+    SegLog::replace_crash_before_rename(&path, &store.journal_bytes()).unwrap();
     assert_eq!(std::fs::read(&path).unwrap(), before, "old journal must survive the crash");
     let (recovered, report) =
         KvStore::restore_from_journal_bytes(config(), &MetricsRegistry::new(), &before).unwrap();
@@ -425,8 +426,42 @@ fn crash_mid_compaction_preserves_the_old_journal() {
     );
     std::fs::remove_file(&path).ok();
     let tmp = path.with_file_name(format!(
-        "{}.compact",
+        "{}.tmp",
         path.file_name().unwrap().to_string_lossy()
     ));
     std::fs::remove_file(tmp).ok();
+}
+
+/// `Journal::create` over an existing journal replaces it by rename, like
+/// compaction: killed between staging and rename the old journal is still
+/// whole, and a finished create never truncated it in place.
+#[test]
+fn recreating_over_a_journal_never_exposes_a_partial_file() {
+    use std::io::Read;
+    let path =
+        std::env::temp_dir().join(format!("symj_prop_recreate_{}.journal", std::process::id()));
+    let admin = OwnerId::ADMIN;
+    let mut store = KvStore::new(config());
+    let f = store.create(admin).unwrap();
+    store.append(f, admin, &[entry(1), entry(2)]).unwrap();
+    let old = store.journal_bytes();
+    store.append(f, admin, &[entry(3)]).unwrap();
+    let new = store.journal_bytes();
+    drop(Journal::create(&path, &old, JournalConfig::default()).unwrap());
+    let mut reader = std::fs::File::open(&path).unwrap();
+
+    SegLog::replace_crash_before_rename(&path, &new).unwrap();
+    let on_disk = std::fs::read(&path).unwrap();
+    assert_eq!(on_disk, old, "old journal must survive the crash");
+    let (_, _, torn) = symphony_kvfs::journal::read_journal(&on_disk).unwrap();
+    assert!(!torn, "and still be sealed");
+
+    drop(Journal::create(&path, &new, JournalConfig::default()).unwrap());
+    assert_eq!(std::fs::read(&path).unwrap(), new);
+    // Whoever had the old journal open still reads all of it: it was
+    // replaced, not rewritten.
+    let mut seen = Vec::new();
+    reader.read_to_end(&mut seen).unwrap();
+    assert_eq!(seen, old);
+    std::fs::remove_file(&path).ok();
 }

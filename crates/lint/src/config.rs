@@ -52,7 +52,7 @@ impl Config {
                         None => {
                             return Err(format!(
                                 "lint.toml:{lineno}: unknown rule `{id}` in [allow.*] \
-                                 (known: d1 d2 d3 k1 o1 o2)"
+                                 (known: d1 d2 d3 k1 o1 o2 f1)"
                             ))
                         }
                     }

@@ -8,7 +8,7 @@
 //! *never panic on a syscall path*. This crate makes both machine-checked
 //! properties. It walks every workspace `.rs` file with a lightweight,
 //! string/char/comment-aware tokenizer (see [`sanitize`]) — no `syn`, per
-//! the vendored-only `third_party/` policy — and enforces six rules:
+//! the vendored-only `third_party/` policy — and enforces seven rules:
 //!
 //! | rule | invariant it guards |
 //! |------|---------------------|
@@ -18,6 +18,7 @@
 //! | `k1` | no `unwrap`/`expect`/`panic!` on kernel paths — typed `SysError`s |
 //! | `o1` | no `println!`/`eprintln!` in library crates |
 //! | `o2` | every telemetry span `*Enter`/`*Begin` has a `*Exit`/`*End` twin |
+//! | `f1` | no file opens/overwrites/renames/truncations outside `sim::seglog` |
 //!
 //! Violations can be suppressed inline with
 //! `// lint:allow(rule-id): reason` (the reason is mandatory) or by path

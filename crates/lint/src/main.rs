@@ -50,6 +50,7 @@ fn parse_args() -> Result<Args, String> {
                      \n\
                      Rules: d1 (wall clock) d2 (ambient RNG) d3 (hash iteration)\n\
                      \x20      k1 (kernel panics) o1 (library printing) o2 (span pairs)\n\
+                     \x20      f1 (durable writes)\n\
                      \n\
                      Suppress inline with `// lint:allow(rule): reason` (reason\n\
                      mandatory) or by path prefix in lint.toml. `--explain <rule>`\n\

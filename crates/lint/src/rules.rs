@@ -21,10 +21,20 @@ pub enum Rule {
     O1,
     /// Telemetry span begins must have matching ends.
     O2,
+    /// Durable files are written through the segment log only.
+    F1,
 }
 
 /// Every rule, in report order.
-pub const ALL_RULES: &[Rule] = &[Rule::D1, Rule::D2, Rule::D3, Rule::K1, Rule::O1, Rule::O2];
+pub const ALL_RULES: &[Rule] = &[
+    Rule::D1,
+    Rule::D2,
+    Rule::D3,
+    Rule::K1,
+    Rule::O1,
+    Rule::O2,
+    Rule::F1,
+];
 
 /// Crates whose output feeds golden traces / fingerprint comparisons:
 /// any order instability or ambient input here silently breaks the
@@ -47,6 +57,9 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     // hasher order.
     "tokenizer",
 ];
+
+/// The one module `f1` lets open, truncate, rename or overwrite a file.
+const SEGLOG_PATH: &str = "crates/sim/src/seglog.rs";
 
 /// Kernel-path files for `k1`: every line of these runs under a syscall or
 /// the event loop, where a panic kills the whole serving kernel.
@@ -76,6 +89,7 @@ impl Rule {
             Rule::K1 => "k1",
             Rule::O1 => "o1",
             Rule::O2 => "o2",
+            Rule::F1 => "f1",
         }
     }
 
@@ -93,9 +107,8 @@ impl Rule {
             // Wall-clock and ambient RNG poison determinism wherever they
             // appear, including test helpers that feed golden fixtures.
             Rule::D1 | Rule::D2 => true,
-            Rule::D3 => DETERMINISTIC_CRATES
-                .iter()
-                .any(|c| path.starts_with(&format!("crates/{c}/src/"))),
+            Rule::D3 => in_deterministic_crate(path),
+            Rule::F1 => in_deterministic_crate(path) && path != SEGLOG_PATH,
             Rule::K1 => {
                 KERNEL_PATHS.contains(&path)
                     || path.starts_with("crates/kvfs/src/")
@@ -111,6 +124,12 @@ impl Rule {
             Rule::O2 => path.starts_with("crates/telemetry/src/"),
         }
     }
+}
+
+fn in_deterministic_crate(path: &str) -> bool {
+    DETERMINISTIC_CRATES
+        .iter()
+        .any(|c| path.starts_with(&format!("crates/{c}/src/")))
 }
 
 /// Library code for `o1`: under a `src/` but not a binary target. Binaries
@@ -149,122 +168,98 @@ fn find_bounded(line: &str, pat: &str) -> bool {
 
 /// Runs `rule` over the classified lines of one file.
 pub(crate) fn check(rule: Rule, path: &str, lines: &Lines) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let skip_tests = matches!(rule, Rule::D3 | Rule::K1 | Rule::O1);
-    let mut emit = |line: usize, message: String| {
-        out.push(Violation {
-            rule,
-            path: path.to_string(),
-            line,
-            message,
-            snippet: lines.code[line - 1].trim().to_string(),
-        });
+    // Every rule but o2 is a list of patterns and what to say about a hit.
+    let (patterns, describe): (&[&str], fn(&str) -> String) = match rule {
+        Rule::D1 => (&["Instant::now", "SystemTime"], |pat| {
+            format!(
+                "wall-clock time (`{pat}`) in deterministic code: \
+                 use the virtual clock (`SimTime`/`EventQueue::now`) \
+                 or allowlist this path in lint.toml"
+            )
+        }),
+        Rule::D2 => (&["thread_rng", "rand::random", "RandomState"], |pat| {
+            format!(
+                "ambient randomness (`{pat}`): every random draw \
+                 must come from a seeded `symphony_sim::Rng` stream"
+            )
+        }),
+        Rule::D3 => (&["HashMap", "HashSet"], |pat| {
+            format!(
+                "`{pat}` in a deterministic crate: iteration order \
+                 is seeded per-process, one refactor away from a \
+                 nondeterministic trace — use `BTreeMap`/`BTreeSet` \
+                 or a sorted collect"
+            )
+        }),
+        Rule::K1 => (
+            &[
+                ".unwrap()",
+                ".expect(",
+                "panic!",
+                "unreachable!",
+                "todo!",
+                "unimplemented!",
+            ],
+            |pat| {
+                format!(
+                    "`{pat}` on a kernel path: a panic here kills the \
+                     whole serving kernel — return a typed `SysError` \
+                     (or `KvError`/`ExecError`) instead",
+                    pat = pat.trim_start_matches('.')
+                )
+            },
+        ),
+        Rule::O1 => (
+            &["println!", "eprintln!", "print!", "eprint!", "dbg!"],
+            |pat| {
+                format!(
+                    "`{pat}` in library code: libraries must stay \
+                     silent — report through telemetry, the metrics \
+                     registry, or return values"
+                )
+            },
+        ),
+        Rule::O2 => return check_span_pairs(path, lines),
+        Rule::F1 => (
+            &[
+                "OpenOptions",
+                "File::create",
+                "fs::write",
+                "fs::rename",
+                "set_len",
+            ],
+            |pat| {
+                format!(
+                    "`{pat}` outside `symphony_sim::seglog`: a durable \
+                     file has one writer — a second one is a second \
+                     truncation rule and a second way to lose a page; \
+                     go through `SegLog`"
+                )
+            },
+        ),
     };
-    match rule {
-        Rule::D1 => {
-            for (i, code) in lines.code.iter().enumerate() {
-                for pat in ["Instant::now", "SystemTime"] {
-                    if find_bounded(code, pat) {
-                        emit(
-                            i + 1,
-                            format!(
-                                "wall-clock time (`{pat}`) in deterministic code: \
-                                 use the virtual clock (`SimTime`/`EventQueue::now`) \
-                                 or allowlist this path in lint.toml"
-                            ),
-                        );
-                    }
-                }
-            }
+    let skip_tests = matches!(rule, Rule::D3 | Rule::K1 | Rule::O1 | Rule::F1);
+    let mut out = Vec::new();
+    for (i, code) in lines.code.iter().enumerate() {
+        if skip_tests && (lines.in_test[i] || is_test_tree(path)) {
+            continue;
         }
-        Rule::D2 => {
-            for (i, code) in lines.code.iter().enumerate() {
-                for pat in ["thread_rng", "rand::random", "RandomState"] {
-                    if find_bounded(code, pat) {
-                        emit(
-                            i + 1,
-                            format!(
-                                "ambient randomness (`{pat}`): every random draw \
-                                 must come from a seeded `symphony_sim::Rng` stream"
-                            ),
-                        );
-                    }
-                }
+        for pat in patterns {
+            // A method call (`.unwrap()`) has no word boundary before it.
+            let hit = if pat.starts_with('.') {
+                code.contains(pat)
+            } else {
+                find_bounded(code, pat)
+            };
+            if hit {
+                out.push(Violation {
+                    rule,
+                    path: path.to_string(),
+                    line: i + 1,
+                    message: describe(pat),
+                    snippet: code.trim().to_string(),
+                });
             }
-        }
-        Rule::D3 => {
-            for (i, code) in lines.code.iter().enumerate() {
-                if skip_tests && (lines.in_test[i] || is_test_tree(path)) {
-                    continue;
-                }
-                for pat in ["HashMap", "HashSet"] {
-                    if find_bounded(code, pat) {
-                        emit(
-                            i + 1,
-                            format!(
-                                "`{pat}` in a deterministic crate: iteration order \
-                                 is seeded per-process, one refactor away from a \
-                                 nondeterministic trace — use `BTreeMap`/`BTreeSet` \
-                                 or a sorted collect"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        Rule::K1 => {
-            for (i, code) in lines.code.iter().enumerate() {
-                if skip_tests && (lines.in_test[i] || is_test_tree(path)) {
-                    continue;
-                }
-                for pat in [
-                    ".unwrap()",
-                    ".expect(",
-                    "panic!",
-                    "unreachable!",
-                    "todo!",
-                    "unimplemented!",
-                ] {
-                    let hit = if pat.starts_with('.') {
-                        code.contains(pat)
-                    } else {
-                        find_bounded(code, pat)
-                    };
-                    if hit {
-                        emit(
-                            i + 1,
-                            format!(
-                                "`{pat}` on a kernel path: a panic here kills the \
-                                 whole serving kernel — return a typed `SysError` \
-                                 (or `KvError`/`ExecError`) instead",
-                                pat = pat.trim_start_matches('.')
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        Rule::O1 => {
-            for (i, code) in lines.code.iter().enumerate() {
-                if skip_tests && (lines.in_test[i] || is_test_tree(path)) {
-                    continue;
-                }
-                for pat in ["println!", "eprintln!", "print!", "eprint!", "dbg!"] {
-                    if find_bounded(code, pat) {
-                        emit(
-                            i + 1,
-                            format!(
-                                "`{pat}` in library code: libraries must stay \
-                                 silent — report through telemetry, the metrics \
-                                 registry, or return values"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        Rule::O2 => {
-            out.extend(check_span_pairs(path, lines));
         }
     }
     out
@@ -423,6 +418,28 @@ pub fn explain(rule: Rule) -> &'static str {
              Perfetto load looks wrong.\n\
              \n\
              Fix: add the matching `*Exit`/`*End` variant (and emit it)."
+        }
+        Rule::F1 => {
+            "f1: durable writes go through sim::seglog\n\
+             \n\
+             Matches `OpenOptions`, `File::create`, `fs::write`, `fs::rename`\n\
+             and `set_len` in non-test code of the deterministic crates (the\n\
+             d3 list), everywhere but crates/sim/src/seglog.rs.\n\
+             \n\
+             The KVFS journal and the kernel WAL are two tag spaces over one\n\
+             file discipline: one checksummed header, one torn-tail rule, one\n\
+             pending buffer, replace-by-rename, and one stated durability\n\
+             scope (write(2), no fsync). State that survives a restart is\n\
+             exactly where a second, slightly different copy of that\n\
+             discipline — truncate in place here, rename there — turns into a\n\
+             lost page, so the file-touching calls live in one module and a\n\
+             new durable file is a new client of it, not a new write site.\n\
+             crates/bench (the report layer that writes results/*.json) is\n\
+             outside the rule's crate list.\n\
+             \n\
+             Fix: hold a `SegLog`; `create`/`replace` to put a whole file in\n\
+             place, `push`+`flush` or `append` to add frames, `truncate_to`\n\
+             to cut a torn tail."
         }
     }
 }

@@ -125,6 +125,41 @@ fn o2_flags_unbalanced_span_constants() {
 }
 
 #[test]
+fn f1_flags_file_writes_outside_the_segment_log() {
+    let bad = include_str!("fixtures/f1_raw_file_writes.rs");
+    let v = lint("crates/kvfs/src/fixture.rs", bad);
+    let f1: Vec<_> = v.iter().filter(|v| v.rule == Rule::F1).collect();
+    for pat in [
+        "fs::write",
+        "OpenOptions",
+        "set_len",
+        "File::create",
+        "fs::rename",
+    ] {
+        assert!(
+            f1.iter().any(|v| v.message.contains(pat)),
+            "`{pat}` must fire in a deterministic crate: {f1:?}"
+        );
+    }
+    assert_eq!(f1.len(), 5, "the #[cfg(test)] write is exempt: {f1:?}");
+    // The module the rule points everyone at, the report layer and test
+    // trees are out of scope.
+    for path in [
+        "crates/sim/src/seglog.rs",
+        "crates/bench/src/report.rs",
+        "crates/core/tests/fixture.rs",
+    ] {
+        let v = lint(path, bad);
+        assert!(!v.iter().any(|v| v.rule == Rule::F1), "{path}: {v:?}");
+    }
+    let good = include_str!("fixtures/f1_seglog_client.rs");
+    for path in ["crates/kvfs/src/fixture.rs", "crates/core/src/kernel.rs"] {
+        let v = lint(path, good);
+        assert!(!v.iter().any(|v| v.rule == Rule::F1), "{path}: {v:?}");
+    }
+}
+
+#[test]
 fn suppression_with_reason_silences_without_reason_stands() {
     let src = include_str!("fixtures/suppressions.rs");
     let v = lint("crates/model/src/fixture.rs", src);

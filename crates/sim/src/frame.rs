@@ -53,15 +53,9 @@ pub fn frame_crc(tag: u8, payload: &[u8]) -> u32 {
 /// header and no terminator at this layer: an append-only log that is
 /// still being written is simply "torn" at its live tail.
 pub fn read_frames(bytes: &[u8]) -> (Vec<(u8, Vec<u8>)>, bool) {
-    let mut c = Cursor::new(bytes);
-    let mut frames = Vec::new();
-    loop {
-        let mark = c.pos();
-        match next_frame(&mut c) {
-            Some((tag, payload)) => frames.push((tag, payload.to_vec())),
-            None => return (frames, mark != bytes.len()),
-        }
-    }
+    let (frames, _, torn) =
+        crate::seglog::scan(bytes, |tag, payload| Some((tag, payload.to_vec())));
+    (frames, torn)
 }
 
 /// Reads one `[tag][len][payload][crc]` frame, verifying the checksum.

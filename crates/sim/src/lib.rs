@@ -31,6 +31,7 @@ pub mod events;
 pub mod frame;
 pub mod retry;
 pub mod rng;
+pub mod seglog;
 pub mod slab;
 pub mod stats;
 pub mod time;
