@@ -13,12 +13,10 @@
 //! - `adaptive` estimates the `pred` arrival rate and waits only as long as
 //!   filling a batch plausibly takes: it tracks immediate at low load and
 //!   fixed-window at high load — the §4.4 design.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_batching`
 
+use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{BatchPolicy, ExecMode, Kernel, KernelConfig, SimDuration, SimTime, SysError};
-use symphony_bench::{write_json_with_metrics, Table, TelemetryOpts};
 use symphony_sim::{PoissonProcess, Rng};
 
 const PROMPT_TOKENS: usize = 48;
@@ -39,9 +37,9 @@ fn run_point(
     policy: BatchPolicy,
     policy_name: &str,
     load: f64,
-    telemetry: &TelemetryOpts,
+    telemetry: &ExpArgs,
     designated: bool,
-) -> (Point, Option<symphony::MetricsSnapshot>) {
+) -> (Point, Option<Telemetry>) {
     let mut cfg = KernelConfig::paper_setup();
     cfg.exec = ExecMode::Static(policy);
     cfg.max_batch = 64;
@@ -65,7 +63,11 @@ fn run_point(
                 .pred_positions(kv, &prompt, 0)?
                 .pop()
                 .ok_or(SysError::BadArgument)?;
-            ctx.emit(if dist.entropy() > 2.0 { "uncertain" } else { "confident" })?;
+            ctx.emit(if dist.entropy() > 2.0 {
+                "uncertain"
+            } else {
+                "confident"
+            })?;
             ctx.kv_remove(kv)?;
             Ok(())
         }));
@@ -83,7 +85,7 @@ fn run_point(
     }
     let gm = kernel.gpu_metrics();
     let span = makespan.as_secs_f64().max(1e-9);
-    let snap = telemetry.export_designated(&kernel, designated);
+    let snap = telemetry.capture(&kernel, designated);
     let point = Point {
         policy: policy_name.to_string(),
         load_rps: load,
@@ -96,7 +98,7 @@ fn run_point(
     (point, snap)
 }
 
-fn main() {
+pub(super) fn run(opts: &ExpArgs) -> Report {
     let policies: Vec<(&str, BatchPolicy)> = vec![
         ("immediate", BatchPolicy::Immediate),
         (
@@ -116,20 +118,27 @@ fn main() {
     ];
     let loads = [10.0, 40.0, 150.0, 600.0];
 
-    let opts = TelemetryOpts::from_args();
     let designated_load = *loads.last().expect("non-empty");
     let mut results = Vec::new();
-    let mut captured: Option<symphony::MetricsSnapshot> = None;
+    let mut captured: Option<Telemetry> = None;
     let mut table = Table::new(
         "E1 — batch policy ablation on single-pred classification requests",
-        &["policy", "load(rps)", "mean lat", "p95 lat", "req/s", "batch size", "gpu%"],
+        &[
+            "policy",
+            "load(rps)",
+            "mean lat",
+            "p95 lat",
+            "req/s",
+            "batch size",
+            "gpu%",
+        ],
     );
     for &(name, policy) in &policies {
         for &load in &loads {
             eprintln!("E1: {name} @ {load} rps ...");
             // The designated telemetry run: adaptive at the highest load.
             let designated = name == "adaptive" && load == designated_load;
-            let (p, snap) = run_point(policy, name, load, &opts, designated);
+            let (p, snap) = run_point(policy, name, load, opts, designated);
             if let Some(s) = snap {
                 captured = Some(s);
             }
@@ -149,6 +158,5 @@ fn main() {
     println!("\nShape check: immediate wins at low load (no wait tax) but saturates at");
     println!("batch≈1; the window amortises weight reads at high load; adaptive tracks");
     println!("whichever is better for the observed arrival rate.");
-    let metrics = captured.as_ref().filter(|_| opts.metrics);
-    write_json_with_metrics("exp_batching", &results, metrics);
+    Report::new(&results).with_telemetry(captured)
 }

@@ -8,13 +8,11 @@
 //!
 //! Expected shape: retained per-turn latency stays flat as the
 //! conversation grows; recompute latency grows with transcript length.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_chat`
 
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::sampling::{generate, GenOpts};
 use symphony::{Kernel, KernelConfig, SysError};
-use symphony_bench::{write_json, Table};
 use symphony_sim::SimDuration;
 use symphony_workloads::ChatWorkload;
 
@@ -35,7 +33,7 @@ fn sessions() -> Vec<symphony_workloads::ChatSession> {
 }
 
 /// Runs all sessions in one kernel; returns per-round turn latencies in ms.
-fn run(retain: bool) -> Vec<Vec<f64>> {
+fn run_sessions(retain: bool) -> Vec<Vec<f64>> {
     let mut cfg = KernelConfig::paper_setup();
     cfg.model = cfg.model.with_mean_output_tokens(ANSWER_TOKENS as u32);
     let mut kernel = Kernel::new(cfg);
@@ -96,11 +94,11 @@ fn run(retain: bool) -> Vec<Vec<f64>> {
     per_round
 }
 
-fn main() {
+pub(super) fn run(_args: &ExpArgs) -> Report {
     eprintln!("E9: retained ...");
-    let retained = run(true);
+    let retained = run_sessions(true);
     eprintln!("E9: recompute ...");
-    let recompute = run(false);
+    let recompute = run_sessions(false);
 
     let mut table = Table::new(
         "E9 — multi-round chat: per-turn latency by round (10 sessions)",
@@ -133,5 +131,5 @@ fn main() {
     table.print();
     println!("\nShape check: retained latency is ~flat across rounds; recompute grows with");
     println!("the transcript (each turn re-prefills everything said so far).");
-    write_json("exp_chat", &results);
+    Report::new(&results)
 }

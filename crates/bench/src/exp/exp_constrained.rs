@@ -5,15 +5,11 @@
 //! the full distribution, the only added cost is LIP compute — GPU work per
 //! token is identical — and every constrained output is valid by
 //! construction.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_constrained`
 
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony::sampling::{
-    generate, generate_constrained, GenOpts, JsonConstraint, TrieConstraint,
-};
+use symphony::sampling::{generate, generate_constrained, GenOpts, JsonConstraint, TrieConstraint};
 use symphony::{Kernel, KernelConfig, SysError};
-use symphony_bench::{write_json, Table};
 use symphony_tokenizer::Bpe;
 
 const RUNS: usize = 24;
@@ -35,36 +31,38 @@ fn run_mode(mode: &'static str) -> Point {
     let mut pids = Vec::new();
     for i in 0..RUNS {
         let args = format!("produce structured output for case {i}");
-        pids.push(kernel.spawn_process(&format!("{mode}{i}"), &args, move |ctx| {
-            let prompt = ctx.tokenize(&ctx.args())?;
-            let kv = ctx.kv_create()?;
-            let opts = GenOpts {
-                max_tokens: 48,
-                temperature: 0.8,
-                emit: true,
-                ..Default::default()
-            };
-            match mode {
-                "unconstrained" => {
-                    generate(ctx, kv, &prompt, &opts)?;
+        pids.push(
+            kernel.spawn_process(&format!("{mode}{i}"), &args, move |ctx| {
+                let prompt = ctx.tokenize(&ctx.args())?;
+                let kv = ctx.kv_create()?;
+                let opts = GenOpts {
+                    max_tokens: 48,
+                    temperature: 0.8,
+                    emit: true,
+                    ..Default::default()
+                };
+                match mode {
+                    "unconstrained" => {
+                        generate(ctx, kv, &prompt, &opts)?;
+                    }
+                    "json" => {
+                        let mut c = JsonConstraint::new(Bpe::default_tokenizer().vocab());
+                        generate_constrained(ctx, kv, &prompt, &mut c, &opts)?;
+                    }
+                    "trie" => {
+                        let options = vec![
+                            ctx.tokenize("accepted")?,
+                            ctx.tokenize("rejected")?,
+                            ctx.tokenize("needs review")?,
+                        ];
+                        let mut c = TrieConstraint::new(options);
+                        generate_constrained(ctx, kv, &prompt, &mut c, &opts)?;
+                    }
+                    _ => return Err(SysError::BadArgument),
                 }
-                "json" => {
-                    let mut c = JsonConstraint::new(Bpe::default_tokenizer().vocab());
-                    generate_constrained(ctx, kv, &prompt, &mut c, &opts)?;
-                }
-                "trie" => {
-                    let options = vec![
-                        ctx.tokenize("accepted")?,
-                        ctx.tokenize("rejected")?,
-                        ctx.tokenize("needs review")?,
-                    ];
-                    let mut c = TrieConstraint::new(options);
-                    generate_constrained(ctx, kv, &prompt, &mut c, &opts)?;
-                }
-                _ => return Err(SysError::BadArgument),
-            }
-            Ok(())
-        }));
+                Ok(())
+            }),
+        );
     }
     let wall = std::time::Instant::now();
     kernel.run();
@@ -79,8 +77,7 @@ fn run_mode(mode: &'static str) -> Point {
         tokens += rec.usage.emitted_tokens;
         if rec.usage.emitted_tokens > 0 {
             per_tok.add(
-                rec.latency().expect("exited").as_millis_f64()
-                    / rec.usage.emitted_tokens as f64,
+                rec.latency().expect("exited").as_millis_f64() / rec.usage.emitted_tokens as f64,
             );
         }
         let ok = match mode {
@@ -107,11 +104,17 @@ fn json_valid(s: &str) -> bool {
     serde_json::from_str::<serde_json::Value>(s).is_ok()
 }
 
-fn main() {
+pub(super) fn run(_args: &ExpArgs) -> Report {
     let mut results = Vec::new();
     let mut table = Table::new(
         "E3 — constrained decoding overhead and validity",
-        &["mode", "lat/token", "mean tokens", "valid", "wall us/token (LIP compute)"],
+        &[
+            "mode",
+            "lat/token",
+            "mean tokens",
+            "valid",
+            "wall us/token (LIP compute)",
+        ],
     );
     for mode in ["unconstrained", "json", "trie"] {
         eprintln!("E3: {mode} ...");
@@ -128,5 +131,5 @@ fn main() {
     table.print();
     println!("\nShape check: grammar masking adds LIP-side compute but identical GPU cost");
     println!("per token; constrained outputs are valid by construction (valid = runs).");
-    write_json("exp_constrained", &results);
+    Report::new(&results)
 }

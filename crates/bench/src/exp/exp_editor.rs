@@ -11,13 +11,11 @@
 //! Expected: incremental per-keystroke latency is near-constant in buffer
 //! size; no-cache grows linearly; APC sits close to incremental but pays
 //! block-granular re-prefill and request overhead.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_editor`
 
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::{Kernel, KernelConfig, SysError};
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
-use symphony_bench::{write_json, Table};
 use symphony_sim::{SimDuration, SimTime};
 use symphony_tokenizer::Bpe;
 use symphony_workloads::EditorWorkload;
@@ -34,8 +32,7 @@ struct Point {
 }
 
 fn trace(buffer_words: usize) -> symphony_workloads::EditorTrace {
-    EditorWorkload::new(buffer_words, KEYSTROKES, SimDuration::from_millis(250), 11)
-        .next_trace()
+    EditorWorkload::new(buffer_words, KEYSTROKES, SimDuration::from_millis(250), 11).next_trace()
 }
 
 fn run_symphony(buffer_words: usize) -> Point {
@@ -78,8 +75,7 @@ fn run_symphony(buffer_words: usize) -> Point {
             let t1 = ctx.now()?;
             latencies_ns.push(t1.duration_since(t0).as_nanos());
         }
-        let mean =
-            latencies_ns.iter().sum::<u64>() as f64 / latencies_ns.len().max(1) as f64 / 1e6;
+        let mean = latencies_ns.iter().sum::<u64>() as f64 / latencies_ns.len().max(1) as f64 / 1e6;
         ctx.emit(&format!("{mean}"))?;
         ctx.kv_remove(kv)?;
         Ok(())
@@ -135,11 +131,17 @@ fn run_prompt(buffer_words: usize, apc: bool) -> Point {
     }
 }
 
-fn main() {
+pub(super) fn run(_args: &ExpArgs) -> Report {
     let mut results = Vec::new();
     let mut table = Table::new(
         "E7 — editor autocompletion: per-keystroke latency vs buffer size",
-        &["buffer words", "incremental", "prompt+apc", "prompt-nocache", "pred tokens i/a/n"],
+        &[
+            "buffer words",
+            "incremental",
+            "prompt+apc",
+            "prompt-nocache",
+            "pred tokens i/a/n",
+        ],
     );
     for buffer_words in [200usize, 800, 2000] {
         eprintln!("E7: buffer={buffer_words} words ...");
@@ -161,5 +163,5 @@ fn main() {
     table.print();
     println!("\nShape check: incremental latency is ~flat in buffer size; no-cache grows");
     println!("with the buffer; APC tracks incremental at block granularity.");
-    write_json("exp_editor", &results);
+    Report::new(&results)
 }

@@ -19,16 +19,14 @@
 //! with latency (backoff + re-attempts) — graceful degradation, not a
 //! free lunch. The breaker only engages at extreme rates, converting
 //! slow repeated failure into fast `Unavailable`.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_faults`
 
+use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::sampling::{generate, GenOpts};
 use symphony::{
     BreakerPolicy, FaultPlan, Kernel, KernelConfig, Limits, RetryPolicy, SimDuration, SysError,
     ToolOutcome, ToolSpec,
 };
-use symphony_bench::{write_json_with_metrics, Table, TelemetryOpts};
 
 const AGENTS: usize = 24;
 const CALLS_PER_AGENT: usize = 4;
@@ -55,9 +53,9 @@ struct Point {
 fn run_cell(
     policy: &str,
     fault_rate: f64,
-    telemetry: &TelemetryOpts,
+    telemetry: &ExpArgs,
     designated: bool,
-) -> (Point, Option<symphony::MetricsSnapshot>) {
+) -> (Point, Option<Telemetry>) {
     let mut cfg = KernelConfig::paper_setup();
     cfg.seed = SEED;
     cfg.telemetry = telemetry.record(designated);
@@ -122,13 +120,17 @@ fn run_cell(
     }
     let fs = kernel.fault_stats();
     let rs = kernel.resilience_stats();
-    let snap = telemetry.export_designated(&kernel, designated);
+    let snap = telemetry.capture(&kernel, designated);
     let point = Point {
         policy: policy.to_string(),
         fault_rate,
         ok,
         total: AGENTS,
-        mean_ok_latency_ms: if ok > 0 { lat_sum / ok as f64 } else { f64::NAN },
+        mean_ok_latency_ms: if ok > 0 {
+            lat_sum / ok as f64
+        } else {
+            f64::NAN
+        },
         injected_failures: fs.tool_failures,
         injected_hangs: fs.tool_hangs,
         tool_retries: rs.tool_retries,
@@ -140,16 +142,23 @@ fn run_cell(
     (point, snap)
 }
 
-fn main() {
-    let opts = TelemetryOpts::from_args();
+pub(super) fn run(opts: &ExpArgs) -> Report {
     let policies = ["no-retry", "retry4", "retry4+breaker"];
     let rates = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8];
     let designated_rate = 0.2; // mid-sweep: faults fire, goodput still high
     let mut results = Vec::new();
-    let mut captured: Option<symphony::MetricsSnapshot> = None;
+    let mut captured: Option<Telemetry> = None;
     let mut table = Table::new(
         "E11 — tool-fault resilience: goodput / mean latency (24 agents × 4 calls)",
-        &["fault rate", "no-retry", "retry4", "retry4+breaker", "retries", "timeouts", "trips/rej"],
+        &[
+            "fault rate",
+            "no-retry",
+            "retry4",
+            "retry4+breaker",
+            "retries",
+            "timeouts",
+            "trips/rej",
+        ],
     );
     for &rate in &rates {
         eprintln!("E11: fault rate {rate} ...");
@@ -158,7 +167,7 @@ fn main() {
             .map(|p| {
                 // The designated telemetry run: retry4+breaker mid-sweep.
                 let designated = *p == "retry4+breaker" && rate == designated_rate;
-                let (pt, snap) = run_cell(p, rate, &opts, designated);
+                let (pt, snap) = run_cell(p, rate, opts, designated);
                 if let Some(s) = snap {
                     captured = Some(s);
                 }
@@ -188,6 +197,5 @@ fn main() {
         "\nShape check: retry4 holds goodput while no-retry decays ~(1-rate)^{CALLS_PER_AGENT}; \
          the price is latency (backoff + re-attempts). The breaker engages only at extreme rates."
     );
-    let metrics = captured.as_ref().filter(|_| opts.metrics);
-    write_json_with_metrics("exp_faults", &results, metrics);
+    Report::new(&results).with_telemetry(captured)
 }

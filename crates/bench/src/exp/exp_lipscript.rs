@@ -5,12 +5,10 @@
 //! issue the same syscalls); the interpreter's cost is host CPU, which we
 //! report as wall-clock per generated token, plus the fuel/memory the §6
 //! accounting attributes to the guest.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_lipscript`
 
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::{Kernel, KernelConfig, SysError};
-use symphony_bench::{write_json, Table};
 use symphony_lipscript::{InterpLimits, Interpreter};
 
 const RUNS: usize = 16;
@@ -113,10 +111,17 @@ fn run_mode(lipscript: bool) -> Point {
     }
 }
 
-fn main() {
+pub(super) fn run(_args: &ExpArgs) -> Report {
     let mut table = Table::new(
         "E8 — interpreter overhead: the same generation loop, native vs LipScript",
-        &["mode", "tokens", "virtual ms/token", "wall us/token", "syscalls", "fuel/token"],
+        &[
+            "mode",
+            "tokens",
+            "virtual ms/token",
+            "wall us/token",
+            "syscalls",
+            "fuel/token",
+        ],
     );
     let mut results = Vec::new();
     for lipscript in [false, true] {
@@ -135,5 +140,5 @@ fn main() {
     table.print();
     println!("\nShape check: virtual time per token is identical (same syscalls); the");
     println!("sandbox costs host CPU only, and fuel accounting quantifies guest work.");
-    write_json("exp_lipscript", &results);
+    Report::new(&results)
 }

@@ -5,13 +5,11 @@
 //! for concurrently arriving work; the agent pays the PCIe restore on
 //! resume. We measure the throughput of background completions that must
 //! squeeze into the remaining memory, with and without offload.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_offload`
 
+use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::sampling::{generate, GenOpts};
 use symphony::{Kernel, KernelConfig, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec};
-use symphony_bench::{write_json_with_metrics, Table, TelemetryOpts};
 
 const AGENTS: usize = 6;
 const AGENT_CONTEXT_TOKENS: usize = 3_000;
@@ -32,9 +30,9 @@ struct Point {
 fn run_point(
     offload: bool,
     disk_tier: bool,
-    telemetry: &TelemetryOpts,
+    telemetry: &ExpArgs,
     designated: bool,
-) -> (Point, Option<symphony::MetricsSnapshot>) {
+) -> (Point, Option<Telemetry>) {
     let mut cfg = KernelConfig::paper_setup();
     cfg.model = cfg.model.with_mean_output_tokens(24);
     cfg.offload_on_io_wait = offload;
@@ -42,8 +40,7 @@ fn run_point(
     // A pool that fits the agents' contexts with little slack, so the
     // background jobs depend on offload for memory.
     let kv_per_token = cfg.model.kv_bytes_per_token();
-    cfg.gpu_kv_bytes_override =
-        Some((AGENTS * AGENT_CONTEXT_TOKENS + 4_500) as u64 * kv_per_token);
+    cfg.gpu_kv_bytes_override = Some((AGENTS * AGENT_CONTEXT_TOKENS + 4_500) as u64 * kv_per_token);
     if disk_tier {
         // Shrink DRAM to two agents' worth of context: offloading the other
         // four cascades onto the NVMe tier, and they pay the disk lane on
@@ -64,48 +61,54 @@ fn run_point(
     for i in 0..AGENTS {
         let doc = doc.clone();
         let at = SimTime::ZERO + SimDuration::from_millis(10 * i as u64);
-        agents.push(kernel.schedule_process(at, &format!("agent{i}"), "", move |ctx| {
-            let kv = ctx.kv_create()?;
-            let toks = ctx.tokenize(&doc)?;
-            ctx.pred_positions(kv, &toks, 0)?;
-            // Long blocking tool call: the kernel may offload `kv`.
-            ctx.call_tool("slow-api", "q")?;
-            // The kernel restores offloaded files on I/O completion, but
-            // under pressure the restore can fail; the application owns the
-            // fallback: ensure residency, generate, and back off (holding
-            // the context in host memory, not HBM) on any memory error.
-            let q = ctx.tokenize("\nsummarize")?;
-            let base = ctx.kv_len(kv)?;
-            let mut done = false;
-            for attempt in 0..200u64 {
-                if ctx.kv_swap_in(kv).is_err() {
-                    ctx.sleep(SimDuration::from_millis(20 + 5 * attempt))?;
-                    continue;
-                }
-                match generate(
-                    ctx,
-                    kv,
-                    &q,
-                    &GenOpts { max_tokens: 16, emit: false, ..Default::default() },
-                ) {
-                    Ok(_) => {
-                        done = true;
-                        break;
+        agents.push(
+            kernel.schedule_process(at, &format!("agent{i}"), "", move |ctx| {
+                let kv = ctx.kv_create()?;
+                let toks = ctx.tokenize(&doc)?;
+                ctx.pred_positions(kv, &toks, 0)?;
+                // Long blocking tool call: the kernel may offload `kv`.
+                ctx.call_tool("slow-api", "q")?;
+                // The kernel restores offloaded files on I/O completion, but
+                // under pressure the restore can fail; the application owns the
+                // fallback: ensure residency, generate, and back off (holding
+                // the context in host memory, not HBM) on any memory error.
+                let q = ctx.tokenize("\nsummarize")?;
+                let base = ctx.kv_len(kv)?;
+                let mut done = false;
+                for attempt in 0..200u64 {
+                    if ctx.kv_swap_in(kv).is_err() {
+                        ctx.sleep(SimDuration::from_millis(20 + 5 * attempt))?;
+                        continue;
                     }
-                    Err(SysError::Kv(symphony_kvfs::KvError::NoGpuMemory)) => {
-                        ctx.kv_truncate(kv, base)?;
-                        let _ = ctx.kv_swap_out(kv);
-                        ctx.sleep(SimDuration::from_millis(30 + 5 * attempt))?;
+                    match generate(
+                        ctx,
+                        kv,
+                        &q,
+                        &GenOpts {
+                            max_tokens: 16,
+                            emit: false,
+                            ..Default::default()
+                        },
+                    ) {
+                        Ok(_) => {
+                            done = true;
+                            break;
+                        }
+                        Err(SysError::Kv(symphony_kvfs::KvError::NoGpuMemory)) => {
+                            ctx.kv_truncate(kv, base)?;
+                            let _ = ctx.kv_swap_out(kv);
+                            ctx.sleep(SimDuration::from_millis(30 + 5 * attempt))?;
+                        }
+                        Err(e) => return Err(e),
                     }
-                    Err(e) => return Err(e),
                 }
-            }
-            if !done {
-                return Err(SysError::Kv(symphony_kvfs::KvError::NoGpuMemory));
-            }
-            ctx.kv_remove(kv)?;
-            Ok(())
-        }));
+                if !done {
+                    return Err(SysError::Kv(symphony_kvfs::KvError::NoGpuMemory));
+                }
+                ctx.kv_remove(kv)?;
+                Ok(())
+            }),
+        );
     }
     // Background completions arrive while the agents block on I/O.
     let mut bg = Vec::new();
@@ -113,19 +116,30 @@ fn run_point(
         // Arrive while every agent sits inside its 3 s tool call (the
         // agents' prefills serialise on the GPU and finish by ~3.3 s).
         let at = SimTime::ZERO + SimDuration::from_millis(3_600 + 40 * i as u64);
-        bg.push(kernel.schedule_process(at, &format!("bg{i}"), "", move |ctx| {
-            let prompt =
-                ctx.tokenize(&symphony_tokenizer::CorpusGen::new(50).paragraph(700))?;
-            let kv = ctx.kv_create()?;
-            match ctx.pred_positions(kv, &prompt, 0) {
-                Ok(_) => {}
-                Err(e) => return Err(e), // no retry: measures raw headroom
-            }
-            let q = [prompt[0]];
-            generate(ctx, kv, &q, &GenOpts { max_tokens: 12, emit: false, ..Default::default() })?;
-            ctx.kv_remove(kv)?;
-            Ok(())
-        }));
+        bg.push(
+            kernel.schedule_process(at, &format!("bg{i}"), "", move |ctx| {
+                let prompt =
+                    ctx.tokenize(&symphony_tokenizer::CorpusGen::new(50).paragraph(700))?;
+                let kv = ctx.kv_create()?;
+                match ctx.pred_positions(kv, &prompt, 0) {
+                    Ok(_) => {}
+                    Err(e) => return Err(e), // no retry: measures raw headroom
+                }
+                let q = [prompt[0]];
+                generate(
+                    ctx,
+                    kv,
+                    &q,
+                    &GenOpts {
+                        max_tokens: 12,
+                        emit: false,
+                        ..Default::default()
+                    },
+                )?;
+                ctx.kv_remove(kv)?;
+                Ok(())
+            }),
+        );
     }
     kernel.run();
 
@@ -145,7 +159,7 @@ fn run_point(
             bg_failures += 1;
         }
     }
-    let snap = telemetry.export_designated(&kernel, designated);
+    let snap = telemetry.capture(&kernel, designated);
     let stats = kernel.kv_stats();
     let point = Point {
         offload,
@@ -159,19 +173,26 @@ fn run_point(
     (point, snap)
 }
 
-fn main() {
-    let opts = TelemetryOpts::from_args();
+pub(super) fn run(opts: &ExpArgs) -> Report {
     let mut table = Table::new(
         "E6 — KV offload on I/O wait (6 agents x 3000-token contexts, 3s tool)",
-        &["offload", "tier", "agent lat", "bg lat", "bg failures", "swapped", "disk spill"],
+        &[
+            "offload",
+            "tier",
+            "agent lat",
+            "bg lat",
+            "bg failures",
+            "swapped",
+            "disk spill",
+        ],
     );
     let mut results = Vec::new();
-    let mut captured: Option<symphony::MetricsSnapshot> = None;
+    let mut captured: Option<Telemetry> = None;
     for (offload, disk) in [(false, false), (true, false), (true, true)] {
         eprintln!("E6: offload={offload} disk={disk} ...");
         // The designated telemetry run: offload enabled, DRAM-only (swaps
         // happen and the output stays comparable with older traces).
-        let (p, snap) = run_point(offload, disk, &opts, offload && !disk);
+        let (p, snap) = run_point(offload, disk, opts, offload && !disk);
         if let Some(s) = snap {
             captured = Some(s);
         }
@@ -190,8 +211,7 @@ fn main() {
     println!("\nShape check: offload lets background jobs fit (fewer failures) at the");
     println!("price of agents paying PCIe swap time on resume; with DRAM squeezed to");
     println!("two contexts the overflow spills to NVMe and resume gets dearer still.");
-    let metrics = captured.as_ref().filter(|_| opts.metrics);
-    write_json_with_metrics("exp_offload", &results, metrics);
+    Report::new(&results).with_telemetry(captured)
 }
 
 // Referenced to keep the import used when assertions compile out.

@@ -6,12 +6,10 @@
 //! amortise metadata but strand unused tokens in every file's last page —
 //! with 100+ pinned documents that adds up. We run the heavy-skew Figure 3
 //! point at several page sizes.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_pagesize`
 
+use crate::fig3::{run_symphony_point, Fig3Config, Scale};
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony_bench::fig3::{run_symphony_point, Fig3Config, Scale};
-use symphony_bench::{write_json, Table};
 
 #[derive(Debug, Clone, Serialize)]
 struct Point {
@@ -23,7 +21,10 @@ struct Point {
 }
 
 fn run_sweep(title: &str, cfg: &Fig3Config, tight: bool, results: &mut Vec<Point>) {
-    let mut table = Table::new(title, &["page tokens", "tok/s", "lat/token", "hit%", "failed"]);
+    let mut table = Table::new(
+        title,
+        &["page tokens", "tok/s", "lat/token", "hit%", "failed"],
+    );
     for page_tokens in [4usize, 16, 64, 256] {
         eprintln!("E10: tight={tight} page_tokens={page_tokens} ...");
         let mut scale = Scale::paper(cfg);
@@ -53,7 +54,7 @@ fn run_sweep(title: &str, cfg: &Fig3Config, tight: bool, results: &mut Vec<Point
     println!();
 }
 
-fn main() {
+pub(super) fn run(_args: &ExpArgs) -> Report {
     let mut cfg = Fig3Config::paper();
     cfg.requests = 120;
     let mut results = Vec::new();
@@ -74,5 +75,5 @@ fn main() {
     println!("\nShape check: performance is flat across reasonable page sizes (16 is the");
     println!("vLLM default); very large pages waste pool capacity to tail fragmentation,");
     println!("which surfaces as extra memory pressure at full utilisation.");
-    write_json("exp_pagesize", &results);
+    Report::new(&results)
 }

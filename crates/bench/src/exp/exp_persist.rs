@@ -7,16 +7,14 @@
 //! Fig-3 RAG application and a shared-system-prompt agent fleet — twice
 //! each: a cold boot, then a warm restart from the cold run's journal, and
 //! compare prefix-cache hit rates and latency.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_persist [-- --smoke]`
 
+use crate::fig3::{run_symphony_point_persist, Fig3Config, Scale};
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::sampling::{self, GenOpts};
 use symphony::{
     Ctx, Kernel, KernelConfig, Mode, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
 };
-use symphony_bench::fig3::{run_symphony_point_persist, Fig3Config, Scale};
-use symphony_bench::{write_json_with_metrics, Table};
 
 const AGENTS: usize = 24;
 /// Cold-boot agents arrive in waves; the kernel drains the KVFS delta log
@@ -74,7 +72,7 @@ fn rag_points(smoke: bool, journal: &std::path::Path) -> (Point, Point) {
     let (warm, r) = run_symphony_point_persist(&cfg, &scale, pareto, load, Some(journal), None);
     let report = r.expect("warm boot must replay the journal");
     let (jbytes, jframes) = journal_growth(journal);
-    let to_point = |boot, p: &symphony_bench::fig3::PointResult, files, tokens| Point {
+    let to_point = |boot, p: &crate::fig3::PointResult, files, tokens| Point {
         workload: "rag",
         boot,
         completed: p.completed,
@@ -119,7 +117,11 @@ fn agent_lip(ctx: &mut Ctx) -> Result<(), SysError> {
         ctx,
         kv,
         &task,
-        &GenOpts { max_tokens: 16, emit: false, ..Default::default() },
+        &GenOpts {
+            max_tokens: 16,
+            emit: false,
+            ..Default::default()
+        },
     )?;
     ctx.kv_remove(kv)?;
     Ok(())
@@ -137,8 +139,11 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
         cfg.journal_path = Some(journal.to_path_buf());
     }
     let mut kernel = Kernel::new(cfg);
-    let sys_text =
-        std::sync::Arc::new("You are a careful planning agent. ".repeat(if smoke { 8 } else { 96 }));
+    let sys_text = std::sync::Arc::new("You are a careful planning agent. ".repeat(if smoke {
+        8
+    } else {
+        96
+    }));
     {
         let sys = sys_text.clone();
         kernel.register_tool(
@@ -249,11 +254,12 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
     }
 }
 
-fn main() {
-    let smoke = symphony_bench::ExpArgs::from_args().smoke;
-    std::fs::create_dir_all("results").ok();
-    let rag_journal = std::path::PathBuf::from("results/exp_persist_rag.journal");
-    let agent_journal = std::path::PathBuf::from("results/exp_persist_agent.journal");
+pub(super) fn run(args: &ExpArgs) -> Report {
+    let smoke = args.smoke;
+    let dir = args.out_dir();
+    std::fs::create_dir_all(&dir).ok();
+    let rag_journal = dir.join("exp_persist_rag.journal");
+    let agent_journal = dir.join("exp_persist_agent.journal");
 
     let (rag_cold, rag_warm) = rag_points(smoke, &rag_journal);
     eprintln!("E13: agent cold ...");
@@ -265,7 +271,9 @@ fn main() {
     let points = vec![rag_cold, rag_warm, agent_cold, agent_warm];
     let mut table = Table::new(
         "E13 — warm restart from KVFS journal (cold boot vs replayed journal)",
-        &["workload", "boot", "done", "failed", "hit rate", "mean lat", "restored", "journal"],
+        &[
+            "workload", "boot", "done", "failed", "hit rate", "mean lat", "restored", "journal",
+        ],
     );
     for p in &points {
         table.row(vec![
@@ -283,8 +291,11 @@ fn main() {
 
     for p in &points {
         if p.boot == "cold" && !p.journal_frames.is_empty() {
-            let breakdown: Vec<String> =
-                p.journal_frames.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let breakdown: Vec<String> = p
+                .journal_frames
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
             println!(
                 "journal growth ({}): {} bytes; frames: {}",
                 p.workload,
@@ -311,5 +322,5 @@ fn main() {
     );
     println!("\nShape check: the journal replay pre-populates the popular prefixes, so");
     println!("warm-restart hit rates sit strictly above cold start on both workloads.");
-    write_json_with_metrics("exp_persist", &points, None);
+    Report::new(&points)
 }

@@ -24,20 +24,18 @@
 //! optimise the syscall, program-level metrics optimise what the client
 //! actually waits for. The experiment prints both rankings side by side.
 //!
-//! Run: `cargo run -p symphony-bench --release --bin exp_profile`
-//! (`--smoke` for the CI variant; `--trace <path>` writes a Perfetto
-//! trace *with flow arrows* of the designated run; `--metrics` folds the
-//! metrics snapshot into the JSON report. The collapsed-stack flamegraph
-//! input for the designated run is always written to
-//! `results/exp_profile.folded`.)
+//! `--trace` exports the designated run's Perfetto trace *with flow
+//! arrows*; its collapsed-stack flamegraph input is always written to
+//! `exp_profile.folded` beside the report.
 
+use crate::report::write_file;
+use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{
     analyze, build_forest, collapsed_stacks, render_report, ContinuousConfig, Ctx, ExecMode,
     Kernel, KernelConfig, MetricsSnapshot, MlfqConfig, QueueDiscipline, SimDuration, SimTime,
     SysError, ToolOutcome, ToolSpec, PHASES,
 };
-use symphony_bench::{write_json_with_metrics, ExpArgs, Table, TelemetryOpts};
 use symphony_sim::{PoissonProcess, Rng, Series};
 
 #[derive(Debug, Clone, Copy)]
@@ -161,7 +159,9 @@ fn worker_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
         pos += 1;
     }
     ctx.join(helper)?;
-    let coord = ctx.lookup_process("coordinator")?.ok_or(SysError::NotFound)?;
+    let coord = ctx
+        .lookup_process("coordinator")?
+        .ok_or(SysError::NotFound)?;
     ctx.send_msg(coord, &format!("report {seed}: {pos} tokens"))?;
     ctx.kv_remove(kv)?;
     Ok(())
@@ -242,11 +242,15 @@ fn run_point(
     let mut kernel = Kernel::new(cfg);
     kernel.register_tool(
         "search",
-        ToolSpec::fixed(s.tool_latency, |args| ToolOutcome::Ok(format!("hits for {args}"))),
+        ToolSpec::fixed(s.tool_latency, |args| {
+            ToolOutcome::Ok(format!("hits for {args}"))
+        }),
     );
     kernel.register_tool(
         "rerank",
-        ToolSpec::fixed(s.tool_latency, |args| ToolOutcome::Ok(format!("ranked {args}"))),
+        ToolSpec::fixed(s.tool_latency, |args| {
+            ToolOutcome::Ok(format!("ranked {args}"))
+        }),
     );
 
     let mut rng = Rng::new(0xE15);
@@ -269,15 +273,18 @@ fn run_point(
             let arrivals = PoissonProcess::new(s.rag_rate_rps);
             for i in 0..s.rag_requests {
                 at += arrivals.next_gap(&mut rng);
-                kernel.schedule_process(at, &format!("rag{i}"), "", move |ctx| {
-                    rag_lip(ctx, i, s)
-                });
+                kernel.schedule_process(at, &format!("rag{i}"), "", move |ctx| rag_lip(ctx, i, s));
             }
         }
     }
     kernel.run();
     for rec in kernel.records() {
-        assert!(rec.status.is_ok(), "{mode_name}/{}: {:?}", rec.name, rec.status);
+        assert!(
+            rec.status.is_ok(),
+            "{mode_name}/{}: {:?}",
+            rec.name,
+            rec.status
+        );
     }
     assert_eq!(kernel.events_dropped(), 0, "unbounded bus must not drop");
 
@@ -342,10 +349,8 @@ fn run_point(
     }
 }
 
-fn main() {
-    let args = ExpArgs::from_args();
+pub(super) fn run(args: &ExpArgs) -> Report {
     let smoke = args.smoke;
-    let opts: TelemetryOpts = args.telemetry;
     let s = if smoke { Scale::smoke() } else { Scale::full() };
 
     let chunked_fifo = ExecMode::Continuous(ContinuousConfig {
@@ -358,16 +363,20 @@ fn main() {
     });
     // Capped admission slots so the queue discipline has a queue to order.
     let modes: Vec<(&str, ExecMode, Option<usize>)> = vec![
-        ("continuous", ExecMode::Continuous(ContinuousConfig {
-            chunk_tokens: None,
-            discipline: QueueDiscipline::Fifo,
-        }), Some(s.batch_cap)),
+        (
+            "continuous",
+            ExecMode::Continuous(ContinuousConfig {
+                chunk_tokens: None,
+                discipline: QueueDiscipline::Fifo,
+            }),
+            Some(s.batch_cap),
+        ),
         ("cont+chunked", chunked_fifo, Some(s.batch_cap)),
         ("program-aware", chunked_mlfq, Some(s.batch_cap)),
     ];
 
     let mut results: Vec<Point> = Vec::new();
-    let mut captured: Option<MetricsSnapshot> = None;
+    let mut captured: Option<Telemetry> = None;
     let mut table = Table::new(
         "E15 — per-program observability: critical-path phase attribution",
         &[
@@ -388,23 +397,20 @@ fn main() {
             // The designated run: program-aware on the fleet — the shape
             // the causal layer exists for (IPC + spawn edges).
             let designated = name == "program-aware" && workload == Workload::Fleet;
-            let out = run_point(name, exec, cap, workload, s, designated);
+            let out = run_point(name, exec, cap, workload, s, args.record(designated));
             if designated {
-                if opts.wants_trace() {
-                    opts.write_trace(out.flow_trace.as_deref().unwrap_or_default());
-                }
-                std::fs::create_dir_all("results").ok();
-                let folded = collapsed_stacks(&out.breakdowns);
-                if let Err(e) = std::fs::write("results/exp_profile.folded", &folded) {
-                    eprintln!("warn: write results/exp_profile.folded: {e}");
-                } else {
-                    eprintln!("wrote results/exp_profile.folded");
-                }
+                write_file(
+                    &args.out_dir().join("exp_profile.folded"),
+                    &collapsed_stacks(&out.breakdowns),
+                );
                 if smoke {
                     // The byte-stable report for tiny runs (golden-sized).
                     eprintln!("{}", render_report(&out.breakdowns));
                 }
-                captured = Some(out.metrics);
+                captured = Some(Telemetry {
+                    metrics: out.metrics,
+                    trace: out.flow_trace,
+                });
             }
             let p = out.point;
             let top = p
@@ -447,8 +453,7 @@ fn main() {
     // of account. Rank by per-pred p99 (request-level view) and by
     // per-program p99 (what the client waits for) side by side.
     for workload in ["fleet", "rag"] {
-        let mut by_pred: Vec<&Point> =
-            results.iter().filter(|p| p.workload == workload).collect();
+        let mut by_pred: Vec<&Point> = results.iter().filter(|p| p.workload == workload).collect();
         let mut by_prog = by_pred.clone();
         by_pred.sort_by(|a, b| a.pred_p99_ms.total_cmp(&b.pred_p99_ms));
         by_prog.sort_by(|a, b| a.prog_p99_ms.total_cmp(&b.prog_p99_ms));
@@ -483,6 +488,5 @@ fn main() {
          (coverage 100%), and the two tails rank scheduler configs by different\n\
          units of account — the program-level view is the one a client feels."
     );
-    let metrics = captured.as_ref().filter(|_| opts.metrics);
-    write_json_with_metrics("exp_profile", &results, metrics);
+    Report::new(&results).with_telemetry(captured)
 }

@@ -16,18 +16,16 @@
 //! interval, serving under a non-trivial crash rate retains ≥90% of
 //! crash-free goodput — recovery re-pays only the unflushed tail, not the
 //! whole fleet.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_recovery [-- --smoke]`
 
 use std::sync::Arc;
 
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::sampling::{self, GenOpts};
 use symphony::{
     wal, Kernel, KernelConfig, ProgramImage, SimDuration, SimTime, ToolOutcome, ToolSpec,
     WalConfig, DEFAULT_CHECKPOINT_EVERY,
 };
-use symphony_bench::{write_json, Table};
 use symphony_sim::Rng;
 
 /// Restart cap per sweep point — a backstop, not an expected ceiling.
@@ -111,7 +109,11 @@ fn agent_image(max_tokens: usize) -> ProgramImage {
         let args = ctx.args();
         let prompt = ctx.tokenize(&format!("plan the task {args} step by step"))?;
         let kv = ctx.kv_create()?;
-        let opts = GenOpts { max_tokens, temperature: 0.0, ..Default::default() };
+        let opts = GenOpts {
+            max_tokens,
+            temperature: 0.0,
+            ..Default::default()
+        };
         sampling::generate(ctx, kv, &prompt, &opts)?;
         let doc = ctx.call_tool("web", &args)?;
         let follow = ctx.tokenize(&doc)?;
@@ -131,7 +133,11 @@ fn register_tools(k: &mut Kernel) {
     );
 }
 
-fn make_config(wal_path: &std::path::Path, every: SimDuration, crash_at: Option<u64>) -> KernelConfig {
+fn make_config(
+    wal_path: &std::path::Path,
+    every: SimDuration,
+    crash_at: Option<u64>,
+) -> KernelConfig {
     let mut cfg = KernelConfig::for_tests();
     cfg.wal = Some(WalConfig::new(wal_path).with_checkpoint_every(every));
     cfg.faults.crash_at_boundary = crash_at;
@@ -153,20 +159,18 @@ fn draw_gap(rng: &mut Rng, every: u64) -> u64 {
 }
 
 fn gpu_tokens(k: &Kernel) -> u64 {
-    k.metrics_registry().counter_value("gpu.tokens").unwrap_or(0)
+    k.metrics_registry()
+        .counter_value("gpu.tokens")
+        .unwrap_or(0)
 }
 
 /// Runs one sweep point to fleet completion, restarting through every
 /// injected crash.
 fn run_point(scale: &Scale, every: SimDuration, crash_every: u64, tag: &str) -> Point {
-    let wal_path = std::env::temp_dir().join(format!(
-        "symphony-e14-{}-{tag}.wal",
-        std::process::id()
-    ));
+    let wal_path =
+        std::env::temp_dir().join(format!("symphony-e14-{}-{tag}.wal", std::process::id()));
     let max_tokens = scale.max_tokens;
-    let resolver = move |name: &str| {
-        name.starts_with("agent").then(|| agent_image(max_tokens))
-    };
+    let resolver = move |name: &str| name.starts_with("agent").then(|| agent_image(max_tokens));
     // The crash schedule is bench-side and deterministic: re-seeding the
     // kernel's own fault stream after recovery would re-kill the identical
     // boundary forever (re-execution repeats the boundary sequence).
@@ -186,8 +190,8 @@ fn run_point(scale: &Scale, every: SimDuration, crash_every: u64, tag: &str) -> 
         restarts += 1;
         crash_at = (crash_every > 0).then(|| draw_gap(&mut crash_rng, crash_every));
         let wall = std::time::Instant::now();
-        let (mut next, _report) = Kernel::recover(make_config(&wal_path, every, crash_at))
-            .expect("recoverable WAL");
+        let (mut next, _report) =
+            Kernel::recover(make_config(&wal_path, every, crash_at)).expect("recoverable WAL");
         register_tools(&mut next);
         let resumed = next.resume_programs(resolver);
         recovery_ms += wall.elapsed().as_secs_f64() * 1e3;
@@ -200,7 +204,10 @@ fn run_point(scale: &Scale, every: SimDuration, crash_every: u64, tag: &str) -> 
     let finished = kernel.crashed().is_none();
 
     let completed = kernel.records().filter(|r| r.status.is_ok()).count();
-    let failed = kernel.records().filter(|r| r.exited_at.is_some() && !r.status.is_ok()).count();
+    let failed = kernel
+        .records()
+        .filter(|r| r.exited_at.is_some() && !r.status.is_ok())
+        .count();
     let end = kernel
         .records()
         .filter_map(|r| r.exited_at)
@@ -220,7 +227,12 @@ fn run_point(scale: &Scale, every: SimDuration, crash_every: u64, tag: &str) -> 
     let wal_frames: Vec<(String, u64)> = std::fs::read(&wal_path)
         .ok()
         .and_then(|bytes| wal::frame_counts(&bytes).ok())
-        .map(|counts| counts.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        .map(|counts| {
+            counts
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect()
+        })
         .unwrap_or_default();
     // Snapshot the KV store's journal: sizes the in-memory store and sets
     // the `kvfs.journal_bytes` gauge so the registry reports it after
@@ -250,9 +262,8 @@ fn run_point(scale: &Scale, every: SimDuration, crash_every: u64, tag: &str) -> 
     }
 }
 
-fn main() {
-    let smoke = symphony_bench::ExpArgs::from_args().smoke;
-    let scale = Scale::new(smoke);
+pub(super) fn run(args: &ExpArgs) -> Report {
+    let scale = Scale::new(args.smoke);
     let mut points: Vec<Point> = Vec::new();
 
     for &every in &scale.intervals {
@@ -281,8 +292,7 @@ fn main() {
                     p.completed, scale.agents
                 );
             }
-            let (base_goodput, base_tokens) =
-                *base.get_or_insert((p.goodput, p.total_tokens));
+            let (base_goodput, base_tokens) = *base.get_or_insert((p.goodput, p.total_tokens));
             p.goodput_ratio = p.goodput / base_goodput;
             p.wasted_tokens = p.total_tokens.saturating_sub(base_tokens);
             points.push(p);
@@ -292,14 +302,25 @@ fn main() {
     let mut table = Table::new(
         "E14 — goodput under injected kernel crashes (WAL checkpoint interval sweep)",
         &[
-            "ckpt", "crash", "done", "restarts", "replayed", "wasted tok", "recovery",
-            "wal", "goodput",
+            "ckpt",
+            "crash",
+            "done",
+            "restarts",
+            "replayed",
+            "wasted tok",
+            "recovery",
+            "wal",
+            "goodput",
         ],
     );
     for p in &points {
         table.row(vec![
             format!("{:.0}ms", p.checkpoint_ms),
-            if p.crash_every == 0 { "none".into() } else { format!("1/{}", p.crash_every) },
+            if p.crash_every == 0 {
+                "none".into()
+            } else {
+                format!("1/{}", p.crash_every)
+            },
             if p.finished {
                 p.completed.to_string()
             } else {
@@ -320,15 +341,26 @@ fn main() {
     // re-snapshotted at point end) and on clean runs alike.
     println!();
     for p in &points {
-        let breakdown: Vec<String> =
-            p.wal_frames.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let breakdown: Vec<String> = p
+            .wal_frames
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
         println!(
             "journal growth (ckpt {:.0}ms, crash {}): wal {} bytes; frames: {}; \
              kvfs.journal_bytes={}",
             p.checkpoint_ms,
-            if p.crash_every == 0 { "none".into() } else { format!("1/{}", p.crash_every) },
+            if p.crash_every == 0 {
+                "none".into()
+            } else {
+                format!("1/{}", p.crash_every)
+            },
             p.wal_bytes,
-            if breakdown.is_empty() { "-".to_string() } else { breakdown.join(" ") },
+            if breakdown.is_empty() {
+                "-".to_string()
+            } else {
+                breakdown.join(" ")
+            },
             p.kv_journal_bytes,
         );
     }
@@ -337,7 +369,10 @@ fn main() {
     // most 10% goodput — recovery replays the journal instead of re-paying
     // the fleet.
     let default_ms = DEFAULT_CHECKPOINT_EVERY.as_millis_f64();
-    for p in points.iter().filter(|p| p.checkpoint_ms == default_ms && p.crash_every > 0) {
+    for p in points
+        .iter()
+        .filter(|p| p.checkpoint_ms == default_ms && p.crash_every > 0)
+    {
         assert!(
             p.goodput_ratio >= 0.9,
             "default interval, crash every {}: goodput ratio {:.3} < 0.9",
@@ -356,5 +391,5 @@ fn main() {
     for p in &mut deterministic {
         p.recovery_ms = 0.0;
     }
-    write_json("exp_recovery", &deterministic);
+    Report::new(&deterministic)
 }

@@ -23,17 +23,13 @@
 //! paper's LIP shape) and `rag` (very long prefill, short answer).
 //! Inter-token latency is measured inside the LIP with `ctx.now()` around
 //! each decode `pred`, i.e. exactly what a streaming client observes.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_sched`
-//! (`--smoke` runs a tiny-scale variant for CI; `--trace <path>` and
-//! `--metrics` export telemetry of the designated run.)
 
+use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{
     ContinuousConfig, Ctx, ExecMode, Kernel, KernelConfig, MlfqConfig, QueueDiscipline,
     SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
 };
-use symphony_bench::{write_json_with_metrics, ExpArgs, Table, TelemetryOpts};
 use symphony_sim::{PoissonProcess, Rng, Series};
 
 #[derive(Debug, Clone, Copy)]
@@ -208,9 +204,9 @@ fn run_point(
     batch_cap: Option<usize>,
     workload: Workload,
     s: Scale,
-    telemetry: &TelemetryOpts,
+    telemetry: &ExpArgs,
     designated: bool,
-) -> (Point, Option<symphony::MetricsSnapshot>) {
+) -> (Point, Option<Telemetry>) {
     let mut cfg = base_config(s);
     cfg.exec = exec;
     if let Some(cap) = batch_cap {
@@ -238,9 +234,7 @@ fn run_point(
             Workload::Agent => {
                 kernel.schedule_process(at, &name, "", move |ctx| agent_lip(ctx, i, s))
             }
-            Workload::Rag => {
-                kernel.schedule_process(at, &name, "", move |ctx| rag_lip(ctx, i, s))
-            }
+            Workload::Rag => kernel.schedule_process(at, &name, "", move |ctx| rag_lip(ctx, i, s)),
         });
     }
     kernel.run();
@@ -260,7 +254,7 @@ fn run_point(
     }
     let gm = kernel.gpu_metrics();
     let span = makespan.as_secs_f64().max(1e-9);
-    let snap = telemetry.export_designated(&kernel, designated);
+    let snap = telemetry.capture(&kernel, designated);
     // One sort for both ITL quantiles.
     let itl_q = itl.percentiles(&[0.50, 0.99]);
     let point = Point {
@@ -280,11 +274,9 @@ fn run_point(
     (point, snap)
 }
 
-fn main() {
-    let args = ExpArgs::from_args();
-    let smoke = args.smoke;
+pub(super) fn run(opts: &ExpArgs) -> Report {
+    let smoke = opts.smoke;
     let s = if smoke { Scale::smoke() } else { Scale::full() };
-    let opts = args.telemetry;
 
     let chunked_fifo = ExecMode::Continuous(ContinuousConfig {
         chunk_tokens: Some(s.chunk),
@@ -316,28 +308,25 @@ fn main() {
     ];
 
     let mut results = Vec::new();
-    let mut captured: Option<symphony::MetricsSnapshot> = None;
+    let mut captured: Option<Telemetry> = None;
     let mut table = Table::new(
         "E12 — iteration-level scheduling: executor ablation under load",
         &[
-            "workload",
-            "mode",
-            "p50 itl",
-            "p99 itl",
-            "ttft",
-            "tok/s",
-            "chunks",
-            "preempt",
+            "workload", "mode", "p50 itl", "p99 itl", "ttft", "tok/s", "chunks", "preempt",
         ],
     );
     for workload in [Workload::Agent, Workload::Rag] {
         for &(name, exec, cap) in &modes {
-            let wname = if workload == Workload::Agent { "agent" } else { "rag" };
+            let wname = if workload == Workload::Agent {
+                "agent"
+            } else {
+                "rag"
+            };
             eprintln!("E12: {wname} / {name} ...");
             // The designated telemetry run: program-aware on the agent
             // workload (the configuration the tentpole exists for).
             let designated = name == "program-aware" && workload == Workload::Agent;
-            let (p, snap) = run_point(name, exec, cap, workload, s, &opts, designated);
+            let (p, snap) = run_point(name, exec, cap, workload, s, opts, designated);
             if let Some(sn) = snap {
                 captured = Some(sn);
             }
@@ -396,6 +385,5 @@ fn main() {
          additionally orders the wait queue by accumulated critical-path service,\n\
          favouring fresh programs."
     );
-    let metrics = captured.as_ref().filter(|_| opts.metrics);
-    write_json_with_metrics("exp_sched", &results, metrics);
+    Report::new(&results).with_telemetry(captured)
 }

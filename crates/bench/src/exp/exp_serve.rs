@@ -19,15 +19,13 @@
 //!   everything (latency grows with the backlog), `quota=8` sheds excess
 //!   with typed `QuotaExceeded` errors and keeps the admitted tail flat.
 //!
-//! Run: `cargo run -p symphony-bench --release --bin exp_serve`
-//! (`--smoke` for the CI variant; `--trace <path>` exports a Perfetto
-//! trace of the designated run with the serve track's connection/session
-//! spans; `--metrics` folds the unified snapshot — including the
-//! `serve.*` counters — into the JSON report.)
+//! The designated run's trace carries the serve track's
+//! connection/session spans, and its metrics snapshot the `serve.*`
+//! counters.
 
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::{KernelConfig, SimDuration};
-use symphony_bench::{write_json_with_metrics, ExpArgs, Table};
 use symphony_serve::replay::{run_replay_on, standard_kernel};
 use symphony_serve::{ReplaySpec, ServeConfig, ServerCore, WorkloadKind};
 
@@ -98,8 +96,7 @@ fn run_cell(
     (row, core)
 }
 
-fn main() {
-    let args = ExpArgs::from_args();
+pub(super) fn run(args: &ExpArgs) -> Report {
     let (session_axis, rtt_axis): (Vec<usize>, Vec<u64>) = if args.smoke {
         (vec![12], vec![20])
     } else {
@@ -138,7 +135,7 @@ fn main() {
                     sessions,
                     rtt_ms,
                     *quota,
-                    args.telemetry.record(is_designated),
+                    args.record(is_designated),
                 );
                 table.row(vec![
                     row.sessions.to_string(),
@@ -153,7 +150,7 @@ fn main() {
                 ]);
                 rows.push(row);
                 if is_designated {
-                    designated = args.telemetry.export_designated(core.kernel(), true);
+                    designated = args.capture(core.kernel(), true);
                 }
             }
         }
@@ -194,5 +191,5 @@ fn main() {
          latency tail; `quota=8` sheds the excess at the door with typed errors and \
          keeps the admitted p99 flat. All numbers are client-observed."
     );
-    write_json_with_metrics("exp_serve", &rows, designated.as_ref());
+    Report::new(&rows).with_telemetry(designated)
 }

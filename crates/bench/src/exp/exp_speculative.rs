@@ -11,13 +11,11 @@
 //! Expected shape: expected accepted-per-pred rises then flattens as
 //! `alpha^k` decays, so time/token improves steeply for small `k` and
 //! saturates (or degrades) at large `k` — the classic speculation curve.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_speculative`
 
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::sampling::verify_greedy;
 use symphony::{Kernel, KernelConfig, SysError};
-use symphony_bench::{write_json, Table};
 use symphony_model::surrogate::VocabInfo;
 use symphony_model::Surrogate;
 use symphony_tokenizer::Bpe;
@@ -41,8 +39,8 @@ struct Point {
 /// approximate).
 fn greedy_truth(cfg: &KernelConfig, prompt_text: &str, n: usize) -> Vec<u32> {
     let bpe = Bpe::default_tokenizer();
-    let model = Surrogate::new(cfg.model, cfg.model_seed)
-        .with_vocab(VocabInfo::from_tokenizer(bpe));
+    let model =
+        Surrogate::new(cfg.model, cfg.model_seed).with_vocab(VocabInfo::from_tokenizer(bpe));
     let fpr = model.fingerprinter();
     let prompt = bpe.encode(prompt_text);
     let mut fp = fpr.origin();
@@ -160,9 +158,8 @@ fn run_point(draft_len: usize) -> (f64, f64, f64) {
         acc += parts[1].parse::<usize>().unwrap_or(0);
         tokens += rec.usage.emitted_tokens;
         pred_calls += rec.usage.pred_calls;
-        time_per_tok.add(
-            rec.latency().expect("exited").as_millis_f64() / rec.usage.emitted_tokens as f64,
-        );
+        time_per_tok
+            .add(rec.latency().expect("exited").as_millis_f64() / rec.usage.emitted_tokens as f64);
     }
     let acceptance = if dr == 0 { 1.0 } else { acc as f64 / dr as f64 };
     (
@@ -172,7 +169,7 @@ fn run_point(draft_len: usize) -> (f64, f64, f64) {
     )
 }
 
-fn main() {
+pub(super) fn run(_args: &ExpArgs) -> Report {
     eprintln!("E4: k=0 (baseline) ...");
     let (baseline_tpt, _, baseline_calls) = run_point(0);
     let mut results = vec![Point {
@@ -185,7 +182,13 @@ fn main() {
     }];
     let mut table = Table::new(
         "E4 — speculative decoding vs draft length (draft agreement alpha = 0.8)",
-        &["draft k", "time/token", "acceptance", "pred calls/token", "speedup"],
+        &[
+            "draft k",
+            "time/token",
+            "acceptance",
+            "pred calls/token",
+            "speedup",
+        ],
     );
     table.row(vec![
         "0".into(),
@@ -215,5 +218,5 @@ fn main() {
     }
     table.print();
     println!("\nShape check: speedup rises with k then saturates as alpha^k acceptance decays.");
-    write_json("exp_speculative", &results);
+    Report::new(&results)
 }

@@ -12,15 +12,11 @@
 //!
 //! Expected shape: the gap grows linearly in the number of calls; the
 //! stateless variant adds recompute on top of the round trips.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_toolcalls`
 
+use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::sampling::{generate, GenOpts};
-use symphony::{
-    Ctx, Kernel, KernelConfig, MetricsSnapshot, SimDuration, SysError, ToolOutcome, ToolSpec,
-};
-use symphony_bench::{write_json_with_metrics, Table, TelemetryOpts};
+use symphony::{Ctx, Kernel, KernelConfig, SimDuration, SysError, ToolOutcome, ToolSpec};
 
 const RTT: SimDuration = SimDuration::from_millis(40);
 const TOOL_LATENCY: SimDuration = SimDuration::from_millis(25);
@@ -98,16 +94,18 @@ fn client_prompt(ctx: &mut Ctx, calls: usize) -> Result<(), SysError> {
 fn run_mode(
     mode: &str,
     calls: usize,
-    telemetry: &TelemetryOpts,
+    telemetry: &ExpArgs,
     designated: bool,
-) -> (Point, Option<MetricsSnapshot>) {
+) -> (Point, Option<Telemetry>) {
     let mut cfg = KernelConfig::paper_setup();
     cfg.model = cfg.model.with_mean_output_tokens(1_000); // segments end by cap
     cfg.telemetry = telemetry.record(designated);
     let mut kernel = Kernel::new(cfg);
     kernel.register_tool(
         "api",
-        ToolSpec::fixed(TOOL_LATENCY, |args| ToolOutcome::Ok(format!("api result for {args}"))),
+        ToolSpec::fixed(TOOL_LATENCY, |args| {
+            ToolOutcome::Ok(format!("api result for {args}"))
+        }),
     );
     let mode_owned = mode.to_string();
     let pid = kernel.spawn_process(mode, &calls.to_string(), move |ctx| {
@@ -128,20 +126,25 @@ fn run_mode(
         latency_ms: rec.latency().expect("exited").as_millis_f64(),
         pred_tokens: rec.usage.pred_tokens,
     };
-    let snap = telemetry.export_designated(&kernel, designated);
+    let snap = telemetry.capture(&kernel, designated);
     (point, snap)
 }
 
-fn main() {
-    let opts = TelemetryOpts::from_args();
+pub(super) fn run(opts: &ExpArgs) -> Report {
     let modes = ["server-lip", "client-stateful", "client-prompt"];
     let call_counts = [1usize, 2, 4, 8, 16];
     let designated_calls = *call_counts.last().expect("non-empty");
     let mut results = Vec::new();
-    let mut captured: Option<MetricsSnapshot> = None;
+    let mut captured: Option<Telemetry> = None;
     let mut table = Table::new(
         "E2 — function calling: server-side vs client round trips (RTT 40ms)",
-        &["calls", "server-lip", "client-stateful", "client-prompt", "prompt pred-tokens"],
+        &[
+            "calls",
+            "server-lip",
+            "client-stateful",
+            "client-prompt",
+            "prompt pred-tokens",
+        ],
     );
     for &calls in &call_counts {
         eprintln!("E2: {calls} calls ...");
@@ -150,7 +153,7 @@ fn main() {
             .map(|m| {
                 // The designated telemetry run: server-lip at max calls.
                 let designated = *m == "server-lip" && calls == designated_calls;
-                let (pt, snap) = run_mode(m, calls, &opts, designated);
+                let (pt, snap) = run_mode(m, calls, opts, designated);
                 if designated {
                     captured = snap;
                 }
@@ -160,14 +163,21 @@ fn main() {
         table.row(vec![
             calls.to_string(),
             format!("{:.0}ms", pts[0].latency_ms),
-            format!("{:.0}ms (+{:.0})", pts[1].latency_ms, pts[1].latency_ms - pts[0].latency_ms),
-            format!("{:.0}ms (+{:.0})", pts[2].latency_ms, pts[2].latency_ms - pts[0].latency_ms),
+            format!(
+                "{:.0}ms (+{:.0})",
+                pts[1].latency_ms,
+                pts[1].latency_ms - pts[0].latency_ms
+            ),
+            format!(
+                "{:.0}ms (+{:.0})",
+                pts[2].latency_ms,
+                pts[2].latency_ms - pts[0].latency_ms
+            ),
             format!("{} vs {} (lip)", pts[2].pred_tokens, pts[0].pred_tokens),
         ]);
         results.extend(pts);
     }
     table.print();
     println!("\nShape check: client-stateful − server-lip ≈ 2·RTT·calls = round-trip overhead.");
-    let metrics = captured.as_ref().filter(|_| opts.metrics);
-    write_json_with_metrics("exp_toolcalls", &results, metrics);
+    Report::new(&results).with_telemetry(captured)
 }

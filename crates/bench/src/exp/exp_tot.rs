@@ -4,13 +4,11 @@
 //! problem context (copy-on-write pages) versus each branch re-prefilling
 //! the full context independently. Fork saves both memory (one prefix +
 //! per-branch tails) and GPU time (no duplicate prefill).
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_tot`
 
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::sampling::{generate, GenOpts};
 use symphony::{Kernel, KernelConfig, Mode, SysError};
-use symphony_bench::{write_json, Table};
 
 const PREFIX_TOKENS: usize = 600;
 const TOKENS_PER_BRANCH: usize = 24;
@@ -111,11 +109,19 @@ fn run_point(fork: bool, branching: usize) -> Point {
     }
 }
 
-fn main() {
+pub(super) fn run(_args: &ExpArgs) -> Report {
     let mut results = Vec::new();
     let mut table = Table::new(
         "E5 — ToT branches: kv_fork (COW) vs independent prefill (600-token prefix)",
-        &["branches", "fork lat", "indep lat", "fork pages", "indep pages", "fork gpu-tok", "indep gpu-tok"],
+        &[
+            "branches",
+            "fork lat",
+            "indep lat",
+            "fork pages",
+            "indep pages",
+            "fork gpu-tok",
+            "indep gpu-tok",
+        ],
     );
     for branching in [2usize, 4, 8, 16] {
         eprintln!("E5: branching={branching} ...");
@@ -136,5 +142,5 @@ fn main() {
     table.print();
     println!("\nShape check: fork memory ≈ one prefix + branch tails; independent memory and");
     println!("GPU tokens scale the full prefix by the branch count.");
-    write_json("exp_tot", &results);
+    Report::new(&results)
 }

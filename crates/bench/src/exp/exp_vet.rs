@@ -17,16 +17,12 @@
 //!   each program's ladder position at admission: statically unbounded
 //!   programs start at the bottom instead of riding level 0, so short
 //!   programs' p99 improves over the hint-free MLFQ.
-//!
-//! Run: `cargo run -p symphony-bench --release --bin exp_vet`
-//! (`--smoke` for the CI variant; `--metrics` folds the metrics snapshot
-//! into `results/exp_vet.json`.)
 
+use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::{
     ContinuousConfig, ExecMode, KernelConfig, MlfqConfig, QueueDiscipline, SimDuration,
 };
-use symphony_bench::{write_json_with_metrics, ExpArgs, Table};
 use symphony_serve::replay::{run_replay_on, standard_kernel};
 use symphony_serve::{ReplaySpec, ServeConfig, ServerCore, WorkloadKind};
 
@@ -159,8 +155,7 @@ fn run_hints(cell: &str, sessions: usize, cost_hints: bool) -> (Row, ServerCore)
     (row, core)
 }
 
-fn main() {
-    let args = ExpArgs::from_args();
+pub(super) fn run(args: &ExpArgs) -> Report {
     let sessions = if args.smoke { 16 } else { 64 };
 
     // -- Flood: bad programs die at the door, admitted tail stays clean --
@@ -186,7 +181,7 @@ fn main() {
     ];
     for (i, &(cell, n, every, verify)) in cells.iter().enumerate() {
         let is_designated = i == 1;
-        let (row, core) = run_flood(cell, n, every, verify, args.telemetry.record(is_designated));
+        let (row, core) = run_flood(cell, n, every, verify, args.record(is_designated));
         flood_table.row(vec![
             row.cell.clone(),
             row.sessions.to_string(),
@@ -197,7 +192,7 @@ fn main() {
             format!("{:.2} ms", row.latency_p99_ms),
         ]);
         if is_designated {
-            designated = args.telemetry.export_designated(core.kernel(), true);
+            designated = args.capture(core.kernel(), true);
         }
         rows.push(row);
     }
@@ -240,5 +235,5 @@ fn main() {
          statically-cheap short programs' p99 improves without touching their own \
          schedule."
     );
-    write_json_with_metrics("exp_vet", &rows, designated.as_ref());
+    Report::new(&rows).with_telemetry(designated)
 }

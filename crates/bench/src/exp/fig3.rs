@@ -3,16 +3,14 @@
 //! Four systems share one substrate: Symphony (LIP-controlled caching), a
 //! 2024-era vLLM without automatic prefix caching (the paper's comparator),
 //! a stronger vLLM *with* automatic prefix caching, and TGI.
-//!
-//! Usage: `cargo run -p symphony-bench --release --bin fig3 [--quick]`
 
-use symphony_bench::fig3::{sweep, Fig3Config, PointResult, Scale};
-use symphony_bench::{write_json, Table};
+use crate::fig3::{sweep, Fig3Config, PointResult, Scale};
+use crate::{ExpArgs, Report, Table};
 
 const SYSTEMS: &[&str] = &["symphony", "vllm-noapc", "vllm", "tgi"];
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+pub(super) fn run(args: &ExpArgs) -> Report {
+    let quick = args.smoke;
     let cfg = if quick {
         Fig3Config::quick()
     } else {
@@ -45,8 +43,8 @@ fn main() {
         hcfg.answer_tokens = 16;
         hcfg.requests = 200;
         let hscale = Scale::paper(&hcfg);
-        let s = symphony_bench::fig3::run_symphony_point(&hcfg, &hscale, 0.5, 32.0);
-        let v = symphony_bench::fig3::run_engine_point("vllm-noapc", &hcfg, &hscale, 0.5, 32.0);
+        let s = crate::fig3::run_symphony_point(&hcfg, &hscale, 0.5, 32.0);
+        let v = crate::fig3::run_engine_point("vllm-noapc", &hcfg, &hscale, 0.5, 32.0);
         println!(
             "Headline probe (16-token answers, pareto 0.5, 32 rps): \
              {:.0} vs {:.0} tok/s = {:.2}x vs vLLM-without-APC",
@@ -57,7 +55,7 @@ fn main() {
         results.push(s);
         results.push(v);
     }
-    write_json(if quick { "fig3_quick" } else { "fig3" }, &results);
+    Report::new(&results)
 }
 
 fn by<'a>(
@@ -75,11 +73,21 @@ fn print_panels(results: &[PointResult], paretos: &[f64], loads: &[f64]) {
     // Panel (a): normalized mean end-to-end latency per generated token.
     let mut a = Table::new(
         "Figure 3a — mean E2E latency per generated token (ms; x = normalized to Symphony)",
-        &["pareto", "load", "symphony", "vllm-noapc", "vllm+apc", "tgi", "sym hit%"],
+        &[
+            "pareto",
+            "load",
+            "symphony",
+            "vllm-noapc",
+            "vllm+apc",
+            "tgi",
+            "sym hit%",
+        ],
     );
     for &p in paretos {
         for &l in loads {
-            let Some(s) = by(results, "symphony", p, l) else { continue };
+            let Some(s) = by(results, "symphony", p, l) else {
+                continue;
+            };
             let norm = |r: Option<&PointResult>| match r {
                 Some(r) => format!(
                     "{:.0} ({:.2}x)",
@@ -105,13 +113,24 @@ fn print_panels(results: &[PointResult], paretos: &[f64], loads: &[f64]) {
     // Panel (b): throughput.
     let mut b = Table::new(
         "Figure 3b — generated-token throughput (tok/s; x = normalized to Symphony)",
-        &["pareto", "load", "symphony", "vllm-noapc", "vllm+apc", "tgi", "gpu%", "failed"],
+        &[
+            "pareto",
+            "load",
+            "symphony",
+            "vllm-noapc",
+            "vllm+apc",
+            "tgi",
+            "gpu%",
+            "failed",
+        ],
     );
     let mut max_vs_noapc: f64 = 0.0;
     let mut max_vs_apc: f64 = 0.0;
     for &p in paretos {
         for &l in loads {
-            let Some(s) = by(results, "symphony", p, l) else { continue };
+            let Some(s) = by(results, "symphony", p, l) else {
+                continue;
+            };
             let norm = |r: Option<&PointResult>| match r {
                 Some(r) => format!(
                     "{:.0} ({:.2}x)",

@@ -1,13 +1,15 @@
 //! Experiment harness: regenerates every figure in the paper plus the
 //! extension experiments listed in `DESIGN.md`.
 //!
-//! Each `src/bin/` binary prints the rows/series of one figure or
-//! experiment and writes a JSON dump next to it (under `results/`) so
-//! `EXPERIMENTS.md` numbers are regenerable.
+//! One binary, `symphony-exp`, dispatches through [`exp::REGISTRY`]; each
+//! experiment prints the rows/series of one figure and returns a
+//! [`Report`] the driver writes under `results/`, so `EXPERIMENTS.md`
+//! numbers are regenerable.
 
+pub mod exp;
 pub mod fig3;
 pub mod report;
 pub mod telemetry_cli;
 
-pub use report::{write_json, write_json_with_metrics, Table};
-pub use telemetry_cli::{ExpArgs, TelemetryOpts};
+pub use report::{Report, Table};
+pub use telemetry_cli::{ExpArgs, Telemetry};

@@ -1,7 +1,8 @@
-//! Table printing and JSON result dumping.
+//! Table printing, the report an experiment returns, and file output.
 
-use std::io::Write as _;
 use std::path::Path;
+
+use crate::telemetry_cli::Telemetry;
 
 /// A printable results table.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -65,53 +66,47 @@ impl Table {
     }
 }
 
-/// Writes a serialisable result to `results/<name>.json`, folding a
-/// metrics snapshot in when one is given (`--metrics`). With `None` this
-/// is exactly [`write_json`] — the legacy report stays byte-identical.
-/// With `Some`, the payload becomes `{"results": ..., "metrics": ...}`.
-pub fn write_json_with_metrics<T: serde::Serialize>(
-    name: &str,
-    value: &T,
-    metrics: Option<&symphony::MetricsSnapshot>,
-) {
-    match metrics {
-        None => write_json(name, value),
-        Some(snap) => {
-            struct WithMetrics<'a, T>(&'a T, &'a symphony::MetricsSnapshot);
-            impl<T: serde::Serialize> serde::Serialize for WithMetrics<'_, T> {
-                fn serialize_json(&self, out: &mut String) {
-                    out.push_str("{\"results\":");
-                    self.0.serialize_json(out);
-                    out.push_str(",\"metrics\":");
-                    self.1.serialize_json(out);
-                    out.push('}');
-                }
-            }
-            write_json(name, &WithMetrics(value, snap));
+/// What an experiment's `run` hands back to the driver: the results
+/// payload, plus the designated run's telemetry when the experiment has
+/// one. Where (and whether) each part is written is the driver's decision
+/// (`exp::run`), so no flag can change the bytes of `<name>.json`.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// The results payload, pretty-printed: the bytes of `<name>.json`.
+    pub results: String,
+    /// Telemetry of the designated run, for `--metrics` / `--trace`.
+    pub telemetry: Option<Telemetry>,
+}
+
+impl Report {
+    /// A report carrying `results` and no telemetry.
+    pub fn new<T: serde::Serialize>(results: &T) -> Self {
+        Report {
+            results: serde_json::to_string_pretty(results).expect("serialisable"),
+            telemetry: None,
         }
+    }
+
+    /// Attaches the designated run's telemetry.
+    pub fn with_telemetry(mut self, telemetry: Option<Telemetry>) -> Self {
+        self.telemetry = telemetry;
+        self
     }
 }
 
-/// Writes a serialisable result to `results/<name>.json` under the
-/// workspace root (created if needed). Failures are reported, not fatal —
-/// the printed table is the primary artifact.
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warn: cannot create results/: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let s = serde_json::to_string_pretty(value).expect("serialisable");
-            if let Err(e) = f.write_all(s.as_bytes()) {
-                eprintln!("warn: write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
+/// Writes `contents` to `path`, creating its directory if needed.
+/// Failures are reported, not fatal — the printed table is the primary
+/// artifact.
+pub fn write_file(path: &Path, contents: &str) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("warn: cannot create {}: {e}", dir.display());
+            return;
         }
-        Err(e) => eprintln!("warn: create {}: {e}", path.display()),
+    }
+    match std::fs::write(path, contents) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("warn: write {}: {e}", path.display()),
     }
 }
 

@@ -1,144 +1,117 @@
-//! Shared CLI plumbing for the experiment binaries: `--smoke`,
-//! `--trace <path>`, `--metrics`, and the designated-run telemetry export.
+//! The one argument parser of `symphony-exp`: an experiment name (or
+//! `all`) plus `--smoke`, `--trace <path>` and `--metrics`, and the one
+//! place that decides where a run's files go.
 //!
 //! Telemetry is opt-in per invocation and never changes experiment
-//! results: the flags only decide whether the kernel's event bus records
-//! (for a Perfetto export) and whether the unified metrics snapshot is
-//! folded into the JSON report. A run with and without the flags produces
-//! the same tables and the same `results` payload. Every binary parses the
-//! same way via [`ExpArgs::from_args`], and the one-designated-run export
-//! dance lives in [`TelemetryOpts::export_designated`] instead of being
-//! copy-pasted per experiment.
+//! results: the flags only decide whether the designated run's kernel
+//! records events (for a Perfetto export) and whether its metrics
+//! snapshot is written beside the report. A run with and without the
+//! flags prints the same tables and writes the same `<name>.json`. An
+//! unknown flag or name is a usage error, never silently ignored.
 
-use std::io::Write as _;
-use std::path::Path;
+use std::path::PathBuf;
 
 use symphony::{Kernel, MetricsSnapshot};
 
-/// Common experiment arguments: the CI smoke switch plus telemetry flags.
-#[derive(Debug, Clone, Default)]
+use crate::exp::{Experiment, REGISTRY};
+
+/// What every experiment's `run` is handed: the scale switch plus the
+/// telemetry flags.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExpArgs {
-    /// `--smoke`: run the tiny-scale CI variant.
+    /// `--smoke`: run the experiment's tiny CI-scale variant (experiments
+    /// without one run at their only scale) and write under
+    /// `results/smoke/`, so a smoke run never touches a reference file.
     pub smoke: bool,
-    /// `--trace` / `--metrics` options.
-    pub telemetry: TelemetryOpts,
-}
-
-impl ExpArgs {
-    /// Parses from `std::env::args()`, ignoring unrelated arguments.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        ExpArgs::from_slice(&args)
-    }
-
-    /// Parses from an explicit argument slice (testable form).
-    pub fn from_slice(args: &[String]) -> Self {
-        ExpArgs {
-            smoke: args.iter().any(|a| a == "--smoke"),
-            telemetry: TelemetryOpts::from_slice(args),
-        }
-    }
-}
-
-/// Telemetry options parsed from the process arguments.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryOpts {
     /// `--trace <path>`: write a Chrome trace-event JSON file of the
     /// designated run to `path`.
-    pub trace_path: Option<String>,
-    /// `--metrics`: fold a metrics snapshot of the designated run into the
-    /// JSON report.
+    pub trace: Option<PathBuf>,
+    /// `--metrics`: write the designated run's metrics snapshot to
+    /// `<name>.metrics.json` beside the report.
     pub metrics: bool,
 }
 
-impl TelemetryOpts {
-    /// Parses `--trace <path>` (or `--trace=<path>`) and `--metrics` from
-    /// `std::env::args()`, ignoring unrelated arguments.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        TelemetryOpts::from_slice(&args)
-    }
+/// Telemetry captured from an experiment's designated run.
+#[derive(Debug, Clone)]
+pub struct Telemetry {
+    /// The unified metrics snapshot of the designated run's kernel.
+    pub metrics: MetricsSnapshot,
+    /// Its Chrome trace, exported only when `--trace` asked for one.
+    pub trace: Option<String>,
+}
 
-    /// Parses from an explicit argument slice (testable form of
-    /// [`TelemetryOpts::from_args`]).
-    pub fn from_slice(args: &[String]) -> Self {
-        let mut opts = TelemetryOpts::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+impl ExpArgs {
+    /// Parses `<name>|all [--smoke] [--trace <path>|--trace=<path>]
+    /// [--metrics]` into the experiments to run, in registry order, and
+    /// their arguments. The error is the message for a usage failure.
+    pub fn parse(argv: &[String]) -> Result<(Vec<&'static Experiment>, ExpArgs), String> {
+        let mut args = ExpArgs::default();
+        let mut name: Option<&str> = None;
+        let mut it = argv.iter().map(String::as_str);
+        while let Some(a) = it.next() {
+            match a {
+                "--smoke" => args.smoke = true,
+                "--metrics" => args.metrics = true,
                 "--trace" => {
-                    if let Some(path) = args.get(i + 1) {
-                        opts.trace_path = Some(path.clone());
-                        i += 1;
-                    } else {
-                        eprintln!("warn: --trace needs a path argument; ignoring");
-                    }
+                    let path = it.next().ok_or("--trace needs a path argument")?;
+                    args.trace = Some(PathBuf::from(path));
                 }
-                "--metrics" => opts.metrics = true,
-                a => {
-                    if let Some(path) = a.strip_prefix("--trace=") {
-                        opts.trace_path = Some(path.to_string());
-                    }
+                _ if a.starts_with("--trace=") => {
+                    args.trace = Some(PathBuf::from(&a["--trace=".len()..]));
                 }
+                _ if a.starts_with('-') => return Err(format!("unknown flag `{a}`")),
+                _ if name.is_some() => return Err(format!("unexpected argument `{a}`")),
+                _ => name = Some(a),
             }
-            i += 1;
         }
-        opts
-    }
-
-    /// Whether the kernel of the designated run should record events.
-    pub fn wants_trace(&self) -> bool {
-        self.trace_path.is_some()
-    }
-
-    /// Whether any telemetry output was requested.
-    pub fn enabled(&self) -> bool {
-        self.trace_path.is_some() || self.metrics
-    }
-
-    /// Writes `trace_json` to the `--trace` path, if one was given.
-    pub fn write_trace(&self, trace_json: &str) {
-        let Some(path) = &self.trace_path else {
-            return;
+        let name = name.ok_or("missing experiment name")?;
+        let targets: Vec<&Experiment> = if name == "all" {
+            if args.trace.is_some() {
+                return Err(
+                    "--trace names one file: pass it with one experiment, not `all`".into(),
+                );
+            }
+            REGISTRY.iter().collect()
+        } else {
+            let known = REGISTRY.iter().find(|e| e.name == name).ok_or_else(|| {
+                let names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+                format!(
+                    "unknown experiment `{name}`; known: all {}",
+                    names.join(" ")
+                )
+            })?;
+            vec![known]
         };
-        let path = Path::new(path);
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("warn: cannot create {}: {e}", dir.display());
-                    return;
-                }
-            }
-        }
-        match std::fs::File::create(path) {
-            Ok(mut f) => {
-                if let Err(e) = f.write_all(trace_json.as_bytes()) {
-                    eprintln!("warn: write {}: {e}", path.display());
-                } else {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warn: create {}: {e}", path.display()),
+        Ok((targets, args))
+    }
+
+    /// The directory every file of this run goes to: the report, the
+    /// metrics sibling, and any scratch file an experiment keeps (journals,
+    /// flamegraph input). Full-scale runs own `results/`; smoke runs own
+    /// `results/smoke/`.
+    pub fn out_dir(&self) -> PathBuf {
+        if self.smoke {
+            PathBuf::from("results/smoke")
+        } else {
+            PathBuf::from("results")
         }
     }
 
     /// Whether a run's kernel should record telemetry events: only the
     /// designated run, and only when `--trace` asked for an export.
     pub fn record(&self, designated: bool) -> bool {
-        designated && self.wants_trace()
+        designated && self.trace.is_some()
     }
 
-    /// The per-experiment designated-run export: writes the Chrome trace
-    /// when `--trace` was given and hands back the metrics snapshot for
-    /// report folding. Non-designated runs export nothing.
-    pub fn export_designated(&self, kernel: &Kernel, designated: bool) -> Option<MetricsSnapshot> {
-        if !designated {
-            return None;
-        }
-        if self.wants_trace() {
-            self.write_trace(&kernel.export_chrome_trace());
-        }
-        Some(kernel.metrics_snapshot())
+    /// Captures the designated run's telemetry for the report when a flag
+    /// asked for it: its metrics snapshot, and its Chrome trace when
+    /// `--trace` was given. Non-designated runs capture nothing.
+    pub fn capture(&self, kernel: &Kernel, designated: bool) -> Option<Telemetry> {
+        let wanted = designated && (self.metrics || self.trace.is_some());
+        wanted.then(|| Telemetry {
+            metrics: kernel.metrics_snapshot(),
+            trace: self.trace.is_some().then(|| kernel.export_chrome_trace()),
+        })
     }
 }
 
@@ -146,42 +119,92 @@ impl TelemetryOpts {
 mod tests {
     use super::*;
 
-    fn strs(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    fn parse(args: &[&str]) -> Result<(Vec<&'static Experiment>, ExpArgs), String> {
+        let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        ExpArgs::parse(&argv)
     }
 
     #[test]
     fn parses_trace_and_metrics() {
-        let o = TelemetryOpts::from_slice(&strs(&["--trace", "out.json", "--metrics"]));
-        assert_eq!(o.trace_path.as_deref(), Some("out.json"));
-        assert!(o.metrics);
-        assert!(o.enabled());
-        assert!(o.wants_trace());
+        let (targets, a) = parse(&["exp_vet", "--trace", "out.json", "--metrics"]).unwrap();
+        assert_eq!(targets.len(), 1);
+        assert_eq!(targets[0].name, "exp_vet");
+        assert_eq!(a.trace, Some(PathBuf::from("out.json")));
+        assert!(a.metrics);
+        assert!(!a.smoke);
+        assert!(parse(&["exp_vet", "--trace"]).unwrap_err().contains("path"));
     }
 
     #[test]
-    fn parses_equals_form_and_ignores_unknown() {
-        let o = TelemetryOpts::from_slice(&strs(&["--fast", "--trace=t.json", "x"]));
-        assert_eq!(o.trace_path.as_deref(), Some("t.json"));
-        assert!(!o.metrics);
+    fn parses_equals_form_and_rejects_unknown() {
+        let (_, a) = parse(&["--trace=t.json", "exp_sched"]).unwrap();
+        assert_eq!(a.trace, Some(PathBuf::from("t.json")));
+        assert!(!a.metrics);
+        assert!(parse(&["exp_sched", "--fast"])
+            .unwrap_err()
+            .contains("--fast"));
+        assert!(parse(&["exp_sched", "--quick"])
+            .unwrap_err()
+            .contains("--quick"));
+        assert!(parse(&["exp_sched", "x"]).unwrap_err().contains("`x`"));
+        assert!(parse(&["--smoke"]).unwrap_err().contains("missing"));
     }
 
     #[test]
     fn default_is_disabled() {
-        let o = TelemetryOpts::from_slice(&[]);
-        assert!(!o.enabled());
-        assert!(o.trace_path.is_none());
-        assert!(!o.record(true));
+        let (_, a) = parse(&["fig3"]).unwrap();
+        assert_eq!(a, ExpArgs::default());
+        assert!(!a.record(true));
     }
 
     #[test]
     fn exp_args_parse_smoke_alongside_telemetry() {
-        let a = ExpArgs::from_slice(&strs(&["--smoke", "--trace", "t.json"]));
+        let (_, a) = parse(&["exp_sched", "--smoke", "--trace", "t.json"]).unwrap();
         assert!(a.smoke);
-        assert!(a.telemetry.record(true));
-        assert!(!a.telemetry.record(false));
-        let b = ExpArgs::from_slice(&strs(&["--metrics"]));
+        assert!(a.record(true));
+        assert!(!a.record(false));
+        let (_, b) = parse(&["exp_sched", "--metrics"]).unwrap();
         assert!(!b.smoke);
-        assert!(b.telemetry.metrics);
+        assert!(b.metrics);
+    }
+
+    #[test]
+    fn unknown_name_lists_the_registry_and_all_runs_it_in_order() {
+        let err = parse(&["exp_nope"]).unwrap_err();
+        for e in REGISTRY {
+            assert!(err.contains(e.name), "{err}");
+        }
+        let (targets, _) = parse(&["all", "--smoke", "--metrics"]).unwrap();
+        let names: Vec<&str> = targets.iter().map(|e| e.name).collect();
+        let registry: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+        assert_eq!(names, registry);
+        assert!(parse(&["all", "--trace", "t.json"]).is_err());
+    }
+
+    #[test]
+    fn smoke_and_full_output_never_collide() {
+        let full = ExpArgs::default();
+        let smoke = ExpArgs {
+            smoke: true,
+            ..ExpArgs::default()
+        };
+        let files = |a: &ExpArgs| -> Vec<PathBuf> {
+            REGISTRY
+                .iter()
+                .flat_map(|e| {
+                    [
+                        crate::exp::report_path(a, e),
+                        crate::exp::metrics_path(a, e),
+                    ]
+                })
+                .collect()
+        };
+        let (full_files, smoke_files) = (files(&full), files(&smoke));
+        let mut all: Vec<&PathBuf> = full_files.iter().chain(&smoke_files).collect();
+        all.sort();
+        all.dedup();
+        assert_eq!(all.len(), 4 * REGISTRY.len());
+        assert!(smoke_files.iter().all(|p| p.starts_with(smoke.out_dir())));
+        assert!(full_files.iter().all(|p| !p.starts_with(smoke.out_dir())));
     }
 }

@@ -1,6 +1,6 @@
 //! Determinism regression tests over the experiment setups.
 //!
-//! Every experiment binary leans on the same guarantee: a `(seed, config,
+//! Every experiment leans on the same guarantee: a `(seed, config,
 //! workload)` triple replays bit-identically. These tests rebuild the
 //! `exp_toolcalls` and `exp_chat` setups in miniature, run each twice with
 //! the same seed, and require identical per-process outputs and aggregate

@@ -7,7 +7,7 @@
 //! paths = ["third_party/", "target/"]
 //!
 //! [allow.d1]
-//! paths = ["crates/bench/src/bin/"]
+//! paths = ["crates/bench/src/exp/exp_recovery.rs"]
 //! ```
 //!
 //! Sections are `[skip]` or `[allow.<rule-id>]`; the only key is `paths`,
@@ -142,12 +142,13 @@ mod tests {
     #[test]
     fn parses_skip_and_allow() {
         let cfg = Config::parse(
-            "# c\n[skip]\npaths = [\"third_party/\"]\n\n[allow.d1]\npaths = [\"crates/bench/src/bin/\", \"x/\"]\n",
+            "# c\n[skip]\npaths = [\"third_party/\"]\n\n[allow.d1]\npaths = [\"crates/bench/src/exp/exp_recovery.rs\", \"x/\"]\n",
         )
         .unwrap();
         assert!(cfg.is_skipped("third_party/serde/src/lib.rs"));
-        assert!(cfg.is_allowed(Rule::D1, "crates/bench/src/bin/exp_sched.rs"));
-        assert!(!cfg.is_allowed(Rule::D2, "crates/bench/src/bin/exp_sched.rs"));
+        assert!(cfg.is_allowed(Rule::D1, "crates/bench/src/exp/exp_recovery.rs"));
+        assert!(!cfg.is_allowed(Rule::D2, "crates/bench/src/exp/exp_recovery.rs"));
+        assert!(!cfg.is_allowed(Rule::D1, "crates/bench/src/exp/exp_sched.rs"));
         assert!(!cfg.is_allowed(Rule::D1, "crates/core/src/kernel.rs"));
     }
 

@@ -327,8 +327,9 @@ pub fn explain(rule: Rule) -> &'static str {
              feeds a decision (batch sizing, retry backoff, trace ordering)\n\
              silently re-introduces host-speed dependence, and the golden\n\
              trace suites cannot tell you *where*. Real-time reads are only\n\
-             legitimate where the point is to measure the host: bench\n\
-             binaries and the baseline engine's env-gated debug timers —\n\
+             legitimate where the point is to measure the host: the bench\n\
+             experiments that report wall time and the baseline engine's\n\
+             env-gated debug timers —\n\
              those paths are allowlisted in lint.toml or carry an inline\n\
              `lint:allow(d1): reason`.\n\
              \n\
