@@ -5,11 +5,24 @@
 //! issue the same syscalls); the interpreter's cost is host CPU, which we
 //! report as wall-clock per generated token, plus the fuel/memory the §6
 //! accounting attributes to the guest.
+//!
+//! A second table is the interpreter's pinned microbenchmark: three
+//! programs on `MockHost` (no kernel, no threads), host ns per unit of
+//! fuel, plus what lowering each program to its image costs. These are the
+//! numbers `interp.rs`'s module doc and CHANGES.md quote; they are host
+//! time, so this experiment is not `pinned`.
+
+use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Instant;
 
 use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::{Kernel, KernelConfig, SysError};
-use symphony_lipscript::{InterpLimits, Interpreter};
+use symphony_lipscript::host::{Host, MockHost};
+use symphony_lipscript::parse::parse;
+use symphony_lipscript::{Image, InterpLimits, Interpreter, Step};
+use symphony_serve::replay::agent_source;
 
 const RUNS: usize = 16;
 const MAX_TOKENS: usize = 64;
@@ -111,7 +124,100 @@ fn run_mode(lipscript: bool) -> Point {
     }
 }
 
-pub(super) fn run(_args: &ExpArgs) -> Report {
+/// One row of the interpreter microbenchmark.
+#[derive(Debug, Clone, Serialize)]
+struct Micro {
+    program: String,
+    /// Fuel one run burns (exact: a count).
+    fuel: u64,
+    /// Under the blocking driver, which answers host calls in the loop.
+    ns_per_fuel: f64,
+    /// Parked on every host call and resumed with the reply, as the kernel
+    /// runs a served program.
+    ns_per_fuel_parked: f64,
+    host_calls: u64,
+    /// `Image::lower` of the parsed program.
+    lower_us: f64,
+}
+
+const ARITHMETIC: &str =
+    "let s = 0;\nlet i = 0;\nwhile (i < N) { s = s + i * 3 % 7 - 1; i = i + 1; }\nreturn s;";
+const COUNTER: &str = "let i = 0;\nwhile (i < N) { i = i + 1; }\nreturn i;";
+
+/// Repetitions of every timing below; the minimum is reported.
+const REPS: usize = 7;
+
+fn min_ns(mut run: impl FnMut()) -> f64 {
+    (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            run();
+            t.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn mock() -> MockHost {
+    let mut host = MockHost::new("what is the capital of france");
+    host.tools.insert("echo".into(), "ok {args}".into());
+    host
+}
+
+fn micro(name: &str, src: &str, runs: usize) -> Micro {
+    let program = parse(src).expect("microbenchmark programs parse");
+    let image = Image::shared(&program);
+    let mut fuel = 0;
+    let driven = min_ns(|| {
+        for _ in 0..runs {
+            let mut interp = Interpreter::from_image(Arc::clone(&image), InterpLimits::default());
+            black_box(interp.run(&mut mock()).expect("runs to completion"));
+            fuel = interp.fuel_used();
+        }
+    });
+    let mut host_calls = 0;
+    let parked = min_ns(|| {
+        for _ in 0..runs {
+            let mut host = mock();
+            let mut interp = Interpreter::from_image(Arc::clone(&image), InterpLimits::default());
+            interp.start();
+            let mut reply = None;
+            host_calls = 0;
+            let result = loop {
+                match interp.step(reply.take()) {
+                    Step::Done(result) => break result,
+                    Step::Ask(call) => {
+                        host_calls += 1;
+                        reply = Some(host.call(call));
+                    }
+                }
+            };
+            black_box(result.expect("runs to completion"));
+        }
+    });
+    let lowers = 200;
+    let lower = min_ns(|| {
+        for _ in 0..lowers {
+            black_box(Image::lower(black_box(&program)));
+        }
+    });
+    let per_fuel = |ns: f64| ns / (runs as u64 * fuel) as f64;
+    Micro {
+        program: name.to_string(),
+        fuel,
+        ns_per_fuel: per_fuel(driven),
+        ns_per_fuel_parked: per_fuel(parked),
+        host_calls,
+        lower_us: lower / lowers as f64 / 1e3,
+    }
+}
+
+#[derive(Debug, Serialize)]
+struct Results {
+    modes: Vec<Point>,
+    micro: Vec<Micro>,
+}
+
+pub(super) fn run(args: &ExpArgs) -> Report {
     let mut table = Table::new(
         "E8 — interpreter overhead: the same generation loop, native vs LipScript",
         &[
@@ -140,5 +246,41 @@ pub(super) fn run(_args: &ExpArgs) -> Report {
     table.print();
     println!("\nShape check: virtual time per token is identical (same syscalls); the");
     println!("sandbox costs host CPU only, and fuel accounting quantifies guest work.");
-    Report::new(&results)
+
+    let n = if args.smoke { "2000" } else { "50000" };
+    let agent_runs = if args.smoke { 5 } else { 100 };
+    let micros = vec![
+        micro("arithmetic loop", &ARITHMETIC.replace('N', n), 1),
+        micro("while counter", &COUNTER.replace('N', n), 1),
+        micro("agent on MockHost", &agent_source(6, 8), agent_runs),
+    ];
+    let mut table = Table::new(
+        &format!("E8 — interpreter microbenchmark: MockHost, min of {REPS}"),
+        &[
+            "program",
+            "fuel",
+            "ns/fuel",
+            "ns/fuel parked",
+            "host calls",
+            "lower us",
+        ],
+    );
+    for m in &micros {
+        table.row(vec![
+            m.program.clone(),
+            m.fuel.to_string(),
+            format!("{:.1}", m.ns_per_fuel),
+            format!("{:.1}", m.ns_per_fuel_parked),
+            m.host_calls.to_string(),
+            format!("{:.2}", m.lower_us),
+        ]);
+    }
+    println!();
+    table.print();
+    println!("\nEvery run shares one lowered image (`Interpreter::from_image`); `parked` stops at");
+    println!("every host call and resumes with the reply, as a served program does.");
+    Report::new(&Results {
+        modes: results,
+        micro: micros,
+    })
 }

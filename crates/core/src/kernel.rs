@@ -382,6 +382,9 @@ pub(crate) struct KernelMetrics {
     hosted_handoffs: Counter,
     /// Hosted bodies alive, each holding a pool worker.
     pub(crate) hosted_threads: Gauge,
+    /// Processes that have exited and not been reaped: each is a record,
+    /// its output, and nothing else (see [`crate::proc`]).
+    pub(crate) zombies: Gauge,
 }
 
 impl KernelMetrics {
@@ -411,6 +414,7 @@ impl KernelMetrics {
             inline_steps: registry.counter("kernel.lip.inline_steps"),
             hosted_handoffs: registry.counter("kernel.lip.hosted_handoffs"),
             hosted_threads: registry.gauge("kernel.lip.hosted_threads"),
+            zombies: registry.gauge("kernel.procs.zombies"),
         }
     }
 }
@@ -1067,10 +1071,11 @@ impl Kernel {
                     // decoded token from the process's point of view.
                     if matches!(reply, SysReply::Dists(_)) {
                         let pid = self.threads.get(tid.0).map(|ts| ts.pid.0);
-                        if let Some(proc) = pid.and_then(|pid| self.procs.get_mut(pid)) {
+                        let proc = pid.and_then(|pid| self.procs.get_mut(pid));
+                        if let Some((record, proc)) = proc.and_then(Proc::halves) {
                             if !proc.ttft_done {
                                 proc.ttft_done = true;
-                                let ttft = now - proc.record.spawned_at;
+                                let ttft = now - record.spawned_at;
                                 self.kmetrics.ttft_ns.observe(ttft.as_nanos());
                             } else if let Some(prev) = proc.last_pred_done {
                                 self.kmetrics
@@ -1768,10 +1773,11 @@ impl Kernel {
         }
 
         // Global syscall accounting and limit.
-        let proc = sys!(self.procs.get_mut(pid.0), "process missing");
-        proc.record.usage.syscalls += 1;
+        let proc = self.procs.get_mut(pid.0).and_then(Proc::halves);
+        let (record, proc) = sys!(proc, "process missing");
+        record.usage.syscalls += 1;
         if let Some(max) = proc.limits.max_syscalls {
-            if proc.record.usage.syscalls > max {
+            if record.usage.syscalls > max {
                 self.complete(tid, SysReply::Err(SysError::LimitExceeded("syscalls")));
                 return;
             }
@@ -1822,7 +1828,7 @@ impl Kernel {
                         return;
                     }
                 }
-                let usage = &mut proc.record.usage;
+                let usage = &mut record.usage;
                 usage.pred_calls += 1;
                 usage.pred_tokens += tokens.len() as u64;
                 if let Some(max) = proc.limits.max_pred_tokens {
@@ -2049,7 +2055,7 @@ impl Kernel {
             },
             Syscall::CallTool { name, args } => {
                 if let Some(max) = proc.limits.max_tool_calls {
-                    if proc.record.usage.tool_calls >= max {
+                    if record.usage.tool_calls >= max {
                         self.complete(tid, SysReply::Err(SysError::LimitExceeded("tool_calls")));
                         return;
                     }
@@ -2060,7 +2066,7 @@ impl Kernel {
                     self.complete(tid, SysReply::Err(SysError::NoSuchTool(name)));
                     return;
                 }
-                proc.record.usage.tool_calls += 1;
+                record.usage.tool_calls += 1;
                 let timeout = proc.limits.tool_timeout;
                 // Recovery replay: a journalled outcome answers without
                 // re-invoking the handler — the side-effect already happened
@@ -2205,7 +2211,7 @@ impl Kernel {
                 if self.answer_from_journal(pid, tid, seq, Asked::Send) {
                     return;
                 }
-                let alive = self.procs.get(to.0).is_some_and(|t| !t.finished);
+                let alive = self.procs.get(to.0).is_some_and(|t| t.live.is_some());
                 // Injected drop: the message vanishes in flight. The sender
                 // still sees success — IPC is at-most-once, like UDP — so
                 // resilient LIPs need acks/timeouts, which the chaos tests
@@ -2229,7 +2235,8 @@ impl Kernel {
                     self.complete(tid, SysReply::Unit);
                     return;
                 }
-                let target = sys!(self.procs.get_mut(to.0), "ipc target missing");
+                let target = self.procs.get_mut(to.0).and_then(Proc::live_mut);
+                let target = sys!(target, "ipc target missing");
                 match target.recv_waiters.pop_front() {
                     None => target.mailbox.push_back((pid, data, sys_at, tid.0)),
                     Some((wtid, rseq)) => {
@@ -2258,7 +2265,8 @@ impl Kernel {
                 if self.answer_from_journal(pid, tid, seq, Asked::Recv) {
                     return;
                 }
-                let proc = sys!(self.procs.get_mut(pid.0), "process missing");
+                let proc = self.procs.get_mut(pid.0).and_then(Proc::live_mut);
+                let proc = sys!(proc, "process missing");
                 let Some((from, data, sent_at, sender_tid)) = proc.mailbox.pop_front() else {
                     proc.recv_waiters.push_back((tid, seq));
                     return;
@@ -2286,11 +2294,8 @@ impl Kernel {
                 if self.answer_from_journal(pid, tid, seq, Asked::Lookup) {
                     return;
                 }
-                let found = self
-                    .names
-                    .get(&name)
-                    .copied()
-                    .filter(|p| self.procs.get(p.0).is_some_and(|pr| !pr.finished));
+                // A name is bound while its process lives: exit unbinds it.
+                let found = self.names.get(&name).copied();
                 self.journal(pid, None, seq, || Effect::Lookup {
                     found: found.map(|p| p.0),
                 });
@@ -2301,7 +2306,7 @@ impl Kernel {
                 self.events.schedule(at, Event::Wake(tid, SysReply::Unit));
             }
             Syscall::Emit { text } => {
-                proc.record.output.push_str(&text);
+                record.output.push_str(&text);
                 if self.session_sink.is_some() {
                     self.notify_session(SessionEvent::Emitted {
                         pid,
@@ -2314,8 +2319,8 @@ impl Kernel {
             }
             Syscall::EmitTokens { tokens } => {
                 let text = self.tokenizer.decode(&tokens);
-                proc.record.output.push_str(&text);
-                proc.record.usage.emitted_tokens += tokens.len() as u64;
+                record.output.push_str(&text);
+                record.usage.emitted_tokens += tokens.len() as u64;
                 if self.session_sink.is_some() {
                     let n = tokens.len() as u64;
                     self.notify_session(SessionEvent::Emitted {
@@ -2350,7 +2355,7 @@ impl Kernel {
     // ---- I/O with KV offload (§4.3) ------------------------------------------------
 
     fn begin_io(&mut self, pid: Pid, latency: SimDuration) {
-        let Some(proc) = self.procs.get_mut(pid.0) else {
+        let Some(proc) = self.procs.get_mut(pid.0).and_then(Proc::live_mut) else {
             debug_assert!(false, "begin_io: unknown pid {}", pid.0);
             return;
         };
@@ -2379,7 +2384,7 @@ impl Kernel {
                 // Nobody waits for the offload itself, but it occupies the
                 // D2H lane and the restore cannot overtake it.
                 let done = self.copy_out(at, moved);
-                if let Some(proc) = self.procs.get_mut(pid.0) {
+                if let Some(proc) = self.procs.get_mut(pid.0).and_then(Proc::live_mut) {
                     proc.offloaded.push(f);
                     proc.offload_done = proc.offload_done.max(done);
                 }
@@ -2411,7 +2416,7 @@ impl Kernel {
         }
         // A missing process record still must not swallow the reply: skip
         // the offload bookkeeping but deliver the result to the thread.
-        let Some(proc) = self.procs.get_mut(pid.0) else {
+        let Some(proc) = self.procs.get_mut(pid.0).and_then(Proc::live_mut) else {
             debug_assert!(false, "finish_io: unknown pid {}", pid.0);
             let reply = match result {
                 Ok(s) => SysReply::Text(s),
@@ -2429,10 +2434,6 @@ impl Kernel {
         if underflow {
             self.kmetrics.io_waiting_underflow.inc();
         }
-        let proc = match self.procs.get_mut(pid.0) {
-            Some(p) => p,
-            None => return,
-        };
         let mut restored = SwapReport::default();
         let offload_done = proc.offload_done;
         if proc.io_waiting == 0 && !proc.offloaded.is_empty() {
@@ -2502,17 +2503,30 @@ mod tests {
     fn exited_threads_hold_no_reply_sender() {
         let mut k = Kernel::new(KernelConfig::for_tests());
         for i in 0..3 {
+            // The main thread outlives its child: it parks in a `recv`
+            // nobody answers.
             k.spawn_process(&format!("p{i}"), "a b c", |ctx| {
                 let child = ctx.spawn(|ctx| ctx.tokenize("child").map(drop))?;
                 ctx.join(child)?;
-                Ok(())
+                ctx.recv_msg().map(drop)
             });
         }
         k.run();
         assert_eq!(k.threads.len(), 6);
         for (tid, ts) in k.threads.iter() {
-            assert!(ts.status.is_some(), "thread {tid} still live after run()");
-            assert!(ts.seat.is_none(), "exited thread {tid} kept its sender");
+            let main = k.procs[ts.pid.0].live.as_ref().expect("live").main_tid.0 == tid;
+            assert_eq!(ts.status.is_none(), main, "thread {tid}");
+            assert_eq!(
+                ts.seat.is_some(),
+                main,
+                "exited thread {tid} kept its sender"
+            );
         }
+        // Once the process exits too, its threads' entries go with it.
+        for pid in 1..=3 {
+            assert!(k.cancel_process(Pid(pid)));
+        }
+        assert_eq!(k.run(), 3);
+        assert!(k.threads.is_empty());
     }
 }

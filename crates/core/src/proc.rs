@@ -9,6 +9,15 @@
 //! journalled program — is a caller of `install` and `start`; whether a
 //! process is durable is one field set at `install`, read by
 //! `Kernel::journal` and by the spawn/exit frames written here.
+//!
+//! What exit keeps, what reap removes: between the last two a process is a
+//! *zombie*, as on Unix — finalize drops everything it needed to run (its
+//! [`Live`] half: mailbox, waiters, limits, argument string, sequence
+//! counters), its threads' table entries and its name binding, and keeps
+//! what somebody may still ask for: the [`ProcessRecord`] (status, usage,
+//! output, times) and whether it was durable. A kernel nobody reaps grows
+//! by a record per program served, not by the run-time state of each.
+//! `Kernel::reap_exited` removes the zombies.
 
 use std::collections::VecDeque;
 
@@ -54,8 +63,36 @@ pub(crate) struct ThreadState {
 pub(crate) struct Proc {
     /// What [`Kernel::record`] hands out, kept after exit until reaped.
     pub(crate) record: ProcessRecord,
+    /// Spawn, effects and exit are journalled to the WAL, and the program
+    /// is resumable after a crash. Set once, at `install`; outlives the
+    /// process, because a send to a finished durable peer is still
+    /// journalled.
+    pub(crate) durable: bool,
+    /// What the process needs while it runs; `None` once it is finalized,
+    /// which is what makes it a zombie.
+    pub(crate) live: Option<Box<Live>>,
+}
+
+impl Proc {
+    /// The two halves of a process that has not exited.
+    pub(crate) fn halves(&mut self) -> Option<(&mut ProcessRecord, &mut Live)> {
+        Some((&mut self.record, self.live.as_deref_mut()?))
+    }
+
+    /// The live half of a process that has not exited.
+    pub(crate) fn live_mut(&mut self) -> Option<&mut Live> {
+        self.live.as_deref_mut()
+    }
+}
+
+/// The half of a [`Proc`] that dies with the process.
+pub(crate) struct Live {
     /// `Tid(0)` until the process starts: its first thread is the main one.
     pub(crate) main_tid: Tid,
+    /// Every thread the process has started, exited ones included: their
+    /// table entries (a joiner may want an exited thread's status) go when
+    /// the process does.
+    pub(crate) tids: Vec<Tid>,
     pub(crate) args: String,
     pub(crate) live_threads: u32,
     /// Undelivered messages: `(sender, payload, sent_at, sender_tid)`. The
@@ -72,7 +109,6 @@ pub(crate) struct Proc {
     /// When the D2H copies of `offloaded` complete; the restore cannot
     /// start reading them back earlier.
     pub(crate) offload_done: SimTime,
-    pub(crate) finished: bool,
     /// Absolute virtual deadline (arrival + `Limits::deadline`).
     pub(crate) deadline_at: Option<SimTime>,
     /// Deadline already detected (counts once per process).
@@ -88,12 +124,9 @@ pub(crate) struct Proc {
     /// same ids in the same order, which is how journalled effects are
     /// matched back to their call sites (and tool side-effects deduplicated).
     seqs: [u64; EffectClass::COUNT],
-    /// Spawn, effects and exit are journalled to the WAL, and the program
-    /// is resumable after a crash. Set once, at `install`.
-    pub(crate) durable: bool,
 }
 
-impl Proc {
+impl Live {
     /// Draws the next sequence id of `class`.
     pub(crate) fn next_seq(&mut self, class: EffectClass) -> u64 {
         let slot = &mut self.seqs[class.index()];
@@ -260,9 +293,9 @@ impl Kernel {
             output: String::new(),
             usage: ProcessUsage::default(),
         };
-        let proc = Proc {
-            record,
+        let live = Live {
             main_tid: Tid(0),
+            tids: Vec::new(),
             args: args.to_string(),
             live_threads: 0,
             mailbox: VecDeque::new(),
@@ -271,14 +304,17 @@ impl Kernel {
             io_waiting: 0,
             offloaded: Vec::new(),
             offload_done: SimTime::ZERO,
-            finished: false,
             deadline_at,
             deadline_hit: false,
             cancelled: false,
             ttft_done: false,
             last_pred_done: None,
             seqs: [0; EffectClass::COUNT],
+        };
+        let proc = Proc {
+            record,
             durable,
+            live: Some(Box::new(live)),
         };
         self.procs.insert(pid.0, proc);
         pid
@@ -297,18 +333,21 @@ impl Kernel {
             debug_assert!(false, "start: unknown pid {}", pid.0);
             return None;
         };
+        let durable = proc.durable;
+        let (record, proc) = proc.halves()?;
         let is_main = proc.main_tid == Tid(0);
         if is_main {
             proc.main_tid = tid;
             if self.bus.is_enabled() {
-                let name = proc.record.name.clone();
+                let name = record.name.clone();
                 self.bus
                     .emit(now, move || EventKind::ProcessSpawn { pid: pid.0, name });
             }
         }
-        let journal_spawn = is_main && proc.durable;
+        let journal_spawn = is_main && durable;
+        proc.tids.push(tid);
         proc.live_threads += 1;
-        proc.record.usage.threads_spawned += 1;
+        record.usage.threads_spawned += 1;
         // Sibling threads inherit the process's args string.
         let args = proc.args.clone();
         let env = ThreadEnv::new(
@@ -350,14 +389,14 @@ impl Kernel {
         // A re-execution's spawn frame is already in the log it replays.
         let replayed = |r: &wal::Replay| r.procs.contains_key(&pid.0);
         if journal_spawn && !self.replay.as_ref().is_some_and(replayed) {
-            let p = &self.procs[pid.0];
+            let (record, proc) = self.procs.get_mut(pid.0)?.halves()?;
             let rec = WalRecord::ProcSpawn {
                 at: now,
                 pid: pid.0,
                 main_tid: tid.0,
-                name: p.record.name.clone(),
-                args: p.args.clone(),
-                limits: p.limits,
+                name: record.name.clone(),
+                args: proc.args.clone(),
+                limits: proc.limits,
             };
             self.wal_append(rec);
         }
@@ -376,38 +415,45 @@ impl Kernel {
         self.procs.values().map(|p| &p.record)
     }
 
-    /// Forgets every process that has exited: its record, its name and its
-    /// process- and thread-table entries (a thread's reply channel or
-    /// inline body is already gone, dropped when it exited). Returns how many were
-    /// dropped. The kernel keeps finished processes so callers can read
-    /// [`Kernel::record`] after a run; a server that stays up calls this
-    /// once their outcomes are reported, or the tables grow with every
-    /// program ever served.
+    /// Forgets every process that has exited: removes the zombies, that is
+    /// their records — all that exit left of them (see the module docs).
+    /// Returns how many were dropped. The kernel keeps finished processes
+    /// so callers can read [`Kernel::record`] after a run; a server that
+    /// stays up calls this once their outcomes are reported, or the table
+    /// grows by a record (and its output) with every program ever served.
     pub fn reap_exited(&mut self) -> usize {
-        // Ascending pid order, which the thread sweep's search relies on.
-        let exited: Vec<u64> = self
+        let zombies: Vec<u64> = self
             .procs
             .iter()
-            .filter(|(_, p)| p.record.exited_at.is_some())
+            .filter(|(_, p)| p.live.is_none())
             .map(|(pid, _)| pid)
             .collect();
-        for &pid in &exited {
-            if let Some(p) = self.procs.remove(pid) {
-                if self.names.get(&p.record.name) == Some(&p.record.pid) {
-                    self.names.remove(&p.record.name);
-                }
-            }
+        for &pid in &zombies {
+            self.procs.remove(pid);
         }
-        let tids: Vec<u64> = self
-            .threads
-            .iter()
-            .filter(|(_, t)| exited.binary_search(&t.pid.0).is_ok())
-            .map(|(tid, _)| tid)
-            .collect();
-        for tid in tids {
-            self.threads.remove(tid);
+        self.kmetrics.zombies.add(-(zombies.len() as i64));
+        zombies.len()
+    }
+
+    /// Makes the table entry of `pid` a zombie: drops its live half, its
+    /// threads' table entries and its name binding (which `lookup` would no
+    /// longer answer with anyway), and gives back what its output string
+    /// had reserved beyond its text.
+    pub(crate) fn bury(&mut self, pid: Pid) {
+        let Some(proc) = self.procs.get_mut(pid.0) else {
+            return;
+        };
+        let Some(live) = proc.live.take() else {
+            return;
+        };
+        proc.record.output.shrink_to_fit();
+        if self.names.get(&proc.record.name) == Some(&pid) {
+            self.names.remove(&proc.record.name);
         }
-        exited.len()
+        for tid in live.tids {
+            self.threads.remove(tid.0);
+        }
+        self.kmetrics.zombies.add(1);
     }
 
     // ---- cancellation and deadlines ------------------------------------------------
@@ -419,10 +465,10 @@ impl Kernel {
     /// same error, driving the program to a prompt, typed exit. Returns
     /// `false` if the pid is unknown or already finished.
     pub fn cancel_process(&mut self, pid: Pid) -> bool {
-        let Some(proc) = self.procs.get_mut(pid.0) else {
+        let Some(proc) = self.procs.get_mut(pid.0).and_then(Proc::live_mut) else {
             return false;
         };
-        if proc.finished || proc.cancelled {
+        if proc.cancelled {
             return false;
         }
         proc.cancelled = true;
@@ -438,12 +484,9 @@ impl Kernel {
     /// `pred`s, in-flight I/O, sleeps — already have completions scheduled
     /// and hit the syscall-entry deadline check on their next call).
     pub(crate) fn enforce_deadline(&mut self, pid: Pid) {
-        let Some(proc) = self.procs.get_mut(pid.0) else {
+        let Some(proc) = self.procs.get_mut(pid.0).and_then(Proc::live_mut) else {
             return;
         };
-        if proc.finished {
-            return;
-        }
         let first_hit = !proc.deadline_hit;
         proc.deadline_hit = true;
         let waiters = std::mem::take(&mut proc.recv_waiters);
@@ -491,7 +534,7 @@ impl Kernel {
             }
             self.complete(w, SysReply::Joined(status.clone()));
         }
-        let Some(proc) = self.procs.get_mut(pid.0) else {
+        let Some((record, proc)) = self.procs.get_mut(pid.0).and_then(Proc::halves) else {
             debug_assert!(false, "exit for unknown pid {}", pid.0);
             return;
         };
@@ -499,7 +542,7 @@ impl Kernel {
         let process_done = proc.live_threads == 0;
         let ok = status.is_ok();
         if proc.main_tid == tid {
-            proc.record.status = status;
+            record.status = status;
         }
         let at = self.events.now();
         self.bus.emit(at, || EventKind::ThreadExit {
@@ -512,31 +555,24 @@ impl Kernel {
         }
     }
 
-    /// Reclaims a finished process's resources: releases its locks and
-    /// removes its *unnamed* KV files. Files published under a path persist
-    /// beyond the process lifetime (§4.2).
+    /// Reclaims a finished process's resources: releases its locks,
+    /// removes its *unnamed* KV files — files published under a path persist
+    /// beyond the process lifetime (§4.2) — and leaves a zombie in the
+    /// table ([`Kernel::bury`]).
     fn finalize_process(&mut self, pid: Pid) {
         let owner = OwnerId(pid.0);
         self.store.release_locks(owner);
         self.cqueue.forget(pid.0);
-        let victims: Vec<FileId> = self
-            .store
-            .list_files()
-            .into_iter()
-            .filter(|s| s.owner == owner && s.links == 0)
-            .map(|s| s.id)
-            .collect();
-        for f in victims {
+        for f in self.store.unlinked_files_of(owner) {
             let _ = self.store.remove(f, OwnerId::ADMIN);
         }
         let now = self.events.now();
+        self.bury(pid);
         let Some(proc) = self.procs.get_mut(pid.0) else {
             debug_assert!(false, "finalize for unknown pid {}", pid.0);
             return;
         };
-        proc.finished = true;
         self.exited += 1;
-        proc.mailbox.clear();
         let rec = &mut proc.record;
         rec.exited_at = Some(now);
         let (status, usage) = (rec.status.clone(), rec.usage);
@@ -593,7 +629,13 @@ mod tests {
         }
         assert_eq!(k.run(), 1000);
         assert!(k.records().all(|r| r.status.is_ok()));
+        // Exit left zombies: a record each, durable still, and nothing else.
+        assert!(k.names.is_empty() && k.threads.is_empty());
+        assert!(k.procs.values().all(|p| p.live.is_none()));
+        assert!(k.is_durable(Pid(1)));
+        assert_eq!(k.kmetrics.zombies.get(), 1000);
         assert_eq!(k.reap_exited(), 1000);
+        assert_eq!(k.kmetrics.zombies.get(), 0);
         assert!(k.procs.is_empty() && k.names.is_empty() && k.threads.is_empty());
         assert!(k.store.list_files().is_empty());
         for pid in 1..=1000 {

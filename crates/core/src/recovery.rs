@@ -14,6 +14,7 @@ use symphony_sim::{SimDuration, SimTime};
 use symphony_telemetry::EventKind;
 
 use crate::kernel::{Event, Kernel, KernelConfig, ProgramImage};
+use crate::proc::Proc;
 use crate::syscall::{Body, SysReply};
 use crate::types::{ExitStatus, Limits, Pid, SysError, Tid};
 use crate::wal::{
@@ -194,7 +195,7 @@ impl Kernel {
                 };
                 if let Some(n) = to_skip.get_mut(to).filter(|n| **n > 0) {
                     *n -= 1;
-                } else if let Some(p) = self.procs.get_mut(*to).filter(|p| !p.finished) {
+                } else if let Some(p) = self.procs.get_mut(*to).and_then(Proc::live_mut) {
                     p.mailbox
                         .push_back((Pid(from), data.clone(), SimTime::ZERO, 0));
                 }
@@ -208,18 +209,18 @@ impl Kernel {
         report
     }
 
-    /// Restores a journalled program that will not run again as a finished
-    /// table entry: with its journalled outcome (its outputs are already
-    /// durable), or — unfinished, its image unresolvable — as crashed now.
+    /// Restores a journalled program that will not run again as a zombie:
+    /// with its journalled outcome (its outputs are already durable), or —
+    /// unfinished, its image unresolvable — as crashed now.
     fn restore_exited(&mut self, pid: u64, rp: &ReplayProc) {
         // It holds nothing any more, so no quota or deadline is re-armed.
         let limits = Limits::default();
         let pid = self.install(Some(Pid(pid)), &rp.name, &rp.args, rp.arrival, limits, true);
+        self.bury(pid);
         let now = self.events.now();
         let Some(p) = self.procs.get_mut(pid.0) else {
             return;
         };
-        p.finished = true;
         match &rp.exit {
             Some(exit) => {
                 p.record.exited_at = Some(exit.at);

@@ -512,7 +512,11 @@ impl Ctx {
         }
     }
 
-    /// Blocks until `tid` exits; returns its status.
+    /// Blocks until `tid` exits; returns its status. A thread's status is
+    /// kept as long as its *process* lives: joining a thread of a process
+    /// that has already exited is [`SysError::NotFound`], as for a tid that
+    /// never existed (only a thread of another process can be asking by
+    /// then).
     pub fn join(&self, tid: Tid) -> Result<ExitStatus, SysError> {
         match self.syscall(Syscall::Join { tid }) {
             SysReply::Joined(s) => Ok(s),

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use symphony::{
     Body, ExitStatus, InlineBody, Kernel, KernelConfig, Next, SysError, SysReply, Syscall,
-    ThreadEnv,
+    ThreadEnv, Tid,
 };
 
 /// Emits its args, then exits.
@@ -142,10 +142,58 @@ fn an_exited_body_is_dropped_at_once() {
     assert!(k.cancel_process(pid));
     assert_eq!(k.run(), 1, "woken with `Cancelled`, it exits");
     assert_eq!(steps.load(Ordering::SeqCst), 2);
-    // Its record stays until reaped; its state does not.
+    // Its record stays until reaped; its state does not: the body, the
+    // live half of its table entry (it is a zombie) and its thread's entry
+    // are gone.
     assert_eq!(
         k.record(pid).expect("record").status,
         ExitStatus::Error(SysError::Cancelled)
     );
     assert_eq!(drops.load(Ordering::SeqCst), 1);
+    let zombies = k.metrics_registry().gauge("kernel.procs.zombies");
+    assert_eq!(zombies.get(), 1);
+    assert!(!k.cancel_process(pid), "nothing left to cancel");
+    let joiner = k.admit_inline("joiner", "", None, Box::new(Joiner(Tid(1))));
+    k.run();
+    assert_eq!(k.record(joiner).expect("record").output, "not found");
+    assert_eq!(k.reap_exited(), 2);
+    assert_eq!(zombies.get(), 0);
+    assert!(k.record(pid).is_none());
+}
+
+/// Joins a thread, of whatever process, and emits what it was told.
+struct Joiner(Tid);
+
+impl InlineBody for Joiner {
+    fn resume(&mut self, _: &mut ThreadEnv, reply: SysReply) -> Next {
+        let text = match reply {
+            SysReply::Start => return Next::Syscall(Syscall::Join { tid: self.0 }),
+            SysReply::Joined(status) => format!("joined {status:?}"),
+            SysReply::Err(e) => e.to_string(),
+            _ => return Next::Exit(Ok(())),
+        };
+        Next::Syscall(Syscall::Emit { text })
+    }
+}
+
+/// A thread's status is kept for its joiners as long as its process lives,
+/// and goes with the process: the one place where exit leaving a zombie
+/// (and not the whole table entry, threads included) can be seen.
+#[test]
+fn joining_a_thread_of_an_exited_process_is_not_found() {
+    let mut k = Kernel::new(KernelConfig::for_tests());
+    // Thread 1 parks in `recv`; thread 2, its child, exits at once.
+    let parent = k.spawn_process("parent", "", |ctx| {
+        ctx.spawn(|_| Ok(()))?;
+        ctx.recv_msg().map(drop)
+    });
+    k.run();
+    let early = k.admit_inline("early", "", None, Box::new(Joiner(Tid(2))));
+    k.run();
+    assert_eq!(k.record(early).expect("record").output, "joined Ok");
+    assert!(k.cancel_process(parent));
+    k.run();
+    let late = k.admit_inline("late", "", None, Box::new(Joiner(Tid(2))));
+    k.run();
+    assert_eq!(k.record(late).expect("record").output, "not found");
 }

@@ -1672,6 +1672,18 @@ impl KvStore {
             .collect()
     }
 
+    /// The files `owner` created that no path names, in file-ID order: what
+    /// its exit removes. Reads metadata only — [`KvStore::list_files`]
+    /// stats every file, and a stat walks the file's whole page table for
+    /// its residency.
+    pub fn unlinked_files_of(&self, owner: OwnerId) -> Vec<FileId> {
+        self.files
+            .iter()
+            .filter(|(_, m)| m.owner == owner && m.links == 0)
+            .map(|(&id, _)| FileId(id))
+            .collect()
+    }
+
     /// Checks internal invariants; returns a description of the first
     /// violation. Tests call this after every mutation sequence.
     pub fn verify(&self) -> Result<(), String> {
@@ -1790,6 +1802,44 @@ mod tests {
         assert_eq!(s.tail_fingerprint(f).unwrap(), Some(fp(9)));
         assert_eq!(s.next_position(f).unwrap(), 10);
         s.verify().unwrap();
+    }
+
+    #[test]
+    fn unlinked_files_of_an_owner_are_what_the_stat_filter_finds() {
+        let mut s = store();
+        let shared = s.create(U1).unwrap();
+        s.append(shared, U1, &entries(0..8)).unwrap();
+        s.chmod(shared, U1, Mode::SHARED_READ).unwrap();
+        s.link(shared, "shared.kv", U1).unwrap();
+        let fork_of_mine = s.fork(shared, U1).unwrap();
+        let fork_of_theirs = s.fork(shared, U2).unwrap();
+        let scratch = s.create(U1).unwrap();
+        s.append(scratch, U1, &entries(0..3)).unwrap();
+        let swapped = s.create(U1).unwrap();
+        s.append(swapped, U1, &entries(0..5)).unwrap();
+        s.swap_out(swapped, U1).unwrap();
+        let published = s.create(U1).unwrap();
+        s.link(published, "mine.kv", U1).unwrap();
+        let unpublished = s.create(U1).unwrap();
+        s.link(unpublished, "gone.kv", U1).unwrap();
+        s.unlink("gone.kv", U1).unwrap();
+        let removed = s.create(U1).unwrap();
+        s.remove(removed, U1).unwrap();
+        let foreign = s.create(U2).unwrap();
+        for owner in [U1, U2, OwnerId(3)] {
+            let by_stat: Vec<FileId> = s
+                .list_files()
+                .into_iter()
+                .filter(|f| f.owner == owner && f.links == 0)
+                .map(|f| f.id)
+                .collect();
+            assert_eq!(s.unlinked_files_of(owner), by_stat, "owner {owner:?}");
+        }
+        assert_eq!(
+            s.unlinked_files_of(U1),
+            [fork_of_mine, scratch, swapped, unpublished]
+        );
+        assert_eq!(s.unlinked_files_of(U2), [fork_of_theirs, foreign]);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use symphony_model::Dist;
 
-use crate::ast::Program;
+use crate::image::Image;
 use crate::inline::{lift, lower};
 use crate::interp::{InterpLimits, Interpreter};
 use crate::value::Value;
@@ -82,7 +82,8 @@ pub enum HostCall {
     SleepMs(u64),
     NowMs,
     Spawn {
-        program: Arc<Program>,
+        /// The spawning program's image, shared with the new thread.
+        image: Arc<Image>,
         func: String,
         args: Vec<Value>,
         limits: InterpLimits,
@@ -318,13 +319,13 @@ impl Host for MockHost {
             }
             HostCall::NowMs => R::Float(self.clock_ms),
             HostCall::Spawn {
-                program,
+                image,
                 func,
                 args,
                 limits,
             } => {
                 // Inline execution: good enough to test the plumbing.
-                let mut interp = Interpreter::new(program, limits);
+                let mut interp = Interpreter::from_image(image, limits);
                 let ok = interp.call_named(self, &func, args).is_ok();
                 self.threads.push(ok);
                 R::Thread(self.threads.len() as u64 - 1)

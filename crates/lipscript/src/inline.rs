@@ -23,6 +23,7 @@ use symphony::{
 use crate::ast::Program;
 use crate::error::LipError;
 use crate::host::{HostCall, HostReply, HostResult};
+use crate::image::Image;
 use crate::interp::{InterpLimits, Interpreter, Step};
 use crate::value::Value;
 
@@ -36,9 +37,16 @@ pub struct LipBody {
 
 impl LipBody {
     /// The body of a program's main thread: runs its top-level statements.
+    /// Lowers the program; a server that sees one source many times lowers
+    /// it once and uses [`LipBody::from_image`].
     pub fn new(program: Arc<Program>, limits: InterpLimits) -> Self {
+        Self::from_image(Image::shared(&program), limits)
+    }
+
+    /// The body of a main thread over a lowered program, which it shares.
+    pub fn from_image(image: Arc<Image>, limits: InterpLimits) -> Self {
         LipBody {
-            interp: Interpreter::new(program, limits),
+            interp: Interpreter::from_image(image, limits),
             entry: None,
         }
     }
@@ -125,13 +133,13 @@ pub(crate) fn lower(call: HostCall, env: &mut ThreadEnv) -> Result<HostReply, Sy
         },
         HostCall::NowMs => Syscall::Now,
         HostCall::Spawn {
-            program,
+            image,
             func,
             args,
             limits,
         } => Syscall::Spawn {
             body: Body::Inline(Box::new(LipBody {
-                interp: Interpreter::new(program, limits),
+                interp: Interpreter::from_image(image, limits),
                 entry: Some((func, args)),
             })),
         },

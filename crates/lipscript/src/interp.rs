@@ -1,55 +1,81 @@
 //! The interpreter: a resumable machine with fuel, memory and depth
 //! metering.
 //!
-//! [`Interpreter`] runs a program on an explicit stack of activation
-//! records over the `Arc<Program>` AST instead of on the Rust stack, so it
-//! can stop wherever the program needs its host: [`Interpreter::step`] runs
-//! until the next [`HostCall`] (every host-calling builtin makes exactly
-//! one) or the program's result, and the next `step` takes the reply. A
-//! program in mid-flight is therefore a plain value — which is what lets
-//! the kernel hold a served session as state and step it on its own thread
+//! [`Interpreter`] runs a program's [`Image`] on an explicit stack of
+//! activation records instead of on the Rust stack, so it can stop wherever
+//! the program needs its host: [`Interpreter::step`] runs until the next
+//! [`HostCall`] (every host-calling builtin makes exactly one) or the
+//! program's result, and the next `step` takes the reply. A program in
+//! mid-flight is therefore a plain value — which is what lets the kernel
+//! hold a served session as state and step it on its own thread
 //! ([`crate::inline`]) instead of parking an OS thread per session.
 //! [`Interpreter::run`] and [`Interpreter::call_named`] are the blocking
 //! driver loop over the same machine for anything that implements
 //! [`Host`].
 //!
-//! What one operation *means* — metering, arithmetic, indexing, scoping,
-//! call binding — lives in `Core`, `Env` and [`crate::builtins`] and is
-//! shared with the recursive reference evaluator the tests compare the
-//! machine against (`reference.rs`, `#[cfg(test)]`). The machine owns only
-//! the order things happen in, and it burns fuel, charges memory and
-//! counts depth at exactly the points, with exactly the spans, the
-//! tree-walk does.
+//! What one operation *means* — metering, arithmetic, indexing, call
+//! binding — lives in `Core` and [`crate::builtins`] and is shared with the
+//! recursive reference evaluator the tests compare the machine against
+//! (`reference.rs`, `#[cfg(test)]`), which walks the parsed tree and keeps
+//! its variables by name. The machine owns the order things happen in and
+//! where variables live, and it burns fuel, charges memory and counts depth
+//! at exactly the points, with exactly the spans, the tree-walk does.
+//!
+//! # What a running program is made of
+//!
+//! - The **image** ([`crate::image`]), shared and immutable: nodes by
+//!   index, variables resolved to slots, call sites to callees.
+//! - **Records** (`Frame`): one per block, statement, operator or call that
+//!   has begun and waits for a child. A record holds the index of its node
+//!   and how far it has got, nothing else; a parked program resumes from
+//!   the top one.
+//! - **Slots**: a `Vec<Value>`, one frame per function activation on top
+//!   of its caller's. A `let` writes its slot, a read clones it — or, where
+//!   the value is only looked at (an operand of an operator, an index
+//!   expression, a builtin), borrows it.
+//! - The **value stack**: operands of the records, those that are not
+//!   plain variables.
 //!
 //! # Why the loop is shaped the way it is
 //!
-//! A node of a LipScript program is a dozen nanoseconds of work, so the
-//! machinery around it is what one measures. Two things turned out to cost
-//! more than a node: a helper called out of line that hands a `Value` or a
-//! `Result` back through memory, and a jump table (every `match` on a node
-//! or record kind is one, and an indirect branch that mispredicts costs a
-//! node's worth of time). Hence: the helpers on the per-node path are
-//! `#[inline(always)]`; a node is matched on its kind once per visit
-//! (`Operands::of`, `leaf`); a literal or a variable is evaluated where
-//! its parent gathers operands and never gets a record; neither does an
-//! operator or a call whose operands are all leaves, unless it has to wait
-//! for the host or a function body; and the blocking driver answers host
-//! calls from inside the loop (`step_with`) instead of parking and
-//! re-deriving the stack for each. With that the machine is 20–30 % slower
-//! per node than the tree-walk it replaced (on the host this was written
-//! on: 12.8 against 9.9 ns per unit of fuel on an arithmetic loop, 31.6
-//! against 25.0 on a tool-calling agent against `MockHost`); without, it
-//! was 2–2.5× slower. Parking on a host call and resuming costs about
-//! 80 ns more than answering it in the loop; a hosted thread's hand-off,
-//! which parking replaces for served programs, costs 4–5 µs.
+//! A node of a LipScript program is a few nanoseconds of work, so the
+//! machinery around it is what one measures: a trip round the loop, a
+//! record pushed and popped, a 48-byte `Value` or a `Result` with a fat
+//! error handed back through memory. Hence: an expression that cannot wait
+//! (`Entry::pure` — no host call, no function call beneath it, nesting
+//! bounded) is evaluated in one go by `eval_pure`, recursively, and never
+//! sees the loop; a statement whose expression is pure finishes in the turn
+//! it begins in, with no record; errors travel boxed (`Fallible`), so
+//! `burn`'s result is a register; two ints meet in an inlined fast path of
+//! `Core::binop`; and the blocking driver answers host calls from inside
+//! the loop (`step_with`) instead of parking for each. Only what can wait
+//! — a host call, a function's body, and whatever contains one — goes
+//! through records.
+//!
+//! `symphony-exp exp_lipscript` measures it (`MockHost`, shared image, min
+//! of 7, ns per unit of fuel; medians of ten runs interleaved with the
+//! machine this one replaced — string-keyed scopes, records re-derived
+//! from the root on every resume — on the host this was written on):
+//!
+//! | program | before | now | parked on every call, before | now |
+//! |---|---|---|---|---|
+//! | arithmetic loop | 14.2 | 6.0 | 15.9 | 6.1 |
+//! | `while` counter | 14.3 | 5.5 | 14.6 | 5.7 |
+//! | tool-calling agent | 47.0 | 27.7 | 51.5 | 29.6 |
+//!
+//! Lowering the agent program costs 2.2 µs (parsing it 21, verifying it
+//! 17). Parking on a host call and resuming costs about 20 ns more than
+//! answering it in the loop; a hosted thread's hand-off, which parking
+//! replaces for served programs, costs 4–5 µs.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::ast::{BinOp, Expr, ExprKind, FnDef, Program, Stmt, StmtKind, UnOp};
-use crate::builtins::{self, Begun};
+use crate::ast::{BinOp, Program, UnOp};
+use crate::builtins::{self, Begun, MAX_ARITY};
 use crate::error::{LipError, RuntimeError, RuntimeErrorKind, Span};
 use crate::host::{Host, HostCall, HostReply, HostResult};
+use crate::image::{Callee, Entry, Image, Node, Run, Target};
 use crate::parse::parse;
 use crate::value::Value;
 
@@ -86,114 +112,39 @@ pub(crate) enum Flow {
 impl Flow {
     /// What a function body (or the top level) that ended this way
     /// evaluates to.
-    pub(crate) fn into_result(self) -> Result<Value, RuntimeError> {
+    pub(crate) fn into_result(self) -> Fallible<Value> {
         match self {
             Flow::Return(v) => Ok(v),
             Flow::Break(span) | Flow::Continue(span) => {
-                Err(RuntimeError::new(RuntimeErrorKind::BadControlFlow, span))
+                Err(fail(RuntimeErrorKind::BadControlFlow, span))
             }
             Flow::Normal => Ok(Value::Nil),
         }
     }
 }
 
-/// Lexical environment: a stack of scopes.
-pub(crate) struct Env {
-    scopes: Vec<BTreeMap<String, Value>>,
+/// What can fail while a program runs. The error is boxed on the way up:
+/// it is the rare outcome, and unboxed it would make every `Result` of
+/// the hot path — `burn`'s above all — too big for a register.
+pub(crate) type Fallible<T> = Result<T, Box<RuntimeError>>;
+
+#[cold]
+pub(crate) fn fail(kind: RuntimeErrorKind, span: Span) -> Box<RuntimeError> {
+    Box::new(RuntimeError::new(kind, span))
 }
 
-impl Env {
-    pub(crate) fn new() -> Self {
-        Env {
-            scopes: vec![BTreeMap::new()],
-        }
-    }
-
-    pub(crate) fn push(&mut self) {
-        self.scopes.push(BTreeMap::new());
-    }
-
-    pub(crate) fn pop(&mut self) {
-        self.scopes.pop();
-    }
-
-    pub(crate) fn declare(&mut self, name: &str, v: Value) {
-        self.scopes
-            .last_mut()
-            .expect("at least one scope")
-            .insert(name.to_string(), v);
-    }
-
-    /// Reads a variable; unknown names fail at `span`.
-    pub(crate) fn get(&self, name: &str, span: Span) -> Result<Value, RuntimeError> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.get(name))
-            .cloned()
-            .ok_or_else(|| undefined(name, span))
-    }
-
-    /// Overwrites a declared variable; unknown names fail at `span`.
-    pub(crate) fn set(&mut self, name: &str, v: Value, span: Span) -> Result<(), RuntimeError> {
-        *self.slot(name, span)? = v;
-        Ok(())
-    }
-
-    fn slot(&mut self, name: &str, span: Span) -> Result<&mut Value, RuntimeError> {
-        self.scopes
-            .iter_mut()
-            .rev()
-            .find_map(|s| s.get_mut(name))
-            .ok_or_else(|| undefined(name, span))
-    }
-
-    /// `name[i] = v` on a declared list.
-    pub(crate) fn set_index(
-        &mut self,
-        name: &str,
-        i: Value,
-        v: Value,
-        span: Span,
-    ) -> Result<(), RuntimeError> {
-        let Value::Int(i) = i else {
-            return Err(type_error(
-                format!("list index must be int, got {}", i.type_name()),
-                span,
-            ));
-        };
-        match self.slot(name, span)? {
-            Value::List(items) => {
-                if i < 0 || i as usize >= items.len() {
-                    return Err(RuntimeError::new(
-                        RuntimeErrorKind::IndexOutOfBounds(i, items.len()),
-                        span,
-                    ));
-                }
-                items[i as usize] = v;
-                Ok(())
-            }
-            other => Err(type_error(
-                format!("cannot index-assign into {}", other.type_name()),
-                span,
-            )),
-        }
-    }
+pub(crate) fn undefined(name: &str, span: Span) -> Box<RuntimeError> {
+    fail(RuntimeErrorKind::Undefined(name.to_string()), span)
 }
 
-fn undefined(name: &str, span: Span) -> RuntimeError {
-    RuntimeError::new(RuntimeErrorKind::Undefined(name.to_string()), span)
+fn type_error(msg: String, span: Span) -> Box<RuntimeError> {
+    fail(RuntimeErrorKind::Type(msg), span)
 }
 
-fn type_error(msg: String, span: Span) -> RuntimeError {
-    RuntimeError::new(RuntimeErrorKind::Type(msg), span)
-}
-
-/// The program, its limits and its meters, plus what every single
-/// operation of the language means. An evaluator adds only the order the
-/// operations happen in.
+/// A program's limits and its meters, plus what every single operation
+/// of the language means. An evaluator adds only the order the
+/// operations happen in, and where it keeps its variables.
 pub(crate) struct Core {
-    pub(crate) program: Arc<Program>,
     pub(crate) limits: InterpLimits,
     fuel_used: u64,
     mem_used: u64,
@@ -201,9 +152,8 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    pub(crate) fn new(program: Arc<Program>, limits: InterpLimits) -> Self {
+    pub(crate) fn new(limits: InterpLimits) -> Self {
         Core {
-            program,
             limits,
             fuel_used: 0,
             mem_used: 0,
@@ -220,39 +170,40 @@ impl Core {
     }
 
     /// One AST-node evaluation.
-    pub(crate) fn burn(&mut self, span: Span) -> Result<(), RuntimeError> {
+    #[inline(always)]
+    pub(crate) fn burn(&mut self, span: Span) -> Fallible<()> {
         self.fuel_used += 1;
         if self.fuel_used > self.limits.fuel {
-            Err(RuntimeError::new(RuntimeErrorKind::OutOfFuel, span))
+            Err(fail(RuntimeErrorKind::OutOfFuel, span))
         } else {
             Ok(())
         }
     }
 
     /// Charges an allocation against the memory budget.
-    pub(crate) fn charge(&mut self, cells: u64, span: Span) -> Result<(), RuntimeError> {
+    pub(crate) fn charge(&mut self, cells: u64, span: Span) -> Fallible<()> {
         self.mem_used += cells;
         if self.mem_used > self.limits.memory_cells {
-            Err(RuntimeError::new(RuntimeErrorKind::OutOfMemory, span))
+            Err(fail(RuntimeErrorKind::OutOfMemory, span))
         } else {
             Ok(())
         }
     }
 
     /// A string literal's value.
-    pub(crate) fn string(&mut self, s: &str, span: Span) -> Result<Value, RuntimeError> {
+    pub(crate) fn string(&mut self, s: &str, span: Span) -> Fallible<Value> {
         self.charge(1 + s.len() as u64 / 8, span)?;
         Ok(Value::Str(s.to_string()))
     }
 
     /// A list literal's value, its items evaluated.
-    pub(crate) fn list(&mut self, items: Vec<Value>, span: Span) -> Result<Value, RuntimeError> {
+    pub(crate) fn list(&mut self, items: Vec<Value>, span: Span) -> Fallible<Value> {
         self.charge(1 + items.len() as u64, span)?;
         Ok(Value::List(items))
     }
 
     /// The items a `for` loop walks.
-    pub(crate) fn iterable(v: Value, span: Span) -> Result<Vec<Value>, RuntimeError> {
+    pub(crate) fn iterable(v: Value, span: Span) -> Fallible<Vec<Value>> {
         match v {
             Value::List(items) => Ok(items),
             other => Err(type_error(
@@ -262,35 +213,28 @@ impl Core {
         }
     }
 
-    /// Enters a call of `def`: arity and depth checks, then the callee's
-    /// environment (a function sees its parameters and nothing else).
-    /// Pair with [`Core::leave`].
+    /// Enters a call of the function `name`, which takes `params`
+    /// parameters, with `args` arguments: the arity check, then the depth
+    /// check. The callee's variables — its parameters and nothing else —
+    /// are the evaluator's to set up. Pair with [`Core::leave`].
     pub(crate) fn enter(
         &mut self,
-        def: &FnDef,
-        args: Vec<Value>,
+        name: &str,
+        params: usize,
+        args: usize,
         span: Span,
-    ) -> Result<Env, RuntimeError> {
-        if def.params.len() != args.len() {
-            return Err(RuntimeError::new(
-                RuntimeErrorKind::BadArity(format!(
-                    "{} expects {} args, got {}",
-                    def.name,
-                    def.params.len(),
-                    args.len()
-                )),
+    ) -> Fallible<()> {
+        if params != args {
+            return Err(fail(
+                RuntimeErrorKind::BadArity(format!("{name} expects {params} args, got {args}")),
                 span,
             ));
         }
         if self.depth >= self.limits.max_depth {
-            return Err(RuntimeError::new(RuntimeErrorKind::DepthExceeded, span));
+            return Err(fail(RuntimeErrorKind::DepthExceeded, span));
         }
         self.depth += 1;
-        let mut env = Env::new();
-        for (p, a) in def.params.iter().zip(args) {
-            env.declare(p, a);
-        }
-        Ok(env)
+        Ok(())
     }
 
     /// Leaves the call [`Core::enter`] entered.
@@ -298,7 +242,7 @@ impl Core {
         self.depth -= 1;
     }
 
-    pub(crate) fn unop(op: UnOp, v: Value, span: Span) -> Result<Value, RuntimeError> {
+    pub(crate) fn unop(op: UnOp, v: &Value, span: Span) -> Fallible<Value> {
         match (op, v) {
             (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(-i)),
             (UnOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
@@ -307,31 +251,35 @@ impl Core {
         }
     }
 
-    /// `base[i]` on a list or a string.
-    pub(crate) fn index(base: Value, i: Value, span: Span) -> Result<Value, RuntimeError> {
-        let Value::Int(i) = i else {
-            return Err(type_error(
-                format!("index must be int, got {}", i.type_name()),
+    /// An index: `what` must be an int.
+    fn int_index(i: &Value, what: &str, span: Span) -> Fallible<i64> {
+        match i {
+            Value::Int(i) => Ok(*i),
+            other => Err(type_error(
+                format!("{what} must be int, got {}", other.type_name()),
                 span,
-            ));
-        };
-        let out_of_bounds =
-            |len| RuntimeError::new(RuntimeErrorKind::IndexOutOfBounds(i, len), span);
+            )),
+        }
+    }
+
+    /// Position `i` of something `len` long.
+    fn in_bounds(i: i64, len: usize, span: Span) -> Fallible<usize> {
+        if i < 0 || i as usize >= len {
+            Err(fail(RuntimeErrorKind::IndexOutOfBounds(i, len), span))
+        } else {
+            Ok(i as usize)
+        }
+    }
+
+    /// `base[i]` on a list or a string the evaluator only has a look at:
+    /// the item is copied out.
+    pub(crate) fn index(base: &Value, i: &Value, span: Span) -> Fallible<Value> {
+        let i = Self::int_index(i, "index", span)?;
         match base {
-            Value::List(mut items) => {
-                if i < 0 || i as usize >= items.len() {
-                    Err(out_of_bounds(items.len()))
-                } else {
-                    Ok(items.swap_remove(i as usize))
-                }
-            }
+            Value::List(items) => Ok(items[Self::in_bounds(i, items.len(), span)?].clone()),
             Value::Str(s) => {
-                let bytes = s.as_bytes();
-                if i < 0 || i as usize >= bytes.len() {
-                    Err(out_of_bounds(bytes.len()))
-                } else {
-                    Ok(Value::Str((bytes[i as usize] as char).to_string()))
-                }
+                let byte = s.as_bytes()[Self::in_bounds(i, s.len(), span)?];
+                Ok(Value::Str((byte as char).to_string()))
             }
             other => Err(type_error(
                 format!("cannot index {}", other.type_name()),
@@ -340,15 +288,67 @@ impl Core {
         }
     }
 
+    /// `base[i]` on a value nobody else holds: a list's item is moved out.
+    pub(crate) fn index_owned(base: Value, i: &Value, span: Span) -> Fallible<Value> {
+        match base {
+            Value::List(mut items) => {
+                let i = Self::int_index(i, "index", span)?;
+                Ok(items.swap_remove(Self::in_bounds(i, items.len(), span)?))
+            }
+            other => Self::index(&other, i, span),
+        }
+    }
+
+    /// The index of `name[i] = v`, checked before `name` is even looked up.
+    pub(crate) fn list_index(i: &Value, span: Span) -> Fallible<i64> {
+        Self::int_index(i, "list index", span)
+    }
+
+    /// `list[i] = v` on a declared variable's value.
+    pub(crate) fn store_index(list: &mut Value, i: i64, v: Value, span: Span) -> Fallible<()> {
+        match list {
+            Value::List(items) => {
+                let i = Self::in_bounds(i, items.len(), span)?;
+                items[i] = v;
+                Ok(())
+            }
+            other => Err(type_error(
+                format!("cannot index-assign into {}", other.type_name()),
+                span,
+            )),
+        }
+    }
+
     /// Every binary operator but the short-circuiting `&&` and `||`, which
-    /// are control flow and so the evaluator's.
-    pub(crate) fn binop(
-        &mut self,
-        op: BinOp,
-        l: Value,
-        r: Value,
-        span: Span,
-    ) -> Result<Value, RuntimeError> {
+    /// are control flow and so the evaluator's. Two ints — the common case —
+    /// are done here, small enough to inline; anything else in
+    /// [`Core::binop_mixed`].
+    #[inline]
+    pub(crate) fn binop(&mut self, op: BinOp, l: &Value, r: &Value, span: Span) -> Fallible<Value> {
+        let (&Value::Int(a), &Value::Int(b)) = (l, r) else {
+            return self.binop_mixed(op, l, r, span);
+        };
+        Ok(match op {
+            BinOp::Add => Value::Int(a.wrapping_add(b)),
+            BinOp::Sub => Value::Int(a.wrapping_sub(b)),
+            BinOp::Mul => Value::Int(a.wrapping_mul(b)),
+            BinOp::Div | BinOp::Mod if b == 0 => {
+                return Err(fail(RuntimeErrorKind::DivisionByZero, span))
+            }
+            BinOp::Div => Value::Int(a.wrapping_div(b)),
+            BinOp::Mod => Value::Int(a.wrapping_rem(b)),
+            BinOp::Eq => Value::Bool(a == b),
+            BinOp::Ne => Value::Bool(a != b),
+            BinOp::Lt => Value::Bool(a < b),
+            BinOp::Le => Value::Bool(a <= b),
+            BinOp::Gt => Value::Bool(a > b),
+            BinOp::Ge => Value::Bool(a >= b),
+            BinOp::And | BinOp::Or => unreachable!("short-circuited"),
+        })
+    }
+
+    /// [`Core::binop`] on anything but two ints.
+    fn binop_mixed(&mut self, op: BinOp, l: &Value, r: &Value, span: Span) -> Fallible<Value> {
         use Value::{Float, Int, Str};
         let type_err = |l: &Value, r: &Value| {
             type_error(
@@ -360,22 +360,7 @@ impl Core {
                 span,
             )
         };
-        Ok(match (op, &l, &r) {
-            (BinOp::Add, Int(a), Int(b)) => Int(a.wrapping_add(*b)),
-            (BinOp::Sub, Int(a), Int(b)) => Int(a.wrapping_sub(*b)),
-            (BinOp::Mul, Int(a), Int(b)) => Int(a.wrapping_mul(*b)),
-            (BinOp::Div, Int(a), Int(b)) => {
-                if *b == 0 {
-                    return Err(RuntimeError::new(RuntimeErrorKind::DivisionByZero, span));
-                }
-                Int(a.wrapping_div(*b))
-            }
-            (BinOp::Mod, Int(a), Int(b)) => {
-                if *b == 0 {
-                    return Err(RuntimeError::new(RuntimeErrorKind::DivisionByZero, span));
-                }
-                Int(a.wrapping_rem(*b))
-            }
+        Ok(match (op, l, r) {
             (BinOp::Add, Str(a), b) => {
                 let s = format!("{a}{b}");
                 self.charge(1 + s.len() as u64 / 8, span)?;
@@ -393,11 +378,11 @@ impl Core {
                 Value::List(out)
             }
             (_, Float(_), _) | (_, _, Float(_)) => {
-                let (a, b) = match (&l, &r) {
+                let (a, b) = match (l, r) {
                     (Int(a), Float(b)) => (*a as f64, *b),
                     (Float(a), Int(b)) => (*a, *b as f64),
                     (Float(a), Float(b)) => (*a, *b),
-                    _ => return Err(type_err(&l, &r)),
+                    _ => return Err(type_err(l, r)),
                 };
                 match op {
                     BinOp::Add => Float(a + b),
@@ -416,15 +401,11 @@ impl Core {
             }
             (BinOp::Eq, a, b) => Value::Bool(a == b),
             (BinOp::Ne, a, b) => Value::Bool(a != b),
-            (BinOp::Lt, Int(a), Int(b)) => Value::Bool(a < b),
-            (BinOp::Le, Int(a), Int(b)) => Value::Bool(a <= b),
-            (BinOp::Gt, Int(a), Int(b)) => Value::Bool(a > b),
-            (BinOp::Ge, Int(a), Int(b)) => Value::Bool(a >= b),
             (BinOp::Lt, Str(a), Str(b)) => Value::Bool(a < b),
             (BinOp::Le, Str(a), Str(b)) => Value::Bool(a <= b),
             (BinOp::Gt, Str(a), Str(b)) => Value::Bool(a > b),
             (BinOp::Ge, Str(a), Str(b)) => Value::Bool(a >= b),
-            _ => return Err(type_err(&l, &r)),
+            _ => return Err(type_err(l, r)),
         })
     }
 }
@@ -440,161 +421,85 @@ pub enum Step<P = HostCall> {
     Done(Result<Value, RuntimeError>),
 }
 
-/// The AST node an activation record belongs to. Records do not store it —
-/// a record could not borrow from the `Arc<Program>` held next to it — but
-/// each says which of its node's children is running, so the nodes of a
-/// parked stack are re-derived from the root in one pass ([`child`]) when a
-/// step begins, and kept beside the records while it runs.
-#[derive(Clone, Copy)]
-enum Node<'p> {
-    Block(&'p [Stmt]),
-    Stmt(&'p Stmt),
-    Expr(&'p Expr),
-}
-
-impl Node<'_> {
-    /// The very same node of the very same tree.
-    fn is(self, other: Node<'_>) -> bool {
-        match (self, other) {
-            (Node::Block(a), Node::Block(b)) => std::ptr::eq(a, b),
-            (Node::Stmt(a), Node::Stmt(b)) => std::ptr::eq(a, b),
-            (Node::Expr(a), Node::Expr(b)) => std::ptr::eq(a, b),
-            _ => false,
-        }
-    }
-}
-
-/// One activation record: a node that has begun and not finished, and
-/// which of its children is running ([`child`]). The operands it has
-/// gathered sit on the machine's value stack. Literals, variables,
-/// `break`/`continue` and a bare `return` finish the moment they begin and
-/// never get a record.
+/// One activation record: a node of the image that has begun and not
+/// finished, and how far it has got. That is all a parked program's
+/// control state is — indices, so a record is `Copy` and resuming starts
+/// from the top record without looking at anything else. The operands a
+/// record has gathered sit on the machine's value stack. Literals,
+/// variables, `break`/`continue` and a bare `return` finish the moment they
+/// begin and never get a record.
 #[derive(Clone, Copy)]
 enum Frame {
-    /// `next` statements of the block have begun.
-    Block { next: usize },
+    /// A block: statement `next` is the next to begin, `end` is one past
+    /// its last.
+    Block { next: u32, end: u32 },
     /// A statement with one expression (`let`, assignment, `return e`,
     /// expression statement; `arm` 0) or with blocks: `if` runs its
     /// condition (0), then its then (1) or else (2) block; `while` its
     /// condition (0) and body (1); `for` its iterable (0) and body (1),
     /// with the items still to visit on the value stack, last first.
-    Stmt { arm: u8 },
+    Stmt { node: u32, arm: u8 },
     /// An operator, list literal, index expression, index assignment or
-    /// call gathering its operands in order: `next` of them have begun,
-    /// and all but the last of those are on the value stack.
-    Operands { next: usize },
+    /// call gathering its operands in order: `next` of them have begun.
+    Operands { node: u32, next: u32 },
     /// A builtin call whose host call is out; the next step brings the
     /// reply.
-    Host,
-    /// A call of `functions[i]`, whose body is running in an [`Env`] of
-    /// its own.
-    Body(usize),
-}
-
-/// What a call site's name turned out to mean, looked up once per site.
-#[derive(Clone, Copy)]
-enum Callee {
-    Builtin,
-    User(usize),
-    Unknown,
+    Host { node: u32 },
+    /// A function call whose body is running in a frame of its own, on top
+    /// of the caller's, which starts at slot `caller_base`.
+    Body { caller_base: u32 },
 }
 
 /// The operands of a node that evaluates a fixed sequence of expressions
 /// before it acts: the children of an operator or an index expression, the
 /// items of a list literal, the arguments of a call, the index and value of
 /// an index assignment. Any other node has none.
-#[derive(Clone, Copy)]
-struct Operands<'p> {
-    /// The boxed children of an operator, when there is no slice of them.
-    pair: [Option<&'p Expr>; 2],
-    items: &'p [Expr],
-}
-
-impl<'p> Operands<'p> {
-    #[inline(always)]
-    fn of(node: Node<'p>) -> Self {
-        let (pair, items): ([Option<&'p Expr>; 2], &'p [Expr]) = match node {
-            Node::Expr(e) => match &e.kind {
-                ExprKind::List(items) | ExprKind::Call(_, items) => ([None; 2], items),
-                ExprKind::Un(_, a) => ([Some(a), None], &[]),
-                ExprKind::Bin(_, a, b) | ExprKind::Index(a, b) => ([Some(a), Some(b)], &[]),
-                _ => ([None; 2], &[]),
-            },
-            Node::Stmt(Stmt {
-                kind: StmtKind::IndexAssign(_, i, e),
-                ..
-            }) => ([Some(i), Some(e)], &[]),
-            _ => ([None; 2], &[]),
-        };
-        Operands { pair, items }
-    }
-
-    /// Operand `k`; `None` past the last one.
-    #[inline(always)]
-    fn get(&self, k: usize) -> Option<&'p Expr> {
-        match self.pair[0] {
-            Some(_) => self.pair.get(k).copied().flatten(),
-            None => self.items.get(k),
+#[inline(always)]
+fn operands(node: Node) -> Run {
+    match node {
+        Node::List(run) | Node::Call(_, run) => run,
+        Node::Un(_, first) => Run { first, n: 1 },
+        Node::Bin(_, first) | Node::Index(first) | Node::IndexAssign(_, first) => {
+            Run { first, n: 2 }
         }
+        _ => Run { first: 0, n: 0 },
     }
-}
-
-/// The node of `frame`'s running child, `None` when it has none (a call
-/// waiting for the host): how a parked stack's nodes are re-derived. While
-/// it runs the machine knows the child it begins from the match arm it is
-/// in; a debug assertion holds every such choice against this function.
-fn child<'p>(program: &'p Program, node: Node<'p>, frame: Frame) -> Option<Node<'p>> {
-    Some(match (frame, node) {
-        (Frame::Operands { next }, node) => {
-            Node::Expr(Operands::of(node).get(next.checked_sub(1)?)?)
-        }
-        (Frame::Block { next }, Node::Block(stmts)) => Node::Stmt(stmts.get(next.checked_sub(1)?)?),
-        (Frame::Body(f), _) => Node::Block(&program.functions.get(f)?.body),
-        (Frame::Stmt { arm }, Node::Stmt(s)) => match (&s.kind, arm) {
-            (StmtKind::If(cond, _, _) | StmtKind::While(cond, _), 0) => Node::Expr(cond),
-            (StmtKind::If(_, then, _), 1) => Node::Block(then),
-            (StmtKind::If(_, _, els), _) => Node::Block(els),
-            (StmtKind::For(_, iter, _), 0) => Node::Expr(iter),
-            (StmtKind::While(_, body) | StmtKind::For(_, _, body), _) => Node::Block(body),
-            (
-                StmtKind::Let(_, e)
-                | StmtKind::Assign(_, e)
-                | StmtKind::Expr(e)
-                | StmtKind::Return(Some(e)),
-                _,
-            ) => Node::Expr(e),
-            _ => return None,
-        },
-        _ => return None,
-    })
 }
 
 /// The interpreter state for one program execution.
 pub struct Interpreter {
+    image: Arc<Image>,
     core: Core,
-    /// The function whose body is the root block; `None` for the top level.
-    root: Option<usize>,
     frames: Vec<Frame>,
-    /// Operands of the records in `frames`, oldest first.
+    /// Operands of the records in `frames`, oldest first — those that are
+    /// not plain variables: a variable operand stays in its slot until the
+    /// node acts (see [`gather`]).
     values: Vec<Value>,
-    /// One environment per function activation in progress, innermost last.
-    envs: Vec<Env>,
-    /// Call sites resolved so far, by the address of their node in
-    /// `core.program` (stable: the AST is behind an `Arc` and never
-    /// mutated). Looked up, never iterated.
-    callees: BTreeMap<usize, Callee>,
+    /// The variables of every function activation in progress, one frame
+    /// on top of the other; which slot a name means was settled when the
+    /// program was lowered.
+    slots: Vec<Value>,
+    /// Where the innermost activation's frame starts in `slots`.
+    base: usize,
 }
 
 impl Interpreter {
-    /// Creates an interpreter over a parsed program.
+    /// Creates an interpreter over a parsed program (lowering it: to run
+    /// one program many times, lower it once and use
+    /// [`Interpreter::from_image`]).
     pub fn new(program: Arc<Program>, limits: InterpLimits) -> Self {
+        Self::from_image(Image::shared(&program), limits)
+    }
+
+    /// Creates an interpreter over a lowered program, which it shares.
+    pub fn from_image(image: Arc<Image>, limits: InterpLimits) -> Self {
         Interpreter {
-            core: Core::new(program, limits),
-            root: None,
+            image,
+            core: Core::new(limits),
             frames: Vec::new(),
             values: Vec::new(),
-            envs: Vec::new(),
-            callees: BTreeMap::new(),
+            slots: Vec::new(),
+            base: 0,
         }
     }
 
@@ -640,28 +545,39 @@ impl Interpreter {
     /// and memory already used stay used.
     pub fn start(&mut self) {
         self.core.depth = 0;
-        self.reset(None, Env::new());
+        let (top, slots) = (self.image.top, self.image.top_slots);
+        self.reset(top, Vec::new(), slots);
     }
 
     /// Puts the machine at the beginning of a call of the top-level
     /// function `name`; fails as the call expression would.
     pub fn start_named(&mut self, name: &str, args: Vec<Value>) -> Result<(), RuntimeError> {
         let span = Span::default();
-        let program = Arc::clone(&self.core.program);
-        let Some(f) = program.functions.iter().position(|f| f.name == name) else {
-            return Err(undefined(name, span));
+        let image = Arc::clone(&self.image);
+        let Some(f) = image.function(name) else {
+            return Err(*undefined(name, span));
         };
+        let func = &image.functions[f];
         self.core.depth = 0;
-        let env = self.core.enter(&program.functions[f], args, span)?;
-        self.reset(Some(f), env);
+        self.core
+            .enter(&func.name, func.params as usize, args.len(), span)
+            .map_err(|e| *e)?;
+        self.reset(func.body, args, func.slots);
         Ok(())
     }
 
-    fn reset(&mut self, root: Option<usize>, env: Env) {
-        self.root = root;
-        self.frames = vec![Frame::Block { next: 0 }];
+    /// The root activation: its block to run, and its frame — the
+    /// arguments, then room for the rest of its `slots` variables.
+    fn reset(&mut self, body: Run, mut frame: Vec<Value>, slots: u32) {
+        self.frames.clear();
+        self.frames.push(Frame::Block {
+            next: body.first,
+            end: body.first + body.n,
+        });
         self.values.clear();
-        self.envs = vec![env];
+        frame.resize(slots as usize, Value::Nil);
+        self.slots = frame;
+        self.base = 0;
     }
 
     /// Runs until the program needs its host or is over. `reply` answers
@@ -680,18 +596,18 @@ impl Interpreter {
         reply: Option<HostResult<HostReply>>,
         answer: &mut dyn FnMut(HostCall) -> Result<HostResult<HostReply>, P>,
     ) -> Step<P> {
-        let program = Arc::clone(&self.core.program);
         let mut parked_on = None;
         let mut answer = |call| answer(call).map_err(|p| parked_on = Some(p)).ok();
-        let step = match (self.run_frames(&program, reply, &mut answer), parked_on) {
+        let step = match (self.run_frames(reply, &mut answer), parked_on) {
             (Ok(None), Some(p)) => return Step::Ask(p),
             (Ok(done), _) => Step::Done(Ok(done.unwrap_or(Value::Nil))),
-            (Err(e), _) => Step::Done(Err(e)),
+            (Err(e), _) => Step::Done(Err(*e)),
         };
         // Over, one way or the other: nothing is left to resume.
         self.frames.clear();
         self.values.clear();
-        self.envs.clear();
+        self.slots.clear();
+        self.base = 0;
         self.core.depth = 0;
         step
     }
@@ -704,330 +620,458 @@ impl Interpreter {
     /// setting `flow`, an expression by pushing its value. Returns the
     /// program's value, or `None` when `answer` declined a host call and
     /// the stack is parked on it.
-    fn run_frames<'p>(
+    fn run_frames(
         &mut self,
-        program: &'p Program,
         mut reply: Option<HostResult<HostReply>>,
         answer: &mut dyn FnMut(HostCall) -> Option<HostResult<HostReply>>,
-    ) -> Result<Option<Value>, RuntimeError> {
+    ) -> Fallible<Option<Value>> {
         let Interpreter {
+            image,
             core,
-            root,
             frames,
             values,
-            envs,
-            callees,
+            slots,
+            base,
         } = self;
-        // The parked stack's nodes, root first.
-        let mut nodes: Vec<Node<'p>> = Vec::with_capacity(frames.len() + 8);
-        let mut node = Node::Block(match *root {
-            None => &program.top,
-            Some(f) => &program.functions[f].body,
-        });
-        for &frame in frames.iter() {
-            nodes.push(node);
-            if let Some(c) = child(program, node, frame) {
-                node = c;
-            }
-        }
+        let image: &Arc<Image> = image;
+        let nodes = &image.nodes[..];
         // How the statement that finished last ended.
         let mut flow = Flow::Normal;
         // The node to begin, or `None` to resume the top record.
-        let mut begin: Option<Node<'p>> = None;
-        loop {
-            // ---- begin a node -------------------------------------------------
-            if let Some(node) = begin.take() {
-                debug_assert!(
-                    frames
-                        .last()
-                        .zip(nodes.last())
-                        .is_none_or(|(&frame, &parent)| {
-                            child(program, parent, frame).is_some_and(|c| c.is(node))
-                        }),
-                    "a record's state designates the child it begins"
-                );
-                match node {
-                    Node::Block(stmts) => {
-                        flow = Flow::Normal;
-                        if let Some(first) = stmts.first() {
-                            frames.push(Frame::Block { next: 1 });
-                            nodes.push(node);
-                            begin = Some(Node::Stmt(first));
-                        }
-                        continue;
-                    }
-                    Node::Stmt(s) => {
-                        core.burn(s.span)?;
-                        match &s.kind {
-                            StmtKind::Break => flow = Flow::Break(s.span),
-                            StmtKind::Continue => flow = Flow::Continue(s.span),
-                            StmtKind::Return(None) => flow = Flow::Return(Value::Nil),
-                            StmtKind::IndexAssign(..) => {}
-                            StmtKind::Let(_, e)
-                            | StmtKind::Assign(_, e)
-                            | StmtKind::Expr(e)
-                            | StmtKind::Return(Some(e))
-                            | StmtKind::If(e, ..)
-                            | StmtKind::For(_, e, _) => {
-                                frames.push(Frame::Stmt { arm: 0 });
-                                nodes.push(node);
-                                begin = Some(Node::Expr(e));
-                            }
-                            StmtKind::While(cond, _) => {
-                                // The first trip round the loop.
-                                core.burn(s.span)?;
-                                frames.push(Frame::Stmt { arm: 0 });
-                                nodes.push(node);
-                                begin = Some(Node::Expr(cond));
-                            }
-                        }
-                        if !matches!(s.kind, StmtKind::IndexAssign(..)) {
-                            continue;
-                        }
-                    }
-                    Node::Expr(e) => {
-                        if let Some(v) = leaf(core, current(envs), e)? {
-                            values.push(v);
-                            continue;
-                        }
-                        core.burn(e.span)?;
-                    }
+        let mut begin: Option<u32> = None;
+        // A node's record, once it turns out to need one, replaces the
+        // record it has (`recorded`) or goes on top.
+        let wait_as =
+            |frames: &mut Vec<Frame>, recorded: bool, frame: Frame| match frames.last_mut() {
+                Some(top) if recorded => *top = frame,
+                _ => frames.push(frame),
+            };
+        // Begins a block: its first statement, under a record for the rest.
+        macro_rules! begin_block {
+            ($run:expr) => {{
+                let run: Run = $run;
+                flow = Flow::Normal;
+                if run.n > 0 {
+                    frames.push(Frame::Block {
+                        next: run.first + 1,
+                        end: run.first + run.n,
+                    });
+                    begin = Some(run.first);
                 }
-                // A node with operands. It gets a record only if it has to
-                // wait: for an operand that is not a leaf, for the host,
-                // for a function's body.
-                let mut next = 0;
-                let waits_as = match gather(core, current(envs), values, node, &mut next)? {
-                    Gathered::Begin(e) => {
-                        begin = Some(Node::Expr(e));
-                        Frame::Operands { next }
-                    }
-                    Gathered::Finished => continue,
-                    Gathered::Ready => {
-                        match act(core, envs, values, callees, program, node, next)? {
-                            Acted::Finished => {
-                                if let Node::Stmt(_) = node {
-                                    flow = Flow::Normal;
+            }};
+        }
+        'turn: loop {
+            // Whichever half runs — a node begins, or the top record
+            // resumes — it ends in one of three ways: it is done with this
+            // turn of the loop (`continue 'turn`); a *statement* has the
+            // value of its expression and carries on with it (`'carry`); or
+            // a node *with operands* has some left to gather (`'operands`).
+            let (stmt, v, recorded) = 'carry: {
+                // Begins the expression of a statement: a pure one is
+                // evaluated here and now, any other has to run under a
+                // record of the statement's.
+                macro_rules! begin_expr {
+                    ($stmt:expr, $recorded:expr, $e:expr) => {{
+                        let (stmt, recorded, e): (u32, bool, u32) = ($stmt, $recorded, $e);
+                        if nodes[e as usize].pure {
+                            let v = eval_pure(core, image, &slots[*base..], e)?;
+                            break 'carry (stmt, v, recorded);
+                        }
+                        wait_as(frames, recorded, Frame::Stmt { node: stmt, arm: 0 });
+                        begin = Some(e);
+                        continue 'turn;
+                    }};
+                }
+                // `next` of the node's operands have begun, and `recorded`
+                // says whether it has a record on top of the stack yet. It
+                // gets one only if it has to wait — for an operand that is
+                // not pure, for the host, for a function's body.
+                let (id, mut next, recorded) = 'operands: {
+                    let Some(id) = begin.take() else {
+                        // ---- resume the top record: its running child has finished ---
+                        let Some(top) = frames.last_mut() else {
+                            // The root block finished: that is the program's outcome.
+                            return flow.into_result().map(Some);
+                        };
+                        match *top {
+                            Frame::Operands { node, next } => break 'operands (node, next, true),
+                            Frame::Block { next, end } => {
+                                if let (Flow::Normal, true) = (&flow, next < end) {
+                                    *top = Frame::Block {
+                                        next: next + 1,
+                                        end,
+                                    };
+                                    begin = Some(next);
+                                } else {
+                                    frames.pop();
                                 }
-                                continue;
                             }
-                            Acted::Ask(call, span) => match answer(call) {
-                                Some(reply) => {
-                                    values.push(builtins::finish(core, reply, span)?);
-                                    continue;
+                            // The statement's expression finished.
+                            Frame::Stmt { node, arm: 0 } => {
+                                let v = values.pop().expect("the expression's value");
+                                break 'carry (node, v, true);
+                            }
+                            // A block of the statement's finished.
+                            Frame::Stmt { node: id, .. } => {
+                                let Entry { node, span, .. } = nodes[id as usize];
+                                match node {
+                                    // The branch taken finished; however it
+                                    // ended, so does the `if`.
+                                    Node::If(..) => {}
+                                    Node::While(cond, _) => match flow {
+                                        Flow::Normal | Flow::Continue(_) => {
+                                            flow = Flow::Normal;
+                                            core.burn(span)?;
+                                            begin_expr!(id, true, cond);
+                                        }
+                                        Flow::Break(_) => flow = Flow::Normal,
+                                        Flow::Return(_) => {}
+                                    },
+                                    Node::For(slot, _, body) => {
+                                        let item = match (&flow, values.last_mut()) {
+                                            (Flow::Break(_) | Flow::Return(_), _) => None,
+                                            (_, Some(Value::List(items))) => items.pop(),
+                                            _ => None,
+                                        };
+                                        if let Some(item) = item {
+                                            core.burn(span)?;
+                                            slots[*base + slot as usize] = item;
+                                            begin_block!(body);
+                                            continue 'turn;
+                                        }
+                                        values.pop();
+                                        if !matches!(flow, Flow::Return(_)) {
+                                            flow = Flow::Normal;
+                                        }
+                                    }
+                                    _ => unreachable!("a block under a statement that has one"),
                                 }
-                                None => {
-                                    frames.push(Frame::Host);
-                                    nodes.push(node);
-                                    return Ok(None);
-                                }
-                            },
-                            Acted::Body(f) => {
-                                begin = Some(Node::Block(&program.functions[f].body));
-                                Frame::Body(f)
+                                frames.pop();
+                            }
+                            Frame::Host { node } => {
+                                let reply = reply
+                                    .take()
+                                    .unwrap_or_else(|| Err("resumed without a reply".to_string()));
+                                let span = nodes[node as usize].span;
+                                values.push(builtins::finish(core, reply, span)?);
+                                frames.pop();
+                            }
+                            Frame::Body { caller_base } => {
+                                slots.truncate(*base);
+                                *base = caller_base as usize;
+                                core.leave();
+                                let ended = std::mem::replace(&mut flow, Flow::Normal);
+                                values.push(ended.into_result()?);
+                                frames.pop();
                             }
                         }
+                        continue 'turn;
+                    };
+                    // ---- begin a node ----------------------------------------------------
+                    let Entry { node, span, pure } = nodes[id as usize];
+                    if pure {
+                        values.push(eval_pure(core, image, &slots[*base..], id)?);
+                        continue 'turn;
+                    }
+                    core.burn(span)?;
+                    match node {
+                        Node::List(_)
+                        | Node::Un(..)
+                        | Node::Bin(..)
+                        | Node::Index(_)
+                        | Node::Call(..)
+                        | Node::IndexAssign(..) => (id, 0, false),
+                        Node::Break => {
+                            flow = Flow::Break(span);
+                            continue 'turn;
+                        }
+                        Node::Continue => {
+                            flow = Flow::Continue(span);
+                            continue 'turn;
+                        }
+                        Node::Return(None) => {
+                            flow = Flow::Return(Value::Nil);
+                            continue 'turn;
+                        }
+                        Node::Let(_, e)
+                        | Node::Assign(_, e)
+                        | Node::Expr(e)
+                        | Node::Return(Some(e))
+                        | Node::If(e, ..)
+                        | Node::For(_, e, _) => begin_expr!(id, false, e),
+                        Node::While(cond, _) => {
+                            // The first trip round the loop.
+                            core.burn(span)?;
+                            begin_expr!(id, false, cond)
+                        }
+                        Node::Int(_)
+                        | Node::Float(_)
+                        | Node::Bool(_)
+                        | Node::Nil
+                        | Node::Str(_)
+                        | Node::Var(_)
+                        | Node::Undefined(_) => unreachable!("a leaf is pure"),
                     }
                 };
-                frames.push(waits_as);
-                nodes.push(node);
-                continue;
-            }
 
-            // ---- resume the top record: its running child has finished -------
-            let (Some(top), Some(&node)) = (frames.last_mut(), nodes.last()) else {
-                // The root block finished: that is the program's outcome.
-                return flow.into_result().map(Some);
-            };
-            match (*top, node) {
-                (Frame::Block { next }, Node::Block(stmts)) => {
-                    if let (Flow::Normal, Some(s)) = (&flow, stmts.get(next)) {
-                        *top = Frame::Block { next: next + 1 };
-                        begin = Some(Node::Stmt(s));
-                        continue;
+                // ---- a node with operands: gather them, then act -------------------
+                let Entry { node, span, .. } = nodes[id as usize];
+                match gather(core, image, &slots[*base..], values, node, &mut next)? {
+                    Gathered::Begin(operand) => {
+                        wait_as(frames, recorded, Frame::Operands { node: id, next });
+                        begin = Some(operand);
+                        continue 'turn;
                     }
-                }
-                (Frame::Stmt { arm }, Node::Stmt(s)) => match (&s.kind, arm) {
-                    (StmtKind::Let(name, _), _) => {
-                        let v = values.pop().expect("the initialiser's value");
-                        current(envs).declare(name, v);
-                        flow = Flow::Normal;
-                    }
-                    (StmtKind::Assign(name, _), _) => {
-                        let v = values.pop().expect("the assigned value");
-                        current(envs).set(name, v, s.span)?;
-                        flow = Flow::Normal;
-                    }
-                    (StmtKind::Return(_), _) => {
-                        flow = Flow::Return(values.pop().expect("the returned value"));
-                    }
-                    (StmtKind::Expr(_), _) => {
-                        values.pop();
-                        flow = Flow::Normal;
-                    }
-                    (StmtKind::If(_, then, els), 0) => {
-                        let cond = values.pop().expect("the condition's value");
-                        current(envs).push();
-                        let (arm, block) = if cond.truthy() { (1, then) } else { (2, els) };
-                        *top = Frame::Stmt { arm };
-                        begin = Some(Node::Block(block));
-                        continue;
-                    }
-                    // The branch taken finished; however it ended, so
-                    // does the `if`.
-                    (StmtKind::If(..), _) => current(envs).pop(),
-                    (StmtKind::While(_, body), 0) => {
-                        if values.pop().expect("the condition's value").truthy() {
-                            current(envs).push();
-                            *top = Frame::Stmt { arm: 1 };
-                            begin = Some(Node::Block(body));
-                            continue;
-                        }
-                        flow = Flow::Normal;
-                    }
-                    (StmtKind::While(cond, _), _) => {
-                        current(envs).pop();
-                        match flow {
-                            Flow::Normal | Flow::Continue(_) => {
+                    Gathered::Finished => {}
+                    Gathered::Ready => match act(core, image, values, slots, *base, node, span)? {
+                        Acted::Finished => {
+                            if let Node::IndexAssign(..) = node {
                                 flow = Flow::Normal;
-                                core.burn(s.span)?;
-                                *top = Frame::Stmt { arm: 0 };
-                                begin = Some(Node::Expr(cond));
-                                continue;
-                            }
-                            Flow::Break(_) => flow = Flow::Normal,
-                            Flow::Return(_) => {}
-                        }
-                    }
-                    (StmtKind::For(var, _, body), arm) => {
-                        if arm == 0 {
-                            // Visited by popping: last item first.
-                            let v = values.pop().expect("the iterable's value");
-                            let mut items = Core::iterable(v, s.span)?;
-                            items.reverse();
-                            values.push(Value::List(items));
-                            *top = Frame::Stmt { arm: 1 };
-                        } else {
-                            current(envs).pop();
-                        }
-                        let item = match (&flow, values.last_mut()) {
-                            (Flow::Break(_) | Flow::Return(_), _) => None,
-                            (_, Some(Value::List(items))) => items.pop(),
-                            _ => None,
-                        };
-                        if let Some(item) = item {
-                            flow = Flow::Normal;
-                            core.burn(s.span)?;
-                            let env = current(envs);
-                            env.push();
-                            env.declare(var, item);
-                            begin = Some(Node::Block(body));
-                            continue;
-                        }
-                        values.pop();
-                        if !matches!(flow, Flow::Return(_)) {
-                            flow = Flow::Normal;
-                        }
-                    }
-                    _ => unreachable!("a statement record on a statement with children"),
-                },
-                (Frame::Operands { mut next }, node) => {
-                    match gather(core, current(envs), values, node, &mut next)? {
-                        Gathered::Begin(e) => {
-                            *top = Frame::Operands { next };
-                            begin = Some(Node::Expr(e));
-                            continue;
-                        }
-                        Gathered::Finished => {}
-                        Gathered::Ready => {
-                            match act(core, envs, values, callees, program, node, next)? {
-                                Acted::Finished => {
-                                    if let Node::Stmt(_) = node {
-                                        flow = Flow::Normal;
-                                    }
-                                }
-                                Acted::Ask(call, span) => match answer(call) {
-                                    Some(reply) => {
-                                        values.push(builtins::finish(core, reply, span)?);
-                                    }
-                                    None => {
-                                        *top = Frame::Host;
-                                        return Ok(None);
-                                    }
-                                },
-                                Acted::Body(f) => {
-                                    *top = Frame::Body(f);
-                                    begin = Some(Node::Block(&program.functions[f].body));
-                                    continue;
-                                }
                             }
                         }
+                        Acted::Ask(call) => match answer(call) {
+                            Some(reply) => values.push(builtins::finish(core, reply, span)?),
+                            None => {
+                                wait_as(frames, recorded, Frame::Host { node: id });
+                                return Ok(None);
+                            }
+                        },
+                        Acted::Body(f, callee_base) => {
+                            let caller_base = *base as u32;
+                            wait_as(frames, recorded, Frame::Body { caller_base });
+                            *base = callee_base;
+                            begin_block!(image.functions[f].body);
+                            continue 'turn;
+                        }
+                    },
+                }
+                if recorded {
+                    frames.pop();
+                }
+                continue 'turn;
+            };
+
+            // ---- a statement carries on with its expression's value `v` -----------
+            let Entry { node, span, .. } = nodes[stmt as usize];
+            match node {
+                Node::Let(slot, _) => {
+                    slots[*base + slot as usize] = v;
+                    flow = Flow::Normal;
+                }
+                Node::Assign(target, _) => {
+                    match target {
+                        Target::Slot(slot) => slots[*base + slot as usize] = v,
+                        Target::Undefined(name) => {
+                            return Err(undefined(&image.strings[name as usize], span))
+                        }
                     }
+                    flow = Flow::Normal;
                 }
-                (Frame::Host, Node::Expr(e)) => {
-                    let reply = reply
-                        .take()
-                        .unwrap_or_else(|| Err("resumed without a reply".to_string()));
-                    values.push(builtins::finish(core, reply, e.span)?);
+                Node::Return(_) => flow = Flow::Return(v),
+                Node::Expr(_) => flow = Flow::Normal,
+                Node::If(_, then, els) => {
+                    let (arm, block) = if v.truthy() { (1, then) } else { (2, els) };
+                    wait_as(frames, recorded, Frame::Stmt { node: stmt, arm });
+                    begin_block!(block);
+                    continue 'turn;
                 }
-                (Frame::Body(_), _) => {
-                    envs.pop();
-                    core.leave();
-                    let ended = std::mem::replace(&mut flow, Flow::Normal);
-                    values.push(ended.into_result()?);
+                Node::While(_, body) => {
+                    if v.truthy() {
+                        wait_as(frames, recorded, Frame::Stmt { node: stmt, arm: 1 });
+                        begin_block!(body);
+                        continue 'turn;
+                    }
+                    flow = Flow::Normal;
                 }
-                _ => unreachable!("a record sits on the kind of node that began it"),
+                Node::For(..) => {
+                    // Visited by popping: last item first.
+                    let mut items = Core::iterable(v, span)?;
+                    items.reverse();
+                    values.push(Value::List(items));
+                    // As if a body had just finished: on to the first item,
+                    // if there is one.
+                    wait_as(frames, recorded, Frame::Stmt { node: stmt, arm: 1 });
+                    continue 'turn;
+                }
+                _ => unreachable!("a value for a statement that has an expression"),
             }
-            // The top record is finished.
-            frames.pop();
-            nodes.pop();
+            if recorded {
+                frames.pop();
+            }
         }
     }
 }
 
+/// Evaluates a pure expression (`Entry::pure`) in one go, recursively: the
+/// tree-walk, over the arena. Fuel burns, memory is charged and errors
+/// arise node by node in the order the machine's records would have it.
+fn eval_pure(core: &mut Core, image: &Arc<Image>, frame: &[Value], id: u32) -> Fallible<Value> {
+    let Entry { node, span, .. } = image.nodes[id as usize];
+    core.burn(span)?;
+    // An operand: a variable is looked at where it lives, not copied.
+    macro_rules! operand {
+        ($id:expr) => {{
+            let id: u32 = $id;
+            let Entry { node, span, .. } = image.nodes[id as usize];
+            let operand: Cow<'_, Value> = match node {
+                Node::Var(slot) => {
+                    core.burn(span)?;
+                    Cow::Borrowed(&frame[slot as usize])
+                }
+                // The commonest literal, spared the call.
+                Node::Int(v) => {
+                    core.burn(span)?;
+                    Cow::Owned(Value::Int(v))
+                }
+                _ => Cow::Owned(eval_pure(core, image, frame, id)?),
+            };
+            operand
+        }};
+    }
+    match node {
+        Node::Int(v) => Ok(Value::Int(v)),
+        Node::Float(v) => Ok(Value::Float(v)),
+        Node::Bool(v) => Ok(Value::Bool(v)),
+        Node::Nil => Ok(Value::Nil),
+        Node::Str(s) => core.string(&image.strings[s as usize], span),
+        Node::Var(slot) => Ok(frame[slot as usize].clone()),
+        Node::Undefined(name) => Err(undefined(&image.strings[name as usize], span)),
+        Node::Un(op, a) => {
+            let v = operand!(a);
+            Core::unop(op, &v, span)
+        }
+        Node::Bin(op @ (BinOp::And | BinOp::Or), first) => {
+            // The left operand alone may decide a logical, and then the
+            // right one is never evaluated.
+            let left = operand!(first).truthy();
+            if left == (op == BinOp::Or) {
+                return Ok(Value::Bool(left));
+            }
+            Ok(Value::Bool(operand!(first + 1).truthy()))
+        }
+        Node::Bin(op, first) => {
+            let (l, r) = (operand!(first), operand!(first + 1));
+            core.binop(op, &l, &r, span)
+        }
+        Node::Index(first) => {
+            let (list, i) = (operand!(first), operand!(first + 1));
+            match list {
+                Cow::Borrowed(list) => Core::index(list, &i, span),
+                // A list made for the occasion gives its item away.
+                Cow::Owned(list) => Core::index_owned(list, &i, span),
+            }
+        }
+        Node::List(run) => {
+            let mut items = Vec::with_capacity(run.n as usize);
+            for id in run.first..run.first + run.n {
+                items.push(operand!(id).into_owned());
+            }
+            core.list(items, span)
+        }
+        Node::Call(Callee::Builtin(builtin), run) => {
+            let mut args: [Cow<'_, Value>; MAX_ARITY] = [const { Cow::Borrowed(&NIL) }; MAX_ARITY];
+            for (k, id) in (run.first..run.first + run.n).enumerate() {
+                // Arguments beyond any builtin's arity are evaluated all
+                // the same, before the call fails for having them.
+                let arg = operand!(id);
+                if let Some(place) = args.get_mut(k) {
+                    *place = arg;
+                }
+            }
+            builtins::check_arity(builtin, run.n as usize, span)?;
+            let args: [&Value; MAX_ARITY] = [&args[0], &args[1], &args[2]];
+            match builtins::begin(core, image, builtin, &args[..run.n as usize], span)? {
+                Begun::Done(v) => Ok(v),
+                Begun::Ask(_) => unreachable!("a pure builtin asks nobody"),
+            }
+        }
+        _ => unreachable!("not a pure expression"),
+    }
+}
+
 /// How far [`gather`] got.
-enum Gathered<'p> {
+enum Gathered {
     /// This operand has to run first; the record resumes when it is done.
-    Begin(&'p Expr),
-    /// Every operand is on the value stack, the last one on top.
+    Begin(u32),
+    /// Every operand has been evaluated.
     Ready,
     /// A short-circuiting `&&` / `||` was decided by its left operand: its
-    /// value is on the stack in the operand's place.
+    /// value is on the stack.
     Finished,
 }
 
 /// Gathers `node`'s operands from operand `*next` on, in order: one that
-/// is a leaf is evaluated here and now, the first that is not has to
-/// begin. The operand that finished last, if any, is on top of `values`.
+/// is pure is evaluated here and now, the first that is not has to begin.
+/// An operand's value is pushed on `values` — unless it is a plain
+/// *variable*: that one's fuel burns here, in its turn, but it is read
+/// from its slot when the node acts. Nothing can write the slot in
+/// between: only a statement of this activation could, and none runs while
+/// one of its expressions is half evaluated. That is what lets
+/// `pred(kv, toks, pos)` look at a list where it lives instead of copying
+/// it first.
 #[inline(always)]
-fn gather<'p>(
+fn gather(
     core: &mut Core,
-    env: &Env,
+    image: &Arc<Image>,
+    frame: &[Value],
     values: &mut Vec<Value>,
-    node: Node<'p>,
-    next: &mut usize,
-) -> Result<Gathered<'p>, RuntimeError> {
-    let operands = Operands::of(node);
+    node: Node,
+    next: &mut u32,
+) -> Fallible<Gathered> {
+    let run = operands(node);
     loop {
-        if let (1, Node::Expr(e), Some(left)) = (*next, node, values.last()) {
+        if let (1, Node::Bin(op @ (BinOp::And | BinOp::Or), first)) = (*next, node) {
             // The left operand alone may decide a logical, and then the
             // right one never begins.
-            if let ExprKind::Bin(op @ (BinOp::And | BinOp::Or), ..) = &e.kind {
-                let left = left.truthy();
-                if left == (*op == BinOp::Or) {
+            let in_slot = match image.nodes[first as usize].node {
+                Node::Var(slot) => Some(&frame[slot as usize]),
+                _ => None,
+            };
+            let left = in_slot
+                .or(values.last())
+                .expect("the left operand's value")
+                .truthy();
+            if left == (op == BinOp::Or) {
+                if in_slot.is_none() {
                     values.pop();
-                    values.push(Value::Bool(left));
-                    return Ok(Gathered::Finished);
                 }
+                values.push(Value::Bool(left));
+                return Ok(Gathered::Finished);
             }
         }
-        let Some(e) = operands.get(*next) else {
+        if *next >= run.n {
             return Ok(Gathered::Ready);
-        };
+        }
+        let id = run.first + *next;
         *next += 1;
-        match leaf(core, env, e)? {
-            Some(v) => values.push(v),
-            None => return Ok(Gathered::Begin(e)),
+        match image.nodes[id as usize] {
+            Entry {
+                node: Node::Var(_),
+                span,
+                ..
+            } => core.burn(span)?,
+            Entry { pure: true, .. } => values.push(eval_pure(core, image, frame, id)?),
+            _ => return Ok(Gathered::Begin(id)),
+        }
+    }
+}
+
+/// The value of operand `id` of a node that is acting: a variable's is in
+/// its slot, any other's is on the stack at `*at`, which moves on to where
+/// the next such operand's is.
+#[inline(always)]
+fn operand<'a>(
+    image: &Arc<Image>,
+    frame: &'a [Value],
+    values: &'a [Value],
+    id: u32,
+    at: &mut usize,
+) -> &'a Value {
+    match image.nodes[id as usize].node {
+        Node::Var(slot) => &frame[slot as usize],
+        _ => {
+            *at += 1;
+            &values[*at - 1]
         }
     }
 }
@@ -1036,113 +1080,130 @@ fn gather<'p>(
 enum Acted {
     /// The node is finished: an expression's value is on the stack.
     Finished,
-    /// A builtin's host call, made at this span; its value is
-    /// `builtins::finish` of the reply.
-    Ask(HostCall, Span),
-    /// A call of `functions[i]`: its environment is pushed, its body has
-    /// to run.
-    Body(usize),
+    /// A builtin's host call; its value is `builtins::finish` of the reply.
+    Ask(HostCall),
+    /// A call of `functions[i]`: its frame is set up from the slot given,
+    /// its body has to run.
+    Body(usize, usize),
 }
 
-/// Acts on a node whose `n` operands are on the value stack.
+static NIL: Value = Value::Nil;
+
+/// Acts on a node all of whose operands are evaluated: the variables among
+/// them in their slots, the values of the others on top of the stack, in
+/// order. Those are consumed; an expression's value takes their place.
 fn act(
     core: &mut Core,
-    envs: &mut Vec<Env>,
+    image: &Arc<Image>,
     values: &mut Vec<Value>,
-    callees: &mut BTreeMap<usize, Callee>,
-    program: &Program,
-    node: Node<'_>,
-    n: usize,
-) -> Result<Acted, RuntimeError> {
-    let mut pop = || values.pop().expect("an operand per child");
-    match node {
-        Node::Stmt(s) => {
-            let StmtKind::IndexAssign(name, ..) = &s.kind else {
-                unreachable!("operands on an index assignment")
+    slots: &mut Vec<Value>,
+    base: usize,
+    node: Node,
+    span: Span,
+) -> Fallible<Acted> {
+    let nodes = &image.nodes[..];
+    let is_var = |id: u32| matches!(nodes[id as usize].node, Node::Var(_));
+    let run = operands(node);
+    let ids = run.first..run.first + run.n;
+    // Where the operands on the stack start.
+    let top = values.len() - ids.clone().filter(|&id| !is_var(id)).count();
+    let mut at = top;
+    let frame = &slots[base..];
+    let value = match node {
+        Node::Un(op, a) => Core::unop(op, operand(image, frame, values, a, &mut at), span)?,
+        Node::Bin(op, first) => {
+            let l = operand(image, frame, values, first, &mut at);
+            let r = operand(image, frame, values, first + 1, &mut at);
+            match op {
+                BinOp::And | BinOp::Or => Value::Bool(r.truthy()),
+                _ => core.binop(op, l, r, span)?,
+            }
+        }
+        Node::Index(first) if is_var(first) => {
+            let list = operand(image, frame, values, first, &mut at);
+            Core::index(
+                list,
+                operand(image, frame, values, first + 1, &mut at),
+                span,
+            )?
+        }
+        Node::Index(first) => {
+            // A list made for the occasion gives its item away.
+            let list = std::mem::replace(&mut values[top], Value::Nil);
+            at += 1;
+            Core::index_owned(
+                list,
+                operand(image, frame, values, first + 1, &mut at),
+                span,
+            )?
+        }
+        Node::List(_) => {
+            let mut made = values.drain(top..);
+            let items = ids
+                .map(|id| match nodes[id as usize].node {
+                    Node::Var(slot) => frame[slot as usize].clone(),
+                    _ => made.next().expect("an operand per item"),
+                })
+                .collect();
+            drop(made);
+            core.list(items, span)?
+        }
+        Node::IndexAssign(target, first) => {
+            let i = Core::list_index(operand(image, frame, values, first, &mut at), span)?;
+            let v = match nodes[first as usize + 1].node {
+                Node::Var(slot) => frame[slot as usize].clone(),
+                _ => values.pop().expect("the assigned value"),
             };
-            let (v, i) = (pop(), pop());
-            current(envs).set_index(name, i, v, s.span)?;
-        }
-        Node::Expr(e) => match &e.kind {
-            ExprKind::Un(op, _) => {
-                let v = Core::unop(*op, pop(), e.span)?;
-                values.push(v);
-            }
-            ExprKind::Bin(op, ..) => {
-                let (r, l) = (pop(), pop());
-                values.push(match op {
-                    BinOp::And | BinOp::Or => Value::Bool(r.truthy()),
-                    _ => core.binop(*op, l, r, e.span)?,
-                });
-            }
-            ExprKind::Index(..) => {
-                let (i, base) = (pop(), pop());
-                values.push(Core::index(base, i, e.span)?);
-            }
-            ExprKind::List(_) => {
-                let items = values.split_off(values.len() - n);
-                values.push(core.list(items, e.span)?);
-            }
-            ExprKind::Call(name, _) => {
-                let args = values.split_off(values.len() - n);
-                // The callee is resolved once per call site; an unknown
-                // name fails here, when the call is made.
-                let site = std::ptr::from_ref(e) as usize;
-                let callee = *callees.entry(site).or_insert_with(|| {
-                    if builtins::is_builtin(name) {
-                        return Callee::Builtin;
-                    }
-                    let f = program.functions.iter().position(|f| f.name == *name);
-                    f.map_or(Callee::Unknown, Callee::User)
-                });
-                match callee {
-                    Callee::Builtin => match builtins::begin(core, name, args, e.span)? {
-                        Begun::Done(v) => values.push(v),
-                        Begun::Ask(call) => return Ok(Acted::Ask(call, e.span)),
-                    },
-                    Callee::User(f) => {
-                        envs.push(core.enter(&program.functions[f], args, e.span)?);
-                        return Ok(Acted::Body(f));
-                    }
-                    Callee::Unknown => return Err(undefined(name, e.span)),
+            values.truncate(top);
+            let list = match target {
+                Target::Slot(slot) => &mut slots[base + slot as usize],
+                Target::Undefined(name) => {
+                    return Err(undefined(&image.strings[name as usize], span))
                 }
+            };
+            Core::store_index(list, i, v, span)?;
+            return Ok(Acted::Finished);
+        }
+        Node::Call(Callee::Builtin(builtin), _) => {
+            builtins::check_arity(builtin, run.n as usize, span)?;
+            let mut args = [&NIL; MAX_ARITY];
+            for (arg, id) in args.iter_mut().zip(ids) {
+                *arg = operand(image, frame, values, id, &mut at);
             }
-            _ => unreachable!("operands on a node that has some"),
-        },
-        Node::Block(_) => unreachable!("operands on a block"),
-    }
-    Ok(Acted::Finished)
-}
-
-/// Evaluates `e` if it is a leaf — a literal or a variable, done the
-/// moment it begins — and says `None`, having done nothing, if it is not.
-#[inline(always)]
-fn leaf(core: &mut Core, env: &Env, e: &Expr) -> Result<Option<Value>, RuntimeError> {
-    // A literal's value costs nothing to make, so it is made before its
-    // fuel burns; a variable is looked up, and a string charged, after.
-    let v = match &e.kind {
-        ExprKind::Int(v) => Value::Int(*v),
-        ExprKind::Float(v) => Value::Float(*v),
-        ExprKind::Bool(v) => Value::Bool(*v),
-        ExprKind::Nil => Value::Nil,
-        ExprKind::Str(s) => {
-            core.burn(e.span)?;
-            return core.string(s, e.span).map(Some);
+            let begun = builtins::begin(core, image, builtin, &args[..run.n as usize], span)?;
+            values.truncate(top);
+            match begun {
+                Begun::Done(v) => v,
+                Begun::Ask(call) => return Ok(Acted::Ask(call)),
+            }
         }
-        ExprKind::Var(name) => {
-            core.burn(e.span)?;
-            return env.get(name, e.span).map(Some);
+        Node::Call(Callee::User(f), _) => {
+            let func = &image.functions[f as usize];
+            core.enter(&func.name, func.params as usize, run.n as usize, span)?;
+            // The callee's frame goes on top of the caller's: the
+            // arguments, then room for its other variables.
+            let callee_base = slots.len();
+            let mut made = values.drain(top..);
+            for id in ids {
+                let arg = match nodes[id as usize].node {
+                    Node::Var(slot) => slots[base + slot as usize].clone(),
+                    _ => made.next().expect("an operand per argument"),
+                };
+                slots.push(arg);
+            }
+            drop(made);
+            slots.resize(callee_base + func.slots as usize, Value::Nil);
+            return Ok(Acted::Body(f as usize, callee_base));
         }
-        _ => return Ok(None),
+        // An unknown name fails here, when the call is made.
+        Node::Call(Callee::Unknown(name), _) => {
+            return Err(undefined(&image.strings[name as usize], span))
+        }
+        _ => unreachable!("operands on a node that has some"),
     };
-    core.burn(e.span)?;
-    Ok(Some(v))
-}
-
-/// The environment of the innermost function activation.
-#[inline(always)]
-fn current(envs: &mut [Env]) -> &mut Env {
-    envs.last_mut().expect("an environment per activation")
+    values.truncate(top);
+    values.push(value);
+    Ok(Acted::Finished)
 }
 
 /// Parses and runs a LipScript program against an arbitrary host.

@@ -20,9 +20,12 @@
 //!   structured error — never the server.
 //! - **Threads**: `spawn("fn_name", [args...])` runs a top-level function
 //!   on a new kernel thread with its own fuel budget; `join(tid)` waits.
-//! - **Execution** ([`interp`], [`inline`]): the interpreter is a resumable
-//!   machine — [`Interpreter::step`] runs to the next host call and is
-//!   resumed with the reply — so a running program is a value. A server
+//! - **Execution** ([`image`], [`interp`], [`inline`]): a parsed program is
+//!   lowered once to an [`Image`] — a flat arena with every variable
+//!   resolved to a frame slot and every call site to its callee, shared by
+//!   every run of that source — and the interpreter is a resumable machine
+//!   over it: [`Interpreter::step`] runs to the next host call and is
+//!   resumed with the reply, so a running program is a value. A server
 //!   hands that value to the kernel as a [`LipBody`]
 //!   (`Kernel::admit_inline`) and the kernel steps it on its own thread:
 //!   a served program owns no OS thread. [`run_lip`], below, is the
@@ -74,6 +77,7 @@ pub mod ast;
 pub mod builtins;
 pub mod error;
 pub mod host;
+pub mod image;
 pub mod inline;
 pub mod interp;
 pub mod lex;
@@ -86,6 +90,7 @@ pub mod verify;
 
 pub use error::{LipError, RuntimeError};
 pub use host::{Host, HostCall, HostReply};
+pub use image::Image;
 pub use inline::LipBody;
 pub use interp::{run_lip, run_with_host, InterpLimits, Interpreter, Step};
 pub use value::Value;

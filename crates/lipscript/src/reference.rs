@@ -3,21 +3,28 @@
 //! for the tokenizer's trainer).
 //!
 //! It shares with [`crate::interp::Interpreter`] what a single operation
-//! means — [`Core`], [`Env`], the builtins — and differs in the one thing
-//! the machine changed: the order of evaluation lives in Rust's call stack
+//! means — [`Core`], the builtins — and differs in the two things the
+//! machine changed. The order of evaluation lives in Rust's call stack
 //! here, so this evaluator cannot stop at a host call, and has no
-//! activation records to get wrong. The differential suite below runs both
-//! on the same programs and demands the same result or error (kind *and*
-//! span), the same fuel and memory used, the same output and the same host
-//! calls in the same order.
+//! activation records to get wrong. And it walks the parsed tree and keeps
+//! its variables by *name*, in the [`Env`] below — a stack of scopes pushed
+//! and popped as blocks are entered and left, searched innermost first —
+//! which is the specification of scoping: the machine runs an
+//! [`Image`](crate::image::Image) whose every variable was resolved to a
+//! slot ahead of time, and has to come out the same. The differential suite
+//! below runs both on the same programs and demands the same result or
+//! error (kind *and* span), the same fuel and memory used, the same output
+//! and the same host calls in the same order.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::ast::{BinOp, Expr, ExprKind, Program, Stmt, StmtKind};
-use crate::builtins::{self, Begun};
-use crate::error::{RuntimeError, RuntimeErrorKind, Span};
+use crate::builtins::{self, Begun, Builtin};
+use crate::error::Span;
 use crate::host::Host;
-use crate::interp::{Core, Env, Flow, InterpLimits};
+use crate::image::Image;
+use crate::interp::{undefined, Core, Fallible, Flow, InterpLimits};
 use crate::value::Value;
 
 /// The random-program generator `tests/prop_verify.rs` uses, included by
@@ -26,8 +33,70 @@ use crate::value::Value;
 #[path = "../tests/arb/mod.rs"]
 mod arb;
 
+/// Lexical environment: a stack of scopes.
+struct Env {
+    scopes: Vec<BTreeMap<String, Value>>,
+}
+
+impl Env {
+    fn new() -> Self {
+        Env {
+            scopes: vec![BTreeMap::new()],
+        }
+    }
+
+    fn push(&mut self) {
+        self.scopes.push(BTreeMap::new());
+    }
+
+    fn pop(&mut self) {
+        self.scopes.pop();
+    }
+
+    fn declare(&mut self, name: &str, v: Value) {
+        self.scopes
+            .last_mut()
+            .expect("at least one scope")
+            .insert(name.to_string(), v);
+    }
+
+    /// Reads a variable; unknown names fail at `span`.
+    fn get(&self, name: &str, span: Span) -> Fallible<Value> {
+        self.scopes
+            .iter()
+            .rev()
+            .find_map(|s| s.get(name))
+            .cloned()
+            .ok_or_else(|| undefined(name, span))
+    }
+
+    /// Overwrites a declared variable; unknown names fail at `span`.
+    fn set(&mut self, name: &str, v: Value, span: Span) -> Fallible<()> {
+        *self.slot(name, span)? = v;
+        Ok(())
+    }
+
+    fn slot(&mut self, name: &str, span: Span) -> Fallible<&mut Value> {
+        self.scopes
+            .iter_mut()
+            .rev()
+            .find_map(|s| s.get_mut(name))
+            .ok_or_else(|| undefined(name, span))
+    }
+
+    /// `name[i] = v` on a declared list.
+    fn set_index(&mut self, name: &str, i: Value, v: Value, span: Span) -> Fallible<()> {
+        let i = Core::list_index(&i, span)?;
+        Core::store_index(self.slot(name, span)?, i, v, span)
+    }
+}
+
 /// The tree-walker.
 pub(crate) struct Reference {
+    program: Arc<Program>,
+    /// What `spawn` hands a new thread; this evaluator itself never looks
+    /// inside it.
+    image: Arc<Image>,
     core: Core,
     /// Every host call made, in order, as `Debug` text.
     pub(crate) calls: Vec<String>,
@@ -36,7 +105,9 @@ pub(crate) struct Reference {
 impl Reference {
     pub(crate) fn new(program: Arc<Program>, limits: InterpLimits) -> Self {
         Reference {
-            core: Core::new(program, limits),
+            image: Image::shared(&program),
+            core: Core::new(limits),
+            program,
             calls: Vec::new(),
         }
     }
@@ -50,8 +121,8 @@ impl Reference {
     }
 
     /// Runs the program's top-level statements.
-    pub(crate) fn run(&mut self, host: &mut dyn Host) -> Result<Value, RuntimeError> {
-        let program = Arc::clone(&self.core.program);
+    pub(crate) fn run(&mut self, host: &mut dyn Host) -> Fallible<Value> {
+        let program = Arc::clone(&self.program);
         let mut env = Env::new();
         self.exec_block(&program.top, &mut env, host)?.into_result()
     }
@@ -62,7 +133,7 @@ impl Reference {
         host: &mut dyn Host,
         name: &str,
         args: Vec<Value>,
-    ) -> Result<Value, RuntimeError> {
+    ) -> Fallible<Value> {
         self.call_function(name, args, Span::default(), host)
     }
 
@@ -72,26 +143,24 @@ impl Reference {
         args: Vec<Value>,
         span: Span,
         host: &mut dyn Host,
-    ) -> Result<Value, RuntimeError> {
-        let program = Arc::clone(&self.core.program);
+    ) -> Fallible<Value> {
+        let program = Arc::clone(&self.program);
         let Some(def) = program.function(name) else {
-            return Err(RuntimeError::new(
-                RuntimeErrorKind::Undefined(name.to_string()),
-                span,
-            ));
+            return Err(undefined(name, span));
         };
-        let mut env = self.core.enter(def, args, span)?;
+        self.core
+            .enter(&def.name, def.params.len(), args.len(), span)?;
+        // A function sees its parameters and nothing else.
+        let mut env = Env::new();
+        for (p, a) in def.params.iter().zip(args) {
+            env.declare(p, a);
+        }
         let result = self.exec_block(&def.body, &mut env, host);
         self.core.leave();
         result?.into_result()
     }
 
-    fn exec_block(
-        &mut self,
-        stmts: &[Stmt],
-        env: &mut Env,
-        host: &mut dyn Host,
-    ) -> Result<Flow, RuntimeError> {
+    fn exec_block(&mut self, stmts: &[Stmt], env: &mut Env, host: &mut dyn Host) -> Fallible<Flow> {
         for s in stmts {
             match self.exec_stmt(s, env, host)? {
                 Flow::Normal => {}
@@ -101,12 +170,7 @@ impl Reference {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(
-        &mut self,
-        stmt: &Stmt,
-        env: &mut Env,
-        host: &mut dyn Host,
-    ) -> Result<Flow, RuntimeError> {
+    fn exec_stmt(&mut self, stmt: &Stmt, env: &mut Env, host: &mut dyn Host) -> Fallible<Flow> {
         self.core.burn(stmt.span)?;
         match &stmt.kind {
             StmtKind::Let(name, e) => {
@@ -185,12 +249,7 @@ impl Reference {
         }
     }
 
-    fn eval(
-        &mut self,
-        expr: &Expr,
-        env: &mut Env,
-        host: &mut dyn Host,
-    ) -> Result<Value, RuntimeError> {
+    fn eval(&mut self, expr: &Expr, env: &mut Env, host: &mut dyn Host) -> Fallible<Value> {
         self.core.burn(expr.span)?;
         match &expr.kind {
             ExprKind::Int(v) => Ok(Value::Int(*v)),
@@ -208,7 +267,7 @@ impl Reference {
             }
             ExprKind::Un(op, e) => {
                 let v = self.eval(e, env, host)?;
-                Core::unop(*op, v, expr.span)
+                Core::unop(*op, &v, expr.span)
             }
             ExprKind::Bin(op @ (BinOp::And | BinOp::Or), l, r) => {
                 // Short-circuit logicals.
@@ -221,22 +280,24 @@ impl Reference {
             ExprKind::Bin(op, l, r) => {
                 let lv = self.eval(l, env, host)?;
                 let rv = self.eval(r, env, host)?;
-                self.core.binop(*op, lv, rv, expr.span)
+                self.core.binop(*op, &lv, &rv, expr.span)
             }
             ExprKind::Index(e, idx) => {
                 let base = self.eval(e, env, host)?;
                 let i = self.eval(idx, env, host)?;
-                Core::index(base, i, expr.span)
+                Core::index_owned(base, &i, expr.span)
             }
             ExprKind::Call(name, args) => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     vals.push(self.eval(a, env, host)?);
                 }
-                if !builtins::is_builtin(name) {
+                let Some(builtin) = Builtin::from_name(name) else {
                     return self.call_function(name, vals, expr.span, host);
-                }
-                match builtins::begin(&mut self.core, name, vals, expr.span)? {
+                };
+                builtins::check_arity(builtin, vals.len(), expr.span)?;
+                let vals: Vec<&Value> = vals.iter().collect();
+                match builtins::begin(&mut self.core, &self.image, builtin, &vals, expr.span)? {
                     Begun::Done(v) => Ok(v),
                     Begun::Ask(call) => {
                         self.calls.push(format!("{call:?}"));
@@ -304,8 +365,9 @@ mod tests {
     }
 
     /// The machine, parked on *every* host call and resumed with the reply:
-    /// each call costs it a trip through `child`, which the blocking driver
-    /// never takes.
+    /// each call leaves its activation records, slots and operands behind
+    /// as a value and picks them up again, which the blocking driver never
+    /// does.
     fn by_machine(program: &Arc<Program>, limits: InterpLimits, entry: Entry) -> Outcome {
         let mut host = mock();
         let mut machine = Interpreter::new(Arc::clone(program), limits);
@@ -583,6 +645,173 @@ mod tests {
         ] {
             let out = agree_under_all_limits(src, Entry::Top);
             assert!(out.result.starts_with("Err("), "{src}: {}", out.result);
+        }
+    }
+
+    /// What resolving variables to slots ahead of time can get wrong, each
+    /// against the environment that looks names up as it goes.
+    #[test]
+    fn variables_resolve_as_the_environment_would_find_them() {
+        let ok = |src: &str, want: &str| {
+            let out = agree_under_all_limits(src, Entry::Top);
+            assert_eq!(out.result, want, "{src}");
+        };
+        // Shadowing in nested blocks, and the outer binding back in sight
+        // (and unchanged) when each block closes.
+        ok(
+            r#"
+            let x = 1;
+            let seen = [x];
+            if (x) {
+                let x = x + 10;
+                seen = push(seen, x);
+                while (x < 13) {
+                    let x = x * 100;
+                    seen = push(seen, x);
+                    break;
+                }
+                x = x + 1;
+                seen = push(seen, x);
+            }
+            return push(seen, x);
+            "#,
+            "Ok(List([Int(1), Int(11), Int(1100), Int(12), Int(1)]))",
+        );
+        // A read before a `let` of the same block sees the outer binding —
+        // also inside the `let`'s own initialiser — and so does a write.
+        ok(
+            r#"
+            let x = 1;
+            let out = [];
+            if (true) {
+                out = push(out, x);
+                x = x + 1;
+                let x = x * 10;
+                out = push(out, x);
+                x = x + 1;
+                out = push(out, x);
+            }
+            return push(out, x);
+            "#,
+            "Ok(List([Int(1), Int(20), Int(21), Int(2)]))",
+        );
+        // A `let` in a loop body is declared anew every time round: what an
+        // iteration reads before it is the outer binding, never the last
+        // iteration's.
+        ok(
+            r#"
+            let acc = 0;
+            let seen = [];
+            for i in range(0, 3) {
+                seen = push(seen, acc);
+                let acc = acc + i + 100;
+                seen = push(seen, acc);
+            }
+            let n = 0;
+            while (n < 2) {
+                let n2 = n + 1;
+                seen = push(seen, n2);
+                let n2 = n2 * 2;
+                n = n2;
+            }
+            return push(seen, acc);
+            "#,
+            "Ok(List([Int(0), Int(100), Int(0), Int(101), Int(0), Int(102), Int(1), Int(0)]))",
+        );
+        // Re-declaration in one scope, a loop variable re-declared by its
+        // own body, a parameter re-declared, two parameters of one name.
+        ok(
+            r#"
+            fn f(a, a) { let a = a + 1; let a = a * 2; return a; }
+            let v = 1;
+            let v = v + 1;
+            let v = [v, v];
+            let out = [];
+            for v in v { let v = v * 5; out = push(out, v); }
+            return [v, out, f(100, 3)];
+            "#,
+            "Ok(List([List([Int(2), Int(2)]), List([Int(10), Int(10)]), Int(8)]))",
+        );
+        // A slot handed out again after its block closed starts from what
+        // the new `let` puts there, whatever the old one left.
+        ok(
+            r#"
+            if (true) { let a = [1, 2, 3]; let b = "left behind"; }
+            if (true) { let c = 7; if (c) { let d = c + 1; return [c, d]; } }
+            "#,
+            "Ok(List([Int(7), Int(8)]))",
+        );
+        // A function sees its parameters and nothing else: not the top
+        // level's names, not its caller's, not its own from another call.
+        for (src, name) in [
+            ("let top = 1;\nfn f() { return top; }\nreturn f();", "top"),
+            (
+                "fn g() { return mine; }\nfn f(mine) { return g(); }\nreturn f(1);",
+                "mine",
+            ),
+            (
+                "fn f(n) { if (n) { let kept = n; return f(0); } return kept; }\nreturn f(1);",
+                "kept",
+            ),
+            (
+                "fn f() { later = 1; }\nlet later = 0;\nreturn f();",
+                "later",
+            ),
+            (
+                "fn f(xs) { ys[0] = 1; }\nlet ys = [0];\nreturn f(ys);",
+                "ys",
+            ),
+        ] {
+            let out = agree_under_all_limits(src, Entry::Top);
+            let undefined = format!("Undefined(\"{name}\")");
+            assert!(out.result.contains(&undefined), "{src}: {}", out.result);
+        }
+        // Recursion: every activation has its own frame, restored when the
+        // call returns — to the depth limit and one past it.
+        let src = r#"
+            fn fact(n) {
+                let below = 1;
+                if (n > 1) { let n1 = n - 1; below = fact(n1); }
+                return n * below;
+            }
+            fn fib(n) { if (n < 2) { return n; } let a = fib(n - 1); let b = fib(n - 2); return a + b; }
+            return [fact(DEPTH) > 0, fib(7)];
+        "#;
+        for depth in [1, 5, 63, 64, 65] {
+            let out = agree_under_all_limits(&src.replace("DEPTH", &depth.to_string()), Entry::Top);
+            assert_eq!(
+                out.result.starts_with("Ok("),
+                depth <= 64,
+                "{depth}: {}",
+                out.result
+            );
+        }
+        // An undefined read, write or call that only one branch reaches
+        // (nothing verified these programs): fine on the other branch, the
+        // same error at the same place on this one.
+        for (flag, want) in [("0", "Ok(Int(1))"), ("1", "Undefined(\"nope\")")] {
+            for stmt in [
+                "emit(str(nope));",
+                "nope = 2;",
+                "nope[0] = 2;",
+                "nope(1, 2);",
+                "let y = [1, nope];",
+            ] {
+                let src = format!("let x = 1;\nif ({flag}) {{ {stmt} }}\nreturn x;");
+                let out = agree_under_all_limits(&src, Entry::Top);
+                assert!(out.result.contains(want), "{src}: {}", out.result);
+            }
+        }
+        // The same where the name exists, but not *yet*, or not *here*.
+        for src in [
+            "if (true) { let inner = 1; }\nreturn inner;",
+            "for i in [1] { }\nreturn i;",
+            "let a = a;",
+            "return later;\nlet later = 1;",
+            "while (true) { if (true) { let deep = 1; } return deep; }",
+        ] {
+            let out = agree_under_all_limits(src, Entry::Top);
+            assert!(out.result.contains("Undefined("), "{src}: {}", out.result);
         }
     }
 

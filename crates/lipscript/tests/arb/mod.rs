@@ -9,8 +9,16 @@ use proptest::prelude::*;
 use symphony_lipscript::ast::{BinOp, Expr, ExprKind, FnDef, Program, Stmt, StmtKind, UnOp};
 
 fn arb_ident() -> impl Strategy<Value = String> {
-    // Avoid keywords and builtin collisions by prefixing.
-    "[a-z]{1,4}".prop_map(|s| format!("v_{s}"))
+    // Avoid keywords and builtin collisions by prefixing. Most names come
+    // from a pool of four, so that they collide: shadowing, re-declaration,
+    // a read before and after a `let` of its name, a function called like
+    // a variable — whatever resolving names ahead of time could get wrong
+    // and looking them up as the program runs cannot. One in five is fresh
+    // (and so, most likely, undefined where it is read).
+    prop_oneof![
+        4 => "[a-d]".prop_map(|s| format!("v_{s}")),
+        1 => "[a-z]{1,4}".prop_map(|s| format!("v_{s}")),
+    ]
 }
 
 /// A small pool of builtin names so generated calls sometimes hit real

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use symphony::telemetry::EventKind;
 use symphony::{ExitStatus, Kernel, Pid, SessionEvent, SimTime, SysError};
-use symphony_lipscript::{parse::parse, verify::verify, InterpLimits, LipBody};
+use symphony_lipscript::{parse::parse, verify::verify, Image, InterpLimits, LipBody};
 use symphony_rpc::{
     ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, CONN_SCOPE, DEFAULT_MAX_FRAME,
     WIRE_VERSION,
@@ -121,6 +121,70 @@ struct Conn {
     window: Option<usize>,
 }
 
+/// What the program gate makes of an admissible source text, and what the
+/// door keeps of it for the next SUBMIT of the same text: the lowered
+/// program every session of that text shares, and the verifier's cost hint
+/// for it (`None` when hints are off).
+#[derive(Clone)]
+struct Admissible {
+    image: Arc<Image>,
+    hint: Option<Option<u64>>,
+}
+
+/// Admissible programs by source text, least recently used out first.
+///
+/// Clients resubmit the same few programs with different arguments, and
+/// parsing, verifying and lowering one costs more host time than the rest
+/// of a SUBMIT put together; a hit costs a map lookup. The key is the
+/// source text itself — no hash, so two sources can never be confused —
+/// and what is shared is immutable and holds nothing of any run, so two
+/// tenants that submit the same text learn nothing of each other beyond,
+/// at most, that the second parse took less of the *host's* time (virtual
+/// time, all a program can read, is the same either way). Only admissible
+/// programs are kept: a rejection's diagnostic names the session, and a
+/// client hammering the door with garbage must not push good entries out.
+/// Bounded by [`ServeConfig::max_live_sessions`] entries — as many distinct
+/// programs as can be live at once; ordered maps and a counter for a
+/// clock, so what is evicted depends on the SUBMIT sequence alone.
+#[derive(Default)]
+struct ImageCache {
+    /// Source → what it lowered to, and the [`ImageCache::clock`] reading
+    /// when that was last handed out.
+    by_source: BTreeMap<Arc<str>, (Admissible, u64)>,
+    /// Last handed out → source: the first entry is the one to evict.
+    by_age: BTreeMap<u64, Arc<str>>,
+    clock: u64,
+}
+
+impl ImageCache {
+    fn get(&mut self, source: &str) -> Option<Admissible> {
+        let (hit, used) = self.by_source.get_mut(source)?;
+        self.clock += 1;
+        let key = self.by_age.remove(used)?;
+        self.by_age.insert(self.clock, key);
+        *used = self.clock;
+        Some(hit.clone())
+    }
+
+    /// Keeps a freshly admitted program; `true` if another had to go.
+    fn insert(&mut self, cap: usize, source: &str, admitted: &Admissible) -> bool {
+        if cap == 0 {
+            return false;
+        }
+        let evicted = self.by_source.len() >= cap;
+        if evicted {
+            if let Some((_, oldest)) = self.by_age.pop_first() {
+                self.by_source.remove(&oldest);
+            }
+        }
+        self.clock += 1;
+        let key: Arc<str> = Arc::from(source);
+        self.by_age.insert(self.clock, Arc::clone(&key));
+        self.by_source.insert(key, (admitted.clone(), self.clock));
+        evicted
+    }
+}
+
 /// The SYMR front door: owns the kernel, multiplexes connections onto it.
 pub struct ServerCore {
     kernel: Kernel,
@@ -137,6 +201,7 @@ pub struct ServerCore {
     cancel_requested: BTreeSet<u64>,
     /// Session events drained from the kernel sink, in virtual-time order.
     events: Arc<Mutex<VecDeque<SessionEvent>>>,
+    images: ImageCache,
 }
 
 impl ServerCore {
@@ -162,6 +227,7 @@ impl ServerCore {
             live_total: 0,
             cancel_requested: BTreeSet::new(),
             events,
+            images: ImageCache::default(),
         }
     }
 
@@ -304,6 +370,13 @@ impl ServerCore {
     /// Live sessions across all connections.
     pub fn live_sessions(&self) -> usize {
         self.live_total
+    }
+
+    /// Distinct sources whose lowered program the door is keeping for the
+    /// next SUBMIT of the same text; at most
+    /// [`ServeConfig::max_live_sessions`].
+    pub fn cached_images(&self) -> usize {
+        self.images.by_source.len()
     }
 
     /// Overrides one connection's output window (a transport-level
@@ -455,30 +528,13 @@ impl ServerCore {
                 format!("server at {} live sessions", self.cfg.max_live_sessions),
             ))
         } else {
-            // The program gate: parse errors stay `ProgramRejected`,
-            // verifier errors shed as `VerifyRejected` — both carry a
-            // compiler-style `name:line:col: message` detail and cost
-            // zero interpreter fuel. An admissible program's effect
-            // summary doubles as the scheduler's static cost hint.
-            match parse(source) {
-                Err(e) => Err((ErrCode::ProgramRejected, e.render(name))),
-                Ok(prog) if self.cfg.verify => {
-                    let report = verify(&prog);
-                    match report.first_error() {
-                        Some(d) => Err((ErrCode::VerifyRejected, d.render(name))),
-                        None => {
-                            if self.cfg.cost_hints {
-                                static_hint = Some(report.effects.service_estimate());
-                            }
-                            Ok(Arc::new(prog))
-                        }
-                    }
-                }
-                Ok(prog) => Ok(Arc::new(prog)),
-            }
+            self.admit_program(name, source).map(|admitted| {
+                static_hint = admitted.hint;
+                admitted.image
+            })
         };
-        let program = match admitted {
-            Ok(program) => program,
+        let image = match admitted {
+            Ok(image) => image,
             Err((code, detail)) => {
                 self.kernel
                     .metrics_registry()
@@ -513,10 +569,10 @@ impl ServerCore {
         // A SUBMIT may carry a virtual arrival floor (trace replay with
         // simulated RTT); past floors mean "now".
         let at = SimTime::from_nanos(not_before_ns.max(self.kernel.now().as_nanos()));
-        // The program parsed for the verifier is the one that runs — as a
-        // value the kernel steps on its own thread, not on a thread of its
-        // own.
-        let body = Box::new(LipBody::new(program, limits));
+        // The program the verifier saw is the one that runs — as a value
+        // the kernel steps on its own thread, not on a thread of its own,
+        // over an image it shares with every session of the same source.
+        let body = Box::new(LipBody::from_image(image, limits));
         let pid = self.kernel.admit_inline(name, args, Some(at), body);
         if let Some(hint) = static_hint {
             self.kernel.set_cost_hint(pid, hint);
@@ -544,6 +600,43 @@ impl ServerCore {
                 pid: pid.0,
             },
         );
+    }
+
+    /// The program gate: parse errors stay `ProgramRejected`, verifier
+    /// errors shed as `VerifyRejected` — both carry a compiler-style
+    /// `name:line:col: message` detail and cost zero interpreter fuel. An
+    /// admissible program's effect summary doubles as the scheduler's
+    /// static cost hint. A source admitted before and still in the
+    /// [`ImageCache`] skips all of it.
+    fn admit_program(&mut self, name: &str, source: &str) -> Result<Admissible, (ErrCode, String)> {
+        let metrics = self.kernel.metrics_registry();
+        if let Some(hit) = self.images.get(source) {
+            metrics.counter("serve.image_cache.hits").inc();
+            return Ok(hit);
+        }
+        metrics.counter("serve.image_cache.misses").inc();
+        let program = parse(source).map_err(|e| (ErrCode::ProgramRejected, e.render(name)))?;
+        let mut hint = None;
+        if self.cfg.verify {
+            let report = verify(&program);
+            if let Some(d) = report.first_error() {
+                return Err((ErrCode::VerifyRejected, d.render(name)));
+            }
+            if self.cfg.cost_hints {
+                hint = Some(report.effects.service_estimate());
+            }
+        }
+        let admitted = Admissible {
+            image: Image::shared(&program),
+            hint,
+        };
+        if self
+            .images
+            .insert(self.cfg.max_live_sessions, source, &admitted)
+        {
+            metrics.counter("serve.image_cache.evictions").inc();
+        }
+        Ok(admitted)
     }
 
     fn handle_cancel(&mut self, conn: u64, session: u64) {

@@ -14,7 +14,7 @@ use symphony::{
     BatchPolicy, ContinuousConfig, ExecMode, ExitStatus, Kernel, KernelConfig, Pid, SimDuration,
     SysError, TimedEvent, ToolOutcome, ToolSpec,
 };
-use symphony_lipscript::{parse::parse, run_lip, InterpLimits, LipBody};
+use symphony_lipscript::{parse::parse, run_lip, Image, InterpLimits, LipBody};
 use symphony_serve::replay::{agent_source, rag_source, standard_kernel};
 
 /// symbench's `rag_churn` publisher (`benchmark/src/workload.rs`).
@@ -183,6 +183,59 @@ fn inline_and_hosted_runs_are_indistinguishable() {
                 assert_eq!(a, b, "{what}: event {i}");
             }
         }
+    }
+}
+
+/// Two sessions stepped from one shared image, interleaved with two from
+/// parses of their own, against the same four all from parses of their
+/// own: what the door's image cache does to a run is nothing anybody can
+/// see — the same events, outputs and usage.
+#[test]
+fn sessions_sharing_one_image_are_indistinguishable_from_private_parses() {
+    let run = |share: bool| {
+        let mut cfg = KernelConfig::for_tests();
+        cfg.telemetry = true;
+        cfg.exec = ExecMode::Continuous(ContinuousConfig::default());
+        cfg.syscall_cost = SimDuration::from_micros(2);
+        let mut kernel = serving_kernel(cfg);
+        let limits = InterpLimits::default();
+        let agent = agent_source(3, 8);
+        let image = Image::shared(&parse(&agent).expect("parses"));
+        let jobs = [
+            ("agent-1", "what is a lip?", agent.clone(), true),
+            ("rag-1", "1|how do kv files fork?", rag_source(10), false),
+            ("agent-2", "serve programs, not prompts", agent, true),
+            ("parallel", "", PARALLEL.to_string(), false),
+        ];
+        let pids: Vec<Pid> = jobs
+            .iter()
+            .map(|(name, args, src, shareable)| {
+                let body = if share && *shareable {
+                    LipBody::from_image(Arc::clone(&image), limits)
+                } else {
+                    LipBody::new(Arc::new(parse(src).expect("parses")), limits)
+                };
+                kernel.admit_inline(name, args, None, Box::new(body))
+            })
+            .collect();
+        assert_eq!(kernel.run(), jobs.len());
+        // The two sharers are done with the image; only this test holds it.
+        assert_eq!(Arc::strong_count(&image), 1);
+        let sessions: Vec<_> = pids
+            .iter()
+            .map(|&pid| {
+                let rec = kernel.record(pid).expect("record kept until reaped");
+                assert!(rec.status.is_ok() && !rec.output.is_empty(), "{rec:?}");
+                (rec.output.clone(), rec.status.clone(), rec.usage)
+            })
+            .collect();
+        (kernel.telemetry_events().to_vec(), sessions)
+    };
+    let (shared, private) = (run(true), run(false));
+    assert_eq!(shared.1, private.1);
+    assert_eq!(shared.0.len(), private.0.len());
+    for (i, (a, b)) in shared.0.iter().zip(&private.0).enumerate() {
+        assert_eq!(a, b, "event {i}");
     }
 }
 
