@@ -42,6 +42,11 @@ struct Row {
     latency_p50_ms: f64,
     latency_p99_ms: f64,
     streamed_tokens: u64,
+    /// GPU batches the cell's kernel ran, and the `pred`s each carried on
+    /// average (`requests_ok / batches`): low `mean_batch` under a busy GPU
+    /// is live sequences taking turns instead of sharing iterations.
+    gpu_batches: u64,
+    mean_batch: f64,
 }
 
 fn ms(ns: Option<u64>) -> f64 {
@@ -76,6 +81,7 @@ fn run_cell(
     let core = ServerCore::new(standard_kernel(kcfg), serve_cfg);
     let (report, core) = run_replay_on(&spec, core);
     let shed: usize = report.sheds().values().sum();
+    let gpu = core.kernel().gpu_metrics();
     let row = Row {
         workload: match workload {
             WorkloadKind::Agent => "agent".into(),
@@ -92,6 +98,8 @@ fn run_cell(
         latency_p50_ms: ms(report.latency_p(50.0)),
         latency_p99_ms: ms(report.latency_p(99.0)),
         streamed_tokens: report.streamed_tokens(),
+        gpu_batches: gpu.batches,
+        mean_batch: gpu.requests_ok as f64 / gpu.batches.max(1) as f64,
     };
     (row, core)
 }
@@ -116,6 +124,8 @@ pub(super) fn run(args: &ExpArgs) -> Report {
             "ttft p99",
             "lat p50",
             "lat p99",
+            "batches",
+            "mean batch",
         ],
     );
     let mut rows: Vec<Row> = Vec::new();
@@ -147,6 +157,8 @@ pub(super) fn run(args: &ExpArgs) -> Report {
                     format!("{:.2} ms", row.ttft_p99_ms),
                     format!("{:.2} ms", row.latency_p50_ms),
                     format!("{:.2} ms", row.latency_p99_ms),
+                    row.gpu_batches.to_string(),
+                    format!("{:.2}", row.mean_batch),
                 ]);
                 rows.push(row);
                 if is_designated {
@@ -167,6 +179,8 @@ pub(super) fn run(args: &ExpArgs) -> Report {
             "shed",
             "ttft p99",
             "lat p99",
+            "batches",
+            "mean batch",
         ],
     );
     let rag_sessions = if args.smoke { 12 } else { 48 };
@@ -180,6 +194,8 @@ pub(super) fn run(args: &ExpArgs) -> Report {
             row.shed.to_string(),
             format!("{:.2} ms", row.ttft_p99_ms),
             format!("{:.2} ms", row.latency_p99_ms),
+            row.gpu_batches.to_string(),
+            format!("{:.2}", row.mean_batch),
         ]);
         rows.push(row);
     }

@@ -208,17 +208,24 @@ struct LoopPreset {
     manages_residency: bool,
 }
 
-/// When an idle GPU with work waiting may start an iteration.
+/// When an idle GPU with work waiting may start an iteration. Either gate
+/// is asked once per virtual instant, after the thread level has run dry
+/// (`maybe_launch_iteration`): `pred`s that pool at one instant are seen
+/// together, by whichever gate.
 enum LaunchGate {
-    /// When the [`BatchPolicy`] says the pool is worth closing.
+    /// When the [`BatchPolicy`] says the pool is worth closing. The policy
+    /// looks at the pool only: a thread still on the CPU at a *later*
+    /// instant (non-zero syscall cost, staggered arrivals) is not waited
+    /// for.
     Batch(BatchGate),
     /// When no LIP thread is runnable ([`threads_parked_gate`]). Sampling
     /// runs in the LIP, so the threads an iteration just woke are on the
     /// CPU for a few syscalls before their next `pred` pools; launching
     /// ahead of them would leave with whoever was already queued and split
     /// the live sequences into two cohorts that take turns. At zero
-    /// per-syscall cost the whole cascade is one virtual instant and the
-    /// gate reduces to "the current instant has drained".
+    /// per-syscall cost the whole cascade is one virtual instant, no thread
+    /// is runnable once it has drained, and this gate is
+    /// `Batch(Immediate)`.
     ThreadsParked,
 }
 
@@ -966,6 +973,9 @@ impl Kernel {
             if self.crashed.is_some() {
                 break;
             }
+            // The ready queue is empty: the GPU level may decide, if this
+            // was the instant's last event. Otherwise the next pop is at
+            // `now` too and this line is reached again after it.
             self.maybe_launch_iteration();
             if !self.ready.is_empty() {
                 continue;
@@ -1162,14 +1172,18 @@ impl Kernel {
             return;
         }
         let now = self.events.now();
+        // One launch decision per virtual instant, whatever the gate: `run`
+        // calls this with the ready queue drained, and while an event is
+        // still due at `now` the thread level has not run dry — replies and
+        // syscalls cascade at one instant, and a gate asked mid-cascade
+        // would split `pred`s that arrived together. No timer is needed:
+        // `run` pops that event next and comes straight back here.
+        if self.events.peek_time() == Some(now) {
+            return;
+        }
         let runnable = self.ready.len() + self.on_cpu;
         let verdict = match &self.preset.gate {
             LaunchGate::ThreadsParked => {
-                // Replies and syscalls at zero cost cascade at one instant;
-                // launching mid-cascade would fragment same-time arrivals.
-                if self.events.peek_time() == Some(now) {
-                    return;
-                }
                 let idle_since = *self.idle_since.get_or_insert(now);
                 threads_parked_gate(now, runnable, Some(idle_since), self.last_iteration)
             }

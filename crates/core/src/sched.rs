@@ -9,6 +9,11 @@
 //! spans that trade-off, including the paper's adaptive policy that sizes
 //! the wait from the observed `pred` arrival rate (a Poisson-process view
 //! of syscall arrivals).
+//!
+//! Whatever the preset, the kernel asks its gate once per virtual instant,
+//! after the thread level has run dry (ready queue empty and no event left
+//! at `now`): `pred`s that pool at one instant are seen — and leave —
+//! together.
 
 use std::collections::VecDeque;
 
@@ -17,7 +22,9 @@ use symphony_sim::{IdSlab, SimDuration, SimTime};
 /// When to launch a pooled batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// Launch whenever the GPU is idle and the pool is non-empty.
+    /// Launch whenever the GPU is idle and the pool is non-empty — with the
+    /// whole pool: the gate is asked at the end of an instant, not after
+    /// its first arrival.
     Immediate,
     /// Wait until `max_batch` calls pooled or `max_wait` elapsed since the
     /// oldest pooled call.
@@ -114,8 +121,9 @@ impl BatchGate {
 
     /// Decides what an idle GPU should do with `pooled` waiting calls, the
     /// `oldest` of which joined the pool at that time (`None`: empty pool).
-    /// Idempotent: safe to call after every kernel state change and on
-    /// stale timers.
+    /// The kernel asks once per virtual instant, when everything due at
+    /// `now` has pooled, so `pooled` counts a simultaneous burst whole.
+    /// Idempotent: safe to call on stale timers.
     pub fn decide(&self, now: SimTime, pooled: usize, oldest: Option<SimTime>) -> Decision {
         let Some(oldest) = oldest else {
             return Decision::Idle;
@@ -148,9 +156,10 @@ impl BatchGate {
                 // observed rate. Cold start: until the estimator has a gap
                 // (`estimated_rate` would be `None`), launch immediately
                 // rather than guess a wait. The raw (unfloored) gap is used
-                // below so that a burst of simultaneous arrivals computes a
-                // zero fill time and launches now instead of arming a
-                // nanosecond timer.
+                // below so that a burst of simultaneous arrivals — which
+                // reaches the gate whole, so even the first burst after boot
+                // has its gap — computes a zero fill time and launches now,
+                // all of it, instead of arming a nanosecond timer.
                 let Some(gap) = self.ewma_gap else {
                     return Decision::LaunchNow;
                 };
@@ -183,8 +192,12 @@ impl BatchGate {
 /// waiting has cost more than launching without the stragglers would have,
 /// so a thread that never blocks can idle the GPU at most half the time.
 ///
-/// At zero per-syscall cost no thread is ever runnable once the current
-/// instant has drained, and the gate is [`BatchPolicy::Immediate`]'s.
+/// Like [`BatchGate::decide`] it is asked once per virtual instant, after
+/// the instant has drained. At zero per-syscall cost no thread is runnable
+/// by then, so the verdict is [`BatchPolicy::Immediate`]'s and the two
+/// presets form the same batches at the same times (pinned by
+/// `continuous_tests.rs`'s differential property test); at non-zero cost
+/// this gate alone also waits for threads due back at a *later* instant.
 /// Idempotent like [`BatchGate::decide`].
 pub fn threads_parked_gate(
     now: SimTime,

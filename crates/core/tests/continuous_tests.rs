@@ -1,6 +1,8 @@
 //! Continuous (iteration-level) batching end-to-end: the executor may
 //! change *when* tokens are computed — chunked prefill, preemption, MLFQ
-//! ordering — but never *what* any program observes.
+//! ordering — but never *what* any program observes. The last section
+//! holds the launch rule both presets share (one decision per virtual
+//! instant) and the differential test that pins where they coincide.
 
 use symphony::sampling::{self, GenOpts};
 use symphony::{
@@ -86,9 +88,10 @@ fn continuous_modes_agree_with_static_outputs() {
     assert_eq!(outputs(&kc, &pidc), want, "continuous changed outputs");
     assert_eq!(outputs(&kk, &pidk), want, "chunking changed outputs");
     // With whole-request slices on a pool that fits, the two presets differ
-    // only in their launch gate. `Immediate` leaves with whoever is queued;
-    // the continuous gate waits for the threads the last iteration woke, so
-    // it never needs more batches for the same tokens.
+    // only in their launch gate. At 1 µs per syscall `Immediate` leaves at
+    // the end of the instant with whoever is queued; the continuous gate
+    // also waits for the threads the last iteration woke, so it never needs
+    // more batches for the same tokens.
     assert!(
         kc.gpu_metrics().batches <= ks.gpu_metrics().batches,
         "unchunked continuous formed more batches ({}) than static ({})",
@@ -392,21 +395,26 @@ fn reader(
     move |ctx| {
         let doc = ctx.kv_open(&format!("doc{d}.kv"))?;
         let kv = ctx.kv_fork(doc)?;
-        decode_stamped(ctx, kv, tokens)
+        decode_stamped(ctx, kv, tokens, None)
     }
 }
 
 /// Decodes `tokens` greedy tokens on `kv`, one `pred` each, and emits the
-/// virtual time after each one (`t=<ns>` lines) behind the text.
+/// virtual time after each one (`t=<ns>` lines) behind the text. With
+/// `pause_at`, calls the `pause` tool before that token.
 fn decode_stamped(
     ctx: &mut symphony::Ctx,
     kv: symphony::FileId,
     tokens: u32,
+    pause_at: Option<u32>,
 ) -> Result<(), symphony::SysError> {
     let start = ctx.kv_next_pos(kv)?;
     let mut tok = 7u32;
     let mut stamps = String::new();
     for pos in start..start + tokens {
+        if pause_at == Some(pos - start) {
+            ctx.call_tool("pause", "")?;
+        }
         let dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
         tok = dist.argmax();
         ctx.emit_tokens(&[tok])?;
@@ -621,9 +629,17 @@ fn paper_cost(chunk: Option<usize>) -> KernelConfig {
 
 /// A greedy decoder on a fresh file: `tokens` stamped tokens.
 fn decoder(tokens: u32) -> impl FnOnce(&mut symphony::Ctx) -> Result<(), symphony::SysError> {
+    pausing_decoder(tokens, None)
+}
+
+/// [`decoder`] that calls the `pause` tool before the token at `pause_at`.
+fn pausing_decoder(
+    tokens: u32,
+    pause_at: Option<u32>,
+) -> impl FnOnce(&mut symphony::Ctx) -> Result<(), symphony::SysError> {
     move |ctx| {
         let kv = ctx.kv_create()?;
-        decode_stamped(ctx, kv, tokens)
+        decode_stamped(ctx, kv, tokens, pause_at)
     }
 }
 
@@ -643,22 +659,40 @@ fn median(mut v: Vec<u64>) -> u64 {
     v[v.len() / 2]
 }
 
+/// `(begin ns, end ns, requests)` of every batch, in launch order.
+fn batches(k: &Kernel) -> Vec<(u64, u64, u32)> {
+    let mut out: Vec<(u64, u64, u32)> = Vec::new();
+    for e in k.telemetry_events() {
+        match e.kind {
+            EventKind::BatchBegin { id, requests, .. } => {
+                assert_eq!(id as usize, out.len(), "batch ids count launches");
+                out.push((e.at.as_nanos(), u64::MAX, requests));
+            }
+            EventKind::BatchEnd { id } => out[id as usize].1 = e.at.as_nanos(),
+            _ => {}
+        }
+    }
+    assert!(out.iter().all(|b| b.1 != u64::MAX), "every batch ends");
+    out
+}
+
 /// `(batch id, requests, duration in ns)` of every iteration, in launch order.
 fn iterations(k: &Kernel) -> Vec<(u64, u32, u64)> {
-    let events = k.telemetry_events();
-    events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::BatchBegin { id, requests, .. } => {
-                let end = events
-                    .iter()
-                    .find(|d| matches!(d.kind, EventKind::BatchEnd { id: done } if done == id))
-                    .expect("every iteration ends");
-                Some((id, requests, (end.at - e.at).as_nanos()))
-            }
-            _ => None,
-        })
+    (0u64..)
+        .zip(batches(k))
+        .map(|(id, (begin, end, requests))| (id, requests, end - begin))
         .collect()
+}
+
+/// Every program's median inter-token gap is one batch time, within 10 %.
+fn assert_one_batch_per_token(k: &Kernel, pids: &[Pid], batch: u64) {
+    for &pid in pids {
+        let gap = median(gaps(&stamps(k, pid)));
+        assert!(
+            gap * 10 <= batch * 11,
+            "median inter-token gap {gap} ns is not one batch ({batch} ns)"
+        );
+    }
 }
 
 /// Median iteration time of `n` decoders running in step.
@@ -702,13 +736,7 @@ fn woken_decoders_rejoin_the_next_iteration() {
         assert_eq!(requests as usize, 2 * N, "iteration {id} left someone behind");
     }
     let iter = median(iters.iter().map(|&(_, _, d)| d).collect());
-    for &pid in &pids {
-        let gap = median(gaps(&stamps(&k, pid)));
-        assert!(
-            gap * 10 <= iter * 11,
-            "median inter-token gap {gap} ns is not one iteration ({iter} ns)"
-        );
-    }
+    assert_one_batch_per_token(&k, &pids, iter);
     // The holds are the few syscalls between `Dists` and the next `pred`.
     let (held, timeouts) = gate_holds(&k);
     assert!(held > 0, "the cohorts merged without a hold");
@@ -1055,5 +1083,313 @@ fn simultaneous_prefills_share_one_budget() {
             assert_eq!((*count, *sum), (iters.len() as u64, 4_000));
         }
         other => panic!("sched.iteration_tokens missing: {other:?}"),
+    }
+}
+
+// ---- one launch decision per virtual instant, under every gate ------------
+
+/// `for_tests()` — the configuration `symphony-serve` boots: zero syscall
+/// cost, `Static(Immediate)` — with telemetry on.
+fn immediate_traced() -> KernelConfig {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.telemetry = true;
+    cfg
+}
+
+fn register_pause(k: &mut Kernel, ms: u64) {
+    k.register_tool(
+        "pause",
+        symphony::ToolSpec::fixed(SimDuration::from_millis(ms), |_| {
+            symphony::ToolOutcome::Ok("back".into())
+        }),
+    );
+}
+
+#[test]
+fn preds_that_arrive_together_leave_together_under_immediate() {
+    // Sixteen sessions admitted at one instant reach `pred` at that same
+    // instant, one after another through the ready queue and the zero-cost
+    // reply events. `Immediate` adds no wait — the launch is at that
+    // instant — but it is decided once the instant has drained, so the
+    // batch carries all sixteen and not the first of them.
+    const N: usize = 16;
+    const TOKENS: u32 = 8;
+    let at = symphony::SimTime::ZERO + SimDuration::from_millis(1);
+    let mut k = Kernel::new(immediate_traced());
+    let pids: Vec<Pid> = (0..N)
+        .map(|i| k.schedule_process(at, &format!("d{i}"), "", decoder(TOKENS)))
+        .collect();
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    let batches = batches(&k);
+    assert_eq!(batches[0].0, at.as_nanos(), "Immediate launched late");
+    assert_eq!(
+        batches.iter().map(|b| b.2).collect::<Vec<_>>(),
+        vec![N as u32; TOKENS as usize],
+        "sixteen same-instant arrivals did not stay one batch"
+    );
+    for &pid in &pids {
+        assert_eq!(stamps(&k, pid).len(), TOKENS as usize);
+    }
+}
+
+#[test]
+fn lock_step_decoders_stay_one_cohort_under_adaptive() {
+    // E4's shape: twelve decoders on `paper_setup()` (`Static(Adaptive)`,
+    // 2 µs per syscall). Their syscalls are in lock step, so after every
+    // batch all twelve are back in `pred` at one instant, two syscalls
+    // later — and that is one launch, not one for the first thread back
+    // and another for the eleven behind it.
+    const N: usize = 12;
+    const TOKENS: u32 = 24;
+    let mut cfg = KernelConfig::paper_setup();
+    cfg.telemetry = true;
+    let mut k = Kernel::new(cfg);
+    let pids: Vec<Pid> = (0..N)
+        .map(|i| k.spawn_process(&format!("d{i}"), "", decoder(TOKENS)))
+        .collect();
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    let batches = batches(&k);
+    assert_eq!(
+        batches.iter().map(|b| b.2).collect::<Vec<_>>(),
+        vec![N as u32; TOKENS as usize],
+        "the decoders split into cohorts"
+    );
+    let batch = median(batches.iter().map(|b| b.1 - b.0).collect());
+    assert_one_batch_per_token(&k, &pids, batch);
+}
+
+#[test]
+fn cohorts_split_by_a_tool_merge_at_the_next_batch_boundary() {
+    // Eight decoders run in step until four of them call a 5 ms tool. The
+    // tool returns while the other four are on the GPU, so the callers'
+    // `pred`s wait in the pool; at the batch boundary the four just woken
+    // are back in `pred` within the same instant, and the launch decided
+    // after that instant carries all eight. Decided mid-instant it would
+    // carry the callers alone, and the two cohorts would take turns for
+    // good: two batch times per token.
+    const N: usize = 4;
+    const TOKENS: u32 = 40;
+    const PAUSE_AT: u32 = 6;
+    let mut k = Kernel::new(immediate_traced());
+    register_pause(&mut k, 5);
+    let pids: Vec<Pid> = (0..2 * N)
+        .map(|i| {
+            let pause = (i >= N).then_some(PAUSE_AT);
+            k.spawn_process(&format!("d{i}"), "", pausing_decoder(TOKENS, pause))
+        })
+        .collect();
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    let batches = batches(&k);
+    // In step, then the non-callers alone while the tool is out, then —
+    // from the first batch boundary after it returns — everyone again until
+    // the non-callers finish, ahead by the batches they ran alone.
+    let sizes: Vec<usize> = batches.iter().map(|b| b.2 as usize).collect();
+    let alone = sizes.iter().filter(|&&n| n == N).count() / 2;
+    assert!(alone > 0, "the tool never split the cohorts: {sizes:?}");
+    let together = TOKENS as usize - PAUSE_AT as usize - alone;
+    let mut want = vec![2 * N; PAUSE_AT as usize];
+    want.extend(vec![N; alone]);
+    want.extend(vec![2 * N; together]);
+    want.extend(vec![N; alone]);
+    assert_eq!(sizes, want, "the cohorts did not merge and stay merged");
+    // The callers' first batch back starts where the batch their return
+    // landed in ends: they waited for that batch and no longer.
+    let merged = PAUSE_AT as usize + alone;
+    assert_eq!(batches[merged].0, batches[merged - 1].1);
+    let batch = median(batches.iter().map(|b| b.1 - b.0).collect());
+    assert_one_batch_per_token(&k, &pids, batch);
+}
+
+#[test]
+fn a_mid_batch_arrival_waits_for_that_batch_and_no_longer() {
+    // The rule orders work inside an instant; it never holds a launch past
+    // it. A session that arrives while a batch is on the GPU leaves at that
+    // batch's end — together with the decoders the batch woke.
+    const N: usize = 4;
+    let mut probe = Kernel::new(immediate_traced());
+    for i in 0..N {
+        probe.spawn_process(&format!("d{i}"), "", decoder(16));
+    }
+    probe.run();
+    let steady = batches(&probe);
+    let (begin, end, _) = steady[3];
+    let mid = symphony::SimTime::ZERO + SimDuration::from_nanos((begin + end) / 2);
+
+    let mut k = Kernel::new(immediate_traced());
+    for i in 0..N {
+        k.spawn_process(&format!("d{i}"), "", decoder(16));
+    }
+    let late = k.schedule_process(mid, "late", "", decoder(4));
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    let batches = batches(&k);
+    assert_eq!(batches[3], steady[3], "the arrival disturbed its batch");
+    assert_eq!(
+        (batches[4].0, batches[4].2 as usize),
+        (end, N + 1),
+        "the arrival should leave at the boundary, with everyone"
+    );
+    assert_eq!(stamps(&k, late)[0], batches[4].1);
+}
+
+mod props {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn policy(which: u8) -> BatchPolicy {
+        match which {
+            0 => BatchPolicy::Immediate,
+            1 => BatchPolicy::FixedWindow {
+                max_wait: SimDuration::from_micros(700),
+                max_batch: 5,
+            },
+            _ => BatchPolicy::Adaptive {
+                target_batch: 5,
+                max_wait: SimDuration::from_micros(900),
+            },
+        }
+    }
+
+    /// A small agent or RAG session: `rounds` × (decode `decode` tokens,
+    /// then a tool round-trip), on a fresh file or on a fork of `doc0.kv`.
+    fn session(
+        rag: bool,
+        rounds: u32,
+        decode: u32,
+    ) -> impl FnOnce(&mut symphony::Ctx) -> Result<(), symphony::SysError> {
+        move |ctx| {
+            let kv = if rag {
+                let doc = ctx.kv_open("doc0.kv")?;
+                ctx.kv_fork(doc)?
+            } else {
+                let kv = ctx.kv_create()?;
+                let prompt = ctx.tokenize(&ctx.args())?;
+                ctx.pred_positions(kv, &prompt, 0)?;
+                kv
+            };
+            let mut pos = ctx.kv_next_pos(kv)?;
+            let mut tok = 7u32;
+            for round in 0..rounds {
+                for _ in 0..decode {
+                    tok = ctx.pred(kv, &[(tok, pos)])?.remove(0).argmax();
+                    ctx.emit_tokens(&[tok])?;
+                    pos += 1;
+                }
+                if round + 1 < rounds {
+                    ctx.call_tool("pause", "")?;
+                }
+            }
+            ctx.kv_remove(kv)
+        }
+    }
+
+    /// `(rag?, rounds, decode, arrival µs)` per session.
+    type Mix = Vec<(bool, u32, u32, u64)>;
+
+    fn mix() -> impl Strategy<Value = Mix> {
+        // Arrival times are drawn from a coarse grid as often as not, so
+        // several sessions do share an instant.
+        let arrival = prop_oneof![(0u64..6).prop_map(|g| g * 1_000), 0u64..6_000];
+        proptest::collection::vec((any::<bool>(), 1u32..4, 1u32..6, arrival), 1..12)
+    }
+
+    fn run_mix(mut cfg: KernelConfig, mix: &Mix, seed: u64) -> (Kernel, Vec<Pid>) {
+        cfg.seed = seed;
+        cfg.telemetry = true;
+        let mut k = Kernel::new(cfg);
+        register_pause(&mut k, 2);
+        preload_docs(&mut k, &[64], false);
+        let pids = mix
+            .iter()
+            .enumerate()
+            .map(|(i, &(rag, rounds, decode, at_us))| {
+                let at = symphony::SimTime::ZERO + SimDuration::from_micros(at_us);
+                let args = format!("session {i} asks about item {}", i * 7 % 5);
+                k.schedule_process(at, &format!("s{i}"), &args, session(rag, rounds, decode))
+            })
+            .collect();
+        k.run();
+        (k, pids)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The guard in `maybe_launch_iteration` returns without arming a
+        /// timer. That is safe because `run` pops the event it saw next and
+        /// asks again: whatever the policy, the per-syscall cost and the
+        /// arrival times, nobody is left in the pool when the event queue
+        /// runs dry — a stranded `pred` would show as a live thread — and
+        /// every session gets every token it asked for.
+        #[test]
+        fn every_gate_quiesces_with_an_empty_pool(
+            which in 0u8..3,
+            cost_us in prop_oneof![Just(0u64), Just(2u64)],
+            mix in mix(),
+            seed in 0u64..1_000,
+        ) {
+            let policy = policy(which);
+            let mut cfg = KernelConfig::for_tests();
+            cfg.exec = ExecMode::Static(policy);
+            cfg.syscall_cost = SimDuration::from_micros(cost_us);
+            let (k, pids) = run_mix(cfg, &mix, seed);
+            prop_assert_eq!(k.live_threads(), 0, "a pred was stranded in the pool");
+            for (&pid, &(_, rounds, decode, _)) in pids.iter().zip(&mix) {
+                let rec = k.record(pid).unwrap();
+                prop_assert!(rec.status.is_ok(), "{}: {:?}", rec.name, rec.status);
+                prop_assert_eq!(rec.usage.emitted_tokens, u64::from(rounds * decode));
+            }
+            // The GPU never sat idle over a waiting pred for longer than the
+            // policy's own wait cap: each batch starts no later than that
+            // after the GPU went idle or its oldest member pooled, whichever
+            // came last.
+            let cap = match policy {
+                BatchPolicy::Immediate => 0,
+                BatchPolicy::FixedWindow { max_wait, .. }
+                | BatchPolicy::Adaptive { max_wait, .. } => max_wait.as_nanos(),
+            };
+            let mut pooled: Vec<u64> = Vec::new();
+            let mut gpu_free_at = 0u64;
+            for e in k.telemetry_events() {
+                match e.kind {
+                    EventKind::PredEnqueue { .. } => pooled.push(e.at.as_nanos()),
+                    EventKind::BatchBegin { requests, .. } => {
+                        let oldest = pooled[0];
+                        pooled.drain(..requests as usize);
+                        let due = oldest.max(gpu_free_at) + cap;
+                        prop_assert!(
+                            e.at.as_nanos() <= due,
+                            "a batch left at {} ns; its oldest pred was due by {} ns",
+                            e.at.as_nanos(),
+                            due
+                        );
+                    }
+                    EventKind::BatchEnd { .. } => gpu_free_at = e.at.as_nanos(),
+                    _ => {}
+                }
+            }
+            prop_assert!(pooled.is_empty());
+        }
+
+        /// The equality docs/SCHEDULING.md states: at zero syscall cost, on
+        /// a pool that fits, `Static(Immediate)` and unchunked FIFO
+        /// continuous batching are the same loop — same batches at the same
+        /// nanoseconds with the same members, same outputs.
+        #[test]
+        fn immediate_and_unchunked_continuous_are_one_loop_at_zero_cost(
+            mix in mix(),
+            seed in 0u64..1_000,
+        ) {
+            let (ks, pids_s) = run_mix(KernelConfig::for_tests(), &mix, seed);
+            let mut cfg = KernelConfig::for_tests();
+            cfg.exec = continuous(None, QueueDiscipline::Fifo);
+            let (kc, pids_c) = run_mix(cfg, &mix, seed);
+            prop_assert_eq!(batches(&ks), batches(&kc));
+            prop_assert_eq!(outputs(&ks, &pids_s), outputs(&kc, &pids_c));
+            prop_assert_eq!(ks.now(), kc.now());
+        }
     }
 }
