@@ -126,10 +126,13 @@ impl Rule {
     }
 }
 
+/// Under a deterministic crate's `src/`, or its build script: what a
+/// build script computes is compiled into the crate (the tokenizer's
+/// default vocabulary is).
 fn in_deterministic_crate(path: &str) -> bool {
-    DETERMINISTIC_CRATES
-        .iter()
-        .any(|c| path.starts_with(&format!("crates/{c}/src/")))
+    DETERMINISTIC_CRATES.iter().any(|c| {
+        path.starts_with(&format!("crates/{c}/src/")) || path == format!("crates/{c}/build.rs")
+    })
 }
 
 /// Library code for `o1`: under a `src/` but not a binary target. Binaries
@@ -353,7 +356,8 @@ pub fn explain(rule: Rule) -> &'static str {
             "d3: no order-unstable hash collections in deterministic crates\n\
              \n\
              Matches `HashMap`/`HashSet` in crates/{core,kvfs,gpu,sim,model,\n\
-             telemetry,rpc,serve,lipscript,tokenizer}/src.\n\
+             telemetry,rpc,serve,lipscript,tokenizer}/src and those crates'\n\
+             build scripts.\n\
              \n\
              `std` hash collections iterate in a per-process random order.\n\
              Even a use that only calls `len`/`contains` today is one\n\

@@ -160,6 +160,19 @@ fn f1_flags_file_writes_outside_the_segment_log() {
 }
 
 #[test]
+fn a_deterministic_crates_build_script_is_in_scope() {
+    // What the tokenizer's build script learns is compiled into the crate,
+    // so it answers to the crate's rules; another crate's does not.
+    let writes = include_str!("fixtures/f1_raw_file_writes.rs");
+    let hashes = include_str!("fixtures/d3_hash_collections.rs");
+    let fired = |path: &str, src: &str, rule: Rule| lint(path, src).iter().any(|v| v.rule == rule);
+    assert!(fired("crates/tokenizer/build.rs", writes, Rule::F1));
+    assert!(fired("crates/tokenizer/build.rs", hashes, Rule::D3));
+    assert!(!fired("crates/bench/build.rs", writes, Rule::F1));
+    assert!(!fired("crates/tokenizer/tests/build.rs", hashes, Rule::D3));
+}
+
+#[test]
 fn suppression_with_reason_silences_without_reason_stands() {
     let src = include_str!("fixtures/suppressions.rs");
     let v = lint("crates/model/src/fixture.rs", src);

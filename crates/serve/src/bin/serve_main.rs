@@ -60,6 +60,9 @@ fn main() {
         return;
     }
     let Some(addr) = listen else { usage() };
+    // Boot before binding, so `listening on` means ready: a client that
+    // connects on it is accepted by a server that can admit at once.
+    let core = boot(cfg);
     let listener = match TcpListener::bind(&addr) {
         Ok(l) => l,
         Err(e) => {
@@ -71,17 +74,21 @@ fn main() {
         "symphony-serve: listening on {}",
         listener.local_addr().map(|a| a.to_string()).unwrap_or(addr)
     );
-    serve_loop(listener, cfg, &AtomicBool::new(false));
+    serve_loop(listener, core, &AtomicBool::new(false));
+}
+
+/// The serving kernel and its front door.
+fn boot(cfg: ServeConfig) -> ServerCore {
+    ServerCore::new(standard_kernel(KernelConfig::for_tests()), cfg)
 }
 
 /// The accept/read/pump/write loop. Runs until `stop` flips and no
 /// connection remains (the selftest uses that; the CLI runs forever).
-fn serve_loop(listener: TcpListener, cfg: ServeConfig, stop: &AtomicBool) {
+fn serve_loop(listener: TcpListener, mut core: ServerCore, stop: &AtomicBool) {
     if let Err(e) = listener.set_nonblocking(true) {
         eprintln!("symphony-serve: nonblocking: {e}");
         std::process::exit(1);
     }
-    let mut core = ServerCore::new(standard_kernel(KernelConfig::for_tests()), cfg);
     let mut socks: BTreeMap<u64, TcpStream> = BTreeMap::new();
     let mut buf = [0u8; 16 * 1024];
     loop {
@@ -160,12 +167,21 @@ fn serve_loop(listener: TcpListener, cfg: ServeConfig, stop: &AtomicBool) {
 /// In-process end-to-end check over a real socket pair.
 fn run_selftest(mut cfg: ServeConfig) {
     cfg.tenant_session_quota = 2;
-    // lint:allow(k1): selftest binds an ephemeral loopback port
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-    let addr = listener.local_addr().expect("local addr");
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
-    let server = std::thread::spawn(move || serve_loop(listener, cfg, &stop2));
+    let (addr_tx, addr_rx) = std::sync::mpsc::channel();
+    // A kernel is not `Send`: the server thread boots its own, then binds,
+    // in the CLI's order.
+    let server = std::thread::spawn(move || {
+        let core = boot(cfg);
+        // lint:allow(k1): selftest binds an ephemeral loopback port
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        // lint:allow(k1): selftest reads back the port it just bound
+        let _ = addr_tx.send(listener.local_addr().expect("local addr"));
+        serve_loop(listener, core, &stop2)
+    });
+    // lint:allow(k1): selftest thread panics are the failure signal
+    let addr = addr_rx.recv().expect("server thread bound no socket");
 
     let result = selftest_client(&addr.to_string());
     stop.store(true, Ordering::SeqCst);

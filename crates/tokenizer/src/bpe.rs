@@ -1,20 +1,26 @@
-//! BPE trainer, encoder and decoder.
+//! BPE model, encoder and decoder.
 //!
-//! Training operates on a word histogram (each distinct pre-token trained
-//! once, weighted by count) and keeps its pair statistics up to date across
-//! merges instead of recounting them, which is what lets the default
-//! vocabulary be trained eagerly at every process start. Encoding splits
-//! text into pre-tokens (a run of whitespace is glued to the following
-//! word, GPT-style) and applies merges greedily in rank order; per-word
-//! results are memoised, for up to 65 536 distinct words.
+//! A [`Bpe`] is a ranked merge list expanded into a [`Vocab`] and a pair →
+//! token table. [`Bpe::train`] learns the list (the trainer is in
+//! `train.rs`); [`Bpe::default_tokenizer`] expands the list `build.rs`
+//! learned from the default corpus, so no process trains at run time.
+//!
+//! Encoding splits text into pre-tokens (a run of whitespace is glued to
+//! the following word, GPT-style) and applies merges greedily in rank
+//! order. Per-word results are memoised, for up to 65 536 distinct words,
+//! under the word's FNV-1a hash: one scan (the trainer's pre-tokenizer, in
+//! `train.rs`) both splits the text and hashes each pre-token, and
+//! `encode` takes the memo's lock once per call, not
+//! once per word (symbench's `tokenizer.encode_ns_per_token` on
+//! `rag_churn`: 25 ns, where a lock and a SipHash per word cost 40).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 use parking_lot_shim::Mutex;
 
 use crate::corpus::CorpusGen;
+use crate::train::{self, Pair};
 use crate::vocab::{SpecialTokens, TokenId, Vocab, BYTE_TOKENS};
 
 /// Minimal internal shim so this crate stays dependency-free: a tiny wrapper
@@ -37,16 +43,45 @@ mod parking_lot_shim {
     }
 }
 
-/// Two adjacent symbols.
-type Pair = (TokenId, TokenId);
+/// The default vocabulary's merges in rank order, learned by `build.rs`
+/// with [`Bpe::train`]'s trainer from the inputs in `train.rs`.
+const DEFAULT_MERGES: &[Pair] = &include!(concat!(env!("OUT_DIR"), "/default_merges.rs"));
 
-/// Merge table: pair → (rank, merged id); lower rank merges first.
+/// Merge table: pair → merged id. Ids are assigned in rank order, so the
+/// lower id merges first.
 // lint:allow(d3): point lookups only, never iterated, so hasher order cannot reach a token id
-type Ranks = std::collections::HashMap<Pair, (u32, TokenId)>;
+type Ranks = std::collections::HashMap<Pair, TokenId>;
 
-/// Encoded-word memo, keyed by the raw pre-token bytes.
+/// Encoded-word memo: a pre-token's FNV-1a hash → the pre-token and its
+/// ids. A word whose hash another word already holds is encoded without
+/// being remembered.
 // lint:allow(d3): point lookups only, never iterated; a hit and a miss return the same ids
-type Memo = std::collections::HashMap<Vec<u8>, Vec<TokenId>>;
+type Memo = std::collections::HashMap<u64, MemoEntry, BuildHasherDefault<Prehashed>>;
+
+/// One memoised pre-token.
+#[derive(Debug)]
+struct MemoEntry {
+    word: Box<[u8]>,
+    ids: Box<[TokenId]>,
+}
+
+/// The memo's hasher: its keys already are FNV-1a hashes, passed through.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes.iter().fold(self.0, |h, &b| train::fnv_step(h, b));
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
 
 /// Most distinct words the encoder memoises. Past it a new word is encoded
 /// without being remembered, so a long-lived process that keeps meeting new
@@ -61,17 +96,6 @@ pub struct Bpe {
     cache: Mutex<Memo>,
 }
 
-/// What training knows about one adjacent pair.
-#[derive(Default)]
-struct PairStat {
-    /// Occurrences over the corpus: Σ word count × occurrences in the word.
-    count: u64,
-    /// Indices of the words that contain the pair, ascending. A word stays
-    /// listed after another merge consumed its occurrence; rewriting such
-    /// a word is a no-op.
-    words: Vec<usize>,
-}
-
 impl Bpe {
     /// Trains a BPE model on `text`, learning at most `num_merges` merges.
     ///
@@ -79,178 +103,40 @@ impl Bpe {
     /// histogram (ties break on the lexicographically smaller pair, so
     /// training is deterministic) into a new token, and training stops
     /// early once no pair occurs twice: the default corpus asks for 1 500
-    /// merges and yields 1 144.
-    ///
-    /// Pair statistics are maintained, not recomputed. One pass over the
-    /// distinct words builds the count of every pair, the list of words
-    /// containing it, and an index ordered by `(count, Reverse(pair))`.
-    /// A merge then reads the index's maximum in O(log P), rewrites only
-    /// the words listed for that pair (left to right, non-overlapping) and
-    /// applies the difference between those words' pair windows before and
-    /// after to the counts and the index. That is O(L log P) to build plus
-    /// O(t log t) per merge, for L symbols in the distinct words, P live
-    /// pairs and t symbols in the words the merge touches, where recounting
-    /// cost O(L) per merge: 4.5 ms instead of 47 ms for the default
-    /// vocabulary in a release build, 28 ms instead of 600 ms in a debug
-    /// build.
+    /// merges and yields 1 144. Pair counts are kept up to date across
+    /// merges rather than recounted (`train.rs` has the cost model).
     pub fn train(text: &str, num_merges: usize) -> Self {
-        let mut words = word_histogram(text);
-
-        let mut stats: BTreeMap<Pair, PairStat> = BTreeMap::new();
-        for (wi, (sym, count)) in words.iter().enumerate() {
-            for w in sym.windows(2) {
-                let stat = stats.entry((w[0], w[1])).or_default();
-                stat.count += count;
-                if stat.words.last() != Some(&wi) {
-                    stat.words.push(wi);
-                }
-            }
-        }
-        let mut by_count: BTreeSet<(u64, Reverse<Pair>)> = stats
-            .iter()
-            .map(|(&pair, stat)| (stat.count, Reverse(pair)))
-            .collect();
-
-        let mut merge_expansions: Vec<Vec<u8>> = Vec::with_capacity(num_merges);
-        let mut ranks = Ranks::new();
-        // Signed count changes of one merge: every pair window of a touched
-        // word, minus its weight before the rewrite and plus it after.
-        let mut deltas: Vec<(Pair, i64)> = Vec::new();
-
-        while merge_expansions.len() < num_merges {
-            let Some(&(count, Reverse(pair))) = by_count.last() else {
-                break;
-            };
-            if count < 2 {
-                break;
-            }
-            let rank = merge_expansions.len();
-            let new_id = (BYTE_TOKENS + rank) as TokenId;
-            let mut bytes = expansion_of(pair.0, &merge_expansions);
-            bytes.extend(expansion_of(pair.1, &merge_expansions));
-            merge_expansions.push(bytes);
-            ranks.insert(pair, (rank as u32, new_id));
-
-            let touched = stats
-                .get_mut(&pair)
-                .map(|stat| std::mem::take(&mut stat.words))
-                .unwrap_or_default();
-            for wi in touched {
-                let (sym, count) = &mut words[wi];
-                let weight = *count as i64;
-                deltas.extend(sym.windows(2).map(|w| ((w[0], w[1]), -weight)));
-                merge_in_place(sym, pair, new_id);
-                for w in sym.windows(2) {
-                    let p = (w[0], w[1]);
-                    deltas.push((p, weight));
-                    // Two symbols adjacent now were adjacent before unless
-                    // one of them is the new token, so only those pairs can
-                    // be new to this word; `touched` ascends, so `last`
-                    // dedups a pair that occurs twice in it.
-                    if p.0 == new_id || p.1 == new_id {
-                        let listed = &mut stats.entry(p).or_default().words;
-                        if listed.last() != Some(&wi) {
-                            listed.push(wi);
-                        }
-                    }
-                }
-            }
-
-            // Windows the rewrite left alone cancel; what remains moves the
-            // counts and the ordered index together.
-            deltas.sort_unstable_by_key(|&(p, _)| p);
-            for run in deltas.chunk_by(|a, b| a.0 == b.0) {
-                let p = run[0].0;
-                let net: i64 = run.iter().map(|&(_, d)| d).sum();
-                if net == 0 {
-                    continue;
-                }
-                let stat = stats
-                    .get_mut(&p)
-                    .expect("every window of a touched word was counted or listed above");
-                let old = stat.count;
-                stat.count = old
-                    .checked_add_signed(net)
-                    .expect("a pair is never removed more often than it was counted");
-                // Not indexed yet when the pair is new (`old == 0`).
-                by_count.remove(&(old, Reverse(p)));
-                if stat.count == 0 {
-                    // Gone for good: merges replace symbols, they never
-                    // bring two old ones together.
-                    stats.remove(&p);
-                } else {
-                    by_count.insert((stat.count, Reverse(p)));
-                }
-            }
-            deltas.clear();
-        }
-
-        Self::from_merges(merge_expansions, ranks)
+        Self::from_merges(&train::learn_merges(text, num_merges))
     }
 
-    /// The trainer [`Bpe::train`] replaced, kept as the reference its tests
-    /// compare against: recounts every pair of every word before each merge
-    /// and rescans every word after it.
-    #[cfg(test)]
-    fn train_reference(text: &str, num_merges: usize) -> Self {
-        use std::collections::HashMap;
-
-        let mut words = word_histogram(text);
-        let mut merge_expansions: Vec<Vec<u8>> = Vec::with_capacity(num_merges);
-        let mut ranks = Ranks::new();
-
-        for rank in 0..num_merges {
-            // Count adjacent pairs across all words.
-            let mut pair_counts: HashMap<Pair, u64> = HashMap::new();
-            for (sym, count) in &words {
-                for w in sym.windows(2) {
-                    *pair_counts.entry((w[0], w[1])).or_insert(0) += count;
+    /// Expands a ranked merge list into the vocabulary and the merge
+    /// table.
+    fn from_merges(merges: &[Pair]) -> Self {
+        let mut expansions: Vec<Vec<u8>> = Vec::with_capacity(merges.len());
+        let mut ranks = Ranks::with_capacity(merges.len());
+        for (rank, &pair) in merges.iter().enumerate() {
+            let mut bytes = Vec::new();
+            for id in [pair.0, pair.1] {
+                match (id as usize).checked_sub(BYTE_TOKENS) {
+                    None => bytes.push(id as u8),
+                    Some(m) => bytes.extend_from_slice(&expansions[m]),
                 }
             }
-            let best = pair_counts
-                .into_iter()
-                .filter(|&(_, c)| c >= 2)
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)));
-            let Some((pair, _)) = best else { break };
-
-            let new_id = (BYTE_TOKENS + merge_expansions.len()) as TokenId;
-            let mut bytes = expansion_of(pair.0, &merge_expansions);
-            bytes.extend(expansion_of(pair.1, &merge_expansions));
-            merge_expansions.push(bytes);
-            ranks.insert(pair, (rank as u32, new_id));
-
-            // Apply the merge to every word.
-            for (sym, _) in &mut words {
-                let mut i = 0;
-                while i + 1 < sym.len() {
-                    if sym[i] == pair.0 && sym[i + 1] == pair.1 {
-                        sym[i] = new_id;
-                        sym.remove(i + 1);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
+            expansions.push(bytes);
+            ranks.insert(pair, (BYTE_TOKENS + rank) as TokenId);
         }
-
-        Self::from_merges(merge_expansions, ranks)
-    }
-
-    fn from_merges(merge_expansions: Vec<Vec<u8>>, ranks: Ranks) -> Self {
         Bpe {
-            vocab: Vocab::new(merge_expansions),
+            vocab: Vocab::new(expansions),
             ranks,
-            cache: Mutex::new(Memo::new()),
+            cache: Mutex::new(Memo::default()),
         }
     }
 
-    /// The shared default tokenizer, trained once on the synthetic corpus.
+    /// The shared default tokenizer: the merge list `build.rs` learned,
+    /// expanded into a vocabulary by the first caller (a kernel's boot).
     pub fn default_tokenizer() -> &'static Bpe {
         static DEFAULT: OnceLock<Bpe> = OnceLock::new();
-        DEFAULT.get_or_init(|| {
-            let corpus = CorpusGen::new(0xC0FFEE).training_corpus(400);
-            Bpe::train(&corpus, 1500)
-        })
+        DEFAULT.get_or_init(|| Bpe::from_merges(DEFAULT_MERGES))
     }
 
     /// The vocabulary.
@@ -266,17 +152,19 @@ impl Bpe {
     /// Encodes text into token IDs (never emits special tokens).
     pub fn encode(&self, text: &str) -> Vec<TokenId> {
         let mut out = Vec::new();
-        for word in pretokenize(text.as_bytes()) {
-            // One lock per word, hit or miss.
-            let mut memo = self.cache.lock();
-            if let Some(hit) = memo.get(word) {
-                out.extend_from_slice(hit);
+        let mut memo = self.cache.lock();
+        for (word, hash) in train::pretokenize(text.as_bytes()) {
+            if let Some(hit) = memo.get(&hash).filter(|hit| *hit.word == *word) {
+                out.extend_from_slice(&hit.ids);
                 continue;
             }
             let ids = self.encode_word(word);
             out.extend_from_slice(&ids);
             if memo.len() < MEMO_CAP {
-                memo.insert(word.to_vec(), ids);
+                memo.entry(hash).or_insert_with(|| MemoEntry {
+                    word: word.into(),
+                    ids: ids.into_boxed_slice(),
+                });
             }
         }
         out
@@ -286,16 +174,16 @@ impl Bpe {
     fn encode_word(&self, word: &[u8]) -> Vec<TokenId> {
         let mut sym: Vec<TokenId> = word.iter().map(|&b| b as TokenId).collect();
         loop {
-            // Find the lowest-rank applicable merge.
-            let mut best: Option<(u32, usize, TokenId)> = None;
+            // Find the lowest-rank (= lowest-id) applicable merge.
+            let mut best: Option<(usize, TokenId)> = None;
             for (i, w) in sym.windows(2).enumerate() {
-                if let Some(&(rank, id)) = self.ranks.get(&(w[0], w[1])) {
-                    if best.is_none_or(|(r, _, _)| rank < r) {
-                        best = Some((rank, i, id));
+                if let Some(&id) = self.ranks.get(&(w[0], w[1])) {
+                    if best.is_none_or(|(_, b)| id < b) {
+                        best = Some((i, id));
                     }
                 }
             }
-            let Some((_, i, id)) = best else { break };
+            let Some((i, id)) = best else { break };
             sym[i] = id;
             sym.remove(i + 1);
         }
@@ -326,67 +214,46 @@ impl Bpe {
     }
 }
 
-/// Byte expansion of `id` during training, when the merges so far are all
-/// there is of the vocabulary.
-fn expansion_of(id: TokenId, merges: &[Vec<u8>]) -> Vec<u8> {
-    match (id as usize).checked_sub(BYTE_TOKENS) {
-        None => vec![id as u8],
-        Some(m) => merges[m].clone(),
+impl CorpusGen {
+    /// Generates a document with approximately `target_tokens` BPE tokens
+    /// when encoded with `bpe`, by growing paragraphs until the target is
+    /// reached and trimming the final excess at a word boundary.
+    ///
+    /// Linear in the document's length: every paragraph starts with a word
+    /// and ends with a period and the corpus has no whitespace runs, so each
+    /// paragraph and each trimmed word starts and ends on a pre-token
+    /// boundary, where encoding is additive. The document's count is then
+    /// the sum of its paragraphs' counts (each after the first with its
+    /// leading newline), and a trimmed word takes away its own count:
+    /// fig3's 100 documents of 3 000 tokens take 14 ms, where re-encoding
+    /// the whole document after each paragraph and each trimmed word took
+    /// 387 ms.
+    pub fn document_with_tokens(&mut self, bpe: &Bpe, target_tokens: usize) -> String {
+        let mut doc = String::new();
+        let mut tokens = 0;
+        loop {
+            let from = doc.len();
+            if from > 0 {
+                doc.push('\n');
+            }
+            self.write_paragraph(&mut doc, 120);
+            tokens += bpe.encode(&doc[from..]).len();
+            if tokens >= target_tokens {
+                break;
+            }
+        }
+        // Trim words until we are at or just under the target.
+        while tokens > target_tokens {
+            match doc.rfind(' ') {
+                Some(i) => {
+                    tokens -= bpe.encode(&doc[i..]).len();
+                    doc.truncate(i);
+                }
+                None => break,
+            }
+        }
+        doc
     }
-}
-
-/// Replaces every non-overlapping occurrence of `pair` in `sym`, scanning
-/// left to right, with `new_id`.
-fn merge_in_place(sym: &mut Vec<TokenId>, pair: Pair, new_id: TokenId) {
-    let (mut read, mut write) = (0, 0);
-    while read < sym.len() {
-        if read + 1 < sym.len() && (sym[read], sym[read + 1]) == pair {
-            sym[write] = new_id;
-            read += 2;
-        } else {
-            sym[write] = sym[read];
-            read += 1;
-        }
-        write += 1;
-    }
-    sym.truncate(write);
-}
-
-/// The distinct pre-tokens of `text` as symbol sequences with how often each
-/// occurs, in ascending order.
-fn word_histogram(text: &str) -> Vec<(Vec<TokenId>, u64)> {
-    // A BTreeMap would need no sort, and takes 3.0 ms on the default corpus
-    // where this takes 1.2.
-    // lint:allow(d3): drained into a Vec and sorted before anything reads it in order
-    let mut word_counts: std::collections::HashMap<&[u8], u64> = Default::default();
-    for word in pretokenize(text.as_bytes()) {
-        *word_counts.entry(word).or_insert(0) += 1;
-    }
-    let mut word_counts: Vec<(&[u8], u64)> = word_counts.into_iter().collect();
-    word_counts.sort_unstable();
-    word_counts
-        .into_iter()
-        .map(|(w, c)| (w.iter().map(|&b| b as TokenId).collect(), c))
-        .collect()
-}
-
-/// Splits bytes into pre-tokens: each pre-token is an optional whitespace run
-/// followed by a maximal non-whitespace run (or a trailing whitespace run).
-fn pretokenize(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
-    let mut i = 0;
-    std::iter::from_fn(move || {
-        if i >= bytes.len() {
-            return None;
-        }
-        let start = i;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        Some(&bytes[start..i])
-    })
 }
 
 #[cfg(test)]
@@ -476,6 +343,19 @@ mod tests {
     }
 
     #[test]
+    fn default_vocabulary_is_what_the_trainer_learns() {
+        // `build.rs` learned the table; the same trainer on the same inputs
+        // at run time must agree with it, rank for rank.
+        let corpus = CorpusGen::new(train::DEFAULT_CORPUS_SEED)
+            .training_corpus(train::DEFAULT_CORPUS_PARAGRAPHS);
+        let learned = Bpe::train(&corpus, train::DEFAULT_MERGE_BUDGET);
+        let table = Bpe::default_tokenizer();
+        assert_eq!(merges(table), merges(&learned));
+        assert_eq!(table.ranks, learned.ranks);
+        assert_eq!(table.vocab().len(), learned.vocab().len());
+    }
+
+    #[test]
     fn default_tokenizer_trains_and_roundtrips() {
         let bpe = Bpe::default_tokenizer();
         // The default vocabulary, pinned where it is made: every token id,
@@ -484,12 +364,10 @@ mod tests {
         // terminator, in id order) was recorded with the recounting
         // trainer before the incremental one replaced it.
         assert_eq!(bpe.vocab().merge_count(), 1144);
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        for expansion in merges(bpe) {
-            for b in expansion.into_iter().chain([0xFF]) {
-                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
+        let digest = merges(bpe)
+            .into_iter()
+            .flat_map(|expansion| expansion.into_iter().chain([0xFF]))
+            .fold(train::FNV_OFFSET, train::fnv_step);
         assert_eq!(digest, 0xbd46_5237_8689_2247, "default vocabulary drifted");
 
         let text = "retrieval augmented generation with cached context";
@@ -504,17 +382,18 @@ mod tests {
         // sides slow down together on a loaded or debug-build host
         // (measured 10 x in release, 21 x in debug). Best of three for the
         // fast side, so one preemption cannot fail it.
-        let corpus = CorpusGen::new(0xC0FFEE).training_corpus(400);
-        let timed = |train: fn(&str, usize) -> Bpe| {
+        let corpus = CorpusGen::new(train::DEFAULT_CORPUS_SEED)
+            .training_corpus(train::DEFAULT_CORPUS_PARAGRAPHS);
+        let timed = |learn: fn(&str, usize) -> Vec<Pair>| {
             // lint:allow(d1): times the host on purpose; only the ratio is asserted
             let start = std::time::Instant::now();
-            let merges = train(&corpus, 1500).vocab().merge_count();
+            let merges = learn(&corpus, train::DEFAULT_MERGE_BUDGET).len();
             (start.elapsed(), merges)
         };
-        let (reference, expected) = timed(Bpe::train_reference);
+        let (reference, expected) = timed(train::learn_merges_reference);
         let incremental = (0..3)
             .map(|_| {
-                let (elapsed, merges) = timed(Bpe::train);
+                let (elapsed, merges) = timed(train::learn_merges);
                 assert_eq!(merges, expected);
                 elapsed
             })
@@ -536,8 +415,57 @@ mod tests {
         assert_eq!(bpe.cache.lock().len(), MEMO_CAP);
         // A word met after the cap filled is encoded, just not remembered.
         let late = " w99999the";
-        assert!(!bpe.cache.lock().contains_key(late.as_bytes()));
+        let mut hash = Prehashed(train::FNV_OFFSET);
+        hash.write(late.as_bytes());
+        assert!(!bpe.cache.lock().contains_key(&hash.finish()));
         assert_eq!(bpe.decode(&bpe.encode(late)), late);
+        // A word whose hash another word holds is encoded, not served the
+        // other word's ids.
+        let (hash, word) = {
+            let memo = bpe.cache.lock();
+            let (&hash, entry) = memo.iter().next().expect("a full memo");
+            let word = String::from_utf8(entry.word.to_vec()).expect("encoded from a str");
+            (hash, word)
+        };
+        let collision = MemoEntry {
+            word: (*b"another word").into(),
+            ids: [0].into(),
+        };
+        bpe.cache.lock().insert(hash, collision);
+        assert_eq!(bpe.encode(&word), bpe.encode_word(word.as_bytes()));
+    }
+
+    /// A small tokenizer whose memo is full. It learned merges across
+    /// `\x0b`, so a scanner that split words there would change ids.
+    fn full_memo() -> &'static Bpe {
+        static FULL: OnceLock<Bpe> = OnceLock::new();
+        FULL.get_or_init(|| {
+            let bpe = Bpe::train(
+                "the\x0bcat sat\x0b on \x0bthe mat the\x0bcat sat\x0b on \x0bthe mat",
+                50,
+            );
+            for i in 0..MEMO_CAP {
+                bpe.encode(&format!(" w{i}the"));
+            }
+            assert_eq!(bpe.cache.lock().len(), MEMO_CAP);
+            bpe
+        })
+    }
+
+    /// Text that exercises pre-token splitting: words, runs of ASCII
+    /// whitespace, `\x0b` (not ASCII whitespace, so part of a word), and
+    /// arbitrary printable Unicode.
+    fn pretoken_soup() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            "[ \t\n\r\u{b}\u{c}]{1,3}",
+            "\\PC{1,6}",
+            "[a-z]{1,8}",
+            // The small tokenizers' alphabet, so their merges apply, with
+            // and without a `\x0b` inside the word.
+            "[thecasmo]{1,6}",
+            "[thecasmo]{1,4}\u{b}[thecasmo]{0,4}",
+        ];
+        proptest::collection::vec(piece, 0..24).prop_map(|pieces| pieces.concat())
     }
 
     /// Small alphabets, repeated words and runs of one letter: count ties
@@ -562,20 +490,47 @@ mod tests {
 
         #[test]
         fn incremental_trainer_matches_recounting(text in tie_heavy_corpus(), budget in 0usize..65) {
-            let new = Bpe::train(&text, budget);
-            let old = Bpe::train_reference(&text, budget);
-            prop_assert_eq!(merges(&new), merges(&old), "merge list for {:?}", text);
-            prop_assert_eq!(&new.ranks, &old.ranks);
+            let new = train::learn_merges(&text, budget);
+            let old = train::learn_merges_reference(&text, budget);
+            prop_assert_eq!(new, old, "merge list for {:?}", text);
         }
     }
 
-    #[test]
-    fn pretokenize_partitions_input() {
-        let input = b"  ab cd \t e ";
-        let parts: Vec<&[u8]> = pretokenize(input).collect();
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, input.len());
-        let joined: Vec<u8> = parts.concat();
-        assert_eq!(joined, input);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The memo never changes an encoding: `encode` is `encode_word`
+        /// over `pretokenize`, word by word, cold and warm on the default
+        /// vocabulary, and on a memo that is full.
+        #[test]
+        fn encode_is_encode_word_over_pretokens(text in pretoken_soup()) {
+            for bpe in [Bpe::default_tokenizer(), full_memo()] {
+                let spec: Vec<TokenId> = train::pretokenize(text.as_bytes())
+                    .flat_map(|(word, _)| bpe.encode_word(word))
+                    .collect();
+                prop_assert_eq!(&bpe.encode(&text), &spec, "cold {:?}", text);
+                prop_assert_eq!(&bpe.encode(&text), &spec, "warm {:?}", text);
+            }
+        }
+
+        /// Pre-tokens tile the input, each a whitespace run then a maximal
+        /// non-whitespace run, and carry the FNV-1a hash of their bytes.
+        #[test]
+        fn pretokenize_partitions_input(text in pretoken_soup()) {
+            let parts: Vec<(&[u8], u64)> = train::pretokenize(text.as_bytes()).collect();
+            let words: Vec<&[u8]> = parts.iter().map(|&(word, _)| word).collect();
+            prop_assert_eq!(words.concat(), text.as_bytes());
+            for &(word, hash) in &parts {
+                let body = word.iter().position(|b| !b.is_ascii_whitespace());
+                let body = &word[body.unwrap_or(word.len())..];
+                prop_assert!(!word.is_empty() && body.iter().all(|b| !b.is_ascii_whitespace()));
+                prop_assert_eq!(hash, word.iter().copied().fold(train::FNV_OFFSET, train::fnv_step));
+            }
+            // Each pre-token but the last ends where whitespace begins.
+            for pair in words.windows(2) {
+                prop_assert!(!pair[0][pair[0].len() - 1].is_ascii_whitespace());
+                prop_assert!(pair[1][0].is_ascii_whitespace());
+            }
+        }
     }
 }

@@ -5,6 +5,10 @@
 //! synthesise documents from a fixed technical vocabulary with a seeded
 //! generator: same seed, same documents, same token counts — everywhere in
 //! the workspace.
+//!
+//! `build.rs` compiles this file too, to write the default vocabulary's
+//! training corpus, so it names nothing else of the crate outside its
+//! tests.
 
 /// Word pool for synthetic documents (plain technical English, so learned
 /// BPE merges resemble real subword statistics).
@@ -63,73 +67,58 @@ impl CorpusGen {
     /// Generates a sentence of `len` words, capitalised with a final period.
     pub fn sentence(&mut self, len: usize) -> String {
         let mut s = String::new();
+        self.write_sentence(&mut s, len);
+        s
+    }
+
+    /// Appends [`CorpusGen::sentence`]'s text to `out`.
+    fn write_sentence(&mut self, out: &mut String, len: usize) {
         for i in 0..len.max(1) {
             let w = self.word();
             if i == 0 {
                 let mut c = w.chars();
                 if let Some(first) = c.next() {
-                    s.extend(first.to_uppercase());
-                    s.push_str(c.as_str());
+                    out.extend(first.to_uppercase());
+                    out.push_str(c.as_str());
                 }
             } else {
-                s.push(' ');
-                s.push_str(w);
+                out.push(' ');
+                out.push_str(w);
             }
         }
-        s.push('.');
-        s
+        out.push('.');
     }
 
     /// Generates a paragraph of about `words` words.
     pub fn paragraph(&mut self, words: usize) -> String {
         let mut out = String::new();
+        self.write_paragraph(&mut out, words);
+        out
+    }
+
+    /// Appends [`CorpusGen::paragraph`]'s text to `out`: its sentences
+    /// are written in place, one buffer for the whole paragraph.
+    pub(crate) fn write_paragraph(&mut self, out: &mut String, words: usize) {
+        let start = out.len();
         let mut remaining = words;
         while remaining > 0 {
             let len = 6 + (self.next_u64() % 10) as usize;
             let len = len.min(remaining.max(3));
-            if !out.is_empty() {
+            if out.len() > start {
                 out.push(' ');
             }
-            out.push_str(&self.sentence(len));
+            self.write_sentence(out, len);
             remaining = remaining.saturating_sub(len);
         }
-        out
     }
 
-    /// Generates a document with approximately `target_tokens` BPE tokens
-    /// when encoded with `bpe`, by growing paragraphs until the target is
-    /// reached and trimming the final excess at a word boundary.
-    pub fn document_with_tokens(
-        &mut self,
-        bpe: &crate::bpe::Bpe,
-        target_tokens: usize,
-    ) -> String {
-        let mut doc = String::new();
-        loop {
-            let para = self.paragraph(120);
-            if !doc.is_empty() {
-                doc.push('\n');
-            }
-            doc.push_str(&para);
-            if bpe.encode(&doc).len() >= target_tokens {
-                break;
-            }
-        }
-        // Trim words until we are at or just under the target.
-        while bpe.encode(&doc).len() > target_tokens {
-            match doc.rfind(' ') {
-                Some(i) => doc.truncate(i),
-                None => break,
-            }
-        }
-        doc
-    }
+    // `document_with_tokens` needs an encoder, so it is in `bpe.rs`.
 
     /// A plain training corpus of `paragraphs` paragraphs for BPE training.
     pub fn training_corpus(&mut self, paragraphs: usize) -> String {
         let mut out = String::new();
         for _ in 0..paragraphs {
-            out.push_str(&self.paragraph(80));
+            self.write_paragraph(&mut out, 80);
             out.push('\n');
         }
         out
@@ -140,6 +129,7 @@ impl CorpusGen {
 mod tests {
     use super::*;
     use crate::bpe::Bpe;
+    use crate::train::{fnv_step, FNV_OFFSET};
 
     #[test]
     fn deterministic_given_seed() {
@@ -175,6 +165,73 @@ mod tests {
             (280..=300).contains(&n),
             "expected ~300 tokens, got {n}"
         );
+    }
+
+    /// FNV-1a/64 of `bytes`.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().copied().fold(FNV_OFFSET, fnv_step)
+    }
+
+    #[test]
+    fn generated_text_is_pinned() {
+        // FNV-1a of `sentence(9)`, `paragraph(120)` and
+        // `training_corpus(40)`, recorded with the generator that built
+        // each sentence in its own `String` before this one wrote them all
+        // into one buffer.
+        let pins = [
+            (
+                1,
+                [
+                    0x4937_5f9a_545c_3c10,
+                    0x4b00_f1f1_cca4_2a0f,
+                    0xb01a_c17f_4ea1_3825,
+                ],
+            ),
+            (
+                7,
+                [
+                    0xa717_ee5a_4656_1ef8,
+                    0x7fe4_3196_e032_8d17,
+                    0x8ffe_9b59_9f65_29ad,
+                ],
+            ),
+            (
+                0xC0FFEE,
+                [
+                    0xc1d3_dd49_7050_8031,
+                    0xe4f0_aae1_74d6_6891,
+                    0x3cf4_b905_2818_cd17,
+                ],
+            ),
+        ];
+        for (seed, pinned) in pins {
+            let text = [
+                CorpusGen::new(seed).sentence(9),
+                CorpusGen::new(seed).paragraph(120),
+                CorpusGen::new(seed).training_corpus(40),
+            ];
+            assert_eq!(text.map(|t| fnv(t.as_bytes())), pinned, "seed {seed:#x}");
+        }
+    }
+
+    #[test]
+    fn documents_are_pinned() {
+        // Recorded with the generator that re-encoded the whole document
+        // after every paragraph and every trimmed word. Targets 0 and 1
+        // trim down to a first word of three tokens.
+        let bpe = Bpe::default_tokenizer();
+        let docs = [
+            (3, 0, 0x958f_7a78_e6d4_476b),
+            (3, 1, 0x958f_7a78_e6d4_476b),
+            (4, 50, 0x497e_5af1_4512_6412),
+            (5, 300, 0x523d_075f_559f_5a8c),
+            (6, 777, 0xc1d6_36fb_6158_1645),
+            (7, 3000, 0x1027_3f3e_0faa_7bbc),
+        ];
+        for (seed, target, pin) in docs {
+            let doc = CorpusGen::new(seed).document_with_tokens(bpe, target);
+            assert_eq!(fnv(doc.as_bytes()), pin, "seed {seed}, {target} tokens");
+        }
     }
 
     #[test]

@@ -9,15 +9,16 @@
 //! The default tokenizer is trained deterministically on the synthetic corpus
 //! in [`corpus`], mirroring how the workload generators produce documents, so
 //! document token counts in the experiments are realistic rather than
-//! hand-waved. It is trained afresh, eagerly, by every process that builds a
-//! kernel: the corpus seed and merge budget in [`Bpe::default_tokenizer`]
-//! are the vocabulary's only source of truth (no checked-in merge table, no
-//! build script), which the trainer affords by keeping its pair counts up to
-//! date across merges rather than recounting them: ≈ 1.2 ms to generate the
-//! corpus and ≈ 4.5 ms to learn its 1 144 merges in a release build. Token
-//! ids feed every surrogate distribution and output digest, so the crate is
-//! held to symphony-lint's determinism rules and pins that vocabulary in its
-//! own tests.
+//! hand-waved. The vocabulary is a constant of the build, as a provider's
+//! tokenizer is part of the model it loads: `build.rs` runs the trainer
+//! (`train.rs`, compiled into both) on the corpus seed and merge budget
+//! `train.rs` names, which stay the vocabulary's only source of truth, and
+//! writes the 1 144 merges it learns, in rank order, to `$OUT_DIR`.
+//! [`Bpe::default_tokenizer`] only expands that list into a [`Vocab`] and
+//! a merge table, and a test relearns it at run time with [`Bpe::train`],
+//! the public specification. Token ids feed every surrogate distribution
+//! and output digest, so the crate is held to symphony-lint's determinism
+//! rules (`build.rs` included) and pins that vocabulary in its own tests.
 //!
 //! # Examples
 //!
@@ -31,8 +32,12 @@
 
 pub mod bpe;
 pub mod corpus;
+mod train;
 pub mod vocab;
 
 pub use bpe::Bpe;
 pub use corpus::CorpusGen;
 pub use vocab::{SpecialTokens, TokenId, Vocab};
+
+// What `train.rs` takes from its including root (`build.rs` declares its own).
+use vocab::BYTE_TOKENS;
