@@ -28,13 +28,14 @@
 //! arrows*; its collapsed-stack flamegraph input is always written to
 //! `exp_profile.folded` beside the report.
 
+use super::{base_config, tokens};
 use crate::report::write_file;
 use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{
     analyze, build_forest, collapsed_stacks, render_report, ContinuousConfig, Ctx, ExecMode,
-    Kernel, KernelConfig, MetricsSnapshot, MlfqConfig, QueueDiscipline, SimDuration, SimTime,
-    SysError, ToolOutcome, ToolSpec, PHASES,
+    Kernel, MetricsSnapshot, MlfqConfig, QueueDiscipline, SimDuration, SimTime, SysError,
+    ToolOutcome, ToolSpec, PHASES,
 };
 use symphony_sim::{PoissonProcess, Rng, Series};
 
@@ -134,13 +135,6 @@ struct Point {
     events_dropped: u64,
 }
 
-/// Deterministic synthetic token stream (stands in for tokenised text).
-fn tokens(seed: usize, n: usize, start_pos: u32) -> Vec<(u32, u32)> {
-    (0..n)
-        .map(|j| (1 + ((seed * 31 + j * 7) % 800) as u32, start_pos + j as u32))
-        .collect()
-}
-
 /// One fleet worker: prefill a plan, fetch evidence on a helper thread
 /// (spawn/join causal edges), decode, and report to the coordinator over
 /// IPC (a cross-process send→recv edge).
@@ -226,11 +220,7 @@ fn run_point(
     s: Scale,
     want_flow_trace: bool,
 ) -> RunOutput {
-    let mut cfg = if s.smoke {
-        KernelConfig::for_tests()
-    } else {
-        KernelConfig::paper_setup()
-    };
+    let mut cfg = base_config(s.smoke);
     cfg.exec = exec;
     if let Some(cap) = batch_cap {
         cfg.max_batch = cap;

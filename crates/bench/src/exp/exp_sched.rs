@@ -24,11 +24,12 @@
 //! Inter-token latency is measured inside the LIP with `ctx.now()` around
 //! each decode `pred`, i.e. exactly what a streaming client observes.
 
+use super::{base_config, tokens};
 use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{
-    ContinuousConfig, Ctx, ExecMode, Kernel, KernelConfig, MlfqConfig, QueueDiscipline,
-    SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
+    ContinuousConfig, Ctx, ExecMode, Kernel, MlfqConfig, QueueDiscipline, SimDuration, SimTime,
+    SysError, ToolOutcome, ToolSpec,
 };
 use symphony_sim::{PoissonProcess, Rng, Series};
 
@@ -104,13 +105,6 @@ struct Point {
     preemptions: u64,
     prefill_chunks: u64,
     batches: u64,
-}
-
-/// Deterministic synthetic token stream (stands in for tokenised text).
-fn tokens(seed: usize, n: usize, start_pos: u32) -> Vec<(u32, u32)> {
-    (0..n)
-        .map(|j| (1 + ((seed * 31 + j * 7) % 800) as u32, start_pos + j as u32))
-        .collect()
 }
 
 fn join_ns(v: &[u64]) -> String {
@@ -190,14 +184,6 @@ fn parse_marks(out: &str) -> (u64, Vec<u64>) {
     (ttft.parse().expect("ttft mark"), itl)
 }
 
-fn base_config(s: Scale) -> KernelConfig {
-    if s.smoke {
-        KernelConfig::for_tests()
-    } else {
-        KernelConfig::paper_setup()
-    }
-}
-
 fn run_point(
     mode_name: &str,
     exec: ExecMode,
@@ -207,7 +193,7 @@ fn run_point(
     telemetry: &ExpArgs,
     designated: bool,
 ) -> (Point, Option<Telemetry>) {
-    let mut cfg = base_config(s);
+    let mut cfg = base_config(s.smoke);
     cfg.exec = exec;
     if let Some(cap) = batch_cap {
         cfg.max_batch = cap;
@@ -292,7 +278,7 @@ pub(super) fn run(opts: &ExpArgs) -> Report {
     let cap = if s.smoke { 2 } else { 8 };
     let modes: Vec<(&str, ExecMode, Option<usize>)> = vec![
         // The base configuration's own preset: `Static` with its policy.
-        ("static", base_config(s).exec, None),
+        ("static", base_config(s.smoke).exec, None),
         (
             "continuous",
             ExecMode::Continuous(ContinuousConfig {

@@ -9,6 +9,8 @@
 
 use std::path::PathBuf;
 
+use symphony::KernelConfig;
+
 use crate::report::{write_file, Report};
 use crate::telemetry_cli::ExpArgs;
 
@@ -82,6 +84,25 @@ registry! {
     exp_profile, "E15", true, "per-program observability: causal traces and critical-path attribution";
     exp_serve, "E16", true, "serving over the wire: client-observed latency vs sessions x RTT x admission";
     exp_vet, "E17", true, "admission-time verification: flood shedding and static cost hints";
+}
+
+/// Deterministic synthetic token stream (stands in for tokenised text):
+/// `n` `(token, position)` pairs from `start_pos`, for E12's and E15's
+/// prompts and tool observations.
+fn tokens(seed: usize, n: usize, start_pos: u32) -> Vec<(u32, u32)> {
+    (0..n)
+        .map(|j| (1 + ((seed * 31 + j * 7) % 800) as u32, start_pos + j as u32))
+        .collect()
+}
+
+/// The kernel E12 and E15 configure further: the paper's setup, or the
+/// test preset at smoke scale.
+fn base_config(smoke: bool) -> KernelConfig {
+    if smoke {
+        KernelConfig::for_tests()
+    } else {
+        KernelConfig::paper_setup()
+    }
 }
 
 /// Where `e`'s results payload goes under `args`.

@@ -953,17 +953,41 @@ impl Kernel {
 
     // ---- main loop -------------------------------------------------------------
 
-    /// Runs the kernel until no thread is runnable and no event is pending.
+    /// Runs the kernel until no thread is runnable and no event is pending:
+    /// [`Kernel::run_for`] with no bound.
     ///
     /// Returns the number of processes that exited during the run. If
     /// [`Kernel::live_threads`] is non-zero afterwards, the remaining threads
     /// are deadlocked (e.g. blocked in `recv_msg` with no sender).
     pub fn run(&mut self) -> usize {
         let before = self.exited;
+        self.run_for(SimDuration::MAX);
+        self.exited - before
+    }
+
+    /// Runs every event due up to `slice` of virtual time past the first
+    /// pending one (past `now` if a thread is already runnable), and
+    /// returns whether the kernel is quiescent: nothing runnable, nothing
+    /// pending, or an injected crash halted it.
+    ///
+    /// It never returns mid-instant. Everything due at the last instant it
+    /// reached has run, the thread level has run dry and the GPU level has
+    /// taken that instant's one launch decision, so a caller may feed input
+    /// and call again: slices with nothing fed in between run exactly the
+    /// events, batches and outputs one unbounded call would. A zero slice
+    /// runs one instant.
+    pub fn run_for(&mut self, slice: SimDuration) -> bool {
         // lint:allow(d1): sim.events_per_sec measures real host throughput — the gauge is observation-only and is never read back into simulation state
         let wall_start = std::time::Instant::now();
         let events_before = self.events.events_processed();
-        loop {
+        let now = self.events.now();
+        let first = if self.ready.is_empty() {
+            self.events.peek_time().unwrap_or(now)
+        } else {
+            now
+        };
+        let deadline = first + slice;
+        let quiescent = loop {
             while let Some((tid, reply)) = self.ready.pop_front() {
                 if self.crashed.is_some() {
                     break;
@@ -971,21 +995,27 @@ impl Kernel {
                 self.resume(tid, reply);
             }
             if self.crashed.is_some() {
-                break;
+                break true;
             }
             // The ready queue is empty: the GPU level may decide, if this
             // was the instant's last event. Otherwise the next pop is at
-            // `now` too and this line is reached again after it.
+            // `now` too and this line is reached again after it. A call that
+            // stopped at the deadline asks again on entry, at the instant it
+            // already decided, with nothing changed: the same answer.
             self.maybe_launch_iteration();
             if !self.ready.is_empty() {
                 continue;
             }
-            match self.events.pop() {
-                Some((_, ev)) => self.handle_event(ev),
-                None => break,
+            match self.events.peek_time() {
+                None => break true,
+                Some(t) if t > deadline => break false,
+                Some(_) => {}
+            }
+            if let Some((_, ev)) = self.events.pop() {
+                self.handle_event(ev);
             }
             self.maybe_checkpoint();
-        }
+        };
         let processed = self.events.events_processed() - events_before;
         let secs = wall_start.elapsed().as_secs_f64();
         if processed > 0 && secs > 0.0 {
@@ -993,7 +1023,7 @@ impl Kernel {
                 .events_per_sec
                 .set((processed as f64 / secs) as i64);
         }
-        self.exited - before
+        quiescent
     }
 
     /// Hands the CPU to thread `tid` with `reply` and takes what it does

@@ -1296,7 +1296,8 @@ mod props {
         proptest::collection::vec((any::<bool>(), 1u32..4, 1u32..6, arrival), 1..12)
     }
 
-    fn run_mix(mut cfg: KernelConfig, mix: &Mix, seed: u64) -> (Kernel, Vec<Pid>) {
+    /// A traced kernel with `mix` scheduled on it and nothing run yet.
+    fn admit_mix(mut cfg: KernelConfig, mix: &Mix, seed: u64) -> (Kernel, Vec<Pid>) {
         cfg.seed = seed;
         cfg.telemetry = true;
         let mut k = Kernel::new(cfg);
@@ -1311,8 +1312,36 @@ mod props {
                 k.schedule_process(at, &format!("s{i}"), &args, session(rag, rounds, decode))
             })
             .collect();
+        (k, pids)
+    }
+
+    fn run_mix(cfg: KernelConfig, mix: &Mix, seed: u64) -> (Kernel, Vec<Pid>) {
+        let (mut k, pids) = admit_mix(cfg, mix, seed);
         k.run();
         (k, pids)
+    }
+
+    /// `(begin ns, end ns, member pids)` of every batch, in launch order.
+    fn batch_members(k: &Kernel) -> Vec<(u64, u64, Vec<u64>)> {
+        let mut out: Vec<(u64, u64, Vec<u64>)> = Vec::new();
+        for e in k.telemetry_events() {
+            match e.kind {
+                EventKind::BatchBegin { .. } => out.push((e.at.as_nanos(), u64::MAX, Vec::new())),
+                EventKind::PredExec { pid, batch, .. } => out[batch as usize].2.push(pid),
+                EventKind::BatchEnd { id } => out[id as usize].1 = e.at.as_nanos(),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// A `run_for` bound: one instant, up to 3 ms, or none.
+    fn slice() -> impl Strategy<Value = SimDuration> {
+        prop_oneof![
+            Just(SimDuration::ZERO),
+            (0u64..3_000).prop_map(SimDuration::from_micros),
+            Just(SimDuration::MAX),
+        ]
     }
 
     proptest! {
@@ -1390,6 +1419,41 @@ mod props {
             prop_assert_eq!(batches(&ks), batches(&kc));
             prop_assert_eq!(outputs(&ks, &pids_s), outputs(&kc, &pids_c));
             prop_assert_eq!(ks.now(), kc.now());
+        }
+
+        /// What `symphony-serve`'s shell relies on: `run_for` never stops
+        /// mid-instant, so slices with nothing fed in between — of any
+        /// length, one instant or unbounded, in any order — run the same
+        /// batches with the same members at the same nanoseconds, the same
+        /// outputs, the same telemetry and the same final clock as one
+        /// `run`, under every preset.
+        #[test]
+        fn slices_compose_into_one_run(
+            exec in prop_oneof![
+                Just(ExecMode::Static(BatchPolicy::Immediate)),
+                Just(ExecMode::Static(policy(2))),
+                Just(continuous(None, QueueDiscipline::Fifo)),
+            ],
+            cost_us in prop_oneof![Just(0u64), Just(2u64)],
+            mix in mix(),
+            seed in 0u64..1_000,
+            slices in proptest::collection::vec(slice(), 1..6),
+        ) {
+            let mut cfg = KernelConfig::for_tests();
+            cfg.exec = exec;
+            cfg.syscall_cost = SimDuration::from_micros(cost_us);
+            let (whole, pids_w) = run_mix(cfg.clone(), &mix, seed);
+            let (mut sliced, pids_s) = admit_mix(cfg, &mix, seed);
+            let mut calls = 0;
+            while !sliced.run_for(slices[calls % slices.len()]) {
+                calls += 1;
+            }
+            prop_assert!(sliced.run_for(SimDuration::ZERO), "quiescent kernels stay quiescent");
+            prop_assert_eq!(sliced.live_threads(), 0);
+            prop_assert_eq!(batch_members(&sliced), batch_members(&whole));
+            prop_assert_eq!(outputs(&sliced, &pids_s), outputs(&whole, &pids_w));
+            prop_assert_eq!(sliced.telemetry_events(), whole.telemetry_events());
+            prop_assert_eq!(sliced.now(), whole.now());
         }
     }
 }

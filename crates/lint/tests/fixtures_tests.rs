@@ -97,7 +97,7 @@ fn o1_flags_library_prints_not_binaries() {
         "tokens inside strings/comments must not fire: {v:?}"
     );
     for bin_path in [
-        "crates/bench/src/bin/fixture.rs",
+        "crates/serve/src/bin/fixture.rs",
         "crates/model/src/main.rs",
         "crates/model/examples/fixture.rs",
     ] {

@@ -5,17 +5,15 @@
 //! symphony-serve --selftest
 //! ```
 //!
-//! The socket shell is deliberately thin: a single-threaded non-blocking
-//! accept/read/pump/write loop around [`ServerCore`], so every protocol
-//! decision is the same code the deterministic loopback tests exercise.
-//! `--selftest` starts a listener on an ephemeral port, runs a real TCP
-//! client against it in-process (HELLO → submissions → quota shed →
-//! cancel → BYE) and exits 0 only if streaming, the typed quota error and
-//! the clean shutdown all check out — CI's serve-smoke job runs exactly
-//! this.
+//! The socket side is [`symphony_serve::shell`]: a single-threaded
+//! `poll(2)` loop around [`ServerCore`], so every protocol decision is the
+//! same code the deterministic loopback tests exercise. `--selftest`
+//! starts a listener on an ephemeral port, runs a real TCP client against
+//! it in-process (HELLO → submissions → quota shed → BYE) and exits 0
+//! only if streaming, the typed quota error and the clean shutdown all
+//! check out — CI's serve-smoke job runs exactly this.
 
-use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,7 +22,7 @@ use std::time::Duration;
 use symphony::KernelConfig;
 use symphony_rpc::{ClientMsg, ErrCode, FrameReader, ServerMsg, WIRE_VERSION};
 use symphony_serve::replay::{agent_source, standard_kernel};
-use symphony_serve::{ServeConfig, ServerCore};
+use symphony_serve::{shell, ServeConfig, ServerCore};
 
 fn usage() -> ! {
     eprintln!("usage: symphony-serve --listen ADDR [--quota N] [--max-sessions N] | --selftest");
@@ -74,94 +72,15 @@ fn main() {
         "symphony-serve: listening on {}",
         listener.local_addr().map(|a| a.to_string()).unwrap_or(addr)
     );
-    serve_loop(listener, core, &AtomicBool::new(false));
+    if let Err(e) = shell::serve(listener, core, &AtomicBool::new(false)) {
+        eprintln!("symphony-serve: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// The serving kernel and its front door.
 fn boot(cfg: ServeConfig) -> ServerCore {
     ServerCore::new(standard_kernel(KernelConfig::for_tests()), cfg)
-}
-
-/// The accept/read/pump/write loop. Runs until `stop` flips and no
-/// connection remains (the selftest uses that; the CLI runs forever).
-fn serve_loop(listener: TcpListener, mut core: ServerCore, stop: &AtomicBool) {
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("symphony-serve: nonblocking: {e}");
-        std::process::exit(1);
-    }
-    let mut socks: BTreeMap<u64, TcpStream> = BTreeMap::new();
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        let mut idle = true;
-        match listener.accept() {
-            Ok((sock, peer)) => {
-                if sock.set_nonblocking(true).is_ok() {
-                    let conn = core.open_conn();
-                    eprintln!("symphony-serve: conn {conn} from {peer}");
-                    socks.insert(conn, sock);
-                    idle = false;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-            Err(e) => eprintln!("symphony-serve: accept: {e}"),
-        }
-        let conns: Vec<u64> = socks.keys().copied().collect();
-        for conn in conns {
-            // lint:allow(k1): key came from the map one line up
-            let sock = socks.get_mut(&conn).expect("socket exists");
-            loop {
-                match sock.read(&mut buf) {
-                    Ok(0) => {
-                        core.drop_conn(conn);
-                        break;
-                    }
-                    Ok(n) => {
-                        core.feed(conn, &buf[..n]);
-                        idle = false;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        core.drop_conn(conn);
-                        break;
-                    }
-                }
-            }
-        }
-        core.pump();
-        core.reap_exited();
-        socks.retain(|&conn, sock| {
-            let out = core.take_output(conn);
-            if !out.is_empty() {
-                idle = false;
-                // A blocked write on a non-blocking socket would need a
-                // real pending-buffer; at smoke-test scale a short spin
-                // suffices, and a persistently dead peer is a drop.
-                let mut off = 0;
-                while off < out.len() {
-                    match sock.write(&out[off..]) {
-                        Ok(n) => off += n,
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(_) => {
-                            core.drop_conn(conn);
-                            return false;
-                        }
-                    }
-                }
-            }
-            if core.is_closed(conn) && core.pending_output(conn) == 0 {
-                return false; // server-initiated close: reply flushed, hang up
-            }
-            true
-        });
-        if stop.load(Ordering::SeqCst) && socks.is_empty() {
-            return;
-        }
-        if idle {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
 }
 
 /// In-process end-to-end check over a real socket pair.
@@ -178,7 +97,7 @@ fn run_selftest(mut cfg: ServeConfig) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         // lint:allow(k1): selftest reads back the port it just bound
         let _ = addr_tx.send(listener.local_addr().expect("local addr"));
-        serve_loop(listener, core, &stop2)
+        shell::serve(listener, core, &stop2)
     });
     // lint:allow(k1): selftest thread panics are the failure signal
     let addr = addr_rx.recv().expect("server thread bound no socket");
@@ -188,7 +107,10 @@ fn run_selftest(mut cfg: ServeConfig) {
     match result {
         Ok(summary) => {
             // lint:allow(k1): selftest thread panics are the failure signal
-            server.join().expect("server thread");
+            if let Err(e) = server.join().expect("server thread") {
+                eprintln!("selftest: FAILED: shell: {e}");
+                std::process::exit(1);
+            }
             println!("{summary}");
             println!("selftest: ok");
         }
@@ -237,9 +159,9 @@ fn selftest_client(addr: &str) -> Result<String, String> {
 
     // Three submissions against a quota of 2: the third must shed with a
     // typed QuotaExceeded, the first two must stream and complete. They go
-    // out in one write so the server reads them in one pass: it pumps what
-    // it has read to completion before it reads again, and a first session
-    // already finished when the third arrives leaves the quota free.
+    // out in one write so the server reads them in one pass and admits all
+    // three before it runs the kernel: a first session that had finished
+    // when the third arrived would leave the quota free.
     let mut wire = Vec::new();
     for session in 1..=3u64 {
         ClientMsg::Submit {

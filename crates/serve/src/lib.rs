@@ -17,12 +17,15 @@
 //!   agent/RAG workloads with simulated RTT and injected faults, and
 //!   reports *client-observed* TTFT and per-program latency. Same seed,
 //!   same bytes — the e2e suite and CI diff two runs.
-//! * the `symphony-serve` / `symphony-client` binaries — a thin
-//!   non-blocking TCP shell and its matching load generator, for running
-//!   the same core over a real socket.
+//! * [`shell`] — the same core over real TCP: one `poll(2)` loop that
+//!   reads, runs the kernel in bounded slices and writes what each
+//!   socket takes.
+//! * the `symphony-serve` / `symphony-client` binaries — the shell behind
+//!   a command line, and its matching load generator.
 
 pub mod replay;
 pub mod server;
+pub mod shell;
 
 pub use replay::{run_replay, run_replay_on, ReplayReport, ReplaySpec, WorkloadKind};
 pub use server::{CloseReason, ServeConfig, ServerCore};

@@ -2,27 +2,30 @@
 //!
 //! [`ServerCore`] is transport-agnostic and fully deterministic: bytes go
 //! in through [`ServerCore::feed`], virtual time advances in
+//! [`ServerCore::pump_for`] slices or to quiescence in
 //! [`ServerCore::pump`], bytes come out through
-//! [`ServerCore::take_output`]. The TCP binary and the in-memory loopback
-//! replay harness are both thin shells around this one type, so every
-//! protocol decision — admission, quota, backpressure, cancellation — is
-//! exercised identically under tests and on a real socket.
+//! [`ServerCore::take_output`] (all of them) or [`ServerCore::pending`]
+//! and [`ServerCore::consume`] (as much as a socket takes). The TCP shell
+//! ([`crate::shell`]) and the in-memory loopback replay harness are both
+//! thin shells around this one type, so every protocol decision —
+//! admission, quota, backpressure, cancellation — is exercised
+//! identically under tests and on a real socket.
 //!
 //! Admission happens at the door, per the paper's control-plane argument:
 //! a submission is checked against the tenant quota and the global
 //! session cap *before* a kernel process exists, so an overloaded server
 //! sheds with a typed [`ErrCode::QuotaExceeded`]/[`ErrCode::ServerBusy`]
 //! frame instead of queueing unbounded work. Slow clients are bounded the
-//! same way: a connection whose output buffer exceeds
-//! [`ServeConfig::conn_outbuf_cap`] is shed with [`ErrCode::SlowClient`]
-//! and its sessions cancelled, so one undrained socket cannot hold kernel
-//! memory hostage.
+//! same way: a connection whose output the transport has not taken
+//! exceeds [`ServeConfig::conn_outbuf_cap`] is shed with
+//! [`ErrCode::SlowClient`] and its sessions cancelled, so one undrained
+//! socket cannot hold kernel memory hostage.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use symphony::telemetry::EventKind;
-use symphony::{ExitStatus, Kernel, Pid, SessionEvent, SimTime, SysError};
+use symphony::{ExitStatus, Kernel, Pid, SessionEvent, SimDuration, SimTime, SysError};
 use symphony_lipscript::{parse::parse, verify::verify, Image, InterpLimits, LipBody};
 use symphony_rpc::{
     ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, CONN_SCOPE, DEFAULT_MAX_FRAME,
@@ -44,8 +47,8 @@ pub struct ServeConfig {
     pub tenant_session_quota: usize,
     /// Maximum live sessions server-wide.
     pub max_live_sessions: usize,
-    /// Output-buffer cap per connection; exceeding it sheds the
-    /// connection as a slow client.
+    /// Cap on a connection's output the transport has not taken yet;
+    /// exceeding it sheds the connection as a slow client.
     pub conn_outbuf_cap: usize,
     /// Run the static verifier on every SUBMIT; programs with verifier
     /// errors are shed with [`ErrCode::VerifyRejected`] before touching
@@ -299,26 +302,30 @@ impl ServerCore {
         }
     }
 
-    /// Runs the kernel to quiescence and converts session events into
-    /// STREAM/DONE frames on their owning connections. Loops until no
-    /// further events surface (a slow-client shed cancels sessions, which
-    /// produces more events). Finishes BYE handshakes whose sessions have
-    /// drained.
-    pub fn pump(&mut self) {
-        loop {
-            self.kernel.run();
-            let drained: Vec<SessionEvent> = {
-                let mut q = self.events.lock().unwrap_or_else(|p| p.into_inner());
-                q.drain(..).collect()
-            };
-            if drained.is_empty() {
-                break;
-            }
-            for ev in drained {
-                self.route_event(ev);
-            }
+    /// Runs the kernel for one slice of virtual time ([`Kernel::run_for`])
+    /// and converts the session events it produced into STREAM/DONE frames
+    /// on their owning connections, then finishes BYE handshakes whose
+    /// sessions have drained. Returns whether there is nothing left to do:
+    /// the kernel is quiescent and routing started no new work (a
+    /// slow-client shed cancels sessions, which produces more events).
+    pub fn pump_for(&mut self, slice: SimDuration) -> bool {
+        let quiescent = self.kernel.run_for(slice);
+        let drained: Vec<SessionEvent> = {
+            let mut q = self.events.lock().unwrap_or_else(|p| p.into_inner());
+            q.drain(..).collect()
+        };
+        let routed = !drained.is_empty();
+        for ev in drained {
+            self.route_event(ev);
         }
         self.finish_closing();
+        quiescent && !routed
+    }
+
+    /// Runs the kernel to quiescence: [`ServerCore::pump_for`] with no
+    /// bound, until it reports nothing left to do.
+    pub fn pump(&mut self) {
+        while !self.pump_for(SimDuration::MAX) {}
     }
 
     /// Drops the kernel's records of finished sessions
@@ -345,9 +352,20 @@ impl ServerCore {
             .unwrap_or_default()
     }
 
-    /// Bytes queued on a connection, without draining them.
-    pub fn pending_output(&self, conn: u64) -> usize {
-        self.conns.get(&conn).map(|c| c.out.len()).unwrap_or(0)
+    /// Output queued on a connection that the transport has not taken.
+    /// A socket writes what it can of it and [`ServerCore::consume`]s
+    /// that much; the rest stays here and counts against the
+    /// connection's output cap.
+    pub fn pending(&self, conn: u64) -> &[u8] {
+        self.conns.get(&conn).map_or(&[], |c| c.out.as_slice())
+    }
+
+    /// Drops the first `n` bytes of [`ServerCore::pending`]: the
+    /// transport has taken them.
+    pub fn consume(&mut self, conn: u64, n: usize) {
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.out.drain(..n.min(c.out.len()));
+        }
     }
 
     /// Whether the connection reached a closed state (output may still be
@@ -884,7 +902,7 @@ mod tests {
             assert!(!core.take_output(conn).is_empty());
             core.reap_exited();
             assert!(core.is_closed(conn));
-            assert_eq!(core.pending_output(conn), 0);
+            assert!(core.pending(conn).is_empty());
         }
         assert!(core.conns.is_empty(), "{} kept", core.conns.len());
     }

@@ -4,7 +4,7 @@
 //! TCP client would use: encode client frames, feed, pump, drain, decode
 //! server frames. No test reaches around the protocol.
 
-use symphony::KernelConfig;
+use symphony::{KernelConfig, SimDuration};
 use symphony_rpc::{
     ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, CONN_SCOPE, WIRE_VERSION,
 };
@@ -710,4 +710,62 @@ fn a_spinning_program_still_runs_out_of_fuel_over_the_wire() {
     assert!(detail.contains("out of fuel"), "{detail}");
     let (status, _) = outcome(2).expect("its neighbour's DONE");
     assert_eq!(status, SessionStatus::Ok);
+}
+
+#[test]
+fn pump_in_slices_streams_the_bytes_of_one_pump() {
+    // The TCP shell pumps in bounded slices, symbench's in-process
+    // workloads and the loopback replay pump to quiescence. With nothing
+    // fed in between, the two must put the same bytes on every
+    // connection: staggered arrivals, agents and RAG, a dropped
+    // connection and a BYE that drains its sessions first.
+    fn serve(slices: &[SimDuration]) -> Vec<Vec<u8>> {
+        let mut core = new_core();
+        let mut clients: Vec<Client> = (1..=4).map(|t| Client::connect(&mut core, t)).collect();
+        for (c, client) in clients.iter_mut().enumerate() {
+            for s in 1..=4u64 {
+                let source = if s % 2 == 0 {
+                    rag_source(8)
+                } else {
+                    agent_source(2, 6)
+                };
+                client.send(
+                    &mut core,
+                    &ClientMsg::Submit {
+                        session: s,
+                        not_before_ns: (c as u64 * 4 + s) * 1_700_000,
+                        fuel: 0,
+                        name: format!("slice-{c}-{s}"),
+                        args: format!("{}|question {s}", s % 4),
+                        source,
+                    },
+                );
+            }
+        }
+        clients[1].send(&mut core, &ClientMsg::Bye);
+        core.drop_conn(clients[3].conn);
+        if slices.is_empty() {
+            core.pump();
+        } else {
+            let mut calls = 0;
+            while !core.pump_for(slices[calls % slices.len()]) {
+                calls += 1;
+            }
+        }
+        clients.iter().map(|c| core.take_output(c.conn)).collect()
+    }
+    let whole = serve(&[]);
+    assert!(whole[0].len() > 1_000, "the sessions streamed nothing");
+    let ms = SimDuration::from_millis;
+    for slices in [
+        vec![SimDuration::ZERO],
+        vec![ms(1)],
+        vec![SimDuration::ZERO, ms(3), SimDuration::MAX],
+        vec![SimDuration::from_micros(250), ms(7), ms(40)],
+    ] {
+        assert!(
+            serve(&slices) == whole,
+            "slices {slices:?} changed the bytes"
+        );
+    }
 }
