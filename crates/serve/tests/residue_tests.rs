@@ -7,7 +7,9 @@
 //! and RAG-reader sessions through a [`ServerCore`] and bounds the growth of
 //! the live heap per exited session: a zombie's worth — its record —
 //! beyond the output bytes when nobody reaps, and nothing when somebody
-//! does. The door's image cache gets the same treatment.
+//! does. The door's image cache gets the same treatment, and so does the
+//! tokenizer, which outlives every server in the process: neither the
+//! words of new prompts nor a tenant's 16 KiB words may stay behind.
 //!
 //! The count is per thread: a served LipScript session runs on the thread
 //! that pumps the server and on no other, so what this thread allocated and
@@ -97,7 +99,8 @@ fn submit(core: &mut ServerCore, conn: u64, session: u64, at_ns: u64, source: &s
 }
 
 /// Serves one epoch — agents and RAG readers of a few shapes, arriving
-/// 200 µs apart — to completion, and takes the output off the wire.
+/// 200 µs apart, their session ids and prompts numbered from `epoch` — to
+/// completion, and takes the output off the wire.
 fn serve_epoch(core: &mut ServerCore, conn: u64, epoch: u64) {
     let t0 = core.kernel().now().as_nanos();
     for i in 0..SESSIONS_PER_EPOCH {
@@ -125,7 +128,11 @@ fn an_exited_session_leaves_a_record_and_a_reaped_one_nothing() {
         let (mut core, conn) = server();
         let mut warm = (0, 0);
         for epoch in 0..EPOCHS {
-            serve_epoch(&mut core, conn, epoch);
+            // The reaped pass's session ids, and so the words of its
+            // prompts, are new to the process: the tokenizer outlives the
+            // server, and words it met in the first pass cost nothing.
+            let ids = if reap { EPOCHS + epoch } else { epoch };
+            serve_epoch(&mut core, conn, ids);
             if reap {
                 assert_eq!(core.reap_exited(), SESSIONS_PER_EPOCH as usize);
             }
@@ -147,6 +154,37 @@ fn an_exited_session_leaves_a_record_and_a_reaped_one_nothing() {
             "reap {reap}: {per_session:.1} B per exited session beyond its output (> {allowed})"
         );
     }
+}
+
+#[test]
+fn a_tenants_long_words_are_not_kept() {
+    // `tokenize("agent: " + args())`, as `agent_source` runs it, on 1 000
+    // distinct single words of 16 KiB: the tokenizer encodes each and
+    // remembers none, so reaped sessions leave the heap where it was. The
+    // words are numerals, which no merge applies to, so a debug build
+    // spends one rank lookup per byte on them and no more.
+    const WORD: usize = 16 * 1024;
+    const SESSIONS: u64 = 1_000;
+    const WARM_SESSIONS: u64 = 100;
+    let source = "emit(str(len(tokenize(\"agent: \" + args()))));\n";
+    let (mut core, conn) = server();
+    let mut warm = 0;
+    for session in 1..=SESSIONS {
+        let mut word = format!("{session}-");
+        word.push_str(&"7".repeat(WORD - word.len()));
+        submit(&mut core, conn, session, 0, source, &word);
+        core.pump();
+        assert!(!core.take_output(conn).is_empty());
+        let failed = core.kernel().records().find(|r| !r.status.is_ok());
+        assert!(failed.is_none(), "session {session} failed: {failed:?}");
+        assert_eq!(core.reap_exited(), 1);
+        if session == WARM_SESSIONS {
+            warm = live_bytes();
+        }
+    }
+    let grown = live_bytes() - warm;
+    eprintln!("{grown} B grown over {} words of {WORD} B", SESSIONS - WARM_SESSIONS);
+    assert!(grown < 1024, "{grown} B grown over {} words of {WORD} B", SESSIONS - WARM_SESSIONS);
 }
 
 #[test]

@@ -7,13 +7,26 @@
 //!
 //! Encoding splits text into pre-tokens (a run of whitespace is glued to
 //! the following word, GPT-style) and applies merges greedily in rank
-//! order. Per-word results are memoised, for up to 65 536 distinct words,
-//! under the word's FNV-1a hash: one scan (the trainer's pre-tokenizer, in
-//! `train.rs`) both splits the text and hashes each pre-token, and
-//! `encode` takes the memo's lock once per call, not
-//! once per word (symbench's `tokenizer.encode_ns_per_token` on
-//! `rag_churn`: 25 ns, where a lock and a SipHash per word cost 40).
+//! order, in O(n log n) for a pre-token of n bytes. One scan (the
+//! trainer's pre-tokenizer, in `train.rs`) both splits the text and
+//! hashes each pre-token with FNV-1a, and `encode` takes the memo's lock
+//! once per call, not once per word (symbench's
+//! `tokenizer.encode_ns_per_token` on `rag_churn`: 25 ns, where a lock and
+//! a SipHash per word cost 40).
+//!
+//! The memo is a fixed table of 1 024 sets × 4 ways (272 KiB), allocated
+//! with the `Bpe` and never grown: a pre-token of up to 30 bytes that
+//! encodes to at most 8 ids is remembered inline, in one 64-byte slot of
+//! the set its hash picks, and each set evicts its least recently used
+//! way. Words that recur (a corpus's vocabulary) stay; words met once (a
+//! session's task id) pass through one slot each; a longer word is encoded
+//! and not remembered. So a process that keeps meeting new words, however
+//! long, holds the same 272 KiB here after its millionth session as after
+//! its first.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
@@ -50,43 +63,215 @@ const DEFAULT_MERGES: &[Pair] = &include!(concat!(env!("OUT_DIR"), "/default_mer
 /// Merge table: pair → merged id. Ids are assigned in rank order, so the
 /// lower id merges first.
 // lint:allow(d3): point lookups only, never iterated, so hasher order cannot reach a token id
-type Ranks = std::collections::HashMap<Pair, TokenId>;
+type Ranks = std::collections::HashMap<Pair, TokenId, BuildHasherDefault<PairHasher>>;
 
-/// Encoded-word memo: a pre-token's FNV-1a hash → the pre-token and its
-/// ids. A word whose hash another word already holds is encoded without
-/// being remembered.
-// lint:allow(d3): point lookups only, never iterated; a hit and a miss return the same ids
-type Memo = std::collections::HashMap<u64, MemoEntry, BuildHasherDefault<Prehashed>>;
-
-/// One memoised pre-token.
-#[derive(Debug)]
-struct MemoEntry {
-    word: Box<[u8]>,
-    ids: Box<[TokenId]>,
-}
-
-/// The memo's hasher: its keys already are FNV-1a hashes, passed through.
+/// The merge table's hasher: two multiplies a pair. With SipHash, building
+/// the default table and a boot's first encodes (mostly misses, so rank
+/// lookups) took ≈ 40 µs longer. The table cannot be flooded: its keys
+/// are the merges, fixed when the `Bpe` is built.
 #[derive(Default)]
-struct Prehashed(u64);
+struct PairHasher(u64);
 
-impl Hasher for Prehashed {
+impl Hasher for PairHasher {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        self.0 = bytes.iter().fold(self.0, |h, &b| train::fnv_step(h, b));
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
     }
 
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0.rotate_left(32) ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
-/// Most distinct words the encoder memoises. Past it a new word is encoded
-/// without being remembered, so a long-lived process that keeps meeting new
-/// words stops growing here (of the order of 100 B a word: under 10 MB).
-const MEMO_CAP: usize = 65_536;
+/// log2 of the memo's set count.
+const SET_BITS: u32 = 10;
+/// Sets in the memo.
+const SETS: usize = 1 << SET_BITS;
+/// Slots per set.
+const WAYS: usize = 4;
+/// Bytes in a memo slot: one cache line.
+const SLOT: usize = 64;
+/// Where a slot's word starts. Byte 0 is the word's length (0 while the
+/// slot is empty: a pre-token is never empty), byte 1 its ids' count.
+const WORD_AT: usize = 2;
+/// Where a slot's ids start, 4 little-endian bytes each.
+const IDS_AT: usize = 32;
+/// Longest pre-token the memo remembers, in bytes.
+const WORD_CAP: usize = IDS_AT - WORD_AT;
+/// Most ids a remembered pre-token may encode to.
+const IDS_CAP: usize = (SLOT - IDS_AT) / 4;
+
+/// One remembered pre-token and its ids, inline in one cache line, so no
+/// slot owns heap memory and a hit reads one line past its set's head.
+type Slot = [u8; SLOT];
+
+fn slot_word(slot: &Slot) -> &[u8] {
+    &slot[WORD_AT..WORD_AT + usize::from(slot[0])]
+}
+
+fn slot_ids(slot: &Slot) -> impl Iterator<Item = TokenId> + '_ {
+    let ids = &slot[IDS_AT..IDS_AT + 4 * usize::from(slot[1])];
+    ids.chunks_exact(4)
+        .map(|id| TokenId::from_le_bytes([id[0], id[1], id[2], id[3]]))
+}
+
+fn write_slot(slot: &mut Slot, word: &[u8], ids: &[TokenId]) {
+    slot[0] = word.len() as u8;
+    slot[1] = ids.len() as u8;
+    slot[WORD_AT..WORD_AT + word.len()].copy_from_slice(word);
+    for (at, id) in slot[IDS_AT..].chunks_exact_mut(4).zip(ids) {
+        at.copy_from_slice(&id.to_le_bytes());
+    }
+}
+
+/// What a probe reads before any slot: 16 bits of each way's hash, one per
+/// 16-bit lane, and the ways in the order they were last used, one per
+/// byte, the most recent in the low byte. Both are packed into integers so
+/// that a hit finds its way and moves it to the front without a branch on
+/// the set's contents; probing the ways one by one and rotating an array
+/// made a warm `encode` ≈ 15 % slower. All 1 024 heads take 16 KiB.
+#[derive(Clone, Copy)]
+struct Head {
+    tags: u64,
+    order: u32,
+}
+
+/// A one in each 16-bit lane.
+const LANES: u64 = 0x0001_0001_0001_0001;
+/// A one in each byte.
+const BYTES: u32 = 0x0101_0101;
+
+impl Head {
+    /// Ways 0, 1, 2, 3, most recently used first.
+    const EMPTY: Head = Head {
+        tags: 0,
+        order: 0x0302_0100,
+    };
+
+    /// The ways whose tag may be `tag`, as the top bit of their lanes: each
+    /// way whose tag is, and perhaps a way above one that is (the borrow of
+    /// the subtraction), which the word compare then turns down.
+    fn candidates(&self, tag: u16) -> u64 {
+        let x = self.tags ^ (u64::from(tag) * LANES);
+        x.wrapping_sub(LANES) & !x & (LANES << 15)
+    }
+
+    fn set_tag(&mut self, way: usize, tag: u16) {
+        let lane = 16 * way;
+        self.tags = (self.tags & !(0xFFFF << lane)) | (u64::from(tag) << lane);
+    }
+
+    /// Makes `way` the most recently used; the ways used since it move
+    /// back one.
+    fn touch(&mut self, way: usize) {
+        let way = way as u32;
+        // `way`'s byte is the lowest zero byte of `x`, and the only one.
+        let x = self.order ^ (way * BYTES);
+        let rank = (x.wrapping_sub(BYTES) & !x & (BYTES << 7)).trailing_zeros() / 8;
+        let moved = ((1u64 << (8 * rank + 8)) - 1) as u32;
+        self.order = (self.order & !moved) | (((self.order << 8) | way) & moved);
+    }
+
+    /// The least recently used way, made the most recently used.
+    fn evict(&mut self) -> usize {
+        self.order = self.order.rotate_left(8);
+        (self.order & 0xFF) as usize
+    }
+}
+
+const _: () = assert!(SETS * (WAYS * SLOT + std::mem::size_of::<Head>()) <= 384 * 1024);
+
+/// Encoded-word memo: a fixed set-associative table whose sets each evict
+/// their least recently used way.
+struct Memo {
+    heads: Box<[Head]>,
+    /// `SETS * WAYS` slots, set by set, as one byte array: it is allocated
+    /// zeroed (every slot empty), so its pages are faulted in as slots are
+    /// first written, not at boot, where writing 256 KiB of empty slots
+    /// took ≈ 0.1 ms.
+    slots: Box<[u8]>,
+}
+
+impl Memo {
+    fn new() -> Self {
+        Memo {
+            heads: vec![Head::EMPTY; SETS].into_boxed_slice(),
+            slots: vec![0; SETS * WAYS * SLOT].into_boxed_slice(),
+        }
+    }
+
+    /// The set a word's FNV-1a hash picks, and the tag its ways compare
+    /// first. FNV-1a's top bits hardly depend on a word's last byte, so
+    /// the hash is mixed by a Fibonacci multiply first.
+    fn locate(hash: u64) -> (usize, u16) {
+        let mixed = hash.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((mixed >> (64 - SET_BITS)) as usize, (mixed >> (48 - SET_BITS)) as u16)
+    }
+
+    fn slot(&self, set: usize, way: usize) -> &Slot {
+        &self.slots.as_chunks().0[set * WAYS + way]
+    }
+
+    fn slot_mut(&mut self, set: usize, way: usize) -> &mut Slot {
+        &mut self.slots.as_chunks_mut().0[set * WAYS + way]
+    }
+
+    /// How many slots hold a word.
+    fn filled(&self) -> usize {
+        let slots = self.slots.as_chunks::<SLOT>().0;
+        slots.iter().filter(|slot| slot[0] > 0).count()
+    }
+
+    /// The set and the way that hold `word`.
+    fn find(&self, word: &[u8], hash: u64) -> Option<(usize, usize)> {
+        let (set, tag) = Self::locate(hash);
+        let mut candidates = self.heads[set].candidates(tag);
+        while candidates != 0 {
+            let way = (candidates.trailing_zeros() / 16) as usize;
+            if slot_word(self.slot(set, way)) == word {
+                return Some((set, way));
+            }
+            candidates &= candidates - 1;
+        }
+        None
+    }
+
+    /// The ids remembered for `word`, which becomes its set's most recently
+    /// used.
+    fn get(&mut self, word: &[u8], hash: u64) -> Option<impl Iterator<Item = TokenId> + '_> {
+        let (set, way) = self.find(word, hash)?;
+        self.heads[set].touch(way);
+        Some(slot_ids(self.slot(set, way)))
+    }
+
+    /// Remembers `word`'s ids in its set's least recently used way, which
+    /// becomes the most recently used; a word or an encoding too long for
+    /// a slot is not remembered.
+    fn insert(&mut self, word: &[u8], hash: u64, ids: &[TokenId]) {
+        if word.len() > WORD_CAP || ids.len() > IDS_CAP {
+            return;
+        }
+        let (set, tag) = Self::locate(hash);
+        let head = &mut self.heads[set];
+        let way = head.evict();
+        head.set_tag(way, tag);
+        write_slot(self.slot_mut(set, way), word, ids);
+    }
+}
+
+impl fmt::Debug for Memo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Memo")
+            .field("slots", &(SETS * WAYS))
+            .field("filled", &self.filled())
+            .finish()
+    }
+}
 
 /// A trained byte-pair encoder.
 #[derive(Debug)]
@@ -113,7 +298,7 @@ impl Bpe {
     /// table.
     fn from_merges(merges: &[Pair]) -> Self {
         let mut expansions: Vec<Vec<u8>> = Vec::with_capacity(merges.len());
-        let mut ranks = Ranks::with_capacity(merges.len());
+        let mut ranks = Ranks::with_capacity_and_hasher(merges.len(), Default::default());
         for (rank, &pair) in merges.iter().enumerate() {
             let mut bytes = Vec::new();
             for id in [pair.0, pair.1] {
@@ -128,7 +313,7 @@ impl Bpe {
         Bpe {
             vocab: Vocab::new(expansions),
             ranks,
-            cache: Mutex::new(Memo::default()),
+            cache: Mutex::new(Memo::new()),
         }
     }
 
@@ -151,27 +336,34 @@ impl Bpe {
 
     /// Encodes text into token IDs (never emits special tokens).
     pub fn encode(&self, text: &str) -> Vec<TokenId> {
-        let mut out = Vec::new();
+        // One id per 8 bytes: corpus prose encodes at ≈ 7.7 bytes an id, so
+        // it grows this once at most, where growing from empty took five
+        // allocations for a 40-word paragraph (≈ 4 ns a token on a warm
+        // memo, release build).
+        let mut out = Vec::with_capacity(text.len() / 8);
         let mut memo = self.cache.lock();
         for (word, hash) in train::pretokenize(text.as_bytes()) {
-            if let Some(hit) = memo.get(&hash).filter(|hit| *hit.word == *word) {
-                out.extend_from_slice(&hit.ids);
+            if let Some(ids) = memo.get(word, hash) {
+                out.extend(ids);
                 continue;
             }
             let ids = self.encode_word(word);
+            memo.insert(word, hash, &ids);
             out.extend_from_slice(&ids);
-            if memo.len() < MEMO_CAP {
-                memo.entry(hash).or_insert_with(|| MemoEntry {
-                    word: word.into(),
-                    ids: ids.into_boxed_slice(),
-                });
-            }
         }
         out
     }
 
     /// Applies merges to a single pre-token.
     fn encode_word(&self, word: &[u8]) -> Vec<TokenId> {
+        merge_word(word, |pair| self.ranks.get(&pair).copied())
+    }
+
+    /// The loop [`Bpe::encode_word`] replaced, kept as the reference its
+    /// tests compare against: rescans every window for the lowest-rank
+    /// merge before each merge, O(n²) for a pre-token of n bytes.
+    #[cfg(test)]
+    fn encode_word_reference(&self, word: &[u8]) -> Vec<TokenId> {
         let mut sym: Vec<TokenId> = word.iter().map(|&b| b as TokenId).collect();
         loop {
             // Find the lowest-rank (= lowest-id) applicable merge.
@@ -212,6 +404,86 @@ impl Bpe {
             None => format!("<|invalid:{token}|>"),
         }
     }
+}
+
+/// A symbol of a pre-token being merged: a node of the list over the
+/// word's byte positions, at the position of its first byte.
+#[derive(Clone, Copy)]
+struct Symbol {
+    /// [`MERGED_AWAY`] once joined into its left neighbour.
+    id: TokenId,
+    prev: u32,
+    next: u32,
+}
+
+/// No neighbour.
+const NONE: u32 = u32::MAX;
+
+/// The id of a symbol that no longer exists; no vocabulary reaches it.
+const MERGED_AWAY: TokenId = TokenId::MAX;
+
+/// BPE over one pre-token, asking `rank` for a pair's merge: the lowest
+/// (= lowest-id) adjacent pair merges first, the leftmost of equals first,
+/// until no adjacent pair has a merge.
+///
+/// The symbols form a linked list and a min-heap holds every adjacent pair
+/// that has a merge, keyed `(id, position)`. A merge joins a symbol with
+/// its right neighbour and queues the at most two pairs it creates; an
+/// entry whose pair changed after it was queued is skipped when popped (a
+/// position's id only ever grows, so it cannot change back). That is at
+/// most 3n calls of `rank` and O(n log n) heap work for n bytes, where
+/// rescanning every window before each merge was O(n²): 1.8 s for one
+/// 16 KiB pre-token in a release build. Positions are `u32`, which keeps
+/// the work space near 50 bytes a byte (12 a symbol, and at most 2n heap
+/// entries of 16), all freed on return.
+fn merge_word(word: &[u8], mut rank: impl FnMut(Pair) -> Option<TokenId>) -> Vec<TokenId> {
+    let n = u32::try_from(word.len())
+        .ok()
+        .filter(|&n| n < NONE)
+        .expect("a pre-token shorter than 4 GiB");
+    let mut sym: Vec<Symbol> = (0..n)
+        .map(|i| Symbol {
+            id: TokenId::from(word[i as usize]),
+            prev: i.checked_sub(1).unwrap_or(NONE),
+            next: if i + 1 < n { i + 1 } else { NONE },
+        })
+        .collect();
+    let mut heap = BinaryHeap::new();
+    // Queues the pair that starts at `at`, if it has a merge.
+    let mut queue = |heap: &mut BinaryHeap<_>, sym: &[Symbol], at: u32| {
+        let next = sym[at as usize].next;
+        if next != NONE {
+            let pair = (sym[at as usize].id, sym[next as usize].id);
+            if let Some(id) = rank(pair) {
+                heap.push(Reverse((id, at, pair)));
+            }
+        }
+    };
+    for at in 0..n {
+        queue(&mut heap, &sym, at);
+    }
+    while let Some(Reverse((id, at, pair))) = heap.pop() {
+        let next = sym[at as usize].next;
+        if next == NONE || (sym[at as usize].id, sym[next as usize].id) != pair {
+            continue;
+        }
+        let gone = sym[next as usize];
+        sym[next as usize].id = MERGED_AWAY;
+        sym[at as usize].id = id;
+        sym[at as usize].next = gone.next;
+        if gone.next != NONE {
+            sym[gone.next as usize].prev = at;
+        }
+        let prev = sym[at as usize].prev;
+        if prev != NONE {
+            queue(&mut heap, &sym, prev);
+        }
+        queue(&mut heap, &sym, at);
+    }
+    sym.into_iter()
+        .map(|s| s.id)
+        .filter(|&id| id != MERGED_AWAY)
+        .collect()
 }
 
 impl CorpusGen {
@@ -405,49 +677,160 @@ mod tests {
         );
     }
 
-    #[test]
-    fn memo_is_bounded_and_never_changes_an_encoding() {
-        let bpe = small();
-        for i in 0..100_000u32 {
-            let word = format!(" w{i}the");
-            assert_eq!(bpe.encode(&word), bpe.encode_word(word.as_bytes()));
-        }
-        assert_eq!(bpe.cache.lock().len(), MEMO_CAP);
-        // A word met after the cap filled is encoded, just not remembered.
-        let late = " w99999the";
-        let mut hash = Prehashed(train::FNV_OFFSET);
-        hash.write(late.as_bytes());
-        assert!(!bpe.cache.lock().contains_key(&hash.finish()));
-        assert_eq!(bpe.decode(&bpe.encode(late)), late);
-        // A word whose hash another word holds is encoded, not served the
-        // other word's ids.
-        let (hash, word) = {
-            let memo = bpe.cache.lock();
-            let (&hash, entry) = memo.iter().next().expect("a full memo");
-            let word = String::from_utf8(entry.word.to_vec()).expect("encoded from a str");
-            (hash, word)
-        };
-        let collision = MemoEntry {
-            word: (*b"another word").into(),
-            ids: [0].into(),
-        };
-        bpe.cache.lock().insert(hash, collision);
-        assert_eq!(bpe.encode(&word), bpe.encode_word(word.as_bytes()));
+    /// FNV-1a/64 of `bytes`: the memo's key.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().copied().fold(train::FNV_OFFSET, train::fnv_step)
     }
 
-    /// A small tokenizer whose memo is full. It learned merges across
-    /// `\x0b`, so a scanner that split words there would change ids.
-    fn full_memo() -> &'static Bpe {
-        static FULL: OnceLock<Bpe> = OnceLock::new();
-        FULL.get_or_init(|| {
+    /// Whether `bpe`'s memo holds `word`, leaving the set's order alone.
+    fn remembers(bpe: &Bpe, word: &[u8]) -> bool {
+        bpe.cache.lock().find(word, fnv(word)).is_some()
+    }
+
+    #[test]
+    fn a_set_is_least_recently_used_first_out() {
+        // Every order of the four ways, touched at every way, against an
+        // array that moves the way to the front.
+        let orders = (0u8..=255)
+            .map(|p| [p & 3, p >> 2 & 3, p >> 4 & 3, p >> 6])
+            .filter(|order| (0..4).all(|way| order.contains(&way)));
+        assert_eq!(orders.clone().count(), 24);
+        for order in orders {
+            let head = Head {
+                tags: 0,
+                order: u32::from_le_bytes(order),
+            };
+            for (rank, &way) in order.iter().enumerate() {
+                let mut touched = head;
+                touched.touch(usize::from(way));
+                let mut expected = order;
+                expected[..=rank].rotate_right(1);
+                assert_eq!(touched.order.to_le_bytes(), expected, "{order:?} touch {way}");
+            }
+            let mut evicted = head;
+            assert_eq!(evicted.evict(), usize::from(order[3]));
+            assert_eq!(evicted.order.to_le_bytes(), [order[3], order[0], order[1], order[2]]);
+        }
+    }
+
+    #[test]
+    fn tags_find_every_way_that_has_them() {
+        let mut head = Head::EMPTY;
+        for (way, tag) in [0x1234, 0x0001, 0x1234, 0xFFFF].into_iter().enumerate() {
+            head.set_tag(way, tag);
+        }
+        let ways = |tag| {
+            let candidates = head.candidates(tag);
+            (0..WAYS).filter(|w| candidates >> (16 * w + 15) & 1 == 1).collect::<Vec<_>>()
+        };
+        assert_eq!(ways(0x1234), [0, 2]);
+        assert_eq!(ways(0xFFFF), [3]);
+        assert_eq!(ways(0x0001), [1]);
+        assert_eq!(ways(0x0000), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn a_slot_with_the_words_tag_but_other_bytes_is_never_served() {
+        let bpe = small();
+        let word = " the";
+        let ids = bpe.encode(word);
+        assert_eq!(ids, bpe.encode_word(word.as_bytes()));
+        for other in [b" tha".as_slice(), b"another word"] {
+            {
+                // The way keeps the word's tag, so the probe compares its
+                // bytes.
+                let mut memo = bpe.cache.lock();
+                let (set, way) = memo.find(word.as_bytes(), fnv(word.as_bytes())).expect("remembered");
+                write_slot(memo.slot_mut(set, way), other, &[0]);
+            }
+            assert!(!remembers(&bpe, word.as_bytes()));
+            assert_eq!(bpe.encode(word), ids);
+        }
+    }
+
+    #[test]
+    fn a_word_too_long_for_a_slot_is_encoded_not_remembered() {
+        let bpe = Bpe::train("aaaaaaaa aaaaaaaa", 10);
+        // 30 bytes in 5 ids; 31 bytes; 9 bytes in 9 ids.
+        let fits = "a".repeat(WORD_CAP);
+        let long = "a".repeat(WORD_CAP + 1);
+        let unmerged = "z".repeat(IDS_CAP + 1);
+        for word in [&fits, &long, &unmerged] {
+            assert_eq!(bpe.encode(word), bpe.encode_word(word.as_bytes()));
+        }
+        assert_eq!(bpe.encode(&fits).len(), 5);
+        assert!(remembers(&bpe, fits.as_bytes()));
+        assert!(!remembers(&bpe, long.as_bytes()));
+        assert!(!remembers(&bpe, unmerged.as_bytes()));
+        assert_eq!(bpe.cache.lock().filled(), 1);
+    }
+
+    #[test]
+    fn recurring_words_outlive_any_number_of_one_off_words() {
+        // The default vocabulary with a memo of its own, and two paragraphs
+        // of its corpus that recur once every 16 words met only once, as
+        // documents recur between the task ids of agent sessions.
+        let bpe = Bpe::from_merges(DEFAULT_MERGES);
+        let corpus = CorpusGen::new(train::DEFAULT_CORPUS_SEED).training_corpus(2);
+        let words: Vec<&[u8]> = train::pretokenize(corpus.as_bytes()).map(|(w, _)| w).collect();
+        bpe.encode(&corpus);
+        for i in 0..100_000 {
+            bpe.encode(&format!(" #{i}"));
+            if i % 16 == 15 {
+                let missed = words.iter().find(|word| !remembers(&bpe, word));
+                assert!(missed.is_none(), "{missed:?} forgotten by one-off word {i}");
+                bpe.encode(&corpus);
+            }
+        }
+    }
+
+    #[test]
+    fn a_64_kib_pretoken_takes_linearly_many_rank_lookups() {
+        let bpe = Bpe::train("aaaa aaaa aaaaaaaa aaaaaaaa ab ab aab aab abab abab ba ba", 50);
+        // Blocks of `a` and `b` joined by `z`, which no merge involves: no
+        // merge spans a `z`, so the rescanning loop's ids for the whole
+        // word are its ids for each block in turn, each `z` its own byte.
+        // That runs the O(n²) reference on short blocks, not on 64 KiB.
+        let (mut word, mut expected) = (Vec::new(), Vec::new());
+        for k in 0.. {
+            if word.len() >= 64 * 1024 {
+                break;
+            }
+            let block = ["a".repeat(k % 29 + 1), "b".repeat(k % 4), "ab".repeat(k % 3)].concat();
+            expected.extend(bpe.encode_word_reference(block.as_bytes()));
+            expected.push(TokenId::from(b'z'));
+            word.extend_from_slice(block.as_bytes());
+            word.push(b'z');
+        }
+        let mut lookups = 0;
+        let ids = merge_word(&word, |pair| {
+            lookups += 1;
+            bpe.ranks.get(&pair).copied()
+        });
+        assert!(ids.len() < word.len() / 2, "merges did apply");
+        assert_eq!(ids, expected);
+        // The rescanning loop asks about every window before each merge:
+        // of the order of n²/4 lookups here. A merge queues two pairs.
+        assert!(lookups <= 3 * word.len(), "{lookups} rank lookups for {} bytes", word.len());
+    }
+
+    /// A small tokenizer whose memo is thrashed: every slot of every set is
+    /// taken, so each new word evicts one. It learned merges across `\x0b`,
+    /// so a scanner that split words there would change ids.
+    fn thrashed() -> &'static Bpe {
+        static THRASHED: OnceLock<Bpe> = OnceLock::new();
+        THRASHED.get_or_init(|| {
             let bpe = Bpe::train(
                 "the\x0bcat sat\x0b on \x0bthe mat the\x0bcat sat\x0b on \x0bthe mat",
                 50,
             );
-            for i in 0..MEMO_CAP {
-                bpe.encode(&format!(" w{i}the"));
+            let mut i = 0;
+            while bpe.cache.lock().filled() < SETS * WAYS {
+                for _ in 0..SETS {
+                    bpe.encode(&format!(" w{i}the"));
+                    i += 1;
+                }
             }
-            assert_eq!(bpe.cache.lock().len(), MEMO_CAP);
             bpe
         })
     }
@@ -485,6 +868,14 @@ mod tests {
         })
     }
 
+    /// Pre-tokens over the tie-heavy corpora's alphabet, many longer than
+    /// any word they were trained on.
+    fn tie_heavy_word() -> impl Strategy<Value = String> {
+        let piece = prop_oneof!["[ab]{1,8}", "[abcd]{1,10}", "a{2,9}"];
+        (" ?", proptest::collection::vec(piece, 1..8))
+            .prop_map(|(space, pieces)| space + &pieces.concat())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -494,6 +885,26 @@ mod tests {
             let old = train::learn_merges_reference(&text, budget);
             prop_assert_eq!(new, old, "merge list for {:?}", text);
         }
+
+        /// The heap merges in the rescanning loop's order: lowest rank
+        /// first, leftmost of equals first, through overlapping runs such
+        /// as `aaaa` under `(a, a)`.
+        #[test]
+        fn heap_merge_matches_rescanning(
+            text in tie_heavy_corpus(),
+            budget in 0usize..65,
+            words in proptest::collection::vec(tie_heavy_word(), 1..8),
+        ) {
+            let bpe = Bpe::train(&text, budget);
+            let trained = train::pretokenize(text.as_bytes()).map(|(word, _)| word);
+            for word in trained.chain(words.iter().map(String::as_bytes)) {
+                prop_assert_eq!(
+                    bpe.encode_word(word),
+                    bpe.encode_word_reference(word),
+                    "{:?} after training on {:?}", String::from_utf8_lossy(word), text
+                );
+            }
+        }
     }
 
     proptest! {
@@ -501,10 +912,10 @@ mod tests {
 
         /// The memo never changes an encoding: `encode` is `encode_word`
         /// over `pretokenize`, word by word, cold and warm on the default
-        /// vocabulary, and on a memo that is full.
+        /// vocabulary, and on a memo whose every set is full.
         #[test]
         fn encode_is_encode_word_over_pretokens(text in pretoken_soup()) {
-            for bpe in [Bpe::default_tokenizer(), full_memo()] {
+            for bpe in [Bpe::default_tokenizer(), thrashed()] {
                 let spec: Vec<TokenId> = train::pretokenize(text.as_bytes())
                     .flat_map(|(word, _)| bpe.encode_word(word))
                     .collect();
