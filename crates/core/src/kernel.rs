@@ -1151,6 +1151,12 @@ impl Kernel {
     /// Installs the streaming upcall sink. Subsequent `emit`/`emit_tokens`
     /// completions and process exits invoke it synchronously with
     /// [`SessionEvent`]s, in virtual-time order.
+    ///
+    /// The sink then owns the output stream: emitted text goes to it and
+    /// nowhere else, so [`ProcessRecord::output`] stays empty and a
+    /// finished process's zombie is its record alone. A durable process is
+    /// the exception — its text is kept in the record as well, because the
+    /// WAL's exit frame carries the finished record through recovery.
     pub fn set_session_sink(&mut self, sink: SessionSink) {
         self.session_sink = Some(sink);
     }
@@ -1167,6 +1173,22 @@ impl Kernel {
         if let Some(sink) = self.session_sink.as_mut() {
             sink(ev);
         }
+    }
+
+    /// Where `pid`'s emitted `text` goes: to the session sink if there is
+    /// one, to the process record if there is none or the process is
+    /// durable (see [`Kernel::set_session_sink`]).
+    fn emit_text(&mut self, pid: Pid, at: SimTime, text: String, tokens: u64) {
+        let sinkless = self.session_sink.is_none();
+        if let Some(proc) = self.procs.get_mut(pid.0).filter(|p| sinkless || p.durable) {
+            proc.record.output.push_str(&text);
+        }
+        self.notify_session(SessionEvent::Emitted {
+            pid,
+            at,
+            text,
+            tokens,
+        });
     }
 
     // ---- the GPU loop -------------------------------------------------------------
@@ -2350,30 +2372,13 @@ impl Kernel {
                 self.events.schedule(at, Event::Wake(tid, SysReply::Unit));
             }
             Syscall::Emit { text } => {
-                record.output.push_str(&text);
-                if self.session_sink.is_some() {
-                    self.notify_session(SessionEvent::Emitted {
-                        pid,
-                        at: sys_at,
-                        text,
-                        tokens: 0,
-                    });
-                }
+                self.emit_text(pid, sys_at, text, 0);
                 self.complete(tid, SysReply::Unit);
             }
             Syscall::EmitTokens { tokens } => {
                 let text = self.tokenizer.decode(&tokens);
-                record.output.push_str(&text);
                 record.usage.emitted_tokens += tokens.len() as u64;
-                if self.session_sink.is_some() {
-                    let n = tokens.len() as u64;
-                    self.notify_session(SessionEvent::Emitted {
-                        pid,
-                        at: sys_at,
-                        text,
-                        tokens: n,
-                    });
-                }
+                self.emit_text(pid, sys_at, text, tokens.len() as u64);
                 self.complete(tid, SysReply::Unit);
             }
             Syscall::Tokenize { text } => {

@@ -16,7 +16,9 @@
 //! counters), its threads' table entries and its name binding, and keeps
 //! what somebody may still ask for: the [`ProcessRecord`] (status, usage,
 //! output, times) and whether it was durable. A kernel nobody reaps grows
-//! by a record per program served, not by the run-time state of each.
+//! by a record per program served, not by the run-time state of each; with
+//! a session sink installed the record holds no output either, unless the
+//! process is durable (`Kernel::set_session_sink`).
 //! `Kernel::reap_exited` removes the zombies.
 
 use std::collections::VecDeque;
@@ -420,7 +422,7 @@ impl Kernel {
     /// Returns how many were dropped. The kernel keeps finished processes
     /// so callers can read [`Kernel::record`] after a run; a server that
     /// stays up calls this once their outcomes are reported, or the table
-    /// grows by a record (and its output) with every program ever served.
+    /// grows by a record with every program ever served.
     pub fn reap_exited(&mut self) -> usize {
         let zombies: Vec<u64> = self
             .procs
@@ -602,6 +604,7 @@ impl Kernel {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use symphony_sim::SimDuration;
@@ -643,6 +646,63 @@ mod tests {
             assert_eq!(k.cqueue.static_hint_of(pid), None);
             assert!(!k.is_durable(Pid(pid)));
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_session_sink_owns_the_stream_unless_the_process_is_durable() {
+        let path = std::env::temp_dir().join(format!("symphony-sink-{}.wal", std::process::id()));
+        let mut cfg = KernelConfig::for_tests();
+        cfg.wal = Some(WalConfig::new(&path));
+        let image: ProgramImage = Arc::new(|ctx| {
+            let prompt = ctx.tokenize(&ctx.args())?;
+            ctx.emit("echo: ")?;
+            ctx.emit_tokens(&prompt)?;
+            ctx.emit(" — done")
+        });
+        // A plain and a durable process of the same program; the text the
+        // sink received, by pid, if there is one.
+        let run = |sink: bool| {
+            let mut k = Kernel::new(cfg.clone());
+            let streamed: Arc<std::sync::Mutex<BTreeMap<u64, String>>> = Arc::default();
+            if sink {
+                let streamed = Arc::clone(&streamed);
+                k.set_session_sink(Box::new(move |ev| {
+                    if let SessionEvent::Emitted { pid, text, .. } = ev {
+                        let mut streamed = streamed.lock().unwrap();
+                        streamed.entry(pid.0).or_default().push_str(&text);
+                    }
+                }));
+            }
+            let plain_image = Arc::clone(&image);
+            let plain = k.spawn_process("plain", "serve programs", move |ctx| plain_image(ctx));
+            let durable = k.spawn_durable("durable", "not prompts", Arc::clone(&image));
+            assert_eq!(k.run(), 2);
+            assert!(k.records().all(|r| r.status.is_ok()));
+            let streamed = std::mem::take(&mut *streamed.lock().unwrap());
+            (k, plain, durable, streamed)
+        };
+
+        let (alone, plain, durable, streamed) = run(false);
+        assert!(streamed.is_empty());
+        let output = |k: &Kernel, pid: Pid| k.record(pid).unwrap().output.clone();
+        let (plain_text, durable_text) = (output(&alone, plain), output(&alone, durable));
+        assert!(plain_text.starts_with("echo: serve") && durable_text.ends_with("— done"));
+        drop(alone);
+
+        let (served, plain, durable, streamed) = run(true);
+        // The sink got every byte a sinkless kernel keeps in the record, and
+        // the plain process's record kept none of them.
+        assert_eq!(streamed.get(&plain.0), Some(&plain_text));
+        assert_eq!(streamed.get(&durable.0), Some(&durable_text));
+        assert_eq!(output(&served, plain), "");
+        // The durable one keeps its text, and its exit frame carries it
+        // through recovery.
+        assert_eq!(output(&served, durable), durable_text);
+        drop(served);
+        let (mut recovered, _) = Kernel::recover(cfg.clone()).expect("recoverable WAL");
+        assert_eq!(recovered.resume_programs(|_| None).finished, 1);
+        assert_eq!(output(&recovered, durable), durable_text);
         std::fs::remove_file(&path).ok();
     }
 }

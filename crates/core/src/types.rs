@@ -154,7 +154,10 @@ pub struct ProcessRecord {
     pub exited_at: Option<SimTime>,
     /// Exit status of the *main* thread.
     pub status: ExitStatus,
-    /// Concatenated `emit`/`emit_tokens` output.
+    /// Concatenated `emit`/`emit_tokens` output — on a kernel without a
+    /// session sink, or for a durable process. Once a sink is installed it
+    /// owns a non-durable process's stream and this stays empty (see
+    /// `Kernel::set_session_sink`).
     pub output: String,
     /// Resource usage.
     pub usage: ProcessUsage,

@@ -28,4 +28,4 @@ pub mod server;
 pub mod shell;
 
 pub use replay::{run_replay, run_replay_on, ReplayReport, ReplaySpec, WorkloadKind};
-pub use server::{CloseReason, ServeConfig, ServerCore};
+pub use server::{CloseReason, ServeConfig, ServerCore, SLICE};

@@ -2,7 +2,7 @@
 //!
 //! [`ServerCore`] is transport-agnostic and fully deterministic: bytes go
 //! in through [`ServerCore::feed`], virtual time advances in
-//! [`ServerCore::pump_for`] slices or to quiescence in
+//! [`ServerCore::pump_for`] slices, or slice after slice to quiescence in
 //! [`ServerCore::pump`], bytes come out through
 //! [`ServerCore::take_output`] (all of them) or [`ServerCore::pending`]
 //! and [`ServerCore::consume`] (as much as a socket takes). The TCP shell
@@ -31,6 +31,14 @@ use symphony_rpc::{
     ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, CONN_SCOPE, DEFAULT_MAX_FRAME,
     WIRE_VERSION,
 };
+
+/// Virtual time one [`ServerCore::pump_for`] runs the kernel for, in the
+/// TCP shell between two looks at the sockets and in [`ServerCore::pump`]
+/// between two routings of session events. Input that arrives while a
+/// slice runs is admitted at most this much virtual time late, a token
+/// waits at most this long to be written, and the session-event queue
+/// holds at most one slice of events.
+pub const SLICE: SimDuration = SimDuration::from_millis(1);
 
 /// Tuning knobs for the front door.
 #[derive(Debug, Clone)]
@@ -204,6 +212,9 @@ pub struct ServerCore {
     cancel_requested: BTreeSet<u64>,
     /// Session events drained from the kernel sink, in virtual-time order.
     events: Arc<Mutex<VecDeque<SessionEvent>>>,
+    /// The slice of events being routed: swapped with `events` on each
+    /// [`ServerCore::pump_for`], so both queues keep their capacity.
+    routing: VecDeque<SessionEvent>,
     images: ImageCache,
 }
 
@@ -230,6 +241,7 @@ impl ServerCore {
             live_total: 0,
             cancel_requested: BTreeSet::new(),
             events,
+            routing: VecDeque::new(),
             images: ImageCache::default(),
         }
     }
@@ -310,29 +322,36 @@ impl ServerCore {
     /// slow-client shed cancels sessions, which produces more events).
     pub fn pump_for(&mut self, slice: SimDuration) -> bool {
         let quiescent = self.kernel.run_for(slice);
-        let drained: Vec<SessionEvent> = {
-            let mut q = self.events.lock().unwrap_or_else(|p| p.into_inner());
-            q.drain(..).collect()
-        };
-        let routed = !drained.is_empty();
-        for ev in drained {
+        std::mem::swap(
+            &mut *self.events.lock().unwrap_or_else(|p| p.into_inner()),
+            &mut self.routing,
+        );
+        let routed = !self.routing.is_empty();
+        while let Some(ev) = self.routing.pop_front() {
             self.route_event(ev);
         }
         self.finish_closing();
         quiescent && !routed
     }
 
-    /// Runs the kernel to quiescence: [`ServerCore::pump_for`] with no
-    /// bound, until it reports nothing left to do.
+    /// Runs the kernel to quiescence: [`ServerCore::pump_for`]`(`[`SLICE`]`)`
+    /// until it reports nothing left to do. The kernel never splits a
+    /// virtual instant, so with nothing fed in between this is the run one
+    /// unbounded slice would be — the same batches and the same bytes — but
+    /// the events of a burst are routed to their connections a slice at a
+    /// time instead of queueing whole.
     pub fn pump(&mut self) {
-        while !self.pump_for(SimDuration::MAX) {}
+        while !self.pump_for(SLICE) {}
     }
 
     /// Drops the kernel's records of finished sessions
     /// ([`Kernel::reap_exited`]). After [`ServerCore::pump`] every one of
     /// them has been reported as a DONE frame, which is all a client ever
     /// sees of it; a harness that reads `kernel().records()` afterwards
-    /// simply does not call this. Also forgets every connection that is
+    /// simply does not call this. A served session's record holds its
+    /// status and usage but none of its output, which went to the client
+    /// as STREAM frames and is kept nowhere else (see
+    /// [`Kernel::set_session_sink`]). Also forgets every connection that is
     /// closed with nothing left to flush or to route — to the transport
     /// it reads as before, [`ServerCore::is_closed`] with no output — so a
     /// server that stays up keeps state for the connections it has, not

@@ -31,14 +31,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use symphony::SimDuration;
-
-use crate::ServerCore;
-
-/// Virtual time the kernel runs between two looks at the sockets. Input
-/// that arrives while a slice runs is admitted at most this much virtual
-/// time late, and a token waits at most this long to be written.
-pub const SLICE: SimDuration = SimDuration::from_millis(1);
+use crate::{ServerCore, SLICE};
 
 /// How long an idle shell blocks in `poll` before it looks at `stop`
 /// again, in milliseconds. Readiness ends the wait sooner.

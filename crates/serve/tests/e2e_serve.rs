@@ -714,11 +714,11 @@ fn a_spinning_program_still_runs_out_of_fuel_over_the_wire() {
 
 #[test]
 fn pump_in_slices_streams_the_bytes_of_one_pump() {
-    // The TCP shell pumps in bounded slices, symbench's in-process
-    // workloads and the loopback replay pump to quiescence. With nothing
-    // fed in between, the two must put the same bytes on every
-    // connection: staggered arrivals, agents and RAG, a dropped
-    // connection and a BYE that drains its sessions first.
+    // The TCP shell and `pump` run the kernel in bounded slices. With
+    // nothing fed in between, any slicing — `pump`'s included — must put
+    // the same bytes on every connection as one unbounded run: staggered
+    // arrivals, agents and RAG, a dropped connection and a BYE that
+    // drains its sessions first. No slices at all means `pump`.
     fn serve(slices: &[SimDuration]) -> Vec<Vec<u8>> {
         let mut core = new_core();
         let mut clients: Vec<Client> = (1..=4).map(|t| Client::connect(&mut core, t)).collect();
@@ -754,8 +754,9 @@ fn pump_in_slices_streams_the_bytes_of_one_pump() {
         }
         clients.iter().map(|c| core.take_output(c.conn)).collect()
     }
-    let whole = serve(&[]);
+    let whole = serve(&[SimDuration::MAX]);
     assert!(whole[0].len() > 1_000, "the sessions streamed nothing");
+    assert!(serve(&[]) == whole, "pump changed the bytes");
     let ms = SimDuration::from_millis;
     for slices in [
         vec![SimDuration::ZERO],
