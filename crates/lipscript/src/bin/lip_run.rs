@@ -7,19 +7,18 @@
 //! lip_run <program.lip> [args-string] [--fuel N] [--trace] [--no-verify]
 //! ```
 //!
-//! Programs are parsed and verified before execution — the same admission
-//! check the serving door applies — and diagnostics print in compiler
+//! Programs are parsed, lowered and verified before execution — the same
+//! admission check the serving door applies, on the image that then runs —
+//! and diagnostics print in compiler
 //! style (`file:line:col: message`). `--no-verify` skips the verifier and
 //! lets the interpreter fault at runtime instead.
 //!
 //! Exit code 0 on clean completion, 1 on program failure, 2 on usage error.
 
-use std::sync::Arc;
-
 use symphony::{Kernel, KernelConfig, Mode, SimDuration, ToolOutcome, ToolSpec};
 use symphony_lipscript::parse::parse;
-use symphony_lipscript::verify::verify;
-use symphony_lipscript::{InterpLimits, LipBody};
+use symphony_lipscript::verify::verify_image;
+use symphony_lipscript::{Image, InterpLimits, LipBody};
 
 fn usage() -> ! {
     eprintln!("usage: lip_run <program.lip> [args-string] [--fuel N] [--trace] [--no-verify]");
@@ -67,14 +66,15 @@ fn main() {
     // Admission check before spending any kernel time: parse errors and
     // verifier errors print compiler-style and exit 1; warnings print but
     // don't block.
-    let program = match parse(&src) {
+    let image = match parse(&src) {
         Err(e) => {
             eprintln!("{}", e.render(&path));
             std::process::exit(1);
         }
         Ok(prog) => {
+            let image = Image::shared(&prog);
             if !no_verify {
-                let report = verify(&prog);
+                let report = verify_image(&image);
                 for d in &report.diags {
                     eprintln!(
                         "{path}:{}:{}: {}[{}]: {}",
@@ -90,7 +90,7 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            Arc::new(prog)
+            image
         }
     };
 
@@ -125,7 +125,7 @@ fn main() {
     };
     // As the server does: the program enters the kernel as a value it
     // steps, not as a closure on a thread.
-    let body = Box::new(LipBody::new(program, limits));
+    let body = Box::new(LipBody::from_image(image, limits));
     let pid = kernel.admit_inline("lip_run", &program_args, None, body);
     kernel.run();
 

@@ -9,6 +9,10 @@
 //! A call site names its builtin once, when the program is lowered
 //! ([`crate::image`]): [`Builtin`] is what the name resolved to, so running
 //! a call is a jump on a small integer and never a string comparison.
+//! Everything else known about a builtin before it runs — what it requires
+//! of each argument (and so how many it takes), what it returns, whether it
+//! asks the host — is its one row of the `builtins!` table below, which the
+//! machine and the verifier ([`crate::verify`]) both read.
 //! `begin` only *inspects* its arguments — it takes them by reference, so a
 //! variable handed to `len`, `argmax` or `pred` is read where it lives and
 //! not copied first.
@@ -22,16 +26,20 @@ use crate::host::{HostCall, HostReply, HostResult};
 use crate::image::Image;
 use crate::interp::{fail, Core, Fallible};
 use crate::value::Value;
+use crate::verify::{Req, Ty};
 
-/// Declares every builtin once: its variant, its name, its fixed argument
-/// count, and whether it `asks` the host or is `pure` ([`begin`] always
-/// finishes it on the spot). Dispatch, the shadowing check, runtime arity
-/// enforcement and the static verifier all read this one table, so they
-/// can never disagree.
+/// Declares every builtin once: its variant, its name, what it requires of
+/// each argument (a [`Req`] per argument, so also how many it takes), what
+/// it returns (a [`Ty`], `Any` where that depends on the values), and
+/// whether it `asks` the host or is `pure` ([`begin`] always finishes it on
+/// the spot). Dispatch, the shadowing check, runtime arity enforcement and
+/// every pass of the static verifier read this one table, so they can never
+/// disagree; `the_table_says_which_builtins_ask_the_host` holds the columns
+/// to what [`begin`] does.
 macro_rules! builtins {
     (@pure pure) => { true };
     (@pure asks) => { false };
-    ($($variant:ident = $name:literal / $arity:literal $kind:ident,)*) => {
+    ($($variant:ident = $name:literal ($($arg:ident),*) -> $ret:ident $kind:ident,)*) => {
         /// A builtin function: what a call site's name resolved to.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[allow(missing_docs)]
@@ -59,10 +67,18 @@ macro_rules! builtins {
                 }
             }
 
-            /// Its fixed argument count.
-            pub fn arity(self) -> usize {
+            /// What it requires of each argument, in order. A concrete
+            /// type outside the requirement makes [`begin`] fail.
+            pub(crate) fn args(self) -> &'static [Req] {
                 match self {
-                    $(Builtin::$variant => $arity,)*
+                    $(Builtin::$variant => &[$(Req::$arg),*],)*
+                }
+            }
+
+            /// What its value can be.
+            pub(crate) fn ret(self) -> Ty {
+                match self {
+                    $(Builtin::$variant => Ty::$ret,)*
                 }
             }
 
@@ -79,44 +95,78 @@ macro_rules! builtins {
 
 builtins! {
     // Core library.
-    Len = "len" / 1 pure, Push = "push" / 2 pure, Slice = "slice" / 3 pure,
-    Contains = "contains" / 2 pure, Range = "range" / 2 pure, Str = "str" / 1 pure,
-    Int = "int" / 1 pure, Float = "float" / 1 pure, Abs = "abs" / 1 pure,
-    Min = "min" / 2 pure, Max = "max" / 2 pure, JoinStr = "join_str" / 2 pure,
-    Split = "split" / 2 pure, Print = "print" / 1 asks, Rand = "rand" / 0 asks,
+    Len = "len"(ListOrStr) -> Int pure,
+    Push = "push"(List, Any) -> List pure,
+    Slice = "slice"(ListOrStr, Int, Int) -> Any pure,
+    Contains = "contains"(ListOrStr, Any) -> Bool pure,
+    Range = "range"(Int, Int) -> List pure,
+    Str = "str"(Any) -> Str pure,
+    Int = "int"(IntLike) -> Int pure,
+    Float = "float"(Num) -> Float pure,
+    Abs = "abs"(Num) -> Any pure,
+    Min = "min"(Num, Num) -> Any pure,
+    Max = "max"(Num, Num) -> Any pure,
+    JoinStr = "join_str"(List, Str) -> Str pure,
+    Split = "split"(Str, Str) -> List pure,
+    Print = "print"(Any) -> Nil asks,
+    Rand = "rand"() -> Float asks,
     // Distribution operations.
-    Sample = "sample" / 1 asks, SampleT = "sample_t" / 2 asks, Argmax = "argmax" / 1 pure,
-    Prob = "prob" / 2 pure, TopK = "top_k" / 2 pure, TopP = "top_p" / 2 pure,
-    Constrain = "constrain" / 2 pure, Entropy = "entropy" / 1 pure,
+    Sample = "sample"(Dist) -> Int asks,
+    SampleT = "sample_t"(Dist, Num) -> Int asks,
+    Argmax = "argmax"(Dist) -> Int pure,
+    Prob = "prob"(Dist, Int) -> Float pure,
+    TopK = "top_k"(Dist, Int) -> Dist pure,
+    TopP = "top_p"(Dist, Num) -> Dist pure,
+    Constrain = "constrain"(Dist, List) -> Dist pure,
+    Entropy = "entropy"(Dist) -> Float pure,
     // System calls.
-    Args = "args" / 0 asks, Eos = "eos" / 0 asks, Tokenize = "tokenize" / 1 asks,
-    Detokenize = "detokenize" / 1 asks, Pred = "pred" / 3 asks, PredAt = "pred_at" / 3 asks,
-    KvCreate = "kv_create" / 0 asks, KvOpen = "kv_open" / 1 asks, KvFork = "kv_fork" / 1 asks,
-    KvRemove = "kv_remove" / 1 asks, KvLen = "kv_len" / 1 asks, KvNextPos = "kv_next_pos" / 1 asks,
-    KvTruncate = "kv_truncate" / 2 asks, KvExtract = "kv_extract" / 3 asks, KvMerge = "kv_merge" / 1 asks,
-    KvLink = "kv_link" / 2 asks, KvUnlink = "kv_unlink" / 1 asks, KvPin = "kv_pin" / 1 asks,
-    KvUnpin = "kv_unpin" / 1 asks, Emit = "emit" / 1 asks, EmitToken = "emit_token" / 1 asks,
-    EmitTokens = "emit_tokens" / 1 asks, CallTool = "call_tool" / 2 asks, Send = "send" / 2 asks,
-    Recv = "recv" / 0 asks, Lookup = "lookup" / 1 asks, SleepMs = "sleep_ms" / 1 asks,
-    NowMs = "now_ms" / 0 asks, Spawn = "spawn" / 2 asks, Join = "join" / 1 asks,
+    Args = "args"() -> Str asks,
+    Eos = "eos"() -> Int asks,
+    Tokenize = "tokenize"(Str) -> List asks,
+    Detokenize = "detokenize"(List) -> Str asks,
+    Pred = "pred"(Kv, List, Int) -> List asks,
+    PredAt = "pred_at"(Kv, List, List) -> List asks,
+    KvCreate = "kv_create"() -> Kv asks,
+    KvOpen = "kv_open"(Str) -> Kv asks,
+    KvFork = "kv_fork"(Kv) -> Kv asks,
+    KvRemove = "kv_remove"(Kv) -> Nil asks,
+    KvLen = "kv_len"(Kv) -> Int asks,
+    KvNextPos = "kv_next_pos"(Kv) -> Int asks,
+    KvTruncate = "kv_truncate"(Kv, Int) -> Nil asks,
+    KvExtract = "kv_extract"(Kv, Int, Int) -> Kv asks,
+    KvMerge = "kv_merge"(List) -> Kv asks,
+    KvLink = "kv_link"(Kv, Str) -> Nil asks,
+    KvUnlink = "kv_unlink"(Str) -> Nil asks,
+    KvPin = "kv_pin"(Kv) -> Nil asks,
+    KvUnpin = "kv_unpin"(Kv) -> Nil asks,
+    Emit = "emit"(Str) -> Nil asks,
+    EmitToken = "emit_token"(Int) -> Nil asks,
+    EmitTokens = "emit_tokens"(List) -> Nil asks,
+    CallTool = "call_tool"(Str, Str) -> Str asks,
+    Send = "send"(Int, Str) -> Nil asks,
+    Recv = "recv"() -> List asks,
+    Lookup = "lookup"(Str) -> Any asks,
+    SleepMs = "sleep_ms"(Int) -> Nil asks,
+    NowMs = "now_ms"() -> Float asks,
+    Spawn = "spawn"(Str, List) -> Thread asks,
+    Join = "join"(Thread) -> Bool asks,
+}
+
+impl Builtin {
+    /// Its fixed argument count.
+    pub fn arity(self) -> usize {
+        self.args().len()
+    }
+
+    /// Whether its first argument is a KV handle, which a removed file
+    /// makes it fail on.
+    pub(crate) fn takes_kv(self) -> bool {
+        self.args().first() == Some(&Req::Kv)
+    }
 }
 
 /// The most arguments any builtin takes.
 pub(crate) const MAX_ARITY: usize = 3;
-
-/// Returns `true` if `name` is a builtin.
-pub fn is_builtin(name: &str) -> bool {
-    Builtin::from_name(name).is_some()
-}
-
-/// The fixed argument count of a builtin, `None` for non-builtins.
-///
-/// Read from the same table as the runtime's own check (`check_arity`,
-/// [`RuntimeErrorKind::BadArity`]) and by the static verifier
-/// (`crate::verify` pass 1), so the two can never disagree.
-pub fn arity_of(name: &str) -> Option<usize> {
-    Builtin::from_name(name).map(Builtin::arity)
-}
 
 fn err(kind: RuntimeErrorKind, span: Span) -> Box<RuntimeError> {
     fail(kind, span)
@@ -595,10 +645,16 @@ pub(crate) fn finish(core: &mut Core, reply: HostResult<HostReply>, span: Span) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::{Host, MockHost};
     use crate::interp::InterpLimits;
 
-    /// The table's `pure` / `asks` column against what `begin` does: every
-    /// builtin, on every mix of plausible arguments that it accepts.
+    /// The table against what `begin` does: every builtin, on every mix of
+    /// plausible arguments. The `pure` / `asks` column must say whether it
+    /// asked. The argument column must be exact: a concrete type outside a
+    /// requirement makes `begin` fail (what a V006 error rests on), and
+    /// every type a requirement allows is accepted by some call. And every
+    /// value a call comes to — on the spot, or from a mock host's reply —
+    /// lies within the return column.
     #[test]
     fn the_table_says_which_builtins_ask_the_host() {
         let program = crate::parse::parse("fn f() { }").expect("parses");
@@ -606,30 +662,79 @@ mod tests {
         let samples = [
             Value::Int(1),
             Value::Float(0.5),
+            Value::Bool(true),
+            Value::Nil,
             Value::Str("f".into()),
+            Value::Str("7".into()),
             Value::List(vec![Value::Int(2), Value::Int(3)]),
             Value::Dist(Dist::from_weights(vec![(1, 2.0), (2, 1.0)], 0.1, 10)),
             Value::Handle(0),
             Value::List(vec![Value::Handle(0)]),
             Value::Thread(0),
         ];
+        let ty = |v: &Value| match v {
+            Value::Int(_) => Ty::Int,
+            Value::Float(_) => Ty::Float,
+            Value::Bool(_) => Ty::Bool,
+            Value::Str(_) => Ty::Str,
+            Value::List(_) => Ty::List,
+            Value::Dist(_) => Ty::Dist,
+            Value::Handle(_) => Ty::Kv,
+            Value::Thread(_) => Ty::Thread,
+            Value::Nil => Ty::Nil,
+        };
+        // A host on which a call with these samples can succeed: handle 0
+        // is a file named "f", "f" is a tool, a message waits, thread 0
+        // has finished.
+        let host = || {
+            let mut host = MockHost::new("the args");
+            host.files.push(Some(vec![(1, 0), (2, 1)]));
+            host.names.insert("f".into(), 0);
+            host.tools.insert("f".into(), "done".into());
+            host.inbox.push_back((3, "hi".into()));
+            host.threads.push(true);
+            host
+        };
         for &builtin in Builtin::ALL {
-            assert_eq!(Builtin::from_name(builtin.name()), Some(builtin));
+            let name = builtin.name();
+            assert_eq!(Builtin::from_name(name), Some(builtin));
             assert!(builtin.arity() <= MAX_ARITY);
-            let mut accepted = 0;
+            // Per argument, the types of it that some call accepted.
+            let mut accepted = vec![Vec::new(); builtin.arity()];
+            let mut calls = 0;
             let mixes = samples.len().pow(builtin.arity() as u32);
             for mix in 0..mixes {
                 let args: Vec<&Value> = (0..builtin.arity() as u32)
                     .map(|k| &samples[mix / samples.len().pow(k) % samples.len()])
                     .collect();
                 let mut core = Core::new(InterpLimits::default());
-                if let Ok(begun) = begin(&mut core, &image, builtin, &args, Span::default()) {
-                    accepted += 1;
-                    let asked = matches!(begun, Begun::Ask(_));
-                    assert_eq!(asked, !builtin.is_pure(), "{}", builtin.name());
+                let Ok(begun) = begin(&mut core, &image, builtin, &args, Span::default()) else {
+                    continue;
+                };
+                calls += 1;
+                for ((req, arg), seen) in builtin.args().iter().zip(&args).zip(&mut accepted) {
+                    let t = ty(arg);
+                    assert!(req.allows(t), "{name} accepted {} for {req:?}", t.name());
+                    seen.push(t);
+                }
+                let asked = matches!(begun, Begun::Ask(_));
+                assert_eq!(asked, !builtin.is_pure(), "{name}");
+                let value = match begun {
+                    Begun::Done(v) => Some(v),
+                    Begun::Ask(call) => finish(&mut core, host().call(call), Span::default()).ok(),
+                };
+                if let Some(t) = value.as_ref().map(ty) {
+                    let ret = builtin.ret();
+                    assert!(ret == Ty::Any || ret == t, "{name} came to {}", t.name());
                 }
             }
-            assert!(accepted > 0, "{} accepted no mix", builtin.name());
+            assert!(calls > 0, "{name} accepted no mix");
+            for (req, seen) in builtin.args().iter().zip(&accepted) {
+                for t in samples.iter().map(ty) {
+                    let missing = req.allows(t) && !seen.contains(&t);
+                    assert!(!missing, "{name} accepted no {} for {req:?}", t.name());
+                }
+            }
         }
     }
 }

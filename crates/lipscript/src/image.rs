@@ -16,15 +16,25 @@
 //!   declared the name *by then* — a `let` further down the same block does
 //!   not count — and a function sees its parameters and nothing else. A
 //!   block's slots are handed out again once it is closed, so a frame is as
-//!   big as the deepest nesting needs.
+//!   big as the deepest nesting needs. An assignment to a name that no
+//!   scope declares declares it in the innermost scope: the assignment
+//!   itself fails when it runs, so nothing after it in that scope ever
+//!   does, and the reads that follow it are not reported again.
 //! - **Call sites** are resolved to a [`Builtin`], a function's index, or
 //!   neither.
+//! - **Names** are kept once each, by number, and every node that
+//!   declares, reads or writes a variable carries the number of its name
+//!   beside its slot (in room the node has anyway). The machine never looks
+//!   at it; the verifier ([`crate::verify`]), which joins types per name —
+//!   one slot can hold two names in turn — does.
 //!
 //! What cannot be resolved is not an error here. Verification is optional
 //! (`ServeConfig::verify`, `lip_run --no-verify`), and a program that reads
 //! an undeclared name on a branch it never takes runs fine: such a read,
 //! write or call is lowered to a node that fails with the same
-//! `Undefined(name)` at the same span *if it is reached*.
+//! `Undefined(name)` at the same span *if it is reached*. The verifier
+//! reads those same nodes to say which reads are undefined, so it and the
+//! machine cannot disagree about what a name means.
 //!
 //! An image is immutable and holds nothing of a run, so one `Arc<Image>`
 //! serves every session that submits the same source, and every thread a
@@ -45,6 +55,11 @@ pub(crate) struct Run {
 
 impl Run {
     const EMPTY: Run = Run { first: 0, n: 0 };
+
+    /// The indices of its nodes.
+    pub(crate) fn ids(self) -> std::ops::Range<u32> {
+        self.first..self.first + self.n
+    }
 }
 
 /// What a call site's name means.
@@ -54,7 +69,7 @@ pub(crate) enum Callee {
     /// `functions[i]`: the first definition of the name, as long as no
     /// builtin has it.
     User(u32),
-    /// Nothing: the call fails as `Undefined(strings[i])` once its
+    /// Nothing: the call fails as `Undefined(names[i])` once its
     /// arguments are evaluated.
     Unknown(u32),
 }
@@ -62,8 +77,9 @@ pub(crate) enum Callee {
 /// The variable an assignment writes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Target {
-    Slot(u32),
-    /// No scope declares `strings[i]` here.
+    /// The slot, and the name.
+    Slot(u32, u32),
+    /// No scope declares `names[i]` here.
     Undefined(u32),
 }
 
@@ -78,9 +94,9 @@ pub(crate) enum Node {
     Nil,
     /// `strings[i]`.
     Str(u32),
-    /// A read of the frame's slot.
-    Var(u32),
-    /// A read of `strings[i]`, which no scope declares here.
+    /// A read of the frame's slot, and the name.
+    Var(u32, u32),
+    /// A read of `names[i]`, which no scope declares here.
     Undefined(u32),
     List(Run),
     Un(UnOp, u32),
@@ -89,16 +105,16 @@ pub(crate) enum Node {
     Index(u32),
     Call(Callee, Run),
     // ---- statements ----
-    /// `let` into the slot, of the initialiser.
-    Let(u32, u32),
+    /// `let` into the slot, the name, the initialiser.
+    Let(u32, u32, u32),
     Assign(Target, u32),
     /// `name[index] = value`, the two at `first`.
     IndexAssign(Target, u32),
     /// Condition, then-block, else-block.
     If(u32, Run, Run),
     While(u32, Run),
-    /// The loop variable's slot, the iterable, the body.
-    For(u32, u32, Run),
+    /// The loop variable's slot and name, the iterable, the body.
+    For(u32, u32, u32, Run),
     Break,
     Continue,
     Return(Option<u32>),
@@ -120,6 +136,10 @@ pub(crate) struct Entry {
     pub(crate) pure: bool,
 }
 
+// The machine reads one of these per step: whatever a node records, it
+// must not make every program bigger and every run slower.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 40);
+
 /// The deepest nesting of operators the machine evaluates recursively.
 pub(crate) const PURE_HEIGHT: u8 = 16;
 
@@ -127,8 +147,11 @@ pub(crate) const PURE_HEIGHT: u8 = 16;
 #[derive(Debug)]
 pub(crate) struct Func {
     pub(crate) name: String,
-    /// Parameters; they are slots `0..params` of the frame.
-    pub(crate) params: u32,
+    /// Where its definition starts.
+    pub(crate) span: Span,
+    /// Its parameters' names; they are slots `0..params.len()` of the
+    /// frame.
+    pub(crate) params: Vec<u32>,
     /// Size of an activation's frame.
     pub(crate) slots: u32,
     pub(crate) body: Run,
@@ -137,8 +160,10 @@ pub(crate) struct Func {
 /// A program lowered for the machine. See the [module docs](self).
 pub struct Image {
     pub(crate) nodes: Vec<Entry>,
-    /// String literals, and the names of whatever could not be resolved.
+    /// String literals.
     pub(crate) strings: Vec<String>,
+    /// Identifiers, each once (see the module docs).
+    pub(crate) names: Vec<String>,
     /// In definition order, duplicates included (a name means the first).
     pub(crate) functions: Vec<Func>,
     pub(crate) top: Run,
@@ -165,6 +190,7 @@ impl Image {
             nodes: Vec::with_capacity(64),
             heights: Vec::with_capacity(64),
             strings: Vec::new(),
+            names: Vec::new(),
             scope: Vec::new(),
             opened: Vec::new(),
             slots: 0,
@@ -175,11 +201,20 @@ impl Image {
             .map(|def| {
                 // Two parameters of one name share the scope: the later
                 // one is the one the body sees.
-                lowerer.scope.extend(def.params.iter().map(String::as_str));
+                let params = def
+                    .params
+                    .iter()
+                    .map(|p| {
+                        let name = lowerer.name(p);
+                        lowerer.scope.push((p, name));
+                        name
+                    })
+                    .collect();
                 let (body, slots) = lowerer.frame(&def.body);
                 Func {
                     name: def.name.clone(),
-                    params: def.params.len() as u32,
+                    span: def.span,
+                    params,
                     slots,
                     body,
                 }
@@ -189,6 +224,7 @@ impl Image {
         Image {
             nodes: lowerer.nodes,
             strings: lowerer.strings,
+            names: lowerer.names,
             functions,
             top,
             top_slots,
@@ -204,6 +240,14 @@ impl Image {
     pub(crate) fn function(&self, name: &str) -> Option<usize> {
         self.functions.iter().position(|f| f.name == name)
     }
+
+    pub(crate) fn node(&self, id: u32) -> Node {
+        self.nodes[id as usize].node
+    }
+
+    pub(crate) fn span(&self, id: u32) -> Span {
+        self.nodes[id as usize].span
+    }
 }
 
 /// The height of a subtree that is not pure.
@@ -215,9 +259,10 @@ struct Lowerer<'p> {
     /// Per node: how many levels of pure operators it is, or [`IMPURE`].
     heights: Vec<u8>,
     strings: Vec<String>,
-    /// The names visible at the point being lowered, outermost first: a
-    /// name's index is its slot.
-    scope: Vec<&'p str>,
+    names: Vec<String>,
+    /// The names visible at the point being lowered, outermost first, with
+    /// their numbers: a name's index is its slot.
+    scope: Vec<(&'p str, u32)>,
     /// `scope.len()` when each open block was entered.
     opened: Vec<usize>,
     /// The most names visible at once so far in this frame.
@@ -252,6 +297,18 @@ impl<'p> Lowerer<'p> {
         self.strings.len() as u32 - 1
     }
 
+    /// The number of the identifier `name`.
+    fn name(&mut self, name: &str) -> u32 {
+        let i = match self.names.iter().position(|n| n == name) {
+            Some(i) => i,
+            None => {
+                self.names.push(name.to_string());
+                self.names.len() - 1
+            }
+        };
+        i as u32
+    }
+
     fn open(&mut self) {
         self.opened.push(self.scope.len());
     }
@@ -261,30 +318,34 @@ impl<'p> Lowerer<'p> {
         self.scope.truncate(opened);
     }
 
-    /// The slot a read or write of `name` means here.
-    fn resolve(&self, name: &str) -> Option<u32> {
-        self.scope
-            .iter()
-            .rposition(|n| *n == name)
-            .map(|i| i as u32)
+    /// The slot a read or write of `name` means here, and the name's
+    /// number.
+    fn resolve(&self, name: &str) -> Option<(u32, u32)> {
+        let slot = self.scope.iter().rposition(|(n, _)| *n == name)?;
+        Some((slot as u32, self.scope[slot].1))
     }
 
     /// Declares `name` in the innermost scope: again, if that scope has it
-    /// already (the old value is out of reach from then on).
-    fn declare(&mut self, name: &'p str) -> u32 {
+    /// already (the old value is out of reach from then on). Its slot, and
+    /// its number.
+    fn declare(&mut self, name: &'p str) -> (u32, u32) {
         let opened = self.opened.last().copied().unwrap_or(0);
-        if let Some(i) = self.scope[opened..].iter().rposition(|n| *n == name) {
-            return (opened + i) as u32;
+        if let Some(i) = self.scope[opened..].iter().rposition(|(n, _)| *n == name) {
+            return ((opened + i) as u32, self.scope[opened + i].1);
         }
-        self.scope.push(name);
+        let number = self.name(name);
+        self.scope.push((name, number));
         self.slots = self.slots.max(self.scope.len());
-        self.scope.len() as u32 - 1
+        (self.scope.len() as u32 - 1, number)
     }
 
-    fn target(&mut self, name: &str) -> Target {
+    /// What an assignment to `name` writes: its slot, or — where no scope
+    /// declares it — nothing, and the name is declared from here on (see
+    /// the module docs).
+    fn target(&mut self, name: &'p str) -> Target {
         match self.resolve(name) {
-            Some(slot) => Target::Slot(slot),
-            None => Target::Undefined(self.string(name)),
+            Some((slot, name)) => Target::Slot(slot, name),
+            None => Target::Undefined(self.declare(name).1),
         }
     }
 
@@ -321,7 +382,8 @@ impl<'p> Lowerer<'p> {
             StmtKind::Let(name, e) => {
                 // The initialiser runs before the name exists.
                 let init = self.exprs([e]);
-                Node::Let(self.declare(name), init)
+                let (slot, name) = self.declare(name);
+                Node::Let(slot, name, init)
             }
             StmtKind::Assign(name, e) => {
                 let value = self.exprs([e]);
@@ -344,10 +406,10 @@ impl<'p> Lowerer<'p> {
                 // The variable and the body's own `let`s share one scope,
                 // made anew for every item.
                 self.open();
-                let slot = self.declare(var);
+                let (slot, name) = self.declare(var);
                 let body = self.block(body);
                 self.close();
-                Node::For(slot, iter, body)
+                Node::For(slot, name, iter, body)
             }
             StmtKind::Break => Node::Break,
             StmtKind::Continue => Node::Continue,
@@ -411,8 +473,8 @@ impl<'p> Lowerer<'p> {
             ExprKind::Nil => Node::Nil,
             ExprKind::Str(s) => Node::Str(self.string(s)),
             ExprKind::Var(name) => match self.resolve(name) {
-                Some(slot) => Node::Var(slot),
-                None => Node::Undefined(self.string(name)),
+                Some((slot, name)) => Node::Var(slot, name),
+                None => Node::Undefined(self.name(name)),
             },
             ExprKind::List(items) => Node::List(self.run_of(items)),
             ExprKind::Un(op, a) => Node::Un(*op, self.exprs([&**a])),
@@ -425,7 +487,7 @@ impl<'p> Lowerer<'p> {
                 {
                     Callee::User(f as u32)
                 } else {
-                    Callee::Unknown(self.string(name))
+                    Callee::Unknown(self.name(name))
                 };
                 Node::Call(callee, self.run_of(args))
             }
@@ -449,11 +511,10 @@ mod tests {
             .nodes
             .iter()
             .filter_map(|e| match e.node {
-                Node::Var(slot) => Some((e.span, format!("slot {slot}"))),
-                Node::Undefined(name) => Some((
-                    e.span,
-                    format!("undefined {}", image.strings[name as usize]),
-                )),
+                Node::Var(slot, _) => Some((e.span, format!("slot {slot}"))),
+                Node::Undefined(name) => {
+                    Some((e.span, format!("undefined {}", image.names[name as usize])))
+                }
                 _ => None,
             })
             .collect();
@@ -519,6 +580,13 @@ mod tests {
     }
 
     #[test]
+    fn an_undefined_assignment_declares_the_name_until_its_block_closes() {
+        let image = lower("x = 1; emit(x); if (c) { y = 2; } emit(y);");
+        assert_eq!(reads(&image), ["slot 0", "undefined c", "undefined y"]);
+        assert_eq!(image.top_slots, 2);
+    }
+
+    #[test]
     fn call_sites_resolve_to_a_builtin_a_function_or_nothing() {
         let image = lower(
             "fn len(x) { return 0; }\n\
@@ -539,10 +607,10 @@ mod tests {
             [
                 Callee::Builtin(Builtin::Len),
                 Callee::User(1),
-                Callee::Unknown(0)
+                Callee::Unknown(1)
             ]
         );
-        assert_eq!(image.strings, ["thrice"]);
+        assert_eq!(image.names, ["x", "thrice"]);
         assert_eq!(image.function("twice"), Some(1));
     }
 }

@@ -560,7 +560,7 @@ impl Interpreter {
         let func = &image.functions[f];
         self.core.depth = 0;
         self.core
-            .enter(&func.name, func.params as usize, args.len(), span)
+            .enter(&func.name, func.params.len(), args.len(), span)
             .map_err(|e| *e)?;
         self.reset(func.body, args, func.slots);
         Ok(())
@@ -727,7 +727,7 @@ impl Interpreter {
                                         Flow::Break(_) => flow = Flow::Normal,
                                         Flow::Return(_) => {}
                                     },
-                                    Node::For(slot, _, body) => {
+                                    Node::For(slot, _, _, body) => {
                                         let item = match (&flow, values.last_mut()) {
                                             (Flow::Break(_) | Flow::Return(_), _) => None,
                                             (_, Some(Value::List(items))) => items.pop(),
@@ -793,12 +793,12 @@ impl Interpreter {
                             flow = Flow::Return(Value::Nil);
                             continue 'turn;
                         }
-                        Node::Let(_, e)
+                        Node::Let(_, _, e)
                         | Node::Assign(_, e)
                         | Node::Expr(e)
                         | Node::Return(Some(e))
                         | Node::If(e, ..)
-                        | Node::For(_, e, _) => begin_expr!(id, false, e),
+                        | Node::For(_, _, e, _) => begin_expr!(id, false, e),
                         Node::While(cond, _) => {
                             // The first trip round the loop.
                             core.burn(span)?;
@@ -809,7 +809,7 @@ impl Interpreter {
                         | Node::Bool(_)
                         | Node::Nil
                         | Node::Str(_)
-                        | Node::Var(_)
+                        | Node::Var(..)
                         | Node::Undefined(_) => unreachable!("a leaf is pure"),
                     }
                 };
@@ -854,15 +854,15 @@ impl Interpreter {
             // ---- a statement carries on with its expression's value `v` -----------
             let Entry { node, span, .. } = nodes[stmt as usize];
             match node {
-                Node::Let(slot, _) => {
+                Node::Let(slot, ..) => {
                     slots[*base + slot as usize] = v;
                     flow = Flow::Normal;
                 }
                 Node::Assign(target, _) => {
                     match target {
-                        Target::Slot(slot) => slots[*base + slot as usize] = v,
+                        Target::Slot(slot, _) => slots[*base + slot as usize] = v,
                         Target::Undefined(name) => {
-                            return Err(undefined(&image.strings[name as usize], span))
+                            return Err(undefined(&image.names[name as usize], span))
                         }
                     }
                     flow = Flow::Normal;
@@ -914,7 +914,7 @@ fn eval_pure(core: &mut Core, image: &Arc<Image>, frame: &[Value], id: u32) -> F
             let id: u32 = $id;
             let Entry { node, span, .. } = image.nodes[id as usize];
             let operand: Cow<'_, Value> = match node {
-                Node::Var(slot) => {
+                Node::Var(slot, _) => {
                     core.burn(span)?;
                     Cow::Borrowed(&frame[slot as usize])
                 }
@@ -934,8 +934,8 @@ fn eval_pure(core: &mut Core, image: &Arc<Image>, frame: &[Value], id: u32) -> F
         Node::Bool(v) => Ok(Value::Bool(v)),
         Node::Nil => Ok(Value::Nil),
         Node::Str(s) => core.string(&image.strings[s as usize], span),
-        Node::Var(slot) => Ok(frame[slot as usize].clone()),
-        Node::Undefined(name) => Err(undefined(&image.strings[name as usize], span)),
+        Node::Var(slot, _) => Ok(frame[slot as usize].clone()),
+        Node::Undefined(name) => Err(undefined(&image.names[name as usize], span)),
         Node::Un(op, a) => {
             let v = operand!(a);
             Core::unop(op, &v, span)
@@ -1024,7 +1024,7 @@ fn gather(
             // The left operand alone may decide a logical, and then the
             // right one never begins.
             let in_slot = match image.nodes[first as usize].node {
-                Node::Var(slot) => Some(&frame[slot as usize]),
+                Node::Var(slot, _) => Some(&frame[slot as usize]),
                 _ => None,
             };
             let left = in_slot
@@ -1046,7 +1046,7 @@ fn gather(
         *next += 1;
         match image.nodes[id as usize] {
             Entry {
-                node: Node::Var(_),
+                node: Node::Var(..),
                 span,
                 ..
             } => core.burn(span)?,
@@ -1068,7 +1068,7 @@ fn operand<'a>(
     at: &mut usize,
 ) -> &'a Value {
     match image.nodes[id as usize].node {
-        Node::Var(slot) => &frame[slot as usize],
+        Node::Var(slot, _) => &frame[slot as usize],
         _ => {
             *at += 1;
             &values[*at - 1]
@@ -1102,7 +1102,7 @@ fn act(
     span: Span,
 ) -> Fallible<Acted> {
     let nodes = &image.nodes[..];
-    let is_var = |id: u32| matches!(nodes[id as usize].node, Node::Var(_));
+    let is_var = |id: u32| matches!(nodes[id as usize].node, Node::Var(..));
     let run = operands(node);
     let ids = run.first..run.first + run.n;
     // Where the operands on the stack start.
@@ -1141,7 +1141,7 @@ fn act(
             let mut made = values.drain(top..);
             let items = ids
                 .map(|id| match nodes[id as usize].node {
-                    Node::Var(slot) => frame[slot as usize].clone(),
+                    Node::Var(slot, _) => frame[slot as usize].clone(),
                     _ => made.next().expect("an operand per item"),
                 })
                 .collect();
@@ -1151,14 +1151,14 @@ fn act(
         Node::IndexAssign(target, first) => {
             let i = Core::list_index(operand(image, frame, values, first, &mut at), span)?;
             let v = match nodes[first as usize + 1].node {
-                Node::Var(slot) => frame[slot as usize].clone(),
+                Node::Var(slot, _) => frame[slot as usize].clone(),
                 _ => values.pop().expect("the assigned value"),
             };
             values.truncate(top);
             let list = match target {
-                Target::Slot(slot) => &mut slots[base + slot as usize],
+                Target::Slot(slot, _) => &mut slots[base + slot as usize],
                 Target::Undefined(name) => {
-                    return Err(undefined(&image.strings[name as usize], span))
+                    return Err(undefined(&image.names[name as usize], span))
                 }
             };
             Core::store_index(list, i, v, span)?;
@@ -1179,14 +1179,14 @@ fn act(
         }
         Node::Call(Callee::User(f), _) => {
             let func = &image.functions[f as usize];
-            core.enter(&func.name, func.params as usize, run.n as usize, span)?;
+            core.enter(&func.name, func.params.len(), run.n as usize, span)?;
             // The callee's frame goes on top of the caller's: the
             // arguments, then room for its other variables.
             let callee_base = slots.len();
             let mut made = values.drain(top..);
             for id in ids {
                 let arg = match nodes[id as usize].node {
-                    Node::Var(slot) => slots[base + slot as usize].clone(),
+                    Node::Var(slot, _) => slots[base + slot as usize].clone(),
                     _ => made.next().expect("an operand per argument"),
                 };
                 slots.push(arg);
@@ -1197,7 +1197,7 @@ fn act(
         }
         // An unknown name fails here, when the call is made.
         Node::Call(Callee::Unknown(name), _) => {
-            return Err(undefined(&image.strings[name as usize], span))
+            return Err(undefined(&image.names[name as usize], span))
         }
         _ => unreachable!("operands on a node that has some"),
     };

@@ -94,4 +94,6 @@ pub use image::Image;
 pub use inline::LipBody;
 pub use interp::{run_lip, run_with_host, InterpLimits, Interpreter, Step};
 pub use value::Value;
-pub use verify::{verify, verify_source, Bound, Diag, EffectSummary, Severity, VerifyReport};
+pub use verify::{
+    verify, verify_image, verify_source, Bound, Diag, EffectSummary, Severity, VerifyReport,
+};

@@ -3,15 +3,20 @@
 //! The paper's core move — clients ship *programs*, not prompts — means the
 //! server, like an OS loading eBPF, should reject bad programs **before**
 //! spending fuel, GPU time, or KV quota on them (§6 resource accounting).
-//! This module is that check: a multi-pass analyzer over the parsed AST
-//! that runs at the admission door in O(program size), with no host access.
+//! This module is that check: a multi-pass analyzer that runs at the
+//! admission door in O(program size), with no host access, over the
+//! program's [`Image`] — the lowered form the machine runs. Which name a
+//! read means is what [`Image::lower`] resolved it to, and what a builtin
+//! takes and returns is its row of the `builtins!` table: the verifier has
+//! no description of the language of its own to drift from the one that
+//! runs.
 //!
 //! Passes:
 //!
 //! 1. **Resolution & arity** — undefined variables/functions, builtin and
 //!    user-function arity, `spawn("name", ...)` targets that don't resolve,
 //!    `break`/`continue` outside loops, variables only assigned on some
-//!    paths (via lexical scoping, mirroring the interpreter's `Env`).
+//!    paths (the `Undefined` nodes and unknown callees lowering left).
 //! 2. **Abstract typing** — a flat lattice (int / float / bool / string /
 //!    list / dist / kv / thread / nil / ⊤) propagated flow-insensitively
 //!    per function body; only *definite* misuse is reported (indexing an
@@ -39,11 +44,12 @@
 //! (`tests/prop_verify.rs`) enforces this against the real interpreter.
 
 use core::fmt;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use crate::ast::{BinOp, Expr, ExprKind, Program, Stmt, StmtKind, UnOp};
-use crate::builtins;
+use crate::ast::{BinOp, Program, UnOp};
+use crate::builtins::Builtin;
 use crate::error::{LipError, Span};
+use crate::image::{Callee, Entry, Image, Node, Run, Target};
 use crate::parse::parse;
 
 // ---------------------------------------------------------------------------
@@ -355,7 +361,7 @@ impl VerifyReport {
 
 /// Flat lattice: every concrete runtime type, plus ⊤ (`Any`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ty {
+pub(crate) enum Ty {
     Int,
     Float,
     Bool,
@@ -381,7 +387,7 @@ impl Ty {
         matches!(self, Ty::Int | Ty::Float)
     }
 
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Ty::Int => "int",
             Ty::Float => "float",
@@ -397,11 +403,11 @@ impl Ty {
     }
 }
 
-/// What a builtin requires of one argument. Mirrors the `as_*` coercions in
-/// [`crate::builtins`]; a concrete type outside the requirement provably
-/// faults at runtime.
-#[derive(Debug, Clone, Copy)]
-enum Req {
+/// What a builtin requires of one argument: the `builtins!` table's
+/// argument column. Mirrors the `as_*` coercions in [`crate::builtins`]; a
+/// concrete type outside the requirement provably faults at runtime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Req {
     Any,
     Num,
     Int,
@@ -416,7 +422,7 @@ enum Req {
 }
 
 impl Req {
-    fn allows(self, t: Ty) -> bool {
+    pub(crate) fn allows(self, t: Ty) -> bool {
         match self {
             Req::Any => true,
             Req::Num => t.is_num(),
@@ -447,79 +453,6 @@ impl Req {
     }
 }
 
-/// Per-argument requirements for each builtin (empty slice: no typed args).
-fn builtin_args_full(name: &str) -> &'static [Req] {
-    match name {
-        "len" => &[Req::ListOrStr],
-        "push" => &[Req::List, Req::Any],
-        "slice" => &[Req::ListOrStr, Req::Int, Req::Int],
-        "contains" => &[Req::ListOrStr, Req::Any],
-        "range" => &[Req::Int, Req::Int],
-        "str" | "print" => &[Req::Any],
-        "int" => &[Req::IntLike],
-        "float" | "abs" => &[Req::Num],
-        "min" | "max" => &[Req::Num, Req::Num],
-        "join_str" => &[Req::List, Req::Str],
-        "split" => &[Req::Str, Req::Str],
-        "sample" | "argmax" | "entropy" => &[Req::Dist],
-        "sample_t" | "top_p" => &[Req::Dist, Req::Num],
-        "prob" | "top_k" => &[Req::Dist, Req::Int],
-        "constrain" => &[Req::Dist, Req::List],
-        "tokenize" | "kv_open" | "kv_unlink" | "emit" | "lookup" => &[Req::Str],
-        "detokenize" | "emit_tokens" | "kv_merge" => &[Req::List],
-        "pred" => &[Req::Kv, Req::List, Req::Int],
-        "pred_at" => &[Req::Kv, Req::List, Req::List],
-        "kv_fork" | "kv_remove" | "kv_len" | "kv_next_pos" | "kv_pin" | "kv_unpin" => &[Req::Kv],
-        "kv_truncate" => &[Req::Kv, Req::Int],
-        "kv_extract" => &[Req::Kv, Req::Int, Req::Int],
-        "kv_link" => &[Req::Kv, Req::Str],
-        "emit_token" | "sleep_ms" => &[Req::Int],
-        "call_tool" => &[Req::Str, Req::Str],
-        "send" => &[Req::Int, Req::Str],
-        "spawn" => &[Req::Str, Req::List],
-        "join" => &[Req::Thread],
-        _ => &[],
-    }
-}
-
-/// What a builtin returns (abstractly). `Any` where the runtime result type
-/// depends on the argument values (`min`, `slice`, `lookup`, ...).
-fn builtin_ret(name: &str) -> Ty {
-    match name {
-        "len" | "sample" | "sample_t" | "argmax" | "eos" | "kv_len" | "kv_next_pos" => Ty::Int,
-        "int" => Ty::Int,
-        "rand" | "float" | "prob" | "entropy" | "now_ms" => Ty::Float,
-        "contains" | "join" => Ty::Bool,
-        "str" | "join_str" | "args" | "detokenize" | "call_tool" => Ty::Str,
-        "push" | "range" | "split" | "tokenize" | "pred" | "pred_at" | "recv" => Ty::List,
-        "top_k" | "top_p" | "constrain" => Ty::Dist,
-        "kv_create" | "kv_open" | "kv_fork" | "kv_extract" | "kv_merge" => Ty::Kv,
-        "spawn" => Ty::Thread,
-        "print" | "kv_remove" | "kv_truncate" | "kv_link" | "kv_unlink" | "kv_pin" | "kv_unpin"
-        | "emit" | "emit_token" | "emit_tokens" | "send" | "sleep_ms" => Ty::Nil,
-        _ => Ty::Any,
-    }
-}
-
-/// KV-consuming builtins whose first argument faults if the handle's file
-/// was removed (used by the V007 straight-line check).
-fn consumes_kv_handle(name: &str) -> bool {
-    matches!(
-        name,
-        "pred"
-            | "pred_at"
-            | "kv_fork"
-            | "kv_remove"
-            | "kv_len"
-            | "kv_next_pos"
-            | "kv_truncate"
-            | "kv_extract"
-            | "kv_link"
-            | "kv_pin"
-            | "kv_unpin"
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Binary operator legality (mirrors Interpreter::binop exactly)
 // ---------------------------------------------------------------------------
@@ -544,42 +477,50 @@ fn binop_faults(op: BinOp, l: Ty, r: Ty) -> bool {
     }
 }
 
+/// The name node `id` declares, reads or writes, if it is a variable (an
+/// index into `image.names`). Types are joined per *name* across a body:
+/// one slot can hold two names in turn.
+fn name_of(image: &Image, id: u32) -> Option<usize> {
+    match image.node(id) {
+        Node::Var(_, name)
+        | Node::Undefined(name)
+        | Node::Let(_, name, _)
+        | Node::For(_, name, ..)
+        | Node::Assign(Target::Slot(_, name) | Target::Undefined(name), _)
+        | Node::IndexAssign(Target::Slot(_, name) | Target::Undefined(name), _) => {
+            Some(name as usize)
+        }
+        _ => None,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Pass 1 + 2: resolution, arity, types — one walk per body
 // ---------------------------------------------------------------------------
 
-struct Checker<'a> {
-    prog: &'a Program,
-    /// First-definition arity per function name.
-    fn_arity: BTreeMap<&'a str, usize>,
+struct Checker<'i> {
+    image: &'i Image,
     diags: Vec<Diag>,
     /// When false, no diagnostics are recorded (the definitely-called
     /// discovery pre-pass reuses the walk).
     emit: bool,
     /// User functions called from definite code (collected during walks).
-    definite_calls: BTreeSet<String>,
-    // Per-body state:
-    tyenv: BTreeMap<String, Ty>,
-    scopes: Vec<BTreeSet<String>>,
-    removed: BTreeSet<String>,
+    definite_calls: Vec<u32>,
+    // Per-body state, by name:
+    tyenv: Vec<Option<Ty>>,
+    removed: Vec<bool>,
     loops: usize,
 }
 
-impl<'a> Checker<'a> {
-    fn new(prog: &'a Program) -> Self {
-        let mut fn_arity = BTreeMap::new();
-        for f in &prog.functions {
-            fn_arity.entry(f.name.as_str()).or_insert(f.params.len());
-        }
+impl<'i> Checker<'i> {
+    fn new(image: &'i Image) -> Self {
         Checker {
-            prog,
-            fn_arity,
+            image,
             diags: Vec::new(),
             emit: true,
-            definite_calls: BTreeSet::new(),
-            tyenv: BTreeMap::new(),
-            scopes: Vec::new(),
-            removed: BTreeSet::new(),
+            definite_calls: Vec::new(),
+            tyenv: vec![None; image.names.len()],
+            removed: vec![false; image.names.len()],
             loops: 0,
         }
     }
@@ -600,40 +541,55 @@ impl<'a> Checker<'a> {
         }
     }
 
-    // -- abstract typing helpers -------------------------------------------
+    /// The name of the variable node `id` as the program spells it.
+    fn name(&self, id: u32) -> &'i str {
+        let image = self.image;
+        name_of(image, id).map_or("", |n| &image.names[n])
+    }
 
-    /// Flow-insensitive type of an expression under the current body's
-    /// joined assignment environment.
-    fn ty_of(&self, e: &Expr) -> Ty {
-        match &e.kind {
-            ExprKind::Int(_) => Ty::Int,
-            ExprKind::Float(_) => Ty::Float,
-            ExprKind::Str(_) => Ty::Str,
-            ExprKind::Bool(_) => Ty::Bool,
-            ExprKind::Nil => Ty::Nil,
-            ExprKind::Var(n) => self.tyenv.get(n).copied().unwrap_or(Ty::Any),
-            ExprKind::List(_) => Ty::List,
-            ExprKind::Un(UnOp::Not, _) => Ty::Bool,
-            ExprKind::Un(UnOp::Neg, inner) => match self.ty_of(inner) {
-                t @ (Ty::Int | Ty::Float) => t,
-                _ => Ty::Any,
-            },
-            ExprKind::Bin(op, l, r) => self.ty_of_bin(*op, l, r),
-            ExprKind::Call(name, _) => {
-                if builtins::is_builtin(name) {
-                    builtin_ret(name)
-                } else {
-                    Ty::Any
-                }
-            }
-            ExprKind::Index(base, _) => match self.ty_of(base) {
-                Ty::Str => Ty::Str,
-                _ => Ty::Any,
-            },
+    /// A binding by that name may be used again: it is declared anew.
+    fn unremove(&mut self, id: u32) {
+        if let Some(n) = name_of(self.image, id) {
+            self.removed[n] = false;
         }
     }
 
-    fn ty_of_bin(&self, op: BinOp, l: &Expr, r: &Expr) -> Ty {
+    // -- abstract typing helpers -------------------------------------------
+
+    /// The joined type of the variable node `id` reads or writes.
+    fn var_ty(&self, id: u32) -> Ty {
+        name_of(self.image, id)
+            .and_then(|n| self.tyenv[n])
+            .unwrap_or(Ty::Any)
+    }
+
+    /// Flow-insensitive type of an expression under the current body's
+    /// joined assignment environment.
+    fn ty_of(&self, id: u32) -> Ty {
+        match self.image.node(id) {
+            Node::Int(_) => Ty::Int,
+            Node::Float(_) => Ty::Float,
+            Node::Str(_) => Ty::Str,
+            Node::Bool(_) => Ty::Bool,
+            Node::Nil => Ty::Nil,
+            Node::Var(..) | Node::Undefined(_) => self.var_ty(id),
+            Node::List(_) => Ty::List,
+            Node::Un(UnOp::Not, _) => Ty::Bool,
+            Node::Un(UnOp::Neg, inner) => match self.ty_of(inner) {
+                t @ (Ty::Int | Ty::Float) => t,
+                _ => Ty::Any,
+            },
+            Node::Bin(op, first) => self.ty_of_bin(op, first),
+            Node::Call(Callee::Builtin(b), _) => b.ret(),
+            Node::Index(first) => match self.ty_of(first) {
+                Ty::Str => Ty::Str,
+                _ => Ty::Any,
+            },
+            _ => Ty::Any,
+        }
+    }
+
+    fn ty_of_bin(&self, op: BinOp, first: u32) -> Ty {
         match op {
             BinOp::And
             | BinOp::Or
@@ -644,7 +600,7 @@ impl<'a> Checker<'a> {
             | BinOp::Gt
             | BinOp::Ge => Ty::Bool,
             BinOp::Add => {
-                let (lt, rt) = (self.ty_of(l), self.ty_of(r));
+                let (lt, rt) = (self.ty_of(first), self.ty_of(first + 1));
                 if lt == Ty::Str || rt == Ty::Str {
                     Ty::Str
                 } else if lt == Ty::List && rt == Ty::List {
@@ -658,7 +614,7 @@ impl<'a> Checker<'a> {
                 }
             }
             BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                let (lt, rt) = (self.ty_of(l), self.ty_of(r));
+                let (lt, rt) = (self.ty_of(first), self.ty_of(first + 1));
                 if lt == Ty::Int && rt == Ty::Int {
                     Ty::Int
                 } else if lt.is_num() && rt.is_num() {
@@ -674,8 +630,11 @@ impl<'a> Checker<'a> {
     /// assignment's type joined per name, iterated to a fixpoint. Shadowing
     /// is deliberately ignored — joins only widen toward ⊤, which keeps the
     /// result sound.
-    fn build_tyenv(&mut self, params: &[String], body: &[Stmt]) {
-        self.tyenv = params.iter().map(|p| (p.clone(), Ty::Any)).collect();
+    fn build_tyenv(&mut self, params: &[u32], body: Run) {
+        self.tyenv.fill(None);
+        for &p in params {
+            self.tyenv[p as usize] = Some(Ty::Any);
+        }
         loop {
             let mut changed = false;
             self.collect_block(body, &mut changed);
@@ -685,59 +644,50 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn join_into(&mut self, name: &str, t: Ty, changed: &mut bool) {
-        let cur = self.tyenv.get(name).copied();
-        let next = match cur {
-            Some(old) => old.join(t),
-            None => t,
+    /// Joins `t` into the type of the name statement `id` writes.
+    fn join_into(&mut self, id: u32, t: Ty, changed: &mut bool) {
+        let Some(name) = name_of(self.image, id) else {
+            return;
         };
+        let cur = self.tyenv[name];
+        let next = cur.map_or(t, |old| old.join(t));
         if cur != Some(next) {
-            self.tyenv.insert(name.to_string(), next);
+            self.tyenv[name] = Some(next);
             *changed = true;
         }
     }
 
-    fn collect_block(&mut self, stmts: &[Stmt], changed: &mut bool) {
-        for s in stmts {
-            match &s.kind {
-                StmtKind::Let(n, e) | StmtKind::Assign(n, e) => {
+    fn collect_block(&mut self, run: Run, changed: &mut bool) {
+        for id in run.ids() {
+            match self.image.node(id) {
+                Node::Let(_, _, e) | Node::Assign(_, e) => {
                     let t = self.ty_of(e);
-                    self.join_into(n, t, changed);
+                    self.join_into(id, t, changed);
                 }
-                StmtKind::If(_, t, e) => {
+                Node::If(_, t, e) => {
                     self.collect_block(t, changed);
                     self.collect_block(e, changed);
                 }
-                StmtKind::While(_, b) => self.collect_block(b, changed),
-                StmtKind::For(v, it, b) => {
-                    let t = self.elem_ty(it);
-                    self.join_into(v, t, changed);
+                Node::While(_, b) => self.collect_block(b, changed),
+                Node::For(_, _, iter, b) => {
+                    let t = self.elem_ty(iter);
+                    self.join_into(id, t, changed);
                     self.collect_block(b, changed);
                 }
-                StmtKind::IndexAssign(..)
-                | StmtKind::Break
-                | StmtKind::Continue
-                | StmtKind::Return(_)
-                | StmtKind::Expr(_) => {}
+                _ => {}
             }
         }
     }
 
     /// Element type for `for x in <iter>`.
-    fn elem_ty(&self, iter: &Expr) -> Ty {
-        match &iter.kind {
-            ExprKind::List(items) => {
-                let mut t: Option<Ty> = None;
-                for e in items {
-                    let et = self.ty_of(e);
-                    t = Some(match t {
-                        Some(prev) => prev.join(et),
-                        None => et,
-                    });
-                }
-                t.unwrap_or(Ty::Any)
-            }
-            ExprKind::Call(name, _) if name == "range" => Ty::Int,
+    fn elem_ty(&self, iter: u32) -> Ty {
+        match self.image.node(iter) {
+            Node::List(items) => items
+                .ids()
+                .map(|e| self.ty_of(e))
+                .reduce(Ty::join)
+                .unwrap_or(Ty::Any),
+            Node::Call(Callee::Builtin(Builtin::Range), _) => Ty::Int,
             _ => Ty::Any,
         }
     }
@@ -746,72 +696,70 @@ impl<'a> Checker<'a> {
 
     /// Checks one body (top level or a function). `definite` means the body
     /// is on the guaranteed execution path.
-    fn check_body(&mut self, params: &[String], body: &[Stmt], definite: bool) {
+    fn check_body(&mut self, params: &[u32], body: Run, definite: bool) {
         self.build_tyenv(params, body);
-        self.scopes = vec![params.iter().cloned().collect()];
-        self.removed.clear();
+        self.removed.fill(false);
         self.loops = 0;
         self.check_block(body, definite);
     }
 
-    fn declared(&self, name: &str) -> bool {
-        self.scopes.iter().any(|s| s.contains(name))
-    }
-
-    fn declare(&mut self, name: &str) {
-        if let Some(top) = self.scopes.last_mut() {
-            top.insert(name.to_string());
-        }
-        self.removed.remove(name);
-    }
-
-    fn check_block(&mut self, stmts: &[Stmt], mut definite: bool) {
-        for s in stmts {
-            definite = self.check_stmt(s, definite);
+    fn check_block(&mut self, run: Run, mut definite: bool) {
+        for id in run.ids() {
+            definite = self.check_stmt(id, definite);
         }
     }
 
     /// Checks one statement; returns whether *subsequent* statements in the
     /// same block remain on the guaranteed path.
-    fn check_stmt(&mut self, s: &Stmt, definite: bool) -> bool {
-        match &s.kind {
-            StmtKind::Let(name, e) => {
+    fn check_stmt(&mut self, id: u32, definite: bool) -> bool {
+        let image = self.image;
+        let Entry { node, span, .. } = image.nodes[id as usize];
+        match node {
+            Node::Let(_, _, e) => {
                 self.check_expr(e, definite);
-                self.declare(name);
+                self.unremove(id);
                 definite
             }
-            StmtKind::Assign(name, e) => {
+            Node::Assign(target, e) => {
                 self.check_expr(e, definite);
-                if !self.declared(name) {
+                if let Target::Undefined(_) = target {
                     self.diag(
                         DiagCode::UndefinedVar,
                         definite,
-                        s.span,
-                        format!("assignment to undeclared variable `{name}`"),
+                        span,
+                        format!("assignment to undeclared variable `{}`", self.name(id)),
                     );
                 }
-                self.declare(name);
+                self.unremove(id);
                 definite
             }
-            StmtKind::IndexAssign(name, idx, e) => {
+            Node::IndexAssign(target, first) => {
+                let (idx, e) = (first, first + 1);
                 self.check_expr(idx, definite);
                 self.check_expr(e, definite);
-                if !self.declared(name) {
+                if let Target::Undefined(_) = target {
                     self.diag(
                         DiagCode::UndefinedVar,
                         definite,
-                        s.span,
-                        format!("index-assignment to undeclared variable `{name}`"),
+                        span,
+                        format!(
+                            "index-assignment to undeclared variable `{}`",
+                            self.name(id)
+                        ),
                     );
-                    self.declare(name);
+                    self.unremove(id);
                 }
-                let base = self.tyenv.get(name).copied().unwrap_or(Ty::Any);
+                let base = self.var_ty(id);
                 if base != Ty::Any && base != Ty::List {
                     self.diag(
                         DiagCode::TypeMisuse,
                         definite,
-                        s.span,
-                        format!("cannot index-assign into {} `{name}`", base.name()),
+                        span,
+                        format!(
+                            "cannot index-assign into {} `{}`",
+                            base.name(),
+                            self.name(id)
+                        ),
                     );
                 }
                 let it = self.ty_of(idx);
@@ -819,67 +767,59 @@ impl<'a> Checker<'a> {
                     self.diag(
                         DiagCode::TypeMisuse,
                         definite,
-                        idx.span,
+                        image.span(idx),
                         format!("list index must be int, got {}", it.name()),
                     );
                 }
                 definite
             }
-            StmtKind::If(cond, then, els) => {
+            Node::If(cond, then, els) => {
                 self.check_expr(cond, definite);
-                let lit = literal_bool(cond);
-                self.scopes.push(BTreeSet::new());
+                let lit = literal_bool(image, cond);
                 self.check_block(then, definite && lit == Some(true));
-                self.scopes.pop();
-                self.scopes.push(BTreeSet::new());
                 self.check_block(els, definite && lit == Some(false));
-                self.scopes.pop();
                 // A branch may have removed KV handles or diverged.
-                self.removed.clear();
+                self.removed.fill(false);
                 let diverges = match lit {
-                    Some(true) => block_diverges(then),
-                    Some(false) => block_diverges(els),
-                    None => block_diverges(then) || block_diverges(els),
+                    Some(true) => leaves(image, then, true),
+                    Some(false) => leaves(image, els, true),
+                    None => leaves(image, then, true) || leaves(image, els, true),
                 };
                 definite && !diverges
             }
-            StmtKind::While(cond, body) => {
+            Node::While(cond, body) => {
                 self.check_expr(cond, definite);
-                let lit = literal_bool(cond);
+                let lit = literal_bool(image, cond);
                 self.loops += 1;
-                self.scopes.push(BTreeSet::new());
                 // Only a literal-true loop definitely runs its first
                 // iteration.
                 self.check_block(body, definite && lit == Some(true));
-                self.scopes.pop();
                 self.loops -= 1;
-                self.removed.clear();
-                definite && !block_returns(body)
+                self.removed.fill(false);
+                definite && !leaves(image, body, false)
             }
-            StmtKind::For(var, iter, body) => {
+            Node::For(_, _, iter, body) => {
                 self.check_expr(iter, definite);
                 let it = self.ty_of(iter);
                 if it != Ty::Any && it != Ty::List {
                     self.diag(
                         DiagCode::TypeMisuse,
                         definite,
-                        iter.span,
+                        image.span(iter),
                         format!("for-loop needs a list, got {}", it.name()),
                     );
                 }
-                let first_runs = statically_nonempty(iter);
+                let first_runs = static_trip(image, iter).is_some_and(|n| n > 0);
                 self.loops += 1;
-                self.scopes.push(BTreeSet::new());
-                self.declare(var);
+                self.unremove(id);
                 self.check_block(body, definite && first_runs);
-                self.scopes.pop();
                 self.loops -= 1;
-                self.removed.clear();
-                definite && !block_returns(body)
+                self.removed.fill(false);
+                definite && !leaves(image, body, false)
             }
-            StmtKind::Break | StmtKind::Continue => {
+            Node::Break | Node::Continue => {
                 if self.loops == 0 {
-                    let what = if matches!(s.kind, StmtKind::Break) {
+                    let what = if node == Node::Break {
                         "break"
                     } else {
                         "continue"
@@ -887,63 +827,61 @@ impl<'a> Checker<'a> {
                     self.diag(
                         DiagCode::StrayControlFlow,
                         definite,
-                        s.span,
+                        span,
                         format!("`{what}` outside a loop"),
                     );
                 }
                 // Anything after is dead code.
                 false
             }
-            StmtKind::Return(e) => {
+            Node::Return(e) => {
                 if let Some(e) = e {
                     self.check_expr(e, definite);
                 }
                 false
             }
-            StmtKind::Expr(e) => {
+            Node::Expr(e) => {
                 self.check_expr(e, definite);
                 definite
             }
+            // A block holds statements only.
+            _ => definite,
         }
     }
 
-    fn check_expr(&mut self, e: &Expr, definite: bool) {
-        match &e.kind {
-            ExprKind::Int(_)
-            | ExprKind::Float(_)
-            | ExprKind::Str(_)
-            | ExprKind::Bool(_)
-            | ExprKind::Nil => {}
-            ExprKind::Var(name) => {
-                if !self.declared(name) {
-                    self.diag(
-                        DiagCode::UndefinedVar,
-                        definite,
-                        e.span,
-                        format!("undefined variable `{name}`"),
-                    );
-                }
+    fn check_expr(&mut self, id: u32, definite: bool) {
+        let image = self.image;
+        let Entry { node, span, .. } = image.nodes[id as usize];
+        match node {
+            Node::Undefined(_) => {
+                self.diag(
+                    DiagCode::UndefinedVar,
+                    definite,
+                    span,
+                    format!("undefined variable `{}`", self.name(id)),
+                );
             }
-            ExprKind::List(items) => {
-                for it in items {
+            Node::List(items) => {
+                for it in items.ids() {
                     self.check_expr(it, definite);
                 }
             }
-            ExprKind::Un(op, inner) => {
+            Node::Un(op, inner) => {
                 self.check_expr(inner, definite);
-                if *op == UnOp::Neg {
+                if op == UnOp::Neg {
                     let t = self.ty_of(inner);
                     if t != Ty::Any && !t.is_num() {
                         self.diag(
                             DiagCode::TypeMisuse,
                             definite,
-                            e.span,
+                            span,
                             format!("cannot negate {}", t.name()),
                         );
                     }
                 }
             }
-            ExprKind::Bin(op, l, r) => {
+            Node::Bin(op, first) => {
+                let (l, r) = (first, first + 1);
                 self.check_expr(l, definite);
                 // The right side of a short-circuit operator may never run.
                 let r_definite = if matches!(op, BinOp::And | BinOp::Or) {
@@ -953,11 +891,11 @@ impl<'a> Checker<'a> {
                 };
                 self.check_expr(r, r_definite);
                 let (lt, rt) = (self.ty_of(l), self.ty_of(r));
-                if lt != Ty::Any && rt != Ty::Any && binop_faults(*op, lt, rt) {
+                if lt != Ty::Any && rt != Ty::Any && binop_faults(op, lt, rt) {
                     self.diag(
                         DiagCode::TypeMisuse,
                         definite,
-                        e.span,
+                        span,
                         format!(
                             "cannot apply {op:?} to {} and {}",
                             lt.name(),
@@ -966,7 +904,8 @@ impl<'a> Checker<'a> {
                     );
                 }
             }
-            ExprKind::Index(base, idx) => {
+            Node::Index(first) => {
+                let (base, idx) = (first, first + 1);
                 self.check_expr(base, definite);
                 self.check_expr(idx, definite);
                 let bt = self.ty_of(base);
@@ -974,7 +913,7 @@ impl<'a> Checker<'a> {
                     self.diag(
                         DiagCode::TypeMisuse,
                         definite,
-                        e.span,
+                        span,
                         format!("cannot index {}", bt.name()),
                     );
                 }
@@ -983,141 +922,126 @@ impl<'a> Checker<'a> {
                     self.diag(
                         DiagCode::TypeMisuse,
                         definite,
-                        idx.span,
+                        image.span(idx),
                         format!("index must be int, got {}", it.name()),
                     );
                 }
             }
-            ExprKind::Call(name, call_args) => {
-                for a in call_args {
+            Node::Call(callee, args) => {
+                for a in args.ids() {
                     self.check_expr(a, definite);
                 }
-                if let Some(want) = builtins::arity_of(name) {
-                    self.check_builtin_call(name, call_args, want, e.span, definite);
-                } else if let Some(&want) = self.fn_arity.get(name.as_str()) {
-                    if call_args.len() != want {
-                        self.diag(
-                            DiagCode::BadArity,
-                            definite,
-                            e.span,
-                            format!("{name} expects {want} args, got {}", call_args.len()),
-                        );
-                    } else if definite {
-                        self.definite_calls.insert(name.clone());
+                match callee {
+                    Callee::Builtin(b) => self.check_builtin_call(b, args, span, definite),
+                    Callee::User(f) => {
+                        let func = &image.functions[f as usize];
+                        let want = func.params.len();
+                        if args.n as usize != want {
+                            self.diag(
+                                DiagCode::BadArity,
+                                definite,
+                                span,
+                                format!("{} expects {want} args, got {}", func.name, args.n),
+                            );
+                        } else if definite {
+                            self.definite_calls.push(f);
+                        }
                     }
-                } else {
-                    self.diag(
+                    Callee::Unknown(name) => self.diag(
                         DiagCode::UndefinedFn,
                         definite,
-                        e.span,
-                        format!("call to undefined function `{name}`"),
-                    );
+                        span,
+                        format!(
+                            "call to undefined function `{}`",
+                            image.names[name as usize]
+                        ),
+                    ),
                 }
             }
+            _ => {}
         }
     }
 
-    fn check_builtin_call(
-        &mut self,
-        name: &str,
-        call_args: &[Expr],
-        want: usize,
-        span: Span,
-        definite: bool,
-    ) {
-        if call_args.len() != want {
+    fn check_builtin_call(&mut self, b: Builtin, args: Run, span: Span, definite: bool) {
+        let image = self.image;
+        let name = b.name();
+        let want = b.arity();
+        if args.n as usize != want {
             self.diag(
                 DiagCode::BadArity,
                 definite,
                 span,
-                format!("{name} expects {want} args, got {}", call_args.len()),
+                format!("{name} expects {want} args, got {}", args.n),
             );
             return;
         }
-        for (req, arg) in builtin_args_full(name).iter().zip(call_args) {
+        for (req, arg) in b.args().iter().zip(args.ids()) {
             let t = self.ty_of(arg);
             if t != Ty::Any && !req.allows(t) {
                 self.diag(
                     DiagCode::TypeMisuse,
                     definite,
-                    arg.span,
+                    image.span(arg),
                     format!("{name} needs {}, got {}", req.want(), t.name()),
                 );
             }
         }
+        let first = args.first;
         // `contains` on a string needs a string needle.
-        if name == "contains" {
-            if let (Some(a), Some(b)) = (call_args.first(), call_args.get(1)) {
-                let (at, bt) = (self.ty_of(a), self.ty_of(b));
-                if at == Ty::Str && bt != Ty::Any && bt != Ty::Str {
-                    self.diag(
-                        DiagCode::TypeMisuse,
-                        definite,
-                        b.span,
-                        format!("contains on a string needs a string, got {}", bt.name()),
-                    );
-                }
+        if b == Builtin::Contains {
+            let (at, bt) = (self.ty_of(first), self.ty_of(first + 1));
+            if at == Ty::Str && bt != Ty::Any && bt != Ty::Str {
+                self.diag(
+                    DiagCode::TypeMisuse,
+                    definite,
+                    image.span(first + 1),
+                    format!("contains on a string needs a string, got {}", bt.name()),
+                );
             }
         }
         // V007: straight-line use of a removed KV binding.
-        if consumes_kv_handle(name) {
-            if let Some(Expr {
-                kind: ExprKind::Var(v),
-                ..
-            }) = call_args.first()
-            {
-                if self.removed.contains(v) {
+        if b.takes_kv() {
+            if let Some(v) = name_of(image, first) {
+                if self.removed[v] {
                     self.diag(
                         DiagCode::UseAfterRemove,
                         definite,
                         span,
-                        format!("`{v}` used after kv_remove"),
+                        format!("`{}` used after kv_remove", image.names[v]),
                     );
                 }
-            }
-        }
-        if name == "kv_remove" {
-            if let Some(Expr {
-                kind: ExprKind::Var(v),
-                ..
-            }) = call_args.first()
-            {
-                self.removed.insert(v.clone());
+                if b == Builtin::KvRemove {
+                    self.removed[v] = true;
+                }
             }
         }
         // V004: spawn target resolution (the spawn call itself faults in
         // the *parent* when the target is not a defined function).
-        if name == "spawn" {
-            if let Some(Expr {
-                kind: ExprKind::Str(target),
-                ..
-            }) = call_args.first()
-            {
-                if self.prog.function(target).is_none() {
-                    self.diag(
+        if b == Builtin::Spawn {
+            if let Some(target) = str_arg(image, args, 0) {
+                match image.function(target) {
+                    None => self.diag(
                         DiagCode::BadSpawnTarget,
                         definite,
                         span,
                         format!("spawn target `{target}` is not a defined function"),
-                    );
-                } else if let Some(Expr {
-                    kind: ExprKind::List(spawn_args),
-                    ..
-                }) = call_args.get(1)
-                {
-                    // Arity mismatch faults inside the spawned thread, and
-                    // thread faults never fail the parent: warning only.
-                    if let Some(&fwant) = self.fn_arity.get(target.as_str()) {
-                        if spawn_args.len() != fwant {
-                            self.diag(
-                                DiagCode::BadArity,
-                                false,
-                                span,
-                                format!(
-                                    "spawn of `{target}` passes {} args, expects {fwant}",
-                                    spawn_args.len()
-                                ),
-                            );
+                    ),
+                    Some(f) => {
+                        // Arity mismatch faults inside the spawned thread, and
+                        // thread faults never fail the parent: warning only.
+                        let want = image.functions[f].params.len();
+                        if let Node::List(passed) = image.node(first + 1) {
+                            if passed.n as usize != want {
+                                self.diag(
+                                    DiagCode::BadArity,
+                                    false,
+                                    span,
+                                    format!(
+                                        "spawn of `{target}` passes {} args, expects {want}",
+                                        passed.n
+                                    ),
+                                );
+                            }
                         }
                     }
                 }
@@ -1127,52 +1051,31 @@ impl<'a> Checker<'a> {
 }
 
 /// `true` when the condition is a literal `true`/`false`.
-fn literal_bool(e: &Expr) -> Option<bool> {
-    match e.kind {
-        ExprKind::Bool(b) => Some(b),
+fn literal_bool(image: &Image, cond: u32) -> Option<bool> {
+    match image.node(cond) {
+        Node::Bool(b) => Some(b),
         _ => None,
     }
 }
 
-/// `true` when `for x in <iter>` definitely runs at least one iteration.
-fn statically_nonempty(iter: &Expr) -> bool {
-    match &iter.kind {
-        ExprKind::List(items) => !items.is_empty(),
-        ExprKind::Call(name, call_args) if name == "range" => {
-            match (call_args.first(), call_args.get(1)) {
-                (
-                    Some(Expr {
-                        kind: ExprKind::Int(a),
-                        ..
-                    }),
-                    Some(Expr {
-                        kind: ExprKind::Int(b),
-                        ..
-                    }),
-                ) => b > a,
-                _ => false,
-            }
-        }
-        _ => false,
+/// Argument `k` of a call, if it is a string literal.
+fn str_arg(image: &Image, args: Run, k: u32) -> Option<&str> {
+    if k >= args.n {
+        return None;
+    }
+    match image.node(args.first + k) {
+        Node::Str(s) => Some(&image.strings[s as usize]),
+        _ => None,
     }
 }
 
 /// Static trip count of a `for` iterator, when known.
-fn static_trip(iter: &Expr) -> Option<u64> {
-    match &iter.kind {
-        ExprKind::List(items) => Some(items.len() as u64),
-        ExprKind::Call(name, call_args) if name == "range" => {
-            match (call_args.first(), call_args.get(1)) {
-                (
-                    Some(Expr {
-                        kind: ExprKind::Int(a),
-                        ..
-                    }),
-                    Some(Expr {
-                        kind: ExprKind::Int(b),
-                        ..
-                    }),
-                ) => Some(b.saturating_sub(*a).max(0) as u64),
+fn static_trip(image: &Image, iter: u32) -> Option<u64> {
+    match image.node(iter) {
+        Node::List(items) => Some(u64::from(items.n)),
+        Node::Call(Callee::Builtin(Builtin::Range), args) if args.n >= 2 => {
+            match (image.node(args.first), image.node(args.first + 1)) {
+                (Node::Int(a), Node::Int(b)) => Some(b.saturating_sub(a).max(0) as u64),
                 _ => None,
             }
         }
@@ -1180,23 +1083,15 @@ fn static_trip(iter: &Expr) -> Option<u64> {
     }
 }
 
-/// Any `return` anywhere in the block (escapes an enclosing loop).
-fn block_returns(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Return(_) => true,
-        StmtKind::If(_, t, e) => block_returns(t) || block_returns(e),
-        StmtKind::While(_, b) | StmtKind::For(_, _, b) => block_returns(b),
-        _ => false,
-    })
-}
-
-/// Any `return`/`break`/`continue` anywhere in the block — after executing
-/// such a block, following statements are no longer guaranteed to run.
-fn block_diverges(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Return(_) | StmtKind::Break | StmtKind::Continue => true,
-        StmtKind::If(_, t, e) => block_diverges(t) || block_diverges(e),
-        StmtKind::While(_, b) | StmtKind::For(_, _, b) => block_diverges(b),
+/// Any `return` anywhere in the block, which escapes an enclosing loop —
+/// or, with `jumps`, any `break`/`continue` too: after such a block,
+/// following statements are no longer guaranteed to run.
+fn leaves(image: &Image, run: Run, jumps: bool) -> bool {
+    run.ids().any(|id| match image.node(id) {
+        Node::Return(_) => true,
+        Node::Break | Node::Continue => jumps,
+        Node::If(_, t, e) => leaves(image, t, jumps) || leaves(image, e, jumps),
+        Node::While(_, b) | Node::For(_, _, _, b) => leaves(image, b, jumps),
         _ => false,
     })
 }
@@ -1264,88 +1159,88 @@ impl Cost {
     }
 }
 
-struct CostPass<'a> {
-    prog: &'a Program,
-    cache: BTreeMap<String, Cost>,
-    stack: Vec<String>,
+struct CostPass<'i> {
+    image: &'i Image,
+    /// Per function, its cost once worked out.
+    cache: Vec<Option<Cost>>,
+    /// The functions whose cost is being worked out, innermost last.
+    stack: Vec<u32>,
     fx: EffectSummary,
-    /// Variables of the current body that are let-bound exactly once to a
-    /// statically-sized iterable and never rebound: their `for` trip count
-    /// is known. Sound because values have copy semantics and
+    /// Per name, the `for` trip count of a variable of the current body
+    /// that is let-bound exactly once to a statically-sized iterable and
+    /// never rebound. Sound because values have copy semantics and
     /// index-assignment preserves list length.
-    trips: BTreeMap<String, u64>,
+    trips: Vec<Option<u64>>,
 }
 
 /// Computes the single-binding trip map for one body. A name qualifies if
 /// it has exactly one `let` in the body, is not a parameter or `for`
 /// variable, is never re-assigned, and its initializer has a static trip
 /// count.
-fn body_trips(params: &[String], body: &[Stmt]) -> BTreeMap<String, u64> {
-    #[derive(Default)]
+fn body_trips(image: &Image, params: &[u32], body: Run) -> Vec<Option<u64>> {
+    #[derive(Clone, Copy, Default)]
     struct Counts {
         lets: u32,
         other_binds: u32,
         trip: Option<u64>,
     }
-    fn scan(stmts: &[Stmt], counts: &mut BTreeMap<String, Counts>) {
-        for s in stmts {
-            match &s.kind {
-                StmtKind::Let(n, e) => {
-                    let c = counts.entry(n.clone()).or_default();
+    fn scan(image: &Image, run: Run, counts: &mut [Counts]) {
+        for id in run.ids() {
+            match image.node(id) {
+                Node::Let(_, name, e) => {
+                    let c = &mut counts[name as usize];
                     c.lets += 1;
                     if c.lets == 1 {
-                        c.trip = static_trip(e);
+                        c.trip = static_trip(image, e);
                     }
                 }
-                StmtKind::Assign(n, _) => {
-                    counts.entry(n.clone()).or_default().other_binds += 1;
+                Node::Assign(..) => {
+                    if let Some(name) = name_of(image, id) {
+                        counts[name].other_binds += 1;
+                    }
                 }
-                StmtKind::If(_, t, e) => {
-                    scan(t, counts);
-                    scan(e, counts);
+                Node::If(_, t, e) => {
+                    scan(image, t, counts);
+                    scan(image, e, counts);
                 }
-                StmtKind::While(_, b) => scan(b, counts),
-                StmtKind::For(v, _, b) => {
-                    counts.entry(v.clone()).or_default().other_binds += 1;
-                    scan(b, counts);
+                Node::While(_, b) => scan(image, b, counts),
+                Node::For(_, name, _, b) => {
+                    counts[name as usize].other_binds += 1;
+                    scan(image, b, counts);
                 }
-                StmtKind::IndexAssign(..)
-                | StmtKind::Break
-                | StmtKind::Continue
-                | StmtKind::Return(_)
-                | StmtKind::Expr(_) => {}
+                _ => {}
             }
         }
     }
-    let mut counts: BTreeMap<String, Counts> = BTreeMap::new();
-    for p in params {
-        counts.entry(p.clone()).or_default().other_binds += 1;
+    let mut counts = vec![Counts::default(); image.names.len()];
+    for &p in params {
+        counts[p as usize].other_binds += 1;
     }
-    scan(body, &mut counts);
+    scan(image, body, &mut counts);
     counts
-        .into_iter()
-        .filter_map(|(n, c)| match (c.lets, c.other_binds, c.trip) {
-            (1, 0, Some(t)) => Some((n, t)),
+        .iter()
+        .map(|c| match (c.lets, c.other_binds, c.trip) {
+            (1, 0, Some(t)) => Some(t),
             _ => None,
         })
         .collect()
 }
 
-impl<'a> CostPass<'a> {
-    fn new(prog: &'a Program) -> Self {
+impl<'i> CostPass<'i> {
+    fn new(image: &'i Image) -> Self {
         CostPass {
-            prog,
-            cache: BTreeMap::new(),
+            image,
+            cache: vec![None; image.functions.len()],
             stack: Vec::new(),
             fx: EffectSummary::default(),
-            trips: BTreeMap::new(),
+            trips: Vec::new(),
         }
     }
 
     fn run(mut self) -> EffectSummary {
-        let prog = self.prog;
-        self.trips = body_trips(&[], &prog.top);
-        let top = self.block_cost(&prog.top);
+        let image = self.image;
+        self.trips = body_trips(image, &[], image.top);
+        let top = self.block_cost(image.top);
         self.fx.fuel_bound = top.fuel;
         self.fx.pred_bound = top.preds;
         self.fx.spawn_bound = top.spawns;
@@ -1353,9 +1248,10 @@ impl<'a> CostPass<'a> {
         if self.fx.dynamic_spawns {
             // A computed spawn target may reach any function: fold every
             // function's effects in and give up on spawn/KV bounds.
-            let names: Vec<String> = self.prog.functions.iter().map(|f| f.name.clone()).collect();
-            for n in names {
-                let _ = self.fn_cost(&n);
+            for func in &image.functions {
+                if let Some(f) = image.function(&func.name) {
+                    let _ = self.fn_cost(f as u32);
+                }
             }
             self.fx.spawn_bound = Bound::Unbounded;
             self.fx.kv_file_bound = Bound::Unbounded;
@@ -1363,48 +1259,46 @@ impl<'a> CostPass<'a> {
         self.fx
     }
 
-    fn fn_cost(&mut self, name: &str) -> Cost {
-        if let Some(c) = self.cache.get(name) {
-            return *c;
+    fn fn_cost(&mut self, f: u32) -> Cost {
+        if let Some(c) = self.cache[f as usize] {
+            return c;
         }
-        if self.stack.iter().any(|n| n == name) {
+        if self.stack.contains(&f) {
             return Cost::UNBOUNDED;
         }
-        let prog = self.prog;
-        let Some(def) = prog.function(name) else {
-            return Cost::ZERO;
-        };
-        self.stack.push(name.to_string());
-        let saved = std::mem::replace(&mut self.trips, body_trips(&def.params, &def.body));
-        let c = self.block_cost(&def.body);
+        let image = self.image;
+        let func = &image.functions[f as usize];
+        self.stack.push(f);
+        let trips = body_trips(image, &func.params, func.body);
+        let saved = std::mem::replace(&mut self.trips, trips);
+        let c = self.block_cost(func.body);
         self.trips = saved;
         self.stack.pop();
-        self.cache.insert(name.to_string(), c);
+        self.cache[f as usize] = Some(c);
         c
     }
 
-    fn block_cost(&mut self, stmts: &[Stmt]) -> Cost {
+    fn block_cost(&mut self, run: Run) -> Cost {
         let mut total = Cost::ZERO;
-        for s in stmts {
-            total = total.add(self.stmt_cost(s));
+        for id in run.ids() {
+            total = total.add(self.stmt_cost(id));
         }
         total
     }
 
-    fn stmt_cost(&mut self, s: &Stmt) -> Cost {
+    fn stmt_cost(&mut self, id: u32) -> Cost {
+        let image = self.image;
         // Every statement burns one fuel on entry.
         let base = Cost::fuel(1);
-        match &s.kind {
-            StmtKind::Let(_, e) | StmtKind::Assign(_, e) | StmtKind::Expr(e) => {
+        match image.node(id) {
+            Node::Let(_, _, e) | Node::Assign(_, e) | Node::Expr(e) | Node::Return(Some(e)) => {
                 base.add(self.expr_cost(e))
             }
-            StmtKind::IndexAssign(_, idx, e) => {
-                base.add(self.expr_cost(idx)).add(self.expr_cost(e))
-            }
-            StmtKind::Return(Some(e)) => base.add(self.expr_cost(e)),
-            StmtKind::Return(None) | StmtKind::Break | StmtKind::Continue => base,
-            StmtKind::If(c, t, e) => {
-                let branches = match literal_bool(c) {
+            Node::IndexAssign(_, first) => base
+                .add(self.expr_cost(first))
+                .add(self.expr_cost(first + 1)),
+            Node::If(c, t, e) => {
+                let branches = match literal_bool(image, c) {
                     Some(true) => self.block_cost(t),
                     Some(false) => self.block_cost(e),
                     None => {
@@ -1415,10 +1309,10 @@ impl<'a> CostPass<'a> {
                 };
                 base.add(self.expr_cost(c)).add(branches)
             }
-            StmtKind::While(c, b) => {
+            Node::While(c, b) => {
                 let cond = self.expr_cost(c);
                 let body = self.block_cost(b);
-                if literal_bool(c) == Some(false) {
+                if literal_bool(image, c) == Some(false) {
                     // One iteration-burn plus one condition evaluation.
                     base.add(Cost::fuel(1)).add(cond)
                 } else {
@@ -1426,133 +1320,112 @@ impl<'a> CostPass<'a> {
                     base.add(per_iter.mul(Bound::Unbounded))
                 }
             }
-            StmtKind::For(_, it, b) => {
+            Node::For(_, _, it, b) => {
                 let iter = self.expr_cost(it);
                 let body = self.block_cost(b);
                 let per_iter = body.add(Cost::fuel(1));
-                let known = static_trip(it).or_else(|| match &it.kind {
-                    ExprKind::Var(n) => self.trips.get(n).copied(),
-                    _ => None,
-                });
+                let known = static_trip(image, it)
+                    .or_else(|| name_of(image, it).and_then(|n| self.trips[n]));
                 let trips = match known {
                     Some(n) => Bound::Finite(n),
                     None => Bound::Unbounded,
                 };
                 base.add(iter).add(per_iter.mul(trips))
             }
+            // `return;`, `break`, `continue`.
+            _ => base,
         }
     }
 
-    fn expr_cost(&mut self, e: &Expr) -> Cost {
+    fn expr_cost(&mut self, id: u32) -> Cost {
         // Every evaluated node burns one fuel.
         let base = Cost::fuel(1);
-        match &e.kind {
-            ExprKind::Int(_)
-            | ExprKind::Float(_)
-            | ExprKind::Str(_)
-            | ExprKind::Bool(_)
-            | ExprKind::Nil
-            | ExprKind::Var(_) => base,
-            ExprKind::List(items) => {
-                let mut c = base;
-                for it in items {
-                    c = c.add(self.expr_cost(it));
-                }
-                c
-            }
-            ExprKind::Un(_, inner) => base.add(self.expr_cost(inner)),
-            ExprKind::Bin(_, l, r) => base.add(self.expr_cost(l)).add(self.expr_cost(r)),
-            ExprKind::Index(b, i) => base.add(self.expr_cost(b)).add(self.expr_cost(i)),
-            ExprKind::Call(name, call_args) => {
-                let mut c = base;
-                for a in call_args {
-                    c = c.add(self.expr_cost(a));
-                }
-                if builtins::is_builtin(name) {
-                    c.add(self.builtin_cost(name, call_args))
-                } else {
-                    c.add(self.fn_cost(name))
+        match self.image.node(id) {
+            Node::List(items) => items.ids().fold(base, |c, it| c.add(self.expr_cost(it))),
+            Node::Un(_, inner) => base.add(self.expr_cost(inner)),
+            Node::Bin(_, first) | Node::Index(first) => base
+                .add(self.expr_cost(first))
+                .add(self.expr_cost(first + 1)),
+            Node::Call(callee, args) => {
+                let c = args.ids().fold(base, |c, a| c.add(self.expr_cost(a)));
+                match callee {
+                    Callee::Builtin(b) => c.add(self.builtin_cost(b, args)),
+                    Callee::User(f) => c.add(self.fn_cost(f)),
+                    Callee::Unknown(_) => c,
                 }
             }
+            _ => base,
         }
     }
 
-    fn builtin_cost(&mut self, name: &str, call_args: &[Expr]) -> Cost {
-        match name {
-            "pred" | "pred_at" => {
+    fn builtin_cost(&mut self, b: Builtin, args: Run) -> Cost {
+        let image = self.image;
+        match b {
+            Builtin::Pred | Builtin::PredAt => {
                 self.fx.uses_pred = true;
                 Cost {
                     preds: Bound::Finite(1),
                     ..Cost::ZERO
                 }
             }
-            "call_tool" => {
+            Builtin::CallTool => {
                 self.fx.uses_tools = true;
-                match call_args.first() {
-                    Some(Expr {
-                        kind: ExprKind::Str(tool),
-                        ..
-                    }) => {
-                        self.fx.tool_names.insert(tool.clone());
+                match str_arg(image, args, 0) {
+                    Some(tool) => {
+                        self.fx.tool_names.insert(tool.to_string());
                     }
-                    _ => self.fx.dynamic_tools = true,
+                    None => self.fx.dynamic_tools = true,
                 }
                 Cost::ZERO
             }
-            "send" | "recv" | "lookup" => {
+            Builtin::Send | Builtin::Recv | Builtin::Lookup => {
                 self.fx.uses_ipc = true;
                 Cost::ZERO
             }
-            "kv_create" | "kv_fork" | "kv_extract" | "kv_merge" => Cost {
+            Builtin::KvCreate | Builtin::KvFork | Builtin::KvExtract | Builtin::KvMerge => Cost {
                 kv_files: Bound::Finite(1),
                 ..Cost::ZERO
             },
-            "kv_open" => {
-                match call_args.first() {
-                    Some(Expr {
-                        kind: ExprKind::Str(path),
-                        ..
-                    }) => {
-                        self.fx.kv_open_paths.insert(path.clone());
+            Builtin::KvOpen => {
+                match str_arg(image, args, 0) {
+                    Some(path) => {
+                        self.fx.kv_open_paths.insert(path.to_string());
                     }
-                    _ => self.fx.dynamic_kv_paths = true,
+                    None => self.fx.dynamic_kv_paths = true,
                 }
                 Cost::ZERO
             }
-            "kv_link" => {
-                match call_args.get(1) {
-                    Some(Expr {
-                        kind: ExprKind::Str(path),
-                        ..
-                    }) => {
-                        self.fx.kv_link_paths.insert(path.clone());
+            Builtin::KvLink => {
+                match str_arg(image, args, 1) {
+                    Some(path) => {
+                        self.fx.kv_link_paths.insert(path.to_string());
                     }
-                    _ => self.fx.dynamic_kv_paths = true,
+                    None => self.fx.dynamic_kv_paths = true,
                 }
                 Cost::ZERO
             }
-            "spawn" => {
+            Builtin::Spawn => {
                 self.fx.uses_spawn = true;
                 let one = Cost {
                     spawns: Bound::Finite(1),
                     ..Cost::ZERO
                 };
-                match call_args.first() {
-                    Some(Expr {
-                        kind: ExprKind::Str(target),
-                        ..
-                    }) => {
-                        self.fx.spawn_targets.insert(target.clone());
+                match str_arg(image, args, 0) {
+                    Some(target) => {
+                        self.fx.spawn_targets.insert(target.to_string());
                         // Fuel and preds run on the child's own budget;
                         // spawn and KV-file creation are global.
-                        let child = self.fn_cost(target);
+                        let child = match image.function(target) {
+                            Some(f) => self.fn_cost(f as u32),
+                            None => Cost::ZERO,
+                        };
                         one.add(Cost {
                             spawns: child.spawns,
                             kv_files: child.kv_files,
                             ..Cost::ZERO
                         })
                     }
-                    _ => {
+                    None => {
                         self.fx.dynamic_spawns = true;
                         Cost {
                             spawns: Bound::Unbounded,
@@ -1571,65 +1444,62 @@ impl<'a> CostPass<'a> {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Verifies a parsed program: all three passes, diagnostics in source order.
-pub fn verify(prog: &Program) -> VerifyReport {
-    let mut checker = Checker::new(prog);
+/// Verifies a lowered program — the image the machine runs: all three
+/// passes, diagnostics in source order.
+pub fn verify_image(image: &Image) -> VerifyReport {
+    let mut checker = Checker::new(image);
 
     // Discovery pre-pass: find functions *definitely called* from definite
     // code, to a fixpoint, with diagnostics suppressed.
     checker.emit = false;
-    checker.check_body(&[], &prog.top, true);
-    let mut marked: BTreeSet<String> = BTreeSet::new();
-    let mut queue: Vec<String> = checker.definite_calls.iter().cloned().collect();
-    while let Some(name) = queue.pop() {
-        if !marked.insert(name.clone()) {
+    checker.check_body(&[], image.top, true);
+    let mut marked = vec![false; image.functions.len()];
+    let mut queue = std::mem::take(&mut checker.definite_calls);
+    while let Some(f) = queue.pop() {
+        if std::mem::replace(&mut marked[f as usize], true) {
             continue;
         }
-        if let Some(def) = prog.function(&name) {
-            checker.definite_calls.clear();
-            checker.check_body(&def.params, &def.body, true);
-            for callee in checker.definite_calls.iter() {
-                if !marked.contains(callee) {
-                    queue.push(callee.clone());
-                }
-            }
-        }
+        let func = &image.functions[f as usize];
+        checker.check_body(&func.params, func.body, true);
+        queue.append(&mut checker.definite_calls);
     }
 
     // Real pass: top level is definite; a function body is definite iff the
     // function is definitely called (spawned bodies never are — thread
-    // faults don't fail the parent program).
+    // faults don't fail the parent program). A call means the first
+    // definition of its name, so a duplicate is never marked.
     checker.emit = true;
-    checker.definite_calls.clear();
-    checker.check_body(&[], &prog.top, true);
-    let mut seen_fns: BTreeSet<&str> = BTreeSet::new();
-    for def in &prog.functions {
-        if builtins::is_builtin(&def.name) {
+    checker.check_body(&[], image.top, true);
+    for (f, func) in image.functions.iter().enumerate() {
+        if Builtin::from_name(&func.name).is_some() {
             checker.diags.push(Diag {
                 code: DiagCode::ShadowedBuiltin,
                 severity: Severity::Warning,
-                span: def.span,
-                message: format!("function `{}` is shadowed by the builtin", def.name),
+                span: func.span,
+                message: format!("function `{}` is shadowed by the builtin", func.name),
             });
         }
-        let duplicate = !seen_fns.insert(def.name.as_str());
-        if duplicate {
+        if image.function(&func.name) != Some(f) {
             checker.diags.push(Diag {
                 code: DiagCode::DuplicateFn,
                 severity: Severity::Warning,
-                span: def.span,
-                message: format!("duplicate definition of `{}` (the first wins)", def.name),
+                span: func.span,
+                message: format!("duplicate definition of `{}` (the first wins)", func.name),
             });
         }
-        let definite = !duplicate && marked.contains(&def.name);
-        checker.check_body(&def.params, &def.body, definite);
+        checker.check_body(&func.params, func.body, marked[f]);
     }
 
     let mut diags = checker.diags;
     diags.sort_by_key(|d| (d.span.line, d.span.col, d.code));
 
-    let effects = CostPass::new(prog).run();
+    let effects = CostPass::new(image).run();
     VerifyReport { diags, effects }
+}
+
+/// Lowers and verifies a parsed program ([`verify_image`]).
+pub fn verify(prog: &Program) -> VerifyReport {
+    verify_image(&Image::lower(prog))
 }
 
 /// Parses then verifies source text.

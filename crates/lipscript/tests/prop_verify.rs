@@ -8,11 +8,41 @@
 use proptest::prelude::*;
 use symphony_lipscript::host::MockHost;
 use symphony_lipscript::printer::print_program;
-use symphony_lipscript::verify::verify;
+use symphony_lipscript::verify::{verify, verify_source};
 use symphony_lipscript::{run_with_host, InterpLimits};
 
 mod arb;
 use arb::arb_program;
+
+/// Every report the verifier gives — codes, spans, messages, bounds,
+/// effect sets — on 4 096 random programs from a fixed seed and on the
+/// shipped examples, folded into one FNV-1a digest. A change to how the
+/// verifier reads programs has to leave this alone, or re-pin it and say
+/// which reports moved and why.
+#[test]
+fn reports_are_pinned() {
+    const PINNED: u64 = 0xf2a4_1282_1313_6653;
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |report: &str| {
+        for b in report.bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let programs = arb_program();
+    let mut rng = TestRng::new(0x0005_eed0_fae7);
+    for _ in 0..4096 {
+        let src = print_program(&programs.gen_value(&mut rng));
+        let report = verify_source(&src).expect("printed programs parse");
+        fold(&format!("{report:?}"));
+    }
+    for example in ["agent", "completion", "parallel"] {
+        let path = format!("../../examples/lipscript/{example}.lip");
+        let src = std::fs::read_to_string(&path).expect("the example is readable");
+        let report = verify_source(&src).expect("the example parses");
+        fold(&format!("{report:?}"));
+    }
+    assert_eq!(digest, PINNED, "reports moved: {digest:#018x}");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 
 use symphony::telemetry::EventKind;
 use symphony::{ExitStatus, Kernel, Pid, SessionEvent, SimDuration, SimTime, SysError};
-use symphony_lipscript::{parse::parse, verify::verify, Image, InterpLimits, LipBody};
+use symphony_lipscript::{parse::parse, verify::verify_image, Image, InterpLimits, LipBody};
 use symphony_rpc::{
     ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, CONN_SCOPE, DEFAULT_MAX_FRAME,
     WIRE_VERSION,
@@ -653,9 +653,11 @@ impl ServerCore {
         }
         metrics.counter("serve.image_cache.misses").inc();
         let program = parse(source).map_err(|e| (ErrCode::ProgramRejected, e.render(name)))?;
+        // The verifier checks the image the machine will run.
+        let image = Image::shared(&program);
         let mut hint = None;
         if self.cfg.verify {
-            let report = verify(&program);
+            let report = verify_image(&image);
             if let Some(d) = report.first_error() {
                 return Err((ErrCode::VerifyRejected, d.render(name)));
             }
@@ -663,10 +665,7 @@ impl ServerCore {
                 hint = Some(report.effects.service_estimate());
             }
         }
-        let admitted = Admissible {
-            image: Image::shared(&program),
-            hint,
-        };
+        let admitted = Admissible { image, hint };
         if self
             .images
             .insert(self.cfg.max_live_sessions, source, &admitted)
