@@ -506,6 +506,9 @@ struct Checker<'i> {
     emit: bool,
     /// User functions called from definite code (collected during walks).
     definite_calls: Vec<u32>,
+    /// How many `&&`/`||` right operands the walk is inside: code there
+    /// may not run, so a `kv_remove` in it removes nothing for certain.
+    short_circuits: usize,
     // Per-body state, by name:
     tyenv: Vec<Option<Ty>>,
     removed: Vec<bool>,
@@ -519,6 +522,7 @@ impl<'i> Checker<'i> {
             diags: Vec::new(),
             emit: true,
             definite_calls: Vec::new(),
+            short_circuits: 0,
             tyenv: vec![None; image.names.len()],
             removed: vec![false; image.names.len()],
             loops: 0,
@@ -884,12 +888,13 @@ impl<'i> Checker<'i> {
                 let (l, r) = (first, first + 1);
                 self.check_expr(l, definite);
                 // The right side of a short-circuit operator may never run.
-                let r_definite = if matches!(op, BinOp::And | BinOp::Or) {
-                    false
+                if matches!(op, BinOp::And | BinOp::Or) {
+                    self.short_circuits += 1;
+                    self.check_expr(r, false);
+                    self.short_circuits -= 1;
                 } else {
-                    definite
-                };
-                self.check_expr(r, r_definite);
+                    self.check_expr(r, definite);
+                }
                 let (lt, rt) = (self.ty_of(l), self.ty_of(r));
                 if lt != Ty::Any && rt != Ty::Any && binop_faults(op, lt, rt) {
                     self.diag(
@@ -1010,7 +1015,7 @@ impl<'i> Checker<'i> {
                         format!("`{}` used after kv_remove", image.names[v]),
                     );
                 }
-                if b == Builtin::KvRemove {
+                if b == Builtin::KvRemove && self.short_circuits == 0 {
                     self.removed[v] = true;
                 }
             }

@@ -2,9 +2,11 @@
 //! diagnostic code, the severity policy, and the cost algebra.
 
 use symphony_lipscript::ast::Program;
+use symphony_lipscript::host::MockHost;
 use symphony_lipscript::verify::{
     verify, verify_source, Bound, DiagCode, Severity, VerifyReport,
 };
+use symphony_lipscript::{run_with_host, InterpLimits};
 
 fn vet(src: &str) -> VerifyReport {
     verify_source(src).unwrap_or_else(|e| panic!("parse failed: {e}\n{src}"))
@@ -264,6 +266,20 @@ fn kv_remove_in_branch_does_not_poison_after() {
         "let c = 1; let kv = kv_create(); if (c) { kv_remove(kv); } let n = kv_next_pos(kv);",
     );
     assert!(r.is_admissible(), "{:?}", r.diags);
+}
+
+#[test]
+fn kv_remove_that_a_short_circuit_skips_does_not_poison_after() {
+    for src in [
+        "let kv = kv_create(); let b = false && kv_remove(kv); emit(str(kv_len(kv)));",
+        "let kv = kv_create(); let b = true || kv_remove(kv); emit(str(kv_len(kv)));",
+        "let kv = kv_create(); let b = false && kv_remove(kv); let f = kv_fork(kv);",
+    ] {
+        let ran = run_with_host(src, &mut MockHost::new(""), InterpLimits::default());
+        assert!(ran.is_ok(), "{src}: {ran:?}");
+        let r = vet(src);
+        assert!(r.diags.is_empty(), "{src}: {:?}", r.diags);
+    }
 }
 
 #[test]
