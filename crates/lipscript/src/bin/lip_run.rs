@@ -9,9 +9,9 @@
 //!
 //! Programs are parsed, lowered and verified before execution — the same
 //! admission check the serving door applies, on the image that then runs —
-//! and diagnostics print in compiler
-//! style (`file:line:col: message`). `--no-verify` skips the verifier and
-//! lets the interpreter fault at runtime instead.
+//! and diagnostics print in compiler style (`file:line:col: message`).
+//! `--no-verify` skips the verifier and lets the interpreter fault at
+//! runtime instead.
 //!
 //! Exit code 0 on clean completion, 1 on program failure, 2 on usage error.
 

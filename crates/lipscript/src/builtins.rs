@@ -75,6 +75,17 @@ macro_rules! builtins {
                 }
             }
 
+            /// Its fixed argument count.
+            pub fn arity(self) -> usize {
+                self.args().len()
+            }
+
+            /// Whether its first argument is a KV handle, which a removed
+            /// file makes it fail on.
+            pub(crate) fn takes_kv(self) -> bool {
+                self.args().first() == Some(&Req::Kv)
+            }
+
             /// What its value can be.
             pub(crate) fn ret(self) -> Ty {
                 match self {
@@ -150,19 +161,6 @@ builtins! {
     NowMs = "now_ms"() -> Float asks,
     Spawn = "spawn"(Str, List) -> Thread asks,
     Join = "join"(Thread) -> Bool asks,
-}
-
-impl Builtin {
-    /// Its fixed argument count.
-    pub fn arity(self) -> usize {
-        self.args().len()
-    }
-
-    /// Whether its first argument is a KV handle, which a removed file
-    /// makes it fail on.
-    pub(crate) fn takes_kv(self) -> bool {
-        self.args().first() == Some(&Req::Kv)
-    }
 }
 
 /// The most arguments any builtin takes.

@@ -17,16 +17,19 @@
 //!   not count — and a function sees its parameters and nothing else. A
 //!   block's slots are handed out again once it is closed, so a frame is as
 //!   big as the deepest nesting needs. An assignment to a name that no
-//!   scope declares declares it in the innermost scope: the assignment
-//!   itself fails when it runs, so nothing after it in that scope ever
-//!   does, and the reads that follow it are not reported again.
+//!   scope declares declares it in the innermost scope, as a `let` would:
+//!   the assignment itself fails when it runs, so nothing after it in that
+//!   scope ever does, and the verifier reports it once, not at every read
+//!   that follows.
 //! - **Call sites** are resolved to a [`Builtin`], a function's index, or
 //!   neither.
-//! - **Names** are kept once each, by number, and every node that
-//!   declares, reads or writes a variable carries the number of its name
-//!   beside its slot (in room the node has anyway). The machine never looks
-//!   at it; the verifier ([`crate::verify`]), which joins types per name —
-//!   one slot can hold two names in turn — does.
+//! - **Names** are kept once each, in one string of NUL-ended names (one
+//!   allocation per image, however many it names), and numbered by where
+//!   they start in it. Every node that declares, reads or writes a
+//!   variable carries the number of its name beside its slot (in room the
+//!   node has anyway). The machine never looks at it; the verifier
+//!   ([`crate::verify`]), which joins types per name — one slot can hold
+//!   two names in turn — does.
 //!
 //! What cannot be resolved is not an error here. Verification is optional
 //! (`ServeConfig::verify`, `lip_run --no-verify`), and a program that reads
@@ -69,7 +72,7 @@ pub(crate) enum Callee {
     /// `functions[i]`: the first definition of the name, as long as no
     /// builtin has it.
     User(u32),
-    /// Nothing: the call fails as `Undefined(names[i])` once its
+    /// Nothing: the call fails as `Undefined` of name `i` once its
     /// arguments are evaluated.
     Unknown(u32),
 }
@@ -79,7 +82,7 @@ pub(crate) enum Callee {
 pub(crate) enum Target {
     /// The slot, and the name.
     Slot(u32, u32),
-    /// No scope declares `names[i]` here.
+    /// No scope declares name `i` here.
     Undefined(u32),
 }
 
@@ -96,7 +99,7 @@ pub(crate) enum Node {
     Str(u32),
     /// A read of the frame's slot, and the name.
     Var(u32, u32),
-    /// A read of `names[i]`, which no scope declares here.
+    /// A read of name `i`, which no scope declares here.
     Undefined(u32),
     List(Run),
     Un(UnOp, u32),
@@ -162,8 +165,8 @@ pub struct Image {
     pub(crate) nodes: Vec<Entry>,
     /// String literals.
     pub(crate) strings: Vec<String>,
-    /// Identifiers, each once (see the module docs).
-    pub(crate) names: Vec<String>,
+    /// Identifiers, each once and NUL-ended (see the module docs).
+    pub(crate) names: String,
     /// In definition order, duplicates included (a name means the first).
     pub(crate) functions: Vec<Func>,
     pub(crate) top: Run,
@@ -190,7 +193,7 @@ impl Image {
             nodes: Vec::with_capacity(64),
             heights: Vec::with_capacity(64),
             strings: Vec::new(),
-            names: Vec::new(),
+            names: String::new(),
             scope: Vec::new(),
             opened: Vec::new(),
             slots: 0,
@@ -201,15 +204,11 @@ impl Image {
             .map(|def| {
                 // Two parameters of one name share the scope: the later
                 // one is the one the body sees.
-                let params = def
-                    .params
-                    .iter()
-                    .map(|p| {
-                        let name = lowerer.name(p);
-                        lowerer.scope.push((p, name));
-                        name
-                    })
-                    .collect();
+                for p in &def.params {
+                    let name = lowerer.name(p);
+                    lowerer.scope.push((p, name));
+                }
+                let params = lowerer.scope.iter().map(|&(_, name)| name).collect();
                 let (body, slots) = lowerer.frame(&def.body);
                 Func {
                     name: def.name.clone(),
@@ -241,6 +240,12 @@ impl Image {
         self.functions.iter().position(|f| f.name == name)
     }
 
+    /// The identifier numbered `at`.
+    pub(crate) fn name(&self, at: u32) -> &str {
+        let rest = &self.names[at as usize..];
+        &rest[..rest.find('\0').unwrap_or(rest.len())]
+    }
+
     pub(crate) fn node(&self, id: u32) -> Node {
         self.nodes[id as usize].node
     }
@@ -259,7 +264,7 @@ struct Lowerer<'p> {
     /// Per node: how many levels of pure operators it is, or [`IMPURE`].
     heights: Vec<u8>,
     strings: Vec<String>,
-    names: Vec<String>,
+    names: String,
     /// The names visible at the point being lowered, outermost first, with
     /// their numbers: a name's index is its slot.
     scope: Vec<(&'p str, u32)>,
@@ -297,16 +302,18 @@ impl<'p> Lowerer<'p> {
         self.strings.len() as u32 - 1
     }
 
-    /// The number of the identifier `name`.
+    /// The number of the identifier `name`: where it starts in `names`.
     fn name(&mut self, name: &str) -> u32 {
-        let i = match self.names.iter().position(|n| n == name) {
-            Some(i) => i,
-            None => {
-                self.names.push(name.to_string());
-                self.names.len() - 1
+        let mut at = 0;
+        for known in self.names.split_terminator('\0') {
+            if known == name {
+                return at as u32;
             }
-        };
-        i as u32
+            at += known.len() + 1;
+        }
+        self.names.push_str(name);
+        self.names.push('\0');
+        at as u32
     }
 
     fn open(&mut self) {
@@ -512,9 +519,7 @@ mod tests {
             .iter()
             .filter_map(|e| match e.node {
                 Node::Var(slot, _) => Some((e.span, format!("slot {slot}"))),
-                Node::Undefined(name) => {
-                    Some((e.span, format!("undefined {}", image.names[name as usize])))
-                }
+                Node::Undefined(name) => Some((e.span, format!("undefined {}", image.name(name)))),
                 _ => None,
             })
             .collect();
@@ -607,10 +612,10 @@ mod tests {
             [
                 Callee::Builtin(Builtin::Len),
                 Callee::User(1),
-                Callee::Unknown(1)
+                Callee::Unknown(2)
             ]
         );
-        assert_eq!(image.names, ["x", "thrice"]);
+        assert_eq!(image.names, "x\0thrice\0");
         assert_eq!(image.function("twice"), Some(1));
     }
 }

@@ -861,9 +861,7 @@ impl Interpreter {
                 Node::Assign(target, _) => {
                     match target {
                         Target::Slot(slot, _) => slots[*base + slot as usize] = v,
-                        Target::Undefined(name) => {
-                            return Err(undefined(&image.names[name as usize], span))
-                        }
+                        Target::Undefined(name) => return Err(undefined(image.name(name), span)),
                     }
                     flow = Flow::Normal;
                 }
@@ -935,7 +933,7 @@ fn eval_pure(core: &mut Core, image: &Arc<Image>, frame: &[Value], id: u32) -> F
         Node::Nil => Ok(Value::Nil),
         Node::Str(s) => core.string(&image.strings[s as usize], span),
         Node::Var(slot, _) => Ok(frame[slot as usize].clone()),
-        Node::Undefined(name) => Err(undefined(&image.names[name as usize], span)),
+        Node::Undefined(name) => Err(undefined(image.name(name), span)),
         Node::Un(op, a) => {
             let v = operand!(a);
             Core::unop(op, &v, span)
@@ -1157,9 +1155,7 @@ fn act(
             values.truncate(top);
             let list = match target {
                 Target::Slot(slot, _) => &mut slots[base + slot as usize],
-                Target::Undefined(name) => {
-                    return Err(undefined(&image.names[name as usize], span))
-                }
+                Target::Undefined(name) => return Err(undefined(image.name(name), span)),
             };
             Core::store_index(list, i, v, span)?;
             return Ok(Acted::Finished);
@@ -1196,9 +1192,7 @@ fn act(
             return Ok(Acted::Body(f as usize, callee_base));
         }
         // An unknown name fails here, when the call is made.
-        Node::Call(Callee::Unknown(name), _) => {
-            return Err(undefined(&image.names[name as usize], span))
-        }
+        Node::Call(Callee::Unknown(name), _) => return Err(undefined(image.name(name), span)),
         _ => unreachable!("operands on a node that has some"),
     };
     values.truncate(top);

@@ -477,9 +477,9 @@ fn binop_faults(op: BinOp, l: Ty, r: Ty) -> bool {
     }
 }
 
-/// The name node `id` declares, reads or writes, if it is a variable (an
-/// index into `image.names`). Types are joined per *name* across a body:
-/// one slot can hold two names in turn.
+/// The name node `id` declares, reads or writes, if it is a variable (its
+/// number, [`Image::name`]). Types are joined per *name* across a body: one
+/// slot can hold two names in turn.
 fn name_of(image: &Image, id: u32) -> Option<usize> {
     match image.node(id) {
         Node::Var(_, name)
@@ -509,7 +509,7 @@ struct Checker<'i> {
     /// How many `&&`/`||` right operands the walk is inside: code there
     /// may not run, so a `kv_remove` in it removes nothing for certain.
     short_circuits: usize,
-    // Per-body state, by name:
+    // Per-body state, by name number (each below `image.names.len()`):
     tyenv: Vec<Option<Ty>>,
     removed: Vec<bool>,
     loops: usize,
@@ -548,7 +548,7 @@ impl<'i> Checker<'i> {
     /// The name of the variable node `id` as the program spells it.
     fn name(&self, id: u32) -> &'i str {
         let image = self.image;
-        name_of(image, id).map_or("", |n| &image.names[n])
+        name_of(image, id).map_or("", |n| image.name(n as u32))
     }
 
     /// A binding by that name may be used again: it is declared anew.
@@ -956,10 +956,7 @@ impl<'i> Checker<'i> {
                         DiagCode::UndefinedFn,
                         definite,
                         span,
-                        format!(
-                            "call to undefined function `{}`",
-                            image.names[name as usize]
-                        ),
+                        format!("call to undefined function `{}`", image.name(name)),
                     ),
                 }
             }
@@ -1012,7 +1009,7 @@ impl<'i> Checker<'i> {
                         DiagCode::UseAfterRemove,
                         definite,
                         span,
-                        format!("`{}` used after kv_remove", image.names[v]),
+                        format!("`{}` used after kv_remove", image.name(v as u32)),
                     );
                 }
                 if b == Builtin::KvRemove && self.short_circuits == 0 {
