@@ -515,7 +515,7 @@ pub struct Kernel {
     /// and process exit so a front door (crates/serve) can forward output
     /// incrementally instead of polling finished records. `None` costs one
     /// branch per emit.
-    session_sink: Option<SessionSink>,
+    pub(crate) session_sink: Option<SessionSink>,
 }
 
 /// Incremental session notifications delivered to a [`SessionSink`].
@@ -1031,16 +1031,18 @@ impl Kernel {
     /// the reply over its channel and the kernel blocks for its upcall, an
     /// inline one is stepped right here. Everything around that — the span
     /// close, the dispatch event, `handle_syscall`, `handle_exit` — is the
-    /// same code for both.
-    fn resume(&mut self, tid: Tid, reply: SysReply) {
+    /// same code for both. A hosted body that execs ([`Ctx::exec`]) is
+    /// seated inline and started in the same call: no virtual time passes
+    /// and no second dispatch is seen.
+    fn resume(&mut self, tid: Tid, mut reply: SysReply) {
         let Some(ts) = self.threads.get_mut(tid.0) else {
             return;
         };
         // Thread already exited (e.g. killed reply raced): `handle_exit`
         // emptied its seat.
-        let Some(seat) = ts.seat.as_mut() else {
+        if ts.seat.is_none() {
             return;
-        };
+        }
         // Every reply delivery funnels through here, so this is the single
         // point where a thread's syscall span closes and the CPU is handed
         // back to it.
@@ -1055,37 +1057,58 @@ impl Kernel {
         }
         self.bus
             .emit(at, || EventKind::SchedDispatch { tid: tid.0 });
-        let up = match seat {
-            Seat::Hosted { reply_tx, .. } => {
-                if reply_tx.send(reply).is_err() {
-                    return;
+        loop {
+            let Some(seat) = self.threads.get_mut(tid.0).and_then(|ts| ts.seat.as_mut()) else {
+                return;
+            };
+            let status = match seat {
+                Seat::Hosted { reply_tx, .. } => {
+                    if reply_tx.send(reply).is_err() {
+                        return;
+                    }
+                    self.kmetrics.hosted_handoffs.inc();
+                    let up = self
+                        .up_rx
+                        .recv()
+                        // lint:allow(k1): the kernel holds up_tx, so the channel cannot close
+                        .expect("a resumed LIP thread must issue a syscall or exit");
+                    match up {
+                        UpCall::Syscall { tid, call } => return self.handle_syscall(tid, call),
+                        UpCall::Exited { tid, status } => return self.handle_exit(tid, status),
+                        UpCall::Exec { tid: by, body, env } => {
+                            debug_assert_eq!(by, tid, "an exec from a thread not resumed");
+                            // The worker unwinds once its upcall is sent:
+                            // joining it takes no longer than that. Its
+                            // reply channel closes first, so nothing it does
+                            // after the exec can block on it.
+                            let hosted = std::mem::replace(seat, Seat::Inline { body, env });
+                            if let Seat::Hosted { reply_tx, handle } = hosted {
+                                drop(reply_tx);
+                                handle.join();
+                                self.kmetrics.hosted_threads.add(-1);
+                            }
+                            reply = SysReply::Start;
+                            continue;
+                        }
+                    }
                 }
-                self.kmetrics.hosted_handoffs.inc();
-                self.up_rx
-                    .recv()
-                    // lint:allow(k1): the kernel holds up_tx, so the channel cannot close
-                    .expect("a resumed LIP thread must issue a syscall or exit")
-            }
-            Seat::Inline { body, env } => {
-                self.kmetrics.inline_steps.inc();
-                STEPPING_LIP.with(|s| s.set(true));
-                // The body is a sandboxed program's state and nothing of
-                // the kernel's: if stepping it panics, it is dropped at
-                // exit and never looked at again.
-                let next = catch_unwind(AssertUnwindSafe(|| body.resume(env, reply)));
-                STEPPING_LIP.with(|s| s.set(false));
-                let status = match next {
-                    Ok(Next::Syscall(call)) => return self.handle_syscall(tid, call),
-                    Ok(Next::Exit(Ok(()))) => ExitStatus::Ok,
-                    Ok(Next::Exit(Err(e))) => ExitStatus::Error(e),
-                    Err(_) => ExitStatus::Crashed,
-                };
-                UpCall::Exited { tid, status }
-            }
-        };
-        match up {
-            UpCall::Syscall { tid, call } => self.handle_syscall(tid, call),
-            UpCall::Exited { tid, status } => self.handle_exit(tid, status),
+                Seat::Inline { body, env } => {
+                    self.kmetrics.inline_steps.inc();
+                    STEPPING_LIP.with(|s| s.set(true));
+                    // The body is a sandboxed program's state and nothing of
+                    // the kernel's: if stepping it panics, it is dropped at
+                    // exit and never looked at again.
+                    let next = catch_unwind(AssertUnwindSafe(|| body.resume(env, reply)));
+                    STEPPING_LIP.with(|s| s.set(false));
+                    match next {
+                        Ok(Next::Syscall(call)) => return self.handle_syscall(tid, call),
+                        Ok(Next::Exit(Ok(()))) => ExitStatus::Ok,
+                        Ok(Next::Exit(Err(e))) => ExitStatus::Error(e),
+                        Err(_) => ExitStatus::Crashed,
+                    }
+                }
+            };
+            return self.handle_exit(tid, status);
         }
     }
 
@@ -1152,11 +1175,12 @@ impl Kernel {
     /// completions and process exits invoke it synchronously with
     /// [`SessionEvent`]s, in virtual-time order.
     ///
-    /// The sink then owns the output stream: emitted text goes to it and
-    /// nowhere else, so [`ProcessRecord::output`] stays empty and a
-    /// finished process's zombie is its record alone. A durable process is
-    /// the exception — its text is kept in the record as well, because the
-    /// WAL's exit frame carries the finished record through recovery.
+    /// The sink then owns the output stream: emitted text goes to it, so
+    /// [`ProcessRecord::output`] is empty once a process has exited and a
+    /// finished process's zombie is its record alone. A durable process
+    /// keeps its text in the record while it runs, for the WAL's exit
+    /// frame, which takes it: a record recovered from that frame has it
+    /// back.
     pub fn set_session_sink(&mut self, sink: SessionSink) {
         self.session_sink = Some(sink);
     }
@@ -1177,7 +1201,8 @@ impl Kernel {
 
     /// Where `pid`'s emitted `text` goes: to the session sink if there is
     /// one, to the process record if there is none or the process is
-    /// durable (see [`Kernel::set_session_sink`]).
+    /// durable, until its exit frame takes it (see
+    /// [`Kernel::set_session_sink`]).
     fn emit_text(&mut self, pid: Pid, at: SimTime, text: String, tokens: u64) {
         let sinkless = self.session_sink.is_none();
         if let Some(proc) = self.procs.get_mut(pid.0).filter(|p| sinkless || p.durable) {

@@ -4,7 +4,10 @@
 //! to block on, and this pool is where it gets one. Inline bodies — every
 //! served LipScript program — never come here; the kernel steps them on its
 //! own thread (`crate::syscall::InlineBody`), so a server that runs only
-//! those never spawns a worker.
+//! those never spawns a worker. A closure that only sets a program up and
+//! execs it (`Ctx::exec`; a durable LipScript image) gives its worker back
+//! before the program's first step, so a kernel that admits those one at
+//! a time keeps one worker busy at most.
 //!
 //! Spawning a fresh OS thread per program costs tens of microseconds of
 //! clone/page-table work, which dominates kernel wall time once a run sweeps
@@ -15,7 +18,8 @@
 //!
 //! The pool grows on demand (one worker per concurrently-live LIP at peak)
 //! and never shrinks; workers park on their private job channel between
-//! bodies and re-register on the idle list when a body finishes.
+//! bodies and re-register on the idle list when a body finishes, before
+//! its [`JobHandle::join`] returns.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,10 +100,14 @@ fn worker_loop(rx: Receiver<JobSlot>, self_tx: Sender<JobSlot>) {
         // panic arbitrarily — `thread_main` reports those as `Crashed` before
         // unwinding reaches here); either way the worker survives for reuse.
         let _ = catch_unwind(AssertUnwindSafe(job));
+        // Idle before done: a `join` that returns has a worker to give the
+        // next `spawn_lip`, instead of racing it to the idle list.
+        {
+            // lint:allow(k1): see `spawn_lip` — the idle list cannot be poisoned
+            let mut idle = pool().idle.lock().expect("LIP pool idle list poisoned");
+            idle.push(self_tx.clone());
+        }
         drop(done);
-        // lint:allow(k1): see `spawn_lip` — the idle list cannot be poisoned
-        let mut idle = pool().idle.lock().expect("LIP pool idle list poisoned");
-        idle.push(self_tx.clone());
     }
 }
 

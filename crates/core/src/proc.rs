@@ -17,8 +17,8 @@
 //! what somebody may still ask for: the [`ProcessRecord`] (status, usage,
 //! output, times) and whether it was durable. A kernel nobody reaps grows
 //! by a record per program served, not by the run-time state of each; with
-//! a session sink installed the record holds no output either, unless the
-//! process is durable (`Kernel::set_session_sink`).
+//! a session sink installed the record holds no output either
+//! (`Kernel::set_session_sink`).
 //! `Kernel::reap_exited` removes the zombies.
 
 use std::collections::VecDeque;
@@ -581,7 +581,13 @@ impl Kernel {
         if proc.durable {
             // A durable exit frame makes the whole program's outcome
             // durable: recovery restores it as a record, no re-execution.
-            let output = rec.output.clone();
+            // Served, the text has gone to the sink as well: the frame
+            // takes it, and the zombie is its record alone.
+            let output = if self.session_sink.is_some() {
+                std::mem::take(&mut rec.output)
+            } else {
+                rec.output.clone()
+            };
             self.wal_append(WalRecord::ProcExit {
                 at: now,
                 pid: pid.0,
@@ -650,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn a_session_sink_owns_the_stream_unless_the_process_is_durable() {
+    fn a_session_sink_owns_the_stream_and_recovery_restores_a_durable_one() {
         let path = std::env::temp_dir().join(format!("symphony-sink-{}.wal", std::process::id()));
         let mut cfg = KernelConfig::for_tests();
         cfg.wal = Some(WalConfig::new(&path));
@@ -692,14 +698,14 @@ mod tests {
 
         let (served, plain, durable, streamed) = run(true);
         // The sink got every byte a sinkless kernel keeps in the record, and
-        // the plain process's record kept none of them.
+        // neither record kept any of them.
         assert_eq!(streamed.get(&plain.0), Some(&plain_text));
         assert_eq!(streamed.get(&durable.0), Some(&durable_text));
         assert_eq!(output(&served, plain), "");
-        // The durable one keeps its text, and its exit frame carries it
-        // through recovery.
-        assert_eq!(output(&served, durable), durable_text);
+        assert_eq!(output(&served, durable), "");
         drop(served);
+        // The durable one's exit frame took its text and carries it through
+        // recovery.
         let (mut recovered, _) = Kernel::recover(cfg.clone()).expect("recoverable WAL");
         assert_eq!(recovered.resume_programs(|_| None).finished, 1);
         assert_eq!(output(&recovered, durable), durable_text);

@@ -13,7 +13,10 @@
 //!   LipScript machine) that the kernel resumes on its own thread with the
 //!   reply and that returns its next `Syscall`. No OS thread, no channel.
 //!
-//! `Kernel::resume` is the only code that tells the two apart.
+//! `Kernel::resume` is the only code that tells the two apart. A hosted
+//! body may also give its seat up for an inline one ([`Ctx::exec`]): a
+//! native closure that only sets a program up — `run_lip` parsing a
+//! script — holds its OS thread for that and no longer.
 
 use std::ops::Range;
 
@@ -62,12 +65,27 @@ fn shutdown_unwind() -> ! {
     std::panic::panic_any(ShutdownSignal)
 }
 
+/// Payload used to unwind a hosted body whose thread is now an inline one
+/// ([`Ctx::exec`]). Raised with `resume_unwind`, so no panic hook runs.
+struct ExecSignal;
+
+fn exec_unwind() -> ! {
+    std::panic::resume_unwind(Box::new(ExecSignal))
+}
+
 /// Messages from LIP threads to the kernel.
 pub(crate) enum UpCall {
     /// A blocked thread requesting service.
     Syscall { tid: Tid, call: Syscall },
     /// A thread's body returned (or panicked).
     Exited { tid: Tid, status: ExitStatus },
+    /// A hosted thread handing its seat to `body`, which continues from
+    /// `env` ([`Ctx::exec`]).
+    Exec {
+        tid: Tid,
+        body: Box<dyn InlineBody>,
+        env: Box<ThreadEnv>,
+    },
 }
 
 /// The system calls (wire format). Hosted bodies never see it — they call
@@ -186,6 +204,7 @@ pub struct Message {
 /// stream and the tokenizer's special tokens — everything a body can read
 /// without asking the kernel. A hosted body reaches it through its
 /// [`Ctx`]; an inline body is handed it on every resume.
+#[derive(Clone)]
 pub struct ThreadEnv {
     tid: Tid,
     pid: Pid,
@@ -268,6 +287,9 @@ pub struct Ctx {
     env: ThreadEnv,
     up: Sender<UpCall>,
     reply: Receiver<SysReply>,
+    /// [`Ctx::exec`] gave the thread to an inline body: this `Ctx` speaks
+    /// for nobody, and anything it would send unwinds instead.
+    execed: bool,
 }
 
 impl std::ops::Deref for Ctx {
@@ -286,7 +308,12 @@ impl std::ops::DerefMut for Ctx {
 
 impl Ctx {
     pub(crate) fn new(env: ThreadEnv, up: Sender<UpCall>, reply: Receiver<SysReply>) -> Self {
-        Ctx { env, up, reply }
+        Ctx {
+            env,
+            up,
+            reply,
+            execed: false,
+        }
     }
 
     /// Blocks until the kernel delivers the initial [`SysReply::Start`].
@@ -301,19 +328,44 @@ impl Ctx {
     /// the hosted counterpart of an [`InlineBody`] returning the same
     /// [`Syscall`]. The typed wrappers below are shorthands over it.
     pub fn syscall(&self, call: Syscall) -> SysReply {
-        if self
-            .up
-            .send(UpCall::Syscall {
-                tid: self.env.tid,
-                call,
-            })
-            .is_err()
-        {
-            shutdown_unwind();
-        }
+        self.send(UpCall::Syscall {
+            tid: self.env.tid,
+            call,
+        });
         match self.reply.recv() {
             Ok(r) => r,
             Err(_) => shutdown_unwind(),
+        }
+    }
+
+    /// Replaces this thread's body with `body`, as `execve` replaces a
+    /// process image: the kernel steps `body` inline from here on, starting
+    /// it with [`SysReply::Start`] and the thread's environment as it is
+    /// now (its RNG stream goes on where this body left it), and this
+    /// closure's OS thread goes back to the pool.
+    ///
+    /// It is not a system call: it takes no virtual time and is not
+    /// counted in the process's usage. It does not return: the closure
+    /// unwinds, without a panic message. Code that catches the unwind
+    /// reaches nobody — any later call on this `Ctx` unwinds the same way
+    /// before it is sent, and the closure's return value is ignored.
+    pub fn exec(&mut self, body: Box<dyn InlineBody>) -> ! {
+        self.send(UpCall::Exec {
+            tid: self.env.tid,
+            body,
+            env: Box::new(self.env.clone()),
+        });
+        self.execed = true;
+        exec_unwind()
+    }
+
+    /// Sends an upcall, unless the thread has been handed on.
+    fn send(&self, up: UpCall) {
+        if self.execed {
+            exec_unwind();
+        }
+        if self.up.send(up).is_err() {
+            shutdown_unwind();
         }
     }
 
@@ -625,9 +677,11 @@ impl Ctx {
 /// run the body, report the exit status.
 pub(crate) fn thread_main(mut ctx: Ctx, f: LipFn) {
     ctx.wait_start();
-    let tid = ctx.tid();
-    let up = ctx.up.clone();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(&mut ctx)));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
+    if ctx.execed {
+        // The thread runs on as the body it exec'd; its exit is that one's.
+        return;
+    }
     let status = match result {
         Ok(Ok(())) => ExitStatus::Ok,
         Ok(Err(e)) => ExitStatus::Error(e),
@@ -640,5 +694,8 @@ pub(crate) fn thread_main(mut ctx: Ctx, f: LipFn) {
         }
     };
     // The kernel may already be gone during shutdown; ignore send failure.
-    let _ = up.send(UpCall::Exited { tid, status });
+    let _ = ctx.up.send(UpCall::Exited {
+        tid: ctx.tid(),
+        status,
+    });
 }

@@ -155,9 +155,9 @@ pub struct ProcessRecord {
     /// Exit status of the *main* thread.
     pub status: ExitStatus,
     /// Concatenated `emit`/`emit_tokens` output — on a kernel without a
-    /// session sink, or for a durable process. Once a sink is installed it
-    /// owns a non-durable process's stream and this stays empty (see
-    /// `Kernel::set_session_sink`).
+    /// session sink. Once a sink is installed it owns the stream and this
+    /// is empty after exit (a durable process holds its text here while it
+    /// runs, for its WAL exit frame; see `Kernel::set_session_sink`).
     pub output: String,
     /// Resource usage.
     pub usage: ProcessUsage,

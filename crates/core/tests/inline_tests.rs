@@ -197,3 +197,131 @@ fn joining_a_thread_of_an_exited_process_is_not_found() {
     k.run();
     assert_eq!(k.record(late).expect("record").output, "not found");
 }
+
+/// Draws from the thread's RNG stream and emits the draw, then exits: what
+/// is left of a [`Whole`] once its first system call is answered.
+struct Second;
+
+impl InlineBody for Second {
+    fn resume(&mut self, env: &mut ThreadEnv, reply: SysReply) -> Next {
+        match reply {
+            SysReply::Start => Next::Syscall(Syscall::Emit {
+                text: format!(" second {}", env.rng_u64()),
+            }),
+            _ => Next::Exit(Ok(())),
+        }
+    }
+}
+
+/// Draws, emits the draw, then goes on as [`Second`]: the inline twin of a
+/// hosted closure that does its first half and execs the second. Counts
+/// its steps.
+struct Whole(u32);
+
+impl InlineBody for Whole {
+    fn resume(&mut self, env: &mut ThreadEnv, reply: SysReply) -> Next {
+        self.0 += 1;
+        match self.0 {
+            1 => Next::Syscall(Syscall::Emit {
+                text: format!("first {}", env.rng_u64()),
+            }),
+            // Its answered call is where the exec'd body starts.
+            2 => Second.resume(env, SysReply::Start),
+            _ => Second.resume(env, reply),
+        }
+    }
+}
+
+/// A hosted body that execs once set up reads, to the kernel's event
+/// stream, the output and the RNG stream, as the same program admitted
+/// inline: the exec costs no virtual time, no syscall and no dispatch, and
+/// leaves no worker behind.
+#[test]
+fn a_hosted_body_that_execs_is_an_inline_one_from_then_on() {
+    const PROGRAMS: usize = 3;
+    let run = |cost_us: u64, exec: bool| {
+        let mut cfg = KernelConfig::for_tests();
+        cfg.telemetry = true;
+        cfg.syscall_cost = symphony::SimDuration::from_micros(cost_us);
+        let mut k = Kernel::new(cfg);
+        let pids: Vec<_> = (0..PROGRAMS)
+            .map(|i| {
+                let name = format!("p{i}");
+                if exec {
+                    k.spawn_process(&name, "", |ctx| {
+                        let first = ctx.rng_u64();
+                        ctx.emit(&format!("first {first}"))?;
+                        ctx.exec(Box::new(Second))
+                    })
+                } else {
+                    k.admit_inline(&name, "", None, Box::new(Whole(0)))
+                }
+            })
+            .collect();
+        assert_eq!(k.run(), PROGRAMS);
+        let registry = k.metrics_registry();
+        let handoffs = registry.counter_value("kernel.lip.hosted_handoffs");
+        let threads = registry.gauge("kernel.lip.hosted_threads").get();
+        let records: Vec<_> = pids
+            .iter()
+            .map(|&pid| {
+                let rec = k.record(pid).expect("record");
+                (rec.output.clone(), rec.status.clone(), rec.usage)
+            })
+            .collect();
+        (records, k.telemetry_events().to_vec(), handoffs, threads)
+    };
+    for cost_us in [0, 2] {
+        let (inline, inline_events, none, _) = run(cost_us, false);
+        let (execd, execd_events, handoffs, threads) = run(cost_us, true);
+        assert_eq!(none, Some(0));
+        for (out, status, _) in &inline {
+            assert!(
+                out.starts_with("first ") && out.contains(" second "),
+                "{out}"
+            );
+            assert_eq!(*status, ExitStatus::Ok);
+        }
+        assert_eq!(inline, execd, "syscall cost {cost_us} us");
+        assert_eq!(inline_events, execd_events, "syscall cost {cost_us} us");
+        // One hand-off for the start, one for the reply to the `emit`
+        // before the exec; none after it, and no worker kept.
+        assert_eq!(handoffs, Some(2 * PROGRAMS as u64));
+        assert_eq!(threads, 0);
+    }
+}
+
+/// A closure that catches its exec's unwind and goes on calling its `Ctx`
+/// reaches nobody: the call unwinds before it is sent, the closure's return
+/// is ignored, and the kernel's next hosted hand-off is answered by the
+/// thread it resumed.
+#[test]
+fn a_ctx_that_has_execed_sends_nothing() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
+
+    let unwound = Arc::new(AtomicBool::new(false));
+    let mut k = Kernel::new(KernelConfig::for_tests());
+    let seen = Arc::clone(&unwound);
+    let stubborn = k.spawn_process("stubborn", "again", move |ctx| {
+        let _ = catch_unwind(AssertUnwindSafe(|| ctx.exec(Box::new(Greeter))));
+        let late = catch_unwind(AssertUnwindSafe(|| ctx.now()));
+        // Relaxed: read after the kernel has joined this worker.
+        seen.store(late.is_err(), Ordering::Relaxed);
+        Err(SysError::BadArgument)
+    });
+    let next = k.spawn_process("next", "", |ctx| ctx.emit("answered"));
+    assert_eq!(k.run(), 2);
+    assert_eq!(k.live_threads(), 0);
+    assert!(
+        unwound.load(Ordering::Relaxed),
+        "`now` after an exec returned"
+    );
+    let rec = |pid| k.record(pid).expect("record");
+    assert_eq!(rec(stubborn).status, ExitStatus::Ok);
+    assert_eq!(rec(stubborn).output, "hello again");
+    assert_eq!(rec(next).status, ExitStatus::Ok);
+    assert_eq!(rec(next).output, "answered");
+    let gauge = k.metrics_registry().gauge("kernel.lip.hosted_threads");
+    assert_eq!(gauge.get(), 0);
+}

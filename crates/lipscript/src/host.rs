@@ -115,8 +115,9 @@ pub trait Host {
     fn call(&mut self, call: HostCall) -> HostResult<HostReply>;
 }
 
-/// A hosted native LIP's context as a LipScript host (what `run_lip` runs
-/// on), sharing [`crate::inline`]'s lowering with the inline path.
+/// A hosted native LIP's context as a LipScript host (`Interpreter::run`
+/// over it blocks the thread in each system call), sharing
+/// [`crate::inline`]'s lowering with the inline path.
 impl Host for symphony::Ctx {
     fn call(&mut self, call: HostCall) -> HostResult<HostReply> {
         lower(call, self).or_else(|call| lift(self.syscall(call)))

@@ -8,11 +8,15 @@
 //! back, on its own thread. `spawn` makes more of the same, so a program's
 //! threads are inline too.
 //!
+//! A native closure on a hosted thread gets the same by [`run_lip`]: it
+//! parses the script and execs a `LipBody`, so the thread goes on inline.
+//!
 //! `lower` and `lift` are the only place a [`HostCall`] meets a
 //! [`Syscall`]. The inline body uses them, and so does a hosted native
-//! LIP's `Ctx` when a script runs on it (`run_lip`; see
-//! `impl Host for symphony::Ctx`): the same program makes the same system
-//! calls with the same arguments whichever way it is run.
+//! LIP's `Ctx` when an interpreter is driven over it
+//! (`Interpreter::run(ctx)`; see `impl Host for symphony::Ctx`): the same
+//! program makes the same system calls with the same arguments whichever
+//! way it is run.
 
 use std::sync::Arc;
 
@@ -25,6 +29,7 @@ use crate::error::LipError;
 use crate::host::{HostCall, HostReply, HostResult};
 use crate::image::Image;
 use crate::interp::{InterpLimits, Interpreter, Step};
+use crate::parse::parse;
 use crate::value::Value;
 
 /// A LipScript program as a kernel thread body the kernel steps inline.
@@ -80,6 +85,27 @@ impl InlineBody for LipBody {
             Step::Ask(call) => Next::Syscall(call),
         }
     }
+}
+
+/// Parses a LipScript program inside a hosted Symphony LIP thread and
+/// execs it ([`symphony::Ctx::exec`]): the thread runs on as a [`LipBody`]
+/// the kernel steps itself, and the closure's OS thread goes back to the
+/// pool before the program's first step. This is how a native closure — a
+/// durable program image, a test — runs a script; a *served* program is
+/// admitted as a `LipBody` to begin with.
+///
+/// It returns only if `src` does not parse. Otherwise the program's
+/// outcome is the thread's exit status, as for a served one: `Ok` when it
+/// finishes, [`symphony::SysError::ToolFailed`] with the rendered
+/// [`LipError`] when it fails. The whole execution is sandboxed by
+/// `limits`.
+pub fn run_lip(
+    src: &str,
+    ctx: &mut symphony::Ctx,
+    limits: InterpLimits,
+) -> Result<Value, LipError> {
+    let program = Arc::new(parse(src)?);
+    ctx.exec(Box::new(LipBody::new(program, limits)))
 }
 
 /// Where a host call goes inside the kernel: nowhere (`Ok`: the thread's

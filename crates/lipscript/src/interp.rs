@@ -1210,18 +1210,3 @@ pub fn run_with_host(
     let mut interp = Interpreter::new(program, limits);
     interp.run(host).map_err(LipError::from)
 }
-
-/// Parses and runs a LipScript program inside a hosted Symphony LIP
-/// thread — the blocking way in, for a native closure that wants to run a
-/// script (a durable program image, a test). A *served* program does not
-/// come through here: the server hands the kernel a
-/// [`crate::inline::LipBody`] and no thread blocks.
-///
-/// The whole execution is sandboxed by `limits`.
-pub fn run_lip(
-    src: &str,
-    ctx: &mut symphony::Ctx,
-    limits: InterpLimits,
-) -> Result<Value, LipError> {
-    run_with_host(src, ctx, limits)
-}

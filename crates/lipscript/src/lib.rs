@@ -28,9 +28,9 @@
 //!   resumed with the reply, so a running program is a value. A server
 //!   hands that value to the kernel as a [`LipBody`]
 //!   (`Kernel::admit_inline`) and the kernel steps it on its own thread:
-//!   a served program owns no OS thread. [`run_lip`], below, is the
-//!   blocking driver over the same machine, for native code that wants to
-//!   run a script on the thread it already has.
+//!   a served program owns no OS thread. [`run_lip`], below, is how native
+//!   code on a hosted thread runs a script: it parses it and execs a
+//!   `LipBody` (`Ctx::exec`), so the script owns no OS thread either.
 //!
 //! # Examples
 //!
@@ -91,8 +91,8 @@ pub mod verify;
 pub use error::{LipError, RuntimeError};
 pub use host::{Host, HostCall, HostReply};
 pub use image::Image;
-pub use inline::LipBody;
-pub use interp::{run_lip, run_with_host, InterpLimits, Interpreter, Step};
+pub use inline::{run_lip, LipBody};
+pub use interp::{run_with_host, InterpLimits, Interpreter, Step};
 pub use value::Value;
 pub use verify::{
     verify, verify_image, verify_source, Bound, Diag, EffectSummary, Severity, VerifyReport,

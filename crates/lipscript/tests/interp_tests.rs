@@ -385,3 +385,147 @@ fn kernel_sandbox_kills_hostile_program_not_server() {
     assert!(kernel.record(good).unwrap().status.is_ok());
     assert_eq!(kernel.live_threads(), 0);
 }
+
+/// A durable LipScript program: decodes greedily, consults a tool, and
+/// reports. (Greedy, as the kernel's chaos suite is: a thread's RNG stream
+/// is forked from the kernel's, whose state at a re-admission recovery does
+/// not reproduce.)
+const DURABLE_AGENT: &str = r#"let prompt = tokenize("investigate " + args());
+let kv = kv_create();
+let d = pred(kv, prompt, 0)[len(prompt) - 1];
+let pos = len(prompt);
+let out = [];
+while (len(out) < 5) {
+    let t = argmax(d);
+    out = push(out, t);
+    d = pred(kv, [t], pos)[0];
+    pos = pos + 1;
+}
+let doc = call_tool("search", args());
+emit(detokenize(out) + "|" + doc);
+kv_remove(kv);
+"#;
+
+/// `run_lip` as a durable image: parse, then exec. Recovery re-invokes it,
+/// and it execs again.
+fn durable_lip_image() -> symphony::ProgramImage {
+    std::sync::Arc::new(|ctx| {
+        symphony_lipscript::run_lip(DURABLE_AGENT, ctx, InterpLimits::default())
+            .map(drop)
+            .map_err(|e| symphony::SysError::ToolFailed(e.to_string()))
+    })
+}
+
+/// Kills the kernel at every syscall boundary of a fleet of durable
+/// `run_lip` programs, recovers, and demands what an uninterrupted run
+/// gives: equal outputs and statuses, and every tool effect exactly once.
+#[test]
+fn durable_run_lip_recovers_equivalently_at_every_boundary() {
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use symphony::{
+        FaultPlan, Kernel, KernelConfig, SimDuration, SimTime, ToolOutcome, ToolSpec, WalConfig,
+    };
+
+    const AGENTS: u64 = 3;
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!(
+            "symphony-lip-durable-{}-{name}",
+            std::process::id()
+        ))
+    };
+    let config = |wal: &std::path::Path, crash_at: Option<u64>| {
+        let mut cfg = KernelConfig::for_tests();
+        cfg.wal = Some(WalConfig::new(wal).with_checkpoint_every(SimDuration::from_millis(3)));
+        cfg.faults = FaultPlan {
+            crash_at_boundary: crash_at,
+            ..FaultPlan::default()
+        };
+        cfg
+    };
+    let with_tool = |k: &mut Kernel, fired: &Arc<AtomicU64>| {
+        let fired = Arc::clone(fired);
+        k.register_tool(
+            "search",
+            ToolSpec::fixed(SimDuration::from_millis(4), move |args| {
+                fired.fetch_add(1, Ordering::SeqCst);
+                ToolOutcome::Ok(format!("doc({args})"))
+            }),
+        );
+    };
+    let admit = |k: &mut Kernel| {
+        for i in 0..AGENTS {
+            let at = SimTime::ZERO + SimDuration::from_millis(2 * i);
+            k.schedule_durable(
+                at,
+                &format!("agent{i}"),
+                &format!("topic {i}"),
+                durable_lip_image(),
+            );
+        }
+    };
+    let outcomes = |k: &Kernel| -> BTreeMap<String, (String, bool)> {
+        k.records()
+            .filter(|r| r.exited_at.is_some())
+            .map(|r| (r.name.clone(), (r.output.clone(), r.status.is_ok())))
+            .collect()
+    };
+
+    let base_path = tmp("base.wal");
+    let fired = Arc::new(AtomicU64::new(0));
+    let mut k = Kernel::new(config(&base_path, None));
+    with_tool(&mut k, &fired);
+    admit(&mut k);
+    assert_eq!(k.run(), AGENTS as usize);
+    let baseline = outcomes(&k);
+    assert!(
+        baseline
+            .values()
+            .all(|(out, ok)| *ok && out.contains("|doc(topic")),
+        "{baseline:?}"
+    );
+    let (boundaries, invocations) = (k.syscall_boundaries(), k.tool_invocations());
+    assert_eq!(invocations, AGENTS);
+    // Each program's closure got its start and exec'd; no worker is kept.
+    let registry = k.metrics_registry();
+    assert_eq!(
+        registry.counter_value("kernel.lip.hosted_handoffs"),
+        Some(AGENTS)
+    );
+    assert_eq!(registry.gauge("kernel.lip.hosted_threads").get(), 0);
+    drop(k);
+    assert!(boundaries > 20, "a real kill-point space: {boundaries}");
+
+    for b in 1..=boundaries {
+        let path = tmp(&format!("{b}.wal"));
+        let fired = Arc::new(AtomicU64::new(0));
+        let crashed_invocations = {
+            let mut k = Kernel::new(config(&path, Some(b)));
+            with_tool(&mut k, &fired);
+            admit(&mut k);
+            k.run();
+            assert_eq!(k.crashed(), Some(b), "kill-point {b} fires");
+            k.tool_invocations()
+        };
+        let (mut k, _) = Kernel::recover(config(&path, None)).expect("recoverable WAL");
+        with_tool(&mut k, &fired);
+        let resumed = k.resume_programs(|name| name.starts_with("agent").then(durable_lip_image));
+        assert_eq!(resumed.lost, 0, "boundary {b}: every image resolves");
+        k.run();
+        assert!(k.crashed().is_none());
+        assert_eq!(outcomes(&k), baseline, "boundary {b}: outputs and statuses");
+        assert_eq!(
+            crashed_invocations + k.tool_invocations(),
+            invocations,
+            "boundary {b}: exactly-once tool invocations"
+        );
+        assert_eq!(
+            fired.load(Ordering::SeqCst),
+            AGENTS,
+            "boundary {b}: a tool fired twice"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+    std::fs::remove_file(&base_path).ok();
+}

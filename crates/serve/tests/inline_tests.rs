@@ -2,11 +2,13 @@
 //!
 //! The server hands the kernel a `LipBody` — the interpreter as a value the
 //! kernel steps on its own thread — where it used to hand it a closure for
-//! a pool worker. These tests run the same programs both ways, inline and
-//! hosted (`spawn_process(|ctx| run_lip(..))`), and demand the same typed
-//! event stream, the same output and the same exit status. (That a
-//! serving run really does no hand-offs is checked over the wire, in
-//! `e2e_serve.rs`.)
+//! a pool worker. These tests run the same programs three ways — inline,
+//! hosted (`spawn_process(|ctx| Interpreter::run(ctx))`, the channel path
+//! symbench's isolation re-run takes) and exec'd (`run_lip`: a hosted
+//! closure that parses and hands its seat to a `LipBody`) — and demand the
+//! same typed event stream, the same output and the same exit status.
+//! (That a serving run really does no hand-offs is checked over the wire,
+//! in `e2e_serve.rs`.)
 
 use std::sync::Arc;
 
@@ -14,7 +16,9 @@ use symphony::{
     BatchPolicy, ContinuousConfig, ExecMode, ExitStatus, Kernel, KernelConfig, Pid, SimDuration,
     SysError, TimedEvent, ToolOutcome, ToolSpec,
 };
-use symphony_lipscript::{parse::parse, run_lip, Image, InterpLimits, LipBody};
+use symphony_lipscript::{
+    parse::parse, run_lip, Image, InterpLimits, Interpreter, LipBody, LipError,
+};
 use symphony_serve::replay::{agent_source, rag_source, standard_kernel};
 
 /// symbench's `rag_churn` publisher (`benchmark/src/workload.rs`).
@@ -58,7 +62,10 @@ kv_remove(kv);
 enum Way {
     Inline,
     Hosted,
+    Exec,
 }
+
+const WAYS: [Way; 3] = [Way::Inline, Way::Hosted, Way::Exec];
 
 fn admit(
     kernel: &mut Kernel,
@@ -74,6 +81,15 @@ fn admit(
             kernel.admit_inline(name, args, None, Box::new(LipBody::new(program, limits)))
         }
         Way::Hosted => {
+            let program = Arc::new(parse(src).expect("test programs parse"));
+            kernel.spawn_process(name, args, move |ctx| {
+                Interpreter::new(program, limits)
+                    .run(ctx)
+                    .map(drop)
+                    .map_err(|e| SysError::ToolFailed(LipError::from(e).to_string()))
+            })
+        }
+        Way::Exec => {
             let src = src.to_string();
             kernel.spawn_process(name, args, move |ctx| {
                 run_lip(&src, ctx, limits)
@@ -133,14 +149,15 @@ fn mixed_run(cfg: KernelConfig, way: Way) -> Trace {
         .collect();
     assert_eq!(kernel.run(), jobs.len());
     assert_eq!(kernel.live_threads(), 0);
-    let hosted = kernel
-        .metrics_registry()
-        .counter_value("kernel.lip.hosted_handoffs");
-    if way == Way::Inline {
-        assert_eq!(hosted, Some(0), "an inline run handed off to an OS thread");
-    } else {
-        assert!(hosted > Some(0), "the hosted run was not hosted");
+    let registry = kernel.metrics_registry();
+    let hosted = registry.counter_value("kernel.lip.hosted_handoffs");
+    match way {
+        Way::Inline => assert_eq!(hosted, Some(0), "an inline run handed off to an OS thread"),
+        Way::Hosted => assert!(hosted > Some(0), "the hosted run was not hosted"),
+        // Each program's start went to its closure, which exec'd.
+        Way::Exec => assert_eq!(hosted, Some(jobs.len() as u64)),
     }
+    assert_eq!(registry.gauge("kernel.lip.hosted_threads").get(), 0);
     let sessions = pids
         .iter()
         .map(|&pid| {
@@ -167,20 +184,22 @@ fn inline_and_hosted_runs_are_indistinguishable() {
             cfg.exec = exec;
             cfg.syscall_cost = SimDuration::from_micros(cost_us);
             let inline = mixed_run(cfg.clone(), Way::Inline);
-            let hosted = mixed_run(cfg, Way::Hosted);
-            let what = format!("{exec:?}, syscall cost {cost_us} us");
             assert!(
                 inline
                     .sessions
                     .iter()
                     .all(|(out, status)| status.is_ok() && !out.is_empty()),
-                "{what}: {:?}",
+                "{exec:?}, syscall cost {cost_us} us: {:?}",
                 inline.sessions
             );
-            assert_eq!(inline.sessions, hosted.sessions, "{what}");
-            assert_eq!(inline.events.len(), hosted.events.len(), "{what}");
-            for (i, (a, b)) in inline.events.iter().zip(&hosted.events).enumerate() {
-                assert_eq!(a, b, "{what}: event {i}");
+            for way in [Way::Hosted, Way::Exec] {
+                let other = mixed_run(cfg.clone(), way);
+                let what = format!("{way:?}, {exec:?}, syscall cost {cost_us} us");
+                assert_eq!(inline.sessions, other.sessions, "{what}");
+                assert_eq!(inline.events.len(), other.events.len(), "{what}");
+                for (i, (a, b)) in inline.events.iter().zip(&other.events).enumerate() {
+                    assert_eq!(a, b, "{what}: event {i}");
+                }
             }
         }
     }
@@ -239,7 +258,7 @@ fn sessions_sharing_one_image_are_indistinguishable_from_private_parses() {
     }
 }
 
-/// One failing program, run both ways on kernels built by `cfg`, with
+/// One failing program, run every way on kernels built by `cfg`, with
 /// `meddle` called between admission and the run.
 fn failing_run(
     cfg: &KernelConfig,
@@ -261,8 +280,10 @@ fn failing_run(
         let rec = kernel.record(pid).expect("record");
         (rec.status.clone(), rec.output.clone(), rec.usage)
     };
-    let (inline, hosted) = (run(Way::Inline), run(Way::Hosted));
-    assert_eq!(inline, hosted, "{src}");
+    let [inline, others @ ..] = WAYS.map(run);
+    for (way, other) in WAYS[1..].iter().zip(others) {
+        assert_eq!(inline, other, "{way:?}: {src}");
+    }
     assert!(!inline.0.is_ok(), "{src} did not fail");
     inline.0
 }
