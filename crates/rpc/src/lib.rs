@@ -14,14 +14,23 @@
 //! their torn-tail chaos suites. On a stream transport there is no "torn
 //! tail", only frames that have not finished arriving; [`FrameReader`]
 //! separates that (wait for more bytes) from corruption (typed
-//! [`WireError`], connection must die).
+//! [`WireError`], connection must die), and gives back the buffer it
+//! drained.
+//!
+//! Inside a payload (version 2), every integer and every string's length
+//! is an unsigned LEB128 varint, so a per-token STREAM frame is about 23
+//! bytes rather than 42. HELLO and HELLO_OK keep their version-1 layout —
+//! fixed-width little-endian — so that a peer of any version can still be
+//! told which version the other speaks. Messages are written straight
+//! into the caller's buffer ([`symphony_sim::frame::append_frame_with`]),
+//! with no payload buffer of their own.
 //!
 //! Everything here is pure data-in/data-out: no sockets, no clocks, no
 //! allocator tricks — which is what lets the protocol round-trip under
 //! property tests and keeps the serving loop deterministic.
 
 use symphony_sim::frame::{
-    append_frame, frame_crc, push_str, push_u32, push_u64, Cursor, FRAME_OVERHEAD,
+    append_frame_with, frame_crc, push_str, push_u32, push_u64, push_varint, Cursor, FRAME_OVERHEAD,
 };
 
 /// Protocol magic, carried in the HELLO payload (not a stream preamble:
@@ -31,12 +40,17 @@ pub const WIRE_MAGIC: [u8; 4] = *b"SYMR";
 /// Current protocol version. A server refuses other versions with
 /// [`ErrCode::BadVersion`]; the rules for compatible evolution are in
 /// docs/SERVING.md §Versioning.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 /// Default cap on a single frame's payload length. Submissions larger
 /// than this are refused with [`ErrCode::FrameTooLarge`] before any
 /// allocation of the payload happens.
 pub const DEFAULT_MAX_FRAME: u32 = 1 << 20;
+
+/// Bytes a transport reads from its socket at a time (the TCP shell's
+/// read buffer), and the most buffer capacity a [`FrameReader`] keeps once
+/// it has handed out everything it was fed.
+pub const READ_SIZE: usize = 16 * 1024;
 
 /// Session id `0` is reserved: in an [`ServerMsg::Error`] it marks a
 /// connection-scope error. Clients allocate ids starting at 1.
@@ -351,13 +365,13 @@ pub enum ServerMsg {
 impl ClientMsg {
     /// Appends this message as one SYMR frame to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut p = Vec::new();
-        let tag = match self {
+        append_frame_with(out, self.tag(), |p| match self {
+            // HELLO keeps its version-1 layout, so that a server of any
+            // version can read the version it has to refuse.
             ClientMsg::Hello { version, tenant } => {
                 p.extend_from_slice(&WIRE_MAGIC);
-                push_u32(&mut p, *version);
-                push_u64(&mut p, *tenant);
-                op::HELLO
+                push_u32(p, *version);
+                push_u64(p, *tenant);
             }
             ClientMsg::Submit {
                 session,
@@ -367,81 +381,74 @@ impl ClientMsg {
                 args,
                 source,
             } => {
-                push_u64(&mut p, *session);
-                push_u64(&mut p, *not_before_ns);
-                push_u64(&mut p, *fuel);
-                push_str(&mut p, name);
-                push_str(&mut p, args);
-                push_str(&mut p, source);
-                op::SUBMIT
+                push_varint(p, *session);
+                push_varint(p, *not_before_ns);
+                push_varint(p, *fuel);
+                push_text(p, name);
+                push_text(p, args);
+                push_text(p, source);
             }
-            ClientMsg::Cancel { session } => {
-                push_u64(&mut p, *session);
-                op::CANCEL
-            }
-            ClientMsg::Ping { nonce } => {
-                push_u64(&mut p, *nonce);
-                op::PING
-            }
+            ClientMsg::Cancel { session } => push_varint(p, *session),
+            ClientMsg::Ping { nonce } => push_varint(p, *nonce),
+            ClientMsg::Bye => {}
+        });
+    }
+
+    fn tag(&self) -> u8 {
+        match self {
+            ClientMsg::Hello { .. } => op::HELLO,
+            ClientMsg::Submit { .. } => op::SUBMIT,
+            ClientMsg::Cancel { .. } => op::CANCEL,
+            ClientMsg::Ping { .. } => op::PING,
             ClientMsg::Bye => op::BYE,
-        };
-        append_frame(out, tag, &p);
+        }
     }
 
     /// Decodes a client frame. [`ErrCode::UnknownOpcode`] for server-side
     /// tags, [`ErrCode::BadFrame`] for a payload that does not parse
     /// exactly (trailing bytes included).
     pub fn decode(tag: u8, payload: &[u8]) -> Result<ClientMsg, ErrCode> {
-        let mut c = Cursor::new(payload);
+        let mut f = Fields(Cursor::new(payload));
         let msg = match tag {
             op::HELLO => {
-                let magic = c.take(4).ok_or(ErrCode::BadFrame)?;
+                let magic = f.0.take(4).ok_or(ErrCode::BadFrame)?;
                 if magic != WIRE_MAGIC {
                     return Err(ErrCode::BadMagic);
                 }
                 ClientMsg::Hello {
-                    version: c.u32().ok_or(ErrCode::BadFrame)?,
-                    tenant: c.u64().ok_or(ErrCode::BadFrame)?,
+                    version: f.0.u32().ok_or(ErrCode::BadFrame)?,
+                    tenant: f.0.u64().ok_or(ErrCode::BadFrame)?,
                 }
             }
             op::SUBMIT => ClientMsg::Submit {
-                session: c.u64().ok_or(ErrCode::BadFrame)?,
-                not_before_ns: c.u64().ok_or(ErrCode::BadFrame)?,
-                fuel: c.u64().ok_or(ErrCode::BadFrame)?,
-                name: c.str().ok_or(ErrCode::BadFrame)?,
-                args: c.str().ok_or(ErrCode::BadFrame)?,
-                source: c.str().ok_or(ErrCode::BadFrame)?,
+                session: f.uint()?,
+                not_before_ns: f.uint()?,
+                fuel: f.uint()?,
+                name: f.text()?,
+                args: f.text()?,
+                source: f.text()?,
             },
-            op::CANCEL => ClientMsg::Cancel {
-                session: c.u64().ok_or(ErrCode::BadFrame)?,
-            },
-            op::PING => ClientMsg::Ping {
-                nonce: c.u64().ok_or(ErrCode::BadFrame)?,
-            },
+            op::CANCEL => ClientMsg::Cancel { session: f.uint()? },
+            op::PING => ClientMsg::Ping { nonce: f.uint()? },
             op::BYE => ClientMsg::Bye,
             _ => return Err(ErrCode::UnknownOpcode),
         };
-        if !c.done() {
-            return Err(ErrCode::BadFrame);
-        }
-        Ok(msg)
+        f.end(msg)
     }
 }
 
 impl ServerMsg {
     /// Appends this message as one SYMR frame to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut p = Vec::new();
-        let tag = match self {
+        append_frame_with(out, self.tag(), |p| match self {
+            // HELLO_OK keeps its version-1 layout, like HELLO.
             ServerMsg::HelloOk { version, server } => {
-                push_u32(&mut p, *version);
-                push_str(&mut p, server);
-                op::HELLO_OK
+                push_u32(p, *version);
+                push_str(p, server);
             }
             ServerMsg::Accepted { session, pid } => {
-                push_u64(&mut p, *session);
-                push_u64(&mut p, *pid);
-                op::ACCEPTED
+                push_varint(p, *session);
+                push_varint(p, *pid);
             }
             ServerMsg::Stream {
                 session,
@@ -449,11 +456,10 @@ impl ServerMsg {
                 tokens,
                 text,
             } => {
-                push_u64(&mut p, *session);
-                push_u64(&mut p, *at_ns);
-                push_u64(&mut p, *tokens);
-                push_str(&mut p, text);
-                op::STREAM
+                push_varint(p, *session);
+                push_varint(p, *at_ns);
+                push_varint(p, *tokens);
+                push_text(p, text);
             }
             ServerMsg::Done {
                 session,
@@ -463,83 +469,117 @@ impl ServerMsg {
                 emitted_tokens,
                 pred_tokens,
             } => {
-                push_u64(&mut p, *session);
-                push_u64(&mut p, *at_ns);
-                p.push(status.code());
-                push_str(&mut p, detail);
-                push_u64(&mut p, *emitted_tokens);
-                push_u64(&mut p, *pred_tokens);
-                op::DONE
+                push_varint(p, *session);
+                push_varint(p, *at_ns);
+                push_varint(p, u64::from(status.code()));
+                push_text(p, detail);
+                push_varint(p, *emitted_tokens);
+                push_varint(p, *pred_tokens);
             }
             ServerMsg::Error {
                 session,
                 code,
                 detail,
             } => {
-                push_u64(&mut p, *session);
-                p.extend_from_slice(&code.code().to_le_bytes());
-                push_str(&mut p, detail);
-                op::ERROR
+                push_varint(p, *session);
+                push_varint(p, u64::from(code.code()));
+                push_text(p, detail);
             }
-            ServerMsg::Pong { nonce } => {
-                push_u64(&mut p, *nonce);
-                op::PONG
-            }
+            ServerMsg::Pong { nonce } => push_varint(p, *nonce),
+            ServerMsg::ByeOk => {}
+        });
+    }
+
+    fn tag(&self) -> u8 {
+        match self {
+            ServerMsg::HelloOk { .. } => op::HELLO_OK,
+            ServerMsg::Accepted { .. } => op::ACCEPTED,
+            ServerMsg::Stream { .. } => op::STREAM,
+            ServerMsg::Done { .. } => op::DONE,
+            ServerMsg::Error { .. } => op::ERROR,
+            ServerMsg::Pong { .. } => op::PONG,
             ServerMsg::ByeOk => op::BYE_OK,
-        };
-        append_frame(out, tag, &p);
+        }
     }
 
     /// Decodes a server frame (client side).
     pub fn decode(tag: u8, payload: &[u8]) -> Result<ServerMsg, ErrCode> {
-        let mut c = Cursor::new(payload);
+        let mut f = Fields(Cursor::new(payload));
         let msg = match tag {
             op::HELLO_OK => ServerMsg::HelloOk {
-                version: c.u32().ok_or(ErrCode::BadFrame)?,
-                server: c.str().ok_or(ErrCode::BadFrame)?,
+                version: f.0.u32().ok_or(ErrCode::BadFrame)?,
+                server: f.0.str().ok_or(ErrCode::BadFrame)?,
             },
             op::ACCEPTED => ServerMsg::Accepted {
-                session: c.u64().ok_or(ErrCode::BadFrame)?,
-                pid: c.u64().ok_or(ErrCode::BadFrame)?,
+                session: f.uint()?,
+                pid: f.uint()?,
             },
             op::STREAM => ServerMsg::Stream {
-                session: c.u64().ok_or(ErrCode::BadFrame)?,
-                at_ns: c.u64().ok_or(ErrCode::BadFrame)?,
-                tokens: c.u64().ok_or(ErrCode::BadFrame)?,
-                text: c.str().ok_or(ErrCode::BadFrame)?,
+                session: f.uint()?,
+                at_ns: f.uint()?,
+                tokens: f.uint()?,
+                text: f.text()?,
             },
             op::DONE => ServerMsg::Done {
-                session: c.u64().ok_or(ErrCode::BadFrame)?,
-                at_ns: c.u64().ok_or(ErrCode::BadFrame)?,
-                status: c
-                    .u8()
+                session: f.uint()?,
+                at_ns: f.uint()?,
+                status: u8::try_from(f.uint()?)
+                    .ok()
                     .and_then(SessionStatus::from_code)
                     .ok_or(ErrCode::BadFrame)?,
-                detail: c.str().ok_or(ErrCode::BadFrame)?,
-                emitted_tokens: c.u64().ok_or(ErrCode::BadFrame)?,
-                pred_tokens: c.u64().ok_or(ErrCode::BadFrame)?,
+                detail: f.text()?,
+                emitted_tokens: f.uint()?,
+                pred_tokens: f.uint()?,
             },
-            op::ERROR => {
-                let session = c.u64().ok_or(ErrCode::BadFrame)?;
-                let raw = c.take(2).ok_or(ErrCode::BadFrame)?;
-                let code = ErrCode::from_code(u16::from_le_bytes([raw[0], raw[1]]))
-                    .ok_or(ErrCode::BadFrame)?;
-                ServerMsg::Error {
-                    session,
-                    code,
-                    detail: c.str().ok_or(ErrCode::BadFrame)?,
-                }
-            }
-            op::PONG => ServerMsg::Pong {
-                nonce: c.u64().ok_or(ErrCode::BadFrame)?,
+            op::ERROR => ServerMsg::Error {
+                session: f.uint()?,
+                code: u16::try_from(f.uint()?)
+                    .ok()
+                    .and_then(ErrCode::from_code)
+                    .ok_or(ErrCode::BadFrame)?,
+                detail: f.text()?,
             },
+            op::PONG => ServerMsg::Pong { nonce: f.uint()? },
             op::BYE_OK => ServerMsg::ByeOk,
             _ => return Err(ErrCode::UnknownOpcode),
         };
-        if !c.done() {
-            return Err(ErrCode::BadFrame);
+        f.end(msg)
+    }
+}
+
+/// Appends a string as its varint byte length and its UTF-8 bytes.
+fn push_text(out: &mut Vec<u8>, s: &str) {
+    push_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// A payload being decoded, where every field that does not fit is
+/// [`ErrCode::BadFrame`]. A string allocates only once its length is known
+/// to fit in what is left of the payload.
+struct Fields<'a>(Cursor<'a>);
+
+impl Fields<'_> {
+    /// A varint integer.
+    fn uint(&mut self) -> Result<u64, ErrCode> {
+        self.0.varint().ok_or(ErrCode::BadFrame)
+    }
+
+    /// A varint byte length and that many bytes of UTF-8.
+    fn text(&mut self) -> Result<String, ErrCode> {
+        let len = usize::try_from(self.uint()?).map_err(|_| ErrCode::BadFrame)?;
+        let bytes = self.0.take(len).ok_or(ErrCode::BadFrame)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| ErrCode::BadFrame)
+    }
+
+    /// `msg`, if the payload held nothing after it.
+    fn end<M>(&self, msg: M) -> Result<M, ErrCode> {
+        if self.0.done() {
+            Ok(msg)
+        } else {
+            Err(ErrCode::BadFrame)
         }
-        Ok(msg)
     }
 }
 
@@ -587,6 +627,14 @@ impl WireError {
 /// pop complete `(tag, payload)` frames. Short input is "not yet", never
 /// an error; a completed frame with a bad CRC (or an oversized length
 /// prefix) is a [`WireError`] and the reader is poisoned.
+///
+/// The buffer holds at most one frame plus one read's worth of bytes, and
+/// it does not stay at its high-water mark: each time the last byte fed has
+/// been handed out as a frame, a buffer larger than [`READ_SIZE`] (the TCP
+/// shell's read size) is given back, so a drained reader holds at most
+/// that. A connection that once sent a 1 MiB SUBMIT holds no more than
+/// 16 KiB, not 1 MiB, for as long as it idles afterwards, and one fed a
+/// read at a time keeps the buffer the next read needs.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -613,12 +661,10 @@ impl FrameReader {
 
     /// Appends raw received bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
-        // Reclaim consumed prefix before growing, keeping the buffer
-        // bounded by one frame plus one read's worth of bytes.
-        if self.pos > 0 && self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > self.buf.len().saturating_sub(self.pos) {
+        // Reclaim the consumed prefix before growing once it is the larger
+        // part of the buffer, keeping the buffer bounded by one frame plus
+        // one read's worth of bytes.
+        if self.pos > self.buf.len() - self.pos {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
@@ -667,6 +713,17 @@ impl FrameReader {
         }
         let frame = (tag, payload.to_vec());
         self.pos += total;
+        if self.pos == self.buf.len() {
+            // Everything fed has been handed out. A buffer of a read's
+            // worth is kept for the next read; a larger one is given back
+            // whole rather than shrunk where it lies.
+            self.pos = 0;
+            if self.buf.capacity() > READ_SIZE {
+                self.buf = Vec::new();
+            } else {
+                self.buf.clear();
+            }
+        }
         Ok(Some(frame))
     }
 }
@@ -811,7 +868,7 @@ mod tests {
         let mut p = Vec::new();
         ClientMsg::Ping { nonce: 3 }.encode(&mut p);
         // Re-frame the ping payload with a trailing junk byte.
-        let mut junk = p[5..5 + 8].to_vec();
+        let mut junk = p[5..p.len() - 4].to_vec();
         junk.push(0xee);
         assert_eq!(ClientMsg::decode(op::PING, &junk), Err(ErrCode::BadFrame));
     }

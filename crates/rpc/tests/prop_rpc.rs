@@ -15,9 +15,228 @@
 //!    only (a) surface as a typed [`WireError`]/decode error, or (b)
 //!    produce frames; it must never panic and never silently alter a
 //!    frame while leaving its checksum valid.
+//!
+//! Beside them, the version-2 payload codec at its edges: every message
+//! round-trips at boundary integers, every malformed varint or string
+//! length is `BAD_FRAME` without allocating more than the payload holds,
+//! and HELLO keeps its version-1 bytes so that a version-1 client is told
+//! `BAD_VERSION`, not `BAD_FRAME`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use proptest::prelude::*;
-use symphony_rpc::{ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, WireError};
+use symphony_rpc::{
+    op, ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, WireError, WIRE_VERSION,
+};
+use symphony_sim::frame::append_frame;
+
+thread_local! {
+    /// The largest single allocation this thread has asked for since
+    /// [`largest_allocation`] last reset it. `const`-initialised and without
+    /// a destructor, so the allocator can touch it at any time.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Largest;
+
+// SAFETY: every request is passed to `System` unchanged and its answer
+// handed back unchanged; the counter beside it is a thread-local integer.
+unsafe impl GlobalAlloc for Largest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.with(|l| l.set(l.get().max(layout.size())));
+        // SAFETY: the caller's contract is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, that is from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST.with(|l| l.set(l.get().max(new_size)));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Largest = Largest;
+
+/// Runs `f` and returns its result with the largest single allocation it
+/// made on this thread.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// The frame `msg` encodes to, split into its tag and payload.
+fn frame_of(encode: impl FnOnce(&mut Vec<u8>)) -> (u8, Vec<u8>) {
+    let mut wire = Vec::new();
+    encode(&mut wire);
+    let mut r = FrameReader::new();
+    r.feed(&wire);
+    r.next_frame()
+        .expect("clean frame")
+        .expect("one whole frame")
+}
+
+/// One of each message, every integer field set to `v`.
+fn messages_at(v: u64) -> (Vec<ClientMsg>, Vec<ServerMsg>) {
+    let s = |t: &str| format!("{t}-{v}");
+    let client = vec![
+        ClientMsg::Hello {
+            version: v as u32,
+            tenant: v,
+        },
+        ClientMsg::Submit {
+            session: v,
+            not_before_ns: v,
+            fuel: v,
+            name: s("name"),
+            args: s("args"),
+            source: s("source"),
+        },
+        ClientMsg::Cancel { session: v },
+        ClientMsg::Ping { nonce: v },
+        ClientMsg::Bye,
+    ];
+    let server = vec![
+        ServerMsg::HelloOk {
+            version: v as u32,
+            server: s("server"),
+        },
+        ServerMsg::Accepted { session: v, pid: v },
+        ServerMsg::Stream {
+            session: v,
+            at_ns: v,
+            tokens: v,
+            text: s("text"),
+        },
+        ServerMsg::Done {
+            session: v,
+            at_ns: v,
+            status: SessionStatus::Cancelled,
+            detail: s("detail"),
+            emitted_tokens: v,
+            pred_tokens: v,
+        },
+        ServerMsg::Error {
+            session: v,
+            code: ErrCode::VerifyRejected,
+            detail: s("detail"),
+        },
+        ServerMsg::Pong { nonce: v },
+        ServerMsg::ByeOk,
+    ];
+    (client, server)
+}
+
+const BOUNDARIES: [u64; 5] = [0, 127, 128, 1 << 63, u64::MAX];
+
+#[test]
+fn every_message_round_trips_at_boundary_integers() {
+    for v in BOUNDARIES {
+        let (client, server) = messages_at(v);
+        for msg in client {
+            let (tag, payload) = frame_of(|w| msg.encode(w));
+            assert_eq!(ClientMsg::decode(tag, &payload), Ok(msg));
+        }
+        for msg in server {
+            let (tag, payload) = frame_of(|w| msg.encode(w));
+            assert_eq!(ServerMsg::decode(tag, &payload), Ok(msg));
+        }
+    }
+}
+
+#[test]
+fn a_per_token_stream_frame_is_pinned() {
+    // Session 300, 12.345678901 virtual seconds, one token of five bytes:
+    // a typical STREAM frame, 23 bytes where version 1 spent 42.
+    let mut wire = Vec::new();
+    ServerMsg::Stream {
+        session: 300,
+        at_ns: 12_345_678_901,
+        tokens: 1,
+        text: "hello".into(),
+    }
+    .encode(&mut wire);
+    let payload = [
+        0xac, 0x02, // session 300
+        0xb5, 0xb8, 0xf0, 0xfe, 0x2d, // at_ns
+        0x01, // tokens
+        0x05, b'h', b'e', b'l', b'l', b'o', // text
+    ];
+    let mut expected = Vec::new();
+    append_frame(&mut expected, op::STREAM, &payload);
+    assert_eq!(wire, expected);
+    assert_eq!(wire.len(), 23);
+}
+
+/// Payloads that break the varint or string rules, for every opcode whose
+/// first field is a varint.
+fn malformed_payloads() -> Vec<(&'static str, Vec<u8>)> {
+    let mut eleven = vec![0x80; 10];
+    eleven.push(0x00);
+    let mut overflow = vec![0xff; 9];
+    overflow.push(0x02);
+    // A STREAM whose text claims more bytes than follow: 2^40, and one
+    // past the three that do.
+    let mut huge_text = vec![0x01, 0x01, 0x01];
+    huge_text.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]);
+    huge_text.extend_from_slice(b"abc");
+    let short_text = vec![0x01, 0x01, 0x01, 0x04, b'a', b'b', b'c'];
+    vec![
+        ("truncated varint", vec![0x80]),
+        ("truncated varint after a field", vec![0x01, 0xff, 0xff]),
+        ("11-byte varint", eleven),
+        ("overflowing varint", overflow),
+        ("string length 2^40", huge_text),
+        ("string length one past the end", short_text),
+    ]
+}
+
+#[test]
+fn malformed_varints_and_lengths_are_bad_frames_that_allocate_nothing_big() {
+    let client_ops = [op::SUBMIT, op::CANCEL, op::PING];
+    let server_ops = [op::ACCEPTED, op::STREAM, op::DONE, op::ERROR, op::PONG];
+    for (what, payload) in malformed_payloads() {
+        for tag in client_ops {
+            let (got, largest) = largest_allocation(|| ClientMsg::decode(tag, &payload));
+            assert_eq!(got, Err(ErrCode::BadFrame), "{what}, opcode {tag:#04x}");
+            assert!(largest <= payload.len(), "{what}: allocated {largest} B");
+        }
+        for tag in server_ops {
+            let (got, largest) = largest_allocation(|| ServerMsg::decode(tag, &payload));
+            assert_eq!(got, Err(ErrCode::BadFrame), "{what}, opcode {tag:#04x}");
+            assert!(largest <= payload.len(), "{what}: allocated {largest} B");
+        }
+    }
+}
+
+#[test]
+fn hello_keeps_its_version_1_bytes() {
+    // magic, version u32 LE, tenant u64 LE: what a version-1 client sends.
+    let v1 = [b'S', b'Y', b'M', b'R', 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0];
+    let hello = ClientMsg::Hello {
+        version: 1,
+        tenant: 7,
+    };
+    let (tag, payload) = frame_of(|w| hello.encode(w));
+    assert_eq!((tag, payload.as_slice()), (op::HELLO, &v1[..]));
+    // It decodes — so the server can refuse it as BAD_VERSION.
+    assert_eq!(ClientMsg::decode(op::HELLO, &v1), Ok(hello));
+    assert_ne!(WIRE_VERSION, 1);
+    // HELLO_OK likewise: version u32 LE, then a u32-length string.
+    let ok = ServerMsg::HelloOk {
+        version: WIRE_VERSION,
+        server: "s".into(),
+    };
+    let (_, payload) = frame_of(|w| ok.encode(w));
+    assert_eq!(payload, [2, 0, 0, 0, 1, 0, 0, 0, b's']);
+}
 
 fn any_client_msg() -> impl Strategy<Value = ClientMsg> {
     prop_oneof![
@@ -156,6 +375,27 @@ proptest! {
             prop_assert_eq!(&seen, &msgs[..complete]);
             // Whatever remains is "not yet", never an error.
             prop_assert_eq!(r.next_frame(), Ok(None));
+        }
+    }
+
+    #[test]
+    fn every_cut_short_payload_is_a_bad_frame_within_its_own_size(
+        client in any_client_msg(),
+        server in any_server_msg(),
+    ) {
+        let (ctag, cpayload) = frame_of(|w| client.encode(w));
+        let (stag, spayload) = frame_of(|w| server.encode(w));
+        for cut in 0..cpayload.len() {
+            let short = &cpayload[..cut];
+            let (got, largest) = largest_allocation(|| ClientMsg::decode(ctag, short));
+            prop_assert_eq!(got, Err(ErrCode::BadFrame));
+            prop_assert!(largest <= cut);
+        }
+        for cut in 0..spayload.len() {
+            let short = &spayload[..cut];
+            let (got, largest) = largest_allocation(|| ServerMsg::decode(stag, short));
+            prop_assert_eq!(got, Err(ErrCode::BadFrame));
+            prop_assert!(largest <= cut);
         }
     }
 

@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use symphony::telemetry::EventKind;
+use symphony::telemetry::{Counter, EventKind, MetricsRegistry};
 use symphony::{ExitStatus, Kernel, Pid, SessionEvent, SimDuration, SimTime, SysError};
 use symphony_lipscript::{parse::parse, verify::verify_image, Image, InterpLimits, LipBody};
 use symphony_rpc::{
@@ -196,6 +196,47 @@ impl ImageCache {
     }
 }
 
+/// The door's `serve.*` counters (docs/OBSERVABILITY.md), registered once
+/// when the core is built: bumping a handle is one relaxed atomic add, where
+/// looking one up by name locks the registry and allocates its name.
+struct ServeMetrics {
+    bytes_in: Counter,
+    frames_in: Counter,
+    bytes_out: Counter,
+    frames_out: Counter,
+    errors: Counter,
+    conns_opened: Counter,
+    conns_closed: Counter,
+    sessions_accepted: Counter,
+    sessions_shed: Counter,
+    sessions_verify_rejected: Counter,
+    sessions_done: Counter,
+    image_cache_hits: Counter,
+    image_cache_misses: Counter,
+    image_cache_evictions: Counter,
+}
+
+impl ServeMetrics {
+    fn register(registry: &MetricsRegistry) -> Self {
+        ServeMetrics {
+            bytes_in: registry.counter("serve.bytes.in"),
+            frames_in: registry.counter("serve.frames.in"),
+            bytes_out: registry.counter("serve.bytes.out"),
+            frames_out: registry.counter("serve.frames.out"),
+            errors: registry.counter("serve.errors"),
+            conns_opened: registry.counter("serve.conns.opened"),
+            conns_closed: registry.counter("serve.conns.closed"),
+            sessions_accepted: registry.counter("serve.sessions.accepted"),
+            sessions_shed: registry.counter("serve.sessions.shed"),
+            sessions_verify_rejected: registry.counter("serve.sessions.verify_rejected"),
+            sessions_done: registry.counter("serve.sessions.done"),
+            image_cache_hits: registry.counter("serve.image_cache.hits"),
+            image_cache_misses: registry.counter("serve.image_cache.misses"),
+            image_cache_evictions: registry.counter("serve.image_cache.evictions"),
+        }
+    }
+}
+
 /// The SYMR front door: owns the kernel, multiplexes connections onto it.
 pub struct ServerCore {
     kernel: Kernel,
@@ -216,6 +257,7 @@ pub struct ServerCore {
     /// [`ServerCore::pump_for`], so both queues keep their capacity.
     routing: VecDeque<SessionEvent>,
     images: ImageCache,
+    metrics: ServeMetrics,
 }
 
 impl ServerCore {
@@ -231,6 +273,7 @@ impl ServerCore {
                 .unwrap_or_else(|p| p.into_inner())
                 .push_back(ev);
         }));
+        let metrics = ServeMetrics::register(kernel.metrics_registry());
         ServerCore {
             kernel,
             cfg,
@@ -243,6 +286,7 @@ impl ServerCore {
             events,
             routing: VecDeque::new(),
             images: ImageCache::default(),
+            metrics,
         }
     }
 
@@ -283,10 +327,7 @@ impl ServerCore {
                 return;
             }
             c.reader.feed(bytes);
-            self.kernel
-                .metrics_registry()
-                .counter("serve.bytes.in")
-                .add(bytes.len() as u64);
+            self.metrics.bytes_in.add(bytes.len() as u64);
         }
         loop {
             let frame = {
@@ -300,10 +341,7 @@ impl ServerCore {
             match frame {
                 Ok(None) => return,
                 Ok(Some((tag, payload))) => {
-                    self.kernel
-                        .metrics_registry()
-                        .counter("serve.frames.in")
-                        .inc();
+                    self.metrics.frames_in.inc();
                     self.handle_frame(conn, tag, &payload);
                 }
                 Err(e) => {
@@ -498,10 +536,7 @@ impl ServerCore {
         c.state = ConnState::Open;
         self.kernel
             .emit_event(|| EventKind::ConnOpen { conn, tenant });
-        self.kernel
-            .metrics_registry()
-            .counter("serve.conns.opened")
-            .inc();
+        self.metrics.conns_opened.inc();
         let server = self.cfg.server_name.clone();
         self.reply(
             conn,
@@ -573,15 +608,9 @@ impl ServerCore {
         let image = match admitted {
             Ok(image) => image,
             Err((code, detail)) => {
-                self.kernel
-                    .metrics_registry()
-                    .counter("serve.sessions.shed")
-                    .inc();
+                self.metrics.sessions_shed.inc();
                 if code == ErrCode::VerifyRejected {
-                    self.kernel
-                        .metrics_registry()
-                        .counter("serve.sessions.verify_rejected")
-                        .inc();
+                    self.metrics.sessions_verify_rejected.inc();
                 }
                 self.reply(
                     conn,
@@ -626,10 +655,7 @@ impl ServerCore {
             pid: pid.0,
             tenant,
         });
-        self.kernel
-            .metrics_registry()
-            .counter("serve.sessions.accepted")
-            .inc();
+        self.metrics.sessions_accepted.inc();
         self.reply(
             conn,
             &ServerMsg::Accepted {
@@ -646,12 +672,11 @@ impl ServerCore {
     /// static cost hint. A source admitted before and still in the
     /// [`ImageCache`] skips all of it.
     fn admit_program(&mut self, name: &str, source: &str) -> Result<Admissible, (ErrCode, String)> {
-        let metrics = self.kernel.metrics_registry();
         if let Some(hit) = self.images.get(source) {
-            metrics.counter("serve.image_cache.hits").inc();
+            self.metrics.image_cache_hits.inc();
             return Ok(hit);
         }
-        metrics.counter("serve.image_cache.misses").inc();
+        self.metrics.image_cache_misses.inc();
         let program = parse(source).map_err(|e| (ErrCode::ProgramRejected, e.render(name)))?;
         // The verifier checks the image the machine will run.
         let image = Image::shared(&program);
@@ -670,7 +695,7 @@ impl ServerCore {
             .images
             .insert(self.cfg.max_live_sessions, source, &admitted)
         {
-            metrics.counter("serve.image_cache.evictions").inc();
+            self.metrics.image_cache_evictions.inc();
         }
         Ok(admitted)
     }
@@ -765,10 +790,7 @@ impl ServerCore {
                     pid: pid.0,
                     ok: st == SessionStatus::Ok,
                 });
-                self.kernel
-                    .metrics_registry()
-                    .counter("serve.sessions.done")
-                    .inc();
+                self.metrics.sessions_done.inc();
                 if !self.conn_is_closed(conn) {
                     self.reply(
                         conn,
@@ -816,12 +838,10 @@ impl ServerCore {
         };
         let before = c.out.len();
         msg.encode(&mut c.out);
-        let grew = (c.out.len() - before) as u64;
-        let reg = self.kernel.metrics_registry();
-        reg.counter("serve.frames.out").inc();
-        reg.counter("serve.bytes.out").add(grew);
+        self.metrics.frames_out.inc();
+        self.metrics.bytes_out.add((c.out.len() - before) as u64);
         if matches!(msg, ServerMsg::Error { .. }) {
-            reg.counter("serve.errors").inc();
+            self.metrics.errors.inc();
         }
     }
 
@@ -884,10 +904,7 @@ impl ServerCore {
             conn,
             reason: reason.as_str(),
         });
-        self.kernel
-            .metrics_registry()
-            .counter("serve.conns.closed")
-            .inc();
+        self.metrics.conns_closed.inc();
     }
 }
 

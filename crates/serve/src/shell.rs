@@ -31,6 +31,8 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use symphony_rpc::READ_SIZE;
+
 use crate::{ServerCore, SLICE};
 
 /// How long an idle shell blocks in `poll` before it looks at `stop`
@@ -84,7 +86,7 @@ pub fn serve(listener: TcpListener, mut core: ServerCore, stop: &AtomicBool) -> 
     listener.set_nonblocking(true)?;
     let mut peers: BTreeMap<u64, Peer> = BTreeMap::new();
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut buf = vec![0u8; 16 * 1024];
+    let mut buf = vec![0u8; READ_SIZE];
     let mut busy = false;
     loop {
         if stop.load(Ordering::SeqCst) && peers.is_empty() {

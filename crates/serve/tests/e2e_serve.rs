@@ -163,26 +163,31 @@ fn first_frame_must_be_hello() {
 
 #[test]
 fn version_mismatch_is_refused() {
-    let mut core = new_core();
-    let conn = core.open_conn();
-    let mut wire = Vec::new();
-    ClientMsg::Hello {
-        version: WIRE_VERSION + 1,
-        tenant: 1,
+    // HELLO's payload is the same in every version, so this is byte for
+    // byte what a version-1 client sends: it is told BAD_VERSION, not
+    // BAD_FRAME.
+    for version in [1, WIRE_VERSION + 1] {
+        let mut core = new_core();
+        let conn = core.open_conn();
+        let mut wire = Vec::new();
+        ClientMsg::Hello { version, tenant: 1 }.encode(&mut wire);
+        core.feed(conn, &wire);
+        let mut reader = FrameReader::new();
+        reader.feed(&core.take_output(conn));
+        let (tag, payload) = reader.next_frame().unwrap().unwrap();
+        let msg = ServerMsg::decode(tag, &payload).unwrap();
+        assert!(
+            matches!(
+                msg,
+                ServerMsg::Error {
+                    code: ErrCode::BadVersion,
+                    ..
+                }
+            ),
+            "v{version}: {msg:?}"
+        );
+        assert!(core.is_closed(conn));
     }
-    .encode(&mut wire);
-    core.feed(conn, &wire);
-    let mut reader = FrameReader::new();
-    reader.feed(&core.take_output(conn));
-    let (tag, payload) = reader.next_frame().unwrap().unwrap();
-    assert!(matches!(
-        ServerMsg::decode(tag, &payload).unwrap(),
-        ServerMsg::Error {
-            code: ErrCode::BadVersion,
-            ..
-        }
-    ));
-    assert!(core.is_closed(conn));
 }
 
 #[test]

@@ -11,7 +11,9 @@
 //! it runs: a slice of session events, not a burst's. The door's image
 //! cache gets the same treatment, and so does the tokenizer, which outlives
 //! every server in the process: neither the words of new prompts nor a
-//! tenant's 16 KiB words may stay behind.
+//! tenant's 16 KiB words may stay behind. Nor may the largest frame a
+//! connection ever sent: a drained frame reader, the server's or a
+//! client's, keeps one read's worth of buffer.
 //!
 //! The count is per thread: a served LipScript session runs on the thread
 //! that pumps the server and on no other, so what this thread allocated and
@@ -22,7 +24,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use symphony::KernelConfig;
-use symphony_rpc::{ClientMsg, WIRE_VERSION};
+use symphony_rpc::{
+    ClientMsg, ErrCode, FrameReader, ServerMsg, DEFAULT_MAX_FRAME, READ_SIZE, WIRE_VERSION,
+};
 use symphony_serve::replay::{agent_source, rag_source, standard_kernel};
 use symphony_serve::{ServeConfig, ServerCore};
 
@@ -296,4 +300,80 @@ fn the_image_cache_is_bounded_and_keeps_no_rejects() {
     assert_eq!(core.cached_images(), cached);
     assert_eq!(counter(&core, "misses"), misses + 4, "a reject was cached");
     assert_eq!(core.live_sessions(), 0);
+}
+
+#[test]
+fn a_connection_idle_after_a_1_mib_submit_holds_a_reads_worth_of_buffer() {
+    // One SUBMIT as large as a frame may be, arriving a read at a time as
+    // over TCP. Its source is far over the door's limit, so it is refused
+    // and the connection stays open, idle: what it holds afterwards is its
+    // reader's buffer, which once held the whole frame.
+    let (mut core, conn) = server();
+    let mut wire = Vec::new();
+    ClientMsg::Submit {
+        session: 1,
+        not_before_ns: 0,
+        fuel: 0,
+        name: "big".into(),
+        args: String::new(),
+        source: "x".repeat(DEFAULT_MAX_FRAME as usize - 64),
+    }
+    .encode(&mut wire);
+    let before = live_bytes();
+    for read in wire.chunks(READ_SIZE) {
+        core.feed(conn, read);
+    }
+    core.pump();
+    let mut reader = FrameReader::new();
+    reader.feed(&core.take_output(conn));
+    let (tag, payload) = reader.next_frame().expect("clean").expect("a reply");
+    let reply = ServerMsg::decode(tag, &payload).expect("decodes");
+    assert!(
+        matches!(
+            reply,
+            ServerMsg::Error {
+                code: ErrCode::SourceTooLarge,
+                ..
+            }
+        ),
+        "{reply:?}"
+    );
+    assert!(!core.is_closed(conn));
+    drop((reader, payload, reply));
+    let held = live_bytes() - before;
+    eprintln!("idle after a {} B SUBMIT: {held} B held", wire.len());
+    assert!(held <= READ_SIZE as isize, "{held} B held (> {READ_SIZE})");
+}
+
+#[test]
+fn a_client_reader_that_drained_a_burst_holds_a_reads_worth_of_buffer() {
+    // 40 KiB of per-token STREAM frames fed at once, as a client that read
+    // a whole burst would, and every frame popped.
+    let mut burst = Vec::new();
+    let mut at_ns = 0;
+    while burst.len() < 40 * 1024 {
+        at_ns += 1_000_000;
+        ServerMsg::Stream {
+            session: 1,
+            at_ns,
+            tokens: 1,
+            text: "token".into(),
+        }
+        .encode(&mut burst);
+    }
+    let before = live_bytes();
+    let mut reader = FrameReader::new();
+    reader.feed(&burst);
+    let mut frames = 0;
+    while let Some((tag, payload)) = reader.next_frame().expect("clean") {
+        assert!(matches!(
+            ServerMsg::decode(tag, &payload),
+            Ok(ServerMsg::Stream { .. })
+        ));
+        frames += 1;
+    }
+    assert_eq!(reader.pending(), 0);
+    let held = live_bytes() - before;
+    eprintln!("{frames} frames, {} B drained: {held} B held", burst.len());
+    assert!(held <= READ_SIZE as isize, "{held} B held (> {READ_SIZE})");
 }

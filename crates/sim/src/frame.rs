@@ -8,7 +8,10 @@
 //! tag space; the codec is agnostic to both.
 //!
 //! * the CRC is FNV-1a (32-bit) over tag + payload;
-//! * all integers are little-endian;
+//! * the header's length and the CRC are little-endian `u32`s; inside a
+//!   payload each consumer picks its own integer encoding — the logs use
+//!   fixed-width little-endian, the wire protocol LEB128 varints
+//!   ([`push_varint`]);
 //! * a *torn* tail is any trailing byte run that does not form a complete,
 //!   checksummed frame — readers keep the longest valid prefix;
 //! * a clean cut at a frame boundary is indistinguishable from a finished
@@ -36,10 +39,23 @@ pub const FRAME_OVERHEAD: usize = 9;
 /// Appends one raw frame — `[tag u8][len u32][payload][crc u32]`, CRC over
 /// tag + payload — to `out`.
 pub fn append_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+    append_frame_with(out, tag, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame whose payload `write` appends to `out` in place: the
+/// header is reserved first, then its length patched and the CRC appended
+/// once the payload is there, so no payload is built in a buffer of its
+/// own and copied.
+pub fn append_frame_with(out: &mut Vec<u8>, tag: u8, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
     out.push(tag);
-    push_u32(out, payload.len() as u32);
-    out.extend_from_slice(payload);
-    push_u32(out, frame_crc(tag, payload));
+    push_u32(out, 0);
+    write(out);
+    let body = start + 5;
+    let len = (out.len() - body) as u32;
+    out[start + 1..body].copy_from_slice(&len.to_le_bytes());
+    let crc = frame_crc(tag, &out[body..]);
+    push_u32(out, crc);
 }
 
 /// The CRC a valid frame with this tag and payload must carry.
@@ -82,6 +98,21 @@ pub fn push_u64(out: &mut Vec<u8>, v: u64) {
 pub fn push_str(out: &mut Vec<u8>, s: &str) {
     push_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
+}
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits a byte, least
+/// significant group first, the high bit set on every byte but the last.
+/// One byte below 128, at most ten for `u64::MAX`.
+pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+    let mut bytes = [0u8; 10];
+    let mut n = 0;
+    while v >= 0x80 {
+        bytes[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    bytes[n] = v as u8;
+    out.extend_from_slice(&bytes[..=n]);
 }
 
 /// Appends a presence byte followed by the value (0 when absent).
@@ -133,6 +164,25 @@ impl<'a> Cursor<'a> {
     pub fn u64(&mut self) -> Option<u64> {
         self.take(8)
             .map(|b| u64::from_le_bytes(b.try_into().unwrap_or([0; 8])))
+    }
+
+    /// Reads an unsigned LEB128 varint (see [`push_varint`]). `None` if it
+    /// runs past the end, is longer than ten bytes, or overflows `u64` (a
+    /// tenth byte above 1). A non-minimal encoding of ten bytes or fewer
+    /// reads as its value.
+    pub fn varint(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                return None;
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
     }
 
     /// Reads a length-prefixed UTF-8 string (see [`push_str`]).
@@ -216,6 +266,42 @@ mod tests {
         assert_eq!(c.opt_u64(), Some(Some(42)));
         assert_eq!(c.opt_u64(), Some(None));
         assert!(c.done());
+    }
+
+    #[test]
+    fn varints_are_leb128_and_reject_what_does_not_fit() {
+        for (v, bytes) in [
+            (0u64, &[0x00][..]),
+            (127, &[0x7f]),
+            (128, &[0x80, 0x01]),
+            (300, &[0xac, 0x02]),
+            (
+                1 << 63,
+                &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+            ),
+            (
+                u64::MAX,
+                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+            ),
+        ] {
+            let mut buf = Vec::new();
+            push_varint(&mut buf, v);
+            assert_eq!(buf, bytes, "{v}");
+            let mut c = Cursor::new(&buf);
+            assert_eq!(c.varint(), Some(v));
+            assert!(c.done());
+        }
+        let refused: [&[u8]; 4] = [
+            &[],
+            &[0x80, 0x80],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+            &[
+                0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+            ],
+        ];
+        for bytes in refused {
+            assert_eq!(Cursor::new(bytes).varint(), None, "{bytes:02x?}");
+        }
     }
 
     #[test]
