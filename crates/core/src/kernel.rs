@@ -1973,7 +1973,7 @@ impl Kernel {
                 self.bus.emit(sys_at, || EventKind::KvOp {
                     pid: pid.0,
                     tid: tid.0,
-                    op: "kv_create",
+                    op: sys_name,
                     file: f.0,
                 });
                 self.complete(tid, SysReply::Handle(f));
@@ -1983,7 +1983,7 @@ impl Kernel {
                 self.bus.emit(sys_at, || EventKind::KvOp {
                     pid: pid.0,
                     tid: tid.0,
-                    op: "kv_open",
+                    op: sys_name,
                     file: f.0,
                 });
                 self.complete(tid, SysReply::Handle(f));
@@ -2001,7 +2001,7 @@ impl Kernel {
                 self.bus.emit(sys_at, || EventKind::KvOp {
                     pid: pid.0,
                     tid: tid.0,
-                    op: "kv_fork",
+                    op: sys_name,
                     file: f.0,
                 });
                 self.complete(tid, SysReply::Handle(f));
@@ -2027,7 +2027,7 @@ impl Kernel {
                 self.bus.emit(sys_at, || EventKind::KvOp {
                     pid: pid.0,
                     tid: tid.0,
-                    op: "kv_extract",
+                    op: sys_name,
                     file: f.0,
                 });
                 self.complete(tid, SysReply::Handle(f));
@@ -2037,7 +2037,7 @@ impl Kernel {
                 self.bus.emit(sys_at, || EventKind::KvOp {
                     pid: pid.0,
                     tid: tid.0,
-                    op: "kv_merge",
+                    op: sys_name,
                     file: f.0,
                 });
                 self.complete(tid, SysReply::Handle(f));
@@ -2047,7 +2047,7 @@ impl Kernel {
                 self.bus.emit(sys_at, || EventKind::KvOp {
                     pid: pid.0,
                     tid: tid.0,
-                    op: "kv_read",
+                    op: sys_name,
                     file: kv.0,
                 });
                 self.complete(tid, SysReply::Entries(e));

@@ -13,6 +13,11 @@
 //!   LipScript machine) that the kernel resumes on its own thread with the
 //!   reply and that returns its next `Syscall`. No OS thread, no channel.
 //!
+//! Each system call is one row of the `syscalls!` table (its variant,
+//! fields and telemetry name), and each reply shape becomes the typed
+//! value a `Ctx` wrapper returns in one place (`FromReply`), so a wrapper
+//! is a single `self.call(..)`.
+//!
 //! `Kernel::resume` is the only code that tells the two apart. A hosted
 //! body may also give its seat up for an inline one ([`Ctx::exec`]): a
 //! native closure that only sets a program up — `run_lip` parsing a
@@ -37,6 +42,16 @@ pub enum Body {
     Hosted(LipFn),
     /// A resumable value; the kernel steps it on its own thread.
     Inline(Box<dyn InlineBody>),
+}
+
+/// Summarised: a body is code, not data.
+impl std::fmt::Debug for Body {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Body::Hosted(_) => "Hosted",
+            Body::Inline(_) => "Inline",
+        })
+    }
 }
 
 /// A LIP body the kernel runs without an OS thread: a state machine that
@@ -88,85 +103,65 @@ pub(crate) enum UpCall {
     },
 }
 
-/// The system calls (wire format). Hosted bodies never see it — they call
-/// the typed wrappers on [`Ctx`]; an [`InlineBody`] returns it.
-#[allow(missing_docs)]
-pub enum Syscall {
-    Pred { kv: FileId, tokens: Vec<(TokenId, u32)> },
-    KvCreate,
-    KvOpen { path: String },
-    KvLink { kv: FileId, path: String },
-    KvUnlink { path: String },
-    KvFork { kv: FileId },
-    KvRemove { kv: FileId },
-    KvLen { kv: FileId },
-    KvNextPos { kv: FileId },
-    KvTruncate { kv: FileId, len: usize },
-    KvExtract { kv: FileId, ranges: Vec<Range<usize>> },
-    KvMerge { kvs: Vec<FileId> },
-    KvRead { kv: FileId, start: usize, count: usize },
-    KvPin { kv: FileId },
-    KvUnpin { kv: FileId },
-    KvLock { kv: FileId },
-    KvUnlock { kv: FileId },
-    KvChmod { kv: FileId, mode: Mode },
-    KvStat { kv: FileId },
-    KvSwapOut { kv: FileId },
-    KvSwapIn { kv: FileId },
-    Spawn { body: Body },
-    Join { tid: Tid },
-    CallTool { name: String, args: String },
-    SendMsg { to: Pid, data: String },
-    Recv,
-    LookupProcess { name: String },
-    Sleep { dur: SimDuration },
-    Emit { text: String },
-    EmitTokens { tokens: Vec<TokenId> },
-    Tokenize { text: String },
-    Detokenize { tokens: Vec<TokenId> },
-    Now,
+/// Declares every system call once: its variant, its fields and its
+/// stable telemetry name (the `sys:<name>` span label on a thread's trace
+/// track, and the `op` of a KVFS event). Adding a call is a row here, an
+/// arm in `Kernel::handle_syscall`, and optionally a [`Ctx`] wrapper.
+macro_rules! syscalls {
+    ($($variant:ident $({ $($field:ident: $ty:ty),* })? = $name:literal,)*) => {
+        /// The system calls (wire format). Hosted bodies never see it — they
+        /// call the typed wrappers on [`Ctx`]; an [`InlineBody`] returns it.
+        #[derive(Debug)]
+        #[allow(missing_docs)]
+        pub enum Syscall {
+            $($variant $({ $($field: $ty),* })?,)*
+        }
+
+        impl Syscall {
+            /// The call's stable telemetry name: its row's name.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Syscall::$variant { .. } => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl Syscall {
-    /// The syscall's stable telemetry name (used as the `sys:<name>` span
-    /// label on a thread's trace track).
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Syscall::Pred { .. } => "pred",
-            Syscall::KvCreate => "kv_create",
-            Syscall::KvOpen { .. } => "kv_open",
-            Syscall::KvLink { .. } => "kv_link",
-            Syscall::KvUnlink { .. } => "kv_unlink",
-            Syscall::KvFork { .. } => "kv_fork",
-            Syscall::KvRemove { .. } => "kv_remove",
-            Syscall::KvLen { .. } => "kv_len",
-            Syscall::KvNextPos { .. } => "kv_next_pos",
-            Syscall::KvTruncate { .. } => "kv_truncate",
-            Syscall::KvExtract { .. } => "kv_extract",
-            Syscall::KvMerge { .. } => "kv_merge",
-            Syscall::KvRead { .. } => "kv_read",
-            Syscall::KvPin { .. } => "kv_pin",
-            Syscall::KvUnpin { .. } => "kv_unpin",
-            Syscall::KvLock { .. } => "kv_lock",
-            Syscall::KvUnlock { .. } => "kv_unlock",
-            Syscall::KvChmod { .. } => "kv_chmod",
-            Syscall::KvStat { .. } => "kv_stat",
-            Syscall::KvSwapOut { .. } => "kv_swap_out",
-            Syscall::KvSwapIn { .. } => "kv_swap_in",
-            Syscall::Spawn { .. } => "spawn",
-            Syscall::Join { .. } => "join",
-            Syscall::CallTool { .. } => "call_tool",
-            Syscall::SendMsg { .. } => "send_msg",
-            Syscall::Recv => "recv",
-            Syscall::LookupProcess { .. } => "lookup_process",
-            Syscall::Sleep { .. } => "sleep",
-            Syscall::Emit { .. } => "emit",
-            Syscall::EmitTokens { .. } => "emit_tokens",
-            Syscall::Tokenize { .. } => "tokenize",
-            Syscall::Detokenize { .. } => "detokenize",
-            Syscall::Now => "now",
-        }
-    }
+syscalls! {
+    Pred { kv: FileId, tokens: Vec<(TokenId, u32)> } = "pred",
+    KvCreate = "kv_create",
+    KvOpen { path: String } = "kv_open",
+    KvLink { kv: FileId, path: String } = "kv_link",
+    KvUnlink { path: String } = "kv_unlink",
+    KvFork { kv: FileId } = "kv_fork",
+    KvRemove { kv: FileId } = "kv_remove",
+    KvLen { kv: FileId } = "kv_len",
+    KvNextPos { kv: FileId } = "kv_next_pos",
+    KvTruncate { kv: FileId, len: usize } = "kv_truncate",
+    KvExtract { kv: FileId, ranges: Vec<Range<usize>> } = "kv_extract",
+    KvMerge { kvs: Vec<FileId> } = "kv_merge",
+    KvRead { kv: FileId, start: usize, count: usize } = "kv_read",
+    KvPin { kv: FileId } = "kv_pin",
+    KvUnpin { kv: FileId } = "kv_unpin",
+    KvLock { kv: FileId } = "kv_lock",
+    KvUnlock { kv: FileId } = "kv_unlock",
+    KvChmod { kv: FileId, mode: Mode } = "kv_chmod",
+    KvStat { kv: FileId } = "kv_stat",
+    KvSwapOut { kv: FileId } = "kv_swap_out",
+    KvSwapIn { kv: FileId } = "kv_swap_in",
+    Spawn { body: Body } = "spawn",
+    Join { tid: Tid } = "join",
+    CallTool { name: String, args: String } = "call_tool",
+    SendMsg { to: Pid, data: String } = "send_msg",
+    Recv = "recv",
+    LookupProcess { name: String } = "lookup_process",
+    Sleep { dur: SimDuration } = "sleep",
+    Emit { text: String } = "emit",
+    EmitTokens { tokens: Vec<TokenId> } = "emit_tokens",
+    Tokenize { text: String } = "tokenize",
+    Detokenize { tokens: Vec<TokenId> } = "detokenize",
+    Now = "now",
 }
 
 /// Kernel replies (wire format).
@@ -198,6 +193,42 @@ pub struct Message {
     pub from: Pid,
     /// Payload.
     pub data: String,
+}
+
+/// The typed value one reply shape carries: what a [`Ctx`] wrapper whose
+/// call answers with that shape returns. `None` for any other shape.
+trait FromReply: Sized {
+    fn from_reply(reply: SysReply) -> Option<Self>;
+}
+
+macro_rules! from_reply {
+    ($($ty:ty: $shape:pat => $value:expr,)*) => {$(
+        impl FromReply for $ty {
+            fn from_reply(reply: SysReply) -> Option<Self> {
+                match reply {
+                    $shape => Some($value),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+from_reply! {
+    (): SysReply::Unit => (),
+    FileId: SysReply::Handle(h) => h,
+    Vec<Dist>: SysReply::Dists(d) => d,
+    Vec<KvEntry>: SysReply::Entries(e) => e,
+    usize: SysReply::Len(n) => n,
+    u32: SysReply::Pos(p) => p,
+    Vec<TokenId>: SysReply::Tokens(t) => t,
+    String: SysReply::Text(t) => t,
+    Tid: SysReply::NewTid(t) => t,
+    ExitStatus: SysReply::Joined(s) => s,
+    Message: SysReply::Msg { from, data } => Message { from, data },
+    Option<Pid>: SysReply::MaybePid(p) => p,
+    FileStat: SysReply::Stat(s) => *s,
+    SimTime: SysReply::Time(t) => t,
 }
 
 /// A LIP thread's own state: identity, argument string, private RNG
@@ -369,19 +400,13 @@ impl Ctx {
         }
     }
 
-    fn expect_unit(&self, call: Syscall) -> Result<(), SysError> {
+    /// Issues `call` and converts its reply: a kernel error is returned
+    /// as is, a reply of another shape than `R`'s is
+    /// [`SysError::BadArgument`].
+    fn call<R: FromReply>(&self, call: Syscall) -> Result<R, SysError> {
         match self.syscall(call) {
-            SysReply::Unit => Ok(()),
             SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
-    }
-
-    fn expect_handle(&self, call: Syscall) -> Result<FileId, SysError> {
-        match self.syscall(call) {
-            SysReply::Handle(h) => Ok(h),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
+            reply => R::from_reply(reply).ok_or(SysError::BadArgument),
         }
     }
 
@@ -391,14 +416,10 @@ impl Ctx {
     /// context cached in `kv`, returning one distribution per input token.
     /// The KV file gains one entry per token.
     pub fn pred(&self, kv: FileId, tokens: &[(TokenId, u32)]) -> Result<Vec<Dist>, SysError> {
-        match self.syscall(Syscall::Pred {
+        self.call(Syscall::Pred {
             kv,
             tokens: tokens.to_vec(),
-        }) {
-            SysReply::Dists(d) => Ok(d),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        })
     }
 
     /// `pred` over a contiguous token run starting at `start_pos`.
@@ -420,75 +441,61 @@ impl Ctx {
 
     /// Creates an empty private KV file.
     pub fn kv_create(&self) -> Result<FileId, SysError> {
-        self.expect_handle(Syscall::KvCreate)
+        self.call(Syscall::KvCreate)
     }
 
     /// Opens a named KV file (e.g. a shared system prompt).
     pub fn kv_open(&self, path: &str) -> Result<FileId, SysError> {
-        self.expect_handle(Syscall::KvOpen {
-            path: path.to_string(),
-        })
+        let path = path.to_string();
+        self.call(Syscall::KvOpen { path })
     }
 
     /// Publishes a KV file under a path.
     pub fn kv_link(&self, kv: FileId, path: &str) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvLink {
-            kv,
-            path: path.to_string(),
-        })
+        let path = path.to_string();
+        self.call(Syscall::KvLink { kv, path })
     }
 
     /// Removes a path (the file survives).
     pub fn kv_unlink(&self, path: &str) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvUnlink {
-            path: path.to_string(),
-        })
+        let path = path.to_string();
+        self.call(Syscall::KvUnlink { path })
     }
 
     /// Copy-on-write clone of a KV file.
     pub fn kv_fork(&self, kv: FileId) -> Result<FileId, SysError> {
-        self.expect_handle(Syscall::KvFork { kv })
+        self.call(Syscall::KvFork { kv })
     }
 
     /// Deletes a KV file.
     pub fn kv_remove(&self, kv: FileId) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvRemove { kv })
+        self.call(Syscall::KvRemove { kv })
     }
 
     /// Number of cached tokens in a file.
     pub fn kv_len(&self, kv: FileId) -> Result<usize, SysError> {
-        match self.syscall(Syscall::KvLen { kv }) {
-            SysReply::Len(n) => Ok(n),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        self.call(Syscall::KvLen { kv })
     }
 
     /// Position following the file's last entry.
     pub fn kv_next_pos(&self, kv: FileId) -> Result<u32, SysError> {
-        match self.syscall(Syscall::KvNextPos { kv }) {
-            SysReply::Pos(p) => Ok(p),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        self.call(Syscall::KvNextPos { kv })
     }
 
     /// Truncates a file to `len` tokens.
     pub fn kv_truncate(&self, kv: FileId, len: usize) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvTruncate { kv, len })
+        self.call(Syscall::KvTruncate { kv, len })
     }
 
     /// Builds a new file from entry ranges (context pruning).
     pub fn kv_extract(&self, kv: FileId, ranges: &[Range<usize>]) -> Result<FileId, SysError> {
-        self.expect_handle(Syscall::KvExtract {
-            kv,
-            ranges: ranges.to_vec(),
-        })
+        let ranges = ranges.to_vec();
+        self.call(Syscall::KvExtract { kv, ranges })
     }
 
     /// Concatenates files into a new one.
     pub fn kv_merge(&self, kvs: &[FileId]) -> Result<FileId, SysError> {
-        self.expect_handle(Syscall::KvMerge { kvs: kvs.to_vec() })
+        self.call(Syscall::KvMerge { kvs: kvs.to_vec() })
     }
 
     /// Reads cached entries (token inspection).
@@ -498,55 +505,47 @@ impl Ctx {
         start: usize,
         count: usize,
     ) -> Result<Vec<KvEntry>, SysError> {
-        match self.syscall(Syscall::KvRead { kv, start, count }) {
-            SysReply::Entries(e) => Ok(e),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        self.call(Syscall::KvRead { kv, start, count })
     }
 
     /// Pins a file against eviction and swap.
     pub fn kv_pin(&self, kv: FileId) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvPin { kv })
+        self.call(Syscall::KvPin { kv })
     }
 
     /// Unpins a file.
     pub fn kv_unpin(&self, kv: FileId) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvUnpin { kv })
+        self.call(Syscall::KvUnpin { kv })
     }
 
     /// Takes the exclusive write lock.
     pub fn kv_lock(&self, kv: FileId) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvLock { kv })
+        self.call(Syscall::KvLock { kv })
     }
 
     /// Releases the exclusive write lock.
     pub fn kv_unlock(&self, kv: FileId) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvUnlock { kv })
+        self.call(Syscall::KvUnlock { kv })
     }
 
     /// Changes a file's permission mode.
     pub fn kv_chmod(&self, kv: FileId, mode: Mode) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvChmod { kv, mode })
+        self.call(Syscall::KvChmod { kv, mode })
     }
 
     /// Stats a file.
     pub fn kv_stat(&self, kv: FileId) -> Result<FileStat, SysError> {
-        match self.syscall(Syscall::KvStat { kv }) {
-            SysReply::Stat(s) => Ok(*s),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        self.call(Syscall::KvStat { kv })
     }
 
     /// Explicitly swaps a file out to host memory.
     pub fn kv_swap_out(&self, kv: FileId) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvSwapOut { kv })
+        self.call(Syscall::KvSwapOut { kv })
     }
 
     /// Swaps a file back into GPU memory.
     pub fn kv_swap_in(&self, kv: FileId) -> Result<(), SysError> {
-        self.expect_unit(Syscall::KvSwapIn { kv })
+        self.call(Syscall::KvSwapIn { kv })
     }
 
     // ---- threads and I/O (§4.3) ---------------------------------------------------
@@ -557,11 +556,7 @@ impl Ctx {
         F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
     {
         let body = Body::Hosted(Box::new(f));
-        match self.syscall(Syscall::Spawn { body }) {
-            SysReply::NewTid(t) => Ok(t),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        self.call(Syscall::Spawn { body })
     }
 
     /// Blocks until `tid` exits; returns its status. A thread's status is
@@ -570,106 +565,69 @@ impl Ctx {
     /// never existed (only a thread of another process can be asking by
     /// then).
     pub fn join(&self, tid: Tid) -> Result<ExitStatus, SysError> {
-        match self.syscall(Syscall::Join { tid }) {
-            SysReply::Joined(s) => Ok(s),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        self.call(Syscall::Join { tid })
     }
 
     /// Invokes a server-side tool; blocks this thread for the tool's
     /// (virtual) latency. While blocked, the kernel may offload this
     /// process's KV files to host memory.
     pub fn call_tool(&self, name: &str, args: &str) -> Result<String, SysError> {
-        match self.syscall(Syscall::CallTool {
-            name: name.to_string(),
-            args: args.to_string(),
-        }) {
-            SysReply::Text(t) => Ok(t),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        let (name, args) = (name.to_string(), args.to_string());
+        self.call(Syscall::CallTool { name, args })
     }
 
     /// Sends an IPC message to another process.
     pub fn send_msg(&self, to: Pid, data: &str) -> Result<(), SysError> {
-        self.expect_unit(Syscall::SendMsg {
-            to,
-            data: data.to_string(),
-        })
+        let data = data.to_string();
+        self.call(Syscall::SendMsg { to, data })
     }
 
     /// Receives the next IPC message, blocking until one arrives.
     pub fn recv_msg(&self) -> Result<Message, SysError> {
-        match self.syscall(Syscall::Recv) {
-            SysReply::Msg { from, data } => Ok(Message { from, data }),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        self.call(Syscall::Recv)
     }
 
     /// Finds a live process by its spawn name.
     pub fn lookup_process(&self, name: &str) -> Result<Option<Pid>, SysError> {
-        match self.syscall(Syscall::LookupProcess {
-            name: name.to_string(),
-        }) {
-            SysReply::MaybePid(p) => Ok(p),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        let name = name.to_string();
+        self.call(Syscall::LookupProcess { name })
     }
 
     /// Sleeps for a span of virtual time.
     pub fn sleep(&self, dur: SimDuration) -> Result<(), SysError> {
-        self.expect_unit(Syscall::Sleep { dur })
+        self.call(Syscall::Sleep { dur })
     }
 
     // ---- client output and tokenisation ----------------------------------------
 
     /// Streams text to the client.
     pub fn emit(&self, text: &str) -> Result<(), SysError> {
-        self.expect_unit(Syscall::Emit {
-            text: text.to_string(),
-        })
+        let text = text.to_string();
+        self.call(Syscall::Emit { text })
     }
 
     /// Streams tokens to the client (detokenised server-side); counts toward
     /// the process's generated-token metric.
     pub fn emit_tokens(&self, tokens: &[TokenId]) -> Result<(), SysError> {
-        self.expect_unit(Syscall::EmitTokens {
-            tokens: tokens.to_vec(),
-        })
+        let tokens = tokens.to_vec();
+        self.call(Syscall::EmitTokens { tokens })
     }
 
     /// Tokenises text with the server's tokenizer.
     pub fn tokenize(&self, text: &str) -> Result<Vec<TokenId>, SysError> {
-        match self.syscall(Syscall::Tokenize {
-            text: text.to_string(),
-        }) {
-            SysReply::Tokens(t) => Ok(t),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        let text = text.to_string();
+        self.call(Syscall::Tokenize { text })
     }
 
     /// Detokenises tokens with the server's tokenizer.
     pub fn detokenize(&self, tokens: &[TokenId]) -> Result<String, SysError> {
-        match self.syscall(Syscall::Detokenize {
-            tokens: tokens.to_vec(),
-        }) {
-            SysReply::Text(t) => Ok(t),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        let tokens = tokens.to_vec();
+        self.call(Syscall::Detokenize { tokens })
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Result<SimTime, SysError> {
-        match self.syscall(Syscall::Now) {
-            SysReply::Time(t) => Ok(t),
-            SysReply::Err(e) => Err(e),
-            _ => Err(SysError::BadArgument),
-        }
+        self.call(Syscall::Now)
     }
 }
 

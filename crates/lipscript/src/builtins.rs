@@ -3,8 +3,9 @@
 //! A builtin runs in two halves around the interpreter's one kind of yield
 //! point. `begin` checks the arguments and either finishes on the spot
 //! (the core library, the distribution operations) or builds the one
-//! [`HostCall`] the builtin makes; `finish` turns the host's reply into
-//! the builtin's value. No builtin calls the host twice.
+//! [`HostCall`] the builtin makes — for a system call, the kernel's own
+//! [`Syscall`], fields and all; `finish` turns the host's reply into the
+//! builtin's value. No builtin calls the host twice.
 //!
 //! A call site names its builtin once, when the program is lowered
 //! ([`crate::image`]): [`Builtin`] is what the name resolved to, so running
@@ -19,6 +20,7 @@
 
 use std::sync::Arc;
 
+use symphony::{FileId, Pid, SimDuration, Syscall, Tid};
 use symphony_model::Dist;
 
 use crate::error::{RuntimeError, RuntimeErrorKind, Span};
@@ -282,6 +284,9 @@ pub(crate) fn begin(
 ) -> Fallible<Begun> {
     debug_assert_eq!(args.len(), builtin.arity());
     let ask = |call: HostCall| Ok(Begun::Ask(call));
+    let sys = |call: Syscall| Ok(Begun::Ask(HostCall::Sys(call)));
+    // Every builtin that takes a KV file takes it first.
+    let first_kv = || as_handle(args[0], "kv", span).map(FileId);
     let value = match builtin {
         // ---- core library --------------------------------------------------
         Builtin::Len => match args[0] {
@@ -329,7 +334,7 @@ pub(crate) fn begin(
         Builtin::Range => {
             let a = as_int(args[0], "start", span)?;
             let b = as_int(args[1], "end", span)?;
-            let n = (b - a).max(0) as u64;
+            let n = b.saturating_sub(a).max(0) as u64;
             core.charge(1 + n, span)?;
             Ok(Value::List((a..b).map(Value::Int).collect()))
         }
@@ -384,11 +389,10 @@ pub(crate) fn begin(
             Ok(Value::List(parts))
         }
         Builtin::Print => {
-            return ask(HostCall::Emit(format!("{}\n", args[0])));
+            let text = format!("{}\n", args[0]);
+            return sys(Syscall::Emit { text });
         }
-        Builtin::Rand => {
-            return ask(HostCall::Rand);
-        }
+        Builtin::Rand => return ask(HostCall::Rand),
 
         // ---- distribution operations ---------------------------------------
         Builtin::Sample => {
@@ -432,35 +436,38 @@ pub(crate) fn begin(
         Builtin::Entropy => Ok(Value::Float(as_dist(args[0], "dist", span)?.entropy())),
 
         // ---- system calls ---------------------------------------------------
-        Builtin::Args => {
-            return ask(HostCall::Args);
-        }
-        Builtin::Eos => {
-            return ask(HostCall::Eos);
-        }
+        Builtin::Args => return ask(HostCall::Args),
+        Builtin::Eos => return ask(HostCall::Eos),
         Builtin::Tokenize => {
-            let text = as_str(args[0], "text", span)?;
-            return ask(HostCall::Tokenize(text.to_string()));
+            let text = as_str(args[0], "text", span)?.to_string();
+            return sys(Syscall::Tokenize { text });
         }
         Builtin::Detokenize => {
-            return ask(HostCall::Detokenize(token_list(args[0], span)?));
+            let tokens = token_list(args[0], span)?;
+            return sys(Syscall::Detokenize { tokens });
         }
         Builtin::Pred => {
-            let kv = as_handle(args[0], "kv", span)?;
+            let kv = first_kv()?;
             let toks = token_list(args[1], span)?;
             let start = as_int(args[2], "start position", span)?;
             if start < 0 {
                 return Err(type_err("start position must be >= 0", span));
             }
-            let tokens: Vec<(u32, u32)> = toks
-                .iter()
+            // Positions run on from `start`; the last must be a u32.
+            let last = (start as u64).saturating_add(toks.len().saturating_sub(1) as u64);
+            if u32::try_from(last).is_err() {
+                return Err(type_err(format!("position {last} out of range"), span));
+            }
+            let start = start as u32;
+            let tokens = toks
+                .into_iter()
                 .enumerate()
-                .map(|(i, &t)| (t, start as u32 + i as u32))
+                .map(|(i, t)| (t, start + i as u32))
                 .collect();
-            return ask(HostCall::Pred { kv, tokens });
+            return sys(Syscall::Pred { kv, tokens });
         }
         Builtin::PredAt => {
-            let kv = as_handle(args[0], "kv", span)?;
+            let kv = first_kv()?;
             let toks = token_list(args[1], span)?;
             let positions: Vec<u32> = as_list(args[2], "positions", span)?
                 .iter()
@@ -472,117 +479,96 @@ pub(crate) fn begin(
                     span,
                 ));
             }
-            let tokens: Vec<(u32, u32)> = toks.into_iter().zip(positions).collect();
-            return ask(HostCall::Pred { kv, tokens });
+            let tokens = toks.into_iter().zip(positions).collect();
+            return sys(Syscall::Pred { kv, tokens });
         }
-        Builtin::KvCreate => {
-            return ask(HostCall::KvCreate);
-        }
+        Builtin::KvCreate => return sys(Syscall::KvCreate),
         Builtin::KvOpen => {
-            let path = as_str(args[0], "path", span)?;
-            return ask(HostCall::KvOpen(path.to_string()));
+            let path = as_str(args[0], "path", span)?.to_string();
+            return sys(Syscall::KvOpen { path });
         }
-        Builtin::KvFork => {
-            return ask(HostCall::KvFork(as_handle(args[0], "kv", span)?));
-        }
-        Builtin::KvRemove => {
-            return ask(HostCall::KvRemove(as_handle(args[0], "kv", span)?));
-        }
-        Builtin::KvLen => {
-            return ask(HostCall::KvLen(as_handle(args[0], "kv", span)?));
-        }
-        Builtin::KvNextPos => {
-            return ask(HostCall::KvNextPos(as_handle(args[0], "kv", span)?));
-        }
+        Builtin::KvFork => return sys(Syscall::KvFork { kv: first_kv()? }),
+        Builtin::KvRemove => return sys(Syscall::KvRemove { kv: first_kv()? }),
+        Builtin::KvLen => return sys(Syscall::KvLen { kv: first_kv()? }),
+        Builtin::KvNextPos => return sys(Syscall::KvNextPos { kv: first_kv()? }),
         Builtin::KvTruncate => {
-            let kv = as_handle(args[0], "kv", span)?;
+            let kv = first_kv()?;
             let n = as_int(args[1], "length", span)?;
             if n < 0 {
                 return Err(type_err("length must be >= 0", span));
             }
-            return ask(HostCall::KvTruncate {
-                kv,
-                len: n as usize,
-            });
+            let len = n as usize;
+            return sys(Syscall::KvTruncate { kv, len });
         }
         Builtin::KvExtract => {
-            let kv = as_handle(args[0], "kv", span)?;
+            let kv = first_kv()?;
             let a = as_int(args[1], "start", span)?;
             let b = as_int(args[2], "end", span)?;
             if a < 0 || b < a {
                 return Err(type_err("bad extract range", span));
             }
-            return ask(HostCall::KvExtract {
-                kv,
-                start: a as usize,
-                end: b as usize,
-            });
+            // The system call takes a list of ranges; the builtin extracts one.
+            let ranges = std::iter::once(a as usize..b as usize).collect();
+            return sys(Syscall::KvExtract { kv, ranges });
         }
         Builtin::KvMerge => {
-            let handles: Vec<u64> = as_list(args[0], "files", span)?
+            let kvs = as_list(args[0], "files", span)?
                 .iter()
-                .map(|h| as_handle(h, "file", span))
-                .collect::<Result<_, _>>()?;
-            return ask(HostCall::KvMerge(handles));
+                .map(|h| as_handle(h, "file", span).map(FileId))
+                .collect::<Fallible<_>>()?;
+            return sys(Syscall::KvMerge { kvs });
         }
         Builtin::KvLink => {
-            let kv = as_handle(args[0], "kv", span)?;
+            let kv = first_kv()?;
             let path = as_str(args[1], "path", span)?.to_string();
-            return ask(HostCall::KvLink { kv, path });
+            return sys(Syscall::KvLink { kv, path });
         }
         Builtin::KvUnlink => {
-            let path = as_str(args[0], "path", span)?;
-            return ask(HostCall::KvUnlink(path.to_string()));
+            let path = as_str(args[0], "path", span)?.to_string();
+            return sys(Syscall::KvUnlink { path });
         }
-        Builtin::KvPin => {
-            return ask(HostCall::KvPin(as_handle(args[0], "kv", span)?));
-        }
-        Builtin::KvUnpin => {
-            return ask(HostCall::KvUnpin(as_handle(args[0], "kv", span)?));
-        }
+        Builtin::KvPin => return sys(Syscall::KvPin { kv: first_kv()? }),
+        Builtin::KvUnpin => return sys(Syscall::KvUnpin { kv: first_kv()? }),
         Builtin::Emit => {
-            let text = as_str(args[0], "text", span)?;
-            return ask(HostCall::Emit(text.to_string()));
+            let text = as_str(args[0], "text", span)?.to_string();
+            return sys(Syscall::Emit { text });
         }
         Builtin::EmitToken => {
-            return ask(HostCall::EmitTokens(vec![as_token(args[0], span)?]));
+            let tokens = vec![as_token(args[0], span)?];
+            return sys(Syscall::EmitTokens { tokens });
         }
         Builtin::EmitTokens => {
-            return ask(HostCall::EmitTokens(token_list(args[0], span)?));
+            let tokens = token_list(args[0], span)?;
+            return sys(Syscall::EmitTokens { tokens });
         }
         Builtin::CallTool => {
             let name = as_str(args[0], "tool name", span)?.to_string();
             let args = as_str(args[1], "tool args", span)?.to_string();
-            return ask(HostCall::CallTool { name, args });
+            return sys(Syscall::CallTool { name, args });
         }
         Builtin::Send => {
             let pid = as_int(args[0], "pid", span)?;
             if pid < 0 {
                 return Err(type_err("pid must be >= 0", span));
             }
+            let to = Pid(pid as u64);
             let data = as_str(args[1], "data", span)?.to_string();
-            return ask(HostCall::Send {
-                pid: pid as u64,
-                data,
-            });
+            return sys(Syscall::SendMsg { to, data });
         }
-        Builtin::Recv => {
-            return ask(HostCall::Recv);
-        }
+        Builtin::Recv => return sys(Syscall::Recv),
         Builtin::Lookup => {
-            let name = as_str(args[0], "name", span)?;
-            return ask(HostCall::Lookup(name.to_string()));
+            let name = as_str(args[0], "name", span)?.to_string();
+            return sys(Syscall::LookupProcess { name });
         }
         Builtin::SleepMs => {
             let ms = as_int(args[0], "milliseconds", span)?;
             if ms < 0 {
                 return Err(type_err("sleep duration must be >= 0", span));
             }
-            return ask(HostCall::SleepMs(ms as u64));
+            let dur = SimDuration::from_millis(ms as u64);
+            return sys(Syscall::Sleep { dur });
         }
-        Builtin::NowMs => {
-            return ask(HostCall::NowMs);
-        }
+        Builtin::NowMs => return sys(Syscall::Now),
         Builtin::Spawn => {
             let func = as_str(args[0], "function name", span)?.to_string();
             let call_args = as_list(args[1], "arguments", span)?.to_vec();
@@ -597,7 +583,7 @@ pub(crate) fn begin(
             });
         }
         Builtin::Join => match args[0] {
-            Value::Thread(t) => return ask(HostCall::Join(*t)),
+            Value::Thread(t) => return sys(Syscall::Join { tid: Tid(*t) }),
             other => Err(type_err(
                 format!("join needs a thread handle, got {}", other.type_name()),
                 span,
@@ -652,13 +638,17 @@ mod tests {
     /// requirement makes `begin` fail (what a V006 error rests on), and
     /// every type a requirement allows is accepted by some call. And every
     /// value a call comes to — on the spot, or from a mock host's reply —
-    /// lies within the return column.
+    /// lies within the return column. A builtin that asks the kernel makes
+    /// the system call named below, or the one its own name says.
     #[test]
     fn the_table_says_which_builtins_ask_the_host() {
         let program = crate::parse::parse("fn f() { }").expect("parses");
         let image = Image::shared(&program);
         let samples = [
             Value::Int(1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(1 << 32),
             Value::Float(0.5),
             Value::Bool(true),
             Value::Nil,
@@ -696,6 +686,19 @@ mod tests {
         for &builtin in Builtin::ALL {
             let name = builtin.name();
             assert_eq!(Builtin::from_name(name), Some(builtin));
+            let syscall = match builtin {
+                Builtin::Print => Some("emit"),
+                Builtin::Send => Some("send_msg"),
+                Builtin::Lookup => Some("lookup_process"),
+                Builtin::SleepMs => Some("sleep"),
+                Builtin::NowMs => Some("now"),
+                Builtin::EmitToken => Some("emit_tokens"),
+                Builtin::PredAt => Some("pred"),
+                Builtin::Rand | Builtin::Sample | Builtin::SampleT => None,
+                Builtin::Args | Builtin::Eos | Builtin::Spawn => None,
+                _ if builtin.is_pure() => None,
+                _ => Some(name),
+            };
             assert!(builtin.arity() <= MAX_ARITY);
             // Per argument, the types of it that some call accepted.
             let mut accepted = vec![Vec::new(); builtin.arity()];
@@ -717,6 +720,13 @@ mod tests {
                 }
                 let asked = matches!(begun, Begun::Ask(_));
                 assert_eq!(asked, !builtin.is_pure(), "{name}");
+                if let Begun::Ask(call) = &begun {
+                    let made = match call {
+                        HostCall::Sys(call) => Some(call.name()),
+                        _ => None,
+                    };
+                    assert_eq!(made, syscall, "{name}");
+                }
                 let value = match begun {
                     Begun::Done(v) => Some(v),
                     Begun::Ask(call) => finish(&mut core, host().call(call), Span::default()).ok(),

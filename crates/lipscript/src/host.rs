@@ -4,21 +4,24 @@
 //! program needs the outside it yields one [`HostCall`] and is resumed with
 //! the [`HostReply`]. Who answers depends on where the program runs:
 //!
-//! - **Inside the kernel**, served inline ([`crate::inline`]): the call is
-//!   lowered to a Symphony system call and the machine is parked as a plain
-//!   value until the kernel has the reply. No OS thread.
+//! - **Inside the kernel**, served inline ([`crate::inline`]): a
+//!   [`HostCall::Sys`] is the Symphony system call itself, and the machine
+//!   is parked as a plain value until the kernel has the reply. No OS
+//!   thread.
 //! - **Against a [`Host`]**, driven by a blocking loop
 //!   ([`crate::Interpreter::run`]): the call goes to [`Host::call`].
-//!   [`MockHost`] — no kernel at all — answers from in-memory tables; a
-//!   hosted native LIP's [`symphony::Ctx`] goes through the same lowering
-//!   as the inline path, so a program issues the same system calls
-//!   whichever way it runs.
+//!   [`MockHost`] — no kernel at all — answers the same system calls
+//!   from in-memory tables; a hosted native LIP's [`symphony::Ctx`] goes
+//!   through the same lowering as the inline path, so a program issues the
+//!   same system calls whichever way it runs.
 //!
-//! [`HostCall`] is the sandbox boundary: a program can do nothing it does
-//! not name.
+//! [`HostCall`] is the sandbox boundary: a program can do nothing but the
+//! system calls its builtins build and the few requests its own thread
+//! answers.
 
 use std::sync::Arc;
 
+use symphony::{FileId, Syscall};
 use symphony_model::Dist;
 
 use crate::image::Image;
@@ -29,8 +32,9 @@ use crate::value::Value;
 /// Host call result; errors are surfaced to the program as runtime errors.
 pub type HostResult<T> = Result<T, String>;
 
-/// One request from a running program to its host.
-#[derive(Debug, Clone)]
+/// One request from a running program to its host: what the thread's own
+/// state answers, a thread to start, or a kernel system call as it is.
+#[derive(Debug)]
 #[allow(missing_docs)]
 pub enum HostCall {
     Args,
@@ -38,49 +42,7 @@ pub enum HostCall {
     Rand,
     /// Draws a token from the distribution with the host's RNG stream.
     Sample(Dist),
-    Tokenize(String),
-    Detokenize(Vec<u32>),
-    Pred {
-        kv: u64,
-        tokens: Vec<(u32, u32)>,
-    },
-    KvCreate,
-    KvOpen(String),
-    KvFork(u64),
-    KvRemove(u64),
-    KvLen(u64),
-    KvNextPos(u64),
-    KvTruncate {
-        kv: u64,
-        len: usize,
-    },
-    KvExtract {
-        kv: u64,
-        start: usize,
-        end: usize,
-    },
-    KvMerge(Vec<u64>),
-    KvLink {
-        kv: u64,
-        path: String,
-    },
-    KvUnlink(String),
-    KvPin(u64),
-    KvUnpin(u64),
-    Emit(String),
-    EmitTokens(Vec<u32>),
-    CallTool {
-        name: String,
-        args: String,
-    },
-    Send {
-        pid: u64,
-        data: String,
-    },
-    Recv,
-    Lookup(String),
-    SleepMs(u64),
-    NowMs,
+    /// Starts a thread running `func(args...)`.
     Spawn {
         /// The spawning program's image, shared with the new thread.
         image: Arc<Image>,
@@ -88,7 +50,7 @@ pub enum HostCall {
         args: Vec<Value>,
         limits: InterpLimits,
     },
-    Join(u64),
+    Sys(Syscall),
 }
 
 /// What a host answers a [`HostCall`] with.
@@ -156,9 +118,9 @@ impl MockHost {
         }
     }
 
-    fn file(&mut self, kv: u64) -> HostResult<&mut Vec<(u32, u32)>> {
+    fn file(&mut self, kv: FileId) -> HostResult<&mut Vec<(u32, u32)>> {
         self.files
-            .get_mut(kv as usize)
+            .get_mut(kv.0 as usize)
             .and_then(|f| f.as_mut())
             .ok_or_else(|| "kv: file not found".to_string())
     }
@@ -206,119 +168,14 @@ impl Host for MockHost {
         use HostReply as R;
         let not_found = || "kv: file not found".to_string();
         let out_of_bounds = || "kv: index or range out of bounds".to_string();
-        Ok(match call {
-            HostCall::Args => R::Text(self.args.clone()),
-            HostCall::Eos => R::Int(MOCK_EOS as i64),
-            HostCall::Rand => R::Float(self.rand_f64()),
+        let call = match call {
+            HostCall::Args => return Ok(R::Text(self.args.clone())),
+            HostCall::Eos => return Ok(R::Int(MOCK_EOS as i64)),
+            HostCall::Rand => return Ok(R::Float(self.rand_f64())),
             HostCall::Sample(dist) => {
                 let u = self.rand_f64();
-                R::Int(dist.sample_with(u, MOCK_VOCAB_HINT) as i64)
+                return Ok(R::Int(dist.sample_with(u, MOCK_VOCAB_HINT) as i64));
             }
-            // One token per whitespace-separated word: a stable toy mapping.
-            HostCall::Tokenize(s) => R::Tokens(
-                s.split_whitespace()
-                    .map(|w| w.bytes().fold(7u32, |a, b| a.wrapping_mul(31) + b as u32) % 900)
-                    .collect(),
-            ),
-            HostCall::Detokenize(toks) => R::Text(detokenize(&toks)),
-            HostCall::Pred { kv, tokens } => {
-                let mut dists = Vec::with_capacity(tokens.len());
-                for (t, p) in tokens {
-                    let file = self.file(kv)?;
-                    file.push((t, p));
-                    dists.push(fake_dist(file));
-                }
-                R::Dists(dists)
-            }
-            HostCall::KvCreate => self.new_file(Vec::new()),
-            HostCall::KvOpen(path) => {
-                R::Handle(self.names.get(&path).copied().ok_or_else(not_found)?)
-            }
-            HostCall::KvFork(kv) => {
-                let contents = self.file(kv)?.clone();
-                self.new_file(contents)
-            }
-            HostCall::KvRemove(kv) => {
-                self.file(kv)?;
-                self.files[kv as usize] = None;
-                R::Unit
-            }
-            HostCall::KvLen(kv) => R::Int(self.file(kv)?.len() as i64),
-            HostCall::KvNextPos(kv) => {
-                R::Int(self.file(kv)?.last().map_or(0, |&(_, p)| p + 1) as i64)
-            }
-            HostCall::KvTruncate { kv, len } => {
-                let f = self.file(kv)?;
-                if len > f.len() {
-                    return Err(out_of_bounds());
-                }
-                f.truncate(len);
-                R::Unit
-            }
-            HostCall::KvExtract { kv, start, end } => {
-                let f = self.file(kv)?;
-                if start > end || end > f.len() {
-                    return Err(out_of_bounds());
-                }
-                let part = f[start..end].to_vec();
-                self.new_file(part)
-            }
-            HostCall::KvMerge(kvs) => {
-                let mut all = Vec::new();
-                for k in kvs {
-                    all.extend(self.file(k)?.iter().copied());
-                }
-                self.new_file(all)
-            }
-            HostCall::KvLink { kv, path } => {
-                self.file(kv)?;
-                if self.names.contains_key(&path) {
-                    return Err("kv: path already exists".into());
-                }
-                self.names.insert(path, kv);
-                R::Unit
-            }
-            HostCall::KvUnlink(path) => {
-                self.names.remove(&path).ok_or_else(not_found)?;
-                R::Unit
-            }
-            HostCall::KvPin(kv) | HostCall::KvUnpin(kv) => {
-                self.file(kv)?;
-                R::Unit
-            }
-            HostCall::Emit(s) => {
-                self.emitted.push_str(&s);
-                R::Unit
-            }
-            HostCall::EmitTokens(toks) => {
-                self.emitted.push_str(&detokenize(&toks));
-                R::Unit
-            }
-            HostCall::CallTool { name, args } => {
-                let out = self
-                    .tools
-                    .get(&name)
-                    .ok_or_else(|| "not found".to_string())?;
-                R::Text(out.replace("{args}", &args))
-            }
-            HostCall::Send { data, .. } => {
-                // Loopback for tests.
-                self.inbox.push_back((0, data));
-                R::Unit
-            }
-            HostCall::Recv => {
-                let (from, data) = self
-                    .inbox
-                    .pop_front()
-                    .ok_or_else(|| "recv on empty mailbox (mock would deadlock)".to_string())?;
-                R::Msg(from, data)
-            }
-            HostCall::Lookup(name) => R::MaybePid((name == "self").then_some(0)),
-            HostCall::SleepMs(ms) => {
-                self.clock_ms += ms as f64;
-                R::Unit
-            }
-            HostCall::NowMs => R::Float(self.clock_ms),
             HostCall::Spawn {
                 image,
                 func,
@@ -329,14 +186,124 @@ impl Host for MockHost {
                 let mut interp = Interpreter::from_image(image, limits);
                 let ok = interp.call_named(self, &func, args).is_ok();
                 self.threads.push(ok);
-                R::Thread(self.threads.len() as u64 - 1)
+                return Ok(R::Thread(self.threads.len() as u64 - 1));
             }
-            HostCall::Join(tid) => R::Joined(
+            HostCall::Sys(call) => call,
+        };
+        Ok(match call {
+            // One token per whitespace-separated word: a stable toy mapping.
+            Syscall::Tokenize { text } => R::Tokens(
+                text.split_whitespace()
+                    .map(|w| w.bytes().fold(7u32, |a, b| a.wrapping_mul(31) + b as u32) % 900)
+                    .collect(),
+            ),
+            Syscall::Detokenize { tokens } => R::Text(detokenize(&tokens)),
+            Syscall::Pred { kv, tokens } => {
+                let mut dists = Vec::with_capacity(tokens.len());
+                for (t, p) in tokens {
+                    let file = self.file(kv)?;
+                    file.push((t, p));
+                    dists.push(fake_dist(file));
+                }
+                R::Dists(dists)
+            }
+            Syscall::KvCreate => self.new_file(Vec::new()),
+            Syscall::KvOpen { path } => {
+                R::Handle(self.names.get(&path).copied().ok_or_else(not_found)?)
+            }
+            Syscall::KvFork { kv } => {
+                let contents = self.file(kv)?.clone();
+                self.new_file(contents)
+            }
+            Syscall::KvRemove { kv } => {
+                self.file(kv)?;
+                self.files[kv.0 as usize] = None;
+                R::Unit
+            }
+            Syscall::KvLen { kv } => R::Int(self.file(kv)?.len() as i64),
+            Syscall::KvNextPos { kv } => {
+                R::Int(self.file(kv)?.last().map_or(0, |&(_, p)| p + 1) as i64)
+            }
+            Syscall::KvTruncate { kv, len } => {
+                let f = self.file(kv)?;
+                if len > f.len() {
+                    return Err(out_of_bounds());
+                }
+                f.truncate(len);
+                R::Unit
+            }
+            Syscall::KvExtract { kv, ranges } => {
+                let f = self.file(kv)?;
+                let mut part = Vec::new();
+                for r in ranges {
+                    part.extend_from_slice(f.get(r).ok_or_else(out_of_bounds)?);
+                }
+                self.new_file(part)
+            }
+            Syscall::KvMerge { kvs } => {
+                let mut all = Vec::new();
+                for k in kvs {
+                    all.extend(self.file(k)?.iter().copied());
+                }
+                self.new_file(all)
+            }
+            Syscall::KvLink { kv, path } => {
+                self.file(kv)?;
+                if self.names.contains_key(&path) {
+                    return Err("kv: path already exists".into());
+                }
+                self.names.insert(path, kv.0);
+                R::Unit
+            }
+            Syscall::KvUnlink { path } => {
+                self.names.remove(&path).ok_or_else(not_found)?;
+                R::Unit
+            }
+            Syscall::KvPin { kv } | Syscall::KvUnpin { kv } => {
+                self.file(kv)?;
+                R::Unit
+            }
+            Syscall::Emit { text } => {
+                self.emitted.push_str(&text);
+                R::Unit
+            }
+            Syscall::EmitTokens { tokens } => {
+                self.emitted.push_str(&detokenize(&tokens));
+                R::Unit
+            }
+            Syscall::CallTool { name, args } => {
+                let out = self
+                    .tools
+                    .get(&name)
+                    .ok_or_else(|| "not found".to_string())?;
+                R::Text(out.replace("{args}", &args))
+            }
+            Syscall::SendMsg { data, .. } => {
+                // Loopback for tests.
+                self.inbox.push_back((0, data));
+                R::Unit
+            }
+            Syscall::Recv => {
+                let (from, data) = self
+                    .inbox
+                    .pop_front()
+                    .ok_or_else(|| "recv on empty mailbox (mock would deadlock)".to_string())?;
+                R::Msg(from, data)
+            }
+            Syscall::LookupProcess { name } => R::MaybePid((name == "self").then_some(0)),
+            Syscall::Sleep { dur } => {
+                self.clock_ms += dur.as_millis_f64();
+                R::Unit
+            }
+            Syscall::Now => R::Float(self.clock_ms),
+            Syscall::Join { tid } => R::Joined(
                 self.threads
-                    .get(tid as usize)
+                    .get(tid.0 as usize)
                     .copied()
                     .ok_or_else(|| "not found".to_string())?,
             ),
+            // No builtin makes the rest.
+            other => return Err(format!("mock host: no {}", other.name())),
         })
     }
 }

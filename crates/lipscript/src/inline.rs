@@ -11,18 +11,18 @@
 //! A native closure on a hosted thread gets the same by [`run_lip`]: it
 //! parses the script and execs a `LipBody`, so the thread goes on inline.
 //!
-//! `lower` and `lift` are the only place a [`HostCall`] meets a
-//! [`Syscall`]. The inline body uses them, and so does a hosted native
-//! LIP's `Ctx` when an interpreter is driven over it
-//! (`Interpreter::run(ctx)`; see `impl Host for symphony::Ctx`): the same
-//! program makes the same system calls with the same arguments whichever
-//! way it is run.
+//! A builtin that needs the kernel builds the [`Syscall`] itself, so
+//! `lower` passes a [`HostCall::Sys`] through as it is; it answers what
+//! the thread's own state can and makes `spawn`'s image a body. `lift` is
+//! the one conversion of a kernel reply into a [`HostReply`]. The inline
+//! body uses them, and so does a hosted native LIP's `Ctx` when an
+//! interpreter is driven over it (`Interpreter::run(ctx)`; see `impl Host
+//! for symphony::Ctx`): the same program makes the same system calls with
+//! the same arguments whichever way it is run.
 
 use std::sync::Arc;
 
-use symphony::{
-    Body, FileId, InlineBody, Next, Pid, SimDuration, SysError, SysReply, Syscall, ThreadEnv, Tid,
-};
+use symphony::{Body, InlineBody, Next, SysError, SysReply, Syscall, ThreadEnv};
 
 use crate::ast::Program;
 use crate::error::LipError;
@@ -109,55 +109,14 @@ pub fn run_lip(
 }
 
 /// Where a host call goes inside the kernel: nowhere (`Ok`: the thread's
-/// own state answers it), or to the kernel as the system call it stands
-/// for (`Err`, in `Interpreter::step_with`'s sense: what to park on).
+/// own state answers it), or to the kernel as the system call it is or
+/// stands for (`Err`, in `Interpreter::step_with`'s sense: what to park on).
 pub(crate) fn lower(call: HostCall, env: &mut ThreadEnv) -> Result<HostReply, Syscall> {
     Err(match call {
         HostCall::Args => return Ok(HostReply::Text(env.args())),
         HostCall::Eos => return Ok(HostReply::Int(env.eos() as i64)),
         HostCall::Rand => return Ok(HostReply::Float(env.rng_f64())),
         HostCall::Sample(dist) => return Ok(HostReply::Int(env.sample(&dist) as i64)),
-        HostCall::Tokenize(text) => Syscall::Tokenize { text },
-        HostCall::Detokenize(tokens) => Syscall::Detokenize { tokens },
-        HostCall::Pred { kv, tokens } => Syscall::Pred {
-            kv: FileId(kv),
-            tokens,
-        },
-        HostCall::KvCreate => Syscall::KvCreate,
-        HostCall::KvOpen(path) => Syscall::KvOpen { path },
-        HostCall::KvFork(kv) => Syscall::KvFork { kv: FileId(kv) },
-        HostCall::KvRemove(kv) => Syscall::KvRemove { kv: FileId(kv) },
-        HostCall::KvLen(kv) => Syscall::KvLen { kv: FileId(kv) },
-        HostCall::KvNextPos(kv) => Syscall::KvNextPos { kv: FileId(kv) },
-        HostCall::KvTruncate { kv, len } => Syscall::KvTruncate {
-            kv: FileId(kv),
-            len,
-        },
-        HostCall::KvExtract { kv, start, end } => Syscall::KvExtract {
-            kv: FileId(kv),
-            // The system call takes a list of ranges; the builtin extracts one.
-            ranges: std::iter::once(start..end).collect(),
-        },
-        HostCall::KvMerge(kvs) => Syscall::KvMerge {
-            kvs: kvs.into_iter().map(FileId).collect(),
-        },
-        HostCall::KvLink { kv, path } => Syscall::KvLink {
-            kv: FileId(kv),
-            path,
-        },
-        HostCall::KvUnlink(path) => Syscall::KvUnlink { path },
-        HostCall::KvPin(kv) => Syscall::KvPin { kv: FileId(kv) },
-        HostCall::KvUnpin(kv) => Syscall::KvUnpin { kv: FileId(kv) },
-        HostCall::Emit(text) => Syscall::Emit { text },
-        HostCall::EmitTokens(tokens) => Syscall::EmitTokens { tokens },
-        HostCall::CallTool { name, args } => Syscall::CallTool { name, args },
-        HostCall::Send { pid, data } => Syscall::SendMsg { to: Pid(pid), data },
-        HostCall::Recv => Syscall::Recv,
-        HostCall::Lookup(name) => Syscall::LookupProcess { name },
-        HostCall::SleepMs(ms) => Syscall::Sleep {
-            dur: SimDuration::from_millis(ms),
-        },
-        HostCall::NowMs => Syscall::Now,
         HostCall::Spawn {
             image,
             func,
@@ -169,7 +128,7 @@ pub(crate) fn lower(call: HostCall, env: &mut ThreadEnv) -> Result<HostReply, Sy
                 entry: Some((func, args)),
             })),
         },
-        HostCall::Join(tid) => Syscall::Join { tid: Tid(tid) },
+        HostCall::Sys(call) => call,
     })
 }
 

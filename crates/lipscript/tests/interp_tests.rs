@@ -307,6 +307,50 @@ fn sleep_and_now() {
     assert_eq!(v, Value::Float(250.0));
 }
 
+/// Runs `src` as a process on a test kernel: its exit status and output.
+fn on_kernel(src: &str) -> (symphony::ExitStatus, String) {
+    use symphony::{Kernel, KernelConfig};
+
+    let src = src.to_string();
+    let mut kernel = Kernel::new(KernelConfig::for_tests());
+    let pid = kernel.spawn_process("lipscript", "", move |ctx| {
+        symphony_lipscript::run_lip(&src, ctx, InterpLimits::default())
+            .map(drop)
+            .map_err(|e| symphony::SysError::ToolFailed(e.to_string()))
+    });
+    kernel.run();
+    let rec = kernel.record(pid).unwrap();
+    (rec.status.clone(), rec.output.clone())
+}
+
+#[test]
+fn pred_positions_past_u32_fail_at_the_call() {
+    // Position 2^32 used to wrap to 0 (in a debug build, crash the thread).
+    let src = "let kv = kv_create(); pred(kv, [1], 4294967296); emit(str(kv_next_pos(kv)));";
+    let e = runtime_err(src);
+    assert!(e.to_string().contains("position 4294967296 out of range"), "{e}");
+    let (status, output) = on_kernel(src);
+    let status = format!("{status:?}");
+    assert!(status.contains("position 4294967296 out of range"), "{status}");
+    assert_eq!(output, "");
+    // The second token's position would be 2^32.
+    let e = runtime_err("pred(kv_create(), [1, 2], 4294967295);");
+    assert!(e.to_string().contains("out of range"), "{e}");
+}
+
+#[test]
+fn a_sleep_past_the_end_of_time_saturates() {
+    // 18446744073710 ms is past u64 nanoseconds; it used to wrap to 0.448 ms.
+    let src = "sleep_ms(18446744073710); emit(str(now_ms()));";
+    let (_, host) = run(src).unwrap();
+    let (status, output) = on_kernel(src);
+    assert!(status.is_ok(), "{status:?}");
+    for now_ms in [host.emitted, output] {
+        let now_ms: f64 = now_ms.parse().unwrap();
+        assert!(now_ms > 1.8e13, "{now_ms}");
+    }
+}
+
 #[test]
 fn builtin_names_cannot_be_called_as_user_fns() {
     // A user function shadowing a builtin is simply never reached; builtins

@@ -68,19 +68,19 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Creates a duration from microseconds.
+    /// Creates a duration from microseconds, saturating at `MAX`.
     pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
+        SimDuration(us.saturating_mul(1_000))
     }
 
-    /// Creates a duration from milliseconds.
+    /// Creates a duration from milliseconds, saturating at `MAX`.
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
+        SimDuration(ms.saturating_mul(1_000_000))
     }
 
-    /// Creates a duration from whole seconds.
+    /// Creates a duration from whole seconds, saturating at `MAX`.
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
+        SimDuration(s.saturating_mul(1_000_000_000))
     }
 
     /// Creates a duration from fractional seconds, saturating at the
@@ -231,6 +231,9 @@ mod tests {
         assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimDuration::from_secs(3).as_nanos(), 3_000_000_000);
         assert_eq!(SimTime::from_nanos(7).as_nanos(), 7);
+        assert_eq!(SimDuration::from_micros(u64::MAX), SimDuration::MAX);
+        assert_eq!(SimDuration::from_millis(18_446_744_073_710), SimDuration::MAX);
+        assert_eq!(SimDuration::from_secs(u64::MAX / 1_000), SimDuration::MAX);
     }
 
     #[test]
