@@ -392,6 +392,55 @@ pub(crate) struct KernelMetrics {
     /// Processes that have exited and not been reaped: each is a record,
     /// its output, and nothing else (see [`crate::proc`]).
     pub(crate) zombies: Gauge,
+    /// Processes finalized since boot ([`Kernel::run`] returns how far it
+    /// moved).
+    pub(crate) exited: Counter,
+    /// Their usage, summed.
+    pub(crate) usage: UsageTotals,
+}
+
+/// What every finalized process used, one `kernel.usage.<field>` counter
+/// per [`ProcessUsage`] field: the totals a sum over [`Kernel::records`]
+/// gives, kept in O(1) memory however many records were reaped.
+pub(crate) struct UsageTotals {
+    syscalls: Counter,
+    pred_calls: Counter,
+    pred_tokens: Counter,
+    emitted_tokens: Counter,
+    tool_calls: Counter,
+    threads_spawned: Counter,
+}
+
+impl UsageTotals {
+    fn register(registry: &MetricsRegistry) -> Self {
+        UsageTotals {
+            syscalls: registry.counter("kernel.usage.syscalls"),
+            pred_calls: registry.counter("kernel.usage.pred_calls"),
+            pred_tokens: registry.counter("kernel.usage.pred_tokens"),
+            emitted_tokens: registry.counter("kernel.usage.emitted_tokens"),
+            tool_calls: registry.counter("kernel.usage.tool_calls"),
+            threads_spawned: registry.counter("kernel.usage.threads_spawned"),
+        }
+    }
+
+    /// Adds one process's usage. The destructuring is exhaustive, so a new
+    /// `ProcessUsage` field does not compile until it has a counter.
+    pub(crate) fn add(&self, usage: &ProcessUsage) {
+        let ProcessUsage {
+            syscalls,
+            pred_calls,
+            pred_tokens,
+            emitted_tokens,
+            tool_calls,
+            threads_spawned,
+        } = *usage;
+        self.syscalls.add(syscalls);
+        self.pred_calls.add(pred_calls);
+        self.pred_tokens.add(pred_tokens);
+        self.emitted_tokens.add(emitted_tokens);
+        self.tool_calls.add(tool_calls);
+        self.threads_spawned.add(threads_spawned.into());
+    }
 }
 
 impl KernelMetrics {
@@ -422,6 +471,8 @@ impl KernelMetrics {
             hosted_handoffs: registry.counter("kernel.lip.hosted_handoffs"),
             hosted_threads: registry.gauge("kernel.lip.hosted_threads"),
             zombies: registry.gauge("kernel.procs.zombies"),
+            exited: registry.counter("kernel.procs.exited"),
+            usage: UsageTotals::register(registry),
         }
     }
 }
@@ -471,9 +522,9 @@ pub struct Kernel {
     pub(crate) next_pid: u64,
     pub(crate) names: BTreeMap<String, Pid>,
     pub(crate) live_threads: usize,
-    /// Processes finalized since boot ([`Kernel::run`] returns how far it
-    /// moved).
-    pub(crate) exited: usize,
+    /// Zombies in the order they were buried: what [`Kernel::reap_exited`]
+    /// removes, without looking at a live process.
+    pub(crate) buried: Vec<Pid>,
     // Plumbing.
     pub(crate) up_tx: Sender<UpCall>,
     up_rx: Receiver<UpCall>,
@@ -648,7 +699,7 @@ impl Kernel {
             next_pid: 1,
             names: BTreeMap::new(),
             live_threads: 0,
-            exited: 0,
+            buried: Vec::new(),
             up_tx,
             up_rx,
             rng: Rng::new(config.seed),
@@ -960,9 +1011,9 @@ impl Kernel {
     /// [`Kernel::live_threads`] is non-zero afterwards, the remaining threads
     /// are deadlocked (e.g. blocked in `recv_msg` with no sender).
     pub fn run(&mut self) -> usize {
-        let before = self.exited;
+        let before = self.kmetrics.exited.get();
         self.run_for(SimDuration::MAX);
-        self.exited - before
+        (self.kmetrics.exited.get() - before) as usize
     }
 
     /// Runs every event due up to `slice` of virtual time past the first

@@ -15,11 +15,17 @@
 //! [`Live`] half: mailbox, waiters, limits, argument string, sequence
 //! counters), its threads' table entries and its name binding, and keeps
 //! what somebody may still ask for: the [`ProcessRecord`] (status, usage,
-//! output, times) and whether it was durable. A kernel nobody reaps grows
-//! by a record per program served, not by the run-time state of each; with
-//! a session sink installed the record holds no output either
-//! (`Kernel::set_session_sink`).
-//! `Kernel::reap_exited` removes the zombies.
+//! output, times) and whether it was durable. Finalize also adds the
+//! process to the `kernel.procs.exited` and `kernel.usage.*` counters, so
+//! the totals over every record outlive the records. With a session sink
+//! installed the record holds no output either (`Kernel::set_session_sink`).
+//!
+//! Who reaps: `Kernel::reap_exited` removes the zombies, in O(zombies) —
+//! bury lists each one. A kernel driven directly keeps its zombies until
+//! its owner calls it, so a harness can read `Kernel::record` after a run;
+//! the serving core reaps at the end of every pump, once each exit has gone
+//! to its client as a DONE frame, so a server keeps a slot per live
+//! session and nothing per session it has served.
 
 use std::collections::VecDeque;
 
@@ -43,7 +49,7 @@ pub(crate) enum Seat {
     },
     /// In the thread table, as a value the kernel steps itself. The
     /// environment is boxed so that the entry of a thread long exited —
-    /// tables are only emptied by `reap_exited` — is no bigger for it.
+    /// it stays until its whole process does — is no bigger for it.
     Inline {
         body: Box<dyn InlineBody>,
         env: Box<ThreadEnv>,
@@ -419,28 +425,26 @@ impl Kernel {
 
     /// Forgets every process that has exited: removes the zombies, that is
     /// their records — all that exit left of them (see the module docs).
-    /// Returns how many were dropped. The kernel keeps finished processes
-    /// so callers can read [`Kernel::record`] after a run; a server that
-    /// stays up calls this once their outcomes are reported, or the table
-    /// grows by a record with every program ever served.
+    /// Returns how many were dropped. It visits the zombies alone, and
+    /// allocates nothing. The kernel keeps finished processes so callers
+    /// can read [`Kernel::record`] after a run; what they add up to stays
+    /// in the `kernel.procs.exited` and `kernel.usage.*` counters. A
+    /// server that stays up calls this once their outcomes are reported,
+    /// as `ServerCore` does after every pump, or the table grows by a
+    /// record with every program ever served.
     pub fn reap_exited(&mut self) -> usize {
-        let zombies: Vec<u64> = self
-            .procs
-            .iter()
-            .filter(|(_, p)| p.live.is_none())
-            .map(|(pid, _)| pid)
-            .collect();
-        for &pid in &zombies {
-            self.procs.remove(pid);
+        let reaped = self.buried.len();
+        for pid in self.buried.drain(..) {
+            self.procs.remove(pid.0);
         }
-        self.kmetrics.zombies.add(-(zombies.len() as i64));
-        zombies.len()
+        self.kmetrics.zombies.add(-(reaped as i64));
+        reaped
     }
 
     /// Makes the table entry of `pid` a zombie: drops its live half, its
     /// threads' table entries and its name binding (which `lookup` would no
-    /// longer answer with anyway), and gives back what its output string
-    /// had reserved beyond its text.
+    /// longer answer with anyway), gives back what its output string had
+    /// reserved beyond its text, and lists it for [`Kernel::reap_exited`].
     pub(crate) fn bury(&mut self, pid: Pid) {
         let Some(proc) = self.procs.get_mut(pid.0) else {
             return;
@@ -455,6 +459,7 @@ impl Kernel {
         for tid in live.tids {
             self.threads.remove(tid.0);
         }
+        self.buried.push(pid);
         self.kmetrics.zombies.add(1);
     }
 
@@ -559,8 +564,8 @@ impl Kernel {
 
     /// Reclaims a finished process's resources: releases its locks,
     /// removes its *unnamed* KV files — files published under a path persist
-    /// beyond the process lifetime (§4.2) — and leaves a zombie in the
-    /// table ([`Kernel::bury`]).
+    /// beyond the process lifetime (§4.2) — leaves a zombie in the table
+    /// ([`Kernel::bury`]) and adds its usage to the kernel's totals.
     fn finalize_process(&mut self, pid: Pid) {
         let owner = OwnerId(pid.0);
         self.store.release_locks(owner);
@@ -574,10 +579,11 @@ impl Kernel {
             debug_assert!(false, "finalize for unknown pid {}", pid.0);
             return;
         };
-        self.exited += 1;
         let rec = &mut proc.record;
         rec.exited_at = Some(now);
         let (status, usage) = (rec.status.clone(), rec.usage);
+        self.kmetrics.exited.inc();
+        self.kmetrics.usage.add(&usage);
         if proc.durable {
             // A durable exit frame makes the whole program's outcome
             // durable: recovery restores it as a record, no re-execution.
@@ -646,6 +652,7 @@ mod tests {
         assert_eq!(k.reap_exited(), 1000);
         assert_eq!(k.kmetrics.zombies.get(), 0);
         assert!(k.procs.is_empty() && k.names.is_empty() && k.threads.is_empty());
+        assert!(k.buried.is_empty());
         assert!(k.store.list_files().is_empty());
         for pid in 1..=1000 {
             assert_eq!(k.store.quota_used(OwnerId(pid)), 0);

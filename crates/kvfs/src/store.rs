@@ -630,13 +630,18 @@ impl KvStore {
     }
 
     /// Position following the last entry (0 for an empty file).
+    /// [`KvError::BadRange`] when the last entry sits at `u32::MAX`: that
+    /// position can be written, but nothing follows it.
     pub fn next_position(&self, id: FileId) -> Result<u32, KvError> {
         let m = self.meta(id)?;
-        Ok(m
+        let last = m
             .pages
             .last()
-            .and_then(|&p| self.pool.page(p).entries.last())
-            .map_or(0, |e| e.position + 1))
+            .and_then(|&p| self.pool.page(p).entries.last());
+        match last {
+            None => Ok(0),
+            Some(e) => e.position.checked_add(1).ok_or(KvError::BadRange),
+        }
     }
 
     /// Reads `count` entries starting at entry index `start`.
@@ -2573,6 +2578,18 @@ mod tests {
                 .err(),
             Some(KvError::JournalIncompatible)
         );
+    }
+
+    #[test]
+    fn a_file_ending_at_u32_max_has_no_next_position() {
+        let mut s = store();
+        let f = s.create(U1).unwrap();
+        let (below, last) = (u32::MAX - 1, u32::MAX);
+        s.append(f, U1, &[KvEntry::new(7, below, fp(1))]).unwrap();
+        assert_eq!(s.next_position(f), Ok(u32::MAX));
+        s.append(f, U1, &[KvEntry::new(8, last, fp(2))]).unwrap();
+        assert_eq!(s.next_position(f), Err(KvError::BadRange));
+        s.verify().unwrap();
     }
 
     #[test]

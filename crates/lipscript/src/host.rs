@@ -222,7 +222,9 @@ impl Host for MockHost {
             }
             Syscall::KvLen { kv } => R::Int(self.file(kv)?.len() as i64),
             Syscall::KvNextPos { kv } => {
-                R::Int(self.file(kv)?.last().map_or(0, |&(_, p)| p + 1) as i64)
+                let last = self.file(kv)?.last();
+                let next = last.map_or(Some(0), |&(_, p)| p.checked_add(1));
+                R::Int(next.ok_or_else(out_of_bounds)? as i64)
             }
             Syscall::KvTruncate { kv, len } => {
                 let f = self.file(kv)?;

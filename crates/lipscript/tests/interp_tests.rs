@@ -339,6 +339,30 @@ fn pred_positions_past_u32_fail_at_the_call() {
 }
 
 #[test]
+fn a_file_ending_at_u32_max_has_no_next_position() {
+    // `u32::MAX` is a position a program may write, but nothing follows
+    // it: `kv_next_pos` used to answer `position + 1`, which wrapped to 0
+    // (in a debug build, panicked the kernel thread).
+    let next_after = |pos: u32| {
+        format!("let kv = kv_create(); pred_at(kv, [7], [{pos}]); emit(str(kv_next_pos(kv)));")
+    };
+    const BAD_RANGE: &str = "kv: index or range out of bounds";
+    let last = next_after(u32::MAX);
+    let e = runtime_err(&last);
+    assert!(e.to_string().contains(BAD_RANGE), "{e}");
+    let (status, output) = on_kernel(&last);
+    let status = format!("{status:?}");
+    assert!(status.contains(BAD_RANGE), "{status}");
+    assert_eq!(output, "");
+    let below = next_after(u32::MAX - 1);
+    let (_, host) = run(&below).unwrap();
+    assert_eq!(host.emitted, "4294967295");
+    let (status, output) = on_kernel(&below);
+    assert!(status.is_ok(), "{status:?}");
+    assert_eq!(output, "4294967295");
+}
+
+#[test]
 fn a_sleep_past_the_end_of_time_saturates() {
     // 18446744073710 ms is past u64 nanoseconds; it used to wrap to 0.448 ms.
     let src = "sleep_ms(18446744073710); emit(str(now_ms()));";

@@ -531,9 +531,13 @@ pub fn run_replay_on(spec: &ReplaySpec, mut core: ServerCore) -> (ReplayReport, 
     }
 
     // Sever the last `drop_conns` connections before the run: their
-    // sessions are cancelled server-side and stream nothing.
+    // sessions are cancelled server-side and stream nothing. The core
+    // forgets a severed connection once they are, so its close reason is
+    // read here.
+    let mut closes = BTreeMap::new();
     for &conn in conn_ids.iter().rev().take(spec.drop_conns) {
         core.drop_conn(conn);
+        closes.insert(conn, core.close_reason(conn));
     }
 
     core.pump();
@@ -598,13 +602,17 @@ pub fn run_replay_on(spec: &ReplaySpec, mut core: ServerCore) -> (ReplayReport, 
         }
     }
 
+    // Every other connection that closed left a frame saying why (BYE_OK,
+    // ERROR), and the core keeps it until the pump after it was taken.
+    for &conn in &conn_ids {
+        closes
+            .entry(conn)
+            .or_insert_with(|| core.close_reason(conn));
+    }
     let report = ReplayReport {
         programs: stats.into_values().collect(),
         streamed,
-        closes: conn_ids
-            .iter()
-            .map(|&c| (c, core.close_reason(c)))
-            .collect(),
+        closes,
         wire_bytes,
     };
     (report, core)

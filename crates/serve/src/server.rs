@@ -20,6 +20,13 @@
 //! exceeds [`ServeConfig::conn_outbuf_cap`] is shed with
 //! [`ErrCode::SlowClient`] and its sessions cancelled, so one undrained
 //! socket cannot hold kernel memory hostage.
+//!
+//! Nor does the core hold on to what is over. Every pump ends by reaping
+//! the kernel processes that exited (their DONE frames are routed by then)
+//! and by forgetting the connections that are closed and drained, so what
+//! a server that stays up keeps is bounded by what is live, not by how
+//! many sessions it has served. Totals over the served sessions stay in
+//! the kernel's `kernel.procs.exited` and `kernel.usage.*` counters.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -358,6 +365,18 @@ impl ServerCore {
     /// sessions have drained. Returns whether there is nothing left to do:
     /// the kernel is quiescent and routing started no new work (a
     /// slow-client shed cancels sessions, which produces more events).
+    ///
+    /// Before it returns it forgets what is over, so a server keeps state
+    /// for what is live and nothing for what it has served:
+    /// - every process that exited ([`Kernel::reap_exited`]). Its DONE
+    ///   frame, routed above, is all a client ever sees of it; its usage
+    ///   stays in the kernel's `kernel.procs.exited` and `kernel.usage.*`
+    ///   counters, and its output went out as STREAM frames and is kept
+    ///   nowhere (see [`Kernel::set_session_sink`]);
+    /// - every connection that is closed with no session left to route
+    ///   and no byte left for the transport to take. To the transport it
+    ///   reads as before: [`ServerCore::is_closed`], with no output; its
+    ///   [`ServerCore::close_reason`] is gone with it.
     pub fn pump_for(&mut self, slice: SimDuration) -> bool {
         let quiescent = self.kernel.run_for(slice);
         std::mem::swap(
@@ -368,7 +387,8 @@ impl ServerCore {
         while let Some(ev) = self.routing.pop_front() {
             self.route_event(ev);
         }
-        self.finish_closing();
+        self.settle_conns();
+        self.kernel.reap_exited();
         quiescent && !routed
     }
 
@@ -380,25 +400,6 @@ impl ServerCore {
     /// time instead of queueing whole.
     pub fn pump(&mut self) {
         while !self.pump_for(SLICE) {}
-    }
-
-    /// Drops the kernel's records of finished sessions
-    /// ([`Kernel::reap_exited`]). After [`ServerCore::pump`] every one of
-    /// them has been reported as a DONE frame, which is all a client ever
-    /// sees of it; a harness that reads `kernel().records()` afterwards
-    /// simply does not call this. A served session's record holds its
-    /// status and usage but none of its output, which went to the client
-    /// as STREAM frames and is kept nowhere else (see
-    /// [`Kernel::set_session_sink`]). Also forgets every connection that is
-    /// closed with nothing left to flush or to route — to the transport
-    /// it reads as before, [`ServerCore::is_closed`] with no output — so a
-    /// server that stays up keeps state for the connections it has, not
-    /// for every one it ever had.
-    pub fn reap_exited(&mut self) -> usize {
-        self.conns.retain(|_, c| {
-            !matches!(c.state, ConnState::Closed(_)) || !c.out.is_empty() || !c.sessions.is_empty()
-        });
-        self.kernel.reap_exited()
     }
 
     /// Drains a connection's pending output bytes.
@@ -434,7 +435,8 @@ impl ServerCore {
             .unwrap_or(true)
     }
 
-    /// The close reason, once closed.
+    /// The close reason, once closed, until a pump forgets the connection
+    /// ([`ServerCore::pump_for`]).
     pub fn close_reason(&self, conn: u64) -> Option<CloseReason> {
         match self.conns.get(&conn)?.state {
             ConnState::Closed(r) => Some(r),
@@ -516,7 +518,7 @@ impl ServerCore {
                 // lint:allow(k1): conn presence established above
                 let c = self.conns.get_mut(&conn).expect("conn exists");
                 c.state = ConnState::Closing;
-                // BYE_OK goes out from finish_closing once sessions drain.
+                // BYE_OK goes out from settle_conns once sessions drain.
             }
         }
     }
@@ -809,13 +811,18 @@ impl ServerCore {
         }
     }
 
-    fn finish_closing(&mut self) {
-        let done: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.state == ConnState::Closing && c.sessions.is_empty())
-            .map(|(&id, _)| id)
-            .collect();
+    /// One pass over the connections, once a slice's events are routed:
+    /// forgets each that is closed with no session left to route and no
+    /// byte left to flush, and finishes each BYE handshake whose sessions
+    /// have drained.
+    fn settle_conns(&mut self) {
+        let mut done = Vec::new();
+        self.conns.retain(|&id, c| {
+            if c.state == ConnState::Closing && c.sessions.is_empty() {
+                done.push(id);
+            }
+            !matches!(c.state, ConnState::Closed(_)) || !c.out.is_empty() || !c.sessions.is_empty()
+        });
         for conn in done {
             self.reply(conn, &ServerMsg::ByeOk);
             self.close(conn, CloseReason::Bye);
@@ -932,10 +939,11 @@ mod tests {
             core.pump();
             // BYE_OK is still queued: the connection stays until the
             // transport has taken it.
-            core.reap_exited();
             assert_eq!(core.close_reason(conn), Some(CloseReason::Bye));
             assert!(!core.take_output(conn).is_empty());
-            core.reap_exited();
+            assert_eq!(core.conns.len(), 1);
+            // The next pump forgets it.
+            assert!(core.pump_for(SLICE));
             assert!(core.is_closed(conn));
             assert!(core.pending(conn).is_empty());
         }

@@ -124,7 +124,6 @@ pub fn serve(listener: TcpListener, mut core: ServerCore, stop: &AtomicBool) -> 
         }
 
         busy = !core.pump_for(SLICE);
-        core.reap_exited();
 
         peers.retain(|&conn, peer| flush(peer, conn, &mut core));
     }

@@ -385,10 +385,14 @@ fn dropped_connection_cancels_its_sessions() {
     let mut client = Client::connect(&mut core, 1);
     client.submit(&mut core, 1, &agent_source(3, 16), "doomed");
     core.drop_conn(client.conn);
+    assert_eq!(core.close_reason(client.conn), Some(CloseReason::Drop));
     core.pump();
     assert_eq!(core.live_sessions(), 0);
-    assert_eq!(core.close_reason(client.conn), Some(CloseReason::Drop));
+    assert!(core.is_closed(client.conn));
     assert_eq!(core.take_output(client.conn), Vec::<u8>::new());
+    // Its sessions are done and nothing is left to flush: the core has
+    // forgotten it.
+    assert_eq!(core.close_reason(client.conn), None);
 }
 
 #[test]

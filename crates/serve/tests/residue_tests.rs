@@ -5,13 +5,13 @@
 //! allocator bolted on for the occasion; this file keeps the allocator in
 //! the tree, so the next one is found by a test. It serves epochs of agent
 //! and RAG-reader sessions through a [`ServerCore`] and bounds the growth of
-//! the live heap per exited session: a zombie's worth — its record, which
-//! keeps none of the output it streamed — when nobody reaps, and nothing
-//! when somebody does. A high-water mark bounds what one pump holds while
-//! it runs: a slice of session events, not a burst's. The door's image
-//! cache gets the same treatment, and so does the tokenizer, which outlives
-//! every server in the process: neither the words of new prompts nor a
-//! tenant's 16 KiB words may stay behind. Nor may the largest frame a
+//! the live heap per exited session: nothing, for the pump reaps every
+//! session once its DONE frame is routed, and the kernel's counters keep
+//! the totals its records gave. A high-water mark bounds what one pump
+//! holds while it runs: a slice of session events, not a burst's. The
+//! door's image cache gets the same treatment, and so does the tokenizer,
+//! which outlives every server in the process: neither the words of new
+//! prompts nor a tenant's 16 KiB words may stay behind. Nor may the largest frame a
 //! connection ever sent: a drained frame reader, the server's or a
 //! client's, keeps one read's worth of buffer.
 //!
@@ -22,10 +22,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use symphony::KernelConfig;
+use symphony::{ExitStatus, Kernel, KernelConfig, ProcessUsage, SysError};
+use symphony_lipscript::{parse::parse, InterpLimits, LipBody};
 use symphony_rpc::{
-    ClientMsg, ErrCode, FrameReader, ServerMsg, DEFAULT_MAX_FRAME, READ_SIZE, WIRE_VERSION,
+    ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, DEFAULT_MAX_FRAME, READ_SIZE,
+    WIRE_VERSION,
 };
 use symphony_serve::replay::{agent_source, rag_source, standard_kernel};
 use symphony_serve::{ServeConfig, ServerCore};
@@ -93,9 +96,14 @@ const SESSIONS_PER_EPOCH: u64 = 256;
 
 /// A server with one connection open, whose tenant may fill it alone.
 fn server() -> (ServerCore, u64) {
+    server_with(ServeConfig::default())
+}
+
+/// [`server`], with the door's other knobs taken from `cfg`.
+fn server_with(cfg: ServeConfig) -> (ServerCore, u64) {
     let cfg = ServeConfig {
         tenant_session_quota: SESSIONS_PER_EPOCH as usize,
-        ..ServeConfig::default()
+        ..cfg
     };
     let mut core = ServerCore::new(standard_kernel(KernelConfig::for_tests()), cfg);
     let conn = core.open_conn();
@@ -112,11 +120,23 @@ fn server() -> (ServerCore, u64) {
 }
 
 fn submit(core: &mut ServerCore, conn: u64, session: u64, at_ns: u64, source: &str, args: &str) {
+    submit_with_fuel(core, conn, session, at_ns, 0, source, args);
+}
+
+fn submit_with_fuel(
+    core: &mut ServerCore,
+    conn: u64,
+    session: u64,
+    at_ns: u64,
+    fuel: u64,
+    source: &str,
+    args: &str,
+) {
     let mut wire = Vec::new();
     ClientMsg::Submit {
         session,
         not_before_ns: at_ns,
-        fuel: 0,
+        fuel,
         name: format!("s{session}"),
         args: args.to_string(),
         source: source.to_string(),
@@ -125,9 +145,26 @@ fn submit(core: &mut ServerCore, conn: u64, session: u64, at_ns: u64, source: &s
     core.feed(conn, &wire);
 }
 
+/// The DONE frames in a connection's output: session and status, in order.
+fn dones(wire: &[u8]) -> Vec<(u64, SessionStatus)> {
+    let mut reader = FrameReader::new();
+    reader.feed(wire);
+    let mut dones = Vec::new();
+    while let Some((tag, payload)) = reader.next_frame().expect("clean server wire") {
+        if let Ok(ServerMsg::Done {
+            session, status, ..
+        }) = ServerMsg::decode(tag, &payload)
+        {
+            dones.push((session, status));
+        }
+    }
+    dones
+}
+
 /// Serves one epoch — agents and RAG readers of a few shapes, arriving
 /// 200 µs apart, their session ids and prompts numbered from `epoch` — to
-/// completion, and takes the output off the wire.
+/// completion, takes the output off the wire, and checks that every
+/// session's DONE says it succeeded.
 fn serve_epoch(core: &mut ServerCore, conn: u64, epoch: u64) {
     let t0 = core.kernel().now().as_nanos();
     for i in 0..SESSIONS_PER_EPOCH {
@@ -143,46 +180,156 @@ fn serve_epoch(core: &mut ServerCore, conn: u64, epoch: u64) {
     }
     core.pump();
     assert_eq!(core.live_sessions(), 0, "epoch {epoch} left sessions live");
-    assert!(!core.take_output(conn).is_empty());
+    let dones = dones(&core.take_output(conn));
+    assert_eq!(dones.len(), SESSIONS_PER_EPOCH as usize, "epoch {epoch}");
+    let failed = dones.iter().find(|(_, st)| *st != SessionStatus::Ok);
+    assert!(failed.is_none(), "epoch {epoch}: {failed:?} failed");
 }
 
 const WARM_UP: u64 = 4;
 const EPOCHS: u64 = 24;
 
 #[test]
-fn an_exited_session_leaves_a_record_and_a_reaped_one_nothing() {
-    for reap in [false, true] {
-        let (mut core, conn) = server();
-        let mut warm = 0;
-        for epoch in 0..EPOCHS {
-            // The reaped pass's session ids, and so the words of its
-            // prompts, are new to the process: the tokenizer outlives the
-            // server, and words it met in the first pass cost nothing.
-            let ids = if reap { EPOCHS + epoch } else { epoch };
-            serve_epoch(&mut core, conn, ids);
-            if reap {
-                assert_eq!(core.reap_exited(), SESSIONS_PER_EPOCH as usize);
-            }
-            if epoch + 1 == WARM_UP {
-                warm = live_bytes();
-            }
+fn a_served_session_leaves_nothing_behind() {
+    let (mut core, conn) = server();
+    let registry = core.kernel().metrics_registry();
+    let (zombies, exited) = (
+        registry.gauge("kernel.procs.zombies"),
+        registry.counter("kernel.procs.exited"),
+    );
+    let mut warm = 0;
+    for epoch in 0..EPOCHS {
+        serve_epoch(&mut core, conn, epoch);
+        // Nobody but the pump reaps: each session's DONE was its last
+        // trace, and its usage went into the kernel's counters.
+        assert_eq!(core.kernel().records().count(), 0, "epoch {epoch}");
+        assert_eq!(zombies.get(), 0, "epoch {epoch}");
+        assert_eq!(exited.get(), (epoch + 1) * SESSIONS_PER_EPOCH);
+        if epoch + 1 == WARM_UP {
+            warm = live_bytes();
         }
-        let failed = core.kernel().records().find(|r| !r.status.is_ok());
-        assert!(failed.is_none(), "a session failed: {failed:?}");
-        // The stream went out as STREAM frames and is kept nowhere else.
-        let kept = core.kernel().records().find(|r| !r.output.is_empty());
-        assert!(kept.is_none(), "a served record kept its output: {kept:?}");
-        let sessions = ((EPOCHS - WARM_UP) * SESSIONS_PER_EPOCH) as isize;
-        let per_session = (live_bytes() - warm) as f64 / sessions as f64;
-        // Un-reaped, a zombie is its record: the `ProcessRecord` in its
-        // table slot and its name.
-        let allowed = if reap { 16.0 } else { 320.0 };
-        eprintln!("reap {reap}: {per_session:.1} B per exited session");
-        assert!(
-            per_session <= allowed,
-            "reap {reap}: {per_session:.1} B per exited session (> {allowed})"
-        );
     }
+    let sessions = ((EPOCHS - WARM_UP) * SESSIONS_PER_EPOCH) as isize;
+    let per_session = (live_bytes() - warm) as f64 / sessions as f64;
+    eprintln!("{per_session:.1} B per served session");
+    let allowed = 16.0;
+    assert!(
+        per_session <= allowed,
+        "{per_session:.1} B per served session (> {allowed})"
+    );
+}
+
+/// One program of each outcome a session can have: two that succeed, one
+/// that spawns threads, one that fails at run time, one that runs out of
+/// fuel, and one parked in `recv` until it is cancelled.
+/// `(source, args, fuel, cancelled)`; fuel 0 is the door's default.
+fn every_outcome() -> Vec<(String, &'static str, u64, bool)> {
+    const PARALLEL: &str = include_str!("../../../examples/lipscript/parallel.lip");
+    const FAILING: &str = "emit(\"so far\");\nlet xs = [1, 2];\nreturn xs[2];";
+    const SPINNING: &str = "let kv = kv_create();\nwhile (true) { kv_len(kv); }";
+    const PARKED: &str = "let kv = kv_create();\nlet m = recv();\npred(kv, tokenize(m[1]), 0);";
+    vec![
+        (agent_source(2, 6), "what is a lip?", 0, false),
+        (rag_source(5), "1|how do kv files fork?", 0, false),
+        (PARALLEL.into(), "", 0, false),
+        (FAILING.into(), "", 0, false),
+        (SPINNING.into(), "", 500, false),
+        (PARKED.into(), "", 0, true),
+    ]
+}
+
+/// `kernel.procs.exited` and each `kernel.usage.<field>` counter.
+fn usage_totals(kernel: &Kernel) -> Vec<(&'static str, u64)> {
+    let names = [
+        "kernel.procs.exited",
+        "kernel.usage.syscalls",
+        "kernel.usage.pred_calls",
+        "kernel.usage.pred_tokens",
+        "kernel.usage.emitted_tokens",
+        "kernel.usage.tool_calls",
+        "kernel.usage.threads_spawned",
+    ];
+    let registry = kernel.metrics_registry();
+    names
+        .into_iter()
+        .map(|name| (name, registry.counter_value(name).unwrap_or(0)))
+        .collect()
+}
+
+#[test]
+fn the_kernels_counters_carry_what_its_records_carried() {
+    let cfg = ServeConfig {
+        // The failing programs are the point, not the verifier's verdict.
+        verify: false,
+        ..ServeConfig::default()
+    };
+    let limits = |fuel: u64| InterpLimits {
+        fuel: if fuel == 0 { cfg.default_fuel } else { fuel },
+        ..InterpLimits::default()
+    };
+
+    // A kernel with no session sink that never reaps keeps every record.
+    let mut kernel = standard_kernel(KernelConfig::for_tests());
+    let mut parked = Vec::new();
+    for (i, (source, args, fuel, cancelled)) in every_outcome().into_iter().enumerate() {
+        let program = Arc::new(parse(&source).expect("parses"));
+        let body = Box::new(LipBody::new(program, limits(fuel)));
+        let pid = kernel.admit_inline(&format!("s{}", i + 1), args, None, body);
+        if cancelled {
+            parked.push(pid);
+        }
+    }
+    kernel.run();
+    for &pid in &parked {
+        assert!(kernel.cancel_process(pid));
+    }
+    kernel.run();
+    assert_eq!(kernel.live_threads(), 0);
+    let records: Vec<_> = kernel.records().cloned().collect();
+    let ok = records.iter().filter(|r| r.status.is_ok()).count();
+    let failed = records
+        .iter()
+        .filter(|r| matches!(r.status, ExitStatus::Error(SysError::ToolFailed(_))))
+        .count();
+    assert_eq!((records.len(), ok, failed), (6, 3, 3), "{records:?}");
+    assert!(records.iter().any(|r| r.usage.threads_spawned > 1));
+    assert!(records.iter().any(|r| r.usage.tool_calls > 0));
+    let fields: [fn(&ProcessUsage) -> u64; 6] = [
+        |u| u.syscalls,
+        |u| u.pred_calls,
+        |u| u.pred_tokens,
+        |u| u.emitted_tokens,
+        |u| u.tool_calls,
+        |u| u.threads_spawned.into(),
+    ];
+    let mut summed = vec![records.len() as u64];
+    summed.extend(fields.map(|field| records.iter().map(|r| field(&r.usage)).sum::<u64>()));
+    let direct = usage_totals(&kernel);
+    let counted: Vec<u64> = direct.iter().map(|&(_, n)| n).collect();
+    assert_eq!(counted, summed, "{direct:?}");
+
+    // Served, the same programs leave no record, and the same totals.
+    let (mut core, conn) = server_with(cfg);
+    let mut cancels = Vec::new();
+    for (i, (source, args, fuel, cancelled)) in every_outcome().into_iter().enumerate() {
+        let session = i as u64 + 1;
+        submit_with_fuel(&mut core, conn, session, 0, fuel, &source, args);
+        if cancelled {
+            ClientMsg::Cancel { session }.encode(&mut cancels);
+        }
+    }
+    core.pump();
+    let mut wire = core.take_output(conn);
+    core.feed(conn, &cancels);
+    core.pump();
+    wire.extend(core.take_output(conn));
+    let mut statuses = dones(&wire);
+    statuses.sort_by_key(|&(session, _)| session);
+    use SessionStatus as S;
+    let outcomes = [S::Ok, S::Ok, S::Ok, S::Error, S::Error, S::Cancelled];
+    assert_eq!(statuses, (1..).zip(outcomes).collect::<Vec<_>>());
+    assert_eq!(core.kernel().records().count(), 0);
+    assert_eq!(usage_totals(core.kernel()), direct);
 }
 
 #[test]
@@ -218,7 +365,7 @@ fn a_pump_holds_one_slice_of_events_not_a_burst() {
 fn a_tenants_long_words_are_not_kept() {
     // `tokenize("agent: " + args())`, as `agent_source` runs it, on 1 000
     // distinct single words of 16 KiB: the tokenizer encodes each and
-    // remembers none, so reaped sessions leave the heap where it was. The
+    // remembers none, so served sessions leave the heap where it was. The
     // words are numerals, which no merge applies to, so a debug build
     // spends one rank lookup per byte on them and no more.
     const WORD: usize = 16 * 1024;
@@ -232,10 +379,8 @@ fn a_tenants_long_words_are_not_kept() {
         word.push_str(&"7".repeat(WORD - word.len()));
         submit(&mut core, conn, session, 0, source, &word);
         core.pump();
-        assert!(!core.take_output(conn).is_empty());
-        let failed = core.kernel().records().find(|r| !r.status.is_ok());
-        assert!(failed.is_none(), "session {session} failed: {failed:?}");
-        assert_eq!(core.reap_exited(), 1);
+        let dones = dones(&core.take_output(conn));
+        assert_eq!(dones, [(session, SessionStatus::Ok)]);
         if session == WARM_SESSIONS {
             warm = live_bytes();
         }
@@ -256,15 +401,14 @@ fn the_image_cache_is_bounded_and_keeps_no_rejects() {
             .counter_value(&name)
             .unwrap_or(0)
     };
-    // Pairwise-distinct admissible sources, each served to completion and
-    // reaped: the cache holds the last `cap` of them and nothing else grows.
+    // Pairwise-distinct admissible sources, each served to completion: the
+    // cache holds the last `cap` of them and nothing else grows.
     let mut warm = 0;
     for i in 0..10_000u64 {
         let source = format!("emit(\"program {i}\");\n");
         submit(&mut core, conn, 1 + i, 0, &source, "");
         core.pump();
         core.take_output(conn);
-        core.reap_exited();
         if i + 1 == 2 * cap as u64 {
             warm = live_bytes();
         }
