@@ -6,9 +6,10 @@
 //! # Determinism
 //!
 //! The kernel is the only scheduler: it delivers one reply, then takes
-//! *that* thread's next syscall (or exit) before touching anything else —
-//! by stepping an inline body on its own thread, or by blocking until a
-//! hosted closure's OS thread sends it up (see [`crate::syscall`]).
+//! *that* thread's next syscall (or exit) before touching anything else,
+//! by stepping the thread's body on the kernel's own thread. Every body is
+//! stepped the same way; a native closure is a body whose step waits for
+//! the OS thread the closure runs on (see [`crate::syscall`]).
 //! Combined with the virtual clock and seeded RNG streams, a whole serving
 //! run replays bit-identically — the integration tests compare the typed
 //! telemetry streams of two runs.
@@ -18,7 +19,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use symphony_gpu::{DeviceSpec, ExecError, GpuExecutor, GpuMetrics, PredRequest};
 use symphony_kvfs::{
     FileId, KvError, KvStats, KvStore, KvStoreConfig, Mode, OwnerId, Residency, RestoreReport,
@@ -36,7 +36,8 @@ use symphony_telemetry::{
 use symphony_tokenizer::Bpe;
 
 use crate::faults::{FaultInjector, FaultPlan, FaultStats, ToolFaultKind};
-use crate::proc::{Proc, Seat, ThreadState};
+use crate::hosted::HostedMetrics;
+use crate::proc::{Proc, ThreadState};
 use crate::recovery::Asked;
 use crate::resilience::{
     AdmissionPolicy, BreakerBank, BreakerPolicy, BreakerVerdict, ResilienceCounters,
@@ -45,7 +46,7 @@ use crate::resilience::{
 use crate::sched::{
     threads_parked_gate, BatchGate, BatchPolicy, Decision, ExecMode, ProgramQueue, QueueDiscipline,
 };
-use crate::syscall::{Body, Ctx, Next, SysReply, Syscall, UpCall};
+use crate::syscall::{Body, Ctx, Next, SysReply, Syscall};
 use crate::tools::{ToolOutcome, ToolRegistry, ToolSpec};
 use crate::types::{ExitStatus, Limits, Pid, ProcessUsage, SysError, Tid};
 use crate::wal::{self, Effect, EffectClass, WalConfig, WalState};
@@ -382,13 +383,10 @@ pub(crate) struct KernelMetrics {
     /// processed per real second. Observability only — never read back
     /// into scheduling, so it cannot perturb determinism.
     events_per_sec: Gauge,
-    /// Replies delivered by stepping an inline body on the kernel's thread.
-    inline_steps: Counter,
-    /// Replies delivered over a hosted body's channel: one OS-thread
-    /// hand-off there and one back.
-    hosted_handoffs: Counter,
-    /// Hosted bodies alive, each holding a pool worker.
-    pub(crate) hosted_threads: Gauge,
+    /// Replies delivered by stepping a body on the kernel's thread.
+    steps: Counter,
+    /// What hosted bodies count (see [`crate::hosted`]).
+    pub(crate) hosted: HostedMetrics,
     /// Processes that have exited and not been reaped: each is a record,
     /// its output, and nothing else (see [`crate::proc`]).
     pub(crate) zombies: Gauge,
@@ -467,9 +465,8 @@ impl KernelMetrics {
             wal_bytes: registry.gauge("kernel.wal_bytes"),
             cost_hints: registry.counter("sched.cost_hints"),
             events_per_sec: registry.gauge("sim.events_per_sec"),
-            inline_steps: registry.counter("kernel.lip.inline_steps"),
-            hosted_handoffs: registry.counter("kernel.lip.hosted_handoffs"),
-            hosted_threads: registry.gauge("kernel.lip.hosted_threads"),
+            steps: registry.counter("kernel.lip.steps"),
+            hosted: HostedMetrics::register(registry),
             zombies: registry.gauge("kernel.procs.zombies"),
             exited: registry.counter("kernel.procs.exited"),
             usage: UsageTotals::register(registry),
@@ -525,9 +522,6 @@ pub struct Kernel {
     /// Zombies in the order they were buried: what [`Kernel::reap_exited`]
     /// removes, without looking at a live process.
     pub(crate) buried: Vec<Pid>,
-    // Plumbing.
-    pub(crate) up_tx: Sender<UpCall>,
-    up_rx: Receiver<UpCall>,
     pub(crate) rng: Rng,
     // Telemetry.
     pub(crate) registry: MetricsRegistry,
@@ -641,7 +635,6 @@ impl Kernel {
             }
             None => KvStore::with_registry(store_config, &registry),
         };
-        let (up_tx, up_rx) = unbounded();
         let gpu = GpuExecutor::with_registry(config.device, model, &registry);
         let kmetrics = KernelMetrics::register(&registry);
         let ridge = gpu.ridge_tokens();
@@ -700,8 +693,6 @@ impl Kernel {
             names: BTreeMap::new(),
             live_threads: 0,
             buried: Vec::new(),
-            up_tx,
-            up_rx,
             rng: Rng::new(config.seed),
             bus: {
                 // The drop counter registers unconditionally so metrics
@@ -1078,22 +1069,20 @@ impl Kernel {
     }
 
     /// Hands the CPU to thread `tid` with `reply` and takes what it does
-    /// next. The one place that knows where a body sits: a hosted one gets
-    /// the reply over its channel and the kernel blocks for its upcall, an
-    /// inline one is stepped right here. Everything around that — the span
-    /// close, the dispatch event, `handle_syscall`, `handle_exit` — is the
-    /// same code for both. A hosted body that execs ([`Ctx::exec`]) is
-    /// seated inline and started in the same call: no virtual time passes
-    /// and no second dispatch is seen.
-    fn resume(&mut self, tid: Tid, mut reply: SysReply) {
+    /// next: one step of its body, under `catch_unwind` — the body is a
+    /// sandboxed program's state and nothing of the kernel's, so a step
+    /// that panics exits the thread `Crashed` and the body is dropped at
+    /// exit, never looked at again. Every body is stepped alike; a hosted
+    /// closure's step is a hand-off to its OS thread (`crate::hosted`).
+    fn resume(&mut self, tid: Tid, reply: SysReply) {
         let Some(ts) = self.threads.get_mut(tid.0) else {
             return;
         };
         // Thread already exited (e.g. killed reply raced): `handle_exit`
         // emptied its seat.
-        if ts.seat.is_none() {
+        let Some(seat) = ts.seat.as_mut() else {
             return;
-        }
+        };
         // Every reply delivery funnels through here, so this is the single
         // point where a thread's syscall span closes and the CPU is handed
         // back to it.
@@ -1108,59 +1097,17 @@ impl Kernel {
         }
         self.bus
             .emit(at, || EventKind::SchedDispatch { tid: tid.0 });
-        loop {
-            let Some(seat) = self.threads.get_mut(tid.0).and_then(|ts| ts.seat.as_mut()) else {
-                return;
-            };
-            let status = match seat {
-                Seat::Hosted { reply_tx, .. } => {
-                    if reply_tx.send(reply).is_err() {
-                        return;
-                    }
-                    self.kmetrics.hosted_handoffs.inc();
-                    let up = self
-                        .up_rx
-                        .recv()
-                        // lint:allow(k1): the kernel holds up_tx, so the channel cannot close
-                        .expect("a resumed LIP thread must issue a syscall or exit");
-                    match up {
-                        UpCall::Syscall { tid, call } => return self.handle_syscall(tid, call),
-                        UpCall::Exited { tid, status } => return self.handle_exit(tid, status),
-                        UpCall::Exec { tid: by, body, env } => {
-                            debug_assert_eq!(by, tid, "an exec from a thread not resumed");
-                            // The worker unwinds once its upcall is sent:
-                            // joining it takes no longer than that. Its
-                            // reply channel closes first, so nothing it does
-                            // after the exec can block on it.
-                            let hosted = std::mem::replace(seat, Seat::Inline { body, env });
-                            if let Seat::Hosted { reply_tx, handle } = hosted {
-                                drop(reply_tx);
-                                handle.join();
-                                self.kmetrics.hosted_threads.add(-1);
-                            }
-                            reply = SysReply::Start;
-                            continue;
-                        }
-                    }
-                }
-                Seat::Inline { body, env } => {
-                    self.kmetrics.inline_steps.inc();
-                    STEPPING_LIP.with(|s| s.set(true));
-                    // The body is a sandboxed program's state and nothing of
-                    // the kernel's: if stepping it panics, it is dropped at
-                    // exit and never looked at again.
-                    let next = catch_unwind(AssertUnwindSafe(|| body.resume(env, reply)));
-                    STEPPING_LIP.with(|s| s.set(false));
-                    match next {
-                        Ok(Next::Syscall(call)) => return self.handle_syscall(tid, call),
-                        Ok(Next::Exit(Ok(()))) => ExitStatus::Ok,
-                        Ok(Next::Exit(Err(e))) => ExitStatus::Error(e),
-                        Err(_) => ExitStatus::Crashed,
-                    }
-                }
-            };
-            return self.handle_exit(tid, status);
-        }
+        self.kmetrics.steps.inc();
+        STEPPING_LIP.with(|s| s.set(true));
+        let next = catch_unwind(AssertUnwindSafe(|| seat.body.resume(&mut seat.env, reply)));
+        STEPPING_LIP.with(|s| s.set(false));
+        let status = match next {
+            Ok(Next::Syscall(call)) => return self.handle_syscall(tid, call),
+            Ok(Next::Exit(Ok(()))) => ExitStatus::Ok,
+            Ok(Next::Exit(Err(e))) => ExitStatus::Error(e),
+            Err(_) => ExitStatus::Crashed,
+        };
+        self.handle_exit(tid, status);
     }
 
     fn handle_event(&mut self, ev: Event) {
@@ -1955,6 +1902,16 @@ impl Kernel {
             };
         }
 
+        // A KVFS call that made, opened or read `file`: its one event.
+        let kv_op = |bus: &mut EventBus, file: FileId| {
+            bus.emit(sys_at, || EventKind::KvOp {
+                pid: pid.0,
+                tid: tid.0,
+                op: sys_name,
+                file: file.0,
+            });
+        };
+
         match call {
             Syscall::Pred { kv, tokens } => {
                 if tokens.is_empty() {
@@ -2021,22 +1978,12 @@ impl Kernel {
             }
             Syscall::KvCreate => {
                 let f = kv!(self.store.create(owner));
-                self.bus.emit(sys_at, || EventKind::KvOp {
-                    pid: pid.0,
-                    tid: tid.0,
-                    op: sys_name,
-                    file: f.0,
-                });
+                kv_op(&mut self.bus, f);
                 self.complete(tid, SysReply::Handle(f));
             }
             Syscall::KvOpen { path } => {
                 let f = kv!(self.store.open(&path, owner));
-                self.bus.emit(sys_at, || EventKind::KvOp {
-                    pid: pid.0,
-                    tid: tid.0,
-                    op: sys_name,
-                    file: f.0,
-                });
+                kv_op(&mut self.bus, f);
                 self.complete(tid, SysReply::Handle(f));
             }
             Syscall::KvLink { kv, path } => {
@@ -2049,12 +1996,7 @@ impl Kernel {
             }
             Syscall::KvFork { kv } => {
                 let f = kv!(self.store.fork(kv, owner));
-                self.bus.emit(sys_at, || EventKind::KvOp {
-                    pid: pid.0,
-                    tid: tid.0,
-                    op: sys_name,
-                    file: f.0,
-                });
+                kv_op(&mut self.bus, f);
                 self.complete(tid, SysReply::Handle(f));
             }
             Syscall::KvRemove { kv } => {
@@ -2075,32 +2017,17 @@ impl Kernel {
             }
             Syscall::KvExtract { kv, ranges } => {
                 let f = kv!(self.store.extract(kv, owner, &ranges));
-                self.bus.emit(sys_at, || EventKind::KvOp {
-                    pid: pid.0,
-                    tid: tid.0,
-                    op: sys_name,
-                    file: f.0,
-                });
+                kv_op(&mut self.bus, f);
                 self.complete(tid, SysReply::Handle(f));
             }
             Syscall::KvMerge { kvs } => {
                 let f = kv!(self.store.merge(&kvs, owner));
-                self.bus.emit(sys_at, || EventKind::KvOp {
-                    pid: pid.0,
-                    tid: tid.0,
-                    op: sys_name,
-                    file: f.0,
-                });
+                kv_op(&mut self.bus, f);
                 self.complete(tid, SysReply::Handle(f));
             }
             Syscall::KvRead { kv, start, count } => {
                 let e = kv!(self.store.read(kv, owner, start, count));
-                self.bus.emit(sys_at, || EventKind::KvOp {
-                    pid: pid.0,
-                    tid: tid.0,
-                    op: sys_name,
-                    file: kv.0,
-                });
+                kv_op(&mut self.bus, kv);
                 self.complete(tid, SysReply::Entries(e));
             }
             Syscall::KvPin { kv } => {
@@ -2597,25 +2524,6 @@ impl Kernel {
             self.events.schedule(done, Event::Wake(tid, reply));
         } else {
             self.ready.push_back((tid, reply));
-        }
-    }
-}
-
-impl Drop for Kernel {
-    fn drop(&mut self) {
-        // Unblock every parked hosted thread (their recv fails once the
-        // reply sender drops), then join the OS threads. Parked inline
-        // bodies are values: they drop here, unstepped.
-        let mut threads = std::mem::take(&mut self.threads);
-        let mut handles = Vec::new();
-        for (_, ts) in threads.drain() {
-            if let Some(Seat::Hosted { reply_tx, handle }) = ts.seat {
-                drop(reply_tx);
-                handles.push(handle);
-            }
-        }
-        for h in handles {
-            h.join();
         }
     }
 }

@@ -24,12 +24,13 @@
 //!
 //! The kernel resumes LIP threads **one at a time** on a discrete-event
 //! virtual clock and takes each thread's next syscall before touching
-//! another, so whole serving runs are deterministic given a seed. A thread's
-//! body is either a native closure *hosted* on a pooled OS thread (what
-//! [`Kernel::spawn_process`] takes: blocking code needs a stack) or an
-//! [`InlineBody`] the kernel steps on its own thread (what a served
-//! LipScript program is: [`Kernel::admit_inline`]); see [`syscall`]. LIP
-//! compute is *charged* (per-syscall virtual cost), not measured.
+//! another, so whole serving runs are deterministic given a seed. Every
+//! thread's body is an [`InlineBody`] the kernel steps on its own thread:
+//! a served LipScript program is one ([`Kernel::admit_inline`]), and a
+//! native closure (what [`Kernel::spawn_process`] takes) is made one that
+//! hands each step to the pooled OS thread the closure blocks on, since
+//! blocking code needs a stack; see [`syscall`]. LIP compute is *charged*
+//! (per-syscall virtual cost), not measured.
 //!
 //! # Examples
 //!
@@ -64,8 +65,8 @@
 //! ```
 
 pub mod faults;
+mod hosted;
 pub mod kernel;
-mod lip_pool;
 mod proc;
 mod recovery;
 pub mod resilience;

@@ -4,7 +4,10 @@
 //! **install** enters a process (record, name binding, quota, deadline,
 //! live state), **start** runs a thread of it, **exit** takes a thread out,
 //! **finalize** closes the process when its last thread is gone, and
-//! **reap** forgets it. Every entry point — the five public `spawn_*` /
+//! **reap** forgets it. A running thread's [`Seat`] is its body and its
+//! environment, one shape for every kind of body: start makes a native
+//! closure a body (`crate::hosted`), and exit drops the body, which is all
+//! it takes to give back whatever the body held. Every entry point — the five public `spawn_*` /
 //! `schedule_*` names, a scheduled arrival firing, recovery re-admitting a
 //! journalled program — is a caller of `install` and `start`; whether a
 //! process is durable is one field set at `install`, read by
@@ -29,37 +32,29 @@
 
 use std::collections::VecDeque;
 
-use crossbeam::channel::{unbounded, Sender};
 use symphony_kvfs::{FileId, OwnerId};
 use symphony_sim::SimTime;
 use symphony_telemetry::{EdgeKind, EventKind};
 
+use crate::hosted::Hosted;
 use crate::kernel::{Event, Kernel, ProgramImage, SessionEvent};
-use crate::syscall::{thread_main, Body, Ctx, InlineBody, SysReply, ThreadEnv};
+use crate::syscall::{Body, Ctx, InlineBody, SysReply, ThreadEnv};
 use crate::types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SysError, Tid};
 use crate::wal::{self, EffectClass, WalRecord};
 
-/// Where a live thread's body sits between system calls. `Kernel::resume`
-/// is the only code that tells the two kinds apart.
-pub(crate) enum Seat {
-    /// On a pool worker, blocked on its reply channel.
-    Hosted {
-        reply_tx: Sender<SysReply>,
-        handle: crate::lip_pool::JobHandle,
-    },
-    /// In the thread table, as a value the kernel steps itself. The
-    /// environment is boxed so that the entry of a thread long exited —
-    /// it stays until its whole process does — is no bigger for it.
-    Inline {
-        body: Box<dyn InlineBody>,
-        env: Box<ThreadEnv>,
-    },
+/// A live thread's body between system calls: a value the kernel steps
+/// itself (`Kernel::resume`), whatever kind of program it holds. The
+/// environment is boxed so that the entry of a thread long exited — it
+/// stays until its whole process does — is no bigger for it.
+pub(crate) struct Seat {
+    pub(crate) body: Box<dyn InlineBody>,
+    pub(crate) env: Box<ThreadEnv>,
 }
 
 pub(crate) struct ThreadState {
     pub(crate) pid: Pid,
     /// `None` once the thread has exited, so a finished thread's table
-    /// entry keeps neither a channel nor a program state allocated.
+    /// entry keeps no program state allocated.
     pub(crate) seat: Option<Seat>,
     pub(crate) status: Option<ExitStatus>,
     pub(crate) join_waiters: Vec<Tid>,
@@ -365,18 +360,13 @@ impl Kernel {
             self.rng.fork(tid.0),
             self.tokenizer.specials(),
         );
-        let seat = match body {
-            Body::Hosted(f) => {
-                let (reply_tx, reply_rx) = unbounded();
-                let ctx = Ctx::new(env, self.up_tx.clone(), reply_rx);
-                let handle = crate::lip_pool::spawn_lip(Box::new(move || thread_main(ctx, f)));
-                self.kmetrics.hosted_threads.add(1);
-                Seat::Hosted { reply_tx, handle }
-            }
-            Body::Inline(body) => Seat::Inline {
-                body,
-                env: Box::new(env),
-            },
+        let body = match body {
+            Body::Hosted(f) => Box::new(Hosted::spawn(f, env.clone(), &self.kmetrics.hosted)),
+            Body::Inline(body) => body,
+        };
+        let seat = Seat {
+            body,
+            env: Box::new(env),
         };
         self.threads.insert(
             tid.0,
@@ -510,7 +500,7 @@ impl Kernel {
     // ---- exit and cleanup ----------------------------------------------------------
 
     pub(crate) fn handle_exit(&mut self, tid: Tid, status: ExitStatus) {
-        let (pid, waiters, seat) = {
+        let (pid, waiters) = {
             // An exit from a thread the kernel never tracked has nothing to
             // clean up; the count is only decremented on a real exit.
             let Some(ts) = self.threads.get_mut(tid.0) else {
@@ -518,13 +508,11 @@ impl Kernel {
                 return;
             };
             ts.status = Some(status.clone());
-            (ts.pid, std::mem::take(&mut ts.join_waiters), ts.seat.take())
+            // The body goes now, not when the process is reaped.
+            ts.seat = None;
+            (ts.pid, std::mem::take(&mut ts.join_waiters))
         };
         self.live_threads -= 1;
-        if let Some(Seat::Hosted { handle, .. }) = seat {
-            handle.join();
-            self.kmetrics.hosted_threads.add(-1);
-        }
         for w in waiters {
             if self.causal {
                 // Join edge: this thread's exit unblocks the joiner.

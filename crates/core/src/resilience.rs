@@ -110,11 +110,6 @@ impl BreakerBank {
         self.rejections.get()
     }
 
-    /// Whether `tool`'s breaker is currently open at `now`.
-    pub fn is_open(&self, tool: &str, now: SimTime) -> bool {
-        matches!(self.states.get(tool), Some(BreakerState::Open { until }) if now < *until)
-    }
-
     /// Gate a call to `tool` at `now`.
     pub fn admit(&mut self, tool: &str, now: SimTime) -> BreakerVerdict {
         let state = self
@@ -336,7 +331,6 @@ mod tests {
         // Third consecutive failure trips it.
         bank.report("api", false, at(3));
         assert_eq!(bank.trips(), 1);
-        assert!(bank.is_open("api", at(50)));
         assert_eq!(bank.admit("api", at(50)), BreakerVerdict::Reject);
         assert_eq!(bank.rejections(), 1);
         // Cooldown over: one half-open trial, others still rejected.
@@ -355,8 +349,12 @@ mod tests {
         assert_eq!(bank.admit("api", at(15)), BreakerVerdict::AllowTrial);
         bank.report("api", false, at(16));
         assert_eq!(bank.trips(), 2);
-        assert!(bank.is_open("api", at(20)));
-        assert!(!bank.is_open("api", at(26)), "cooldown from completion time");
+        assert_eq!(bank.admit("api", at(20)), BreakerVerdict::Reject);
+        assert_eq!(
+            bank.admit("api", at(26)),
+            BreakerVerdict::AllowTrial,
+            "cooldown from completion time"
+        );
     }
 
     #[test]

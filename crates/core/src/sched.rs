@@ -450,11 +450,6 @@ impl<T> ProgramQueue<T> {
         }
     }
 
-    /// Accumulated critical-path service for a program.
-    pub fn service_of(&self, pid: u64) -> u64 {
-        self.programs.get(pid).map(|p| p.service).unwrap_or(0)
-    }
-
     /// Installs an admission-time cost hint for `pid`. `Some(tokens)` is
     /// the verifier's upper bound on critical-path pred tokens; `None`
     /// means the bound is statically unbounded and seeds the bottom of
@@ -844,7 +839,6 @@ mod tests {
         assert_eq!(q.pop(), Some("crit"), "critical path first");
         // ...and charging it does not demote the program.
         q.charge(1, false, 10_000);
-        assert_eq!(q.service_of(1), 0);
         assert_eq!(q.level_for(1, true), 0);
     }
 
@@ -863,9 +857,8 @@ mod tests {
         let mut q: ProgramQueue<()> =
             ProgramQueue::new(QueueDiscipline::Mlfq(MlfqConfig::default()));
         q.charge(7, true, 99_999);
-        assert!(q.service_of(7) > 0);
+        assert!(q.level_for(7, true) > 0, "the charge demoted it");
         q.forget(7);
-        assert_eq!(q.service_of(7), 0);
         assert_eq!(q.level_for(7, true), 0);
     }
 

@@ -1,31 +1,28 @@
 //! The system-call interface between LIP threads and the kernel.
 //!
-//! A thread's [`Body`] is one of two things, and the kernel treats both
-//! alike: it delivers a [`SysReply`], gets the thread's next [`Syscall`]
-//! (or its exit status) back, and touches nothing else in between, so LIP
-//! execution is deterministic.
+//! The kernel steps every thread the same way: it resumes the thread's
+//! [`InlineBody`] with a [`SysReply`], gets its next [`Syscall`] (or its
+//! exit status) back, and touches nothing else in between, so LIP
+//! execution is deterministic. A [`Body`] says how a program arrives:
 //!
-//! - **Hosted**: a native Rust closure on a pooled OS thread, holding a
-//!   [`Ctx`]. Each typed wrapper on `Ctx` sends one `Syscall` up to the
-//!   kernel and blocks on the thread's private reply channel. A blocking
-//!   closure needs a stack of its own, which is what the OS thread is for.
 //! - **Inline**: an [`InlineBody`] — a program held as a value (the
 //!   LipScript machine) that the kernel resumes on its own thread with the
-//!   reply and that returns its next `Syscall`. No OS thread, no channel.
+//!   reply and that returns its next `Syscall`.
+//! - **Hosted**: a native Rust closure holding a [`Ctx`]. Each typed
+//!   wrapper on `Ctx` is one [`Ctx::syscall`] that blocks until the kernel
+//!   answers, so the closure needs a stack of its own: `crate::hosted`
+//!   makes it an `InlineBody` that runs it on a pooled OS thread, and is
+//!   the only code that knows it does. A closure that only sets a program
+//!   up ([`Ctx::exec`]; `run_lip` parsing a script) holds its thread for
+//!   that and no longer.
 //!
 //! Each system call is one row of the `syscalls!` table (its variant,
 //! fields and telemetry name), and each reply shape becomes the typed
 //! value a `Ctx` wrapper returns in one place (`FromReply`), so a wrapper
 //! is a single `self.call(..)`.
-//!
-//! `Kernel::resume` is the only code that tells the two apart. A hosted
-//! body may also give its seat up for an inline one ([`Ctx::exec`]): a
-//! native closure that only sets a program up — `run_lip` parsing a
-//! script — holds its OS thread for that and no longer.
 
 use std::ops::Range;
 
-use crossbeam::channel::{Receiver, Sender};
 use symphony_kvfs::{FileId, FileStat, KvEntry, Mode};
 use symphony_model::{Dist, TokenId};
 use symphony_sim::{SimDuration, SimTime};
@@ -38,7 +35,7 @@ pub type LipFn = Box<dyn FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'stat
 
 /// A LIP thread's body: the program the client "sends to the server".
 pub enum Body {
-    /// A blocking closure; the kernel hands it replies over a channel.
+    /// A blocking closure, run on an OS thread of its own.
     Hosted(LipFn),
     /// A resumable value; the kernel steps it on its own thread.
     Inline(Box<dyn InlineBody>),
@@ -54,9 +51,9 @@ impl std::fmt::Debug for Body {
     }
 }
 
-/// A LIP body the kernel runs without an OS thread: a state machine that
-/// is resumed with the reply to its last system call and runs until it
-/// needs the next one.
+/// A LIP body as the kernel steps it: a state machine that is resumed
+/// with the reply to its last system call and runs until it needs the
+/// next one.
 pub trait InlineBody: Send {
     /// Continues the body. The first call delivers [`SysReply::Start`];
     /// every later one the reply to the [`Syscall`] returned before. A
@@ -71,36 +68,6 @@ pub enum Next {
     Syscall(Syscall),
     /// The body is done; `Err` exits the thread [`ExitStatus::Error`].
     Exit(Result<(), SysError>),
-}
-
-/// Payload used to unwind LIP threads when the kernel shuts down.
-pub(crate) struct ShutdownSignal;
-
-fn shutdown_unwind() -> ! {
-    std::panic::panic_any(ShutdownSignal)
-}
-
-/// Payload used to unwind a hosted body whose thread is now an inline one
-/// ([`Ctx::exec`]). Raised with `resume_unwind`, so no panic hook runs.
-struct ExecSignal;
-
-fn exec_unwind() -> ! {
-    std::panic::resume_unwind(Box::new(ExecSignal))
-}
-
-/// Messages from LIP threads to the kernel.
-pub(crate) enum UpCall {
-    /// A blocked thread requesting service.
-    Syscall { tid: Tid, call: Syscall },
-    /// A thread's body returned (or panicked).
-    Exited { tid: Tid, status: ExitStatus },
-    /// A hosted thread handing its seat to `body`, which continues from
-    /// `env` ([`Ctx::exec`]).
-    Exec {
-        tid: Tid,
-        body: Box<dyn InlineBody>,
-        env: Box<ThreadEnv>,
-    },
 }
 
 /// Declares every system call once: its variant, its fields and its
@@ -307,99 +274,9 @@ impl ThreadEnv {
     }
 }
 
-/// A hosted LIP thread's handle to the kernel: its [`ThreadEnv`] (reached
-/// through `Deref`, so `ctx.args()` and `ctx.sample(..)` read as before)
-/// plus the channel pair the system calls travel over.
-///
-/// All methods block the calling thread until the kernel services the call on
-/// the virtual clock; from the LIP's perspective they are ordinary function
-/// calls, exactly like POSIX syscalls.
-pub struct Ctx {
-    env: ThreadEnv,
-    up: Sender<UpCall>,
-    reply: Receiver<SysReply>,
-    /// [`Ctx::exec`] gave the thread to an inline body: this `Ctx` speaks
-    /// for nobody, and anything it would send unwinds instead.
-    execed: bool,
-}
-
-impl std::ops::Deref for Ctx {
-    type Target = ThreadEnv;
-
-    fn deref(&self) -> &ThreadEnv {
-        &self.env
-    }
-}
-
-impl std::ops::DerefMut for Ctx {
-    fn deref_mut(&mut self) -> &mut ThreadEnv {
-        &mut self.env
-    }
-}
+pub use crate::hosted::Ctx;
 
 impl Ctx {
-    pub(crate) fn new(env: ThreadEnv, up: Sender<UpCall>, reply: Receiver<SysReply>) -> Self {
-        Ctx {
-            env,
-            up,
-            reply,
-            execed: false,
-        }
-    }
-
-    /// Blocks until the kernel delivers the initial [`SysReply::Start`].
-    pub(crate) fn wait_start(&self) {
-        match self.reply.recv() {
-            Ok(SysReply::Start) => {}
-            _ => shutdown_unwind(),
-        }
-    }
-
-    /// Issues one system call in wire format and blocks for its reply:
-    /// the hosted counterpart of an [`InlineBody`] returning the same
-    /// [`Syscall`]. The typed wrappers below are shorthands over it.
-    pub fn syscall(&self, call: Syscall) -> SysReply {
-        self.send(UpCall::Syscall {
-            tid: self.env.tid,
-            call,
-        });
-        match self.reply.recv() {
-            Ok(r) => r,
-            Err(_) => shutdown_unwind(),
-        }
-    }
-
-    /// Replaces this thread's body with `body`, as `execve` replaces a
-    /// process image: the kernel steps `body` inline from here on, starting
-    /// it with [`SysReply::Start`] and the thread's environment as it is
-    /// now (its RNG stream goes on where this body left it), and this
-    /// closure's OS thread goes back to the pool.
-    ///
-    /// It is not a system call: it takes no virtual time and is not
-    /// counted in the process's usage. It does not return: the closure
-    /// unwinds, without a panic message. Code that catches the unwind
-    /// reaches nobody — any later call on this `Ctx` unwinds the same way
-    /// before it is sent, and the closure's return value is ignored.
-    pub fn exec(&mut self, body: Box<dyn InlineBody>) -> ! {
-        self.send(UpCall::Exec {
-            tid: self.env.tid,
-            body,
-            env: Box::new(self.env.clone()),
-        });
-        self.execed = true;
-        exec_unwind()
-    }
-
-    /// Sends an upcall, unless the thread has been handed on.
-    fn send(&self, up: UpCall) {
-        if self.execed {
-            exec_unwind();
-        }
-        if self.up.send(up).is_err() {
-            shutdown_unwind();
-        }
-    }
-
     /// Issues `call` and converts its reply: a kernel error is returned
     /// as is, a reply of another shape than `R`'s is
     /// [`SysError::BadArgument`].
@@ -629,31 +506,4 @@ impl Ctx {
     pub fn now(&self) -> Result<SimTime, SysError> {
         self.call(Syscall::Now)
     }
-}
-
-/// Entry point run on each LIP OS thread: gate on the kernel's start signal,
-/// run the body, report the exit status.
-pub(crate) fn thread_main(mut ctx: Ctx, f: LipFn) {
-    ctx.wait_start();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-    if ctx.execed {
-        // The thread runs on as the body it exec'd; its exit is that one's.
-        return;
-    }
-    let status = match result {
-        Ok(Ok(())) => ExitStatus::Ok,
-        Ok(Err(e)) => ExitStatus::Error(e),
-        Err(payload) => {
-            if payload.downcast_ref::<ShutdownSignal>().is_some() {
-                // Kernel teardown: exit silently without reporting.
-                return;
-            }
-            ExitStatus::Crashed
-        }
-    };
-    // The kernel may already be gone during shutdown; ignore send failure.
-    let _ = ctx.up.send(UpCall::Exited {
-        tid: ctx.tid(),
-        status,
-    });
 }

@@ -298,33 +298,44 @@ impl WalRecord {
 
 // ---- error codecs ----------------------------------------------------------
 
-const KV_ERRORS: &[KvError] = &[
-    KvError::NoGpuMemory,
-    KvError::NoCpuMemory,
-    KvError::NoDiskMemory,
-    KvError::NotFound,
-    KvError::AlreadyExists,
-    KvError::PermissionDenied,
-    KvError::Locked,
-    KvError::NotLockHolder,
-    KvError::QuotaExceeded,
-    KvError::BadRange,
-    KvError::NotResident,
-    KvError::Pinned,
-    KvError::EmptyInput,
-    KvError::JournalTorn,
-    KvError::JournalIncompatible,
-];
+/// Declares each [`KvError`]'s one-byte code once: `encode_kv_error` is an
+/// exhaustive match (a new variant does not compile without a code), and
+/// `decode_kv_error` knows no other code (an unknown one — from a kernel
+/// with a newer `KvError` — ends the valid prefix like any malformed
+/// payload).
+macro_rules! kv_error_codes {
+    ($($code:literal = $variant:ident,)*) => {
+        fn encode_kv_error(e: KvError) -> u8 {
+            match e {
+                $(KvError::$variant => $code,)*
+            }
+        }
 
-fn encode_kv_error(e: KvError) -> u8 {
-    KV_ERRORS.iter().position(|k| *k == e).unwrap_or(3) as u8
+        fn decode_kv_error(b: u8) -> Option<KvError> {
+            match b {
+                $($code => Some(KvError::$variant),)*
+                _ => None,
+            }
+        }
+    };
 }
 
-fn decode_kv_error(b: u8) -> KvError {
-    KV_ERRORS
-        .get(b as usize)
-        .copied()
-        .unwrap_or(KvError::NotFound)
+kv_error_codes! {
+    0 = NoGpuMemory,
+    1 = NoCpuMemory,
+    2 = NoDiskMemory,
+    3 = NotFound,
+    4 = AlreadyExists,
+    5 = PermissionDenied,
+    6 = Locked,
+    7 = NotLockHolder,
+    8 = QuotaExceeded,
+    9 = BadRange,
+    10 = NotResident,
+    11 = Pinned,
+    12 = EmptyInput,
+    13 = JournalTorn,
+    14 = JournalIncompatible,
 }
 
 /// Re-materialises a `&'static str` error payload. Each distinct string
@@ -376,7 +387,7 @@ fn decode_sys_error(c: &mut Cursor<'_>) -> Option<SysError> {
     let kv = c.u8()?;
     let payload = c.str()?;
     Some(match kind {
-        0 => SysError::Kv(decode_kv_error(kv)),
+        0 => SysError::Kv(decode_kv_error(kv)?),
         1 => SysError::NotFound,
         2 => SysError::NoSuchTool(payload),
         3 => SysError::BadArgument,
@@ -1164,6 +1175,38 @@ mod tests {
         let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
         assert_eq!(records.len(), 2);
         assert!(valid_len < bytes.len() as u64);
+        assert!(torn);
+    }
+
+    #[test]
+    fn an_unknown_kv_error_code_ends_the_valid_prefix() {
+        let rec = effect(
+            26,
+            1,
+            2,
+            Effect::Tool {
+                latency_ns: 500,
+                result: Err(SysError::Kv(KvError::Pinned)),
+            },
+        );
+        let mut payload = encode_payload(&rec);
+        // The KV error byte sits just before the (empty) payload string.
+        let mut empty = Vec::new();
+        push_str(&mut empty, "");
+        let code = payload.len() - empty.len() - 1;
+        assert_eq!(payload[code], encode_kv_error(KvError::Pinned));
+        let prefix = wal_bytes(&sample_records()[..2], 3);
+        let mut bytes = prefix.clone();
+        append_frame(&mut bytes, record_tag(&rec), &payload);
+        assert_eq!(read_wal(&bytes).unwrap().1.len(), 3, "the frame as written");
+        // What a kernel with one more `KvError` variant would write: a
+        // well-formed frame, CRC and all, with a code this one lacks.
+        payload[code] = 15;
+        let mut bytes = prefix.clone();
+        append_frame(&mut bytes, record_tag(&rec), &payload);
+        let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(valid_len, prefix.len() as u64);
         assert!(torn);
     }
 

@@ -60,18 +60,29 @@ fn a_panicking_step_crashes_its_thread_and_nothing_else() {
     let parent = k.admit_inline("parent", "", None, Box::new(Parent));
     let alone = k.admit_inline("alone", "", None, Box::new(Panicker));
     let native = k.spawn_process("native", "", |ctx| ctx.emit("a hosted neighbour"));
+    // A closure's panic is caught on its worker and re-raised in the
+    // kernel's step; an exec'd body's is the step's own.
+    let hosted = k.spawn_process("hosted", "", |ctx| {
+        ctx.now()?;
+        panic!("a closure that steps on a rake")
+    });
+    let execd = k.spawn_process("execd", "", |ctx| ctx.exec(Box::new(Panicker)));
     let after = k.admit_inline("after", "two", None, Box::new(Greeter));
-    assert_eq!(k.run(), 5, "every process of the run exits");
+    assert_eq!(k.run(), 7, "every process of the run exits");
     assert_eq!(k.live_threads(), 0);
 
     let rec = |pid| k.record(pid).expect("record");
     assert_eq!(rec(alone).status, ExitStatus::Crashed);
+    assert_eq!(rec(hosted).status, ExitStatus::Crashed);
+    assert_eq!(rec(execd).status, ExitStatus::Crashed);
     // The crash woke the joiner, with the status; the parent went on.
     assert_eq!(rec(parent).status, ExitStatus::Ok);
     assert_eq!(rec(parent).output, "child ended Crashed");
     assert_eq!(rec(before).output, "hello one");
     assert_eq!(rec(after).output, "hello two");
     assert_eq!(rec(native).output, "a hosted neighbour");
+    let threads = k.metrics_registry().gauge("kernel.lip.hosted_threads");
+    assert_eq!(threads.get(), 0, "a crash kept its worker");
 
     // And the kernel serves the next run.
     let next = k.admit_inline("next", "three", None, Box::new(Greeter));
@@ -115,17 +126,26 @@ fn dropping_the_kernel_drops_parked_bodies_unstepped() {
     }
     // A hosted thread parked the same way still unblocks and is joined.
     k.spawn_process("hosted-sleeper", "", |ctx| ctx.recv_msg().map(drop));
+    // So is the body a closure exec'd, which holds no worker any more.
+    let body = Sleeper {
+        steps: Arc::clone(&steps),
+        drops: Arc::clone(&drops),
+    };
+    k.spawn_process("execd-sleeper", "", move |ctx| ctx.exec(Box::new(body)));
     assert_eq!(k.run(), 0);
-    assert_eq!(k.live_threads(), 4, "all four parked in recv");
+    assert_eq!(k.live_threads(), 5, "all five parked in recv");
     assert_eq!(
         steps.load(Ordering::SeqCst),
-        3,
+        4,
         "one step each, to the recv"
     );
     assert_eq!(drops.load(Ordering::SeqCst), 0);
+    let threads = k.metrics_registry().gauge("kernel.lip.hosted_threads");
+    assert_eq!(threads.get(), 1, "the hosted sleeper holds a worker");
     drop(k);
-    assert_eq!(steps.load(Ordering::SeqCst), 3, "teardown stepped a body");
-    assert_eq!(drops.load(Ordering::SeqCst), 3, "teardown leaked a body");
+    assert_eq!(steps.load(Ordering::SeqCst), 4, "teardown stepped a body");
+    assert_eq!(drops.load(Ordering::SeqCst), 4, "teardown leaked a body");
+    assert_eq!(threads.get(), 0, "teardown kept a worker");
 }
 
 #[test]

@@ -674,7 +674,7 @@ fn served_sessions_use_no_os_threads() {
     let reg = core.kernel().metrics_registry();
     assert_eq!(reg.counter_value("kernel.lip.hosted_handoffs"), Some(0));
     assert_eq!(reg.gauge("kernel.lip.hosted_threads").get(), 0);
-    let steps = reg.counter_value("kernel.lip.inline_steps").unwrap_or(0);
+    let steps = reg.counter_value("kernel.lip.steps").unwrap_or(0);
     assert!(steps > 64 * 10, "only {steps} inline steps for 64 sessions");
 }
 

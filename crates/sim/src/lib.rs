@@ -41,5 +41,5 @@ pub use events::EventQueue;
 pub use retry::RetryPolicy;
 pub use rng::Rng;
 pub use slab::IdSlab;
-pub use stats::{Histogram, OnlineStats, Series};
+pub use stats::Series;
 pub use time::{SimDuration, SimTime};

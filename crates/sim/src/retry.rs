@@ -89,17 +89,6 @@ impl RetryPolicy {
         // was: a near-zero scale must not truncate below one nanosecond.
         (capped * scale).max(SimDuration::from_nanos(1).min(capped))
     }
-
-    /// Sum of all backoff delays a fully exhausted call would incur, without
-    /// jitter (a lower/upper bound helper for tests and capacity planning).
-    pub fn total_backoff_unjittered(&self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for k in 1..self.max_attempts {
-            let raw = self.base_backoff * self.multiplier.powi((k - 1).min(63) as i32);
-            total += raw.min(self.max_backoff);
-        }
-        total
-    }
 }
 
 impl Default for RetryPolicy {
@@ -116,7 +105,6 @@ mod tests {
     fn none_never_retries() {
         let p = RetryPolicy::none();
         assert!(!p.should_retry(1));
-        assert_eq!(p.total_backoff_unjittered(), SimDuration::ZERO);
     }
 
     #[test]
@@ -126,10 +114,6 @@ mod tests {
         assert_eq!(p.backoff_after(1, &mut rng), SimDuration::from_millis(10));
         assert_eq!(p.backoff_after(2, &mut rng), SimDuration::from_millis(20));
         assert_eq!(p.backoff_after(3, &mut rng), SimDuration::from_millis(40));
-        assert_eq!(
-            p.total_backoff_unjittered(),
-            SimDuration::from_millis(70)
-        );
         assert!(p.should_retry(3));
         assert!(!p.should_retry(4));
     }

@@ -114,14 +114,6 @@ impl Rng {
         self.next_f64() < p
     }
 
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_index(i + 1);
-            xs.swap(i, j);
-        }
-    }
-
     /// Returns a standard normal variate (Box–Muller).
     pub fn next_gaussian(&mut self) -> f64 {
         let u1 = self.next_f64_open();
@@ -219,16 +211,5 @@ mod tests {
         let var = sumsq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.05, "var={var}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Rng::new(19);
-        let mut xs: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>(), "shuffle should move elements");
     }
 }

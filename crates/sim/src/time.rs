@@ -49,11 +49,6 @@ impl SimTime {
                 .expect("duration_since: earlier instant is in the future"),
         )
     }
-
-    /// Returns the duration since `earlier`, or zero if `earlier` is later.
-    pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -255,14 +250,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(1e30), SimDuration::MAX);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
-    }
-
-    #[test]
-    fn saturating_duration_since_clamps_to_zero() {
-        let a = SimTime::from_nanos(10);
-        let b = SimTime::from_nanos(20);
-        assert_eq!(a.saturating_duration_since(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_duration_since(a), SimDuration::from_nanos(10));
     }
 
     #[test]

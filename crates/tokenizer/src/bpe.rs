@@ -395,15 +395,6 @@ impl Bpe {
         }
         String::from_utf8_lossy(&bytes).into_owned()
     }
-
-    /// Decodes a single token for streaming output, rendering specials as
-    /// their `<|name|>` placeholder.
-    pub fn decode_token(&self, token: TokenId) -> String {
-        match self.vocab.get(token) {
-            Some(b) => String::from_utf8_lossy(b).into_owned(),
-            None => format!("<|invalid:{token}|>"),
-        }
-    }
 }
 
 /// A symbol of a pre-token being merged: a node of the list over the
@@ -599,12 +590,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_skips_specials_but_decode_token_renders_them() {
+    fn decode_skips_specials() {
         let bpe = small();
         let s = bpe.specials();
         assert_eq!(bpe.decode(&[s.eos]), "");
-        assert_eq!(bpe.decode_token(s.eos), "<|eos|>");
-        assert_eq!(bpe.decode_token(9_999_999), "<|invalid:9999999|>");
     }
 
     #[test]
