@@ -421,8 +421,8 @@ fn decode_limits(c: &mut Cursor<'_>) -> Option<Limits> {
         max_syscalls: c.opt_u64()?,
         max_pred_tokens: c.opt_u64()?,
         max_tool_calls: c.opt_u64()?,
-        max_threads: c.opt_u64()?.map(|v| v as u32),
-        kv_quota_pages: c.opt_u64()?.map(|v| v as usize),
+        max_threads: c.opt_u64()?.map(u32::try_from).transpose().ok()?,
+        kv_quota_pages: c.opt_u64()?.map(usize::try_from).transpose().ok()?,
         tool_timeout: c.opt_u64()?.map(SimDuration::from_nanos),
         deadline: c.opt_u64()?.map(SimDuration::from_nanos),
     })
@@ -651,7 +651,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
                 let value = c.u64()?;
                 let state = match kind {
                     0 => BreakerStateView::Closed {
-                        consecutive_failures: value as u32,
+                        consecutive_failures: u32::try_from(value).ok()?,
                     },
                     1 => BreakerStateView::Open {
                         until: SimTime::from_nanos(value),
@@ -1202,6 +1202,39 @@ mod tests {
         // What a kernel with one more `KvError` variant would write: a
         // well-formed frame, CRC and all, with a code this one lacks.
         payload[code] = 15;
+        let mut bytes = prefix.clone();
+        append_frame(&mut bytes, record_tag(&rec), &payload);
+        let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(valid_len, prefix.len() as u64);
+        assert!(torn);
+    }
+
+    #[test]
+    fn a_limit_wider_than_its_field_ends_the_valid_prefix() {
+        let rec = WalRecord::ProcSpawn {
+            at: SimTime::from_nanos(40),
+            pid: 2,
+            main_tid: 9,
+            name: "wide".into(),
+            args: String::new(),
+            limits: Limits {
+                max_threads: Some(7),
+                ..Limits::default()
+            },
+        };
+        let mut payload = encode_payload(&rec);
+        // The limits close the payload, seven presence-prefixed u64s;
+        // `max_threads` is the fourth.
+        let value = payload.len() - 7 * 9 + 3 * 9 + 1;
+        assert_eq!(payload[value..value + 8], 7u64.to_le_bytes());
+        let prefix = wal_bytes(&sample_records()[..2], 3);
+        let mut bytes = prefix.clone();
+        append_frame(&mut bytes, record_tag(&rec), &payload);
+        assert_eq!(read_wal(&bytes).unwrap().1.len(), 3, "the frame as written");
+        // 2^32 must not narrow to 0: the frame checksums, but it ends the
+        // valid prefix.
+        payload[value..value + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
         let mut bytes = prefix.clone();
         append_frame(&mut bytes, record_tag(&rec), &payload);
         let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();

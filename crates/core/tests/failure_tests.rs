@@ -2,7 +2,7 @@
 //! every failure to the offending process.
 
 use symphony::{
-    ExitStatus, Kernel, KernelConfig, Limits, SimDuration, SysError, ToolOutcome, ToolSpec,
+    ExitStatus, Kernel, KernelConfig, KvError, Limits, SimDuration, SysError, ToolOutcome, ToolSpec,
 };
 
 fn kernel() -> Kernel {
@@ -30,6 +30,21 @@ fn syscall_limit_cuts_off_runaway_process() {
     );
     // The first 10 syscalls went through.
     assert_eq!(rec.output, "0123456789");
+}
+
+#[test]
+fn a_kv_read_whose_range_overflows_fails_the_call_not_the_kernel() {
+    let mut k = kernel();
+    let pid = k.spawn_process("reader", "", |ctx| {
+        let kv = ctx.kv_create()?;
+        ctx.pred_positions(kv, &[10, 11, 12], 0)?;
+        let err = ctx.kv_read(kv, 1, usize::MAX).unwrap_err();
+        assert_eq!(err, SysError::Kv(KvError::BadRange));
+        assert_eq!(ctx.kv_read(kv, 1, 2)?.len(), 2);
+        Ok(())
+    });
+    k.run();
+    assert!(k.record(pid).unwrap().status.is_ok());
 }
 
 #[test]

@@ -654,7 +654,7 @@ impl KvStore {
     ) -> Result<Vec<KvEntry>, KvError> {
         self.check_read(id, caller)?;
         let m = self.meta(id)?;
-        if start + count > m.len {
+        if start.checked_add(count).is_none_or(|end| end > m.len) {
             return Err(KvError::BadRange);
         }
         let mut out = Vec::with_capacity(count);
@@ -1208,26 +1208,46 @@ impl KvStore {
 
     /// Drains the changes since the last drain (or since
     /// [`KvStore::enable_delta_log`]) as an ordered record batch that,
-    /// appended to the journal, replays to the store's current state:
-    /// dirty pages, dirty file metadata, then a structural diff against
-    /// the shadow state — removes, unlinks, links, quota changes — and a
-    /// trailing [`Record::PoolState`] so append-only histories restore
-    /// with byte-identical allocator state. Returns an empty batch when
-    /// nothing changed or tracking is disabled.
+    /// appended to the journal, replays to the store's current state: the
+    /// change set (`change_set`) of the dirty pages and files against the
+    /// shadow state, and a trailing [`Record::PoolState`] so append-only
+    /// histories restore with byte-identical allocator state. Returns an
+    /// empty batch when nothing changed or tracking is disabled.
     pub fn take_delta(&mut self) -> Vec<Record> {
         let Some(mut d) = self.delta.take() else {
             return Vec::new();
         };
+        let pages = self.pool.take_dirty();
+        let mut recs = self.change_set(&d, pages, d.dirty_files.iter().copied());
+        if !recs.is_empty() {
+            recs.push(self.pool_state());
+        }
+        self.reset_delta_shadow(&mut d);
+        self.delta = Some(d);
+        recs
+    }
+
+    /// The records that take a journal from `since`'s shadow to the store:
+    /// the given pages, the metadata of those given files still live, then
+    /// the structural diff against the shadow. From [`DeltaLog::default`],
+    /// an empty store, that is the whole store: a snapshot. Pages and files
+    /// come in ascending id order.
+    fn change_set(
+        &self,
+        since: &DeltaLog,
+        pages: impl IntoIterator<Item = u32>,
+        files: impl IntoIterator<Item = u64>,
+    ) -> Vec<Record> {
         let mut recs = Vec::new();
-        for p in self.pool.take_dirty() {
-            let page = self.pool.page(crate::page::PageId(p));
+        for p in pages {
+            let page = self.pool.page(PageId(p));
             recs.push(Record::PageWrite {
                 page: p,
                 tier: page.tier,
                 entries: page.entries.clone(),
             });
         }
-        for &id in &d.dirty_files {
+        for id in files {
             let Some(m) = self.files.get(&id) else {
                 continue; // dirtied, then removed: the diff below covers it
             };
@@ -1247,20 +1267,20 @@ impl KvStore {
         // file's namespace entries itself), then unlinks of surviving
         // stale paths, then links — so a re-pointed path never collides.
         let mut removed = std::collections::BTreeSet::new();
-        for &id in &d.shadow_files {
+        for &id in &since.shadow_files {
             if !self.files.contains_key(&id) {
                 recs.push(Record::Remove { file: id });
                 removed.insert(id);
             }
         }
-        for (path, &old_id) in &d.shadow_namespace {
+        for (path, &old_id) in &since.shadow_namespace {
             let stale = self.namespace.get(path).is_none_or(|cur| cur.0 != old_id);
             if stale && !removed.contains(&old_id) {
                 recs.push(Record::Unlink { path: path.clone() });
             }
         }
         for (path, id) in &self.namespace {
-            if d.shadow_namespace.get(path) != Some(&id.0) {
+            if since.shadow_namespace.get(path) != Some(&id.0) {
                 recs.push(Record::Link {
                     path: path.clone(),
                     id: id.0,
@@ -1272,27 +1292,42 @@ impl KvStore {
         let limited = |q: &Quota| q.limit_pages.map(|l| l as u64);
         for (owner, q) in &self.quotas {
             let limit = limited(q);
-            if limit.is_some() && d.shadow_quotas.get(&owner.0) != limit.as_ref() {
+            if limit.is_some() && since.shadow_quotas.get(&owner.0) != limit.as_ref() {
                 recs.push(Record::Quota {
                     owner: owner.0,
                     limit,
                 });
             }
         }
-        for &owner in d.shadow_quotas.keys() {
+        for &owner in since.shadow_quotas.keys() {
             if self.quotas.get(&OwnerId(owner)).and_then(limited).is_none() {
                 recs.push(Record::Quota { owner, limit: None });
             }
         }
-        if !recs.is_empty() {
-            recs.push(Record::PoolState {
-                slots_len: self.pool.slots_len() as u32,
-                free: self.pool.free_list().to_vec(),
-            });
-        }
-        self.reset_delta_shadow(&mut d);
-        self.delta = Some(d);
         recs
+    }
+
+    /// The pool's exact slot geometry, the last record of every batch.
+    fn pool_state(&self) -> Record {
+        Record::PoolState {
+            slots_len: self.pool.slots_len() as u32,
+            free: self.pool.free_list().to_vec(),
+        }
+    }
+
+    /// Gauges a journal of `bytes` that describes this store: its size and
+    /// the per-tag frame mix a snapshot of the store writes, so unbounded
+    /// journals show up as a number, not an out-of-disk surprise.
+    fn gauge_journal(&self, bytes: usize) {
+        let c = &self.counters;
+        c.journal_bytes.set(bytes as i64);
+        c.journal_frames_page_write
+            .set(self.pool.live_pages() as i64);
+        c.journal_frames_file_meta.set(self.files.len() as i64);
+        c.journal_frames_link.set(self.namespace.len() as i64);
+        let quotas = self.quotas.values().filter(|q| q.limit_pages.is_some());
+        c.journal_frames_quota.set(quotas.count() as i64);
+        c.journal_frames_pool_state.set(1);
     }
 
     /// Bumps the `kvfs.compactions` counter (the kernel calls this when
@@ -1308,9 +1343,9 @@ impl KvStore {
         self.counters.journal_bytes.set(bytes as i64);
     }
 
-    /// Serialises the whole store as a journal record sequence: every live
-    /// page, every file's metadata, every namespace link, every quota
-    /// limit, and the pool's exact slot geometry. Replaying the bytes with
+    /// Serialises the whole store as a journal: the change set
+    /// (`change_set`) from an empty store, then the pool's exact slot
+    /// geometry. Replaying the bytes with
     /// [`KvStore::restore_from_journal_bytes`] under the same config
     /// rebuilds a byte-identical store (its own `journal_bytes` matches).
     pub fn journal_bytes(&self) -> Vec<u8> {
@@ -1320,62 +1355,14 @@ impl KvStore {
             next_file: self.next_file,
             access_clock: self.access_clock,
         });
-        let mut pages = 0i64;
-        for (pid, page) in self.pool.iter() {
-            w.append(&Record::PageWrite {
-                page: pid.0,
-                tier: page.tier,
-                entries: page.entries.clone(),
-            });
-            pages += 1;
+        let pages = self.pool.iter().map(|(pid, _)| pid.0);
+        let files = self.files.keys().copied();
+        for rec in self.change_set(&DeltaLog::default(), pages, files) {
+            w.append(&rec);
         }
-        for (&id, m) in &self.files {
-            w.append(&Record::FileMeta {
-                id,
-                owner: m.owner.0,
-                len: m.len as u64,
-                read_all: m.mode.read_all,
-                write_all: m.mode.write_all,
-                pinned: m.pinned,
-                lock: m.lock.map(|o| o.0),
-                last_access: m.last_access,
-                pages: m.pages.iter().map(|p| p.0).collect(),
-            });
-        }
-        for (path, id) in &self.namespace {
-            w.append(&Record::Link {
-                path: path.clone(),
-                id: id.0,
-            });
-        }
-        let mut quotas = 0i64;
-        for (&owner, q) in &self.quotas {
-            if let Some(limit) = q.limit_pages {
-                w.append(&Record::Quota {
-                    owner: owner.0,
-                    limit: Some(limit as u64),
-                });
-                quotas += 1;
-            }
-        }
-        w.append(&Record::PoolState {
-            slots_len: self.pool.slots_len() as u32,
-            free: self.pool.free_list().to_vec(),
-        });
+        w.append(&self.pool_state());
         let bytes = w.finish();
-        // Growth observability: gauge the size and per-tag frame mix of the
-        // latest snapshot so unbounded journals show up as a number, not an
-        // out-of-disk surprise.
-        self.counters.journal_bytes.set(bytes.len() as i64);
-        self.counters.journal_frames_page_write.set(pages);
-        self.counters
-            .journal_frames_file_meta
-            .set(self.files.len() as i64);
-        self.counters
-            .journal_frames_link
-            .set(self.namespace.len() as i64);
-        self.counters.journal_frames_quota.set(quotas);
-        self.counters.journal_frames_pool_state.set(1);
+        self.gauge_journal(bytes.len());
         bytes
     }
 
@@ -1413,19 +1400,9 @@ impl KvStore {
             return Err(KvError::JournalIncompatible);
         }
 
-        struct StagedFile {
-            pages: Vec<u32>,
-            len: usize,
-            owner: OwnerId,
-            mode: Mode,
-            pinned: bool,
-            lock: Option<OwnerId>,
-            last_access: u64,
-        }
-
         let pt = config.page_tokens;
         let mut staged_pages: BTreeMap<u32, (Tier, Vec<KvEntry>)> = BTreeMap::new();
-        let mut staged_files: BTreeMap<u64, StagedFile> = BTreeMap::new();
+        let mut staged_files: BTreeMap<u64, FileMeta> = BTreeMap::new();
         let mut namespace: BTreeMap<String, FileId> = BTreeMap::new();
         let mut limits: BTreeMap<OwnerId, Option<usize>> = BTreeMap::new();
         let mut pool_state: Option<(usize, Vec<u32>)> = None;
@@ -1484,8 +1461,8 @@ impl KvStore {
                     }
                     staged_files.insert(
                         id,
-                        StagedFile {
-                            pages,
+                        FileMeta {
+                            pages: pages.into_iter().map(PageId).collect(),
                             len: len as usize,
                             owner: OwnerId(owner),
                             mode: Mode {
@@ -1495,6 +1472,7 @@ impl KvStore {
                             pinned,
                             lock: lock.map(OwnerId),
                             last_access,
+                            links: 0,
                         },
                     );
                 }
@@ -1529,12 +1507,15 @@ impl KvStore {
             }
         }
 
-        // Reference counts from the final staged file set; pages no file
-        // references any more (rewritten or removed tails) are dropped.
+        // Reference counts and quota use from the final staged file set;
+        // pages no file references any more (rewritten or removed tails)
+        // are dropped.
         let mut refs: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut per_owner: BTreeMap<OwnerId, usize> = BTreeMap::new();
         for f in staged_files.values() {
-            for &p in &f.pages {
-                *refs.entry(p).or_insert(0) += 1;
+            *per_owner.entry(f.owner).or_insert(0) += f.pages.len();
+            for p in &f.pages {
+                *refs.entry(p.0).or_insert(0) += 1;
             }
         }
         let dropped_pages = staged_pages.keys().any(|p| !refs.contains_key(p));
@@ -1551,27 +1532,7 @@ impl KvStore {
             tokens_restored += entries.len();
         }
 
-        let mut max_file = 0u64;
-        let mut per_owner: BTreeMap<OwnerId, usize> = BTreeMap::new();
-        for (&id, f) in &staged_files {
-            max_file = max_file.max(id);
-            *per_owner.entry(f.owner).or_insert(0) += f.pages.len();
-        }
-        for (id, f) in staged_files {
-            store.files.insert(
-                id,
-                FileMeta {
-                    pages: f.pages.iter().map(|&p| PageId(p)).collect(),
-                    len: f.len,
-                    owner: f.owner,
-                    mode: f.mode,
-                    pinned: f.pinned,
-                    lock: f.lock,
-                    last_access: f.last_access,
-                    links: 0,
-                },
-            );
-        }
+        store.files = staged_files;
         for (path, id) in namespace {
             if let Some(m) = store.files.get_mut(&id.0) {
                 m.links += 1;
@@ -1585,7 +1546,8 @@ impl KvStore {
         for (owner, limit) in limits.into_iter().filter(|(_, l)| l.is_some()) {
             store.quotas.entry(owner).or_default().limit_pages = limit;
         }
-        store.next_file = header.next_file.max(max_file + 1);
+        let after_last = store.files.keys().last().map_or(1, |id| id + 1);
+        store.next_file = header.next_file.max(after_last);
         // Delta batches appended after the base snapshot carry access times
         // newer than the base header's clock; never let the clock run
         // behind a restored `last_access` or post-restore touches would
@@ -1595,11 +1557,10 @@ impl KvStore {
 
         // Adopt the recorded free-slot order only when it still exactly
         // describes the restored pool; otherwise rebuild canonically.
-        let installed = pages_restored;
         let usable_state = pool_state.filter(|(slots_len, free)| {
             !dropped_pages
                 && *slots_len >= store.pool.slots_len()
-                && free.len() == slots_len - installed
+                && free.len() == slots_len - pages_restored
                 && free
                     .iter()
                     .all(|&f| (f as usize) < *slots_len && !refs.contains_key(&f))
@@ -1614,30 +1575,9 @@ impl KvStore {
         // store cannot be trusted.
         store.verify().map_err(|_| KvError::JournalTorn)?;
 
-        // Growth observability survives recovery: gauge the journal we
-        // just replayed (size and frame mix) so post-restore registries
-        // report journal state without waiting for the next snapshot.
-        store.counters.journal_bytes.set(bytes.len() as i64);
-        store
-            .counters
-            .journal_frames_page_write
-            .set(pages_restored as i64);
-        store
-            .counters
-            .journal_frames_file_meta
-            .set(store.files.len() as i64);
-        store
-            .counters
-            .journal_frames_link
-            .set(store.namespace.len() as i64);
-        store.counters.journal_frames_quota.set(
-            store
-                .quotas
-                .values()
-                .filter(|q| q.limit_pages.is_some())
-                .count() as i64,
-        );
-        store.counters.journal_frames_pool_state.set(1);
+        // Growth observability survives recovery: gauge the journal just
+        // replayed without waiting for the next snapshot.
+        store.gauge_journal(bytes.len());
 
         let report = RestoreReport {
             files: store.files.len(),
@@ -1853,6 +1793,16 @@ mod tests {
         let f = s.create(U1).unwrap();
         s.append(f, U1, &entries(0..5)).unwrap();
         assert_eq!(s.read(f, U1, 3, 4), Err(KvError::BadRange));
+    }
+
+    #[test]
+    fn a_read_range_whose_end_overflows_is_a_bad_range() {
+        let mut s = store();
+        let f = s.create(U1).unwrap();
+        s.append(f, U1, &entries(0..5)).unwrap();
+        assert_eq!(s.read(f, U1, 1, usize::MAX), Err(KvError::BadRange));
+        assert_eq!(s.read(f, U1, usize::MAX, 1), Err(KvError::BadRange));
+        assert_eq!(s.read(f, U1, 1, 4).unwrap(), entries(1..5));
     }
 
     #[test]

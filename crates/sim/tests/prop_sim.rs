@@ -1,7 +1,7 @@
 //! Property tests for the simulation substrate.
 
 use proptest::prelude::*;
-use symphony_sim::frame::{append_frame, read_frames, FRAME_OVERHEAD};
+use symphony_sim::frame::{announced_len, append_frame, read_frames, FRAME_OVERHEAD};
 use symphony_sim::seglog::{self, Head, HeadError, SegLog};
 use symphony_sim::{EventQueue, Rng, Series, SimTime, Zipf};
 
@@ -269,8 +269,15 @@ fn raw_frames_round_trip_and_tear_at_every_cut() {
     for cut in 0..buf.len() {
         let (prefix, torn) = read_frames(&buf[..cut]);
         assert_eq!(torn, !boundaries.contains(&cut), "tear flag at cut {cut}");
-        assert!(prefix.len() <= frames.len());
-        assert_eq!(prefix[..], frames[..prefix.len()], "prefix at {cut}");
+        // Exactly the frames that end at or before the cut survive.
+        let whole = boundaries[1..].iter().filter(|&&end| end <= cut).count();
+        assert_eq!(prefix[..], frames[..whole], "prefix at {cut}");
+        // The first header announces "alpha" once its five bytes are in.
+        assert_eq!(
+            announced_len(&buf[..cut]),
+            (cut >= 5).then_some(5),
+            "cut {cut}"
+        );
     }
 }
 
@@ -279,10 +286,20 @@ fn raw_frame_crc_rejects_corruption() {
     let mut buf = Vec::new();
     append_frame(&mut buf, 32, b"payload");
     append_frame(&mut buf, 33, b"second");
-    buf[3] ^= 0xff;
-    let (frames, torn) = read_frames(&buf);
-    assert!(torn);
-    assert!(frames.is_empty());
+    let first_len = FRAME_OVERHEAD + b"payload".len();
+    // A flipped byte in the first frame loses both; one in the second
+    // frame's header loses only the second.
+    for (flip, survivors) in [(3, 0), (first_len + 2, 1)] {
+        let mut bad = buf.clone();
+        bad[flip] ^= 0xff;
+        let (frames, torn) = read_frames(&bad);
+        assert!(torn, "flip at {flip}");
+        assert_eq!(
+            frames,
+            [(32u8, b"payload".to_vec())][..survivors],
+            "flip at {flip}"
+        );
+    }
 }
 
 proptest! {
