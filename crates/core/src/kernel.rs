@@ -388,7 +388,8 @@ pub(crate) struct KernelMetrics {
     /// What hosted bodies count (see [`crate::hosted`]).
     pub(crate) hosted: HostedMetrics,
     /// Processes that have exited and not been reaped: each is a record,
-    /// its output, and nothing else (see [`crate::proc`]).
+    /// its output, and nothing else (see [`crate::proc`]). Always 0 on a
+    /// kernel with a session sink, which reaps as a process exits.
     pub(crate) zombies: Gauge,
     /// Processes finalized since boot ([`Kernel::run`] returns how far it
     /// moved).
@@ -581,7 +582,8 @@ pub enum SessionEvent {
         /// Tokens in the chunk (0 for plain-text `emit`).
         tokens: u64,
     },
-    /// A process finished and its record is final.
+    /// A process finished: its status and usage are final, and the
+    /// kernel keeps no record of it (see [`Kernel::set_session_sink`]).
     Exited {
         /// Exiting process.
         pid: Pid,
@@ -589,8 +591,11 @@ pub enum SessionEvent {
         at: SimTime,
         /// Final status.
         status: ExitStatus,
-        /// Final resource usage.
-        usage: ProcessUsage,
+        /// Final resource usage. Boxed: a session has one exit and an
+        /// `Emitted` per chunk of text, often a token, so every queue a
+        /// sink keeps holds the event at the size `Emitted` needs (56
+        /// bytes, not 96).
+        usage: Box<ProcessUsage>,
     },
 }
 
@@ -743,6 +748,9 @@ impl Kernel {
     /// Preloads a KV file under `path` as the admin (e.g. a shared system
     /// prompt), computing its fingerprint chain without charging GPU time —
     /// the moral equivalent of shipping precomputed KV with the deployment.
+    /// A preload that fails leaves the store as it found it: a taken `path`
+    /// is refused before any file exists, and a file that could not be
+    /// filled (no GPU pages left) is removed again.
     pub fn preload_kv(
         &mut self,
         path: &str,
@@ -760,13 +768,22 @@ impl Kernel {
                 symphony_kvfs::KvEntry::new(t, i as u32, fp)
             })
             .collect();
-        let f = self.store.create(OwnerId::ADMIN)?;
-        self.store.append(f, OwnerId::ADMIN, &entries)?;
-        self.store.chmod(f, OwnerId::ADMIN, mode)?;
-        if pinned {
-            self.store.pin(f, OwnerId::ADMIN)?;
+        if self.store.lookup(path).is_some() {
+            return Err(KvError::AlreadyExists.into());
         }
-        self.store.link(f, path, OwnerId::ADMIN)?;
+        let f = self.store.create(OwnerId::ADMIN)?;
+        let filled = (|| {
+            self.store.append(f, OwnerId::ADMIN, &entries)?;
+            self.store.chmod(f, OwnerId::ADMIN, mode)?;
+            if pinned {
+                self.store.pin(f, OwnerId::ADMIN)?;
+            }
+            self.store.link(f, path, OwnerId::ADMIN)
+        })();
+        if let Err(e) = filled {
+            let _ = self.store.remove(f, OwnerId::ADMIN);
+            return Err(e.into());
+        }
         Ok(f)
     }
 
@@ -1173,12 +1190,16 @@ impl Kernel {
     /// completions and process exits invoke it synchronously with
     /// [`SessionEvent`]s, in virtual-time order.
     ///
-    /// The sink then owns the output stream: emitted text goes to it, so
-    /// [`ProcessRecord::output`] is empty once a process has exited and a
-    /// finished process's zombie is its record alone. A durable process
-    /// keeps its text in the record while it runs, for the WAL's exit
-    /// frame, which takes it: a record recovered from that frame has it
-    /// back.
+    /// The sink then takes each exit whole. Emitted text goes to it and
+    /// not to [`ProcessRecord::output`] (a durable process keeps its text
+    /// in the record while it runs, for the WAL's exit frame, which takes
+    /// it: a record recovered from that frame has it back), and
+    /// [`SessionEvent::Exited`] carries the status and usage. So that
+    /// event is the process's reap: once a process has exited,
+    /// [`Kernel::record`] is `None` for it, the `kernel.procs.zombies`
+    /// gauge stays 0, and only the `kernel.procs.exited` and
+    /// `kernel.usage.*` counters carry its totals. Zombies buried before
+    /// the sink was installed stay until [`Kernel::reap_exited`].
     pub fn set_session_sink(&mut self, sink: SessionSink) {
         self.session_sink = Some(sink);
     }

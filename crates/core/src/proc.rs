@@ -20,15 +20,21 @@
 //! what somebody may still ask for: the [`ProcessRecord`] (status, usage,
 //! output, times) and whether it was durable. Finalize also adds the
 //! process to the `kernel.procs.exited` and `kernel.usage.*` counters, so
-//! the totals over every record outlive the records. With a session sink
-//! installed the record holds no output either (`Kernel::set_session_sink`).
+//! the totals over every record outlive the records.
 //!
-//! Who reaps: `Kernel::reap_exited` removes the zombies, in O(zombies) —
-//! bury lists each one. A kernel driven directly keeps its zombies until
-//! its owner calls it, so a harness can read `Kernel::record` after a run;
-//! the serving core reaps at the end of every pump, once each exit has gone
-//! to its client as a DONE frame, so a server keeps a slot per live
-//! session and nothing per session it has served.
+//! Who reaps: on a kernel with a session sink, finalize itself. The sink's
+//! `SessionEvent::Exited` carries the exit whole — its stream went out as
+//! `Emitted` events, and the event has the status and usage — so the
+//! process leaves the table as it exits, as a Unix child of a parent that
+//! set `SA_NOCLDWAIT` leaves no zombie: `Kernel::record` is `None` for it
+//! from then on, and the table holds the live processes and nothing else,
+//! whoever drives the kernel (the serving core, or a durable harness that
+//! takes its sessions' events straight from the sink). A kernel without a
+//! sink keeps each zombie until its owner calls `Kernel::reap_exited`,
+//! which removes them in O(zombies) — bury lists each one — so a harness
+//! can read `Kernel::record` after a run. So do zombies buried before a
+//! sink was installed, and the records `Kernel::recover` restores (it
+//! builds a kernel with no sink).
 
 use std::collections::VecDeque;
 
@@ -67,9 +73,13 @@ pub(crate) struct Proc {
     /// What [`Kernel::record`] hands out, kept after exit until reaped.
     pub(crate) record: ProcessRecord,
     /// Spawn, effects and exit are journalled to the WAL, and the program
-    /// is resumable after a crash. Set once, at `install`; outlives the
-    /// process, because a send to a finished durable peer is still
-    /// journalled.
+    /// is resumable after a crash. Set once, at `install`. A zombie keeps
+    /// it, so a send to a finished durable peer is journalled while the
+    /// zombie lasts, even from a sender that is not durable. On a kernel
+    /// with a session sink there is no zombie, and that sender's frame is
+    /// not written: recovery never reads it (its sender is not resumed,
+    /// and it says `delivered: false`), and the reply is `NotFound` either
+    /// way.
     pub(crate) durable: bool,
     /// What the process needs while it runs; `None` once it is finalized,
     /// which is what makes it a zombie.
@@ -403,7 +413,9 @@ impl Kernel {
 
     // ---- records -----------------------------------------------------------------
 
-    /// The record for a process (live, or exited and not yet reaped).
+    /// The record for a process (live, or exited and not yet reaped). A
+    /// kernel with a session sink keeps none once the process has exited:
+    /// the sink's [`SessionEvent::Exited`] was its reap.
     pub fn record(&self, pid: Pid) -> Option<&ProcessRecord> {
         self.procs.get(pid.0).map(|p| &p.record)
     }
@@ -416,12 +428,14 @@ impl Kernel {
     /// Forgets every process that has exited: removes the zombies, that is
     /// their records — all that exit left of them (see the module docs).
     /// Returns how many were dropped. It visits the zombies alone, and
-    /// allocates nothing. The kernel keeps finished processes so callers
-    /// can read [`Kernel::record`] after a run; what they add up to stays
-    /// in the `kernel.procs.exited` and `kernel.usage.*` counters. A
-    /// server that stays up calls this once their outcomes are reported,
-    /// as `ServerCore` does after every pump, or the table grows by a
-    /// record with every program ever served.
+    /// allocates nothing. A kernel without a session sink keeps finished
+    /// processes so callers can read [`Kernel::record`] after a run; what
+    /// they add up to stays in the `kernel.procs.exited` and
+    /// `kernel.usage.*` counters. One that stays up calls this once it has
+    /// read them, or its table grows by a record with every program it
+    /// ever ran. A kernel with a sink has nothing to reap but the zombies
+    /// buried before the sink was installed: each exit since was reaped as
+    /// it went to the sink.
     pub fn reap_exited(&mut self) -> usize {
         let reaped = self.buried.len();
         for pid in self.buried.drain(..) {
@@ -431,26 +445,32 @@ impl Kernel {
         reaped
     }
 
-    /// Makes the table entry of `pid` a zombie: drops its live half, its
-    /// threads' table entries and its name binding (which `lookup` would no
-    /// longer answer with anyway), gives back what its output string had
-    /// reserved beyond its text, and lists it for [`Kernel::reap_exited`].
+    /// Makes the table entry of `pid` a zombie: retires it
+    /// ([`Kernel::retire`]), gives back what its output string had reserved
+    /// beyond its text, and lists it for [`Kernel::reap_exited`].
     pub(crate) fn bury(&mut self, pid: Pid) {
-        let Some(proc) = self.procs.get_mut(pid.0) else {
+        let Some(record) = self.retire(pid) else {
             return;
         };
-        let Some(live) = proc.live.take() else {
-            return;
-        };
-        proc.record.output.shrink_to_fit();
+        record.output.shrink_to_fit();
+        self.buried.push(pid);
+        self.kmetrics.zombies.add(1);
+    }
+
+    /// Drops what `pid` needed to run: its live half, its threads' table
+    /// entries and its name binding (which `lookup` would no longer answer
+    /// with anyway). Returns the record left behind, or `None` if there was
+    /// nothing to drop: the pid is unknown or already retired.
+    fn retire(&mut self, pid: Pid) -> Option<&mut ProcessRecord> {
+        let proc = self.procs.get_mut(pid.0)?;
+        let live = proc.live.take()?;
         if self.names.get(&proc.record.name) == Some(&pid) {
             self.names.remove(&proc.record.name);
         }
         for tid in live.tids {
             self.threads.remove(tid.0);
         }
-        self.buried.push(pid);
-        self.kmetrics.zombies.add(1);
+        Some(&mut proc.record)
     }
 
     // ---- cancellation and deadlines ------------------------------------------------
@@ -552,8 +572,10 @@ impl Kernel {
 
     /// Reclaims a finished process's resources: releases its locks,
     /// removes its *unnamed* KV files — files published under a path persist
-    /// beyond the process lifetime (§4.2) — leaves a zombie in the table
-    /// ([`Kernel::bury`]) and adds its usage to the kernel's totals.
+    /// beyond the process lifetime (§4.2) — and adds its usage to the
+    /// kernel's totals. Without a session sink it leaves a zombie in the
+    /// table ([`Kernel::bury`]); with one, the sink's
+    /// [`SessionEvent::Exited`] is the reap, and the table keeps nothing.
     fn finalize_process(&mut self, pid: Pid) {
         let owner = OwnerId(pid.0);
         self.store.release_locks(owner);
@@ -562,7 +584,12 @@ impl Kernel {
             let _ = self.store.remove(f, OwnerId::ADMIN);
         }
         let now = self.events.now();
-        self.bury(pid);
+        let served = self.session_sink.is_some();
+        if served {
+            self.retire(pid);
+        } else {
+            self.bury(pid);
+        }
         let Some(proc) = self.procs.get_mut(pid.0) else {
             debug_assert!(false, "finalize for unknown pid {}", pid.0);
             return;
@@ -576,8 +603,8 @@ impl Kernel {
             // A durable exit frame makes the whole program's outcome
             // durable: recovery restores it as a record, no re-execution.
             // Served, the text has gone to the sink as well: the frame
-            // takes it, and the zombie is its record alone.
-            let output = if self.session_sink.is_some() {
+            // takes it.
+            let output = if served {
                 std::mem::take(&mut rec.output)
             } else {
                 rec.output.clone()
@@ -597,8 +624,11 @@ impl Kernel {
             pid,
             at: now,
             status,
-            usage,
+            usage: Box::new(usage),
         });
+        if served {
+            self.procs.remove(pid.0);
+        }
     }
 }
 
@@ -651,6 +681,14 @@ mod tests {
     }
 
     #[test]
+    fn an_exit_does_not_size_the_session_event() {
+        use std::mem::size_of;
+        // What an `Emitted` carries, and room for the tag.
+        let emitted = size_of::<Pid>() + size_of::<SimTime>() + size_of::<String>() + 8;
+        assert!(size_of::<SessionEvent>() <= emitted + 8);
+    }
+
+    #[test]
     fn a_session_sink_owns_the_stream_and_recovery_restores_a_durable_one() {
         let path = std::env::temp_dir().join(format!("symphony-sink-{}.wal", std::process::id()));
         let mut cfg = KernelConfig::for_tests();
@@ -661,17 +699,27 @@ mod tests {
             ctx.emit_tokens(&prompt)?;
             ctx.emit(" — done")
         });
-        // A plain and a durable process of the same program; the text the
-        // sink received, by pid, if there is one.
+        // What a sink received, by pid: the text, and the exit status.
+        #[derive(Default)]
+        struct Received {
+            streamed: BTreeMap<u64, String>,
+            exits: BTreeMap<u64, ExitStatus>,
+        }
+        // A plain and a durable process of the same program.
         let run = |sink: bool| {
             let mut k = Kernel::new(cfg.clone());
-            let streamed: Arc<std::sync::Mutex<BTreeMap<u64, String>>> = Arc::default();
+            let received: Arc<std::sync::Mutex<Received>> = Arc::default();
             if sink {
-                let streamed = Arc::clone(&streamed);
+                let received = Arc::clone(&received);
                 k.set_session_sink(Box::new(move |ev| {
-                    if let SessionEvent::Emitted { pid, text, .. } = ev {
-                        let mut streamed = streamed.lock().unwrap();
-                        streamed.entry(pid.0).or_default().push_str(&text);
+                    let mut received = received.lock().unwrap();
+                    match ev {
+                        SessionEvent::Emitted { pid, text, .. } => {
+                            received.streamed.entry(pid.0).or_default().push_str(&text);
+                        }
+                        SessionEvent::Exited { pid, status, .. } => {
+                            assert!(received.exits.insert(pid.0, status).is_none());
+                        }
                     }
                 }));
             }
@@ -679,31 +727,37 @@ mod tests {
             let plain = k.spawn_process("plain", "serve programs", move |ctx| plain_image(ctx));
             let durable = k.spawn_durable("durable", "not prompts", Arc::clone(&image));
             assert_eq!(k.run(), 2);
-            assert!(k.records().all(|r| r.status.is_ok()));
-            let streamed = std::mem::take(&mut *streamed.lock().unwrap());
-            (k, plain, durable, streamed)
+            let received = std::mem::take(&mut *received.lock().unwrap());
+            (k, plain, durable, received)
         };
 
-        let (alone, plain, durable, streamed) = run(false);
-        assert!(streamed.is_empty());
+        let (alone, plain, durable, received) = run(false);
+        assert!(received.streamed.is_empty() && received.exits.is_empty());
+        assert!(alone.records().all(|r| r.status.is_ok()));
         let output = |k: &Kernel, pid: Pid| k.record(pid).unwrap().output.clone();
         let (plain_text, durable_text) = (output(&alone, plain), output(&alone, durable));
         assert!(plain_text.starts_with("echo: serve") && durable_text.ends_with("— done"));
         drop(alone);
 
-        let (served, plain, durable, streamed) = run(true);
+        let (served, plain, durable, received) = run(true);
         // The sink got every byte a sinkless kernel keeps in the record, and
-        // neither record kept any of them.
-        assert_eq!(streamed.get(&plain.0), Some(&plain_text));
-        assert_eq!(streamed.get(&durable.0), Some(&durable_text));
-        assert_eq!(output(&served, plain), "");
-        assert_eq!(output(&served, durable), "");
+        // each exit: that was the reap, so no record is left.
+        assert_eq!(received.streamed.get(&plain.0), Some(&plain_text));
+        assert_eq!(received.streamed.get(&durable.0), Some(&durable_text));
+        let ok = [(plain.0, ExitStatus::Ok), (durable.0, ExitStatus::Ok)];
+        assert_eq!(received.exits, BTreeMap::from(ok));
+        assert!(served.record(plain).is_none() && served.record(durable).is_none());
+        assert_eq!(served.records().count(), 0);
+        assert!(served.buried.is_empty());
+        assert_eq!(served.kmetrics.zombies.get(), 0);
+        assert_eq!(served.kmetrics.exited.get(), 2);
         drop(served);
         // The durable one's exit frame took its text and carries it through
-        // recovery.
+        // recovery, which restores it as a record.
         let (mut recovered, _) = Kernel::recover(cfg.clone()).expect("recoverable WAL");
         assert_eq!(recovered.resume_programs(|_| None).finished, 1);
         assert_eq!(output(&recovered, durable), durable_text);
+        assert!(recovered.record(durable).unwrap().status.is_ok());
         std::fs::remove_file(&path).ok();
     }
 }

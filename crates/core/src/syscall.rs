@@ -299,18 +299,23 @@ impl Ctx {
         })
     }
 
-    /// `pred` over a contiguous token run starting at `start_pos`.
+    /// `pred` over a contiguous token run starting at `start_pos`. A run
+    /// whose last position would not fit a `u32` is
+    /// [`SysError::BadArgument`], refused before any system call.
     pub fn pred_positions(
         &self,
         kv: FileId,
         tokens: &[TokenId],
         start_pos: u32,
     ) -> Result<Vec<Dist>, SysError> {
-        let pairs: Vec<(TokenId, u32)> = tokens
+        let pairs = tokens
             .iter()
             .enumerate()
-            .map(|(i, &t)| (t, start_pos + i as u32))
-            .collect();
+            .map(|(i, &t)| {
+                let pos = u32::try_from(i).ok().and_then(|i| start_pos.checked_add(i));
+                pos.map(|pos| (t, pos)).ok_or(SysError::BadArgument)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         self.pred(kv, &pairs)
     }
 

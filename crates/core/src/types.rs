@@ -141,7 +141,8 @@ pub struct ProcessUsage {
     pub threads_spawned: u32,
 }
 
-/// The kernel's record of one process, kept after exit for the harness.
+/// The kernel's record of one process, kept after exit for the harness
+/// on a kernel without a session sink (see `Kernel::set_session_sink`).
 #[derive(Debug, Clone)]
 pub struct ProcessRecord {
     /// Process ID.
@@ -155,8 +156,8 @@ pub struct ProcessRecord {
     /// Exit status of the *main* thread.
     pub status: ExitStatus,
     /// Concatenated `emit`/`emit_tokens` output — on a kernel without a
-    /// session sink. Once a sink is installed it owns the stream and this
-    /// is empty after exit (a durable process holds its text here while it
+    /// session sink. Once a sink is installed it owns the stream, and the
+    /// record goes at exit (a durable process holds its text here while it
     /// runs, for its WAL exit frame; see `Kernel::set_session_sink`).
     pub output: String,
     /// Resource usage.

@@ -4,7 +4,7 @@
 use symphony::sampling::{self, Constraint, GenOpts, JsonConstraint, TrieConstraint};
 use symphony::{
     BatchPolicy, BreakerPolicy, EventKind, ExecMode, ExitStatus, FaultPlan, Kernel, KernelConfig,
-    Limits, Mode, SimDuration, SysError, ToolOutcome, ToolSpec,
+    KvError, Limits, Mode, SimDuration, SysError, ToolOutcome, ToolSpec,
 };
 
 fn kernel() -> Kernel {
@@ -643,6 +643,56 @@ fn linked_files_persist_after_exit() {
     });
     k.run();
     assert!(k.record(reader).unwrap().status.is_ok());
+}
+
+#[test]
+fn a_failed_preload_leaves_the_store_as_it_found_it() {
+    let mut k = kernel();
+    let tokens: Vec<u32> = (0..100).collect();
+    let first = k
+        .preload_kv("x.kv", &tokens, Mode::SHARED_READ, true)
+        .unwrap();
+    let store = |k: &Kernel| {
+        k.store().verify().unwrap();
+        (k.store().gpu_pages_used(), k.store().list_files().len())
+    };
+    let after_first = store(&k);
+    assert_eq!(after_first, (25, 1));
+    // The path is taken: refused before a file exists.
+    assert_eq!(
+        k.preload_kv("x.kv", &tokens, Mode::SHARED_READ, true),
+        Err(SysError::Kv(KvError::AlreadyExists))
+    );
+    assert_eq!(store(&k), after_first);
+    // More than the GPU holds: the half-filled file goes again, and so does
+    // its name.
+    let too_many: Vec<u32> = (0..4 * k.store().gpu_pages_capacity() as u32).collect();
+    assert_eq!(
+        k.preload_kv("y.kv", &too_many, Mode::SHARED_READ, true),
+        Err(SysError::Kv(KvError::NoGpuMemory))
+    );
+    assert_eq!(store(&k), after_first);
+    assert_eq!(k.store().lookup("y.kv"), None);
+    assert_eq!(k.store().lookup("x.kv"), Some(first));
+}
+
+#[test]
+fn pred_positions_refuses_a_run_past_the_last_position() {
+    // Built with or without overflow checks, the same answer: the run's
+    // second position would be u32::MAX + 1.
+    let mut k = kernel();
+    let pid = k.spawn_process("edge", "", |ctx| {
+        let kv = ctx.kv_create()?;
+        let past = ctx.pred_positions(kv, &[5, 6], u32::MAX);
+        assert_eq!(past.err(), Some(SysError::BadArgument));
+        assert_eq!(ctx.kv_len(kv)?, 0);
+        // The last position itself is fine.
+        ctx.pred_positions(kv, &[5], u32::MAX - 1)?;
+        assert_eq!(ctx.kv_len(kv)?, 1);
+        Ok(())
+    });
+    k.run();
+    assert_eq!(k.record(pid).unwrap().status, ExitStatus::Ok);
 }
 
 #[test]

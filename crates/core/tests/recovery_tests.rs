@@ -474,3 +474,156 @@ fn recover_error_paths_are_typed() {
     let cfg = config(&tmp("never-created.wal"), None);
     assert!(matches!(Kernel::recover(cfg), Err(symphony::WalError::Unreadable)));
 }
+
+// ---- a peer that has exited, on a kernel with a session sink ---------------
+
+/// A durable program that is done at once.
+fn peer_image() -> ProgramImage {
+    Arc::new(|ctx| ctx.emit("peer done"))
+}
+
+/// Writes to `peer` (its pid is the args) once it has exited, and emits what
+/// the send answered. It decodes (and streams) a few tokens first, so a sweep has kill
+/// points on both sides of the send, and waits on `lookup_process`, so
+/// the peer has gone however a recovery replays the wait.
+fn writer_image() -> ProgramImage {
+    Arc::new(|ctx| {
+        let peer = symphony::Pid(ctx.args().parse().expect("a pid"));
+        let prompt = ctx.tokenize("a note for a peer that has gone")?;
+        let kv = ctx.kv_create()?;
+        let opts = GenOpts {
+            max_tokens: 3,
+            temperature: 0.0,
+            ..Default::default()
+        };
+        let note = sampling::generate(ctx, kv, &prompt, &opts)?;
+        while ctx.lookup_process("peer")?.is_some() {
+            ctx.sleep(SimDuration::from_millis(1))?;
+        }
+        let sent = ctx.send_msg(peer, &ctx.detokenize(&note.tokens)?);
+        ctx.emit(&format!("{sent:?}"))?;
+        ctx.kv_remove(kv)
+    })
+}
+
+/// What a session sink received: each program's text and whether it
+/// exited `Ok`, by pid.
+type Received = Arc<Mutex<BTreeMap<u64, (String, Option<bool>)>>>;
+
+fn install_sink(k: &mut Kernel) -> Received {
+    let received: Received = Arc::default();
+    let sink = Arc::clone(&received);
+    k.set_session_sink(Box::new(move |ev| {
+        let mut received = sink.lock().unwrap();
+        match ev {
+            symphony::SessionEvent::Emitted { pid, text, .. } => {
+                received.entry(pid.0).or_default().0.push_str(&text);
+            }
+            symphony::SessionEvent::Exited { pid, status, .. } => {
+                received.entry(pid.0).or_default().1 = Some(status.is_ok());
+            }
+        }
+    }));
+    received
+}
+
+/// The peer, then the writer (durable or not); their pids.
+fn spawn_pair(k: &mut Kernel, durable_writer: bool) -> (symphony::Pid, symphony::Pid) {
+    let peer = k.spawn_durable("peer", "", peer_image());
+    let args = peer.0.to_string();
+    let writer = if durable_writer {
+        k.spawn_durable("writer", &args, writer_image())
+    } else {
+        let image = writer_image();
+        k.spawn_process("writer", &args, move |ctx| image(ctx))
+    };
+    (peer, writer)
+}
+
+#[test]
+fn a_send_to_an_exited_durable_peer_is_not_found_with_or_without_a_sink() {
+    for sink in [false, true] {
+        for durable_writer in [false, true] {
+            let case = format!("sink {sink}, durable writer {durable_writer}");
+            let path = tmp(&format!("gone-peer-{sink}-{durable_writer}.wal"));
+            let mut k = Kernel::new(config(&path, None));
+            let received = sink.then(|| install_sink(&mut k));
+            let (peer, writer) = spawn_pair(&mut k, durable_writer);
+            assert_eq!(k.run(), 2, "{case}");
+            let said = match &received {
+                // The sink had each exit, and the kernel kept nothing.
+                Some(received) => {
+                    assert_eq!(k.records().count(), 0, "{case}");
+                    let received = received.lock().unwrap();
+                    assert_eq!(
+                        received[&peer.0],
+                        ("peer done".into(), Some(true)),
+                        "{case}"
+                    );
+                    assert_eq!(received[&writer.0].1, Some(true), "{case}");
+                    received[&writer.0].0.clone()
+                }
+                // The peer was a zombie when the writer wrote to it.
+                None => {
+                    assert!(k.record(peer).unwrap().status.is_ok(), "{case}");
+                    assert!(k.record(writer).unwrap().status.is_ok(), "{case}");
+                    k.record(writer).unwrap().output.clone()
+                }
+            };
+            // What it decoded, streamed by `generate`, then the answer.
+            let not_found = format!("{:?}", Err::<(), _>(SysError::NotFound));
+            assert!(said.ends_with(&not_found), "{case}: {said:?}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
+
+/// A kernel with a session sink journals what one without does for its
+/// durable programs: killed at every boundary and recovered (with no sink,
+/// so finished programs come back as records), a durable writer and its
+/// exited peer end as the sink saw them end in the uninterrupted run.
+#[test]
+fn a_durable_writer_with_a_sink_recovers_equivalently_at_every_boundary() {
+    let base_path = tmp("gone-peer-base.wal");
+    let (expected, boundaries) = {
+        let mut k = Kernel::new(config(&base_path, None));
+        let received = install_sink(&mut k);
+        let (peer, writer) = spawn_pair(&mut k, true);
+        k.run();
+        let received = received.lock().unwrap();
+        let outcome = |pid: symphony::Pid| {
+            let (text, ok) = received[&pid.0].clone();
+            (text, ok.expect("exited"))
+        };
+        let expected = BTreeMap::from([
+            ("peer".to_string(), outcome(peer)),
+            ("writer".to_string(), outcome(writer)),
+        ]);
+        (expected, k.syscall_boundaries())
+    };
+    assert!(expected.values().all(|(_, ok)| *ok));
+    assert!(expected["writer"].0.ends_with("Err(NotFound)"));
+    assert!(boundaries > 10, "{boundaries} boundaries");
+    let resolve = |name: &str| match name {
+        "peer" => Some(peer_image()),
+        "writer" => Some(writer_image()),
+        _ => None,
+    };
+    for b in 1..=boundaries {
+        let path = tmp(&format!("gone-peer-{b}.wal"));
+        {
+            let mut k = Kernel::new(config(&path, Some(b)));
+            install_sink(&mut k);
+            spawn_pair(&mut k, true);
+            k.run();
+            assert_eq!(k.crashed(), Some(b), "kill-point {b} fires");
+        }
+        let (mut k, _) = Kernel::recover(config(&path, None)).expect("recoverable WAL");
+        assert_eq!(k.resume_programs(resolve).lost, 0);
+        k.run();
+        assert!(k.crashed().is_none());
+        assert_eq!(outcomes(&k), expected, "boundary {b}");
+        std::fs::remove_file(&path).ok();
+    }
+    std::fs::remove_file(&base_path).ok();
+}

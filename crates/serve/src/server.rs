@@ -21,12 +21,13 @@
 //! [`ErrCode::SlowClient`] and its sessions cancelled, so one undrained
 //! socket cannot hold kernel memory hostage.
 //!
-//! Nor does the core hold on to what is over. Every pump ends by reaping
-//! the kernel processes that exited (their DONE frames are routed by then)
-//! and by forgetting the connections that are closed and drained, so what
-//! a server that stays up keeps is bounded by what is live, not by how
-//! many sessions it has served. Totals over the served sessions stay in
-//! the kernel's `kernel.procs.exited` and `kernel.usage.*` counters.
+//! Nor does the core hold on to what is over. The kernel keeps no process
+//! that has exited: the session sink this core installs takes each exit
+//! whole, and that is the reap (see `Kernel::set_session_sink`). Every
+//! pump ends by forgetting the connections that are closed and drained.
+//! So what a server that stays up keeps is bounded by what is live, not by
+//! how many sessions it has served. Totals over the served sessions stay
+//! in the kernel's `kernel.procs.exited` and `kernel.usage.*` counters.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -366,17 +367,17 @@ impl ServerCore {
     /// the kernel is quiescent and routing started no new work (a
     /// slow-client shed cancels sessions, which produces more events).
     ///
-    /// Before it returns it forgets what is over, so a server keeps state
-    /// for what is live and nothing for what it has served:
-    /// - every process that exited ([`Kernel::reap_exited`]). Its DONE
-    ///   frame, routed above, is all a client ever sees of it; its usage
-    ///   stays in the kernel's `kernel.procs.exited` and `kernel.usage.*`
-    ///   counters, and its output went out as STREAM frames and is kept
-    ///   nowhere (see [`Kernel::set_session_sink`]);
-    /// - every connection that is closed with no session left to route
-    ///   and no byte left for the transport to take. To the transport it
-    ///   reads as before: [`ServerCore::is_closed`], with no output; its
-    ///   [`ServerCore::close_reason`] is gone with it.
+    /// Before it returns it forgets every connection that is closed with
+    /// no session left to route and no byte left for the transport to
+    /// take. To the transport it reads as before: [`ServerCore::is_closed`],
+    /// with no output; its [`ServerCore::close_reason`] is gone with it. A
+    /// process that exited needs no such step: the kernel forgot it as its
+    /// exit went to this core's sink (see [`Kernel::set_session_sink`]).
+    /// Its DONE frame, routed above, is all a client ever sees of it; its
+    /// usage stays in the kernel's `kernel.procs.exited` and
+    /// `kernel.usage.*` counters, and its output went out as STREAM frames
+    /// and is kept nowhere. So a server keeps state for what is live and
+    /// nothing for what it has served.
     pub fn pump_for(&mut self, slice: SimDuration) -> bool {
         let quiescent = self.kernel.run_for(slice);
         std::mem::swap(
@@ -388,7 +389,6 @@ impl ServerCore {
             self.route_event(ev);
         }
         self.settle_conns();
-        self.kernel.reap_exited();
         quiescent && !routed
     }
 

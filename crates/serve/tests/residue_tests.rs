@@ -18,14 +18,22 @@
 //! The count is per thread: a served LipScript session runs on the thread
 //! that pumps the server and on no other, so what this thread allocated and
 //! has not freed is what the sessions cost, whatever the test harness does
-//! on its own threads meanwhile.
+//! on its own threads meanwhile. A durable program's image starts on a
+//! worker of the LIP pool and execs its body there, which the kernel's
+//! thread then steps and drops: what the workers allocate is counted apart,
+//! once an image has marked its worker, and a durable session's cost is the
+//! two counts together.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use symphony::{ExitStatus, Kernel, KernelConfig, ProcessUsage, SysError};
-use symphony_lipscript::{parse::parse, InterpLimits, LipBody};
+use symphony::{
+    ExitStatus, Kernel, KernelConfig, ProcessUsage, ProgramImage, SessionEvent, SimTime, SysError,
+    WalConfig,
+};
+use symphony_lipscript::{parse::parse, run_lip, InterpLimits, LipBody};
 use symphony_rpc::{
     ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, DEFAULT_MAX_FRAME, READ_SIZE,
     WIRE_VERSION,
@@ -40,11 +48,23 @@ thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     /// The highest `LIVE` has been since [`peak_rise`] last reset it.
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// Set on a LIP pool worker by the first durable image that runs on
+    /// it ([`mark_worker`]); from then on it counts into [`ON_WORKERS`].
+    static A_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
+/// Bytes the marked pool workers have allocated and not freed, together.
+/// The pool is the process's, and only durable images run on it in this
+/// file.
+static ON_WORKERS: AtomicIsize = AtomicIsize::new(0);
+
 /// Moves this thread's live count by `delta`, raising the high-water mark
-/// if it went past it.
+/// if it went past it; on a marked worker, moves [`ON_WORKERS`] instead.
 fn count(delta: isize) {
+    if A_WORKER.with(Cell::get) {
+        ON_WORKERS.fetch_add(delta, Ordering::Relaxed);
+        return;
+    }
     let live = LIVE.with(|live| {
         live.set(live.get() + delta);
         live.get()
@@ -81,6 +101,11 @@ static ALLOCATOR: Counting = Counting;
 
 fn live_bytes() -> isize {
     LIVE.with(Cell::get)
+}
+
+/// Makes the calling thread, a LIP pool worker, count into [`ON_WORKERS`].
+fn mark_worker() {
+    A_WORKER.with(|marked| marked.set(true));
 }
 
 /// Runs `f` and returns how far above the live count at its start this
@@ -256,6 +281,23 @@ fn usage_totals(kernel: &Kernel) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
+/// What [`usage_totals`] should read after the processes that used
+/// `usages` exited: how many there were, then each field summed.
+fn summed_usage<'a>(usages: impl Iterator<Item = &'a ProcessUsage>) -> Vec<u64> {
+    let usages: Vec<_> = usages.collect();
+    let fields: [fn(&ProcessUsage) -> u64; 6] = [
+        |u| u.syscalls,
+        |u| u.pred_calls,
+        |u| u.pred_tokens,
+        |u| u.emitted_tokens,
+        |u| u.tool_calls,
+        |u| u.threads_spawned.into(),
+    ];
+    let mut summed = vec![usages.len() as u64];
+    summed.extend(fields.map(|field| usages.iter().map(|u| field(u)).sum::<u64>()));
+    summed
+}
+
 #[test]
 fn the_kernels_counters_carry_what_its_records_carried() {
     let cfg = ServeConfig {
@@ -294,16 +336,7 @@ fn the_kernels_counters_carry_what_its_records_carried() {
     assert_eq!((records.len(), ok, failed), (6, 3, 3), "{records:?}");
     assert!(records.iter().any(|r| r.usage.threads_spawned > 1));
     assert!(records.iter().any(|r| r.usage.tool_calls > 0));
-    let fields: [fn(&ProcessUsage) -> u64; 6] = [
-        |u| u.syscalls,
-        |u| u.pred_calls,
-        |u| u.pred_tokens,
-        |u| u.emitted_tokens,
-        |u| u.tool_calls,
-        |u| u.threads_spawned.into(),
-    ];
-    let mut summed = vec![records.len() as u64];
-    summed.extend(fields.map(|field| records.iter().map(|r| field(&r.usage)).sum::<u64>()));
+    let summed = summed_usage(records.iter().map(|r| &r.usage));
     let direct = usage_totals(&kernel);
     let counted: Vec<u64> = direct.iter().map(|&(_, n)| n).collect();
     assert_eq!(counted, summed, "{direct:?}");
@@ -330,6 +363,101 @@ fn the_kernels_counters_carry_what_its_records_carried() {
     assert_eq!(statuses, (1..).zip(outcomes).collect::<Vec<_>>());
     assert_eq!(core.kernel().records().count(), 0);
     assert_eq!(usage_totals(core.kernel()), direct);
+}
+
+#[test]
+fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
+    // The durable path with no server around it: `schedule_durable`
+    // images that parse and exec a LipScript program, WAL and KV journal
+    // open, the session events taken straight from the sink, and nobody
+    // calling `reap_exited`.
+    let dir = std::env::temp_dir();
+    let tag = format!("symphony-residue-{}", std::process::id());
+    let (wal, journal) = (
+        dir.join(format!("{tag}.wal")),
+        dir.join(format!("{tag}.kvj")),
+    );
+    let mut cfg = KernelConfig::for_tests();
+    cfg.wal = Some(WalConfig::new(&wal));
+    let mut kernel = standard_kernel(cfg);
+    kernel
+        .open_kv_journal(&journal, symphony_kvfs::JournalConfig::default())
+        .expect("journal opens");
+    let events: Arc<Mutex<Vec<SessionEvent>>> = Arc::default();
+    let sink = Arc::clone(&events);
+    kernel.set_session_sink(Box::new(move |ev| sink.lock().unwrap().push(ev)));
+    let images: Vec<ProgramImage> = (0..6)
+        .map(|shape: usize| {
+            let source = if shape.is_multiple_of(2) {
+                agent_source(1 + shape / 2, 4 + shape)
+            } else {
+                rag_source(4 + shape)
+            };
+            let image: ProgramImage = Arc::new(move |ctx| {
+                mark_worker();
+                run_lip(&source, ctx, InterpLimits::default())
+                    .map(|_| ())
+                    .map_err(|e| SysError::ToolFailed(e.to_string()))
+            });
+            image
+        })
+        .collect();
+    let registry = kernel.metrics_registry();
+    let zombies = registry.gauge("kernel.procs.zombies");
+
+    // The sink's `Exited` events so far: how many, then each usage field
+    // summed (the order `usage_totals` reads the counters in).
+    let mut exited = vec![0; 7];
+    let mut warm = 0;
+    for epoch in 0..EPOCHS {
+        let t0 = kernel.now().as_nanos();
+        for i in 0..SESSIONS_PER_EPOCH {
+            let session = 1 + epoch * SESSIONS_PER_EPOCH + i;
+            let shape = (i % 6) as usize;
+            let args = if shape.is_multiple_of(2) {
+                format!("question number {session}")
+            } else {
+                format!("{}|what about {session}?", i % 4)
+            };
+            let at = SimTime::from_nanos(t0 + i * 200_000);
+            let image = Arc::clone(&images[shape]);
+            kernel.schedule_durable(at, &format!("s{session}"), &args, image);
+        }
+        kernel.run();
+        kernel.persist_kv_delta().expect("journal persists");
+        let mut ok = 0;
+        let mut usages = Vec::new();
+        for ev in events.lock().unwrap().drain(..) {
+            if let SessionEvent::Exited { status, usage, .. } = ev {
+                ok += usize::from(status.is_ok());
+                usages.push(*usage);
+            }
+        }
+        assert_eq!(ok, SESSIONS_PER_EPOCH as usize, "epoch {epoch}");
+        for (total, n) in exited.iter_mut().zip(summed_usage(usages.iter())) {
+            *total += n;
+        }
+        // Each exit went to the sink, and that was its reap.
+        assert_eq!(kernel.records().count(), 0, "epoch {epoch}");
+        assert_eq!(zombies.get(), 0, "epoch {epoch}");
+        let counted: Vec<u64> = usage_totals(&kernel).iter().map(|&(_, n)| n).collect();
+        assert_eq!(counted, exited, "epoch {epoch}");
+        if epoch + 1 == WARM_UP {
+            warm = live_bytes() + ON_WORKERS.load(Ordering::Relaxed);
+        }
+    }
+    let grown = live_bytes() + ON_WORKERS.load(Ordering::Relaxed) - warm;
+    let sessions = ((EPOCHS - WARM_UP) * SESSIONS_PER_EPOCH) as isize;
+    let per_session = grown as f64 / sessions as f64;
+    eprintln!("{per_session:.1} B per durable session");
+    let allowed = 16.0;
+    assert!(
+        per_session <= allowed,
+        "{per_session:.1} B per durable session (> {allowed})"
+    );
+    drop(kernel);
+    std::fs::remove_file(&wal).ok();
+    std::fs::remove_file(&journal).ok();
 }
 
 #[test]
