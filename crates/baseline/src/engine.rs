@@ -218,7 +218,6 @@ impl Engine {
         let mut running: Vec<Seq> = Vec::new();
         let mut inflight: Option<Inflight> = None;
         let mut completions = Vec::with_capacity(requests.len());
-        let mut engine_rng = Rng::new(self.cfg.seed);
 
         let debug = std::env::var_os("ENGINE_DEBUG").is_some();
         let mut steps = 0u64;
@@ -228,7 +227,7 @@ impl Engine {
             match ev {
                 Ev::Arrive(i) => {
                     let req = requests[i].clone();
-                    let rng = engine_rng.fork(req.id);
+                    let rng = Rng::derive(self.cfg.seed, &[req.id]);
                     waiting.push_back(self.make_seq(req, rng));
                 }
                 Ev::StepDone => {

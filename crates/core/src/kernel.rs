@@ -249,14 +249,8 @@ pub(crate) enum Event {
     },
     /// Re-evaluate the launch gate.
     BatchTimer,
-    /// A scheduled program arrival. `main_tid` is pre-assigned for durable
-    /// programs so their per-thread RNG stream survives a crash before the
-    /// arrival fires.
-    SpawnProgram {
-        pid: Pid,
-        body: Body,
-        main_tid: Option<Tid>,
-    },
+    /// A scheduled program arrival: start its main thread.
+    SpawnProgram { pid: Pid, body: Body },
     /// A process's wall-clock deadline passed: fail its blocked receivers.
     DeadlineCheck { pid: Pid },
     /// Re-pool a `pred` that was backed off after KV-pool exhaustion.
@@ -523,6 +517,9 @@ pub struct Kernel {
     /// Zombies in the order they were buried: what [`Kernel::reap_exited`]
     /// removes, without looking at a live process.
     pub(crate) buried: Vec<Pid>,
+    /// What every LIP thread's RNG stream is derived from (`Kernel::start`).
+    pub(crate) seed: u64,
+    /// The kernel's own stream: tool latencies and retry backoff.
     pub(crate) rng: Rng,
     // Telemetry.
     pub(crate) registry: MetricsRegistry,
@@ -698,6 +695,7 @@ impl Kernel {
             names: BTreeMap::new(),
             live_threads: 0,
             buried: Vec::new(),
+            seed: config.seed,
             rng: Rng::new(config.seed),
             bus: {
                 // The drop counter registers unconditionally so metrics
@@ -1174,12 +1172,8 @@ impl Kernel {
             Event::BatchTimer => {
                 self.timer_armed_until = None;
             }
-            Event::SpawnProgram {
-                pid,
-                body,
-                main_tid,
-            } => {
-                self.start(pid, main_tid, body);
+            Event::SpawnProgram { pid, body } => {
+                self.start(pid, body);
             }
             Event::DeadlineCheck { pid } => self.enforce_deadline(pid),
             Event::RequeuePred { pred } => self.pool_pred(pred),
@@ -2120,7 +2114,7 @@ impl Kernel {
                         return;
                     }
                 }
-                let new_tid = sys!(self.start(pid, None, body), "process missing");
+                let new_tid = sys!(self.start(pid, body), "process missing");
                 if self.causal {
                     self.bus.emit(sys_at, || EventKind::CausalEdge {
                         edge: EdgeKind::Spawn,

@@ -39,7 +39,7 @@
 use std::collections::VecDeque;
 
 use symphony_kvfs::{FileId, OwnerId};
-use symphony_sim::SimTime;
+use symphony_sim::{Rng, SimTime};
 use symphony_telemetry::{EdgeKind, EventKind};
 
 use crate::hosted::Hosted;
@@ -209,10 +209,10 @@ impl Kernel {
     }
 
     /// Schedules a durable LIP for a future virtual arrival. The schedule
-    /// itself is journalled — with a main thread id pre-assigned *now*, so
-    /// the program's per-thread RNG stream is identical whether or not a
-    /// crash intervenes before it starts — and a crash before the arrival
-    /// does not drop the program.
+    /// itself is journalled, so a crash before the arrival does not drop
+    /// the program: recovery re-admits it under the same pid, and its
+    /// threads draw the same RNG streams either way (they are derived from
+    /// the pid, see [`Kernel::start`]).
     pub fn schedule_durable(
         &mut self,
         at: SimTime,
@@ -225,7 +225,8 @@ impl Kernel {
     }
 
     /// The one way in: installs the process, then starts it now or
-    /// schedules its arrival for `at`.
+    /// schedules its arrival for `at` (journalling a durable one's
+    /// schedule).
     fn admit(
         &mut self,
         name: &str,
@@ -238,35 +239,21 @@ impl Kernel {
         let now = self.events.now();
         let pid = self.install(None, name, args, at.unwrap_or(now), limits, durable);
         let Some(at) = at else {
-            self.start(pid, None, body);
+            self.start(pid, body);
             return pid;
         };
-        // Pre-assign a durable arrival's main tid: recovery re-admits the
-        // program from this frame and must fork the same RNG stream.
-        let main_tid = durable.then(|| self.alloc_tid());
-        if let Some(tid) = main_tid {
+        if durable {
             self.wal_append(WalRecord::ProcSched {
                 at: now,
                 pid: pid.0,
-                main_tid: tid.0,
                 arrival: at,
                 name: name.to_string(),
                 args: args.to_string(),
                 limits,
             });
         }
-        let ev = Event::SpawnProgram {
-            pid,
-            body,
-            main_tid,
-        };
-        self.events.schedule(at, ev);
+        self.events.schedule(at, Event::SpawnProgram { pid, body });
         pid
-    }
-
-    fn alloc_tid(&mut self) -> Tid {
-        self.next_tid += 1;
-        Tid(self.next_tid - 1)
     }
 
     /// Enters a process into the table under `pid` (allocated when `None`;
@@ -333,22 +320,29 @@ impl Kernel {
         pid
     }
 
-    /// Starts one LIP thread of `pid` running `body`, under `tid` when given
-    /// (a journalled schedule or recovery pins it: tid identity pins the
-    /// thread's RNG stream). The first thread of a process is its main
-    /// thread, and starting it is what starts the process: the spawn event
-    /// and, for a durable process not already in the log, the spawn frame.
-    /// `None` for a pid the table does not hold.
-    pub(crate) fn start(&mut self, pid: Pid, tid: Option<Tid>, body: Body) -> Option<Tid> {
+    /// Starts one LIP thread of `pid` running `body` under a fresh tid. The
+    /// first thread of a process is its main thread, and starting it is
+    /// what starts the process: the spawn event and, for a durable process
+    /// not already in the log, the spawn frame. The thread's RNG stream is
+    /// `Rng::derive(seed, [pid, ordinal])`, the ordinal being its start
+    /// order within the process (main 0, siblings 1, 2, …): a function of
+    /// who the thread is, not of how many threads the kernel started
+    /// before it, so a re-executed program draws what it drew before a
+    /// crash. The tid is a handle for this execution only; recovery hands
+    /// out fresh ones. `None` for a pid the table does not hold.
+    pub(crate) fn start(&mut self, pid: Pid, body: Body) -> Option<Tid> {
         let now = self.events.now();
-        let tid = tid.unwrap_or_else(|| self.alloc_tid());
         let Some(proc) = self.procs.get_mut(pid.0) else {
             debug_assert!(false, "start: unknown pid {}", pid.0);
             return None;
         };
         let durable = proc.durable;
         let (record, proc) = proc.halves()?;
-        let is_main = proc.main_tid == Tid(0);
+        let tid = Tid(self.next_tid);
+        self.next_tid += 1;
+        let ordinal = record.usage.threads_spawned;
+        record.usage.threads_spawned += 1;
+        let is_main = ordinal == 0;
         if is_main {
             proc.main_tid = tid;
             if self.bus.is_enabled() {
@@ -360,16 +354,10 @@ impl Kernel {
         let journal_spawn = is_main && durable;
         proc.tids.push(tid);
         proc.live_threads += 1;
-        record.usage.threads_spawned += 1;
         // Sibling threads inherit the process's args string.
         let args = proc.args.clone();
-        let env = ThreadEnv::new(
-            tid,
-            pid,
-            args,
-            self.rng.fork(tid.0),
-            self.tokenizer.specials(),
-        );
+        let rng = Rng::derive(self.seed, &[pid.0, ordinal.into()]);
+        let env = ThreadEnv::new(tid, pid, args, rng, self.tokenizer.specials());
         let body = match body {
             Body::Hosted(f) => Box::new(Hosted::spawn(f, env.clone(), &self.kmetrics.hosted)),
             Body::Inline(body) => body,
@@ -401,7 +389,6 @@ impl Kernel {
             let rec = WalRecord::ProcSpawn {
                 at: now,
                 pid: pid.0,
-                main_tid: tid.0,
                 name: record.name.clone(),
                 args: proc.args.clone(),
                 limits: proc.limits,

@@ -43,7 +43,7 @@ impl Kernel {
     // ---- boot ------------------------------------------------------------------
 
     /// Boots a kernel from the write-ahead log at `config.wal.path`,
-    /// restoring the virtual clock, pid/tid allocators, circuit-breaker
+    /// restoring the virtual clock, the pid allocator, circuit-breaker
     /// state and the durable process table. In-flight durable programs are
     /// *not* re-executed yet — call [`Kernel::resume_programs`] with their
     /// program images, then [`Kernel::run`].
@@ -76,8 +76,10 @@ impl Kernel {
 
     /// Opens the WAL of a freshly built kernel: a new log, or — booting
     /// from `replay` — the old one for appending, with the virtual clock,
-    /// the allocators and the breakers restored so re-executed programs see
-    /// identical pids, tids (hence RNG streams) and scheduling decisions.
+    /// the pid allocator and the breakers restored so re-executed programs
+    /// keep their pids (hence their threads' RNG streams) and see the same
+    /// scheduling decisions. Tids are not restored: they name a thread for
+    /// one execution only.
     pub(crate) fn open_wal(
         &mut self,
         cfg: Option<&WalConfig>,
@@ -91,7 +93,6 @@ impl Kernel {
         if let Some(r) = replay {
             self.events.advance_to(r.clock);
             self.next_pid = self.next_pid.max(r.next_pid);
-            self.next_tid = self.next_tid.max(r.next_tid);
             if let Some(bank) = self.breakers.as_mut() {
                 bank.import_states(r.breakers.clone());
             }
@@ -157,8 +158,8 @@ impl Kernel {
                 report.lost += 1;
                 continue;
             };
-            // The original pid and main tid: re-execution draws the same
-            // RNG stream and allocates the same identifiers.
+            // The original pid: re-execution draws the same RNG streams and
+            // allocates the same identifiers.
             let pid = self.install(
                 Some(Pid(pid)),
                 &rp.name,
@@ -167,19 +168,13 @@ impl Kernel {
                 rp.limits,
                 true,
             );
-            let main_tid = Some(Tid(rp.main_tid));
             let body = Body::Hosted(Box::new(move |ctx| image(ctx)));
             if started {
-                self.start(pid, main_tid, body);
+                self.start(pid, body);
             } else {
                 // Arrivals already in the past fire at the restored clock.
                 let at = rp.arrival.max(now);
-                let ev = Event::SpawnProgram {
-                    pid,
-                    body,
-                    main_tid,
-                };
-                self.events.schedule(at, ev);
+                self.events.schedule(at, Event::SpawnProgram { pid, body });
             }
             report.resumed += 1;
         }
@@ -297,7 +292,6 @@ impl Kernel {
         let rec = WalRecord::Checkpoint {
             at: now,
             next_pid: self.next_pid,
-            next_tid: self.next_tid,
             breakers,
         };
         let Some(w) = self.wal.as_mut() else {

@@ -33,15 +33,18 @@
 //!
 //! LIPs are closures on OS threads — there is no portable way to
 //! snapshot one mid-flight. Recovery instead *re-executes* every
-//! unfinished program from its start with the same pid, main tid and
-//! per-thread RNG stream, answering every journalled syscall effect from
-//! the log (same tool results, same IPC data) so the re-execution
-//! deterministically reaches the pre-crash state without re-firing
-//! side effects, then falls through to live execution. A `pred` reply is
-//! a pure function of the model and the file's fingerprint chain, so the
-//! log records only *that* a pred completed; replay rebuilds its KV
-//! append and re-derives the distributions bit-exactly. A sequence number
-//! per `(pid, effect class)` keys the one replay map ([`EffectClass`]).
+//! unfinished program from its start with the same pid, hence the same
+//! per-thread RNG streams (each is derived from the pid and the thread's
+//! start order within its process), answering every journalled syscall
+//! effect from the log (same tool results, same IPC data) so the
+//! re-execution deterministically reaches the pre-crash state without
+//! re-firing side effects, then falls through to live execution. Tids are
+//! not journalled: a thread gets a fresh one each time it runs. A `pred`
+//! reply is a pure function of the model and the file's fingerprint
+//! chain, so the log records only *that* a pred completed; replay rebuilds
+//! its KV append and re-derives the distributions bit-exactly. A sequence
+//! number per `(pid, effect class)` keys the one replay map
+//! ([`EffectClass`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -59,7 +62,7 @@ use crate::types::{ExitStatus, Limits, ProcessUsage, SysError};
 pub const WAL_MAGIC: [u8; 4] = *b"SYMW";
 
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 3;
+pub const WAL_VERSION: u32 = 4;
 
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
@@ -241,7 +244,6 @@ pub(crate) enum WalRecord {
     ProcSpawn {
         at: SimTime,
         pid: u64,
-        main_tid: u64,
         name: String,
         args: String,
         limits: Limits,
@@ -264,19 +266,14 @@ pub(crate) enum WalRecord {
     Checkpoint {
         at: SimTime,
         next_pid: u64,
-        next_tid: u64,
         breakers: Vec<(String, BreakerStateView)>,
     },
     /// A program admitted for a *future* arrival. Journalled at schedule
     /// time so a crash before the arrival event fires does not silently
-    /// drop the program; superseded by `ProcSpawn` once it starts. The
-    /// main tid is pre-assigned at schedule time so the program's
-    /// per-thread RNG stream is identical whether or not a crash
-    /// intervened before it started.
+    /// drop the program; superseded by `ProcSpawn` once it starts.
     ProcSched {
         at: SimTime,
         pid: u64,
-        main_tid: u64,
         arrival: SimTime,
         name: String,
         args: String,
@@ -448,14 +445,12 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
     match rec {
         WalRecord::ProcSpawn {
             pid,
-            main_tid,
             name,
             args,
             limits,
             ..
         } => {
             push_u64(out, *pid);
-            push_u64(out, *main_tid);
             push_str(out, name);
             push_str(out, args);
             encode_limits(out, limits);
@@ -525,13 +520,9 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
             }
         }
         WalRecord::Checkpoint {
-            next_pid,
-            next_tid,
-            breakers,
-            ..
+            next_pid, breakers, ..
         } => {
             push_u64(out, *next_pid);
-            push_u64(out, *next_tid);
             push_u32(out, breakers.len() as u32);
             for (tool, state) in breakers {
                 push_str(out, tool);
@@ -555,7 +546,6 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
         }
         WalRecord::ProcSched {
             pid,
-            main_tid,
             arrival,
             name,
             args,
@@ -563,7 +553,6 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
             ..
         } => {
             push_u64(out, *pid);
-            push_u64(out, *main_tid);
             push_u64(out, arrival.as_nanos());
             push_str(out, name);
             push_str(out, args);
@@ -605,14 +594,20 @@ fn decode_effect(tag: u8, c: &mut Cursor<'_>) -> Option<Effect> {
     })
 }
 
+/// The pid of a spawn or schedule frame. The kernel never allocates
+/// `u64::MAX` (replay raises its allocator past every journalled pid), so
+/// a frame naming it ends the valid prefix like any malformed payload.
+fn decode_pid(c: &mut Cursor<'_>) -> Option<u64> {
+    c.u64().filter(|&pid| pid != u64::MAX)
+}
+
 fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
     let mut c = Cursor::new(payload);
     let at = SimTime::from_nanos(c.u64()?);
     let rec = match tag {
         TAG_PROC_SPAWN => WalRecord::ProcSpawn {
             at,
-            pid: c.u64()?,
-            main_tid: c.u64()?,
+            pid: decode_pid(&mut c)?,
             name: c.str()?,
             args: c.str()?,
             limits: decode_limits(&mut c)?,
@@ -642,7 +637,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
         }
         TAG_CHECKPOINT => {
             let next_pid = c.u64()?;
-            let next_tid = c.u64()?;
             let n = c.u32()? as usize;
             let mut breakers = Vec::with_capacity(n.min(payload.len()));
             for _ in 0..n {
@@ -664,14 +658,12 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
             WalRecord::Checkpoint {
                 at,
                 next_pid,
-                next_tid,
                 breakers,
             }
         }
         TAG_PROC_SCHED => WalRecord::ProcSched {
             at,
-            pid: c.u64()?,
-            main_tid: c.u64()?,
+            pid: decode_pid(&mut c)?,
             arrival: SimTime::from_nanos(c.u64()?),
             name: c.str()?,
             args: c.str()?,
@@ -808,7 +800,6 @@ pub(crate) struct ReplayProc {
     pub(crate) args: String,
     /// When it started (spawn frame) or is due to (schedule frame only).
     pub(crate) arrival: SimTime,
-    pub(crate) main_tid: u64,
     pub(crate) limits: Limits,
     pub(crate) exit: Option<ReplayExit>,
 }
@@ -827,7 +818,6 @@ pub(crate) struct ReplayExit {
 pub(crate) struct Replay {
     pub(crate) clock: SimTime,
     pub(crate) next_pid: u64,
-    pub(crate) next_tid: u64,
     /// Programs that started (a `ProcSpawn` frame exists).
     pub(crate) procs: BTreeMap<u64, ReplayProc>,
     /// Scheduled-but-never-started programs (no `ProcSpawn` frame).
@@ -873,20 +863,17 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
             WalRecord::ProcSpawn {
                 at,
                 pid,
-                main_tid,
                 name,
                 args,
                 limits,
             } => {
                 r.next_pid = r.next_pid.max(pid + 1);
-                r.next_tid = r.next_tid.max(main_tid + 1);
                 // A spawn frame supersedes the schedule frame for its pid.
                 r.scheduled.remove(&pid);
                 r.procs.entry(pid).or_insert(ReplayProc {
                     name,
                     args,
                     arrival: at,
-                    main_tid,
                     limits,
                     exit: None,
                 });
@@ -928,18 +915,13 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 }
             }
             WalRecord::Checkpoint {
-                next_pid,
-                next_tid,
-                breakers,
-                ..
+                next_pid, breakers, ..
             } => {
                 r.next_pid = r.next_pid.max(next_pid);
-                r.next_tid = r.next_tid.max(next_tid);
                 r.breakers = breakers;
             }
             WalRecord::ProcSched {
                 pid,
-                main_tid,
                 arrival,
                 name,
                 args,
@@ -947,13 +929,11 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 ..
             } => {
                 r.next_pid = r.next_pid.max(pid + 1);
-                r.next_tid = r.next_tid.max(main_tid + 1);
                 if !r.procs.contains_key(&pid) {
                     r.scheduled.entry(pid).or_insert(ReplayProc {
                         name,
                         args,
                         arrival,
-                        main_tid,
                         limits,
                         exit: None,
                     });
@@ -992,7 +972,6 @@ mod tests {
             WalRecord::ProcSpawn {
                 at: SimTime::from_nanos(10),
                 pid: 1,
-                main_tid: 7,
                 name: "agent0".into(),
                 args: "x=1".into(),
                 limits: Limits {
@@ -1052,7 +1031,6 @@ mod tests {
             WalRecord::Checkpoint {
                 at: SimTime::from_nanos(50),
                 next_pid: 3,
-                next_tid: 9,
                 breakers: vec![
                     (
                         "search".into(),
@@ -1085,7 +1063,6 @@ mod tests {
             WalRecord::ProcSched {
                 at: SimTime::from_nanos(61),
                 pid: 4,
-                main_tid: 11,
                 arrival: SimTime::from_nanos(900),
                 name: "late-agent".into(),
                 args: "y=2".into(),
@@ -1157,8 +1134,8 @@ mod tests {
         wrong_magic[0] = b'X';
         assert_eq!(read_wal(&wrong_magic), Err(WalError::Incompatible));
         let mut wrong_version = bytes.clone();
-        // A log written by the previous format (v2: `fired`/`durable`
-        // bytes, per-class shapes) is refused, not misread.
+        // A log written by the previous format (v3: a tid in the spawn,
+        // schedule and checkpoint frames) is refused, not misread.
         for version in [WAL_VERSION - 1, 99] {
             wrong_version[4] = version as u8;
             assert_eq!(read_wal(&wrong_version), Err(WalError::Incompatible));
@@ -1215,7 +1192,6 @@ mod tests {
         let rec = WalRecord::ProcSpawn {
             at: SimTime::from_nanos(40),
             pid: 2,
-            main_tid: 9,
             name: "wide".into(),
             args: String::new(),
             limits: Limits {
@@ -1241,6 +1217,47 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(valid_len, prefix.len() as u64);
         assert!(torn);
+    }
+
+    #[test]
+    fn a_pid_at_u64_max_ends_the_valid_prefix() {
+        let spawn = |pid| WalRecord::ProcSpawn {
+            at: SimTime::from_nanos(40),
+            pid,
+            name: "last".into(),
+            args: String::new(),
+            limits: Limits::default(),
+        };
+        let sched = |pid| WalRecord::ProcSched {
+            at: SimTime::from_nanos(40),
+            pid,
+            arrival: SimTime::from_nanos(90),
+            name: "last".into(),
+            args: String::new(),
+            limits: Limits::default(),
+        };
+        let prefix = wal_bytes(&sample_records()[..2], 3);
+        // The largest pid a kernel allocates is read back.
+        for rec in [spawn(u64::MAX - 1), sched(u64::MAX - 1)] {
+            let mut bytes = prefix.clone();
+            bytes.extend_from_slice(&encode_frame(&rec));
+            let (_, records, _, torn) = read_wal(&bytes).unwrap();
+            assert_eq!((records.len(), torn), (3, false));
+            let r = build_replay(records, bytes.len() as u64, torn);
+            assert_eq!(r.next_pid, u64::MAX);
+        }
+        // Replay would raise the pid allocator to `pid + 1`. The frame
+        // checksums, but no kernel wrote it: it ends the valid prefix.
+        for rec in [spawn(u64::MAX), sched(u64::MAX)] {
+            let mut bytes = prefix.clone();
+            bytes.extend_from_slice(&encode_frame(&rec));
+            let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
+            assert_eq!(records.len(), 2);
+            assert_eq!(valid_len, prefix.len() as u64);
+            assert!(torn);
+            let r = build_replay(records, valid_len, torn);
+            assert_eq!(r.next_pid, 2);
+        }
     }
 
     #[test]
@@ -1282,8 +1299,6 @@ mod tests {
         assert_eq!(r.breakers.len(), 2);
         assert_eq!(r.scheduled.len(), 1);
         assert_eq!(r.scheduled[&4].arrival, SimTime::from_nanos(900));
-        assert_eq!(r.scheduled[&4].main_tid, 11);
-        assert_eq!(r.next_tid, 12, "sched main tid raises the tid floor");
     }
 
     #[test]
@@ -1387,7 +1402,6 @@ mod tests {
             .checkpoint(&WalRecord::Checkpoint {
                 at: SimTime::from_nanos(99),
                 next_pid: 2,
-                next_tid: 2,
                 breakers: vec![],
             })
             .unwrap();
@@ -1399,14 +1413,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Logs already on disk must stay readable: length and FNV-1a of this
-    /// record list's encoding under seed 42, computed at commit 108e8f8
-    /// (before the segment log existed).
+    /// The format changes only on purpose: length and FNV-1a of this
+    /// record list's encoding under seed 42. Version 4 is 24 bytes shorter
+    /// than version 3 (750 bytes, FNV-1a `0xa4d5_ff02`, unchanged from
+    /// commit 108e8f8 through the move onto the segment log): the spawn,
+    /// schedule and checkpoint frames each lost an 8-byte tid field, and
+    /// the header's version word reads 4.
     #[test]
     fn on_disk_format_is_pinned() {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 42);
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (750, 0xa4d5_ff02));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (726, 0x41d9_9f32));
         // The writer lays down the same bytes: the pred marker waits for
         // the checkpoint that follows it in the list, so file order is
         // list order.

@@ -3,8 +3,9 @@
 
 use symphony::sampling::{self, Constraint, GenOpts, JsonConstraint, TrieConstraint};
 use symphony::{
-    BatchPolicy, BreakerPolicy, EventKind, ExecMode, ExitStatus, FaultPlan, Kernel, KernelConfig,
-    KvError, Limits, Mode, SimDuration, SysError, ToolOutcome, ToolSpec,
+    BatchPolicy, Body, BreakerPolicy, Ctx, Dist, EventKind, ExecMode, ExitStatus, FaultPlan,
+    InlineBody, Kernel, KernelConfig, KvError, Limits, Mode, Next, SimDuration, SimTime, SysError,
+    SysReply, Syscall, ThreadEnv, ToolOutcome, ToolSpec,
 };
 
 fn kernel() -> Kernel {
@@ -1112,4 +1113,123 @@ fn durability_changes_what_is_logged_not_what_happens() {
         assert_eq!(durable.3.get(class), Some(&1), "{class}: {:?}", durable.3);
     }
     assert!(durable.3["pred_effect"] > 1);
+}
+
+/// Draws a `sample` from a fixed distribution and a `rand` word, emits them,
+/// then — on the main thread — spawns one sibling that does the same and
+/// joins it: the inline twin of [`hosted_drawer`].
+struct Drawer {
+    main: bool,
+    step: u32,
+}
+
+impl Drawer {
+    fn boxed(main: bool) -> Box<Self> {
+        Box::new(Drawer { main, step: 0 })
+    }
+}
+
+fn draw(env: &mut ThreadEnv, dist: &Dist) -> String {
+    format!("[{} {}]", env.sample(dist), env.rng_u64())
+}
+
+fn fixed_dist() -> Dist {
+    Dist::from_weights((1..9).map(|t| (t, f64::from(t))).collect(), 1.0, 64)
+}
+
+impl InlineBody for Drawer {
+    fn resume(&mut self, env: &mut ThreadEnv, reply: SysReply) -> Next {
+        self.step += 1;
+        let text = match (self.step, reply) {
+            (1, SysReply::Start) => draw(env, &fixed_dist()),
+            (2, _) if self.main => {
+                let body = Body::Inline(Drawer::boxed(false));
+                return Next::Syscall(Syscall::Spawn { body });
+            }
+            (3, SysReply::NewTid(tid)) => return Next::Syscall(Syscall::Join { tid }),
+            (4, SysReply::Joined(_)) => draw(env, &fixed_dist()),
+            _ => return Next::Exit(Ok(())),
+        };
+        Next::Syscall(Syscall::Emit { text })
+    }
+}
+
+/// Decodes a `pred`'s last distribution with `sample`, reads a `rand` word,
+/// and has a sibling do the same from the same distribution.
+fn hosted_drawer(ctx: &mut Ctx) -> Result<(), SysError> {
+    let kv = ctx.kv_create()?;
+    let prompt = ctx.tokenize("a stream of its own")?;
+    let dists = ctx.pred_positions(kv, &prompt, 0)?;
+    let dist = dists.last().ok_or(SysError::BadArgument)?.clone();
+    let first = draw(ctx, &dist);
+    ctx.emit(&first)?;
+    let sibling = dist.clone();
+    let tid = ctx.spawn(move |c| {
+        let drawn = draw(c, &sibling);
+        c.emit(&drawn)
+    })?;
+    ctx.join(tid)?;
+    let last = draw(ctx, &dist);
+    ctx.emit(&last)?;
+    ctx.kv_remove(kv)
+}
+
+/// A thread's `rand`/`sample` draws are a function of who it is — its
+/// process and its start order within it — and not of what the kernel ran
+/// before. The program is scheduled first, so its pid is the same in every
+/// run; then 0..=8 unrelated programs are admitted and start before it
+/// does, each drawing, spawning a thread and calling a tool whose latency
+/// the kernel draws from its own stream. The program's main thread and its
+/// sibling draw the same values however many there were, hosted or inline.
+#[test]
+fn draws_do_not_depend_on_the_programs_admitted_before() {
+    let run = |seed: u64, inline: bool, unrelated: usize| {
+        let mut cfg = KernelConfig::for_tests();
+        cfg.seed = seed;
+        let mut k = Kernel::new(cfg);
+        k.register_tool(
+            "jitter",
+            ToolSpec::new(SimDuration::from_millis(3), |args| {
+                ToolOutcome::Ok(args.to_string())
+            }),
+        );
+        let at = SimTime::ZERO + SimDuration::from_millis(2);
+        let pid = if inline {
+            k.admit_inline("drawer", "", Some(at), Drawer::boxed(true))
+        } else {
+            k.schedule_process(at, "drawer", "", hosted_drawer)
+        };
+        for i in 0..unrelated {
+            let name = format!("unrelated{i}");
+            if i % 2 == 0 {
+                k.spawn_process(&name, "", |ctx| {
+                    let u = ctx.rng_u64().to_string();
+                    let tid = ctx.spawn(move |c| c.call_tool("jitter", &u).map(drop))?;
+                    let v = ctx.rng_u64();
+                    ctx.call_tool("jitter", &v.to_string())?;
+                    ctx.join(tid).map(drop)
+                });
+            } else {
+                k.admit_inline(&name, "", None, Drawer::boxed(true));
+            }
+        }
+        k.run();
+        let rec = k.record(pid).expect("record");
+        assert_eq!(rec.status, ExitStatus::Ok, "{rec:?}");
+        rec.output.clone()
+    };
+    for seed in [1, 42, 7_777] {
+        for inline in [false, true] {
+            let alone = run(seed, inline, 0);
+            // Main, sibling, main.
+            assert_eq!(alone.matches('[').count(), 3, "{alone}");
+            for unrelated in 1..=8 {
+                assert_eq!(
+                    run(seed, inline, unrelated),
+                    alone,
+                    "seed {seed}, inline {inline}, {unrelated} unrelated programs"
+                );
+            }
+        }
+    }
 }

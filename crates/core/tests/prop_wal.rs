@@ -26,7 +26,7 @@ fn tool() -> ToolSpec {
     ToolSpec::fixed(SimDuration::from_millis(2), |args| ToolOutcome::Ok(format!("hit:{args}")))
 }
 
-/// Pair of LIPs: a worker that decodes, calls the tool and reports, and a
+/// Pair of LIPs: a worker that samples, calls the tool and reports, and a
 /// collector that echoes what it received. Deterministic data, no clock
 /// values in outputs.
 fn worker_image() -> ProgramImage {
@@ -38,7 +38,7 @@ fn worker_image() -> ProgramImage {
             ctx,
             kv,
             &prompt,
-            &GenOpts { max_tokens: 4, temperature: 0.0, ..Default::default() },
+            &GenOpts { max_tokens: 4, temperature: 0.8, ..Default::default() },
         )?;
         let doc = ctx.call_tool("lookup", &args)?;
         ctx.emit(&format!("{args}={}|{doc}", ctx.detokenize(&gen.tokens)?))?;

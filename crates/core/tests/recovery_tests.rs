@@ -9,8 +9,8 @@
 //! tool effects** (exactly-once).
 //!
 //! Workload constraints these tests respect (documented in
-//! `docs/RESILIENCE.md`): single main thread per LIP, args-deterministic
-//! tool handlers, no admission shedding, and the collector sorts received
+//! `docs/RESILIENCE.md`): args-deterministic tool handlers, no admission
+//! shedding, and the collector sorts received
 //! messages so live-tail delivery order (which may legally differ during
 //! replay, when journalled tool calls complete instantly) cannot leak into
 //! outputs.
@@ -43,8 +43,8 @@ fn search_tool(fired: Arc<AtomicU64>) -> ToolSpec {
     })
 }
 
-/// Research-agent LIP: greedy-decode a few tokens, consult the tool, stamp
-/// the virtual clock, and report to the collector.
+/// Research-agent LIP: sample a few tokens, consult the tool, stamp the
+/// virtual clock, and report to the collector.
 fn agent_image() -> ProgramImage {
     Arc::new(|ctx| {
         let args = ctx.args();
@@ -54,7 +54,7 @@ fn agent_image() -> ProgramImage {
             ctx,
             kv,
             &prompt,
-            &GenOpts { max_tokens: 5, temperature: 0.0, ..Default::default() },
+            &GenOpts { max_tokens: 5, temperature: 0.8, ..Default::default() },
         )?;
         let answer = ctx.detokenize(&gen.tokens)?;
         let doc = ctx.call_tool("search", &args)?;
@@ -86,7 +86,8 @@ fn sink_image() -> ProgramImage {
     })
 }
 
-/// Late-arriving LIP used by the scheduled-durability tests.
+/// Late-arriving LIP used by the scheduled-durability tests. It samples, so
+/// a crash before its arrival must not move its RNG stream.
 fn late_image() -> ProgramImage {
     Arc::new(|ctx| {
         let prompt = ctx.tokenize(&ctx.args())?;
@@ -95,7 +96,7 @@ fn late_image() -> ProgramImage {
             ctx,
             kv,
             &prompt,
-            &GenOpts { max_tokens: 4, temperature: 0.0, ..Default::default() },
+            &GenOpts { max_tokens: 4, temperature: 0.8, ..Default::default() },
         )?;
         ctx.emit(&format!("late:{}", ctx.detokenize(&gen.tokens)?))?;
         ctx.kv_remove(kv)?;
@@ -411,8 +412,9 @@ fn clean_run_recovers_as_finished_records() {
 }
 
 /// A durable program *scheduled* for a future arrival survives a crash that
-/// lands before it starts: the journalled schedule re-admits it with its
-/// pre-assigned thread id, so its output matches the crash-free run.
+/// lands before it starts: the journalled schedule re-admits it under its
+/// pid, from which its threads' RNG streams are derived, so its sampled
+/// output matches the crash-free run.
 #[test]
 fn scheduled_program_survives_crash_before_arrival() {
     let base_path = tmp("sched-base.wal");

@@ -454,23 +454,31 @@ fn kernel_sandbox_kills_hostile_program_not_server() {
     assert_eq!(kernel.live_threads(), 0);
 }
 
-/// A durable LipScript program: decodes greedily, consults a tool, and
-/// reports. (Greedy, as the kernel's chaos suite is: a thread's RNG stream
-/// is forked from the kernel's, whose state at a re-admission recovery does
-/// not reproduce.)
-const DURABLE_AGENT: &str = r#"let prompt = tokenize("investigate " + args());
+/// A durable LipScript program that draws from its RNG stream: it decodes
+/// with `sample`, reads `rand()`, spawns a sibling that does both, consults
+/// a tool, and reports.
+const DURABLE_AGENT: &str = r#"fn aside(n) {
+    let kv = kv_create();
+    let p = tokenize("aside " + str(n));
+    let t = sample(pred(kv, p, 0)[len(p) - 1]);
+    emit("[aside " + str(t) + " " + str(rand()) + "]");
+    kv_remove(kv);
+    return t;
+}
+let prompt = tokenize("investigate " + args());
 let kv = kv_create();
 let d = pred(kv, prompt, 0)[len(prompt) - 1];
 let pos = len(prompt);
 let out = [];
 while (len(out) < 5) {
-    let t = argmax(d);
+    let t = sample(d);
     out = push(out, t);
     d = pred(kv, [t], pos)[0];
     pos = pos + 1;
 }
+join(spawn("aside", [len(out)]));
 let doc = call_tool("search", args());
-emit(detokenize(out) + "|" + doc);
+emit(detokenize(out) + "|" + str(rand()) + "|" + doc);
 kv_remove(kv);
 "#;
 
@@ -550,7 +558,7 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
     assert!(
         baseline
             .values()
-            .all(|(out, ok)| *ok && out.contains("|doc(topic")),
+            .all(|(out, ok)| *ok && out.contains("[aside ") && out.contains("|doc(topic")),
         "{baseline:?}"
     );
     let (boundaries, invocations) = (k.syscall_boundaries(), k.tool_invocations());

@@ -3,10 +3,11 @@
 //! The simulator implements its own xoshiro256** generator rather than using
 //! an external crate so that streams are stable across platforms and
 //! dependency upgrades — experiment outputs in `EXPERIMENTS.md` must be
-//! regenerable bit-for-bit. Substreams created with [`Rng::fork`] are
-//! independent, which lets each simulated component (arrivals, tool latency,
-//! sampling) own its stream and keeps runs comparable when one component
-//! changes.
+//! regenerable bit-for-bit. A substream made with [`Rng::derive`] is a pure
+//! function of a seed and a key path — no generator's history enters it —
+//! so each simulated component (arrivals, tool latency, a LIP thread's
+//! sampling) owns its stream, runs stay comparable when one component
+//! changes, and a re-executed component draws what it drew before.
 
 /// A deterministic xoshiro256** PRNG with splitmix64 seeding.
 #[derive(Debug, Clone)]
@@ -36,21 +37,22 @@ impl Rng {
         Rng { s }
     }
 
-    /// Derives an independent substream keyed by `stream`.
+    /// The substream named by `keys` under `seed`: a splitmix64 chain
+    /// that folds each key into the state in turn, then seeds a generator
+    /// from the result.
     ///
-    /// Forking with distinct keys yields streams that do not overlap in
-    /// practice; the key is mixed through splitmix64 together with fresh
-    /// output of the parent, so `fork(0)` and `fork(1)` differ even when
-    /// called at the same parent state.
-    pub fn fork(&mut self, stream: u64) -> Rng {
-        let mut sm = self.next_u64() ^ stream.wrapping_mul(0xA076_1D64_78BD_642F);
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
-        Rng { s }
+    /// It reads no generator, so it is the same stream whatever was drawn
+    /// anywhere before it — the kernel seeds a LIP thread with
+    /// `derive(seed, &[pid, ordinal])`, and a re-executed thread draws what
+    /// it drew before the crash. Each fold step is a bijection of the key
+    /// for a fixed state and of the state for a fixed key, so key paths of
+    /// one length that differ anywhere give distinct first words.
+    pub fn derive(seed: u64, keys: &[u64]) -> Rng {
+        let state = keys.iter().fold(seed, |state, &key| {
+            let mut sm = state ^ key;
+            splitmix64(&mut sm)
+        });
+        Rng::new(state)
     }
 
     /// Returns the next 64 uniformly distributed bits.
@@ -144,20 +146,20 @@ mod tests {
     }
 
     #[test]
-    fn fork_streams_are_independent_and_deterministic() {
-        let mut parent1 = Rng::new(7);
-        let mut parent2 = Rng::new(7);
-        let mut c1 = parent1.fork(3);
-        let mut c2 = parent2.fork(3);
+    fn derived_streams_are_pure_and_keyed() {
+        let mut a = Rng::derive(7, &[3, 0]);
+        let mut b = Rng::derive(7, &[3, 0]);
         for _ in 0..32 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
-        let mut parent3 = Rng::new(7);
-        let mut d0 = parent3.fork(0);
-        // Distinct keys at the same parent state must give distinct streams.
-        let mut parent4 = Rng::new(7);
-        let mut d1 = parent4.fork(1);
-        assert_ne!(d0.next_u64(), d1.next_u64());
+        // Every key takes part: change any one, or the seed, and the stream
+        // moves.
+        let first = |seed, keys: &[u64]| Rng::derive(seed, keys).next_u64();
+        let base = first(7, &[3, 0]);
+        for (seed, keys) in [(7, [3, 1]), (7, [4, 0]), (8, [3, 0]), (7, [0, 3])] {
+            assert_ne!(first(seed, &keys), base, "{seed} {keys:?}");
+        }
+        assert_ne!(first(7, &[]), first(7, &[0]));
     }
 
     #[test]

@@ -322,20 +322,57 @@ proptest! {
         prop_assert_eq!(q.events_processed(), times.len() as u64);
     }
 
-    /// The RNG's substreams are reproducible and order-independent of other
-    /// streams' consumption.
+    /// A derived substream is a function of its seed and key path alone.
     #[test]
-    fn rng_fork_isolation(seed in any::<u64>(), key in any::<u64>(), drains in 0usize..50) {
-        let mut a = Rng::new(seed);
-        let mut b = Rng::new(seed);
-        let mut fa = a.fork(key);
-        let mut fb = b.fork(key);
-        // Drain the parent b arbitrarily; the fork must be unaffected.
-        for _ in 0..drains {
-            b.next_u64();
-        }
+    fn rng_derive_is_a_function_of_seed_and_keys(
+        seed in any::<u64>(),
+        keys in proptest::collection::vec(any::<u64>(), 0..4),
+    ) {
+        let mut a = Rng::derive(seed, &keys);
+        let mut b = Rng::derive(seed, &keys);
         for _ in 0..16 {
-            prop_assert_eq!(fa.next_u64(), fb.next_u64());
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    /// Key paths of one length that differ anywhere start differently:
+    /// each fold step is a bijection of the state for a fixed key.
+    #[test]
+    fn rng_derive_distinct_keys_give_distinct_first_words(
+        seed in any::<u64>(),
+        keys in proptest::collection::vec(any::<u64>(), 1..4),
+        at in any::<usize>(),
+        delta in 1u64..u64::MAX,
+    ) {
+        let mut other = keys.clone();
+        let i = at % keys.len();
+        other[i] = other[i].wrapping_add(delta);
+        prop_assert_ne!(
+            Rng::derive(seed, &keys).next_u64(),
+            Rng::derive(seed, &other).next_u64()
+        );
+    }
+
+    /// Draws from any other generator — the seed's own stream, another
+    /// substream — do not move a derived one, before or while it is read.
+    #[test]
+    fn rng_derive_ignores_every_other_draw(
+        seed in any::<u64>(),
+        key in any::<u64>(),
+        drains in 0usize..50,
+    ) {
+        let mut alone = Rng::derive(seed, &[key]);
+        let expected: Vec<u64> = (0..16).map(|_| alone.next_u64()).collect();
+        let mut parent = Rng::new(seed);
+        let mut sibling = Rng::derive(seed, &[key.wrapping_add(1)]);
+        for _ in 0..drains {
+            parent.next_u64();
+            sibling.next_u64();
+        }
+        let mut d = Rng::derive(seed, &[key]);
+        for &want in &expected {
+            parent.next_u64();
+            prop_assert_eq!(d.next_u64(), want);
         }
     }
 
