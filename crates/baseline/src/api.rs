@@ -44,16 +44,6 @@ impl Completion {
         self.finished_at.duration_since(self.arrival)
     }
 
-    /// Mean end-to-end latency per generated token (the paper's Figure 3a
-    /// metric); `None` when nothing was generated.
-    pub fn latency_per_token(&self) -> Option<SimDuration> {
-        if self.tokens.is_empty() {
-            None
-        } else {
-            Some(self.latency() / self.tokens.len() as u64)
-        }
-    }
-
     /// Time to first token.
     pub fn ttft(&self) -> Option<SimDuration> {
         self.first_token_at.map(|t| t.duration_since(self.arrival))
@@ -80,16 +70,6 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Generated-token throughput over the run (tokens/sec).
-    pub fn throughput(&self) -> f64 {
-        let secs = self.makespan.as_secs_f64();
-        if secs > 0.0 {
-            self.generated_tokens as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Prompt cache hit rate in tokens.
     pub fn cache_hit_rate(&self) -> f64 {
         if self.prompt_tokens == 0 {
@@ -116,7 +96,6 @@ mod tests {
             failed: false,
         };
         assert_eq!(c.latency(), SimDuration::from_nanos(10_000));
-        assert_eq!(c.latency_per_token(), Some(SimDuration::from_nanos(2_000)));
         assert_eq!(c.ttft(), Some(SimDuration::from_nanos(2_000)));
     }
 
@@ -131,7 +110,6 @@ mod tests {
             cached_prompt_tokens: 0,
             failed: false,
         };
-        assert_eq!(c.latency_per_token(), None);
         assert_eq!(c.ttft(), None);
     }
 
@@ -145,9 +123,7 @@ mod tests {
             makespan: SimDuration::from_secs(5),
             ..Default::default()
         };
-        assert!((s.throughput() - 100.0).abs() < 1e-9);
         assert!((s.cache_hit_rate() - 0.25).abs() < 1e-9);
-        assert_eq!(RunStats::default().throughput(), 0.0);
         assert_eq!(RunStats::default().cache_hit_rate(), 0.0);
     }
 }

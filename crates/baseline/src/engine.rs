@@ -92,30 +92,6 @@ impl EngineConfig {
             ..Self::vllm_like()
         }
     }
-
-    /// Small test variant of [`EngineConfig::vllm_like`].
-    pub fn vllm_for_tests() -> Self {
-        EngineConfig {
-            model: ModelConfig::tiny(),
-            model_seed: 7,
-            device: DeviceSpec::test_device(),
-            page_tokens: 4,
-            max_batch: 16,
-            ..Self::vllm_like()
-        }
-    }
-
-    /// Small test variant of [`EngineConfig::tgi_like`].
-    pub fn tgi_for_tests() -> Self {
-        EngineConfig {
-            model: ModelConfig::tiny(),
-            model_seed: 7,
-            device: DeviceSpec::test_device(),
-            page_tokens: 4,
-            max_batch: 16,
-            ..Self::tgi_like()
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -585,6 +561,18 @@ impl Engine {
 mod tests {
     use super::*;
 
+    /// A preset shrunk to the tiny model on the test device.
+    fn small(preset: EngineConfig) -> EngineConfig {
+        EngineConfig {
+            model: ModelConfig::tiny(),
+            model_seed: 7,
+            device: DeviceSpec::test_device(),
+            page_tokens: 4,
+            max_batch: 16,
+            ..preset
+        }
+    }
+
     fn reqs(bpe: &Bpe, prompts: &[(&str, u64)]) -> Vec<PromptRequest> {
         prompts
             .iter()
@@ -600,7 +588,7 @@ mod tests {
 
     #[test]
     fn serves_requests_to_completion() {
-        let mut e = Engine::new(EngineConfig::vllm_for_tests());
+        let mut e = Engine::new(small(EngineConfig::vllm_like()));
         let bpe = Bpe::default_tokenizer();
         let (completions, stats) = e.run(reqs(
             bpe,
@@ -626,9 +614,9 @@ mod tests {
             let (mut c, _) = e.run(reqs(bpe, &[("a deterministic prompt about tokens", 1)]));
             c.pop().unwrap().tokens
         };
-        let v1 = run(EngineConfig::vllm_for_tests());
-        let v2 = run(EngineConfig::vllm_for_tests());
-        let t1 = run(EngineConfig::tgi_for_tests());
+        let v1 = run(small(EngineConfig::vllm_like()));
+        let v2 = run(small(EngineConfig::vllm_like()));
+        let t1 = run(small(EngineConfig::tgi_like()));
         assert_eq!(v1, v2, "same engine, same output");
         assert_eq!(v1, t1, "same model semantics across engines");
     }
@@ -646,13 +634,13 @@ mod tests {
                 temperature: 0.0,
             })
             .collect();
-        let mut vllm = Engine::new(EngineConfig::vllm_for_tests());
+        let mut vllm = Engine::new(small(EngineConfig::vllm_like()));
         let (_, vstats) = vllm.run(requests.clone());
         assert!(
             vstats.cached_prompt_tokens > 0,
             "later requests should hit the doc prefix"
         );
-        let mut tgi = Engine::new(EngineConfig::tgi_for_tests());
+        let mut tgi = Engine::new(small(EngineConfig::tgi_like()));
         let (_, tstats) = tgi.run(requests);
         assert_eq!(tstats.cached_prompt_tokens, 0, "TGI never caches");
         assert!(vstats.cache_hit_rate() > tstats.cache_hit_rate());
@@ -671,7 +659,7 @@ mod tests {
         };
         // Request 2 arrives after request 1 finished; it hits the cache but
         // must produce identical output for the identical prompt.
-        let mut e = Engine::new(EngineConfig::vllm_for_tests());
+        let mut e = Engine::new(small(EngineConfig::vllm_like()));
         let (completions, stats) = e.run(vec![mk(1, 0), mk(2, 60_000)]);
         assert!(stats.cached_prompt_tokens > 0, "second request must hit");
         let a = completions.iter().find(|c| c.id == 1).unwrap();
@@ -686,7 +674,7 @@ mod tests {
         // 8 simultaneous requests should finish much sooner than 8x a single
         // request's latency thanks to batched decoding.
         let single: Vec<PromptRequest> = reqs(bpe, &[("prompt one two three", 1)]);
-        let mut e1 = Engine::new(EngineConfig::tgi_for_tests());
+        let mut e1 = Engine::new(small(EngineConfig::tgi_like()));
         let (c1, _) = e1.run(single);
         let single_latency = c1[0].latency();
         let batch: Vec<PromptRequest> = (0..8)
@@ -698,7 +686,7 @@ mod tests {
                 temperature: 0.0,
             })
             .collect();
-        let mut e8 = Engine::new(EngineConfig::tgi_for_tests());
+        let mut e8 = Engine::new(small(EngineConfig::tgi_like()));
         let (c8, _) = e8.run(batch);
         let worst = c8.iter().map(|c| c.latency()).max().unwrap();
         assert!(
@@ -710,7 +698,7 @@ mod tests {
     #[test]
     fn memory_pressure_evicts_cache_and_completes() {
         let bpe = Bpe::default_tokenizer();
-        let mut cfg = EngineConfig::vllm_for_tests();
+        let mut cfg = small(EngineConfig::vllm_like());
         // Small pool: 24 pages of 4 tokens (tiny model: 512 B/token).
         cfg.gpu_kv_bytes_override = Some(24 * 4 * 512);
         let mut e = Engine::new(cfg);
@@ -735,7 +723,7 @@ mod tests {
 
     #[test]
     fn oversized_prompt_fails_cleanly() {
-        let mut cfg = EngineConfig::tgi_for_tests();
+        let mut cfg = small(EngineConfig::tgi_like());
         cfg.gpu_kv_bytes_override = Some(4 * 4 * 512); // 4 pages = 16 tokens
         let mut e = Engine::new(cfg);
         let bpe = Bpe::default_tokenizer();

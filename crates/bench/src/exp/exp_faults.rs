@@ -118,8 +118,7 @@ fn run_cell(
             lat_sum += rec.latency().expect("exited").as_millis_f64();
         }
     }
-    let fs = kernel.fault_stats();
-    let rs = kernel.resilience_stats();
+    let counter = |name: &str| kernel.metrics_registry().counter_value(name).unwrap_or(0);
     let snap = telemetry.capture(&kernel, designated);
     let point = Point {
         policy: policy.to_string(),
@@ -131,13 +130,13 @@ fn run_cell(
         } else {
             f64::NAN
         },
-        injected_failures: fs.tool_failures,
-        injected_hangs: fs.tool_hangs,
-        tool_retries: rs.tool_retries,
-        tool_timeouts: rs.tool_timeouts,
-        calls_exhausted: rs.tool_calls_exhausted,
-        breaker_trips: rs.breaker_trips,
-        breaker_rejections: rs.breaker_rejections,
+        injected_failures: counter("faults.tool_failures"),
+        injected_hangs: counter("faults.tool_hangs"),
+        tool_retries: counter("resilience.tool_retries"),
+        tool_timeouts: counter("resilience.tool_timeouts"),
+        calls_exhausted: counter("resilience.tool_calls_exhausted"),
+        breaker_trips: counter("resilience.breaker_trips"),
+        breaker_rejections: counter("resilience.breaker_rejections"),
     };
     (point, snap)
 }

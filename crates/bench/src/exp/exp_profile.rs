@@ -132,7 +132,6 @@ struct Point {
     /// CI gates on >= 0.95).
     min_coverage: f64,
     spans: usize,
-    events_dropped: u64,
 }
 
 /// One fleet worker: prefill a plan, fetch evidence on a helper thread
@@ -276,8 +275,6 @@ fn run_point(
             rec.status
         );
     }
-    assert_eq!(kernel.events_dropped(), 0, "unbounded bus must not drop");
-
     // Reconstruct the span DAG and attribute every program's wall-clock.
     let forest = build_forest(kernel.telemetry_events());
     let breakdowns = analyze(&forest);
@@ -329,7 +326,6 @@ fn run_point(
             .collect(),
         min_coverage,
         spans: forest.span_count(),
-        events_dropped: kernel.events_dropped(),
     };
     RunOutput {
         point,
@@ -471,7 +467,6 @@ pub(super) fn run(args: &ExpArgs) -> Report {
             p.mode,
             p.min_coverage * 100.0
         );
-        assert_eq!(p.events_dropped, 0);
     }
     println!(
         "\nShape check: every program's phase buckets partition its e2e latency\n\

@@ -103,7 +103,6 @@ proptest! {
     ) {
         let mut k = fleet_kernel(workers, decode, tool_ms, seed);
         k.run();
-        prop_assert_eq!(k.events_dropped(), 0);
         for rec in k.records() {
             prop_assert!(rec.status.is_ok(), "{}: {:?}", rec.name, rec.status);
         }
@@ -189,7 +188,6 @@ fn executor_swap_in_wait_is_booked_as_kv_swap_in() {
         ctx.kv_remove(kv)
     });
     k.run();
-    assert_eq!(k.events_dropped(), 0);
     let breakdowns = analyze(&build_forest(k.telemetry_events()));
     let b = &breakdowns[0];
     assert_eq!(b.attributed_ns(), b.total_ns, "buckets must partition e2e");

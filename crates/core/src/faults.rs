@@ -80,15 +80,6 @@ impl FaultPlan {
             && self.crash_at_boundary.is_none()
     }
 
-    /// A plan faulting only tool calls at `rate` (all failures, no hangs).
-    pub fn tools_only(rate: f64) -> Self {
-        FaultPlan {
-            tool_fault_rate: rate,
-            tool_stall_factor: 10.0,
-            ..FaultPlan::default()
-        }
-    }
-
     /// Checks every probability is a real number in `[0, 1]` (and the
     /// stall factor a finite non-negative multiplier). An out-of-range
     /// rate would silently skew the gate — `>= 1.0` faults everything,
@@ -122,28 +113,7 @@ impl FaultPlan {
     }
 }
 
-/// Counters of injected faults, included in kernel stats so two same-seed
-/// runs can be compared field-for-field. A point-in-time snapshot of the
-/// injector's counters in the unified metrics registry (`faults.*`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Tool attempts forced to fail.
-    pub tool_failures: u64,
-    /// Tool attempts forced to hang.
-    pub tool_hangs: u64,
-    /// `pred` requests transiently faulted.
-    pub pred_faults: u64,
-    /// KV swap-ins failed.
-    pub swap_in_failures: u64,
-    /// IPC messages dropped.
-    pub ipc_drops: u64,
-    /// KV journal writes torn mid-record.
-    pub journal_write_failures: u64,
-    /// Kernel crashes injected at syscall boundaries.
-    pub kernel_crashes: u64,
-}
-
-/// Live counter handles into the metrics registry backing [`FaultStats`].
+/// Live counter handles into the metrics registry (`faults.*`).
 #[derive(Debug, Clone)]
 struct FaultCounters {
     tool_failures: Counter,
@@ -178,12 +148,6 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Builds an injector whose stream is derived from the kernel seed,
-    /// with a private metrics registry.
-    pub fn new(plan: FaultPlan, kernel_seed: u64) -> Self {
-        FaultInjector::with_registry(plan, kernel_seed, &MetricsRegistry::new())
-    }
-
     /// Builds an injector whose counters live in `registry` under the
     /// `faults.*` names.
     ///
@@ -207,19 +171,6 @@ impl FaultInjector {
     /// The configured plan.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Injection counters so far (a snapshot of the `faults.*` counters).
-    pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            tool_failures: self.counters.tool_failures.get(),
-            tool_hangs: self.counters.tool_hangs.get(),
-            pred_faults: self.counters.pred_faults.get(),
-            swap_in_failures: self.counters.swap_in_failures.get(),
-            ipc_drops: self.counters.ipc_drops.get(),
-            journal_write_failures: self.counters.journal_write_failures.get(),
-            kernel_crashes: self.counters.kernel_crashes.get(),
-        }
     }
 
     /// Decides the fate of one tool-call attempt. `None` = run normally.
@@ -324,10 +275,27 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symphony_telemetry::MetricValue;
+
+    /// An injector and the registry its `faults.*` counters live in.
+    fn injector(plan: FaultPlan, seed: u64) -> (FaultInjector, MetricsRegistry) {
+        let registry = MetricsRegistry::new();
+        (
+            FaultInjector::with_registry(plan, seed, &registry),
+            registry,
+        )
+    }
+
+    /// One `faults.*` counter's value.
+    fn count(registry: &MetricsRegistry, name: &str) -> u64 {
+        registry
+            .counter_value(&format!("faults.{name}"))
+            .unwrap_or(0)
+    }
 
     #[test]
     fn zero_plan_never_draws_or_faults() {
-        let mut inj = FaultInjector::new(FaultPlan::none(), 42);
+        let (mut inj, registry) = injector(FaultPlan::none(), 42);
         for b in 0..100 {
             assert!(inj.tool_attempt().is_none());
             assert!(!inj.pred_request());
@@ -336,7 +304,9 @@ mod tests {
             assert!(!inj.journal_write());
             assert!(!inj.kernel_crash(b + 1));
         }
-        assert_eq!(inj.stats(), FaultStats::default());
+        for (name, value) in registry.snapshot().entries {
+            assert_eq!(value, MetricValue::Counter(0), "{name}");
+        }
         // No draws consumed: the stream equals a fresh one.
         let mut fresh = Rng::new(42 ^ FAULT_STREAM_SALT);
         assert_eq!(inj.rng.next_u64(), fresh.next_u64());
@@ -348,12 +318,12 @@ mod tests {
             crash_at_boundary: Some(3),
             ..FaultPlan::default()
         };
-        let mut inj = FaultInjector::new(plan, 42);
+        let (mut inj, registry) = injector(plan, 42);
         assert!(!inj.kernel_crash(1));
         assert!(!inj.kernel_crash(2));
         assert!(inj.kernel_crash(3));
         assert!(!inj.kernel_crash(4));
-        assert_eq!(inj.stats().kernel_crashes, 1);
+        assert_eq!(count(&registry, "kernel_crashes"), 1);
         let mut fresh = Rng::new(42 ^ FAULT_STREAM_SALT);
         assert_eq!(inj.rng.next_u64(), fresh.next_u64(), "no draws consumed");
     }
@@ -364,10 +334,10 @@ mod tests {
             kernel_crash_rate: 0.2,
             ..FaultPlan::default()
         };
-        let mut inj = FaultInjector::new(plan, 11);
+        let (mut inj, registry) = injector(plan, 11);
         let hits = (1..=10_000).filter(|&b| inj.kernel_crash(b)).count();
         assert!((1700..2300).contains(&hits), "hits={hits}");
-        assert_eq!(inj.stats().kernel_crashes, hits as u64);
+        assert_eq!(count(&registry, "kernel_crashes"), hits as u64);
     }
 
     #[test]
@@ -414,7 +384,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in [0, 1]")]
     fn injector_refuses_invalid_plan() {
-        let _ = FaultInjector::new(
+        let _ = injector(
             FaultPlan {
                 tool_fault_rate: 2.0,
                 ..FaultPlan::default()
@@ -430,7 +400,7 @@ mod tests {
             pred_fault_rate: 0.1,
             ..FaultPlan::default()
         };
-        let mut inj = FaultInjector::new(plan, 7);
+        let (mut inj, registry) = injector(plan, 7);
         let mut tool_hits = 0;
         let mut pred_hits = 0;
         for _ in 0..10_000 {
@@ -443,8 +413,8 @@ mod tests {
         }
         assert!((2700..3300).contains(&tool_hits), "tool_hits={tool_hits}");
         assert!((800..1200).contains(&pred_hits), "pred_hits={pred_hits}");
-        assert_eq!(inj.stats().tool_failures, tool_hits);
-        assert_eq!(inj.stats().pred_faults, pred_hits);
+        assert_eq!(count(&registry, "tool_failures"), tool_hits);
+        assert_eq!(count(&registry, "pred_faults"), pred_hits);
     }
 
     #[test]
@@ -456,15 +426,15 @@ mod tests {
             ipc_drop_rate: 0.2,
             ..FaultPlan::default()
         };
-        let mut a = FaultInjector::new(plan, 99);
-        let mut b = FaultInjector::new(plan, 99);
+        let (mut a, ra) = injector(plan, 99);
+        let (mut b, rb) = injector(plan, 99);
         for _ in 0..1000 {
             assert_eq!(a.tool_attempt(), b.tool_attempt());
             assert_eq!(a.swap_in(), b.swap_in());
             assert_eq!(a.ipc_send(), b.ipc_send());
         }
-        assert_eq!(a.stats(), b.stats());
-        assert!(a.stats().tool_hangs > 0, "hang flavour exercised");
+        assert_eq!(ra.snapshot(), rb.snapshot());
+        assert!(count(&ra, "tool_hangs") > 0, "hang flavour exercised");
     }
 
     #[test]
@@ -474,11 +444,11 @@ mod tests {
             tool_hang_fraction: 1.0,
             ..FaultPlan::default()
         };
-        let mut inj = FaultInjector::new(plan, 3);
+        let (mut inj, registry) = injector(plan, 3);
         for _ in 0..10 {
             assert_eq!(inj.tool_attempt(), Some(ToolFaultKind::Hang));
         }
-        assert_eq!(inj.stats().tool_hangs, 10);
-        assert_eq!(inj.stats().tool_failures, 0);
+        assert_eq!(count(&registry, "tool_hangs"), 10);
+        assert_eq!(count(&registry, "tool_failures"), 0);
     }
 }

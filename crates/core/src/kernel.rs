@@ -35,13 +35,12 @@ use symphony_telemetry::{
 };
 use symphony_tokenizer::Bpe;
 
-use crate::faults::{FaultInjector, FaultPlan, FaultStats, ToolFaultKind};
+use crate::faults::{FaultInjector, FaultPlan, ToolFaultKind};
 use crate::hosted::HostedMetrics;
 use crate::proc::{Proc, ThreadState};
 use crate::recovery::Asked;
 use crate::resilience::{
     AdmissionPolicy, BreakerBank, BreakerPolicy, BreakerVerdict, ResilienceCounters,
-    ResilienceStats,
 };
 use crate::sched::{
     threads_parked_gate, BatchGate, BatchPolicy, Decision, ExecMode, ProgramQueue, QueueDiscipline,
@@ -109,8 +108,8 @@ pub struct KernelConfig {
     pub causal: bool,
     /// Fault-injection plan (all-zero = no faults, no extra RNG draws).
     pub faults: FaultPlan,
-    /// Kernel-wide tool retry policy; a [`ToolSpec::with_retry`] overrides
-    /// it per tool. `None` means one attempt.
+    /// Tool retry policy, the same for every tool. `None` means one
+    /// attempt.
     pub tool_retry: Option<RetryPolicy>,
     /// Per-tool circuit breaker; `None` disables breaking.
     pub breaker: Option<BreakerPolicy>,
@@ -697,17 +696,10 @@ impl Kernel {
             buried: Vec::new(),
             seed: config.seed,
             rng: Rng::new(config.seed),
-            bus: {
-                // The drop counter registers unconditionally so metrics
-                // snapshots are identical with telemetry on or off.
-                let dropped = registry.counter("telemetry.events_dropped");
-                if config.telemetry {
-                    let mut bus = EventBus::recording();
-                    bus.set_drop_counter(dropped);
-                    bus
-                } else {
-                    EventBus::disabled()
-                }
+            bus: if config.telemetry {
+                EventBus::recording()
+            } else {
+                EventBus::disabled()
             },
             kmetrics,
             injector: FaultInjector::with_registry(config.faults, config.seed, &registry),
@@ -876,6 +868,7 @@ impl Kernel {
     /// from the WAL without re-invoking handlers, so summing this across a
     /// crashed run and its recovery must equal the crash-free count
     /// (exactly-once side-effects).
+    // lint:allow(u1): a probe for exactly-once tool calls across crashes, which no other API observes
     pub fn tool_invocations(&self) -> u64 {
         self.tools.invocations()
     }
@@ -926,18 +919,6 @@ impl Kernel {
         self.registry.counter_value("sched.cost_hints").unwrap_or(0)
     }
 
-    /// Injected-fault counters for this run.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.injector.stats()
-    }
-
-    /// Resilience counters (retries, timeouts, breaker trips, shedding).
-    /// A snapshot of the `resilience.*` registry counters; the breaker bank
-    /// increments the same entries, so no merging is needed.
-    pub fn resilience_stats(&self) -> ResilienceStats {
-        self.res_counters.snapshot()
-    }
-
     /// The unified metrics registry (counters, gauges, histograms for every
     /// subsystem: `kernel.*`, `sched.*`, `gpu.*`, `kvfs.*`, `tools.*`,
     /// `faults.*`, `resilience.*`).
@@ -958,12 +939,14 @@ impl Kernel {
 
     /// Telemetry events constructed so far — stays 0 while the bus is
     /// disabled, which is the zero-cost property the tests assert.
+    // lint:allow(u1): a probe that a disabled bus constructs no event, which no other API observes
     pub fn telemetry_constructed(&self) -> u64 {
         self.bus.constructed()
     }
 
     /// Replaces the telemetry collector, returning the old one (tests use
     /// this to install a counting collector mid-run).
+    // lint:allow(u1): installs the counting probe behind the disabled-bus zero-cost check
     pub fn set_event_collector(&mut self, collector: Collector) -> Collector {
         self.bus.set_collector(collector)
     }
@@ -980,12 +963,6 @@ impl Kernel {
     /// (spawn, IPC, join, tool and preemption edges across tracks).
     pub fn export_chrome_trace_with_flows(&self) -> String {
         export_chrome_trace_with_flows(self.bus.events())
-    }
-
-    /// Telemetry events the bus discarded. The kernel's bus is unbounded,
-    /// so this stays 0; goldens assert it to catch a bus that ever drops.
-    pub fn events_dropped(&self) -> u64 {
-        self.bus.dropped()
     }
 
     /// Read access to the KV store (tests and harnesses).
@@ -2183,12 +2160,7 @@ impl Kernel {
                         }
                     }
                 }
-                // Per-tool policy overrides the kernel-wide default.
-                let policy = self
-                    .tools
-                    .retry_policy(&name)
-                    .or(self.tool_retry)
-                    .unwrap_or_default();
+                let policy = self.tool_retry.unwrap_or_default();
                 // All attempts are planned synchronously: the virtual time
                 // the call occupies is the sum of per-attempt charges
                 // (latency clamped to the timeout) plus backoff delays, and

@@ -77,9 +77,9 @@ pub mod tools;
 pub mod types;
 pub mod wal;
 
-pub use faults::{FaultInjector, FaultPlan, FaultStats, ToolFaultKind};
+pub use faults::{FaultInjector, FaultPlan, ToolFaultKind};
 pub use kernel::{Kernel, KernelConfig, ProgramImage, SessionEvent, SessionSink};
-pub use resilience::{AdmissionPolicy, BreakerPolicy, BreakerStateView, ResilienceStats};
+pub use resilience::{AdmissionPolicy, BreakerPolicy, BreakerStateView};
 pub use sched::{
     BatchPolicy, ContinuousConfig, ExecMode, MlfqConfig, ProgramQueue, QueueDiscipline,
 };

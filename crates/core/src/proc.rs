@@ -203,6 +203,7 @@ impl Kernel {
     /// are journalled to the WAL so [`Kernel::recover`] +
     /// [`Kernel::resume_programs`] can re-execute it deterministically
     /// after a crash. The image must be re-invocable; see [`ProgramImage`].
+    // lint:allow(u1): part of the `spawn_*` family that ROADMAP item 1 folds into one entry point whole
     pub fn spawn_durable(&mut self, name: &str, args: &str, image: ProgramImage) -> Pid {
         let body = Body::Hosted(Box::new(move |ctx: &mut Ctx| image(ctx)));
         self.admit(name, args, None, self.default_limits, true, body)
@@ -423,6 +424,7 @@ impl Kernel {
     /// ever ran. A kernel with a sink has nothing to reap but the zombies
     /// buried before the sink was installed: each exit since was reaped as
     /// it went to the sink.
+    // lint:allow(u1): part of the zombie-record family that ROADMAP item 1 deletes whole
     pub fn reap_exited(&mut self) -> usize {
         let reaped = self.buried.len();
         for pid in self.buried.drain(..) {

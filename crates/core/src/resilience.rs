@@ -235,49 +235,15 @@ pub struct AdmissionPolicy {
     pub max_retries: u32,
 }
 
-impl AdmissionPolicy {
-    /// Bounded queue of `max_queue` with requeue-on-pressure defaults.
-    pub fn bounded(max_queue: usize) -> Self {
-        AdmissionPolicy {
-            max_queue: max_queue.max(1),
-            retry_delay: SimDuration::from_millis(5),
-            max_retries: 8,
-        }
-    }
-}
-
-/// Resilience counters surfaced in kernel stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilienceStats {
-    /// Tool attempts retried (attempt 2 and beyond).
-    pub tool_retries: u64,
-    /// Tool calls that failed after exhausting all attempts.
-    pub tool_calls_exhausted: u64,
-    /// Tool attempts that exceeded the per-call timeout.
-    pub tool_timeouts: u64,
-    /// Breaker trips (Closed/HalfOpen → Open).
-    pub breaker_trips: u64,
-    /// Calls fast-failed with `Unavailable` while a breaker was open.
-    pub breaker_rejections: u64,
-    /// `pred` arrivals shed with `Busy` at the admission queue.
-    pub preds_shed: u64,
-    /// `pred` requests requeued after KV-pool exhaustion.
-    pub preds_requeued: u64,
-    /// Processes terminated by their wall-clock deadline.
-    pub deadline_kills: u64,
-}
-
-/// Live counter handles into the metrics registry backing
-/// [`ResilienceStats`] (`resilience.*` names). The breaker counters are the
-/// same registry entries a [`BreakerBank::with_registry`] increments, so a
-/// snapshot needs no merging.
+/// Live counter handles into the metrics registry (`resilience.*` names).
+/// The breaker counters are registered here too, so they read 0 on a
+/// kernel without breakers; a [`BreakerBank::with_registry`] increments the
+/// same entries.
 #[derive(Debug, Clone)]
 pub(crate) struct ResilienceCounters {
     pub(crate) tool_retries: Counter,
     pub(crate) tool_calls_exhausted: Counter,
     pub(crate) tool_timeouts: Counter,
-    breaker_trips: Counter,
-    breaker_rejections: Counter,
     pub(crate) preds_shed: Counter,
     pub(crate) preds_requeued: Counter,
     pub(crate) deadline_kills: Counter,
@@ -285,29 +251,15 @@ pub(crate) struct ResilienceCounters {
 
 impl ResilienceCounters {
     pub(crate) fn register(registry: &MetricsRegistry) -> Self {
+        registry.counter("resilience.breaker_trips");
+        registry.counter("resilience.breaker_rejections");
         ResilienceCounters {
             tool_retries: registry.counter("resilience.tool_retries"),
             tool_calls_exhausted: registry.counter("resilience.tool_calls_exhausted"),
             tool_timeouts: registry.counter("resilience.tool_timeouts"),
-            breaker_trips: registry.counter("resilience.breaker_trips"),
-            breaker_rejections: registry.counter("resilience.breaker_rejections"),
             preds_shed: registry.counter("resilience.preds_shed"),
             preds_requeued: registry.counter("resilience.preds_requeued"),
             deadline_kills: registry.counter("resilience.deadline_kills"),
-        }
-    }
-
-    /// A point-in-time [`ResilienceStats`] snapshot.
-    pub(crate) fn snapshot(&self) -> ResilienceStats {
-        ResilienceStats {
-            tool_retries: self.tool_retries.get(),
-            tool_calls_exhausted: self.tool_calls_exhausted.get(),
-            tool_timeouts: self.tool_timeouts.get(),
-            breaker_trips: self.breaker_trips.get(),
-            breaker_rejections: self.breaker_rejections.get(),
-            preds_shed: self.preds_shed.get(),
-            preds_requeued: self.preds_requeued.get(),
-            deadline_kills: self.deadline_kills.get(),
         }
     }
 }

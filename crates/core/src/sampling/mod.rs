@@ -8,7 +8,6 @@
 //! system modifications.
 
 pub mod constraint;
-pub mod prune;
 pub mod speculative;
 pub mod watermark;
 
@@ -19,7 +18,6 @@ use crate::syscall::Ctx;
 use crate::types::SysError;
 
 pub use constraint::{Constraint, JsonConstraint, TrieConstraint};
-pub use prune::StreamingWindow;
 pub use speculative::{verify_greedy, verify_stochastic};
 pub use watermark::Watermark;
 

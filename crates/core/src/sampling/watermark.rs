@@ -83,8 +83,17 @@ impl Watermark {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symphony_model::{ModelConfig, Surrogate};
+    use symphony_model::{CtxFingerprint, ModelConfig, Surrogate};
     use symphony_sim::Rng;
+
+    /// Folds a prompt into a context fingerprint from the origin.
+    fn context_of(m: &Surrogate, tokens: &[TokenId]) -> CtxFingerprint {
+        let f = m.fingerprinter();
+        tokens
+            .iter()
+            .zip(0..)
+            .fold(f.origin(), |fp, (&t, i)| f.advance(fp, t, i))
+    }
 
     fn model() -> Surrogate {
         Surrogate::new(ModelConfig::tiny().with_mean_output_tokens(100_000), 3)
@@ -99,7 +108,7 @@ mod tests {
         let mut rng = Rng::new(4);
 
         let mut generate = |watermarked: bool| -> Vec<TokenId> {
-            let mut fp = m.context_of(&[5, 6, 7]);
+            let mut fp = context_of(&m, &[5, 6, 7]);
             let mut prev = 7u32;
             let mut out = Vec::new();
             for pos in 3..303u32 {
@@ -133,10 +142,11 @@ mod tests {
     #[test]
     fn bias_preserves_normalisation_and_boosts_green() {
         let m = model();
-        let d = m.next_dist(m.context_of(&[1, 2]));
+        let d = m.next_dist(context_of(&m, &[1, 2]));
         let wm = Watermark::new(7, 1_900);
         let b = wm.bias(&d, 2);
-        assert!((b.total_mass() - 1.0).abs() < 1e-9);
+        let mass = b.entries().iter().map(|&(_, p)| p).sum::<f64>() + b.tail_mass();
+        assert!((mass - 1.0).abs() < 1e-9);
         // Some green entry must have gained probability.
         let gained = d
             .entries()
@@ -172,7 +182,7 @@ mod tests {
         let wm_a = Watermark::new(0xAAAA, 1_900);
         let wm_b = Watermark::new(0xBBBB, 1_900);
         let mut rng = Rng::new(9);
-        let mut fp = m.context_of(&[9, 8]);
+        let mut fp = context_of(&m, &[9, 8]);
         let mut prev = 8u32;
         let mut out = Vec::new();
         for pos in 2..302u32 {

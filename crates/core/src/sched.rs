@@ -59,12 +59,6 @@ pub enum Decision {
 /// EWMA weight for inter-arrival gaps.
 const GAP_ALPHA: f64 = 0.2;
 
-/// Floor for the estimated inter-arrival gap, in seconds. Simultaneous
-/// arrivals produce a zero gap; without the floor `estimated_rate` would
-/// report an infinite rate and the adaptive fill-time computation would
-/// degenerate. One virtual nanosecond.
-const MIN_GAP_SECS: f64 = 1e-9;
-
 /// The static preset's launch gate: a [`BatchPolicy`] plus the `pred`
 /// arrival-rate estimator the adaptive policy reads. It pools nothing
 /// itself — the kernel's [`ProgramQueue`] holds the calls and
@@ -91,19 +85,6 @@ impl BatchGate {
             last_arrival: None,
             ewma_gap: None,
         }
-    }
-
-    /// Current arrival-rate estimate in calls/second.
-    ///
-    /// Cold start is explicit: `None` until two arrivals have produced a
-    /// first inter-arrival gap, and the gap is floored at one virtual
-    /// nanosecond so a burst of simultaneous arrivals reports a large but
-    /// *finite* rate instead of dividing by zero. The adaptive policy maps
-    /// `None` to [`Decision::LaunchNow`] (see [`BatchGate::decide`]);
-    /// it never guesses a wait from an estimate this method won't stand
-    /// behind.
-    pub fn estimated_rate(&self) -> Option<f64> {
-        self.ewma_gap.map(|g| 1.0 / g.max(MIN_GAP_SECS))
     }
 
     /// Records a `pred` joining the pool: a fresh call, or one re-pooled
@@ -153,13 +134,12 @@ impl BatchGate {
                     return Decision::LaunchNow;
                 }
                 // Expected time to fill the rest of the batch at the
-                // observed rate. Cold start: until the estimator has a gap
-                // (`estimated_rate` would be `None`), launch immediately
-                // rather than guess a wait. The raw (unfloored) gap is used
-                // below so that a burst of simultaneous arrivals — which
-                // reaches the gate whole, so even the first burst after boot
-                // has its gap — computes a zero fill time and launches now,
-                // all of it, instead of arming a nanosecond timer.
+                // observed rate. Cold start: until the estimator has a gap,
+                // launch immediately rather than guess a wait. A burst of
+                // simultaneous arrivals — which reaches the gate whole, so
+                // even the first burst after boot has its gap — computes a
+                // zero fill time and launches now, all of it, instead of
+                // arming a nanosecond timer.
                 let Some(gap) = self.ewma_gap else {
                     return Decision::LaunchNow;
                 };
@@ -476,7 +456,8 @@ impl<T> ProgramQueue<T> {
     }
 
     /// The static cost hint currently installed for a program, if any.
-    pub fn static_hint_of(&self, pid: u64) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn static_hint_of(&self, pid: u64) -> Option<u64> {
         self.programs.get(pid).and_then(|p| p.hint)
     }
 
@@ -695,13 +676,13 @@ mod tests {
         s.arrive(at(1));
         assert_eq!(s.queue.pop(), Some(at(0)));
         assert_eq!(s.queue.pop(), Some(at(1)));
-        let before = s.gate.estimated_rate().expect("one gap");
+        let before = s.gate.ewma_gap.expect("one gap");
         // The second call failed for memory and comes back 2 ms later.
         s.arrive(at(3));
-        let after = s.gate.estimated_rate().expect("two gaps");
+        let after = s.gate.ewma_gap.expect("two gaps");
         // EWMA: 1 ms * 0.8 + 2 ms * 0.2 = 1.2 ms.
-        assert!((before - 1000.0).abs() < 1e-6, "before={before}");
-        assert!((1.0 / after - 1.2e-3).abs() < 1e-9, "after={after}");
+        assert!((before - 1e-3).abs() < 1e-12, "before={before}");
+        assert!((after - 1.2e-3).abs() < 1e-12, "after={after}");
         // Three more calls at 1.2 ms each, from the re-pooling time.
         assert_eq!(
             s.decide(at(3)),
@@ -719,17 +700,17 @@ mod tests {
             8,
         );
         // Zero arrivals: no estimate, nothing to decide.
-        assert_eq!(s.gate.estimated_rate(), None);
+        assert_eq!(s.gate.ewma_gap, None);
         assert_eq!(s.decide(at(0)), Decision::Idle);
         // One arrival: still no gap, so still no estimate — the adaptive
         // policy's explicit fallback is to launch, not to guess a wait.
         s.arrive(at(0));
-        assert_eq!(s.gate.estimated_rate(), None);
+        assert_eq!(s.gate.ewma_gap, None);
         assert_eq!(s.decide(at(0)), Decision::LaunchNow);
         // Two arrivals: one gap, estimate commits.
         s.arrive(at(10));
-        let rate = s.gate.estimated_rate().expect("estimate after first gap");
-        assert!((rate - 100.0).abs() < 1.0, "rate={rate}");
+        let gap = s.gate.ewma_gap.expect("estimate after first gap");
+        assert!((gap - 0.01).abs() < 1e-12, "gap={gap}");
     }
 
     #[test]
@@ -741,27 +722,26 @@ mod tests {
             },
             8,
         );
-        // A burst at one instant: gap 0 must clamp, not divide by zero.
+        // A burst at one instant: a zero gap, never a division by it.
         s.arrive(at(3));
         s.arrive(at(3));
-        let rate = s.gate.estimated_rate().expect("estimate exists");
-        assert!(rate.is_finite(), "rate={rate}");
-        // And with an (apparently) infinite rate the fill time is ~zero:
-        // launch immediately, don't wait on a degenerate deadline.
+        assert_eq!(s.gate.ewma_gap, Some(0.0));
+        // With a zero gap the fill time is zero: launch immediately,
+        // don't wait on a degenerate deadline.
         assert_eq!(s.decide(at(3)), Decision::LaunchNow);
     }
 
     #[test]
     fn rate_estimate_converges() {
         let mut gate = BatchGate::new(BatchPolicy::Immediate, 8);
-        assert_eq!(gate.estimated_rate(), None);
+        assert_eq!(gate.ewma_gap, None);
         let mut t = SimTime::ZERO;
         for _ in 0..100 {
             gate.on_arrival(t);
             t += SimDuration::from_millis(10);
         }
-        let rate = gate.estimated_rate().unwrap();
-        assert!((rate - 100.0).abs() < 5.0, "rate={rate}");
+        let gap = gate.ewma_gap.unwrap();
+        assert!((gap - 0.01).abs() < 1e-9, "gap={gap}");
     }
 
     #[test]

@@ -338,12 +338,6 @@ impl Ctx {
         self.call(Syscall::KvLink { kv, path })
     }
 
-    /// Removes a path (the file survives).
-    pub fn kv_unlink(&self, path: &str) -> Result<(), SysError> {
-        let path = path.to_string();
-        self.call(Syscall::KvUnlink { path })
-    }
-
     /// Copy-on-write clone of a KV file.
     pub fn kv_fork(&self, kv: FileId) -> Result<FileId, SysError> {
         self.call(Syscall::KvFork { kv })
@@ -369,17 +363,6 @@ impl Ctx {
         self.call(Syscall::KvTruncate { kv, len })
     }
 
-    /// Builds a new file from entry ranges (context pruning).
-    pub fn kv_extract(&self, kv: FileId, ranges: &[Range<usize>]) -> Result<FileId, SysError> {
-        let ranges = ranges.to_vec();
-        self.call(Syscall::KvExtract { kv, ranges })
-    }
-
-    /// Concatenates files into a new one.
-    pub fn kv_merge(&self, kvs: &[FileId]) -> Result<FileId, SysError> {
-        self.call(Syscall::KvMerge { kvs: kvs.to_vec() })
-    }
-
     /// Reads cached entries (token inspection).
     pub fn kv_read(
         &self,
@@ -395,29 +378,9 @@ impl Ctx {
         self.call(Syscall::KvPin { kv })
     }
 
-    /// Unpins a file.
-    pub fn kv_unpin(&self, kv: FileId) -> Result<(), SysError> {
-        self.call(Syscall::KvUnpin { kv })
-    }
-
-    /// Takes the exclusive write lock.
-    pub fn kv_lock(&self, kv: FileId) -> Result<(), SysError> {
-        self.call(Syscall::KvLock { kv })
-    }
-
-    /// Releases the exclusive write lock.
-    pub fn kv_unlock(&self, kv: FileId) -> Result<(), SysError> {
-        self.call(Syscall::KvUnlock { kv })
-    }
-
     /// Changes a file's permission mode.
     pub fn kv_chmod(&self, kv: FileId, mode: Mode) -> Result<(), SysError> {
         self.call(Syscall::KvChmod { kv, mode })
-    }
-
-    /// Stats a file.
-    pub fn kv_stat(&self, kv: FileId) -> Result<FileStat, SysError> {
-        self.call(Syscall::KvStat { kv })
     }
 
     /// Explicitly swaps a file out to host memory.

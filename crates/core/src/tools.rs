@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use symphony_sim::{LogNormal, RetryPolicy, Rng, SimDuration};
+use symphony_sim::{LogNormal, Rng, SimDuration};
 
 use crate::types::SysError;
 
@@ -29,7 +29,6 @@ pub struct ToolSpec {
     mean_latency: SimDuration,
     latency: Option<LogNormal>,
     handler: ToolHandler,
-    retry: Option<RetryPolicy>,
 }
 
 impl ToolSpec {
@@ -48,7 +47,6 @@ impl ToolSpec {
             mean_latency: mean,
             latency,
             handler: Box::new(handler),
-            retry: None,
         }
     }
 
@@ -61,19 +59,7 @@ impl ToolSpec {
             mean_latency: latency,
             latency: None,
             handler: Box::new(handler),
-            retry: None,
         }
-    }
-
-    /// Attaches a per-tool retry policy, overriding the kernel-wide default.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// The per-tool retry policy, if one was attached.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.retry
     }
 
     /// The configured mean latency.
@@ -123,11 +109,6 @@ impl ToolRegistry {
     /// Total invocations served.
     pub fn invocations(&self) -> u64 {
         self.invocations
-    }
-
-    /// The retry policy for `name`, if the tool exists and has one attached.
-    pub fn retry_policy(&self, name: &str) -> Option<RetryPolicy> {
-        self.tools.get(name).and_then(|s| s.retry_policy())
     }
 
     /// Invokes a tool: returns the sampled latency and the outcome, or
@@ -200,23 +181,6 @@ mod tests {
         );
         assert!(!reg.contains("nope"));
         assert_eq!(reg.invocations(), 0, "failed lookups are not invocations");
-    }
-
-    #[test]
-    fn retry_policy_attaches_per_tool() {
-        let mut reg = ToolRegistry::new();
-        reg.register(
-            "api",
-            ToolSpec::fixed(SimDuration::from_millis(1), |_| ToolOutcome::Ok(String::new()))
-                .with_retry(RetryPolicy::exponential(3, SimDuration::from_millis(2))),
-        );
-        reg.register(
-            "plain",
-            ToolSpec::fixed(SimDuration::ZERO, |_| ToolOutcome::Ok(String::new())),
-        );
-        assert_eq!(reg.retry_policy("api").unwrap().max_attempts, 3);
-        assert!(reg.retry_policy("plain").is_none());
-        assert!(reg.retry_policy("missing").is_none());
     }
 
     #[test]

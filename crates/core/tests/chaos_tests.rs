@@ -20,13 +20,26 @@ use symphony::{
     RetryPolicy, SimDuration, SysError, TimedEvent, ToolOutcome, ToolSpec,
 };
 
+/// One registry counter by name (`resilience.*`, `faults.*`).
+fn counter(k: &Kernel, name: &str) -> u64 {
+    k.metrics_registry().counter_value(name).unwrap_or(0)
+}
+
+/// A retry policy with its jitter off: an exact backoff schedule.
+fn exact_retry(max_attempts: u32, base: SimDuration) -> RetryPolicy {
+    RetryPolicy {
+        jitter: 0.0,
+        ..RetryPolicy::exponential(max_attempts, base)
+    }
+}
+
 // ---- exact virtual-time accounting -----------------------------------------
 
 #[test]
 fn exhausted_retries_charge_exact_virtual_time() {
     let mut cfg = KernelConfig::for_tests();
     // 3 attempts, backoffs 10 ms then 20 ms, no jitter: exact arithmetic.
-    cfg.tool_retry = Some(RetryPolicy::exponential(3, SimDuration::from_millis(10)).without_jitter());
+    cfg.tool_retry = Some(exact_retry(3, SimDuration::from_millis(10)));
     let mut k = Kernel::new(cfg);
     k.register_tool(
         "down",
@@ -45,16 +58,15 @@ fn exhausted_retries_charge_exact_virtual_time() {
     });
     k.run();
     assert!(k.record(pid).unwrap().status.is_ok());
-    let rs = k.resilience_stats();
-    assert_eq!(rs.tool_retries, 2);
-    assert_eq!(rs.tool_calls_exhausted, 1);
-    assert_eq!(rs.tool_timeouts, 0);
+    assert_eq!(counter(&k, "resilience.tool_retries"), 2);
+    assert_eq!(counter(&k, "resilience.tool_calls_exhausted"), 1);
+    assert_eq!(counter(&k, "resilience.tool_timeouts"), 0);
 }
 
 #[test]
 fn successful_retry_charges_failed_attempts_too() {
     let mut cfg = KernelConfig::for_tests();
-    cfg.tool_retry = Some(RetryPolicy::exponential(5, SimDuration::from_millis(4)).without_jitter());
+    cfg.tool_retry = Some(exact_retry(5, SimDuration::from_millis(4)));
     let mut k = Kernel::new(cfg);
     // Fails twice, then succeeds.
     let calls = Arc::new(AtomicU64::new(0));
@@ -80,9 +92,12 @@ fn successful_retry_charges_failed_attempts_too() {
     k.run();
     assert!(k.record(pid).unwrap().status.is_ok());
     assert_eq!(calls.load(Ordering::SeqCst), 3);
-    let rs = k.resilience_stats();
-    assert_eq!(rs.tool_retries, 2);
-    assert_eq!(rs.tool_calls_exhausted, 0, "the call ultimately succeeded");
+    assert_eq!(counter(&k, "resilience.tool_retries"), 2);
+    assert_eq!(
+        counter(&k, "resilience.tool_calls_exhausted"),
+        0,
+        "the call ultimately succeeded"
+    );
 }
 
 #[test]
@@ -108,7 +123,7 @@ fn tool_timeout_clamps_each_attempt() {
     });
     k.run();
     assert!(k.record(pid).unwrap().status.is_ok());
-    assert_eq!(k.resilience_stats().tool_timeouts, 1);
+    assert_eq!(counter(&k, "resilience.tool_timeouts"), 1);
 }
 
 // ---- deadlines --------------------------------------------------------------
@@ -139,7 +154,7 @@ fn deadline_wakes_blocked_receiver_with_typed_error() {
         SimDuration::from_millis(10)
     );
     assert!(k.record(healthy).unwrap().status.is_ok());
-    assert_eq!(k.resilience_stats().deadline_kills, 1);
+    assert_eq!(counter(&k, "resilience.deadline_kills"), 1);
     assert_eq!(k.live_threads(), 0, "no thread left behind");
 }
 
@@ -204,9 +219,8 @@ fn breaker_opens_fast_fails_then_recovers() {
     k.run();
     assert!(k.record(pid).unwrap().status.is_ok(), "{:?}", k.record(pid).unwrap().status);
     assert_eq!(calls.load(Ordering::SeqCst), 5, "two calls never reached the tool");
-    let rs = k.resilience_stats();
-    assert_eq!(rs.breaker_trips, 1);
-    assert_eq!(rs.breaker_rejections, 2);
+    assert_eq!(counter(&k, "resilience.breaker_trips"), 1);
+    assert_eq!(counter(&k, "resilience.breaker_rejections"), 2);
 }
 
 // ---- admission control -------------------------------------------------------
@@ -246,9 +260,8 @@ fn kv_pressure_requeues_then_succeeds() {
     assert!(rec.status.is_ok(), "{:?}", rec.status);
     assert_eq!(rec.output, "made it");
     assert!(
-        k.resilience_stats().preds_requeued > 0,
-        "the victim must have been backed off at least once: {:?}",
-        k.resilience_stats()
+        counter(&k, "resilience.preds_requeued") > 0,
+        "the victim must have been backed off at least once"
     );
 }
 
@@ -280,9 +293,12 @@ fn exhausted_requeues_shed_with_busy() {
     });
     k.run();
     assert!(k.record(victim).unwrap().status.is_ok());
-    let rs = k.resilience_stats();
-    assert_eq!(rs.preds_requeued, 3, "all requeue budget used: {rs:?}");
-    assert!(rs.preds_shed >= 1, "then shed: {rs:?}");
+    assert_eq!(
+        counter(&k, "resilience.preds_requeued"),
+        3,
+        "all requeue budget used"
+    );
+    assert!(counter(&k, "resilience.preds_shed") >= 1, "then shed");
 }
 
 // ---- fault containment -------------------------------------------------------
@@ -320,11 +336,11 @@ fn pred_faults_are_contained_and_retryable() {
     k.run();
     let rec = k.record(tough).unwrap();
     assert!(rec.status.is_ok(), "{:?}", rec.status);
-    let fs = k.fault_stats();
-    assert!(fs.pred_faults > 0, "faults must actually fire: {fs:?}");
+    let pred_faults = counter(&k, "faults.pred_faults");
+    assert!(pred_faults > 0, "faults must actually fire");
     assert_eq!(
         k.gpu_metrics().requests_faulted,
-        fs.pred_faults,
+        pred_faults,
         "injector and GPU agree"
     );
     // Faulted work left no partial KV state behind.
@@ -360,14 +376,18 @@ fn swap_in_faults_surface_typed_and_are_retryable() {
     });
     k.run();
     assert!(k.record(pid).unwrap().status.is_ok(), "{:?}", k.record(pid).unwrap().status);
-    assert!(k.fault_stats().swap_in_failures > 0);
+    assert!(counter(&k, "faults.swap_in_failures") > 0);
     k.store().verify().unwrap();
 }
 
 #[test]
 fn unprotected_process_fails_typed_while_siblings_survive() {
     let mut cfg = KernelConfig::for_tests();
-    cfg.faults = FaultPlan::tools_only(1.0); // every tool attempt faults
+    cfg.faults = FaultPlan {
+        tool_fault_rate: 1.0, // every tool attempt faults
+        tool_stall_factor: 10.0,
+        ..FaultPlan::default()
+    };
     let mut k = Kernel::new(cfg);
     k.register_tool(
         "api",
@@ -417,7 +437,11 @@ fn chaos_run(seed: u64) -> (Vec<TimedEvent>, Vec<(String, String, bool)>, String
     cfg.tool_retry =
         Some(RetryPolicy::exponential(4, SimDuration::from_millis(5)));
     cfg.breaker = Some(BreakerPolicy::new(5, SimDuration::from_millis(50)));
-    cfg.admission = Some(AdmissionPolicy::bounded(128));
+    cfg.admission = Some(AdmissionPolicy {
+        max_queue: 128,
+        retry_delay: SimDuration::from_millis(5),
+        max_retries: 8,
+    });
     cfg.default_limits = Limits {
         tool_timeout: Some(SimDuration::from_millis(200)),
         deadline: Some(SimDuration::from_secs(30)),
@@ -463,10 +487,13 @@ fn chaos_run(seed: u64) -> (Vec<TimedEvent>, Vec<(String, String, bool)>, String
         .records()
         .map(|r| (r.name.clone(), r.output.clone(), r.status.is_ok()))
         .collect();
-    let fs = k.fault_stats();
-    let rs = k.resilience_stats();
     let summary = format!(
-        "{fs:?} {rs:?} gpu_faulted={} tools={}",
+        "{:?} gpu_faulted={} tools={}",
+        k.metrics_snapshot()
+            .entries
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("faults.") || name.starts_with("resilience."))
+            .collect::<Vec<_>>(),
         k.gpu_metrics().requests_faulted,
         k.gpu_metrics().requests_ok,
     );
@@ -481,7 +508,8 @@ fn chaos_same_seed_runs_are_byte_identical() {
     assert_eq!(procs1, procs2, "per-process outputs diverged");
     assert_eq!(stats1, stats2, "stats diverged");
     // The chaos actually happened (tool faults fired) and was recorded.
-    assert!(!stats1.contains("tool_failures: 0"), "{stats1}");
+    assert!(stats1.contains(r#"("faults.tool_failures", Counter("#), "{stats1}");
+    assert!(!stats1.contains(r#"("faults.tool_failures", Counter(0))"#), "{stats1}");
 }
 
 #[test]
@@ -514,7 +542,11 @@ fn zero_rate_plan_is_identical_to_machinery_off() {
             cfg.tool_retry =
                 Some(RetryPolicy::exponential(5, SimDuration::from_millis(10)));
             cfg.breaker = Some(BreakerPolicy::new(3, SimDuration::from_millis(50)));
-            cfg.admission = Some(AdmissionPolicy::bounded(1024));
+            cfg.admission = Some(AdmissionPolicy {
+        max_queue: 1024,
+        retry_delay: SimDuration::from_millis(5),
+        max_retries: 8,
+    });
         }
         let mut k = Kernel::new(cfg);
         k.register_tool(

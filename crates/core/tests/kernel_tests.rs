@@ -12,6 +12,15 @@ fn kernel() -> Kernel {
     Kernel::new(KernelConfig::for_tests())
 }
 
+/// Issues a system call that has no `Ctx` wrapper and expects a unit reply.
+fn sys_unit(ctx: &Ctx, call: Syscall) -> Result<(), SysError> {
+    match ctx.syscall(call) {
+        SysReply::Unit => Ok(()),
+        SysReply::Err(e) => Err(e),
+        _ => panic!("a unit call answered with another shape"),
+    }
+}
+
 #[test]
 fn basic_completion_lip() {
     let mut k = kernel();
@@ -602,7 +611,7 @@ fn crash_cleanup_reclaims_files_and_locks() {
         let kv = ctx.kv_create()?;
         ctx.pred_positions(kv, &[1, 2, 3, 4, 5, 6, 7, 8], 0)?;
         let shared = ctx.kv_open("shared.kv")?;
-        ctx.kv_lock(shared)?;
+        sys_unit(ctx, Syscall::KvLock { kv: shared })?;
         panic!("lip bug");
     });
     k.run();
@@ -612,8 +621,8 @@ fn crash_cleanup_reclaims_files_and_locks() {
     assert_eq!(k.store().gpu_pages_used(), pages_before);
     let locker = k.spawn_process("locker", "", |ctx| {
         let shared = ctx.kv_open("shared.kv")?;
-        ctx.kv_lock(shared)?;
-        ctx.kv_unlock(shared)?;
+        sys_unit(ctx, Syscall::KvLock { kv: shared })?;
+        sys_unit(ctx, Syscall::KvUnlock { kv: shared })?;
         Ok(())
     });
     k.run();
@@ -979,7 +988,10 @@ fn extract_prunes_context() {
         let tokens: Vec<u32> = (1..=12).collect();
         ctx.pred_positions(kv, &tokens, 0)?;
         // Keep an attention-sink head plus the recent tail.
-        let pruned = ctx.kv_extract(kv, &[0..2, 8..12])?;
+        let ranges = vec![0..2, 8..12];
+        let SysReply::Handle(pruned) = ctx.syscall(Syscall::KvExtract { kv, ranges }) else {
+            panic!("kv_extract answers a file handle");
+        };
         assert_eq!(ctx.kv_len(pruned)?, 6);
         let entries = ctx.kv_read(pruned, 0, 6)?;
         assert_eq!(entries[0].position, 0);

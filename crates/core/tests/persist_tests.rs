@@ -115,7 +115,7 @@ fn torn_journal_write_is_recovered_on_replay() {
     let mut k = Kernel::new(cfg);
     preload(&mut k);
     assert!(!k.persist_kv(&path).unwrap(), "injected fault must tear the tail");
-    assert_eq!(k.fault_stats().journal_write_failures, 1);
+    assert_eq!(k.metrics_registry().counter_value("faults.journal_write_failures").unwrap_or(0), 1);
     assert!(
         k.export_chrome_trace().contains("journal_write"),
         "fault site must be visible in telemetry"

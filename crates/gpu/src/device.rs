@@ -45,31 +45,6 @@ impl DeviceSpec {
         }
     }
 
-    /// NVIDIA A100 40 GB SXM.
-    pub fn a100_40g() -> Self {
-        DeviceSpec {
-            hbm_bytes: 40_000_000_000,
-            hbm_bandwidth: 1.555e12,
-            name: "a100-40g",
-            ..Self::a100_80g()
-        }
-    }
-
-    /// NVIDIA H100 80 GB SXM.
-    pub fn h100_80g() -> Self {
-        DeviceSpec {
-            name: "h100-80g",
-            hbm_bytes: 80_000_000_000,
-            hbm_bandwidth: 3.35e12,
-            peak_flops: 989e12,
-            mfu: 0.45,
-            pcie_bandwidth: 55e9,
-            batch_overhead_ns: 150_000,
-            activation_reserve: 0.10,
-            nvme: IoLane::nvme(),
-        }
-    }
-
     /// A tiny virtual device for tests: enough room for toy models, fast
     /// constants so virtual timings stay readable.
     pub fn test_device() -> Self {
@@ -137,7 +112,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit")]
     fn oversized_model_rejected() {
-        DeviceSpec::a100_40g().kv_budget_bytes(&ModelConfig::llama_70b());
+        DeviceSpec::test_device().kv_budget_bytes(&ModelConfig::llama_13b());
     }
 
     #[test]
@@ -151,7 +126,7 @@ mod tests {
 
     #[test]
     fn presets_are_distinct() {
-        assert_ne!(DeviceSpec::a100_80g(), DeviceSpec::h100_80g());
-        assert!(DeviceSpec::h100_80g().hbm_bandwidth > DeviceSpec::a100_80g().hbm_bandwidth);
+        assert_ne!(DeviceSpec::a100_80g(), DeviceSpec::test_device());
+        assert!(DeviceSpec::test_device().hbm_bytes < DeviceSpec::a100_80g().hbm_bytes);
     }
 }

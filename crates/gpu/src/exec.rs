@@ -215,7 +215,7 @@ impl GpuExecutor {
     /// (`params × dtype_bytes` over HBM). Up to the ridge a token is free;
     /// past it every token lengthens the iteration for the whole batch.
     /// `params` cancels, so the ridge is a property of the device and the
-    /// weight precision: 78 on an A100-80G, 132 on an H100, in FP16. The
+    /// weight precision: 78 on an A100-80G in FP16. The
     /// scheduler reads its per-iteration token budget from here, so the
     /// policy cannot drift from the cost model above.
     pub fn ridge_tokens(&self) -> usize {
@@ -518,8 +518,11 @@ mod tests {
         };
         assert_eq!(ridge(DeviceSpec::a100_80g(), ModelConfig::llama_13b()), 78);
         // `params` cancels: the ridge belongs to the device and the dtype.
-        assert_eq!(ridge(DeviceSpec::a100_80g(), ModelConfig::llama_7b()), 78);
-        assert_eq!(ridge(DeviceSpec::h100_80g(), ModelConfig::llama_13b()), 132);
+        let half = ModelConfig {
+            params: 6.7e9,
+            ..ModelConfig::llama_13b()
+        };
+        assert_eq!(ridge(DeviceSpec::a100_80g(), half), 78);
         // Never zero, however compute-starved the device: a zero budget
         // would schedule nothing.
         let starved = DeviceSpec {

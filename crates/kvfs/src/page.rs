@@ -354,7 +354,8 @@ impl PagePool {
     /// Installs a page with a known id, content and refcount — journal
     /// restore only. Grows the slot vector as needed; fails with the
     /// tier's out-of-memory error when the configured capacity cannot
-    /// hold another page, and refuses to overwrite a live slot.
+    /// hold another page, and refuses to overwrite a live slot or to take
+    /// an id at or beyond the pool's total capacity.
     pub(crate) fn install(
         &mut self,
         id: PageId,
@@ -365,7 +366,17 @@ impl PagePool {
         if let Some(err) = self.tier_full(tier) {
             return Err(err);
         }
+        // `alloc` grows the slot vector only when every slot is live, and
+        // every live page counts against a tier, so no pool of this
+        // capacity wrote a larger id: refuse it before it sizes anything.
         let idx = id.0 as usize;
+        let capacity = self
+            .gpu_capacity
+            .saturating_add(self.cpu_capacity)
+            .saturating_add(self.disk_capacity);
+        if idx >= capacity {
+            return Err(KvError::JournalTorn);
+        }
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
         }
@@ -608,5 +619,20 @@ mod tests {
         // Slot 1 is the only hole; canonical order allocates it first.
         assert_eq!(pool.free_list(), &[1]);
         assert_eq!(pool.alloc(Tier::Gpu).unwrap(), PageId(1));
+    }
+
+    #[test]
+    fn install_refuses_an_id_no_pool_this_size_allocates() {
+        // 4 + 0 + 4 pages: ids 0..8 are the most this pool can have made.
+        let mut pool = PagePool::new(4, 4, 0, 4);
+        pool.install(PageId(7), Tier::Disk, vec![entry(1)], 1)
+            .unwrap();
+        for id in [8, u32::MAX - 1, u32::MAX] {
+            assert_eq!(
+                pool.install(PageId(id), Tier::Gpu, vec![entry(2)], 1),
+                Err(KvError::JournalTorn)
+            );
+        }
+        assert_eq!(pool.slots_len(), 8, "nothing was sized by a refused id");
     }
 }

@@ -376,6 +376,7 @@ impl KvStore {
     }
 
     /// CPU pages in use.
+    // lint:allow(u1): the property tests' view of the host-memory tier's budget
     pub fn cpu_pages_used(&self) -> usize {
         self.pool.cpu_used()
     }
@@ -430,6 +431,7 @@ impl KvStore {
     }
 
     /// Pages currently charged to an owner.
+    // lint:allow(u1): the property tests' check that quotas are charged and released
     pub fn quota_used(&self, owner: OwnerId) -> usize {
         self.quotas.get(&owner).map_or(0, |q| q.used_pages)
     }
@@ -1074,6 +1076,7 @@ impl KvStore {
     /// eligible: pinning protects a file from being *dropped* or chosen by
     /// eviction policies, not from an explicit demotion to durable storage
     /// — a demoted pinned file keeps all its pages and its pin.
+    // lint:allow(u1): the property tests' way to put a file on the disk tier
     pub fn demote_to_disk(&mut self, id: FileId, caller: OwnerId) -> Result<SwapReport, KvError> {
         self.check_write(id, caller)?;
         let (files, pool) = (&self.files, &mut self.pool);
@@ -2515,6 +2518,39 @@ mod tests {
         assert_eq!(report.torn, Some(KvError::JournalTorn));
         r.verify().unwrap();
         assert_eq!(r.read_all_unchecked(f).unwrap(), entries(0..10));
+    }
+
+    #[test]
+    fn a_journal_naming_a_page_beyond_the_pool_is_refused_not_an_abort() {
+        // A CRC-valid journal whose one file's one page is numbered
+        // `u32::MAX - 1`. Warm restart must boot either way, and a slot
+        // vector sized by that id would take 137 GB: the restore has to
+        // refuse the id, not try.
+        let mut s = store();
+        let f = s.create(U1).unwrap();
+        s.append(f, U1, &entries(0..3)).unwrap();
+        let (header, records, _) = crate::journal::read_journal(&s.journal_bytes()).unwrap();
+        let far = u32::MAX - 1;
+        let mut w = JournalWriter::new(&header);
+        for mut r in records {
+            match &mut r {
+                Record::PageWrite { page, .. } => *page = far,
+                Record::FileMeta { pages, .. } => *pages = vec![far],
+                _ => {}
+            }
+            w.append(&r);
+        }
+        let bytes = w.finish();
+        assert!(bytes.len() < 200, "a small journal: {} B", bytes.len());
+        assert_eq!(
+            KvStore::restore_from_journal_bytes(
+                KvStoreConfig::for_tests(),
+                &MetricsRegistry::new(),
+                &bytes
+            )
+            .err(),
+            Some(KvError::JournalTorn)
+        );
     }
 
     #[test]

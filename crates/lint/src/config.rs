@@ -52,7 +52,7 @@ impl Config {
                         None => {
                             return Err(format!(
                                 "lint.toml:{lineno}: unknown rule `{id}` in [allow.*] \
-                                 (known: d1 d2 d3 k1 o1 o2 f1)"
+                                 (known: d1 d2 d3 k1 o1 o2 f1 u1)"
                             ))
                         }
                     }
@@ -81,9 +81,7 @@ impl Config {
             for item in split_quoted(inner, lineno)? {
                 match section {
                     Section::None => {
-                        return Err(format!(
-                            "lint.toml:{lineno}: `paths` outside a section"
-                        ))
+                        return Err(format!("lint.toml:{lineno}: `paths` outside a section"))
                     }
                     Section::Skip => cfg.skip.push(item),
                     Section::Allow(rule) => cfg.allow.push((rule, item)),

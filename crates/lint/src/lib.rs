@@ -8,7 +8,7 @@
 //! *never panic on a syscall path*. This crate makes both machine-checked
 //! properties. It walks every workspace `.rs` file with a lightweight,
 //! string/char/comment-aware tokenizer (see [`sanitize`]) — no `syn`, per
-//! the vendored-only `third_party/` policy — and enforces seven rules:
+//! the vendored-only `third_party/` policy — and enforces eight rules:
 //!
 //! | rule | invariant it guards |
 //! |------|---------------------|
@@ -19,6 +19,7 @@
 //! | `o1` | no `println!`/`eprintln!` in library crates |
 //! | `o2` | every telemetry span `*Enter`/`*Begin` has a `*Exit`/`*End` twin |
 //! | `f1` | no file opens/overwrites/renames/truncations outside `sim::seglog` |
+//! | `u1` | no `pub fn` without a caller outside the tests (whole workspace) |
 //!
 //! Violations can be suppressed inline with
 //! `// lint:allow(rule-id): reason` (the reason is mandatory) or by path
@@ -27,6 +28,7 @@
 mod config;
 mod rules;
 mod sanitize;
+mod unused;
 
 pub use config::Config;
 pub use rules::{explain, Rule, ALL_RULES};
@@ -102,45 +104,88 @@ pub fn render_json(violations: &[Violation]) -> String {
     out
 }
 
-/// Lints one file's source text. `path` must be workspace-relative and
-/// `/`-separated — rule applicability (deterministic crates, kernel paths,
-/// binaries vs. libraries, test directories) is derived from it.
+/// Lints one file's source text with the per-file rules (every rule but
+/// `u1`, which needs the whole workspace: see [`lint_sources`]). `path`
+/// must be workspace-relative and `/`-separated — rule applicability
+/// (deterministic crates, kernel paths, binaries vs. libraries, test
+/// directories) is derived from it.
 pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Vec<Violation> {
     if cfg.is_skipped(path) {
         return Vec::new();
     }
-    let sanitized = sanitize(src);
-    let lines = classify(&sanitized);
+    let lines = classify(&sanitize(src));
     let raw_lines: Vec<&str> = src.lines().collect();
     let mut out = Vec::new();
     for rule in ALL_RULES {
         if !rule.applies_to(path) || cfg.is_allowed(*rule, path) {
             continue;
         }
-        for mut v in rules::check(*rule, path, &lines) {
-            // Rules match on sanitized text; report the raw source line.
-            if let Some(raw) = raw_lines.get(v.line.saturating_sub(1)) {
-                v.snippet = raw.trim().to_string();
-            }
-            match suppression_for(&raw_lines, v.line, *rule) {
-                Suppression::None => out.push(v),
-                Suppression::Allowed => {}
-                Suppression::MissingReason(at) => {
-                    v.message = format!(
-                        "suppression for `{}` on line {at} is missing its reason \
-                         (write `lint:allow({}): <why this is safe>`); the \
-                         violation stands: {}",
-                        rule.id(),
-                        rule.id(),
-                        v.message
-                    );
-                    out.push(v);
-                }
-            }
+        for v in rules::check(*rule, path, &lines) {
+            report(v, &raw_lines, &mut out);
         }
     }
     out.sort_by(|a, b| (a.line, a.rule.id()).cmp(&(b.line, b.rule.id())));
     out
+}
+
+/// Lints a set of `(workspace-relative path, source)` files as one
+/// workspace: the per-file rules on each, then `u1` across all of them.
+/// Results are sorted by `(path, line, rule)`.
+pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Vec<Violation> {
+    let files: Vec<_> = files
+        .iter()
+        .filter(|(path, _)| !cfg.is_skipped(path))
+        .collect();
+    let mut out = Vec::new();
+    for (path, src) in &files {
+        out.extend(lint_source(path, src, cfg));
+    }
+    let lines: Vec<_> = files
+        .iter()
+        .map(|(_, src)| classify(&sanitize(src)))
+        .collect();
+    let sources: Vec<_> = files
+        .iter()
+        .zip(&lines)
+        .map(|((path, _), l)| (path.as_str(), l))
+        .collect();
+    for v in unused::check(&sources) {
+        if cfg.is_allowed(Rule::U1, &v.path) {
+            continue;
+        }
+        let Some((_, src)) = files.iter().find(|(path, _)| *path == v.path) else {
+            continue;
+        };
+        report(v, &src.lines().collect::<Vec<_>>(), &mut out);
+    }
+    out.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.rule.id()).cmp(&(b.path.as_str(), b.line, b.rule.id()))
+    });
+    out
+}
+
+/// Adds `v` to `out` unless an inline `lint:allow` with a reason covers it.
+fn report(mut v: Violation, raw_lines: &[&str], out: &mut Vec<Violation>) {
+    // Rules match on sanitized text; report the raw source line.
+    if let Some(raw) = raw_lines.get(v.line.saturating_sub(1)) {
+        v.snippet = raw.trim().to_string();
+    }
+    let rule = v.rule;
+    match suppression_for(raw_lines, v.line, rule) {
+        Suppression::None => out.push(v),
+        Suppression::Allowed => {}
+        Suppression::MissingReason(at) => {
+            v.message = format!(
+                "suppression for `{}` on line {at} is missing its reason \
+                 (write `lint:allow({}): <why this is safe>`); the \
+                 violation stands: {}",
+                rule.id(),
+                rule.id(),
+                v.message
+            );
+            out.push(v);
+        }
+    }
 }
 
 /// Outcome of looking for an inline `lint:allow` covering a violation.
@@ -189,21 +234,18 @@ fn suppression_for(raw_lines: &[&str], line: usize, rule: Rule) -> Suppression {
 }
 
 /// Walks the workspace at `root` and lints every `.rs` file outside the
-/// configured skip list. Results are sorted by `(path, line, rule)` so two
-/// runs over the same tree render byte-identical reports.
+/// configured skip list ([`lint_sources`]). Two runs over the same tree
+/// render byte-identical reports.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Violation>> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut out = Vec::new();
-    for rel in files {
+    let mut paths = Vec::new();
+    collect_rs_files(root, root, &mut paths)?;
+    paths.sort();
+    let mut files = Vec::with_capacity(paths.len());
+    for rel in paths {
         let src = std::fs::read_to_string(root.join(&rel))?;
-        out.extend(lint_source(&rel, &src, cfg));
+        files.push((rel, src));
     }
-    out.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule.id()).cmp(&(b.path.as_str(), b.line, b.rule.id()))
-    });
-    Ok(out)
+    Ok(lint_sources(&files, cfg))
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {

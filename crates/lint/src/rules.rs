@@ -23,6 +23,8 @@ pub enum Rule {
     O2,
     /// Durable files are written through the segment log only.
     F1,
+    /// No public function without a caller outside the tests.
+    U1,
 }
 
 /// Every rule, in report order.
@@ -34,6 +36,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::O1,
     Rule::O2,
     Rule::F1,
+    Rule::U1,
 ];
 
 /// Crates whose output feeds golden traces / fingerprint comparisons:
@@ -90,6 +93,7 @@ impl Rule {
             Rule::O1 => "o1",
             Rule::O2 => "o2",
             Rule::F1 => "f1",
+            Rule::U1 => "u1",
         }
     }
 
@@ -122,6 +126,8 @@ impl Rule {
             }
             Rule::O1 => is_library_file(path),
             Rule::O2 => path.starts_with("crates/telemetry/src/"),
+            // Whole-workspace: `crate::unused` runs it over every file.
+            Rule::U1 => false,
         }
     }
 }
@@ -223,6 +229,7 @@ pub(crate) fn check(rule: Rule, path: &str, lines: &Lines) -> Vec<Violation> {
             },
         ),
         Rule::O2 => return check_span_pairs(path, lines),
+        Rule::U1 => return Vec::new(),
         Rule::F1 => (
             &[
                 "OpenOptions",
@@ -445,6 +452,31 @@ pub fn explain(rule: Rule) -> &'static str {
              Fix: hold a `SegLog`; `create`/`replace` to put a whole file in\n\
              place, `push`+`flush` or `append` to add frames, `truncate_to`\n\
              to cut a torn tail."
+        }
+        Rule::U1 => {
+            "u1: every public function has a caller\n\
+             \n\
+             Flags a `pub fn` (free or method) in crates/*/src, outside\n\
+             `#[cfg(test)]` modules and `#[test]` functions, whose name\n\
+             appears as a whole word in no non-test source other than its\n\
+             own definition. Non-test source is crates/*/src outside test\n\
+             regions (binaries included), the crates' build scripts, src/,\n\
+             examples/ and benchmark/src; comments and strings do not\n\
+             count. It runs over the whole workspace at once, after the\n\
+             per-file rules.\n\
+             \n\
+             Symphony's interface to a program is a small set of system\n\
+             calls; the crates' public surface should be what their callers\n\
+             use. A public function only tests call is an API nobody relies\n\
+             on that still has to be read, kept compiling and kept true. The\n\
+             rule is lexical, so its known limit is that a dead method that\n\
+             shares its name with a live one (or with any other word of\n\
+             code) is not reported.\n\
+             \n\
+             Fix: delete the function and the tests that only exercised it,\n\
+             or keep it with `lint:allow(u1): reason` when it is a reference\n\
+             or fault injector tests drive, a probe for a property no other\n\
+             API can observe, or a documented contract for clients."
         }
     }
 }

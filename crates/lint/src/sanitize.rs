@@ -79,16 +79,17 @@ pub fn sanitize(src: &str) -> String {
                         j += 1;
                     }
                     let raw = c == 'r' || chars.get(i + 1) == Some(&'r');
-                    if !prev_ident
-                        && chars.get(j) == Some(&'"')
-                        && (raw || hashes == 0)
-                    {
+                    if !prev_ident && chars.get(j) == Some(&'"') && (raw || hashes == 0) {
                         // Emit the prefix and the opening quote verbatim.
                         for &p in &chars[i..=j] {
                             out.push(p);
                         }
                         i = j + 1;
-                        state = if raw { State::RawStr(hashes) } else { State::Str };
+                        state = if raw {
+                            State::RawStr(hashes)
+                        } else {
+                            State::Str
+                        };
                     } else {
                         out.push(c);
                         i += 1;

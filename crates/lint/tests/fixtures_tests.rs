@@ -7,7 +7,7 @@
 //! here via [`lint_source`] under *pseudo-paths* chosen to put each snippet
 //! in the rule's scope.
 
-use symphony_lint::{lint_source, render_json, Config, Rule, Violation};
+use symphony_lint::{lint_source, lint_sources, render_json, Config, Rule, Violation};
 
 fn lint(pseudo_path: &str, src: &str) -> Vec<Violation> {
     lint_source(pseudo_path, src, &Config::default())
@@ -299,4 +299,90 @@ fn d3_applies_to_the_tokenizer() {
         v.iter().filter(|v| v.rule == Rule::D3).count() >= 2,
         "order-unstable collections must fire in the tokenizer: {v:?}"
     );
+}
+
+/// The `u1` findings over a set of `(pseudo-path, source)` files linted as
+/// one workspace, as `(function name, message)` pairs.
+fn u1(files: &[(&str, &str)]) -> Vec<(String, String)> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(path, src)| (path.to_string(), src.to_string()))
+        .collect();
+    lint_sources(&files, &Config::default())
+        .into_iter()
+        .filter(|v| v.rule == Rule::U1)
+        .map(|v| {
+            let name = v.snippet.trim_start_matches("pub fn ");
+            let name = name[..name.find('(').unwrap()].to_string();
+            (name, v.message)
+        })
+        .collect()
+}
+
+fn names(found: &[(String, String)]) -> Vec<&str> {
+    found.iter().map(|(name, _)| name.as_str()).collect()
+}
+
+#[test]
+fn u1_flags_a_public_fn_only_tests_comments_and_strings_mention() {
+    let defs = include_str!("fixtures/u1_definitions.rs");
+    let test_file = "fn t() { demo::only_mentioned(); demo::called_elsewhere(); }";
+    let found = u1(&[
+        ("crates/demo/src/lib.rs", defs),
+        ("crates/demo/tests/calls.rs", test_file),
+        ("tests/calls.rs", test_file),
+    ]);
+    // `pub(crate)` and test-module functions are not public surface.
+    assert_eq!(
+        names(&found),
+        [
+            "only_mentioned",
+            "called_elsewhere",
+            "kept_without_reason",
+            "calls_the_helpers"
+        ],
+        "{found:?}"
+    );
+    let reasonless = &found[2].1;
+    assert!(reasonless.contains("missing its reason"), "{reasonless}");
+    assert!(!found[0].1.contains("missing its reason"));
+}
+
+#[test]
+fn u1_counts_a_call_from_a_bin_an_example_or_the_benchmark() {
+    let defs = include_str!("fixtures/u1_definitions.rs");
+    let caller = include_str!("fixtures/u1_caller.rs");
+    for at in [
+        "benchmark/src/main.rs",
+        "examples/demo.rs",
+        "crates/demo/src/bin/tool.rs",
+        "crates/other/src/lib.rs",
+        "crates/demo/build.rs",
+    ] {
+        let found = u1(&[("crates/demo/src/lib.rs", defs), (at, caller)]);
+        assert_eq!(
+            names(&found),
+            ["only_mentioned", "kept_without_reason"],
+            "a call from {at} counts: {found:?}"
+        );
+    }
+}
+
+#[test]
+fn u1_reports_definitions_in_crate_sources_only() {
+    let defs = include_str!("fixtures/u1_definitions.rs");
+    for at in [
+        "examples/demo.rs",
+        "benchmark/src/lib.rs",
+        "crates/demo/tests/t.rs",
+    ] {
+        assert!(u1(&[(at, defs)]).is_empty(), "{at}");
+    }
+    // A skip-listed definition is not linted, and a `[allow.u1]` prefix
+    // silences the rule there.
+    let cfg = Config::parse("[skip]\npaths = [\"crates/demo/\"]\n").unwrap();
+    let files = [("crates/demo/src/lib.rs".to_string(), defs.to_string())];
+    assert!(lint_sources(&files, &cfg).is_empty());
+    let cfg = Config::parse("[allow.u1]\npaths = [\"crates/demo/\"]\n").unwrap();
+    assert!(lint_sources(&files, &cfg).is_empty());
 }

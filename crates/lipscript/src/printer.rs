@@ -141,6 +141,7 @@ pub fn print_stmt(s: &Stmt, indent: usize, out: &mut String) {
 }
 
 /// Renders a whole program.
+// lint:allow(u1): the reference printer the parser round-trip tests compare against
 pub fn print_program(p: &Program) -> String {
     let mut out = String::new();
     for f in &p.functions {

@@ -269,7 +269,12 @@ impl Default for EffectSummary {
 impl EffectSummary {
     /// The scheduler's initial service estimate: the static `pred` bound
     /// when finite, `None` when the program is statically unbounded.
+    /// `pred_bound` counts the main thread only, so a program that may
+    /// spawn gets `None` too: its threads' preds are not in the bound.
     pub fn service_estimate(&self) -> Option<u64> {
+        if self.spawn_bound != Bound::ZERO {
+            return None;
+        }
         self.pred_bound.finite()
     }
 

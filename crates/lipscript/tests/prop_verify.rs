@@ -1,15 +1,18 @@
-//! Property test: the verifier has no false positives.
+//! Property tests: the verifier has no false positives, and its fuel bound
+//! holds.
 //!
 //! The admission door rejects a program only on `Severity::Error`
 //! diagnostics, so the contract that matters is: **any program the
 //! interpreter runs to completion under default limits is admissible**.
 //! Warnings are allowed (they don't shed), errors are not.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use symphony_lipscript::host::MockHost;
 use symphony_lipscript::printer::print_program;
 use symphony_lipscript::verify::{verify, verify_source};
-use symphony_lipscript::{run_with_host, InterpLimits};
+use symphony_lipscript::{run_with_host, InterpLimits, Interpreter};
 
 mod arb;
 use arb::arb_program;
@@ -74,6 +77,28 @@ proptest! {
                     err.render("<prop>"),
                 )));
             }
+        }
+    }
+
+    /// The fuel bound is sound: a program that runs to completion with a
+    /// finite `fuel_bound` used no more fuel than that bound.
+    #[test]
+    fn fuel_used_stays_within_the_fuel_bound(p in arb_program()) {
+        let src = print_program(&p);
+        let program = match symphony_lipscript::parse::parse(&src) {
+            Ok(prog) => Arc::new(prog),
+            Err(e) => return Err(TestCaseError::fail(format!("reparse failed: {e}\n{src}"))),
+        };
+        let Some(bound) = verify(&program).effects.fuel_bound.finite() else {
+            return Ok(());
+        };
+        let mut interp = Interpreter::new(program, InterpLimits::default());
+        if interp.run(&mut MockHost::new("prop test")).is_ok() {
+            prop_assert!(
+                interp.fuel_used() <= bound,
+                "used {} fuel against a bound of {bound}:\n{src}",
+                interp.fuel_used()
+            );
         }
     }
 }

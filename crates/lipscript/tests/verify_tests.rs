@@ -408,6 +408,29 @@ fn service_estimate_matches_pred_bound() {
     assert_eq!(r.effects.service_estimate(), None);
 }
 
+/// `pred_bound` counts the main thread only: a program whose spawned
+/// worker decodes forever must not be offered to the door as the cheapest
+/// program there is.
+#[test]
+fn a_spawning_program_has_no_service_estimate() {
+    let r = vet(
+        "fn worker(kv) {\n\
+           let d = pred(kv, [1], 0)[0];\n\
+           let pos = 1;\n\
+           while (true) { d = pred(kv, [argmax(d)], pos)[0]; pos = pos + 1; }\n\
+         }\n\
+         let kv = kv_create();\n\
+         let t = spawn(\"worker\", [kv]);\n\
+         join(t);",
+    );
+    assert!(r.is_admissible(), "{:?}", codes(&r));
+    assert_eq!(r.effects.pred_bound.finite(), Some(0), "main thread preds");
+    assert_eq!(r.effects.service_estimate(), None);
+    // A bounded program that spawns nothing keeps its estimate.
+    let r = vet("let kv = kv_create(); let d = pred(kv, [1, 2], 0);");
+    assert_eq!(r.effects.service_estimate(), Some(1));
+}
+
 // ---------------------------------------------------------------------------
 // Report plumbing
 // ---------------------------------------------------------------------------

@@ -33,22 +33,6 @@ pub struct ModelConfig {
 }
 
 impl ModelConfig {
-    /// Llama-2 7B.
-    pub fn llama_7b() -> Self {
-        ModelConfig {
-            name: "llama-7b",
-            params: 6.7e9,
-            num_layers: 32,
-            hidden_size: 4096,
-            num_heads: 32,
-            num_kv_heads: 32,
-            head_dim: 128,
-            vocab_size: 32_000,
-            dtype_bytes: 2,
-            mean_output_tokens: 128,
-        }
-    }
-
     /// Llama-2 13B — the model used in the paper's Figure 3.
     pub fn llama_13b() -> Self {
         ModelConfig {
@@ -58,22 +42,6 @@ impl ModelConfig {
             hidden_size: 5120,
             num_heads: 40,
             num_kv_heads: 40,
-            head_dim: 128,
-            vocab_size: 32_000,
-            dtype_bytes: 2,
-            mean_output_tokens: 128,
-        }
-    }
-
-    /// Llama-2 70B (grouped-query attention).
-    pub fn llama_70b() -> Self {
-        ModelConfig {
-            name: "llama-70b",
-            params: 70.0e9,
-            num_layers: 80,
-            hidden_size: 8192,
-            num_heads: 64,
-            num_kv_heads: 8,
             head_dim: 128,
             vocab_size: 32_000,
             dtype_bytes: 2,
@@ -138,10 +106,13 @@ mod tests {
 
     #[test]
     fn gqa_shrinks_kv() {
-        let full = ModelConfig::llama_13b().kv_bytes_per_token();
-        let gqa = ModelConfig::llama_70b().kv_bytes_per_token();
-        // 70B has twice the layers but 1/5 the kv heads of 13B.
-        assert!(gqa < full, "GQA should store less KV per token: {gqa} vs {full}");
+        let full = ModelConfig::llama_13b();
+        // Grouped-query attention: 8 KV heads serve all 40 query heads.
+        let gqa = ModelConfig {
+            num_kv_heads: 8,
+            ..full
+        };
+        assert_eq!(gqa.kv_bytes_per_token() * 5, full.kv_bytes_per_token());
     }
 
     #[test]

@@ -110,6 +110,7 @@ impl ModelConfig {
     /// only throughput cost is re-streaming the weights once per extra
     /// iteration (visible here as `weight_bytes` being per-iteration; the
     /// caller pays it `ceil(new/chunk)` times instead of once).
+    // lint:allow(u1): the reference chunk decomposition the chunked-prefill tests compare the cost function against
     pub fn chunked_prefill_work(
         &self,
         new_tokens: u64,

@@ -270,8 +270,9 @@ impl Dist {
         h
     }
 
-    /// Sum of all probability (should be 1; exposed for tests).
-    pub fn total_mass(&self) -> f64 {
+    /// Sum of all probability (should be 1).
+    #[cfg(test)]
+    pub(crate) fn total_mass(&self) -> f64 {
         self.entries.iter().map(|&(_, p)| p).sum::<f64>() + self.tail_mass
     }
 }

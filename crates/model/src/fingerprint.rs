@@ -50,7 +50,8 @@ impl Fingerprinter {
     }
 
     /// Folds a whole token run into a context.
-    pub fn advance_run(
+    #[cfg(test)]
+    pub(crate) fn advance_run(
         &self,
         mut fp: CtxFingerprint,
         tokens: &[(TokenId, u32)],

@@ -160,8 +160,9 @@ impl Surrogate {
         Dist::from_weights_trusted(entries, tail_weight, tail_tokens)
     }
 
-    /// Convenience: fold a prompt into a fingerprint starting at `origin`.
-    pub fn context_of(&self, tokens: &[TokenId]) -> CtxFingerprint {
+    /// Folds a prompt into a fingerprint starting at `origin`.
+    #[cfg(test)]
+    pub(crate) fn context_of(&self, tokens: &[TokenId]) -> CtxFingerprint {
         let mut fp = self.fingerprinter.origin();
         for (i, &t) in tokens.iter().enumerate() {
             fp = self.fingerprinter.advance(fp, t, i as u32);

@@ -180,6 +180,7 @@ impl ErrCode {
 
     /// Whether this error tears down the whole connection (true) or only
     /// the named session (false).
+    // lint:allow(u1): the wire contract for clients (the "fatal" column of docs/SERVING.md's error table)
     pub fn is_conn_fatal(self) -> bool {
         matches!(
             self,

@@ -452,6 +452,7 @@ impl ServerCore {
     /// Distinct sources whose lowered program the door is keeping for the
     /// next SUBMIT of the same text; at most
     /// [`ServeConfig::max_live_sessions`].
+    // lint:allow(u1): a probe that the image cache stays bounded, which no other API observes
     pub fn cached_images(&self) -> usize {
         self.images.by_source.len()
     }

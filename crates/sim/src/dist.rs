@@ -149,7 +149,8 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn mass(&self, i: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mass(&self, i: usize) -> f64 {
         if i == 0 {
             self.cdf[0]
         } else {

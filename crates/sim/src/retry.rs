@@ -58,13 +58,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Removes jitter, making the schedule deterministic without RNG draws
-    /// (useful for tests asserting exact virtual-time accounting).
-    pub fn without_jitter(mut self) -> Self {
-        self.jitter = 0.0;
-        self
-    }
-
     /// Whether another attempt is allowed after `failures` failed attempts.
     pub fn should_retry(&self, failures: u32) -> bool {
         failures < self.max_attempts
@@ -101,6 +94,11 @@ impl Default for RetryPolicy {
 mod tests {
     use super::*;
 
+    /// `p` with its jitter off: a deterministic schedule, no RNG draws.
+    fn exact(p: RetryPolicy) -> RetryPolicy {
+        RetryPolicy { jitter: 0.0, ..p }
+    }
+
     #[test]
     fn none_never_retries() {
         let p = RetryPolicy::none();
@@ -109,7 +107,7 @@ mod tests {
 
     #[test]
     fn exponential_schedule_without_jitter() {
-        let p = RetryPolicy::exponential(4, SimDuration::from_millis(10)).without_jitter();
+        let p = exact(RetryPolicy::exponential(4, SimDuration::from_millis(10)));
         let mut rng = Rng::new(1);
         assert_eq!(p.backoff_after(1, &mut rng), SimDuration::from_millis(10));
         assert_eq!(p.backoff_after(2, &mut rng), SimDuration::from_millis(20));
@@ -120,7 +118,7 @@ mod tests {
 
     #[test]
     fn backoff_caps_at_max() {
-        let mut p = RetryPolicy::exponential(10, SimDuration::from_millis(10)).without_jitter();
+        let mut p = exact(RetryPolicy::exponential(10, SimDuration::from_millis(10)));
         p.max_backoff = SimDuration::from_millis(25);
         let mut rng = Rng::new(1);
         assert_eq!(p.backoff_after(5, &mut rng), SimDuration::from_millis(25));
@@ -167,7 +165,7 @@ mod tests {
 
     #[test]
     fn zero_jitter_draws_nothing_from_rng() {
-        let p = RetryPolicy::exponential(3, SimDuration::from_millis(5)).without_jitter();
+        let p = exact(RetryPolicy::exponential(3, SimDuration::from_millis(5)));
         let mut rng = Rng::new(4);
         let before = rng.next_u64();
         let mut rng = Rng::new(4);

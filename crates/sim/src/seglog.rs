@@ -218,6 +218,7 @@ impl SegLog {
     /// the log at `path` is untouched. Chaos tests use it to show that a
     /// crash mid-replace cannot lose the old file.
     #[doc(hidden)]
+    // lint:allow(u1): a crash injector the torn-replace tests drive
     pub fn replace_crash_before_rename(path: &Path, bytes: &[u8]) -> io::Result<()> {
         write_sibling(path, bytes).map(drop)
     }

@@ -7,8 +7,7 @@
 //!   never constructs (or allocates for) an event.
 //! * [`MetricsRegistry`] — named counters, gauges and fixed-bucket
 //!   histograms shared across subsystems via cheap atomic handles; the
-//!   legacy `KvStats`/`FaultStats`/`ResilienceStats` structs are snapshot
-//!   views over it.
+//!   `KvStats`/`GpuMetrics` structs are snapshot views over it.
 //! * [`export_chrome_trace`] — renders a recorded event stream as Chrome
 //!   trace-event JSON loadable in Perfetto or `chrome://tracing`, with one
 //!   track per LIP process/thread plus dedicated GPU and scheduler tracks.

@@ -65,13 +65,15 @@ impl CorpusGen {
     }
 
     /// Generates a sentence of `len` words, capitalised with a final period.
-    pub fn sentence(&mut self, len: usize) -> String {
+    #[cfg(test)]
+    pub(crate) fn sentence(&mut self, len: usize) -> String {
         let mut s = String::new();
         self.write_sentence(&mut s, len);
         s
     }
 
-    /// Appends [`CorpusGen::sentence`]'s text to `out`.
+    /// Appends a sentence of `len` words, capitalised with a final period,
+    /// to `out`.
     fn write_sentence(&mut self, out: &mut String, len: usize) {
         for i in 0..len.max(1) {
             let w = self.word();

@@ -30,8 +30,6 @@ pub struct SpecialTokens {
 pub struct Vocab {
     /// Byte expansion per token ID; specials expand to display placeholders.
     expansions: Vec<Vec<u8>>,
-    /// Number of learned merges (IDs `256..256+merges` are merge tokens).
-    merges: usize,
     specials: SpecialTokens,
 }
 
@@ -66,7 +64,6 @@ impl Vocab {
         }
         Vocab {
             expansions,
-            merges,
             specials,
         }
     }
@@ -81,9 +78,10 @@ impl Vocab {
         self.expansions.is_empty()
     }
 
-    /// Number of learned merges.
-    pub fn merge_count(&self) -> usize {
-        self.merges
+    /// Number of learned merges (IDs `256..256+merges` are merge tokens).
+    #[cfg(test)]
+    pub(crate) fn merge_count(&self) -> usize {
+        self.len() - BYTE_TOKENS - NUM_SPECIALS
     }
 
     /// The special tokens.

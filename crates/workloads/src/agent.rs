@@ -17,13 +17,6 @@ pub struct AgentTrace {
     pub prompt_tokens: usize,
 }
 
-impl AgentTrace {
-    /// Total generated tokens across all segments.
-    pub fn total_generated(&self) -> usize {
-        self.gen_segments.iter().sum()
-    }
-}
-
 /// Generator of agent traces.
 #[derive(Debug)]
 pub struct AgentWorkload {
@@ -95,7 +88,7 @@ mod tests {
         assert_eq!(t.calls.len(), 3);
         assert_eq!(t.gen_segments.len(), 4);
         assert!(t.calls.iter().all(|c| c == "search" || c == "calc"));
-        assert!(t.total_generated() >= 4);
+        assert!(t.gen_segments.iter().sum::<usize>() >= 4);
         assert_eq!(t.prompt_tokens, 100);
     }
 

@@ -7,7 +7,6 @@
 //! - [`rag`]: the paper's Figure 3 scenario — topics drawn from a Pareto/Zipf
 //!   popularity law over a fixed document corpus, Poisson arrivals.
 //! - [`chat`]: multi-round conversations (motivates KV retention, §2.1).
-//! - [`tot`]: Tree-of-Thought branching shapes (§4.3).
 //! - [`agent`]: tool-calling agents (client vs. server execution, §2.2).
 //! - [`editor`]: a code editor's keystroke stream (the §2 running example).
 
@@ -15,10 +14,8 @@ pub mod agent;
 pub mod chat;
 pub mod editor;
 pub mod rag;
-pub mod tot;
 
 pub use agent::{AgentTrace, AgentWorkload};
 pub use chat::{ChatSession, ChatWorkload};
 pub use editor::{EditorTrace, EditorWorkload};
 pub use rag::{RagCorpus, RagRequest, RagWorkload};
-pub use tot::{TotShape, TotWorkload};

@@ -4,8 +4,22 @@
 use symphony::sampling::{generate, GenOpts};
 use symphony::{Kernel, KernelConfig};
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
+use symphony_gpu::DeviceSpec;
+use symphony_model::ModelConfig;
 use symphony_sim::SimTime;
 use symphony_tokenizer::Bpe;
+
+/// A baseline preset shrunk to the tiny model on the test device.
+fn small(preset: EngineConfig) -> EngineConfig {
+    EngineConfig {
+        model: ModelConfig::tiny(),
+        model_seed: 7,
+        device: DeviceSpec::test_device(),
+        page_tokens: 4,
+        max_batch: 16,
+        ..preset
+    }
+}
 
 /// The same logical prompt, served greedily by Symphony (a LIP) and by both
 /// baseline engines, must produce the same tokens: all three run the same
@@ -46,7 +60,7 @@ fn symphony_and_baselines_agree_on_greedy_output() {
         max_tokens: 24,
         temperature: 0.0,
     };
-    for cfg in [EngineConfig::vllm_for_tests(), EngineConfig::tgi_for_tests()] {
+    for cfg in [small(EngineConfig::vllm_like()), small(EngineConfig::tgi_like())] {
         let name = cfg.name;
         let mut engine = Engine::new(cfg);
         let (completions, _) = engine.run(vec![request.clone()]);
@@ -128,7 +142,7 @@ fn engine_determinism() {
         })
         .collect();
     let run = |reqs: Vec<PromptRequest>| {
-        let mut e = Engine::new(EngineConfig::vllm_for_tests());
+        let mut e = Engine::new(small(EngineConfig::vllm_like()));
         let (c, stats) = e.run(reqs);
         let tokens: Vec<Vec<u32>> = c.iter().map(|x| x.tokens.clone()).collect();
         (tokens, stats.makespan)
