@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use symphony_gpu::{DeviceSpec, ExecError, GpuExecutor, PredRequest};
 use symphony_kvfs::{FileId, KvError, KvStore, KvStoreConfig, OwnerId};
 use symphony_model::surrogate::VocabInfo;
-use symphony_model::{Dist, ModelConfig, Surrogate, TokenId};
+use symphony_model::{Dist, ModelConfig, Preds, Surrogate, TokenId};
 use symphony_sim::{EventQueue, Rng, SimTime};
 use symphony_tokenizer::Bpe;
 
@@ -126,7 +126,7 @@ enum Ev {
 /// A running batch: sequence request IDs in batch order plus results.
 struct Inflight {
     seq_ids: Vec<u64>,
-    results: Vec<Result<Vec<Dist>, ExecError>>,
+    results: Vec<Result<Preds, ExecError>>,
 }
 
 /// The prompt-serving engine.
@@ -195,10 +195,6 @@ impl Engine {
         let mut inflight: Option<Inflight> = None;
         let mut completions = Vec::with_capacity(requests.len());
 
-        let debug = std::env::var_os("ENGINE_DEBUG").is_some();
-        let mut steps = 0u64;
-        let mut t_exec = std::time::Duration::ZERO;
-        let mut t_apply = std::time::Duration::ZERO;
         while let Some((now, ev)) = events.pop() {
             match ev {
                 Ev::Arrive(i) => {
@@ -208,33 +204,17 @@ impl Engine {
                 }
                 Ev::StepDone => {
                     let batch = inflight.take().expect("one batch in flight");
-                    // lint:allow(d1): host-side profiling only; never feeds virtual time
-                    let t = std::time::Instant::now();
                     self.apply_step(batch, &mut running, &mut waiting, &mut completions, now);
-                    t_apply += t.elapsed();
                 }
             }
             if inflight.is_none() {
                 self.admit(&mut waiting, &mut running, &mut completions, now);
-                // lint:allow(d1): host-side profiling only; never feeds virtual time
-                let t = std::time::Instant::now();
-                let built = self.build_and_exec(&mut running);
-                t_exec += t.elapsed();
-                steps += 1;
-                if let Some((batch, duration)) = built {
+                if let Some((batch, duration)) = self.build_and_exec(&mut running) {
                     inflight = Some(batch);
                     events.schedule(now + duration, Ev::StepDone);
                 }
             }
         }
-        if debug {
-            // lint:allow(o1): ENGINE_DEBUG-gated diagnostics, off by default
-            eprintln!(
-                "engine {}: steps={steps} exec={t_exec:?} apply={t_apply:?}",
-                self.cfg.name
-            );
-        }
-
         debug_assert!(running.is_empty() && waiting.is_empty());
         self.stats.completed = completions.len() as u64;
         self.stats.makespan = completions
@@ -397,15 +377,7 @@ impl Engine {
         if reqs.is_empty() {
             return None;
         }
-        // lint:allow(d1): host-side profiling only; never feeds virtual time
-        let tdbg = std::time::Instant::now();
         let (results, report) = self.gpu.execute_batch(&mut self.store, &reqs);
-        if std::env::var_os("ENGINE_DEBUG").is_some() && tdbg.elapsed().as_millis() > 5 {
-            let total: usize = reqs.iter().map(|r| r.tokens.len()).sum();
-            // lint:allow(o1): ENGINE_DEBUG-gated diagnostics, off by default
-            eprintln!("slow step: {:?} reqs={} tokens={}", tdbg.elapsed(), reqs.len(), total);
-        }
-        let results = results.into_iter().map(|r| r.map(|p| p.dists)).collect();
         // Floor the step duration: a fully-failed batch (e.g. every append
         // hit OOM) reports zero work, and a zero-length step would spin the
         // event loop at one instant forever.
@@ -441,16 +413,16 @@ impl Engine {
                 .find(|s| s.req.id == *sid)
                 .expect("batched seq is running");
             match result {
-                Ok(dists) => {
+                Ok(preds) => {
                     progressed = true;
-                    let dist = dists.last().expect("non-empty pred");
+                    let dist = preds.last().expect("non-empty pred");
                     if seq.phase == Phase::Prefill {
                         seq.phase = Phase::Decode;
                         // Prompt pages are now physically allocated; keep
                         // only the decode reserve booked.
                         seq.reserved = self.reservation_pages(0, seq.req.max_tokens);
                     }
-                    let tok = Self::sample(seq, dist, self.vocab_hint);
+                    let tok = Self::sample(seq, &dist, self.vocab_hint);
                     if tok == self.eos {
                         finished.push(*sid);
                         continue;

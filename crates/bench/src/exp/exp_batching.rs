@@ -61,7 +61,7 @@ fn run_point(
             let kv = ctx.kv_create()?;
             let dist = ctx
                 .pred_positions(kv, &prompt, 0)?
-                .pop()
+                .last()
                 .ok_or(SysError::BadArgument)?;
             ctx.emit(if dist.entropy() > 2.0 {
                 "uncertain"

@@ -46,7 +46,7 @@ fn run_symphony(buffer_words: usize) -> Point {
         let initial = ctx.tokenize(&tr2.initial_buffer)?;
         let mut dist = ctx
             .pred_positions(kv, &initial, 0)?
-            .pop()
+            .last()
             .ok_or(SysError::BadArgument)?;
         let mut pos = initial.len() as u32;
         let mut latencies_ns: Vec<u64> = Vec::new();
@@ -57,7 +57,7 @@ fn run_symphony(buffer_words: usize) -> Point {
             if !typed.is_empty() {
                 dist = ctx
                     .pred_positions(kv, &typed, pos)?
-                    .pop()
+                    .last()
                     .ok_or(SysError::BadArgument)?;
                 pos += typed.len() as u32;
             }
@@ -69,7 +69,10 @@ fn run_symphony(buffer_words: usize) -> Point {
                 if t == ctx.eos() {
                     break;
                 }
-                d = ctx.pred(probe, &[(t, p)])?.remove(0);
+                d = ctx
+                    .pred(probe, &[(t, p)])?
+                    .last()
+                    .ok_or(SysError::BadArgument)?;
             }
             ctx.kv_remove(probe)?;
             let t1 = ctx.now()?;

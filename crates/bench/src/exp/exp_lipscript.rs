@@ -84,7 +84,7 @@ fn run_mode(lipscript: bool) -> Point {
                 let kv = ctx.kv_create()?;
                 let mut d = ctx
                     .pred_positions(kv, &prompt, 0)?
-                    .pop()
+                    .last()
                     .ok_or(SysError::BadArgument)?;
                 for pos in (prompt.len() as u32..).take(MAX_TOKENS) {
                     let t = d.argmax();
@@ -92,7 +92,10 @@ fn run_mode(lipscript: bool) -> Point {
                         break;
                     }
                     ctx.emit_tokens(&[t])?;
-                    d = ctx.pred(kv, &[(t, pos)])?.remove(0);
+                    d = ctx
+                        .pred(kv, &[(t, pos)])?
+                        .last()
+                        .ok_or(SysError::BadArgument)?;
                 }
                 ctx.kv_remove(kv)?;
                 Ok(())

@@ -140,7 +140,7 @@ struct Point {
 fn worker_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
     let kv = ctx.kv_create()?;
     let prompt = tokens(seed, s.worker_prompt, 0);
-    let mut dist = ctx.pred(kv, &prompt)?.pop().ok_or(SysError::BadArgument)?;
+    let mut dist = ctx.pred(kv, &prompt)?.last().ok_or(SysError::BadArgument)?;
     let mut pos = s.worker_prompt as u32;
     let helper = ctx.spawn(move |hctx| {
         hctx.call_tool("search", &format!("evidence {seed}"))?;
@@ -148,7 +148,10 @@ fn worker_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
     })?;
     for _ in 0..s.worker_decode {
         let tok = dist.argmax();
-        dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+        dist = ctx
+            .pred(kv, &[(tok, pos)])?
+            .last()
+            .ok_or(SysError::BadArgument)?;
         pos += 1;
     }
     ctx.join(helper)?;
@@ -168,17 +171,20 @@ fn coordinator_lip(ctx: &mut Ctx, s: Scale) -> Result<(), SysError> {
     let workers: usize = ctx.args().parse().map_err(|_| SysError::BadArgument)?;
     let kv = ctx.kv_create()?;
     let prompt = tokens(9_999, s.coord_prompt, 0);
-    let mut dist = ctx.pred(kv, &prompt)?.pop().ok_or(SysError::BadArgument)?;
+    let mut dist = ctx.pred(kv, &prompt)?.last().ok_or(SysError::BadArgument)?;
     let mut pos = s.coord_prompt as u32;
     for _ in 0..workers {
         let msg = ctx.recv_msg()?;
         let obs = tokens(msg.data.len(), s.obs_tokens, pos);
-        dist = ctx.pred(kv, &obs)?.pop().ok_or(SysError::BadArgument)?;
+        dist = ctx.pred(kv, &obs)?.last().ok_or(SysError::BadArgument)?;
         pos += s.obs_tokens as u32;
     }
     for _ in 0..s.coord_decode {
         let tok = dist.argmax();
-        dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+        dist = ctx
+            .pred(kv, &[(tok, pos)])?
+            .last()
+            .ok_or(SysError::BadArgument)?;
         pos += 1;
     }
     ctx.emit(&format!("summary over {workers} reports"))?;
@@ -191,13 +197,16 @@ fn coordinator_lip(ctx: &mut Ctx, s: Scale) -> Result<(), SysError> {
 fn rag_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
     let kv = ctx.kv_create()?;
     let prompt = tokens(seed, s.rag_prompt, 0);
-    let mut dist = ctx.pred(kv, &prompt)?.pop().ok_or(SysError::BadArgument)?;
+    let mut dist = ctx.pred(kv, &prompt)?.last().ok_or(SysError::BadArgument)?;
     ctx.kv_swap_out(kv)?;
     ctx.call_tool("rerank", &format!("query {seed}"))?;
     ctx.kv_swap_in(kv)?;
     for pos in (s.rag_prompt as u32..).take(s.rag_decode) {
         let tok = dist.argmax();
-        dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+        dist = ctx
+            .pred(kv, &[(tok, pos)])?
+            .last()
+            .ok_or(SysError::BadArgument)?;
     }
     ctx.kv_remove(kv)?;
     Ok(())

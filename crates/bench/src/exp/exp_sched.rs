@@ -118,7 +118,7 @@ fn agent_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
     let t_start = ctx.now()?;
     let kv = ctx.kv_create()?;
     let prompt = tokens(seed, s.agent_prompt, 0);
-    let mut dist = ctx.pred(kv, &prompt)?.pop().ok_or(SysError::BadArgument)?;
+    let mut dist = ctx.pred(kv, &prompt)?.last().ok_or(SysError::BadArgument)?;
     let ttft = ctx.now()?.duration_since(t_start);
     let mut pos = s.agent_prompt as u32;
     let mut itl: Vec<u64> = Vec::new();
@@ -126,7 +126,10 @@ fn agent_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
         let mut last = ctx.now()?;
         for _ in 0..s.segment_decode {
             let tok = dist.argmax();
-            dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+            dist = ctx
+                .pred(kv, &[(tok, pos)])?
+                .last()
+                .ok_or(SysError::BadArgument)?;
             pos += 1;
             let t = ctx.now()?;
             itl.push(t.duration_since(last).as_nanos());
@@ -135,7 +138,7 @@ fn agent_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
         if seg + 1 < s.segments {
             ctx.call_tool("api", "lookup")?;
             let obs = tokens(seed + seg + 1, s.obs_tokens, pos);
-            dist = ctx.pred(kv, &obs)?.pop().ok_or(SysError::BadArgument)?;
+            dist = ctx.pred(kv, &obs)?.last().ok_or(SysError::BadArgument)?;
             pos += s.obs_tokens as u32;
         }
     }
@@ -153,13 +156,16 @@ fn rag_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
     let t_start = ctx.now()?;
     let kv = ctx.kv_create()?;
     let prompt = tokens(seed, s.rag_prompt, 0);
-    let mut dist = ctx.pred(kv, &prompt)?.pop().ok_or(SysError::BadArgument)?;
+    let mut dist = ctx.pred(kv, &prompt)?.last().ok_or(SysError::BadArgument)?;
     let ttft = ctx.now()?.duration_since(t_start);
     let mut itl: Vec<u64> = Vec::new();
     let mut last = ctx.now()?;
     for pos in (s.rag_prompt as u32..).take(s.rag_decode) {
         let tok = dist.argmax();
-        dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+        dist = ctx
+            .pred(kv, &[(tok, pos)])?
+            .last()
+            .ok_or(SysError::BadArgument)?;
         let t = ctx.now()?;
         itl.push(t.duration_since(last).as_nanos());
         last = t;

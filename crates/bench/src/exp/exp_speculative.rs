@@ -90,7 +90,7 @@ fn run_point(draft_len: usize) -> (f64, f64, f64) {
             let kv = ctx.kv_create()?;
             let mut dist = ctx
                 .pred_positions(kv, &prompt, 0)?
-                .pop()
+                .last()
                 .ok_or(SysError::BadArgument)?;
             let mut pos = prompt.len() as u32;
             let mut produced = 0usize;
@@ -101,7 +101,10 @@ fn run_point(draft_len: usize) -> (f64, f64, f64) {
                     // Plain autoregressive baseline.
                     let t = dist.argmax();
                     ctx.emit_tokens(&[t])?;
-                    dist = ctx.pred(kv, &[(t, pos)])?.remove(0);
+                    dist = ctx
+                        .pred(kv, &[(t, pos)])?
+                        .last()
+                        .ok_or(SysError::BadArgument)?;
                     pos += 1;
                     produced += 1;
                     continue;
@@ -124,7 +127,7 @@ fn run_point(draft_len: usize) -> (f64, f64, f64) {
                     .map(|(j, &t)| (t, pos + j as u32))
                     .collect();
                 let dists = ctx.pred(kv, &pairs)?;
-                let (accepted, next) = verify_greedy(&draft, &dist, &dists);
+                let (accepted, next) = verify_greedy(&draft, &dist, dists.iter());
                 accepted_total += accepted;
                 if accepted < draft.len() {
                     let keep = ctx.kv_len(kv)? - (draft.len() - accepted);
@@ -135,7 +138,10 @@ fn run_point(draft_len: usize) -> (f64, f64, f64) {
                 pos += accepted as u32;
                 // Commit the correction/bonus token from the target.
                 ctx.emit_tokens(&[next])?;
-                dist = ctx.pred(kv, &[(next, pos)])?.remove(0);
+                dist = ctx
+                    .pred(kv, &[(next, pos)])?
+                    .last()
+                    .ok_or(SysError::BadArgument)?;
                 pos += 1;
                 produced += 1;
             }

@@ -42,11 +42,17 @@ fn fleet_kernel(workers: usize, decode: usize, tool_ms: u64, seed: u64) -> Kerne
         let prompt = ctx.tokenize("collect the fleet's findings")?;
         let toks: Vec<(u32, u32)> =
             prompt.iter().enumerate().map(|(i, &t)| (t, i as u32)).collect();
-        let mut dist = ctx.pred(kv, &toks)?.pop().ok_or(SysError::BadArgument)?;
+        let mut dist = ctx
+            .pred(kv, &toks)?
+            .last()
+            .ok_or(SysError::BadArgument)?;
         for pos in (toks.len() as u32..).take(n) {
             ctx.recv_msg()?;
             let tok = dist.argmax();
-            dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+            dist = ctx
+                .pred(kv, &[(tok, pos)])?
+                .last()
+                .ok_or(SysError::BadArgument)?;
         }
         ctx.kv_remove(kv)?;
         Ok(())
@@ -65,7 +71,10 @@ fn worker(ctx: &mut Ctx, seed: usize, decode: usize) -> Result<(), SysError> {
     let prompt = ctx.tokenize(&format!("investigate lead {seed}"))?;
     let toks: Vec<(u32, u32)> =
         prompt.iter().enumerate().map(|(i, &t)| (t, i as u32)).collect();
-    let mut dist = ctx.pred(kv, &toks)?.pop().ok_or(SysError::BadArgument)?;
+    let mut dist = ctx
+        .pred(kv, &toks)?
+        .last()
+        .ok_or(SysError::BadArgument)?;
     let mut pos = toks.len() as u32;
     let helper = ctx.spawn(move |hctx| {
         hctx.call_tool("search", &format!("evidence {seed}"))?;
@@ -73,7 +82,10 @@ fn worker(ctx: &mut Ctx, seed: usize, decode: usize) -> Result<(), SysError> {
     })?;
     for _ in 0..decode {
         let tok = dist.argmax();
-        dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+        dist = ctx
+            .pred(kv, &[(tok, pos)])?
+            .last()
+            .ok_or(SysError::BadArgument)?;
         pos += 1;
     }
     ctx.kv_swap_out(kv)?;

@@ -32,9 +32,15 @@ fn sched_kernel(seed: u64) -> (Kernel, Vec<symphony::Pid>) {
             let kv = ctx.kv_create()?;
             let prompt: Vec<(u32, u32)> =
                 (0..24).map(|j| (1 + ((p * 31 + j * 7) % 300) as u32, j as u32)).collect();
-            let mut dist = ctx.pred(kv, &prompt)?.pop().ok_or(SysError::BadArgument)?;
+            let mut dist = ctx
+                .pred(kv, &prompt)?
+                .last()
+                .ok_or(SysError::BadArgument)?;
             for i in 0..6u32 {
-                dist = ctx.pred(kv, &[(dist.argmax(), 24 + i)])?.remove(0);
+                dist = ctx
+                    .pred(kv, &[(dist.argmax(), 24 + i)])?
+                    .last()
+                    .ok_or(SysError::BadArgument)?;
             }
             ctx.kv_remove(kv)?;
             Ok(())
@@ -128,9 +134,15 @@ fn static_gate_trace(policy: BatchPolicy) -> String {
     let swapper = k.spawn_process("swapper", "", |ctx: &mut Ctx| {
         ctx.sleep(SimDuration::from_micros(500))?;
         let kv = ctx.kv_create()?;
-        let mut dist = ctx.pred(kv, &[(7, 0), (8, 1)])?.pop().ok_or(SysError::BadArgument)?;
+        let mut dist = ctx
+            .pred(kv, &[(7, 0), (8, 1)])?
+            .last()
+            .ok_or(SysError::BadArgument)?;
         for i in 0..3u32 {
-            dist = ctx.pred(kv, &[(dist.argmax(), 2 + i)])?.remove(0);
+            dist = ctx
+                .pred(kv, &[(dist.argmax(), 2 + i)])?
+                .last()
+                .ok_or(SysError::BadArgument)?;
         }
         ctx.kv_swap_out(kv)?;
         assert_eq!(

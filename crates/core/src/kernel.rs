@@ -25,7 +25,7 @@ use symphony_kvfs::{
     SwapReport,
 };
 use symphony_model::surrogate::VocabInfo;
-use symphony_model::{ModelConfig, Surrogate, TokenId};
+use symphony_model::{ModelConfig, Preds, Surrogate, TokenId};
 use symphony_sim::seglog::SegLog;
 use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
@@ -277,9 +277,9 @@ pub(crate) struct PendingPred {
     // ---- progress across iterations ----
     /// Input tokens already executed in earlier iterations.
     done: usize,
-    /// Distributions accumulated across chunks, delivered when `done`
-    /// reaches the request length.
-    dists: Vec<symphony_model::Dist>,
+    /// Context fingerprints accumulated across chunks, delivered as the
+    /// reply when `done` reaches the request length.
+    fps: Vec<symphony_model::CtxFingerprint>,
     /// File length at first admission, for rollback when a later chunk
     /// faults (a failed `pred` must leave no partial work).
     start_len: usize,
@@ -1676,7 +1676,7 @@ impl Kernel {
             match res {
                 Ok(r) => {
                     let s = &mut self.active[i];
-                    s.dists.extend(r.dists);
+                    s.fps.extend_from_slice(r.fingerprints());
                     s.done += take;
                     let total = s.req.tokens.len();
                     if s.done < total || take < total {
@@ -1693,10 +1693,11 @@ impl Kernel {
                     }
                     let (cpid, ccrit, cseq, ctid) = (s.pid, s.critical, s.seq, s.tid);
                     if s.done == total {
-                        let dists = std::mem::take(&mut s.dists);
+                        let fps = std::mem::take(&mut s.fps);
+                        let preds = Preds::new(Arc::clone(self.gpu.model()), fps);
                         let n_tokens = total as u32;
                         self.journal(cpid, None, cseq, || Effect::Pred { n_tokens });
-                        replies.push((i, ctid, SysReply::Dists(dists)));
+                        replies.push((i, ctid, SysReply::Dists(preds)));
                         retire.push(i);
                     }
                     self.cqueue.charge(cpid.0, ccrit, take as u64);
@@ -1959,7 +1960,7 @@ impl Kernel {
                     pid,
                     critical,
                     done: 0,
-                    dists: Vec::new(),
+                    fps: Vec::new(),
                     start_len: 0,
                     delay_recorded: false,
                     ready_at: None,

@@ -45,7 +45,7 @@
 //!     let kv = ctx.kv_create()?;
 //!     let mut dist = ctx
 //!         .pred_positions(kv, &prompt, 0)?
-//!         .pop()
+//!         .last()
 //!         .ok_or(SysError::BadArgument)?;
 //!     let mut pos = prompt.len() as u32;
 //!     for _ in 0..8 {
@@ -54,7 +54,10 @@
 //!             break;
 //!         }
 //!         ctx.emit_tokens(&[tok])?;
-//!         dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+//!         dist = ctx
+//!             .pred(kv, &[(tok, pos)])?
+//!             .last()
+//!             .ok_or(SysError::BadArgument)?;
 //!         pos += 1;
 //!     }
 //!     ctx.kv_remove(kv)?;
@@ -92,7 +95,7 @@ pub use wal::{RecoveryReport, WalConfig, WalError, DEFAULT_CHECKPOINT_EVERY};
 pub use symphony_kvfs::{
     FileId, FileStat, KvEntry, KvError, KvStats, Mode, OwnerId, Residency, RestoreReport,
 };
-pub use symphony_model::{CtxFingerprint, Dist, ModelConfig, TokenId};
+pub use symphony_model::{CtxFingerprint, Dist, ModelConfig, Preds, TokenId};
 pub use symphony_sim::{RetryPolicy, SimDuration, SimTime};
 
 // Re-export the telemetry substrate so embedders can inspect traces and

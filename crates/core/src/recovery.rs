@@ -8,8 +8,10 @@
 //! the only reader of journalled effects. Both ask the process table's one
 //! `durable` field; the syscall handlers call them unconditionally.
 
+use std::sync::Arc;
+
 use symphony_kvfs::{FileId, OwnerId};
-use symphony_model::TokenId;
+use symphony_model::{Preds, TokenId};
 use symphony_sim::{SimDuration, SimTime};
 use symphony_telemetry::EventKind;
 
@@ -385,7 +387,7 @@ impl Kernel {
                 if n_tokens as usize == tokens.len() =>
             {
                 match self.replay_pred(kv, OwnerId(pid.0), tokens) {
-                    Some(dists) => SysReply::Dists(dists),
+                    Some(preds) => SysReply::Dists(preds),
                     None => return false,
                 }
             }
@@ -415,7 +417,7 @@ impl Kernel {
         file: FileId,
         owner: OwnerId,
         tokens: &[(TokenId, u32)],
-    ) -> Option<Vec<symphony_model::Dist>> {
+    ) -> Option<Preds> {
         let model = self.gpu.model();
         let fpr = model.fingerprinter();
         let mut fp = self
@@ -423,15 +425,16 @@ impl Kernel {
             .tail_fingerprint(file)
             .ok()?
             .unwrap_or_else(|| fpr.origin());
-        let (entries, dists) = tokens
+        let (entries, fps) = tokens
             .iter()
             .map(|&(t, p)| {
                 fp = fpr.advance(fp, t, p);
-                (symphony_kvfs::KvEntry::new(t, p, fp), model.next_dist(fp))
+                (symphony_kvfs::KvEntry::new(t, p, fp), fp)
             })
             .unzip::<_, _, Vec<_>, Vec<_>>();
+        let preds = Preds::new(Arc::clone(model), fps);
         self.store.append(file, owner, &entries).ok()?;
-        Some(dists)
+        Some(preds)
     }
 
     /// The kill-point that halted this kernel, when an injected crash fired.

@@ -91,7 +91,7 @@ pub fn generate(
     let start = ctx.kv_next_pos(kv)?;
     let mut dist = ctx
         .pred_positions(kv, prompt, start)?
-        .pop()
+        .last()
         .ok_or(SysError::BadArgument)?;
     let mut pos = start + prompt.len() as u32;
     let mut tokens = Vec::new();
@@ -110,7 +110,7 @@ pub fn generate(
         tokens.push(tok);
         dist = ctx
             .pred(kv, &[(tok, pos)])?
-            .pop()
+            .last()
             .ok_or(SysError::BadArgument)?;
         pos += 1;
     }
@@ -139,7 +139,7 @@ pub fn generate_constrained<C: Constraint>(
     let start = ctx.kv_next_pos(kv)?;
     let mut dist = ctx
         .pred_positions(kv, prompt, start)?
-        .pop()
+        .last()
         .ok_or(SysError::BadArgument)?;
     let mut pos = start + prompt.len() as u32;
     let mut tokens = Vec::new();
@@ -162,7 +162,7 @@ pub fn generate_constrained<C: Constraint>(
         }
         dist = ctx
             .pred(kv, &[(tok, pos)])?
-            .pop()
+            .last()
             .ok_or(SysError::BadArgument)?;
         pos += 1;
     }

@@ -6,25 +6,39 @@
 //! LIP passes the draft through one multi-token `pred`, verifies, and
 //! truncates its KV file back to the accepted prefix with `kv_truncate`.
 
+use std::borrow::Borrow;
+
 use symphony_model::{Dist, TokenId};
 
 /// Greedy verification: accept the longest draft prefix where every token
 /// equals the target's argmax.
 ///
 /// `prior` is the target distribution *before* the first draft token;
-/// `after[i]` is the target distribution after `draft[..=i]` (exactly what
-/// `pred(kv, draft)` returns). Returns `(accepted, next)` where `next` is
-/// the target's correction token for the first rejected position (or the
-/// token the target would emit after a fully accepted draft).
-pub fn verify_greedy(draft: &[TokenId], prior: &Dist, after: &[Dist]) -> (usize, TokenId) {
+/// the `i`-th item of `after` is the target distribution after
+/// `draft[..=i]` (exactly what `pred(kv, draft)` returns; pass its
+/// `iter()`, and only the distributions up to the first rejection are
+/// built). Returns `(accepted, next)` where `next` is the target's
+/// correction token for the first rejected position (or the token the
+/// target would emit after a fully accepted draft).
+pub fn verify_greedy<D: Borrow<Dist>>(
+    draft: &[TokenId],
+    prior: &Dist,
+    after: impl IntoIterator<Item = D, IntoIter: ExactSizeIterator>,
+) -> (usize, TokenId) {
+    let mut after = after.into_iter();
     assert_eq!(draft.len(), after.len(), "one dist per draft token");
+    let mut target = prior.argmax();
     for (i, &tok) in draft.iter().enumerate() {
-        let target = if i == 0 { prior } else { &after[i - 1] };
-        if target.argmax() != tok {
-            return (i, target.argmax());
+        if target != tok {
+            return (i, target);
         }
+        target = after
+            .next()
+            .expect("one dist per draft token")
+            .borrow()
+            .argmax();
     }
-    (draft.len(), after[draft.len() - 1].argmax())
+    (draft.len(), target)
 }
 
 /// Stochastic verification (Leviathan et al.): accept `draft[i]` with

@@ -24,7 +24,7 @@
 use std::ops::Range;
 
 use symphony_kvfs::{FileId, FileStat, KvEntry, Mode};
-use symphony_model::{Dist, TokenId};
+use symphony_model::{Dist, Preds, TokenId};
 use symphony_sim::{SimDuration, SimTime};
 use symphony_tokenizer::SpecialTokens;
 
@@ -138,7 +138,7 @@ pub enum SysReply {
     Start,
     Unit,
     Handle(FileId),
-    Dists(Vec<Dist>),
+    Dists(Preds),
     Entries(Vec<KvEntry>),
     Len(usize),
     Pos(u32),
@@ -184,7 +184,7 @@ macro_rules! from_reply {
 from_reply! {
     (): SysReply::Unit => (),
     FileId: SysReply::Handle(h) => h,
-    Vec<Dist>: SysReply::Dists(d) => d,
+    Preds: SysReply::Dists(d) => d,
     Vec<KvEntry>: SysReply::Entries(e) => e,
     usize: SysReply::Len(n) => n,
     u32: SysReply::Pos(p) => p,
@@ -290,9 +290,10 @@ impl Ctx {
     // ---- model computation (§4.1) ---------------------------------------------
 
     /// The `pred` system call: runs `tokens` through the model on top of the
-    /// context cached in `kv`, returning one distribution per input token.
-    /// The KV file gains one entry per token.
-    pub fn pred(&self, kv: FileId, tokens: &[(TokenId, u32)]) -> Result<Vec<Dist>, SysError> {
+    /// context cached in `kv`, returning the next-token distribution after
+    /// each input token, each built when it is read. The KV file gains one
+    /// entry per token.
+    pub fn pred(&self, kv: FileId, tokens: &[(TokenId, u32)]) -> Result<Preds, SysError> {
         self.call(Syscall::Pred {
             kv,
             tokens: tokens.to_vec(),
@@ -307,7 +308,7 @@ impl Ctx {
         kv: FileId,
         tokens: &[TokenId],
         start_pos: u32,
-    ) -> Result<Vec<Dist>, SysError> {
+    ) -> Result<Preds, SysError> {
         let pairs = tokens
             .iter()
             .enumerate()

@@ -558,11 +558,14 @@ fn zero_rate_plan_is_identical_to_machinery_off() {
                 let kv = ctx.kv_create()?;
                 let mut dist = ctx
                     .pred_positions(kv, &[1, 2, 3, 4], 0)?
-                    .pop()
+                    .last()
                     .ok_or(SysError::BadArgument)?;
                 for pos in 4..12u32 {
                     let t = ctx.sample(&dist);
-                    dist = ctx.pred(kv, &[(t, pos)])?.remove(0);
+                    dist = ctx
+                        .pred(kv, &[(t, pos)])?
+                        .last()
+                        .ok_or(SysError::BadArgument)?;
                     ctx.emit_tokens(&[t])?;
                 }
                 ctx.call_tool("echo", "ping")?;

@@ -415,7 +415,10 @@ fn decode_stamped(
         if pause_at == Some(pos - start) {
             ctx.call_tool("pause", "")?;
         }
-        let dist = ctx.pred(kv, &[(tok, pos)])?.remove(0);
+        let dist = ctx
+            .pred(kv, &[(tok, pos)])?
+            .last()
+            .ok_or(SysError::BadArgument)?;
         tok = dist.argmax();
         ctx.emit_tokens(&[tok])?;
         stamps.push_str(&format!(" t={}", ctx.now()?.as_nanos()));
@@ -1274,7 +1277,11 @@ mod props {
             let mut tok = 7u32;
             for round in 0..rounds {
                 for _ in 0..decode {
-                    tok = ctx.pred(kv, &[(tok, pos)])?.remove(0).argmax();
+                    tok = ctx
+                        .pred(kv, &[(tok, pos)])?
+                        .last()
+                        .ok_or(SysError::BadArgument)?
+                        .argmax();
                     ctx.emit_tokens(&[tok])?;
                     pos += 1;
                 }

@@ -933,7 +933,7 @@ fn speculative_decoding_with_truncate() {
         let kv = ctx.kv_create()?;
         let mut dist = ctx
             .pred_positions(kv, &prompt, 0)?
-            .pop()
+            .last()
             .ok_or(SysError::BadArgument)?;
         let mut pos = prompt.len() as u32;
         let mut produced = 0usize;
@@ -949,7 +949,7 @@ fn speculative_decoding_with_truncate() {
                 .collect();
             let dists = ctx.pred(kv, &pairs)?;
             let (accepted, next) =
-                symphony::sampling::verify_greedy(&draft, &dist, &dists);
+                symphony::sampling::verify_greedy(&draft, &dist, dists.iter());
             if accepted < draft.len() {
                 // Roll back the rejected suffix.
                 let keep = ctx.kv_len(kv)? - (draft.len() - accepted);
@@ -959,13 +959,16 @@ fn speculative_decoding_with_truncate() {
             produced += step;
             pos += step as u32;
             if accepted == draft.len() {
-                dist = dists.last().expect("non-empty").clone();
+                dist = dists.last().expect("non-empty");
             } else {
                 // Feed the correction token.
                 if next == ctx.eos() {
                     break;
                 }
-                dist = ctx.pred(kv, &[(next, pos)])?.remove(0);
+                dist = ctx
+                    .pred(kv, &[(next, pos)])?
+                    .last()
+                    .ok_or(SysError::BadArgument)?;
                 pos += 1;
                 produced += 1;
             }
@@ -1172,7 +1175,7 @@ fn hosted_drawer(ctx: &mut Ctx) -> Result<(), SysError> {
     let kv = ctx.kv_create()?;
     let prompt = ctx.tokenize("a stream of its own")?;
     let dists = ctx.pred_positions(kv, &prompt, 0)?;
-    let dist = dists.last().ok_or(SysError::BadArgument)?.clone();
+    let dist = dists.last().ok_or(SysError::BadArgument)?;
     let first = draw(ctx, &dist);
     ctx.emit(&first)?;
     let sibling = dist.clone();
@@ -1244,4 +1247,22 @@ fn draws_do_not_depend_on_the_programs_admitted_before() {
             }
         }
     }
+}
+
+/// A `pred` reply builds only the distributions its program reads: a
+/// 1 000-token prefill read at its last position builds one
+/// (`gpu.dists_built`, in the kernel's registry).
+#[test]
+fn a_prefill_read_at_its_last_position_builds_one_distribution() {
+    let mut k = kernel();
+    k.spawn_process("prefill", "", |ctx| {
+        let kv = ctx.kv_create()?;
+        let prompt: Vec<u32> = (0..1_000).map(|i| i % 500).collect();
+        let preds = ctx.pred_positions(kv, &prompt, 0)?;
+        assert_eq!(preds.len(), 1_000);
+        let last = preds.last().ok_or(SysError::BadArgument)?;
+        ctx.emit_tokens(&[last.argmax()])
+    });
+    k.run();
+    assert_eq!(k.metrics_snapshot().counter("gpu.dists_built"), Some(1));
 }

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use symphony::sampling::{self, GenOpts};
 use symphony::{
     ContinuousConfig, Dist, EventKind, ExecMode, ExitStatus, FaultPlan, Kernel, KernelConfig,
-    ProgramImage, QueueDiscipline, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
+    Preds, ProgramImage, QueueDiscipline, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
     WalConfig,
 };
 
@@ -325,13 +325,13 @@ fn replayed_pred_replies_equal_the_live_ones() {
     type Replies = Arc<Mutex<Vec<Vec<Dist>>>>;
     fn image(seen: Replies) -> ProgramImage {
         Arc::new(move |ctx| {
-            let record = |d: &Vec<Dist>| seen.lock().unwrap().push(d.clone());
+            let record = |d: &Preds| seen.lock().unwrap().push(d.iter().collect());
             let prompt = ctx.tokenize("a prompt long enough to be prefilled in several chunks")?;
             let kv = ctx.kv_create()?;
             let mut dists = ctx.pred_positions(kv, &prompt, 0)?;
             record(&dists);
             for pos in prompt.len() as u32..prompt.len() as u32 + 12 {
-                let t = ctx.sample(&dists[dists.len() - 1]);
+                let t = ctx.sample(&dists.last().ok_or(SysError::BadArgument)?);
                 dists = ctx.pred(kv, &[(t, pos)])?;
                 record(&dists);
             }

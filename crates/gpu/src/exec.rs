@@ -1,8 +1,10 @@
-//! The batch executor: turns `pred` requests into distributions, KV entries
-//! and virtual time.
+//! The batch executor: turns `pred` requests into KV entries, replies and
+//! virtual time.
+
+use std::sync::Arc;
 
 use symphony_kvfs::{FileId, KvEntry, KvError, KvStore, OwnerId, Residency, SwapReport};
-use symphony_model::{Dist, Surrogate, TokenId, WorkEstimate};
+use symphony_model::{Preds, Surrogate, TokenId, WorkEstimate};
 use symphony_sim::{SimDuration, SimTime};
 use symphony_telemetry::{Counter, MetricsRegistry};
 
@@ -18,13 +20,6 @@ pub struct PredRequest {
     pub owner: OwnerId,
     /// `(token, absolute position)` pairs, in context order.
     pub tokens: Vec<(TokenId, u32)>,
-}
-
-/// Result of one `pred` request: a distribution per input token.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredResult {
-    /// `dists[i]` is the next-token distribution after `tokens[..=i]`.
-    pub dists: Vec<Dist>,
 }
 
 /// Why a single request inside a batch failed (the batch itself proceeds).
@@ -139,7 +134,9 @@ impl CopyLane {
 #[derive(Debug)]
 pub struct GpuExecutor {
     device: DeviceSpec,
-    model: Surrogate,
+    /// Shared with every reply, which builds a distribution from it when
+    /// the distribution is read.
+    model: Arc<Surrogate>,
     counters: GpuCounters,
     /// Host→device and device→host copy lanes (PCIe is full duplex), so KV
     /// swap traffic overlaps compute instead of extending a batch.
@@ -155,11 +152,12 @@ impl GpuExecutor {
     }
 
     /// Creates an executor whose counters live in `registry` under the
-    /// `gpu.*` names.
+    /// `gpu.*` names; `gpu.dists_built` counts every distribution `model`
+    /// builds, here or in a reply.
     pub fn with_registry(device: DeviceSpec, model: Surrogate, registry: &MetricsRegistry) -> Self {
         GpuExecutor {
             device,
-            model,
+            model: Arc::new(model.counting_into(registry.counter("gpu.dists_built"))),
             counters: GpuCounters::register(registry),
             h2d: CopyLane {
                 free_at: SimTime::ZERO,
@@ -178,7 +176,7 @@ impl GpuExecutor {
     }
 
     /// The surrogate model.
-    pub fn model(&self) -> &Surrogate {
+    pub fn model(&self) -> &Arc<Surrogate> {
         &self.model
     }
 
@@ -264,12 +262,13 @@ impl GpuExecutor {
     /// Each request independently succeeds or fails; a failed request does
     /// not abort the batch (its work simply is not charged). For every
     /// successful request the file gains one [`KvEntry`] per input token and
-    /// the result carries one [`Dist`] per input token.
+    /// the reply holds the context fingerprint after each input token, from
+    /// which it builds a distribution when one is read.
     pub fn execute_batch(
         &mut self,
         store: &mut KvStore,
         requests: &[PredRequest],
-    ) -> (Vec<Result<PredResult, ExecError>>, BatchReport) {
+    ) -> (Vec<Result<Preds, ExecError>>, BatchReport) {
         self.execute_batch_with_faults(store, requests, &[])
     }
 
@@ -284,7 +283,7 @@ impl GpuExecutor {
         store: &mut KvStore,
         requests: &[PredRequest],
         faulted: &[bool],
-    ) -> (Vec<Result<PredResult, ExecError>>, BatchReport) {
+    ) -> (Vec<Result<Preds, ExecError>>, BatchReport) {
         let fpr = self.model.fingerprinter();
         let mut results = Vec::with_capacity(requests.len());
         let mut work = WorkEstimate::default();
@@ -317,8 +316,8 @@ impl GpuExecutor {
                 self.counters.requests_failed.inc();
                 continue;
             }
-            // Fail fast if the entries cannot fit: computing distributions
-            // for a doomed append would waste both model work and wall time.
+            // Fail fast if the entries cannot fit: walking the fingerprint
+            // chain for a doomed append would waste wall time.
             match store.can_append(req.file, req.tokens.len()) {
                 Ok(true) => {}
                 Ok(false) => {
@@ -345,11 +344,11 @@ impl GpuExecutor {
             };
             let mut fp = tail.unwrap_or_else(|| fpr.origin());
 
-            let mut dists = Vec::with_capacity(req.tokens.len());
+            let mut fps = Vec::with_capacity(req.tokens.len());
             let mut entries = Vec::with_capacity(req.tokens.len());
             for &(tok, pos) in &req.tokens {
                 fp = fpr.advance(fp, tok, pos);
-                dists.push(self.model.next_dist(fp));
+                fps.push(fp);
                 entries.push(KvEntry::new(tok, pos, fp));
             }
             match store.append(req.file, req.owner, &entries) {
@@ -363,7 +362,7 @@ impl GpuExecutor {
                     new_tokens += req.tokens.len() as u64;
                     past_tokens += past;
                     self.counters.requests_ok.inc();
-                    results.push(Ok(PredResult { dists }));
+                    results.push(Ok(Preds::new(Arc::clone(&self.model), fps)));
                 }
                 Err(e) => {
                     self.counters.requests_failed.inc();
@@ -426,7 +425,7 @@ mod tests {
         let f = store.create(U1).unwrap();
         let (res, report) = gpu.execute_batch(&mut store, &[req(f, vec![(1, 0), (2, 1), (3, 2)])]);
         let out = res[0].as_ref().unwrap();
-        assert_eq!(out.dists.len(), 3);
+        assert_eq!(out.len(), 3);
         assert_eq!(store.len(f).unwrap(), 3);
         assert_eq!(report.new_tokens, 3);
         assert!(report.duration.as_nanos() >= gpu.device().batch_overhead_ns);
@@ -447,7 +446,7 @@ mod tests {
         let one = res_one[0].as_ref().unwrap();
         let _ = res_first[0].as_ref().unwrap();
         let second = res_second[0].as_ref().unwrap();
-        assert_eq!(one.dists[2], second.dists[0]);
+        assert_eq!(one.get(2), second.get(0));
         store.verify().unwrap();
     }
 
@@ -460,8 +459,8 @@ mod tests {
         let (ra, _) = gpu.execute_batch(&mut store, &[req(a, vec![(9, 2)])]);
         let (rb, _) = gpu.execute_batch(&mut store, &[req(b, vec![(9, 2)])]);
         assert_eq!(
-            ra[0].as_ref().unwrap().dists[0],
-            rb[0].as_ref().unwrap().dists[0]
+            ra[0].as_ref().unwrap().get(0),
+            rb[0].as_ref().unwrap().get(0)
         );
         store.verify().unwrap();
     }
@@ -573,9 +572,12 @@ mod tests {
                 req(good, vec![]),
             ],
         );
-        assert_eq!(res[0], Err(ExecError::Kv(KvError::NotFound)));
+        assert_eq!(
+            res[0].as_ref().err(),
+            Some(&ExecError::Kv(KvError::NotFound))
+        );
         assert!(res[1].is_ok());
-        assert_eq!(res[2], Err(ExecError::EmptyRequest));
+        assert_eq!(res[2].as_ref().err(), Some(&ExecError::EmptyRequest));
         assert_eq!(report.new_tokens, 1);
         assert_eq!(gpu.metrics().requests_ok, 1);
         assert_eq!(gpu.metrics().requests_failed, 2);
@@ -592,7 +594,7 @@ mod tests {
             &[req(a, vec![(1, 0)]), req(b, vec![(1, 0)])],
             &[true, false],
         );
-        assert_eq!(res[0], Err(ExecError::Faulted));
+        assert_eq!(res[0].as_ref().err(), Some(&ExecError::Faulted));
         assert!(res[1].is_ok());
         assert_eq!(store.len(a).unwrap(), 0, "faulted request must not append");
         assert_eq!(store.len(b).unwrap(), 1);
@@ -610,7 +612,7 @@ mod tests {
         gpu.execute_batch(&mut store, &[req(f, vec![(1, 0)])]);
         store.swap_out(f, U1).unwrap();
         let (res, _) = gpu.execute_batch(&mut store, &[req(f, vec![(2, 1)])]);
-        assert_eq!(res[0], Err(ExecError::NotResident));
+        assert_eq!(res[0].as_ref().err(), Some(&ExecError::NotResident));
         store.verify().unwrap();
     }
 
@@ -622,7 +624,7 @@ mod tests {
         store.demote_to_disk(f, U1).unwrap();
         assert_eq!(store.residency(f).unwrap(), Residency::Disk);
         let (res, _) = gpu.execute_batch(&mut store, &[req(f, vec![(2, 1)])]);
-        assert_eq!(res[0], Err(ExecError::NotResident));
+        assert_eq!(res[0].as_ref().err(), Some(&ExecError::NotResident));
         store.verify().unwrap();
     }
 

@@ -33,8 +33,8 @@
 //!     &mut store,
 //!     &[PredRequest { file, owner, tokens: vec![(3, 0), (4, 1)] }],
 //! );
-//! let dists = results[0].as_ref().unwrap();
-//! assert_eq!(dists.dists.len(), 2);
+//! let preds = results[0].as_ref().unwrap();
+//! assert_eq!(preds.len(), 2);
 //! assert!(report.duration.as_nanos() > 0);
 //! assert_eq!(store.len(file).unwrap(), 2);
 //! ```
@@ -43,4 +43,4 @@ pub mod device;
 pub mod exec;
 
 pub use device::DeviceSpec;
-pub use exec::{BatchReport, ExecError, GpuExecutor, GpuMetrics, PredRequest, PredResult};
+pub use exec::{BatchReport, ExecError, GpuExecutor, GpuMetrics, PredRequest};

@@ -45,7 +45,7 @@ proptest! {
             &mut store,
             &[PredRequest { file: whole, owner: U1, tokens: all.clone() }],
         );
-        let one_shot = res[0].as_ref().unwrap().dists.clone();
+        let one_shot: Vec<_> = res[0].as_ref().unwrap().iter().collect();
 
         // The same prompt, `chunk` tokens per iteration.
         let mut chunked = Vec::new();
@@ -54,7 +54,7 @@ proptest! {
                 &mut store,
                 &[PredRequest { file: split, owner: U1, tokens: piece.to_vec() }],
             );
-            chunked.extend(res[0].as_ref().unwrap().dists.clone());
+            chunked.extend(res[0].as_ref().unwrap().iter());
         }
 
         // Identical surrogate distributions...
@@ -96,14 +96,14 @@ proptest! {
             &mut store,
             &[PredRequest { file: whole, owner: U1, tokens: r.to_vec() }],
         );
-        let one_shot = res[0].as_ref().unwrap().dists.clone();
+        let one_shot: Vec<_> = res[0].as_ref().unwrap().iter().collect();
         let mut chunked = Vec::new();
         for piece in r.chunks(chunk) {
             let (res, _) = gpu.execute_batch(
                 &mut store,
                 &[PredRequest { file: split, owner: U1, tokens: piece.to_vec() }],
             );
-            chunked.extend(res[0].as_ref().unwrap().dists.clone());
+            chunked.extend(res[0].as_ref().unwrap().iter());
         }
         prop_assert_eq!(&one_shot, &chunked);
         prop_assert_eq!(

@@ -18,6 +18,7 @@
 //! variable handed to `len`, `argmax` or `pred` is read where it lives and
 //! not copied first.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use symphony::{FileId, Pid, SimDuration, Syscall, Tid};
@@ -232,9 +233,11 @@ fn as_list<'a>(v: &'a Value, what: &str, span: Span) -> Fallible<&'a [Value]> {
     }
 }
 
-fn as_dist<'a>(v: &'a Value, what: &str, span: Span) -> Fallible<&'a Dist> {
+/// The distribution `v` holds, built now if it is an element of a `pred`
+/// reply.
+fn as_dist<'a>(v: &'a Value, what: &str, span: Span) -> Fallible<Cow<'a, Dist>> {
     match v {
-        Value::Dist(d) => Ok(d),
+        Value::Dist(d) => Ok(d.get()),
         other => Err(type_err(
             format!("{what} must be dist, got {}", other.type_name()),
             span,
@@ -396,7 +399,9 @@ pub(crate) fn begin(
 
         // ---- distribution operations ---------------------------------------
         Builtin::Sample => {
-            return ask(HostCall::Sample(as_dist(args[0], "dist", span)?.clone()));
+            return ask(HostCall::Sample(
+                as_dist(args[0], "dist", span)?.into_owned(),
+            ));
         }
         Builtin::SampleT => {
             let d = as_dist(args[0], "dist", span)?;
@@ -418,18 +423,18 @@ pub(crate) fn begin(
             if k < 1 {
                 return Err(type_err("k must be >= 1", span));
             }
-            Ok(Value::Dist(d.top_k(k as usize)))
+            Ok(Value::Dist(d.top_k(k as usize).into()))
         }
         Builtin::TopP => {
             let d = as_dist(args[0], "dist", span)?;
             let p = as_f64(args[1], "p", span)?;
-            Ok(Value::Dist(d.top_p(p)))
+            Ok(Value::Dist(d.top_p(p).into()))
         }
         Builtin::Constrain => {
             let d = as_dist(args[0], "dist", span)?;
             let allowed = token_list(args[1], span)?;
             match d.constrain(&allowed) {
-                Some(c) => Ok(Value::Dist(c)),
+                Some(c) => Ok(Value::Dist(c.into())),
                 None => Err(type_err("constrain with empty allowed set", span)),
             }
         }
@@ -612,7 +617,7 @@ pub(crate) fn finish(core: &mut Core, reply: HostResult<HostReply>, span: Span) 
             Value::List(toks.into_iter().map(|t| Value::Int(t as i64)).collect())
         }
         HostReply::Dists(dists) => {
-            let cells = dists.iter().map(|d| 1 + d.entries().len() as u64);
+            let cells = dists.iter().map(|d| 1 + d.entries_len() as u64);
             core.charge(1 + cells.sum::<u64>(), span)?;
             Value::List(dists.into_iter().map(Value::Dist).collect())
         }
@@ -655,7 +660,7 @@ mod tests {
             Value::Str("f".into()),
             Value::Str("7".into()),
             Value::List(vec![Value::Int(2), Value::Int(3)]),
-            Value::Dist(Dist::from_weights(vec![(1, 2.0), (2, 1.0)], 0.1, 10)),
+            Value::Dist(Dist::from_weights(vec![(1, 2.0), (2, 1.0)], 0.1, 10).into()),
             Value::Handle(0),
             Value::List(vec![Value::Handle(0)]),
             Value::Thread(0),

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use symphony::{FileId, Syscall};
-use symphony_model::Dist;
+use symphony_model::{Dist, DistRef};
 
 use crate::image::Image;
 use crate::inline::{lift, lower};
@@ -63,7 +63,7 @@ pub enum HostReply {
     Float(f64),
     Text(String),
     Tokens(Vec<u32>),
-    Dists(Vec<Dist>),
+    Dists(Vec<DistRef>),
     Msg(u64, String),
     MaybePid(Option<u64>),
     Thread(u64),
@@ -203,7 +203,7 @@ impl Host for MockHost {
                 for (t, p) in tokens {
                     let file = self.file(kv)?;
                     file.push((t, p));
-                    dists.push(fake_dist(file));
+                    dists.push(fake_dist(file).into());
                 }
                 R::Dists(dists)
             }

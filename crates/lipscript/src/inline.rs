@@ -142,7 +142,7 @@ pub(crate) fn lift(reply: SysReply) -> HostResult<HostReply> {
         SysReply::Pos(p) => HostReply::Int(p as i64),
         SysReply::Tokens(tokens) => HostReply::Tokens(tokens),
         SysReply::Text(text) => HostReply::Text(text),
-        SysReply::Dists(dists) => HostReply::Dists(dists),
+        SysReply::Dists(preds) => HostReply::Dists(preds.into_refs().collect()),
         SysReply::NewTid(tid) => HostReply::Thread(tid.0),
         SysReply::Joined(status) => HostReply::Joined(status.is_ok()),
         SysReply::Msg { from, data } => HostReply::Msg(from.0, data),

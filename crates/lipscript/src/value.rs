@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use symphony_model::Dist;
+use symphony_model::DistRef;
 
 /// A LipScript runtime value.
 ///
@@ -21,8 +21,9 @@ pub enum Value {
     Str(String),
     /// List.
     List(Vec<Value>),
-    /// A next-token distribution returned by `pred`.
-    Dist(Dist),
+    /// A next-token distribution: an element of a `pred` reply, built
+    /// when a builtin reads it, or a builtin's result.
+    Dist(DistRef),
     /// A KV file handle.
     Handle(u64),
     /// A thread handle returned by `spawn`.
@@ -65,7 +66,7 @@ impl Value {
         match self {
             Value::Str(s) => 1 + s.len() as u64 / 8,
             Value::List(l) => 1 + l.iter().map(Value::cells).sum::<u64>(),
-            Value::Dist(d) => 1 + d.entries().len() as u64,
+            Value::Dist(d) => 1 + d.entries_len() as u64,
             _ => 1,
         }
     }
@@ -91,7 +92,7 @@ impl fmt::Display for Value {
                 }
                 write!(f, "]")
             }
-            Value::Dist(d) => write!(f, "<dist argmax={}>", d.argmax()),
+            Value::Dist(d) => write!(f, "<dist argmax={}>", d.get().argmax()),
             Value::Handle(h) => write!(f, "<kv:{h}>"),
             Value::Thread(t) => write!(f, "<thread:{t}>"),
             Value::Nil => write!(f, "nil"),

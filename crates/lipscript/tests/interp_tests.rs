@@ -605,3 +605,43 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
     }
     std::fs::remove_file(&base_path).ok();
 }
+
+/// A `pred` reply builds a distribution only where the program reads it,
+/// but it is metered as if all were built: the fuel and memory cells of a
+/// program that reads, samples and stores `pred` results are pinned to the
+/// counts it had when every distribution was built eagerly.
+#[test]
+fn a_lazy_pred_reply_meters_as_an_eager_one() {
+    use std::sync::Arc;
+    use symphony::{Kernel, KernelConfig, SysError};
+    use symphony_lipscript::{parse::parse, Interpreter};
+
+    const SRC: &str = r#"
+        let kv = kv_create();
+        let toks = tokenize("a prompt whose reply is read at a few places");
+        let ds = pred(kv, toks, 0);
+        let last = ds[len(ds) - 1];
+        let kept = [last, ds[0], top_k(last, 3)];
+        let t = sample(last);
+        let more = pred(kv, [t], len(toks));
+        emit(str(argmax(kept[1])) + " " + str(len(ds)) + " " + str(prob(more[0], t) > 0.0));
+    "#;
+    let mut kernel = Kernel::new(KernelConfig::for_tests());
+    let pid = kernel.spawn_process("metered", "", |ctx| {
+        let program = Arc::new(parse(SRC).map_err(|e| SysError::ToolFailed(e.to_string()))?);
+        let mut interp = Interpreter::new(program, InterpLimits::default());
+        interp
+            .run(ctx)
+            .map_err(|e| SysError::ToolFailed(e.to_string()))?;
+        let (fuel, cells) = (interp.fuel_used(), interp.mem_used());
+        ctx.emit(&format!(" fuel={fuel} cells={cells}"))
+    });
+    kernel.run();
+    let rec = kernel.record(pid).unwrap();
+    assert!(rec.status.is_ok(), "{:?}", rec.status);
+    assert_eq!(rec.output, "447 20 true fuel=60 cells=591");
+    // `top_k`, `sample`, `argmax` and `prob`: one build each, of the 21
+    // distributions the two replies hold.
+    let built = kernel.metrics_snapshot().counter("gpu.dists_built");
+    assert_eq!(built, Some(4));
+}

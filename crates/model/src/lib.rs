@@ -36,12 +36,14 @@ pub mod config;
 pub mod cost;
 pub mod dist;
 pub mod fingerprint;
+pub mod preds;
 pub mod surrogate;
 
 pub use config::ModelConfig;
 pub use cost::{IoLane, WorkEstimate};
 pub use dist::Dist;
 pub use fingerprint::{CtxFingerprint, Fingerprinter};
+pub use preds::{DistRef, Preds};
 pub use surrogate::Surrogate;
 
 /// Token identifier, shared with the tokenizer crate.

@@ -8,6 +8,8 @@
 //! function of `(model seed, context fingerprint)` — the property the whole
 //! KV-reuse test story rests on.
 
+use symphony_telemetry::Counter;
+
 use crate::config::ModelConfig;
 use crate::dist::Dist;
 use crate::fingerprint::{CtxFingerprint, Fingerprinter};
@@ -42,10 +44,16 @@ pub struct Surrogate {
     /// `(i+1)^-1.3` for each candidate rank — `powf` hoisted out of
     /// [`Surrogate::next_dist`], which runs once per generated token.
     zipf: [f64; CANDIDATES],
+    /// One per distribution [`Surrogate::next_dist`] builds.
+    built: Counter,
 }
 
 /// Number of explicit candidates per distribution.
 const CANDIDATES: usize = 24;
+
+/// Entries of every distribution the surrogate builds: EOS plus
+/// [`CANDIDATES`] distinct content tokens.
+pub(crate) const ENTRIES: usize = CANDIDATES + 1;
 
 /// Probability mass reserved for the uniform tail.
 const TAIL_MASS: f64 = 0.05;
@@ -64,7 +72,17 @@ fn unit(h: u64) -> f64 {
 impl Surrogate {
     /// Creates a surrogate with the default vocabulary derived from the
     /// model config (content tokens `0..vocab_size-1`, EOS = `vocab_size-1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vocab_size` leaves fewer content tokens than a
+    /// distribution has candidates.
     pub fn new(config: ModelConfig, seed: u64) -> Self {
+        assert!(
+            config.vocab_size as usize > CANDIDATES,
+            "vocab_size {} leaves fewer than {CANDIDATES} content tokens",
+            config.vocab_size
+        );
         let vocab = VocabInfo {
             content_tokens: config.vocab_size - 1,
             eos: config.vocab_size - 1,
@@ -79,13 +97,31 @@ impl Surrogate {
             vocab,
             fingerprinter: Fingerprinter::new(seed),
             zipf,
+            built: Counter::new(),
         }
     }
 
     /// Overrides the emitted vocabulary (e.g. to match a trained tokenizer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vocabulary has fewer content tokens other than EOS
+    /// than a distribution has candidates: the candidates are distinct, so
+    /// no distribution could be built.
     pub fn with_vocab(mut self, vocab: VocabInfo) -> Self {
-        assert!(vocab.content_tokens > 0, "need at least one content token");
+        let usable = vocab.content_tokens - u32::from(vocab.eos < vocab.content_tokens);
+        assert!(
+            usable as usize >= CANDIDATES,
+            "{} content tokens other than EOS, fewer than {CANDIDATES} candidates",
+            usable
+        );
         self.vocab = vocab;
+        self
+    }
+
+    /// Counts every distribution this model builds into `built`.
+    pub fn counting_into(mut self, built: Counter) -> Self {
+        self.built = built;
         self
     }
 
@@ -114,6 +150,7 @@ impl Surrogate {
     /// Pure and deterministic: equal fingerprints yield equal distributions,
     /// regardless of how the context was assembled.
     pub fn next_dist(&self, ctx: CtxFingerprint) -> Dist {
+        self.built.inc();
         let h0 = mix(ctx.0 ^ self.seed.rotate_left(32) ^ 0xD6E8_FEB8_6659_FD93);
 
         // EOS gate: with per-step probability ~1/mean_output_tokens the gate
@@ -122,10 +159,10 @@ impl Surrogate {
         let p_gate = 1.0 / self.config.mean_output_tokens as f64;
         let gate_open = unit(mix(h0 ^ 0x0E05_0E05_0E05_0E05)) < p_gate;
 
-        let mut entries: Vec<(TokenId, f64)> = Vec::with_capacity(CANDIDATES + 1);
+        let mut entries: Vec<(TokenId, f64)> = Vec::with_capacity(ENTRIES);
         // Candidate sets are tiny (25 tokens), so dedup by linear scan over
         // the tokens picked so far — no allocation on the per-token path.
-        let mut used = [0 as TokenId; CANDIDATES + 1];
+        let mut used = [0 as TokenId; ENTRIES];
         if gate_open {
             entries.push((self.vocab.eos, 10.0));
         } else {
@@ -271,6 +308,61 @@ mod tests {
         assert_ne!(
             a.next_dist(a.context_of(&ctx)).argmax(),
             b.next_dist(b.context_of(&ctx)).argmax()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 24 content tokens")]
+    fn a_vocabulary_smaller_than_the_candidates_is_refused() {
+        Surrogate::new(
+            ModelConfig {
+                vocab_size: 10,
+                ..ModelConfig::tiny()
+            },
+            7,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 24 content tokens")]
+    fn a_one_token_vocabulary_is_refused() {
+        Surrogate::new(
+            ModelConfig {
+                vocab_size: 1,
+                ..ModelConfig::tiny()
+            },
+            7,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 24 candidates")]
+    fn a_bound_vocabulary_smaller_than_the_candidates_is_refused() {
+        model().with_vocab(VocabInfo {
+            content_tokens: 24,
+            eos: 3,
+        });
+    }
+
+    #[test]
+    fn the_smallest_vocabulary_builds_every_entry() {
+        let m = Surrogate::new(
+            ModelConfig {
+                vocab_size: 25,
+                ..ModelConfig::tiny()
+            },
+            7,
+        );
+        for i in 0..50 {
+            assert_eq!(m.next_dist(m.context_of(&[i])).entries().len(), ENTRIES);
+        }
+        let bound = model().with_vocab(VocabInfo {
+            content_tokens: 25,
+            eos: 3,
+        });
+        assert_eq!(
+            bound.next_dist(bound.context_of(&[1])).entries().len(),
+            ENTRIES
         );
     }
 

@@ -30,7 +30,7 @@ fn main() {
         let initial = ctx.tokenize(&buffer)?;
         let mut dist = ctx
             .pred_positions(kv, &initial, 0)?
-            .pop()
+            .last()
             .ok_or(SysError::BadArgument)?;
         let mut pos = initial.len() as u32;
 
@@ -41,7 +41,7 @@ fn main() {
             if !typed.is_empty() {
                 dist = ctx
                     .pred_positions(kv, &typed, pos)?
-                    .pop()
+                    .last()
                     .ok_or(SysError::BadArgument)?;
                 pos += typed.len() as u32;
             }
@@ -56,7 +56,10 @@ fn main() {
                     break;
                 }
                 suggestion.push(t);
-                d = ctx.pred(probe, &[(t, p)])?.remove(0);
+                d = ctx
+                    .pred(probe, &[(t, p)])?
+                    .last()
+                    .ok_or(SysError::BadArgument)?;
             }
             ctx.kv_remove(probe)?;
             let t1 = ctx.now()?;

@@ -21,7 +21,7 @@ fn main() {
         let kv = ctx.kv_create()?;
         let mut dist = ctx
             .pred_positions(kv, &prompt, 0)?
-            .pop()
+            .last()
             .ok_or(SysError::BadArgument)?;
         let mut pos = prompt.len() as u32;
         let mut produced = 0usize;
@@ -57,7 +57,7 @@ fn main() {
                 .map(|(i, &t)| (t, pos + i as u32))
                 .collect();
             let dists = ctx.pred(kv, &pairs)?;
-            let (accepted, next) = verify_greedy(&draft, &dist, &dists);
+            let (accepted, next) = verify_greedy(&draft, &dist, dists.iter());
             accepted_total += accepted;
 
             // Roll back rejected suffix entries.
@@ -74,7 +74,10 @@ fn main() {
             }
             // Commit the correction/bonus token from the target model.
             ctx.emit_tokens(&[next])?;
-            dist = ctx.pred(kv, &[(next, pos)])?.remove(0);
+            dist = ctx
+                .pred(kv, &[(next, pos)])?
+                .last()
+                .ok_or(SysError::BadArgument)?;
             pos += 1;
             produced += 1;
         }

@@ -22,7 +22,7 @@ fn main() {
             let kv = ctx.kv_create()?;
             let mut dist = ctx
                 .pred_positions(kv, &prompt, 0)?
-                .pop()
+                .last()
                 .ok_or(SysError::BadArgument)?;
             let mut prev = *prompt.last().expect("non-empty prompt");
             let mut pos = prompt.len() as u32;
@@ -38,11 +38,17 @@ fn main() {
                     // Keep generating past EOS for a stable-length sample.
                     prev = t;
                     pos += 1;
-                    dist = ctx.pred(kv, &[(t, pos - 1)])?.remove(0);
+                    dist = ctx
+                        .pred(kv, &[(t, pos - 1)])?
+                        .last()
+                        .ok_or(SysError::BadArgument)?;
                     continue;
                 }
                 out.push(t);
-                dist = ctx.pred(kv, &[(t, pos)])?.remove(0);
+                dist = ctx
+                    .pred(kv, &[(t, pos)])?
+                    .last()
+                    .ok_or(SysError::BadArgument)?;
                 prev = t;
                 pos += 1;
             }
