@@ -34,8 +34,8 @@ use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{
     analyze, build_forest, collapsed_stacks, render_report, ContinuousConfig, Ctx, ExecMode,
-    Kernel, MetricsSnapshot, MlfqConfig, QueueDiscipline, SimDuration, SimTime, SysError,
-    ToolOutcome, ToolSpec, PHASES,
+    Kernel, MlfqConfig, QueueDiscipline, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
+    PHASES,
 };
 use symphony_sim::{PoissonProcess, Rng, Series};
 
@@ -216,8 +216,8 @@ struct RunOutput {
     point: Point,
     /// Per-program breakdowns (critical-path report / flamegraph input).
     breakdowns: Vec<symphony::LatencyBreakdown>,
-    flow_trace: Option<String>,
-    metrics: MetricsSnapshot,
+    /// What the flags asked of the designated run (`ExpArgs::capture`).
+    telemetry: Option<Telemetry>,
 }
 
 fn run_point(
@@ -226,7 +226,8 @@ fn run_point(
     batch_cap: Option<usize>,
     workload: Workload,
     s: Scale,
-    want_flow_trace: bool,
+    args: &ExpArgs,
+    designated: bool,
 ) -> RunOutput {
     let mut cfg = base_config(s.smoke);
     cfg.exec = exec;
@@ -339,8 +340,7 @@ fn run_point(
     RunOutput {
         point,
         breakdowns,
-        flow_trace: want_flow_trace.then(|| kernel.export_chrome_trace_with_flows()),
-        metrics: kernel.metrics_snapshot(),
+        telemetry: args.capture(&kernel, designated),
     }
 }
 
@@ -392,7 +392,7 @@ pub(super) fn run(args: &ExpArgs) -> Report {
             // The designated run: program-aware on the fleet — the shape
             // the causal layer exists for (IPC + spawn edges).
             let designated = name == "program-aware" && workload == Workload::Fleet;
-            let out = run_point(name, exec, cap, workload, s, args.record(designated));
+            let out = run_point(name, exec, cap, workload, s, args, designated);
             if designated {
                 write_file(
                     &args.out_dir().join("exp_profile.folded"),
@@ -402,10 +402,7 @@ pub(super) fn run(args: &ExpArgs) -> Report {
                     // The byte-stable report for tiny runs (golden-sized).
                     eprintln!("{}", render_report(&out.breakdowns));
                 }
-                captured = Some(Telemetry {
-                    metrics: out.metrics,
-                    trace: out.flow_trace,
-                });
+                captured = out.telemetry;
             }
             let p = out.point;
             let top = p

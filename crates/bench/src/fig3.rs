@@ -313,7 +313,6 @@ pub fn run_symphony_point_persist(
         faults: symphony::FaultPlan::none(),
         tool_retry: None,
         breaker: None,
-        admission: None,
         wal: None,
     };
     let mut kernel = Kernel::new(kcfg);

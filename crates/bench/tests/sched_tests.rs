@@ -1,11 +1,11 @@
 //! Trace regression tests for the GPU loop's presets: same seed ⇒
 //! byte-identical Chrome trace, and checked-in golden fixtures so neither
 //! the continuous preset's `chunk`/`preempt` instrumentation nor the static
-//! preset's launch gate (timers, requeue, shed, `NotResident`) can drift
-//! silently.
+//! preset's launch gate (timers, a retried `pred`, `NoGpuMemory`,
+//! `NotResident`) can drift silently.
 
 use symphony::{
-    AdmissionPolicy, BatchPolicy, ContinuousConfig, Ctx, ExecMode, Kernel, KernelConfig,
+    BatchPolicy, ContinuousConfig, Ctx, ExecMode, Kernel, KernelConfig,
     KvError, MlfqConfig, QueueDiscipline, SimDuration, SysError,
 };
 
@@ -107,22 +107,18 @@ fn golden_sched_trace_matches() {
 }
 
 /// The static preset under KV pressure, traced: a hog fills 14 of the 16
-/// GPU pages, a victim's 16-token `pred` is requeued three times and then
-/// shed with `Busy`, and a third program `pred`s a file it swapped out
-/// itself and gets `NotResident` (the kernel never moves a static
-/// program's KV). Staggered arrivals make the windowed policies arm, and
-/// re-arm earlier, their `WaitUntil` timers.
+/// GPU pages, a victim's 16-token `pred` gets `Kv(NoGpuMemory)` at once
+/// and the victim's own policy (Figure 3's: back off, retry) re-pools it
+/// 2 ms later, three times, before giving up; a third program `pred`s a
+/// file it swapped out itself and gets `NotResident` (the kernel never
+/// moves a static program's KV). Staggered arrivals make the windowed
+/// policies arm, and re-arm earlier, their `WaitUntil` timers.
 fn static_gate_trace(policy: BatchPolicy) -> String {
     let mut cfg = KernelConfig::for_tests();
     cfg.seed = 0x0057_A71C;
     cfg.telemetry = true;
     cfg.exec = ExecMode::Static(policy);
     cfg.gpu_kv_bytes_override = Some(16 * 4 * cfg.model.kv_bytes_per_token());
-    cfg.admission = Some(AdmissionPolicy {
-        max_queue: 64,
-        retry_delay: SimDuration::from_millis(2),
-        max_retries: 3,
-    });
     let mut k = Kernel::new(cfg);
     let hog = k.spawn_process("hog", "", |ctx: &mut Ctx| {
         let kv = ctx.kv_create()?;
@@ -155,7 +151,17 @@ fn static_gate_trace(policy: BatchPolicy) -> String {
         ctx.sleep(SimDuration::from_millis(1))?;
         let kv = ctx.kv_create()?;
         let tokens: Vec<(u32, u32)> = (0..16).map(|i| (i + 1, i)).collect();
-        assert_eq!(ctx.pred(kv, &tokens).unwrap_err(), SysError::Busy);
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let err = ctx.pred(kv, &tokens).unwrap_err();
+            assert_eq!(err, SysError::Kv(KvError::NoGpuMemory));
+            if attempts > 3 {
+                break;
+            }
+            ctx.sleep(SimDuration::from_millis(2))?;
+        }
+        ctx.emit(&format!("attempts={attempts}"))?;
         Ok(())
     });
     k.run();
@@ -163,9 +169,9 @@ fn static_gate_trace(policy: BatchPolicy) -> String {
         let rec = k.record(pid).unwrap();
         assert!(rec.status.is_ok(), "{:?}", rec.status);
     }
-    let counter = |name: &str| k.metrics_registry().counter_value(name).unwrap_or(0);
-    assert_eq!(counter("resilience.preds_requeued"), 3);
-    assert_eq!(counter("resilience.preds_shed"), 1);
+    // One answer per attempt, all of them `NoGpuMemory`: the first call
+    // and three retries.
+    assert_eq!(k.record(victim).unwrap().output, "attempts=4");
     k.export_chrome_trace()
 }
 
@@ -181,9 +187,13 @@ fn golden_static_gate_trace_matches() {
         max_wait: SimDuration::from_millis(3),
         max_batch: 3,
     });
-    for needle in ["pred_requeue", "pred_shed"] {
-        assert!(adaptive.contains(needle), "trace missing {needle}");
-    }
+    // The victim's four `pred`s pool at four instants, 2 ms apart after
+    // the first.
+    let victim_pools = adaptive
+        .lines()
+        .filter(|l| l.contains("\"pred_enqueue\"") && l.contains("\"tokens\":16"))
+        .count();
+    assert_eq!(victim_pools, 4, "{adaptive}");
     let both = format!("{{\"adaptive\":{adaptive},\n\"fixed_window\":{fixed_window}}}\n");
     assert_matches_golden("static_gate_trace.json", &both);
 }

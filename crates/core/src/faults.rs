@@ -6,8 +6,8 @@
 //! workload RNG. Two properties make the injection deterministic and
 //! non-invasive:
 //!
-//! - **Seed isolation.** The injector forks its stream from the kernel seed
-//!   with a fixed salt, so enabling faults never perturbs workload draws
+//! - **Seed isolation.** The injector's stream is seeded from the kernel
+//!   seed XOR a fixed salt, so enabling faults never perturbs workload draws
 //!   (tool latencies, model sampling) for the *surviving* operations.
 //! - **Rate gating.** A site whose rate is `0.0` makes *no* RNG draw at
 //!   all, so an all-zero plan is byte-identical to no plan — asserted by

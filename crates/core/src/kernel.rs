@@ -29,9 +29,9 @@ use symphony_model::{ModelConfig, Preds, Surrogate, TokenId};
 use symphony_sim::seglog::SegLog;
 use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
-    export_chrome_trace, export_chrome_trace_with_flows, latency_bounds_ns, occupancy_bounds,
-    percent_bounds, Collector, Counter, EdgeKind, EventBus, EventKind, Gauge, Histogram,
-    MetricsRegistry, MetricsSnapshot, SwapDir, TimedEvent,
+    export_chrome_trace, latency_bounds_ns, occupancy_bounds, percent_bounds, Collector, Counter,
+    EdgeKind, EventBus, EventKind, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SwapDir,
+    TimedEvent,
 };
 use symphony_tokenizer::Bpe;
 
@@ -39,9 +39,7 @@ use crate::faults::{FaultInjector, FaultPlan, ToolFaultKind};
 use crate::hosted::HostedMetrics;
 use crate::proc::{Proc, ThreadState};
 use crate::recovery::Asked;
-use crate::resilience::{
-    AdmissionPolicy, BreakerBank, BreakerPolicy, BreakerVerdict, ResilienceCounters,
-};
+use crate::resilience::{BreakerBank, BreakerPolicy, BreakerVerdict, ResilienceCounters};
 use crate::sched::{
     threads_parked_gate, BatchGate, BatchPolicy, Decision, ExecMode, ProgramQueue, QueueDiscipline,
 };
@@ -113,9 +111,6 @@ pub struct KernelConfig {
     pub tool_retry: Option<RetryPolicy>,
     /// Per-tool circuit breaker; `None` disables breaking.
     pub breaker: Option<BreakerPolicy>,
-    /// `pred` admission control under KV-pool pressure; `None` disables
-    /// shedding and requeueing (KV exhaustion surfaces as `Kv(NoGpuMemory)`).
-    pub admission: Option<AdmissionPolicy>,
     /// Kernel write-ahead log for crash tolerance; `None` disables
     /// journalling (and [`Kernel::recover`] fails with
     /// [`WalError::Disabled`]).
@@ -149,7 +144,6 @@ impl KernelConfig {
             faults: FaultPlan::none(),
             tool_retry: None,
             breaker: None,
-            admission: None,
             wal: None,
         }
     }
@@ -181,7 +175,6 @@ impl KernelConfig {
             faults: FaultPlan::none(),
             tool_retry: None,
             breaker: None,
-            admission: None,
             wal: None,
         }
     }
@@ -252,22 +245,14 @@ pub(crate) enum Event {
     SpawnProgram { pid: Pid, body: Body },
     /// A process's wall-clock deadline passed: fail its blocked receivers.
     DeadlineCheck { pid: Pid },
-    /// Re-pool a `pred` that was backed off after KV-pool exhaustion.
-    RequeuePred { pred: PendingPred },
 }
 
 pub(crate) struct PendingPred {
     tid: Tid,
     req: PredRequest,
-    /// Times this request was requeued after KV-pool exhaustion.
-    requeues: u32,
-    /// When the `pred` first joined the pool (queue-delay metric; preserved
-    /// across requeues so the delay covers the whole wait).
+    /// When the `pred` joined the pool: the queue-delay metric's start, and
+    /// the batch gate's wait window runs from the oldest of these.
     enqueued_at: SimTime,
-    /// When the `pred` last joined the pool: `enqueued_at`, or the end of
-    /// its latest requeue backoff. The batch gate's wait window runs from
-    /// the oldest of these.
-    pooled_at: SimTime,
     /// Owning program (MLFQ service accounting).
     pid: Pid,
     /// `true` when issued by the program's main thread: a blocking,
@@ -283,8 +268,8 @@ pub(crate) struct PendingPred {
     /// File length at first admission, for rollback when a later chunk
     /// faults (a failed `pred` must leave no partial work).
     start_len: usize,
-    /// Queue delay observed (once per pooling: not again when a preempted
-    /// sequence is readmitted).
+    /// Queue delay observed (once: not again when a preempted sequence is
+    /// readmitted).
     delay_recorded: bool,
     /// Completion time of a copy this sequence waits on — its KV coming
     /// in over H2D, or victims leaving over D2H to free its pages. Set
@@ -527,7 +512,6 @@ pub struct Kernel {
     // Resilience.
     injector: FaultInjector,
     pub(crate) breakers: Option<BreakerBank>,
-    admission: Option<AdmissionPolicy>,
     tool_retry: Option<RetryPolicy>,
     pub(crate) res_counters: ResilienceCounters,
     // Config extracts.
@@ -706,7 +690,6 @@ impl Kernel {
             breakers: config
                 .breaker
                 .map(|p| BreakerBank::with_registry(p, &registry)),
-            admission: config.admission,
             tool_retry: config.tool_retry,
             res_counters: ResilienceCounters::register(&registry),
             registry,
@@ -952,17 +935,12 @@ impl Kernel {
     }
 
     /// Renders the recorded telemetry events as Chrome trace-event JSON
-    /// (Perfetto-loadable). Deterministic: same-seed runs export
-    /// byte-identical traces.
+    /// (Perfetto-loadable), with the causal events recorded under
+    /// [`KernelConfig::causal`] as flow arrows (spawn, IPC, join, tool and
+    /// preemption edges across tracks). Deterministic: same-seed runs
+    /// export byte-identical traces.
     pub fn export_chrome_trace(&self) -> String {
         export_chrome_trace(self.bus.events())
-    }
-
-    /// Like [`Kernel::export_chrome_trace`], but renders the causal events
-    /// recorded under [`KernelConfig::causal`] as Perfetto flow arrows
-    /// (spawn, IPC, join, tool and preemption edges across tracks).
-    pub fn export_chrome_trace_with_flows(&self) -> String {
-        export_chrome_trace_with_flows(self.bus.events())
     }
 
     /// Read access to the KV store (tests and harnesses).
@@ -1153,7 +1131,6 @@ impl Kernel {
                 self.start(pid, body);
             }
             Event::DeadlineCheck { pid } => self.enforce_deadline(pid),
-            Event::RequeuePred { pred } => self.pool_pred(pred),
         }
     }
 
@@ -1208,11 +1185,9 @@ impl Kernel {
 
     // ---- the GPU loop -------------------------------------------------------------
 
-    /// Adds a `pred` to the wait queue: a fresh call, or one whose requeue
-    /// backoff has run out.
-    fn pool_pred(&mut self, mut pred: PendingPred) {
+    /// Adds a `pred` to the wait queue.
+    fn pool_pred(&mut self, pred: PendingPred) {
         let now = self.events.now();
-        pred.pooled_at = now;
         if let LaunchGate::Batch(gate) = &mut self.preset.gate {
             gate.on_arrival(now);
         }
@@ -1255,7 +1230,7 @@ impl Kernel {
                 threads_parked_gate(now, runnable, Some(idle_since), self.last_iteration)
             }
             LaunchGate::Batch(gate) => {
-                let oldest = self.cqueue.peek().map(|p| p.pooled_at);
+                let oldest = self.cqueue.peek().map(|p| p.enqueued_at);
                 gate.decide(now, self.cqueue.len(), oldest)
             }
         };
@@ -1431,26 +1406,18 @@ impl Kernel {
             .min()
     }
 
-    /// Moves preempted and requeued sequences out of the active set and
-    /// drops retired ones (preemption only changes timing, never results:
-    /// chunk progress travels with the sequence).
-    fn rebuild_active(&mut self, retire: &[usize], preempted: &[usize], requeued: &[usize]) {
-        let now = self.events.now();
+    /// Moves preempted sequences back to the wait queue and drops retired
+    /// ones (preemption only changes timing, never results: chunk progress
+    /// travels with the sequence).
+    fn rebuild_active(&mut self, retire: &[usize], preempted: &[usize]) {
         let mut kept = Vec::with_capacity(self.active.len());
-        for (j, mut s) in std::mem::take(&mut self.active).into_iter().enumerate() {
+        for (j, s) in std::mem::take(&mut self.active).into_iter().enumerate() {
             if retire.contains(&j) {
                 continue;
             }
             if preempted.contains(&j) {
                 let (spid, scrit) = (s.pid.0, s.critical);
                 self.cqueue.push_front(spid, scrit, s);
-            } else if requeued.contains(&j) {
-                s.requeues += 1;
-                // The next pooling's wait is its own queue-delay sample.
-                s.delay_recorded = false;
-                let delay = self.admission.map(|a| a.retry_delay).unwrap_or_default();
-                self.events
-                    .schedule(now + delay, Event::RequeuePred { pred: s });
             } else {
                 kept.push(s);
             }
@@ -1604,7 +1571,7 @@ impl Kernel {
             // Everyone admitted is waiting on a copy (or cannot fit yet):
             // hand phase 1's victims back to the queue and come back when
             // the first transfer lands.
-            self.rebuild_active(&[], &preempted, &[]);
+            self.rebuild_active(&[], &preempted);
             if let Some(t) = self.earliest_landing() {
                 self.arm_timer(t);
             }
@@ -1666,7 +1633,6 @@ impl Kernel {
 
         // 4. Apply results: accumulate chunk progress, retire finished or
         // terminally failed sequences, collect KV-exhausted ones.
-        let adm = self.admission;
         let mut replies: Vec<(usize, Tid, SysReply)> = Vec::new();
         let mut retire: Vec<usize> = Vec::new();
         let mut failed_mem: Vec<usize> = Vec::new();
@@ -1720,10 +1686,9 @@ impl Kernel {
         // 5. KV exhaustion: where the loop manages residency, free pages by
         // evicting idle files, then by preempting the lowest-priority
         // co-running sequence. When nothing is evictable (or may be
-        // evicted), fall back to admission-control requeue/shed, or fail
-        // the `pred`. `preempted` carries over phase 1's swap-in victims so
-        // phase 6 requeues them too.
-        let mut requeued: Vec<usize> = Vec::new();
+        // evicted), roll the `pred` back and fail it with `NoGpuMemory`:
+        // what to do next is the program's policy. `preempted` carries over
+        // phase 1's swap-in victims so phase 6 returns them to the queue too.
         for &i in &failed_mem {
             if preempted.contains(&i) {
                 continue; // became a victim of an earlier recovery
@@ -1751,35 +1716,17 @@ impl Kernel {
                 self.active[i].ready_at = Some(t);
                 continue;
             }
-            let (stid, srequeues) = (self.active[i].tid, self.active[i].requeues);
-            if adm.is_some_and(|a| srequeues < a.max_retries) {
-                self.res_counters.preds_requeued.inc();
-                let attempt = srequeues + 1;
-                self.bus.emit(now, || EventKind::PredRequeue {
-                    tid: stid.0,
-                    attempt,
-                });
-                requeued.push(i);
-            } else {
-                self.roll_back(i);
-                let reply = if adm.is_some() {
-                    self.res_counters.preds_shed.inc();
-                    self.bus.emit(now, || EventKind::PredShed { tid: stid.0 });
-                    SysReply::Err(SysError::Busy)
-                } else {
-                    SysReply::Err(SysError::Kv(KvError::NoGpuMemory))
-                };
-                replies.push((i, stid, reply));
-                retire.push(i);
-            }
+            let stid = self.roll_back(i);
+            replies.push((i, stid, SysReply::Err(SysError::Kv(KvError::NoGpuMemory))));
+            retire.push(i);
         }
         // Replies go out in admission order, whichever phase wrote them.
         replies.sort_by_key(|&(i, _, _)| i);
         let replies = replies.into_iter().map(|(_, tid, r)| (tid, r)).collect();
 
         // 6. Rebuild the active set: drop retired sequences, move preempted
-        // and requeued ones back to the wait queue.
-        self.rebuild_active(&retire, &preempted, &requeued);
+        // ones back to the wait queue.
+        self.rebuild_active(&retire, &preempted);
 
         self.kmetrics
             .gpu_pages_used
@@ -1911,15 +1858,6 @@ impl Kernel {
                     self.complete(tid, SysReply::Err(SysError::BadArgument));
                     return;
                 }
-                // Bounded admission queue: shed before accounting the work.
-                if let Some(adm) = self.admission {
-                    if self.cqueue.len() >= adm.max_queue {
-                        self.res_counters.preds_shed.inc();
-                        self.bus.emit(sys_at, || EventKind::PredShed { tid: tid.0 });
-                        self.complete(tid, SysReply::Err(SysError::Busy));
-                        return;
-                    }
-                }
                 let usage = &mut record.usage;
                 usage.pred_calls += 1;
                 usage.pred_tokens += tokens.len() as u64;
@@ -1954,9 +1892,7 @@ impl Kernel {
                         owner,
                         tokens,
                     },
-                    requeues: 0,
                     enqueued_at: self.events.now(),
-                    pooled_at: self.events.now(),
                     pid,
                     critical,
                     done: 0,

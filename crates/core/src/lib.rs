@@ -82,7 +82,7 @@ pub mod wal;
 
 pub use faults::{FaultInjector, FaultPlan, ToolFaultKind};
 pub use kernel::{Kernel, KernelConfig, ProgramImage, SessionEvent, SessionSink};
-pub use resilience::{AdmissionPolicy, BreakerPolicy, BreakerStateView};
+pub use resilience::{BreakerPolicy, BreakerStateView};
 pub use sched::{
     BatchPolicy, ContinuousConfig, ExecMode, MlfqConfig, ProgramQueue, QueueDiscipline,
 };

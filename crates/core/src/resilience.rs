@@ -1,9 +1,11 @@
-//! Resilience mechanisms: per-tool circuit breakers and KV-pool admission
-//! control.
+//! Resilience mechanisms: per-tool circuit breakers and the
+//! `resilience.*` counters.
 //!
-//! Both run entirely on the virtual clock, so their state transitions are
-//! deterministic for a given `(seed, plan, workload)` and show up
-//! byte-identically in kernel stats across same-seed runs.
+//! Breakers run entirely on the virtual clock, so their state transitions
+//! are deterministic for a given `(seed, plan, workload)` and show up
+//! byte-identically in kernel stats across same-seed runs. A `pred` the KV
+//! pool cannot hold is not handled here: the kernel answers it with
+//! `Kv(NoGpuMemory)` and overload is the program's policy.
 
 use std::collections::BTreeMap;
 
@@ -222,19 +224,6 @@ impl BreakerBank {
     }
 }
 
-/// Admission control for `pred` under KV-pool pressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionPolicy {
-    /// Shed a `pred` arrival with `SysError::Busy` once this many calls are
-    /// already pooled (bounded queue).
-    pub max_queue: usize,
-    /// On `NoGpuMemory` at batch time, requeue the request after this delay
-    /// instead of failing it...
-    pub retry_delay: SimDuration,
-    /// ...at most this many times, then fail with `SysError::Busy`.
-    pub max_retries: u32,
-}
-
 /// Live counter handles into the metrics registry (`resilience.*` names).
 /// The breaker counters are registered here too, so they read 0 on a
 /// kernel without breakers; a [`BreakerBank::with_registry`] increments the
@@ -244,8 +233,6 @@ pub(crate) struct ResilienceCounters {
     pub(crate) tool_retries: Counter,
     pub(crate) tool_calls_exhausted: Counter,
     pub(crate) tool_timeouts: Counter,
-    pub(crate) preds_shed: Counter,
-    pub(crate) preds_requeued: Counter,
     pub(crate) deadline_kills: Counter,
 }
 
@@ -257,8 +244,6 @@ impl ResilienceCounters {
             tool_retries: registry.counter("resilience.tool_retries"),
             tool_calls_exhausted: registry.counter("resilience.tool_calls_exhausted"),
             tool_timeouts: registry.counter("resilience.tool_timeouts"),
-            preds_shed: registry.counter("resilience.preds_shed"),
-            preds_requeued: registry.counter("resilience.preds_requeued"),
             deadline_kills: registry.counter("resilience.deadline_kills"),
         }
     }

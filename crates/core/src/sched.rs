@@ -87,8 +87,8 @@ impl BatchGate {
         }
     }
 
-    /// Records a `pred` joining the pool: a fresh call, or one re-pooled
-    /// after a KV-exhaustion backoff.
+    /// Records a `pred` joining the pool (a program's retry after
+    /// `NoGpuMemory` is a fresh call like any other).
     pub fn on_arrival(&mut self, now: SimTime) {
         if let Some(last) = self.last_arrival {
             let gap = now.duration_since(last).as_secs_f64();
@@ -207,8 +207,7 @@ pub enum ExecMode {
     /// Run-to-completion batches: a slice is the whole request, the
     /// [`BatchPolicy`] gates each launch, and KV residency is the
     /// program's business — a `pred` on a swapped-out file fails with
-    /// `NotResident`, pool exhaustion with `NoGpuMemory` (or goes to
-    /// `AdmissionPolicy` requeue/shed).
+    /// `NotResident`, pool exhaustion with `NoGpuMemory`.
     Static(BatchPolicy),
     /// Iteration-level continuous batching: sequences are admitted and
     /// retired at token-iteration granularity as soon as no LIP thread is
@@ -662,7 +661,7 @@ mod tests {
 
     #[test]
     fn requeued_pred_feeds_the_estimator_like_a_fresh_arrival() {
-        // A pred backed off after KV exhaustion re-enters through
+        // A pred its program retries after `NoGpuMemory` re-enters through
         // `on_arrival` with its re-pooling time: the gap it closes moves the
         // EWMA, and the wait window is measured from when it re-pooled.
         let mut s = Pooled::new(

@@ -32,8 +32,6 @@ pub enum SysError {
     DeadlineExceeded,
     /// The tool's circuit breaker is open; the call was fast-failed.
     Unavailable,
-    /// The kernel shed this request under overload (admission control).
-    Busy,
     /// A transient injected/hardware fault hit the operation and retries
     /// (if any) were exhausted. The payload names the fault site.
     Fault(&'static str),
@@ -71,7 +69,6 @@ impl core::fmt::Display for SysError {
             SysError::Timeout => write!(f, "tool call timed out"),
             SysError::DeadlineExceeded => write!(f, "process deadline exceeded"),
             SysError::Unavailable => write!(f, "circuit breaker open"),
-            SysError::Busy => write!(f, "overloaded, request shed"),
             SysError::Fault(site) => write!(f, "transient fault: {site}"),
             SysError::LimitExceeded(what) => write!(f, "limit exceeded: {what}"),
             SysError::Shutdown => write!(f, "kernel shutdown"),
@@ -196,7 +193,6 @@ mod tests {
             "process deadline exceeded"
         );
         assert_eq!(SysError::Unavailable.to_string(), "circuit breaker open");
-        assert_eq!(SysError::Busy.to_string(), "overloaded, request shed");
         assert_eq!(
             SysError::Fault("gpu.pred").to_string(),
             "transient fault: gpu.pred"

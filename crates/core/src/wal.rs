@@ -367,7 +367,8 @@ fn encode_sys_error(out: &mut Vec<u8>, e: &SysError) {
         SysError::Timeout => (6, ""),
         SysError::DeadlineExceeded => (7, ""),
         SysError::Unavailable => (8, ""),
-        SysError::Busy => (9, ""),
+        // 9 is unassigned: `decode_sys_error` rejects it, so a frame
+        // carrying it ends the valid prefix like any malformed payload.
         SysError::Fault(site) => (10, site),
         SysError::LimitExceeded(what) => (11, what),
         SysError::Shutdown => (12, ""),
@@ -393,7 +394,6 @@ fn decode_sys_error(c: &mut Cursor<'_>) -> Option<SysError> {
         6 => SysError::Timeout,
         7 => SysError::DeadlineExceeded,
         8 => SysError::Unavailable,
-        9 => SysError::Busy,
         10 => SysError::Fault(intern(payload)),
         11 => SysError::LimitExceeded(intern(payload)),
         12 => SysError::Shutdown,
@@ -1188,6 +1188,39 @@ mod tests {
     }
 
     #[test]
+    fn an_unassigned_sys_error_code_ends_the_valid_prefix() {
+        let rec = effect(
+            26,
+            1,
+            2,
+            Effect::Tool {
+                latency_ns: 500,
+                result: Err(SysError::Unavailable),
+            },
+        );
+        let mut payload = encode_payload(&rec);
+        // The error kind byte sits before the KV byte and the (empty)
+        // payload string.
+        let mut empty = Vec::new();
+        push_str(&mut empty, "");
+        let kind = payload.len() - empty.len() - 2;
+        assert_eq!(payload[kind], 8);
+        let prefix = wal_bytes(&sample_records()[..2], 3);
+        let mut bytes = prefix.clone();
+        append_frame(&mut bytes, record_tag(&rec), &payload);
+        assert_eq!(read_wal(&bytes).unwrap().1.len(), 3, "the frame as written");
+        // Code 9 names no error: the frame checksums, but it ends the
+        // valid prefix.
+        payload[kind] = 9;
+        let mut bytes = prefix.clone();
+        append_frame(&mut bytes, record_tag(&rec), &payload);
+        let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(valid_len, prefix.len() as u64);
+        assert!(torn);
+    }
+
+    #[test]
     fn a_limit_wider_than_its_field_ends_the_valid_prefix() {
         let rec = WalRecord::ProcSpawn {
             at: SimTime::from_nanos(40),
@@ -1363,7 +1396,8 @@ mod tests {
             SysError::Fault("gpu.pred"),
             SysError::LimitExceeded("pred_tokens"),
             SysError::Internal("some invariant"),
-            SysError::Busy,
+            SysError::Unavailable,
+            SysError::Cancelled,
         ];
         for e in errors {
             let mut buf = Vec::new();

@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use symphony::{
-    AdmissionPolicy, BreakerPolicy, ExitStatus, FaultPlan, Kernel, KernelConfig, Limits,
-    RetryPolicy, SimDuration, SysError, TimedEvent, ToolOutcome, ToolSpec,
+    BreakerPolicy, ExitStatus, FaultPlan, Kernel, KernelConfig, Limits, RetryPolicy, SimDuration,
+    SysError, TimedEvent, ToolOutcome, ToolSpec,
 };
 
 /// One registry counter by name (`resilience.*`, `faults.*`).
@@ -223,84 +223,6 @@ fn breaker_opens_fast_fails_then_recovers() {
     assert_eq!(counter(&k, "resilience.breaker_rejections"), 2);
 }
 
-// ---- admission control -------------------------------------------------------
-
-#[test]
-fn kv_pressure_requeues_then_succeeds() {
-    let mut cfg = KernelConfig::for_tests();
-    // Pool of 16 pages × 4 tokens: one hog can exhaust it.
-    cfg.gpu_kv_bytes_override =
-        Some(16 * 4 * cfg.model.kv_bytes_per_token());
-    cfg.admission = Some(AdmissionPolicy {
-        max_queue: 64,
-        retry_delay: SimDuration::from_millis(5),
-        max_retries: 40,
-    });
-    let mut k = Kernel::new(cfg);
-    // The hog fills most of the pool, holds it briefly, then exits (its
-    // files are reclaimed).
-    k.spawn_process("hog", "", |ctx| {
-        let kv = ctx.kv_create()?;
-        let tokens: Vec<(u32, u32)> = (0..56).map(|i| (i + 1, i)).collect();
-        ctx.pred(kv, &tokens)?;
-        ctx.sleep(SimDuration::from_millis(60))?;
-        Ok(())
-    });
-    // The victim arrives during the squeeze and needs more than remains.
-    let victim = k.spawn_process("victim", "", |ctx| {
-        ctx.sleep(SimDuration::from_millis(1))?;
-        let kv = ctx.kv_create()?;
-        let tokens: Vec<(u32, u32)> = (0..16).map(|i| (i + 1, i)).collect();
-        ctx.pred(kv, &tokens)?;
-        ctx.emit("made it")?;
-        Ok(())
-    });
-    k.run();
-    let rec = k.record(victim).unwrap();
-    assert!(rec.status.is_ok(), "{:?}", rec.status);
-    assert_eq!(rec.output, "made it");
-    assert!(
-        counter(&k, "resilience.preds_requeued") > 0,
-        "the victim must have been backed off at least once"
-    );
-}
-
-#[test]
-fn exhausted_requeues_shed_with_busy() {
-    let mut cfg = KernelConfig::for_tests();
-    cfg.gpu_kv_bytes_override =
-        Some(16 * 4 * cfg.model.kv_bytes_per_token());
-    cfg.admission = Some(AdmissionPolicy {
-        max_queue: 64,
-        retry_delay: SimDuration::from_millis(2),
-        max_retries: 3,
-    });
-    let mut k = Kernel::new(cfg);
-    // The hog pins the pool and never lets go (until exit at 500 ms).
-    k.spawn_process("hog", "", |ctx| {
-        let kv = ctx.kv_create()?;
-        let tokens: Vec<(u32, u32)> = (0..56).map(|i| (i + 1, i)).collect();
-        ctx.pred(kv, &tokens)?;
-        ctx.sleep(SimDuration::from_millis(500))?;
-        Ok(())
-    });
-    let victim = k.spawn_process("victim", "", |ctx| {
-        ctx.sleep(SimDuration::from_millis(1))?;
-        let kv = ctx.kv_create()?;
-        let tokens: Vec<(u32, u32)> = (0..16).map(|i| (i + 1, i)).collect();
-        assert_eq!(ctx.pred(kv, &tokens).unwrap_err(), SysError::Busy);
-        Ok(())
-    });
-    k.run();
-    assert!(k.record(victim).unwrap().status.is_ok());
-    assert_eq!(
-        counter(&k, "resilience.preds_requeued"),
-        3,
-        "all requeue budget used"
-    );
-    assert!(counter(&k, "resilience.preds_shed") >= 1, "then shed");
-}
-
 // ---- fault containment -------------------------------------------------------
 
 #[test]
@@ -437,11 +359,6 @@ fn chaos_run(seed: u64) -> (Vec<TimedEvent>, Vec<(String, String, bool)>, String
     cfg.tool_retry =
         Some(RetryPolicy::exponential(4, SimDuration::from_millis(5)));
     cfg.breaker = Some(BreakerPolicy::new(5, SimDuration::from_millis(50)));
-    cfg.admission = Some(AdmissionPolicy {
-        max_queue: 128,
-        retry_delay: SimDuration::from_millis(5),
-        max_retries: 8,
-    });
     cfg.default_limits = Limits {
         tool_timeout: Some(SimDuration::from_millis(200)),
         deadline: Some(SimDuration::from_secs(30)),
@@ -466,7 +383,7 @@ fn chaos_run(seed: u64) -> (Vec<TimedEvent>, Vec<(String, String, bool)>, String
                 loop {
                     match ctx.pred(kv, &[(tok, pos)]) {
                         Ok(_) => break,
-                        Err(SysError::Fault(_)) | Err(SysError::Busy) if tries < 8 => tries += 1,
+                        Err(SysError::Fault(_)) if tries < 8 => tries += 1,
                         Err(e) => return Err(e),
                     }
                 }
@@ -536,17 +453,12 @@ fn zero_rate_plan_is_identical_to_machinery_off() {
         let mut cfg = KernelConfig::for_tests();
         cfg.telemetry = true;
         if resilience_on {
-            // Machinery armed, but nothing ever fails or queues deep
-            // enough to engage it: must be byte-identical to off.
+            // Machinery armed, but nothing ever fails: must be
+            // byte-identical to off.
             cfg.faults = FaultPlan::none();
             cfg.tool_retry =
                 Some(RetryPolicy::exponential(5, SimDuration::from_millis(10)));
             cfg.breaker = Some(BreakerPolicy::new(3, SimDuration::from_millis(50)));
-            cfg.admission = Some(AdmissionPolicy {
-        max_queue: 1024,
-        retry_delay: SimDuration::from_millis(5),
-        max_retries: 8,
-    });
         }
         let mut k = Kernel::new(cfg);
         k.register_tool(

@@ -617,6 +617,72 @@ fn tiny_pools_never_strand_or_fail_anyone() {
     }
 }
 
+#[test]
+fn a_pred_that_cannot_fit_gets_one_no_gpu_memory_and_leaves_no_partial_work() {
+    // Nothing the loop may evict or preempt: a pinned preload holds 20 of
+    // 32 pages and the program pins 6 more itself. A 40-token prefill on a
+    // one-page file lands five chunks, finds no page for the sixth, and
+    // gets one answer. The retry, after the program freed its own pages,
+    // is the program's policy.
+    let mut cfg = KernelConfig::for_tests();
+    cfg.exec = continuous(Some(4), QueueDiscipline::Fifo);
+    cfg.gpu_kv_bytes_override = Some(32 * 4 * cfg.model.kv_bytes_per_token());
+    cfg.telemetry = true;
+    let mut k = Kernel::new(cfg);
+    k.preload_kv(
+        "pinned.kv",
+        &doc_tokens(80, 0),
+        symphony::Mode::SHARED_READ,
+        true,
+    )
+    .unwrap();
+    let pid = k.spawn_process("prog", "", |ctx| {
+        let scratch = ctx.kv_create()?;
+        ctx.pred_positions(scratch, &doc_tokens(24, 1), 0)?;
+        ctx.kv_pin(scratch)?;
+        let kv = ctx.kv_create()?;
+        ctx.pred_positions(kv, &doc_tokens(4, 2), 0)?;
+        let prompt = doc_tokens(40, 3);
+        let before = ctx.kv_len(kv)?;
+        let err = ctx.pred_positions(kv, &prompt, 4).unwrap_err();
+        assert_eq!(err, SysError::Kv(KvError::NoGpuMemory));
+        assert_eq!(
+            ctx.kv_len(kv)?,
+            before,
+            "the landed chunks were rolled back"
+        );
+        ctx.kv_remove(scratch)?;
+        ctx.pred_positions(kv, &prompt, 4)?;
+        assert_eq!(ctx.kv_len(kv)?, before + 40);
+        ctx.kv_remove(kv)
+    });
+    k.run();
+    let rec = k.record(pid).unwrap();
+    assert!(rec.status.is_ok(), "{:?}", rec.status);
+    // The prefill pooled once per call, never again on the kernel's own:
+    // the first ran out after five chunks, the retry started from zero.
+    let pooled = k
+        .telemetry_events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::PredEnqueue { tokens: 40, .. }))
+        .count();
+    assert_eq!(pooled, 2);
+    let done: Vec<u32> = k
+        .telemetry_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::ChunkExec {
+                total: 40, done, ..
+            } => Some(done),
+            _ => None,
+        })
+        .collect();
+    let first: Vec<u32> = (1..=5).map(|c| c * 4).collect();
+    let retry: Vec<u32> = (1..=10).map(|c| c * 4).collect();
+    assert_eq!(done, [first, retry].concat());
+    k.store().verify().unwrap();
+}
+
 // ---- the launch gate waits for the threads it just woke -------------------
 
 /// FIFO continuous batching at `paper_setup()`'s 2 µs per-syscall CPU

@@ -183,27 +183,16 @@ fn quoted(s: &str) -> String {
 /// Renders a recorded event stream as Chrome trace-event JSON.
 ///
 /// The output is deterministic: identical input slices yield byte-identical
-/// strings, making the trace itself a regression artifact. Causal events
-/// ([`EventKind::CausalEdge`], [`EventKind::PredExec`],
-/// [`EventKind::ReplayAnswered`]) are *not* rendered here, so traces
-/// recorded without `KernelConfig::causal` stay byte-identical to the
-/// pre-causal format; use [`export_chrome_trace_with_flows`] to render
-/// them as Perfetto flow arrows.
+/// strings, making the trace itself a regression artifact. Causal events,
+/// which the kernel records only under `KernelConfig::causal`, draw as
+/// Perfetto flow arrows: [`EventKind::CausalEdge`] and
+/// [`EventKind::PredExec`] become flow-event pairs (`ph:"s"` at the
+/// source, `ph:"f"`/`bp:"e"` at the destination, matched by a
+/// deterministic `id`) across tracks, and [`EventKind::ReplayAnswered`]
+/// becomes a `replay_hit` instant on the owning thread track. A stream
+/// recorded without them has nothing to draw, so a trace recorded with
+/// `causal` off carries no flow events.
 pub fn export_chrome_trace(events: &[TimedEvent]) -> String {
-    export(events, false)
-}
-
-/// Like [`export_chrome_trace`], but additionally renders causal events:
-/// [`EventKind::CausalEdge`] and [`EventKind::PredExec`] become flow-event
-/// pairs (`ph:"s"` at the source, `ph:"f"`/`bp:"e"` at the destination,
-/// matched by a deterministic `id`) that Perfetto draws as arrows across
-/// tracks, and [`EventKind::ReplayAnswered`] becomes a `replay_hit`
-/// instant on the owning thread track.
-pub fn export_chrome_trace_with_flows(events: &[TimedEvent]) -> String {
-    export(events, true)
-}
-
-fn export(events: &[TimedEvent], flows: bool) -> String {
     // First pass: discover LIP processes and their threads so every track
     // gets a name. The first thread observed for a pid is its main thread.
     let mut proc_names: BTreeMap<u64, String> = BTreeMap::new();
@@ -388,24 +377,6 @@ fn export(events: &[TimedEvent], flows: bool) -> String {
                     Some(format!(
                         "{{\"tid\":{tid},\"tokens\":{tokens},\"pool\":{pool}}}"
                     )),
-                );
-            }
-            EventKind::PredRequeue { tid, attempt } => {
-                w.instant(
-                    at,
-                    KERNEL_PID,
-                    SCHED_TID,
-                    "pred_requeue",
-                    Some(format!("{{\"tid\":{tid},\"attempt\":{attempt}}}")),
-                );
-            }
-            EventKind::PredShed { tid } => {
-                w.instant(
-                    at,
-                    KERNEL_PID,
-                    SCHED_TID,
-                    "pred_shed",
-                    Some(format!("{{\"tid\":{tid}}}")),
                 );
             }
             EventKind::BatchBegin {
@@ -631,8 +602,7 @@ fn export(events: &[TimedEvent], flows: bool) -> String {
                     )),
                 );
             }
-            // Causal events render only in flow mode; the legacy export
-            // ignores them so pre-causal traces stay byte-identical.
+            // Causal events: flow arrows and replay instants.
             EventKind::CausalEdge {
                 edge,
                 src_pid,
@@ -641,12 +611,10 @@ fn export(events: &[TimedEvent], flows: bool) -> String {
                 dst_pid,
                 dst_tid,
             } => {
-                if flows {
-                    let name = format!("flow:{}", edge.label());
-                    w.flow("s", *src_at, *src_pid, *src_tid, &name, flow_id);
-                    w.flow("f", at, *dst_pid, *dst_tid, &name, flow_id);
-                    flow_id += 1;
-                }
+                let name = format!("flow:{}", edge.label());
+                w.flow("s", *src_at, *src_pid, *src_tid, &name, flow_id);
+                w.flow("f", at, *dst_pid, *dst_tid, &name, flow_id);
+                flow_id += 1;
             }
             EventKind::PredExec {
                 pid,
@@ -655,38 +623,34 @@ fn export(events: &[TimedEvent], flows: bool) -> String {
                 tokens,
                 enqueued_at,
             } => {
-                if flows {
-                    w.flow(
-                        "s",
-                        *enqueued_at,
-                        KERNEL_PID,
-                        SCHED_TID,
-                        "flow:sched",
-                        flow_id,
-                    );
-                    w.flow("f", at, GPU_PID, GPU_TID, "flow:sched", flow_id);
-                    flow_id += 1;
-                    w.instant(
-                        at,
-                        GPU_PID,
-                        GPU_TID,
-                        "pred_exec",
-                        Some(format!(
-                            "{{\"pid\":{pid},\"tid\":{tid},\"batch\":{batch},\"tokens\":{tokens}}}"
-                        )),
-                    );
-                }
+                w.flow(
+                    "s",
+                    *enqueued_at,
+                    KERNEL_PID,
+                    SCHED_TID,
+                    "flow:sched",
+                    flow_id,
+                );
+                w.flow("f", at, GPU_PID, GPU_TID, "flow:sched", flow_id);
+                flow_id += 1;
+                w.instant(
+                    at,
+                    GPU_PID,
+                    GPU_TID,
+                    "pred_exec",
+                    Some(format!(
+                        "{{\"pid\":{pid},\"tid\":{tid},\"batch\":{batch},\"tokens\":{tokens}}}"
+                    )),
+                );
             }
             EventKind::ReplayAnswered { pid, tid, sys } => {
-                if flows {
-                    w.instant(
-                        at,
-                        *pid,
-                        *tid,
-                        "replay_hit",
-                        Some(format!("{{\"sys\":{}}}", quoted(sys))),
-                    );
-                }
+                w.instant(
+                    at,
+                    *pid,
+                    *tid,
+                    "replay_hit",
+                    Some(format!("{{\"sys\":{}}}", quoted(sys))),
+                );
             }
             EventKind::ConnOpen { conn, tenant } => {
                 w.instant(
@@ -891,16 +855,28 @@ mod tests {
     }
 
     #[test]
-    fn legacy_export_ignores_causal_events_byte_identically() {
-        assert_eq!(
-            export_chrome_trace(&causal_events()),
-            export_chrome_trace(&sample_events()),
-        );
+    fn causal_events_only_add_flow_arrows_and_replay_instants() {
+        // Without causal events nothing of the causal layer is drawn; with
+        // them, dropping their lines gives back the same trace.
+        let plain = export_chrome_trace(&sample_events());
+        let causal = export_chrome_trace(&causal_events());
+        let kept: Vec<&str> = causal
+            .lines()
+            .filter(|l| {
+                !["\"cat\":\"flow\"", "\"pred_exec\"", "\"replay_hit\""]
+                    .iter()
+                    .any(|n| l.contains(n))
+            })
+            .map(|l| l.trim_end_matches(','))
+            .collect();
+        let plain: Vec<&str> = plain.lines().map(|l| l.trim_end_matches(',')).collect();
+        assert_eq!(kept, plain);
+        assert!(causal.lines().count() > plain.len());
     }
 
     #[test]
     fn flow_export_renders_paired_arrows_and_replay_instants() {
-        let json = export_chrome_trace_with_flows(&causal_events());
+        let json = export_chrome_trace(&causal_events());
         serde_json::from_str::<serde_json::Value>(&json).expect("valid JSON");
         assert_eq!(json.matches("\"ph\":\"s\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"f\"").count(), 2);

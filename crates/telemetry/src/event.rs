@@ -79,10 +79,6 @@ pub enum EventKind {
     SchedDispatch { tid: u64 },
     /// A `pred` call joined the inference pool (scheduler track).
     PredEnqueue { tid: u64, tokens: u32, pool: u32 },
-    /// A `pred` was re-pooled after KV-pool exhaustion (scheduler track).
-    PredRequeue { tid: u64, attempt: u32 },
-    /// A `pred` was shed by admission control (scheduler track).
-    PredShed { tid: u64 },
     /// Span begin: a GPU batch launched (GPU track).
     BatchBegin {
         id: u64,

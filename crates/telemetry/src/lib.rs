@@ -10,9 +10,8 @@
 //!   `KvStats`/`GpuMetrics` structs are snapshot views over it.
 //! * [`export_chrome_trace`] — renders a recorded event stream as Chrome
 //!   trace-event JSON loadable in Perfetto or `chrome://tracing`, with one
-//!   track per LIP process/thread plus dedicated GPU and scheduler tracks.
-//!   [`export_chrome_trace_with_flows`] additionally renders causal
-//!   events as Perfetto flow arrows.
+//!   track per LIP process/thread plus dedicated GPU and scheduler tracks;
+//!   causal events, when recorded, draw as Perfetto flow arrows.
 //!
 //! On top of the raw stream sits the causal layer: when
 //! `KernelConfig::causal` is on the kernel records [`EventKind::CausalEdge`]
@@ -37,10 +36,7 @@ mod metrics;
 pub mod trace_tree;
 
 pub use bus::{Collector, EventBus};
-pub use chrome::{
-    export_chrome_trace, export_chrome_trace_with_flows, GPU_PID, GPU_TID, KERNEL_PID, SCHED_TID,
-    SERVE_PID,
-};
+pub use chrome::{export_chrome_trace, GPU_PID, GPU_TID, KERNEL_PID, SCHED_TID, SERVE_PID};
 pub use critical_path::{
     analyze, critical_path as program_critical_path, render_report, LatencyBreakdown, Phase, PHASES,
 };
