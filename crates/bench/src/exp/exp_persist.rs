@@ -1,7 +1,7 @@
 //! E13 — warm restart: KVFS journal persistence across kernel reboots.
 //!
-//! A kernel that snapshots its KV store to an append-only journal at
-//! shutdown and replays it at boot starts with the popular prefixes already
+//! A kernel that writes its KV store to an append-only journal and
+//! replays it at boot starts with the popular prefixes already
 //! hot: the first wave of requests after a restart forks restored KV
 //! instead of re-prefilling every document. We run two workloads — the
 //! Fig-3 RAG application and a shared-system-prompt agent fleet — twice
@@ -197,10 +197,7 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
         // Boundedness: after every drain the journal is at most the
         // compaction threshold, or one snapshot of live state when a single
         // snapshot already exceeds the threshold (plus one buffered batch).
-        let snap_path = journal.with_extension("snapshot.tmp");
-        kernel.persist_kv(&snap_path).expect("snapshot write");
-        let snapshot_len = std::fs::metadata(&snap_path).map(|m| m.len()).unwrap_or(0);
-        std::fs::remove_file(&snap_path).ok();
+        let snapshot_len = kernel.store().journal_bytes().len() as u64;
         let bound = threshold.max(snapshot_len) + threshold;
         assert!(
             max_bytes <= bound,

@@ -48,9 +48,9 @@ struct Point {
     /// Per-tag WAL frame counts (journal-growth observability), reported
     /// for every point — clean runs and post-recovery alike.
     wal_frames: Vec<(String, u64)>,
-    /// Size of the KV store's journal snapshot at point end, taken via
-    /// `KvStore::journal_bytes` (which also publishes the
-    /// `kvfs.journal_bytes` gauge into the kernel's metrics registry).
+    /// Size of the KV store's journal snapshot at point end
+    /// (`KvStore::journal_bytes`), on clean runs and after
+    /// `Kernel::recover` alike.
     kv_journal_bytes: u64,
     checkpoints: u64,
     /// Completions per virtual second.
@@ -234,12 +234,7 @@ fn run_point(scale: &Scale, every: SimDuration, crash_every: u64, tag: &str) -> 
                 .collect()
         })
         .unwrap_or_default();
-    // Snapshot the KV store's journal: sizes the in-memory store and sets
-    // the `kvfs.journal_bytes` gauge so the registry reports it after
-    // `Kernel::recover` (re-execution rebuilds the store without touching
-    // the gauge) as well as on clean runs.
-    kernel.store().journal_bytes();
-    let kv_journal_bytes = kernel.metrics_registry().gauge("kvfs.journal_bytes").get() as u64;
+    let kv_journal_bytes = kernel.store().journal_bytes().len() as u64;
     std::fs::remove_file(&wal_path).ok();
 
     Point {

@@ -26,7 +26,7 @@ use symphony::{
 };
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
 use symphony_gpu::DeviceSpec;
-use symphony_kvfs::KvError;
+use symphony_kvfs::{JournalConfig, KvError};
 use symphony_model::ModelConfig;
 use symphony_sim::{LogNormal, Rng, SimTime};
 use symphony_tokenizer::Bpe;
@@ -279,9 +279,9 @@ pub fn run_symphony_point(
 }
 
 /// Runs Symphony at one point with optional warm-restart journaling (E13):
-/// boots from `boot_journal` when the file exists, and snapshots the
-/// post-run store to `persist_to`. Returns the restore report when the
-/// kernel warm-started.
+/// boots from `boot_journal` when the file exists, and opens a KV journal
+/// at `persist_to` after the run (its base is the post-run store). Returns
+/// the restore report when the kernel warm-started.
 pub fn run_symphony_point_persist(
     cfg: &Fig3Config,
     scale: &Scale,
@@ -337,7 +337,9 @@ pub fn run_symphony_point_persist(
     kernel.run();
     let restored = kernel.restored().copied();
     if let Some(p) = persist_to {
-        kernel.persist_kv(p).expect("journal write");
+        kernel
+            .open_kv_journal(p, JournalConfig::default())
+            .expect("journal write");
     }
 
     // Collect metrics.

@@ -50,9 +50,6 @@ pub struct FaultPlan {
     pub swap_in_fault_rate: f64,
     /// Probability an IPC `send_msg` is silently dropped.
     pub ipc_drop_rate: f64,
-    /// Probability a KV journal write is torn mid-record (crash during
-    /// persistence; the tail record is truncated).
-    pub journal_write_fault_rate: f64,
     /// Probability the *kernel itself* crashes at a syscall boundary (the
     /// machine dies mid-run; recovery replays the WAL). Evaluated once per
     /// boundary from the same isolated stream as every other site.
@@ -75,7 +72,6 @@ impl FaultPlan {
             && self.pred_fault_rate == 0.0
             && self.swap_in_fault_rate == 0.0
             && self.ipc_drop_rate == 0.0
-            && self.journal_write_fault_rate == 0.0
             && self.kernel_crash_rate == 0.0
             && self.crash_at_boundary.is_none()
     }
@@ -92,7 +88,6 @@ impl FaultPlan {
             ("pred_fault_rate", self.pred_fault_rate),
             ("swap_in_fault_rate", self.swap_in_fault_rate),
             ("ipc_drop_rate", self.ipc_drop_rate),
-            ("journal_write_fault_rate", self.journal_write_fault_rate),
             ("kernel_crash_rate", self.kernel_crash_rate),
         ];
         for (name, rate) in rates {
@@ -121,7 +116,6 @@ struct FaultCounters {
     pred_faults: Counter,
     swap_in_failures: Counter,
     ipc_drops: Counter,
-    journal_write_failures: Counter,
     kernel_crashes: Counter,
 }
 
@@ -133,7 +127,6 @@ impl FaultCounters {
             pred_faults: registry.counter("faults.pred_faults"),
             swap_in_failures: registry.counter("faults.swap_in_failures"),
             ipc_drops: registry.counter("faults.ipc_drops"),
-            journal_write_failures: registry.counter("faults.journal_write_failures"),
             kernel_crashes: registry.counter("faults.kernel_crashes"),
         }
     }
@@ -227,18 +220,6 @@ impl FaultInjector {
         hit
     }
 
-    /// Decides whether one KV journal write is torn mid-record.
-    pub fn journal_write(&mut self) -> bool {
-        if self.plan.journal_write_fault_rate == 0.0 {
-            return false;
-        }
-        let hit = self.rng.next_f64() < self.plan.journal_write_fault_rate;
-        if hit {
-            self.counters.journal_write_failures.inc();
-        }
-        hit
-    }
-
     /// Decides whether the kernel crashes at syscall boundary `boundary`
     /// (1-based, counted across the whole run). The deterministic
     /// `crash_at_boundary` kill point fires without an RNG draw, so
@@ -301,7 +282,6 @@ mod tests {
             assert!(!inj.pred_request());
             assert!(!inj.swap_in());
             assert!(!inj.ipc_send());
-            assert!(!inj.journal_write());
             assert!(!inj.kernel_crash(b + 1));
         }
         for (name, value) in registry.snapshot().entries {

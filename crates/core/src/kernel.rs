@@ -26,7 +26,6 @@ use symphony_kvfs::{
 };
 use symphony_model::surrogate::VocabInfo;
 use symphony_model::{ModelConfig, Preds, Surrogate, TokenId};
-use symphony_sim::seglog::SegLog;
 use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
     export_chrome_trace, latency_bounds_ns, occupancy_bounds, percent_bounds, Collector, Counter,
@@ -79,7 +78,7 @@ pub struct KernelConfig {
     /// DRAM exhaustion surfaces as `NoCpuMemory` exactly as before.
     pub disk_swap_bytes: u64,
     /// Restore the KV store from this journal at boot when the file exists
-    /// (warm restart); [`Kernel::persist_kv`] writes it at shutdown.
+    /// (warm restart); [`Kernel::open_kv_journal`] writes one.
     pub journal_path: Option<std::path::PathBuf>,
     /// Overrides the device-derived GPU KV budget (tests use tiny pools).
     pub gpu_kv_bytes_override: Option<u64>,
@@ -521,9 +520,6 @@ pub struct Kernel {
     offload_min_latency: SimDuration,
     pub(crate) default_limits: Limits,
     max_batch: usize,
-    /// Open incremental KV journal ([`Kernel::open_kv_journal`]): deltas
-    /// appended by [`Kernel::persist_kv_delta`], bounded by compaction.
-    kv_journal: Option<symphony_kvfs::Journal>,
     // Crash tolerance.
     /// Open write-ahead log (`None` when journalling is disabled).
     pub(crate) wal: Option<WalState>,
@@ -699,7 +695,6 @@ impl Kernel {
             offload_min_latency: config.offload_min_latency,
             default_limits: config.default_limits,
             max_batch: config.max_batch,
-            kv_journal: None,
             wal: None,
             replay: None,
             programs_resumed: false,
@@ -766,67 +761,22 @@ impl Kernel {
         self.restored.as_ref()
     }
 
-    /// Snapshots the KV store to an append-only journal at `path` for a
-    /// later warm restart, atomically replacing any journal already there.
-    /// Returns `Ok(true)` when the journal landed complete; under an
-    /// injected `kv.journal_write` fault the write is torn mid-record (the
-    /// tail third is lost) and `Ok(false)` is returned — replay will
-    /// recover the valid prefix.
-    pub fn persist_kv(&mut self, path: &std::path::Path) -> std::io::Result<bool> {
-        let mut bytes = self.store.journal_bytes();
-        let torn = self.injector.journal_write();
-        if torn {
-            let cut = bytes.len() - bytes.len() / 3;
-            bytes.truncate(cut);
-            let at = self.events.now();
-            self.bus.emit(at, || EventKind::FaultInjected {
-                site: "kv.journal_write",
-            });
-        }
-        SegLog::create(path, &bytes)?;
-        Ok(!torn)
-    }
-
-    /// Opens an incremental KV journal at `path`: writes the current store
-    /// as its base snapshot and starts delta tracking. From here on,
-    /// [`Kernel::persist_kv_delta`] appends only what changed, and the
-    /// journal is rewritten snapshot-equivalent whenever it crosses
-    /// `config.compact_threshold_bytes` — so its size is bounded by the
-    /// threshold plus one delta batch, not by history length.
+    /// Attaches an incremental KV journal at `path`
+    /// ([`KvStore::open_journal`]): the store as its base snapshot, then
+    /// [`Kernel::persist_kv_delta`] appends only what changed.
     pub fn open_kv_journal(
         &mut self,
         path: &std::path::Path,
         config: symphony_kvfs::JournalConfig,
     ) -> std::io::Result<()> {
-        let snapshot = self.store.journal_bytes();
-        let journal = symphony_kvfs::Journal::create(path, &snapshot, config)?;
-        self.store.enable_delta_log();
-        self.store.set_journal_len_metric(journal.bytes());
-        self.kv_journal = Some(journal);
-        Ok(())
+        self.store.open_journal(path, config)
     }
 
-    /// Appends the store's changes since the last call to the open KV
-    /// journal, flushes them to disk, and compacts when the journal has
-    /// crossed its threshold. Returns `Ok(true)` when a compaction ran;
-    /// a no-op `Ok(false)` without an open journal.
+    /// Persists the store's changes to the open KV journal
+    /// ([`KvStore::persist_journal`]). Returns `Ok(true)` when a
+    /// compaction ran; a no-op `Ok(false)` without an open journal.
     pub fn persist_kv_delta(&mut self) -> std::io::Result<bool> {
-        let Some(journal) = self.kv_journal.as_mut() else {
-            return Ok(false);
-        };
-        for rec in self.store.take_delta() {
-            journal.append(&rec);
-        }
-        journal.flush()?;
-        let mut compacted = false;
-        if journal.needs_compaction() {
-            let snapshot = self.store.journal_bytes();
-            journal.compact(&snapshot)?;
-            self.store.note_compaction();
-            compacted = true;
-        }
-        self.store.set_journal_len_metric(journal.bytes());
-        Ok(compacted)
+        self.store.persist_journal()
     }
 
     /// Installs an admission-time static cost hint for a program: the

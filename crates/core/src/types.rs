@@ -37,8 +37,6 @@ pub enum SysError {
     Fault(&'static str),
     /// A per-process resource limit was exceeded.
     LimitExceeded(&'static str),
-    /// The kernel is shutting down (the process is being torn down).
-    Shutdown,
     /// The process was cancelled from outside (e.g. a serving client tore
     /// the session down). Like a deadline hit, every subsequent syscall
     /// fails and blocked receivers are woken with this error.
@@ -71,7 +69,6 @@ impl core::fmt::Display for SysError {
             SysError::Unavailable => write!(f, "circuit breaker open"),
             SysError::Fault(site) => write!(f, "transient fault: {site}"),
             SysError::LimitExceeded(what) => write!(f, "limit exceeded: {what}"),
-            SysError::Shutdown => write!(f, "kernel shutdown"),
             SysError::Cancelled => write!(f, "cancelled"),
             SysError::Internal(what) => write!(f, "kernel invariant violated: {what}"),
         }

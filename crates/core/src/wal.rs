@@ -367,11 +367,11 @@ fn encode_sys_error(out: &mut Vec<u8>, e: &SysError) {
         SysError::Timeout => (6, ""),
         SysError::DeadlineExceeded => (7, ""),
         SysError::Unavailable => (8, ""),
-        // 9 is unassigned: `decode_sys_error` rejects it, so a frame
-        // carrying it ends the valid prefix like any malformed payload.
+        // 9 and 12 are unassigned: `decode_sys_error` rejects them, so a
+        // frame carrying one ends the valid prefix like any malformed
+        // payload.
         SysError::Fault(site) => (10, site),
         SysError::LimitExceeded(what) => (11, what),
-        SysError::Shutdown => (12, ""),
         SysError::Internal(what) => (13, what),
         SysError::Cancelled => (14, ""),
     };
@@ -396,7 +396,6 @@ fn decode_sys_error(c: &mut Cursor<'_>) -> Option<SysError> {
         8 => SysError::Unavailable,
         10 => SysError::Fault(intern(payload)),
         11 => SysError::LimitExceeded(intern(payload)),
-        12 => SysError::Shutdown,
         13 => SysError::Internal(intern(payload)),
         14 => SysError::Cancelled,
         _ => return None,
@@ -1209,15 +1208,17 @@ mod tests {
         let mut bytes = prefix.clone();
         append_frame(&mut bytes, record_tag(&rec), &payload);
         assert_eq!(read_wal(&bytes).unwrap().1.len(), 3, "the frame as written");
-        // Code 9 names no error: the frame checksums, but it ends the
-        // valid prefix.
-        payload[kind] = 9;
-        let mut bytes = prefix.clone();
-        append_frame(&mut bytes, record_tag(&rec), &payload);
-        let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(valid_len, prefix.len() as u64);
-        assert!(torn);
+        // Codes 9 and 12 name no error: the frame checksums, but it ends
+        // the valid prefix.
+        for code in [9, 12] {
+            payload[kind] = code;
+            let mut bytes = prefix.clone();
+            append_frame(&mut bytes, record_tag(&rec), &payload);
+            let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
+            assert_eq!(records.len(), 2, "code {code}");
+            assert_eq!(valid_len, prefix.len() as u64, "code {code}");
+            assert!(torn, "code {code}");
+        }
     }
 
     #[test]

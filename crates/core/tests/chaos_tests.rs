@@ -353,7 +353,6 @@ fn chaos_run(seed: u64) -> (Vec<TimedEvent>, Vec<(String, String, bool)>, String
         pred_fault_rate: 0.02,
         swap_in_fault_rate: 0.1,
         ipc_drop_rate: 0.2,
-        journal_write_fault_rate: 0.0,
         ..FaultPlan::default()
     };
     cfg.tool_retry =

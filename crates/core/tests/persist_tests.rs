@@ -1,10 +1,12 @@
-//! Warm-restart persistence tests: journal snapshot at shutdown, replay at
-//! boot, golden-trace equivalence against a cold kernel, and torn-tail
-//! recovery under fault injection.
+//! Warm-restart persistence tests: a KV journal written by the store,
+//! replay at boot, golden-trace equivalence against a cold kernel, and
+//! torn-tail recovery from a journal cut at any point.
 
 use symphony::sampling::{self, GenOpts};
-use symphony::{FaultPlan, Kernel, KernelConfig, Mode};
-use symphony_kvfs::KvError;
+use symphony::{Kernel, KernelConfig, Mode};
+use symphony_kvfs::{JournalConfig, KvError};
+use symphony_sim::frame::{read_frames, FRAME_OVERHEAD};
+use symphony_sim::seglog::{Head, SegLog};
 
 /// Unique-per-process temp path so parallel test runs don't collide.
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -48,7 +50,7 @@ fn warm_restart_restores_pinned_prefix() {
         let mut cold = Kernel::new(KernelConfig::for_tests());
         let n = preload(&mut cold);
         assert!(cold.restored().is_none(), "cold start has no restore report");
-        assert!(cold.persist_kv(&path).unwrap(), "unfaulted journal lands complete");
+        cold.open_kv_journal(&path, JournalConfig::default()).unwrap();
         n
     };
 
@@ -87,7 +89,7 @@ fn restored_kernel_matches_fresh_kernel_trace() {
     {
         let mut seed = Kernel::new(KernelConfig::for_tests());
         preload(&mut seed);
-        assert!(seed.persist_kv(&path).unwrap());
+        seed.open_kv_journal(&path, JournalConfig::default()).unwrap();
     }
 
     let mut cfg = KernelConfig::for_tests();
@@ -106,55 +108,75 @@ fn restored_kernel_matches_fresh_kernel_trace() {
     std::fs::remove_file(&path).ok();
 }
 
-#[test]
-fn torn_journal_write_is_recovered_on_replay() {
-    let path = tmp("torn.journal");
+/// Warm-boots a kernel from the journal at `path`.
+fn warm_boot(path: &std::path::Path) -> Kernel {
     let mut cfg = KernelConfig::for_tests();
-    cfg.faults = FaultPlan { journal_write_fault_rate: 1.0, ..FaultPlan::none() };
-    cfg.telemetry = true;
-    let mut k = Kernel::new(cfg);
-    preload(&mut k);
-    assert!(!k.persist_kv(&path).unwrap(), "injected fault must tear the tail");
-    assert_eq!(k.metrics_registry().counter_value("faults.journal_write_failures").unwrap_or(0), 1);
-    assert!(
-        k.export_chrome_trace().contains("journal_write"),
-        "fault site must be visible in telemetry"
-    );
+    cfg.journal_path = Some(path.to_path_buf());
+    Kernel::new(cfg)
+}
 
-    // Replay of the torn file: no panic, typed tear detail, valid prefix
-    // only, and the kernel still boots and serves.
-    let mut warm_cfg = KernelConfig::for_tests();
-    warm_cfg.journal_path = Some(path.clone());
-    let mut warm = Kernel::new(warm_cfg);
-    if let Some(report) = warm.restored() {
-        assert_eq!(report.torn, Some(KvError::JournalTorn));
-        assert!(report.files <= 1);
+/// A crash can stop a journal write anywhere. A journal written through
+/// `open_kv_journal` + `persist_kv_delta` and cut at every frame boundary
+/// and one byte into every frame still warm-boots: a cut tail reports the
+/// typed tear, the restored prefix is consistent, and the kernel serves.
+#[test]
+fn a_journal_cut_anywhere_warm_boots() {
+    let path = tmp("cut.journal");
+    let mut k = Kernel::new(KernelConfig::for_tests());
+    k.open_kv_journal(&path, JournalConfig::default()).unwrap();
+    preload(&mut k);
+    assert!(!k.persist_kv_delta().unwrap());
+    k.preload_kv("more.kv", &k.tokenizer().encode(SYS_TEXT), Mode::SHARED_READ, false)
+        .unwrap();
+    assert!(!k.persist_kv_delta().unwrap());
+    let bytes = std::fs::read(&path).unwrap();
+
+    // The journal's header carries four fields; frames follow it.
+    let mut end = Head::<4>::LEN;
+    let mut cuts = vec![end];
+    let (frames, torn) = read_frames(&bytes[end..]);
+    assert!(!torn);
+    for (_, payload) in &frames {
+        cuts.push(end + 1);
+        end += FRAME_OVERHEAD + payload.len();
+        cuts.push(end);
     }
-    warm.store().verify().unwrap();
-    let pid = warm.spawn_process("after-tear", "still serving", |ctx| {
-        let prompt = ctx.tokenize(&ctx.args())?;
-        let kv = ctx.kv_create()?;
-        sampling::generate(ctx, kv, &prompt, &GenOpts { max_tokens: 8, ..Default::default() })?;
-        ctx.kv_remove(kv)?;
-        Ok(())
-    });
-    warm.run();
-    assert!(warm.record(pid).unwrap().status.is_ok());
+    assert_eq!(end, bytes.len());
+
+    let cut_path = tmp("cut.prefix.journal");
+    for cut in cuts {
+        std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+        let mut warm = warm_boot(&cut_path);
+        let report = *warm.restored().unwrap_or_else(|| panic!("cut at {cut} restores"));
+        let torn = (cut < bytes.len()).then_some(KvError::JournalTorn);
+        assert_eq!(report.torn, torn, "cut at {cut}");
+        assert!(report.files <= 2, "cut at {cut}");
+        warm.store().verify().unwrap();
+        let pid = warm.spawn_process("after-tear", "still serving", |ctx| {
+            let prompt = ctx.tokenize(&ctx.args())?;
+            let kv = ctx.kv_create()?;
+            sampling::generate(ctx, kv, &prompt, &GenOpts { max_tokens: 8, ..Default::default() })?;
+            ctx.kv_remove(kv)?;
+            Ok(())
+        });
+        warm.run();
+        assert!(warm.record(pid).unwrap().status.is_ok(), "cut at {cut}");
+    }
+    std::fs::remove_file(&cut_path).ok();
     std::fs::remove_file(&path).ok();
 }
 
-/// Persisting over a journal replaces it by rename: killed between staging
-/// and rename the old journal is still whole, and a finished persist never
-/// truncated it in place.
+/// Opening a journal over an existing one replaces it by rename: killed
+/// between staging and rename the old journal is still whole, and a
+/// finished open never truncated it in place.
 #[test]
-fn repersisting_never_exposes_a_partial_journal() {
+fn reopening_a_journal_never_exposes_a_partial_file() {
     use std::io::Read;
-    use symphony_sim::seglog::SegLog;
-    let path = tmp("repersist.journal");
+    let path = tmp("reopen.journal");
     let complete = |bytes: &[u8]| !symphony_kvfs::journal::read_journal(bytes).unwrap().2;
     let mut k = Kernel::new(KernelConfig::for_tests());
     preload(&mut k);
-    assert!(k.persist_kv(&path).unwrap());
+    k.open_kv_journal(&path, JournalConfig::default()).unwrap();
     let old = std::fs::read(&path).unwrap();
     let mut reader = std::fs::File::open(&path).unwrap();
 
@@ -171,10 +193,10 @@ fn repersisting_never_exposes_a_partial_journal() {
     let on_disk = std::fs::read(&path).unwrap();
     assert!(
         on_disk == old && complete(&on_disk),
-        "a crash mid-persist keeps the old journal"
+        "a crash mid-open keeps the old journal"
     );
 
-    assert!(k.persist_kv(&path).unwrap());
+    k.open_kv_journal(&path, JournalConfig::default()).unwrap();
     assert_eq!(std::fs::read(&path).unwrap(), new);
     let mut seen = Vec::new();
     reader.read_to_end(&mut seen).unwrap();
@@ -182,5 +204,48 @@ fn repersisting_never_exposes_a_partial_journal() {
         seen == old,
         "the old journal was replaced, not rewritten in place"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+/// `kvfs.journal_bytes` has one writer, the journal: it reads the file's
+/// length after the journal opens, after every persist (compacting or
+/// not) and after a warm boot, and serializing the store without writing
+/// a journal leaves it alone.
+#[test]
+fn the_journal_gauge_is_the_journal_file_length() {
+    let path = tmp("gauge.journal");
+    let on_disk = || std::fs::metadata(&path).unwrap().len() as i64;
+    let gauge = |k: &Kernel| k.metrics_registry().gauge("kvfs.journal_bytes").get();
+    let mut k = Kernel::new(KernelConfig::for_tests());
+    k.open_kv_journal(&path, JournalConfig { compact_threshold_bytes: 2048 })
+        .unwrap();
+    assert_eq!(gauge(&k), on_disk());
+    let (mut compacted, mut appended, mut telling) = (0, 0, 0);
+    for i in 0..8 {
+        let tokens = k.tokenizer().encode(&format!("document {i} {SYS_TEXT}"));
+        k.preload_kv(&format!("doc{i}.kv"), &tokens, Mode::SHARED_READ, false)
+            .unwrap();
+        if k.persist_kv_delta().unwrap() {
+            compacted += 1;
+        } else {
+            appended += 1;
+        }
+        assert_eq!(gauge(&k), on_disk(), "after persist {i}");
+        let snapshot = k.store().journal_bytes();
+        assert_eq!(gauge(&k), on_disk(), "a bare snapshot after persist {i}");
+        telling += usize::from(snapshot.len() as i64 != on_disk());
+    }
+    assert!(compacted >= 1 && appended >= 1, "{compacted} compacted, {appended} appended");
+    // Only a snapshot whose length differs from the file's can show a
+    // second writer.
+    assert!(telling >= 1);
+    assert_eq!(
+        k.metrics_registry().counter_value("kvfs.compactions"),
+        Some(compacted)
+    );
+    drop(k);
+    let warm = warm_boot(&path);
+    assert!(warm.restored().is_some());
+    assert_eq!(gauge(&warm), on_disk());
     std::fs::remove_file(&path).ok();
 }

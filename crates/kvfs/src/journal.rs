@@ -23,7 +23,9 @@
 //! reports the tear as [`KvError::JournalTorn`] detail instead of failing
 //! the restore. [`crate::store::KvStore::journal_bytes`] serialises a store
 //! as a sealed record sequence; a [`Journal`] handle appends delta batches
-//! to one, resealing after each, and
+//! to one, resealing after each (the store drives it:
+//! [`crate::store::KvStore::open_journal`] /
+//! [`crate::store::KvStore::persist_journal`]), and
 //! [`crate::store::KvStore::restore_from_journal`] replays either back into
 //! a byte-identical store.
 

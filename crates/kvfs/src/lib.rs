@@ -17,10 +17,13 @@
 //!   to disk under DRAM pressure).
 //! - **Quotas**: per-owner page budgets so one tenant cannot exhaust HBM.
 //! - **Journal** ([`journal`]): an append-only, checksummed record format
-//!   that persists the store across process restarts
-//!   ([`store::KvStore::journal_bytes`] /
-//!   [`store::KvStore::restore_from_journal`]), with truncate-and-continue
-//!   recovery from torn tail records. See `docs/KVFS.md`.
+//!   that persists the store across process restarts, with
+//!   truncate-and-continue recovery from torn tail records. The store is
+//!   its journal's one writer: [`store::KvStore::open_journal`] writes a
+//!   base snapshot, [`store::KvStore::persist_journal`] appends what
+//!   changed and compacts past a threshold, and
+//!   [`store::KvStore::restore_from_journal`] replays it. See
+//!   `docs/KVFS.md`.
 //!
 //! The store is a plain single-threaded value (`&mut self` API): the Symphony
 //! kernel serialises all system calls, so interior locking would only hide

@@ -7,7 +7,9 @@ use symphony_model::CtxFingerprint;
 use symphony_telemetry::{Counter, Gauge, MetricsRegistry};
 
 use crate::error::KvError;
-use crate::journal::{self, JournalHeader, JournalWriter, Record, RestoreReport};
+use crate::journal::{
+    self, Journal, JournalConfig, JournalHeader, JournalWriter, Record, RestoreReport,
+};
 use crate::page::{KvEntry, Migrated, PageId, PagePool, Tier, PAGE_TOKENS_DEFAULT};
 
 /// A tenant identity (a Symphony process, a baseline engine, or "the admin").
@@ -208,11 +210,6 @@ struct KvCounters {
     clean_dropped_tokens: Counter,
     compactions: Counter,
     journal_bytes: Gauge,
-    journal_frames_page_write: Gauge,
-    journal_frames_file_meta: Gauge,
-    journal_frames_link: Gauge,
-    journal_frames_quota: Gauge,
-    journal_frames_pool_state: Gauge,
 }
 
 impl KvCounters {
@@ -227,11 +224,6 @@ impl KvCounters {
             clean_dropped_tokens: registry.counter("kvfs.clean_dropped_tokens"),
             compactions: registry.counter("kvfs.compactions"),
             journal_bytes: registry.gauge("kvfs.journal_bytes"),
-            journal_frames_page_write: registry.gauge("kvfs.journal_frames.page_write"),
-            journal_frames_file_meta: registry.gauge("kvfs.journal_frames.file_meta"),
-            journal_frames_link: registry.gauge("kvfs.journal_frames.link"),
-            journal_frames_quota: registry.gauge("kvfs.journal_frames.quota"),
-            journal_frames_pool_state: registry.gauge("kvfs.journal_frames.pool_state"),
         }
     }
 }
@@ -270,7 +262,7 @@ impl SwapReport {
 /// Change tracking for incremental journal persistence.
 ///
 /// The dirty sets say *which* live entities changed since the last
-/// [`KvStore::take_delta`] drain; the shadow maps remember the namespace,
+/// [`KvStore::persist_journal`] drain; the shadow maps remember the namespace,
 /// live-file set, and quota limits as the journal last described them, so
 /// the drain can emit a structural diff (removes, unlinks, links, quota
 /// changes) instead of logging every operation. Entities born and removed
@@ -285,6 +277,14 @@ struct DeltaLog {
     shadow_namespace: BTreeMap<String, u64>,
     /// The owners with a quota limit, and the limit, as of the last drain.
     shadow_quotas: BTreeMap<u64, u64>,
+}
+
+/// The journal file a store writes and the change tracking its drains
+/// read: tracking is on exactly while a journal is attached.
+#[derive(Debug)]
+struct AttachedJournal {
+    file: Journal,
+    delta: DeltaLog,
 }
 
 /// Page tables of the files in `keep`, `id` itself left out.
@@ -319,10 +319,9 @@ pub struct KvStore {
     access_clock: u64,
     bytes_per_token: u64,
     counters: KvCounters,
-    /// `Some` while an incremental journal is attached (see
-    /// [`KvStore::enable_delta_log`]); `None` keeps every mutation path at
-    /// its original cost.
-    delta: Option<DeltaLog>,
+    /// `Some` while a journal is attached (see [`KvStore::open_journal`]);
+    /// `None` keeps every mutation path at its original cost.
+    journal: Option<AttachedJournal>,
 }
 
 impl KvStore {
@@ -349,7 +348,7 @@ impl KvStore {
             access_clock: 0,
             bytes_per_token: config.bytes_per_token,
             counters: KvCounters::register(registry),
-            delta: None,
+            journal: None,
         }
     }
 
@@ -464,8 +463,8 @@ impl KvStore {
     fn meta_mut(&mut self, id: FileId) -> Result<&mut FileMeta, KvError> {
         // Every metadata mutation flows through here (or `touch`), which is
         // what makes the delta log's dirty-file set complete.
-        if let Some(d) = self.delta.as_mut() {
-            d.dirty_files.insert(id.0);
+        if let Some(j) = self.journal.as_mut() {
+            j.delta.dirty_files.insert(id.0);
         }
         self.files.get_mut(&id.0).ok_or(KvError::NotFound)
     }
@@ -496,8 +495,8 @@ impl KvStore {
         if let Some(m) = self.files.get_mut(&id.0) {
             m.last_access = clock;
             // `last_access` is journalled state: reads dirty the file too.
-            if let Some(d) = self.delta.as_mut() {
-                d.dirty_files.insert(id.0);
+            if let Some(j) = self.journal.as_mut() {
+                j.delta.dirty_files.insert(id.0);
             }
         }
     }
@@ -1172,8 +1171,8 @@ impl KvStore {
             if m.lock == Some(owner) {
                 m.lock = None;
                 released += 1;
-                if let Some(d) = self.delta.as_mut() {
-                    d.dirty_files.insert(*id);
+                if let Some(j) = self.journal.as_mut() {
+                    j.delta.dirty_files.insert(*id);
                 }
             }
         }
@@ -1182,16 +1181,62 @@ impl KvStore {
 
     // ---- persistence -----------------------------------------------------------
 
-    /// Starts incremental change tracking for delta journalling. Call at
-    /// the moment the journal's base snapshot is taken: from here on,
-    /// [`KvStore::take_delta`] returns records that replay the store's
-    /// changes on top of that snapshot. Idempotent-ish only in the sense
-    /// that re-enabling resets tracking to "nothing changed since now".
-    pub fn enable_delta_log(&mut self) {
+    /// Attaches a journal file at `path`, atomically replacing any file
+    /// there: writes the store as its base snapshot and starts change
+    /// tracking. From here on [`KvStore::persist_journal`] appends only
+    /// what changed, and rewrites the file as a snapshot whenever it
+    /// crosses `config.compact_threshold_bytes`, so its size is bounded by
+    /// the threshold plus one batch, not by history. Opening again
+    /// replaces the attached journal.
+    pub fn open_journal(
+        &mut self,
+        path: &std::path::Path,
+        config: JournalConfig,
+    ) -> std::io::Result<()> {
+        let file = Journal::create(path, &self.journal_bytes(), config)?;
         self.pool.enable_dirty_tracking();
-        let mut d = DeltaLog::default();
-        self.reset_delta_shadow(&mut d);
-        self.delta = Some(d);
+        let mut delta = DeltaLog::default();
+        self.reset_delta_shadow(&mut delta);
+        self.counters.journal_bytes.set(file.bytes() as i64);
+        self.journal = Some(AttachedJournal { file, delta });
+        Ok(())
+    }
+
+    /// Appends the changes since the journal was opened or last persisted
+    /// and flushes them, then compacts when the journal has crossed its
+    /// threshold. Returns `Ok(true)` when a compaction ran; a no-op
+    /// `Ok(false)` without an attached journal.
+    pub fn persist_journal(&mut self) -> std::io::Result<bool> {
+        let Some(mut j) = self.journal.take() else {
+            return Ok(false);
+        };
+        let persisted = self.persist_into(&mut j);
+        self.journal = Some(j);
+        persisted
+    }
+
+    /// One drain into `j`: the change set (`change_set`) of the dirty pages
+    /// and files against the shadow, closed by a [`Record::PoolState`] so
+    /// append-only histories restore with byte-identical allocator state;
+    /// then flush, and compaction past the threshold.
+    fn persist_into(&mut self, j: &mut AttachedJournal) -> std::io::Result<bool> {
+        let pages = self.pool.take_dirty();
+        let recs = self.change_set(&j.delta, pages, j.delta.dirty_files.iter().copied());
+        if !recs.is_empty() {
+            for rec in &recs {
+                j.file.append(rec);
+            }
+            j.file.append(&self.pool_state());
+        }
+        self.reset_delta_shadow(&mut j.delta);
+        j.file.flush()?;
+        let compacted = j.file.needs_compaction();
+        if compacted {
+            j.file.compact(&self.journal_bytes())?;
+            self.counters.compactions.inc();
+        }
+        self.counters.journal_bytes.set(j.file.bytes() as i64);
+        Ok(compacted)
     }
 
     fn reset_delta_shadow(&self, d: &mut DeltaLog) {
@@ -1207,27 +1252,6 @@ impl KvStore {
             .iter()
             .filter_map(|(o, q)| Some((o.0, q.limit_pages? as u64)))
             .collect();
-    }
-
-    /// Drains the changes since the last drain (or since
-    /// [`KvStore::enable_delta_log`]) as an ordered record batch that,
-    /// appended to the journal, replays to the store's current state: the
-    /// change set (`change_set`) of the dirty pages and files against the
-    /// shadow state, and a trailing [`Record::PoolState`] so append-only
-    /// histories restore with byte-identical allocator state. Returns an
-    /// empty batch when nothing changed or tracking is disabled.
-    pub fn take_delta(&mut self) -> Vec<Record> {
-        let Some(mut d) = self.delta.take() else {
-            return Vec::new();
-        };
-        let pages = self.pool.take_dirty();
-        let mut recs = self.change_set(&d, pages, d.dirty_files.iter().copied());
-        if !recs.is_empty() {
-            recs.push(self.pool_state());
-        }
-        self.reset_delta_shadow(&mut d);
-        self.delta = Some(d);
-        recs
     }
 
     /// The records that take a journal from `since`'s shadow to the store:
@@ -1318,34 +1342,6 @@ impl KvStore {
         }
     }
 
-    /// Gauges a journal of `bytes` that describes this store: its size and
-    /// the per-tag frame mix a snapshot of the store writes, so unbounded
-    /// journals show up as a number, not an out-of-disk surprise.
-    fn gauge_journal(&self, bytes: usize) {
-        let c = &self.counters;
-        c.journal_bytes.set(bytes as i64);
-        c.journal_frames_page_write
-            .set(self.pool.live_pages() as i64);
-        c.journal_frames_file_meta.set(self.files.len() as i64);
-        c.journal_frames_link.set(self.namespace.len() as i64);
-        let quotas = self.quotas.values().filter(|q| q.limit_pages.is_some());
-        c.journal_frames_quota.set(quotas.count() as i64);
-        c.journal_frames_pool_state.set(1);
-    }
-
-    /// Bumps the `kvfs.compactions` counter (the kernel calls this when
-    /// its journal handle compacts).
-    pub fn note_compaction(&self) {
-        self.counters.compactions.inc();
-    }
-
-    /// Points the `kvfs.journal_bytes` gauge at an externally-managed
-    /// journal's size (delta journals grow between snapshots, so the
-    /// snapshot-sized value set by [`KvStore::journal_bytes`] goes stale).
-    pub fn set_journal_len_metric(&self, bytes: u64) {
-        self.counters.journal_bytes.set(bytes as i64);
-    }
-
     /// Serialises the whole store as a journal: the change set
     /// (`change_set`) from an empty store, then the pool's exact slot
     /// geometry. Replaying the bytes with
@@ -1364,9 +1360,7 @@ impl KvStore {
             w.append(&rec);
         }
         w.append(&self.pool_state());
-        let bytes = w.finish();
-        self.gauge_journal(bytes.len());
-        bytes
+        w.finish()
     }
 
     /// Restores a store from a journal file. I/O errors surface as
@@ -1579,8 +1573,8 @@ impl KvStore {
         store.verify().map_err(|_| KvError::JournalTorn)?;
 
         // Growth observability survives recovery: gauge the journal just
-        // replayed without waiting for the next snapshot.
-        store.gauge_journal(bytes.len());
+        // replayed without waiting for the next drain.
+        store.counters.journal_bytes.set(bytes.len() as i64);
 
         let report = RestoreReport {
             files: store.files.len(),
@@ -1913,28 +1907,29 @@ mod tests {
 
     #[test]
     fn a_lifted_quota_limit_reaches_the_delta_journal() {
+        let path = std::env::temp_dir().join(format!(
+            "symj_lifted_quota_{}.journal",
+            std::process::id()
+        ));
         let mut s = store();
         s.set_quota(U1, Some(4));
-        s.enable_delta_log();
-        let base = s.journal_bytes();
+        s.open_journal(&path, JournalConfig::default()).unwrap();
         s.set_quota(U1, None);
-        let delta = s.take_delta();
+        assert!(!s.persist_journal().unwrap());
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         let lifted = Record::Quota {
             owner: U1.0,
             limit: None,
         };
-        assert!(delta.contains(&lifted), "{delta:?}");
+        let (_, records, torn) = crate::journal::read_journal(&bytes).unwrap();
+        assert!(!torn);
+        assert!(records.contains(&lifted), "{records:?}");
         // Replayed over the base snapshot, the limit is gone again.
-        let (header, mut records, _) = crate::journal::read_journal(&base).unwrap();
-        records.extend(delta);
-        let mut w = JournalWriter::new(&header);
-        for r in &records {
-            w.append(r);
-        }
         let (r, _) = KvStore::restore_from_journal_bytes(
             KvStoreConfig::for_tests(),
             &MetricsRegistry::new(),
-            &w.finish(),
+            &bytes,
         )
         .unwrap();
         assert!(r.quotas.is_empty());

@@ -11,9 +11,10 @@
 //! 2. **Torn tail chaos** — the snapshot bytes are cut at every possible
 //!    length; replay must never panic, must flag the tear with the typed
 //!    `KvError::JournalTorn` detail, and must restore a consistent prefix.
-//! 3. **Delta equivalence** — the same op sequence run with the delta log
-//!    enabled, drained in batches through the production [`Journal`] file
-//!    handle, must restore to the same observable state as the live store.
+//! 3. **Delta equivalence** — the same op sequence run against a store
+//!    with a journal open, persisted in batches through the production
+//!    `KvStore::persist_journal`, must restore to the same observable
+//!    state as the live store.
 //! 4. **Compaction** — rewriting any journal prefix to its
 //!    snapshot-equivalent form must restore byte-identically at every
 //!    truncation point, and a crash before the atomic rename must leave
@@ -254,10 +255,10 @@ proptest! {
     }
 }
 
-/// Builds a journal the way a live kernel does: base snapshot written at
-/// open, then the delta log drained and appended every `batch` ops through
-/// the production [`Journal`] file handle. Returns the final store, its
-/// live file ids, and the on-disk journal bytes.
+/// Builds a journal the way a live kernel does: the store opens it
+/// ([`KvStore::open_journal`]), then persists its changes every `batch`
+/// ops ([`KvStore::persist_journal`]). Returns the final store, its live
+/// file ids, and the on-disk journal bytes.
 fn build_delta_journal(ops: &[Op], batch: usize, tag: &str) -> (KvStore, Vec<FileId>, Vec<u8>) {
     let path = std::env::temp_dir().join(format!(
         "symj_prop_{tag}_{}_{:?}.journal",
@@ -265,34 +266,25 @@ fn build_delta_journal(ops: &[Op], batch: usize, tag: &str) -> (KvStore, Vec<Fil
         std::thread::current().id()
     ));
     let mut store = KvStore::new(config());
-    store.enable_delta_log();
-    let base = store.journal_bytes();
-    let mut journal = Journal::create(
-        &path,
-        &base,
-        JournalConfig {
-            compact_threshold_bytes: u64::MAX,
-        },
-    )
-    .unwrap();
+    store.open_journal(&path, never_compact()).unwrap();
     let mut live = Vec::new();
     let mut next_token = 0u32;
     for (k, op) in ops.iter().enumerate() {
         apply_op(&mut store, &mut live, &mut next_token, op);
         if (k + 1) % batch == 0 {
-            for rec in store.take_delta() {
-                journal.append(&rec);
-            }
-            journal.flush().unwrap();
+            store.persist_journal().unwrap();
         }
     }
-    for rec in store.take_delta() {
-        journal.append(&rec);
-    }
-    journal.flush().unwrap();
+    store.persist_journal().unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     (store, live, bytes)
+}
+
+fn never_compact() -> JournalConfig {
+    JournalConfig {
+        compact_threshold_bytes: u64::MAX,
+    }
 }
 
 proptest! {
@@ -378,45 +370,44 @@ proptest! {
 
 #[test]
 fn crash_mid_compaction_preserves_the_old_journal() {
-    let path = std::env::temp_dir().join(format!(
-        "symj_prop_crash_{}.journal",
-        std::process::id()
-    ));
+    let path = |tag: &str| {
+        std::env::temp_dir().join(format!("symj_prop_crash_{tag}_{}.journal", std::process::id()))
+    };
+    let (kept, compacting) = (path("kept"), path("compacting"));
     let admin = OwnerId::ADMIN;
+    // Twin stores, the same history: one journal never compacts, so it
+    // holds what the other's held on disk between flush and compaction.
+    let mut twin = KvStore::new(config());
+    twin.open_journal(&kept, never_compact()).unwrap();
     let mut store = KvStore::new(config());
-    store.enable_delta_log();
-    let base = store.journal_bytes();
-    let mut journal = Journal::create(
-        &path,
-        &base,
-        JournalConfig {
-            compact_threshold_bytes: 1,
-        },
-    )
-    .unwrap();
-    let f = store.create(admin).unwrap();
-    store.append(f, admin, &[entry(1), entry(2), entry(3)]).unwrap();
-    store.link(f, "p/crash", admin).unwrap();
-    for rec in store.take_delta() {
-        journal.append(&rec);
-    }
-    journal.flush().unwrap();
-    let before = std::fs::read(&path).unwrap();
-    assert!(journal.needs_compaction(), "threshold of 1 byte must trip");
+    store
+        .open_journal(&compacting, JournalConfig { compact_threshold_bytes: 1 })
+        .unwrap();
+    let history = |s: &mut KvStore| {
+        let f = s.create(admin).unwrap();
+        s.append(f, admin, &[entry(1), entry(2), entry(3)]).unwrap();
+        s.link(f, "p/crash", admin).unwrap();
+        f
+    };
+    let f = history(&mut twin);
+    assert_eq!(history(&mut store), f);
+    assert!(!twin.persist_journal().unwrap());
+    let before = std::fs::read(&kept).unwrap();
 
     // Crash after writing the temp file but before the atomic rename:
     // the live journal is byte-for-byte untouched and still restores.
-    SegLog::replace_crash_before_rename(&path, &store.journal_bytes()).unwrap();
-    assert_eq!(std::fs::read(&path).unwrap(), before, "old journal must survive the crash");
+    SegLog::replace_crash_before_rename(&kept, &twin.journal_bytes()).unwrap();
+    assert_eq!(std::fs::read(&kept).unwrap(), before, "old journal must survive the crash");
     let (recovered, report) =
         KvStore::restore_from_journal_bytes(config(), &MetricsRegistry::new(), &before).unwrap();
     assert_eq!(report.torn, None);
     assert_eq!(recovered.read_all_unchecked(f).unwrap().len(), 3);
 
-    // The real compaction lands atomically and restores identically.
+    // The real compaction (a threshold of 1 byte trips) lands atomically
+    // and restores identically.
+    assert!(store.persist_journal().unwrap(), "threshold of 1 byte must trip");
     let snap = store.journal_bytes();
-    journal.compact(&snap).unwrap();
-    assert_eq!(std::fs::read(&path).unwrap(), snap);
+    assert_eq!(std::fs::read(&compacting).unwrap(), snap);
     let (rec2, rep2) =
         KvStore::restore_from_journal_bytes(config(), &MetricsRegistry::new(), &snap).unwrap();
     assert_eq!(rep2.torn, None);
@@ -424,12 +415,11 @@ fn crash_mid_compaction_preserves_the_old_journal() {
         rec2.read_all_unchecked(f).unwrap(),
         store.read_all_unchecked(f).unwrap()
     );
-    std::fs::remove_file(&path).ok();
-    let tmp = path.with_file_name(format!(
-        "{}.tmp",
-        path.file_name().unwrap().to_string_lossy()
-    ));
-    std::fs::remove_file(tmp).ok();
+    for p in [kept, compacting] {
+        let tmp = p.with_file_name(format!("{}.tmp", p.file_name().unwrap().to_string_lossy()));
+        std::fs::remove_file(p).ok();
+        std::fs::remove_file(tmp).ok();
+    }
 }
 
 /// `Journal::create` over an existing journal replaces it by rename, like
