@@ -1,21 +1,22 @@
 //! E14 — crash-tolerant serving: goodput under injected kernel crashes.
 //!
 //! A durable agent fleet runs against a kernel whose effectful syscalls are
-//! journalled to the WAL (tool calls, IPC, clock reads) and whose pred
-//! results buffer until the next checkpoint. We sweep the checkpoint
-//! interval against a per-syscall-boundary crash rate: each crash kills the
-//! kernel at a boundary drawn from a geometric schedule, `Kernel::recover`
-//! replays checkpoint + WAL, and every in-flight LIP re-executes from its
-//! last durable boundary with journalled effects replayed (tools fire
-//! exactly once) and only post-checkpoint pred work re-paid on the GPU.
+//! journalled to the WAL (tool calls, IPC, clock reads) and whose
+//! checkpoints list the `pred`s each program has completed. We sweep the
+//! checkpoint interval against a per-syscall-boundary crash rate: each
+//! crash kills the kernel at a boundary drawn from a geometric schedule,
+//! `Kernel::recover` replays checkpoint + WAL, and every in-flight LIP
+//! re-executes from its last durable boundary with journalled effects
+//! replayed (tools fire exactly once) and only post-checkpoint pred work
+//! re-paid on the GPU.
 //!
 //! Reported per point: restarts, replayed frames, wasted GPU tokens
 //! (re-executed preds the crash threw away), recovery wall latency, and
 //! goodput (completions per virtual second) against the crash-free
 //! baseline at the same checkpoint interval. The headline: at the default
 //! interval, serving under a non-trivial crash rate retains ≥90% of
-//! crash-free goodput — recovery re-pays only the unflushed tail, not the
-//! whole fleet.
+//! crash-free goodput — recovery re-pays only the `pred`s completed since
+//! the last checkpoint, not the whole fleet.
 
 use std::sync::Arc;
 

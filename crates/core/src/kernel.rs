@@ -276,7 +276,7 @@ pub(crate) struct PendingPred {
     /// executes: until then it sits out of iterations and is not a
     /// preemption candidate (its transfer was paid for but not yet used).
     ready_at: Option<SimTime>,
-    /// Sequence id the call's completion is journalled under.
+    /// Sequence id the call's completion is recorded under.
     seq: u64,
 }
 
@@ -1611,8 +1611,7 @@ impl Kernel {
                     if s.done == total {
                         let fps = std::mem::take(&mut s.fps);
                         let preds = Preds::new(Arc::clone(self.gpu.model()), fps);
-                        let n_tokens = total as u32;
-                        self.journal(cpid, None, cseq, || Effect::Pred { n_tokens });
+                        self.record_pred(cpid, cseq, total as u32);
                         replies.push((i, ctid, SysReply::Dists(preds)));
                         retire.push(i);
                     }
@@ -1827,7 +1826,7 @@ impl Kernel {
                 let critical = proc.main_tid == tid;
                 // Recovery replay: a pred whose completion was durable at
                 // the crash is answered without charging GPU time.
-                let seq = proc.next_seq(EffectClass::Pred);
+                let seq = proc.next_pred_seq();
                 let asked = Asked::Pred {
                     kv,
                     tokens: &tokens,

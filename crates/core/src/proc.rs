@@ -137,6 +137,11 @@ pub(crate) struct Live {
     /// same ids in the same order, which is how journalled effects are
     /// matched back to their call sites (and tool side-effects deduplicated).
     seqs: [u64; EffectClass::COUNT],
+    /// Next `pred` sequence id, one sequence for all the process's threads.
+    pred_seq: u64,
+    /// Which of those `pred`s completed, as the next checkpoint lists it
+    /// (kept for a durable process only).
+    pub(crate) preds: wal::PredRecord,
 }
 
 impl Live {
@@ -145,6 +150,12 @@ impl Live {
         let slot = &mut self.seqs[class.index()];
         *slot += 1;
         *slot - 1
+    }
+
+    /// Draws the next `pred` sequence id.
+    pub(crate) fn next_pred_seq(&mut self) -> u64 {
+        self.pred_seq += 1;
+        self.pred_seq - 1
     }
 }
 
@@ -311,6 +322,8 @@ impl Kernel {
             ttft_done: false,
             last_pred_done: None,
             seqs: [0; EffectClass::COUNT],
+            pred_seq: 0,
+            preds: wal::PredRecord::default(),
         };
         let proc = Proc {
             record,

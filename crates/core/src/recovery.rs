@@ -4,9 +4,10 @@
 //! it.
 //!
 //! Durability is decided in one place each way: [`Kernel::journal`] is the
-//! only constructor of effect frames, and [`Kernel::answer_from_journal`]
-//! the only reader of journalled effects. Both ask the process table's one
-//! `durable` field; the syscall handlers call them unconditionally.
+//! only constructor of effect frames (and [`Kernel::record_pred`] the only
+//! writer of a `pred` completion record), and [`Kernel::answer_from_journal`]
+//! the only reader of either. All ask the process table's one `durable`
+//! field; the syscall handlers call them unconditionally.
 
 use std::sync::Arc;
 
@@ -34,7 +35,8 @@ pub(crate) enum Asked<'a> {
     Recv,
     Lookup,
     Now,
-    /// The KV append of a replayed `pred` is rebuilt from its arguments.
+    /// The KV append of a replayed `pred` is rebuilt from its arguments,
+    /// if the process's completion record vouches for the call.
     Pred {
         kv: FileId,
         tokens: &'a [(TokenId, u32)],
@@ -182,8 +184,15 @@ impl Kernel {
         }
         // Rebuild mailboxes: delivered sends in journal order, minus the
         // prefix each receiver already consumed (journalled recvs replay
-        // from the log, not from the mailbox).
+        // from the log, not from the mailbox). A resumed process's `pred`
+        // record starts as the log left it, so its next listing holds at
+        // least as much.
         if let Some(replay) = &self.replay {
+            for (pid, preds) in &replay.preds {
+                if let Some(p) = self.procs.get_mut(*pid).and_then(Proc::live_mut) {
+                    p.preds = preds.log.clone();
+                }
+            }
             let mut to_skip = replay.recv_counts();
             for &(from, seq) in &replay.sends {
                 let sent = replay.effects.get(&(from, EffectClass::Send, seq));
@@ -239,8 +248,7 @@ impl Kernel {
         self.procs.get(pid.0).is_some_and(|p| p.durable)
     }
 
-    /// Journals one frame under its durability class (no-op when the WAL
-    /// is disabled).
+    /// Journals one frame (no-op when the WAL is disabled).
     pub(crate) fn wal_append(&mut self, rec: WalRecord) {
         let Some(w) = self.wal.as_mut() else {
             return;
@@ -255,9 +263,8 @@ impl Kernel {
     /// only constructor of effect frames. Written when `pid` is durable, or
     /// `peer` is: a send is the sender's effect (its replay needs the
     /// result) *and* the receiver's (its mailbox rebuild needs the
-    /// payload). `effect` is not evaluated otherwise. Frames are flushed
-    /// before the effect is observable, except `pred` markers, which wait
-    /// for the next checkpoint (see [`crate::wal`], "Durability classes").
+    /// payload). `effect` is not evaluated otherwise. The frame is written
+    /// before the effect is observable.
     pub(crate) fn journal(
         &mut self,
         pid: Pid,
@@ -279,8 +286,24 @@ impl Kernel {
         });
     }
 
-    /// Writes a checkpoint frame (flushing buffered pred frames) when the
-    /// virtual clock has passed the next checkpoint boundary.
+    /// Notes in `pid`'s completion record that its `pred` number `seq`, of
+    /// `n_tokens` input tokens, completed; the next checkpoint lists the
+    /// record (see [`crate::wal`], "`pred`s"). No-op unless `pid` is
+    /// durable and the WAL is open.
+    pub(crate) fn record_pred(&mut self, pid: Pid, seq: u64, n_tokens: u32) {
+        let Some(w) = self.wal.as_mut() else {
+            return;
+        };
+        let proc = self.procs.get_mut(pid.0).filter(|p| p.durable);
+        if let Some(live) = proc.and_then(Proc::live_mut) {
+            live.preds.complete(seq, n_tokens);
+            w.moved.insert(pid.0);
+        }
+    }
+
+    /// Writes a checkpoint frame, listing the `pred` records that moved
+    /// since the last one, when the virtual clock has passed the next
+    /// checkpoint boundary.
     pub(crate) fn maybe_checkpoint(&mut self) {
         let now = self.events.now();
         if !self.wal.as_ref().is_some_and(|w| w.checkpoint_due(now)) {
@@ -291,34 +314,40 @@ impl Kernel {
             .as_ref()
             .map(|b| b.export_states())
             .unwrap_or_default();
+        let Some(w) = self.wal.as_mut() else {
+            return;
+        };
+        // A process that exited since is in the log by its exit frame.
+        let preds = std::mem::take(&mut w.moved)
+            .into_iter()
+            .filter_map(|pid| {
+                let live = self.procs.get(pid)?.live.as_deref()?;
+                Some((pid, live.preds.clone()))
+            })
+            .collect();
         let rec = WalRecord::Checkpoint {
             at: now,
             next_pid: self.next_pid,
             breakers,
+            preds,
         };
-        let Some(w) = self.wal.as_mut() else {
-            return;
-        };
-        let frames = w
-            .checkpoint(&rec)
+        w.checkpoint(&rec)
             // lint:allow(k1): a failed WAL write silently voids durability
             .expect("kernel WAL checkpoint");
         let wal_bytes = w.log.disk_len();
         self.kmetrics.checkpoints.inc();
         self.kmetrics.wal_bytes.set(wal_bytes as i64);
         self.bus
-            .emit(now, move || EventKind::WalCheckpoint { frames, wal_bytes });
+            .emit(now, move || EventKind::WalCheckpoint { wal_bytes });
     }
 
-    /// An injected kernel crash: halt the run loop, dropping buffered
-    /// (unflushed) pred frames exactly as a real crash would.
+    /// An injected kernel crash: halt the run loop. Every frame is already
+    /// in the file; what a crash loses is the `pred` completions no
+    /// checkpoint has listed yet.
     pub(crate) fn crash_now(&mut self, boundary: u64) {
         let at = self.events.now();
         self.bus
             .emit(at, move || EventKind::KernelCrash { boundary });
-        if let Some(w) = self.wal.as_mut() {
-            w.log.drop_pending();
-        }
         self.crashed = Some(boundary);
     }
 
@@ -326,10 +355,12 @@ impl Kernel {
 
     /// Answers the syscall `tid` is parked in from the journal, if this is
     /// a recovered kernel and the log holds the `seq`-th effect `pid` drew
-    /// in the call's class: the reply the call got before the crash is
-    /// scheduled again and nothing is re-performed — no tool handler fires
-    /// twice, no message is delivered twice, `now` reads what it read then.
-    /// `false` means the call runs live (and journals what it does).
+    /// in the call's class (for a `pred`: its completion record vouches for
+    /// call `seq`): the reply the call got before the crash is scheduled
+    /// again and nothing is re-performed — no tool handler fires twice, no
+    /// message is delivered twice, `now` reads what it read then, no GPU
+    /// time is charged. `false` means the call runs live (and journals what
+    /// it does).
     pub(crate) fn answer_from_journal(
         &mut self,
         pid: Pid,
@@ -337,22 +368,48 @@ impl Kernel {
         seq: u64,
         asked: Asked<'_>,
     ) -> bool {
+        if self.replay.is_none() || !self.is_durable(pid) {
+            return false;
+        }
+        let reply = match asked {
+            Asked::Pred { kv, tokens } => self.replay_pred(pid, seq, kv, tokens),
+            asked => self.replay_effect(pid, seq, asked),
+        };
+        let Some(reply) = reply else {
+            return false;
+        };
+        // Causal mode: the recovery-replay phase bucket of the critical path.
+        let parked_in = self.threads.get(tid.0).and_then(|t| t.open_syscall);
+        if let Some(sys) = parked_in.filter(|_| self.causal) {
+            let now = self.events.now();
+            self.bus.emit(now, || EventKind::ReplayAnswered {
+                pid: pid.0,
+                tid: tid.0,
+                sys,
+            });
+        }
+        self.complete(tid, reply);
+        true
+    }
+
+    /// The reply a journalled effect frame gives call `seq` of `pid`.
+    fn replay_effect(&mut self, pid: Pid, seq: u64, asked: Asked<'_>) -> Option<SysReply> {
         let class = match asked {
             Asked::Tool { .. } => EffectClass::Tool,
             Asked::Send => EffectClass::Send,
             Asked::Recv => EffectClass::Recv,
             Asked::Lookup => EffectClass::Lookup,
             Asked::Now => EffectClass::Now,
-            Asked::Pred { .. } => EffectClass::Pred,
+            Asked::Pred { .. } => return None,
         };
-        let Some(replay) = self.replay.as_ref().filter(|_| self.is_durable(pid)) else {
-            return false;
-        };
-        let Some(effect) = replay.effects.get(&(pid.0, class, seq)).cloned() else {
-            return false;
-        };
+        let effect = self
+            .replay
+            .as_ref()?
+            .effects
+            .get(&(pid.0, class, seq))
+            .cloned()?;
         let now = self.events.now();
-        let reply = match (effect, asked) {
+        Some(match (effect, asked) {
             (Effect::Tool { latency_ns, result }, Asked::Tool { name }) => {
                 // The breaker re-learns the outcome (post-checkpoint
                 // reports were lost with the crash) unless the journalled
@@ -381,43 +438,30 @@ impl Kernel {
             // the crash point, and a LIP branching on time must see the
             // values it saw before.
             (Effect::Now { t }, Asked::Now) => SysReply::Time(t),
-            // A marker for a different call, or a file that no longer
-            // admits the append: execute live.
-            (Effect::Pred { n_tokens }, Asked::Pred { kv, tokens })
-                if n_tokens as usize == tokens.len() =>
-            {
-                match self.replay_pred(kv, OwnerId(pid.0), tokens) {
-                    Some(preds) => SysReply::Dists(preds),
-                    None => return false,
-                }
-            }
-            _ => return false,
-        };
-        // Causal mode: the recovery-replay phase bucket of the critical path.
-        let parked_in = self.threads.get(tid.0).and_then(|t| t.open_syscall);
-        if let Some(sys) = parked_in.filter(|_| self.causal) {
-            self.bus.emit(now, || EventKind::ReplayAnswered {
-                pid: pid.0,
-                tid: tid.0,
-                sys,
-            });
-        }
-        self.complete(tid, reply);
-        true
+            _ => return None,
+        })
     }
 
-    /// Answers a replayed `pred`: rebuilds the KV entries it appended
-    /// pre-crash, so later live `pred`s against the same file see identical
-    /// contents, and re-derives its reply along the fingerprint chain the
-    /// GPU executor walked. Charges no GPU time (the work was already paid
-    /// for before the crash). `None` if the file state does not admit the
-    /// append (the caller then falls back to live execution).
+    /// Answers `pid`'s replayed `pred` number `seq` if its completion
+    /// record vouches for the call (see [`crate::wal`], "The guard"):
+    /// rebuilds the KV entries it appended pre-crash, so later live `pred`s
+    /// against the same file see identical contents, and re-derives its
+    /// reply along the fingerprint chain the GPU executor walked. Charges
+    /// no GPU time (the work was already paid for before the crash). `None`
+    /// — the call runs live — for a call the record does not vouch for, or
+    /// a file state that does not admit the append.
     fn replay_pred(
         &mut self,
+        pid: Pid,
+        seq: u64,
         file: FileId,
-        owner: OwnerId,
         tokens: &[(TokenId, u32)],
-    ) -> Option<Preds> {
+    ) -> Option<SysReply> {
+        let n_tokens = u32::try_from(tokens.len()).ok()?;
+        let record = self.replay.as_mut()?.preds.get_mut(&pid.0)?;
+        if !record.vouch(seq, n_tokens) {
+            return None;
+        }
         let model = self.gpu.model();
         let fpr = model.fingerprinter();
         let mut fp = self
@@ -433,8 +477,8 @@ impl Kernel {
             })
             .unzip::<_, _, Vec<_>, Vec<_>>();
         let preds = Preds::new(Arc::clone(model), fps);
-        self.store.append(file, owner, &entries).ok()?;
-        Some(preds)
+        self.store.append(file, OwnerId(pid.0), &entries).ok()?;
+        Some(SysReply::Dists(preds))
     }
 
     /// The kill-point that halted this kernel, when an injected crash fired.

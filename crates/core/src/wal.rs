@@ -4,47 +4,63 @@
 //! rule: docs/RESILIENCE.md, "Log file format"); its header carries the
 //! kernel seed. What is the WAL's own:
 //!
-//! | tag | frame | written |
-//! |---|---|---|
-//! | 32 | process spawn | synchronously |
-//! | 33 | process exit | synchronously |
-//! | 34 | tool effect | synchronously |
-//! | 35 | IPC send | synchronously |
-//! | 36 | IPC receive | synchronously |
-//! | 37 | name lookup | synchronously |
-//! | 38 | `now` read | synchronously |
-//! | 39 | `pred` completion marker | buffered |
-//! | 40 | checkpoint | synchronously, after the buffered markers |
-//! | 41 | process scheduled for a future arrival | synchronously |
+//! | tag | frame |
+//! |---|---|
+//! | 32 | process spawn |
+//! | 33 | process exit |
+//! | 34 | tool effect |
+//! | 35 | IPC send |
+//! | 36 | IPC receive |
+//! | 37 | name lookup |
+//! | 38 | `now` read |
+//! | 39 | unassigned: a frame carrying it ends the valid prefix |
+//! | 40 | checkpoint: pid allocator, breakers, `pred` completion records |
+//! | 41 | process scheduled for a future arrival |
 //!
-//! # Durability classes
-//!
-//! - **Synchronous** frames go to `write(2)` before the effect they record
-//!   is observable. They are small and must never be lost — a re-executed
-//!   LIP that cannot find its tool call in the log would fire the tool
-//!   twice.
-//! - **Buffered** frames (`pred` markers) wait for the next checkpoint. A
-//!   marker only saves GPU time on replay, so losing one costs
-//!   re-execution, never correctness, and is not worth a write per token.
-//!   A crash loses the buffer; wasted work therefore scales with the
-//!   checkpoint interval, which E14 measures.
+//! Every frame goes to `write(2)` when it is made, before the effect it
+//! records is observable: a re-executed LIP that cannot find its tool call
+//! in the log would fire the tool twice. There is one durability class.
 //!
 //! # Recovery model
 //!
-//! LIPs are closures on OS threads — there is no portable way to
-//! snapshot one mid-flight. Recovery instead *re-executes* every
-//! unfinished program from its start with the same pid, hence the same
-//! per-thread RNG streams (each is derived from the pid and the thread's
-//! start order within its process), answering every journalled syscall
-//! effect from the log (same tool results, same IPC data) so the
+//! There is no portable way to snapshot a running body — a native closure
+//! or a LipScript program — mid-flight. Recovery instead *re-executes*
+//! every unfinished program from its start with the same pid, hence the
+//! same per-thread RNG streams (each is derived from the pid and the
+//! thread's start order within its process), answering every journalled
+//! syscall effect from the log (same tool results, same IPC data) so the
 //! re-execution deterministically reaches the pre-crash state without
 //! re-firing side effects, then falls through to live execution. Tids are
-//! not journalled: a thread gets a fresh one each time it runs. A `pred`
-//! reply is a pure function of the model and the file's fingerprint
-//! chain, so the log records only *that* a pred completed; replay rebuilds
-//! its KV append and re-derives the distributions bit-exactly. A sequence
+//! not journalled: a thread gets a fresh one each time it runs. A sequence
 //! number per `(pid, effect class)` keys the one replay map
 //! ([`EffectClass`]).
+//!
+//! # `pred`s
+//!
+//! A `pred` reply is a pure function of the model and the file's
+//! fingerprint chain, and replay rebuilds its KV append and re-derives its
+//! distributions bit-exactly, so no frame records a `pred`. Each durable
+//! process numbers its `pred`s in one sequence its threads share, and keeps
+//! a [`PredRecord`]: a watermark below which every call completed, the
+//! total input tokens of those calls, and `(seq, n_tokens)` for each call
+//! above it that completed out of order. A checkpoint lists the record of
+//! every durable process whose record moved since the previous checkpoint;
+//! recovery takes the last listing per pid, and a recovered process starts
+//! from it, so a later checkpoint never lists less than the log holds.
+//! The completions since the last checkpoint are lost with a crash: wasted
+//! work scales with the checkpoint interval, which E14 measures.
+//!
+//! **The guard.** The replayed process sums the `n_tokens` of the calls it
+//! answers from the record. A call below the watermark is answered while
+//! that sum stays at or under the listed total, and the call at
+//! `watermark - 1` only if the sum then equals it exactly; a listed call
+//! above it only if its `n_tokens` matches. A call the record does not
+//! list had not completed and runs live. A listed call the guard does not
+//! vouch for runs live too, and so does every later `pred` of that
+//! process. This catches a re-execution whose calls drew other seqs or
+//! lengths than the run that was journalled — sibling threads reaching
+//! `pred` in another order, or an image that is not the one that ran —
+//! before it skips GPU work that was never done.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -62,7 +78,7 @@ use crate::types::{ExitStatus, Limits, ProcessUsage, SysError};
 pub const WAL_MAGIC: [u8; 4] = *b"SYMW";
 
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 4;
+pub const WAL_VERSION: u32 = 5;
 
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
@@ -80,19 +96,18 @@ const TAG_IPC_SEND: u8 = 35;
 const TAG_IPC_RECV: u8 = 36;
 const TAG_LOOKUP: u8 = 37;
 const TAG_NOW: u8 = 38;
-const TAG_PRED_EFFECT: u8 = 39;
 const TAG_CHECKPOINT: u8 = 40;
 const TAG_PROC_SCHED: u8 = 41;
 
-/// Enables the kernel WAL: where it lives and how often buffered pred
-/// frames are checkpointed to disk.
+/// Enables the kernel WAL: where it lives and how often a checkpoint lists
+/// the `pred` completion records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalConfig {
     /// WAL file path. Created (truncating any previous log) by
     /// `Kernel::new`; appended to by `Kernel::recover`.
     pub path: PathBuf,
     /// Virtual-time interval between checkpoints. Shorter intervals lose
-    /// less pred work to a crash but write more often.
+    /// less `pred` work to a crash but write more often.
     pub checkpoint_every: SimDuration,
 }
 
@@ -178,11 +193,10 @@ pub(crate) enum EffectClass {
     Recv = TAG_IPC_RECV,
     Lookup = TAG_LOOKUP,
     Now = TAG_NOW,
-    Pred = TAG_PRED_EFFECT,
 }
 
 impl EffectClass {
-    pub(crate) const COUNT: usize = 6;
+    pub(crate) const COUNT: usize = 5;
 
     /// Position in a process's per-class counter array.
     pub(crate) fn index(self) -> usize {
@@ -217,11 +231,6 @@ pub(crate) enum Effect {
     Now {
         t: SimTime,
     },
-    /// A `pred` that completed: a marker, not its reply (see the module
-    /// docs). `n_tokens` guards against matching a different call.
-    Pred {
-        n_tokens: u32,
-    },
 }
 
 impl Effect {
@@ -232,7 +241,35 @@ impl Effect {
             Effect::Recv { .. } => EffectClass::Recv,
             Effect::Lookup { .. } => EffectClass::Lookup,
             Effect::Now { .. } => EffectClass::Now,
-            Effect::Pred { .. } => EffectClass::Pred,
+        }
+    }
+}
+
+/// A durable process's completed `pred`s, by the sequence number each
+/// drew (module docs, "`pred`s").
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct PredRecord {
+    /// Every call with a lower seq completed.
+    watermark: u64,
+    /// Total input tokens of the calls below `watermark`.
+    below_tokens: u64,
+    /// Calls above `watermark` that completed: `seq → n_tokens`.
+    extras: BTreeMap<u64, u32>,
+}
+
+impl PredRecord {
+    /// Records that call `seq` of `n_tokens` completed. A seq below the
+    /// watermark is already recorded (only a replayed process that left
+    /// its log completes one live).
+    pub(crate) fn complete(&mut self, seq: u64, n_tokens: u32) {
+        if seq < self.watermark {
+            return;
+        }
+        self.extras.insert(seq, n_tokens);
+        while let Some(n) = self.extras.remove(&self.watermark) {
+            // Saturating: a record read back from the log may hold any total.
+            self.below_tokens = self.below_tokens.saturating_add(u64::from(n));
+            self.watermark += 1;
         }
     }
 }
@@ -263,10 +300,13 @@ pub(crate) enum WalRecord {
         seq: u64,
         effect: Effect,
     },
+    /// `preds` lists, by pid, each durable process whose [`PredRecord`]
+    /// moved since the previous checkpoint.
     Checkpoint {
         at: SimTime,
         next_pid: u64,
         breakers: Vec<(String, BreakerStateView)>,
+        preds: Vec<(u64, PredRecord)>,
     },
     /// A program admitted for a *future* arrival. Journalled at schedule
     /// time so a crash before the arrival event fires does not silently
@@ -515,11 +555,13 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
                 }
                 Effect::Lookup { found } => push_opt_u64(out, *found),
                 Effect::Now { t } => push_u64(out, t.as_nanos()),
-                Effect::Pred { n_tokens } => push_u32(out, *n_tokens),
             }
         }
         WalRecord::Checkpoint {
-            next_pid, breakers, ..
+            next_pid,
+            breakers,
+            preds,
+            ..
         } => {
             push_u64(out, *next_pid);
             push_u32(out, breakers.len() as u32);
@@ -540,6 +582,17 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
                         out.push(2);
                         push_u64(out, 0);
                     }
+                }
+            }
+            push_u32(out, preds.len() as u32);
+            for (pid, rec) in preds {
+                push_u64(out, *pid);
+                push_u64(out, rec.watermark);
+                push_u64(out, rec.below_tokens);
+                push_u32(out, rec.extras.len() as u32);
+                for (&seq, &n_tokens) in &rec.extras {
+                    push_u64(out, seq);
+                    push_u32(out, n_tokens);
                 }
             }
         }
@@ -588,7 +641,6 @@ fn decode_effect(tag: u8, c: &mut Cursor<'_>) -> Option<Effect> {
         TAG_NOW => Effect::Now {
             t: SimTime::from_nanos(c.u64()?),
         },
-        TAG_PRED_EFFECT => Effect::Pred { n_tokens: c.u32()? },
         _ => return None,
     })
 }
@@ -654,10 +706,29 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
                 };
                 breakers.push((tool, state));
             }
+            let n = c.u32()? as usize;
+            let mut preds = Vec::with_capacity(n.min(payload.len()));
+            for _ in 0..n {
+                let pid = c.u64()?;
+                let mut rec = PredRecord {
+                    watermark: c.u64()?,
+                    below_tokens: c.u64()?,
+                    extras: BTreeMap::new(),
+                };
+                for _ in 0..c.u32()? {
+                    let (seq, n_tokens) = (c.u64()?, c.u32()?);
+                    // The writer lists only seqs above the watermark, once.
+                    if seq <= rec.watermark || rec.extras.insert(seq, n_tokens).is_some() {
+                        return None;
+                    }
+                }
+                preds.push((pid, rec));
+            }
             WalRecord::Checkpoint {
                 at,
                 next_pid,
                 breakers,
+                preds,
             }
         }
         TAG_PROC_SCHED => WalRecord::ProcSched {
@@ -689,7 +760,6 @@ pub fn tag_name(tag: u8) -> &'static str {
         TAG_IPC_RECV => "ipc_recv",
         TAG_LOOKUP => "lookup",
         TAG_NOW => "now",
-        TAG_PRED_EFFECT => "pred_effect",
         TAG_CHECKPOINT => "checkpoint",
         TAG_PROC_SCHED => "proc_sched",
         _ => "unknown",
@@ -718,8 +788,8 @@ pub(crate) fn read_wal(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>, u64, bool),
 
 // ---- writer ----------------------------------------------------------------
 
-/// The open WAL: the log handle, which frames may wait in its buffer, and
-/// when the next checkpoint flushes them.
+/// The open WAL: the log handle, when the next checkpoint is due, and
+/// whose `pred` records it must list.
 #[derive(Debug)]
 pub(crate) struct WalState {
     pub(crate) log: SegLog,
@@ -727,6 +797,9 @@ pub(crate) struct WalState {
     checkpoint_every: SimDuration,
     /// Next checkpoint due at this virtual time.
     next_checkpoint_at: SimTime,
+    /// Durable processes whose [`PredRecord`] moved since the last
+    /// checkpoint.
+    pub(crate) moved: BTreeSet<u64>,
 }
 
 impl WalState {
@@ -756,18 +829,13 @@ impl WalState {
             log,
             checkpoint_every: every,
             next_checkpoint_at: clock + every,
+            moved: BTreeSet::new(),
         }
     }
 
-    /// Journals one record under its durability class (module docs): a
-    /// `pred` marker waits in the buffer, anything else is on its way to
-    /// disk when this returns.
+    /// Journals one record: it is on its way to disk when this returns.
     pub(crate) fn write(&mut self, rec: &WalRecord) -> std::io::Result<()> {
-        match record_tag(rec) {
-            TAG_PRED_EFFECT => self.log.push(TAG_PRED_EFFECT, &encode_payload(rec)),
-            tag => self.log.append(tag, &encode_payload(rec))?,
-        }
-        Ok(())
+        self.log.append(record_tag(rec), &encode_payload(rec))
     }
 
     /// Whether a checkpoint is due at virtual time `now`.
@@ -775,17 +843,14 @@ impl WalState {
         now >= self.next_checkpoint_at
     }
 
-    /// Writes the buffered markers and then `rec`, a checkpoint frame, and
-    /// moves the next checkpoint past `rec`'s time. Returns the number of
-    /// frames made durable.
-    pub(crate) fn checkpoint(&mut self, rec: &WalRecord) -> std::io::Result<u64> {
-        self.log.push(record_tag(rec), &encode_payload(rec));
-        let frames = self.log.pending_frames();
-        self.log.flush()?;
+    /// Writes `rec`, a checkpoint frame, and moves the next checkpoint past
+    /// its time.
+    pub(crate) fn checkpoint(&mut self, rec: &WalRecord) -> std::io::Result<()> {
+        self.write(rec)?;
         while self.next_checkpoint_at <= rec.at() {
             self.next_checkpoint_at += self.checkpoint_every;
         }
-        Ok(frames)
+        Ok(())
     }
 }
 
@@ -823,6 +888,9 @@ pub(crate) struct Replay {
     pub(crate) scheduled: BTreeMap<u64, ReplayProc>,
     /// Every journalled syscall effect, by `(pid, class, seq)`.
     pub(crate) effects: BTreeMap<(u64, EffectClass, u64), Effect>,
+    /// Each process's last listed `pred` record, and how far its replay
+    /// has got against it.
+    pub(crate) preds: BTreeMap<u64, PredReplay>,
     /// `(from, seq)` of the delivered sends in journal (= delivery) order,
     /// for mailbox reconstruction; the payloads are in `effects`.
     pub(crate) sends: Vec<(u64, u64)>,
@@ -843,6 +911,52 @@ impl Replay {
             }
         }
         counts
+    }
+}
+
+/// A recovered process's journalled [`PredRecord`] and the guard's state
+/// (module docs, "The guard").
+#[derive(Debug)]
+pub(crate) struct PredReplay {
+    pub(crate) log: PredRecord,
+    /// Input tokens of the calls below the watermark answered so far.
+    answered: u64,
+    /// A call was not vouched for: every later `pred` runs live.
+    left: bool,
+}
+
+impl PredReplay {
+    fn new(log: PredRecord) -> Self {
+        PredReplay {
+            log,
+            answered: 0,
+            left: false,
+        }
+    }
+
+    /// Whether call `seq` of `n_tokens` may be answered from the log. A
+    /// call the record does not list had not completed and runs live; a
+    /// listed call it does not vouch for ends the process's replay of
+    /// `pred`s.
+    pub(crate) fn vouch(&mut self, seq: u64, n_tokens: u32) -> bool {
+        let log = &self.log;
+        let sum = self.answered.saturating_add(u64::from(n_tokens));
+        let vouched = if seq >= log.watermark {
+            let Some(&listed) = log.extras.get(&seq) else {
+                return false;
+            };
+            listed == n_tokens
+        } else if seq + 1 == log.watermark {
+            sum == log.below_tokens
+        } else {
+            sum <= log.below_tokens
+        };
+        let vouched = vouched && !self.left;
+        if vouched && seq < log.watermark {
+            self.answered = sum;
+        }
+        self.left |= !vouched;
+        vouched
     }
 }
 
@@ -914,10 +1028,16 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 }
             }
             WalRecord::Checkpoint {
-                next_pid, breakers, ..
+                next_pid,
+                breakers,
+                preds,
+                ..
             } => {
                 r.next_pid = r.next_pid.max(next_pid);
                 r.breakers = breakers;
+                for (pid, log) in preds {
+                    r.preds.insert(pid, PredReplay::new(log));
+                }
             }
             WalRecord::ProcSched {
                 pid,
@@ -963,6 +1083,23 @@ mod tests {
             pid,
             seq,
             effect,
+        }
+    }
+
+    fn pred_record(watermark: u64, below_tokens: u64, extras: &[(u64, u32)]) -> PredRecord {
+        PredRecord {
+            watermark,
+            below_tokens,
+            extras: extras.iter().copied().collect(),
+        }
+    }
+
+    fn checkpoint(at: u64, preds: Vec<(u64, PredRecord)>) -> WalRecord {
+        WalRecord::Checkpoint {
+            at: SimTime::from_nanos(at),
+            next_pid: 2,
+            breakers: vec![],
+            preds,
         }
     }
 
@@ -1026,7 +1163,6 @@ mod tests {
                     t: SimTime::from_nanos(33),
                 },
             ),
-            effect(40, 1, 0, Effect::Pred { n_tokens: 5 }),
             WalRecord::Checkpoint {
                 at: SimTime::from_nanos(50),
                 next_pid: 3,
@@ -1044,6 +1180,7 @@ mod tests {
                         },
                     ),
                 ],
+                preds: vec![(1, pred_record(2, 9, &[(4, 3)]))],
             },
             WalRecord::ProcExit {
                 at: SimTime::from_nanos(60),
@@ -1090,13 +1227,71 @@ mod tests {
     }
 
     #[test]
-    fn pred_effect_frame_size_is_independent_of_the_reply() {
-        // at + pid + seq + n_tokens, plus the frame's tag/len/crc: the
-        // distributions (vocabulary-sized, one per token) are not in it.
-        for n_tokens in [1, 512, u32::MAX] {
-            let frame = encode_frame(&effect(40, 1, 0, Effect::Pred { n_tokens }));
-            assert_eq!(frame.len(), 8 + 8 + 8 + 4 + FRAME_OVERHEAD);
+    fn a_pred_listing_is_independent_of_the_reply() {
+        // A checkpoint with no breakers: at + next_pid + two counts, plus
+        // the frame's tag/len/crc. A listing adds pid + watermark + total +
+        // its extras count, and `(seq, n_tokens)` per extra: neither the
+        // distributions (vocabulary-sized, one per token) nor the calls
+        // below the watermark are in it.
+        let empty = encode_frame(&checkpoint(40, vec![])).len();
+        assert_eq!(empty, 8 + 8 + 4 + 4 + FRAME_OVERHEAD);
+        for (watermark, below_tokens, n_tokens) in [(1, 1, 1), (10_000, 1 << 40, u32::MAX)] {
+            let rec = pred_record(watermark, below_tokens, &[(watermark + 1, n_tokens)]);
+            let frame = encode_frame(&checkpoint(40, vec![(1, rec)]));
+            assert_eq!(frame.len(), empty + 8 + 8 + 8 + 4 + (8 + 4));
         }
+    }
+
+    #[test]
+    fn a_pred_record_advances_over_out_of_order_completions() {
+        let mut rec = PredRecord::default();
+        // Three siblings' calls complete 2, 0, 1; then 4 ahead of 3.
+        rec.complete(2, 7);
+        assert_eq!(rec, pred_record(0, 0, &[(2, 7)]));
+        rec.complete(0, 5);
+        assert_eq!(rec, pred_record(1, 5, &[(2, 7)]));
+        rec.complete(1, 1);
+        assert_eq!(rec, pred_record(3, 13, &[]));
+        rec.complete(4, 2);
+        assert_eq!(rec, pred_record(3, 13, &[(4, 2)]));
+        // A call the record already holds below its watermark changes
+        // nothing.
+        rec.complete(1, 9);
+        assert_eq!(rec, pred_record(3, 13, &[(4, 2)]));
+    }
+
+    #[test]
+    fn the_guard_vouches_only_for_calls_that_add_up() {
+        // Calls 0..3 of 2 + 3 + 4 tokens, and call 5 of 6 out of order.
+        let log = pred_record(3, 9, &[(5, 6)]);
+        let mut same = PredReplay::new(log.clone());
+        let vouched: Vec<bool> = [(0, 2), (1, 3), (2, 4), (3, 1), (4, 1), (5, 6), (6, 1)]
+            .into_iter()
+            .map(|(seq, n)| same.vouch(seq, n))
+            .collect();
+        // Calls 3, 4 and 6 never completed: they run live, and the listed
+        // call 5 between them is still answered.
+        assert_eq!(vouched, [true, true, true, false, false, true, false]);
+
+        // Two calls that swap lengths still add up; one that is longer
+        // than the log's total allows does not, nor does any call after it.
+        let mut swapped = PredReplay::new(log.clone());
+        assert!(swapped.vouch(0, 3) && swapped.vouch(1, 2));
+        assert!(
+            !swapped.vouch(2, 5),
+            "the last call below the watermark must hit the total"
+        );
+        assert!(!swapped.vouch(5, 6));
+        let mut longer = PredReplay::new(log.clone());
+        assert!(!longer.vouch(0, 10));
+        assert!(!longer.vouch(1, 1));
+
+        // An extra is vouched for by its own length only.
+        let mut extra = PredReplay::new(log.clone());
+        assert!(!extra.vouch(5, 7));
+        let mut extra = PredReplay::new(log);
+        assert!(extra.vouch(5, 6));
+        assert!(extra.vouch(0, 2));
     }
 
     #[test]
@@ -1133,8 +1328,9 @@ mod tests {
         wrong_magic[0] = b'X';
         assert_eq!(read_wal(&wrong_magic), Err(WalError::Incompatible));
         let mut wrong_version = bytes.clone();
-        // A log written by the previous format (v3: a tid in the spawn,
-        // schedule and checkpoint frames) is refused, not misread.
+        // A log written by the previous format (v4: `pred` marker frames
+        // under tag 39, and checkpoints without completion records) is
+        // refused, not misread.
         for version in [WAL_VERSION - 1, 99] {
             wrong_version[4] = version as u8;
             assert_eq!(read_wal(&wrong_version), Err(WalError::Incompatible));
@@ -1152,6 +1348,51 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert!(valid_len < bytes.len() as u64);
         assert!(torn);
+    }
+
+    #[test]
+    fn an_unassigned_tag_ends_the_valid_prefix() {
+        // Tag 39 carried a `pred` marker up to version 4: a well-formed,
+        // checksummed frame under it now names no record.
+        let prefix = wal_bytes(&sample_records()[..1], 3);
+        let mut marker = Vec::new();
+        for field in [40u64, 1, 0] {
+            push_u64(&mut marker, field);
+        }
+        push_u32(&mut marker, 5);
+        let mut bytes = prefix.clone();
+        append_frame(&mut bytes, 39, &marker);
+        let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
+        assert_eq!(records, sample_records()[..1]);
+        assert_eq!(valid_len, prefix.len() as u64);
+        assert!(torn);
+    }
+
+    #[test]
+    fn a_listed_extra_at_or_below_its_watermark_ends_the_valid_prefix() {
+        let prefix = wal_bytes(&sample_records()[..1], 3);
+        // A listing of pid 1 at watermark 2, its extras written as given:
+        // they close the payload, after their count.
+        let listed = |extras: &[(u64, u32)]| {
+            let mut payload = encode_payload(&checkpoint(50, vec![(1, pred_record(2, 9, &[]))]));
+            payload.truncate(payload.len() - 4);
+            push_u32(&mut payload, extras.len() as u32);
+            for &(seq, n) in extras {
+                push_u64(&mut payload, seq);
+                push_u32(&mut payload, n);
+            }
+            let mut bytes = prefix.clone();
+            append_frame(&mut bytes, TAG_CHECKPOINT, &payload);
+            read_wal(&bytes).unwrap()
+        };
+        let (_, records, _, torn) = listed(&[(3, 1), (5, 1)]);
+        assert_eq!((records.len(), torn), (2, false), "the frame as written");
+        for extras in [&[(2, 1)][..], &[(1, 1)], &[(5, 1), (5, 1)]] {
+            let (_, records, valid_len, torn) = listed(extras);
+            assert_eq!(records.len(), 1, "{extras:?}");
+            assert_eq!(valid_len, prefix.len() as u64, "{extras:?}");
+            assert!(torn, "{extras:?}");
+        }
     }
 
     #[test]
@@ -1315,19 +1556,22 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(journalled.len(), 7);
+        assert_eq!(journalled.len(), 6);
         assert_eq!(r.effects.len(), journalled.len());
         for (key, effect) in &journalled {
             assert_eq!(r.effects.get(key), Some(effect), "{key:?}");
         }
-        // Classes do not collide: pid 1 drew seq 0 in five of them.
+        // Classes do not collide: pid 1 drew seq 0 in four of them.
         let classes: BTreeSet<EffectClass> = r
             .effects
             .keys()
             .filter(|&&(pid, _, seq)| pid == 1 && seq == 0)
             .map(|&(_, class, _)| class)
             .collect();
-        assert_eq!(classes.len(), 5);
+        assert_eq!(classes.len(), 4);
+        // The checkpoint's listing is pid 1's `pred` record.
+        assert_eq!(r.preds.len(), 1);
+        assert_eq!(r.preds[&1].log, pred_record(2, 9, &[(4, 3)]));
         assert_eq!(r.sends, vec![(1, 0)]);
         assert_eq!(r.recv_counts()[&2], 1);
         assert_eq!(r.breakers.len(), 2);
@@ -1379,7 +1623,6 @@ mod tests {
             ("ipc_send", 1),
             ("lookup", 1),
             ("now", 1),
-            ("pred_effect", 1),
             ("proc_exit", 1),
             ("proc_sched", 1),
             ("proc_spawn", 1),
@@ -1421,54 +1664,53 @@ mod tests {
     }
 
     #[test]
-    fn wal_state_buffers_preds_until_checkpoint() {
+    fn every_frame_is_on_disk_when_written() {
         let dir = std::env::temp_dir().join(format!("symwal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("unit.wal");
         let cfg = WalConfig::new(&path);
         let mut w = WalState::create(&cfg, 9).unwrap();
-        w.write(&sample_records()[0]).unwrap();
-        w.write(&sample_records()[7]).unwrap();
-        assert_eq!(w.log.pending_frames(), 1);
-        let on_disk = std::fs::read(&path).unwrap();
-        let (_, recs, _, _) = read_wal(&on_disk).unwrap();
-        assert_eq!(recs.len(), 1, "pred not durable before checkpoint");
-        let flushed = w
-            .checkpoint(&WalRecord::Checkpoint {
-                at: SimTime::from_nanos(99),
-                next_pid: 2,
-                breakers: vec![],
-            })
-            .unwrap();
-        assert_eq!(flushed, 2);
-        let on_disk = std::fs::read(&path).unwrap();
-        let (_, recs, _, torn) = read_wal(&on_disk).unwrap();
-        assert!(!torn);
-        assert_eq!(recs.len(), 3, "spawn + pred + checkpoint");
+        let on_disk = || read_wal(&std::fs::read(&path).unwrap()).unwrap();
+        let mut written = Vec::new();
+        for rec in sample_records() {
+            match rec {
+                WalRecord::Checkpoint { .. } => w.checkpoint(&rec).unwrap(),
+                _ => w.write(&rec).unwrap(),
+            }
+            written.push(rec);
+            let (_, recs, valid_len, torn) = on_disk();
+            assert_eq!(recs, written);
+            assert!(!torn);
+            assert_eq!(valid_len, w.log.disk_len());
+            assert_eq!(w.log.pending_len(), 0, "nothing waits in a buffer");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The format changes only on purpose: length and FNV-1a of this
-    /// record list's encoding under seed 42. Version 4 is 24 bytes shorter
-    /// than version 3 (750 bytes, FNV-1a `0xa4d5_ff02`, unchanged from
-    /// commit 108e8f8 through the move onto the segment log): the spawn,
-    /// schedule and checkpoint frames each lost an 8-byte tid field, and
-    /// the header's version word reads 4.
+    /// record list's encoding under seed 42. Version 5 is 733 bytes against
+    /// version 4's 726 (FNV-1a `0x41d9_9f32`): the list's 37-byte `pred`
+    /// marker frame (tag 39: at, pid, seq, `n_tokens` and the frame
+    /// overhead) is gone, the checkpoint frame gains a 4-byte listing count
+    /// and pid 1's 40-byte listing (pid, watermark, total, extras count and
+    /// one `(seq, n_tokens)`), and the header's version word reads 5.
+    /// Version 4 was 24 bytes shorter than version 3 (750 bytes, FNV-1a
+    /// `0xa4d5_ff02`): the spawn, schedule and checkpoint frames each lost
+    /// an 8-byte tid field.
     #[test]
     fn on_disk_format_is_pinned() {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 42);
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (726, 0x41d9_9f32));
-        // The writer lays down the same bytes: the pred marker waits for
-        // the checkpoint that follows it in the list, so file order is
-        // list order.
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (733, 0xceb8_ed4e));
+        // The writer lays down the same bytes: every frame is written when
+        // it is made, so file order is list order.
         let dir = std::env::temp_dir().join(format!("symwal-pin-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let cfg = WalConfig::new(dir.join("pinned.wal"));
         let mut w = WalState::create(&cfg, 42).unwrap();
         for rec in &recs {
             match rec {
-                WalRecord::Checkpoint { .. } => drop(w.checkpoint(rec).unwrap()),
+                WalRecord::Checkpoint { .. } => w.checkpoint(rec).unwrap(),
                 _ => w.write(rec).unwrap(),
             }
         }

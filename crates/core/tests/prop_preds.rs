@@ -163,8 +163,8 @@ proptest! {
         };
         check(&want, &live)?;
 
-        // Crash at the last boundary: recovery answers every journalled
-        // `pred` from its marker frame.
+        // Crash at the last boundary: recovery answers every `pred` the
+        // last checkpoint lists as completed from the log.
         std::fs::remove_file(&path).ok();
         {
             let mut k = Kernel::new(config(&path, chunk, Some(boundaries)));

@@ -315,7 +315,8 @@ fn recovery_is_deterministic() {
     assert_eq!(run("a"), run("b"));
 }
 
-/// A replayed `pred` is answered from a marker frame, not a stored reply:
+/// A replayed `pred` is answered from the checkpoint's completion record,
+/// not a stored reply:
 /// the distributions are re-derived along the file's fingerprint chain and
 /// must equal the ones the GPU produced before the crash bit for bit —
 /// for a prefill that spanned several chunks as much as for single-token
@@ -388,6 +389,219 @@ fn replayed_pred_replies_equal_the_live_ones() {
         "a replayed reply differs"
     );
     assert_eq!(outcomes(&k)["decoder"], ("done".to_string(), true));
+    std::fs::remove_file(&path).ok();
+}
+
+/// `(gpu.tokens, gpu.busy_ns)`: the GPU work a kernel charged.
+fn gpu_work(k: &Kernel) -> (u64, u64) {
+    let r = k.metrics_registry();
+    let [tokens, busy] = ["gpu.tokens", "gpu.busy_ns"].map(|m| r.counter_value(m).unwrap_or(0));
+    (tokens, busy)
+}
+
+/// `pred`s a recovered kernel answered from the log (causal telemetry).
+fn preds_from_log(k: &Kernel) -> usize {
+    k.telemetry_events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::ReplayAnswered { sys: "pred", .. }))
+        .count()
+}
+
+/// Continuous batching in 4-token chunks, checkpoints every `every`, causal
+/// telemetry on.
+fn chunked_config(
+    path: &std::path::Path,
+    every: SimDuration,
+    crash_at: Option<u64>,
+) -> KernelConfig {
+    let mut cfg = config(path, crash_at);
+    cfg.exec = ExecMode::Continuous(ContinuousConfig {
+        chunk_tokens: Some(4),
+        discipline: QueueDiscipline::Fifo,
+    });
+    cfg.wal = Some(WalConfig::new(path).with_checkpoint_every(every));
+    cfg.telemetry = true;
+    cfg.causal = true;
+    cfg
+}
+
+/// Runs `image` durably as `p`, crashed at syscall boundary `crash_at`
+/// (`None`: its last one), then recovers and runs `resumed` in its place:
+/// the recovered kernel, run out.
+fn crash_and_recover(
+    cfg: impl Fn(Option<u64>) -> KernelConfig,
+    crash_at: Option<u64>,
+    image: ProgramImage,
+    resumed: ProgramImage,
+) -> Kernel {
+    let crash_at = crash_at.unwrap_or_else(|| {
+        let mut k = Kernel::new(cfg(None));
+        k.spawn_durable("p", "", image.clone());
+        k.run();
+        k.syscall_boundaries()
+    });
+    let mut k = Kernel::new(cfg(Some(crash_at)));
+    k.spawn_durable("p", "", image);
+    k.run();
+    assert_eq!(k.crashed(), Some(crash_at));
+    drop(k);
+    let (mut k, _) = Kernel::recover(cfg(None)).unwrap();
+    k.resume_programs(move |_| Some(resumed.clone()));
+    assert_eq!(gpu_work(&k), (0, 0));
+    k.run();
+    k
+}
+
+/// A `pred` the last checkpoint before the crash lists as completed is
+/// answered from the log: the recovered kernel charges the GPU nothing for
+/// it. With no checkpoint in between, the same call runs live.
+#[test]
+fn a_pred_the_checkpoint_lists_charges_no_gpu_time() {
+    fn image() -> ProgramImage {
+        Arc::new(|ctx| {
+            let prompt = ctx.tokenize("a prompt the log vouches for")?;
+            let kv = ctx.kv_create()?;
+            ctx.pred_positions(kv, &prompt, 0)?;
+            ctx.sleep(SimDuration::from_millis(1))?;
+            ctx.emit("done")
+        })
+    }
+    let path = tmp("pred-gpu.wal");
+    // The crash lands at the `emit`: checkpoints every 100 µs have listed
+    // the call during the sleep; at 1 s none has.
+    for (every_us, listed) in [(100, true), (1_000_000, false)] {
+        let every = SimDuration::from_micros(every_us);
+        let k = crash_and_recover(|c| chunked_config(&path, every, c), None, image(), image());
+        assert_eq!(outcomes(&k)["p"], ("done".to_string(), true));
+        let (tokens, busy) = gpu_work(&k);
+        if listed {
+            assert_eq!(preds_from_log(&k), 1);
+            assert_eq!((tokens, busy), (0, 0), "a listed pred charges no GPU time");
+        } else {
+            assert_eq!(preds_from_log(&k), 0);
+            assert!(tokens > 0 && busy > 0, "an unlisted pred runs live");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// The completion record's guard: a re-execution whose second `pred` is
+/// longer than the one the log recorded (4 tokens where 3 completed) gets
+/// no answer from the log for it. The first call still adds up and is
+/// answered; the second runs live and charges exactly its own tokens.
+#[test]
+fn a_replayed_pred_the_record_does_not_vouch_for_runs_live() {
+    fn image(cut: [usize; 2]) -> ProgramImage {
+        Arc::new(move |ctx| {
+            let prompt = ctx.tokenize("a prompt long enough to be cut in two different ways")?;
+            let kv = ctx.kv_create()?;
+            ctx.pred_positions(kv, &prompt[..cut[0]], 0)?;
+            ctx.pred_positions(kv, &prompt[cut[0]..cut[0] + cut[1]], cut[0] as u32)?;
+            ctx.sleep(SimDuration::from_millis(1))?;
+            ctx.emit("done")
+        })
+    }
+    let path = tmp("pred-guard.wal");
+    let cfg = |c| chunked_config(&path, SimDuration::from_micros(100), c);
+    let k = crash_and_recover(cfg, None, image([5, 3]), image([5, 4]));
+    assert_eq!(outcomes(&k)["p"], ("done".to_string(), true));
+    assert_eq!(
+        preds_from_log(&k),
+        1,
+        "only the call that adds up is answered"
+    );
+    assert_eq!(gpu_work(&k).0, 4, "the 4-token call ran live");
+    // The same image both times: both calls are answered.
+    let k = crash_and_recover(cfg, None, image([5, 3]), image([5, 3]));
+    assert_eq!((preds_from_log(&k), gpu_work(&k)), (2, (0, 0)));
+    std::fs::remove_file(&path).ok();
+}
+
+/// Two threads of one process share its `pred` sequence. A sibling's long
+/// prefill draws seq 0 and the main thread's short call seq 1, which
+/// completes first: until the prefill lands, the record holds seq 1 above a
+/// watermark of 0, and a crash then replays the short call from the log
+/// and runs the prefill live. Crashed after a checkpoint that lists both,
+/// the recovered process answers both from the log.
+#[test]
+fn siblings_whose_preds_complete_out_of_order_replay_both_from_the_log() {
+    type Order = Arc<Mutex<Vec<(&'static str, usize)>>>;
+    fn image(order: Order) -> ProgramImage {
+        Arc::new(move |ctx| {
+            let long = ctx.tokenize(&"a sibling prefills a long document ".repeat(8))?;
+            let short = ctx.tokenize("short")?;
+            let (kv_long, kv_short) = (ctx.kv_create()?, ctx.kv_create()?);
+            let seen = order.clone();
+            let sibling = ctx.spawn(move |c| {
+                seen.lock().unwrap().push(("long asks", long.len()));
+                c.pred_positions(kv_long, &long, 0)?;
+                seen.lock().unwrap().push(("long done", long.len()));
+                Ok(())
+            })?;
+            ctx.sleep(SimDuration::from_micros(10))?;
+            order.lock().unwrap().push(("short asks", short.len()));
+            ctx.pred_positions(kv_short, &short, 0)?;
+            order.lock().unwrap().push(("short done", short.len()));
+            // Checkpoints list the short call while the prefill runs on.
+            ctx.sleep(SimDuration::from_micros(200))?;
+            ctx.now()?;
+            ctx.join(sibling)?;
+            ctx.sleep(SimDuration::from_millis(1))?;
+            ctx.emit("done")
+        })
+    }
+    let path = tmp("pred-siblings.wal");
+    let cfg = |c| chunked_config(&path, SimDuration::from_micros(100), c);
+    let (last, order) = {
+        let order = Order::default();
+        let mut k = Kernel::new(cfg(None));
+        k.spawn_durable("p", "", image(order.clone()));
+        k.run();
+        let steps = order.lock().unwrap().clone();
+        (k.syscall_boundaries(), steps)
+    };
+    let steps: Vec<&str> = order.iter().map(|&(step, _)| step).collect();
+    assert_eq!(
+        steps,
+        ["long asks", "short asks", "short done", "long done"]
+    );
+    let (long, short) = (order[0].1, order[1].1);
+    assert!(long > 4 * short, "the prefill spans many chunks");
+
+    // What each crash point's recovery answered from the log, and the GPU
+    // tokens it charged.
+    let recovered: Vec<(usize, u64)> = (1..=last)
+        .map(|b| {
+            let k = crash_and_recover(
+                cfg,
+                Some(b),
+                image(Order::default()),
+                image(Order::default()),
+            );
+            assert_eq!(
+                outcomes(&k)["p"],
+                ("done".to_string(), true),
+                "crash at {b}"
+            );
+            (preds_from_log(&k), gpu_work(&k).0)
+        })
+        .collect();
+    for (b, &(answered, tokens)) in (1..).zip(&recovered) {
+        let expected = match answered {
+            0 => (long + short) as u64,
+            1 => long as u64,
+            _ => 0,
+        };
+        assert_eq!(
+            tokens, expected,
+            "crash at {b}: {answered} answered from the log"
+        );
+    }
+    assert!(
+        recovered.contains(&(1, long as u64)),
+        "some crash lands while the record holds only the out-of-order call: {recovered:?}"
+    );
+    assert_eq!(recovered.last(), Some(&(2, 0)));
     std::fs::remove_file(&path).ok();
 }
 

@@ -126,7 +126,6 @@ pub struct SegLog {
     len: u64,
     /// Frames pushed and not yet flushed.
     pending: Vec<u8>,
-    pending_frames: u64,
 }
 
 impl SegLog {
@@ -156,7 +155,6 @@ impl SegLog {
             file,
             len,
             pending: Vec::new(),
-            pending_frames: 0,
         }
     }
 
@@ -164,7 +162,6 @@ impl SegLog {
     /// [`SegLog::flush`].
     pub fn push(&mut self, tag: u8, payload: &[u8]) {
         append_frame(&mut self.pending, tag, payload);
-        self.pending_frames += 1;
     }
 
     /// Writes the buffered frames to the file, in push order.
@@ -176,8 +173,7 @@ impl SegLog {
     }
 
     /// Writes one frame to the file now, ahead of anything buffered: for a
-    /// record that must be on disk before its effect is observable while
-    /// cheaper ones wait for the next flush.
+    /// record that must be on disk before its effect is observable.
     pub fn append(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
         // The frame is staged past the buffered ones and taken off again.
         let buffered = self.pending.len();
@@ -193,7 +189,6 @@ impl SegLog {
     /// Forgets the buffered frames — what a crash does to them.
     pub fn drop_pending(&mut self) {
         self.pending.clear();
-        self.pending_frames = 0;
     }
 
     /// Cuts the file back to its first `len` bytes; later writes land
@@ -231,11 +226,6 @@ impl SegLog {
     /// Bytes buffered and not yet written.
     pub fn pending_len(&self) -> u64 {
         self.pending.len() as u64
-    }
-
-    /// Frames buffered and not yet written.
-    pub fn pending_frames(&self) -> u64 {
-        self.pending_frames
     }
 }
 

@@ -115,7 +115,7 @@ proptest! {
         for (tag, payload) in &appended {
             log.push(*tag, payload);
         }
-        prop_assert_eq!(log.pending_frames(), appended.len() as u64);
+        prop_assert_eq!(log.pending_len(), toy_body(&appended).len() as u64);
         log.flush().unwrap();
         prop_assert_eq!(log.pending_len(), 0);
         let (read_fields, records, torn) = toy_read(&path);
@@ -151,7 +151,7 @@ proptest! {
             log.push(*tag, payload);
         }
         log.append(urgent.0, &urgent.1).unwrap();
-        prop_assert_eq!(log.pending_frames(), waiting.len() as u64);
+        prop_assert_eq!(log.pending_len(), toy_body(&waiting).len() as u64);
         let (_, records, _) = toy_read(&path);
         prop_assert_eq!(&records, &[base.clone(), vec![urgent.clone()]].concat());
         log.flush().unwrap();

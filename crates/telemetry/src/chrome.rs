@@ -579,13 +579,13 @@ pub fn export_chrome_trace(events: &[TimedEvent]) -> String {
                     Some(format!("{{\"boundary\":{boundary}}}")),
                 );
             }
-            EventKind::WalCheckpoint { frames, wal_bytes } => {
+            EventKind::WalCheckpoint { wal_bytes } => {
                 w.instant(
                     at,
                     KERNEL_PID,
                     SCHED_TID,
                     "wal_checkpoint",
-                    Some(format!("{{\"frames\":{frames},\"wal_bytes\":{wal_bytes}}}")),
+                    Some(format!("{{\"wal_bytes\":{wal_bytes}}}")),
                 );
             }
             EventKind::KernelRecovery {

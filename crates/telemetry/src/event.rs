@@ -164,9 +164,9 @@ pub enum EventKind {
     /// The kernel crashed at an injected syscall-boundary kill point
     /// (scheduler track; the last event a crashed run records).
     KernelCrash { boundary: u64 },
-    /// A WAL checkpoint flushed buffered effect frames to disk
-    /// (scheduler track).
-    WalCheckpoint { frames: u64, wal_bytes: u64 },
+    /// A WAL checkpoint frame was written; `wal_bytes` is the log's length
+    /// after it (scheduler track).
+    WalCheckpoint { wal_bytes: u64 },
     /// A recovered kernel re-admitted journalled programs (scheduler
     /// track; the first event a recovered run records).
     KernelRecovery { resumed: u64, replayed_frames: u64 },
