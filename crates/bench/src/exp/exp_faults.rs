@@ -1,15 +1,14 @@
-//! E11 — resilience under injected tool faults (`docs/RESILIENCE.md`).
+//! E11 — tool faults, and a program that retries (`docs/RESILIENCE.md`).
 //!
 //! A fleet of agents interleaves generation with tool calls while the
 //! kernel's fault injector fails or hangs tool attempts at a swept rate.
-//! Three resilience configurations, same substrate, same seed:
+//! Every `call_tool` is one attempt, and what to do about a failure is the
+//! program's policy. Two programs, same substrate, same seed:
 //!
-//! - `no-retry`: the kernel passes failures straight through; an agent
-//!   whose call fails aborts its task.
-//! - `retry4`: kernel-level retry, 4 attempts with exponential backoff
-//!   (5 ms base) — the LIP code is unchanged.
-//! - `retry4+breaker`: retries plus a per-tool circuit breaker
-//!   (3 consecutive failed calls open it for 200 ms).
+//! - `no-retry`: an agent whose call fails aborts its task.
+//! - `retry4`: the agent retries a failed call itself, up to 4 attempts,
+//!   sleeping a jittered exponential backoff between them (5 ms doubling,
+//!   ±10 % drawn from the thread's own RNG).
 //!
 //! Hung attempts (25% of injected faults, 20× stall) are clamped by a
 //! 100 ms per-attempt timeout, so the sweep also exercises the deadline
@@ -17,15 +16,13 @@
 //! `no-retry`, while `retry4` holds it near 100% until the per-call
 //! failure probability (rate⁴) becomes visible; retries buy that goodput
 //! with latency (backoff + re-attempts) — graceful degradation, not a
-//! free lunch. The breaker only engages at extreme rates, converting
-//! slow repeated failure into fast `Unavailable`.
+//! free lunch.
 
 use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::sampling::{generate, GenOpts};
 use symphony::{
-    BreakerPolicy, FaultPlan, Kernel, KernelConfig, Limits, RetryPolicy, SimDuration, SysError,
-    ToolOutcome, ToolSpec,
+    Ctx, FaultPlan, Kernel, KernelConfig, Limits, SimDuration, SysError, ToolOutcome, ToolSpec,
 };
 
 const AGENTS: usize = 24;
@@ -33,6 +30,9 @@ const CALLS_PER_AGENT: usize = 4;
 const TOOL_LATENCY: SimDuration = SimDuration::from_millis(25);
 const TOOL_TIMEOUT: SimDuration = SimDuration::from_millis(100);
 const SEED: u64 = 0xE11;
+/// `retry4`'s attempts per call, and the backoff before its first retry.
+const RETRY_ATTEMPTS: u32 = 4;
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(5);
 
 #[derive(Debug, Clone, Serialize)]
 struct Point {
@@ -43,11 +43,24 @@ struct Point {
     mean_ok_latency_ms: f64,
     injected_failures: u64,
     injected_hangs: u64,
-    tool_retries: u64,
+    tool_attempts: u64,
     tool_timeouts: u64,
-    calls_exhausted: u64,
-    breaker_trips: u64,
-    breaker_rejections: u64,
+}
+
+/// One tool call, retried by the program: up to `attempts` tries, with a
+/// jittered exponential backoff slept between them.
+fn call_api(ctx: &mut Ctx, args: &str, attempts: u32) -> Result<String, SysError> {
+    let mut failures = 0;
+    loop {
+        match ctx.call_tool("api", args) {
+            Err(SysError::Fault(_) | SysError::Timeout) if failures + 1 < attempts => {
+                let jitter = 0.9 + 0.2 * ctx.rng_f64();
+                ctx.sleep(RETRY_BACKOFF * (f64::from(1u32 << failures) * jitter))?;
+                failures += 1;
+            }
+            result => return result,
+        }
+    }
 }
 
 fn run_cell(
@@ -66,15 +79,11 @@ fn run_cell(
         tool_stall_factor: 20.0,
         ..FaultPlan::default()
     };
-    match policy {
-        "no-retry" => {}
-        "retry4" => cfg.tool_retry = Some(RetryPolicy::exponential(4, SimDuration::from_millis(5))),
-        "retry4+breaker" => {
-            cfg.tool_retry = Some(RetryPolicy::exponential(4, SimDuration::from_millis(5)));
-            cfg.breaker = Some(BreakerPolicy::new(3, SimDuration::from_millis(200)));
-        }
+    let attempts = match policy {
+        "no-retry" => 1,
+        "retry4" => RETRY_ATTEMPTS,
         other => panic!("unknown policy {other}"),
-    }
+    };
     let mut kernel = Kernel::new(cfg);
     kernel.register_tool(
         "api",
@@ -88,7 +97,7 @@ fn run_cell(
     };
     let mut pids = Vec::new();
     for a in 0..AGENTS {
-        let pid = kernel.spawn_process_with_limits(&format!("agent{a}"), "", limits, |ctx| {
+        let pid = kernel.spawn_process_with_limits(&format!("agent{a}"), "", limits, move |ctx| {
             let opts = GenOpts {
                 max_tokens: 8,
                 temperature: 0.0,
@@ -99,9 +108,8 @@ fn run_cell(
             let mut next = ctx.tokenize("an agent plan with several lookups")?;
             for i in 0..CALLS_PER_AGENT {
                 generate(ctx, kv, &next, &opts)?;
-                // Any tool failure — Fault, Timeout, Unavailable — aborts
-                // the task: resilience lives in the kernel, not the LIP.
-                let result = ctx.call_tool("api", &format!("call {i}"))?;
+                // A call that fails on its last attempt aborts the task.
+                let result = call_api(ctx, &format!("call {i}"), attempts)?;
                 next = ctx.tokenize(&result)?;
             }
             generate(ctx, kv, &next, &opts)?;
@@ -132,40 +140,29 @@ fn run_cell(
         },
         injected_failures: counter("faults.tool_failures"),
         injected_hangs: counter("faults.tool_hangs"),
-        tool_retries: counter("resilience.tool_retries"),
+        tool_attempts: kernel.tool_invocations(),
         tool_timeouts: counter("resilience.tool_timeouts"),
-        calls_exhausted: counter("resilience.tool_calls_exhausted"),
-        breaker_trips: counter("resilience.breaker_trips"),
-        breaker_rejections: counter("resilience.breaker_rejections"),
     };
     (point, snap)
 }
 
 pub(super) fn run(opts: &ExpArgs) -> Report {
-    let policies = ["no-retry", "retry4", "retry4+breaker"];
+    let policies = ["no-retry", "retry4"];
     let rates = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8];
     let designated_rate = 0.2; // mid-sweep: faults fire, goodput still high
     let mut results = Vec::new();
     let mut captured: Option<Telemetry> = None;
     let mut table = Table::new(
-        "E11 — tool-fault resilience: goodput / mean latency (24 agents × 4 calls)",
-        &[
-            "fault rate",
-            "no-retry",
-            "retry4",
-            "retry4+breaker",
-            "retries",
-            "timeouts",
-            "trips/rej",
-        ],
+        "E11 — tool faults, retried by the program: goodput / mean latency (24 agents × 4 calls)",
+        &["fault rate", "no-retry", "retry4", "attempts", "timeouts"],
     );
     for &rate in &rates {
         eprintln!("E11: fault rate {rate} ...");
         let pts: Vec<Point> = policies
             .iter()
             .map(|p| {
-                // The designated telemetry run: retry4+breaker mid-sweep.
-                let designated = *p == "retry4+breaker" && rate == designated_rate;
+                // The designated telemetry run: retry4 mid-sweep.
+                let designated = *p == "retry4" && rate == designated_rate;
                 let (pt, snap) = run_cell(p, rate, opts, designated);
                 if let Some(s) = snap {
                     captured = Some(s);
@@ -184,17 +181,15 @@ pub(super) fn run(opts: &ExpArgs) -> Report {
             format!("{rate:.2}"),
             cell(&pts[0]),
             cell(&pts[1]),
-            cell(&pts[2]),
-            pts[2].tool_retries.to_string(),
-            pts[2].tool_timeouts.to_string(),
-            format!("{}/{}", pts[2].breaker_trips, pts[2].breaker_rejections),
+            pts[1].tool_attempts.to_string(),
+            pts[1].tool_timeouts.to_string(),
         ]);
         results.extend(pts);
     }
     table.print();
     println!(
         "\nShape check: retry4 holds goodput while no-retry decays ~(1-rate)^{CALLS_PER_AGENT}; \
-         the price is latency (backoff + re-attempts). The breaker engages only at extreme rates."
+         the price is latency (backoff + re-attempts)."
     );
     Report::new(&results).with_telemetry(captured)
 }

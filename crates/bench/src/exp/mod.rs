@@ -77,7 +77,7 @@ registry! {
     exp_lipscript, "E8", false, "§6 sandbox cost: LipScript vs native LIP (reports wall time)";
     exp_chat, "E9", true, "§2.1 multi-round chat: retained KV vs per-turn recomputation";
     exp_pagesize, "E10", true, "KVFS page-size ablation";
-    exp_faults, "E11", true, "tool-fault resilience: goodput vs fault rate x retry policy";
+    exp_faults, "E11", true, "tool faults: goodput vs fault rate x the program's retry policy";
     exp_sched, "E12", true, "§4.4 iteration-level scheduling: static / continuous / chunked / program-aware";
     exp_persist, "E13", true, "warm restart from the KVFS journal vs cold boot";
     exp_recovery, "E14", true, "crash-tolerant serving: goodput vs checkpoint interval x crash rate";

@@ -311,8 +311,6 @@ pub fn run_symphony_point_persist(
         telemetry: false,
         causal: false,
         faults: symphony::FaultPlan::none(),
-        tool_retry: None,
-        breaker: None,
         wal: None,
     };
     let mut kernel = Kernel::new(kcfg);

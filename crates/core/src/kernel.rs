@@ -26,7 +26,7 @@ use symphony_kvfs::{
 };
 use symphony_model::surrogate::VocabInfo;
 use symphony_model::{ModelConfig, Preds, Surrogate, TokenId};
-use symphony_sim::{EventQueue, IdSlab, RetryPolicy, Rng, SimDuration, SimTime};
+use symphony_sim::{EventQueue, IdSlab, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
     export_chrome_trace, latency_bounds_ns, occupancy_bounds, percent_bounds, Collector, Counter,
     EdgeKind, EventBus, EventKind, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SwapDir,
@@ -38,7 +38,6 @@ use crate::faults::{FaultInjector, FaultPlan, ToolFaultKind};
 use crate::hosted::HostedMetrics;
 use crate::proc::{Proc, ThreadState};
 use crate::recovery::Asked;
-use crate::resilience::{BreakerBank, BreakerPolicy, BreakerVerdict, ResilienceCounters};
 use crate::sched::{
     threads_parked_gate, BatchGate, BatchPolicy, Decision, ExecMode, ProgramQueue, QueueDiscipline,
 };
@@ -105,11 +104,6 @@ pub struct KernelConfig {
     pub causal: bool,
     /// Fault-injection plan (all-zero = no faults, no extra RNG draws).
     pub faults: FaultPlan,
-    /// Tool retry policy, the same for every tool. `None` means one
-    /// attempt.
-    pub tool_retry: Option<RetryPolicy>,
-    /// Per-tool circuit breaker; `None` disables breaking.
-    pub breaker: Option<BreakerPolicy>,
     /// Kernel write-ahead log for crash tolerance; `None` disables
     /// journalling (and [`Kernel::recover`] fails with
     /// [`WalError::Disabled`]).
@@ -141,8 +135,6 @@ impl KernelConfig {
             telemetry: false,
             causal: false,
             faults: FaultPlan::none(),
-            tool_retry: None,
-            breaker: None,
             wal: None,
         }
     }
@@ -172,8 +164,6 @@ impl KernelConfig {
             telemetry: false,
             causal: false,
             faults: FaultPlan::none(),
-            tool_retry: None,
-            breaker: None,
             wal: None,
         }
     }
@@ -316,8 +306,12 @@ pub(crate) struct KernelMetrics {
     queue_delay_ns: Histogram,
     /// Batch size as a percentage of `max_batch`, one sample per batch.
     batch_occupancy_pct: Histogram,
-    /// Whole-tool-call virtual latency (all attempts plus backoff).
+    /// Tool-call virtual latency (clamped to the call's timeout).
     tool_latency_ns: Histogram,
+    /// Tool calls clamped by their [`Limits::tool_timeout`].
+    tool_timeouts: Counter,
+    /// Processes killed by their [`Limits::deadline`], each once.
+    pub(crate) deadline_kills: Counter,
     /// GPU KV pages in use, sampled after each batch.
     gpu_pages_used: Gauge,
     /// Disk-tier KV pages in use, sampled after each batch.
@@ -427,6 +421,8 @@ impl KernelMetrics {
             queue_delay_ns: registry.histogram("sched.queue_delay_ns", &latency_bounds_ns()),
             batch_occupancy_pct: registry.histogram("gpu.batch_occupancy_pct", &percent_bounds()),
             tool_latency_ns: registry.histogram("tools.call_latency_ns", &latency_bounds_ns()),
+            tool_timeouts: registry.counter("resilience.tool_timeouts"),
+            deadline_kills: registry.counter("resilience.deadline_kills"),
             gpu_pages_used: registry.gauge("kvfs.gpu_pages_used"),
             disk_pages_used: registry.gauge("kvfs.disk_pages_used"),
             backing_pages: registry.gauge("kvfs.backing_pages"),
@@ -502,17 +498,14 @@ pub struct Kernel {
     pub(crate) buried: Vec<Pid>,
     /// What every LIP thread's RNG stream is derived from (`Kernel::start`).
     pub(crate) seed: u64,
-    /// The kernel's own stream: tool latencies and retry backoff.
+    /// The kernel's own stream: tool latencies.
     pub(crate) rng: Rng,
     // Telemetry.
     pub(crate) registry: MetricsRegistry,
     pub(crate) bus: EventBus,
     pub(crate) kmetrics: KernelMetrics,
-    // Resilience.
+    // Fault injection.
     injector: FaultInjector,
-    pub(crate) breakers: Option<BreakerBank>,
-    tool_retry: Option<RetryPolicy>,
-    pub(crate) res_counters: ResilienceCounters,
     // Config extracts.
     pub(crate) causal: bool,
     syscall_cost: SimDuration,
@@ -683,11 +676,6 @@ impl Kernel {
             },
             kmetrics,
             injector: FaultInjector::with_registry(config.faults, config.seed, &registry),
-            breakers: config
-                .breaker
-                .map(|p| BreakerBank::with_registry(p, &registry)),
-            tool_retry: config.tool_retry,
-            res_counters: ResilienceCounters::register(&registry),
             registry,
             causal: config.causal,
             syscall_cost: config.syscall_cost,
@@ -1765,7 +1753,7 @@ impl Kernel {
             if sys_at >= t {
                 if !proc.deadline_hit {
                     proc.deadline_hit = true;
-                    self.res_counters.deadline_kills.inc();
+                    self.kmetrics.deadline_kills.inc();
                     self.bus
                         .emit(sys_at, || EventKind::DeadlineHit { pid: pid.0 });
                 }
@@ -2019,113 +2007,51 @@ impl Kernel {
                 // re-invoking the handler — the side-effect already happened
                 // pre-crash, and firing it again would double it.
                 let seq = proc.next_seq(EffectClass::Tool);
-                if self.answer_from_journal(pid, tid, seq, Asked::Tool { name: &name }) {
+                if self.answer_from_journal(pid, tid, seq, Asked::Tool) {
                     return;
                 }
                 let now = self.events.now();
-                // Circuit breaker: fast-fail while open (no latency charge
-                // beyond the syscall cost — that is the point of breaking).
-                if let Some(bank) = self.breakers.as_mut() {
-                    match bank.admit(&name, now) {
-                        BreakerVerdict::Allow | BreakerVerdict::AllowTrial => {}
-                        BreakerVerdict::Reject => {
-                            if self.bus.is_enabled() {
-                                let tool = name.clone();
-                                self.bus.emit(now, || EventKind::BreakerReject {
-                                    pid: pid.0,
-                                    tid: tid.0,
-                                    tool,
-                                });
-                            }
-                            self.journal(pid, None, seq, || Effect::Tool {
-                                latency_ns: 0,
-                                result: Err(SysError::Unavailable),
-                            });
-                            self.complete(tid, SysReply::Err(SysError::Unavailable));
-                            return;
-                        }
-                    }
+                // One attempt: what to do about a failure is the program's
+                // policy. The attempt draws its fault decision and latency,
+                // a hang stalls it, and the timeout clamps it.
+                let fault = self.injector.tool_attempt();
+                if fault.is_some() {
+                    self.bus
+                        .emit(now, || EventKind::FaultInjected { site: "tool" });
                 }
-                let policy = self.tool_retry.unwrap_or_default();
-                // All attempts are planned synchronously: the virtual time
-                // the call occupies is the sum of per-attempt charges
-                // (latency clamped to the timeout) plus backoff delays, and
-                // one IoDone at the end delivers the final result.
-                let mut total = SimDuration::ZERO;
-                let mut failures = 0u32;
-                let final_result = loop {
-                    let fault = self.injector.tool_attempt();
-                    if fault.is_some() {
-                        self.bus
-                            .emit(now, || EventKind::FaultInjected { site: "tool" });
-                    }
-                    // Existence was checked above and the registry is
-                    // append-only; if the lookup fails anyway, that error
-                    // becomes the call's final result instead of a panic.
-                    let (latency, outcome) = match self.tools.invoke(&name, &args, &mut self.rng) {
-                        Ok(v) => v,
-                        Err(e) => break Err(e),
-                    };
-                    let mut eff_latency = match fault {
-                        Some(ToolFaultKind::Hang) => latency * self.injector.stall_factor(),
-                        _ => latency,
-                    };
-                    let mut attempt_result = match fault {
-                        Some(ToolFaultKind::Fail) => Err(SysError::Fault("tool")),
-                        _ => match outcome {
+                // Existence was checked above and the registry is
+                // append-only; if the lookup fails anyway, that error is the
+                // call's result instead of a panic.
+                let (mut latency, mut result) = match self.tools.invoke(&name, &args, &mut self.rng)
+                {
+                    Ok((latency, outcome)) => (
+                        latency,
+                        match outcome {
                             ToolOutcome::Ok(s) => Ok(s),
                             ToolOutcome::Failed(msg) => Err(SysError::ToolFailed(msg)),
                         },
-                    };
-                    if let Some(to) = timeout {
-                        if eff_latency > to {
-                            eff_latency = to;
-                            attempt_result = Err(SysError::Timeout);
-                            self.res_counters.tool_timeouts.inc();
-                        }
-                    }
-                    total += eff_latency;
-                    match attempt_result {
-                        Ok(s) => break Ok(s),
-                        Err(e) => {
-                            failures += 1;
-                            if policy.should_retry(failures) {
-                                self.res_counters.tool_retries.inc();
-                                if self.bus.is_enabled() {
-                                    let tool = name.clone();
-                                    self.bus.emit(now, || EventKind::ToolRetry {
-                                        pid: pid.0,
-                                        tid: tid.0,
-                                        tool,
-                                        failures,
-                                    });
-                                }
-                                total += policy.backoff_after(failures, &mut self.rng);
-                            } else {
-                                self.res_counters.tool_calls_exhausted.inc();
-                                break Err(e);
-                            }
-                        }
-                    }
+                    ),
+                    Err(e) => (SimDuration::ZERO, Err(e)),
                 };
-                if let Some(bank) = self.breakers.as_mut() {
-                    let trips_before = bank.trips();
-                    bank.report(&name, final_result.is_ok(), now + total);
-                    if bank.trips() > trips_before && self.bus.is_enabled() {
-                        let tool = name.clone();
-                        self.bus.emit(now, || EventKind::BreakerTrip { tool });
-                    }
+                match fault {
+                    Some(ToolFaultKind::Hang) => latency = latency * self.injector.stall_factor(),
+                    Some(ToolFaultKind::Fail) => result = Err(SysError::Fault("tool")),
+                    None => {}
                 }
-                self.kmetrics.tool_latency_ns.observe(total.as_nanos());
+                if let Some(to) = timeout.filter(|&to| latency > to) {
+                    latency = to;
+                    result = Err(SysError::Timeout);
+                    self.kmetrics.tool_timeouts.inc();
+                }
+                self.kmetrics.tool_latency_ns.observe(latency.as_nanos());
                 if self.bus.is_enabled() {
                     let tool = name.clone();
-                    let attempts = failures + u32::from(final_result.is_ok());
-                    let latency_ns = total.as_nanos();
+                    let latency_ns = latency.as_nanos();
                     self.bus.emit(now, || EventKind::ToolInvoke {
                         pid: pid.0,
                         tid: tid.0,
                         tool,
-                        attempts,
+                        attempts: 1,
                         latency_ns,
                     });
                 }
@@ -2134,15 +2060,15 @@ impl Kernel {
                 // syscall-boundary crash model, so recovery never re-fires
                 // the tool (exactly-once side-effects).
                 self.journal(pid, None, seq, || Effect::Tool {
-                    latency_ns: total.as_nanos(),
-                    result: final_result.clone(),
+                    latency_ns: latency.as_nanos(),
+                    result: result.clone(),
                 });
-                self.begin_io(pid, total);
+                self.begin_io(pid, latency);
                 self.events.schedule(
-                    now + total,
+                    now + latency,
                     Event::IoDone {
                         tid,
-                        result: final_result,
+                        result,
                         issued_at: now,
                     },
                 );

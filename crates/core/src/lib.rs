@@ -72,7 +72,6 @@ mod hosted;
 pub mod kernel;
 mod proc;
 mod recovery;
-pub mod resilience;
 pub mod sampling;
 pub mod sched;
 pub mod syscall;
@@ -82,7 +81,6 @@ pub mod wal;
 
 pub use faults::{FaultInjector, FaultPlan, ToolFaultKind};
 pub use kernel::{Kernel, KernelConfig, ProgramImage, SessionEvent, SessionSink};
-pub use resilience::{BreakerPolicy, BreakerStateView};
 pub use sched::{
     BatchPolicy, ContinuousConfig, ExecMode, MlfqConfig, ProgramQueue, QueueDiscipline,
 };
@@ -96,7 +94,7 @@ pub use symphony_kvfs::{
     FileId, FileStat, KvEntry, KvError, KvStats, Mode, OwnerId, Residency, RestoreReport,
 };
 pub use symphony_model::{CtxFingerprint, Dist, ModelConfig, Preds, TokenId};
-pub use symphony_sim::{RetryPolicy, SimDuration, SimTime};
+pub use symphony_sim::{SimDuration, SimTime};
 
 // Re-export the telemetry substrate so embedders can inspect traces and
 // metrics without depending on `symphony-telemetry` directly.

@@ -510,7 +510,7 @@ impl Kernel {
         proc.deadline_hit = true;
         let waiters = std::mem::take(&mut proc.recv_waiters);
         if first_hit {
-            self.res_counters.deadline_kills.inc();
+            self.kmetrics.deadline_kills.inc();
             let at = self.events.now();
             self.bus.emit(at, || EventKind::DeadlineHit { pid: pid.0 });
         }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use symphony_kvfs::{FileId, OwnerId};
 use symphony_model::{Preds, TokenId};
-use symphony_sim::{SimDuration, SimTime};
+use symphony_sim::SimTime;
 use symphony_telemetry::EventKind;
 
 use crate::kernel::{Event, Kernel, KernelConfig, ProgramImage};
@@ -27,10 +27,7 @@ use crate::wal::{
 /// The call site's half of a replay hit: which class the call draws from,
 /// and what its journalled effect cannot rebuild on its own.
 pub(crate) enum Asked<'a> {
-    /// The breaker re-learns the replayed outcome under the tool's name.
-    Tool {
-        name: &'a str,
-    },
+    Tool,
     Send,
     Recv,
     Lookup,
@@ -47,8 +44,8 @@ impl Kernel {
     // ---- boot ------------------------------------------------------------------
 
     /// Boots a kernel from the write-ahead log at `config.wal.path`,
-    /// restoring the virtual clock, the pid allocator, circuit-breaker
-    /// state and the durable process table. In-flight durable programs are
+    /// restoring the virtual clock, the pid allocator and the durable
+    /// process table. In-flight durable programs are
     /// *not* re-executed yet — call [`Kernel::resume_programs`] with their
     /// program images, then [`Kernel::run`].
     ///
@@ -80,7 +77,7 @@ impl Kernel {
 
     /// Opens the WAL of a freshly built kernel: a new log, or — booting
     /// from `replay` — the old one for appending, with the virtual clock,
-    /// the pid allocator and the breakers restored so re-executed programs
+    /// and the pid allocator restored so re-executed programs
     /// keep their pids (hence their threads' RNG streams) and see the same
     /// scheduling decisions. Tids are not restored: they name a thread for
     /// one execution only.
@@ -97,9 +94,6 @@ impl Kernel {
         if let Some(r) = replay {
             self.events.advance_to(r.clock);
             self.next_pid = self.next_pid.max(r.next_pid);
-            if let Some(bank) = self.breakers.as_mut() {
-                bank.import_states(r.breakers.clone());
-            }
             self.kmetrics.recoveries.inc();
             self.kmetrics.replayed_frames.add(r.frames);
             self.replay = Some(r);
@@ -309,11 +303,6 @@ impl Kernel {
         if !self.wal.as_ref().is_some_and(|w| w.checkpoint_due(now)) {
             return;
         }
-        let breakers = self
-            .breakers
-            .as_ref()
-            .map(|b| b.export_states())
-            .unwrap_or_default();
         let Some(w) = self.wal.as_mut() else {
             return;
         };
@@ -328,7 +317,6 @@ impl Kernel {
         let rec = WalRecord::Checkpoint {
             at: now,
             next_pid: self.next_pid,
-            breakers,
             preds,
         };
         w.checkpoint(&rec)
@@ -395,7 +383,7 @@ impl Kernel {
     /// The reply a journalled effect frame gives call `seq` of `pid`.
     fn replay_effect(&mut self, pid: Pid, seq: u64, asked: Asked<'_>) -> Option<SysReply> {
         let class = match asked {
-            Asked::Tool { .. } => EffectClass::Tool,
+            Asked::Tool => EffectClass::Tool,
             Asked::Send => EffectClass::Send,
             Asked::Recv => EffectClass::Recv,
             Asked::Lookup => EffectClass::Lookup,
@@ -408,23 +396,11 @@ impl Kernel {
             .effects
             .get(&(pid.0, class, seq))
             .cloned()?;
-        let now = self.events.now();
         Some(match (effect, asked) {
-            (Effect::Tool { latency_ns, result }, Asked::Tool { name }) => {
-                // The breaker re-learns the outcome (post-checkpoint
-                // reports were lost with the crash) unless the journalled
-                // result was itself a breaker rejection.
-                if !matches!(result, Err(SysError::Unavailable)) {
-                    if let Some(bank) = self.breakers.as_mut() {
-                        let done = now + SimDuration::from_nanos(latency_ns);
-                        bank.report(name, result.is_ok(), done);
-                    }
-                }
-                match result {
-                    Ok(s) => SysReply::Text(s),
-                    Err(e) => SysReply::Err(e),
-                }
-            }
+            (Effect::Tool { result, .. }, Asked::Tool) => match result {
+                Ok(s) => SysReply::Text(s),
+                Err(e) => SysReply::Err(e),
+            },
             // The delivery (if any) happened pre-crash and is already in
             // the rebuilt mailbox or a journalled recv.
             (Effect::Send { ok: true, .. }, Asked::Send) => SysReply::Unit,

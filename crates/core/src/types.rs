@@ -26,14 +26,12 @@ pub enum SysError {
     ThreadFailed,
     /// The tool reported an application-level failure.
     ToolFailed(String),
-    /// A tool call exceeded its per-call timeout (all retries included).
+    /// A tool call exceeded its per-call timeout.
     Timeout,
     /// The process ran past its wall-clock (virtual time) deadline.
     DeadlineExceeded,
-    /// The tool's circuit breaker is open; the call was fast-failed.
-    Unavailable,
-    /// A transient injected/hardware fault hit the operation and retries
-    /// (if any) were exhausted. The payload names the fault site.
+    /// A transient injected/hardware fault hit the operation. The payload
+    /// names the fault site.
     Fault(&'static str),
     /// A per-process resource limit was exceeded.
     LimitExceeded(&'static str),
@@ -66,7 +64,6 @@ impl core::fmt::Display for SysError {
             SysError::ToolFailed(msg) => write!(f, "tool failed: {msg}"),
             SysError::Timeout => write!(f, "tool call timed out"),
             SysError::DeadlineExceeded => write!(f, "process deadline exceeded"),
-            SysError::Unavailable => write!(f, "circuit breaker open"),
             SysError::Fault(site) => write!(f, "transient fault: {site}"),
             SysError::LimitExceeded(what) => write!(f, "limit exceeded: {what}"),
             SysError::Cancelled => write!(f, "cancelled"),
@@ -189,7 +186,6 @@ mod tests {
             SysError::DeadlineExceeded.to_string(),
             "process deadline exceeded"
         );
-        assert_eq!(SysError::Unavailable.to_string(), "circuit breaker open");
         assert_eq!(
             SysError::Fault("gpu.pred").to_string(),
             "transient fault: gpu.pred"

@@ -14,7 +14,7 @@
 //! | 37 | name lookup |
 //! | 38 | `now` read |
 //! | 39 | unassigned: a frame carrying it ends the valid prefix |
-//! | 40 | checkpoint: pid allocator, breakers, `pred` completion records |
+//! | 40 | checkpoint: pid allocator, `pred` completion records |
 //! | 41 | process scheduled for a future arrival |
 //!
 //! Every frame goes to `write(2)` when it is made, before the effect it
@@ -71,14 +71,13 @@ use symphony_sim::frame::{push_opt_u64, push_str, push_u32, push_u64, Cursor};
 use symphony_sim::seglog::{self, Head, HeadError, SegLog};
 use symphony_sim::{SimDuration, SimTime};
 
-use crate::resilience::BreakerStateView;
 use crate::types::{ExitStatus, Limits, ProcessUsage, SysError};
 
 /// WAL file magic: "SYMW" (sibling of the KVFS journal's "SYMJ").
 pub const WAL_MAGIC: [u8; 4] = *b"SYMW";
 
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 5;
+pub const WAL_VERSION: u32 = 6;
 
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
@@ -208,7 +207,7 @@ impl EffectClass {
 /// to answer the re-executed call without performing it again.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Effect {
-    /// A whole tool call (all attempts plus backoff) and its outcome.
+    /// One tool call (one attempt) and its outcome.
     Tool {
         latency_ns: u64,
         result: Result<String, SysError>,
@@ -305,7 +304,6 @@ pub(crate) enum WalRecord {
     Checkpoint {
         at: SimTime,
         next_pid: u64,
-        breakers: Vec<(String, BreakerStateView)>,
         preds: Vec<(u64, PredRecord)>,
     },
     /// A program admitted for a *future* arrival. Journalled at schedule
@@ -406,9 +404,8 @@ fn encode_sys_error(out: &mut Vec<u8>, e: &SysError) {
         SysError::ToolFailed(msg) => (5, msg.as_str()),
         SysError::Timeout => (6, ""),
         SysError::DeadlineExceeded => (7, ""),
-        SysError::Unavailable => (8, ""),
-        // 9 and 12 are unassigned: `decode_sys_error` rejects them, so a
-        // frame carrying one ends the valid prefix like any malformed
+        // 8, 9 and 12 are unassigned: `decode_sys_error` rejects them, so
+        // a frame carrying one ends the valid prefix like any malformed
         // payload.
         SysError::Fault(site) => (10, site),
         SysError::LimitExceeded(what) => (11, what),
@@ -433,7 +430,6 @@ fn decode_sys_error(c: &mut Cursor<'_>) -> Option<SysError> {
         5 => SysError::ToolFailed(payload),
         6 => SysError::Timeout,
         7 => SysError::DeadlineExceeded,
-        8 => SysError::Unavailable,
         10 => SysError::Fault(intern(payload)),
         11 => SysError::LimitExceeded(intern(payload)),
         13 => SysError::Internal(intern(payload)),
@@ -558,32 +554,9 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
             }
         }
         WalRecord::Checkpoint {
-            next_pid,
-            breakers,
-            preds,
-            ..
+            next_pid, preds, ..
         } => {
             push_u64(out, *next_pid);
-            push_u32(out, breakers.len() as u32);
-            for (tool, state) in breakers {
-                push_str(out, tool);
-                match state {
-                    BreakerStateView::Closed {
-                        consecutive_failures,
-                    } => {
-                        out.push(0);
-                        push_u64(out, u64::from(*consecutive_failures));
-                    }
-                    BreakerStateView::Open { until } => {
-                        out.push(1);
-                        push_u64(out, until.as_nanos());
-                    }
-                    BreakerStateView::HalfOpen => {
-                        out.push(2);
-                        push_u64(out, 0);
-                    }
-                }
-            }
             push_u32(out, preds.len() as u32);
             for (pid, rec) in preds {
                 push_u64(out, *pid);
@@ -689,24 +662,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
         TAG_CHECKPOINT => {
             let next_pid = c.u64()?;
             let n = c.u32()? as usize;
-            let mut breakers = Vec::with_capacity(n.min(payload.len()));
-            for _ in 0..n {
-                let tool = c.str()?;
-                let kind = c.u8()?;
-                let value = c.u64()?;
-                let state = match kind {
-                    0 => BreakerStateView::Closed {
-                        consecutive_failures: u32::try_from(value).ok()?,
-                    },
-                    1 => BreakerStateView::Open {
-                        until: SimTime::from_nanos(value),
-                    },
-                    2 => BreakerStateView::HalfOpen,
-                    _ => return None,
-                };
-                breakers.push((tool, state));
-            }
-            let n = c.u32()? as usize;
             let mut preds = Vec::with_capacity(n.min(payload.len()));
             for _ in 0..n {
                 let pid = c.u64()?;
@@ -727,7 +682,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
             WalRecord::Checkpoint {
                 at,
                 next_pid,
-                breakers,
                 preds,
             }
         }
@@ -894,7 +848,6 @@ pub(crate) struct Replay {
     /// `(from, seq)` of the delivered sends in journal (= delivery) order,
     /// for mailbox reconstruction; the payloads are in `effects`.
     pub(crate) sends: Vec<(u64, u64)>,
-    pub(crate) breakers: Vec<(String, BreakerStateView)>,
     pub(crate) frames: u64,
     pub(crate) wal_bytes: u64,
     pub(crate) torn: bool,
@@ -1028,13 +981,9 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 }
             }
             WalRecord::Checkpoint {
-                next_pid,
-                breakers,
-                preds,
-                ..
+                next_pid, preds, ..
             } => {
                 r.next_pid = r.next_pid.max(next_pid);
-                r.breakers = breakers;
                 for (pid, log) in preds {
                     r.preds.insert(pid, PredReplay::new(log));
                 }
@@ -1098,7 +1047,6 @@ mod tests {
         WalRecord::Checkpoint {
             at: SimTime::from_nanos(at),
             next_pid: 2,
-            breakers: vec![],
             preds,
         }
     }
@@ -1166,20 +1114,6 @@ mod tests {
             WalRecord::Checkpoint {
                 at: SimTime::from_nanos(50),
                 next_pid: 3,
-                breakers: vec![
-                    (
-                        "search".into(),
-                        BreakerStateView::Closed {
-                            consecutive_failures: 2,
-                        },
-                    ),
-                    (
-                        "flaky".into(),
-                        BreakerStateView::Open {
-                            until: SimTime::from_nanos(99),
-                        },
-                    ),
-                ],
                 preds: vec![(1, pred_record(2, 9, &[(4, 3)]))],
             },
             WalRecord::ProcExit {
@@ -1228,13 +1162,13 @@ mod tests {
 
     #[test]
     fn a_pred_listing_is_independent_of_the_reply() {
-        // A checkpoint with no breakers: at + next_pid + two counts, plus
+        // An empty checkpoint: at + next_pid + the listing count, plus
         // the frame's tag/len/crc. A listing adds pid + watermark + total +
         // its extras count, and `(seq, n_tokens)` per extra: neither the
         // distributions (vocabulary-sized, one per token) nor the calls
         // below the watermark are in it.
         let empty = encode_frame(&checkpoint(40, vec![])).len();
-        assert_eq!(empty, 8 + 8 + 4 + 4 + FRAME_OVERHEAD);
+        assert_eq!(empty, 8 + 8 + 4 + FRAME_OVERHEAD);
         for (watermark, below_tokens, n_tokens) in [(1, 1, 1), (10_000, 1 << 40, u32::MAX)] {
             let rec = pred_record(watermark, below_tokens, &[(watermark + 1, n_tokens)]);
             let frame = encode_frame(&checkpoint(40, vec![(1, rec)]));
@@ -1435,7 +1369,7 @@ mod tests {
             2,
             Effect::Tool {
                 latency_ns: 500,
-                result: Err(SysError::Unavailable),
+                result: Err(SysError::Timeout),
             },
         );
         let mut payload = encode_payload(&rec);
@@ -1444,14 +1378,14 @@ mod tests {
         let mut empty = Vec::new();
         push_str(&mut empty, "");
         let kind = payload.len() - empty.len() - 2;
-        assert_eq!(payload[kind], 8);
+        assert_eq!(payload[kind], 6);
         let prefix = wal_bytes(&sample_records()[..2], 3);
         let mut bytes = prefix.clone();
         append_frame(&mut bytes, record_tag(&rec), &payload);
         assert_eq!(read_wal(&bytes).unwrap().1.len(), 3, "the frame as written");
-        // Codes 9 and 12 name no error: the frame checksums, but it ends
-        // the valid prefix.
-        for code in [9, 12] {
+        // Codes 8, 9 and 12 name no error: the frame checksums, but it
+        // ends the valid prefix.
+        for code in [8, 9, 12] {
             payload[kind] = code;
             let mut bytes = prefix.clone();
             append_frame(&mut bytes, record_tag(&rec), &payload);
@@ -1574,7 +1508,6 @@ mod tests {
         assert_eq!(r.preds[&1].log, pred_record(2, 9, &[(4, 3)]));
         assert_eq!(r.sends, vec![(1, 0)]);
         assert_eq!(r.recv_counts()[&2], 1);
-        assert_eq!(r.breakers.len(), 2);
         assert_eq!(r.scheduled.len(), 1);
         assert_eq!(r.scheduled[&4].arrival, SimTime::from_nanos(900));
     }
@@ -1640,7 +1573,6 @@ mod tests {
             SysError::Fault("gpu.pred"),
             SysError::LimitExceeded("pred_tokens"),
             SysError::Internal("some invariant"),
-            SysError::Unavailable,
             SysError::Cancelled,
         ];
         for e in errors {
@@ -1688,7 +1620,12 @@ mod tests {
     }
 
     /// The format changes only on purpose: length and FNV-1a of this
-    /// record list's encoding under seed 42. Version 5 is 733 bytes against
+    /// record list's encoding under seed 42. Version 6 is 692 bytes against
+    /// version 5's 733 (FNV-1a `0xceb8_ed4e`): the checkpoint frame lost its
+    /// breaker list — the 4-byte count and the list's two entries, each a
+    /// length-prefixed tool name (4 + 6 and 4 + 5 bytes), a state byte and
+    /// a `u64`, 41 bytes in all — and the header's version word reads 6.
+    /// Version 5 was 733 bytes against
     /// version 4's 726 (FNV-1a `0x41d9_9f32`): the list's 37-byte `pred`
     /// marker frame (tag 39: at, pid, seq, `n_tokens` and the frame
     /// overhead) is gone, the checkpoint frame gains a 4-byte listing count
@@ -1701,7 +1638,7 @@ mod tests {
     fn on_disk_format_is_pinned() {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 42);
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (733, 0xceb8_ed4e));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (692, 0x1d21_2ba5));
         // The writer lays down the same bytes: every frame is written when
         // it is made, so file order is list order.
         let dir = std::env::temp_dir().join(format!("symwal-pin-{}", std::process::id()));

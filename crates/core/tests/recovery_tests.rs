@@ -1,7 +1,8 @@
 //! Kernel crash/recovery chaos tests.
 //!
 //! The centrepiece kills the kernel at *every* syscall boundary of a small
-//! agent workload (pred loops, a deterministic tool, IPC to a collector,
+//! agent workload (pred loops, deterministic tools — one of which the odd
+//! agents retry after a failed first attempt — IPC to a collector,
 //! `now`/`lookup` effects), recovers from the WAL, and asserts the union of
 //! crashed + recovered execution is indistinguishable from an uninterrupted
 //! run: byte-equal per-program outputs, equal exit statuses, and — via a
@@ -33,17 +34,37 @@ fn tmp(name: &str) -> std::path::PathBuf {
 
 const AGENTS: usize = 3;
 
-/// Deterministic tool: output depends only on args; latency is fixed. The
-/// shared counter observes real handler firings (replayed calls must not
-/// re-fire it).
-fn search_tool(fired: Arc<AtomicU64>) -> ToolSpec {
-    ToolSpec::fixed(SimDuration::from_millis(4), move |args| {
-        fired.fetch_add(1, Ordering::SeqCst);
-        ToolOutcome::Ok(format!("doc({args})"))
-    })
+/// The fleet's two deterministic tools: output depends only on args;
+/// latency is fixed. The shared counter observes real handler firings
+/// (replayed calls must not re-fire it). `fetch` takes `<agent>#<attempt>`
+/// and fails the first attempt of an odd-numbered agent — decided by the
+/// args, not by a counter, so a re-executed call gets the outcome the first
+/// execution got.
+fn register_tools(k: &mut Kernel, fired: Arc<AtomicU64>) {
+    let search = fired.clone();
+    k.register_tool(
+        "search",
+        ToolSpec::fixed(SimDuration::from_millis(4), move |args| {
+            search.fetch_add(1, Ordering::SeqCst);
+            ToolOutcome::Ok(format!("doc({args})"))
+        }),
+    );
+    k.register_tool(
+        "fetch",
+        ToolSpec::fixed(SimDuration::from_millis(2), move |args| {
+            fired.fetch_add(1, Ordering::SeqCst);
+            let (agent, attempt) = args.split_once('#').unwrap_or((args, ""));
+            let odd = agent.parse::<u32>().is_ok_and(|a| a % 2 == 1);
+            if odd && attempt == "0" {
+                ToolOutcome::Failed("503".into())
+            } else {
+                ToolOutcome::Ok(format!("page({agent})"))
+            }
+        }),
+    );
 }
 
-/// Research-agent LIP: sample a few tokens, consult the tool, stamp the
+/// Research-agent LIP: sample a few tokens, consult the tools, stamp the
 /// virtual clock, and report to the collector.
 fn agent_image() -> ProgramImage {
     Arc::new(|ctx| {
@@ -58,13 +79,25 @@ fn agent_image() -> ProgramImage {
         )?;
         let answer = ctx.detokenize(&gen.tokens)?;
         let doc = ctx.call_tool("search", &args)?;
+        // The program's own retry policy: a failed fetch is tried again
+        // after a pause.
+        let mut attempt = 0;
+        let page = loop {
+            match ctx.call_tool("fetch", &format!("{args}#{attempt}")) {
+                Err(SysError::ToolFailed(_)) if attempt < 2 => {
+                    ctx.sleep(SimDuration::from_millis(3))?;
+                    attempt += 1;
+                }
+                result => break result?,
+            }
+        };
         // Exercise the `now` effect class, but keep the observed value out
         // of the output: virtual timing is NOT part of the equivalence
         // contract (a live tail runs on a clock that skipped replayed
         // latencies), only control flow and data are.
         let t = ctx.now()?;
         assert!(t >= SimTime::ZERO);
-        ctx.emit(&format!("{args}:{answer}|{doc}"))?;
+        ctx.emit(&format!("{args}:{answer}|{doc}|{page}"))?;
         let sink = ctx.lookup_process("sink")?.ok_or(SysError::NotFound)?;
         ctx.send_msg(sink, &format!("done-{args}"))?;
         ctx.kv_remove(kv)?;
@@ -153,7 +186,7 @@ struct Baseline {
 fn run_baseline(path: &std::path::Path) -> Baseline {
     let fired = Arc::new(AtomicU64::new(0));
     let mut k = Kernel::new(config(path, None));
-    k.register_tool("search", search_tool(fired.clone()));
+    register_tools(&mut k, fired.clone());
     spawn_fleet(&mut k);
     k.run();
     assert!(k.crashed().is_none());
@@ -164,6 +197,11 @@ fn run_baseline(path: &std::path::Path) -> Baseline {
         fired: fired.load(Ordering::SeqCst),
     };
     assert_eq!(b.outcomes.len(), AGENTS + 2, "fleet + sink + late all finish");
+    assert_eq!(
+        b.invocations,
+        (2 * AGENTS + AGENTS / 2) as u64,
+        "a search and a fetch per agent, and a second fetch per odd agent"
+    );
     assert!(b.outcomes.values().all(|(_, ok)| *ok));
     b
 }
@@ -183,7 +221,7 @@ fn kill_at_every_syscall_boundary_recovers_equivalently() {
         // Run until the injected crash.
         let crashed_invocations = {
             let mut k = Kernel::new(config(&path, Some(b)));
-            k.register_tool("search", search_tool(fired.clone()));
+            register_tools(&mut k, fired.clone());
             spawn_fleet(&mut k);
             k.run();
             assert_eq!(k.crashed(), Some(b), "kill-point {b} fires");
@@ -192,7 +230,7 @@ fn kill_at_every_syscall_boundary_recovers_equivalently() {
 
         // Recover: journalled effects replay, the tail re-executes live.
         let (mut k, report) = Kernel::recover(config(&path, None)).expect("recoverable WAL");
-        k.register_tool("search", search_tool(fired.clone()));
+        register_tools(&mut k, fired.clone());
         let resumed = k.resume_programs(resolver);
         assert_eq!(resumed.lost, 0, "boundary {b}: every image resolves");
         assert_eq!(report.frames, resumed.frames);
@@ -236,14 +274,14 @@ fn a_crash_during_recovery_recovers_equivalently() {
         let fired = Arc::new(AtomicU64::new(0));
         {
             let mut k = Kernel::new(config(path, Some(b1)));
-            k.register_tool("search", search_tool(fired.clone()));
+            register_tools(&mut k, fired.clone());
             spawn_fleet(&mut k);
             k.run();
             assert_eq!(k.crashed(), Some(b1));
         }
         let recover = |crash_at: Option<u64>| {
             let (mut k, _) = Kernel::recover(config(path, crash_at)).expect("recoverable WAL");
-            k.register_tool("search", search_tool(fired.clone()));
+            register_tools(&mut k, fired.clone());
             assert_eq!(k.resume_programs(resolver).lost, 0);
             k.run();
             assert_eq!(k.crashed(), crash_at);
@@ -292,7 +330,7 @@ fn recovery_is_deterministic() {
         };
         {
             let mut k = Kernel::new(traced(Some(17)));
-            k.register_tool("search", search_tool(Arc::new(AtomicU64::new(0))));
+            register_tools(&mut k, Arc::new(AtomicU64::new(0)));
             spawn_fleet(&mut k);
             k.run();
             assert_eq!(k.crashed(), Some(17));
@@ -302,7 +340,7 @@ fn recovery_is_deterministic() {
             ));
         }
         let (mut k, _) = Kernel::recover(traced(None)).unwrap();
-        k.register_tool("search", search_tool(Arc::new(AtomicU64::new(0))));
+        register_tools(&mut k, Arc::new(AtomicU64::new(0)));
         let resumed = k.resume_programs(resolver).resumed as u64;
         k.run();
         assert!(k.telemetry_events().iter().any(
@@ -613,7 +651,7 @@ fn clean_run_recovers_as_finished_records() {
     let baseline = run_baseline(&path);
 
     let (mut k, report) = Kernel::recover(config(&path, None)).unwrap();
-    k.register_tool("search", search_tool(Arc::new(AtomicU64::new(0))));
+    register_tools(&mut k, Arc::new(AtomicU64::new(0)));
     let resumed = k.resume_programs(resolver);
     assert_eq!(resumed.resumed, 0, "nothing was in flight");
     assert_eq!(resumed.finished, AGENTS + 2);
@@ -639,14 +677,14 @@ fn scheduled_program_survives_crash_before_arrival() {
     {
         // Boundary 2 lands well before the 20ms arrival of "late".
         let mut k = Kernel::new(config(&path, Some(2)));
-        k.register_tool("search", search_tool(Arc::new(AtomicU64::new(0))));
+        register_tools(&mut k, Arc::new(AtomicU64::new(0)));
         spawn_fleet(&mut k);
         k.run();
         assert_eq!(k.crashed(), Some(2));
         assert!(k.records().all(|r| r.name != "late" || r.exited_at.is_none()));
     }
     let (mut k, _) = Kernel::recover(config(&path, None)).unwrap();
-    k.register_tool("search", search_tool(Arc::new(AtomicU64::new(0))));
+    register_tools(&mut k, Arc::new(AtomicU64::new(0)));
     k.resume_programs(resolver);
     k.run();
     assert_eq!(outcomes(&k).get("late"), Some(&late_baseline));
@@ -662,13 +700,13 @@ fn unresolvable_image_is_recorded_as_crashed() {
     let path = tmp("lost.wal");
     {
         let mut k = Kernel::new(config(&path, Some(30)));
-        k.register_tool("search", search_tool(Arc::new(AtomicU64::new(0))));
+        register_tools(&mut k, Arc::new(AtomicU64::new(0)));
         spawn_fleet(&mut k);
         k.run();
         assert_eq!(k.crashed(), Some(30));
     }
     let (mut k, _) = Kernel::recover(config(&path, None)).unwrap();
-    k.register_tool("search", search_tool(Arc::new(AtomicU64::new(0))));
+    register_tools(&mut k, Arc::new(AtomicU64::new(0)));
     let resumed =
         k.resume_programs(|name| if name == "sink" { None } else { resolver(name) });
     assert_eq!(resumed.lost, 1, "the sink's image is gone");

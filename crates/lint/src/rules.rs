@@ -75,7 +75,6 @@ const KERNEL_PATHS: &[&str] = &[
     "crates/core/src/wal.rs",
     "crates/core/src/syscall.rs",
     "crates/core/src/sched.rs",
-    "crates/core/src/resilience.rs",
     // The admission verifier runs on every SUBMIT inside the serve event
     // loop; a panic while checking or rendering a hostile program is a
     // remote denial of service.
@@ -383,8 +382,9 @@ pub fn explain(rule: Rule) -> &'static str {
             "k1: no panicking calls on kernel paths\n\
              \n\
              Matches `.unwrap()`, `.expect(`, `panic!`, `unreachable!`,\n\
-             `todo!` and `unimplemented!` in crates/core/src/{kernel,syscall,\n\
-             sched,resilience}.rs, crates/kvfs/src and crates/gpu/src.\n\
+             `todo!` and `unimplemented!` in crates/core/src/{kernel,proc,\n\
+             recovery,wal,syscall,sched}.rs, crates/kvfs/src and\n\
+             crates/gpu/src.\n\
              \n\
              A LIP is an untrusted program; the kernel is the operating\n\
              system under thousands of them. Any panic reachable from a\n\

@@ -426,6 +426,59 @@ fn kernel_integration_end_to_end() {
     kernel.store().verify().unwrap();
 }
 
+/// A failed system call ends the thread that made it, so a LipScript
+/// program retries a tool by making each attempt in a thread of its own:
+/// `join` says whether it succeeded, and the program sleeps a jittered
+/// backoff before the next one (docs/RESILIENCE.md, "A failed tool call").
+#[test]
+fn a_program_retries_a_failed_tool_call_in_a_thread() {
+    use symphony::{Kernel, KernelConfig, SimDuration, ToolOutcome, ToolSpec};
+
+    let src = r##"
+        fn attempt(q, n) { emit(call_tool("api", q + "#" + str(n))); }
+
+        let tries = 1;
+        let backoff = 5;
+        while (!join(spawn("attempt", [args(), tries]))) {
+            if (tries == 4) { break; }
+            sleep_ms(int(backoff * (0.9 + 0.2 * rand())));
+            backoff = backoff * 2;
+            tries = tries + 1;
+        }
+        emit(" after " + str(tries));
+    "##
+    .to_string();
+    let mut kernel = Kernel::new(KernelConfig::for_tests());
+    // The first two attempts fail: decided by the args, not a counter.
+    kernel.register_tool(
+        "api",
+        ToolSpec::fixed(SimDuration::from_millis(1), |args| {
+            match args.rsplit_once('#') {
+                Some((q, n)) if n.parse::<u32>().is_ok_and(|n| n > 2) => {
+                    ToolOutcome::Ok(format!("page({q})"))
+                }
+                _ => ToolOutcome::Failed("503".into()),
+            }
+        }),
+    );
+    let pid = kernel.spawn_process("lipscript", "q", move |ctx| {
+        symphony_lipscript::run_lip(&src, ctx, InterpLimits::default())
+            .map(drop)
+            .map_err(|e| symphony::SysError::ToolFailed(e.to_string()))
+    });
+    kernel.run();
+    let rec = kernel.record(pid).unwrap();
+    assert!(rec.status.is_ok(), "{:?}", rec.status);
+    assert_eq!(rec.output, "page(q) after 3");
+    assert_eq!(kernel.tool_invocations(), 3, "one call per attempt");
+    // Three 1 ms attempts and two backoffs of about 5 and 10 ms.
+    let took = rec.latency().unwrap();
+    assert!(
+        (SimDuration::from_millis(16)..=SimDuration::from_millis(20)).contains(&took),
+        "{took}"
+    );
+}
+
 #[test]
 fn kernel_sandbox_kills_hostile_program_not_server() {
     use symphony::{Kernel, KernelConfig};

@@ -29,7 +29,6 @@
 pub mod dist;
 pub mod events;
 pub mod frame;
-pub mod retry;
 pub mod rng;
 pub mod seglog;
 pub mod slab;
@@ -38,7 +37,6 @@ pub mod time;
 
 pub use dist::{Categorical, Exponential, LogNormal, Pareto, PoissonProcess, Zipf};
 pub use events::EventQueue;
-pub use retry::RetryPolicy;
 pub use rng::Rng;
 pub use slab::IdSlab;
 pub use stats::Series;

@@ -168,7 +168,7 @@ impl SegLog {
     pub fn flush(&mut self) -> io::Result<()> {
         self.file.write_all(&self.pending)?;
         self.len += self.pending.len() as u64;
-        self.drop_pending();
+        self.pending.clear();
         Ok(())
     }
 
@@ -184,11 +184,6 @@ impl SegLog {
         written?;
         self.len += frame_len as u64;
         Ok(())
-    }
-
-    /// Forgets the buffered frames — what a crash does to them.
-    pub fn drop_pending(&mut self) {
-        self.pending.clear();
     }
 
     /// Cuts the file back to its first `len` bytes; later writes land

@@ -5,7 +5,7 @@
 //! Track layout:
 //!
 //! * **kernel** (pid 0) — one `scheduler` thread carrying dispatch,
-//!   pred-pool, breaker, fault and IPC instants;
+//!   pred-pool, fault and IPC instants;
 //! * **gpu** (pid 1 000 000) — one `batches` thread carrying `gpu_batch`
 //!   spans and copy-on-write instants;
 //! * one process per LIP pid, with a thread track per tid carrying
@@ -494,41 +494,6 @@ pub fn export_chrome_trace(events: &[TimedEvent]) -> String {
                     Some(format!(
                         "{{\"attempts\":{attempts},\"latency_ns\":{latency_ns}}}"
                     )),
-                );
-            }
-            EventKind::ToolRetry {
-                pid,
-                tid,
-                tool,
-                failures,
-            } => {
-                w.instant(
-                    at,
-                    *pid,
-                    *tid,
-                    "tool_retry",
-                    Some(format!(
-                        "{{\"tool\":{},\"failures\":{failures}}}",
-                        quoted(tool)
-                    )),
-                );
-            }
-            EventKind::BreakerTrip { tool } => {
-                w.instant(
-                    at,
-                    KERNEL_PID,
-                    SCHED_TID,
-                    "breaker_trip",
-                    Some(format!("{{\"tool\":{}}}", quoted(tool))),
-                );
-            }
-            EventKind::BreakerReject { pid, tid, tool } => {
-                w.instant(
-                    at,
-                    *pid,
-                    *tid,
-                    "breaker_reject",
-                    Some(format!("{{\"tool\":{}}}", quoted(tool))),
                 );
             }
             EventKind::FaultInjected { site } => {

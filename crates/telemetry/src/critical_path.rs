@@ -39,7 +39,7 @@ pub enum Phase {
     KvSwapIn,
     /// `kv_swap_out` syscalls (transfer out of HBM).
     KvSwapOut,
-    /// `call_tool` syscalls (virtual tool I/O, retries included).
+    /// `call_tool` syscalls (virtual tool I/O).
     Tool,
     /// Blocked in `recv`/`join` waiting on another thread's progress.
     IpcBlocked,

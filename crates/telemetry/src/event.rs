@@ -131,7 +131,7 @@ pub enum EventKind {
         dir: SwapDir,
         done_at: SimTime,
     },
-    /// A whole tool call was planned: `attempts` tries totalling
+    /// A tool call was made: one attempt (`attempts` is always 1) taking
     /// `latency_ns` of virtual I/O time (thread track).
     ToolInvoke {
         pid: u64,
@@ -140,17 +140,6 @@ pub enum EventKind {
         attempts: u32,
         latency_ns: u64,
     },
-    /// One failed tool attempt will be retried (thread track).
-    ToolRetry {
-        pid: u64,
-        tid: u64,
-        tool: String,
-        failures: u32,
-    },
-    /// A circuit breaker tripped open (scheduler track).
-    BreakerTrip { tool: String },
-    /// A call was fast-failed by an open breaker (thread track).
-    BreakerReject { pid: u64, tid: u64, tool: String },
     /// The fault injector fired at a site (scheduler track).
     FaultInjected { site: &'static str },
     /// A process's wall-clock deadline passed (process track).
