@@ -43,7 +43,7 @@ struct Point {
     replayed_frames: u64,
     /// GPU tokens re-paid across all attempts beyond the crash-free cost.
     wasted_tokens: u64,
-    /// Wall-clock spent in `recover` + `resume_programs`, summed.
+    /// Wall-clock spent in `Kernel::recover`, summed.
     recovery_ms: f64,
     wal_bytes: u64,
     /// Per-tag WAL frame counts (journal-growth observability), reported
@@ -191,12 +191,11 @@ fn run_point(scale: &Scale, every: SimDuration, crash_every: u64, tag: &str) -> 
         restarts += 1;
         crash_at = (crash_every > 0).then(|| draw_gap(&mut crash_rng, crash_every));
         let wall = std::time::Instant::now();
-        let (mut next, _report) =
-            Kernel::recover(make_config(&wal_path, every, crash_at)).expect("recoverable WAL");
-        register_tools(&mut next);
-        let resumed = next.resume_programs(resolver);
+        let (mut next, report) = Kernel::recover(make_config(&wal_path, every, crash_at), resolver)
+            .expect("recoverable WAL");
         recovery_ms += wall.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(resumed.lost, 0, "every agent image resolves");
+        register_tools(&mut next);
+        assert_eq!(report.lost, 0, "every agent image resolves");
         replayed += next.replayed_frames();
         next.run();
         total_tokens += gpu_tokens(&next);

@@ -13,9 +13,7 @@
 //!    path pays only a branch.
 
 use symphony::sampling::{generate, GenOpts};
-use symphony::{
-    Collector, EventKind, Kernel, KernelConfig, SimDuration, ToolOutcome, ToolSpec,
-};
+use symphony::{EventKind, Kernel, KernelConfig, SimDuration, ToolOutcome, ToolSpec};
 
 /// Everything observable about a finished run, comparable with `==`.
 #[derive(Debug, PartialEq)]
@@ -197,24 +195,6 @@ fn disabled_telemetry_is_zero_cost_and_changes_nothing() {
         strip_wall(on.metrics_snapshot().to_json()),
         "metrics must not depend on event recording"
     );
-}
-
-#[test]
-fn counting_collector_counts_without_storing() {
-    let mut k = toolcalls_kernel(42, false);
-    k.set_event_collector(Collector::Counting(0));
-    k.run();
-    let constructed = k.telemetry_constructed();
-    assert!(constructed > 0, "counting collector constructs events");
-    assert!(k.telemetry_events().is_empty(), "but stores none");
-    match k.set_event_collector(Collector::Null) {
-        Collector::Counting(n) => assert_eq!(n, constructed),
-        other => panic!("expected counting collector back, got {other:?}"),
-    }
-    // Counting observes the same run the disabled kernel computes.
-    let mut off = toolcalls_kernel(42, false);
-    off.run();
-    assert_eq!(digest(&off), digest(&k));
 }
 
 /// A tiny fixed-seed run whose exported trace is checked into the repo.

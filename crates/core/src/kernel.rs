@@ -28,9 +28,8 @@ use symphony_model::surrogate::VocabInfo;
 use symphony_model::{ModelConfig, Preds, Surrogate, TokenId};
 use symphony_sim::{EventQueue, IdSlab, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
-    export_chrome_trace, latency_bounds_ns, occupancy_bounds, percent_bounds, Collector, Counter,
-    EdgeKind, EventBus, EventKind, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SwapDir,
-    TimedEvent,
+    export_chrome_trace, latency_bounds_ns, occupancy_bounds, percent_bounds, Counter, EdgeKind,
+    EventBus, EventKind, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SwapDir, TimedEvent,
 };
 use symphony_tokenizer::Bpe;
 
@@ -48,7 +47,7 @@ use crate::wal::{self, Effect, EffectClass, WalConfig, WalState};
 
 /// A re-constructible program body for crash recovery. Unlike the plain
 /// `FnOnce` closures accepted by [`Kernel::spawn_process`], an image can be
-/// invoked again after a kernel crash, so [`Kernel::resume_programs`] can
+/// invoked again after a kernel crash, so [`Kernel::recover`] can
 /// re-execute the program deterministically from its start while answering
 /// journalled syscall effects from the WAL.
 pub type ProgramImage = Arc<dyn Fn(&mut Ctx) -> Result<(), SysError> + Send + Sync + 'static>;
@@ -519,8 +518,6 @@ pub struct Kernel {
     /// Journalled state being replayed after `recover`; consulted by
     /// effectful syscalls to answer from the log instead of re-firing.
     pub(crate) replay: Option<wal::Replay>,
-    /// `resume_programs` already ran (it must run at most once).
-    pub(crate) programs_resumed: bool,
     /// Syscall boundaries crossed (crash-injection kill-points).
     syscall_boundaries: u64,
     /// Set when an injected kernel crash fired; the run loop halts.
@@ -685,7 +682,6 @@ impl Kernel {
             max_batch: config.max_batch,
             wal: None,
             replay: None,
-            programs_resumed: false,
             syscall_boundaries: 0,
             crashed: None,
             session_sink: None,
@@ -863,13 +859,6 @@ impl Kernel {
     // lint:allow(u1): a probe that a disabled bus constructs no event, which no other API observes
     pub fn telemetry_constructed(&self) -> u64 {
         self.bus.constructed()
-    }
-
-    /// Replaces the telemetry collector, returning the old one (tests use
-    /// this to install a counting collector mid-run).
-    // lint:allow(u1): installs the counting probe behind the disabled-bus zero-cost check
-    pub fn set_event_collector(&mut self, collector: Collector) -> Collector {
-        self.bus.set_collector(collector)
     }
 
     /// Renders the recorded telemetry events as Chrome trace-event JSON

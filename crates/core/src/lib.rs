@@ -100,7 +100,7 @@ pub use symphony_sim::{SimDuration, SimTime};
 // metrics without depending on `symphony-telemetry` directly.
 pub use symphony_telemetry as telemetry;
 pub use symphony_telemetry::{
-    analyze, build_forest, collapsed_stacks, render_report, Collector, EdgeKind, EventBus,
-    EventKind, LatencyBreakdown, MetricValue, MetricsRegistry, MetricsSnapshot, Phase, SwapDir,
-    TimedEvent, TraceForest, PHASES,
+    analyze, build_forest, collapsed_stacks, render_report, EdgeKind, EventBus, EventKind,
+    LatencyBreakdown, MetricValue, MetricsRegistry, MetricsSnapshot, Phase, SwapDir, TimedEvent,
+    TraceForest, PHASES,
 };

@@ -11,7 +11,9 @@
 //! `schedule_*` names, a scheduled arrival firing, recovery re-admitting a
 //! journalled program — is a caller of `install` and `start`; whether a
 //! process is durable is one field set at `install`, read by
-//! `Kernel::journal` and by the spawn/exit frames written here.
+//! `Kernel::journal` and by the admission/exit frames written here. A
+//! durable program's admission frame is written once, when `admit`
+//! installs it: `start` knows nothing of the WAL.
 //!
 //! What exit keeps, what reap removes: between the last two a process is a
 //! *zombie*, as on Unix — finalize drops everything it needed to run (its
@@ -47,6 +49,17 @@ use crate::kernel::{Event, Kernel, ProgramImage, SessionEvent};
 use crate::syscall::{Body, Ctx, InlineBody, SysReply, ThreadEnv};
 use crate::types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SysError, Tid};
 use crate::wal::{self, EffectClass, WalRecord};
+
+/// When an admitted program's main thread starts.
+pub(crate) enum Arrival {
+    /// At once.
+    Now,
+    /// When the virtual clock reaches the given time.
+    At(SimTime),
+    /// Re-admitted from the WAL under its journalled pid and arrival: at
+    /// once if the arrival is at or before the restored clock, else then.
+    Journalled { pid: Pid, arrival: SimTime },
+}
 
 /// A live thread's body between system calls: a value the kernel steps
 /// itself (`Kernel::resume`), whatever kind of program it holds. The
@@ -183,7 +196,7 @@ impl Kernel {
         F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
     {
         let body = Body::Hosted(Box::new(f));
-        self.admit(name, args, None, limits, false, body)
+        self.admit(name, args, Arrival::Now, limits, false, body)
     }
 
     /// Schedules a LIP to arrive at a future virtual time (workload driving).
@@ -191,8 +204,8 @@ impl Kernel {
     where
         F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
     {
-        let body = Body::Hosted(Box::new(f));
-        self.admit(name, args, Some(at), self.default_limits, false, body)
+        let (body, limits) = (Body::Hosted(Box::new(f)), self.default_limits);
+        self.admit(name, args, Arrival::At(at), limits, false, body)
     }
 
     /// Admits a LIP whose body the kernel steps on its own thread — now,
@@ -206,23 +219,23 @@ impl Kernel {
         at: Option<SimTime>,
         body: Box<dyn InlineBody>,
     ) -> Pid {
-        let body = Body::Inline(body);
-        self.admit(name, args, at, self.default_limits, false, body)
+        let (arrival, body) = (at.map_or(Arrival::Now, Arrival::At), Body::Inline(body));
+        self.admit(name, args, arrival, self.default_limits, false, body)
     }
 
-    /// Spawns a durable LIP immediately: its spawn and effectful syscalls
-    /// are journalled to the WAL so [`Kernel::recover`] +
-    /// [`Kernel::resume_programs`] can re-execute it deterministically
-    /// after a crash. The image must be re-invocable; see [`ProgramImage`].
+    /// Spawns a durable LIP immediately: its admission and effectful
+    /// syscalls are journalled to the WAL so [`Kernel::recover`] can
+    /// re-execute it deterministically after a crash. The image must be
+    /// re-invocable; see [`ProgramImage`].
     // lint:allow(u1): part of the `spawn_*` family that ROADMAP item 1 folds into one entry point whole
     pub fn spawn_durable(&mut self, name: &str, args: &str, image: ProgramImage) -> Pid {
         let body = Body::Hosted(Box::new(move |ctx: &mut Ctx| image(ctx)));
-        self.admit(name, args, None, self.default_limits, true, body)
+        self.admit(name, args, Arrival::Now, self.default_limits, true, body)
     }
 
-    /// Schedules a durable LIP for a future virtual arrival. The schedule
-    /// itself is journalled, so a crash before the arrival does not drop
-    /// the program: recovery re-admits it under the same pid, and its
+    /// Schedules a durable LIP for a future virtual arrival. Its admission
+    /// is journalled now, so a crash before the arrival does not drop the
+    /// program: recovery re-admits it under the same pid, and its
     /// threads draw the same RNG streams either way (they are derived from
     /// the pid, see [`Kernel::start`]).
     pub fn schedule_durable(
@@ -233,38 +246,46 @@ impl Kernel {
         image: ProgramImage,
     ) -> Pid {
         let body = Body::Hosted(Box::new(move |ctx: &mut Ctx| image(ctx)));
-        self.admit(name, args, Some(at), self.default_limits, true, body)
+        self.admit(name, args, Arrival::At(at), self.default_limits, true, body)
     }
 
-    /// The one way in: installs the process, then starts it now or
-    /// schedules its arrival for `at` (journalling a durable one's
-    /// schedule).
-    fn admit(
+    /// The one way in, for the public names and for recovery alike:
+    /// installs the process, journals a new durable one's admission, then
+    /// starts it now or schedules its arrival.
+    pub(crate) fn admit(
         &mut self,
         name: &str,
         args: &str,
-        at: Option<SimTime>,
+        arrival: Arrival,
         limits: Limits,
         durable: bool,
         body: Body,
     ) -> Pid {
         let now = self.events.now();
-        let pid = self.install(None, name, args, at.unwrap_or(now), limits, durable);
-        let Some(at) = at else {
-            self.start(pid, body);
-            return pid;
+        let (journalled, arrival, at) = match arrival {
+            Arrival::Now => (None, now, None),
+            Arrival::At(at) => (None, at, Some(at)),
+            Arrival::Journalled { pid, arrival } => {
+                (Some(pid), arrival, (arrival > now).then_some(arrival))
+            }
         };
-        if durable {
-            self.wal_append(WalRecord::ProcSched {
+        let pid = self.install(journalled, name, args, arrival, limits, durable);
+        // A re-admitted program's admission is in the log it replays.
+        if durable && journalled.is_none() {
+            self.wal_append(WalRecord::ProcSpawn {
                 at: now,
                 pid: pid.0,
-                arrival: at,
+                arrival,
                 name: name.to_string(),
                 args: args.to_string(),
                 limits,
             });
         }
-        self.events.schedule(at, Event::SpawnProgram { pid, body });
+        if let Some(at) = at {
+            self.events.schedule(at, Event::SpawnProgram { pid, body });
+        } else {
+            self.start(pid, body);
+        }
         pid
     }
 
@@ -336,8 +357,7 @@ impl Kernel {
 
     /// Starts one LIP thread of `pid` running `body` under a fresh tid. The
     /// first thread of a process is its main thread, and starting it is
-    /// what starts the process: the spawn event and, for a durable process
-    /// not already in the log, the spawn frame. The thread's RNG stream is
+    /// what starts the process: the spawn event. The thread's RNG stream is
     /// `Rng::derive(seed, [pid, ordinal])`, the ordinal being its start
     /// order within the process (main 0, siblings 1, 2, …): a function of
     /// who the thread is, not of how many threads the kernel started
@@ -350,7 +370,6 @@ impl Kernel {
             debug_assert!(false, "start: unknown pid {}", pid.0);
             return None;
         };
-        let durable = proc.durable;
         let (record, proc) = proc.halves()?;
         let tid = Tid(self.next_tid);
         self.next_tid += 1;
@@ -365,7 +384,6 @@ impl Kernel {
                     .emit(now, move || EventKind::ProcessSpawn { pid: pid.0, name });
             }
         }
-        let journal_spawn = is_main && durable;
         proc.tids.push(tid);
         proc.live_threads += 1;
         // Sibling threads inherit the process's args string.
@@ -396,19 +414,6 @@ impl Kernel {
         });
         self.live_threads += 1;
         self.ready.push_back((tid, SysReply::Start));
-        // A re-execution's spawn frame is already in the log it replays.
-        let replayed = |r: &wal::Replay| r.procs.contains_key(&pid.0);
-        if journal_spawn && !self.replay.as_ref().is_some_and(replayed) {
-            let (record, proc) = self.procs.get_mut(pid.0)?.halves()?;
-            let rec = WalRecord::ProcSpawn {
-                at: now,
-                pid: pid.0,
-                name: record.name.clone(),
-                args: proc.args.clone(),
-                limits: proc.limits,
-            };
-            self.wal_append(rec);
-        }
         Some(tid)
     }
 
@@ -756,8 +761,9 @@ mod tests {
         drop(served);
         // The durable one's exit frame took its text and carries it through
         // recovery, which restores it as a record.
-        let (mut recovered, _) = Kernel::recover(cfg.clone()).expect("recoverable WAL");
-        assert_eq!(recovered.resume_programs(|_| None).finished, 1);
+        let (recovered, report) =
+            Kernel::recover(cfg.clone(), |_| None).expect("recoverable WAL");
+        assert_eq!(report.finished, 1);
         assert_eq!(output(&recovered, durable), durable_text);
         assert!(recovered.record(durable).unwrap().status.is_ok());
         std::fs::remove_file(&path).ok();

@@ -16,8 +16,8 @@ use symphony_model::{Preds, TokenId};
 use symphony_sim::SimTime;
 use symphony_telemetry::EventKind;
 
-use crate::kernel::{Event, Kernel, KernelConfig, ProgramImage};
-use crate::proc::Proc;
+use crate::kernel::{Kernel, KernelConfig, ProgramImage};
+use crate::proc::{Arrival, Proc};
 use crate::syscall::{Body, SysReply};
 use crate::types::{ExitStatus, Limits, Pid, SysError, Tid};
 use crate::wal::{
@@ -43,35 +43,67 @@ pub(crate) enum Asked<'a> {
 impl Kernel {
     // ---- boot ------------------------------------------------------------------
 
-    /// Boots a kernel from the write-ahead log at `config.wal.path`,
-    /// restoring the virtual clock, the pid allocator and the durable
-    /// process table. In-flight durable programs are
-    /// *not* re-executed yet — call [`Kernel::resume_programs`] with their
-    /// program images, then [`Kernel::run`].
-    ///
-    /// The returned report counts candidates: `resumed` is the number of
-    /// in-flight programs awaiting [`Kernel::resume_programs`], `finished`
-    /// the completed ones restored as records, `lost` always zero here
-    /// (images are only resolved at resume time).
-    pub fn recover(config: KernelConfig) -> Result<(Self, RecoveryReport), WalError> {
+    /// Boots a kernel from the write-ahead log at `config.wal.path` and
+    /// re-admits its programs; [`Kernel::run`] then carries on where the
+    /// log left off. The virtual clock, the pid allocator and the durable
+    /// process table are restored. `resolve` maps a program name to its
+    /// image: an unfinished program re-executes deterministically from its
+    /// start under its journalled pid (journalled effects answer its
+    /// syscalls up to the crash point), at once if its arrival is at or
+    /// before the restored clock and at its arrival otherwise, in pid
+    /// order; a finished program is restored as a record without
+    /// re-execution, and one whose image does not resolve is recorded as
+    /// crashed.
+    pub fn recover<F>(config: KernelConfig, resolve: F) -> Result<(Self, RecoveryReport), WalError>
+    where
+        F: Fn(&str) -> Option<ProgramImage>,
+    {
         let wal_cfg = config.wal.clone().ok_or(WalError::Disabled)?;
         let bytes = std::fs::read(&wal_cfg.path).map_err(|_| WalError::Unreadable)?;
         let (seed, records, valid_len, torn) = wal::read_wal(&bytes)?;
         if seed != config.seed {
             return Err(WalError::Incompatible);
         }
-        let replay = wal::build_replay(records, valid_len, torn);
-        let report = RecoveryReport {
-            resumed: replay.procs.values().filter(|p| p.exit.is_none()).count()
-                + replay.scheduled.len(),
-            finished: replay.procs.values().filter(|p| p.exit.is_some()).count(),
+        let mut replay = wal::build_replay(records, valid_len, torn);
+        let procs = std::mem::take(&mut replay.procs);
+        let mut report = RecoveryReport {
+            resumed: 0,
+            finished: 0,
             lost: 0,
             frames: replay.frames,
             wal_bytes: replay.wal_bytes,
             torn: replay.torn,
             clock: replay.clock,
         };
-        let kernel = Self::build(config, Some(replay));
+        let mut kernel = Self::build(config, Some(replay));
+        for (pid, rp) in procs {
+            if rp.exit.is_some() {
+                report.finished += 1;
+                kernel.restore_exited(pid, rp);
+                continue;
+            }
+            let Some(image) = resolve(&rp.name) else {
+                report.lost += 1;
+                kernel.restore_exited(pid, rp);
+                continue;
+            };
+            // The original pid: re-execution draws the same RNG streams and
+            // allocates the same identifiers.
+            let arrival = Arrival::Journalled {
+                pid: Pid(pid),
+                arrival: rp.arrival,
+            };
+            let body = Body::Hosted(Box::new(move |ctx| image(ctx)));
+            kernel.admit(&rp.name, &rp.args, arrival, rp.limits, true, body);
+            report.resumed += 1;
+        }
+        kernel.rebuild_mailboxes();
+        let (resumed, replayed_frames) = (report.resumed as u64, report.frames);
+        let now = kernel.events.now();
+        kernel.bus.emit(now, move || EventKind::KernelRecovery {
+            resumed,
+            replayed_frames,
+        });
         Ok((kernel, report))
     }
 
@@ -106,113 +138,39 @@ impl Kernel {
         }
     }
 
-    /// Re-admits journalled programs after [`Kernel::recover`]. `resolve`
-    /// maps a program name to its image: unfinished programs re-execute
-    /// deterministically from their start (journalled effects answer their
-    /// syscalls up to the crash point), finished programs are restored as
-    /// records without re-execution, and unresolvable programs are recorded
-    /// as crashed. Returns the final recovery report; a second call (or a
-    /// call on a non-recovered kernel) is a no-op reporting zeros.
-    pub fn resume_programs<F>(&mut self, resolve: F) -> RecoveryReport
-    where
-        F: Fn(&str) -> Option<ProgramImage>,
-    {
-        let now = self.events.now();
-        let mut report = RecoveryReport {
-            resumed: 0,
-            finished: 0,
-            lost: 0,
-            frames: 0,
-            wal_bytes: 0,
-            torn: false,
-            clock: now,
+    /// Rebuilds the re-admitted processes' mailboxes and `pred` records:
+    /// delivered sends in journal order, minus the prefix each receiver
+    /// already consumed (journalled recvs replay from the log, not from the
+    /// mailbox). A resumed process's `pred` record starts as the log left
+    /// it, so its next listing holds at least as much.
+    fn rebuild_mailboxes(&mut self) {
+        let Some(replay) = &self.replay else {
+            return;
         };
-        let Some(replay) = self.replay.as_ref().filter(|_| !self.programs_resumed) else {
-            return report;
-        };
-        self.programs_resumed = true;
-        report = RecoveryReport {
-            frames: replay.frames,
-            wal_bytes: replay.wal_bytes,
-            torn: replay.torn,
-            clock: replay.clock,
-            ..report
-        };
-        // Started programs first, then the arrivals still to come, each in
-        // pid order.
-        let journalled: Vec<(u64, ReplayProc, bool)> =
-            [(&replay.procs, true), (&replay.scheduled, false)]
-                .into_iter()
-                .flat_map(|(m, started)| m.iter().map(move |(pid, rp)| (*pid, rp.clone(), started)))
-                .collect();
-        for (pid, rp, started) in journalled {
-            if rp.exit.is_some() {
-                self.restore_exited(pid, &rp);
-                report.finished += 1;
-                continue;
+        for (pid, preds) in &replay.preds {
+            if let Some(p) = self.procs.get_mut(*pid).and_then(Proc::live_mut) {
+                p.preds = preds.log.clone();
             }
-            let Some(image) = resolve(&rp.name) else {
-                self.restore_exited(pid, &rp);
-                report.lost += 1;
+        }
+        let mut to_skip = replay.recv_counts();
+        for &(from, seq) in &replay.sends {
+            let sent = replay.effects.get(&(from, EffectClass::Send, seq));
+            let Some(Effect::Send { to, data, .. }) = sent else {
                 continue;
             };
-            // The original pid: re-execution draws the same RNG streams and
-            // allocates the same identifiers.
-            let pid = self.install(
-                Some(Pid(pid)),
-                &rp.name,
-                &rp.args,
-                rp.arrival,
-                rp.limits,
-                true,
-            );
-            let body = Body::Hosted(Box::new(move |ctx| image(ctx)));
-            if started {
-                self.start(pid, body);
-            } else {
-                // Arrivals already in the past fire at the restored clock.
-                let at = rp.arrival.max(now);
-                self.events.schedule(at, Event::SpawnProgram { pid, body });
-            }
-            report.resumed += 1;
-        }
-        // Rebuild mailboxes: delivered sends in journal order, minus the
-        // prefix each receiver already consumed (journalled recvs replay
-        // from the log, not from the mailbox). A resumed process's `pred`
-        // record starts as the log left it, so its next listing holds at
-        // least as much.
-        if let Some(replay) = &self.replay {
-            for (pid, preds) in &replay.preds {
-                if let Some(p) = self.procs.get_mut(*pid).and_then(Proc::live_mut) {
-                    p.preds = preds.log.clone();
-                }
-            }
-            let mut to_skip = replay.recv_counts();
-            for &(from, seq) in &replay.sends {
-                let sent = replay.effects.get(&(from, EffectClass::Send, seq));
-                let Some(Effect::Send { to, data, .. }) = sent else {
-                    continue;
-                };
-                if let Some(n) = to_skip.get_mut(to).filter(|n| **n > 0) {
-                    *n -= 1;
-                } else if let Some(p) = self.procs.get_mut(*to).and_then(Proc::live_mut) {
-                    p.mailbox
-                        .push_back((Pid(from), data.clone(), SimTime::ZERO, 0));
-                }
+            if let Some(n) = to_skip.get_mut(to).filter(|n| **n > 0) {
+                *n -= 1;
+            } else if let Some(p) = self.procs.get_mut(*to).and_then(Proc::live_mut) {
+                p.mailbox
+                    .push_back((Pid(from), data.clone(), SimTime::ZERO, 0));
             }
         }
-        let (resumed, replayed_frames) = (report.resumed as u64, report.frames);
-        self.bus.emit(now, move || EventKind::KernelRecovery {
-            resumed,
-            replayed_frames,
-        });
-        report
     }
 
     /// Restores a journalled program that will not run again as a zombie:
     /// with its journalled outcome (its outputs are already durable), or —
     /// unfinished, its image unresolvable — as crashed now.
-    fn restore_exited(&mut self, pid: u64, rp: &ReplayProc) {
+    fn restore_exited(&mut self, pid: u64, rp: ReplayProc) {
         // It holds nothing any more, so no quota or deadline is re-armed.
         let limits = Limits::default();
         let pid = self.install(Some(Pid(pid)), &rp.name, &rp.args, rp.arrival, limits, true);
@@ -221,11 +179,11 @@ impl Kernel {
         let Some(p) = self.procs.get_mut(pid.0) else {
             return;
         };
-        match &rp.exit {
+        match rp.exit {
             Some(exit) => {
                 p.record.exited_at = Some(exit.at);
-                p.record.status = exit.status.clone();
-                p.record.output = exit.output.clone();
+                p.record.status = exit.status;
+                p.record.output = exit.output;
                 p.record.usage = exit.usage;
             }
             None => {

@@ -6,7 +6,7 @@
 //!
 //! | tag | frame |
 //! |---|---|
-//! | 32 | process spawn |
+//! | 32 | process admission: pid, arrival, name, args, limits |
 //! | 33 | process exit |
 //! | 34 | tool effect |
 //! | 35 | IPC send |
@@ -15,11 +15,13 @@
 //! | 38 | `now` read |
 //! | 39 | unassigned: a frame carrying it ends the valid prefix |
 //! | 40 | checkpoint: pid allocator, `pred` completion records |
-//! | 41 | process scheduled for a future arrival |
+//! | 41 | unassigned: a frame carrying it ends the valid prefix |
 //!
 //! Every frame goes to `write(2)` when it is made, before the effect it
 //! records is observable: a re-executed LIP that cannot find its tool call
 //! in the log would fire the tool twice. There is one durability class.
+//! A durable program is admitted once: its admission frame is written when
+//! the kernel installs it, whether it starts at once or at a later arrival.
 //!
 //! # Recovery model
 //!
@@ -77,7 +79,7 @@ use crate::types::{ExitStatus, Limits, ProcessUsage, SysError};
 pub const WAL_MAGIC: [u8; 4] = *b"SYMW";
 
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 6;
+pub const WAL_VERSION: u32 = 7;
 
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
@@ -96,7 +98,6 @@ const TAG_IPC_RECV: u8 = 36;
 const TAG_LOOKUP: u8 = 37;
 const TAG_NOW: u8 = 38;
 const TAG_CHECKPOINT: u8 = 40;
-const TAG_PROC_SCHED: u8 = 41;
 
 /// Enables the kernel WAL: where it lives and how often a checkpoint lists
 /// the `pred` completion records.
@@ -157,7 +158,7 @@ impl core::fmt::Display for WalError {
     }
 }
 
-/// What `Kernel::resume_programs` recovered from the log.
+/// What `Kernel::recover` recovered from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Unfinished programs re-admitted for deterministic re-execution.
@@ -277,9 +278,12 @@ impl PredRecord {
 /// was recorded at, which recovery uses to restore the clock.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WalRecord {
+    /// A durable program's admission, written when it is installed: it
+    /// starts at `arrival`, now or later.
     ProcSpawn {
         at: SimTime,
         pid: u64,
+        arrival: SimTime,
         name: String,
         args: String,
         limits: Limits,
@@ -306,17 +310,6 @@ pub(crate) enum WalRecord {
         next_pid: u64,
         preds: Vec<(u64, PredRecord)>,
     },
-    /// A program admitted for a *future* arrival. Journalled at schedule
-    /// time so a crash before the arrival event fires does not silently
-    /// drop the program; superseded by `ProcSpawn` once it starts.
-    ProcSched {
-        at: SimTime,
-        pid: u64,
-        arrival: SimTime,
-        name: String,
-        args: String,
-        limits: Limits,
-    },
 }
 
 impl WalRecord {
@@ -325,8 +318,7 @@ impl WalRecord {
             WalRecord::ProcSpawn { at, .. }
             | WalRecord::ProcExit { at, .. }
             | WalRecord::Effect { at, .. }
-            | WalRecord::Checkpoint { at, .. }
-            | WalRecord::ProcSched { at, .. } => *at,
+            | WalRecord::Checkpoint { at, .. } => *at,
         }
     }
 }
@@ -468,7 +460,6 @@ fn record_tag(rec: &WalRecord) -> u8 {
         WalRecord::ProcExit { .. } => TAG_PROC_EXIT,
         WalRecord::Effect { effect, .. } => effect.class() as u8,
         WalRecord::Checkpoint { .. } => TAG_CHECKPOINT,
-        WalRecord::ProcSched { .. } => TAG_PROC_SCHED,
     }
 }
 
@@ -480,12 +471,14 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
     match rec {
         WalRecord::ProcSpawn {
             pid,
+            arrival,
             name,
             args,
             limits,
             ..
         } => {
             push_u64(out, *pid);
+            push_u64(out, arrival.as_nanos());
             push_str(out, name);
             push_str(out, args);
             encode_limits(out, limits);
@@ -569,20 +562,6 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
                 }
             }
         }
-        WalRecord::ProcSched {
-            pid,
-            arrival,
-            name,
-            args,
-            limits,
-            ..
-        } => {
-            push_u64(out, *pid);
-            push_u64(out, arrival.as_nanos());
-            push_str(out, name);
-            push_str(out, args);
-            encode_limits(out, limits);
-        }
     }
     buf
 }
@@ -618,7 +597,7 @@ fn decode_effect(tag: u8, c: &mut Cursor<'_>) -> Option<Effect> {
     })
 }
 
-/// The pid of a spawn or schedule frame. The kernel never allocates
+/// The pid of an admission frame. The kernel never allocates
 /// `u64::MAX` (replay raises its allocator past every journalled pid), so
 /// a frame naming it ends the valid prefix like any malformed payload.
 fn decode_pid(c: &mut Cursor<'_>) -> Option<u64> {
@@ -632,6 +611,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
         TAG_PROC_SPAWN => WalRecord::ProcSpawn {
             at,
             pid: decode_pid(&mut c)?,
+            arrival: SimTime::from_nanos(c.u64()?),
             name: c.str()?,
             args: c.str()?,
             limits: decode_limits(&mut c)?,
@@ -685,14 +665,6 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
                 preds,
             }
         }
-        TAG_PROC_SCHED => WalRecord::ProcSched {
-            at,
-            pid: decode_pid(&mut c)?,
-            arrival: SimTime::from_nanos(c.u64()?),
-            name: c.str()?,
-            args: c.str()?,
-            limits: decode_limits(&mut c)?,
-        },
         _ => WalRecord::Effect {
             at,
             pid: c.u64()?,
@@ -715,7 +687,6 @@ pub fn tag_name(tag: u8) -> &'static str {
         TAG_LOOKUP => "lookup",
         TAG_NOW => "now",
         TAG_CHECKPOINT => "checkpoint",
-        TAG_PROC_SCHED => "proc_sched",
         _ => "unknown",
     }
 }
@@ -777,7 +748,7 @@ impl WalState {
     }
 
     fn over(log: SegLog, config: &WalConfig, clock: SimTime) -> Self {
-        // A zero interval would make the checkpoint catch-up loop spin.
+        // The shortest interval is 1 ns: `checkpoint` divides by it.
         let every = config.checkpoint_every.max(SimDuration::from_nanos(1));
         WalState {
             log,
@@ -797,12 +768,16 @@ impl WalState {
         now >= self.next_checkpoint_at
     }
 
-    /// Writes `rec`, a checkpoint frame, and moves the next checkpoint past
-    /// its time.
+    /// Writes `rec`, a checkpoint frame, and moves the next checkpoint to
+    /// the first boundary past its time (saturating at `SimTime::MAX`).
     pub(crate) fn checkpoint(&mut self, rec: &WalRecord) -> std::io::Result<()> {
         self.write(rec)?;
-        while self.next_checkpoint_at <= rec.at() {
-            self.next_checkpoint_at += self.checkpoint_every;
+        let (next, at) = (self.next_checkpoint_at.as_nanos(), rec.at().as_nanos());
+        if next <= at {
+            let every = self.checkpoint_every.as_nanos();
+            let steps = (at - next) / every + 1;
+            let next = next.saturating_add(steps.saturating_mul(every));
+            self.next_checkpoint_at = SimTime::from_nanos(next);
         }
         Ok(())
     }
@@ -810,20 +785,20 @@ impl WalState {
 
 // ---- replay state ----------------------------------------------------------
 
-/// One journalled process, assembled from its schedule and/or spawn (and
-/// maybe exit) frames.
-#[derive(Debug, Clone)]
+/// One journalled process, assembled from its admission (and maybe exit)
+/// frame.
+#[derive(Debug)]
 pub(crate) struct ReplayProc {
     pub(crate) name: String,
     pub(crate) args: String,
-    /// When it started (spawn frame) or is due to (schedule frame only).
+    /// When it started, or is due to.
     pub(crate) arrival: SimTime,
     pub(crate) limits: Limits,
     pub(crate) exit: Option<ReplayExit>,
 }
 
 /// A journalled process exit.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ReplayExit {
     pub(crate) at: SimTime,
     pub(crate) status: ExitStatus,
@@ -836,10 +811,8 @@ pub(crate) struct ReplayExit {
 pub(crate) struct Replay {
     pub(crate) clock: SimTime,
     pub(crate) next_pid: u64,
-    /// Programs that started (a `ProcSpawn` frame exists).
+    /// Every admitted program, by pid.
     pub(crate) procs: BTreeMap<u64, ReplayProc>,
-    /// Scheduled-but-never-started programs (no `ProcSpawn` frame).
-    pub(crate) scheduled: BTreeMap<u64, ReplayProc>,
     /// Every journalled syscall effect, by `(pid, class, seq)`.
     pub(crate) effects: BTreeMap<(u64, EffectClass, u64), Effect>,
     /// Each process's last listed `pred` record, and how far its replay
@@ -927,19 +900,18 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
         r.clock = r.clock.max(rec.at());
         match rec {
             WalRecord::ProcSpawn {
-                at,
                 pid,
+                arrival,
                 name,
                 args,
                 limits,
+                ..
             } => {
                 r.next_pid = r.next_pid.max(pid + 1);
-                // A spawn frame supersedes the schedule frame for its pid.
-                r.scheduled.remove(&pid);
                 r.procs.entry(pid).or_insert(ReplayProc {
                     name,
                     args,
-                    arrival: at,
+                    arrival,
                     limits,
                     exit: None,
                 });
@@ -986,25 +958,6 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 r.next_pid = r.next_pid.max(next_pid);
                 for (pid, log) in preds {
                     r.preds.insert(pid, PredReplay::new(log));
-                }
-            }
-            WalRecord::ProcSched {
-                pid,
-                arrival,
-                name,
-                args,
-                limits,
-                ..
-            } => {
-                r.next_pid = r.next_pid.max(pid + 1);
-                if !r.procs.contains_key(&pid) {
-                    r.scheduled.entry(pid).or_insert(ReplayProc {
-                        name,
-                        args,
-                        arrival,
-                        limits,
-                        exit: None,
-                    });
                 }
             }
         }
@@ -1056,6 +1009,7 @@ mod tests {
             WalRecord::ProcSpawn {
                 at: SimTime::from_nanos(10),
                 pid: 1,
+                arrival: SimTime::from_nanos(10),
                 name: "agent0".into(),
                 args: "x=1".into(),
                 limits: Limits {
@@ -1130,7 +1084,7 @@ mod tests {
                     threads_spawned: 1,
                 },
             },
-            WalRecord::ProcSched {
+            WalRecord::ProcSpawn {
                 at: SimTime::from_nanos(61),
                 pid: 4,
                 arrival: SimTime::from_nanos(900),
@@ -1262,9 +1216,9 @@ mod tests {
         wrong_magic[0] = b'X';
         assert_eq!(read_wal(&wrong_magic), Err(WalError::Incompatible));
         let mut wrong_version = bytes.clone();
-        // A log written by the previous format (v4: `pred` marker frames
-        // under tag 39, and checkpoints without completion records) is
-        // refused, not misread.
+        // A log written by the previous format (v6: schedule frames under
+        // tag 41, and spawn frames without an arrival) is refused, not
+        // misread.
         for version in [WAL_VERSION - 1, 99] {
             wrong_version[4] = version as u8;
             assert_eq!(read_wal(&wrong_version), Err(WalError::Incompatible));
@@ -1286,20 +1240,24 @@ mod tests {
 
     #[test]
     fn an_unassigned_tag_ends_the_valid_prefix() {
-        // Tag 39 carried a `pred` marker up to version 4: a well-formed,
-        // checksummed frame under it now names no record.
+        // Tag 39 carried a `pred` marker up to version 4, and tag 41 a
+        // schedule frame up to version 6 (what an admission frame is now):
+        // a well-formed, checksummed frame under either names no record.
         let prefix = wal_bytes(&sample_records()[..1], 3);
         let mut marker = Vec::new();
         for field in [40u64, 1, 0] {
             push_u64(&mut marker, field);
         }
         push_u32(&mut marker, 5);
-        let mut bytes = prefix.clone();
-        append_frame(&mut bytes, 39, &marker);
-        let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
-        assert_eq!(records, sample_records()[..1]);
-        assert_eq!(valid_len, prefix.len() as u64);
-        assert!(torn);
+        let schedule = encode_payload(&sample_records()[9]);
+        for (tag, payload) in [(39, marker), (41, schedule)] {
+            let mut bytes = prefix.clone();
+            append_frame(&mut bytes, tag, &payload);
+            let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
+            assert_eq!(records, sample_records()[..1], "tag {tag}");
+            assert_eq!(valid_len, prefix.len() as u64, "tag {tag}");
+            assert!(torn, "tag {tag}");
+        }
     }
 
     #[test]
@@ -1401,6 +1359,7 @@ mod tests {
         let rec = WalRecord::ProcSpawn {
             at: SimTime::from_nanos(40),
             pid: 2,
+            arrival: SimTime::from_nanos(40),
             name: "wide".into(),
             args: String::new(),
             limits: Limits {
@@ -1430,14 +1389,7 @@ mod tests {
 
     #[test]
     fn a_pid_at_u64_max_ends_the_valid_prefix() {
-        let spawn = |pid| WalRecord::ProcSpawn {
-            at: SimTime::from_nanos(40),
-            pid,
-            name: "last".into(),
-            args: String::new(),
-            limits: Limits::default(),
-        };
-        let sched = |pid| WalRecord::ProcSched {
+        let admit = |pid| WalRecord::ProcSpawn {
             at: SimTime::from_nanos(40),
             pid,
             arrival: SimTime::from_nanos(90),
@@ -1447,26 +1399,22 @@ mod tests {
         };
         let prefix = wal_bytes(&sample_records()[..2], 3);
         // The largest pid a kernel allocates is read back.
-        for rec in [spawn(u64::MAX - 1), sched(u64::MAX - 1)] {
-            let mut bytes = prefix.clone();
-            bytes.extend_from_slice(&encode_frame(&rec));
-            let (_, records, _, torn) = read_wal(&bytes).unwrap();
-            assert_eq!((records.len(), torn), (3, false));
-            let r = build_replay(records, bytes.len() as u64, torn);
-            assert_eq!(r.next_pid, u64::MAX);
-        }
+        let mut bytes = prefix.clone();
+        bytes.extend_from_slice(&encode_frame(&admit(u64::MAX - 1)));
+        let (_, records, _, torn) = read_wal(&bytes).unwrap();
+        assert_eq!((records.len(), torn), (3, false));
+        let r = build_replay(records, bytes.len() as u64, torn);
+        assert_eq!(r.next_pid, u64::MAX);
         // Replay would raise the pid allocator to `pid + 1`. The frame
         // checksums, but no kernel wrote it: it ends the valid prefix.
-        for rec in [spawn(u64::MAX), sched(u64::MAX)] {
-            let mut bytes = prefix.clone();
-            bytes.extend_from_slice(&encode_frame(&rec));
-            let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
-            assert_eq!(records.len(), 2);
-            assert_eq!(valid_len, prefix.len() as u64);
-            assert!(torn);
-            let r = build_replay(records, valid_len, torn);
-            assert_eq!(r.next_pid, 2);
-        }
+        let mut bytes = prefix.clone();
+        bytes.extend_from_slice(&encode_frame(&admit(u64::MAX)));
+        let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(valid_len, prefix.len() as u64);
+        assert!(torn);
+        let r = build_replay(records, valid_len, torn);
+        assert_eq!(r.next_pid, 2);
     }
 
     #[test]
@@ -1477,7 +1425,7 @@ mod tests {
         let r = build_replay(records, bytes.len() as u64, torn);
         assert_eq!(r.clock, SimTime::from_nanos(61));
         assert_eq!(r.next_pid, 5);
-        assert_eq!(r.procs.len(), 1);
+        assert_eq!(r.procs.len(), 2);
         assert!(r.procs[&1].exit.is_some());
         // Every effect frame of the log is in the map under its own
         // `(pid, class, seq)`, and nothing else is.
@@ -1508,8 +1456,9 @@ mod tests {
         assert_eq!(r.preds[&1].log, pred_record(2, 9, &[(4, 3)]));
         assert_eq!(r.sends, vec![(1, 0)]);
         assert_eq!(r.recv_counts()[&2], 1);
-        assert_eq!(r.scheduled.len(), 1);
-        assert_eq!(r.scheduled[&4].arrival, SimTime::from_nanos(900));
+        // Admitted at 61 for an arrival at 900: one frame, one entry.
+        assert!(r.procs[&4].exit.is_none());
+        assert_eq!(r.procs[&4].arrival, SimTime::from_nanos(900));
     }
 
     #[test]
@@ -1557,8 +1506,7 @@ mod tests {
             ("lookup", 1),
             ("now", 1),
             ("proc_exit", 1),
-            ("proc_sched", 1),
-            ("proc_spawn", 1),
+            ("proc_spawn", 2),
             ("tool_effect", 2),
         ];
         assert_eq!(names.into_iter().collect::<Vec<_>>(), expected);
@@ -1620,7 +1568,12 @@ mod tests {
     }
 
     /// The format changes only on purpose: length and FNV-1a of this
-    /// record list's encoding under seed 42. Version 6 is 692 bytes against
+    /// record list's encoding under seed 42. Version 7 is 700 bytes against
+    /// version 6's 692 (FNV-1a `0x1d21_2ba5`): pid 1's spawn frame is an
+    /// admission frame and gains its 8-byte arrival; pid 4's schedule frame
+    /// keeps its bytes but is an admission frame under tag 32 instead of
+    /// tag 41; and the header's version word reads 7.
+    /// Version 6 was 692 bytes against
     /// version 5's 733 (FNV-1a `0xceb8_ed4e`): the checkpoint frame lost its
     /// breaker list — the 4-byte count and the list's two entries, each a
     /// length-prefixed tool name (4 + 6 and 4 + 5 bytes), a state byte and
@@ -1638,7 +1591,7 @@ mod tests {
     fn on_disk_format_is_pinned() {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 42);
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (692, 0x1d21_2ba5));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (700, 0x6254_36ed));
         // The writer lays down the same bytes: every frame is written when
         // it is made, so file order is list order.
         let dir = std::env::temp_dir().join(format!("symwal-pin-{}", std::process::id()));

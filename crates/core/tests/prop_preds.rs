@@ -173,9 +173,9 @@ proptest! {
             prop_assert_eq!(k.crashed(), Some(boundaries));
         }
         let replayed = Replies::default();
-        let (mut k, _) = Kernel::recover(config(&path, chunk, None)).unwrap();
         let (ra, rb, resolve) = (a.clone(), b.clone(), replayed.clone());
-        k.resume_programs(move |_| Some(image(ra.clone(), rb.clone(), start, resolve.clone())));
+        let resolver = move |_: &str| Some(image(ra.clone(), rb.clone(), start, resolve.clone()));
+        let (mut k, _) = Kernel::recover(config(&path, chunk, None), resolver).unwrap();
         k.run();
         let from_markers = k
             .telemetry_events()

@@ -113,7 +113,7 @@ proptest! {
         let path = tmp(&format!("cut-{case}"));
         std::fs::write(&path, &bytes[..cut]).unwrap();
 
-        match Kernel::recover(config(&path, None)) {
+        match Kernel::recover(config(&path, None), resolver) {
             Err(WalError::Unreadable | WalError::Incompatible) => {
                 // Only a cut inside the fixed-size header is unreadable.
                 prop_assert!(cut < 20, "cut {cut} of {} rejected", bytes.len());
@@ -122,8 +122,7 @@ proptest! {
             Ok((mut k, report)) => {
                 prop_assert!(cut >= 20);
                 prop_assert!(report.wal_bytes as usize <= cut);
-                let resumed = k.resume_programs(resolver);
-                prop_assert_eq!(resumed.lost, 0);
+                prop_assert_eq!(report.lost, 0);
                 k.register_tool("lookup", tool());
                 k.run();
                 prop_assert!(k.crashed().is_none());
@@ -163,9 +162,8 @@ proptest! {
         prop_assume!(bytes.len() > 20 + drop_tail);
         std::fs::write(&path, &bytes[..bytes.len() - drop_tail]).unwrap();
 
-        let (mut k, _report) = Kernel::recover(config(&path, None)).unwrap();
-        let resumed = k.resume_programs(resolver);
-        prop_assert_eq!(resumed.lost, 0);
+        let (mut k, report) = Kernel::recover(config(&path, None), resolver).unwrap();
+        prop_assert_eq!(report.lost, 0);
         k.register_tool("lookup", tool());
         k.run();
         prop_assert!(k.crashed().is_none());

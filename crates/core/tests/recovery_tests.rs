@@ -229,11 +229,10 @@ fn kill_at_every_syscall_boundary_recovers_equivalently() {
         };
 
         // Recover: journalled effects replay, the tail re-executes live.
-        let (mut k, report) = Kernel::recover(config(&path, None)).expect("recoverable WAL");
+        let (mut k, report) =
+            Kernel::recover(config(&path, None), resolver).expect("recoverable WAL");
         register_tools(&mut k, fired.clone());
-        let resumed = k.resume_programs(resolver);
-        assert_eq!(resumed.lost, 0, "boundary {b}: every image resolves");
-        assert_eq!(report.frames, resumed.frames);
+        assert_eq!(report.lost, 0, "boundary {b}: every image resolves");
         k.run();
         assert!(k.crashed().is_none());
 
@@ -280,9 +279,10 @@ fn a_crash_during_recovery_recovers_equivalently() {
             assert_eq!(k.crashed(), Some(b1));
         }
         let recover = |crash_at: Option<u64>| {
-            let (mut k, _) = Kernel::recover(config(path, crash_at)).expect("recoverable WAL");
+            let (mut k, report) =
+                Kernel::recover(config(path, crash_at), resolver).expect("recoverable WAL");
             register_tools(&mut k, fired.clone());
-            assert_eq!(k.resume_programs(resolver).lost, 0);
+            assert_eq!(report.lost, 0);
             k.run();
             assert_eq!(k.crashed(), crash_at);
             k
@@ -339,9 +339,9 @@ fn recovery_is_deterministic() {
                 Some(EventKind::KernelCrash { boundary: 17 })
             ));
         }
-        let (mut k, _) = Kernel::recover(traced(None)).unwrap();
+        let (mut k, report) = Kernel::recover(traced(None), resolver).unwrap();
         register_tools(&mut k, Arc::new(AtomicU64::new(0)));
-        let resumed = k.resume_programs(resolver).resumed as u64;
+        let resumed = report.resumed as u64;
         k.run();
         assert!(k.telemetry_events().iter().any(
             |e| matches!(e.kind, EventKind::KernelRecovery { resumed: r, .. } if r == resumed)
@@ -406,9 +406,8 @@ fn replayed_pred_replies_equal_the_live_ones() {
     drop(k);
 
     let replayed = Replies::default();
-    let (mut k, _) = Kernel::recover(cfg(None)).unwrap();
     let resolve = replayed.clone();
-    k.resume_programs(move |_| Some(image(resolve.clone())));
+    let (mut k, _) = Kernel::recover(cfg(None), move |_| Some(image(resolve.clone()))).unwrap();
     k.run();
     let from_markers = k
         .telemetry_events()
@@ -483,8 +482,7 @@ fn crash_and_recover(
     k.run();
     assert_eq!(k.crashed(), Some(crash_at));
     drop(k);
-    let (mut k, _) = Kernel::recover(cfg(None)).unwrap();
-    k.resume_programs(move |_| Some(resumed.clone()));
+    let (mut k, _) = Kernel::recover(cfg(None), move |_| Some(resumed.clone())).unwrap();
     assert_eq!(gpu_work(&k), (0, 0));
     k.run();
     k
@@ -650,12 +648,11 @@ fn clean_run_recovers_as_finished_records() {
     let path = tmp("clean.wal");
     let baseline = run_baseline(&path);
 
-    let (mut k, report) = Kernel::recover(config(&path, None)).unwrap();
+    let (mut k, report) = Kernel::recover(config(&path, None), resolver).unwrap();
     register_tools(&mut k, Arc::new(AtomicU64::new(0)));
-    let resumed = k.resume_programs(resolver);
-    assert_eq!(resumed.resumed, 0, "nothing was in flight");
-    assert_eq!(resumed.finished, AGENTS + 2);
-    assert_eq!(resumed.lost, 0);
+    assert_eq!(report.resumed, 0, "nothing was in flight");
+    assert_eq!(report.finished, AGENTS + 2);
+    assert_eq!(report.lost, 0);
     assert!(!report.torn);
     k.run();
     assert_eq!(outcomes(&k), baseline.outcomes);
@@ -664,14 +661,15 @@ fn clean_run_recovers_as_finished_records() {
 }
 
 /// A durable program *scheduled* for a future arrival survives a crash that
-/// lands before it starts: the journalled schedule re-admits it under its
-/// pid, from which its threads' RNG streams are derived, so its sampled
-/// output matches the crash-free run.
+/// lands before it starts: its admission frame re-admits it under its pid,
+/// from which its threads' RNG streams are derived, at its journalled
+/// arrival, so its sampled output matches the crash-free run.
 #[test]
 fn scheduled_program_survives_crash_before_arrival() {
     let base_path = tmp("sched-base.wal");
     let baseline = run_baseline(&base_path);
     let late_baseline = baseline.outcomes.get("late").cloned().expect("late ran");
+    let arrival = SimTime::ZERO + SimDuration::from_millis(20);
 
     let path = tmp("sched-crash.wal");
     {
@@ -683,11 +681,19 @@ fn scheduled_program_survives_crash_before_arrival() {
         assert_eq!(k.crashed(), Some(2));
         assert!(k.records().all(|r| r.name != "late" || r.exited_at.is_none()));
     }
-    let (mut k, _) = Kernel::recover(config(&path, None)).unwrap();
+    let mut cfg = config(&path, None);
+    cfg.telemetry = true;
+    let (mut k, report) = Kernel::recover(cfg, resolver).unwrap();
+    assert!(report.clock < arrival, "the crash came before the arrival");
     register_tools(&mut k, Arc::new(AtomicU64::new(0)));
-    k.resume_programs(resolver);
     k.run();
     assert_eq!(outcomes(&k).get("late"), Some(&late_baseline));
+    let late = k.records().find(|r| r.name == "late").expect("late ran").pid;
+    let started = k.telemetry_events().iter().find_map(|e| match e.kind {
+        EventKind::ProcessSpawn { pid, .. } if pid == late.0 => Some(e.at),
+        _ => None,
+    });
+    assert_eq!(started, Some(arrival), "it starts at its journalled arrival");
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&base_path).ok();
 }
@@ -705,11 +711,10 @@ fn unresolvable_image_is_recorded_as_crashed() {
         k.run();
         assert_eq!(k.crashed(), Some(30));
     }
-    let (mut k, _) = Kernel::recover(config(&path, None)).unwrap();
+    let lose_sink = |name: &str| if name == "sink" { None } else { resolver(name) };
+    let (mut k, report) = Kernel::recover(config(&path, None), lose_sink).unwrap();
     register_tools(&mut k, Arc::new(AtomicU64::new(0)));
-    let resumed =
-        k.resume_programs(|name| if name == "sink" { None } else { resolver(name) });
-    assert_eq!(resumed.lost, 1, "the sink's image is gone");
+    assert_eq!(report.lost, 1, "the sink's image is gone");
     let lost = k
         .records()
         .find(|r| r.name == "sink")
@@ -718,15 +723,56 @@ fn unresolvable_image_is_recorded_as_crashed() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Runs a durable program that sleeps `sleep` on a kernel checkpointing
+/// every `every`, on its own thread, and fails unless it has finished
+/// within 20 s of wall time. Returns the checkpoints it wrote.
+fn sleep_durably_within_20_s(tag: &str, sleep: SimDuration, every: SimDuration) -> u64 {
+    let path = tmp(&format!("long-sleep-{tag}.wal"));
+    let (done, finished) = std::sync::mpsc::channel();
+    let wal = path.clone();
+    std::thread::spawn(move || {
+        let mut cfg = KernelConfig::for_tests();
+        cfg.wal = Some(WalConfig::new(&wal).with_checkpoint_every(every));
+        let mut k = Kernel::new(cfg);
+        let pid = k.spawn_durable("sleeper", "", Arc::new(move |ctx| ctx.sleep(sleep)));
+        k.run();
+        assert!(k.record(pid).unwrap().status.is_ok());
+        let checkpoints = k.metrics_registry().counter_value("kernel.checkpoints");
+        done.send(checkpoints.unwrap_or(0)).ok();
+    });
+    let checkpoints = finished
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("the run finishes (a checkpoint steps over every boundary it slept past)");
+    std::fs::remove_file(&path).ok();
+    checkpoints
+}
+
+/// A sleep to the end of virtual time: the next checkpoint boundary
+/// saturates at `SimTime::MAX` instead of being stepped towards it forever.
+#[test]
+fn a_sleep_to_the_end_of_time_finishes() {
+    let checkpoints = sleep_durably_within_20_s("max", SimDuration::MAX, SimDuration::from_millis(5));
+    assert!(checkpoints <= 2, "{checkpoints} checkpoints");
+}
+
+/// A day's sleep under a 1 µs interval crosses 8.64e10 boundaries: the
+/// checkpoint after it moves past all of them in one step.
+#[test]
+fn a_day_long_sleep_under_a_microsecond_interval_finishes() {
+    let day = SimDuration::from_secs(86_400);
+    let checkpoints = sleep_durably_within_20_s("day", day, SimDuration::from_micros(1));
+    assert!(checkpoints <= 2, "{checkpoints} checkpoints");
+}
+
 /// Recovering without a WAL config, or from a missing file, fails with the
 /// typed errors rather than panicking.
 #[test]
 fn recover_error_paths_are_typed() {
     let cfg = KernelConfig::for_tests();
-    assert!(matches!(Kernel::recover(cfg), Err(symphony::WalError::Disabled)));
+    assert!(matches!(Kernel::recover(cfg, resolver), Err(symphony::WalError::Disabled)));
 
     let cfg = config(&tmp("never-created.wal"), None);
-    assert!(matches!(Kernel::recover(cfg), Err(symphony::WalError::Unreadable)));
+    assert!(matches!(Kernel::recover(cfg, resolver), Err(symphony::WalError::Unreadable)));
 }
 
 // ---- a peer that has exited, on a kernel with a session sink ---------------
@@ -872,8 +918,9 @@ fn a_durable_writer_with_a_sink_recovers_equivalently_at_every_boundary() {
             k.run();
             assert_eq!(k.crashed(), Some(b), "kill-point {b} fires");
         }
-        let (mut k, _) = Kernel::recover(config(&path, None)).expect("recoverable WAL");
-        assert_eq!(k.resume_programs(resolve).lost, 0);
+        let (mut k, report) =
+            Kernel::recover(config(&path, None), resolve).expect("recoverable WAL");
+        assert_eq!(report.lost, 0);
         k.run();
         assert!(k.crashed().is_none());
         assert_eq!(outcomes(&k), expected, "boundary {b}");

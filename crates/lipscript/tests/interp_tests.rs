@@ -637,10 +637,10 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
             assert_eq!(k.crashed(), Some(b), "kill-point {b} fires");
             k.tool_invocations()
         };
-        let (mut k, _) = Kernel::recover(config(&path, None)).expect("recoverable WAL");
+        let resolve = |name: &str| name.starts_with("agent").then(durable_lip_image);
+        let (mut k, report) = Kernel::recover(config(&path, None), resolve).expect("recoverable WAL");
         with_tool(&mut k, &fired);
-        let resumed = k.resume_programs(|name| name.starts_with("agent").then(durable_lip_image));
-        assert_eq!(resumed.lost, 0, "boundary {b}: every image resolves");
+        assert_eq!(report.lost, 0, "boundary {b}: every image resolves");
         k.run();
         assert!(k.crashed().is_none());
         assert_eq!(outcomes(&k), baseline, "boundary {b}: outputs and statuses");

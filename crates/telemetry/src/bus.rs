@@ -1,31 +1,19 @@
 //! The event bus: a lazy, zero-cost-when-disabled sink for [`TimedEvent`]s.
 //!
 //! [`EventBus::emit`] takes a *closure* producing the event, not the event
-//! itself. With [`Collector::Null`] installed the closure is never invoked,
-//! so a disabled bus performs no allocation and no formatting on the hot
-//! path — the only cost is one enum-discriminant branch. The
-//! [`Collector::Counting`] variant constructs and immediately drops events,
-//! which lets tests assert exactly how many events a code path would record.
+//! itself. On a disabled bus the closure is never invoked, so it performs
+//! no allocation and no formatting on the hot path — the only cost is one
+//! branch.
 
 use symphony_sim::SimTime;
 
 use crate::event::{EventKind, TimedEvent};
 
-/// Where emitted events go.
-#[derive(Debug)]
-pub enum Collector {
-    /// Telemetry disabled: `emit` closures are never invoked.
-    Null,
-    /// Record events in memory for export.
-    Memory(Vec<TimedEvent>),
-    /// Construct events, count them, drop them (test probe).
-    Counting(u64),
-}
-
 /// A single-owner event sink stamped on the virtual clock.
 #[derive(Debug)]
 pub struct EventBus {
-    collector: Collector,
+    /// The recorded events; `None` while disabled.
+    events: Option<Vec<TimedEvent>>,
     /// Events constructed so far (0 while disabled — the proof that the
     /// disabled hot path does no event work).
     constructed: u64,
@@ -35,7 +23,7 @@ impl EventBus {
     /// A disabled bus: `emit` is a branch and nothing else.
     pub fn disabled() -> Self {
         EventBus {
-            collector: Collector::Null,
+            events: None,
             constructed: 0,
         }
     }
@@ -43,66 +31,41 @@ impl EventBus {
     /// A recording bus backed by an in-memory vector.
     pub fn recording() -> Self {
         EventBus {
-            collector: Collector::Memory(Vec::new()),
+            events: Some(Vec::new()),
             constructed: 0,
         }
     }
 
-    /// Replaces the collector, returning the old one.
-    pub fn set_collector(&mut self, collector: Collector) -> Collector {
-        std::mem::replace(&mut self.collector, collector)
-    }
-
-    /// `true` unless the collector is [`Collector::Null`].
+    /// `true` for a recording bus.
     pub fn is_enabled(&self) -> bool {
-        !matches!(self.collector, Collector::Null)
+        self.events.is_some()
     }
 
-    /// Emits one event. The closure runs only when a collector is
-    /// installed; callers put all allocation (clones, formatting) inside it.
+    /// Emits one event. The closure runs only on a recording bus; callers
+    /// put all allocation (clones, formatting) inside it.
     #[inline]
     pub fn emit(&mut self, at: SimTime, f: impl FnOnce() -> EventKind) {
-        match &mut self.collector {
-            Collector::Null => {}
-            Collector::Memory(events) => {
-                self.constructed += 1;
-                events.push(TimedEvent { at, kind: f() });
-            }
-            Collector::Counting(n) => {
-                self.constructed += 1;
-                let _ = f();
-                *n += 1;
-            }
+        if let Some(events) = &mut self.events {
+            self.constructed += 1;
+            events.push(TimedEvent { at, kind: f() });
         }
     }
 
     /// Emits `n` events produced by `f(0)..f(n-1)` in one call — the
     /// batch twin of [`EventBus::emit`] for per-batch-member hot loops.
-    /// The `Memory` collector reserves space once; a disabled bus never
-    /// invokes the producer.
+    /// A recording bus reserves space once; a disabled bus never invokes
+    /// the producer.
     pub fn emit_batch(&mut self, at: SimTime, n: usize, mut f: impl FnMut(usize) -> EventKind) {
-        match &mut self.collector {
-            Collector::Null => return,
-            Collector::Memory(events) => {
-                events.reserve(n);
-                events.extend((0..n).map(|i| TimedEvent { at, kind: f(i) }));
-            }
-            Collector::Counting(count) => {
-                for i in 0..n {
-                    let _ = f(i);
-                }
-                *count += n as u64;
-            }
+        if let Some(events) = &mut self.events {
+            events.reserve(n);
+            events.extend((0..n).map(|i| TimedEvent { at, kind: f(i) }));
+            self.constructed += n as u64;
         }
-        self.constructed += n as u64;
     }
 
-    /// Recorded events (empty unless the collector is `Memory`).
+    /// Recorded events (empty while disabled).
     pub fn events(&self) -> &[TimedEvent] {
-        match &self.collector {
-            Collector::Memory(events) => events,
-            _ => &[],
-        }
+        self.events.as_deref().unwrap_or_default()
     }
 
     /// Events constructed since creation (0 while disabled).
@@ -153,34 +116,6 @@ mod tests {
         assert!(bus.events()[0].at < bus.events()[1].at);
     }
 
-    /// A counting bus built from a disabled one, as the kernel's
-    /// `set_event_collector` builds it.
-    fn counting() -> EventBus {
-        let mut bus = EventBus::disabled();
-        bus.set_collector(Collector::Counting(0));
-        bus
-    }
-
-    /// What a counting bus counted, read the way a caller reads it: by
-    /// taking the collector back.
-    fn counted(bus: &mut EventBus) -> u64 {
-        match bus.set_collector(Collector::Null) {
-            Collector::Counting(n) => n,
-            other => panic!("expected a counting collector, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn counting_bus_counts_without_storing() {
-        let mut bus = counting();
-        for _ in 0..5 {
-            bus.emit(SimTime::ZERO, spawn_event);
-        }
-        assert_eq!(bus.constructed(), 5);
-        assert!(bus.events().is_empty());
-        assert_eq!(counted(&mut bus), 5);
-    }
-
     #[test]
     fn unbounded_bus_reports_zero_drops() {
         // A recording bus keeps every event it is given.
@@ -213,22 +148,5 @@ mod tests {
         });
         assert!(!ran);
         assert_eq!(bus.constructed(), 0);
-
-        // Counting: counted, not stored.
-        let mut bus = counting();
-        bus.emit_batch(SimTime::ZERO, 4, |_| spawn_event());
-        assert_eq!(counted(&mut bus), 4);
-    }
-
-    #[test]
-    fn set_collector_swaps_and_returns_old() {
-        let mut bus = EventBus::recording();
-        bus.emit(SimTime::ZERO, spawn_event);
-        let old = bus.set_collector(Collector::Null);
-        match old {
-            Collector::Memory(events) => assert_eq!(events.len(), 1),
-            _ => panic!("expected memory collector"),
-        }
-        assert!(!bus.is_enabled());
     }
 }

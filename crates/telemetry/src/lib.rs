@@ -35,7 +35,7 @@ pub mod flame;
 mod metrics;
 pub mod trace_tree;
 
-pub use bus::{Collector, EventBus};
+pub use bus::EventBus;
 pub use chrome::{export_chrome_trace, GPU_PID, GPU_TID, KERNEL_PID, SCHED_TID, SERVE_PID};
 pub use critical_path::{
     analyze, critical_path as program_critical_path, render_report, LatencyBreakdown, Phase, PHASES,
