@@ -50,13 +50,10 @@ pub struct FaultPlan {
     pub swap_in_fault_rate: f64,
     /// Probability an IPC `send_msg` is silently dropped.
     pub ipc_drop_rate: f64,
-    /// Probability the *kernel itself* crashes at a syscall boundary (the
-    /// machine dies mid-run; recovery replays the WAL). Evaluated once per
-    /// boundary from the same isolated stream as every other site.
-    pub kernel_crash_rate: f64,
-    /// Deterministic kill point: crash at exactly the Nth syscall boundary
-    /// (1-based), regardless of `kernel_crash_rate`. No RNG draw — the
-    /// kill-at-every-boundary chaos sweep iterates this.
+    /// Deterministic kill point: the *kernel itself* crashes at exactly the
+    /// Nth syscall boundary (1-based; the machine dies mid-run, and
+    /// recovery replays the WAL). No RNG draw — the kill-at-every-boundary
+    /// chaos sweep iterates this.
     pub crash_at_boundary: Option<u64>,
 }
 
@@ -72,7 +69,6 @@ impl FaultPlan {
             && self.pred_fault_rate == 0.0
             && self.swap_in_fault_rate == 0.0
             && self.ipc_drop_rate == 0.0
-            && self.kernel_crash_rate == 0.0
             && self.crash_at_boundary.is_none()
     }
 
@@ -88,7 +84,6 @@ impl FaultPlan {
             ("pred_fault_rate", self.pred_fault_rate),
             ("swap_in_fault_rate", self.swap_in_fault_rate),
             ("ipc_drop_rate", self.ipc_drop_rate),
-            ("kernel_crash_rate", self.kernel_crash_rate),
         ];
         for (name, rate) in rates {
             if !(0.0..=1.0).contains(&rate) || rate.is_nan() {
@@ -221,19 +216,11 @@ impl FaultInjector {
     }
 
     /// Decides whether the kernel crashes at syscall boundary `boundary`
-    /// (1-based, counted across the whole run). The deterministic
-    /// `crash_at_boundary` kill point fires without an RNG draw, so
-    /// sweeping it over every boundary perturbs nothing else; the rate
-    /// gate draws once per boundary like every other site.
+    /// (1-based, counted across the whole run): at the `crash_at_boundary`
+    /// kill point, without an RNG draw, so sweeping it over every boundary
+    /// perturbs nothing else.
     pub fn kernel_crash(&mut self, boundary: u64) -> bool {
-        if self.plan.crash_at_boundary == Some(boundary) {
-            self.counters.kernel_crashes.inc();
-            return true;
-        }
-        if self.plan.kernel_crash_rate == 0.0 {
-            return false;
-        }
-        let hit = self.rng.next_f64() < self.plan.kernel_crash_rate;
+        let hit = self.plan.crash_at_boundary == Some(boundary);
         if hit {
             self.counters.kernel_crashes.inc();
         }
@@ -309,23 +296,11 @@ mod tests {
     }
 
     #[test]
-    fn crash_rate_is_respected_statistically() {
-        let plan = FaultPlan {
-            kernel_crash_rate: 0.2,
-            ..FaultPlan::default()
-        };
-        let (mut inj, registry) = injector(plan, 11);
-        let hits = (1..=10_000).filter(|&b| inj.kernel_crash(b)).count();
-        assert!((1700..2300).contains(&hits), "hits={hits}");
-        assert_eq!(count(&registry, "kernel_crashes"), hits as u64);
-    }
-
-    #[test]
     fn validate_accepts_boundary_rates() {
         let plan = FaultPlan {
             tool_fault_rate: 1.0,
             pred_fault_rate: 0.0,
-            kernel_crash_rate: 0.5,
+            ipc_drop_rate: 0.5,
             crash_at_boundary: Some(1),
             ..FaultPlan::default()
         };
@@ -340,10 +315,10 @@ mod tests {
         };
         assert!(negative.validate().unwrap_err().contains("swap_in_fault_rate"));
         let above_one = FaultPlan {
-            kernel_crash_rate: 1.5,
+            pred_fault_rate: 1.5,
             ..FaultPlan::default()
         };
-        assert!(above_one.validate().unwrap_err().contains("kernel_crash_rate"));
+        assert!(above_one.validate().unwrap_err().contains("pred_fault_rate"));
         let nan = FaultPlan {
             ipc_drop_rate: f64::NAN,
             ..FaultPlan::default()

@@ -482,7 +482,9 @@ pub struct Kernel {
     /// Compute time of the latest iteration: how long the continuous gate
     /// will hold a launch for runnable threads at most.
     last_iteration: SimDuration,
-    pending_batches: IdSlab<Vec<(Tid, SysReply)>>,
+    /// The launched batch's id and the replies it delivers when done. One
+    /// at most: no iteration launches while the GPU is busy.
+    in_flight: Option<(u64, Vec<(Tid, SysReply)>)>,
     next_batch: u64,
     timer_armed_until: Option<SimTime>,
     // Processes and threads (see `crate::proc`).
@@ -654,7 +656,7 @@ impl Kernel {
             gpu_busy: false,
             idle_since: None,
             last_iteration: SimDuration::ZERO,
-            pending_batches: IdSlab::new(),
+            in_flight: None,
             next_batch: 0,
             timer_armed_until: None,
             threads: IdSlab::new(),
@@ -1018,7 +1020,8 @@ impl Kernel {
                 self.gpu_busy = false;
                 // Results are recorded at launch; an unknown id would mean a
                 // duplicate BatchDone. Drop it rather than panic the kernel.
-                let Some(results) = self.pending_batches.remove(batch_id) else {
+                let done = self.in_flight.take_if(|(id, _)| *id == batch_id);
+                let Some((_, results)) = done else {
                     debug_assert!(false, "BatchDone for unknown batch {batch_id}");
                     return;
                 };
@@ -1663,7 +1666,11 @@ impl Kernel {
         self.kmetrics
             .backing_pages
             .set(self.store.backing_pages() as i64);
-        self.pending_batches.insert(batch_id, replies);
+        debug_assert!(
+            self.in_flight.is_none(),
+            "a launch while a batch is in flight"
+        );
+        self.in_flight = Some((batch_id, replies));
         self.gpu_busy = true;
         self.last_iteration = report.duration;
         self.events
@@ -2040,7 +2047,6 @@ impl Kernel {
                         pid: pid.0,
                         tid: tid.0,
                         tool,
-                        attempts: 1,
                         latency_ns,
                     });
                 }
@@ -2049,7 +2055,6 @@ impl Kernel {
                 // syscall-boundary crash model, so recovery never re-fires
                 // the tool (exactly-once side-effects).
                 self.journal(pid, None, seq, || Effect::Tool {
-                    latency_ns: latency.as_nanos(),
                     result: result.clone(),
                 });
                 self.begin_io(pid, latency);
@@ -2096,11 +2101,7 @@ impl Kernel {
                 let target = sys!(target, "ipc target missing");
                 match target.recv_waiters.pop_front() {
                     None => target.mailbox.push_back((pid, data, sys_at, tid.0)),
-                    Some((wtid, rseq)) => {
-                        self.journal(to, None, rseq, || Effect::Recv {
-                            from: pid.0,
-                            data: data.clone(),
-                        });
+                    Some(wtid) => {
                         if self.causal {
                             // Direct delivery: this send wakes the parked recv.
                             self.bus.emit(sys_at, || EventKind::CausalEdge {
@@ -2118,21 +2119,19 @@ impl Kernel {
                 self.complete(tid, SysReply::Unit);
             }
             Syscall::Recv => {
-                let seq = proc.next_seq(EffectClass::Recv);
+                // Recovery replay: the `seq`-th delivery to this process,
+                // as its send frame journalled it.
+                let seq = proc.next_recv_seq();
                 if self.answer_from_journal(pid, tid, seq, Asked::Recv) {
                     return;
                 }
                 let proc = self.procs.get_mut(pid.0).and_then(Proc::live_mut);
                 let proc = sys!(proc, "process missing");
                 let Some((from, data, sent_at, sender_tid)) = proc.mailbox.pop_front() else {
-                    proc.recv_waiters.push_back((tid, seq));
+                    proc.recv_waiters.push_back(tid);
                     return;
                 };
-                self.journal(pid, None, seq, || Effect::Recv {
-                    from: from.0,
-                    data: data.clone(),
-                });
-                if self.causal && sender_tid != 0 {
+                if self.causal {
                     // Mailbox hit: the buffered send (at `sent_at`) is
                     // what answers this recv.
                     self.bus.emit(sys_at, || EventKind::CausalEdge {

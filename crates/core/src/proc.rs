@@ -123,12 +123,10 @@ pub(crate) struct Live {
     pub(crate) live_threads: u32,
     /// Undelivered messages: `(sender, payload, sent_at, sender_tid)`. The
     /// send context feeds the causal IPC edge when a later `recv` pops the
-    /// entry; `sender_tid` 0 marks a mailbox rebuilt from the WAL (the
-    /// pre-crash sender thread is unknown, so no edge is emitted).
+    /// entry.
     pub(crate) mailbox: VecDeque<(Pid, String, SimTime, u64)>,
-    /// Threads parked in `recv`, with the effect-sequence id their eventual
-    /// delivery will be journalled under.
-    pub(crate) recv_waiters: VecDeque<(Tid, u64)>,
+    /// Threads parked in `recv`, in arrival order.
+    pub(crate) recv_waiters: VecDeque<Tid>,
     pub(crate) limits: Limits,
     pub(crate) io_waiting: u32,
     pub(crate) offloaded: Vec<FileId>,
@@ -152,6 +150,9 @@ pub(crate) struct Live {
     seqs: [u64; EffectClass::COUNT],
     /// Next `pred` sequence id, one sequence for all the process's threads.
     pred_seq: u64,
+    /// Next `recv` sequence id, likewise: recv *k* is answered on replay
+    /// by the *k*-th message delivered to the process.
+    recv_seq: u64,
     /// Which of those `pred`s completed, as the next checkpoint lists it
     /// (kept for a durable process only).
     pub(crate) preds: wal::PredRecord,
@@ -169,6 +170,12 @@ impl Live {
     pub(crate) fn next_pred_seq(&mut self) -> u64 {
         self.pred_seq += 1;
         self.pred_seq - 1
+    }
+
+    /// Draws the next `recv` sequence id.
+    pub(crate) fn next_recv_seq(&mut self) -> u64 {
+        self.recv_seq += 1;
+        self.recv_seq - 1
     }
 }
 
@@ -344,6 +351,7 @@ impl Kernel {
             last_pred_done: None,
             seqs: [0; EffectClass::COUNT],
             pred_seq: 0,
+            recv_seq: 0,
             preds: wal::PredRecord::default(),
         };
         let proc = Proc {
@@ -497,7 +505,7 @@ impl Kernel {
         }
         proc.cancelled = true;
         let waiters = std::mem::take(&mut proc.recv_waiters);
-        for (w, _seq) in waiters {
+        for w in waiters {
             self.complete(w, SysReply::Err(SysError::Cancelled));
         }
         true
@@ -519,7 +527,7 @@ impl Kernel {
             let at = self.events.now();
             self.bus.emit(at, || EventKind::DeadlineHit { pid: pid.0 });
         }
-        for (w, _seq) in waiters {
+        for w in waiters {
             self.complete(w, SysReply::Err(SysError::DeadlineExceeded));
         }
     }

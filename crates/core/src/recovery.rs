@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use symphony_kvfs::{FileId, OwnerId};
 use symphony_model::{Preds, TokenId};
-use symphony_sim::SimTime;
 use symphony_telemetry::EventKind;
 
 use crate::kernel::{Kernel, KernelConfig, ProgramImage};
@@ -97,7 +96,15 @@ impl Kernel {
             kernel.admit(&rp.name, &rp.args, arrival, rp.limits, true, body);
             report.resumed += 1;
         }
-        kernel.rebuild_mailboxes();
+        // A resumed process's `pred` record starts as the log left it, so
+        // its next listing holds at least as much.
+        if let Some(replay) = &kernel.replay {
+            for (pid, preds) in &replay.preds {
+                if let Some(p) = kernel.procs.get_mut(*pid).and_then(Proc::live_mut) {
+                    p.preds = preds.log.clone();
+                }
+            }
+        }
         let (resumed, replayed_frames) = (report.resumed as u64, report.frames);
         let now = kernel.events.now();
         kernel.bus.emit(now, move || EventKind::KernelRecovery {
@@ -135,35 +142,6 @@ impl Kernel {
             let w = opened.expect("open kernel WAL");
             self.kmetrics.wal_bytes.set(w.log.disk_len() as i64);
             self.wal = Some(w);
-        }
-    }
-
-    /// Rebuilds the re-admitted processes' mailboxes and `pred` records:
-    /// delivered sends in journal order, minus the prefix each receiver
-    /// already consumed (journalled recvs replay from the log, not from the
-    /// mailbox). A resumed process's `pred` record starts as the log left
-    /// it, so its next listing holds at least as much.
-    fn rebuild_mailboxes(&mut self) {
-        let Some(replay) = &self.replay else {
-            return;
-        };
-        for (pid, preds) in &replay.preds {
-            if let Some(p) = self.procs.get_mut(*pid).and_then(Proc::live_mut) {
-                p.preds = preds.log.clone();
-            }
-        }
-        let mut to_skip = replay.recv_counts();
-        for &(from, seq) in &replay.sends {
-            let sent = replay.effects.get(&(from, EffectClass::Send, seq));
-            let Some(Effect::Send { to, data, .. }) = sent else {
-                continue;
-            };
-            if let Some(n) = to_skip.get_mut(to).filter(|n| **n > 0) {
-                *n -= 1;
-            } else if let Some(p) = self.procs.get_mut(*to).and_then(Proc::live_mut) {
-                p.mailbox
-                    .push_back((Pid(from), data.clone(), SimTime::ZERO, 0));
-            }
         }
     }
 
@@ -214,7 +192,7 @@ impl Kernel {
     /// Journals the `seq`-th effect `pid` drew in the effect's class — the
     /// only constructor of effect frames. Written when `pid` is durable, or
     /// `peer` is: a send is the sender's effect (its replay needs the
-    /// result) *and* the receiver's (its mailbox rebuild needs the
+    /// result) *and* the receiver's (its replayed `recv` needs the
     /// payload). `effect` is not evaluated otherwise. The frame is written
     /// before the effect is observable.
     pub(crate) fn journal(
@@ -302,7 +280,8 @@ impl Kernel {
     /// Answers the syscall `tid` is parked in from the journal, if this is
     /// a recovered kernel and the log holds the `seq`-th effect `pid` drew
     /// in the call's class (for a `pred`: its completion record vouches for
-    /// call `seq`): the reply the call got before the crash is scheduled
+    /// call `seq`; for a `recv`: a `seq`-th delivery to `pid` is
+    /// journalled): the reply the call got before the crash is scheduled
     /// again and nothing is re-performed — no tool handler fires twice, no
     /// message is delivered twice, `now` reads what it read then, no GPU
     /// time is charged. `false` means the call runs live (and journals what
@@ -338,33 +317,37 @@ impl Kernel {
         true
     }
 
-    /// The reply a journalled effect frame gives call `seq` of `pid`.
+    /// The reply a journalled effect frame gives call `seq` of `pid`. A
+    /// `recv`'s frame is the send of the `seq`-th message delivered to
+    /// `pid` (see [`crate::wal`], "Receives").
     fn replay_effect(&mut self, pid: Pid, seq: u64, asked: Asked<'_>) -> Option<SysReply> {
-        let class = match asked {
-            Asked::Tool => EffectClass::Tool,
-            Asked::Send => EffectClass::Send,
-            Asked::Recv => EffectClass::Recv,
-            Asked::Lookup => EffectClass::Lookup,
-            Asked::Now => EffectClass::Now,
+        let replay = self.replay.as_ref()?;
+        let (owner, class, seq) = match asked {
+            Asked::Tool => (pid.0, EffectClass::Tool, seq),
+            Asked::Send => (pid.0, EffectClass::Send, seq),
+            Asked::Recv => {
+                let &(from, send_seq) = replay
+                    .inboxes
+                    .get(&pid.0)?
+                    .get(usize::try_from(seq).ok()?)?;
+                (from, EffectClass::Send, send_seq)
+            }
+            Asked::Lookup => (pid.0, EffectClass::Lookup, seq),
+            Asked::Now => (pid.0, EffectClass::Now, seq),
             Asked::Pred { .. } => return None,
         };
-        let effect = self
-            .replay
-            .as_ref()?
-            .effects
-            .get(&(pid.0, class, seq))
-            .cloned()?;
+        let effect = replay.effects.get(&(owner, class, seq)).cloned()?;
         Some(match (effect, asked) {
-            (Effect::Tool { result, .. }, Asked::Tool) => match result {
+            (Effect::Tool { result }, Asked::Tool) => match result {
                 Ok(s) => SysReply::Text(s),
                 Err(e) => SysReply::Err(e),
             },
-            // The delivery (if any) happened pre-crash and is already in
-            // the rebuilt mailbox or a journalled recv.
+            // The delivery (if any) happened pre-crash: the receiver's
+            // replayed `recv` answers from this same frame.
             (Effect::Send { ok: true, .. }, Asked::Send) => SysReply::Unit,
             (Effect::Send { ok: false, .. }, Asked::Send) => SysReply::Err(SysError::NotFound),
-            (Effect::Recv { from, data }, Asked::Recv) => SysReply::Msg {
-                from: Pid(from),
+            (Effect::Send { data, .. }, Asked::Recv) => SysReply::Msg {
+                from: Pid(owner),
                 data,
             },
             (Effect::Lookup { found }, Asked::Lookup) => SysReply::MaybePid(found.map(Pid)),

@@ -8,11 +8,11 @@
 //! |---|---|
 //! | 32 | process admission: pid, arrival, name, args, limits |
 //! | 33 | process exit |
-//! | 34 | tool effect |
+//! | 34 | tool effect: the call's result |
 //! | 35 | IPC send |
-//! | 36 | IPC receive |
+//! | 36 | unassigned: a frame carrying it ends the valid prefix |
 //! | 37 | name lookup |
-//! | 38 | `now` read |
+//! | 38 | `now` read: the frame's own time is the value read |
 //! | 39 | unassigned: a frame carrying it ends the valid prefix |
 //! | 40 | checkpoint: pid allocator, `pred` completion records |
 //! | 41 | unassigned: a frame carrying it ends the valid prefix |
@@ -36,6 +36,19 @@
 //! not journalled: a thread gets a fresh one each time it runs. A sequence
 //! number per `(pid, effect class)` keys the one replay map
 //! ([`EffectClass`]).
+//!
+//! # Receives
+//!
+//! No frame records a `recv`: each message is journalled once, by its
+//! send frame, which says whether it was delivered. Each process numbers
+//! its `recv`s in one sequence its threads share, and recovery answers
+//! recv *k* with the *k*-th delivered send to that process in journal
+//! order ([`Replay::inboxes`]). That is the message the live run gave it:
+//! the mailbox and the queue of parked receivers are both FIFO, a send
+//! reaches a parked receiver only while the mailbox is empty, and a
+//! deadline or cancellation that fails a parked `recv` fails every later
+//! syscall of its process, so no later `recv` can take a message out of
+//! turn.
 //!
 //! # `pred`s
 //!
@@ -79,7 +92,7 @@ use crate::types::{ExitStatus, Limits, ProcessUsage, SysError};
 pub const WAL_MAGIC: [u8; 4] = *b"SYMW";
 
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 7;
+pub const WAL_VERSION: u32 = 8;
 
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
@@ -94,7 +107,6 @@ const TAG_PROC_SPAWN: u8 = 32;
 const TAG_PROC_EXIT: u8 = 33;
 const TAG_TOOL_EFFECT: u8 = 34;
 const TAG_IPC_SEND: u8 = 35;
-const TAG_IPC_RECV: u8 = 36;
 const TAG_LOOKUP: u8 = 37;
 const TAG_NOW: u8 = 38;
 const TAG_CHECKPOINT: u8 = 40;
@@ -190,17 +202,21 @@ pub struct RecoveryReport {
 pub(crate) enum EffectClass {
     Tool = TAG_TOOL_EFFECT,
     Send = TAG_IPC_SEND,
-    Recv = TAG_IPC_RECV,
     Lookup = TAG_LOOKUP,
     Now = TAG_NOW,
 }
 
 impl EffectClass {
-    pub(crate) const COUNT: usize = 5;
+    pub(crate) const COUNT: usize = 4;
 
     /// Position in a process's per-class counter array.
     pub(crate) fn index(self) -> usize {
-        (self as u8 - EffectClass::Tool as u8) as usize
+        match self {
+            EffectClass::Tool => 0,
+            EffectClass::Send => 1,
+            EffectClass::Lookup => 2,
+            EffectClass::Now => 3,
+        }
     }
 }
 
@@ -210,24 +226,22 @@ impl EffectClass {
 pub(crate) enum Effect {
     /// One tool call (one attempt) and its outcome.
     Tool {
-        latency_ns: u64,
         result: Result<String, SysError>,
     },
     /// A send: `ok` is what the sender saw, `delivered` whether the
-    /// message reached `to`'s mailbox (an injected drop is `ok` only).
+    /// message reached `to` (an injected drop is `ok` only). A delivered
+    /// send is also what answers the receiver's `recv` on replay.
     Send {
         to: u64,
         ok: bool,
         delivered: bool,
         data: String,
     },
-    Recv {
-        from: u64,
-        data: String,
-    },
     Lookup {
         found: Option<u64>,
     },
+    /// What `now` read: the time of the frame that records it, so `t`
+    /// must equal the record's `at`.
     Now {
         t: SimTime,
     },
@@ -238,7 +252,6 @@ impl Effect {
         match self {
             Effect::Tool { .. } => EffectClass::Tool,
             Effect::Send { .. } => EffectClass::Send,
-            Effect::Recv { .. } => EffectClass::Recv,
             Effect::Lookup { .. } => EffectClass::Lookup,
             Effect::Now { .. } => EffectClass::Now,
         }
@@ -509,24 +522,24 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
         }
         // One shape for every class: `(at, pid, seq, payload)`.
         WalRecord::Effect {
-            pid, seq, effect, ..
+            at,
+            pid,
+            seq,
+            effect,
         } => {
             push_u64(out, *pid);
             push_u64(out, *seq);
             match effect {
-                Effect::Tool { latency_ns, result } => {
-                    push_u64(out, *latency_ns);
-                    match result {
-                        Ok(text) => {
-                            out.push(0);
-                            push_str(out, text);
-                        }
-                        Err(e) => {
-                            out.push(1);
-                            encode_sys_error(out, e);
-                        }
+                Effect::Tool { result } => match result {
+                    Ok(text) => {
+                        out.push(0);
+                        push_str(out, text);
                     }
-                }
+                    Err(e) => {
+                        out.push(1);
+                        encode_sys_error(out, e);
+                    }
+                },
                 Effect::Send {
                     to,
                     ok,
@@ -538,12 +551,9 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
                     out.push(u8::from(*delivered));
                     push_str(out, data);
                 }
-                Effect::Recv { from, data } => {
-                    push_u64(out, *from);
-                    push_str(out, data);
-                }
                 Effect::Lookup { found } => push_opt_u64(out, *found),
-                Effect::Now { t } => push_u64(out, t.as_nanos()),
+                // The payload is empty: the decoder reads `t` from `at`.
+                Effect::Now { t } => debug_assert_eq!(t, at, "a `now` frame is written when read"),
             }
         }
         WalRecord::Checkpoint {
@@ -566,11 +576,11 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
     buf
 }
 
-/// The payload of an effect frame; its tag says which class it is.
-fn decode_effect(tag: u8, c: &mut Cursor<'_>) -> Option<Effect> {
+/// The payload of an effect frame, recorded at `at`; its tag says which
+/// class it is.
+fn decode_effect(tag: u8, at: SimTime, c: &mut Cursor<'_>) -> Option<Effect> {
     Some(match tag {
         TAG_TOOL_EFFECT => Effect::Tool {
-            latency_ns: c.u64()?,
             result: match c.u8()? {
                 0 => Ok(c.str()?),
                 1 => Err(decode_sys_error(c)?),
@@ -583,16 +593,10 @@ fn decode_effect(tag: u8, c: &mut Cursor<'_>) -> Option<Effect> {
             delivered: c.u8()? != 0,
             data: c.str()?,
         },
-        TAG_IPC_RECV => Effect::Recv {
-            from: c.u64()?,
-            data: c.str()?,
-        },
         TAG_LOOKUP => Effect::Lookup {
             found: c.opt_u64()?,
         },
-        TAG_NOW => Effect::Now {
-            t: SimTime::from_nanos(c.u64()?),
-        },
+        TAG_NOW => Effect::Now { t: at },
         _ => return None,
     })
 }
@@ -669,7 +673,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
             at,
             pid: c.u64()?,
             seq: c.u64()?,
-            effect: decode_effect(tag, &mut c)?,
+            effect: decode_effect(tag, at, &mut c)?,
         },
     };
     c.done().then_some(rec)
@@ -683,7 +687,6 @@ pub fn tag_name(tag: u8) -> &'static str {
         TAG_PROC_EXIT => "proc_exit",
         TAG_TOOL_EFFECT => "tool_effect",
         TAG_IPC_SEND => "ipc_send",
-        TAG_IPC_RECV => "ipc_recv",
         TAG_LOOKUP => "lookup",
         TAG_NOW => "now",
         TAG_CHECKPOINT => "checkpoint",
@@ -818,26 +821,13 @@ pub(crate) struct Replay {
     /// Each process's last listed `pred` record, and how far its replay
     /// has got against it.
     pub(crate) preds: BTreeMap<u64, PredReplay>,
-    /// `(from, seq)` of the delivered sends in journal (= delivery) order,
-    /// for mailbox reconstruction; the payloads are in `effects`.
-    pub(crate) sends: Vec<(u64, u64)>,
+    /// Per receiver, `(from, seq)` of the sends delivered to it in journal
+    /// (= delivery) order: entry *k* answers its `recv` number *k* (module
+    /// docs, "Receives"). The payloads are in `effects`.
+    pub(crate) inboxes: BTreeMap<u64, Vec<(u64, u64)>>,
     pub(crate) frames: u64,
     pub(crate) wal_bytes: u64,
     pub(crate) torn: bool,
-}
-
-impl Replay {
-    /// Count of journalled recvs per receiver, used to skip the consumed
-    /// prefix when rebuilding mailboxes.
-    pub(crate) fn recv_counts(&self) -> BTreeMap<u64, usize> {
-        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for &(pid, class, _) in self.effects.keys() {
-            if class == EffectClass::Recv {
-                *counts.entry(pid).or_default() += 1;
-            }
-        }
-        counts
-    }
 }
 
 /// A recovered process's journalled [`PredRecord`] and the guard's state
@@ -935,21 +925,22 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
             WalRecord::Effect {
                 pid, seq, effect, ..
             } => {
-                let delivered = matches!(
-                    effect,
+                let delivered_to = match effect {
                     Effect::Send {
+                        to,
                         ok: true,
                         delivered: true,
                         ..
-                    }
-                );
+                    } => Some(to),
+                    _ => None,
+                };
                 // Journal order is delivery order; only first sight counts.
                 let first = r
                     .effects
                     .insert((pid, effect.class(), seq), effect)
                     .is_none();
-                if first && delivered {
-                    r.sends.push((pid, seq));
+                if let Some(to) = delivered_to.filter(|_| first) {
+                    r.inboxes.entry(to).or_default().push((pid, seq));
                 }
             }
             WalRecord::Checkpoint {
@@ -1023,7 +1014,6 @@ mod tests {
                 1,
                 0,
                 Effect::Tool {
-                    latency_ns: 1_000_000,
                     result: Ok("searched: q".into()),
                 },
             ),
@@ -1032,7 +1022,6 @@ mod tests {
                 1,
                 1,
                 Effect::Tool {
-                    latency_ns: 500,
                     result: Err(SysError::Timeout),
                 },
             ),
@@ -1044,15 +1033,6 @@ mod tests {
                     to: 2,
                     ok: true,
                     delivered: true,
-                    data: "hello".into(),
-                },
-            ),
-            effect(
-                31,
-                2,
-                0,
-                Effect::Recv {
-                    from: 1,
                     data: "hello".into(),
                 },
             ),
@@ -1216,9 +1196,8 @@ mod tests {
         wrong_magic[0] = b'X';
         assert_eq!(read_wal(&wrong_magic), Err(WalError::Incompatible));
         let mut wrong_version = bytes.clone();
-        // A log written by the previous format (v6: schedule frames under
-        // tag 41, and spawn frames without an arrival) is refused, not
-        // misread.
+        // A log written by the previous format (v7: receive frames, and
+        // tool and `now` frames with a field more) is refused, not misread.
         for version in [WAL_VERSION - 1, 99] {
             wrong_version[4] = version as u8;
             assert_eq!(read_wal(&wrong_version), Err(WalError::Incompatible));
@@ -1240,17 +1219,24 @@ mod tests {
 
     #[test]
     fn an_unassigned_tag_ends_the_valid_prefix() {
-        // Tag 39 carried a `pred` marker up to version 4, and tag 41 a
-        // schedule frame up to version 6 (what an admission frame is now):
-        // a well-formed, checksummed frame under either names no record.
+        // Tag 39 carried a `pred` marker up to version 4, tag 41 a schedule
+        // frame up to version 6 (what an admission frame is now), and tag
+        // 36 a receive up to version 7 (what a delivered send answers now):
+        // a well-formed, checksummed frame under any of them names no
+        // record.
         let prefix = wal_bytes(&sample_records()[..1], 3);
         let mut marker = Vec::new();
         for field in [40u64, 1, 0] {
             push_u64(&mut marker, field);
         }
         push_u32(&mut marker, 5);
-        let schedule = encode_payload(&sample_records()[9]);
-        for (tag, payload) in [(39, marker), (41, schedule)] {
+        let schedule = encode_payload(&sample_records()[8]);
+        let mut recv = Vec::new();
+        for field in [31u64, 2, 0, 1] {
+            push_u64(&mut recv, field);
+        }
+        push_str(&mut recv, "hello");
+        for (tag, payload) in [(39, marker), (41, schedule), (36, recv)] {
             let mut bytes = prefix.clone();
             append_frame(&mut bytes, tag, &payload);
             let (_, records, valid_len, torn) = read_wal(&bytes).unwrap();
@@ -1294,7 +1280,6 @@ mod tests {
             1,
             2,
             Effect::Tool {
-                latency_ns: 500,
                 result: Err(SysError::Kv(KvError::Pinned)),
             },
         );
@@ -1326,7 +1311,6 @@ mod tests {
             1,
             2,
             Effect::Tool {
-                latency_ns: 500,
                 result: Err(SysError::Timeout),
             },
         );
@@ -1438,7 +1422,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(journalled.len(), 6);
+        assert_eq!(journalled.len(), 5);
         assert_eq!(r.effects.len(), journalled.len());
         for (key, effect) in &journalled {
             assert_eq!(r.effects.get(key), Some(effect), "{key:?}");
@@ -1454,8 +1438,8 @@ mod tests {
         // The checkpoint's listing is pid 1's `pred` record.
         assert_eq!(r.preds.len(), 1);
         assert_eq!(r.preds[&1].log, pred_record(2, 9, &[(4, 3)]));
-        assert_eq!(r.sends, vec![(1, 0)]);
-        assert_eq!(r.recv_counts()[&2], 1);
+        // Pid 2's first `recv` is answered by pid 1's send 0.
+        assert_eq!(r.inboxes, BTreeMap::from([(2, vec![(1, 0)])]));
         // Admitted at 61 for an arrival at 900: one frame, one entry.
         assert!(r.procs[&4].exit.is_none());
         assert_eq!(r.procs[&4].arrival, SimTime::from_nanos(900));
@@ -1483,7 +1467,7 @@ mod tests {
             send(0, true, true),   // re-journalled by an earlier recovery
         ];
         let r = build_replay(records, 0, false);
-        assert_eq!(r.sends, vec![(1, 0)]);
+        assert_eq!(r.inboxes, BTreeMap::from([(2, vec![(1, 0)])]));
         assert_eq!(r.effects.len(), 3, "the sender's replay sees all three");
     }
 
@@ -1501,7 +1485,6 @@ mod tests {
         let names = frame_counts(&wal_bytes(&sample_records(), 1)).unwrap();
         let expected = [
             ("checkpoint", 1),
-            ("ipc_recv", 1),
             ("ipc_send", 1),
             ("lookup", 1),
             ("now", 1),
@@ -1568,7 +1551,14 @@ mod tests {
     }
 
     /// The format changes only on purpose: length and FNV-1a of this
-    /// record list's encoding under seed 42. Version 7 is 700 bytes against
+    /// record list's encoding under seed 42. Version 8 is 626 bytes against
+    /// version 7's 700 (FNV-1a `0x6254_36ed`): the two tool frames and the
+    /// `now` frame are 8 bytes shorter each (no `latency_ns`; no `t`, which
+    /// is the frame's own time), no receive frame is written (v7 listed
+    /// pid 2's, 50 bytes: at, pid, seq, sender, the length-prefixed
+    /// "hello" and the frame overhead), and the header's version word
+    /// reads 8.
+    /// Version 7 was 700 bytes against
     /// version 6's 692 (FNV-1a `0x1d21_2ba5`): pid 1's spawn frame is an
     /// admission frame and gains its 8-byte arrival; pid 4's schedule frame
     /// keeps its bytes but is an admission frame under tag 32 instead of
@@ -1591,7 +1581,7 @@ mod tests {
     fn on_disk_format_is_pinned() {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 42);
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (700, 0x6254_36ed));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (626, 0x6a42_3433));
         // The writer lays down the same bytes: every frame is written when
         // it is made, so file order is list order.
         let dir = std::env::temp_dir().join(format!("symwal-pin-{}", std::process::id()));

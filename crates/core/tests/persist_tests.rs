@@ -117,8 +117,11 @@ fn warm_boot(path: &std::path::Path) -> Kernel {
 
 /// A crash can stop a journal write anywhere. A journal written through
 /// `open_kv_journal` + `persist_kv_delta` and cut at every frame boundary
-/// and one byte into every frame still warm-boots: a cut tail reports the
-/// typed tear, the restored prefix is consistent, and the kernel serves.
+/// and one byte into every frame still warm-boots: the restored prefix is
+/// consistent and the kernel serves. A cut right after a batch's closing
+/// `PoolState` (or at the header's end) reads complete; every other cut —
+/// one byte into a frame, or between two frames of one batch — reports
+/// the typed tear.
 #[test]
 fn a_journal_cut_anywhere_warm_boots() {
     let path = tmp("cut.journal");
@@ -131,24 +134,31 @@ fn a_journal_cut_anywhere_warm_boots() {
     assert!(!k.persist_kv_delta().unwrap());
     let bytes = std::fs::read(&path).unwrap();
 
-    // The journal's header carries four fields; frames follow it.
+    // The journal's header carries four fields; frames follow it. Tag 8
+    // is `PoolState`, the record that closes every batch.
+    const POOL_STATE: u8 = 8;
     let mut end = Head::<4>::LEN;
-    let mut cuts = vec![end];
+    let mut cuts = vec![(end, false)];
     let (frames, torn) = read_frames(&bytes[end..]);
     assert!(!torn);
-    for (_, payload) in &frames {
-        cuts.push(end + 1);
+    for (tag, payload) in &frames {
+        cuts.push((end + 1, true));
         end += FRAME_OVERHEAD + payload.len();
-        cuts.push(end);
+        cuts.push((end, *tag != POOL_STATE));
     }
     assert_eq!(end, bytes.len());
+    // The base snapshot and two delta batches, each closed once, and the
+    // delta batches have frame boundaries inside them.
+    let closes = frames.iter().filter(|(tag, _)| *tag == POOL_STATE).count();
+    assert_eq!(closes, 3);
+    assert!(frames.len() > 2 * closes, "{} frames", frames.len());
 
     let cut_path = tmp("cut.prefix.journal");
-    for cut in cuts {
+    for (cut, torn) in cuts {
         std::fs::write(&cut_path, &bytes[..cut]).unwrap();
         let mut warm = warm_boot(&cut_path);
         let report = *warm.restored().unwrap_or_else(|| panic!("cut at {cut} restores"));
-        let torn = (cut < bytes.len()).then_some(KvError::JournalTorn);
+        let torn = torn.then_some(KvError::JournalTorn);
         assert_eq!(report.torn, torn, "cut at {cut}");
         assert!(report.files <= 2, "cut at {cut}");
         warm.store().verify().unwrap();

@@ -928,3 +928,135 @@ fn a_durable_writer_with_a_sink_recovers_equivalently_at_every_boundary() {
     }
     std::fs::remove_file(&base_path).ok();
 }
+
+// ---- messages across a crash -----------------------------------------------
+
+/// Receives `n` messages (args `n,wait_ms`: it first sleeps `wait_ms`) and
+/// emits each as `from:data;` in the order it got them.
+fn receiver_image() -> ProgramImage {
+    Arc::new(|ctx| {
+        let args = ctx.args();
+        let (n, wait) = args.split_once(',').expect("n,wait_ms");
+        ctx.sleep(SimDuration::from_millis(wait.parse().expect("ms")))?;
+        for _ in 0..n.parse::<u32>().expect("a count") {
+            let msg = ctx.recv_msg()?;
+            ctx.emit(&format!("{}:{};", msg.from.0, msg.data))?;
+        }
+        Ok(())
+    })
+}
+
+/// Sends `m0`, `m1`, `m2` to the receiver (args `pid,gap_ms`: it sleeps
+/// `gap_ms` before each send) and emits what each send answered.
+fn sender_image() -> ProgramImage {
+    Arc::new(|ctx| {
+        let args = ctx.args();
+        let (to, gap) = args.split_once(',').expect("pid,gap_ms");
+        let to = symphony::Pid(to.parse().expect("a pid"));
+        for i in 0..3 {
+            ctx.sleep(SimDuration::from_millis(gap.parse().expect("ms")))?;
+            let sent = ctx.send_msg(to, &format!("m{i}"));
+            ctx.emit(&format!("{sent:?};"))?;
+        }
+        Ok(())
+    })
+}
+
+/// Each message is journalled once, by its send frame, and a recovered
+/// receiver's `recv` number *k* is answered by the *k*-th delivered send to
+/// it. Killed at every syscall boundary and recovered, a durable
+/// sender/receiver pair ends as the crash-free run ended — the receiver's
+/// output byte for byte, in order — when (a) every message reaches a parked
+/// receiver, (b) the messages wait in its mailbox, and (c) the first
+/// message was dropped by the fault injector before the crash: it never
+/// arrives, though the recovered kernel (no faults) would deliver it if it
+/// were sent again. No log holds a receive frame.
+#[test]
+fn a_message_is_received_once_across_a_crash_at_every_boundary() {
+    // (case, receiver args, sender gap, drop rate, expected receiver text).
+    let cases = [
+        ("parked", "3,0", 1, 0.0, "2:m0;2:m1;2:m2;"),
+        ("mailbox", "3,10", 0, 0.0, "2:m0;2:m1;2:m2;"),
+        ("dropped", "2,10", 0, DROP_FIRST_OF_THREE, "2:m1;2:m2;"),
+    ];
+    let resolve = |name: &str| match name {
+        "receiver" => Some(receiver_image()),
+        "sender" => Some(sender_image()),
+        _ => None,
+    };
+    let seeded = |path: &std::path::Path, crash_at: Option<u64>, ipc_drop_rate: f64| {
+        let mut cfg = config(path, crash_at);
+        cfg.seed = DROP_SEED;
+        cfg.faults.ipc_drop_rate = ipc_drop_rate;
+        cfg
+    };
+    for (case, receiver_args, gap, ipc_drop_rate, heard) in cases {
+        let run = |path: &std::path::Path, crash_at: Option<u64>| {
+            let mut k = Kernel::new(seeded(path, crash_at, ipc_drop_rate));
+            let receiver = k.spawn_durable("receiver", receiver_args, receiver_image());
+            let sender =
+                k.spawn_durable("sender", &format!("{},{gap}", receiver.0), sender_image());
+            assert_eq!((receiver.0, sender.0), (1, 2), "{case}: pids");
+            k.run();
+            k
+        };
+        let drops = |k: &Kernel| {
+            k.metrics_registry()
+                .counter_value("faults.ipc_drops")
+                .unwrap_or(0)
+        };
+        let base_path = tmp(&format!("ipc-{case}-base.wal"));
+        let base = run(&base_path, None);
+        let expected = outcomes(&base);
+        assert_eq!(expected["receiver"], (heard.to_string(), true), "{case}");
+        assert!(expected["sender"].1, "{case}");
+        assert_eq!(
+            drops(&base),
+            u64::from(ipc_drop_rate > 0.0),
+            "{case}: only m0 is dropped"
+        );
+        let boundaries = base.syscall_boundaries();
+        drop(base);
+        let mut swept = 0;
+        for b in 1..=boundaries {
+            let path = tmp(&format!("ipc-{case}-{b}.wal"));
+            let crashed = run(&path, Some(b));
+            assert_eq!(crashed.crashed(), Some(b), "{case}: kill-point {b} fires");
+            // Recovery runs without faults: a crash before the drop would
+            // have the recovered run deliver `m0`, unlike the baseline.
+            if drops(&crashed) == 0 && ipc_drop_rate > 0.0 {
+                std::fs::remove_file(&path).ok();
+                continue;
+            }
+            drop(crashed);
+            let (mut k, report) =
+                Kernel::recover(seeded(&path, None, 0.0), resolve).expect("recoverable WAL");
+            assert_eq!(report.lost, 0, "{case}, boundary {b}");
+            k.run();
+            assert!(k.crashed().is_none());
+            assert_eq!(outcomes(&k), expected, "{case}, boundary {b}");
+            let frames = symphony::wal::frame_counts(&std::fs::read(&path).unwrap()).unwrap();
+            assert!(
+                !frames.contains_key("ipc_recv"),
+                "{case}, boundary {b}: {frames:?}"
+            );
+            assert_eq!(
+                frames.get("ipc_send"),
+                Some(&3),
+                "{case}, boundary {b}: {frames:?}"
+            );
+            swept += 1;
+            std::fs::remove_file(&path).ok();
+        }
+        assert!(
+            swept > 5,
+            "{case}: {swept} of {boundaries} boundaries swept"
+        );
+        std::fs::remove_file(&base_path).ok();
+    }
+}
+
+/// A kernel seed, and an IPC drop rate at which the fault injector's first
+/// draw under that seed drops a message and its next two do not.
+const DROP_SEED: u64 = 1;
+const DROP_FIRST_OF_THREE: f64 = 0.2;

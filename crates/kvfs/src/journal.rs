@@ -12,18 +12,21 @@
 //! | 4 | [`Record::Unlink`] | path removed |
 //! | 5 | [`Record::Remove`] | file removed |
 //! | 7 | [`Record::Quota`] | an owner's page limit |
-//! | 8 | [`Record::PoolState`] | slot geometry, a snapshot's last state record |
-//! | 9 | [`Record::End`] | the seal |
+//! | 8 | [`Record::PoolState`] | slot geometry, the last record of every batch |
 //!
-//! (6 is retired.) The header carries `page_tokens`, `bytes_per_token`,
-//! `next_file` and `access_clock`.
+//! (6 and 9 are retired: a frame carrying either ends the valid prefix.)
+//! The header carries `page_tokens`, `bytes_per_token`, `next_file` and
+//! `access_clock`.
 //!
-//! **Durability.** A journal is *complete* when it ends in `End` and
-//! *torn* otherwise: replay keeps the longest valid record prefix and
-//! reports the tear as [`KvError::JournalTorn`] detail instead of failing
-//! the restore. [`crate::store::KvStore::journal_bytes`] serialises a store
-//! as a sealed record sequence; a [`Journal`] handle appends delta batches
-//! to one, resealing after each (the store drives it:
+//! **Durability.** Every batch — a snapshot, or the changes one persist
+//! appends — ends in a [`Record::PoolState`]. A journal is *complete* when
+//! the frame walk was not cut and its last record is a `PoolState` (a
+//! header-only file is complete and empty), and *torn* otherwise: replay
+//! keeps the longest valid record prefix and reports the tear as
+//! [`KvError::JournalTorn`] detail instead of failing the restore.
+//! [`crate::store::KvStore::journal_bytes`] serialises a store as one
+//! batch; a [`Journal`] handle appends delta batches after it, and never
+//! rewrites a byte it has written (the store drives it:
 //! [`crate::store::KvStore::open_journal`] /
 //! [`crate::store::KvStore::persist_journal`]), and
 //! [`crate::store::KvStore::restore_from_journal`] replays either back into
@@ -38,7 +41,7 @@ use crate::page::{KvEntry, Tier};
 pub const JOURNAL_MAGIC: [u8; 4] = *b"SYMJ";
 
 /// Current journal format version.
-pub const JOURNAL_VERSION: u32 = 1;
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// Fixed journal header: store geometry plus the id/clock high-water marks
 /// needed to continue allocating after a restore.
@@ -112,16 +115,14 @@ pub enum Record {
         limit: Option<u64>,
     },
     /// Page-pool slot geometry: total slot count and the free-slot stack in
-    /// allocation order. Only valid as a snapshot's final state record; any
-    /// later mutating record invalidates it.
+    /// allocation order. It closes every batch, so a journal that ends in
+    /// one is complete; any later mutating record invalidates it.
     PoolState {
         /// Slot-vector length including holes.
         slots_len: u32,
         /// Free-slot stack, bottom first.
         free: Vec<u32>,
     },
-    /// Terminator: everything before it is a complete journal.
-    End,
 }
 
 const TAG_PAGE_WRITE: u8 = 1;
@@ -131,13 +132,12 @@ const TAG_UNLINK: u8 = 4;
 const TAG_REMOVE: u8 = 5;
 const TAG_QUOTA: u8 = 7;
 const TAG_POOL_STATE: u8 = 8;
-const TAG_END: u8 = 9;
 
 const TIER_GPU: u8 = 0;
 const TIER_CPU: u8 = 1;
 const TIER_DISK: u8 = 2;
 
-use symphony_sim::frame::{append_frame, push_u32, push_u64, Cursor, FRAME_OVERHEAD};
+use symphony_sim::frame::{append_frame, push_u32, push_u64, Cursor};
 use symphony_sim::seglog::{self, Head, HeadError, SegLog};
 
 const HEAD: Head<4> = Head {
@@ -236,7 +236,6 @@ fn encode_payload(rec: &Record, out: &mut Vec<u8>) {
                 push_u32(out, *f);
             }
         }
-        Record::End => {}
     }
 }
 
@@ -249,7 +248,6 @@ fn record_tag(rec: &Record) -> u8 {
         Record::Remove { .. } => TAG_REMOVE,
         Record::Quota { .. } => TAG_QUOTA,
         Record::PoolState { .. } => TAG_POOL_STATE,
-        Record::End => TAG_END,
     }
 }
 
@@ -327,15 +325,13 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<Record> {
             }
             Record::PoolState { slots_len, free }
         }
-        TAG_END => Record::End,
         _ => return None,
     };
     // Trailing payload bytes mean the frame lied about its own shape.
     c.done().then_some(rec)
 }
 
-/// Builds a journal byte stream: header, then appended records, then
-/// [`Record::End`] on [`JournalWriter::finish`].
+/// Builds a journal byte stream: header, then appended records.
 #[derive(Debug)]
 pub struct JournalWriter {
     buf: Vec<u8>,
@@ -364,16 +360,15 @@ impl JournalWriter {
         append_frame(&mut self.buf, record_tag(rec), &payload);
     }
 
-    /// Terminates the journal and returns the bytes.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.append(&Record::End);
+    /// Returns the bytes.
+    pub fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
 
 /// Parses a journal: the header, the longest valid record prefix, and
-/// whether the tail was torn (the segment log's torn-tail rule, or a
-/// missing [`Record::End`]).
+/// whether the tail was torn (the segment log's torn-tail rule, or a last
+/// record that is not a [`Record::PoolState`]: a batch cut between frames).
 ///
 /// Returns `Err(KvError::JournalTorn)` only when the header itself is
 /// unusable — there is nothing to restore. A version or magic mismatch is
@@ -387,10 +382,11 @@ pub fn read_journal(bytes: &[u8]) -> Result<(JournalHeader, Vec<Record>, bool), 
         next_file,
         access_clock,
     };
-    let (mut records, _, _) = seglog::scan(body, decode_payload);
-    let end = records.iter().position(|r| matches!(r, Record::End));
-    records.truncate(end.unwrap_or(records.len()));
-    Ok((header, records, end.is_none()))
+    let (records, _, cut) = seglog::scan(body, decode_payload);
+    let closed = records
+        .last()
+        .is_none_or(|r| matches!(r, Record::PoolState { .. }));
+    Ok((header, records, cut || !closed))
 }
 
 /// Human-readable name for a record's frame type.
@@ -403,26 +399,19 @@ fn record_name(rec: &Record) -> &'static str {
         Record::Remove { .. } => "remove",
         Record::Quota { .. } => "quota",
         Record::PoolState { .. } => "pool_state",
-        Record::End => "end",
     }
 }
 
 /// Parses journal bytes and counts valid records per frame type — the
 /// journal-growth observability hook `exp_persist` reports alongside the
-/// `kvfs.journal_bytes` gauge. The `End` terminator is not counted; a
-/// torn tail only shortens the counted prefix.
+/// `kvfs.journal_bytes` gauge. A torn tail only shortens the counted
+/// prefix.
 pub fn frame_counts(
     bytes: &[u8],
 ) -> Result<std::collections::BTreeMap<&'static str, u64>, KvError> {
-    let name_of = |tag, payload: &[u8]| {
-        let rec = decode_payload(tag, payload).filter(|r| !matches!(r, Record::End))?;
-        Some(record_name(&rec))
-    };
+    let name_of = |tag, payload: &[u8]| Some(record_name(&decode_payload(tag, payload)?));
     Ok(seglog::tag_counts(bytes, &HEAD, name_of)?)
 }
-
-/// Byte length of a framed [`Record::End`]: no payload.
-const END_FRAME_LEN: u64 = FRAME_OVERHEAD as u64;
 
 /// Tuning for an on-disk [`Journal`] handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -443,11 +432,11 @@ impl Default for JournalConfig {
 /// An appendable on-disk journal: a base snapshot plus flushed delta
 /// batches, bounded by threshold-triggered compaction.
 ///
-/// The file on disk is always *sealed* — it ends in [`Record::End`]. Every
-/// flush cuts the seal off, writes the buffered frames and a fresh `End`,
-/// so a crash at any point leaves either the previous sealed journal or a
-/// torn tail that [`read_journal`] truncates back to a valid record
-/// prefix. Creating and compacting replace the whole file atomically.
+/// The file is append-only between replacements: a flush writes the
+/// buffered batch after what is on disk, so a crash at any point leaves
+/// the previous complete journal, or it plus part of the batch — a tail
+/// [`read_journal`] reports as torn, keeping its valid record prefix.
+/// Creating and compacting replace the whole file atomically.
 #[derive(Debug)]
 pub struct Journal {
     log: SegLog,
@@ -456,7 +445,7 @@ pub struct Journal {
 
 impl Journal {
     /// Creates the journal at `path` (atomically replacing any file
-    /// there) with `snapshot` — a complete sealed stream from
+    /// there) with `snapshot` — a complete stream from
     /// [`JournalWriter::finish`] or `KvStore::journal_bytes` — as its base.
     pub fn create(
         path: &std::path::Path,
@@ -470,25 +459,20 @@ impl Journal {
     }
 
     /// Buffers one framed record; [`Journal::flush`] at the end of the
-    /// batch writes it.
+    /// batch, which closes with a [`Record::PoolState`], writes it.
     pub fn append(&mut self, rec: &Record) {
         let mut payload = Vec::new();
         encode_payload(rec, &mut payload);
         self.log.push(record_tag(rec), &payload);
     }
 
-    /// Writes buffered records to disk: unseal (cut the `End` frame off),
-    /// append, reseal. A no-op with an empty buffer.
+    /// Appends the buffered records to the file. A no-op with an empty
+    /// buffer.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        if self.log.pending_len() == 0 {
-            return Ok(());
-        }
-        self.log.truncate_to(self.log.disk_len() - END_FRAME_LEN)?;
-        self.log.push(TAG_END, &[]);
         self.log.flush()
     }
 
-    /// Journal size: sealed bytes on disk plus the unflushed buffer.
+    /// Journal size: bytes on disk plus the unflushed buffer.
     pub fn bytes(&self) -> u64 {
         self.log.disk_len() + self.log.pending_len()
     }
@@ -595,12 +579,14 @@ mod tests {
         let bytes = w.finish();
         let full = sample_records();
         // Cut at every byte length: replay must never panic and must keep
-        // a prefix of the full record sequence.
+        // a prefix of the full record sequence. Only the header-only cut is
+        // complete (and empty): every other one ends inside a frame or on
+        // a record before the closing `PoolState`.
         let mut seen_lens = std::collections::BTreeSet::new();
         for cut in Head::<4>::LEN..bytes.len() {
             let (h, records, torn) = read_journal(&bytes[..cut]).unwrap();
             assert_eq!(h, header());
-            assert!(torn, "cut at {cut} must read as torn");
+            assert_eq!(torn, cut > Head::<4>::LEN, "cut at {cut}");
             assert!(records.len() <= full.len());
             assert_eq!(records[..], full[..records.len()], "prefix at {cut}");
             seen_lens.insert(records.len());
@@ -634,11 +620,15 @@ mod tests {
             Err(KvError::JournalIncompatible)
         );
         let mut wrong_version = bytes.clone();
-        wrong_version[4] = 99;
-        assert_eq!(
-            read_journal(&wrong_version),
-            Err(KvError::JournalIncompatible)
-        );
+        // A version-1 journal (every batch sealed by `End`) is refused,
+        // not misread.
+        for version in [JOURNAL_VERSION - 1, 99] {
+            wrong_version[4] = version as u8;
+            assert_eq!(
+                read_journal(&wrong_version),
+                Err(KvError::JournalIncompatible)
+            );
+        }
         let mut bad_header_crc = bytes;
         bad_header_crc[10] ^= 0xff;
         assert_eq!(read_journal(&bad_header_crc), Err(KvError::JournalTorn));
@@ -646,18 +636,22 @@ mod tests {
 
     #[test]
     fn retired_truncate_tag_ends_the_valid_prefix_like_any_unknown_tag() {
-        // Tag 6 was `Truncate`, a record no writer ever emitted.
+        // Tag 6 was `Truncate`, a record no writer ever emitted, and tag 9
+        // the `End` seal up to version 1. Each follows a closed batch here,
+        // so the tear is the frame's alone.
         let records = sample_records();
-        let mut payload = Vec::new();
-        push_u64(&mut payload, 1);
-        push_u64(&mut payload, 0);
-        let mut w = JournalWriter::new(&header());
-        w.append(&records[0]);
-        append_frame(&mut w.buf, 6, &payload);
-        w.append(&records[1]);
-        let (_, read, torn) = read_journal(&w.finish()).unwrap();
-        assert_eq!(read, records[..1]);
-        assert!(torn);
+        let mut truncate = Vec::new();
+        push_u64(&mut truncate, 1);
+        push_u64(&mut truncate, 0);
+        for (tag, payload) in [(6, truncate), (9, Vec::new())] {
+            let mut w = JournalWriter::new(&header());
+            w.append(&records[6]);
+            append_frame(&mut w.buf, tag, &payload);
+            w.append(&records[1]);
+            let (_, read, torn) = read_journal(&w.finish()).unwrap();
+            assert_eq!(read, records[6..7], "tag {tag}");
+            assert!(torn, "tag {tag}");
+        }
     }
 
     #[test]
@@ -669,7 +663,7 @@ mod tests {
     }
 
     #[test]
-    fn journal_handle_appends_and_reseals() {
+    fn journal_handle_appends_batches_in_place() {
         let dir = std::env::temp_dir().join("symj_handle_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("appends.journal");
@@ -679,13 +673,17 @@ mod tests {
         };
         let mut j = Journal::create(&path, &base, config).unwrap();
         for r in sample_records() {
+            let closes = matches!(r, Record::PoolState { .. });
+            let before = std::fs::read(&path).unwrap();
             j.append(&r);
             j.flush().unwrap();
-            // Every post-flush state is a sealed, complete journal.
+            // A flush appends: what was on disk stays, byte for byte. The
+            // journal reads complete only once its last batch is closed.
             let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(bytes[..before.len()], before[..]);
             assert_eq!(bytes.len() as u64, j.bytes());
             let (_, _, torn) = read_journal(&bytes).unwrap();
-            assert!(!torn);
+            assert_eq!(torn, !closes);
         }
         // Seven one-record batches leave what one writer pass leaves.
         let mut w = JournalWriter::new(&header());
@@ -710,13 +708,14 @@ mod tests {
             owner: 1,
             limit: Some(4),
         });
-        // Unflushed: disk still holds only the sealed base snapshot.
+        j.append(&sample_records()[6]);
+        // Unflushed: disk still holds only the base snapshot.
         assert_eq!(std::fs::read(&path).unwrap(), base);
         assert!(j.bytes() > base.len() as u64);
         j.flush().unwrap();
         let (_, records, torn) = read_journal(&std::fs::read(&path).unwrap()).unwrap();
         assert!(!torn);
-        assert_eq!(records.len(), 1);
+        assert_eq!(records.len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -735,7 +734,7 @@ mod tests {
         }
         j.flush().unwrap();
         assert!(j.needs_compaction());
-        // "Snapshot" here is any complete sealed stream — smaller than the
+        // "Snapshot" here is any record stream — smaller than the
         // threshold, so compaction actually clears the trigger.
         let mut w = JournalWriter::new(&header());
         w.append(&Record::Quota {
@@ -758,10 +757,13 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Journals already on disk must stay readable: length and FNV-1a of
-    /// this record list's encoding, computed at commit 108e8f8 (before the
-    /// segment log existed). `journal_handle_appends_and_reseals` holds the
-    /// file handle to the same bytes.
+    /// The format changes only on purpose: length and FNV-1a of this record
+    /// list's encoding. Version 2 is 258 bytes against version 1's 267
+    /// (FNV-1a `0x6d7c_6ee2`, first computed at commit 108e8f8, before the
+    /// segment log existed): the 9-byte `End` frame (tag, length and CRC,
+    /// no payload) is gone, and the header's version word reads 2.
+    /// `journal_handle_appends_batches_in_place` holds the file handle to
+    /// the same bytes.
     #[test]
     fn on_disk_format_is_pinned() {
         let mut w = JournalWriter::new(&header());
@@ -771,7 +773,7 @@ mod tests {
         let bytes = w.finish();
         assert_eq!(
             (bytes.len(), symphony_sim::frame::fnv1a(&bytes)),
-            (267, 0x6d7c_6ee2)
+            (258, 0x5ff8_9503)
         );
     }
 }

@@ -1415,8 +1415,7 @@ impl KvStore {
                 Record::Link { .. }
                 | Record::Unlink { .. }
                 | Record::Quota { .. }
-                | Record::PoolState { .. }
-                | Record::End => {}
+                | Record::PoolState { .. } => {}
                 _ => pool_state = None,
             }
             match rec {
@@ -1499,8 +1498,6 @@ impl KvStore {
                 Record::PoolState { slots_len, free } => {
                     pool_state = Some((slots_len as usize, free));
                 }
-                // `read_journal` consumes the terminator; nothing to do.
-                Record::End => {}
             }
         }
 
@@ -2466,12 +2463,15 @@ mod tests {
         let g = s.fork(f, U1).unwrap();
         s.link(f, "a", U1).unwrap();
         let bytes = s.journal_bytes();
-        // Rebuild the record stream without the End terminator, then tack
-        // on a remove (of a file sharing pages) and an unlink.
+        // Tack a batch onto the record stream: a remove (of a file sharing
+        // pages) and an unlink, closed like every batch by the pool state
+        // (which neither changes).
         let (header, mut records, torn) = crate::journal::read_journal(&bytes).unwrap();
         assert!(!torn);
+        let pool = records.last().cloned().unwrap();
         records.push(Record::Remove { file: g.0 });
         records.push(Record::Unlink { path: "a".to_string() });
+        records.push(pool);
         let mut w = JournalWriter::new(&header);
         for r in &records {
             w.append(r);

@@ -483,7 +483,6 @@ pub fn export_chrome_trace(events: &[TimedEvent]) -> String {
                 pid,
                 tid,
                 tool,
-                attempts,
                 latency_ns,
             } => {
                 w.instant(
@@ -491,9 +490,7 @@ pub fn export_chrome_trace(events: &[TimedEvent]) -> String {
                     *pid,
                     *tid,
                     &format!("tool:{tool}"),
-                    Some(format!(
-                        "{{\"attempts\":{attempts},\"latency_ns\":{latency_ns}}}"
-                    )),
+                    Some(format!("{{\"latency_ns\":{latency_ns}}}")),
                 );
             }
             EventKind::FaultInjected { site } => {

@@ -131,13 +131,12 @@ pub enum EventKind {
         dir: SwapDir,
         done_at: SimTime,
     },
-    /// A tool call was made: one attempt (`attempts` is always 1) taking
-    /// `latency_ns` of virtual I/O time (thread track).
+    /// A tool call was made: one attempt taking `latency_ns` of virtual
+    /// I/O time (thread track).
     ToolInvoke {
         pid: u64,
         tid: u64,
         tool: String,
-        attempts: u32,
         latency_ns: u64,
     },
     /// The fault injector fired at a site (scheduler track).
