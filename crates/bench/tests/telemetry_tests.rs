@@ -181,18 +181,10 @@ fn disabled_telemetry_is_zero_cost_and_changes_nothing() {
     assert!(on.telemetry_constructed() > 0);
     // And observing changed nothing the kernel computes.
     assert_eq!(digest(&off), digest(&on), "telemetry must be observation-only");
-    // `sim.events_per_sec` is a wall-clock throughput gauge, deliberately
-    // outside the determinism contract — drop it before comparing.
-    let strip_wall = |json: String| -> String {
-        let key = "\"sim.events_per_sec\":";
-        let Some(start) = json.find(key) else { return json };
-        let end = json[start..].find('}').map(|i| start + i + 1).unwrap_or(json.len());
-        let end = if json[end..].starts_with(',') { end + 1 } else { end };
-        format!("{}{}", &json[..start], &json[end..])
-    };
+    // Every metric is virtual: the whole snapshots agree.
     assert_eq!(
-        strip_wall(off.metrics_snapshot().to_json()),
-        strip_wall(on.metrics_snapshot().to_json()),
+        off.metrics_snapshot().to_json(),
+        on.metrics_snapshot().to_json(),
         "metrics must not depend on event recording"
     );
 }

@@ -349,10 +349,6 @@ pub(crate) struct KernelMetrics {
     /// Admission-time static cost hints installed on the scheduler
     /// ([`Kernel::set_cost_hint`]).
     cost_hints: Counter,
-    /// Wall-clock DES throughput of the latest [`Kernel::run`]: events
-    /// processed per real second. Observability only — never read back
-    /// into scheduling, so it cannot perturb determinism.
-    events_per_sec: Gauge,
     /// Replies delivered by stepping a body on the kernel's thread.
     steps: Counter,
     /// What hosted bodies count (see [`crate::hosted`]).
@@ -437,7 +433,6 @@ impl KernelMetrics {
             checkpoints: registry.counter("kernel.checkpoints"),
             wal_bytes: registry.gauge("kernel.wal_bytes"),
             cost_hints: registry.counter("sched.cost_hints"),
-            events_per_sec: registry.gauge("sim.events_per_sec"),
             steps: registry.counter("kernel.lip.steps"),
             hosted: HostedMetrics::register(registry),
             zombies: registry.gauge("kernel.procs.zombies"),
@@ -475,7 +470,6 @@ pub struct Kernel {
     /// whose file shares those pages (a fork of the same document) must
     /// wait for the same bytes.
     inflight: Vec<(FileId, SimTime)>,
-    gpu_busy: bool,
     /// Since when the GPU has been idle with work waiting and the launch
     /// gate shut (`None`: busy, nothing waiting, or not yet asked).
     idle_since: Option<SimTime>,
@@ -483,7 +477,8 @@ pub struct Kernel {
     /// will hold a launch for runnable threads at most.
     last_iteration: SimDuration,
     /// The launched batch's id and the replies it delivers when done. One
-    /// at most: no iteration launches while the GPU is busy.
+    /// at most: the GPU is busy while this is `Some`, and no iteration
+    /// launches then.
     in_flight: Option<(u64, Vec<(Tid, SysReply)>)>,
     next_batch: u64,
     timer_armed_until: Option<SimTime>,
@@ -494,9 +489,6 @@ pub struct Kernel {
     pub(crate) next_pid: u64,
     pub(crate) names: BTreeMap<String, Pid>,
     pub(crate) live_threads: usize,
-    /// Zombies in the order they were buried: what [`Kernel::reap_exited`]
-    /// removes, without looking at a live process.
-    pub(crate) buried: Vec<Pid>,
     /// What every LIP thread's RNG stream is derived from (`Kernel::start`).
     pub(crate) seed: u64,
     /// The kernel's own stream: tool latencies.
@@ -653,7 +645,6 @@ impl Kernel {
             cqueue: ProgramQueue::new(discipline),
             active: Vec::new(),
             inflight: Vec::new(),
-            gpu_busy: false,
             idle_since: None,
             last_iteration: SimDuration::ZERO,
             in_flight: None,
@@ -665,7 +656,6 @@ impl Kernel {
             next_pid: 1,
             names: BTreeMap::new(),
             live_threads: 0,
-            buried: Vec::new(),
             seed: config.seed,
             rng: Rng::new(config.seed),
             bus: if config.telemetry {
@@ -799,9 +789,9 @@ impl Kernel {
         self.events.now()
     }
 
-    /// Discrete events processed by the kernel's virtual clock since boot.
-    /// The numerator of the `sim.events_per_sec` gauge and of symbench's
-    /// `core.events_per_s` row.
+    /// Discrete events processed by the kernel's virtual clock since boot:
+    /// the numerator of symbench's `core.events_per_s` row, which times
+    /// the run it divides by itself.
     pub fn events_processed(&self) -> u64 {
         self.events.events_processed()
     }
@@ -918,9 +908,6 @@ impl Kernel {
     /// events, batches and outputs one unbounded call would. A zero slice
     /// runs one instant.
     pub fn run_for(&mut self, slice: SimDuration) -> bool {
-        // lint:allow(d1): sim.events_per_sec measures real host throughput — the gauge is observation-only and is never read back into simulation state
-        let wall_start = std::time::Instant::now();
-        let events_before = self.events.events_processed();
         let now = self.events.now();
         let first = if self.ready.is_empty() {
             self.events.peek_time().unwrap_or(now)
@@ -928,7 +915,7 @@ impl Kernel {
             now
         };
         let deadline = first + slice;
-        let quiescent = loop {
+        loop {
             while let Some((tid, reply)) = self.ready.pop_front() {
                 if self.crashed.is_some() {
                     break;
@@ -956,15 +943,7 @@ impl Kernel {
                 self.handle_event(ev);
             }
             self.maybe_checkpoint();
-        };
-        let processed = self.events.events_processed() - events_before;
-        let secs = wall_start.elapsed().as_secs_f64();
-        if processed > 0 && secs > 0.0 {
-            self.kmetrics
-                .events_per_sec
-                .set((processed as f64 / secs) as i64);
         }
-        quiescent
     }
 
     /// Hands the CPU to thread `tid` with `reply` and takes what it does
@@ -1017,7 +996,6 @@ impl Kernel {
             }
             Event::Wake(tid, reply) => self.ready.push_back((tid, reply)),
             Event::BatchDone { batch_id } => {
-                self.gpu_busy = false;
                 // Results are recorded at launch; an unknown id would mean a
                 // duplicate BatchDone. Drop it rather than panic the kernel.
                 let done = self.in_flight.take_if(|(id, _)| *id == batch_id);
@@ -1077,7 +1055,7 @@ impl Kernel {
     /// [`Kernel::record`] is `None` for it, the `kernel.procs.zombies`
     /// gauge stays 0, and only the `kernel.procs.exited` and
     /// `kernel.usage.*` counters carry its totals. Zombies buried before
-    /// the sink was installed stay until [`Kernel::reap_exited`].
+    /// the sink was installed stay.
     pub fn set_session_sink(&mut self, sink: SessionSink) {
         self.session_sink = Some(sink);
     }
@@ -1136,7 +1114,7 @@ impl Kernel {
     /// Iteration-level admission: runs one GPU iteration whenever the GPU
     /// is idle, work is admitted or waiting, and the launch gate is open.
     fn maybe_launch_iteration(&mut self) {
-        if self.gpu_busy {
+        if self.in_flight.is_some() {
             return;
         }
         if self.active.is_empty() && self.cqueue.is_empty() {
@@ -1671,7 +1649,6 @@ impl Kernel {
             "a launch while a batch is in flight"
         );
         self.in_flight = Some((batch_id, replies));
-        self.gpu_busy = true;
         self.last_iteration = report.duration;
         self.events
             .schedule(now + report.duration, Event::BatchDone { batch_id });

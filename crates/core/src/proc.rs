@@ -32,11 +32,10 @@
 //! from then on, and the table holds the live processes and nothing else,
 //! whoever drives the kernel (the serving core, or a durable harness that
 //! takes its sessions' events straight from the sink). A kernel without a
-//! sink keeps each zombie until its owner calls `Kernel::reap_exited`,
-//! which removes them in O(zombies) — bury lists each one — so a harness
-//! can read `Kernel::record` after a run. So do zombies buried before a
-//! sink was installed, and the records `Kernel::recover` restores (it
-//! builds a kernel with no sink).
+//! sink keeps each zombie for the life of the kernel, so a harness can read
+//! `Kernel::record` after a run. So do zombies buried before a sink was
+//! installed, and the records `Kernel::recover` restores (it builds a
+//! kernel with no sink).
 
 use std::collections::VecDeque;
 
@@ -439,36 +438,14 @@ impl Kernel {
         self.procs.values().map(|p| &p.record)
     }
 
-    /// Forgets every process that has exited: removes the zombies, that is
-    /// their records — all that exit left of them (see the module docs).
-    /// Returns how many were dropped. It visits the zombies alone, and
-    /// allocates nothing. A kernel without a session sink keeps finished
-    /// processes so callers can read [`Kernel::record`] after a run; what
-    /// they add up to stays in the `kernel.procs.exited` and
-    /// `kernel.usage.*` counters. One that stays up calls this once it has
-    /// read them, or its table grows by a record with every program it
-    /// ever ran. A kernel with a sink has nothing to reap but the zombies
-    /// buried before the sink was installed: each exit since was reaped as
-    /// it went to the sink.
-    // lint:allow(u1): part of the zombie-record family that ROADMAP item 1 deletes whole
-    pub fn reap_exited(&mut self) -> usize {
-        let reaped = self.buried.len();
-        for pid in self.buried.drain(..) {
-            self.procs.remove(pid.0);
-        }
-        self.kmetrics.zombies.add(-(reaped as i64));
-        reaped
-    }
-
     /// Makes the table entry of `pid` a zombie: retires it
-    /// ([`Kernel::retire`]), gives back what its output string had reserved
-    /// beyond its text, and lists it for [`Kernel::reap_exited`].
+    /// ([`Kernel::retire`]) and gives back what its output string had
+    /// reserved beyond its text.
     pub(crate) fn bury(&mut self, pid: Pid) {
         let Some(record) = self.retire(pid) else {
             return;
         };
         record.output.shrink_to_fit();
-        self.buried.push(pid);
         self.kmetrics.zombies.add(1);
     }
 
@@ -572,7 +549,14 @@ impl Kernel {
         let process_done = proc.live_threads == 0;
         let ok = status.is_ok();
         if proc.main_tid == tid {
-            record.status = status;
+            // A cancelled program fails its next syscall with `Cancelled`,
+            // and a program may report that failure its own way (LipScript
+            // turns it into a tool failure). The kernel cancelled it, so
+            // the kernel names the verdict.
+            record.status = match status {
+                ExitStatus::Error(_) if proc.cancelled => ExitStatus::Error(SysError::Cancelled),
+                status => status,
+            };
         }
         let at = self.events.now();
         self.bus.emit(at, || EventKind::ThreadExit {
@@ -664,6 +648,14 @@ mod tests {
         let mut cfg = KernelConfig::for_tests();
         cfg.wal = Some(WalConfig::new(&path));
         let mut k = Kernel::new(cfg);
+        // The sink's `Exited` is the reap.
+        let exits: Arc<std::sync::Mutex<Vec<ExitStatus>>> = Arc::default();
+        let sink_exits = Arc::clone(&exits);
+        k.set_session_sink(Box::new(move |ev| {
+            if let SessionEvent::Exited { status, .. } = ev {
+                sink_exits.lock().unwrap().push(status);
+            }
+        }));
         let image: ProgramImage = Arc::new(|ctx| {
             let prompt = ctx.tokenize(&ctx.args())?;
             let kv = ctx.kv_create()?;
@@ -676,16 +668,11 @@ mod tests {
             k.set_cost_hint(pid, Some(3));
         }
         assert_eq!(k.run(), 1000);
-        assert!(k.records().all(|r| r.status.is_ok()));
-        // Exit left zombies: a record each, durable still, and nothing else.
-        assert!(k.names.is_empty() && k.threads.is_empty());
-        assert!(k.procs.values().all(|p| p.live.is_none()));
-        assert!(k.is_durable(Pid(1)));
-        assert_eq!(k.kmetrics.zombies.get(), 1000);
-        assert_eq!(k.reap_exited(), 1000);
+        let exits = std::mem::take(&mut *exits.lock().unwrap());
+        assert_eq!(exits.len(), 1000);
+        assert!(exits.iter().all(ExitStatus::is_ok));
         assert_eq!(k.kmetrics.zombies.get(), 0);
         assert!(k.procs.is_empty() && k.names.is_empty() && k.threads.is_empty());
-        assert!(k.buried.is_empty());
         assert!(k.store.list_files().is_empty());
         for pid in 1..=1000 {
             assert_eq!(k.store.quota_used(OwnerId(pid)), 0);
@@ -763,7 +750,6 @@ mod tests {
         assert_eq!(received.exits, BTreeMap::from(ok));
         assert!(served.record(plain).is_none() && served.record(durable).is_none());
         assert_eq!(served.records().count(), 0);
-        assert!(served.buried.is_empty());
         assert_eq!(served.kmetrics.zombies.get(), 0);
         assert_eq!(served.kmetrics.exited.get(), 2);
         drop(served);

@@ -253,39 +253,6 @@ fn cancel_is_visible_as_the_woken_threads_syscall_exits() {
 }
 
 #[test]
-fn reap_exited_forgets_finished_processes_only() {
-    let mut k = kernel();
-    let waiter = k.spawn_process("waiter", "", |ctx| {
-        let m = ctx.recv_msg()?;
-        ctx.emit(&m.data)
-    });
-    let done: Vec<_> = (0..3)
-        .map(|i| k.spawn_process(&format!("done{i}"), "", |ctx| ctx.emit("bye")))
-        .collect();
-    k.run();
-    assert_eq!(k.reap_exited(), 3);
-    assert!(done.iter().all(|&p| k.record(p).is_none()));
-    assert_eq!(
-        k.records().count(),
-        1,
-        "the parked process keeps its record"
-    );
-    assert_eq!(k.reap_exited(), 0);
-    // The survivor is untouched: still addressable by name, still runs.
-    k.spawn_process("sender", "", |ctx| {
-        let to = ctx.lookup_process("waiter")?.ok_or(SysError::NotFound)?;
-        assert_eq!(ctx.lookup_process("done0")?, None);
-        ctx.send_msg(to, "hello")
-    });
-    k.run();
-    assert_eq!(k.live_threads(), 0);
-    assert_eq!(k.record(waiter).unwrap().output, "hello");
-    assert!(k.records().all(|r| r.status.is_ok()));
-    assert_eq!(k.reap_exited(), 2);
-    assert_eq!(k.records().count(), 0);
-}
-
-#[test]
 fn shared_prefix_fork_equivalence() {
     // The central KV-reuse property at the system level: generating after a
     // preloaded + forked prefix equals generating after recomputing the
@@ -570,6 +537,25 @@ fn ipc_between_processes() {
     assert_eq!(k.live_threads(), 0);
 }
 
+/// The kernel names a cancelled program's verdict, however the program
+/// reported the failure the cancel caused.
+#[test]
+fn a_cancelled_programs_failure_exits_cancelled() {
+    let mut k = kernel();
+    let pid = k.spawn_process("waiter", "", |ctx| {
+        ctx.recv_msg()
+            .map_err(|e| SysError::ToolFailed(format!("recv: {e}")))?;
+        Ok(())
+    });
+    k.run();
+    assert!(k.cancel_process(pid));
+    k.run();
+    assert_eq!(
+        k.record(pid).unwrap().status,
+        ExitStatus::Error(SysError::Cancelled)
+    );
+}
+
 #[test]
 fn ipc_lookup_by_name() {
     let mut k = kernel();
@@ -585,9 +571,25 @@ fn ipc_lookup_by_name() {
         ctx.emit(&r.data)?;
         Ok(())
     });
+    let waiter = k.spawn_process("waiter", "", |ctx| {
+        let m = ctx.recv_msg()?;
+        ctx.emit(&m.data)
+    });
     k.run();
     assert!(k.record(server).unwrap().status.is_ok());
     assert_eq!(k.record(client).unwrap().output, "echo:ping");
+    assert_eq!(k.live_threads(), 1, "the waiter is parked in recv");
+    // A finished process's name no longer resolves; the parked one keeps
+    // its record and its name, and still runs.
+    k.spawn_process("sender", "", |ctx| {
+        assert_eq!(ctx.lookup_process("the-server")?, None);
+        let to = ctx.lookup_process("waiter")?.ok_or(SysError::NotFound)?;
+        ctx.send_msg(to, "hello")
+    });
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    assert_eq!(k.record(waiter).unwrap().output, "hello");
+    assert!(k.records().all(|r| r.status.is_ok()));
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! GPU device specifications.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use symphony_model::{IoLane, ModelConfig};
 use symphony_sim::SimDuration;
 
 /// Published characteristics of a simulated accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DeviceSpec {
     /// Device name, e.g. `"a100-80g"`.
     pub name: &'static str,

@@ -128,7 +128,8 @@ impl LipError {
     }
 
     /// Renders as `file:line:col: message` — the compiler-style format used
-    /// by `lip_run`, `lip_vet` and the SYMR SUBMIT error payload.
+    /// by `lip_vet` and the SYMR SUBMIT error payload (which `lip_run`
+    /// prints).
     pub fn render(&self, file: &str) -> String {
         format!("{file}:{}: {}", self.span(), self.message())
     }

@@ -32,10 +32,10 @@
 //!   two names in turn — does.
 //!
 //! What cannot be resolved is not an error here. Verification is optional
-//! (`ServeConfig::verify`, `lip_run --no-verify`), and a program that reads
-//! an undeclared name on a branch it never takes runs fine: such a read,
-//! write or call is lowered to a node that fails with the same
-//! `Undefined(name)` at the same span *if it is reached*. The verifier
+//! (`ServeConfig::verify`, which `lip_run --no-verify` turns off), and a
+//! program that reads an undeclared name on a branch it never takes runs
+//! fine: such a read, write or call is lowered to a node that fails with
+//! the same `Undefined(name)` at the same span *if it is reached*. The verifier
 //! reads those same nodes to say which reads are undefined, so it and the
 //! machine cannot disagree about what a name means.
 //!

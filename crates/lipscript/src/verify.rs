@@ -130,8 +130,8 @@ pub struct Diag {
 }
 
 impl Diag {
-    /// Renders as `file:line:col: message` — the format used by `lip_run`
-    /// and the SYMR SUBMIT error payload.
+    /// Renders as `file:line:col: message` — the SYMR SUBMIT error
+    /// payload, which `lip_run` prints.
     pub fn render(&self, file: &str) -> String {
         format!("{file}:{}: {}", self.span, self.message)
     }

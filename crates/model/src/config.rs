@@ -4,10 +4,10 @@
 //! real prefill/decode asymmetry (weight traffic dominates decode, FLOPs
 //! dominate prefill). The `tiny` preset keeps unit tests fast.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Architecture and size parameters of a served model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ModelConfig {
     /// Human-readable name, e.g. `"llama-13b"`.
     pub name: &'static str,

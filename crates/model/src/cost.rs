@@ -6,12 +6,12 @@
 //! read **once per batch**, which is exactly why batching pays) and applies
 //! a roofline rule to produce virtual time.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::ModelConfig;
 
 /// Work performed by (part of) a forward pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct WorkEstimate {
     /// Floating-point operations.
     pub flops: f64,
@@ -46,7 +46,7 @@ impl WorkEstimate {
 /// traffic that crosses this lane is charged `base_latency + bytes/bw`,
 /// which keeps disk swap-in visibly more expensive than a PCIe DRAM swap
 /// of the same size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IoLane {
     /// Streaming bandwidth in bytes per second.
     pub bandwidth: f64,

@@ -9,13 +9,13 @@
 //! mentions — temperature sampling, top-k, top-p, constrained masking,
 //! speculative verification via [`Dist::prob`] — operate on this type.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::TokenId;
 
 /// A normalised next-token distribution: explicit top candidates plus a
 /// uniform tail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dist {
     /// `(token, probability)` sorted by probability, descending. Tokens are
     /// unique and none of them belongs to the tail.

@@ -7,12 +7,12 @@
 //! same logical context (recompute vs. cache hit vs. forked file) reach the
 //! same fingerprint and therefore the same model output.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::TokenId;
 
 /// A 64-bit rolling hash of a logical context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CtxFingerprint(pub u64);
 
 /// Produces and chains context fingerprints for one model identity.

@@ -19,10 +19,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use symphony::KernelConfig;
 use symphony_rpc::{ClientMsg, ErrCode, FrameReader, ServerMsg, WIRE_VERSION};
 use symphony_serve::replay::{agent_source, standard_kernel};
-use symphony_serve::{shell, ServeConfig, ServerCore};
+use symphony_serve::{serving_config, shell, ServeConfig, ServerCore};
 
 fn usage() -> ! {
     eprintln!("usage: symphony-serve --listen ADDR [--quota N] [--max-sessions N] | --selftest");
@@ -80,7 +79,7 @@ fn main() {
 
 /// The serving kernel and its front door.
 fn boot(cfg: ServeConfig) -> ServerCore {
-    ServerCore::new(standard_kernel(KernelConfig::for_tests()), cfg)
+    ServerCore::new(standard_kernel(serving_config()), cfg)
 }
 
 /// In-process end-to-end check over a real socket pair.

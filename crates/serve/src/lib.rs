@@ -21,11 +21,14 @@
 //!   reads, runs the kernel in bounded slices and writes what each
 //!   socket takes.
 //! * the `symphony-serve` / `symphony-client` binaries — the shell behind
-//!   a command line, and its matching load generator.
+//!   a command line, and its matching load generator — and `lip_run`, one
+//!   program file submitted through the same door in memory.
 
 pub mod replay;
 pub mod server;
 pub mod shell;
 
-pub use replay::{run_replay, run_replay_on, ReplayReport, ReplaySpec, WorkloadKind};
+pub use replay::{
+    run_replay, run_replay_on, serving_config, ReplayReport, ReplaySpec, WorkloadKind,
+};
 pub use server::{CloseReason, ServeConfig, ServerCore, SLICE};

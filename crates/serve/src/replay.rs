@@ -235,10 +235,17 @@ impl ReplayReport {
     }
 }
 
+/// The kernel configuration a server boots with: the one preset
+/// `symphony-serve`, the loopback replay and `lip_run` hand to
+/// [`standard_kernel`].
+pub fn serving_config() -> KernelConfig {
+    KernelConfig::for_tests()
+}
+
 /// Builds a kernel with the standard serving environment: a shared system
-/// prompt, `RAG_DOCS` shared document prefixes (`doc0.kv` ..) and the
-/// `echo`/`time` demo tools — the same environment `lip_run` provides,
-/// plus the corpus.
+/// prompt (`sys_msg.kv`), `RAG_DOCS` shared document prefixes (`doc0.kv`
+/// ..) and the `echo`/`time` demo tools. Every program a server runs, and
+/// every program `lip_run` runs, sees this environment.
 pub fn standard_kernel(cfg: KernelConfig) -> Kernel {
     let mut kernel = Kernel::new(cfg);
     let sys = kernel
@@ -465,7 +472,7 @@ fn build_jobs(spec: &ReplaySpec) -> Vec<Job> {
 /// Runs a replay against a fresh [`ServerCore`] built from `serve_cfg`
 /// and the standard kernel environment.
 pub fn run_replay(spec: &ReplaySpec, serve_cfg: ServeConfig) -> ReplayReport {
-    let core = ServerCore::new(standard_kernel(KernelConfig::for_tests()), serve_cfg);
+    let core = ServerCore::new(standard_kernel(serving_config()), serve_cfg);
     run_replay_on(spec, core).0
 }
 

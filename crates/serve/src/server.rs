@@ -29,7 +29,7 @@
 //! how many sessions it has served. Totals over the served sessions stay
 //! in the kernel's `kernel.procs.exited` and `kernel.usage.*` counters.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use symphony::telemetry::{Counter, EventKind, MetricsRegistry};
@@ -255,10 +255,6 @@ pub struct ServerCore {
     routes: BTreeMap<u64, (u64, u64)>,
     live_by_tenant: BTreeMap<u64, usize>,
     live_total: usize,
-    /// Pids the server cancelled (CANCEL frame or connection teardown);
-    /// their exit reports as DONE{Cancelled} even though the interpreter
-    /// surfaces the kernel's typed error as a tool failure.
-    cancel_requested: BTreeSet<u64>,
     /// Session events drained from the kernel sink, in virtual-time order.
     events: Arc<Mutex<VecDeque<SessionEvent>>>,
     /// The slice of events being routed: swapped with `events` on each
@@ -290,7 +286,6 @@ impl ServerCore {
             routes: BTreeMap::new(),
             live_by_tenant: BTreeMap::new(),
             live_total: 0,
-            cancel_requested: BTreeSet::new(),
             events,
             routing: VecDeque::new(),
             images: ImageCache::default(),
@@ -713,9 +708,7 @@ impl ServerCore {
             Some(pid) => {
                 // The DONE{Cancelled} that follows on the next pump is the
                 // acknowledgement; there is no separate CANCEL_OK.
-                if self.kernel.cancel_process(pid) {
-                    self.cancel_requested.insert(pid.0);
-                }
+                self.kernel.cancel_process(pid);
             }
             None => self.reply(
                 conn,
@@ -772,16 +765,9 @@ impl ServerCore {
                     *n = n.saturating_sub(1);
                 }
                 self.live_total = self.live_total.saturating_sub(1);
-                let was_cancelled = self.cancel_requested.remove(&pid.0);
                 let (st, detail) = match status {
                     ExitStatus::Ok => (SessionStatus::Ok, String::new()),
                     ExitStatus::Error(SysError::Cancelled) => {
-                        (SessionStatus::Cancelled, String::new())
-                    }
-                    // The interpreter reports the kernel's typed Cancelled
-                    // as a tool failure; the server requested the cancel,
-                    // so it owns the classification.
-                    ExitStatus::Error(_) if was_cancelled => {
                         (SessionStatus::Cancelled, String::new())
                     }
                     ExitStatus::Error(e) => (SessionStatus::Error, e.to_string()),
@@ -904,9 +890,7 @@ impl ServerCore {
         for pid in pids {
             // Routes stay until the Exited event lands so accounting
             // (live counts, SessionEnd) flows through route_event.
-            if self.kernel.cancel_process(pid) {
-                self.cancel_requested.insert(pid.0);
-            }
+            self.kernel.cancel_process(pid);
         }
         self.kernel.emit_event(|| EventKind::ConnClose {
             conn,
@@ -918,14 +902,14 @@ impl ServerCore {
 
 #[cfg(test)]
 mod tests {
-    use symphony::KernelConfig;
     use symphony_rpc::{ClientMsg, WIRE_VERSION};
 
     use super::*;
+    use crate::serving_config;
 
     #[test]
     fn closed_and_drained_connections_are_forgotten() {
-        let kernel = Kernel::new(KernelConfig::for_tests());
+        let kernel = Kernel::new(serving_config());
         let mut core = ServerCore::new(kernel, ServeConfig::default());
         let mut wire = Vec::new();
         ClientMsg::Hello {

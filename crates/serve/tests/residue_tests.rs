@@ -310,7 +310,7 @@ fn the_kernels_counters_carry_what_its_records_carried() {
         ..InterpLimits::default()
     };
 
-    // A kernel with no session sink that never reaps keeps every record.
+    // A kernel with no session sink keeps every record.
     let mut kernel = standard_kernel(KernelConfig::for_tests());
     let mut parked = Vec::new();
     for (i, (source, args, fuel, cancelled)) in every_outcome().into_iter().enumerate() {
@@ -333,7 +333,15 @@ fn the_kernels_counters_carry_what_its_records_carried() {
         .iter()
         .filter(|r| matches!(r.status, ExitStatus::Error(SysError::ToolFailed(_))))
         .count();
-    assert_eq!((records.len(), ok, failed), (6, 3, 3), "{records:?}");
+    let cancelled = records
+        .iter()
+        .filter(|r| r.status == ExitStatus::Error(SysError::Cancelled))
+        .count();
+    assert_eq!(
+        (records.len(), ok, failed, cancelled),
+        (6, 3, 2, 1),
+        "{records:?}"
+    );
     assert!(records.iter().any(|r| r.usage.threads_spawned > 1));
     assert!(records.iter().any(|r| r.usage.tool_calls > 0));
     let summed = summed_usage(records.iter().map(|r| &r.usage));
@@ -369,8 +377,8 @@ fn the_kernels_counters_carry_what_its_records_carried() {
 fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
     // The durable path with no server around it: `schedule_durable`
     // images that parse and exec a LipScript program, WAL and KV journal
-    // open, the session events taken straight from the sink, and nobody
-    // calling `reap_exited`.
+    // open, the session events taken straight from the sink, and no reap
+    // call anywhere.
     let dir = std::env::temp_dir();
     let tag = format!("symphony-residue-{}", std::process::id());
     let (wal, journal) = (

@@ -3,10 +3,10 @@
 //! distributions (sample counts are modest). The kernel's streaming
 //! histograms are telemetry's (`symphony_telemetry::Histogram`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A sample series retaining every value; supports exact percentiles.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Series {
     samples: Vec<f64>,
 }

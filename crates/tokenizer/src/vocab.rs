@@ -5,13 +5,13 @@
 //! This fixed layout keeps encodings stable and lets other crates reason
 //! about IDs (e.g. the surrogate model never emits specials except EOS).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A token identifier.
 pub type TokenId = u32;
 
 /// The reserved control tokens appended after all learned merges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SpecialTokens {
     /// Beginning-of-sequence.
     pub bos: TokenId,
@@ -26,7 +26,7 @@ pub struct SpecialTokens {
 }
 
 /// A token vocabulary mapping IDs to byte expansions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Vocab {
     /// Byte expansion per token ID; specials expand to display placeholders.
     expansions: Vec<Vec<u8>>,
