@@ -16,7 +16,9 @@
 
 use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
-use symphony::{BatchPolicy, ExecMode, Kernel, KernelConfig, SimDuration, SimTime, SysError};
+use symphony::{
+    BatchPolicy, Body, ExecMode, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts, SysError,
+};
 use symphony_sim::{PoissonProcess, Rng};
 
 const PROMPT_TOKENS: usize = 48;
@@ -53,7 +55,7 @@ fn run_point(
     for i in 0..REQUESTS {
         at += arrivals.next_gap(&mut rng);
         let args = format!("classify this input snippet number {i} into a label");
-        pids.push(kernel.schedule_process(at, &format!("p{i}"), &args, |ctx| {
+        let body = Body::hosted(|ctx| {
             // Classification-style request: ONE pred, read the distribution,
             // emit the verdict. No decode loop.
             let mut prompt = ctx.tokenize(&ctx.args())?;
@@ -70,7 +72,8 @@ fn run_point(
             })?;
             ctx.kv_remove(kv)?;
             Ok(())
-        }));
+        });
+        pids.push(kernel.admit(&format!("p{i}"), &args, SpawnOpts::at(at), body));
     }
     kernel.run();
 

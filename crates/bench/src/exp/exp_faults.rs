@@ -22,7 +22,8 @@ use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::sampling::{generate, GenOpts};
 use symphony::{
-    Ctx, FaultPlan, Kernel, KernelConfig, Limits, SimDuration, SysError, ToolOutcome, ToolSpec,
+    Body, Ctx, FaultPlan, Kernel, KernelConfig, Limits, SimDuration, SpawnOpts, SysError,
+    ToolOutcome, ToolSpec,
 };
 
 const AGENTS: usize = 24;
@@ -95,9 +96,13 @@ fn run_cell(
         tool_timeout: Some(TOOL_TIMEOUT),
         ..Limits::default()
     };
+    let admission = SpawnOpts {
+        limits,
+        ..SpawnOpts::default()
+    };
     let mut pids = Vec::new();
     for a in 0..AGENTS {
-        let pid = kernel.spawn_process_with_limits(&format!("agent{a}"), "", limits, move |ctx| {
+        let body = Body::hosted(move |ctx| {
             let opts = GenOpts {
                 max_tokens: 8,
                 temperature: 0.0,
@@ -115,7 +120,7 @@ fn run_cell(
             generate(ctx, kv, &next, &opts)?;
             Ok::<(), SysError>(())
         });
-        pids.push(pid);
+        pids.push(kernel.admit(&format!("agent{a}"), "", admission, body));
     }
     kernel.run();
     let (mut ok, mut lat_sum) = (0usize, 0.0f64);

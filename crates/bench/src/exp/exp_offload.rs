@@ -9,7 +9,9 @@
 use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec};
+use symphony::{
+    Body, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts, SysError, ToolOutcome, ToolSpec,
+};
 
 const AGENTS: usize = 6;
 const AGENT_CONTEXT_TOKENS: usize = 3_000;
@@ -61,54 +63,53 @@ fn run_point(
     for i in 0..AGENTS {
         let doc = doc.clone();
         let at = SimTime::ZERO + SimDuration::from_millis(10 * i as u64);
-        agents.push(
-            kernel.schedule_process(at, &format!("agent{i}"), "", move |ctx| {
-                let kv = ctx.kv_create()?;
-                let toks = ctx.tokenize(&doc)?;
-                ctx.pred_positions(kv, &toks, 0)?;
-                // Long blocking tool call: the kernel may offload `kv`.
-                ctx.call_tool("slow-api", "q")?;
-                // The kernel restores offloaded files on I/O completion, but
-                // under pressure the restore can fail; the application owns the
-                // fallback: ensure residency, generate, and back off (holding
-                // the context in host memory, not HBM) on any memory error.
-                let q = ctx.tokenize("\nsummarize")?;
-                let base = ctx.kv_len(kv)?;
-                let mut done = false;
-                for attempt in 0..200u64 {
-                    if ctx.kv_swap_in(kv).is_err() {
-                        ctx.sleep(SimDuration::from_millis(20 + 5 * attempt))?;
-                        continue;
-                    }
-                    match generate(
-                        ctx,
-                        kv,
-                        &q,
-                        &GenOpts {
-                            max_tokens: 16,
-                            emit: false,
-                            ..Default::default()
-                        },
-                    ) {
-                        Ok(_) => {
-                            done = true;
-                            break;
-                        }
-                        Err(SysError::Kv(symphony_kvfs::KvError::NoGpuMemory)) => {
-                            ctx.kv_truncate(kv, base)?;
-                            let _ = ctx.kv_swap_out(kv);
-                            ctx.sleep(SimDuration::from_millis(30 + 5 * attempt))?;
-                        }
-                        Err(e) => return Err(e),
-                    }
+        let body = Body::hosted(move |ctx| {
+            let kv = ctx.kv_create()?;
+            let toks = ctx.tokenize(&doc)?;
+            ctx.pred_positions(kv, &toks, 0)?;
+            // Long blocking tool call: the kernel may offload `kv`.
+            ctx.call_tool("slow-api", "q")?;
+            // The kernel restores offloaded files on I/O completion, but
+            // under pressure the restore can fail; the application owns the
+            // fallback: ensure residency, generate, and back off (holding
+            // the context in host memory, not HBM) on any memory error.
+            let q = ctx.tokenize("\nsummarize")?;
+            let base = ctx.kv_len(kv)?;
+            let mut done = false;
+            for attempt in 0..200u64 {
+                if ctx.kv_swap_in(kv).is_err() {
+                    ctx.sleep(SimDuration::from_millis(20 + 5 * attempt))?;
+                    continue;
                 }
-                if !done {
-                    return Err(SysError::Kv(symphony_kvfs::KvError::NoGpuMemory));
+                match generate(
+                    ctx,
+                    kv,
+                    &q,
+                    &GenOpts {
+                        max_tokens: 16,
+                        emit: false,
+                        ..Default::default()
+                    },
+                ) {
+                    Ok(_) => {
+                        done = true;
+                        break;
+                    }
+                    Err(SysError::Kv(symphony_kvfs::KvError::NoGpuMemory)) => {
+                        ctx.kv_truncate(kv, base)?;
+                        let _ = ctx.kv_swap_out(kv);
+                        ctx.sleep(SimDuration::from_millis(30 + 5 * attempt))?;
+                    }
+                    Err(e) => return Err(e),
                 }
-                ctx.kv_remove(kv)?;
-                Ok(())
-            }),
-        );
+            }
+            if !done {
+                return Err(SysError::Kv(symphony_kvfs::KvError::NoGpuMemory));
+            }
+            ctx.kv_remove(kv)?;
+            Ok(())
+        });
+        agents.push(kernel.admit(&format!("agent{i}"), "", SpawnOpts::at(at), body));
     }
     // Background completions arrive while the agents block on I/O.
     let mut bg = Vec::new();
@@ -116,30 +117,28 @@ fn run_point(
         // Arrive while every agent sits inside its 3 s tool call (the
         // agents' prefills serialise on the GPU and finish by ~3.3 s).
         let at = SimTime::ZERO + SimDuration::from_millis(3_600 + 40 * i as u64);
-        bg.push(
-            kernel.schedule_process(at, &format!("bg{i}"), "", move |ctx| {
-                let prompt =
-                    ctx.tokenize(&symphony_tokenizer::CorpusGen::new(50).paragraph(700))?;
-                let kv = ctx.kv_create()?;
-                match ctx.pred_positions(kv, &prompt, 0) {
-                    Ok(_) => {}
-                    Err(e) => return Err(e), // no retry: measures raw headroom
-                }
-                let q = [prompt[0]];
-                generate(
-                    ctx,
-                    kv,
-                    &q,
-                    &GenOpts {
-                        max_tokens: 12,
-                        emit: false,
-                        ..Default::default()
-                    },
-                )?;
-                ctx.kv_remove(kv)?;
-                Ok(())
-            }),
-        );
+        let body = Body::hosted(move |ctx| {
+            let prompt = ctx.tokenize(&symphony_tokenizer::CorpusGen::new(50).paragraph(700))?;
+            let kv = ctx.kv_create()?;
+            match ctx.pred_positions(kv, &prompt, 0) {
+                Ok(_) => {}
+                Err(e) => return Err(e), // no retry: measures raw headroom
+            }
+            let q = [prompt[0]];
+            generate(
+                ctx,
+                kv,
+                &q,
+                &GenOpts {
+                    max_tokens: 12,
+                    emit: false,
+                    ..Default::default()
+                },
+            )?;
+            ctx.kv_remove(kv)?;
+            Ok(())
+        });
+        bg.push(kernel.admit(&format!("bg{i}"), "", SpawnOpts::at(at), body));
     }
     kernel.run();
 

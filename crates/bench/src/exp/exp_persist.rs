@@ -13,7 +13,8 @@ use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::sampling::{self, GenOpts};
 use symphony::{
-    Ctx, Kernel, KernelConfig, Mode, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
+    Body, Ctx, Kernel, KernelConfig, Mode, SimDuration, SimTime, SpawnOpts, SysError, ToolOutcome,
+    ToolSpec,
 };
 
 const AGENTS: usize = 24;
@@ -157,8 +158,8 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
     if warm {
         for i in 0..AGENTS {
             let at = SimTime::ZERO + SimDuration::from_millis(25 * i as u64);
-            let args = format!("plan step {i}");
-            pids.push(kernel.schedule_process(at, &format!("agent{i}"), &args, agent_lip));
+            let (name, args) = (format!("agent{i}"), format!("plan step {i}"));
+            pids.push(kernel.admit(&name, &args, SpawnOpts::at(at), Body::hosted(agent_lip)));
         }
         kernel.run();
     } else {
@@ -185,8 +186,8 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
                     break;
                 }
                 let at = base + SimDuration::from_millis(25 * j as u64);
-                let args = format!("plan step {i}");
-                pids.push(kernel.schedule_process(at, &format!("agent{i}"), &args, agent_lip));
+                let (name, args) = (format!("agent{i}"), format!("plan step {i}"));
+                pids.push(kernel.admit(&name, &args, SpawnOpts::at(at), Body::hosted(agent_lip)));
             }
             kernel.run();
             kernel.persist_kv_delta().expect("delta flush");

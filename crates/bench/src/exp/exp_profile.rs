@@ -33,9 +33,9 @@ use crate::report::write_file;
 use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{
-    analyze, build_forest, collapsed_stacks, render_report, ContinuousConfig, Ctx, ExecMode,
-    Kernel, MlfqConfig, QueueDiscipline, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
-    PHASES,
+    analyze, build_forest, collapsed_stacks, render_report, Body, ContinuousConfig, Ctx, ExecMode,
+    Kernel, MlfqConfig, QueueDiscipline, SimDuration, SimTime, SpawnOpts, SysError, ToolOutcome,
+    ToolSpec, PHASES,
 };
 use symphony_sim::{PoissonProcess, Rng, Series};
 
@@ -263,16 +263,16 @@ fn run_point(
             let arrivals = PoissonProcess::new(s.fleet_rate_rps);
             for i in 0..s.workers {
                 at += arrivals.next_gap(&mut rng);
-                kernel.schedule_process(at, &format!("worker{i}"), "", move |ctx| {
-                    worker_lip(ctx, i, s)
-                });
+                let body = Body::hosted(move |ctx| worker_lip(ctx, i, s));
+                kernel.admit(&format!("worker{i}"), "", SpawnOpts::at(at), body);
             }
         }
         Workload::Rag => {
             let arrivals = PoissonProcess::new(s.rag_rate_rps);
             for i in 0..s.rag_requests {
                 at += arrivals.next_gap(&mut rng);
-                kernel.schedule_process(at, &format!("rag{i}"), "", move |ctx| rag_lip(ctx, i, s));
+                let body = Body::hosted(move |ctx| rag_lip(ctx, i, s));
+                kernel.admit(&format!("rag{i}"), "", SpawnOpts::at(at), body);
             }
         }
     }

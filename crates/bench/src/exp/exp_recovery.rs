@@ -24,8 +24,8 @@ use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
 use symphony::sampling::{self, GenOpts};
 use symphony::{
-    wal, Kernel, KernelConfig, ProgramImage, SimDuration, SimTime, ToolOutcome, ToolSpec,
-    WalConfig, DEFAULT_CHECKPOINT_EVERY,
+    wal, Body, Kernel, KernelConfig, ProgramImage, SimDuration, SimTime, SpawnOpts, ToolOutcome,
+    ToolSpec, WalConfig, DEFAULT_CHECKPOINT_EVERY,
 };
 use symphony_sim::Rng;
 
@@ -149,7 +149,12 @@ fn spawn_fleet(k: &mut Kernel, scale: &Scale) {
     let image = agent_image(scale.max_tokens);
     for i in 0..scale.agents {
         let at = SimTime::ZERO + scale.arrival_gap * i as u64;
-        k.schedule_durable(at, &format!("agent{i}"), &format!("{i}"), image.clone());
+        let opts = SpawnOpts {
+            durable: true,
+            ..SpawnOpts::at(at)
+        };
+        let (name, args) = (format!("agent{i}"), format!("{i}"));
+        k.admit(&name, &args, opts, Body::from(image.clone()));
     }
 }
 

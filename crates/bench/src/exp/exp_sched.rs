@@ -28,8 +28,8 @@ use super::{base_config, tokens};
 use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{
-    ContinuousConfig, Ctx, ExecMode, Kernel, MlfqConfig, QueueDiscipline, SimDuration, SimTime,
-    SysError, ToolOutcome, ToolSpec,
+    Body, ContinuousConfig, Ctx, ExecMode, Kernel, MlfqConfig, QueueDiscipline, SimDuration,
+    SimTime, SpawnOpts, SysError, ToolOutcome, ToolSpec,
 };
 use symphony_sim::{PoissonProcess, Rng, Series};
 
@@ -222,12 +222,11 @@ fn run_point(
     for i in 0..n {
         at += arrivals.next_gap(&mut rng);
         let name = format!("{mode_name}-{i}");
-        pids.push(match workload {
-            Workload::Agent => {
-                kernel.schedule_process(at, &name, "", move |ctx| agent_lip(ctx, i, s))
-            }
-            Workload::Rag => kernel.schedule_process(at, &name, "", move |ctx| rag_lip(ctx, i, s)),
-        });
+        let body = match workload {
+            Workload::Agent => Body::hosted(move |ctx| agent_lip(ctx, i, s)),
+            Workload::Rag => Body::hosted(move |ctx| rag_lip(ctx, i, s)),
+        };
+        pids.push(kernel.admit(&name, "", SpawnOpts::at(at), body));
     }
     kernel.run();
 

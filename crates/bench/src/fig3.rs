@@ -22,7 +22,8 @@
 use serde::Serialize;
 use symphony::sampling::{self, GenOpts};
 use symphony::{
-    BatchPolicy, Ctx, Kernel, KernelConfig, Mode, SimDuration, SysError, ToolOutcome, ToolSpec,
+    BatchPolicy, Body, Ctx, Kernel, KernelConfig, Mode, SimDuration, SpawnOpts, SysError,
+    ToolOutcome, ToolSpec,
 };
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
 use symphony_gpu::DeviceSpec;
@@ -307,7 +308,6 @@ pub fn run_symphony_point_persist(
         offload_on_io_wait: false,
         offload_min_latency: SimDuration::from_millis(20),
         seed: cfg.seed,
-        default_limits: symphony::Limits::default(),
         telemetry: false,
         causal: false,
         faults: symphony::FaultPlan::none(),
@@ -330,7 +330,8 @@ pub fn run_symphony_point_persist(
     let mut pids = Vec::with_capacity(requests.len());
     for (i, r) in requests.iter().enumerate() {
         let args = format!("{}|{}|{}", r.topic, top_k, r.query);
-        pids.push(kernel.schedule_process(r.at, &format!("rag{i}"), &args, rag_lip));
+        let name = format!("rag{i}");
+        pids.push(kernel.admit(&name, &args, SpawnOpts::at(r.at), Body::hosted(rag_lip)));
     }
     kernel.run();
     let restored = kernel.restored().copied();

@@ -8,7 +8,9 @@
 //! RNG streams must not perturb fault-free runs.
 
 use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig, SimDuration, TimedEvent, ToolOutcome, ToolSpec};
+use symphony::{
+    Body, Kernel, KernelConfig, SimDuration, SpawnOpts, TimedEvent, ToolOutcome, ToolSpec,
+};
 use symphony_workloads::ChatWorkload;
 
 /// (name, status_ok, output, syscalls, pred_tokens, tool_calls, latency_ns)
@@ -157,13 +159,21 @@ fn error_paths_are_deterministic_too() {
             max_pred_tokens: Some(10),
             ..Default::default()
         };
-        k.spawn_process_with_limits("capped", "", limits, |ctx| {
-            let kv = ctx.kv_create()?;
-            for pos in 0..32u32 {
-                ctx.pred(kv, &[(1 + pos, pos)])?;
-            }
-            Ok(())
-        });
+        k.admit(
+            "capped",
+            "",
+            SpawnOpts {
+                limits,
+                ..Default::default()
+            },
+            Body::hosted(|ctx| {
+                let kv = ctx.kv_create()?;
+                for pos in 0..32u32 {
+                    ctx.pred(kv, &[(1 + pos, pos)])?;
+                }
+                Ok(())
+            }),
+        );
         k.run();
         digest(&k)
     }

@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 use symphony::{
-    analyze, build_forest, render_report, Ctx, EventKind, Kernel, KernelConfig, SimDuration,
-    SimTime, SysError, ToolOutcome, ToolSpec,
+    analyze, build_forest, render_report, Body, Ctx, EventKind, Kernel, KernelConfig, SimDuration,
+    SimTime, SpawnOpts, SysError, ToolOutcome, ToolSpec,
 };
 
 /// A miniature of the E15 fleet: a coordinator that collects one IPC
@@ -59,9 +59,12 @@ fn fleet_kernel(workers: usize, decode: usize, tool_ms: u64, seed: u64) -> Kerne
     });
     for i in 0..workers {
         let at = SimTime::ZERO + SimDuration::from_millis(2 * i as u64 + 1);
-        k.schedule_process(at, &format!("worker{i}"), "", move |ctx| {
-            worker(ctx, i, decode)
-        });
+        k.admit(
+            &format!("worker{i}"),
+            "",
+            SpawnOpts::at(at),
+            Body::hosted(move |ctx| worker(ctx, i, decode)),
+        );
     }
     k
 }

@@ -211,6 +211,8 @@ impl Ctx {
     /// unwinds, without a panic message. Code that catches the unwind
     /// reaches nobody — any later call on this `Ctx` unwinds the same way
     /// before it is sent, and the closure's return value is ignored.
+    /// Outside tests only the benchmark's durable workload gets here (through
+    /// `run_lip`): a program held as a value is admitted as `Body::Inline`.
     pub fn exec(&mut self, body: Box<dyn InlineBody>) -> ! {
         self.send(UpCall::Exec(body, Box::new(self.env.clone())));
         self.execed = true;

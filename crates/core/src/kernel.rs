@@ -42,7 +42,7 @@ use crate::sched::{
 };
 use crate::syscall::{Body, Ctx, Next, SysReply, Syscall};
 use crate::tools::{ToolOutcome, ToolRegistry, ToolSpec};
-use crate::types::{ExitStatus, Limits, Pid, ProcessUsage, SysError, Tid};
+use crate::types::{ExitStatus, Pid, ProcessUsage, SysError, Tid};
 use crate::wal::{self, Effect, EffectClass, WalConfig, WalState};
 
 /// A re-constructible program body for crash recovery. Unlike the plain
@@ -89,8 +89,6 @@ pub struct KernelConfig {
     pub offload_min_latency: SimDuration,
     /// Kernel RNG seed (tool latencies, LIP thread RNG streams).
     pub seed: u64,
-    /// Default per-process limits.
-    pub default_limits: Limits,
     /// Record typed telemetry events for Chrome-trace export. When `false`
     /// (the default) the event bus is a no-op: no event is ever constructed.
     pub telemetry: bool,
@@ -130,7 +128,6 @@ impl KernelConfig {
             offload_on_io_wait: false,
             offload_min_latency: SimDuration::from_millis(10),
             seed: 42,
-            default_limits: Limits::default(),
             telemetry: false,
             causal: false,
             faults: FaultPlan::none(),
@@ -159,7 +156,6 @@ impl KernelConfig {
             offload_on_io_wait: true,
             offload_min_latency: SimDuration::from_millis(20),
             seed: 42,
-            default_limits: Limits::default(),
             telemetry: false,
             causal: false,
             faults: FaultPlan::none(),
@@ -307,9 +303,9 @@ pub(crate) struct KernelMetrics {
     batch_occupancy_pct: Histogram,
     /// Tool-call virtual latency (clamped to the call's timeout).
     tool_latency_ns: Histogram,
-    /// Tool calls clamped by their [`Limits::tool_timeout`].
+    /// Tool calls clamped by their [`Limits::tool_timeout`](crate::Limits::tool_timeout).
     tool_timeouts: Counter,
-    /// Processes killed by their [`Limits::deadline`], each once.
+    /// Processes killed by their [`Limits::deadline`](crate::Limits::deadline), each once.
     pub(crate) deadline_kills: Counter,
     /// GPU KV pages in use, sampled after each batch.
     gpu_pages_used: Gauge,
@@ -504,7 +500,6 @@ pub struct Kernel {
     syscall_cost: SimDuration,
     offload_on_io_wait: bool,
     offload_min_latency: SimDuration,
-    pub(crate) default_limits: Limits,
     max_batch: usize,
     // Crash tolerance.
     /// Open write-ahead log (`None` when journalling is disabled).
@@ -670,7 +665,6 @@ impl Kernel {
             syscall_cost: config.syscall_cost,
             offload_on_io_wait: config.offload_on_io_wait,
             offload_min_latency: config.offload_min_latency,
-            default_limits: config.default_limits,
             max_batch: config.max_batch,
             wal: None,
             replay: None,

@@ -26,8 +26,8 @@
 //! virtual clock and takes each thread's next syscall before touching
 //! another, so whole serving runs are deterministic given a seed. Every
 //! thread's body is an [`InlineBody`] the kernel steps on its own thread:
-//! a served LipScript program is one ([`Kernel::admit_inline`]), and a
-//! native closure (what [`Kernel::spawn_process`] takes) is made one that
+//! a LipScript program is one ([`Body::Inline`], through [`Kernel::admit`]),
+//! and a native closure ([`Body::Hosted`]) is made one that
 //! hands each step to the pooled OS thread the closure blocks on, since
 //! blocking code needs a stack; see [`syscall`]. LIP compute is *charged*
 //! (per-syscall virtual cost), not measured.
@@ -86,7 +86,7 @@ pub use sched::{
 };
 pub use syscall::{Body, Ctx, InlineBody, Next, SysReply, Syscall, ThreadEnv};
 pub use tools::{ToolOutcome, ToolRegistry, ToolSpec};
-pub use types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SysError, Tid};
+pub use types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SpawnOpts, SysError, Tid};
 pub use wal::{RecoveryReport, WalConfig, WalError, DEFAULT_CHECKPOINT_EVERY};
 
 // Re-export the substrate types LIPs interact with.

@@ -7,12 +7,13 @@
 //! **reap** forgets it. A running thread's [`Seat`] is its body and its
 //! environment, one shape for every kind of body: start makes a native
 //! closure a body (`crate::hosted`), and exit drops the body, which is all
-//! it takes to give back whatever the body held. Every entry point — the five public `spawn_*` /
-//! `schedule_*` names, a scheduled arrival firing, recovery re-admitting a
-//! journalled program — is a caller of `install` and `start`; whether a
-//! process is durable is one field set at `install`, read by
-//! `Kernel::journal` and by the admission/exit frames written here. A
-//! durable program's admission frame is written once, when `admit`
+//! it takes to give back whatever the body held. A new program enters
+//! through `Kernel::admit` (its two shorthands forward to it), a
+//! journalled one through recovery's `readmit`, and a scheduled arrival
+//! firing starts its main thread: each is a caller of `install` and
+//! `start`. Whether a process is durable is one field set at `install`,
+//! read by `Kernel::journal` and by the admission/exit frames written
+//! here. A durable program's admission frame is written once, when `admit`
 //! installs it: `start` knows nothing of the WAL.
 //!
 //! What exit keeps, what reap removes: between the last two a process is a
@@ -46,19 +47,10 @@ use symphony_telemetry::{EdgeKind, EventKind};
 use crate::hosted::Hosted;
 use crate::kernel::{Event, Kernel, ProgramImage, SessionEvent};
 use crate::syscall::{Body, Ctx, InlineBody, SysReply, ThreadEnv};
-use crate::types::{ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SysError, Tid};
+use crate::types::{
+    ExitStatus, Limits, Pid, ProcessRecord, ProcessUsage, SpawnOpts, SysError, Tid,
+};
 use crate::wal::{self, EffectClass, WalRecord};
-
-/// When an admitted program's main thread starts.
-pub(crate) enum Arrival {
-    /// At once.
-    Now,
-    /// When the virtual clock reaches the given time.
-    At(SimTime),
-    /// Re-admitted from the WAL under its journalled pid and arrival: at
-    /// once if the arrival is at or before the restored clock, else then.
-    Journalled { pid: Pid, arrival: SimTime },
-}
 
 /// A live thread's body between system calls: a value the kernel steps
 /// itself (`Kernel::resume`), whatever kind of program it holds. The
@@ -181,69 +173,17 @@ impl Live {
 impl Kernel {
     // ---- admission ---------------------------------------------------------------
 
-    /// Spawns a LIP immediately (at the current virtual time) with the
-    /// default limits.
+    /// Spawns a native LIP now, with the default limits: the quickstart
+    /// shorthand for [`Kernel::admit`] with [`SpawnOpts::default`].
     pub fn spawn_process<F>(&mut self, name: &str, args: &str, f: F) -> Pid
     where
         F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
     {
-        self.spawn_process_with_limits(name, args, self.default_limits, f)
+        self.admit(name, args, SpawnOpts::default(), Body::hosted(f))
     }
 
-    /// Spawns a LIP immediately with explicit limits.
-    pub fn spawn_process_with_limits<F>(
-        &mut self,
-        name: &str,
-        args: &str,
-        limits: Limits,
-        f: F,
-    ) -> Pid
-    where
-        F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
-    {
-        let body = Body::Hosted(Box::new(f));
-        self.admit(name, args, Arrival::Now, limits, false, body)
-    }
-
-    /// Schedules a LIP to arrive at a future virtual time (workload driving).
-    pub fn schedule_process<F>(&mut self, at: SimTime, name: &str, args: &str, f: F) -> Pid
-    where
-        F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
-    {
-        let (body, limits) = (Body::Hosted(Box::new(f)), self.default_limits);
-        self.admit(name, args, Arrival::At(at), limits, false, body)
-    }
-
-    /// Admits a LIP whose body the kernel steps on its own thread — now,
-    /// or at the virtual arrival `at` — with the default limits. This is
-    /// how a served LipScript program enters: no OS thread is involved at
-    /// any point of its life.
-    pub fn admit_inline(
-        &mut self,
-        name: &str,
-        args: &str,
-        at: Option<SimTime>,
-        body: Box<dyn InlineBody>,
-    ) -> Pid {
-        let (arrival, body) = (at.map_or(Arrival::Now, Arrival::At), Body::Inline(body));
-        self.admit(name, args, arrival, self.default_limits, false, body)
-    }
-
-    /// Spawns a durable LIP immediately: its admission and effectful
-    /// syscalls are journalled to the WAL so [`Kernel::recover`] can
-    /// re-execute it deterministically after a crash. The image must be
-    /// re-invocable; see [`ProgramImage`].
-    // lint:allow(u1): part of the `spawn_*` family that ROADMAP item 1 folds into one entry point whole
-    pub fn spawn_durable(&mut self, name: &str, args: &str, image: ProgramImage) -> Pid {
-        let body = Body::Hosted(Box::new(move |ctx: &mut Ctx| image(ctx)));
-        self.admit(name, args, Arrival::Now, self.default_limits, true, body)
-    }
-
-    /// Schedules a durable LIP for a future virtual arrival. Its admission
-    /// is journalled now, so a crash before the arrival does not drop the
-    /// program: recovery re-admits it under the same pid, and its
-    /// threads draw the same RNG streams either way (they are derived from
-    /// the pid, see [`Kernel::start`]).
+    /// Schedules a durable image for a virtual arrival: [`Kernel::admit`]
+    /// with `at` and `durable` set.
     pub fn schedule_durable(
         &mut self,
         at: SimTime,
@@ -251,48 +191,60 @@ impl Kernel {
         args: &str,
         image: ProgramImage,
     ) -> Pid {
-        let body = Body::Hosted(Box::new(move |ctx: &mut Ctx| image(ctx)));
-        self.admit(name, args, Arrival::At(at), self.default_limits, true, body)
+        let opts = SpawnOpts {
+            durable: true,
+            ..SpawnOpts::at(at)
+        };
+        self.admit(name, args, opts, Body::from(image))
     }
 
-    /// The one way in, for the public names and for recovery alike:
-    /// installs the process, journals a new durable one's admission, then
-    /// starts it now or schedules its arrival.
-    pub(crate) fn admit(
-        &mut self,
-        name: &str,
-        args: &str,
-        arrival: Arrival,
-        limits: Limits,
-        durable: bool,
-        body: Body,
-    ) -> Pid {
+    /// The one way a new program enters the kernel, whatever its body:
+    /// installs the process, journals its admission if `opts.durable`, then
+    /// starts its main thread now (`opts.at` is `None`) or at its arrival.
+    ///
+    /// The arrival is `max(at, now)`: a time already past means now, for
+    /// the record, the deadline and the admission frame alike. A durable
+    /// program is journalled when it is admitted, so a crash before its
+    /// arrival does not drop it: recovery re-admits it under the same
+    /// pid, and its threads draw the same RNG streams either way (they are
+    /// derived from the pid, see `Kernel::start`). Recovery needs an
+    /// image it can run again ([`ProgramImage`]) for a native program; the
+    /// first run may be any body.
+    pub fn admit(&mut self, name: &str, args: &str, opts: SpawnOpts, body: Body) -> Pid {
         let now = self.events.now();
-        let (journalled, arrival, at) = match arrival {
-            Arrival::Now => (None, now, None),
-            Arrival::At(at) => (None, at, Some(at)),
-            Arrival::Journalled { pid, arrival } => {
-                (Some(pid), arrival, (arrival > now).then_some(arrival))
-            }
-        };
-        let pid = self.install(journalled, name, args, arrival, limits, durable);
-        // A re-admitted program's admission is in the log it replays.
-        if durable && journalled.is_none() {
+        let arrival = opts.at.map_or(now, |at| at.max(now));
+        let pid = self.install(None, name, args, arrival, opts.limits, opts.durable);
+        if opts.durable {
             self.wal_append(WalRecord::ProcSpawn {
                 at: now,
                 pid: pid.0,
                 arrival,
                 name: name.to_string(),
                 args: args.to_string(),
-                limits,
+                limits: opts.limits,
             });
         }
-        if let Some(at) = at {
-            self.events.schedule(at, Event::SpawnProgram { pid, body });
+        if opts.at.is_some() {
+            self.events
+                .schedule(arrival, Event::SpawnProgram { pid, body });
         } else {
             self.start(pid, body);
         }
         pid
+    }
+
+    /// Re-admits a journalled durable program under its old pid (recovery's
+    /// path; its admission is in the log it replays): at once if its
+    /// arrival is at or before the restored clock, else then.
+    pub(crate) fn readmit(&mut self, pid: Pid, rp: &wal::ReplayProc, body: Body) {
+        let (arrival, limits) = (rp.arrival, rp.limits);
+        self.install(Some(pid), &rp.name, &rp.args, arrival, limits, true);
+        if arrival > self.events.now() {
+            self.events
+                .schedule(arrival, Event::SpawnProgram { pid, body });
+        } else {
+            self.start(pid, body);
+        }
     }
 
     /// Enters a process into the table under `pid` (allocated when `None`;
@@ -664,7 +616,15 @@ mod tests {
         });
         for i in 0..1000 {
             let at = SimTime::ZERO + SimDuration::from_micros(200 * i);
-            let pid = k.schedule_durable(at, &format!("p{i}"), "a b c", image.clone());
+            let pid = k.admit(
+                &format!("p{i}"),
+                "a b c",
+                SpawnOpts {
+                    durable: true,
+                    ..SpawnOpts::at(at)
+                },
+                Body::from(image.clone()),
+            );
             k.set_cost_hint(pid, Some(3));
         }
         assert_eq!(k.run(), 1000);
@@ -727,7 +687,15 @@ mod tests {
             }
             let plain_image = Arc::clone(&image);
             let plain = k.spawn_process("plain", "serve programs", move |ctx| plain_image(ctx));
-            let durable = k.spawn_durable("durable", "not prompts", Arc::clone(&image));
+            let durable = k.admit(
+                "durable",
+                "not prompts",
+                SpawnOpts {
+                    durable: true,
+                    ..Default::default()
+                },
+                Body::from(Arc::clone(&image)),
+            );
             assert_eq!(k.run(), 2);
             let received = std::mem::take(&mut *received.lock().unwrap());
             (k, plain, durable, received)

@@ -16,7 +16,7 @@ use symphony_model::{Preds, TokenId};
 use symphony_telemetry::EventKind;
 
 use crate::kernel::{Kernel, KernelConfig, ProgramImage};
-use crate::proc::{Arrival, Proc};
+use crate::proc::Proc;
 use crate::syscall::{Body, SysReply};
 use crate::types::{ExitStatus, Limits, Pid, SysError, Tid};
 use crate::wal::{
@@ -88,12 +88,7 @@ impl Kernel {
             };
             // The original pid: re-execution draws the same RNG streams and
             // allocates the same identifiers.
-            let arrival = Arrival::Journalled {
-                pid: Pid(pid),
-                arrival: rp.arrival,
-            };
-            let body = Body::Hosted(Box::new(move |ctx| image(ctx)));
-            kernel.admit(&rp.name, &rp.args, arrival, rp.limits, true, body);
+            kernel.readmit(Pid(pid), &rp, Body::from(image));
             report.resumed += 1;
         }
         // A resumed process's `pred` record starts as the log left it, so

@@ -28,6 +28,7 @@ use symphony_model::{Dist, Preds, TokenId};
 use symphony_sim::{SimDuration, SimTime};
 use symphony_tokenizer::SpecialTokens;
 
+use crate::kernel::ProgramImage;
 use crate::types::{ExitStatus, Pid, SysError, Tid};
 
 /// A hosted LIP body: a native closure run on a pooled OS thread.
@@ -39,6 +40,20 @@ pub enum Body {
     Hosted(LipFn),
     /// A resumable value; the kernel steps it on its own thread.
     Inline(Box<dyn InlineBody>),
+}
+
+impl Body {
+    /// [`Body::Hosted`], with the closure's argument type given.
+    pub fn hosted(f: impl FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static) -> Body {
+        Body::Hosted(Box::new(f))
+    }
+}
+
+/// One run of a durable image: recovery calls the image again for the next.
+impl From<ProgramImage> for Body {
+    fn from(image: ProgramImage) -> Body {
+        Body::hosted(move |ctx| image(ctx))
+    }
 }
 
 /// Summarised: a body is code, not data.
@@ -401,7 +416,7 @@ impl Ctx {
     where
         F: FnOnce(&mut Ctx) -> Result<(), SysError> + Send + 'static,
     {
-        let body = Body::Hosted(Box::new(f));
+        let body = Body::hosted(f);
         self.call(Syscall::Spawn { body })
     }
 

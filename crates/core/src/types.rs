@@ -106,13 +106,36 @@ pub struct Limits {
     pub max_threads: Option<u32>,
     /// KVFS page quota (enforced by the store).
     pub kv_quota_pages: Option<usize>,
-    /// Per-tool-call timeout covering *one* attempt; a retried call charges
-    /// `min(latency, tool_timeout)` per attempt. `None` waits forever.
+    /// Per-tool-call timeout: a call (one attempt) slower than this fails
+    /// with [`SysError::Timeout`] when it expires. `None` waits forever.
     pub tool_timeout: Option<symphony_sim::SimDuration>,
     /// Process wall-clock (virtual time) deadline measured from spawn.
     /// Once past it, every further syscall fails with
     /// [`SysError::DeadlineExceeded`] and blocked receives are woken.
     pub deadline: Option<symphony_sim::SimDuration>,
+}
+
+/// How [`crate::Kernel::admit`] enters a program. The default is now,
+/// with [`Limits::default`], not durable.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpawnOpts {
+    /// Virtual arrival of the main thread; `None` (or a past time) is now.
+    pub at: Option<symphony_sim::SimTime>,
+    /// The process's resource limits.
+    pub limits: Limits,
+    /// Journal the admission and the effectful system calls to the WAL,
+    /// so that [`crate::Kernel::recover`] re-executes it after a crash.
+    pub durable: bool,
+}
+
+impl SpawnOpts {
+    /// Arrival at `at`, the rest default: a workload's admission.
+    pub fn at(at: symphony_sim::SimTime) -> Self {
+        SpawnOpts {
+            at: Some(at),
+            ..SpawnOpts::default()
+        }
+    }
 }
 
 /// Cumulative per-process accounting.

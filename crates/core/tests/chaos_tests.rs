@@ -12,8 +12,8 @@
 //!    charges exactly the timeout on the virtual clock.
 
 use symphony::{
-    EventKind, ExitStatus, FaultPlan, Kernel, KernelConfig, Limits, SimDuration, SysError,
-    TimedEvent, ToolOutcome, ToolSpec,
+    Body, EventKind, ExitStatus, FaultPlan, Kernel, KernelConfig, Limits, SimDuration, SpawnOpts,
+    SysError, TimedEvent, ToolOutcome, ToolSpec,
 };
 
 /// One registry counter by name (`resilience.*`, `faults.*`).
@@ -34,16 +34,24 @@ fn tool_timeout_clamps_each_attempt() {
         tool_timeout: Some(SimDuration::from_millis(20)),
         ..Default::default()
     };
-    let pid = k.spawn_process_with_limits("impatient", "", limits, |ctx| {
-        let before = ctx.now()?;
-        assert_eq!(ctx.call_tool("slow", "").unwrap_err(), SysError::Timeout);
-        // Charged the timeout, not the full 500 ms latency.
-        assert_eq!(
-            ctx.now()?.duration_since(before),
-            SimDuration::from_millis(20)
-        );
-        Ok(())
-    });
+    let pid = k.admit(
+        "impatient",
+        "",
+        SpawnOpts {
+            limits,
+            ..Default::default()
+        },
+        Body::hosted(|ctx| {
+            let before = ctx.now()?;
+            assert_eq!(ctx.call_tool("slow", "").unwrap_err(), SysError::Timeout);
+            // Charged the timeout, not the full 500 ms latency.
+            assert_eq!(
+                ctx.now()?.duration_since(before),
+                SimDuration::from_millis(20)
+            );
+            Ok(())
+        }),
+    );
     k.run();
     assert!(k.record(pid).unwrap().status.is_ok());
     assert_eq!(counter(&k, "resilience.tool_timeouts"), 1);
@@ -60,10 +68,18 @@ fn deadline_wakes_blocked_receiver_with_typed_error() {
     };
     // Nobody ever sends to this process: without a deadline it would be a
     // deadlock the kernel merely reports; with one it is woken and killed.
-    let doomed = k.spawn_process_with_limits("doomed", "", limits, |ctx| {
-        ctx.recv_msg()?;
-        Ok(())
-    });
+    let doomed = k.admit(
+        "doomed",
+        "",
+        SpawnOpts {
+            limits,
+            ..Default::default()
+        },
+        Body::hosted(|ctx| {
+            ctx.recv_msg()?;
+            Ok(())
+        }),
+    );
     let healthy = k.spawn_process("healthy", "", |ctx| {
         ctx.sleep(SimDuration::from_millis(50))?;
         ctx.emit("fine")?;
@@ -88,13 +104,24 @@ fn deadline_fails_syscalls_after_expiry() {
         deadline: Some(SimDuration::from_millis(5)),
         ..Default::default()
     };
-    let pid = k.spawn_process_with_limits("slowpoke", "", limits, |ctx| {
-        ctx.emit("started;")?;
-        ctx.sleep(SimDuration::from_millis(20))?;
-        // Past the deadline: every further syscall fails.
-        assert_eq!(ctx.emit("too late").unwrap_err(), SysError::DeadlineExceeded);
-        Err(SysError::DeadlineExceeded)
-    });
+    let pid = k.admit(
+        "slowpoke",
+        "",
+        SpawnOpts {
+            limits,
+            ..Default::default()
+        },
+        Body::hosted(|ctx| {
+            ctx.emit("started;")?;
+            ctx.sleep(SimDuration::from_millis(20))?;
+            // Past the deadline: every further syscall fails.
+            assert_eq!(
+                ctx.emit("too late").unwrap_err(),
+                SysError::DeadlineExceeded
+            );
+            Err(SysError::DeadlineExceeded)
+        }),
+    );
     k.run();
     let rec = k.record(pid).unwrap();
     assert_eq!(rec.status, ExitStatus::Error(SysError::DeadlineExceeded));
@@ -234,11 +261,6 @@ fn chaos_run(seed: u64) -> (Vec<TimedEvent>, Vec<(String, String, bool)>, String
         ipc_drop_rate: 0.2,
         ..FaultPlan::default()
     };
-    cfg.default_limits = Limits {
-        tool_timeout: Some(SimDuration::from_millis(200)),
-        deadline: Some(SimDuration::from_secs(30)),
-        ..Default::default()
-    };
     let mut k = Kernel::new(cfg);
     k.register_tool(
         "search",
@@ -246,9 +268,17 @@ fn chaos_run(seed: u64) -> (Vec<TimedEvent>, Vec<(String, String, bool)>, String
             ToolOutcome::Ok(format!("results:{args}"))
         }),
     );
+    let opts = SpawnOpts {
+        limits: Limits {
+            tool_timeout: Some(SimDuration::from_millis(200)),
+            deadline: Some(SimDuration::from_secs(30)),
+            ..Default::default()
+        },
+        ..Default::default()
+    };
     for i in 0..10u64 {
         let name = format!("worker-{i}");
-        k.spawn_process(&name, &i.to_string(), |ctx| {
+        let body = Body::hosted(|ctx| {
             let kv = ctx.kv_create()?;
             let mut pos = 0u32;
             for round in 0..8u32 {
@@ -285,6 +315,7 @@ fn chaos_run(seed: u64) -> (Vec<TimedEvent>, Vec<(String, String, bool)>, String
             ctx.emit(&format!("done pos={pos}"))?;
             Ok(())
         });
+        k.admit(&name, &i.to_string(), opts, body);
     }
     k.run();
     let procs: Vec<(String, String, bool)> = k

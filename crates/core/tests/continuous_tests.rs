@@ -6,8 +6,8 @@
 
 use symphony::sampling::{self, GenOpts};
 use symphony::{
-    BatchPolicy, ContinuousConfig, EventKind, ExecMode, ExitStatus, Kernel, KernelConfig,
-    KvError, MlfqConfig, Pid, QueueDiscipline, SimDuration, SysError,
+    BatchPolicy, Body, ContinuousConfig, EventKind, ExecMode, ExitStatus, Kernel, KernelConfig,
+    KvError, MlfqConfig, Pid, QueueDiscipline, SimDuration, SpawnOpts, SysError,
 };
 
 fn continuous(chunk: Option<usize>, discipline: QueueDiscipline) -> ExecMode {
@@ -30,21 +30,26 @@ fn run_workload(mut cfg: KernelConfig, cost_us: u64) -> (Kernel, Vec<Pid>) {
             "request {i}: the quick brown fox jumps over the lazy dog and \
              keeps going for a while to make the prefill worth chunking"
         );
-        pids.push(k.schedule_process(at, &format!("p{i}"), &args, |ctx| {
-            let prompt = ctx.tokenize(&ctx.args())?;
-            let kv = ctx.kv_create()?;
-            sampling::generate(
-                ctx,
-                kv,
-                &prompt,
-                &GenOpts {
-                    max_tokens: 10,
-                    ..Default::default()
-                },
-            )?;
-            ctx.kv_remove(kv)?;
-            Ok(())
-        }));
+        pids.push(k.admit(
+            &format!("p{i}"),
+            &args,
+            SpawnOpts::at(at),
+            Body::hosted(|ctx| {
+                let prompt = ctx.tokenize(&ctx.args())?;
+                let kv = ctx.kv_create()?;
+                sampling::generate(
+                    ctx,
+                    kv,
+                    &prompt,
+                    &GenOpts {
+                        max_tokens: 10,
+                        ..Default::default()
+                    },
+                )?;
+                ctx.kv_remove(kv)?;
+                Ok(())
+            }),
+        ));
     }
     k.run();
     (k, pids)
@@ -123,16 +128,21 @@ fn continuous_modes_agree_with_static_outputs() {
         let mut pids = Vec::new();
         for i in 0..5u32 {
             let at = symphony::SimTime::ZERO + SimDuration::from_millis(u64::from(i) * 3);
-            pids.push(k.schedule_process(at, &format!("p{i}"), "", move |ctx| {
-                let kv = ctx.kv_create()?;
-                let prompt = doc_tokens(200 - 30 * i as usize, i);
-                let opts = GenOpts {
-                    max_tokens: 6,
-                    ..Default::default()
-                };
-                sampling::generate(ctx, kv, &prompt, &opts)?;
-                ctx.kv_link(kv, &format!("out{i}.kv"))
-            }));
+            pids.push(k.admit(
+                &format!("p{i}"),
+                "",
+                SpawnOpts::at(at),
+                Body::hosted(move |ctx| {
+                    let kv = ctx.kv_create()?;
+                    let prompt = doc_tokens(200 - 30 * i as usize, i);
+                    let opts = GenOpts {
+                        max_tokens: 6,
+                        ..Default::default()
+                    };
+                    sampling::generate(ctx, kv, &prompt, &opts)?;
+                    ctx.kv_link(kv, &format!("out{i}.kv"))
+                }),
+            ));
         }
         k.run();
         let outs = outputs(&k, &pids);
@@ -211,12 +221,17 @@ fn iteration_interleaves_decode_with_chunked_prefill() {
         Ok(())
     });
     let late_at = symphony::SimTime::ZERO + SimDuration::from_millis(1);
-    let late = k.schedule_process(late_at, "prefiller", "", |ctx| {
-        let kv = ctx.kv_create()?;
-        let long: Vec<u32> = (1..=40).collect();
-        ctx.pred_positions(kv, &long, 0)?;
-        Ok(())
-    });
+    let late = k.admit(
+        "prefiller",
+        "",
+        SpawnOpts::at(late_at),
+        Body::hosted(|ctx| {
+            let kv = ctx.kv_create()?;
+            let long: Vec<u32> = (1..=40).collect();
+            ctx.pred_positions(kv, &long, 0)?;
+            Ok(())
+        }),
+    );
     k.run();
     assert!(k.record(early).unwrap().status.is_ok());
     assert!(k.record(late).unwrap().status.is_ok());
@@ -483,7 +498,12 @@ fn swap_placement_changes_timing_never_outputs() {
         for i in 0..6u64 {
             let at = symphony::SimTime::ZERO + SimDuration::from_millis(i);
             let d = (i % 3) as usize;
-            pids.push(k.schedule_process(at, &format!("r{i}"), "", reader(d, 6)));
+            pids.push(k.admit(
+                &format!("r{i}"),
+                "",
+                SpawnOpts::at(at),
+                Body::hosted(reader(d, 6)),
+            ));
         }
         k.run();
         assert_eq!(k.live_threads(), 0);
@@ -532,7 +552,12 @@ fn bystander_decodes_at_full_speed_while_a_peer_swaps_in() {
             .unwrap();
         let bystander = k.spawn_process("bystander", "", reader(0, 12));
         if with_peer {
-            k.schedule_process(arrive, "peer", "", reader(1, 1));
+            k.admit(
+                "peer",
+                "",
+                SpawnOpts::at(arrive),
+                Body::hosted(reader(1, 1)),
+            );
         }
         k.run();
         assert_eq!(k.live_threads(), 0);
@@ -589,18 +614,23 @@ fn tiny_pools_never_strand_or_fail_anyone() {
                     let at = symphony::SimTime::ZERO + SimDuration::from_micros(i * gap_us);
                     let name = format!("p{i}");
                     pids.push(if i % 4 == 3 {
-                        k.schedule_process(at, &name, "", move |ctx| {
-                            let kv = ctx.kv_create()?;
-                            let prompt: Vec<u32> = (1..=30 + i as u32 * 5).collect();
-                            ctx.pred_positions(kv, &prompt, 0)?;
-                            ctx.kv_remove(kv)
-                        })
-                    } else {
-                        k.schedule_process(
-                            at,
+                        k.admit(
                             &name,
                             "",
-                            reader((i * 7 % 3) as usize, 4 + (i % 5) as u32),
+                            SpawnOpts::at(at),
+                            Body::hosted(move |ctx| {
+                                let kv = ctx.kv_create()?;
+                                let prompt: Vec<u32> = (1..=30 + i as u32 * 5).collect();
+                                ctx.pred_positions(kv, &prompt, 0)?;
+                                ctx.kv_remove(kv)
+                            }),
+                        )
+                    } else {
+                        k.admit(
+                            &name,
+                            "",
+                            SpawnOpts::at(at),
+                            Body::hosted(reader((i * 7 % 3) as usize, 4 + (i % 5) as u32)),
                         )
                     });
                 }
@@ -794,7 +824,12 @@ fn woken_decoders_rejoin_the_next_iteration() {
         } else {
             symphony::SimTime::ZERO + half
         };
-        pids.push(k.schedule_process(at, &format!("d{i}"), "", decoder(TOKENS)));
+        pids.push(k.admit(
+            &format!("d{i}"),
+            "",
+            SpawnOpts::at(at),
+            Body::hosted(decoder(TOKENS)),
+        ));
     }
     k.run();
     assert_eq!(k.live_threads(), 0);
@@ -824,11 +859,16 @@ fn decoders_keep_pace_with_a_chunked_prefill() {
     for i in 0..N {
         k.spawn_process(&format!("d{i}"), "", decoder(40));
     }
-    let prefiller = k.schedule_process(start, "prefiller", "", |ctx| {
-        let kv = ctx.kv_create()?;
-        ctx.pred_positions(kv, &doc_tokens(512, 3), 0)?;
-        Ok(())
-    });
+    let prefiller = k.admit(
+        "prefiller",
+        "",
+        SpawnOpts::at(start),
+        Body::hosted(|ctx| {
+            let kv = ctx.kv_create()?;
+            ctx.pred_positions(kv, &doc_tokens(512, 3), 0)?;
+            Ok(())
+        }),
+    );
     k.run();
     assert!(k.record(prefiller).unwrap().status.is_ok());
     let iters = iterations(&k);
@@ -912,7 +952,12 @@ fn blocked_threads_are_not_waited_for() {
             });
         }
         let at = symphony::SimTime::ZERO + SimDuration::from_millis(1);
-        let bystander = k.schedule_process(at, "bystander", "", decoder(32));
+        let bystander = k.admit(
+            "bystander",
+            "",
+            SpawnOpts::at(at),
+            Body::hosted(decoder(32)),
+        );
         k.run();
         assert_eq!(k.live_threads(), 0);
         let stamps = stamps(&k, bystander);
@@ -1011,15 +1056,20 @@ fn beside_a_long_prefill() -> CoRun {
 
     let mut k = Kernel::new(paper_budgeted());
     let d = k.spawn_process("decoder", "", decoder(TOKENS));
-    k.schedule_process(
-        symphony::SimTime::ZERO + step * 3,
+    k.admit(
         "publisher",
         "",
-        prefill_stamped(3_000, 1),
+        SpawnOpts::at(symphony::SimTime::ZERO + step * 3),
+        Body::hosted(prefill_stamped(3_000, 1)),
     );
     // 3 000 tokens at a ridge per iteration are some forty iterations.
     let asked = symphony::SimTime::ZERO + step * 23 + SimDuration::from_millis(5);
-    let q = k.schedule_process(asked, "question", "", prefill_stamped(15, 2));
+    let q = k.admit(
+        "question",
+        "",
+        SpawnOpts::at(asked),
+        Body::hosted(prefill_stamped(15, 2)),
+    );
     k.run();
     assert_eq!(k.live_threads(), 0);
     CoRun {
@@ -1186,7 +1236,14 @@ fn preds_that_arrive_together_leave_together_under_immediate() {
     let at = symphony::SimTime::ZERO + SimDuration::from_millis(1);
     let mut k = Kernel::new(immediate_traced());
     let pids: Vec<Pid> = (0..N)
-        .map(|i| k.schedule_process(at, &format!("d{i}"), "", decoder(TOKENS)))
+        .map(|i| {
+            k.admit(
+                &format!("d{i}"),
+                "",
+                SpawnOpts::at(at),
+                Body::hosted(decoder(TOKENS)),
+            )
+        })
         .collect();
     k.run();
     assert_eq!(k.live_threads(), 0);
@@ -1291,7 +1348,7 @@ fn a_mid_batch_arrival_waits_for_that_batch_and_no_longer() {
     for i in 0..N {
         k.spawn_process(&format!("d{i}"), "", decoder(16));
     }
-    let late = k.schedule_process(mid, "late", "", decoder(4));
+    let late = k.admit("late", "", SpawnOpts::at(mid), Body::hosted(decoder(4)));
     k.run();
     assert_eq!(k.live_threads(), 0);
     let batches = batches(&k);
@@ -1382,7 +1439,12 @@ mod props {
             .map(|(i, &(rag, rounds, decode, at_us))| {
                 let at = symphony::SimTime::ZERO + SimDuration::from_micros(at_us);
                 let args = format!("session {i} asks about item {}", i * 7 % 5);
-                k.schedule_process(at, &format!("s{i}"), &args, session(rag, rounds, decode))
+                k.admit(
+                    &format!("s{i}"),
+                    &args,
+                    SpawnOpts::at(at),
+                    Body::hosted(session(rag, rounds, decode)),
+                )
             })
             .collect();
         (k, pids)

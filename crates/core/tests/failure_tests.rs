@@ -2,7 +2,8 @@
 //! every failure to the offending process.
 
 use symphony::{
-    ExitStatus, Kernel, KernelConfig, KvError, Limits, SimDuration, SysError, ToolOutcome, ToolSpec,
+    Body, ExitStatus, Kernel, KernelConfig, KvError, Limits, SimDuration, SpawnOpts, SysError,
+    ToolOutcome, ToolSpec,
 };
 
 fn kernel() -> Kernel {
@@ -16,12 +17,20 @@ fn syscall_limit_cuts_off_runaway_process() {
         max_syscalls: Some(10),
         ..Default::default()
     };
-    let pid = k.spawn_process_with_limits("runaway", "", limits, |ctx| {
-        for i in 0..100 {
-            ctx.emit(&format!("{i}"))?;
-        }
-        Ok(())
-    });
+    let pid = k.admit(
+        "runaway",
+        "",
+        SpawnOpts {
+            limits,
+            ..Default::default()
+        },
+        Body::hosted(|ctx| {
+            for i in 0..100 {
+                ctx.emit(&format!("{i}"))?;
+            }
+            Ok(())
+        }),
+    );
     k.run();
     let rec = k.record(pid).unwrap();
     assert_eq!(
@@ -58,13 +67,21 @@ fn tool_call_limit() {
         max_tool_calls: Some(2),
         ..Default::default()
     };
-    let pid = k.spawn_process_with_limits("tools", "", limits, |ctx| {
-        ctx.call_tool("t", "")?;
-        ctx.call_tool("t", "")?;
-        let err = ctx.call_tool("t", "").unwrap_err();
-        assert_eq!(err, SysError::LimitExceeded("tool_calls"));
-        Ok(())
-    });
+    let pid = k.admit(
+        "tools",
+        "",
+        SpawnOpts {
+            limits,
+            ..Default::default()
+        },
+        Body::hosted(|ctx| {
+            ctx.call_tool("t", "")?;
+            ctx.call_tool("t", "")?;
+            let err = ctx.call_tool("t", "").unwrap_err();
+            assert_eq!(err, SysError::LimitExceeded("tool_calls"));
+            Ok(())
+        }),
+    );
     k.run();
     assert!(k.record(pid).unwrap().status.is_ok());
 }

@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use symphony::{
-    Body, ExitStatus, InlineBody, Kernel, KernelConfig, Next, SysError, SysReply, Syscall,
-    ThreadEnv, Tid,
+    Body, ExitStatus, InlineBody, Kernel, KernelConfig, Next, SpawnOpts, SysError, SysReply,
+    Syscall, ThreadEnv, Tid,
 };
 
 /// Emits its args, then exits.
@@ -56,9 +56,10 @@ impl InlineBody for Parent {
 #[test]
 fn a_panicking_step_crashes_its_thread_and_nothing_else() {
     let mut k = Kernel::new(KernelConfig::for_tests());
-    let before = k.admit_inline("before", "one", None, Box::new(Greeter));
-    let parent = k.admit_inline("parent", "", None, Box::new(Parent));
-    let alone = k.admit_inline("alone", "", None, Box::new(Panicker));
+    let now = SpawnOpts::default();
+    let before = k.admit("before", "one", now, Body::Inline(Box::new(Greeter)));
+    let parent = k.admit("parent", "", now, Body::Inline(Box::new(Parent)));
+    let alone = k.admit("alone", "", now, Body::Inline(Box::new(Panicker)));
     let native = k.spawn_process("native", "", |ctx| ctx.emit("a hosted neighbour"));
     // A closure's panic is caught on its worker and re-raised in the
     // kernel's step; an exec'd body's is the step's own.
@@ -67,7 +68,7 @@ fn a_panicking_step_crashes_its_thread_and_nothing_else() {
         panic!("a closure that steps on a rake")
     });
     let execd = k.spawn_process("execd", "", |ctx| ctx.exec(Box::new(Panicker)));
-    let after = k.admit_inline("after", "two", None, Box::new(Greeter));
+    let after = k.admit("after", "two", now, Body::Inline(Box::new(Greeter)));
     assert_eq!(k.run(), 7, "every process of the run exits");
     assert_eq!(k.live_threads(), 0);
 
@@ -85,7 +86,7 @@ fn a_panicking_step_crashes_its_thread_and_nothing_else() {
     assert_eq!(threads.get(), 0, "a crash kept its worker");
 
     // And the kernel serves the next run.
-    let next = k.admit_inline("next", "three", None, Box::new(Greeter));
+    let next = k.admit("next", "three", now, Body::Inline(Box::new(Greeter)));
     assert_eq!(k.run(), 1);
     assert_eq!(k.record(next).expect("record").output, "hello three");
 }
@@ -117,12 +118,18 @@ fn dropping_the_kernel_drops_parked_bodies_unstepped() {
     let steps = Arc::new(AtomicUsize::new(0));
     let drops = Arc::new(AtomicUsize::new(0));
     let mut k = Kernel::new(KernelConfig::for_tests());
+    let now = SpawnOpts::default();
     for i in 0..3 {
         let body = Sleeper {
             steps: Arc::clone(&steps),
             drops: Arc::clone(&drops),
         };
-        k.admit_inline(&format!("sleeper{i}"), "", None, Box::new(body));
+        k.admit(
+            &format!("sleeper{i}"),
+            "",
+            now,
+            Body::Inline(Box::new(body)),
+        );
     }
     // A hosted thread parked the same way still unblocks and is joined.
     k.spawn_process("hosted-sleeper", "", |ctx| ctx.recv_msg().map(drop));
@@ -153,11 +160,12 @@ fn an_exited_body_is_dropped_at_once() {
     let steps = Arc::new(AtomicUsize::new(0));
     let drops = Arc::new(AtomicUsize::new(0));
     let mut k = Kernel::new(KernelConfig::for_tests());
+    let now = SpawnOpts::default();
     let body = Sleeper {
         steps: Arc::clone(&steps),
         drops: Arc::clone(&drops),
     };
-    let pid = k.admit_inline("sleeper", "", None, Box::new(body));
+    let pid = k.admit("sleeper", "", now, Body::Inline(Box::new(body)));
     k.run();
     assert!(k.cancel_process(pid));
     assert_eq!(k.run(), 1, "woken with `Cancelled`, it exits");
@@ -172,7 +180,7 @@ fn an_exited_body_is_dropped_at_once() {
     let zombies = k.metrics_registry().gauge("kernel.procs.zombies");
     assert_eq!(zombies.get(), 1);
     assert!(!k.cancel_process(pid), "nothing left to cancel");
-    let joiner = k.admit_inline("joiner", "", None, Box::new(Joiner(Tid(1))));
+    let joiner = k.admit("joiner", "", now, Body::Inline(Box::new(Joiner(Tid(1)))));
     k.run();
     assert_eq!(k.record(joiner).expect("record").output, "not found");
 }
@@ -198,18 +206,19 @@ impl InlineBody for Joiner {
 #[test]
 fn joining_a_thread_of_an_exited_process_is_not_found() {
     let mut k = Kernel::new(KernelConfig::for_tests());
+    let now = SpawnOpts::default();
     // Thread 1 parks in `recv`; thread 2, its child, exits at once.
     let parent = k.spawn_process("parent", "", |ctx| {
         ctx.spawn(|_| Ok(()))?;
         ctx.recv_msg().map(drop)
     });
     k.run();
-    let early = k.admit_inline("early", "", None, Box::new(Joiner(Tid(2))));
+    let early = k.admit("early", "", now, Body::Inline(Box::new(Joiner(Tid(2)))));
     k.run();
     assert_eq!(k.record(early).expect("record").output, "joined Ok");
     assert!(k.cancel_process(parent));
     k.run();
-    let late = k.admit_inline("late", "", None, Box::new(Joiner(Tid(2))));
+    let late = k.admit("late", "", now, Body::Inline(Box::new(Joiner(Tid(2)))));
     k.run();
     assert_eq!(k.record(late).expect("record").output, "not found");
 }
@@ -260,6 +269,7 @@ fn a_hosted_body_that_execs_is_an_inline_one_from_then_on() {
         cfg.telemetry = true;
         cfg.syscall_cost = symphony::SimDuration::from_micros(cost_us);
         let mut k = Kernel::new(cfg);
+        let now = SpawnOpts::default();
         let pids: Vec<_> = (0..PROGRAMS)
             .map(|i| {
                 let name = format!("p{i}");
@@ -270,7 +280,7 @@ fn a_hosted_body_that_execs_is_an_inline_one_from_then_on() {
                         ctx.exec(Box::new(Second))
                     })
                 } else {
-                    k.admit_inline(&name, "", None, Box::new(Whole(0)))
+                    k.admit(&name, "", now, Body::Inline(Box::new(Whole(0))))
                 }
             })
             .collect();

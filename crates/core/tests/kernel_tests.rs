@@ -4,8 +4,8 @@
 use symphony::sampling::{self, Constraint, GenOpts, JsonConstraint, TrieConstraint};
 use symphony::{
     BatchPolicy, Body, Ctx, Dist, EventKind, ExecMode, ExitStatus, FaultPlan, InlineBody, Kernel,
-    KernelConfig, KvError, Limits, Mode, Next, SimDuration, SimTime, SysError, SysReply, Syscall,
-    ThreadEnv, ToolOutcome, ToolSpec,
+    KernelConfig, KvError, Limits, Mode, Next, SimDuration, SimTime, SpawnOpts, SysError, SysReply,
+    Syscall, ThreadEnv, ToolOutcome, ToolSpec,
 };
 
 fn kernel() -> Kernel {
@@ -151,10 +151,18 @@ fn every_decision_path_emits_a_typed_event() {
             deadline: Some(SimDuration::from_millis(10)),
             ..Default::default()
         };
-        let sink = k.spawn_process_with_limits("sink", "", limits, |ctx| {
-            assert_eq!(ctx.recv_msg().unwrap_err(), SysError::DeadlineExceeded);
-            Ok(())
-        });
+        let sink = k.admit(
+            "sink",
+            "",
+            SpawnOpts {
+                limits,
+                ..Default::default()
+            },
+            Body::hosted(|ctx| {
+                assert_eq!(ctx.recv_msg().unwrap_err(), SysError::DeadlineExceeded);
+                Ok(())
+            }),
+        );
         k.spawn_process("agent", "", move |ctx| {
             let kv = ctx.kv_create()?;
             ctx.pred_positions(kv, &[1, 2, 3, 4, 5], 0)?;
@@ -706,18 +714,26 @@ fn limits_enforced() {
         max_threads: Some(2),
         ..Default::default()
     };
-    let pid = k.spawn_process_with_limits("greedy", "", limits, |ctx| {
-        let kv = ctx.kv_create()?;
-        ctx.pred_positions(kv, &[1, 2, 3], 0)?; // 3 tokens: ok
-        let err = ctx.pred_positions(kv, &[4, 5, 6], 3).unwrap_err();
-        assert_eq!(err, SysError::LimitExceeded("pred_tokens"));
-        // Thread limit: main + 1 = 2 allowed, the next must fail.
-        let t = ctx.spawn(|c| c.sleep(SimDuration::from_millis(1)))?;
-        let err = ctx.spawn(|_| Ok(())).unwrap_err();
-        assert_eq!(err, SysError::LimitExceeded("threads"));
-        ctx.join(t)?;
-        Ok(())
-    });
+    let pid = k.admit(
+        "greedy",
+        "",
+        SpawnOpts {
+            limits,
+            ..Default::default()
+        },
+        Body::hosted(|ctx| {
+            let kv = ctx.kv_create()?;
+            ctx.pred_positions(kv, &[1, 2, 3], 0)?; // 3 tokens: ok
+            let err = ctx.pred_positions(kv, &[4, 5, 6], 3).unwrap_err();
+            assert_eq!(err, SysError::LimitExceeded("pred_tokens"));
+            // Thread limit: main + 1 = 2 allowed, the next must fail.
+            let t = ctx.spawn(|c| c.sleep(SimDuration::from_millis(1)))?;
+            let err = ctx.spawn(|_| Ok(())).unwrap_err();
+            assert_eq!(err, SysError::LimitExceeded("threads"));
+            ctx.join(t)?;
+            Ok(())
+        }),
+    );
     k.run();
     assert!(k.record(pid).unwrap().status.is_ok(), "{:?}", k.record(pid).unwrap().status);
 }
@@ -729,13 +745,24 @@ fn kv_quota_limits_pages() {
         kv_quota_pages: Some(2), // 8 tokens at page size 4
         ..Default::default()
     };
-    let pid = k.spawn_process_with_limits("hog", "", limits, |ctx| {
-        let kv = ctx.kv_create()?;
-        ctx.pred_positions(kv, &[1, 2, 3, 4, 5, 6, 7, 8], 0)?;
-        let err = ctx.pred(kv, &[(9, 8)]).unwrap_err();
-        assert!(matches!(err, SysError::Kv(symphony_kvfs::KvError::QuotaExceeded)));
-        Ok(())
-    });
+    let pid = k.admit(
+        "hog",
+        "",
+        SpawnOpts {
+            limits,
+            ..Default::default()
+        },
+        Body::hosted(|ctx| {
+            let kv = ctx.kv_create()?;
+            ctx.pred_positions(kv, &[1, 2, 3, 4, 5, 6, 7, 8], 0)?;
+            let err = ctx.pred(kv, &[(9, 8)]).unwrap_err();
+            assert!(matches!(
+                err,
+                SysError::Kv(symphony_kvfs::KvError::QuotaExceeded)
+            ));
+            Ok(())
+        }),
+    );
     k.run();
     assert!(k.record(pid).unwrap().status.is_ok());
 }
@@ -771,8 +798,18 @@ fn scheduled_arrivals_run_at_their_times() {
     let mut k = kernel();
     let t1 = symphony::SimTime::ZERO + SimDuration::from_millis(100);
     let t2 = symphony::SimTime::ZERO + SimDuration::from_millis(500);
-    let p1 = k.schedule_process(t1, "r1", "", |ctx| ctx.emit("one"));
-    let p2 = k.schedule_process(t2, "r2", "", |ctx| ctx.emit("two"));
+    let p1 = k.admit(
+        "r1",
+        "",
+        SpawnOpts::at(t1),
+        Body::hosted(|ctx| ctx.emit("one")),
+    );
+    let p2 = k.admit(
+        "r2",
+        "",
+        SpawnOpts::at(t2),
+        Body::hosted(|ctx| ctx.emit("two")),
+    );
     k.run();
     assert_eq!(k.record(p1).unwrap().spawned_at, t1);
     assert_eq!(k.record(p2).unwrap().spawned_at, t2);
@@ -845,12 +882,17 @@ fn adaptive_batching_completes_all_work() {
     let mut pids = Vec::new();
     for i in 0..10u64 {
         let at = symphony::SimTime::ZERO + SimDuration::from_millis(i * 3);
-        pids.push(k.schedule_process(at, &format!("p{i}"), "", move |ctx| {
-            let kv = ctx.kv_create()?;
-            let prompt = [(i as u32 + 1, 0), (i as u32 + 2, 1)];
-            ctx.pred(kv, &prompt)?;
-            Ok(())
-        }));
+        pids.push(k.admit(
+            &format!("p{i}"),
+            "",
+            SpawnOpts::at(at),
+            Body::hosted(move |ctx| {
+                let kv = ctx.kv_create()?;
+                let prompt = [(i as u32 + 1, 0), (i as u32 + 2, 1)];
+                ctx.pred(kv, &prompt)?;
+                Ok(())
+            }),
+        ));
     }
     k.run();
     for pid in pids {
@@ -1058,9 +1100,9 @@ fn deadlocked_receiver_is_detected() {
 }
 
 /// Durability is a property of a process, not a second path through the
-/// kernel: the same body admitted through `spawn_process` and through
-/// `spawn_durable` issues the same syscalls, gets the same replies at the
-/// same virtual times and leaves the same record. Only the log differs.
+/// kernel: the same body admitted with and without `SpawnOpts::durable`
+/// makes the same syscalls, gets the same replies at the same virtual
+/// times and leaves the same record. Only the log differs.
 #[test]
 fn durability_changes_what_is_logged_not_what_happens() {
     // One call of every journalled class: pred, tool, lookup, send, recv, now.
@@ -1088,11 +1130,11 @@ fn durability_changes_what_is_logged_not_what_happens() {
         let mut k = Kernel::new(cfg);
         let tool = |args: &str| ToolOutcome::Ok(format!("doc({args})"));
         k.register_tool("search", ToolSpec::fixed(SimDuration::from_millis(7), tool));
-        if durable {
-            k.spawn_durable("prog", "what the log is for", std::sync::Arc::new(body));
-        } else {
-            k.spawn_process("prog", "what the log is for", body);
-        }
+        let opts = SpawnOpts {
+            durable,
+            ..SpawnOpts::default()
+        };
+        k.admit("prog", "what the log is for", opts, Body::hosted(body));
         k.run();
         let records: Vec<String> = k.records().map(|r| format!("{r:?}")).collect();
         // A checkpoint event reports the log's length — what is logged —
@@ -1204,9 +1246,14 @@ fn draws_do_not_depend_on_the_programs_admitted_before() {
         );
         let at = SimTime::ZERO + SimDuration::from_millis(2);
         let pid = if inline {
-            k.admit_inline("drawer", "", Some(at), Drawer::boxed(true))
+            k.admit(
+                "drawer",
+                "",
+                SpawnOpts::at(at),
+                Body::Inline(Drawer::boxed(true)),
+            )
         } else {
-            k.schedule_process(at, "drawer", "", hosted_drawer)
+            k.admit("drawer", "", SpawnOpts::at(at), Body::hosted(hosted_drawer))
         };
         for i in 0..unrelated {
             let name = format!("unrelated{i}");
@@ -1219,7 +1266,12 @@ fn draws_do_not_depend_on_the_programs_admitted_before() {
                     ctx.join(tid).map(drop)
                 });
             } else {
-                k.admit_inline(&name, "", None, Drawer::boxed(true));
+                k.admit(
+                    &name,
+                    "",
+                    SpawnOpts::default(),
+                    Body::Inline(Drawer::boxed(true)),
+                );
             }
         }
         k.run();

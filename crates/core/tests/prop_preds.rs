@@ -8,12 +8,20 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use symphony::{
-    ContinuousConfig, CtxFingerprint, Dist, EventKind, ExecMode, FaultPlan, Kernel, KernelConfig,
-    Preds, ProgramImage, QueueDiscipline, SimDuration, TokenId, WalConfig,
+    Body, ContinuousConfig, CtxFingerprint, Dist, EventKind, ExecMode, FaultPlan, Kernel,
+    KernelConfig, Preds, ProgramImage, QueueDiscipline, SimDuration, SpawnOpts, TokenId, WalConfig,
 };
 use symphony_model::surrogate::VocabInfo;
 use symphony_model::Surrogate;
 use symphony_tokenizer::Bpe;
+
+/// How a durable program here is admitted: now, with the default limits.
+fn durable() -> SpawnOpts {
+    SpawnOpts {
+        durable: true,
+        ..SpawnOpts::default()
+    }
+}
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -157,7 +165,7 @@ proptest! {
         let live = Replies::default();
         let boundaries = {
             let mut k = Kernel::new(cfg);
-            k.spawn_durable("p", "", image(a.clone(), b.clone(), start, live.clone()));
+            k.admit("p", "", durable(), Body::from(image(a.clone(), b.clone(), start, live.clone())));
             k.run();
             k.syscall_boundaries()
         };
@@ -168,7 +176,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
         {
             let mut k = Kernel::new(config(&path, chunk, Some(boundaries)));
-            k.spawn_durable("p", "", image(a.clone(), b.clone(), start, Replies::default()));
+            k.admit("p", "", durable(), Body::from(image(a.clone(), b.clone(), start, Replies::default())));
             k.run();
             prop_assert_eq!(k.crashed(), Some(boundaries));
         }

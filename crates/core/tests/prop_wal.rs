@@ -14,9 +14,17 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use symphony::sampling::{self, GenOpts};
 use symphony::{
-    FaultPlan, Kernel, KernelConfig, ProgramImage, SimDuration, SysError, ToolOutcome, ToolSpec,
-    WalConfig, WalError,
+    Body, FaultPlan, Kernel, KernelConfig, ProgramImage, SimDuration, SpawnOpts, SysError,
+    ToolOutcome, ToolSpec, WalConfig, WalError,
 };
+
+/// How a durable program here is admitted: now, with the default limits.
+fn durable() -> SpawnOpts {
+    SpawnOpts {
+        durable: true,
+        ..SpawnOpts::default()
+    }
+}
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("symphony-propwal-{}-{}", std::process::id(), name))
@@ -78,9 +86,9 @@ fn config(path: &std::path::Path, crash_at: Option<u64>) -> KernelConfig {
 
 fn run_workload(k: &mut Kernel) {
     k.register_tool("lookup", tool());
-    k.spawn_durable("collector", "", collector_image());
-    k.spawn_durable("worker0", "0", worker_image());
-    k.spawn_durable("worker1", "1", worker_image());
+    k.admit("collector", "", durable(), Body::from(collector_image()));
+    k.admit("worker0", "0", durable(), Body::from(worker_image()));
+    k.admit("worker1", "1", durable(), Body::from(worker_image()));
     k.run();
 }
 

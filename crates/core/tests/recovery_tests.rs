@@ -22,10 +22,18 @@ use std::sync::{Arc, Mutex};
 
 use symphony::sampling::{self, GenOpts};
 use symphony::{
-    ContinuousConfig, Dist, EventKind, ExecMode, ExitStatus, FaultPlan, Kernel, KernelConfig,
-    Preds, ProgramImage, QueueDiscipline, SimDuration, SimTime, SysError, ToolOutcome, ToolSpec,
-    WalConfig,
+    Body, ContinuousConfig, Dist, EventKind, ExecMode, ExitStatus, FaultPlan, Kernel, KernelConfig,
+    Preds, ProgramImage, QueueDiscipline, SimDuration, SimTime, SpawnOpts, SysError, ToolOutcome,
+    ToolSpec, WalConfig,
 };
+
+/// How a durable program here is admitted: now, with the default limits.
+fn durable() -> SpawnOpts {
+    SpawnOpts {
+        durable: true,
+        ..SpawnOpts::default()
+    }
+}
 
 /// Unique-per-process temp path so parallel test runs don't collide.
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -156,15 +164,23 @@ fn config(wal: &std::path::Path, crash_at: Option<u64>) -> KernelConfig {
 /// Spawns the fleet: the collector first (agents look it up by name), then
 /// the agents, then a scheduled program that arrives late in the run.
 fn spawn_fleet(k: &mut Kernel) {
-    k.spawn_durable("sink", "", sink_image());
+    k.admit("sink", "", durable(), Body::from(sink_image()));
     for i in 0..AGENTS {
-        k.spawn_durable(&format!("agent{i}"), &format!("{i}"), agent_image());
+        k.admit(
+            &format!("agent{i}"),
+            &format!("{i}"),
+            durable(),
+            Body::from(agent_image()),
+        );
     }
-    k.schedule_durable(
-        SimTime::ZERO + SimDuration::from_millis(20),
+    k.admit(
         "late",
         "a question that arrives later",
-        late_image(),
+        SpawnOpts {
+            durable: true,
+            ..SpawnOpts::at(SimTime::ZERO + SimDuration::from_millis(20))
+        },
+        Body::from(late_image()),
     );
 }
 
@@ -392,14 +408,19 @@ fn replayed_pred_replies_equal_the_live_ones() {
     };
     let boundaries = {
         let mut k = Kernel::new(cfg(None));
-        k.spawn_durable("decoder", "", image(Replies::default()));
+        k.admit(
+            "decoder",
+            "",
+            durable(),
+            Body::from(image(Replies::default())),
+        );
         k.run();
         k.syscall_boundaries()
     };
 
     let live = Replies::default();
     let mut k = Kernel::new(cfg(Some(boundaries)));
-    k.spawn_durable("decoder", "", image(live.clone()));
+    k.admit("decoder", "", durable(), Body::from(image(live.clone())));
     k.run();
     assert_eq!(k.crashed(), Some(boundaries));
     assert!(k.prefill_chunks() > 1, "the prompt was prefilled in chunks");
@@ -473,12 +494,12 @@ fn crash_and_recover(
 ) -> Kernel {
     let crash_at = crash_at.unwrap_or_else(|| {
         let mut k = Kernel::new(cfg(None));
-        k.spawn_durable("p", "", image.clone());
+        k.admit("p", "", durable(), Body::from(image.clone()));
         k.run();
         k.syscall_boundaries()
     });
     let mut k = Kernel::new(cfg(Some(crash_at)));
-    k.spawn_durable("p", "", image);
+    k.admit("p", "", durable(), Body::from(image));
     k.run();
     assert_eq!(k.crashed(), Some(crash_at));
     drop(k);
@@ -591,7 +612,7 @@ fn siblings_whose_preds_complete_out_of_order_replay_both_from_the_log() {
     let (last, order) = {
         let order = Order::default();
         let mut k = Kernel::new(cfg(None));
-        k.spawn_durable("p", "", image(order.clone()));
+        k.admit("p", "", durable(), Body::from(image(order.clone())));
         k.run();
         let steps = order.lock().unwrap().clone();
         (k.syscall_boundaries(), steps)
@@ -698,6 +719,54 @@ fn scheduled_program_survives_crash_before_arrival() {
     std::fs::remove_file(&base_path).ok();
 }
 
+/// An arrival already past is now. Once the clock has moved, a hosted and
+/// a durable admission at `SimTime::ZERO` both start at the current time,
+/// and a crash right after admission recovers the durable one at that time.
+#[test]
+fn an_arrival_in_the_past_starts_and_recovers_now() {
+    let (path, crashed) = (tmp("past-arrival.wal"), tmp("past-arrival-crashed.wal"));
+    let stamp: ProgramImage = Arc::new(|ctx| {
+        let t = ctx.now()?;
+        ctx.emit(&format!("{t:?}"))
+    });
+    let mut k = Kernel::new(config(&path, None));
+    k.spawn_process("clock", "", |ctx| ctx.sleep(SimDuration::from_millis(10)));
+    k.run();
+    let now = k.now();
+    assert_eq!(now, SimTime::ZERO + SimDuration::from_millis(10));
+    let past = SpawnOpts::at(SimTime::ZERO);
+    let hosted = k.admit("hosted", "", past, Body::from(Arc::clone(&stamp)));
+    let durable = SpawnOpts {
+        durable: true,
+        ..past
+    };
+    let durable = k.admit("durable", "", durable, Body::from(Arc::clone(&stamp)));
+    std::fs::copy(&path, &crashed).expect("the log so far");
+    k.run();
+    for pid in [hosted, durable] {
+        let rec = k.record(pid).expect("record");
+        assert_eq!(
+            (rec.spawned_at, rec.output.clone()),
+            (now, format!("{now:?}"))
+        );
+    }
+
+    let resolve = |name: &str| (name == "durable").then(|| Arc::clone(&stamp));
+    let (mut k, report) = Kernel::recover(config(&crashed, None), resolve).unwrap();
+    assert_eq!((report.resumed, report.lost), (1, 0));
+    k.run();
+    let rec = k
+        .records()
+        .find(|r| r.name == "durable")
+        .expect("recovered");
+    assert_eq!(
+        (rec.spawned_at, rec.output.clone()),
+        (now, format!("{now:?}"))
+    );
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&crashed).ok();
+}
+
 /// An unresolvable image cannot be re-executed: recovery records the
 /// program as crashed rather than silently dropping it, and everything
 /// else still completes.
@@ -734,7 +803,8 @@ fn sleep_durably_within_20_s(tag: &str, sleep: SimDuration, every: SimDuration) 
         let mut cfg = KernelConfig::for_tests();
         cfg.wal = Some(WalConfig::new(&wal).with_checkpoint_every(every));
         let mut k = Kernel::new(cfg);
-        let pid = k.spawn_durable("sleeper", "", Arc::new(move |ctx| ctx.sleep(sleep)));
+        let body = Body::hosted(move |ctx| ctx.sleep(sleep));
+        let pid = k.admit("sleeper", "", durable(), body);
         k.run();
         assert!(k.record(pid).unwrap().status.is_ok());
         let checkpoints = k.metrics_registry().counter_value("kernel.checkpoints");
@@ -829,10 +899,10 @@ fn install_sink(k: &mut Kernel) -> Received {
 
 /// The peer, then the writer (durable or not); their pids.
 fn spawn_pair(k: &mut Kernel, durable_writer: bool) -> (symphony::Pid, symphony::Pid) {
-    let peer = k.spawn_durable("peer", "", peer_image());
+    let peer = k.admit("peer", "", durable(), Body::from(peer_image()));
     let args = peer.0.to_string();
     let writer = if durable_writer {
-        k.spawn_durable("writer", &args, writer_image())
+        k.admit("writer", &args, durable(), Body::from(writer_image()))
     } else {
         let image = writer_image();
         k.spawn_process("writer", &args, move |ctx| image(ctx))
@@ -993,9 +1063,18 @@ fn a_message_is_received_once_across_a_crash_at_every_boundary() {
     for (case, receiver_args, gap, ipc_drop_rate, heard) in cases {
         let run = |path: &std::path::Path, crash_at: Option<u64>| {
             let mut k = Kernel::new(seeded(path, crash_at, ipc_drop_rate));
-            let receiver = k.spawn_durable("receiver", receiver_args, receiver_image());
-            let sender =
-                k.spawn_durable("sender", &format!("{},{gap}", receiver.0), sender_image());
+            let receiver = k.admit(
+                "receiver",
+                receiver_args,
+                durable(),
+                Body::from(receiver_image()),
+            );
+            let sender = k.admit(
+                "sender",
+                &format!("{},{gap}", receiver.0),
+                durable(),
+                Body::from(sender_image()),
+            );
             assert_eq!((receiver.0, sender.0), (1, 2), "{case}: pids");
             k.run();
             k

@@ -2,11 +2,11 @@
 //! between host calls and system calls.
 //!
 //! A served program never owns an OS thread. The server parses and
-//! verifies it, wraps the [`Interpreter`] in a [`LipBody`] and hands that
-//! to [`symphony::Kernel::admit_inline`]; from then on the kernel resumes
-//! the body with each system call's reply and gets the next system call
-//! back, on its own thread. `spawn` makes more of the same, so a program's
-//! threads are inline too.
+//! verifies it, wraps the [`Interpreter`] in a [`LipBody`] and admits that
+//! as a `Body::Inline` ([`symphony::Kernel::admit`]); from then on the
+//! kernel resumes the body with each system call's reply and gets the next
+//! system call back, on its own thread. `spawn` makes more of the same, so
+//! a program's threads are inline too.
 //!
 //! A native closure on a hosted thread gets the same by [`run_lip`]: it
 //! parses the script and execs a `LipBody`, so the thread goes on inline.
@@ -90,9 +90,9 @@ impl InlineBody for LipBody {
 /// Parses a LipScript program inside a hosted Symphony LIP thread and
 /// execs it ([`symphony::Ctx::exec`]): the thread runs on as a [`LipBody`]
 /// the kernel steps itself, and the closure's OS thread goes back to the
-/// pool before the program's first step. This is how a native closure — a
-/// durable program image, a test — runs a script; a *served* program is
-/// admitted as a `LipBody` to begin with.
+/// pool before the program's first step. Its one caller outside tests is
+/// the benchmark's durable workload, whose program image is a closure; any
+/// other program, durable or not, is admitted as a `LipBody` to begin with.
 ///
 /// It returns only if `src` does not parse. Otherwise the program's
 /// outcome is the thread's exit status, as for a served one: `Ok` when it

@@ -25,18 +25,18 @@
 //!   resolved to a frame slot and every call site to its callee, shared by
 //!   every run of that source — and the interpreter is a resumable machine
 //!   over it: [`Interpreter::step`] runs to the next host call and is
-//!   resumed with the reply, so a running program is a value. A server
-//!   hands that value to the kernel as a [`LipBody`]
-//!   (`Kernel::admit_inline`) and the kernel steps it on its own thread:
-//!   a served program owns no OS thread. [`run_lip`], below, is how native
-//!   code on a hosted thread runs a script: it parses it and execs a
-//!   `LipBody` (`Ctx::exec`), so the script owns no OS thread either.
+//!   resumed with the reply, so a running program is a value. It enters
+//!   the kernel as a [`LipBody`] (`Kernel::admit` with `Body::Inline`),
+//!   and the kernel steps it on its own thread: a program owns no OS
+//!   thread. [`run_lip`] runs a script from a native closure instead; its
+//!   one caller outside tests is the benchmark's durable workload.
 //!
 //! # Examples
 //!
 //! ```
-//! use symphony::{Kernel, KernelConfig};
-//! use symphony_lipscript::run_lip;
+//! use std::sync::Arc;
+//! use symphony::{Body, Kernel, KernelConfig, SpawnOpts};
+//! use symphony_lipscript::{parse::parse, LipBody};
 //!
 //! let src = r#"
 //!     let prompt = tokenize(args());
@@ -53,15 +53,12 @@
 //!         pos = pos + 1;
 //!         n = n + 1;
 //!     }
-//! "#
-//! .to_string();
+//! "#;
 //!
+//! let program = Arc::new(parse(src).expect("parses"));
+//! let body = Body::Inline(Box::new(LipBody::new(program, Default::default())));
 //! let mut kernel = Kernel::new(KernelConfig::for_tests());
-//! let pid = kernel.spawn_process("lip", "hello world", move |ctx| {
-//!     run_lip(&src, ctx, Default::default())
-//!         .map(|_| ())
-//!         .map_err(|e| symphony::SysError::ToolFailed(e.to_string()))
-//! });
+//! let pid = kernel.admit("lip", "hello world", SpawnOpts::default(), body);
 //! kernel.run();
 //! let rec = kernel.record(pid).unwrap();
 //! assert!(rec.status.is_ok(), "{:?}", rec.status);

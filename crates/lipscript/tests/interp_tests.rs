@@ -548,14 +548,18 @@ fn durable_lip_image() -> symphony::ProgramImage {
 /// Kills the kernel at every syscall boundary of a fleet of durable
 /// `run_lip` programs, recovers, and demands what an uninterrupted run
 /// gives: equal outputs and statuses, and every tool effect exactly once.
+/// Durability is a flag on any body: the same sweep runs again with each
+/// first run admitted inline as a `LipBody`, recovered through `run_lip`.
 #[test]
 fn durable_run_lip_recovers_equivalently_at_every_boundary() {
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use symphony::{
-        FaultPlan, Kernel, KernelConfig, SimDuration, SimTime, ToolOutcome, ToolSpec, WalConfig,
+        Body, FaultPlan, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts, ToolOutcome,
+        ToolSpec, WalConfig,
     };
+    use symphony_lipscript::{parse::parse, LipBody};
 
     const AGENTS: u64 = 3;
     let tmp = |name: &str| {
@@ -583,15 +587,20 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
             }),
         );
     };
-    let admit = |k: &mut Kernel| {
+    let admit = |k: &mut Kernel, inline: bool| {
         for i in 0..AGENTS {
             let at = SimTime::ZERO + SimDuration::from_millis(2 * i);
-            k.schedule_durable(
-                at,
-                &format!("agent{i}"),
-                &format!("topic {i}"),
-                durable_lip_image(),
-            );
+            let body = if inline {
+                let program = Arc::new(parse(DURABLE_AGENT).expect("parses"));
+                Body::Inline(Box::new(LipBody::new(program, InterpLimits::default())))
+            } else {
+                Body::from(durable_lip_image())
+            };
+            let opts = SpawnOpts {
+                durable: true,
+                ..SpawnOpts::at(at)
+            };
+            k.admit(&format!("agent{i}"), &format!("topic {i}"), opts, body);
         }
     };
     let outcomes = |k: &Kernel| -> BTreeMap<String, (String, bool)> {
@@ -605,7 +614,7 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
     let fired = Arc::new(AtomicU64::new(0));
     let mut k = Kernel::new(config(&base_path, None));
     with_tool(&mut k, &fired);
-    admit(&mut k);
+    admit(&mut k, false);
     assert_eq!(k.run(), AGENTS as usize);
     let baseline = outcomes(&k);
     assert!(
@@ -626,35 +635,65 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
     drop(k);
     assert!(boundaries > 20, "a real kill-point space: {boundaries}");
 
-    for b in 1..=boundaries {
-        let path = tmp(&format!("{b}.wal"));
-        let fired = Arc::new(AtomicU64::new(0));
-        let crashed_invocations = {
-            let mut k = Kernel::new(config(&path, Some(b)));
+    // Admitted inline, the same programs cross the same boundaries and
+    // give the same outcomes, with no hand-off.
+    let inline_path = tmp("inline.wal");
+    let mut k = Kernel::new(config(&inline_path, None));
+    with_tool(&mut k, &Arc::new(AtomicU64::new(0)));
+    admit(&mut k, true);
+    assert_eq!(k.run(), AGENTS as usize);
+    assert_eq!(outcomes(&k), baseline);
+    assert_eq!(
+        (k.syscall_boundaries(), k.tool_invocations()),
+        (boundaries, invocations)
+    );
+    assert_eq!(
+        k.metrics_registry()
+            .counter_value("kernel.lip.hosted_handoffs"),
+        Some(0)
+    );
+    drop(k);
+    std::fs::remove_file(&inline_path).ok();
+
+    for inline in [false, true] {
+        for b in 1..=boundaries {
+            let path = tmp(&format!("{b}.wal"));
+            let fired = Arc::new(AtomicU64::new(0));
+            let crashed_invocations = {
+                let mut k = Kernel::new(config(&path, Some(b)));
+                with_tool(&mut k, &fired);
+                admit(&mut k, inline);
+                k.run();
+                assert_eq!(k.crashed(), Some(b), "kill-point {b} fires");
+                k.tool_invocations()
+            };
+            let resolve = |name: &str| name.starts_with("agent").then(durable_lip_image);
+            let (mut k, report) =
+                Kernel::recover(config(&path, None), resolve).expect("recoverable WAL");
             with_tool(&mut k, &fired);
-            admit(&mut k);
+            assert_eq!(
+                report.lost, 0,
+                "inline {inline}, boundary {b}: every image resolves"
+            );
             k.run();
-            assert_eq!(k.crashed(), Some(b), "kill-point {b} fires");
-            k.tool_invocations()
-        };
-        let resolve = |name: &str| name.starts_with("agent").then(durable_lip_image);
-        let (mut k, report) = Kernel::recover(config(&path, None), resolve).expect("recoverable WAL");
-        with_tool(&mut k, &fired);
-        assert_eq!(report.lost, 0, "boundary {b}: every image resolves");
-        k.run();
-        assert!(k.crashed().is_none());
-        assert_eq!(outcomes(&k), baseline, "boundary {b}: outputs and statuses");
-        assert_eq!(
-            crashed_invocations + k.tool_invocations(),
-            invocations,
-            "boundary {b}: exactly-once tool invocations"
-        );
-        assert_eq!(
-            fired.load(Ordering::SeqCst),
-            AGENTS,
-            "boundary {b}: a tool fired twice"
-        );
-        std::fs::remove_file(&path).ok();
+            assert!(k.crashed().is_none());
+            assert_eq!(
+                outcomes(&k),
+                baseline,
+                "inline {inline}, boundary {b}: outputs and statuses"
+            );
+            assert_eq!(
+                crashed_invocations + k.tool_invocations(),
+                invocations,
+                "inline {inline}, boundary {b}: exactly-once tool invocations"
+            );
+            assert_eq!(
+                fired.load(Ordering::SeqCst),
+                AGENTS,
+                "inline {inline}, boundary {b}: a tool fired twice"
+            );
+            std::fs::remove_file(&path).ok();
+        }
     }
     std::fs::remove_file(&base_path).ok();
 }

@@ -33,7 +33,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use symphony::telemetry::{Counter, EventKind, MetricsRegistry};
-use symphony::{ExitStatus, Kernel, Pid, SessionEvent, SimDuration, SimTime, SysError};
+use symphony::{
+    Body, ExitStatus, Kernel, Pid, SessionEvent, SimDuration, SimTime, SpawnOpts, SysError,
+};
 use symphony_lipscript::{parse::parse, verify::verify_image, Image, InterpLimits, LipBody};
 use symphony_rpc::{
     ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, CONN_SCOPE, DEFAULT_MAX_FRAME,
@@ -631,13 +633,13 @@ impl ServerCore {
             ..Default::default()
         };
         // A SUBMIT may carry a virtual arrival floor (trace replay with
-        // simulated RTT); past floors mean "now".
-        let at = SimTime::from_nanos(not_before_ns.max(self.kernel.now().as_nanos()));
+        // simulated RTT); `admit` takes a past floor as "now".
+        let opts = SpawnOpts::at(SimTime::from_nanos(not_before_ns));
         // The program the verifier saw is the one that runs — as a value
         // the kernel steps on its own thread, not on a thread of its own,
         // over an image it shares with every session of the same source.
-        let body = Box::new(LipBody::from_image(image, limits));
-        let pid = self.kernel.admit_inline(name, args, Some(at), body);
+        let body = Body::Inline(Box::new(LipBody::from_image(image, limits)));
+        let pid = self.kernel.admit(name, args, opts, body);
         if let Some(hint) = static_hint {
             self.kernel.set_cost_hint(pid, hint);
         }

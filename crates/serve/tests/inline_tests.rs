@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use symphony::{
-    BatchPolicy, ContinuousConfig, ExecMode, ExitStatus, Kernel, KernelConfig, Pid, SimDuration,
-    SysError, TimedEvent, ToolOutcome, ToolSpec,
+    BatchPolicy, Body, ContinuousConfig, ExecMode, ExitStatus, Kernel, KernelConfig, Limits, Pid,
+    SimDuration, SpawnOpts, SysError, TimedEvent, ToolOutcome, ToolSpec,
 };
 use symphony_lipscript::{
     parse::parse, run_lip, Image, InterpLimits, Interpreter, LipBody, LipError,
@@ -74,15 +74,16 @@ fn admit(
     args: &str,
     src: &str,
     limits: InterpLimits,
+    opts: SpawnOpts,
 ) -> Pid {
-    match way {
+    let body = match way {
         Way::Inline => {
             let program = Arc::new(parse(src).expect("test programs parse"));
-            kernel.admit_inline(name, args, None, Box::new(LipBody::new(program, limits)))
+            Body::Inline(Box::new(LipBody::new(program, limits)))
         }
         Way::Hosted => {
             let program = Arc::new(parse(src).expect("test programs parse"));
-            kernel.spawn_process(name, args, move |ctx| {
+            Body::hosted(move |ctx| {
                 Interpreter::new(program, limits)
                     .run(ctx)
                     .map(drop)
@@ -91,13 +92,14 @@ fn admit(
         }
         Way::Exec => {
             let src = src.to_string();
-            kernel.spawn_process(name, args, move |ctx| {
+            Body::hosted(move |ctx| {
                 run_lip(&src, ctx, limits)
                     .map(drop)
                     .map_err(|e| SysError::ToolFailed(e.to_string()))
             })
         }
-    }
+    };
+    kernel.admit(name, args, opts, body)
 }
 
 fn serving_kernel(cfg: KernelConfig) -> Kernel {
@@ -145,7 +147,17 @@ fn mixed_run(cfg: KernelConfig, way: Way) -> Trace {
     ];
     let pids: Vec<Pid> = jobs
         .iter()
-        .map(|(name, args, src)| admit(&mut kernel, way, name, args, src, limits))
+        .map(|(name, args, src)| {
+            admit(
+                &mut kernel,
+                way,
+                name,
+                args,
+                src,
+                limits,
+                SpawnOpts::default(),
+            )
+        })
         .collect();
     assert_eq!(kernel.run(), jobs.len());
     assert_eq!(kernel.live_threads(), 0);
@@ -234,7 +246,12 @@ fn sessions_sharing_one_image_are_indistinguishable_from_private_parses() {
                 } else {
                     LipBody::new(Arc::new(parse(src).expect("parses")), limits)
                 };
-                kernel.admit_inline(name, args, None, Box::new(body))
+                kernel.admit(
+                    name,
+                    args,
+                    SpawnOpts::default(),
+                    Body::Inline(Box::new(body)),
+                )
             })
             .collect();
         assert_eq!(kernel.run(), jobs.len());
@@ -258,17 +275,17 @@ fn sessions_sharing_one_image_are_indistinguishable_from_private_parses() {
     }
 }
 
-/// One failing program, run every way on kernels built by `cfg`, with
-/// `meddle` called between admission and the run.
+/// One failing program, admitted with `opts`, run every way, with `meddle`
+/// called between admission and the run.
 fn failing_run(
-    cfg: &KernelConfig,
+    opts: SpawnOpts,
     src: &str,
     limits: InterpLimits,
     meddle: impl Fn(&mut Kernel, Pid),
 ) -> ExitStatus {
     let run = |way| {
-        let mut kernel = serving_kernel(cfg.clone());
-        let pid = admit(&mut kernel, way, "doomed", "a few words", src, limits);
+        let mut kernel = serving_kernel(KernelConfig::for_tests());
+        let pid = admit(&mut kernel, way, "doomed", "a few words", src, limits, opts);
         meddle(&mut kernel, pid);
         kernel.run();
         // A program parked for good is cancelled, as the door would.
@@ -290,7 +307,7 @@ fn failing_run(
 
 #[test]
 fn failing_sessions_exit_with_the_same_status_either_way() {
-    let cfg = KernelConfig::for_tests();
+    let now = SpawnOpts::default();
     let roomy = InterpLimits::default();
     let failed_with = |status: ExitStatus, what: &str| match status {
         ExitStatus::Error(SysError::ToolFailed(msg)) => {
@@ -302,21 +319,21 @@ fn failing_sessions_exit_with_the_same_status_either_way() {
     // A runtime error, some output already streamed.
     let src = "emit(\"so far so good\");\nlet xs = [1, 2];\nreturn xs[2];";
     failed_with(
-        failing_run(&cfg, src, roomy, |_, _| {}),
+        failing_run(now, src, roomy, |_, _| {}),
         "index 2 out of bounds (len 2) at 3:10",
     );
 
     // Out of fuel, in the middle of an expression, between system calls.
     let tight = InterpLimits { fuel: 500, ..roomy };
     let src = "let kv = kv_create();\nlet n = 0;\nwhile (true) { n = n + kv_len(kv) + 1; }";
-    failed_with(failing_run(&cfg, src, tight, |_, _| {}), "out of fuel");
+    failed_with(failing_run(now, src, tight, |_, _| {}), "out of fuel");
 
     // Cancelled before its first system call is answered. The program
     // reports the refused call as a tool failure; the kernel, which
     // cancelled it, records the verdict.
     let cancelled = ExitStatus::Error(SysError::Cancelled);
     let generating = agent_source(4, 16);
-    let status = failing_run(&cfg, &generating, roomy, |kernel, pid| {
+    let status = failing_run(now, &generating, roomy, |kernel, pid| {
         assert!(kernel.cancel_process(pid));
     });
     assert_eq!(status, cancelled);
@@ -324,12 +341,18 @@ fn failing_sessions_exit_with_the_same_status_either_way() {
     // Cancelled while parked in a system call (`failing_run` cancels what
     // is left parked), and failing again in the `pred` that follows.
     let src = "let kv = kv_create();\nlet m = recv();\npred(kv, tokenize(m[1]), 0);";
-    assert_eq!(failing_run(&cfg, src, roomy, |_, _| {}), cancelled);
+    assert_eq!(failing_run(now, src, roomy, |_, _| {}), cancelled);
 
     // The deadline passes while the program is inside `pred`; its next
     // system call is refused.
-    let mut hurried = KernelConfig::for_tests();
-    hurried.default_limits.deadline = Some(SimDuration::from_micros(300));
-    let status = failing_run(&hurried, &generating, roomy, |_, _| {});
+    let deadline = Some(SimDuration::from_micros(300));
+    let hurried = SpawnOpts {
+        limits: Limits {
+            deadline,
+            ..Limits::default()
+        },
+        ..now
+    };
+    let status = failing_run(hurried, &generating, roomy, |_, _| {});
     failed_with(status, "syscall failed: process deadline exceeded");
 }

@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use symphony::{
-    ExitStatus, Kernel, KernelConfig, ProcessUsage, ProgramImage, SessionEvent, SimTime, SysError,
-    WalConfig,
+    Body, ExitStatus, Kernel, KernelConfig, ProcessUsage, ProgramImage, SessionEvent, SimTime,
+    SpawnOpts, SysError, WalConfig,
 };
 use symphony_lipscript::{parse::parse, run_lip, InterpLimits, LipBody};
 use symphony_rpc::{
@@ -316,7 +316,12 @@ fn the_kernels_counters_carry_what_its_records_carried() {
     for (i, (source, args, fuel, cancelled)) in every_outcome().into_iter().enumerate() {
         let program = Arc::new(parse(&source).expect("parses"));
         let body = Box::new(LipBody::new(program, limits(fuel)));
-        let pid = kernel.admit_inline(&format!("s{}", i + 1), args, None, body);
+        let pid = kernel.admit(
+            &format!("s{}", i + 1),
+            args,
+            SpawnOpts::default(),
+            Body::Inline(body),
+        );
         if cancelled {
             parked.push(pid);
         }
@@ -375,8 +380,8 @@ fn the_kernels_counters_carry_what_its_records_carried() {
 
 #[test]
 fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
-    // The durable path with no server around it: `schedule_durable`
-    // images that parse and exec a LipScript program, WAL and KV journal
+    // The durable path with no server around it: durable images that
+    // parse and exec a LipScript program, WAL and KV journal
     // open, the session events taken straight from the sink, and no reap
     // call anywhere.
     let dir = std::env::temp_dir();
@@ -429,7 +434,15 @@ fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
             };
             let at = SimTime::from_nanos(t0 + i * 200_000);
             let image = Arc::clone(&images[shape]);
-            kernel.schedule_durable(at, &format!("s{session}"), &args, image);
+            kernel.admit(
+                &format!("s{session}"),
+                &args,
+                SpawnOpts {
+                    durable: true,
+                    ..SpawnOpts::at(at)
+                },
+                Body::from(image),
+            );
         }
         kernel.run();
         kernel.persist_kv_delta().expect("journal persists");

@@ -7,8 +7,10 @@
 //!
 //! Run with: `cargo run --example lipscript_program`
 
-use symphony::{Kernel, KernelConfig, Mode};
-use symphony_lipscript::{run_lip, InterpLimits};
+use std::sync::Arc;
+
+use symphony::{Body, Kernel, KernelConfig, Mode, SpawnOpts};
+use symphony_lipscript::{parse::parse, InterpLimits, LipBody};
 
 /// What the client sends over the wire.
 const CLIENT_PROGRAM: &str = r#"
@@ -54,20 +56,16 @@ fn main() {
         .preload_kv("sys_msg.kv", &sys, Mode::SHARED_READ, true)
         .expect("preload system prompt");
 
-    let src = CLIENT_PROGRAM.to_string();
-    let pid = kernel.spawn_process("client-program", "", move |ctx| {
-        run_lip(
-            &src,
-            ctx,
-            InterpLimits {
-                fuel: 1_000_000,
-                memory_cells: 500_000,
-                max_depth: 32,
-            },
-        )
-        .map(|_| ())
-        .map_err(|e| symphony::SysError::ToolFailed(e.to_string()))
-    });
+    // The program is a value the kernel steps itself, sandboxed by its
+    // interpreter limits: no OS thread of its own.
+    let program = Arc::new(parse(CLIENT_PROGRAM).expect("the client program parses"));
+    let limits = InterpLimits {
+        fuel: 1_000_000,
+        memory_cells: 500_000,
+        max_depth: 32,
+    };
+    let body = Body::Inline(Box::new(LipBody::new(program, limits)));
+    let pid = kernel.admit("client-program", "", SpawnOpts::default(), body);
 
     kernel.run();
     let rec = kernel.record(pid).expect("record");

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example rag_cache`
 
 use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig, Mode, SimDuration, ToolOutcome, ToolSpec};
+use symphony::{Body, Kernel, KernelConfig, Mode, SimDuration, SpawnOpts, ToolOutcome, ToolSpec};
 use symphony_sim::{Rng, Zipf};
 use symphony_tokenizer::CorpusGen;
 
@@ -46,35 +46,46 @@ fn main() {
         let topic = popularity.sample(&mut rng);
         let at = symphony::SimTime::ZERO + SimDuration::from_millis(60 * i as u64);
         let args = format!("{topic}");
-        pids.push((
-            topic,
-            kernel.schedule_process(at, &format!("rag{i}"), &args, |ctx| {
-                let topic: usize = ctx.args().parse().map_err(|_| symphony::SysError::BadArgument)?;
-                let path = format!("doc{topic}.kv");
-                let (kv, hit) = match ctx.kv_open(&path) {
-                    Ok(doc) => (ctx.kv_fork(doc)?, true),
-                    Err(_) => {
-                        let text = ctx.call_tool("retrieve", &topic.to_string())?;
-                        let tokens = ctx.tokenize(&text)?;
-                        let f = ctx.kv_create()?;
-                        ctx.pred_positions(f, &tokens, 0)?;
-                        // Application policy: publish only popular topics.
-                        if topic < CACHE_TOP_K && ctx.kv_link(f, &path).is_ok() {
-                            ctx.kv_chmod(f, Mode::SHARED_READ)?;
-                            ctx.kv_pin(f)?;
-                            (ctx.kv_fork(f)?, false)
-                        } else {
-                            (f, false)
-                        }
+        let body = Body::hosted(|ctx| {
+            let topic: usize = ctx
+                .args()
+                .parse()
+                .map_err(|_| symphony::SysError::BadArgument)?;
+            let path = format!("doc{topic}.kv");
+            let (kv, hit) = match ctx.kv_open(&path) {
+                Ok(doc) => (ctx.kv_fork(doc)?, true),
+                Err(_) => {
+                    let text = ctx.call_tool("retrieve", &topic.to_string())?;
+                    let tokens = ctx.tokenize(&text)?;
+                    let f = ctx.kv_create()?;
+                    ctx.pred_positions(f, &tokens, 0)?;
+                    // Application policy: publish only popular topics.
+                    if topic < CACHE_TOP_K && ctx.kv_link(f, &path).is_ok() {
+                        ctx.kv_chmod(f, Mode::SHARED_READ)?;
+                        ctx.kv_pin(f)?;
+                        (ctx.kv_fork(f)?, false)
+                    } else {
+                        (f, false)
                     }
-                };
-                let q = ctx.tokenize("\nexplain this topic")?;
-                generate(ctx, kv, &q, &GenOpts { max_tokens: 12, emit: false, ..Default::default() })?;
-                ctx.emit(if hit { "hit" } else { "miss" })?;
-                ctx.kv_remove(kv)?;
-                Ok(())
-            }),
-        ));
+                }
+            };
+            let q = ctx.tokenize("\nexplain this topic")?;
+            generate(
+                ctx,
+                kv,
+                &q,
+                &GenOpts {
+                    max_tokens: 12,
+                    emit: false,
+                    ..Default::default()
+                },
+            )?;
+            ctx.emit(if hit { "hit" } else { "miss" })?;
+            ctx.kv_remove(kv)?;
+            Ok(())
+        });
+        let pid = kernel.admit(&format!("rag{i}"), &args, SpawnOpts::at(at), body);
+        pids.push((topic, pid));
     }
 
     kernel.run();
