@@ -687,7 +687,7 @@ impl Kernel {
     /// prompt), computing its fingerprint chain without charging GPU time —
     /// the moral equivalent of shipping precomputed KV with the deployment.
     /// A preload that fails leaves the store as it found it: a taken `path`
-    /// is refused before any file exists, and a file that could not be
+    /// is refused before any work is done, and a file that could not be
     /// filled (no GPU pages left) is removed again.
     pub fn preload_kv(
         &mut self,
@@ -696,6 +696,9 @@ impl Kernel {
         mode: Mode,
         pinned: bool,
     ) -> Result<FileId, SysError> {
+        if self.store.lookup(path).is_some() {
+            return Err(KvError::AlreadyExists.into());
+        }
         let fpr = self.gpu.model().fingerprinter();
         let mut fp = fpr.origin();
         let entries: Vec<symphony_kvfs::KvEntry> = tokens
@@ -706,9 +709,6 @@ impl Kernel {
                 symphony_kvfs::KvEntry::new(t, i as u32, fp)
             })
             .collect();
-        if self.store.lookup(path).is_some() {
-            return Err(KvError::AlreadyExists.into());
-        }
         let f = self.store.create(OwnerId::ADMIN)?;
         let filled = (|| {
             self.store.append(f, OwnerId::ADMIN, &entries)?;

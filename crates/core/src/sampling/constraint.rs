@@ -417,8 +417,8 @@ mod tests {
     #[test]
     fn json_constraint_over_byte_vocab() {
         // A pure-byte vocabulary (no merges): every byte is a token.
-        let vocab = Vocab::new(vec![]);
-        let mut c = JsonConstraint::new(&vocab);
+        let bpe = symphony_tokenizer::Bpe::train("", 0);
+        let mut c = JsonConstraint::new(bpe.vocab());
         // Initially: digits, quote, braces, brackets, minus, t/f/n.
         let allowed = c.allowed();
         assert!(allowed.contains(&(b'{' as TokenId)));

@@ -461,12 +461,19 @@ impl KvStore {
     }
 
     fn meta_mut(&mut self, id: FileId) -> Result<&mut FileMeta, KvError> {
+        self.meta_and_pool(id).map(|(m, _)| m)
+    }
+
+    /// [`KvStore::meta_mut`] with the page pool borrowed beside it, so a
+    /// loop that gives a file pages looks the file up once.
+    fn meta_and_pool(&mut self, id: FileId) -> Result<(&mut FileMeta, &mut PagePool), KvError> {
         // Every metadata mutation flows through here (or `touch`), which is
         // what makes the delta log's dirty-file set complete.
         if let Some(j) = self.journal.as_mut() {
             j.delta.dirty_files.insert(id.0);
         }
-        self.files.get_mut(&id.0).ok_or(KvError::NotFound)
+        let m = self.files.get_mut(&id.0).ok_or(KvError::NotFound)?;
+        Ok((m, &mut self.pool))
     }
 
     fn check_read(&self, id: FileId, caller: OwnerId) -> Result<(), KvError> {
@@ -775,16 +782,14 @@ impl KvStore {
                 .extend_from_slice(&remaining[..take]);
             remaining = &remaining[take..];
         }
-        while !remaining.is_empty() {
-            let p = self.pool.alloc(Tier::Gpu)?;
-            let take = remaining.len().min(pt);
-            self.pool
-                .entries_mut(p)
-                .extend_from_slice(&remaining[..take]);
-            self.meta_mut(id)?.pages.push(p);
-            remaining = &remaining[take..];
+        // One lookup (and one dirty mark) for all the pages this call adds.
+        let (m, pool) = self.meta_and_pool(id)?;
+        for chunk in remaining.chunks(pt) {
+            let p = pool.alloc(Tier::Gpu)?;
+            pool.entries_mut(p).extend_from_slice(chunk);
+            m.pages.push(p);
         }
-        self.meta_mut(id)?.len += entries.len();
+        m.len += entries.len();
         self.touch(id);
         Ok(())
     }

@@ -42,7 +42,7 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         2 => Just(Op::Create),
-        6 => (0usize..8, 1usize..12).prop_map(|(file, count)| Op::Append { file, count }),
+        6 => (0usize..8, 1usize..40).prop_map(|(file, count)| Op::Append { file, count }),
         3 => (0usize..8).prop_map(|file| Op::Fork { file }),
         2 => (0usize..8).prop_map(|file| Op::Remove { file }),
         2 => (0usize..8, 0.0f64..1.0).prop_map(|(file, frac)| Op::Truncate { file, frac }),

@@ -1,13 +1,16 @@
-//! Learns the default vocabulary at build time.
+//! Lays out the default vocabulary at build time.
 //!
 //! Runs the library's own trainer (`src/train.rs`) on the library's own
 //! corpus generator (`src/corpus.rs`), both compiled in here by path, with
-//! the inputs `src/train.rs` names, and writes the ranked merge pairs to
-//! `$OUT_DIR/default_merges.rs` for `Bpe::default_tokenizer` to expand.
-//! Nothing is checked in: change the seed, the budget, the corpus or the
-//! trainer and the next build learns the new vocabulary.
+//! the inputs `src/train.rs` names, and writes the tables `train::tables`
+//! lays out from the merges it learns to `$OUT_DIR`, which
+//! `Bpe::default_tokenizer` borrows as they are: the tokens' bytes end to
+//! end (`default_vocab.bytes`), where each token ends
+//! (`default_vocab_ends.rs`) and the ranks by pair
+//! (`default_vocab_ranks.rs`). Nothing is checked in: change the seed, the
+//! budget, the corpus or the trainer and the next build learns the new
+//! vocabulary.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// `src/train.rs` takes these from its including root, as it does from
@@ -28,16 +31,21 @@ fn main() {
     }
     let text = corpus::CorpusGen::new(train::DEFAULT_CORPUS_SEED)
         .training_corpus(train::DEFAULT_CORPUS_PARAGRAPHS);
-    let merges = train::learn_merges(&text, train::DEFAULT_MERGE_BUDGET);
+    let tables = train::tables(&train::learn_merges(&text, train::DEFAULT_MERGE_BUDGET));
 
-    let mut table = String::from("[\n");
-    for (a, b) in &merges {
-        // Writing to a String cannot fail.
-        let _ = writeln!(table, "    ({a}, {b}),");
-    }
-    table.push_str("]\n");
     let out_dir = PathBuf::from(std::env::var_os("OUT_DIR").expect("cargo sets OUT_DIR"));
-    let path = out_dir.join("default_merges.rs");
-    // lint:allow(f1): a build artefact in cargo's OUT_DIR, rewritten whole by every build; nothing recovers it
-    std::fs::write(&path, table).expect("write the default merge table");
+    let write = |name: &str, contents: &[u8]| {
+        // lint:allow(f1): a build artefact in cargo's OUT_DIR, rewritten whole by every build; nothing recovers it
+        std::fs::write(out_dir.join(name), contents).expect("write a default vocabulary table");
+    };
+    write("default_vocab.bytes", &tables.bytes);
+    // A `Vec`'s `Debug` text is an array literal.
+    write(
+        "default_vocab_ends.rs",
+        format!("{:?}", tables.ends).as_bytes(),
+    );
+    write(
+        "default_vocab_ranks.rs",
+        format!("{:?}", tables.ranks).as_bytes(),
+    );
 }

@@ -1,9 +1,19 @@
 //! BPE model, encoder and decoder.
 //!
-//! A [`Bpe`] is a ranked merge list expanded into a [`Vocab`] and a pair →
-//! token table. [`Bpe::train`] learns the list (the trainer is in
-//! `train.rs`); [`Bpe::default_tokenizer`] expands the list `build.rs`
-//! learned from the default corpus, so no process trains at run time.
+//! A [`Bpe`] is a [`Vocab`] (every token's bytes, end to end in one table)
+//! and its merges' ranks (each merge's pair and the id it makes, in an
+//! open-addressed table at most half full), both laid out from a ranked
+//! merge list by `train::tables`. [`Bpe::train`] learns the list (the
+//! trainer is in `train.rs`) and lays it out at run time; `build.rs` does
+//! the same for the default corpus, and [`Bpe::default_tokenizer`] borrows
+//! those tables as they are, so no process trains or lays out the default
+//! vocabulary at run time. Its first call allocates the memo and nothing
+//! else (`tests/boot_alloc.rs` counts) and takes ≈ 20 µs in a fresh
+//! process on a 2-vCPU host, where building 1 405 expansions and a hashed
+//! merge table took ≈ 250 µs. Only a memo miss looks up a rank: a hash of
+//! the pair and a linear probe, as fast as the hashed map it replaced,
+//! where a binary search of the 1 144 pairs sorted made a new word ≈ 2×
+//! slower (≈ 4.2 against 2.0 µs, 0.5–0.7 ms more on `rag_churn`'s boot).
 //!
 //! Encoding splits text into pre-tokens (a run of whitespace is glued to
 //! the following word, GPT-style) and applies merges greedily in rank
@@ -11,8 +21,8 @@
 //! trainer's pre-tokenizer, in `train.rs`) both splits the text and
 //! hashes each pre-token with FNV-1a, and `encode` takes the memo's lock
 //! once per call, not once per word (symbench's
-//! `tokenizer.encode_ns_per_token` on `rag_churn`: 25 ns, where a lock and
-//! a SipHash per word cost 40).
+//! `tokenizer.encode_ns_per_token` on `rag_churn` read 25 ns where a lock
+//! and a SipHash per word cost 40, on a host that now reads 33–47 ns).
 //!
 //! The memo is a fixed table of 1 024 sets × 4 ways (272 KiB), allocated
 //! with the `Bpe` and never grown: a pre-token of up to 30 bytes that
@@ -24,17 +34,17 @@
 //! long, holds the same 272 KiB here after its millionth session as after
 //! its first.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 use parking_lot_shim::Mutex;
 
 use crate::corpus::CorpusGen;
 use crate::train::{self, Pair};
-use crate::vocab::{SpecialTokens, TokenId, Vocab, BYTE_TOKENS};
+use crate::vocab::{SpecialTokens, TokenId, Vocab};
 
 /// Minimal internal shim so this crate stays dependency-free: a tiny wrapper
 /// over `std::sync::Mutex` with the `parking_lot`-style infallible `lock`.
@@ -56,37 +66,15 @@ mod parking_lot_shim {
     }
 }
 
-/// The default vocabulary's merges in rank order, learned by `build.rs`
-/// with [`Bpe::train`]'s trainer from the inputs in `train.rs`.
-const DEFAULT_MERGES: &[Pair] = &include!(concat!(env!("OUT_DIR"), "/default_merges.rs"));
-
-/// Merge table: pair → merged id. Ids are assigned in rank order, so the
-/// lower id merges first.
-// lint:allow(d3): point lookups only, never iterated, so hasher order cannot reach a token id
-type Ranks = std::collections::HashMap<Pair, TokenId, BuildHasherDefault<PairHasher>>;
-
-/// The merge table's hasher: two multiplies a pair. With SipHash, building
-/// the default table and a boot's first encodes (mostly misses, so rank
-/// lookups) took ≈ 40 µs longer. The table cannot be flooded: its keys
-/// are the merges, fixed when the `Bpe` is built.
-#[derive(Default)]
-struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(u32::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 = (self.0.rotate_left(32) ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
+/// The default vocabulary's tables, laid out by `build.rs` with
+/// [`Bpe::train`]'s own `train::tables` from the merges it learned on the
+/// inputs `train.rs` names: every non-special token's bytes end to end,
+/// where each ends, and each merge's pair and id placed by
+/// `train::rank_slot`.
+const DEFAULT_BYTES: &[u8] = include_bytes!(concat!(env!("OUT_DIR"), "/default_vocab.bytes"));
+const DEFAULT_ENDS: &[u32] = &include!(concat!(env!("OUT_DIR"), "/default_vocab_ends.rs"));
+const DEFAULT_RANKS: &[(Pair, TokenId)] =
+    &include!(concat!(env!("OUT_DIR"), "/default_vocab_ranks.rs"));
 
 /// log2 of the memo's set count.
 const SET_BITS: u32 = 10;
@@ -277,7 +265,9 @@ impl fmt::Debug for Memo {
 #[derive(Debug)]
 pub struct Bpe {
     vocab: Vocab,
-    ranks: Ranks,
+    /// Each merge's pair and the id it makes, placed by `train::rank_slot`
+    /// (an empty slot has id 0).
+    ranks: Cow<'static, [(Pair, TokenId)]>,
     cache: Mutex<Memo>,
 }
 
@@ -291,37 +281,29 @@ impl Bpe {
     /// merges and yields 1 144. Pair counts are kept up to date across
     /// merges rather than recounted (`train.rs` has the cost model).
     pub fn train(text: &str, num_merges: usize) -> Self {
-        Self::from_merges(&train::learn_merges(text, num_merges))
-    }
-
-    /// Expands a ranked merge list into the vocabulary and the merge
-    /// table.
-    fn from_merges(merges: &[Pair]) -> Self {
-        let mut expansions: Vec<Vec<u8>> = Vec::with_capacity(merges.len());
-        let mut ranks = Ranks::with_capacity_and_hasher(merges.len(), Default::default());
-        for (rank, &pair) in merges.iter().enumerate() {
-            let mut bytes = Vec::new();
-            for id in [pair.0, pair.1] {
-                match (id as usize).checked_sub(BYTE_TOKENS) {
-                    None => bytes.push(id as u8),
-                    Some(m) => bytes.extend_from_slice(&expansions[m]),
-                }
-            }
-            expansions.push(bytes);
-            ranks.insert(pair, (BYTE_TOKENS + rank) as TokenId);
-        }
+        let tables = train::tables(&train::learn_merges(text, num_merges));
         Bpe {
-            vocab: Vocab::new(expansions),
-            ranks,
+            vocab: Vocab::from_tables(tables.bytes.into(), tables.ends.into()),
+            ranks: tables.ranks.into(),
             cache: Mutex::new(Memo::new()),
         }
     }
 
-    /// The shared default tokenizer: the merge list `build.rs` learned,
-    /// expanded into a vocabulary by the first caller (a kernel's boot).
+    /// A tokenizer over the tables `build.rs` laid out, borrowed as they
+    /// are: it allocates its memo and nothing else.
+    fn from_build() -> Self {
+        Bpe {
+            vocab: Vocab::from_tables(DEFAULT_BYTES.into(), DEFAULT_ENDS.into()),
+            ranks: DEFAULT_RANKS.into(),
+            cache: Mutex::new(Memo::new()),
+        }
+    }
+
+    /// The shared default tokenizer, over the vocabulary `build.rs` laid
+    /// out; the first caller (a kernel's boot) allocates its memo.
     pub fn default_tokenizer() -> &'static Bpe {
         static DEFAULT: OnceLock<Bpe> = OnceLock::new();
-        DEFAULT.get_or_init(|| Bpe::from_merges(DEFAULT_MERGES))
+        DEFAULT.get_or_init(Bpe::from_build)
     }
 
     /// The vocabulary.
@@ -356,7 +338,22 @@ impl Bpe {
 
     /// Applies merges to a single pre-token.
     fn encode_word(&self, word: &[u8]) -> Vec<TokenId> {
-        merge_word(word, |pair| self.ranks.get(&pair).copied())
+        merge_word(word, |pair| self.rank(pair))
+    }
+
+    /// The id `pair` merges into, if it merges: a probe of the rank
+    /// table, which only a memo miss reaches. The table is at most half
+    /// full, so every probe ends at the pair or at an empty slot.
+    fn rank(&self, pair: Pair) -> Option<TokenId> {
+        let mask = self.ranks.len() - 1;
+        let mut at = train::rank_slot(pair, mask);
+        loop {
+            match self.ranks[at] {
+                (_, 0) => return None,
+                (p, id) if p == pair => return Some(id),
+                _ => at = (at + 1) & mask,
+            }
+        }
     }
 
     /// The loop [`Bpe::encode_word`] replaced, kept as the reference its
@@ -369,7 +366,9 @@ impl Bpe {
             // Find the lowest-rank (= lowest-id) applicable merge.
             let mut best: Option<(usize, TokenId)> = None;
             for (i, w) in sym.windows(2).enumerate() {
-                if let Some(&id) = self.ranks.get(&(w[0], w[1])) {
+                // A scan of every slot, not `rank`'s probe.
+                let pair = (w[0], w[1]);
+                if let Some(&(_, id)) = self.ranks.iter().find(|&&(p, _)| p == pair) {
                     if best.is_none_or(|(_, b)| id < b) {
                         best = Some((i, id));
                     }
@@ -522,6 +521,7 @@ impl CorpusGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vocab::BYTE_TOKENS;
     use proptest::prelude::*;
 
     fn small() -> Bpe {
@@ -759,7 +759,7 @@ mod tests {
         // The default vocabulary with a memo of its own, and two paragraphs
         // of its corpus that recur once every 16 words met only once, as
         // documents recur between the task ids of agent sessions.
-        let bpe = Bpe::from_merges(DEFAULT_MERGES);
+        let bpe = Bpe::from_build();
         let corpus = CorpusGen::new(train::DEFAULT_CORPUS_SEED).training_corpus(2);
         let words: Vec<&[u8]> = train::pretokenize(corpus.as_bytes()).map(|(w, _)| w).collect();
         bpe.encode(&corpus);
@@ -794,7 +794,7 @@ mod tests {
         let mut lookups = 0;
         let ids = merge_word(&word, |pair| {
             lookups += 1;
-            bpe.ranks.get(&pair).copied()
+            bpe.rank(pair)
         });
         assert!(ids.len() < word.len() / 2, "merges did apply");
         assert_eq!(ids, expected);

@@ -36,6 +36,47 @@ const WORDS: &[&str] = &[
     "fairness", "priority", "deadline", "timeout", "interval", "frequency", "rate", "ratio",
 ];
 
+/// Width of a [`SPACED`] slot: a pool word of up to 15 bytes after its
+/// space, then NULs.
+const PAD: usize = 16;
+
+/// Each pool word after a space, NUL-padded to [`PAD`] bytes, slot after
+/// slot, so that a word is written as one fixed-width copy and a truncate.
+const SPACED: &str = match std::str::from_utf8(&spaced()) {
+    Ok(text) => text,
+    Err(_) => panic!("the word pool is UTF-8"),
+};
+
+/// The bytes of [`SPACED`], checked to fit each word in its slot.
+const fn spaced() -> [u8; WORDS.len() * PAD] {
+    let mut out = [0; WORDS.len() * PAD];
+    let mut w = 0;
+    while w < WORDS.len() {
+        let word = WORDS[w].as_bytes();
+        assert!(
+            word.len() < PAD,
+            "a pool word fits its slot after its space"
+        );
+        out[w * PAD] = b' ';
+        let mut i = 0;
+        while i < word.len() {
+            out[w * PAD + 1 + i] = word[i];
+            i += 1;
+        }
+        w += 1;
+    }
+    out
+}
+
+/// Appends pool word `w` to `out`, after a space if `spaced`: one
+/// fixed-width copy of its slot, truncated to the word.
+fn push_word(out: &mut String, w: usize, spaced: bool) {
+    let end = out.len() + usize::from(spaced) + WORDS[w].len();
+    let slot = &SPACED[w * PAD..(w + 1) * PAD];
+    out.push_str(if spaced { slot } else { &slot[1..] });
+    out.truncate(end);
+}
+
 /// A deterministic generator of synthetic words, sentences and documents.
 #[derive(Debug, Clone)]
 pub struct CorpusGen {
@@ -61,33 +102,32 @@ impl CorpusGen {
 
     /// Picks a uniform word from the pool.
     pub fn word(&mut self) -> &'static str {
-        WORDS[(self.next_u64() % WORDS.len() as u64) as usize]
+        WORDS[self.word_index()]
+    }
+
+    /// The pool index of a uniform word.
+    fn word_index(&mut self) -> usize {
+        (self.next_u64() % WORDS.len() as u64) as usize
     }
 
     /// Generates a sentence of `len` words, capitalised with a final period.
     #[cfg(test)]
     pub(crate) fn sentence(&mut self, len: usize) -> String {
         let mut s = String::new();
-        self.write_sentence(&mut s, len);
+        self.write_sentence(&mut s, len, false);
         s
     }
 
     /// Appends a sentence of `len` words, capitalised with a final period,
-    /// to `out`.
-    fn write_sentence(&mut self, out: &mut String, len: usize) {
+    /// to `out`, after a space if `spaced`. Each word is one fixed-width
+    /// copy of its [`SPACED`] slot.
+    fn write_sentence(&mut self, out: &mut String, len: usize, spaced: bool) {
+        let first = out.len() + usize::from(spaced);
         for i in 0..len.max(1) {
-            let w = self.word();
-            if i == 0 {
-                let mut c = w.chars();
-                if let Some(first) = c.next() {
-                    out.extend(first.to_uppercase());
-                    out.push_str(c.as_str());
-                }
-            } else {
-                out.push(' ');
-                out.push_str(w);
-            }
+            push_word(out, self.word_index(), spaced || i > 0);
         }
+        // Pool words are lowercase ASCII.
+        out[first..=first].make_ascii_uppercase();
         out.push('.');
     }
 
@@ -99,17 +139,19 @@ impl CorpusGen {
     }
 
     /// Appends [`CorpusGen::paragraph`]'s text to `out`: its sentences
-    /// are written in place, one buffer for the whole paragraph.
+    /// are written in place, into room reserved once for the whole
+    /// paragraph.
     pub(crate) fn write_paragraph(&mut self, out: &mut String, words: usize) {
+        // A sentence of k words takes at most 15k bytes and its period,
+        // so at most `PAD` bytes a word; the last sentence takes up to 2
+        // words more than asked; and the last copy writes a whole slot.
+        out.reserve((words + 3) * PAD);
         let start = out.len();
         let mut remaining = words;
         while remaining > 0 {
             let len = 6 + (self.next_u64() % 10) as usize;
             let len = len.min(remaining.max(3));
-            if out.len() > start {
-                out.push(' ');
-            }
-            self.write_sentence(out, len);
+            self.write_sentence(out, len, out.len() > start);
             remaining = remaining.saturating_sub(len);
         }
     }
@@ -179,7 +221,9 @@ mod tests {
         // FNV-1a of `sentence(9)`, `paragraph(120)` and
         // `training_corpus(40)`, recorded with the generator that built
         // each sentence in its own `String` before this one wrote them all
-        // into one buffer.
+        // into one buffer; and of `paragraph(800)` and `paragraph(2400)`,
+        // the bounds of symbench's corpus documents, recorded with the
+        // generator that pushed a space and then each word.
         let pins = [
             (
                 1,
@@ -187,6 +231,8 @@ mod tests {
                     0x4937_5f9a_545c_3c10,
                     0x4b00_f1f1_cca4_2a0f,
                     0xb01a_c17f_4ea1_3825,
+                    0xbd6d_88ad_e07c_2855,
+                    0x20f5_59ac_abf2_d991,
                 ],
             ),
             (
@@ -195,6 +241,8 @@ mod tests {
                     0xa717_ee5a_4656_1ef8,
                     0x7fe4_3196_e032_8d17,
                     0x8ffe_9b59_9f65_29ad,
+                    0xd46b_ab98_b69b_50d7,
+                    0xa6b5_03d6_52e6_47d2,
                 ],
             ),
             (
@@ -203,6 +251,8 @@ mod tests {
                     0xc1d3_dd49_7050_8031,
                     0xe4f0_aae1_74d6_6891,
                     0x3cf4_b905_2818_cd17,
+                    0xa4eb_b418_2254_29c0,
+                    0x6f1a_8109_3b36_1b8e,
                 ],
             ),
         ];
@@ -211,6 +261,8 @@ mod tests {
                 CorpusGen::new(seed).sentence(9),
                 CorpusGen::new(seed).paragraph(120),
                 CorpusGen::new(seed).training_corpus(40),
+                CorpusGen::new(seed).paragraph(800),
+                CorpusGen::new(seed).paragraph(2400),
             ];
             assert_eq!(text.map(|t| fnv(t.as_bytes())), pinned, "seed {seed:#x}");
         }

@@ -13,10 +13,12 @@
 //! tokenizer is part of the model it loads: `build.rs` runs the trainer
 //! (`train.rs`, compiled into both) on the corpus seed and merge budget
 //! `train.rs` names, which stay the vocabulary's only source of truth, and
-//! writes the 1 144 merges it learns, in rank order, to `$OUT_DIR`.
-//! [`Bpe::default_tokenizer`] only expands that list into a [`Vocab`] and
-//! a merge table, and a test relearns it at run time with [`Bpe::train`],
-//! the public specification. Token ids feed every surrogate distribution
+//! writes the tables the 1 144 merges it learns lay out (every token's
+//! bytes end to end, where each ends, the merges' ranks by pair) to
+//! `$OUT_DIR`. [`Bpe::default_tokenizer`] borrows those tables as they are
+//! (a [`Vocab`] and a rank table, nothing expanded at run time), and a
+//! test relearns them at run time with [`Bpe::train`], the public
+//! specification. Token ids feed every surrogate distribution
 //! and output digest, so the crate is held to symphony-lint's determinism
 //! rules (`build.rs` included) and pins that vocabulary in its own tests.
 //!

@@ -153,6 +153,56 @@ pub(crate) fn learn_merges(text: &str, num_merges: usize) -> Vec<Pair> {
     merges
 }
 
+/// A vocabulary as the flat tables it is read from: what `build.rs`
+/// writes out for the default vocabulary, and what
+/// [`Bpe::train`](crate::Bpe::train) builds at run time.
+pub(crate) struct Tables {
+    /// The bytes of every token but the specials, in id order, end to end:
+    /// the `BYTE_TOKENS` byte tokens, then each merge's expansion.
+    pub(crate) bytes: Vec<u8>,
+    /// Where each of those tokens ends in `bytes`, by id.
+    pub(crate) ends: Vec<u32>,
+    /// Each merge's pair and the id it makes, placed by [`rank_slot`] in a
+    /// table of a power of two slots at most half full; an empty slot has
+    /// id 0, which no merge makes.
+    pub(crate) ranks: Vec<(Pair, TokenId)>,
+}
+
+/// Where a lookup of `pair` starts probing a rank table of `mask + 1`
+/// slots: a Fibonacci hash of the pair.
+pub(crate) fn rank_slot(pair: Pair, mask: usize) -> usize {
+    let key = (u64::from(pair.0) << 32) | u64::from(pair.1);
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+}
+
+/// Lays out the vocabulary of a ranked merge list: merge `r` is token
+/// `BYTE_TOKENS + r`, and its bytes are its pair's, left then right.
+pub(crate) fn tables(merges: &[Pair]) -> Tables {
+    let mut bytes: Vec<u8> = (0..BYTE_TOKENS).map(|b| b as u8).collect();
+    let mut ends: Vec<u32> = (1..=BYTE_TOKENS as u32).collect();
+    let mut ranks = vec![((0, 0), 0); (2 * merges.len()).next_power_of_two()];
+    let mask = ranks.len() - 1;
+    for (rank, &pair) in merges.iter().enumerate() {
+        for id in [pair.0, pair.1] {
+            let end = ends[id as usize] as usize;
+            let start = id
+                .checked_sub(1)
+                .map_or(0, |prev| ends[prev as usize] as usize);
+            bytes.extend_from_within(start..end);
+        }
+        ends.push(u32::try_from(bytes.len()).expect("a vocabulary under 4 GiB"));
+        // Linear probing. A merge consumes every occurrence of its pair, so
+        // no pair is placed twice and a lookup has one answer.
+        let mut at = rank_slot(pair, mask);
+        while ranks[at].1 != 0 {
+            debug_assert_ne!(ranks[at].0, pair, "a pair ranked twice");
+            at = (at + 1) & mask;
+        }
+        ranks[at] = (pair, (BYTE_TOKENS + rank) as TokenId);
+    }
+    Tables { bytes, ends, ranks }
+}
+
 /// The trainer [`learn_merges`] replaced, kept as the reference its tests
 /// compare against: recounts every pair of every word before each merge
 /// and rescans every word after it.

@@ -5,6 +5,8 @@
 //! This fixed layout keeps encodings stable and lets other crates reason
 //! about IDs (e.g. the surrogate model never emits specials except EOS).
 
+use std::borrow::Cow;
+
 use serde::Serialize;
 
 /// A token identifier.
@@ -26,10 +28,14 @@ pub struct SpecialTokens {
 }
 
 /// A token vocabulary mapping IDs to byte expansions.
-#[derive(Debug, Clone, Serialize)]
+///
+/// The bytes of every token but the specials lie end to end in one table,
+/// with a second table of where each token ends, both borrowed from the
+/// build for the default vocabulary (`train.rs` lays them out).
+#[derive(Debug, Clone)]
 pub struct Vocab {
-    /// Byte expansion per token ID; specials expand to display placeholders.
-    expansions: Vec<Vec<u8>>,
+    bytes: Cow<'static, [u8]>,
+    ends: Cow<'static, [u32]>,
     specials: SpecialTokens,
 }
 
@@ -39,19 +45,16 @@ pub const BYTE_TOKENS: usize = 256;
 /// Number of special tokens appended after the merges.
 pub const NUM_SPECIALS: usize = 5;
 
+/// What each special token expands to, in id order: a display placeholder.
+const SPECIAL_NAMES: [&str; NUM_SPECIALS] =
+    ["<|bos|>", "<|eos|>", "<|pad|>", "<|call|>", "<|end_call|>"];
+
 impl Vocab {
-    /// Builds a vocabulary from merge expansions (in rank order).
-    ///
-    /// `merge_expansions[i]` is the full byte expansion of merge token
-    /// `256 + i`.
-    pub fn new(merge_expansions: Vec<Vec<u8>>) -> Self {
-        let merges = merge_expansions.len();
-        let mut expansions = Vec::with_capacity(BYTE_TOKENS + merges + NUM_SPECIALS);
-        for b in 0..BYTE_TOKENS {
-            expansions.push(vec![b as u8]);
-        }
-        expansions.extend(merge_expansions);
-        let first_special = (BYTE_TOKENS + merges) as TokenId;
+    /// A vocabulary over `bytes` and `ends`, as `train::tables` lays them
+    /// out: the byte tokens, then the merges in rank order; the specials
+    /// follow.
+    pub(crate) fn from_tables(bytes: Cow<'static, [u8]>, ends: Cow<'static, [u32]>) -> Self {
+        let first_special = ends.len() as TokenId;
         let specials = SpecialTokens {
             bos: first_special,
             eos: first_special + 1,
@@ -59,29 +62,27 @@ impl Vocab {
             call: first_special + 3,
             end_call: first_special + 4,
         };
-        for name in ["<|bos|>", "<|eos|>", "<|pad|>", "<|call|>", "<|end_call|>"] {
-            expansions.push(name.as_bytes().to_vec());
-        }
         Vocab {
-            expansions,
+            bytes,
+            ends,
             specials,
         }
     }
 
     /// Total vocabulary size including byte tokens and specials.
     pub fn len(&self) -> usize {
-        self.expansions.len()
+        self.ends.len() + NUM_SPECIALS
     }
 
     /// Returns `true` if the vocabulary is empty (never; API symmetry).
     pub fn is_empty(&self) -> bool {
-        self.expansions.is_empty()
+        self.len() == 0
     }
 
     /// Number of learned merges (IDs `256..256+merges` are merge tokens).
     #[cfg(test)]
     pub(crate) fn merge_count(&self) -> usize {
-        self.len() - BYTE_TOKENS - NUM_SPECIALS
+        self.ends.len() - BYTE_TOKENS
     }
 
     /// The special tokens.
@@ -100,22 +101,38 @@ impl Vocab {
     ///
     /// Panics if `id` is out of range.
     pub fn bytes(&self, id: TokenId) -> &[u8] {
-        &self.expansions[id as usize]
+        self.get(id).expect("token id in the vocabulary")
     }
 
     /// Checked byte expansion of a token.
     pub fn get(&self, id: TokenId) -> Option<&[u8]> {
-        self.expansions.get(id as usize).map(Vec::as_slice)
+        let id = id as usize;
+        match self.ends.get(id) {
+            Some(&end) => {
+                let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+                Some(&self.bytes[start as usize..end as usize])
+            }
+            None => SPECIAL_NAMES
+                .get(id - self.ends.len())
+                .map(|name| name.as_bytes()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::train::{self, Pair};
+
+    /// The vocabulary of a ranked merge list.
+    fn vocab(merges: &[Pair]) -> Vocab {
+        let tables = train::tables(merges);
+        Vocab::from_tables(tables.bytes.into(), tables.ends.into())
+    }
 
     #[test]
     fn layout_is_bytes_then_merges_then_specials() {
-        let v = Vocab::new(vec![b"th".to_vec(), b"the".to_vec()]);
+        let v = vocab(&[(b't'.into(), b'h'.into()), (256, b'e'.into())]);
         assert_eq!(v.len(), 256 + 2 + NUM_SPECIALS);
         assert_eq!(v.bytes(65), b"A");
         assert_eq!(v.bytes(256), b"th");
@@ -123,11 +140,12 @@ mod tests {
         assert_eq!(v.specials().bos, 258);
         assert_eq!(v.specials().eos, 259);
         assert_eq!(v.merge_count(), 2);
+        assert_eq!(v.bytes(v.specials().end_call), b"<|end_call|>");
     }
 
     #[test]
     fn special_detection() {
-        let v = Vocab::new(vec![]);
+        let v = vocab(&[]);
         let s = v.specials();
         assert!(v.is_special(s.bos));
         assert!(v.is_special(s.eos));
@@ -139,7 +157,7 @@ mod tests {
 
     #[test]
     fn get_checked() {
-        let v = Vocab::new(vec![]);
+        let v = vocab(&[]);
         assert_eq!(v.get(97), Some(b"a".as_slice()));
         assert_eq!(v.get(10_000), None);
     }
