@@ -176,7 +176,10 @@ fn run_point(scale: &Scale, every: SimDuration, crash_every: u64, tag: &str) -> 
     let wal_path =
         std::env::temp_dir().join(format!("symphony-e14-{}-{tag}.wal", std::process::id()));
     let max_tokens = scale.max_tokens;
-    let resolver = move |name: &str| name.starts_with("agent").then(|| agent_image(max_tokens));
+    let resolver = move |name: &str, _: Option<&[u8]>| {
+        name.starts_with("agent")
+            .then(|| Body::from(agent_image(max_tokens)))
+    };
     // The crash schedule is bench-side and deterministic: re-seeding the
     // kernel's own fault stream after recovery would re-kill the identical
     // boundary forever (re-execution repeats the boundary sequence).

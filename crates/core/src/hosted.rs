@@ -32,8 +32,9 @@
 //! per concurrently-live hosted body at peak) and never shrinks; a worker
 //! re-registers on the idle list when a body finishes, before its
 //! [`JobHandle::join`] returns. A closure that only sets a program up and
-//! execs it (a durable LipScript image) gives its worker back before the
-//! program's first step.
+//! execs it gives its worker back before the program's first step. A
+//! LipScript program needs no closure, durable or not: it is admitted
+//! inline, and a durable one's admission frame carries its text.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -211,8 +212,9 @@ impl Ctx {
     /// unwinds, without a panic message. Code that catches the unwind
     /// reaches nobody — any later call on this `Ctx` unwinds the same way
     /// before it is sent, and the closure's return value is ignored.
-    /// Outside tests only the benchmark's durable workload gets here (through
-    /// `run_lip`): a program held as a value is admitted as `Body::Inline`.
+    /// Outside tests only the benchmark's durable workload gets here, through
+    /// the LipScript crate's closure entry point: a program held as a value
+    /// is admitted as `Body::Inline`, durable or not.
     pub fn exec(&mut self, body: Box<dyn InlineBody>) -> ! {
         self.send(UpCall::Exec(body, Box::new(self.env.clone())));
         self.execed = true;

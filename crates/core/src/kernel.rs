@@ -45,11 +45,13 @@ use crate::tools::{ToolOutcome, ToolRegistry, ToolSpec};
 use crate::types::{ExitStatus, Pid, ProcessUsage, SysError, Tid};
 use crate::wal::{self, Effect, EffectClass, WalConfig, WalState};
 
-/// A re-constructible program body for crash recovery. Unlike the plain
-/// `FnOnce` closures accepted by [`Kernel::spawn_process`], an image can be
-/// invoked again after a kernel crash, so [`Kernel::recover`] can
-/// re-execute the program deterministically from its start while answering
-/// journalled syscall effects from the WAL.
+/// A native program that can run again: unlike the plain `FnOnce` closures
+/// accepted by [`Kernel::spawn_process`], an image can be invoked again
+/// after a kernel crash, so a resolver handed to [`Kernel::recover`] can
+/// map the program's name back to it (`Body::from(image)`) and the kernel
+/// re-executes it from its start while answering journalled syscall
+/// effects from the WAL. A LipScript program needs none: its admission
+/// frame carries its text.
 pub type ProgramImage = Arc<dyn Fn(&mut Ctx) -> Result<(), SysError> + Send + Sync + 'static>;
 
 /// Kernel construction parameters.

@@ -207,10 +207,13 @@ impl Kernel {
     /// program is journalled when it is admitted, so a crash before its
     /// arrival does not drop it: recovery re-admits it under the same
     /// pid, and its threads draw the same RNG streams either way (they are
-    /// derived from the pid, see `Kernel::start`). Recovery needs an
-    /// image it can run again ([`ProgramImage`]) for a native program; the
-    /// first run may be any body.
-    pub fn admit(&mut self, name: &str, args: &str, opts: SpawnOpts, body: Body) -> Pid {
+    /// derived from the pid, see `Kernel::start`). A body that is data
+    /// gives its image to the admission frame ([`InlineBody::take_image`]),
+    /// and recovery rebuilds it from the log; for one that is code,
+    /// recovery's resolver must know the program by its name.
+    ///
+    /// [`InlineBody::take_image`]: crate::InlineBody::take_image
+    pub fn admit(&mut self, name: &str, args: &str, opts: SpawnOpts, mut body: Body) -> Pid {
         let now = self.events.now();
         let arrival = opts.at.map_or(now, |at| at.max(now));
         let pid = self.install(None, name, args, arrival, opts.limits, opts.durable);
@@ -222,6 +225,10 @@ impl Kernel {
                 name: name.to_string(),
                 args: args.to_string(),
                 limits: opts.limits,
+                image: match &mut body {
+                    Body::Inline(body) => body.take_image(),
+                    Body::Hosted(_) => None,
+                },
             });
         }
         if opts.at.is_some() {
@@ -724,7 +731,7 @@ mod tests {
         // The durable one's exit frame took its text and carries it through
         // recovery, which restores it as a record.
         let (recovered, report) =
-            Kernel::recover(cfg.clone(), |_| None).expect("recoverable WAL");
+            Kernel::recover(cfg.clone(), |_, _| None).expect("recoverable WAL");
         assert_eq!(report.finished, 1);
         assert_eq!(output(&recovered, durable), durable_text);
         assert!(recovered.record(durable).unwrap().status.is_ok());

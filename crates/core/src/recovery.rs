@@ -15,7 +15,7 @@ use symphony_kvfs::{FileId, OwnerId};
 use symphony_model::{Preds, TokenId};
 use symphony_telemetry::EventKind;
 
-use crate::kernel::{Kernel, KernelConfig, ProgramImage};
+use crate::kernel::{Kernel, KernelConfig};
 use crate::proc::Proc;
 use crate::syscall::{Body, SysReply};
 use crate::types::{ExitStatus, Limits, Pid, SysError, Tid};
@@ -45,17 +45,20 @@ impl Kernel {
     /// Boots a kernel from the write-ahead log at `config.wal.path` and
     /// re-admits its programs; [`Kernel::run`] then carries on where the
     /// log left off. The virtual clock, the pid allocator and the durable
-    /// process table are restored. `resolve` maps a program name to its
-    /// image: an unfinished program re-executes deterministically from its
-    /// start under its journalled pid (journalled effects answer its
-    /// syscalls up to the crash point), at once if its arrival is at or
-    /// before the restored clock and at its arrival otherwise, in pid
-    /// order; a finished program is restored as a record without
-    /// re-execution, and one whose image does not resolve is recorded as
-    /// crashed.
+    /// process table are restored. `resolve` gets an unfinished
+    /// program's name and the image its admission frame carries, if its
+    /// body was data ([`crate::InlineBody::take_image`]), and returns the
+    /// body to run again: a LipScript program is rebuilt from its image
+    /// alone, a native one found by its name. The body re-executes
+    /// deterministically from its start under the journalled pid
+    /// (journalled effects answer its syscalls up to the crash point), at
+    /// once if its arrival is at or before the restored clock and at its
+    /// arrival otherwise, in pid order; a finished program is restored as a
+    /// record without re-execution, and one `resolve` cannot rebuild is
+    /// recorded as crashed.
     pub fn recover<F>(config: KernelConfig, resolve: F) -> Result<(Self, RecoveryReport), WalError>
     where
-        F: Fn(&str) -> Option<ProgramImage>,
+        F: Fn(&str, Option<&[u8]>) -> Option<Body>,
     {
         let wal_cfg = config.wal.clone().ok_or(WalError::Disabled)?;
         let bytes = std::fs::read(&wal_cfg.path).map_err(|_| WalError::Unreadable)?;
@@ -81,14 +84,14 @@ impl Kernel {
                 kernel.restore_exited(pid, rp);
                 continue;
             }
-            let Some(image) = resolve(&rp.name) else {
+            let Some(body) = resolve(&rp.name, rp.image.as_deref()) else {
                 report.lost += 1;
                 kernel.restore_exited(pid, rp);
                 continue;
             };
             // The original pid: re-execution draws the same RNG streams and
             // allocates the same identifiers.
-            kernel.readmit(Pid(pid), &rp, Body::from(image));
+            kernel.readmit(Pid(pid), &rp, body);
             report.resumed += 1;
         }
         // A resumed process's `pred` record starts as the log left it, so
@@ -142,7 +145,7 @@ impl Kernel {
 
     /// Restores a journalled program that will not run again as a zombie:
     /// with its journalled outcome (its outputs are already durable), or —
-    /// unfinished, its image unresolvable — as crashed now.
+    /// unfinished, its body not rebuilt — as crashed now.
     fn restore_exited(&mut self, pid: u64, rp: ReplayProc) {
         // It holds nothing any more, so no quota or deadline is re-armed.
         let limits = Limits::default();

@@ -7,14 +7,17 @@
 //!
 //! - **Inline**: an [`InlineBody`] — a program held as a value (the
 //!   LipScript machine) that the kernel resumes on its own thread with the
-//!   reply and that returns its next `Syscall`.
+//!   reply and that returns its next `Syscall`. A body that is data has an
+//!   image ([`InlineBody::take_image`]: a LipScript program's limits and
+//!   text), which a durable admission journals and recovery rebuilds the
+//!   body from.
 //! - **Hosted**: a native Rust closure holding a [`Ctx`]. Each typed
 //!   wrapper on `Ctx` is one [`Ctx::syscall`] that blocks until the kernel
 //!   answers, so the closure needs a stack of its own: `crate::hosted`
 //!   makes it an `InlineBody` that runs it on a pooled OS thread, and is
 //!   the only code that knows it does. A closure that only sets a program
-//!   up ([`Ctx::exec`]; `run_lip` parsing a script) holds its thread for
-//!   that and no longer.
+//!   up and execs it ([`Ctx::exec`]) holds its thread for that and no
+//!   longer. A closure has no image: recovery finds it again by name.
 //!
 //! Each system call is one row of the `syscalls!` table (its variant,
 //! fields and telemetry name), and each reply shape becomes the typed
@@ -49,7 +52,8 @@ impl Body {
     }
 }
 
-/// One run of a durable image: recovery calls the image again for the next.
+/// One run of a durable image: a resolver calls the image again for the
+/// next.
 impl From<ProgramImage> for Body {
     fn from(image: ProgramImage) -> Body {
         Body::hosted(move |ctx| image(ctx))
@@ -75,6 +79,16 @@ pub trait InlineBody: Send {
     /// panic in here is contained: the thread exits
     /// [`ExitStatus::Crashed`] and the body is dropped.
     fn resume(&mut self, env: &mut ThreadEnv, reply: SysReply) -> Next;
+
+    /// The bytes this body can be rebuilt from after a crash, its
+    /// *image*: `Kernel::admit` takes them once from a durable program's
+    /// main thread and writes them into its admission frame, and
+    /// [`crate::Kernel::recover`] hands them back to its resolver. `None`,
+    /// the default, for a body that is code: recovery then has only the
+    /// program's name to go on.
+    fn take_image(&mut self) -> Option<Vec<u8>> {
+        None
+    }
 }
 
 /// What an [`InlineBody`] does next.

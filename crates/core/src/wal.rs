@@ -6,7 +6,7 @@
 //!
 //! | tag | frame |
 //! |---|---|
-//! | 32 | process admission: pid, arrival, name, args, limits |
+//! | 32 | process admission: pid, arrival, name, args, limits and, for a body that is data, its image |
 //! | 33 | process exit |
 //! | 34 | tool effect: the call's result |
 //! | 35 | IPC send |
@@ -22,12 +22,18 @@
 //! in the log would fire the tool twice. There is one durability class.
 //! A durable program is admitted once: its admission frame is written when
 //! the kernel installs it, whether it starts at once or at a later arrival.
+//! A body that is data (a LipScript program) ends the frame with its
+//! image, a length-prefixed byte string; a closure's frame ends at its
+//! limits, as in version 8.
 //!
 //! # Recovery model
 //!
 //! There is no portable way to snapshot a running body — a native closure
 //! or a LipScript program — mid-flight. Recovery instead *re-executes*
-//! every unfinished program from its start with the same pid, hence the
+//! every unfinished program from its start, rebuilt by the embedder's
+//! resolver from its name and, when the admission frame carries one, its
+//! image (a LipScript program's is its text, so the log alone rebuilds
+//! it), with the same pid, hence the
 //! same per-thread RNG streams (each is derived from the pid and the
 //! thread's start order within its process), answering every journalled
 //! syscall effect from the log (same tool results, same IPC data) so the
@@ -92,7 +98,7 @@ use crate::types::{ExitStatus, Limits, ProcessUsage, SysError};
 pub const WAL_MAGIC: [u8; 4] = *b"SYMW";
 
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 8;
+pub const WAL_VERSION: u32 = 9;
 
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
@@ -177,8 +183,8 @@ pub struct RecoveryReport {
     pub resumed: usize,
     /// Finished programs restored as records without re-execution.
     pub finished: usize,
-    /// Unfinished programs whose image could not be resolved; recorded as
-    /// crashed.
+    /// Unfinished programs the resolver could not rebuild a body for;
+    /// recorded as crashed.
     pub lost: usize,
     /// Valid frames read from the log.
     pub frames: u64,
@@ -292,7 +298,8 @@ impl PredRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WalRecord {
     /// A durable program's admission, written when it is installed: it
-    /// starts at `arrival`, now or later.
+    /// starts at `arrival`, now or later. `image` is what its body can be
+    /// rebuilt from, if it is data.
     ProcSpawn {
         at: SimTime,
         pid: u64,
@@ -300,6 +307,7 @@ pub(crate) enum WalRecord {
         name: String,
         args: String,
         limits: Limits,
+        image: Option<Vec<u8>>,
     },
     ProcExit {
         at: SimTime,
@@ -488,6 +496,7 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
             name,
             args,
             limits,
+            image,
             ..
         } => {
             push_u64(out, *pid);
@@ -495,6 +504,12 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
             push_str(out, name);
             push_str(out, args);
             encode_limits(out, limits);
+            // Last, and only when there is one: a closure's frame is
+            // version 8's.
+            if let Some(image) = image {
+                push_u32(out, image.len() as u32);
+                out.extend_from_slice(image);
+            }
         }
         WalRecord::ProcExit {
             pid,
@@ -619,6 +634,12 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
             name: c.str()?,
             args: c.str()?,
             limits: decode_limits(&mut c)?,
+            image: if c.done() {
+                None
+            } else {
+                let n = c.u32()? as usize;
+                Some(c.take(n)?.to_vec())
+            },
         },
         TAG_PROC_EXIT => {
             let pid = c.u64()?;
@@ -797,6 +818,8 @@ pub(crate) struct ReplayProc {
     /// When it started, or is due to.
     pub(crate) arrival: SimTime,
     pub(crate) limits: Limits,
+    /// What its admission frame says its body is rebuilt from.
+    pub(crate) image: Option<Vec<u8>>,
     pub(crate) exit: Option<ReplayExit>,
 }
 
@@ -895,6 +918,7 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                 name,
                 args,
                 limits,
+                image,
                 ..
             } => {
                 r.next_pid = r.next_pid.max(pid + 1);
@@ -903,6 +927,7 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
                     args,
                     arrival,
                     limits,
+                    image,
                     exit: None,
                 });
             }
@@ -1008,6 +1033,7 @@ mod tests {
                     deadline: Some(SimDuration::from_millis(5)),
                     ..Limits::default()
                 },
+                image: None,
             },
             effect(
                 20,
@@ -1071,6 +1097,17 @@ mod tests {
                 name: "late-agent".into(),
                 args: "y=2".into(),
                 limits: Limits::default(),
+                image: None,
+            },
+            // A body that is data: its image closes the frame.
+            WalRecord::ProcSpawn {
+                at: SimTime::from_nanos(62),
+                pid: 5,
+                arrival: SimTime::from_nanos(62),
+                name: "script".into(),
+                args: "z=3".into(),
+                limits: Limits::default(),
+                image: Some(b"limits, then the text".to_vec()),
             },
         ]
     }
@@ -1092,6 +1129,21 @@ mod tests {
         assert_eq!(valid_len, bytes.len() as u64);
         assert!(!torn);
         assert_eq!(back, recs);
+        // Admissions with an image and without one are both in the list;
+        // an empty image is not the absence of one.
+        let with_image = |r: &WalRecord| match r {
+            WalRecord::ProcSpawn { image, .. } => Some(image.is_some()),
+            _ => None,
+        };
+        let kinds: BTreeSet<bool> = recs.iter().filter_map(with_image).collect();
+        assert_eq!(kinds, BTreeSet::from([false, true]));
+        let mut empty = recs[recs.len() - 1].clone();
+        if let WalRecord::ProcSpawn { image, .. } = &mut empty {
+            *image = Some(Vec::new());
+        }
+        let frame = encode_frame(&empty);
+        let payload = &frame[5..frame.len() - 4];
+        assert_eq!(decode_payload(frame[0], payload), Some(empty));
     }
 
     #[test]
@@ -1350,6 +1402,7 @@ mod tests {
                 max_threads: Some(7),
                 ..Limits::default()
             },
+            image: None,
         };
         let mut payload = encode_payload(&rec);
         // The limits close the payload, seven presence-prefixed u64s;
@@ -1380,6 +1433,7 @@ mod tests {
             name: "last".into(),
             args: String::new(),
             limits: Limits::default(),
+            image: None,
         };
         let prefix = wal_bytes(&sample_records()[..2], 3);
         // The largest pid a kernel allocates is read back.
@@ -1407,9 +1461,9 @@ mod tests {
         let bytes = wal_bytes(&recs, 5);
         let (_, records, _, torn) = read_wal(&bytes).unwrap();
         let r = build_replay(records, bytes.len() as u64, torn);
-        assert_eq!(r.clock, SimTime::from_nanos(61));
-        assert_eq!(r.next_pid, 5);
-        assert_eq!(r.procs.len(), 2);
+        assert_eq!(r.clock, SimTime::from_nanos(62));
+        assert_eq!(r.next_pid, 6);
+        assert_eq!(r.procs.len(), 3);
         assert!(r.procs[&1].exit.is_some());
         // Every effect frame of the log is in the map under its own
         // `(pid, class, seq)`, and nothing else is.
@@ -1443,6 +1497,12 @@ mod tests {
         // Admitted at 61 for an arrival at 900: one frame, one entry.
         assert!(r.procs[&4].exit.is_none());
         assert_eq!(r.procs[&4].arrival, SimTime::from_nanos(900));
+        // What an admission frame carries of its body is what replay holds.
+        assert_eq!(r.procs[&4].image, None);
+        assert_eq!(
+            r.procs[&5].image.as_deref(),
+            Some(&b"limits, then the text"[..])
+        );
     }
 
     #[test]
@@ -1489,7 +1549,7 @@ mod tests {
             ("lookup", 1),
             ("now", 1),
             ("proc_exit", 1),
-            ("proc_spawn", 2),
+            ("proc_spawn", 3),
             ("tool_effect", 2),
         ];
         assert_eq!(names.into_iter().collect::<Vec<_>>(), expected);
@@ -1551,7 +1611,15 @@ mod tests {
     }
 
     /// The format changes only on purpose: length and FNV-1a of this
-    /// record list's encoding under seed 42. Version 8 is 626 bytes against
+    /// record list's encoding under seed 42. Version 9 is 764 bytes against
+    /// version 8's 626 (FNV-1a `0x6a42_3433`): the list gains a third
+    /// admission frame, pid 5's, whose body is data, 138 bytes: the frame
+    /// overhead, at, pid, arrival, the length-prefixed "script" and "z=3",
+    /// the limits, and its 21-byte image behind a 4-byte length. Every
+    /// other frame keeps its bytes — a closure's admission ends at its
+    /// limits, as before — and the header's version word reads 9, so the
+    /// header's checksum moves too.
+    /// Version 8 was 626 bytes against
     /// version 7's 700 (FNV-1a `0x6254_36ed`): the two tool frames and the
     /// `now` frame are 8 bytes shorter each (no `latency_ns`; no `t`, which
     /// is the frame's own time), no receive frame is written (v7 listed
@@ -1581,7 +1649,16 @@ mod tests {
     fn on_disk_format_is_pinned() {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 42);
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (626, 0x6a42_3433));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (764, 0xc760_663d));
+        // Under a version-8 header, the frames before the one with an image
+        // are version 8's file.
+        let v8 = Head::<1> {
+            magic: WAL_MAGIC,
+            version: 8,
+        };
+        let mut before = seglog::encode_head(&v8, [42]);
+        before.extend_from_slice(&bytes[HEADER_LEN..bytes.len() - 138]);
+        assert_eq!((before.len(), fnv1a(&before)), (626, 0x6a42_3433));
         // The writer lays down the same bytes: every frame is written when
         // it is made, so file order is list order.
         let dir = std::env::temp_dir().join(format!("symwal-pin-{}", std::process::id()));

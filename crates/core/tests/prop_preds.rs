@@ -182,7 +182,9 @@ proptest! {
         }
         let replayed = Replies::default();
         let (ra, rb, resolve) = (a.clone(), b.clone(), replayed.clone());
-        let resolver = move |_: &str| Some(image(ra.clone(), rb.clone(), start, resolve.clone()));
+        let resolver = move |_: &str, _: Option<&[u8]>| {
+            Some(Body::from(image(ra.clone(), rb.clone(), start, resolve.clone())))
+        };
         let (mut k, _) = Kernel::recover(config(&path, chunk, None), resolver).unwrap();
         k.run();
         let from_markers = k

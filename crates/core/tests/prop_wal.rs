@@ -69,10 +69,10 @@ fn collector_image() -> ProgramImage {
     })
 }
 
-fn resolver(name: &str) -> Option<ProgramImage> {
+fn resolver(name: &str, _image: Option<&[u8]>) -> Option<Body> {
     match name {
-        "collector" => Some(collector_image()),
-        n if n.starts_with("worker") => Some(worker_image()),
+        "collector" => Some(Body::from(collector_image())),
+        n if n.starts_with("worker") => Some(Body::from(worker_image())),
         _ => None,
     }
 }

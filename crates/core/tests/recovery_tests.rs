@@ -145,13 +145,15 @@ fn late_image() -> ProgramImage {
     })
 }
 
-fn resolver(name: &str) -> Option<ProgramImage> {
-    match name {
-        "sink" => Some(sink_image()),
-        "late" => Some(late_image()),
-        n if n.starts_with("agent") => Some(agent_image()),
-        _ => None,
-    }
+/// A native program has no image in the log: it is found by its name.
+fn resolver(name: &str, _image: Option<&[u8]>) -> Option<Body> {
+    let image = match name {
+        "sink" => sink_image(),
+        "late" => late_image(),
+        n if n.starts_with("agent") => agent_image(),
+        _ => return None,
+    };
+    Some(Body::from(image))
 }
 
 fn config(wal: &std::path::Path, crash_at: Option<u64>) -> KernelConfig {
@@ -428,7 +430,10 @@ fn replayed_pred_replies_equal_the_live_ones() {
 
     let replayed = Replies::default();
     let resolve = replayed.clone();
-    let (mut k, _) = Kernel::recover(cfg(None), move |_| Some(image(resolve.clone()))).unwrap();
+    let (mut k, _) = Kernel::recover(cfg(None), move |_, _| {
+        Some(Body::from(image(resolve.clone())))
+    })
+    .unwrap();
     k.run();
     let from_markers = k
         .telemetry_events()
@@ -503,7 +508,8 @@ fn crash_and_recover(
     k.run();
     assert_eq!(k.crashed(), Some(crash_at));
     drop(k);
-    let (mut k, _) = Kernel::recover(cfg(None), move |_| Some(resumed.clone())).unwrap();
+    let (mut k, _) =
+        Kernel::recover(cfg(None), move |_, _| Some(Body::from(resumed.clone()))).unwrap();
     assert_eq!(gpu_work(&k), (0, 0));
     k.run();
     k
@@ -751,7 +757,8 @@ fn an_arrival_in_the_past_starts_and_recovers_now() {
         );
     }
 
-    let resolve = |name: &str| (name == "durable").then(|| Arc::clone(&stamp));
+    let resolve =
+        |name: &str, _: Option<&[u8]>| (name == "durable").then(|| Body::from(Arc::clone(&stamp)));
     let (mut k, report) = Kernel::recover(config(&crashed, None), resolve).unwrap();
     assert_eq!((report.resumed, report.lost), (1, 0));
     k.run();
@@ -780,7 +787,13 @@ fn unresolvable_image_is_recorded_as_crashed() {
         k.run();
         assert_eq!(k.crashed(), Some(30));
     }
-    let lose_sink = |name: &str| if name == "sink" { None } else { resolver(name) };
+    let lose_sink = |name: &str, image: Option<&[u8]>| {
+        if name == "sink" {
+            None
+        } else {
+            resolver(name, image)
+        }
+    };
     let (mut k, report) = Kernel::recover(config(&path, None), lose_sink).unwrap();
     register_tools(&mut k, Arc::new(AtomicU64::new(0)));
     assert_eq!(report.lost, 1, "the sink's image is gone");
@@ -789,6 +802,65 @@ fn unresolvable_image_is_recorded_as_crashed() {
         .find(|r| r.name == "sink")
         .expect("lost program still has a record");
     assert!(matches!(lost.status, ExitStatus::Crashed));
+    std::fs::remove_file(&path).ok();
+}
+
+/// An image the resolver cannot rebuild is a lost program, not a panic. The
+/// log is written by hand: two admission frames whose bodies were data,
+/// one image the resolver reads (`echo:<text>`, a program that emits the
+/// text) and one it cannot (bytes that are not UTF-8). The one is run
+/// again; the other is recorded as crashed.
+#[test]
+fn an_image_the_resolver_cannot_rebuild_is_recorded_as_lost() {
+    use symphony::wal::{WAL_MAGIC, WAL_VERSION};
+    use symphony_sim::frame::{append_frame, push_opt_u64, push_str, push_u32, push_u64};
+    use symphony_sim::seglog::{encode_head, Head};
+
+    // Tag 32: at, pid, arrival, name, args, seven absent limits, then the
+    // image behind its length.
+    let admission = |pid: u64, name: &str, image: &[u8]| {
+        let mut payload = Vec::new();
+        push_u64(&mut payload, 0);
+        push_u64(&mut payload, pid);
+        push_u64(&mut payload, 0);
+        push_str(&mut payload, name);
+        push_str(&mut payload, "");
+        for _ in 0..7 {
+            push_opt_u64(&mut payload, None);
+        }
+        push_u32(&mut payload, image.len() as u32);
+        payload.extend_from_slice(image);
+        payload
+    };
+    let path = tmp("unbuildable.wal");
+    let cfg = config(&path, None);
+    let head = Head::<1> {
+        magic: WAL_MAGIC,
+        version: WAL_VERSION,
+    };
+    let mut bytes = encode_head(&head, [cfg.seed]);
+    append_frame(&mut bytes, 32, &admission(1, "echo", b"echo:kept"));
+    let garbled = admission(2, "garbled", &[0xff, 0xfe, 0x00]);
+    append_frame(&mut bytes, 32, &garbled);
+    std::fs::write(&path, &bytes).expect("write the log");
+
+    let resolve = |_: &str, image: Option<&[u8]>| {
+        let text = std::str::from_utf8(image?).ok()?.strip_prefix("echo:")?;
+        let text = text.to_string();
+        Some(Body::hosted(move |ctx| ctx.emit(&text)))
+    };
+    let (mut k, report) = Kernel::recover(cfg, resolve).expect("a readable log");
+    assert_eq!(
+        (report.frames, report.resumed, report.lost, report.torn),
+        (2, 1, 1, false)
+    );
+    k.run();
+    let outcome = |name: &str| {
+        let rec = k.records().find(|r| r.name == name).expect("a record");
+        (rec.output.clone(), rec.status.clone())
+    };
+    assert_eq!(outcome("echo"), ("kept".to_string(), ExitStatus::Ok));
+    assert_eq!(outcome("garbled"), (String::new(), ExitStatus::Crashed));
     std::fs::remove_file(&path).ok();
 }
 
@@ -974,9 +1046,9 @@ fn a_durable_writer_with_a_sink_recovers_equivalently_at_every_boundary() {
     assert!(expected.values().all(|(_, ok)| *ok));
     assert!(expected["writer"].0.ends_with("Err(NotFound)"));
     assert!(boundaries > 10, "{boundaries} boundaries");
-    let resolve = |name: &str| match name {
-        "peer" => Some(peer_image()),
-        "writer" => Some(writer_image()),
+    let resolve = |name: &str, _: Option<&[u8]>| match name {
+        "peer" => Some(Body::from(peer_image())),
+        "writer" => Some(Body::from(writer_image())),
         _ => None,
     };
     for b in 1..=boundaries {
@@ -1049,9 +1121,9 @@ fn a_message_is_received_once_across_a_crash_at_every_boundary() {
         ("mailbox", "3,10", 0, 0.0, "2:m0;2:m1;2:m2;"),
         ("dropped", "2,10", 0, DROP_FIRST_OF_THREE, "2:m1;2:m2;"),
     ];
-    let resolve = |name: &str| match name {
-        "receiver" => Some(receiver_image()),
-        "sender" => Some(sender_image()),
+    let resolve = |name: &str, _: Option<&[u8]>| match name {
+        "receiver" => Some(Body::from(receiver_image())),
+        "sender" => Some(Body::from(sender_image())),
         _ => None,
     };
     let seeded = |path: &std::path::Path, crash_at: Option<u64>, ipc_drop_rate: f64| {

@@ -8,8 +8,15 @@
 //! system call back, on its own thread. `spawn` makes more of the same, so
 //! a program's threads are inline too.
 //!
-//! A native closure on a hosted thread gets the same by [`run_lip`]: it
-//! parses the script and execs a `LipBody`, so the thread goes on inline.
+//! A durable program is the same body. Built by [`LipBody::parse`], its
+//! main thread keeps the exact text it was admitted as (a re-print would
+//! move the line:col a runtime error reports) and its limits, and gives
+//! them up once as its image: the admission frame journals them, and after
+//! a crash [`rebuild`] makes the body again from those bytes alone.
+//!
+//! [`run_lip`] runs a script from a native closure instead: it parses the
+//! script and execs a `LipBody`, so the hosted thread goes on inline. Its
+//! one caller outside tests is the benchmark's durable workload.
 //!
 //! A builtin that needs the kernel builds the [`Syscall`] itself, so
 //! `lower` passes a [`HostCall::Sys`] through as it is; it answers what
@@ -38,6 +45,11 @@ pub struct LipBody {
     /// `func(args...)` to call, for a thread `spawn` made; the program's
     /// top level otherwise.
     entry: Option<(String, Vec<Value>)>,
+    /// The kernel's image of this body (`InlineBody::take_image`, not a
+    /// lowered [`Image`]): the limits and text [`rebuild`] makes it from,
+    /// kept by a main thread [`LipBody::parse`] built until a durable
+    /// admission journals them.
+    journal: Option<Vec<u8>>,
 }
 
 impl LipBody {
@@ -53,8 +65,47 @@ impl LipBody {
         LipBody {
             interp: Interpreter::from_image(image, limits),
             entry: None,
+            journal: None,
         }
     }
+
+    /// The body of a main thread parsed from `src`, which keeps `src` and
+    /// `limits` as its image: a durable admission journals them, and
+    /// recovery [`rebuild`]s the body from the log.
+    pub fn parse(src: &str, limits: InterpLimits) -> Result<Self, LipError> {
+        let program = parse(src)?;
+        let mut journal = Vec::with_capacity(LIMITS_LEN + src.len());
+        journal.extend_from_slice(&limits.fuel.to_le_bytes());
+        journal.extend_from_slice(&limits.memory_cells.to_le_bytes());
+        journal.extend_from_slice(&limits.max_depth.to_le_bytes());
+        journal.extend_from_slice(src.as_bytes());
+        Ok(LipBody {
+            journal: Some(journal),
+            ..Self::new(Arc::new(program), limits)
+        })
+    }
+}
+
+/// An image's limits, ahead of its text: fuel and memory cells (`u64`),
+/// then the call depth (`u32`), little-endian.
+const LIMITS_LEN: usize = 8 + 8 + 4;
+
+/// Rebuilds the body of a durable program's main thread from the image its
+/// admission frame carries ([`LipBody::parse`]): what a
+/// `Kernel::recover` resolver returns for a LipScript program, from the
+/// log alone. `None` if the bytes are not such an image or the text no
+/// longer parses; recovery then records the program as lost.
+pub fn rebuild(image: &[u8]) -> Option<Body> {
+    let (fuel, rest) = image.split_first_chunk::<8>()?;
+    let (memory_cells, rest) = rest.split_first_chunk::<8>()?;
+    let (max_depth, text) = rest.split_first_chunk::<4>()?;
+    let limits = InterpLimits {
+        fuel: u64::from_le_bytes(*fuel),
+        memory_cells: u64::from_le_bytes(*memory_cells),
+        max_depth: u32::from_le_bytes(*max_depth),
+    };
+    let program = Arc::new(parse(std::str::from_utf8(text).ok()?).ok()?);
+    Some(Body::Inline(Box::new(LipBody::new(program, limits))))
 }
 
 impl InlineBody for LipBody {
@@ -85,6 +136,10 @@ impl InlineBody for LipBody {
             Step::Ask(call) => Next::Syscall(call),
         }
     }
+
+    fn take_image(&mut self) -> Option<Vec<u8>> {
+        self.journal.take()
+    }
 }
 
 /// Parses a LipScript program inside a hosted Symphony LIP thread and
@@ -92,7 +147,8 @@ impl InlineBody for LipBody {
 /// the kernel steps itself, and the closure's OS thread goes back to the
 /// pool before the program's first step. Its one caller outside tests is
 /// the benchmark's durable workload, whose program image is a closure; any
-/// other program, durable or not, is admitted as a `LipBody` to begin with.
+/// other program, durable or not, is admitted as a `LipBody` to begin with
+/// ([`LipBody::parse`] for one that must survive a crash).
 ///
 /// It returns only if `src` does not parse. Otherwise the program's
 /// outcome is the thread's exit status, as for a served one: `Ok` when it
@@ -126,6 +182,7 @@ pub(crate) fn lower(call: HostCall, env: &mut ThreadEnv) -> Result<HostReply, Sy
             body: Body::Inline(Box::new(LipBody {
                 interp: Interpreter::from_image(image, limits),
                 entry: Some((func, args)),
+                journal: None,
             })),
         },
         HostCall::Sys(call) => call,

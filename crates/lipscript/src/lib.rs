@@ -28,8 +28,10 @@
 //!   resumed with the reply, so a running program is a value. It enters
 //!   the kernel as a [`LipBody`] (`Kernel::admit` with `Body::Inline`),
 //!   and the kernel steps it on its own thread: a program owns no OS
-//!   thread. [`run_lip`] runs a script from a native closure instead; its
-//!   one caller outside tests is the benchmark's durable workload.
+//!   thread. A durable one's admission frame carries its text, and
+//!   [`rebuild`] makes the body again from it after a crash. [`run_lip`]
+//!   runs a script from a native closure instead; its one caller outside
+//!   tests is the benchmark's durable workload.
 //!
 //! # Examples
 //!
@@ -88,7 +90,7 @@ pub mod verify;
 pub use error::{LipError, RuntimeError};
 pub use host::{Host, HostCall, HostReply};
 pub use image::Image;
-pub use inline::{run_lip, LipBody};
+pub use inline::{rebuild, run_lip, LipBody};
 pub use interp::{run_with_host, InterpLimits, Interpreter, Step};
 pub use value::Value;
 pub use verify::{

@@ -535,33 +535,101 @@ emit(detokenize(out) + "|" + str(rand()) + "|" + doc);
 kv_remove(kv);
 "#;
 
-/// `run_lip` as a durable image: parse, then exec. Recovery re-invokes it,
-/// and it execs again.
-fn durable_lip_image() -> symphony::ProgramImage {
-    std::sync::Arc::new(|ctx| {
-        symphony_lipscript::run_lip(DURABLE_AGENT, ctx, InterpLimits::default())
+/// A durable program that decodes by `sample`, so every token it keeps is
+/// a draw from its main thread's RNG stream.
+const DURABLE_SAMPLER: &str = r#"let kv = kv_create();
+let prompt = tokenize("sample " + args());
+let d = pred(kv, prompt, 0)[len(prompt) - 1];
+let pos = len(prompt);
+let out = [];
+while (len(out) < 6) {
+    let t = sample(d);
+    out = push(out, t);
+    d = pred(kv, [t], pos)[0];
+    pos = pos + 1;
+}
+emit(detokenize(out));
+kv_remove(kv);
+"#;
+
+/// A durable program whose main thread spawns three helpers, then joins
+/// them; each helper prefills, samples and reports.
+const DURABLE_SPAWNER: &str = r#"fn helper(n) {
+    let kv = kv_create();
+    let p = tokenize("helper " + str(n) + " " + args());
+    let t = sample(pred(kv, p, 0)[len(p) - 1]);
+    emit("<" + str(n) + ":" + str(t) + ">");
+    kv_remove(kv);
+}
+let tids = [];
+let i = 0;
+while (i < 3) {
+    tids = push(tids, spawn("helper", [i]));
+    i = i + 1;
+}
+let joined = 0;
+for tid in tids {
+    if (join(tid)) { joined = joined + 1; }
+}
+emit(" joined " + str(joined));
+"#;
+
+/// A durable program that fails at run time after its tool call: its
+/// status carries the error and the line:col it was raised at, which a
+/// re-print of the program (no comment, one statement a line) would move.
+const DURABLE_FAILER: &str = r#"// Reads past the end of a one-element list.
+let doc = call_tool("search", args());
+emit(doc);
+let parts = [doc];  emit(parts[len(parts) + 2]);
+"#;
+
+/// The durable sweep's programs by name: three agents, then one of each
+/// of the other shapes.
+const DURABLE_FLEET: [(&str, &str); 6] = [
+    ("agent0", DURABLE_AGENT),
+    ("agent1", DURABLE_AGENT),
+    ("agent2", DURABLE_AGENT),
+    ("sampler", DURABLE_SAMPLER),
+    ("spawner", DURABLE_SPAWNER),
+    ("failer", DURABLE_FAILER),
+];
+
+/// `run_lip` as a durable image: parse, then exec. Recovery finds it by
+/// name and re-invokes it, and it execs again.
+fn durable_lip_image(src: &'static str) -> symphony::ProgramImage {
+    std::sync::Arc::new(move |ctx| {
+        symphony_lipscript::run_lip(src, ctx, InterpLimits::default())
             .map(drop)
             .map_err(|e| symphony::SysError::ToolFailed(e.to_string()))
     })
 }
 
 /// Kills the kernel at every syscall boundary of a fleet of durable
-/// `run_lip` programs, recovers, and demands what an uninterrupted run
-/// gives: equal outputs and statuses, and every tool effect exactly once.
-/// Durability is a flag on any body: the same sweep runs again with each
-/// first run admitted inline as a `LipBody`, recovered through `run_lip`.
+/// LipScript programs, recovers, and demands what an uninterrupted run
+/// gives: equal outputs and statuses, error text included, and every tool
+/// effect exactly once. It runs twice. First as `run_lip` images, the
+/// path the benchmark's durable workload takes, recovered by name. Then
+/// admitted inline as `LipBody`s whose admission frames carry their text,
+/// recovered from the log alone by a resolver that ignores the name — and
+/// never handed to a pool worker.
 #[test]
 fn durable_run_lip_recovers_equivalently_at_every_boundary() {
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use symphony::{
-        Body, FaultPlan, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts, ToolOutcome,
-        ToolSpec, WalConfig,
+        Body, ExitStatus, FaultPlan, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts,
+        SysError, ToolOutcome, ToolSpec, WalConfig,
     };
-    use symphony_lipscript::{parse::parse, LipBody};
+    use symphony_lipscript::{rebuild, LipBody};
 
-    const AGENTS: u64 = 3;
+    let tool_calls = DURABLE_FLEET.len() as u64 - 2;
+    // An image is the limits, then the text: bytes short of the limits,
+    // a text that is not UTF-8 or one that does not parse rebuild nothing.
+    let limits = [0u8; 20];
+    assert!(rebuild(&limits[..19]).is_none());
+    assert!(rebuild(&[&limits[..], &[0xff]].concat()).is_none());
+    assert!(rebuild(&[&limits[..], b"let = ;"].concat()).is_none());
     let tmp = |name: &str| {
         std::env::temp_dir().join(format!(
             "symphony-lip-durable-{}-{name}",
@@ -588,26 +656,35 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
         );
     };
     let admit = |k: &mut Kernel, inline: bool| {
-        for i in 0..AGENTS {
-            let at = SimTime::ZERO + SimDuration::from_millis(2 * i);
+        for (i, (name, src)) in DURABLE_FLEET.into_iter().enumerate() {
+            let at = SimTime::ZERO + SimDuration::from_millis(2 * i as u64);
             let body = if inline {
-                let program = Arc::new(parse(DURABLE_AGENT).expect("parses"));
-                Body::Inline(Box::new(LipBody::new(program, InterpLimits::default())))
+                let body = LipBody::parse(src, InterpLimits::default()).expect("parses");
+                Body::Inline(Box::new(body))
             } else {
-                Body::from(durable_lip_image())
+                Body::from(durable_lip_image(src))
             };
             let opts = SpawnOpts {
                 durable: true,
                 ..SpawnOpts::at(at)
             };
-            k.admit(&format!("agent{i}"), &format!("topic {i}"), opts, body);
+            k.admit(name, &format!("topic {i}"), opts, body);
         }
     };
-    let outcomes = |k: &Kernel| -> BTreeMap<String, (String, bool)> {
+    let by_name = |name: &str, _: Option<&[u8]>| {
+        let (_, src) = DURABLE_FLEET.into_iter().find(|(n, _)| *n == name)?;
+        Some(Body::from(durable_lip_image(src)))
+    };
+    let from_the_log = |_: &str, image: Option<&[u8]>| image.and_then(rebuild);
+    let outcomes = |k: &Kernel| -> BTreeMap<String, (String, ExitStatus)> {
         k.records()
             .filter(|r| r.exited_at.is_some())
-            .map(|r| (r.name.clone(), (r.output.clone(), r.status.is_ok())))
+            .map(|r| (r.name.clone(), (r.output.clone(), r.status.clone())))
             .collect()
+    };
+    let handoffs = |k: &Kernel| {
+        k.metrics_registry()
+            .counter_value("kernel.lip.hosted_handoffs")
     };
 
     let base_path = tmp("base.wal");
@@ -615,23 +692,44 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
     let mut k = Kernel::new(config(&base_path, None));
     with_tool(&mut k, &fired);
     admit(&mut k, false);
-    assert_eq!(k.run(), AGENTS as usize);
+    assert_eq!(k.run(), DURABLE_FLEET.len());
     let baseline = outcomes(&k);
+    let agents = baseline
+        .iter()
+        .filter(|(name, _)| name.starts_with("agent"));
     assert!(
-        baseline
-            .values()
-            .all(|(out, ok)| *ok && out.contains("[aside ") && out.contains("|doc(topic")),
+        agents.clone().count() == 3
+            && agents.into_iter().all(|(_, (out, status))| status.is_ok()
+                && out.contains("[aside ")
+                && out.contains("|doc(topic")),
         "{baseline:?}"
     );
-    let (boundaries, invocations) = (k.syscall_boundaries(), k.tool_invocations());
-    assert_eq!(invocations, AGENTS);
-    // Each program's closure got its start and exec'd; no worker is kept.
-    let registry = k.metrics_registry();
+    assert!(baseline["sampler"].1.is_ok(), "{baseline:?}");
     assert_eq!(
-        registry.counter_value("kernel.lip.hosted_handoffs"),
-        Some(AGENTS)
+        baseline["spawner"].0.matches('<').count(),
+        3,
+        "{baseline:?}"
     );
-    assert_eq!(registry.gauge("kernel.lip.hosted_threads").get(), 0);
+    assert!(baseline["spawner"].0.ends_with(" joined 3"), "{baseline:?}");
+    let (out, status) = &baseline["failer"];
+    assert_eq!(out, "doc(topic 5)");
+    // Where the error was raised is in its text: recovery must run the
+    // text that was admitted, not a re-print of it.
+    let raised = "runtime error: index 3 out of bounds (len 1) at 4:31";
+    assert_eq!(
+        status,
+        &ExitStatus::Error(SysError::ToolFailed(raised.into()))
+    );
+    let (boundaries, invocations) = (k.syscall_boundaries(), k.tool_invocations());
+    assert_eq!(invocations, tool_calls);
+    // Each program's closure got its start and exec'd; no worker is kept.
+    assert_eq!(handoffs(&k), Some(DURABLE_FLEET.len() as u64));
+    assert_eq!(
+        k.metrics_registry()
+            .gauge("kernel.lip.hosted_threads")
+            .get(),
+        0
+    );
     drop(k);
     assert!(boundaries > 20, "a real kill-point space: {boundaries}");
 
@@ -641,17 +739,13 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
     let mut k = Kernel::new(config(&inline_path, None));
     with_tool(&mut k, &Arc::new(AtomicU64::new(0)));
     admit(&mut k, true);
-    assert_eq!(k.run(), AGENTS as usize);
+    assert_eq!(k.run(), DURABLE_FLEET.len());
     assert_eq!(outcomes(&k), baseline);
     assert_eq!(
         (k.syscall_boundaries(), k.tool_invocations()),
         (boundaries, invocations)
     );
-    assert_eq!(
-        k.metrics_registry()
-            .counter_value("kernel.lip.hosted_handoffs"),
-        Some(0)
-    );
+    assert_eq!(handoffs(&k), Some(0));
     drop(k);
     std::fs::remove_file(&inline_path).ok();
 
@@ -665,15 +759,21 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
                 admit(&mut k, inline);
                 k.run();
                 assert_eq!(k.crashed(), Some(b), "kill-point {b} fires");
+                if inline {
+                    assert_eq!(handoffs(&k), Some(0), "boundary {b}: first run");
+                }
                 k.tool_invocations()
             };
-            let resolve = |name: &str| name.starts_with("agent").then(durable_lip_image);
-            let (mut k, report) =
-                Kernel::recover(config(&path, None), resolve).expect("recoverable WAL");
+            let recovered = if inline {
+                Kernel::recover(config(&path, None), from_the_log)
+            } else {
+                Kernel::recover(config(&path, None), by_name)
+            };
+            let (mut k, report) = recovered.expect("recoverable WAL");
             with_tool(&mut k, &fired);
             assert_eq!(
                 report.lost, 0,
-                "inline {inline}, boundary {b}: every image resolves"
+                "inline {inline}, boundary {b}: every program is rebuilt"
             );
             k.run();
             assert!(k.crashed().is_none());
@@ -689,9 +789,12 @@ fn durable_run_lip_recovers_equivalently_at_every_boundary() {
             );
             assert_eq!(
                 fired.load(Ordering::SeqCst),
-                AGENTS,
+                tool_calls,
                 "inline {inline}, boundary {b}: a tool fired twice"
             );
+            if inline {
+                assert_eq!(handoffs(&k), Some(0), "boundary {b}: recovery");
+            }
             std::fs::remove_file(&path).ok();
         }
     }

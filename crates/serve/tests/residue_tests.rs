@@ -18,11 +18,12 @@
 //! The count is per thread: a served LipScript session runs on the thread
 //! that pumps the server and on no other, so what this thread allocated and
 //! has not freed is what the sessions cost, whatever the test harness does
-//! on its own threads meanwhile. A durable program's image starts on a
-//! worker of the LIP pool and execs its body there, which the kernel's
-//! thread then steps and drops: what the workers allocate is counted apart,
-//! once an image has marked its worker, and a durable session's cost is the
-//! two counts together.
+//! on its own threads meanwhile. A durable program admitted as a closure
+//! image starts on a worker of the LIP pool and execs its body there, which
+//! the kernel's thread then steps and drops: what the workers allocate is
+//! counted apart, once an image has marked its worker, and a durable
+//! session's cost is the two counts together. One admitted inline, its
+//! text journalled as its image, never leaves the kernel's thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -380,12 +381,19 @@ fn the_kernels_counters_carry_what_its_records_carried() {
 
 #[test]
 fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
-    // The durable path with no server around it: durable images that
-    // parse and exec a LipScript program, WAL and KV journal
-    // open, the session events taken straight from the sink, and no reap
-    // call anywhere.
+    // The durable path with no server around it: WAL and KV journal open,
+    // the session events taken straight from the sink, and no reap call
+    // anywhere. The programs come two ways: as durable images that parse
+    // and exec a LipScript program on a pool worker, and inline, as
+    // `LipBody`s whose admission frames journal their text.
+    for inline in [false, true] {
+        durable_sessions_keep_nothing(inline);
+    }
+}
+
+fn durable_sessions_keep_nothing(inline: bool) {
     let dir = std::env::temp_dir();
-    let tag = format!("symphony-residue-{}", std::process::id());
+    let tag = format!("symphony-residue-{}-{inline}", std::process::id());
     let (wal, journal) = (
         dir.join(format!("{tag}.wal")),
         dir.join(format!("{tag}.kvj")),
@@ -399,13 +407,19 @@ fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
     let events: Arc<Mutex<Vec<SessionEvent>>> = Arc::default();
     let sink = Arc::clone(&events);
     kernel.set_session_sink(Box::new(move |ev| sink.lock().unwrap().push(ev)));
-    let images: Vec<ProgramImage> = (0..6)
+    let sources: Vec<String> = (0..6)
         .map(|shape: usize| {
-            let source = if shape.is_multiple_of(2) {
+            if shape.is_multiple_of(2) {
                 agent_source(1 + shape / 2, 4 + shape)
             } else {
                 rag_source(4 + shape)
-            };
+            }
+        })
+        .collect();
+    let images: Vec<ProgramImage> = sources
+        .iter()
+        .map(|source| {
+            let source = source.clone();
             let image: ProgramImage = Arc::new(move |ctx| {
                 mark_worker();
                 run_lip(&source, ctx, InterpLimits::default())
@@ -433,7 +447,12 @@ fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
                 format!("{}|what about {session}?", i % 4)
             };
             let at = SimTime::from_nanos(t0 + i * 200_000);
-            let image = Arc::clone(&images[shape]);
+            let body = if inline {
+                let body = LipBody::parse(&sources[shape], InterpLimits::default());
+                Body::Inline(Box::new(body.expect("parses")))
+            } else {
+                Body::from(Arc::clone(&images[shape]))
+            };
             kernel.admit(
                 &format!("s{session}"),
                 &args,
@@ -441,7 +460,7 @@ fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
                     durable: true,
                     ..SpawnOpts::at(at)
                 },
-                Body::from(image),
+                body,
             );
         }
         kernel.run();
@@ -454,15 +473,23 @@ fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
                 usages.push(*usage);
             }
         }
-        assert_eq!(ok, SESSIONS_PER_EPOCH as usize, "epoch {epoch}");
+        assert_eq!(
+            ok, SESSIONS_PER_EPOCH as usize,
+            "inline {inline}, epoch {epoch}"
+        );
         for (total, n) in exited.iter_mut().zip(summed_usage(usages.iter())) {
             *total += n;
         }
         // Each exit went to the sink, and that was its reap.
-        assert_eq!(kernel.records().count(), 0, "epoch {epoch}");
-        assert_eq!(zombies.get(), 0, "epoch {epoch}");
+        assert_eq!(
+            kernel.records().count(),
+            0,
+            "inline {inline}, epoch {epoch}"
+        );
+        assert_eq!(zombies.get(), 0, "inline {inline}, epoch {epoch}");
+        assert_eq!(kernel.live_threads(), 0, "inline {inline}, epoch {epoch}");
         let counted: Vec<u64> = usage_totals(&kernel).iter().map(|&(_, n)| n).collect();
-        assert_eq!(counted, exited, "epoch {epoch}");
+        assert_eq!(counted, exited, "inline {inline}, epoch {epoch}");
         if epoch + 1 == WARM_UP {
             warm = live_bytes() + ON_WORKERS.load(Ordering::Relaxed);
         }
@@ -470,12 +497,17 @@ fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
     let grown = live_bytes() + ON_WORKERS.load(Ordering::Relaxed) - warm;
     let sessions = ((EPOCHS - WARM_UP) * SESSIONS_PER_EPOCH) as isize;
     let per_session = grown as f64 / sessions as f64;
-    eprintln!("{per_session:.1} B per durable session");
+    eprintln!("{per_session:.1} B per durable session (inline {inline})");
     let allowed = 16.0;
     assert!(
         per_session <= allowed,
-        "{per_session:.1} B per durable session (> {allowed})"
+        "{per_session:.1} B per durable session (inline {inline}; > {allowed})"
     );
+    // Admitted inline, no session touched a pool worker.
+    let handoffs = kernel
+        .metrics_registry()
+        .counter_value("kernel.lip.hosted_handoffs");
+    assert_eq!(handoffs == Some(0), inline, "{handoffs:?}");
     drop(kernel);
     std::fs::remove_file(&wal).ok();
     std::fs::remove_file(&journal).ok();
