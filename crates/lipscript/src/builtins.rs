@@ -635,15 +635,17 @@ pub(crate) fn finish(core: &mut Core, reply: HostResult<HostReply>, span: Span) 
 mod tests {
     use super::*;
     use crate::host::{Host, MockHost};
+    use crate::inline::lift;
     use crate::interp::InterpLimits;
+    use symphony::{ExitStatus, SimTime, SysReply};
 
     /// The table against what `begin` does: every builtin, on every mix of
     /// plausible arguments. The `pure` / `asks` column must say whether it
     /// asked. The argument column must be exact: a concrete type outside a
     /// requirement makes `begin` fail (what a V006 error rests on), and
     /// every type a requirement allows is accepted by some call. And every
-    /// value a call comes to — on the spot, or from a mock host's reply —
-    /// lies within the return column. A builtin that asks the kernel makes
+    /// value a call comes to — on the spot, or from a host's reply — lies
+    /// within the return column. A builtin that asks the kernel makes
     /// the system call named below, or the one its own name says.
     #[test]
     fn the_table_says_which_builtins_ask_the_host() {
@@ -677,16 +679,29 @@ mod tests {
             Value::Nil => Ty::Nil,
         };
         // A host on which a call with these samples can succeed: handle 0
-        // is a file named "f", "f" is a tool, a message waits, thread 0
-        // has finished.
-        let host = || {
-            let mut host = MockHost::new("the args");
-            host.files.push(Some(vec![(1, 0), (2, 1)]));
-            host.names.insert("f".into(), 0);
-            host.tools.insert("f".into(), "done".into());
-            host.inbox.push_back((3, "hi".into()));
-            host.threads.push(true);
-            host
+        // is a file named "f" and "f" is a tool. A thread, a message, a
+        // process and the clock are the kernel's to answer: what it would
+        // reply, passed through `lift` as its replies to a program are.
+        let reply = |call| {
+            let kernel = match call {
+                HostCall::Spawn { .. } => SysReply::NewTid(Tid(1)),
+                HostCall::Sys(Syscall::Join { .. }) => SysReply::Joined(ExitStatus::Ok),
+                HostCall::Sys(Syscall::SendMsg { .. } | Syscall::Sleep { .. }) => SysReply::Unit,
+                HostCall::Sys(Syscall::Recv) => SysReply::Msg {
+                    from: Pid(3),
+                    data: "hi".into(),
+                },
+                HostCall::Sys(Syscall::LookupProcess { .. }) => SysReply::MaybePid(Some(Pid(3))),
+                HostCall::Sys(Syscall::Now) => SysReply::Time(SimTime::from_nanos(2_500_000)),
+                call => {
+                    let mut host = MockHost::new("the args");
+                    host.files.push(Some(vec![(1, 0), (2, 1)]));
+                    host.names.insert("f".into(), 0);
+                    host.tools.insert("f".into(), "done".into());
+                    return host.call(call);
+                }
+            };
+            lift(kernel)
         };
         for &builtin in Builtin::ALL {
             let name = builtin.name();
@@ -734,7 +749,7 @@ mod tests {
                 }
                 let value = match begun {
                     Begun::Done(v) => Some(v),
-                    Begun::Ask(call) => finish(&mut core, host().call(call), Span::default()).ok(),
+                    Begun::Ask(call) => finish(&mut core, reply(call), Span::default()).ok(),
                 };
                 if let Some(t) = value.as_ref().map(ty) {
                     let ret = builtin.ret();

@@ -7,13 +7,20 @@
 //! - **Inside the kernel**, served inline ([`crate::inline`]): a
 //!   [`HostCall::Sys`] is the Symphony system call itself, and the machine
 //!   is parked as a plain value until the kernel has the reply. No OS
-//!   thread.
+//!   thread. The crate's suites run programs here (`tests/harness`).
 //! - **Against a [`Host`]**, driven by a blocking loop
-//!   ([`crate::Interpreter::run`]): the call goes to [`Host::call`].
-//!   [`MockHost`] — no kernel at all — answers the same system calls
-//!   from in-memory tables; a hosted native LIP's [`symphony::Ctx`] goes
-//!   through the same lowering as the inline path, so a program issues the
-//!   same system calls whichever way it runs.
+//!   ([`crate::Interpreter::run`]): the call goes to [`Host::call`]. A
+//!   hosted native LIP's [`symphony::Ctx`] is one, through the same
+//!   lowering as the inline path, so a program issues the same system
+//!   calls whichever way it runs.
+//!
+//! [`MockHost`] is a kernel-free [`Host`] for what still times the
+//! interpreter alone: the benchmark's `lipscript.interp_ns_per_fuel` probe
+//! and `symphony-exp exp_lipscript` (E8). It answers what their programs
+//! ask — args, EOS, random draws, a toy tokenizer, a fake model, a KV
+//! table, output and tools — and nothing that needs a scheduler: a
+//! `spawn`, `join`, `send`, `recv`, `lookup`, `sleep_ms` or `now_ms` is its
+//! error.
 //!
 //! [`HostCall`] is the sandbox boundary: a program can do nothing but the
 //! system calls its builtins build and the few requests its own thread
@@ -26,7 +33,7 @@ use symphony_model::{Dist, DistRef};
 
 use crate::image::Image;
 use crate::inline::{lift, lower};
-use crate::interp::{InterpLimits, Interpreter};
+use crate::interp::InterpLimits;
 use crate::value::Value;
 
 /// Host call result; errors are surfaced to the program as runtime errors.
@@ -86,8 +93,8 @@ impl Host for symphony::Ctx {
     }
 }
 
-/// A kernel-free host for interpreter tests: deterministic fake model, an
-/// in-memory KV table, inline (synchronous) thread execution.
+/// A kernel-free host for the interpreter's timings: deterministic fake
+/// model, an in-memory KV table, tools, no threads, IPC or clock.
 #[derive(Debug, Default)]
 pub struct MockHost {
     /// Program argument string.
@@ -100,12 +107,7 @@ pub struct MockHost {
     pub names: std::collections::BTreeMap<String, u64>,
     /// Registered tools: name → output.
     pub tools: std::collections::BTreeMap<String, String>,
-    /// Pending inbound IPC messages.
-    pub inbox: std::collections::VecDeque<(u64, String)>,
-    /// Results of inline "spawned" threads.
-    pub threads: Vec<bool>,
     rng_state: u64,
-    clock_ms: f64,
 }
 
 impl MockHost {
@@ -176,19 +178,8 @@ impl Host for MockHost {
                 let u = self.rand_f64();
                 return Ok(R::Int(dist.sample_with(u, MOCK_VOCAB_HINT) as i64));
             }
-            HostCall::Spawn {
-                image,
-                func,
-                args,
-                limits,
-            } => {
-                // Inline execution: good enough to test the plumbing.
-                let mut interp = Interpreter::from_image(image, limits);
-                let ok = interp.call_named(self, &func, args).is_ok();
-                self.threads.push(ok);
-                return Ok(R::Thread(self.threads.len() as u64 - 1));
-            }
             HostCall::Sys(call) => call,
+            _ => return Err("mock host: no spawn".to_string()),
         };
         Ok(match call {
             // One token per whitespace-separated word: a stable toy mapping.
@@ -280,31 +271,8 @@ impl Host for MockHost {
                     .ok_or_else(|| "not found".to_string())?;
                 R::Text(out.replace("{args}", &args))
             }
-            Syscall::SendMsg { data, .. } => {
-                // Loopback for tests.
-                self.inbox.push_back((0, data));
-                R::Unit
-            }
-            Syscall::Recv => {
-                let (from, data) = self
-                    .inbox
-                    .pop_front()
-                    .ok_or_else(|| "recv on empty mailbox (mock would deadlock)".to_string())?;
-                R::Msg(from, data)
-            }
-            Syscall::LookupProcess { name } => R::MaybePid((name == "self").then_some(0)),
-            Syscall::Sleep { dur } => {
-                self.clock_ms += dur.as_millis_f64();
-                R::Unit
-            }
-            Syscall::Now => R::Float(self.clock_ms),
-            Syscall::Join { tid } => R::Joined(
-                self.threads
-                    .get(tid.0 as usize)
-                    .copied()
-                    .ok_or_else(|| "not found".to_string())?,
-            ),
-            // No builtin makes the rest.
+            // Threads, IPC and the clock are the kernel's: a program that
+            // needs them is tested where it runs.
             other => return Err(format!("mock host: no {}", other.name())),
         })
     }

@@ -25,7 +25,11 @@
 //! body uses them, and so does a hosted native LIP's `Ctx` when an
 //! interpreter is driven over it (`Interpreter::run(ctx)`; see `impl Host
 //! for symphony::Ctx`): the same program makes the same system calls with
-//! the same arguments whichever way it is run.
+//! the same arguments whichever way it is run. They are public for the
+//! crate's test harness (`tests/harness`), a logging twin of `LipBody` that
+//! the verifier's soundness properties, the reference differential and the
+//! interpreter suite run programs on: LipScript is tested on the kernel,
+//! not on `MockHost`, which only the interpreter's timings still use.
 
 use std::sync::Arc;
 
@@ -167,7 +171,7 @@ pub fn run_lip(
 /// Where a host call goes inside the kernel: nowhere (`Ok`: the thread's
 /// own state answers it), or to the kernel as the system call it is or
 /// stands for (`Err`, in `Interpreter::step_with`'s sense: what to park on).
-pub(crate) fn lower(call: HostCall, env: &mut ThreadEnv) -> Result<HostReply, Syscall> {
+pub fn lower(call: HostCall, env: &mut ThreadEnv) -> Result<HostReply, Syscall> {
     Err(match call {
         HostCall::Args => return Ok(HostReply::Text(env.args())),
         HostCall::Eos => return Ok(HostReply::Int(env.eos() as i64)),
@@ -191,7 +195,7 @@ pub(crate) fn lower(call: HostCall, env: &mut ThreadEnv) -> Result<HostReply, Sy
 
 /// Turns the kernel's reply into the host reply the interpreter resumes
 /// with; a kernel error becomes the program's host error, as text.
-pub(crate) fn lift(reply: SysReply) -> HostResult<HostReply> {
+pub fn lift(reply: SysReply) -> HostResult<HostReply> {
     Ok(match reply {
         SysReply::Unit => HostReply::Unit,
         SysReply::Handle(f) => HostReply::Handle(f.0),

@@ -9,9 +9,10 @@
 //! mid-flight is therefore a plain value — which is what lets the kernel
 //! hold a served session as state and step it on its own thread
 //! ([`crate::inline`]) instead of parking an OS thread per session.
-//! [`Interpreter::run`] and [`Interpreter::call_named`] are the blocking
-//! driver loop over the same machine for anything that implements
-//! [`Host`].
+//! [`Interpreter::run`] is the blocking driver loop over the same machine
+//! for anything that implements [`Host`]: a hosted native LIP's `Ctx`, and
+//! the `MockHost` the interpreter's timings run on. Everything else about
+//! the language is tested on the kernel, where programs run.
 //!
 //! What one operation *means* — metering, arithmetic, indexing, call
 //! binding — lives in `Core` and [`crate::builtins`] and is shared with the
@@ -73,10 +74,9 @@ use std::sync::Arc;
 
 use crate::ast::{BinOp, Program, UnOp};
 use crate::builtins::{self, Begun, MAX_ARITY};
-use crate::error::{LipError, RuntimeError, RuntimeErrorKind, Span};
+use crate::error::{RuntimeError, RuntimeErrorKind, Span};
 use crate::host::{Host, HostCall, HostReply, HostResult};
 use crate::image::{Callee, Entry, Image, Node, Run, Target};
-use crate::parse::parse;
 use crate::value::Value;
 
 /// Resource limits for one program (§6: "resource accounting").
@@ -513,27 +513,11 @@ impl Interpreter {
         self.core.mem_used()
     }
 
-    /// Runs the program's top-level statements. Returns the value of a
+    /// Runs the program's top-level statements, blocking in `host` for
+    /// every host call: the machine never parks. Returns the value of a
     /// top-level `return`, or [`Value::Nil`].
     pub fn run(&mut self, host: &mut dyn Host) -> Result<Value, RuntimeError> {
         self.start();
-        self.drive(host)
-    }
-
-    /// Calls a named top-level function with arguments (thread entry point).
-    pub fn call_named(
-        &mut self,
-        host: &mut dyn Host,
-        name: &str,
-        args: Vec<Value>,
-    ) -> Result<Value, RuntimeError> {
-        self.start_named(name, args)?;
-        self.drive(host)
-    }
-
-    /// The blocking driver: every host call is answered on the spot, so
-    /// the machine never parks.
-    fn drive(&mut self, host: &mut dyn Host) -> Result<Value, RuntimeError> {
         let mut answer = |call| Ok::<_, std::convert::Infallible>(host.call(call));
         match self.step_with(None, &mut answer) {
             Step::Done(result) => result,
@@ -1198,15 +1182,4 @@ fn act(
     values.truncate(top);
     values.push(value);
     Ok(Acted::Finished)
-}
-
-/// Parses and runs a LipScript program against an arbitrary host.
-pub fn run_with_host(
-    src: &str,
-    host: &mut dyn Host,
-    limits: InterpLimits,
-) -> Result<Value, LipError> {
-    let program = Arc::new(parse(src)?);
-    let mut interp = Interpreter::new(program, limits);
-    interp.run(host).map_err(LipError::from)
 }

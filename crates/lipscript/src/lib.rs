@@ -91,7 +91,7 @@ pub use error::{LipError, RuntimeError};
 pub use host::{Host, HostCall, HostReply};
 pub use image::Image;
 pub use inline::{rebuild, run_lip, LipBody};
-pub use interp::{run_with_host, InterpLimits, Interpreter, Step};
+pub use interp::{InterpLimits, Interpreter, Step};
 pub use value::Value;
 pub use verify::{
     verify, verify_image, verify_source, Bound, Diag, EffectSummary, Severity, VerifyReport,

@@ -12,9 +12,12 @@
 //! which is the specification of scoping: the machine runs an
 //! [`Image`](crate::image::Image) whose every variable was resolved to a
 //! slot ahead of time, and has to come out the same. The differential suite
-//! below runs both on the same programs and demands the same result or
-//! error (kind *and* span), the same fuel and memory used, the same output
-//! and the same host calls in the same order.
+//! below runs the machine where programs run, inline on a test kernel
+//! (`tests/harness`), and this evaluator against that run's transcript: it
+//! must make the machine's host calls in the same order, gets the
+//! machine's replies, and must come to the same result or error (kind
+//! *and* span) with the same fuel and memory used. So does the machine
+//! under its blocking driver.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -27,11 +30,14 @@ use crate::image::Image;
 use crate::interp::{undefined, Core, Fallible, Flow, InterpLimits};
 use crate::value::Value;
 
-/// The random-program generator `tests/prop_verify.rs` uses, included by
-/// path: an integration test cannot reach this `#[cfg(test)]` module, so
-/// the differential suite lives here and borrows the generator instead.
+/// The random-program generator `tests/prop_verify.rs` uses, and the
+/// harness that runs a program on a test kernel, included by path: an
+/// integration test cannot reach this `#[cfg(test)]` module, so the
+/// differential suite lives here and borrows them instead.
 #[path = "../tests/arb/mod.rs"]
 mod arb;
+#[path = "../tests/harness/mod.rs"]
+mod harness;
 
 /// Lexical environment: a stack of scopes.
 struct Env {
@@ -98,8 +104,6 @@ pub(crate) struct Reference {
     /// inside it.
     image: Arc<Image>,
     core: Core,
-    /// Every host call made, in order, as `Debug` text.
-    pub(crate) calls: Vec<String>,
 }
 
 impl Reference {
@@ -108,7 +112,6 @@ impl Reference {
             image: Image::shared(&program),
             core: Core::new(limits),
             program,
-            calls: Vec::new(),
         }
     }
 
@@ -300,9 +303,7 @@ impl Reference {
                 match builtins::begin(&mut self.core, &self.image, builtin, &vals, expr.span)? {
                     Begun::Done(v) => Ok(v),
                     Begun::Ask(call) => {
-                        self.calls.push(format!("{call:?}"));
-                        let reply = host.call(call);
-                        builtins::finish(&mut self.core, reply, expr.span)
+                        builtins::finish(&mut self.core, host.call(call), expr.span)
                     }
                 }
             }
@@ -312,25 +313,27 @@ impl Reference {
 
 #[cfg(test)]
 mod tests {
+    use std::convert::Infallible;
+
     use proptest::prelude::*;
 
     use super::*;
-    use crate::host::MockHost;
+    use crate::host::{HostCall, HostReply, HostResult};
     use crate::interp::{Interpreter, Step};
     use crate::parse::parse;
     use crate::printer::print_program;
 
-    /// Everything observable about one run.
+    /// Everything observable about one run, but its output: a transcript
+    /// host prints nothing, and what the machine printed is in the calls.
     #[derive(Debug, PartialEq)]
     struct Outcome {
         /// The value, or the error's kind and span (`Debug` text, so a NaN
-        /// equals itself).
+        /// equals itself); `Parked` for a run that waits for good at its
+        /// last call.
         result: String,
         fuel: u64,
         mem: u64,
-        /// The host afterwards: output, files, names, mailbox, threads,
-        /// RNG and clock.
-        host: String,
+        /// The host calls made, in order (`Debug` text).
         calls: Vec<String>,
     }
 
@@ -341,108 +344,144 @@ mod tests {
         Named(&'static str, Vec<Value>),
     }
 
-    fn mock() -> MockHost {
-        let mut host = MockHost::new("the args");
-        host.tools.insert("echo".into(), "echoed {args}".into());
-        host.inbox.push_back((7, "hello".into()));
-        host
+    /// A host that answers from a kernel run's transcript: it takes the
+    /// machine's calls, in the machine's order, and gives each the reply
+    /// the machine got. Any other call is refused. It has no semantics of
+    /// its own to get wrong.
+    struct Transcript<'a> {
+        exchanges: &'a [harness::Exchange],
+        asked: Vec<String>,
+        /// Whether it was asked the call the machine is parked on.
+        parked: bool,
     }
 
-    fn by_reference(program: &Arc<Program>, limits: InterpLimits, entry: Entry) -> Outcome {
-        let mut host = mock();
+    impl<'a> Transcript<'a> {
+        fn new(run: &'a harness::Run) -> Self {
+            Transcript {
+                exchanges: &run.transcript,
+                asked: Vec::new(),
+                parked: false,
+            }
+        }
+
+        /// What a run against this host came to.
+        fn outcome(self, result: String, fuel: u64, mem: u64) -> Outcome {
+            Outcome {
+                result: if self.parked { "Parked".into() } else { result },
+                fuel,
+                mem,
+                calls: self.asked,
+            }
+        }
+    }
+
+    impl Host for Transcript<'_> {
+        fn call(&mut self, call: HostCall) -> HostResult<HostReply> {
+            let made = format!("{call:?}");
+            let reply = match self.exchanges.get(self.asked.len()) {
+                Some((call, Some(reply))) if *call == made => reply.clone(),
+                Some((call, None)) if *call == made => {
+                    self.parked = true;
+                    Err("the machine is parked here".into())
+                }
+                _ => Err("not the machine's next call".into()),
+            };
+            self.asked.push(made);
+            reply
+        }
+    }
+
+    /// The machine as a served program runs: inline on a test kernel,
+    /// parked on every system call. With the run itself, for its
+    /// transcript and output.
+    fn by_machine(
+        program: &Arc<Program>,
+        limits: InterpLimits,
+        entry: Entry,
+    ) -> (Outcome, harness::Run) {
+        let entry = match entry {
+            Entry::Top => None,
+            Entry::Named(name, args) => Some((name, args)),
+        };
+        let run = harness::run(Arc::clone(program), "the args", limits, entry);
+        let outcome = Outcome {
+            result: run
+                .result
+                .as_ref()
+                .map_or_else(|| "Parked".into(), |result| format!("{result:?}")),
+            fuel: run.fuel,
+            mem: run.mem,
+            calls: run
+                .transcript
+                .iter()
+                .map(|(call, _)| call.clone())
+                .collect(),
+        };
+        (outcome, run)
+    }
+
+    /// The reference evaluator against the machine's transcript.
+    fn by_reference(
+        program: &Arc<Program>,
+        limits: InterpLimits,
+        entry: Entry,
+        run: &harness::Run,
+    ) -> Outcome {
+        let mut host = Transcript::new(run);
         let mut eval = Reference::new(Arc::clone(program), limits);
         let result = match entry {
             Entry::Top => eval.run(&mut host),
             Entry::Named(name, args) => eval.call_named(&mut host, name, args),
         };
-        Outcome {
-            result: format!("{result:?}"),
-            fuel: eval.fuel_used(),
-            mem: eval.mem_used(),
-            host: format!("{host:?}"),
-            calls: eval.calls,
-        }
+        host.outcome(format!("{result:?}"), eval.fuel_used(), eval.mem_used())
     }
 
-    /// The machine, parked on *every* host call and resumed with the reply:
-    /// each call leaves its activation records, slots and operands behind
-    /// as a value and picks them up again, which the blocking driver never
-    /// does.
-    fn by_machine(program: &Arc<Program>, limits: InterpLimits, entry: Entry) -> Outcome {
-        let mut host = mock();
-        let mut machine = Interpreter::new(Arc::clone(program), limits);
-        let mut calls = Vec::new();
-        let started = match entry {
-            Entry::Top => {
-                machine.start();
-                Ok(())
-            }
-            Entry::Named(name, args) => machine.start_named(name, args),
-        };
-        let result = started.and_then(|()| {
-            let mut reply = None;
-            loop {
-                match machine.step(reply.take()) {
-                    Step::Done(result) => break result,
-                    Step::Ask(call) => {
-                        calls.push(format!("{call:?}"));
-                        reply = Some(host.call(call));
-                    }
-                }
-            }
-        });
-        Outcome {
-            result: format!("{result:?}"),
-            fuel: machine.fuel_used(),
-            mem: machine.mem_used(),
-            host: format!("{host:?}"),
-            calls,
-        }
-    }
-
-    /// The machine under its blocking driver, which answers host calls
-    /// without parking. It cannot log them; the host's state stands in.
-    fn by_driver(program: &Arc<Program>, limits: InterpLimits, entry: Entry) -> Outcome {
-        let mut host = mock();
+    /// The machine under its blocking driver, which answers every host call
+    /// inside the loop and never parks, against the same transcript.
+    fn by_driver(
+        program: &Arc<Program>,
+        limits: InterpLimits,
+        entry: Entry,
+        run: &harness::Run,
+    ) -> Outcome {
+        let mut host = Transcript::new(run);
         let mut machine = Interpreter::new(Arc::clone(program), limits);
         let result = match entry {
             Entry::Top => machine.run(&mut host),
-            Entry::Named(name, args) => machine.call_named(&mut host, name, args),
+            Entry::Named(name, args) => machine.start_named(name, args).and_then(|()| {
+                let mut answer = |call| Ok::<_, Infallible>(host.call(call));
+                match machine.step_with(None, &mut answer) {
+                    Step::Done(result) => result,
+                    Step::Ask(never) => match never {},
+                }
+            }),
         };
-        Outcome {
-            result: format!("{result:?}"),
-            fuel: machine.fuel_used(),
-            mem: machine.mem_used(),
-            host: format!("{host:?}"),
-            calls: Vec::new(),
-        }
+        host.outcome(
+            format!("{result:?}"),
+            machine.fuel_used(),
+            machine.mem_used(),
+        )
     }
 
-    /// Both evaluators agree on `program` under `limits`; returns what they
-    /// agreed on.
-    fn agree(program: &Arc<Program>, limits: InterpLimits, entry: Entry) -> Outcome {
-        let want = by_reference(program, limits, entry.clone());
-        let got = by_machine(program, limits, entry.clone());
-        assert_eq!(
-            got, want,
-            "machine (parking) vs reference, limits {limits:?}"
-        );
-        let mut driven = by_driver(program, limits, entry);
-        driven.calls.clone_from(&want.calls);
-        assert_eq!(
-            driven, want,
-            "machine (driven) vs reference, limits {limits:?}"
-        );
-        want
+    /// The reference and the driven machine agree with the machine on the
+    /// kernel, on `program` under `limits`; returns what they agreed on,
+    /// and what the program printed.
+    fn agree(program: &Arc<Program>, limits: InterpLimits, entry: Entry) -> (Outcome, String) {
+        let (want, run) = by_machine(program, limits, entry.clone());
+        let got = by_reference(program, limits, entry.clone(), &run);
+        assert_eq!(got, want, "reference vs machine, limits {limits:?}");
+        let driven = by_driver(program, limits, entry, &run);
+        assert_eq!(driven, want, "driven vs parked machine, limits {limits:?}");
+        (want, run.output)
     }
 
     /// Agreement under the default limits, and with each limit cut to every
     /// value on a grid below what the program needs: fuel, memory and depth
     /// each get to trip at many different points of the run.
-    fn agree_under_all_limits(src: &str, entry: Entry) -> Outcome {
+    fn agree_under_all_limits(src: &str, entry: Entry) -> (Outcome, String) {
         let program = Arc::new(parse(src).expect("test programs parse"));
         let roomy = InterpLimits::default();
-        let free = agree(&program, roomy, entry.clone());
+        let (free, output) = agree(&program, roomy, entry.clone());
         let grid = |used: u64| {
             let step = (used / 97).max(1);
             (0..=used).step_by(step as usize)
@@ -460,12 +499,12 @@ mod tests {
         for max_depth in [0, 1, 2, 3, 7] {
             agree(&program, InterpLimits { max_depth, ..roomy }, entry.clone());
         }
-        free
+        (free, output)
     }
 
     #[test]
     fn every_statement_kind() {
-        let out = agree_under_all_limits(
+        let (out, _) = agree_under_all_limits(
             r#"
             fn classify(n) {
                 if (n % 15 == 0) { return "fizzbuzz"; }
@@ -499,7 +538,7 @@ mod tests {
 
     #[test]
     fn short_circuits_skip_the_right_operand() {
-        let out = agree_under_all_limits(
+        let (_, output) = agree_under_all_limits(
             r#"
             fn loud(v) { emit("[" + str(v) + "]"); return v; }
             let a = loud(0) && loud(1);
@@ -511,11 +550,7 @@ mod tests {
             "#,
             Entry::Top,
         );
-        assert!(
-            out.host.contains("[0][2][0][0][4][5][0][0]"),
-            "{}",
-            out.host
-        );
+        assert_eq!(output, "[0][2][0][0][4][5][0][0]");
     }
 
     #[test]
@@ -527,7 +562,7 @@ mod tests {
         "#;
         for depth in [5, 62, 63, 64, 200] {
             let src = src.replace("args_depth()", &depth.to_string());
-            let out = agree_under_all_limits(&src, Entry::Top);
+            let (out, _) = agree_under_all_limits(&src, Entry::Top);
             // `wide` is one level, `down(n)` n + 1 more.
             assert_eq!(out.result.starts_with("Ok("), depth + 2 <= 64, "{depth}");
         }
@@ -569,7 +604,7 @@ mod tests {
 
     #[test]
     fn every_host_call_and_where_it_can_sit() {
-        let out = agree_under_all_limits(
+        let (out, _) = agree_under_all_limits(
             r#"
             fn worker(tag, n) { emit(tag + str(n)); return n; }
             let kv = kv_create();
@@ -592,6 +627,7 @@ mod tests {
             kv_unlink("all.kv");
             kv_remove(part);
             let answer = call_tool("echo", "ping " + str(kv_len(all)));
+            send(lookup("self"), "hello");
             send(lookup("self"), answer);
             let first = recv();
             let second = recv()[1];
@@ -611,12 +647,20 @@ mod tests {
         for src in [
             "let kv = kv_create(); kv_remove(kv); return [1, kv_len(kv)][1];",
             "return call_tool(\"nope\", \"\") + \"x\";",
-            "recv(); recv(); return 1;",
             "let xs = [kv_open(\"missing\")]; return xs;",
             "fn f() { let kv = kv_create(); kv_remove(kv); return kv_fork(kv); } return f() || 1;",
         ] {
-            let out = agree_under_all_limits(src, Entry::Top);
+            let (out, _) = agree_under_all_limits(src, Entry::Top);
             assert!(out.result.contains("Host("), "{}", out.result);
+        }
+        // A `recv` nobody answers parks the program for good, whatever it
+        // sits in.
+        for src in [
+            "recv(); return 1;",
+            "fn f(n) { return [n, recv()]; } return len(f(1)) + 1;",
+        ] {
+            let (out, _) = agree_under_all_limits(src, Entry::Top);
+            assert_eq!(out.result, "Parked");
         }
     }
 
@@ -643,7 +687,7 @@ mod tests {
             "return spawn(\"nope\", []);",
             "return range(0, 4000000);",
         ] {
-            let out = agree_under_all_limits(src, Entry::Top);
+            let (out, _) = agree_under_all_limits(src, Entry::Top);
             assert!(out.result.starts_with("Err("), "{src}: {}", out.result);
         }
     }
@@ -653,7 +697,7 @@ mod tests {
     #[test]
     fn variables_resolve_as_the_environment_would_find_them() {
         let ok = |src: &str, want: &str| {
-            let out = agree_under_all_limits(src, Entry::Top);
+            let (out, _) = agree_under_all_limits(src, Entry::Top);
             assert_eq!(out.result, want, "{src}");
         };
         // Shadowing in nested blocks, and the outer binding back in sight
@@ -762,7 +806,7 @@ mod tests {
                 "ys",
             ),
         ] {
-            let out = agree_under_all_limits(src, Entry::Top);
+            let (out, _) = agree_under_all_limits(src, Entry::Top);
             let undefined = format!("Undefined(\"{name}\")");
             assert!(out.result.contains(&undefined), "{src}: {}", out.result);
         }
@@ -778,7 +822,8 @@ mod tests {
             return [fact(DEPTH) > 0, fib(7)];
         "#;
         for depth in [1, 5, 63, 64, 65] {
-            let out = agree_under_all_limits(&src.replace("DEPTH", &depth.to_string()), Entry::Top);
+            let (out, _) =
+                agree_under_all_limits(&src.replace("DEPTH", &depth.to_string()), Entry::Top);
             assert_eq!(
                 out.result.starts_with("Ok("),
                 depth <= 64,
@@ -798,7 +843,7 @@ mod tests {
                 "let y = [1, nope];",
             ] {
                 let src = format!("let x = 1;\nif ({flag}) {{ {stmt} }}\nreturn x;");
-                let out = agree_under_all_limits(&src, Entry::Top);
+                let (out, _) = agree_under_all_limits(&src, Entry::Top);
                 assert!(out.result.contains(want), "{src}: {}", out.result);
             }
         }
@@ -810,7 +855,7 @@ mod tests {
             "return later;\nlet later = 1;",
             "while (true) { if (true) { let deep = 1; } return deep; }",
         ] {
-            let out = agree_under_all_limits(src, Entry::Top);
+            let (out, _) = agree_under_all_limits(src, Entry::Top);
             assert!(out.result.contains("Undefined("), "{src}: {}", out.result);
         }
     }
@@ -824,7 +869,7 @@ mod tests {
             emit("top level never runs");
         "#;
         let two = vec![Value::Int(2), Value::Int(3)];
-        let out = agree_under_all_limits(src, Entry::Named("add", two));
+        let (out, _) = agree_under_all_limits(src, Entry::Named("add", two));
         assert_eq!(out.result, "Ok(Int(5))");
         agree_under_all_limits(src, Entry::Named("add", vec![Value::Int(1)]));
         agree_under_all_limits(src, Entry::Named("missing", vec![]));
@@ -834,7 +879,7 @@ mod tests {
             fuel: 10_000,
             ..Default::default()
         };
-        let out = agree(&program, limits, Entry::Named("spin", vec![]));
+        let (out, _) = agree(&program, limits, Entry::Named("spin", vec![]));
         assert!(out.result.contains("OutOfFuel"), "{}", out.result);
     }
 
@@ -862,7 +907,7 @@ mod tests {
                 memory_cells: 100_000,
                 ..Default::default()
             };
-            let free = agree(&program, roomy, Entry::Top);
+            let (free, _) = agree(&program, roomy, Entry::Top);
             let fuel = free.fuel * cut.0 / 1000;
             agree(&program, InterpLimits { fuel, ..roomy }, Entry::Top);
             let memory_cells = free.mem * cut.1 / 1000;

@@ -1,11 +1,19 @@
 //! Interpreter semantics, sandboxing, and kernel integration tests.
 
 use symphony_lipscript::host::MockHost;
-use symphony_lipscript::{run_with_host, InterpLimits, LipError, RuntimeError, Value};
+use symphony_lipscript::{parse::parse, InterpLimits, Interpreter, LipError, RuntimeError, Value};
+
+mod harness;
+
+/// Parses `src` and runs it on `host` under `limits`.
+fn run_on(src: &str, host: &mut MockHost, limits: InterpLimits) -> Result<Value, LipError> {
+    let program = std::sync::Arc::new(parse(src)?);
+    Ok(Interpreter::new(program, limits).run(host)?)
+}
 
 fn run(src: &str) -> Result<(Value, MockHost), LipError> {
     let mut host = MockHost::new("the args");
-    let v = run_with_host(src, &mut host, InterpLimits::default())?;
+    let v = run_on(src, &mut host, InterpLimits::default())?;
     Ok((v, host))
 }
 
@@ -150,7 +158,7 @@ fn fuel_exhaustion_stops_infinite_loops() {
         fuel: 10_000,
         ..Default::default()
     };
-    let err = run_with_host("while (true) { let x = 1; }", &mut host, limits).unwrap_err();
+    let err = run_on("while (true) { let x = 1; }", &mut host, limits).unwrap_err();
     assert!(err.to_string().contains("out of fuel"), "{err}");
 }
 
@@ -161,7 +169,7 @@ fn memory_exhaustion_stops_allocation_bombs() {
         memory_cells: 10_000,
         ..Default::default()
     };
-    let err = run_with_host(
+    let err = run_on(
         "let xs = [0]; while (true) { xs = xs + xs; }",
         &mut host,
         limits,
@@ -177,7 +185,7 @@ fn depth_limit_stops_runaway_recursion() {
         max_depth: 16,
         ..Default::default()
     };
-    let err = run_with_host(
+    let err = run_on(
         "fn f(n) { return f(n + 1); } return f(0);",
         &mut host,
         limits,
@@ -193,7 +201,7 @@ fn host_args_emit_and_tools() {
 
     let mut host = MockHost::new("");
     host.tools.insert("weather".into(), "sunny in {args}".into());
-    let v = run_with_host(
+    let v = run_on(
         r#"return call_tool("weather", "banff");"#,
         &mut host,
         InterpLimits::default(),
@@ -202,7 +210,7 @@ fn host_args_emit_and_tools() {
     assert_eq!(v, Value::Str("sunny in banff".into()));
 
     // Unknown tool is a runtime error, not a crash.
-    let err = run_with_host(
+    let err = run_on(
         r#"call_tool("nope", "");"#,
         &mut host,
         InterpLimits::default(),
@@ -293,31 +301,32 @@ fn spawn_and_join_inline() {
         let t2 = spawn("worker", [2]);
         return [join(t1), join(t2)];
     "#;
-    let (v, host) = run(src).unwrap();
+    let ran = harness::run_src(src);
+    let v = ran.result.expect("it ends").unwrap();
     assert_eq!(v, Value::List(vec![Value::Bool(true), Value::Bool(true)]));
-    assert_eq!(host.emitted, "w1w2");
+    assert_eq!(ran.output, "w1w2");
     // Spawning an unknown function is an error.
-    let e = runtime_err(r#"spawn("nope", []);"#);
+    let ran = harness::run_src(r#"spawn("nope", []);"#);
+    let e = ran.result.expect("it ends").unwrap_err();
     assert!(e.to_string().contains("undefined"));
 }
 
 #[test]
 fn sleep_and_now() {
-    let (v, _) = run("sleep_ms(250); return now_ms();").unwrap();
-    assert_eq!(v, Value::Float(250.0));
+    let ran = harness::run_src("sleep_ms(250); return now_ms();");
+    assert_eq!(ran.result.expect("it ends").unwrap(), Value::Float(250.0));
 }
 
-/// Runs `src` as a process on a test kernel: its exit status and output.
+/// Runs `src` as a process on a test kernel, admitted as the inline body a
+/// served program is: its exit status and output.
 fn on_kernel(src: &str) -> (symphony::ExitStatus, String) {
-    use symphony::{Kernel, KernelConfig};
+    use symphony::{Body, Kernel, KernelConfig, SpawnOpts};
+    use symphony_lipscript::LipBody;
 
-    let src = src.to_string();
+    let body = LipBody::parse(src, InterpLimits::default()).expect("parses");
     let mut kernel = Kernel::new(KernelConfig::for_tests());
-    let pid = kernel.spawn_process("lipscript", "", move |ctx| {
-        symphony_lipscript::run_lip(&src, ctx, InterpLimits::default())
-            .map(drop)
-            .map_err(|e| symphony::SysError::ToolFailed(e.to_string()))
-    });
+    let opts = SpawnOpts::default();
+    let pid = kernel.admit("lipscript", "", opts, Body::Inline(Box::new(body)));
     kernel.run();
     let rec = kernel.record(pid).unwrap();
     (rec.status.clone(), rec.output.clone())
@@ -348,15 +357,17 @@ fn a_file_ending_at_u32_max_has_no_next_position() {
     };
     const BAD_RANGE: &str = "kv: index or range out of bounds";
     let last = next_after(u32::MAX);
-    let e = runtime_err(&last);
+    let ran = harness::run_src(&last);
+    let e = ran.result.expect("it ends").unwrap_err();
     assert!(e.to_string().contains(BAD_RANGE), "{e}");
     let (status, output) = on_kernel(&last);
     let status = format!("{status:?}");
     assert!(status.contains(BAD_RANGE), "{status}");
     assert_eq!(output, "");
     let below = next_after(u32::MAX - 1);
-    let (_, host) = run(&below).unwrap();
-    assert_eq!(host.emitted, "4294967295");
+    let ran = harness::run_src(&below);
+    assert!(matches!(ran.result, Some(Ok(_))), "{ran:?}");
+    assert_eq!(ran.output, "4294967295");
     let (status, output) = on_kernel(&below);
     assert!(status.is_ok(), "{status:?}");
     assert_eq!(output, "4294967295");
@@ -366,10 +377,11 @@ fn a_file_ending_at_u32_max_has_no_next_position() {
 fn a_sleep_past_the_end_of_time_saturates() {
     // 18446744073710 ms is past u64 nanoseconds; it used to wrap to 0.448 ms.
     let src = "sleep_ms(18446744073710); emit(str(now_ms()));";
-    let (_, host) = run(src).unwrap();
+    let ran = harness::run_src(src);
+    assert!(matches!(ran.result, Some(Ok(_))), "{ran:?}");
     let (status, output) = on_kernel(src);
     assert!(status.is_ok(), "{status:?}");
-    for now_ms in [host.emitted, output] {
+    for now_ms in [ran.output, output] {
         let now_ms: f64 = now_ms.parse().unwrap();
         assert!(now_ms > 1.8e13, "{now_ms}");
     }

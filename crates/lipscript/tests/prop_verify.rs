@@ -4,17 +4,19 @@
 //! The admission door rejects a program only on `Severity::Error`
 //! diagnostics, so the contract that matters is: **any program the
 //! interpreter runs to completion under default limits is admissible**.
-//! Warnings are allowed (they don't shed), errors are not.
+//! Warnings are allowed (they don't shed), errors are not. Both properties
+//! run the program where a served one runs: inline on a kernel
+//! (`harness`).
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use symphony_lipscript::host::MockHost;
 use symphony_lipscript::printer::print_program;
 use symphony_lipscript::verify::{verify, verify_source};
-use symphony_lipscript::{run_with_host, InterpLimits, Interpreter};
+use symphony_lipscript::InterpLimits;
 
 mod arb;
+mod harness;
 use arb::arb_program;
 
 /// Every report the verifier gives — codes, spans, messages, bounds,
@@ -64,14 +66,13 @@ proptest! {
         // Round-trip through the printer so the verifier sees exactly what
         // a submitted source string would parse to (with real spans).
         let src = print_program(&p);
-        let mut host = MockHost::new("prop test");
-        let ran = run_with_host(&src, &mut host, InterpLimits::default());
-        if ran.is_ok() {
-            let report = match symphony_lipscript::parse::parse(&src) {
-                Ok(prog) => verify(&prog),
-                Err(e) => return Err(TestCaseError::fail(format!("reparse failed: {e}\n{src}"))),
-            };
-            if let Some(err) = report.first_error() {
+        let program = match symphony_lipscript::parse::parse(&src) {
+            Ok(prog) => Arc::new(prog),
+            Err(e) => return Err(TestCaseError::fail(format!("reparse failed: {e}\n{src}"))),
+        };
+        let ran = harness::run(Arc::clone(&program), "prop test", InterpLimits::default(), None);
+        if matches!(ran.result, Some(Ok(_))) {
+            if let Some(err) = verify(&program).first_error() {
                 return Err(TestCaseError::fail(format!(
                     "interpreter succeeded but verifier rejected:\n  {}\nprogram:\n{src}",
                     err.render("<prop>"),
@@ -92,12 +93,12 @@ proptest! {
         let Some(bound) = verify(&program).effects.fuel_bound.finite() else {
             return Ok(());
         };
-        let mut interp = Interpreter::new(program, InterpLimits::default());
-        if interp.run(&mut MockHost::new("prop test")).is_ok() {
+        let ran = harness::run(program, "prop test", InterpLimits::default(), None);
+        if matches!(ran.result, Some(Ok(_))) {
             prop_assert!(
-                interp.fuel_used() <= bound,
+                ran.fuel <= bound,
                 "used {} fuel against a bound of {bound}:\n{src}",
-                interp.fuel_used()
+                ran.fuel
             );
         }
     }

@@ -2,11 +2,11 @@
 //! diagnostic code, the severity policy, and the cost algebra.
 
 use symphony_lipscript::ast::Program;
-use symphony_lipscript::host::MockHost;
 use symphony_lipscript::verify::{
     verify, verify_source, Bound, DiagCode, Severity, VerifyReport,
 };
-use symphony_lipscript::{run_with_host, InterpLimits};
+
+mod harness;
 
 fn vet(src: &str) -> VerifyReport {
     verify_source(src).unwrap_or_else(|e| panic!("parse failed: {e}\n{src}"))
@@ -275,8 +275,8 @@ fn kv_remove_that_a_short_circuit_skips_does_not_poison_after() {
         "let kv = kv_create(); let b = true || kv_remove(kv); emit(str(kv_len(kv)));",
         "let kv = kv_create(); let b = false && kv_remove(kv); let f = kv_fork(kv);",
     ] {
-        let ran = run_with_host(src, &mut MockHost::new(""), InterpLimits::default());
-        assert!(ran.is_ok(), "{src}: {ran:?}");
+        let ran = harness::run_src(src);
+        assert!(matches!(ran.result, Some(Ok(_))), "{src}: {ran:?}");
         let r = vet(src);
         assert!(r.diags.is_empty(), "{src}: {:?}", r.diags);
     }
