@@ -12,6 +12,13 @@
 //! tail). The pool enforces per-tier capacity; allocation failure is an
 //! explicit error so callers can run eviction policies — the central
 //! mechanism/policy split the paper argues for.
+//!
+//! Every page's entries live in one arena the pool owns, as a paged KV
+//! cache's block table indexes one pool of blocks: slot *i*'s row is the
+//! `page_tokens` entries from `i * page_tokens`, and a page records only
+//! how much of its row is in use. The arena grows with the slot table and
+//! never shrinks, so once it has grown, allocating, filling, copying and
+//! freeing a page touch no heap.
 
 use std::collections::BTreeSet;
 
@@ -64,10 +71,10 @@ pub enum Tier {
     Disk,
 }
 
-/// A page slot.
+/// A page slot. Its entries are the first `len` of its arena row.
 #[derive(Debug, Clone)]
 pub(crate) struct Page {
-    pub entries: Vec<KvEntry>,
+    pub len: u32,
     pub refcount: u32,
     pub tier: Tier,
     /// Lower tier still holding a byte-identical copy of this GPU-resident
@@ -89,6 +96,9 @@ pub(crate) enum Migrated {
 #[derive(Debug)]
 pub(crate) struct PagePool {
     slots: Vec<Option<Page>>,
+    /// Every slot's row of `page_tokens` entries, in slot order: always
+    /// `slots.len() * page_tokens` long.
+    arena: Vec<KvEntry>,
     free: Vec<u32>,
     page_tokens: usize,
     gpu_capacity: usize,
@@ -120,6 +130,7 @@ impl PagePool {
         assert!(page_tokens > 0, "page size must be positive");
         PagePool {
             slots: Vec::new(),
+            arena: Vec::new(),
             free: Vec::new(),
             page_tokens,
             gpu_capacity,
@@ -158,8 +169,9 @@ impl PagePool {
     }
 
     /// Marks a page dirty for the next delta drain (no-op while disabled).
-    /// Content mutations go through [`PagePool::entries_mut`], which calls
-    /// this.
+    /// Content mutations go through [`PagePool::append_row`],
+    /// [`PagePool::truncate_row`] and [`PagePool::copy_entries_into`],
+    /// which call this.
     fn mark_dirty(&mut self, id: PageId) {
         if let Some(d) = self.dirty.as_mut() {
             d.insert(id.0);
@@ -184,6 +196,15 @@ impl PagePool {
 
     pub(crate) fn gpu_capacity(&self) -> usize {
         self.gpu_capacity
+    }
+
+    /// Pages all three tiers can hold. `alloc` adds a slot only when every
+    /// slot is live, and every live page counts against a tier, so no
+    /// pool this size has more slots than this.
+    pub(crate) fn capacity(&self) -> usize {
+        self.gpu_capacity
+            .saturating_add(self.cpu_capacity)
+            .saturating_add(self.disk_capacity)
     }
 
     fn tier_full(&self, tier: Tier) -> Option<KvError> {
@@ -258,32 +279,67 @@ impl PagePool {
         }
     }
 
-    /// Mutable access to a page's entries. The lower-tier copy no longer
-    /// matches after the edit, so the backing copy is dropped and the page
-    /// is marked for the next delta drain.
-    pub(crate) fn entries_mut(&mut self, id: PageId) -> &mut Vec<KvEntry> {
+    /// Where a page's row starts in the arena.
+    fn row(&self, id: PageId) -> usize {
+        id.0 as usize * self.page_tokens
+    }
+
+    /// Grows the slot table, and the arena with it, to `slots` slots. A
+    /// new row is zeroed; a freed one keeps its last page's entries, and
+    /// only a page's `len` says what is live.
+    fn grow_to(&mut self, slots: usize) {
+        if slots > self.slots.len() {
+            self.slots.resize_with(slots, || None);
+            let zero = KvEntry::new(0, 0, CtxFingerprint(0));
+            self.arena.resize(slots * self.page_tokens, zero);
+        }
+    }
+
+    /// A page's entries.
+    pub(crate) fn entries(&self, id: PageId) -> &[KvEntry] {
+        let start = self.row(id);
+        &self.arena[start..start + self.page(id).len as usize]
+    }
+
+    /// Appends `new` to a page's entries; they must fit in its row. The
+    /// lower-tier copy no longer matches after the edit, so the backing
+    /// copy is dropped and the page is marked for the next delta drain.
+    pub(crate) fn append_row(&mut self, id: PageId, new: &[KvEntry]) {
         self.unback(id);
         self.mark_dirty(id);
-        &mut self.page_mut(id).entries
+        let start = self.row(id);
+        let len = self.page(id).len as usize;
+        self.arena[start..start + self.page_tokens][len..len + new.len()].copy_from_slice(new);
+        self.page_mut(id).len = (len + new.len()) as u32;
+    }
+
+    /// Shortens a page to its first `len` entries, unbacking and marking
+    /// it as [`PagePool::append_row`] does.
+    pub(crate) fn truncate_row(&mut self, id: PageId, len: usize) {
+        self.unback(id);
+        self.mark_dirty(id);
+        let page = self.page_mut(id);
+        page.len = (page.len as usize).min(len) as u32;
     }
 
     /// Allocates an empty page in `tier` with refcount 1.
     pub(crate) fn alloc(&mut self, tier: Tier) -> Result<PageId, KvError> {
         self.make_room(tier)?;
-        let page = Page {
-            entries: Vec::with_capacity(self.page_tokens),
+        self.add_used(tier);
+        let idx = match self.free.pop() {
+            Some(idx) => idx as usize,
+            None => {
+                self.grow_to(self.slots.len() + 1);
+                self.slots.len() - 1
+            }
+        };
+        self.slots[idx] = Some(Page {
+            len: 0,
             refcount: 1,
             tier,
             backing: None,
-        };
-        self.add_used(tier);
-        let id = if let Some(idx) = self.free.pop() {
-            self.slots[idx as usize] = Some(page);
-            PageId(idx)
-        } else {
-            self.slots.push(Some(page));
-            PageId((self.slots.len() - 1) as u32)
-        };
+        });
+        let id = PageId(idx as u32);
         self.mark_dirty(id);
         Ok(id)
     }
@@ -322,7 +378,7 @@ impl PagePool {
     pub(crate) fn migrate(&mut self, id: PageId, to: Tier) -> Result<Migrated, KvError> {
         let (from, backing, tokens) = {
             let page = self.page(id);
-            (page.tier, page.backing, page.entries.len())
+            (page.tier, page.backing, page.len as usize)
         };
         if from == to {
             return Ok(Migrated::Copied(0));
@@ -352,39 +408,35 @@ impl PagePool {
     }
 
     /// Installs a page with a known id, content and refcount — journal
-    /// restore only. Grows the slot vector as needed; fails with the
+    /// restore only. Grows the slot table as needed; fails with the
     /// tier's out-of-memory error when the configured capacity cannot
-    /// hold another page, and refuses to overwrite a live slot or to take
-    /// an id at or beyond the pool's total capacity.
+    /// hold another page, and refuses to overwrite a live slot, to take
+    /// more entries than a row holds, or to take an id at or beyond the
+    /// pool's total capacity.
     pub(crate) fn install(
         &mut self,
         id: PageId,
         tier: Tier,
-        entries: Vec<KvEntry>,
+        entries: &[KvEntry],
         refcount: u32,
     ) -> Result<(), KvError> {
         if let Some(err) = self.tier_full(tier) {
             return Err(err);
         }
-        // `alloc` grows the slot vector only when every slot is live, and
-        // every live page counts against a tier, so no pool of this
-        // capacity wrote a larger id: refuse it before it sizes anything.
+        // No pool of this capacity wrote a larger id (see `capacity`):
+        // refuse it before it sizes anything.
         let idx = id.0 as usize;
-        let capacity = self
-            .gpu_capacity
-            .saturating_add(self.cpu_capacity)
-            .saturating_add(self.disk_capacity);
-        if idx >= capacity {
+        if idx >= self.capacity() || entries.len() > self.page_tokens {
             return Err(KvError::JournalTorn);
         }
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
-        }
+        self.grow_to(idx + 1);
         if self.slots[idx].is_some() {
             return Err(KvError::JournalTorn);
         }
+        let start = self.row(id);
+        self.arena[start..start + entries.len()].copy_from_slice(entries);
         self.slots[idx] = Some(Page {
-            entries,
+            len: entries.len() as u32,
             refcount,
             tier,
             backing: None,
@@ -393,15 +445,14 @@ impl PagePool {
         Ok(())
     }
 
-    /// Finishes a journal restore: fixes the slot-vector length and the
-    /// free-slot order. With `free: Some(_)` the recorded snapshot order
-    /// is adopted verbatim (byte-identical allocation behaviour); with
-    /// `None` a canonical order is rebuilt — every empty slot, highest
-    /// index pushed last, so `alloc` reuses the lowest index first.
+    /// Finishes a journal restore: fixes the slot-table length (the
+    /// caller keeps it within [`PagePool::capacity`]) and the free-slot
+    /// order. With `free: Some(_)` the recorded snapshot order is adopted
+    /// verbatim (byte-identical allocation behaviour); with `None` a
+    /// canonical order is rebuilt — every empty slot, highest index
+    /// pushed last, so `alloc` reuses the lowest index first.
     pub(crate) fn finish_restore(&mut self, slots_len: usize, free: Option<Vec<u32>>) {
-        if slots_len > self.slots.len() {
-            self.slots.resize_with(slots_len, || None);
-        }
+        self.grow_to(slots_len);
         self.free = match free {
             Some(order) => order,
             None => {
@@ -423,7 +474,7 @@ impl PagePool {
         &self.free
     }
 
-    /// Total slot-vector length including empty slots (journal snapshot).
+    /// Total slot-table length including empty slots (journal snapshot).
     pub(crate) fn slots_len(&self) -> usize {
         self.slots.len()
     }
@@ -445,24 +496,13 @@ impl PagePool {
             .expect("dangling page id") // lint:allow(k1): internal id, see above
     }
 
-    /// Copies `src`'s entries into `dst` in place (copy-on-write divergence).
-    /// Splits the slot borrow so the hot CoW path copies entry data exactly
-    /// once, with no intermediate `Vec` allocation.
+    /// Copies `src`'s entries over `dst`'s (copy-on-write divergence): one
+    /// move within the arena.
     pub(crate) fn copy_entries_into(&mut self, src: PageId, dst: PageId) {
-        debug_assert_ne!(src, dst, "CoW copy onto the source page");
-        let (a, b) = (src.0 as usize, dst.0 as usize);
-        let (src_slot, dst_slot) = if a < b {
-            let (l, r) = self.slots.split_at_mut(b);
-            (&l[a], &mut r[0])
-        } else {
-            let (l, r) = self.slots.split_at_mut(a);
-            (&r[0], &mut l[b])
-        };
-        // Same invariant as `page`/`page_mut`: ids are kernel-internal.
-        let src_page = src_slot.as_ref().expect("dangling page id"); // lint:allow(k1): internal id
-        let dst_page = dst_slot.as_mut().expect("dangling page id"); // lint:allow(k1): internal id
-        dst_page.entries.clear();
-        dst_page.entries.extend_from_slice(&src_page.entries);
+        let len = self.page(src).len;
+        let (from, to) = (self.row(src), self.row(dst));
+        self.arena.copy_within(from..from + len as usize, to);
+        self.page_mut(dst).len = len;
         self.mark_dirty(dst);
     }
 
@@ -471,9 +511,18 @@ impl PagePool {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Checks per-tier accounting: `used = resident + backing`, and only
-    /// GPU pages are backed, by a lower tier.
-    pub(crate) fn verify_accounting(&self) -> Result<(), String> {
+    /// Checks the arena's shape (one row per slot, no live page longer
+    /// than its row) and per-tier accounting: `used = resident + backing`,
+    /// and only GPU pages are backed, by a lower tier.
+    pub(crate) fn verify(&self) -> Result<(), String> {
+        if self.arena.len() != self.slots.len() * self.page_tokens {
+            return Err(format!(
+                "arena holds {} entries for {} slots of {}",
+                self.arena.len(),
+                self.slots.len(),
+                self.page_tokens
+            ));
+        }
         let mut used = [0usize; 3];
         let mut backed = [0usize; 3];
         let slot = |t: Tier| match t {
@@ -482,6 +531,12 @@ impl PagePool {
             Tier::Disk => 2,
         };
         for (pid, page) in self.iter() {
+            if page.len as usize > self.page_tokens {
+                return Err(format!(
+                    "page {pid:?}: {} entries in a row of {}",
+                    page.len, self.page_tokens
+                ));
+            }
             used[slot(page.tier)] += 1;
             if let Some(b) = page.backing {
                 if page.tier != Tier::Gpu || b == Tier::Gpu {
@@ -565,8 +620,7 @@ mod tests {
     fn migrate_moves_between_tiers() {
         let mut pool = PagePool::new(4, 2, 2, 0);
         let p = pool.alloc(Tier::Gpu).unwrap();
-        pool.page_mut(p).entries.push(entry(1));
-        pool.page_mut(p).entries.push(entry(2));
+        pool.append_row(p, &[entry(1), entry(2)]);
         let moved = pool.migrate(p, Tier::Cpu).unwrap();
         assert_eq!(moved, Migrated::Copied(2));
         assert_eq!(pool.gpu_used(), 0);
@@ -589,7 +643,7 @@ mod tests {
     fn disk_tier_allocates_and_migrates() {
         let mut pool = PagePool::new(4, 1, 1, 1);
         let p = pool.alloc(Tier::Gpu).unwrap();
-        pool.page_mut(p).entries.push(entry(7));
+        pool.append_row(p, &[entry(7)]);
         assert_eq!(pool.migrate(p, Tier::Disk).unwrap(), Migrated::Copied(1));
         assert_eq!(pool.page(p).tier, Tier::Disk);
         assert_eq!(pool.disk_used(), 1);
@@ -605,14 +659,14 @@ mod tests {
     #[test]
     fn install_rebuilds_pool_state() {
         let mut pool = PagePool::new(4, 4, 0, 4);
-        pool.install(PageId(2), Tier::Gpu, vec![entry(1)], 2).unwrap();
-        pool.install(PageId(0), Tier::Disk, vec![entry(2)], 1).unwrap();
+        pool.install(PageId(2), Tier::Gpu, &[entry(1)], 2).unwrap();
+        pool.install(PageId(0), Tier::Disk, &[entry(2)], 1).unwrap();
         assert_eq!(pool.gpu_used(), 1);
         assert_eq!(pool.disk_used(), 1);
         assert_eq!(pool.page(PageId(2)).refcount, 2);
         // Double-install of a live slot is a journal inconsistency.
         assert_eq!(
-            pool.install(PageId(2), Tier::Gpu, vec![], 1),
+            pool.install(PageId(2), Tier::Gpu, &[], 1),
             Err(KvError::JournalTorn)
         );
         pool.finish_restore(3, None);
@@ -625,11 +679,10 @@ mod tests {
     fn install_refuses_an_id_no_pool_this_size_allocates() {
         // 4 + 0 + 4 pages: ids 0..8 are the most this pool can have made.
         let mut pool = PagePool::new(4, 4, 0, 4);
-        pool.install(PageId(7), Tier::Disk, vec![entry(1)], 1)
-            .unwrap();
+        pool.install(PageId(7), Tier::Disk, &[entry(1)], 1).unwrap();
         for id in [8, u32::MAX - 1, u32::MAX] {
             assert_eq!(
-                pool.install(PageId(id), Tier::Gpu, vec![entry(2)], 1),
+                pool.install(PageId(id), Tier::Gpu, &[entry(2)], 1),
                 Err(KvError::JournalTorn)
             );
         }

@@ -632,9 +632,9 @@ impl KvStore {
     /// Fingerprint of the last entry (the context `pred` continues from).
     pub fn tail_fingerprint(&self, id: FileId) -> Result<Option<CtxFingerprint>, KvError> {
         let m = self.meta(id)?;
-        Ok(m.pages.last().and_then(|&p| {
-            self.pool.page(p).entries.last().map(|e| e.fingerprint)
-        }))
+        Ok(m.pages
+            .last()
+            .and_then(|&p| self.pool.entries(p).last().map(|e| e.fingerprint)))
     }
 
     /// Position following the last entry (0 for an empty file).
@@ -642,10 +642,7 @@ impl KvStore {
     /// position can be written, but nothing follows it.
     pub fn next_position(&self, id: FileId) -> Result<u32, KvError> {
         let m = self.meta(id)?;
-        let last = m
-            .pages
-            .last()
-            .and_then(|&p| self.pool.page(p).entries.last());
+        let last = m.pages.last().and_then(|&p| self.pool.entries(p).last());
         match last {
             None => Ok(0),
             Some(e) => e.position.checked_add(1).ok_or(KvError::BadRange),
@@ -671,7 +668,7 @@ impl KvStore {
         while out.len() < count {
             let page = m.pages[idx / pt];
             let within = idx % pt;
-            let entries = &self.pool.page(page).entries;
+            let entries = self.pool.entries(page);
             let take = (count - out.len()).min(entries.len() - within);
             out.extend_from_slice(&entries[within..within + take]);
             idx += take;
@@ -685,7 +682,7 @@ impl KvStore {
         let m = self.meta(id)?;
         let mut out = Vec::with_capacity(m.len);
         for &p in &m.pages {
-            out.extend_from_slice(&self.pool.page(p).entries);
+            out.extend_from_slice(self.pool.entries(p));
         }
         Ok(out)
     }
@@ -699,7 +696,7 @@ impl KvStore {
         let (tail_free, tail_shared) = match m.pages.last() {
             Some(&p) => {
                 let page = self.pool.page(p);
-                (pt - page.entries.len(), page.refcount > 1)
+                (pt - page.len as usize, page.refcount > 1)
             }
             None => (0, false),
         };
@@ -729,11 +726,7 @@ impl KvStore {
             match m.pages.last() {
                 Some(&p) => {
                     let page = self.pool.page(p);
-                    (
-                        pt - page.entries.len(),
-                        page.refcount > 1,
-                        Some(page.tier),
-                    )
+                    (pt - page.len as usize, page.refcount > 1, Some(page.tier))
                 }
                 None => (0, false, None),
             }
@@ -777,16 +770,14 @@ impl KvStore {
         if writes_into_tail {
             let take = remaining.len().min(tail_free);
             let tail = *self.meta(id)?.pages.last().ok_or(KvError::BadRange)?;
-            self.pool
-                .entries_mut(tail)
-                .extend_from_slice(&remaining[..take]);
+            self.pool.append_row(tail, &remaining[..take]);
             remaining = &remaining[take..];
         }
         // One lookup (and one dirty mark) for all the pages this call adds.
         let (m, pool) = self.meta_and_pool(id)?;
         for chunk in remaining.chunks(pt) {
             let p = pool.alloc(Tier::Gpu)?;
-            pool.entries_mut(p).extend_from_slice(chunk);
+            pool.append_row(p, chunk);
             m.pages.push(p);
         }
         m.len += entries.len();
@@ -829,7 +820,7 @@ impl KvStore {
                     self.counters.cow_copies.inc();
                 }
                 let last = *self.meta(id)?.pages.last().ok_or(KvError::BadRange)?;
-                self.pool.entries_mut(last).truncate(within);
+                self.pool.truncate_row(last, within);
             }
         }
         self.meta_mut(id)?.len = new_len;
@@ -1272,11 +1263,11 @@ impl KvStore {
     ) -> Vec<Record> {
         let mut recs = Vec::new();
         for p in pages {
-            let page = self.pool.page(PageId(p));
+            let id = PageId(p);
             recs.push(Record::PageWrite {
                 page: p,
-                tier: page.tier,
-                entries: page.entries.clone(),
+                tier: self.pool.page(id).tier,
+                entries: self.pool.entries(id).to_vec(),
             });
         }
         for id in files {
@@ -1524,9 +1515,7 @@ impl KvStore {
         let mut tokens_restored = 0usize;
         for (&pid, (tier, entries)) in &staged_pages {
             let Some(&rc) = refs.get(&pid) else { continue };
-            store
-                .pool
-                .install(PageId(pid), *tier, entries.clone(), rc)?;
+            store.pool.install(PageId(pid), *tier, entries, rc)?;
             pages_restored += 1;
             tokens_restored += entries.len();
         }
@@ -1555,10 +1544,12 @@ impl KvStore {
         store.access_clock = header.access_clock.max(max_access);
 
         // Adopt the recorded free-slot order only when it still exactly
-        // describes the restored pool; otherwise rebuild canonically.
+        // describes the restored pool, in a slot table no larger than a
+        // pool this size makes; otherwise rebuild canonically.
         let usable_state = pool_state.filter(|(slots_len, free)| {
             !dropped_pages
                 && *slots_len >= store.pool.slots_len()
+                && *slots_len <= store.pool.capacity()
                 && free.len() == slots_len - pages_restored
                 && free
                     .iter()
@@ -1665,14 +1656,10 @@ impl KvStore {
                 refs.len()
             ));
         }
-        self.pool.verify_accounting()?;
+        self.pool.verify()?;
         // File lengths must match page contents.
         for (idf, m) in &self.files {
-            let total: usize = m
-                .pages
-                .iter()
-                .map(|&p| self.pool.page(p).entries.len())
-                .sum();
+            let total: usize = m.pages.iter().map(|&p| self.pool.entries(p).len()).sum();
             if total != m.len {
                 return Err(format!(
                     "file {idf}: len {} but pages hold {total} entries",
@@ -1681,7 +1668,7 @@ impl KvStore {
             }
             // Only the last page may be partially filled.
             for (i, &p) in m.pages.iter().enumerate() {
-                let n = self.pool.page(p).entries.len();
+                let n = self.pool.entries(p).len();
                 if i + 1 < m.pages.len() && n != self.pool.page_tokens() {
                     return Err(format!("file {idf}: interior page {i} not full ({n})"));
                 }
@@ -2551,6 +2538,54 @@ mod tests {
             .err(),
             Some(KvError::JournalTorn)
         );
+    }
+
+    #[test]
+    fn a_journal_sizes_the_pool_no_further_than_a_pool_this_size_allocates() {
+        // Every slot is an arena row, so a journal that sized the slot
+        // table past the pool's capacity would allocate a row per slot.
+        // The last slot a pool of this capacity can allocate restores; the
+        // next is refused, and a recorded slot table that long is rebuilt.
+        let config = KvStoreConfig::for_tests();
+        let capacity = (config.gpu_pages + config.cpu_pages + config.disk_pages) as u32;
+        let mut s = store();
+        let f = s.create(U1).unwrap();
+        s.append(f, U1, &entries(0..3)).unwrap();
+        let (header, records, _) = crate::journal::read_journal(&s.journal_bytes()).unwrap();
+        // The journal with its one page at `id` in a slot table of `slots`.
+        let journal = |id: u32, slots: u32| {
+            let mut w = JournalWriter::new(&header);
+            for mut r in records.clone() {
+                match &mut r {
+                    Record::PageWrite { page, .. } => *page = id,
+                    Record::FileMeta { pages, .. } => *pages = vec![id],
+                    Record::PoolState { slots_len, free } => {
+                        *slots_len = slots;
+                        *free = (0..slots).rev().filter(|&p| p != id).collect();
+                    }
+                    _ => {}
+                }
+                w.append(&r);
+            }
+            w.finish()
+        };
+        let restore = |bytes: Vec<u8>| {
+            KvStore::restore_from_journal_bytes(config, &MetricsRegistry::new(), &bytes)
+        };
+
+        let (last, report) = restore(journal(capacity - 1, capacity)).unwrap();
+        assert_eq!(report.torn, None);
+        assert_eq!(last.read_all_unchecked(f).unwrap(), entries(0..3));
+        assert_eq!(last.pool.slots_len(), capacity as usize);
+        assert_eq!(last.pool.free_list().len(), capacity as usize - 1, "adopted");
+
+        assert_eq!(
+            restore(journal(capacity, capacity + 1)).err(),
+            Some(KvError::JournalTorn)
+        );
+        let (rebuilt, _) = restore(journal(0, capacity + 1)).unwrap();
+        assert_eq!(rebuilt.pool.slots_len(), 1, "a slot table no pool this size has");
+        assert_eq!(rebuilt.read_all_unchecked(f).unwrap(), entries(0..3));
     }
 
     #[test]

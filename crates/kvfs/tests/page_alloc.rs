@@ -1,0 +1,109 @@
+//! What a KV file's life allocates once the page pool has grown.
+//!
+//! Every page's entries live in one arena the pool owns, so allocating,
+//! filling, copying and freeing a page reuse a row of it: a file of 64
+//! pages costs the heap what a file of 4 does, apart from its page list
+//! (which may double a few more times). While each page was its own
+//! `Vec`, every page allocated once more. A counting allocator counts
+//! this thread's allocations around one cycle of create, append, fork,
+//! copy-on-write, truncate, swap out and in, and remove.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use symphony_kvfs::{KvEntry, KvStore, KvStoreConfig, OwnerId};
+use symphony_model::CtxFingerprint;
+
+thread_local! {
+    /// Allocations this thread has made. `const`-initialised and without
+    /// a destructor, so counting allocates nothing.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every request is passed to `System` unchanged and its answer
+// handed back unchanged; the counter beside it is a thread-local integer.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's contract is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's contract is `System::alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` or `alloc_zeroed` above, that is
+        // from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const OWNER: OwnerId = OwnerId(1);
+const PAGE_TOKENS: usize = 16;
+
+/// Allocations a 64-page cycle may make beyond a 4-page one: the page
+/// lists of the file and its fork grow by doubling.
+const PAGE_LIST_GROWTH: usize = 8;
+
+fn entries(n: usize) -> Vec<KvEntry> {
+    (0..n as u32)
+        .map(|i| KvEntry::new(i, i, CtxFingerprint(u64::from(i) * 31)))
+        .collect()
+}
+
+/// Allocations made by one file's life: `pages` pages, the last half
+/// full, so the fork's append copies the shared tail and the truncation
+/// copies the shared boundary page.
+fn cycle(store: &mut KvStore, pages: usize) -> usize {
+    let content = entries(pages * PAGE_TOKENS - PAGE_TOKENS / 2);
+    let more = entries(1);
+    let before = ALLOCATIONS.with(Cell::get);
+    let f = store.create(OWNER).unwrap();
+    store.append(f, OWNER, &content).unwrap();
+    let g = store.fork(f, OWNER).unwrap();
+    store.append(g, OWNER, &more).unwrap();
+    store.truncate(f, OWNER, content.len() / 2 + 1).unwrap();
+    store.swap_out(f, OWNER).unwrap();
+    store.swap_in(f, OWNER).unwrap();
+    store.remove(g, OWNER).unwrap();
+    store.remove(f, OWNER).unwrap();
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    store.verify().unwrap();
+    made
+}
+
+#[test]
+fn a_files_pages_cost_the_heap_nothing_once_the_pool_has_grown() {
+    let mut store = KvStore::new(KvStoreConfig {
+        page_tokens: PAGE_TOKENS,
+        gpu_pages: 256,
+        cpu_pages: 256,
+        disk_pages: 0,
+        bytes_per_token: 1,
+    });
+    // Grow the arena, the slot table and the free list to a 64-page
+    // cycle's size.
+    cycle(&mut store, 64);
+    let small = cycle(&mut store, 4);
+    let large = cycle(&mut store, 64);
+    assert!(
+        large <= small + PAGE_LIST_GROWTH,
+        "a 64-page cycle made {large} allocations, a 4-page one {small}"
+    );
+    assert_eq!(store.live_pages(), 0);
+}

@@ -9,6 +9,9 @@
 //! random swap/append/truncate/fork/remove mix also checks that backing
 //! copies are conserved; `Bounce` and `MutateBounced` pin what a backing
 //! copy buys (a free eviction) and what ends it (any content mutation).
+//! Pages are rows of one arena that a freed page leaves as it was, so
+//! `Refill` writes freed rows again; every appended token is unique, so a
+//! stale entry showing through a reused row fails the contents check.
 
 use std::collections::BTreeMap;
 
@@ -37,6 +40,12 @@ enum Op {
         file: usize,
         count: usize,
     },
+    /// Remove a file, then create one and append: the new pages take the
+    /// freed slots and write their rows again.
+    Refill {
+        file: usize,
+        count: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -53,6 +62,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0usize..8).prop_map(|file| Op::Demote { file }),
         2 => (0usize..8).prop_map(|file| Op::Bounce { file }),
         2 => (0usize..8, 1usize..7).prop_map(|(file, count)| Op::MutateBounced { file, count }),
+        2 => (0usize..8, 1usize..40).prop_map(|(file, count)| Op::Refill { file, count }),
     ]
 }
 
@@ -70,7 +80,7 @@ fn pick(model: &BTreeMap<u64, Vec<KvEntry>>, idx: usize) -> Option<FileId> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn store_matches_shadow_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
@@ -203,6 +213,18 @@ proptest! {
                             prop_assert_eq!(out.total(), touched);
                             prop_assert_eq!(out.dropped_tokens, old_len - old_len % 4);
                         }
+                    }
+                }
+                Op::Refill { file, count } => {
+                    if let Some(f) = pick(&model, file) {
+                        store.remove(f, owner).unwrap();
+                        model.remove(&f.0);
+                        let g = store.create(owner).unwrap();
+                        let new: Vec<KvEntry> =
+                            (0..count as u32).map(|i| entry(next_token + i)).collect();
+                        next_token += count as u32;
+                        store.append(g, owner, &new).unwrap();
+                        model.insert(g.0, new);
                     }
                 }
             }
