@@ -1,12 +1,13 @@
-//! E13 — warm restart: KVFS journal persistence across kernel reboots.
+//! E13 — warm restart: KV files that persist across kernel reboots.
 //!
-//! A kernel that writes its KV store to an append-only journal and
-//! replays it at boot starts with the popular prefixes already
-//! hot: the first wave of requests after a restart forks restored KV
-//! instead of re-prefilling every document. We run two workloads — the
-//! Fig-3 RAG application and a shared-system-prompt agent fleet — twice
-//! each: a cold boot, then a warm restart from the cold run's journal, and
-//! compare prefix-cache hit rates and latency.
+//! A kernel whose log carries its KV store's batches, booted again from
+//! that log, starts with the popular prefixes already hot: the first wave
+//! of requests after a restart forks restored KV instead of re-prefilling
+//! every document. We run two workloads — the Fig-3 RAG application and a
+//! shared-system-prompt agent fleet — twice each: a cold boot that writes
+//! a kernel log (`KernelConfig::wal`), then a warm restart from that log
+//! (`KernelConfig::journal_path`), and compare prefix-cache hit rates and
+//! latency.
 
 use crate::fig3::{run_symphony_point_persist, Fig3Config, Scale};
 use crate::{ExpArgs, Report, Table};
@@ -18,9 +19,8 @@ use symphony::{
 };
 
 const AGENTS: usize = 24;
-/// Cold-boot agents arrive in waves; the kernel drains the KVFS delta log
-/// to the journal between waves, so the journal grows incrementally the
-/// way a live deployment's would (and compaction has something to reclaim).
+/// Cold-boot agents arrive in waves, and the log grows across them the
+/// way a live deployment's would.
 const WAVE: usize = 4;
 
 #[derive(Debug, Clone, Serialize)]
@@ -33,19 +33,21 @@ struct Point {
     mean_latency_ms: f64,
     restored_files: usize,
     restored_tokens: usize,
-    /// Journal size this run wrote (cold) or replayed (warm).
+    /// Size of the kernel log the cold run wrote (and the warm run booted
+    /// from).
     journal_bytes: u64,
-    /// Per-tag frame counts of that journal (growth observability).
+    /// Per-tag frame counts of that log, its KV records among them
+    /// (growth observability).
     journal_frames: Vec<(String, u64)>,
 }
 
-/// Reads a journal back and summarises its growth: total bytes plus valid
-/// frames per tag.
+/// Reads a kernel log back and summarises its growth: total bytes plus
+/// valid frames per tag.
 fn journal_growth(path: &std::path::Path) -> (u64, Vec<(String, u64)>) {
     let Ok(bytes) = std::fs::read(path) else {
         return (0, Vec::new());
     };
-    let frames = symphony_kvfs::journal::frame_counts(&bytes)
+    let frames = symphony::wal::frame_counts(&bytes)
         .map(|m| m.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
         .unwrap_or_default();
     (bytes.len() as u64, frames)
@@ -138,6 +140,8 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
     };
     if warm {
         cfg.journal_path = Some(journal.to_path_buf());
+    } else {
+        cfg.wal = Some(symphony::WalConfig::new(journal));
     }
     let mut kernel = Kernel::new(cfg);
     let sys_text = std::sync::Arc::new("You are a careful planning agent. ".repeat(if smoke {
@@ -163,21 +167,9 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
         }
         kernel.run();
     } else {
-        // Cold boot persists incrementally: open the journal up front, run
-        // the fleet in waves, and drain the KVFS delta log after each wave.
-        // A deliberately small compaction threshold forces the journal to be
-        // rewritten to its snapshot-equivalent form mid-run, which is what
-        // keeps `journal_bytes` bounded no matter how long the fleet runs.
-        let threshold: u64 = if smoke { 4 * 1024 } else { 16 * 1024 };
-        kernel
-            .open_kv_journal(
-                journal,
-                symphony_kvfs::JournalConfig {
-                    compact_threshold_bytes: threshold,
-                },
-            )
-            .expect("open journal");
-        let mut max_bytes = 0u64;
+        // Cold boot logs as it goes: the fleet runs in waves, and the one
+        // agent that publishes the system prompt puts it in the log before
+        // its exit.
         for wave in 0..AGENTS.div_ceil(WAVE) {
             let base = kernel.now();
             for j in 0..WAVE {
@@ -190,32 +182,9 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
                 pids.push(kernel.admit(&name, &args, SpawnOpts::at(at), Body::hosted(agent_lip)));
             }
             kernel.run();
-            kernel.persist_kv_delta().expect("delta flush");
             let on_disk = std::fs::metadata(journal).map(|m| m.len()).unwrap_or(0);
-            max_bytes = max_bytes.max(on_disk);
-            eprintln!("E13: agent wave {wave}: journal {on_disk} bytes");
+            eprintln!("E13: agent wave {wave}: log {on_disk} bytes");
         }
-        // Boundedness: after every drain the journal is at most the
-        // compaction threshold, or one snapshot of live state when a single
-        // snapshot already exceeds the threshold (plus one buffered batch).
-        let snapshot_len = kernel.store().journal_bytes().len() as u64;
-        let bound = threshold.max(snapshot_len) + threshold;
-        assert!(
-            max_bytes <= bound,
-            "journal must stay bounded under compaction: max {max_bytes} > bound {bound}"
-        );
-        let compactions = kernel
-            .metrics_registry()
-            .counter_value("kvfs.compactions")
-            .unwrap_or(0);
-        assert!(
-            compactions >= 1,
-            "agent fleet must trigger at least one journal compaction"
-        );
-        eprintln!(
-            "E13: agent cold: {compactions} compactions, max journal {max_bytes} bytes \
-             (snapshot {snapshot_len}, threshold {threshold})"
-        );
     }
     let report = kernel.restored().copied();
     let (journal_bytes, journal_frames) = journal_growth(journal);
@@ -256,8 +225,8 @@ pub(super) fn run(args: &ExpArgs) -> Report {
     let smoke = args.smoke;
     let dir = args.out_dir();
     std::fs::create_dir_all(&dir).ok();
-    let rag_journal = dir.join("exp_persist_rag.journal");
-    let agent_journal = dir.join("exp_persist_agent.journal");
+    let rag_journal = dir.join("exp_persist_rag.wal");
+    let agent_journal = dir.join("exp_persist_agent.wal");
 
     let (rag_cold, rag_warm) = rag_points(smoke, &rag_journal);
     eprintln!("E13: agent cold ...");
@@ -268,7 +237,7 @@ pub(super) fn run(args: &ExpArgs) -> Report {
 
     let points = vec![rag_cold, rag_warm, agent_cold, agent_warm];
     let mut table = Table::new(
-        "E13 — warm restart from KVFS journal (cold boot vs replayed journal)",
+        "E13 — warm restart from the kernel log's KV batches (cold boot vs replayed log)",
         &[
             "workload", "boot", "done", "failed", "hit rate", "mean lat", "restored", "journal",
         ],

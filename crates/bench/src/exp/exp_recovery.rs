@@ -49,9 +49,9 @@ struct Point {
     /// Per-tag WAL frame counts (journal-growth observability), reported
     /// for every point — clean runs and post-recovery alike.
     wal_frames: Vec<(String, u64)>,
-    /// Size of the KV store's journal snapshot at point end
-    /// (`KvStore::journal_bytes`), on clean runs and after
-    /// `Kernel::recover` alike.
+    /// Size of the KV store's snapshot batch at point end
+    /// (`KvStore::snapshot`), on clean runs and after `Kernel::recover`
+    /// alike.
     kv_journal_bytes: u64,
     checkpoints: u64,
     /// Completions per virtual second.
@@ -242,7 +242,9 @@ fn run_point(scale: &Scale, every: SimDuration, crash_every: u64, tag: &str) -> 
                 .collect()
         })
         .unwrap_or_default();
-    let kv_journal_bytes = kernel.store().journal_bytes().len() as u64;
+    let mut snapshot = Vec::new();
+    kernel.store().snapshot(&mut snapshot);
+    let kv_journal_bytes = snapshot.len() as u64;
     std::fs::remove_file(&wal_path).ok();
 
     Point {
@@ -339,9 +341,9 @@ pub(super) fn run(args: &ExpArgs) -> Report {
     }
     table.print();
 
-    // Journal growth, every point: WAL frame mix plus the KV journal
-    // gauge — visible after recovery (the recovered kernel's store is
-    // re-snapshotted at point end) and on clean runs alike.
+    // Log growth, every point: WAL frame mix plus the size of the KV
+    // store's snapshot — visible after recovery (the recovered kernel's
+    // store is re-snapshotted at point end) and on clean runs alike.
     println!();
     for p in &points {
         let breakdown: Vec<String> = p
@@ -351,7 +353,7 @@ pub(super) fn run(args: &ExpArgs) -> Report {
             .collect();
         println!(
             "journal growth (ckpt {:.0}ms, crash {}): wal {} bytes; frames: {}; \
-             kvfs.journal_bytes={}",
+             kv snapshot {} bytes",
             p.checkpoint_ms,
             if p.crash_every == 0 {
                 "none".into()

@@ -79,7 +79,7 @@ registry! {
     exp_pagesize, "E10", true, "KVFS page-size ablation";
     exp_faults, "E11", true, "tool faults: goodput vs fault rate x the program's retry policy";
     exp_sched, "E12", true, "§4.4 iteration-level scheduling: static / continuous / chunked / program-aware";
-    exp_persist, "E13", true, "warm restart from the KVFS journal vs cold boot";
+    exp_persist, "E13", true, "warm restart from the kernel log's KV batches vs cold boot";
     exp_recovery, "E14", true, "crash-tolerant serving: goodput vs checkpoint interval x crash rate";
     exp_profile, "E15", true, "per-program observability: causal traces and critical-path attribution";
     exp_serve, "E16", true, "serving over the wire: client-observed latency vs sessions x RTT x admission";

@@ -27,7 +27,7 @@ use symphony::{
 };
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
 use symphony_gpu::DeviceSpec;
-use symphony_kvfs::{JournalConfig, KvError};
+use symphony_kvfs::KvError;
 use symphony_model::ModelConfig;
 use symphony_sim::{LogNormal, Rng, SimTime};
 use symphony_tokenizer::Bpe;
@@ -279,10 +279,11 @@ pub fn run_symphony_point(
     run_symphony_point_persist(cfg, scale, pareto, load, None, None).0
 }
 
-/// Runs Symphony at one point with optional warm-restart journaling (E13):
-/// boots from `boot_journal` when the file exists, and opens a KV journal
-/// at `persist_to` after the run (its base is the post-run store). Returns
-/// the restore report when the kernel warm-started.
+/// Runs Symphony at one point with optional warm-restart logging (E13):
+/// boots its KV store from the kernel log at `boot_journal` when the file
+/// exists, and writes its own kernel log to `persist_to`, whose KV batches
+/// carry every document the run publishes. Returns the restore report when
+/// the kernel warm-started.
 pub fn run_symphony_point_persist(
     cfg: &Fig3Config,
     scale: &Scale,
@@ -311,7 +312,7 @@ pub fn run_symphony_point_persist(
         telemetry: false,
         causal: false,
         faults: symphony::FaultPlan::none(),
-        wal: None,
+        wal: persist_to.map(symphony::WalConfig::new),
     };
     let mut kernel = Kernel::new(kcfg);
     let texts = std::sync::Arc::new(doc_texts(cfg));
@@ -335,11 +336,6 @@ pub fn run_symphony_point_persist(
     }
     kernel.run();
     let restored = kernel.restored().copied();
-    if let Some(p) = persist_to {
-        kernel
-            .open_kv_journal(p, JournalConfig::default())
-            .expect("journal write");
-    }
 
     // Collect metrics.
     let mut lat = symphony_sim::Series::new();

@@ -77,8 +77,10 @@ pub struct KernelConfig {
     /// NVMe disk-tier KV spill space in bytes. Zero disables the disk tier:
     /// DRAM exhaustion surfaces as `NoCpuMemory` exactly as before.
     pub disk_swap_bytes: u64,
-    /// Restore the KV store from this journal at boot when the file exists
-    /// (warm restart); [`Kernel::open_kv_journal`] writes one.
+    /// Warm restart: boot the KV store from the KV batches of the kernel
+    /// log at this path when the file exists — a log some kernel wrote
+    /// with [`KernelConfig::wal`] set — the way [`Kernel::recover`] boots
+    /// its store, with no program to re-execute.
     pub journal_path: Option<std::path::PathBuf>,
     /// Overrides the device-derived GPU KV budget (tests use tiny pools).
     pub gpu_kv_bytes_override: Option<u64>,
@@ -445,8 +447,8 @@ impl KernelMetrics {
 pub struct Kernel {
     // Substrate.
     pub(crate) store: KvStore,
-    /// Warm-restart report when the store was restored from a journal.
-    restored: Option<RestoreReport>,
+    /// What booting the store from a log's KV batches restored.
+    pub(crate) restored: Option<RestoreReport>,
     pub(crate) gpu: GpuExecutor,
     pub(crate) tokenizer: &'static Bpe,
     tools: ToolRegistry,
@@ -565,7 +567,7 @@ impl Kernel {
         Self::build(config, None)
     }
 
-    pub(crate) fn build(config: KernelConfig, replay: Option<wal::Replay>) -> Self {
+    pub(crate) fn build(config: KernelConfig, mut replay: Option<wal::Replay>) -> Self {
         install_quiet_lip_panics();
         let tokenizer = Bpe::default_tokenizer();
         let model = Surrogate::new(config.model, config.model_seed)
@@ -581,22 +583,14 @@ impl Kernel {
             config.model.kv_bytes_per_token(),
             config.page_tokens,
         );
-        // Warm restart: replay the journal when one exists at the configured
-        // path. Any failure (missing file, incompatible geometry) falls back
-        // to a cold store — a serving kernel must boot either way.
-        let mut restored = None;
-        let store = match config
-            .journal_path
-            .as_deref()
-            .filter(|p| p.exists())
-            .and_then(|p| KvStore::restore_from_journal(p, store_config, &registry).ok())
-        {
-            Some((store, report)) => {
-                restored = Some(report);
-                store
-            }
-            None => KvStore::with_registry(store_config, &registry),
+        let log = match replay.as_mut() {
+            Some(r) => Some((std::mem::take(&mut r.kv), r.torn)),
+            None => config
+                .journal_path
+                .as_deref()
+                .and_then(wal::read_kv_batches),
         };
+        let (store, restored) = Self::boot_store(store_config, &registry, log);
         let gpu = GpuExecutor::with_registry(config.device, model, &registry);
         let kmetrics = KernelMetrics::register(&registry);
         let ridge = gpu.ridge_tokens();
@@ -727,28 +721,37 @@ impl Kernel {
         Ok(f)
     }
 
-    /// The warm-restart report when this kernel booted from a journal
-    /// (`KernelConfig::journal_path`); `None` after a cold start.
+    /// What booting the store from a log's KV batches restored — a warm
+    /// restart (`KernelConfig::journal_path`) or [`Kernel::recover`];
+    /// `None` after a cold start.
     pub fn restored(&self) -> Option<&RestoreReport> {
         self.restored.as_ref()
     }
 
-    /// Attaches an incremental KV journal at `path`
-    /// ([`KvStore::open_journal`]): the store as its base snapshot, then
-    /// [`Kernel::persist_kv_delta`] appends only what changed.
+    /// A forward kept for callers written against the KV store's own
+    /// journal file, which is gone: the store's batches ride in the kernel
+    /// log ([`KernelConfig::wal`]). `Ok(())` when that log is open,
+    /// `Unsupported` otherwise; `path` and `config` are not read.
     pub fn open_kv_journal(
         &mut self,
-        path: &std::path::Path,
-        config: symphony_kvfs::JournalConfig,
+        _path: &std::path::Path,
+        _config: symphony_kvfs::JournalConfig,
     ) -> std::io::Result<()> {
-        self.store.open_journal(path, config)
+        self.wal.as_ref().map(drop).ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "the KV store logs to the kernel WAL",
+            )
+        })
     }
 
-    /// Persists the store's changes to the open KV journal
-    /// ([`KvStore::persist_journal`]). Returns `Ok(true)` when a
-    /// compaction ran; a no-op `Ok(false)` without an open journal.
+    /// Appends the KV store's changes since the last batch to the kernel
+    /// log now, as one batch, whether or not a published file changed (a
+    /// no-op when no record changed or no log is open). Always `Ok(false)`:
+    /// nothing is compacted.
     pub fn persist_kv_delta(&mut self) -> std::io::Result<bool> {
-        self.store.persist_journal()
+        self.log_kv_batch(true);
+        Ok(false)
     }
 
     /// Installs an admission-time static cost hint for a program: the

@@ -567,6 +567,8 @@ impl Kernel {
             } else {
                 rec.output.clone()
             };
+            // What it published goes in the log before its exit does.
+            self.log_kv_batch(false);
             self.wal_append(WalRecord::ProcExit {
                 at: now,
                 pid: pid.0,

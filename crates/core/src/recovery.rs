@@ -9,11 +9,13 @@
 //! the only reader of either. All ask the process table's one `durable`
 //! field; the syscall handlers call them unconditionally.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use symphony_kvfs::{FileId, OwnerId};
+use symphony_kvfs::journal::Record;
+use symphony_kvfs::{FileId, KvStore, KvStoreConfig, OwnerId, RestoreReport};
 use symphony_model::{Preds, TokenId};
-use symphony_telemetry::EventKind;
+use symphony_telemetry::{EventKind, MetricsRegistry};
 
 use crate::kernel::{Kernel, KernelConfig};
 use crate::proc::Proc;
@@ -44,12 +46,15 @@ impl Kernel {
 
     /// Boots a kernel from the write-ahead log at `config.wal.path` and
     /// re-admits its programs; [`Kernel::run`] then carries on where the
-    /// log left off. The virtual clock, the pid allocator and the durable
-    /// process table are restored. `resolve` gets an unfinished
-    /// program's name and the image its admission frame carries, if its
-    /// body was data ([`crate::InlineBody::take_image`]), and returns the
-    /// body to run again: a LipScript program is rebuilt from its image
-    /// alone, a native one found by its name. The body re-executes
+    /// log left off. The virtual clock, the pid allocator, the durable
+    /// process table and the KV store are restored: the store from the
+    /// log's complete KV batches (the linked files and the admin's), less
+    /// every file a program it re-executes owns ([`Kernel::settle_store`]).
+    /// `resolve` gets an unfinished program's name and the image its
+    /// admission frame carries, if its body was data
+    /// ([`crate::InlineBody::take_image`]), and returns the body to run
+    /// again: a LipScript program is rebuilt from its image alone, a
+    /// native one found by its name. The body re-executes
     /// deterministically from its start under the journalled pid
     /// (journalled effects answer its syscalls up to the crash point), at
     /// once if its arrival is at or before the restored clock and at its
@@ -77,15 +82,24 @@ impl Kernel {
             torn: replay.torn,
             clock: replay.clock,
         };
+        // Which programs run again decides which files the store keeps, so
+        // the bodies are rebuilt before the kernel is.
+        let procs: Vec<(u64, ReplayProc, Option<Body>)> = procs
+            .into_iter()
+            .map(|(pid, rp)| {
+                let body = rp.exit.is_none().then(|| resolve(&rp.name, rp.image.as_deref()));
+                (pid, rp, body.flatten())
+            })
+            .collect();
+        let reexecuted = procs.iter().filter(|p| p.2.is_some()).map(|p| p.0).collect();
         let mut kernel = Self::build(config, Some(replay));
-        for (pid, rp) in procs {
-            if rp.exit.is_some() {
-                report.finished += 1;
-                kernel.restore_exited(pid, rp);
-                continue;
-            }
-            let Some(body) = resolve(&rp.name, rp.image.as_deref()) else {
-                report.lost += 1;
+        kernel.settle_store(&reexecuted);
+        for (pid, rp, body) in procs {
+            let Some(body) = body else {
+                match rp.exit {
+                    Some(_) => report.finished += 1,
+                    None => report.lost += 1,
+                }
                 kernel.restore_exited(pid, rp);
                 continue;
             };
@@ -112,35 +126,94 @@ impl Kernel {
         Ok((kernel, report))
     }
 
-    /// Opens the WAL of a freshly built kernel: a new log, or — booting
-    /// from `replay` — the old one for appending, with the virtual clock,
-    /// and the pid allocator restored so re-executed programs
-    /// keep their pids (hence their threads' RNG streams) and see the same
-    /// scheduling decisions. Tids are not restored: they name a thread for
-    /// one execution only.
+    /// The store a kernel boots from a log's KV batches — the log it
+    /// recovers from, or for a warm restart the one at `journal_path`,
+    /// whatever kernel seed wrote it — and what it restored. The log's
+    /// complete batches come with whether it was torn, which reads torn
+    /// even when the cut spared the last batch. No log, or one whose
+    /// records do not restore (another geometry, a corrupt replay), boots
+    /// an empty store: a kernel must boot either way.
+    pub(crate) fn boot_store(
+        config: KvStoreConfig,
+        registry: &MetricsRegistry,
+        log: Option<(Vec<Record<'static>>, bool)>,
+    ) -> (KvStore, Option<RestoreReport>) {
+        let restore = |(records, torn)| KvStore::restore(config, registry, records, torn).ok();
+        match log.and_then(restore) {
+            Some((store, report)) => (store, Some(report)),
+            None => (KvStore::with_registry(config, registry), None),
+        }
+    }
+
+    /// Takes out of a store booted from a log what no program will own: the
+    /// files of the programs recovery re-executes (`reexecuted`; the
+    /// re-execution builds them again). The log describes no other
+    /// unlinked file than the admin's ([`symphony_kvfs::KvStore::drain_changes`]).
+    /// Locks held by anyone but the admin go first: no process that took
+    /// one is running. Published files stay.
+    pub(crate) fn settle_store(&mut self, reexecuted: &BTreeSet<u64>) {
+        let Some(restored) = self.restored else {
+            return; // a cold store holds nothing a log described
+        };
+        let files = self.store.list_files();
+        for holder in files.iter().filter_map(|f| f.locked_by).filter(|&o| o != OwnerId::ADMIN) {
+            self.store.release_locks(holder);
+        }
+        for f in files.iter().filter(|f| reexecuted.contains(&f.owner.0)) {
+            let _ = self.store.remove(f.id, OwnerId::ADMIN);
+        }
+        // The report counts what the kernel serves from.
+        self.restored = Some(RestoreReport {
+            torn: restored.torn,
+            ..self.store.census()
+        });
+    }
+
+    /// Opens the WAL of a freshly built kernel. A new log starts with the
+    /// store's snapshot as its first KV batch when the store was restored
+    /// (a warm restart, settled first: [`Kernel::settle_store`]; a cold
+    /// store is empty). Booting from `replay`, the old log is reopened for
+    /// appending, with the virtual clock and the pid allocator restored so
+    /// re-executed programs keep their pids (hence their threads' RNG
+    /// streams) and see the same scheduling decisions; change tracking
+    /// starts from the store as the log described it, so what `recover`
+    /// then settles goes in the next batch. Tids are not restored: they
+    /// name a thread for one execution only.
     pub(crate) fn open_wal(
         &mut self,
         cfg: Option<&WalConfig>,
         seed: u64,
         replay: Option<wal::Replay>,
     ) {
-        let opened = cfg.map(|cfg| match &replay {
-            Some(r) => WalState::open_append(cfg, r.wal_bytes, r.clock),
-            None => WalState::create(cfg, seed),
-        });
-        if let Some(r) = replay {
-            self.events.advance_to(r.clock);
-            self.next_pid = self.next_pid.max(r.next_pid);
-            self.kmetrics.recoveries.inc();
-            self.kmetrics.replayed_frames.add(r.frames);
-            self.replay = Some(r);
-        }
-        if let Some(opened) = opened {
-            // lint:allow(k1): a kernel asked for a WAL it cannot open or reopen must not serve
-            let w = opened.expect("open kernel WAL");
-            self.kmetrics.wal_bytes.set(w.log.disk_len() as i64);
-            self.wal = Some(w);
-        }
+        let opened = match replay {
+            Some(r) => {
+                self.events.advance_to(r.clock);
+                self.next_pid = self.next_pid.max(r.next_pid);
+                self.kmetrics.recoveries.inc();
+                self.kmetrics.replayed_frames.add(r.frames);
+                let opened = cfg.map(|cfg| WalState::open_append(cfg, r.wal_bytes, r.clock));
+                self.replay = Some(r);
+                opened
+            }
+            // A cold store is empty: a new log describes it by holding no
+            // KV frame at all.
+            None => {
+                self.settle_store(&BTreeSet::new());
+                let mut snapshot = Vec::new();
+                if cfg.is_some() && self.restored.is_some() {
+                    self.store.snapshot(&mut snapshot);
+                }
+                cfg.map(|cfg| WalState::create(cfg, seed, &snapshot))
+            }
+        };
+        let Some(opened) = opened else {
+            return;
+        };
+        // lint:allow(k1): a kernel asked for a WAL it cannot open or reopen must not serve
+        let w = opened.expect("open kernel WAL");
+        self.store.track_changes();
+        self.kmetrics.wal_bytes.set(w.log.disk_len() as i64);
+        self.wal = Some(w);
     }
 
     /// Restores a journalled program that will not run again as a zombie:
@@ -174,6 +247,23 @@ impl Kernel {
     /// `true` when `pid`'s effectful syscalls are journalled.
     pub(crate) fn is_durable(&self, pid: Pid) -> bool {
         self.procs.get(pid.0).is_some_and(|p| p.durable)
+    }
+
+    /// Appends the KV store's changes since the last batch to the log as
+    /// one batch ([`crate::wal`], "KV batches"): when `forced`, or when a
+    /// linked file or the namespace changed. No-op without a WAL.
+    pub(crate) fn log_kv_batch(&mut self, forced: bool) {
+        let Some(w) = self.wal.as_mut() else {
+            return;
+        };
+        if !forced && !self.store.has_published_changes() {
+            return;
+        }
+        if self.store.drain_changes(w.log.pending()) {
+            // lint:allow(k1): a failed WAL write silently voids durability
+            w.log.flush().expect("kernel WAL KV batch");
+            self.kmetrics.wal_bytes.set(w.log.disk_len() as i64);
+        }
     }
 
     /// Journals one frame (no-op when the WAL is disabled).
@@ -237,6 +327,7 @@ impl Kernel {
         if !self.wal.as_ref().is_some_and(|w| w.checkpoint_due(now)) {
             return;
         }
+        self.log_kv_batch(false);
         let Some(w) = self.wal.as_mut() else {
             return;
         };

@@ -1,11 +1,13 @@
-//! The kernel write-ahead log: crash-tolerant serving state.
+//! The kernel write-ahead log: crash-tolerant serving state, and the one
+//! durable log the kernel keeps.
 //!
 //! The file is a `symphony_sim::seglog` log (header, frames, torn-tail
 //! rule: docs/RESILIENCE.md, "Log file format"); its header carries the
-//! kernel seed. What is the WAL's own:
+//! kernel seed. Its one tag space:
 //!
 //! | tag | frame |
 //! |---|---|
+//! | 1–8 | the KV store's records (`symphony_kvfs::journal`): page write, file metadata, link, unlink, remove, quota, pool state; 6 is retired |
 //! | 32 | process admission: pid, arrival, name, args, limits and, for a body that is data, its image |
 //! | 33 | process exit |
 //! | 34 | tool effect: the call's result |
@@ -25,6 +27,26 @@
 //! A body that is data (a LipScript program) ends the frame with its
 //! image, a length-prefixed byte string; a closure's frame ends at its
 //! limits, as in version 8.
+//!
+//! # KV batches
+//!
+//! The KV store's changes ride in this log as *batches*: its records,
+//! closed by a pool-state record ([`symphony_kvfs::journal`]). When the
+//! kernel creates the log over a store it restored, the store's snapshot
+//! is the first batch (a cold store is empty and needs none); after that
+//! it writes a delta batch just before each checkpoint frame and each
+//! durable exit frame — but only when a linked file or the namespace
+//! changed since the last batch, so a kernel that publishes nothing writes
+//! no KV bytes. A delta batch describes the files a recovered store keeps,
+//! the linked ones and the admin's: an unlinked file of any other owner
+//! is in no batch (its program runs again, or its exit removed it).
+//! A batch goes to `write(2)` whole. A crash can still tear it: the log's
+//! valid prefix then ends where the torn batch began, so its leading
+//! frames are dropped with the tail, and a recovered kernel reopens the
+//! log there instead of appending its next batch after them. Recovery
+//! therefore keeps the batches up to the last complete one; a published
+//! file is durable once the exit frame of the program that published it
+//! is.
 //!
 //! # Recovery model
 //!
@@ -87,18 +109,19 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
 
+use symphony_kvfs::journal::{self, Record};
 use symphony_kvfs::KvError;
-use symphony_sim::frame::{push_opt_u64, push_str, push_u32, push_u64, Cursor};
+use symphony_sim::frame::{push_opt_u64, push_str, push_u32, push_u64, Cursor, FRAME_OVERHEAD};
 use symphony_sim::seglog::{self, Head, HeadError, SegLog};
 use symphony_sim::{SimDuration, SimTime};
 
 use crate::types::{ExitStatus, Limits, ProcessUsage, SysError};
 
-/// WAL file magic: "SYMW" (sibling of the KVFS journal's "SYMJ").
+/// WAL file magic: "SYMW".
 pub const WAL_MAGIC: [u8; 4] = *b"SYMW";
 
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 9;
+pub const WAL_VERSION: u32 = 10;
 
 /// Default virtual-time spacing between checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(5);
@@ -331,15 +354,20 @@ pub(crate) enum WalRecord {
         next_pid: u64,
         preds: Vec<(u64, PredRecord)>,
     },
+    /// One record of a KV batch (module docs, "KV batches").
+    Kv(Record<'static>),
 }
 
 impl WalRecord {
+    /// The time a kernel frame was recorded at. A KV record carries none:
+    /// `ZERO`, which never moves the restored clock.
     pub(crate) fn at(&self) -> SimTime {
         match self {
             WalRecord::ProcSpawn { at, .. }
             | WalRecord::ProcExit { at, .. }
             | WalRecord::Effect { at, .. }
             | WalRecord::Checkpoint { at, .. } => *at,
+            WalRecord::Kv(_) => SimTime::ZERO,
         }
     }
 }
@@ -481,13 +509,19 @@ fn record_tag(rec: &WalRecord) -> u8 {
         WalRecord::ProcExit { .. } => TAG_PROC_EXIT,
         WalRecord::Effect { effect, .. } => effect.class() as u8,
         WalRecord::Checkpoint { .. } => TAG_CHECKPOINT,
+        WalRecord::Kv(kv) => journal::record_tag(kv),
     }
 }
 
-/// A record's frame payload: the time it was recorded at, then its fields.
+/// A record's frame payload: the time it was recorded at, then its fields
+/// (a KV record's payload is the store codec's, untimed).
 fn encode_payload(rec: &WalRecord) -> Vec<u8> {
     let mut buf = Vec::new();
     let out = &mut buf;
+    if let WalRecord::Kv(kv) = rec {
+        journal::encode_payload(kv, out);
+        return buf;
+    }
     push_u64(out, rec.at().as_nanos());
     match rec {
         WalRecord::ProcSpawn {
@@ -587,6 +621,7 @@ fn encode_payload(rec: &WalRecord) -> Vec<u8> {
                 }
             }
         }
+        WalRecord::Kv(_) => {}
     }
     buf
 }
@@ -624,6 +659,9 @@ fn decode_pid(c: &mut Cursor<'_>) -> Option<u64> {
 }
 
 fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
+    if tag < TAG_PROC_SPAWN {
+        return journal::decode_record(tag, payload).map(WalRecord::Kv);
+    }
     let mut c = Cursor::new(payload);
     let at = SimTime::from_nanos(c.u64()?);
     let rec = match tag {
@@ -700,9 +738,12 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<WalRecord> {
     c.done().then_some(rec)
 }
 
-/// Human-readable name for a WAL frame tag (unknown tags are possible in
-/// logs written by newer kernels).
+/// Human-readable name for a WAL frame tag, the KV store's among them
+/// (unknown tags are possible in logs written by newer kernels).
 pub fn tag_name(tag: u8) -> &'static str {
+    if let Some(name) = journal::tag_name(tag) {
+        return name;
+    }
     match tag {
         TAG_PROC_SPAWN => "proc_spawn",
         TAG_PROC_EXIT => "proc_exit",
@@ -715,9 +756,9 @@ pub fn tag_name(tag: u8) -> &'static str {
     }
 }
 
-/// Parses WAL bytes and counts valid frames per tag — the journal-growth
-/// observability hook `exp_recovery` reports, answering "what is this log
-/// made of" without replaying it.
+/// Parses WAL bytes and counts valid frames per tag, KV records included
+/// — the log-growth observability hook `exp_recovery` and `exp_persist`
+/// report, answering "what is this log made of" without replaying it.
 pub fn frame_counts(bytes: &[u8]) -> Result<BTreeMap<&'static str, u64>, WalError> {
     let name_of = |tag, payload: &[u8]| decode_payload(tag, payload).map(|_| tag_name(tag));
     Ok(seglog::tag_counts(bytes, &HEAD, name_of)?)
@@ -728,11 +769,39 @@ pub fn frame_counts(bytes: &[u8]) -> Result<BTreeMap<&'static str, u64>, WalErro
 /// truncation on reopen), and whether a torn tail (or an undecodable
 /// frame) was cut. An unknown tag or malformed payload ends the valid
 /// prefix exactly like a torn frame — forward-compatible and crash-safe
-/// in the same code path.
+/// in the same code path. So does a KV batch the valid frames end inside:
+/// the prefix stops before its first frame (module docs, "KV batches").
 pub(crate) fn read_wal(bytes: &[u8]) -> Result<(u64, Vec<WalRecord>, u64, bool), WalError> {
     let ([seed], body) = seglog::parse_head(&HEAD, bytes)?;
-    let (records, valid_len, torn) = seglog::scan(body, decode_payload);
+    // The record index and body offset of the first frame of a batch not
+    // closed yet, and where the next frame starts.
+    let (mut open, mut index, mut at) = (None, 0, 0);
+    let (mut records, mut valid_len, mut torn) = seglog::scan(body, |tag, payload| {
+        let rec = decode_payload(tag, payload)?;
+        if let WalRecord::Kv(kv) = &rec {
+            if journal::closes_batch(kv) {
+                open = None;
+            } else if open.is_none() {
+                open = Some((index, at));
+            }
+        }
+        index += 1;
+        at += FRAME_OVERHEAD + payload.len();
+        Some(rec)
+    });
+    if let Some((first, start)) = open {
+        records.truncate(first);
+        (valid_len, torn) = (start, true);
+    }
     Ok((seed, records, (Head::<1>::LEN + valid_len) as u64, torn))
+}
+
+/// The KV records of the log at `path`, its complete batches, and whether
+/// it was torn; `None` when there is no such file or it is not a kernel
+/// log.
+pub(crate) fn read_kv_batches(path: &std::path::Path) -> Option<(Vec<Record<'static>>, bool)> {
+    let (_, records, valid_len, torn) = read_wal(&std::fs::read(path).ok()?).ok()?;
+    Some((build_replay(records, valid_len, torn).kv, torn))
 }
 
 // ---- writer ----------------------------------------------------------------
@@ -752,9 +821,17 @@ pub(crate) struct WalState {
 }
 
 impl WalState {
-    /// Creates the WAL for a fresh kernel, replacing any previous log.
-    pub(crate) fn create(config: &WalConfig, seed: u64) -> std::io::Result<Self> {
-        let log = SegLog::create(&config.path, &seglog::encode_head(&HEAD, [seed]))?;
+    /// Creates the WAL for a fresh kernel, replacing any previous log: the
+    /// header, then `first_batch`, the store's snapshot (module docs, "KV
+    /// batches"; empty for a cold store). Both land in one atomic create.
+    pub(crate) fn create(
+        config: &WalConfig,
+        seed: u64,
+        first_batch: &[u8],
+    ) -> std::io::Result<Self> {
+        let mut bytes = seglog::encode_head(&HEAD, [seed]);
+        bytes.extend_from_slice(first_batch);
+        let log = SegLog::create(&config.path, &bytes)?;
         Ok(Self::over(log, config, SimTime::ZERO))
     }
 
@@ -841,6 +918,9 @@ pub(crate) struct Replay {
     pub(crate) procs: BTreeMap<u64, ReplayProc>,
     /// Every journalled syscall effect, by `(pid, class, seq)`.
     pub(crate) effects: BTreeMap<(u64, EffectClass, u64), Effect>,
+    /// The KV store's records, in log order: complete batches only (module
+    /// docs, "KV batches").
+    pub(crate) kv: Vec<Record<'static>>,
     /// Each process's last listed `pred` record, and how far its replay
     /// has got against it.
     pub(crate) preds: BTreeMap<u64, PredReplay>,
@@ -912,6 +992,7 @@ pub(crate) fn build_replay(records: Vec<WalRecord>, wal_bytes: u64, torn: bool) 
     for rec in records {
         r.clock = r.clock.max(rec.at());
         match rec {
+            WalRecord::Kv(kv) => r.kv.push(kv),
             WalRecord::ProcSpawn {
                 pid,
                 arrival,
@@ -1110,6 +1191,27 @@ mod tests {
                 image: Some(b"limits, then the text".to_vec()),
             },
         ]
+        .into_iter()
+        .chain(kv_batch())
+        .collect()
+    }
+
+    /// A KV batch: a path linked, closed by the pool state.
+    fn kv_batch() -> [WalRecord; 2] {
+        [
+            WalRecord::Kv(Record::Link {
+                path: "pub.kv".into(),
+                id: 1,
+            }),
+            WalRecord::Kv(Record::PoolState {
+                page_tokens: 16,
+                bytes_per_token: 1024,
+                next_file: 2,
+                access_clock: 3,
+                slots_len: 0,
+                free: Vec::new().into(),
+            }),
+        ]
     }
 
     fn wal_bytes(records: &[WalRecord], seed: u64) -> Vec<u8> {
@@ -1219,11 +1321,14 @@ mod tests {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 7);
         // Frame boundaries: cutting exactly there is a clean (un-torn) log.
+        // Not inside a KV batch: the prefix ends before its first frame.
         let mut boundaries = vec![HEADER_LEN];
         let mut off = HEADER_LEN;
         for r in &recs {
             off += encode_frame(r).len();
-            boundaries.push(off);
+            if !matches!(r, WalRecord::Kv(kv) if !journal::closes_batch(kv)) {
+                boundaries.push(off);
+            }
         }
         for cut in HEADER_LEN..bytes.len() {
             let (seed, prefix, valid_len, torn) = read_wal(&bytes[..cut]).unwrap();
@@ -1248,8 +1353,8 @@ mod tests {
         wrong_magic[0] = b'X';
         assert_eq!(read_wal(&wrong_magic), Err(WalError::Incompatible));
         let mut wrong_version = bytes.clone();
-        // A log written by the previous format (v7: receive frames, and
-        // tool and `now` frames with a field more) is refused, not misread.
+        // A log written by the previous format (v9: no KV frames, the
+        // store's batches in a file of their own) is refused, not misread.
         for version in [WAL_VERSION - 1, 99] {
             wrong_version[4] = version as u8;
             assert_eq!(read_wal(&wrong_version), Err(WalError::Incompatible));
@@ -1546,8 +1651,10 @@ mod tests {
         let expected = [
             ("checkpoint", 1),
             ("ipc_send", 1),
+            ("link", 1),
             ("lookup", 1),
             ("now", 1),
+            ("pool_state", 1),
             ("proc_exit", 1),
             ("proc_spawn", 3),
             ("tool_effect", 2),
@@ -1592,7 +1699,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("unit.wal");
         let cfg = WalConfig::new(&path);
-        let mut w = WalState::create(&cfg, 9).unwrap();
+        let mut w = WalState::create(&cfg, 9, &[]).unwrap();
         let on_disk = || read_wal(&std::fs::read(&path).unwrap()).unwrap();
         let mut written = Vec::new();
         for rec in sample_records() {
@@ -1600,19 +1707,34 @@ mod tests {
                 WalRecord::Checkpoint { .. } => w.checkpoint(&rec).unwrap(),
                 _ => w.write(&rec).unwrap(),
             }
+            assert!(w.log.pending().is_empty(), "nothing waits in a buffer");
+            // A KV batch reads back once the record closing it is written.
+            let open = matches!(&rec, WalRecord::Kv(kv) if !journal::closes_batch(kv));
             written.push(rec);
             let (_, recs, valid_len, torn) = on_disk();
+            if open {
+                assert_eq!(recs, written[..written.len() - 1]);
+                assert!(torn);
+                continue;
+            }
             assert_eq!(recs, written);
             assert!(!torn);
             assert_eq!(valid_len, w.log.disk_len());
-            assert_eq!(w.log.pending_len(), 0, "nothing waits in a buffer");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The format changes only on purpose: length and FNV-1a of this
-    /// record list's encoding under seed 42. Version 9 is 764 bytes against
-    /// version 8's 626 (FNV-1a `0x6a42_3433`): the list gains a third
+    /// record list's encoding under seed 42. Version 10 is 840 bytes
+    /// against version 9's 764 (FNV-1a `0xc760_663d`): the KV store's
+    /// records are frames of this log, and the list ends in a KV batch —
+    /// a 27-byte link frame (frame overhead, the file id and the
+    /// length-prefixed "pub.kv") and the 49-byte pool state that closes it
+    /// (frame overhead, four `u64`s, the slot count and an empty free
+    /// list's count). Every other frame keeps its bytes, and the header's
+    /// version word reads 10, so the header's checksum moves too.
+    /// Version 9 was 764 bytes against
+    /// version 8's 626 (FNV-1a `0x6a42_3433`): the list gained a third
     /// admission frame, pid 5's, whose body is data, 138 bytes: the frame
     /// overhead, at, pid, arrival, the length-prefixed "script" and "z=3",
     /// the limits, and its 21-byte image behind a 4-byte length. Every
@@ -1649,22 +1771,25 @@ mod tests {
     fn on_disk_format_is_pinned() {
         let recs = sample_records();
         let bytes = wal_bytes(&recs, 42);
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (764, 0xc760_663d));
-        // Under a version-8 header, the frames before the one with an image
-        // are version 8's file.
-        let v8 = Head::<1> {
-            magic: WAL_MAGIC,
-            version: 8,
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (840, 0xf4bc_3f5c));
+        // Under an older header, the frames before the KV batch are
+        // version 9's file, and those before the one with an image version
+        // 8's.
+        let kv_len: usize = kv_batch().iter().map(|r| encode_frame(r).len()).sum();
+        assert_eq!(kv_len, 27 + 49);
+        let old = |version, drop: usize| {
+            let mut before = seglog::encode_head(&Head::<1> { magic: WAL_MAGIC, version }, [42]);
+            before.extend_from_slice(&bytes[HEADER_LEN..bytes.len() - drop]);
+            (before.len(), fnv1a(&before))
         };
-        let mut before = seglog::encode_head(&v8, [42]);
-        before.extend_from_slice(&bytes[HEADER_LEN..bytes.len() - 138]);
-        assert_eq!((before.len(), fnv1a(&before)), (626, 0x6a42_3433));
+        assert_eq!(old(9, kv_len), (764, 0xc760_663d));
+        assert_eq!(old(8, kv_len + 138), (626, 0x6a42_3433));
         // The writer lays down the same bytes: every frame is written when
         // it is made, so file order is list order.
         let dir = std::env::temp_dir().join(format!("symwal-pin-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let cfg = WalConfig::new(dir.join("pinned.wal"));
-        let mut w = WalState::create(&cfg, 42).unwrap();
+        let mut w = WalState::create(&cfg, 42, &[]).unwrap();
         for rec in &recs {
             match rec {
                 WalRecord::Checkpoint { .. } => w.checkpoint(rec).unwrap(),

@@ -1,10 +1,10 @@
-//! Warm-restart persistence tests: a KV journal written by the store,
-//! replay at boot, golden-trace equivalence against a cold kernel, and
-//! torn-tail recovery from a journal cut at any point.
+//! Warm-restart persistence tests: a kernel log whose KV batches carry the
+//! store, replay at boot, golden-trace equivalence against a cold kernel,
+//! and torn-tail recovery from a log cut at any point.
 
 use symphony::sampling::{self, GenOpts};
-use symphony::{Kernel, KernelConfig, Mode};
-use symphony_kvfs::{JournalConfig, KvError};
+use symphony::{Body, Kernel, KernelConfig, Mode, SpawnOpts, WalConfig};
+use symphony_kvfs::KvError;
 use symphony_sim::frame::{read_frames, FRAME_OVERHEAD};
 use symphony_sim::seglog::{Head, SegLog};
 
@@ -15,10 +15,34 @@ fn tmp(name: &str) -> std::path::PathBuf {
 
 const SYS_TEXT: &str = "system prompt shared by every request in the fleet ";
 
+/// The KV store's record that closes every batch.
+const POOL_STATE: u8 = 8;
+/// The KV store's tags are the low end of the log's one tag space.
+const FIRST_KERNEL_TAG: u8 = 32;
+
 fn preload(k: &mut Kernel) -> usize {
     let tokens = k.tokenizer().encode(&SYS_TEXT.repeat(8));
     k.preload_kv("sys.kv", &tokens, Mode::SHARED_READ, true).unwrap();
     tokens.len()
+}
+
+/// A kernel that writes its log at `path`.
+fn logging(path: &std::path::Path) -> Kernel {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.wal = Some(WalConfig::new(path));
+    Kernel::new(cfg)
+}
+
+/// Runs a durable program that does nothing: its exit is a boundary, so
+/// what was published before it — preloads included — goes in the log
+/// first.
+fn boundary(k: &mut Kernel) {
+    let durable = SpawnOpts {
+        durable: true,
+        ..SpawnOpts::default()
+    };
+    k.admit("boundary", "", durable, Body::hosted(|_| Ok(())));
+    k.run();
 }
 
 /// The same RAG-style workload run against either kernel: fork the shared
@@ -45,19 +69,19 @@ fn rag_workload(k: &mut Kernel) -> String {
 
 #[test]
 fn warm_restart_restores_pinned_prefix() {
-    let path = tmp("warm.journal");
+    let path = tmp("warm.wal");
     let n_sys = {
-        let mut cold = Kernel::new(KernelConfig::for_tests());
+        let mut cold = logging(&path);
         let n = preload(&mut cold);
         assert!(cold.restored().is_none(), "cold start has no restore report");
-        cold.open_kv_journal(&path, JournalConfig::default()).unwrap();
+        boundary(&mut cold);
         n
     };
 
     let mut cfg = KernelConfig::for_tests();
     cfg.journal_path = Some(path.clone());
     let mut warm = Kernel::new(cfg);
-    let report = *warm.restored().expect("journal replayed at boot");
+    let report = *warm.restored().expect("log replayed at boot");
     assert_eq!(report.files, 1);
     assert_eq!(report.links, 1);
     assert_eq!(report.tokens, n_sys);
@@ -85,11 +109,11 @@ fn warm_restart_restores_pinned_prefix() {
 fn restored_kernel_matches_fresh_kernel_trace() {
     // Acceptance criterion: the golden trace of a post-restore run is
     // byte-identical to a no-restart run for the same workload suffix.
-    let path = tmp("golden.journal");
+    let path = tmp("golden.wal");
     {
-        let mut seed = Kernel::new(KernelConfig::for_tests());
+        let mut seed = logging(&path);
         preload(&mut seed);
-        seed.open_kv_journal(&path, JournalConfig::default()).unwrap();
+        boundary(&mut seed);
     }
 
     let mut cfg = KernelConfig::for_tests();
@@ -108,52 +132,53 @@ fn restored_kernel_matches_fresh_kernel_trace() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Warm-boots a kernel from the journal at `path`.
+/// Warm-boots a kernel from the log at `path`.
 fn warm_boot(path: &std::path::Path) -> Kernel {
     let mut cfg = KernelConfig::for_tests();
     cfg.journal_path = Some(path.to_path_buf());
     Kernel::new(cfg)
 }
 
-/// A crash can stop a journal write anywhere. A journal written through
-/// `open_kv_journal` + `persist_kv_delta` and cut at every frame boundary
-/// and one byte into every frame still warm-boots: the restored prefix is
-/// consistent and the kernel serves. A cut right after a batch's closing
-/// `PoolState` (or at the header's end) reads complete; every other cut —
-/// one byte into a frame, or between two frames of one batch — reports
-/// the typed tear.
+/// A crash can stop a log write anywhere. A log whose KV batches a kernel
+/// wrote at two boundaries, cut at every frame boundary and one byte into
+/// every frame, still warm-boots: the restored store is consistent and the
+/// kernel serves. A cut between batches (or at the header's end) reads
+/// complete; every other cut — one byte into a frame, or between two
+/// frames of one batch — reports the typed tear.
 #[test]
 fn a_journal_cut_anywhere_warm_boots() {
-    let path = tmp("cut.journal");
-    let mut k = Kernel::new(KernelConfig::for_tests());
-    k.open_kv_journal(&path, JournalConfig::default()).unwrap();
+    let path = tmp("cut.wal");
+    let mut k = logging(&path);
     preload(&mut k);
-    assert!(!k.persist_kv_delta().unwrap());
+    boundary(&mut k);
     k.preload_kv("more.kv", &k.tokenizer().encode(SYS_TEXT), Mode::SHARED_READ, false)
         .unwrap();
-    assert!(!k.persist_kv_delta().unwrap());
+    boundary(&mut k);
     let bytes = std::fs::read(&path).unwrap();
 
-    // The journal's header carries four fields; frames follow it. Tag 8
-    // is `PoolState`, the record that closes every batch.
-    const POOL_STATE: u8 = 8;
-    let mut end = Head::<4>::LEN;
+    // The log's header carries the seed; frames follow it. A cut is inside
+    // a batch when the last KV frame before it is not a `PoolState`.
+    let mut end = Head::<1>::LEN;
     let mut cuts = vec![(end, false)];
     let (frames, torn) = read_frames(&bytes[end..]);
     assert!(!torn);
+    let mut in_batch = false;
     for (tag, payload) in &frames {
         cuts.push((end + 1, true));
         end += FRAME_OVERHEAD + payload.len();
-        cuts.push((end, *tag != POOL_STATE));
+        if *tag < FIRST_KERNEL_TAG {
+            in_batch = *tag != POOL_STATE;
+        }
+        cuts.push((end, in_batch));
     }
     assert_eq!(end, bytes.len());
-    // The base snapshot and two delta batches, each closed once, and the
-    // delta batches have frame boundaries inside them.
-    let closes = frames.iter().filter(|(tag, _)| *tag == POOL_STATE).count();
-    assert_eq!(closes, 3);
-    assert!(frames.len() > 2 * closes, "{} frames", frames.len());
+    // Two batches, each closed once, with frame boundaries inside them.
+    let kv = frames.iter().filter(|(tag, _)| *tag < FIRST_KERNEL_TAG);
+    let closes = kv.clone().filter(|(tag, _)| *tag == POOL_STATE).count();
+    assert_eq!(closes, 2);
+    assert!(kv.count() > 2 * closes);
 
-    let cut_path = tmp("cut.prefix.journal");
+    let cut_path = tmp("cut.prefix.wal");
     for (cut, torn) in cuts {
         std::fs::write(&cut_path, &bytes[..cut]).unwrap();
         let mut warm = warm_boot(&cut_path);
@@ -176,86 +201,75 @@ fn a_journal_cut_anywhere_warm_boots() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Opening a journal over an existing one replaces it by rename: killed
-/// between staging and rename the old journal is still whole, and a
-/// finished open never truncated it in place.
+/// A kernel that creates its log over an existing one replaces it by
+/// rename: killed between staging and rename the old log is still whole,
+/// and a finished create never truncated it in place.
 #[test]
 fn reopening_a_journal_never_exposes_a_partial_file() {
     use std::io::Read;
-    let path = tmp("reopen.journal");
-    let complete = |bytes: &[u8]| !symphony_kvfs::journal::read_journal(bytes).unwrap().2;
-    let mut k = Kernel::new(KernelConfig::for_tests());
+    let path = tmp("reopen.wal");
+    let mut k = logging(&path);
     preload(&mut k);
-    k.open_kv_journal(&path, JournalConfig::default()).unwrap();
+    boundary(&mut k);
+    drop(k);
     let old = std::fs::read(&path).unwrap();
     let mut reader = std::fs::File::open(&path).unwrap();
+    let restores_whole = |path: &std::path::Path| {
+        let warm = warm_boot(path);
+        let report = *warm.restored().unwrap();
+        report.files == 1 && report.torn.is_none()
+    };
 
-    k.preload_kv(
-        "more.kv",
-        &k.tokenizer().encode(SYS_TEXT),
-        Mode::SHARED_READ,
-        false,
-    )
-    .unwrap();
-    let new = k.store().journal_bytes();
+    let other = tmp("reopen.other.wal");
+    drop(logging(&other));
+    let new = std::fs::read(&other).unwrap();
     assert_ne!(new, old);
     SegLog::replace_crash_before_rename(&path, &new).unwrap();
-    let on_disk = std::fs::read(&path).unwrap();
-    assert!(
-        on_disk == old && complete(&on_disk),
-        "a crash mid-open keeps the old journal"
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        old,
+        "a crash mid-create keeps the old log"
     );
+    assert!(restores_whole(&path));
 
-    k.open_kv_journal(&path, JournalConfig::default()).unwrap();
+    drop(logging(&path));
     assert_eq!(std::fs::read(&path).unwrap(), new);
     let mut seen = Vec::new();
     reader.read_to_end(&mut seen).unwrap();
     assert!(
         seen == old,
-        "the old journal was replaced, not rewritten in place"
+        "the old log was replaced, not rewritten in place"
     );
-    std::fs::remove_file(&path).ok();
+    for p in [path, other] {
+        std::fs::remove_file(p).ok();
+    }
 }
 
-/// `kvfs.journal_bytes` has one writer, the journal: it reads the file's
-/// length after the journal opens, after every persist (compacting or
-/// not) and after a warm boot, and serializing the store without writing
-/// a journal leaves it alone.
+/// `kernel.wal_bytes` has one writer, the log: it reads the file's length
+/// once the log is created, after every KV batch and frame, and once
+/// recovery reopens it.
 #[test]
 fn the_journal_gauge_is_the_journal_file_length() {
-    let path = tmp("gauge.journal");
+    let path = tmp("gauge.wal");
     let on_disk = || std::fs::metadata(&path).unwrap().len() as i64;
-    let gauge = |k: &Kernel| k.metrics_registry().gauge("kvfs.journal_bytes").get();
-    let mut k = Kernel::new(KernelConfig::for_tests());
-    k.open_kv_journal(&path, JournalConfig { compact_threshold_bytes: 2048 })
-        .unwrap();
+    let gauge = |k: &Kernel| k.metrics_registry().gauge("kernel.wal_bytes").get();
+    let mut k = logging(&path);
     assert_eq!(gauge(&k), on_disk());
-    let (mut compacted, mut appended, mut telling) = (0, 0, 0);
-    for i in 0..8 {
+    for i in 0..4 {
         let tokens = k.tokenizer().encode(&format!("document {i} {SYS_TEXT}"));
         k.preload_kv(&format!("doc{i}.kv"), &tokens, Mode::SHARED_READ, false)
             .unwrap();
-        if k.persist_kv_delta().unwrap() {
-            compacted += 1;
-        } else {
-            appended += 1;
-        }
-        assert_eq!(gauge(&k), on_disk(), "after persist {i}");
-        let snapshot = k.store().journal_bytes();
-        assert_eq!(gauge(&k), on_disk(), "a bare snapshot after persist {i}");
-        telling += usize::from(snapshot.len() as i64 != on_disk());
+        boundary(&mut k);
+        assert_eq!(gauge(&k), on_disk(), "after boundary {i}");
     }
-    assert!(compacted >= 1 && appended >= 1, "{compacted} compacted, {appended} appended");
-    // Only a snapshot whose length differs from the file's can show a
-    // second writer.
-    assert!(telling >= 1);
-    assert_eq!(
-        k.metrics_registry().counter_value("kvfs.compactions"),
-        Some(compacted)
-    );
+    // One batch per boundary, each with its one new link.
+    let frames = symphony::wal::frame_counts(&std::fs::read(&path).unwrap()).unwrap();
+    assert_eq!((frames["pool_state"], frames["link"]), (4, 4));
     drop(k);
-    let warm = warm_boot(&path);
-    assert!(warm.restored().is_some());
-    assert_eq!(gauge(&warm), on_disk());
+    let mut cfg = KernelConfig::for_tests();
+    cfg.wal = Some(WalConfig::new(&path));
+    let (k, _) = Kernel::recover(cfg, |_, _| None).unwrap();
+    assert_eq!(gauge(&k), on_disk());
+    assert_eq!(k.restored().map(|r| r.links), Some(4));
     std::fs::remove_file(&path).ok();
 }

@@ -6,9 +6,13 @@
 //! An arbitrary byte cut models a torn write: the reader truncates to the
 //! longest valid frame prefix, and frames are appended in causal order
 //! (a delivery's `IpcSend` precedes its `IpcRecv`; a spawn precedes the
-//! process's effects), so any prefix is a state some slower crash could
-//! have produced — just with a longer live tail to re-execute.
+//! process's effects; what a program published precedes its exit), so any
+//! prefix is a state some slower crash could have produced — just with a
+//! longer live tail to re-execute. Each worker publishes its context under
+//! a path, and once every program has finished the recovered store's
+//! namespace is the uninterrupted run's, file for file.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -34,9 +38,9 @@ fn tool() -> ToolSpec {
     ToolSpec::fixed(SimDuration::from_millis(2), |args| ToolOutcome::Ok(format!("hit:{args}")))
 }
 
-/// Pair of LIPs: a worker that samples, calls the tool and reports, and a
-/// collector that echoes what it received. Deterministic data, no clock
-/// values in outputs.
+/// Pair of LIPs: a worker that samples, calls the tool, reports and
+/// publishes its context as `answer<args>.kv`, and a collector that echoes
+/// what it received. Deterministic data, no clock values in outputs.
 fn worker_image() -> ProgramImage {
     Arc::new(|ctx| {
         let args = ctx.args();
@@ -52,7 +56,7 @@ fn worker_image() -> ProgramImage {
         ctx.emit(&format!("{args}={}|{doc}", ctx.detokenize(&gen.tokens)?))?;
         let to = ctx.lookup_process("collector")?.ok_or(SysError::NotFound)?;
         ctx.send_msg(to, &format!("w{args}"))?;
-        ctx.kv_remove(kv)?;
+        ctx.kv_link(kv, &format!("answer{args}.kv"))?;
         Ok(())
     })
 }
@@ -92,9 +96,25 @@ fn run_workload(k: &mut Kernel) {
     k.run();
 }
 
-/// One full-run WAL plus the uninterrupted outputs, computed once.
-fn baseline() -> (Vec<u8>, std::collections::BTreeMap<String, String>) {
-    let path = tmp("baseline.wal");
+/// The paths the workload publishes, and the tokens each names.
+type Namespace = BTreeMap<String, Option<Vec<u32>>>;
+
+fn namespace(k: &Kernel) -> Namespace {
+    ["answer0.kv", "answer1.kv"]
+        .into_iter()
+        .map(|path| {
+            let tokens = k.store().lookup(path).map(|f| {
+                let entries = k.store().read_all_unchecked(f).unwrap();
+                entries.iter().map(|e| e.token).collect()
+            });
+            (path.to_string(), tokens)
+        })
+        .collect()
+}
+
+/// One full-run WAL plus the uninterrupted outputs and namespace.
+fn baseline() -> (Vec<u8>, BTreeMap<String, String>, Namespace) {
+    let path = tmp(&format!("baseline-{:?}.wal", std::thread::current().id()));
     let mut k = Kernel::new(config(&path, None));
     run_workload(&mut k);
     let outputs = k
@@ -102,9 +122,11 @@ fn baseline() -> (Vec<u8>, std::collections::BTreeMap<String, String>) {
         .filter(|r| r.status.is_ok())
         .map(|r| (r.name.clone(), r.output.clone()))
         .collect();
+    let published = namespace(&k);
+    assert!(published.values().all(Option::is_some), "{published:?}");
     let bytes = std::fs::read(&path).expect("wal written");
     std::fs::remove_file(&path).ok();
-    (bytes, outputs)
+    (bytes, outputs, published)
 }
 
 proptest! {
@@ -116,7 +138,7 @@ proptest! {
     /// outputs exactly.
     #[test]
     fn truncated_wal_recovers_a_consistent_prefix(frac in 0.0f64..1.0, case in 0u64..u64::MAX) {
-        let (bytes, expected) = baseline();
+        let (bytes, expected, published) = baseline();
         let cut = (bytes.len() as f64 * frac) as usize;
         let path = tmp(&format!("cut-{case}"));
         std::fs::write(&path, &bytes[..cut]).unwrap();
@@ -146,9 +168,13 @@ proptest! {
                 }
                 // A cut past the final frame loses nothing: everything
                 // must finish (possibly restored as already-finished).
+                let done = k.records().filter(|r| r.exited_at.is_some()).count();
                 if cut == bytes.len() {
-                    let done = k.records().filter(|r| r.exited_at.is_some()).count();
                     prop_assert_eq!(done, expected.len());
+                }
+                k.store().verify().unwrap();
+                if done == expected.len() {
+                    prop_assert_eq!(namespace(&k), published.clone(), "namespace after cut {}", cut);
                 }
             }
         }
@@ -157,9 +183,12 @@ proptest! {
 
     /// A crash mid-run followed by truncating the *tail* of the WAL (torn
     /// final write) still recovers: the torn flag is surfaced and the
-    /// resumed run completes consistently.
+    /// resumed run completes consistently, publishing what the
+    /// uninterrupted run published — and so does a second recovery from
+    /// the log the resumed run appended to.
     #[test]
     fn torn_tail_after_crash_recovers(drop_tail in 1usize..64, boundary in 5u64..40) {
+        let (_, expected, published) = baseline();
         let path = tmp(&format!("torn-{boundary}-{drop_tail}"));
         {
             let mut k = Kernel::new(config(&path, Some(boundary)));
@@ -179,6 +208,25 @@ proptest! {
             if r.exited_at.is_some() {
                 prop_assert!(r.status.is_ok());
             }
+        }
+        k.store().verify().unwrap();
+        // A tail cut deep enough drops admissions too; those programs
+        // never run again.
+        let done = k.records().filter(|r| r.exited_at.is_some()).count();
+        if done == expected.len() {
+            prop_assert_eq!(namespace(&k), published.clone());
+        }
+        // The recovered run appended to the cut log; recovering from it
+        // again restores every exit (a program still waiting on one the
+        // cut dropped runs again) and what each published.
+        let waiting = k.records().count() - done;
+        drop(k);
+        let (k, report) = Kernel::recover(config(&path, None), resolver).unwrap();
+        prop_assert!(!report.torn);
+        prop_assert_eq!((report.finished, report.resumed), (done, waiting));
+        k.store().verify().unwrap();
+        if done == expected.len() {
+            prop_assert_eq!(namespace(&k), published);
         }
         std::fs::remove_file(&path).ok();
     }

@@ -1211,3 +1211,316 @@ fn a_message_is_received_once_across_a_crash_at_every_boundary() {
 /// draw under that seed drops a message and its next two do not.
 const DROP_SEED: u64 = 1;
 const DROP_FIRST_OF_THREE: f64 = 0.2;
+
+// ---- published files across a crash -----------------------------------------
+
+/// The text `publisher` prefills into the file it publishes.
+const PUBLISHED: &str = "a document worth keeping across a crash";
+
+/// Creates a file, fills it with a prefill of [`PUBLISHED`], links it as
+/// `pub.kv`, opens it to every reader and exits: the file outlives it
+/// (§4.2).
+fn publisher_image() -> ProgramImage {
+    Arc::new(|ctx| {
+        let doc = ctx.tokenize(PUBLISHED)?;
+        let kv = ctx.kv_create()?;
+        ctx.pred_positions(kv, &doc, 0)?;
+        ctx.kv_link(kv, "pub.kv")?;
+        ctx.kv_chmod(kv, symphony::Mode::SHARED_READ)?;
+        ctx.emit("published")?;
+        Ok(())
+    })
+}
+
+/// Arrives after the publisher has exited, forks what it published and
+/// continues from it.
+fn reader_image() -> ProgramImage {
+    Arc::new(|ctx| {
+        let doc = ctx.kv_open("pub.kv")?;
+        let kv = ctx.kv_fork(doc)?;
+        let from = ctx.kv_next_pos(kv)?;
+        let q = ctx.tokenize(" and a question about it")?;
+        let opts = GenOpts {
+            max_tokens: 3,
+            emit: false,
+            ..Default::default()
+        };
+        let gen = sampling::generate(ctx, kv, &q, &opts)?;
+        ctx.emit(&format!("from {from}: {}", ctx.detokenize(&gen.tokens)?))?;
+        ctx.kv_remove(kv)?;
+        Ok(())
+    })
+}
+
+fn publish_resolver(name: &str, _image: Option<&[u8]>) -> Option<Body> {
+    match name {
+        "publisher" => Some(Body::from(publisher_image())),
+        "reader" => Some(Body::from(reader_image())),
+        _ => None,
+    }
+}
+
+fn spawn_publish(k: &mut Kernel) {
+    k.admit("publisher", "", durable(), Body::from(publisher_image()));
+    let later = SpawnOpts {
+        durable: true,
+        ..SpawnOpts::at(SimTime::ZERO + SimDuration::from_millis(40))
+    };
+    k.admit("reader", "", later, Body::from(reader_image()));
+}
+
+/// `pub.kv`'s tokens, if the store names it.
+fn published(k: &Kernel) -> Option<Vec<u32>> {
+    let f = k.store().lookup("pub.kv")?;
+    let entries = k.store().read_all_unchecked(f).unwrap();
+    Some(entries.iter().map(|e| e.token).collect())
+}
+
+/// Whether the log restored `name` as a finished, successful program.
+fn finished_ok(k: &Kernel, name: &str) -> bool {
+    k.records()
+        .any(|r| r.name == name && r.exited_at.is_some() && r.status.is_ok())
+}
+
+/// A published file is as durable as the exit of the program that
+/// published it. Killed at every boundary of a run where a durable program
+/// publishes `pub.kv` and exits and a later one reads it, recovery
+/// restores `pub.kv` with its tokens whenever it restores the publisher's
+/// `Ok` exit; a publisher that had not exited runs again and links the
+/// path again without `AlreadyExists`; the store verifies; and the run
+/// ends as the uninterrupted one did, the reader included.
+#[test]
+fn a_published_file_survives_a_crash_at_every_boundary() {
+    let base_path = tmp("publish-base.wal");
+    let (expected, doc, boundaries) = {
+        let mut k = Kernel::new(config(&base_path, None));
+        spawn_publish(&mut k);
+        k.run();
+        (
+            outcomes(&k),
+            published(&k).expect("published"),
+            k.syscall_boundaries(),
+        )
+    };
+    assert!(expected.values().all(|(_, ok)| *ok), "{expected:?}");
+    assert!(
+        expected["reader"]
+            .0
+            .starts_with(&format!("from {}: ", doc.len())),
+        "the reader continues from the whole file: {expected:?}"
+    );
+    let mut restored_exits = 0;
+    for b in 1..=boundaries {
+        let path = tmp(&format!("publish-{b}.wal"));
+        {
+            let mut k = Kernel::new(config(&path, Some(b)));
+            spawn_publish(&mut k);
+            k.run();
+            assert_eq!(k.crashed(), Some(b), "kill-point {b} fires");
+        }
+        let (mut k, report) =
+            Kernel::recover(config(&path, None), publish_resolver).expect("recoverable WAL");
+        assert_eq!(report.lost, 0);
+        k.store().verify().unwrap();
+        if finished_ok(&k, "publisher") {
+            restored_exits += 1;
+            assert_eq!(
+                published(&k).as_ref(),
+                Some(&doc),
+                "boundary {b}: the exit's file"
+            );
+        } else {
+            assert_eq!(
+                published(&k),
+                None,
+                "boundary {b}: the re-execution links it again"
+            );
+        }
+        k.run();
+        k.store().verify().unwrap();
+        assert_eq!(
+            outcomes(&k),
+            expected,
+            "boundary {b}: the publisher relinks without AlreadyExists, the reader finds the file"
+        );
+        assert_eq!(published(&k).as_ref(), Some(&doc), "boundary {b}");
+        // What the recovered run published is in the log too.
+        drop(k);
+        let (k, report) = Kernel::recover(config(&path, None), publish_resolver).unwrap();
+        assert_eq!((report.resumed, report.finished), (0, 2), "boundary {b}");
+        k.store().verify().unwrap();
+        assert_eq!(
+            published(&k).as_ref(),
+            Some(&doc),
+            "boundary {b}, recovered twice"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+    assert!(
+        restored_exits > 0,
+        "some kill-point falls after the publisher's exit"
+    );
+    assert!(restored_exits < boundaries, "and some before it");
+    std::fs::remove_file(&base_path).ok();
+}
+
+/// The byte range of the first KV batch in a kernel log: from its first
+/// frame to the end of the pool state that closes it.
+fn first_kv_batch(bytes: &[u8]) -> (usize, usize) {
+    use symphony_sim::frame::{next_frame, Cursor};
+    const HEADER_LEN: usize = 20;
+    let mut c = Cursor::new(&bytes[HEADER_LEN..]);
+    let mut start = None;
+    loop {
+        let at = HEADER_LEN + c.pos();
+        let (tag, _) = next_frame(&mut c).expect("the log holds a whole batch");
+        if symphony_kvfs::journal::tag_name(tag).is_some() {
+            start.get_or_insert(at);
+        }
+        if symphony::wal::tag_name(tag) == "pool_state" {
+            return (start.unwrap(), HEADER_LEN + c.pos());
+        }
+    }
+}
+
+/// Arrives after the reader and publishes a file of its own.
+fn late_publisher_image() -> ProgramImage {
+    Arc::new(|ctx| {
+        let kv = ctx.kv_create()?;
+        ctx.pred_positions(kv, &ctx.tokenize("written after the first recovery")?, 0)?;
+        ctx.kv_link(kv, "late.kv")?;
+        Ok(())
+    })
+}
+
+/// Every path the store names, with its tokens.
+fn namespace(k: &Kernel) -> BTreeMap<String, Vec<u32>> {
+    ["pub.kv", "late.kv"]
+        .into_iter()
+        .filter_map(|path| {
+            let f = k.store().lookup(path)?;
+            let entries = k.store().read_all_unchecked(f).unwrap();
+            Some((path.to_string(), entries.iter().map(|e| e.token).collect()))
+        })
+        .collect()
+}
+
+/// A crash that tears the batch the publisher writes before its exit
+/// drops the batch's leading frames with the tail: recovery reopens the
+/// log where the batch began, so the publisher's second run writes its
+/// batch on a clean boundary, and a second recovery restores `pub.kv`
+/// once and the file a later program published after it. Cut at every
+/// byte inside the batch.
+#[test]
+fn a_published_file_survives_a_torn_kv_batch_and_two_recoveries() {
+    let spawn = |k: &mut Kernel| {
+        spawn_publish(k);
+        let later = SpawnOpts {
+            durable: true,
+            ..SpawnOpts::at(SimTime::ZERO + SimDuration::from_millis(80))
+        };
+        k.admit("late", "", later, Body::from(late_publisher_image()));
+    };
+    let resolve = |name: &str, image: Option<&[u8]>| match name {
+        "late" => Some(Body::from(late_publisher_image())),
+        _ => publish_resolver(name, image),
+    };
+    let base_path = tmp("torn-batch-base.wal");
+    let (expected, files, bytes) = {
+        let mut k = Kernel::new(config(&base_path, None));
+        spawn(&mut k);
+        k.run();
+        let bytes = std::fs::read(&base_path).unwrap();
+        (outcomes(&k), namespace(&k), bytes)
+    };
+    assert_eq!(files.len(), 2, "{files:?}");
+    let (start, end) = first_kv_batch(&bytes);
+    for cut in start + 1..end {
+        let path = tmp(&format!("torn-batch-{cut}.wal"));
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let (mut k, report) = Kernel::recover(config(&path, None), resolve).unwrap();
+        assert!(report.torn, "cut {cut}");
+        assert_eq!(report.wal_bytes, start as u64, "cut {cut}: the batch is dropped whole");
+        assert!(!finished_ok(&k, "publisher"), "cut {cut}");
+        assert_eq!(published(&k), None, "cut {cut}");
+        k.run();
+        assert_eq!(outcomes(&k), expected, "cut {cut}");
+        drop(k);
+        let (k, report) = Kernel::recover(config(&path, None), resolve).unwrap();
+        assert!(!report.torn, "cut {cut}");
+        assert_eq!((report.resumed, report.finished), (0, 3), "cut {cut}");
+        k.store().verify().unwrap();
+        assert_eq!(k.restored().and_then(|r| r.torn), None, "cut {cut}");
+        assert_eq!(namespace(&k), files, "cut {cut}, recovered twice");
+        assert_eq!(k.store().list_files().len(), 2, "cut {cut}: the published files alone");
+        std::fs::remove_file(&path).ok();
+    }
+    std::fs::remove_file(&base_path).ok();
+}
+
+/// A log's KV batches describe the linked files and the admin's: recovery
+/// keeps the published file of a program that finished and the admin's
+/// files, and nothing a re-executed program or a finished one left
+/// unnamed.
+#[test]
+fn recovery_keeps_published_and_admin_files_only() {
+    let path = tmp("publish-settle.wal");
+    {
+        let mut k = Kernel::new(config(&path, None));
+        let tokens = k.tokenizer().encode(PUBLISHED);
+        k.preload_kv("sys.kv", &tokens, symphony::Mode::SHARED_READ, true)
+            .unwrap();
+        // A scratch file the admin keeps unnamed survives too.
+        let scratch = k.store_mut().create(symphony::OwnerId::ADMIN).unwrap();
+        assert!(k.store().stat(scratch).is_ok());
+        k.admit("publisher", "", durable(), Body::from(publisher_image()));
+        // A durable program that holds an unnamed file when the kernel
+        // dies, and is re-executed.
+        k.admit(
+            "holder",
+            "",
+            durable(),
+            Body::from(Arc::new(|ctx: &mut symphony::Ctx| {
+                let kv = ctx.kv_create()?;
+                ctx.pred_positions(kv, &ctx.tokenize("held")?, 0)?;
+                ctx.sleep(SimDuration::from_secs(3600))?;
+                Ok(())
+            }) as ProgramImage),
+        );
+        k.run_for(SimDuration::from_millis(50));
+        assert!(finished_ok(&k, "publisher"));
+        assert_eq!(
+            k.store().list_files().len(),
+            4,
+            "sys, scratch, pub and held"
+        );
+    }
+    // The publisher's exit logged sys, scratch and pub: the holder's
+    // unnamed file is in no batch.
+    let frames = symphony::wal::frame_counts(&std::fs::read(&path).unwrap()).unwrap();
+    assert_eq!(frames["file_meta"], 3, "{frames:?}");
+    let resolve = |name: &str, image: Option<&[u8]>| match name {
+        "holder" => Some(Body::hosted(|ctx| {
+            ctx.sleep(SimDuration::from_secs(3600))?;
+            Ok(())
+        })),
+        _ => publish_resolver(name, image),
+    };
+    let (k, report) = Kernel::recover(config(&path, None), resolve).unwrap();
+    assert_eq!((report.resumed, report.finished), (1, 1));
+    k.store().verify().unwrap();
+    let owners: Vec<u64> = k.store().list_files().iter().map(|f| f.owner.0).collect();
+    assert_eq!(
+        owners.iter().filter(|&&o| o == 0).count(),
+        2,
+        "the admin's two files"
+    );
+    assert!(published(&k).is_some(), "the finished publisher's file");
+    assert_eq!(
+        owners.len(),
+        3,
+        "and not the re-executed holder's: {owners:?}"
+    );
+    assert_eq!(k.restored().map(|r| r.files), Some(3));
+    std::fs::remove_file(&path).ok();
+}

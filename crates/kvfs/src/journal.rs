@@ -1,8 +1,8 @@
-//! Append-only page journal: the KVFS client of the segment log.
+//! The KV store's record codec: the frames a store's changes travel in.
 //!
-//! The file is a `symphony_sim::seglog` log (header, frames, torn-tail
-//! rule and replace-by-rename are described there and in
-//! docs/RESILIENCE.md, "Log file format"). What is the journal's own:
+//! The store holds no file. Its records are frames of the kernel
+//! write-ahead log (`symphony::wal`, docs/RESILIENCE.md), and their tags
+//! are the low end of that log's one tag space:
 //!
 //! | tag | record | |
 //! |---|---|---|
@@ -12,54 +12,31 @@
 //! | 4 | [`Record::Unlink`] | path removed |
 //! | 5 | [`Record::Remove`] | file removed |
 //! | 7 | [`Record::Quota`] | an owner's page limit |
-//! | 8 | [`Record::PoolState`] | slot geometry, the last record of every batch |
+//! | 8 | [`Record::PoolState`] | geometry, allocator marks and slot state, the last record of every batch |
 //!
 //! (6 and 9 are retired: a frame carrying either ends the valid prefix.)
-//! The header carries `page_tokens`, `bytes_per_token`, `next_file` and
-//! `access_clock`.
 //!
-//! **Durability.** Every batch — a snapshot, or the changes one persist
-//! appends — ends in a [`Record::PoolState`]. A journal is *complete* when
-//! the frame walk was not cut and its last record is a `PoolState` (a
-//! header-only file is complete and empty), and *torn* otherwise: replay
-//! keeps the longest valid record prefix and reports the tear as
-//! [`KvError::JournalTorn`] detail instead of failing the restore.
-//! [`crate::store::KvStore::journal_bytes`] serialises a store as one
-//! batch; a [`Journal`] handle appends delta batches after it, and never
-//! rewrites a byte it has written (the store drives it:
-//! [`crate::store::KvStore::open_journal`] /
-//! [`crate::store::KvStore::persist_journal`]), and
-//! [`crate::store::KvStore::restore_from_journal`] replays either back into
-//! a byte-identical store.
+//! **Batches.** What a store writes is a *batch*: the records that take
+//! a reader from the previous batch to the store as it is, closed by one
+//! [`Record::PoolState`]. A snapshot ([`crate::store::KvStore::snapshot`])
+//! is the batch that starts from an empty store, and
+//! [`crate::store::KvStore::restore`] rebuilds a byte-identical store from
+//! it; a delta ([`crate::store::KvStore::drain_changes`]) starts from the
+//! last batch and describes the store's linked files and the admin's
+//! alone. A record sequence is *complete* when its last record is a
+//! `PoolState`; a reader keeps the sequence up to the last one.
+
+use std::borrow::Cow;
 
 use symphony_model::CtxFingerprint;
+use symphony_sim::frame::{append_frame_with, push_u32, push_u64, Cursor};
 
-use crate::error::KvError;
 use crate::page::{KvEntry, Tier};
 
-/// Journal file magic: "SYMJ".
-pub const JOURNAL_MAGIC: [u8; 4] = *b"SYMJ";
-
-/// Current journal format version.
-pub const JOURNAL_VERSION: u32 = 2;
-
-/// Fixed journal header: store geometry plus the id/clock high-water marks
-/// needed to continue allocating after a restore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalHeader {
-    /// Tokens per page at snapshot time (must match the restoring config).
-    pub page_tokens: u64,
-    /// KV bytes per token at snapshot time (must match the restoring config).
-    pub bytes_per_token: u64,
-    /// Next file id to allocate.
-    pub next_file: u64,
-    /// Logical access clock at snapshot time.
-    pub access_clock: u64,
-}
-
-/// One typed journal record.
+/// One typed record. Encoding borrows what it can (a page's row of the
+/// pool's arena, the free-slot stack); decoding owns it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Record {
+pub enum Record<'a> {
     /// A page's full contents and tier.
     PageWrite {
         /// Page slot id.
@@ -67,7 +44,7 @@ pub enum Record {
         /// Tier the page resides in.
         tier: Tier,
         /// The page's entries.
-        entries: Vec<KvEntry>,
+        entries: Cow<'a, [KvEntry]>,
     },
     /// A file's metadata and page list (pages must already be written).
     FileMeta {
@@ -93,14 +70,14 @@ pub enum Record {
     /// A namespace path pointing at a file.
     Link {
         /// Namespace path.
-        path: String,
+        path: Cow<'a, str>,
         /// Target file id.
         id: u64,
     },
     /// Namespace path removal.
     Unlink {
         /// Namespace path.
-        path: String,
+        path: Cow<'a, str>,
     },
     /// File removal (pages released, links dropped).
     Remove {
@@ -114,14 +91,24 @@ pub enum Record {
         /// Page limit.
         limit: Option<u64>,
     },
-    /// Page-pool slot geometry: total slot count and the free-slot stack in
-    /// allocation order. It closes every batch, so a journal that ends in
-    /// one is complete; any later mutating record invalidates it.
+    /// Closes every batch: the store's geometry, which a restoring store
+    /// must share, the id and clock high-water marks it continues from,
+    /// and the pool's slot count and free-slot stack in allocation order.
+    /// A sequence that ends in one is complete; any later mutating record
+    /// invalidates its slot state.
     PoolState {
+        /// Tokens per page.
+        page_tokens: u64,
+        /// KV bytes per token.
+        bytes_per_token: u64,
+        /// Next file id to allocate.
+        next_file: u64,
+        /// Logical access clock.
+        access_clock: u64,
         /// Slot-vector length including holes.
         slots_len: u32,
         /// Free-slot stack, bottom first.
-        free: Vec<u32>,
+        free: Cow<'a, [u32]>,
     },
 }
 
@@ -136,23 +123,6 @@ const TAG_POOL_STATE: u8 = 8;
 const TIER_GPU: u8 = 0;
 const TIER_CPU: u8 = 1;
 const TIER_DISK: u8 = 2;
-
-use symphony_sim::frame::{append_frame, push_u32, push_u64, Cursor};
-use symphony_sim::seglog::{self, Head, HeadError, SegLog};
-
-const HEAD: Head<4> = Head {
-    magic: JOURNAL_MAGIC,
-    version: JOURNAL_VERSION,
-};
-
-impl From<HeadError> for KvError {
-    fn from(e: HeadError) -> Self {
-        match e {
-            HeadError::Torn => KvError::JournalTorn,
-            HeadError::Incompatible => KvError::JournalIncompatible,
-        }
-    }
-}
 
 fn encode_tier(tier: Tier) -> u8 {
     match tier {
@@ -171,7 +141,13 @@ fn decode_tier(b: u8) -> Option<Tier> {
     }
 }
 
-fn encode_payload(rec: &Record, out: &mut Vec<u8>) {
+fn push_path(out: &mut Vec<u8>, path: &str) {
+    push_u32(out, path.len() as u32);
+    out.extend_from_slice(path.as_bytes());
+}
+
+/// Appends `rec`'s frame payload to `out` (its tag is [`record_tag`]).
+pub fn encode_payload(rec: &Record<'_>, out: &mut Vec<u8>) {
     match rec {
         Record::PageWrite {
             page,
@@ -181,7 +157,7 @@ fn encode_payload(rec: &Record, out: &mut Vec<u8>) {
             push_u32(out, *page);
             out.push(encode_tier(*tier));
             push_u32(out, entries.len() as u32);
-            for e in entries {
+            for e in entries.iter() {
                 push_u32(out, e.token);
                 push_u32(out, e.position);
                 push_u64(out, e.fingerprint.0);
@@ -216,30 +192,38 @@ fn encode_payload(rec: &Record, out: &mut Vec<u8>) {
         }
         Record::Link { path, id } => {
             push_u64(out, *id);
-            push_u32(out, path.len() as u32);
-            out.extend_from_slice(path.as_bytes());
+            push_path(out, path);
         }
-        Record::Unlink { path } => {
-            push_u32(out, path.len() as u32);
-            out.extend_from_slice(path.as_bytes());
-        }
+        Record::Unlink { path } => push_path(out, path),
         Record::Remove { file } => push_u64(out, *file),
         Record::Quota { owner, limit } => {
             push_u64(out, *owner);
             out.push(u8::from(limit.is_some()));
             push_u64(out, limit.unwrap_or(0));
         }
-        Record::PoolState { slots_len, free } => {
+        Record::PoolState {
+            page_tokens,
+            bytes_per_token,
+            next_file,
+            access_clock,
+            slots_len,
+            free,
+        } => {
+            push_u64(out, *page_tokens);
+            push_u64(out, *bytes_per_token);
+            push_u64(out, *next_file);
+            push_u64(out, *access_clock);
             push_u32(out, *slots_len);
             push_u32(out, free.len() as u32);
-            for f in free {
+            for f in free.iter() {
                 push_u32(out, *f);
             }
         }
     }
 }
 
-fn record_tag(rec: &Record) -> u8 {
+/// The frame tag of `rec`.
+pub fn record_tag(rec: &Record<'_>) -> u8 {
     match rec {
         Record::PageWrite { .. } => TAG_PAGE_WRITE,
         Record::FileMeta { .. } => TAG_FILE_META,
@@ -251,7 +235,19 @@ fn record_tag(rec: &Record) -> u8 {
     }
 }
 
-fn decode_payload(tag: u8, payload: &[u8]) -> Option<Record> {
+/// Appends `rec` to `out` as one frame, its payload encoded in place.
+pub fn append_record(out: &mut Vec<u8>, rec: &Record<'_>) {
+    append_frame_with(out, record_tag(rec), |out| encode_payload(rec, out));
+}
+
+fn decode_path(c: &mut Cursor<'_>) -> Option<Cow<'static, str>> {
+    let n = c.u32()? as usize;
+    String::from_utf8(c.take(n)?.to_vec()).ok().map(Cow::Owned)
+}
+
+/// Decodes one frame's payload. `None` for a tag this codec does not own
+/// and for a payload of the wrong shape: either ends a log's valid prefix.
+pub fn decode_record(tag: u8, payload: &[u8]) -> Option<Record<'static>> {
     let mut c = Cursor::new(payload);
     let rec = match tag {
         TAG_PAGE_WRITE => {
@@ -268,7 +264,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<Record> {
             Record::PageWrite {
                 page,
                 tier,
-                entries,
+                entries: Cow::Owned(entries),
             }
         }
         TAG_FILE_META => {
@@ -297,15 +293,14 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<Record> {
         }
         TAG_LINK => {
             let id = c.u64()?;
-            let n = c.u32()? as usize;
-            let path = String::from_utf8(c.take(n)?.to_vec()).ok()?;
-            Record::Link { path, id }
+            Record::Link {
+                path: decode_path(&mut c)?,
+                id,
+            }
         }
-        TAG_UNLINK => {
-            let n = c.u32()? as usize;
-            let path = String::from_utf8(c.take(n)?.to_vec()).ok()?;
-            Record::Unlink { path }
-        }
+        TAG_UNLINK => Record::Unlink {
+            path: decode_path(&mut c)?,
+        },
         TAG_REMOVE => Record::Remove { file: c.u64()? },
         TAG_QUOTA => {
             let owner = c.u64()?;
@@ -317,13 +312,24 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<Record> {
             }
         }
         TAG_POOL_STATE => {
+            let page_tokens = c.u64()?;
+            let bytes_per_token = c.u64()?;
+            let next_file = c.u64()?;
+            let access_clock = c.u64()?;
             let slots_len = c.u32()?;
             let count = c.u32()? as usize;
             let mut free = Vec::with_capacity(count.min(payload.len()));
             for _ in 0..count {
                 free.push(c.u32()?);
             }
-            Record::PoolState { slots_len, free }
+            Record::PoolState {
+                page_tokens,
+                bytes_per_token,
+                next_file,
+                access_clock,
+                slots_len,
+                free: Cow::Owned(free),
+            }
         }
         _ => return None,
     };
@@ -331,167 +337,33 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Option<Record> {
     c.done().then_some(rec)
 }
 
-/// Builds a journal byte stream: header, then appended records.
-#[derive(Debug)]
-pub struct JournalWriter {
-    buf: Vec<u8>,
+/// `true` for the record that closes a batch.
+pub fn closes_batch(rec: &Record<'_>) -> bool {
+    matches!(rec, Record::PoolState { .. })
 }
 
-impl JournalWriter {
-    /// Starts a journal with the given header.
-    pub fn new(header: &JournalHeader) -> Self {
-        let fields = [
-            header.page_tokens,
-            header.bytes_per_token,
-            header.next_file,
-            header.access_clock,
-        ];
-        JournalWriter {
-            buf: seglog::encode_head(&HEAD, fields),
-        }
-    }
-
-    /// Appends one framed record.
-    pub fn append(&mut self, rec: &Record) {
-        let mut payload = Vec::new();
-        encode_payload(rec, &mut payload);
-        // CRC covers tag + payload (not the length, which the frame walk
-        // re-derives; a bad length shows up as a bad CRC anyway).
-        append_frame(&mut self.buf, record_tag(rec), &payload);
-    }
-
-    /// Returns the bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
+/// The name of a record tag this codec owns, for a log's per-tag frame
+/// counts; `None` for any other tag.
+pub fn tag_name(tag: u8) -> Option<&'static str> {
+    Some(match tag {
+        TAG_PAGE_WRITE => "page_write",
+        TAG_FILE_META => "file_meta",
+        TAG_LINK => "link",
+        TAG_UNLINK => "unlink",
+        TAG_REMOVE => "remove",
+        TAG_QUOTA => "quota",
+        TAG_POOL_STATE => "pool_state",
+        _ => return None,
+    })
 }
 
-/// Parses a journal: the header, the longest valid record prefix, and
-/// whether the tail was torn (the segment log's torn-tail rule, or a last
-/// record that is not a [`Record::PoolState`]: a batch cut between frames).
-///
-/// Returns `Err(KvError::JournalTorn)` only when the header itself is
-/// unusable — there is nothing to restore. A version or magic mismatch is
-/// [`KvError::JournalIncompatible`].
-pub fn read_journal(bytes: &[u8]) -> Result<(JournalHeader, Vec<Record>, bool), KvError> {
-    let ([page_tokens, bytes_per_token, next_file, access_clock], body) =
-        seglog::parse_head(&HEAD, bytes)?;
-    let header = JournalHeader {
-        page_tokens,
-        bytes_per_token,
-        next_file,
-        access_clock,
-    };
-    let (records, _, cut) = seglog::scan(body, decode_payload);
-    let closed = records
-        .last()
-        .is_none_or(|r| matches!(r, Record::PoolState { .. }));
-    Ok((header, records, cut || !closed))
-}
+/// The argument of the kernel's `open_kv_journal`, which exists for
+/// callers written against the store's own journal file, now gone: the
+/// store's batches ride in the kernel log. It carries nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JournalConfig;
 
-/// Human-readable name for a record's frame type.
-fn record_name(rec: &Record) -> &'static str {
-    match rec {
-        Record::PageWrite { .. } => "page_write",
-        Record::FileMeta { .. } => "file_meta",
-        Record::Link { .. } => "link",
-        Record::Unlink { .. } => "unlink",
-        Record::Remove { .. } => "remove",
-        Record::Quota { .. } => "quota",
-        Record::PoolState { .. } => "pool_state",
-    }
-}
-
-/// Parses journal bytes and counts valid records per frame type — the
-/// journal-growth observability hook `exp_persist` reports alongside the
-/// `kvfs.journal_bytes` gauge. A torn tail only shortens the counted
-/// prefix.
-pub fn frame_counts(
-    bytes: &[u8],
-) -> Result<std::collections::BTreeMap<&'static str, u64>, KvError> {
-    let name_of = |tag, payload: &[u8]| Some(record_name(&decode_payload(tag, payload)?));
-    Ok(seglog::tag_counts(bytes, &HEAD, name_of)?)
-}
-
-/// Tuning for an on-disk [`Journal`] handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalConfig {
-    /// Total journal size (disk + buffered) at which
-    /// [`Journal::needs_compaction`] reports `true`.
-    pub compact_threshold_bytes: u64,
-}
-
-impl Default for JournalConfig {
-    fn default() -> Self {
-        JournalConfig {
-            compact_threshold_bytes: 256 * 1024,
-        }
-    }
-}
-
-/// An appendable on-disk journal: a base snapshot plus flushed delta
-/// batches, bounded by threshold-triggered compaction.
-///
-/// The file is append-only between replacements: a flush writes the
-/// buffered batch after what is on disk, so a crash at any point leaves
-/// the previous complete journal, or it plus part of the batch — a tail
-/// [`read_journal`] reports as torn, keeping its valid record prefix.
-/// Creating and compacting replace the whole file atomically.
-#[derive(Debug)]
-pub struct Journal {
-    log: SegLog,
-    config: JournalConfig,
-}
-
-impl Journal {
-    /// Creates the journal at `path` (atomically replacing any file
-    /// there) with `snapshot` — a complete stream from
-    /// [`JournalWriter::finish`] or `KvStore::journal_bytes` — as its base.
-    pub fn create(
-        path: &std::path::Path,
-        snapshot: &[u8],
-        config: JournalConfig,
-    ) -> std::io::Result<Journal> {
-        Ok(Journal {
-            log: SegLog::create(path, snapshot)?,
-            config,
-        })
-    }
-
-    /// Buffers one framed record; [`Journal::flush`] at the end of the
-    /// batch, which closes with a [`Record::PoolState`], writes it.
-    pub fn append(&mut self, rec: &Record) {
-        let mut payload = Vec::new();
-        encode_payload(rec, &mut payload);
-        self.log.push(record_tag(rec), &payload);
-    }
-
-    /// Appends the buffered records to the file. A no-op with an empty
-    /// buffer.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.log.flush()
-    }
-
-    /// Journal size: bytes on disk plus the unflushed buffer.
-    pub fn bytes(&self) -> u64 {
-        self.log.disk_len() + self.log.pending_len()
-    }
-
-    /// `true` once [`Journal::bytes`] reaches the compaction threshold.
-    pub fn needs_compaction(&self) -> bool {
-        self.bytes() >= self.config.compact_threshold_bytes
-    }
-
-    /// Rewrites the journal as `snapshot` (which must describe the store
-    /// state the journal's records replay to, so buffered records are
-    /// subsumed and dropped), atomically: a crash before the rename leaves
-    /// the old journal untouched.
-    pub fn compact(&mut self, snapshot: &[u8]) -> std::io::Result<()> {
-        self.log.replace(snapshot)
-    }
-}
-
-/// What a journal restore recovered.
+/// What a restore recovered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreReport {
     /// Files restored.
@@ -502,30 +374,24 @@ pub struct RestoreReport {
     pub tokens: usize,
     /// Namespace links restored.
     pub links: usize,
-    /// `Some(KvError::JournalTorn)` when the tail was torn and only the
-    /// valid prefix was replayed; `None` for a complete journal.
-    pub torn: Option<KvError>,
+    /// `Some(KvError::JournalTorn)` when the log was cut inside a batch
+    /// (or a record did not replay cleanly) and only the records before it
+    /// were restored; `None` for a complete sequence.
+    pub torn: Option<crate::KvError>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symphony_sim::frame::append_frame;
+    use symphony_sim::seglog;
 
-    fn header() -> JournalHeader {
-        JournalHeader {
-            page_tokens: 4,
-            bytes_per_token: 1024,
-            next_file: 7,
-            access_clock: 42,
-        }
-    }
-
-    fn sample_records() -> Vec<Record> {
+    fn sample_records() -> Vec<Record<'static>> {
         vec![
             Record::PageWrite {
                 page: 3,
                 tier: Tier::Disk,
-                entries: vec![KvEntry::new(1, 0, CtxFingerprint(9))],
+                entries: Cow::Owned(vec![KvEntry::new(1, 0, CtxFingerprint(9))]),
             },
             Record::FileMeta {
                 id: 1,
@@ -539,11 +405,11 @@ mod tests {
                 pages: vec![3],
             },
             Record::Link {
-                path: "rag/doc.kv".to_string(),
+                path: "rag/doc.kv".into(),
                 id: 1,
             },
             Record::Unlink {
-                path: "rag/doc.kv".to_string(),
+                path: "rag/doc.kv".into(),
             },
             Record::Remove { file: 1 },
             Record::Quota {
@@ -551,42 +417,54 @@ mod tests {
                 limit: Some(16),
             },
             Record::PoolState {
+                page_tokens: 4,
+                bytes_per_token: 1024,
+                next_file: 7,
+                access_clock: 42,
                 slots_len: 4,
-                free: vec![2, 0],
+                free: Cow::Owned(vec![2, 0]),
             },
         ]
     }
 
+    fn encode(records: &[Record<'_>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for r in records {
+            append_record(&mut out, r);
+        }
+        out
+    }
+
+    /// The valid record prefix of `bytes` and whether it ends in a closed
+    /// batch, the frame walk uncut.
+    fn read(bytes: &[u8]) -> (Vec<Record<'static>>, bool) {
+        let (records, _, cut) = seglog::scan(bytes, decode_record);
+        let closed = records.last().is_none_or(closes_batch);
+        (records, !cut && closed)
+    }
+
     #[test]
     fn round_trips_every_record_type() {
-        let mut w = JournalWriter::new(&header());
-        for r in sample_records() {
-            w.append(&r);
-        }
-        let bytes = w.finish();
-        let (h, records, torn) = read_journal(&bytes).unwrap();
-        assert_eq!(h, header());
-        assert!(!torn);
+        let (records, complete) = read(&encode(&sample_records()));
+        assert!(complete);
         assert_eq!(records, sample_records());
+        for r in &sample_records() {
+            assert!(tag_name(record_tag(r)).is_some());
+        }
     }
 
     #[test]
     fn torn_tail_keeps_valid_prefix() {
-        let mut w = JournalWriter::new(&header());
-        for r in sample_records() {
-            w.append(&r);
-        }
-        let bytes = w.finish();
+        let bytes = encode(&sample_records());
         let full = sample_records();
-        // Cut at every byte length: replay must never panic and must keep
-        // a prefix of the full record sequence. Only the header-only cut is
-        // complete (and empty): every other one ends inside a frame or on
-        // a record before the closing `PoolState`.
+        // Cut at every byte length: decoding must never panic and must
+        // keep a prefix of the full record sequence. Only the empty cut is
+        // complete: every other one ends inside a frame or on a record
+        // before the closing `PoolState`.
         let mut seen_lens = std::collections::BTreeSet::new();
-        for cut in Head::<4>::LEN..bytes.len() {
-            let (h, records, torn) = read_journal(&bytes[..cut]).unwrap();
-            assert_eq!(h, header());
-            assert_eq!(torn, cut > Head::<4>::LEN, "cut at {cut}");
+        for cut in 0..bytes.len() {
+            let (records, complete) = read(&bytes[..cut]);
+            assert_eq!(complete, cut == 0, "cut at {cut}");
             assert!(records.len() <= full.len());
             assert_eq!(records[..], full[..records.len()], "prefix at {cut}");
             seen_lens.insert(records.len());
@@ -597,183 +475,53 @@ mod tests {
 
     #[test]
     fn corrupt_byte_in_tail_is_torn() {
-        let mut w = JournalWriter::new(&header());
-        for r in sample_records() {
-            w.append(&r);
-        }
-        let mut bytes = w.finish();
+        let mut bytes = encode(&sample_records());
         let n = bytes.len();
         bytes[n - 20] ^= 0xff;
-        let (_, records, torn) = read_journal(&bytes).unwrap();
-        assert!(torn);
+        let (records, complete) = read(&bytes);
+        assert!(!complete);
         assert!(records.len() < sample_records().len());
-    }
-
-    #[test]
-    fn header_errors_are_typed() {
-        assert_eq!(read_journal(b"shrt"), Err(KvError::JournalTorn));
-        let bytes = JournalWriter::new(&header()).finish();
-        let mut wrong_magic = bytes.clone();
-        wrong_magic[0] = b'X';
-        assert_eq!(
-            read_journal(&wrong_magic),
-            Err(KvError::JournalIncompatible)
-        );
-        let mut wrong_version = bytes.clone();
-        // A version-1 journal (every batch sealed by `End`) is refused,
-        // not misread.
-        for version in [JOURNAL_VERSION - 1, 99] {
-            wrong_version[4] = version as u8;
-            assert_eq!(
-                read_journal(&wrong_version),
-                Err(KvError::JournalIncompatible)
-            );
-        }
-        let mut bad_header_crc = bytes;
-        bad_header_crc[10] ^= 0xff;
-        assert_eq!(read_journal(&bad_header_crc), Err(KvError::JournalTorn));
     }
 
     #[test]
     fn retired_truncate_tag_ends_the_valid_prefix_like_any_unknown_tag() {
         // Tag 6 was `Truncate`, a record no writer ever emitted, and tag 9
-        // the `End` seal up to version 1. Each follows a closed batch here,
-        // so the tear is the frame's alone.
+        // the `End` seal of the store's own journal file. Each follows a
+        // closed batch here, so the tear is the frame's alone.
         let records = sample_records();
         let mut truncate = Vec::new();
         push_u64(&mut truncate, 1);
         push_u64(&mut truncate, 0);
         for (tag, payload) in [(6, truncate), (9, Vec::new())] {
-            let mut w = JournalWriter::new(&header());
-            w.append(&records[6]);
-            append_frame(&mut w.buf, tag, &payload);
-            w.append(&records[1]);
-            let (_, read, torn) = read_journal(&w.finish()).unwrap();
+            let mut bytes = encode(&records[6..7]);
+            append_frame(&mut bytes, tag, &payload);
+            append_record(&mut bytes, &records[1]);
+            let (read, complete) = read(&bytes);
             assert_eq!(read, records[6..7], "tag {tag}");
-            assert!(torn, "tag {tag}");
+            assert!(!complete, "tag {tag}");
         }
     }
 
     #[test]
     fn empty_journal_is_complete() {
-        let bytes = JournalWriter::new(&header()).finish();
-        let (_, records, torn) = read_journal(&bytes).unwrap();
+        let (records, complete) = read(&[]);
         assert!(records.is_empty());
-        assert!(!torn);
-    }
-
-    #[test]
-    fn journal_handle_appends_batches_in_place() {
-        let dir = std::env::temp_dir().join("symj_handle_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("appends.journal");
-        let base = JournalWriter::new(&header()).finish();
-        let config = JournalConfig {
-            compact_threshold_bytes: u64::MAX,
-        };
-        let mut j = Journal::create(&path, &base, config).unwrap();
-        for r in sample_records() {
-            let closes = matches!(r, Record::PoolState { .. });
-            let before = std::fs::read(&path).unwrap();
-            j.append(&r);
-            j.flush().unwrap();
-            // A flush appends: what was on disk stays, byte for byte. The
-            // journal reads complete only once its last batch is closed.
-            let bytes = std::fs::read(&path).unwrap();
-            assert_eq!(bytes[..before.len()], before[..]);
-            assert_eq!(bytes.len() as u64, j.bytes());
-            let (_, _, torn) = read_journal(&bytes).unwrap();
-            assert_eq!(torn, !closes);
-        }
-        // Seven one-record batches leave what one writer pass leaves.
-        let mut w = JournalWriter::new(&header());
-        for r in sample_records() {
-            w.append(&r);
-        }
-        assert_eq!(std::fs::read(&path).unwrap(), w.finish());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn journal_handle_buffers_until_flush() {
-        let dir = std::env::temp_dir().join("symj_handle_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("buffers.journal");
-        let base = JournalWriter::new(&header()).finish();
-        let config = JournalConfig {
-            compact_threshold_bytes: u64::MAX,
-        };
-        let mut j = Journal::create(&path, &base, config).unwrap();
-        j.append(&Record::Quota {
-            owner: 1,
-            limit: Some(4),
-        });
-        j.append(&sample_records()[6]);
-        // Unflushed: disk still holds only the base snapshot.
-        assert_eq!(std::fs::read(&path).unwrap(), base);
-        assert!(j.bytes() > base.len() as u64);
-        j.flush().unwrap();
-        let (_, records, torn) = read_journal(&std::fs::read(&path).unwrap()).unwrap();
-        assert!(!torn);
-        assert_eq!(records.len(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn journal_compaction_replaces_file_atomically() {
-        let dir = std::env::temp_dir().join("symj_handle_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("compacts.journal");
-        let base = JournalWriter::new(&header()).finish();
-        let config = JournalConfig {
-            compact_threshold_bytes: 128,
-        };
-        let mut j = Journal::create(&path, &base, config).unwrap();
-        for r in sample_records() {
-            j.append(&r);
-        }
-        j.flush().unwrap();
-        assert!(j.needs_compaction());
-        // "Snapshot" here is any record stream — smaller than the
-        // threshold, so compaction actually clears the trigger.
-        let mut w = JournalWriter::new(&header());
-        w.append(&Record::Quota {
-            owner: 9,
-            limit: None,
-        });
-        let snap = w.finish();
-        assert!((snap.len() as u64) < 128, "snapshot must fit under the threshold");
-
-        // Crash before the rename: old journal bytes intact and valid.
-        let before = std::fs::read(&path).unwrap();
-        SegLog::replace_crash_before_rename(&path, &snap).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), before);
-
-        // Real compaction: the file is exactly the snapshot.
-        j.compact(&snap).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), snap);
-        assert_eq!(j.bytes(), snap.len() as u64);
-        assert!(!j.needs_compaction());
-        std::fs::remove_file(&path).ok();
+        assert!(complete);
     }
 
     /// The format changes only on purpose: length and FNV-1a of this record
-    /// list's encoding. Version 2 is 258 bytes against version 1's 267
-    /// (FNV-1a `0x6d7c_6ee2`, first computed at commit 108e8f8, before the
-    /// segment log existed): the 9-byte `End` frame (tag, length and CRC,
-    /// no payload) is gone, and the header's version word reads 2.
-    /// `journal_handle_appends_batches_in_place` holds the file handle to
-    /// the same bytes.
+    /// list's encoding. The store's own journal file (version 2, 258 bytes,
+    /// FNV-1a `0x5ff8_9503`) had a 44-byte `SYMJ` header carrying the
+    /// geometry and the id and clock marks; the records now travel as
+    /// frames of the kernel log, so the header is gone and those four
+    /// fields close every batch in its `PoolState`, 32 bytes more: 246.
+    /// Every other record keeps its bytes.
     #[test]
     fn on_disk_format_is_pinned() {
-        let mut w = JournalWriter::new(&header());
-        for r in sample_records() {
-            w.append(&r);
-        }
-        let bytes = w.finish();
+        let bytes = encode(&sample_records());
         assert_eq!(
             (bytes.len(), symphony_sim::frame::fnv1a(&bytes)),
-            (258, 0x5ff8_9503)
+            (246, 0x1a3e_c6e5)
         );
     }
 }

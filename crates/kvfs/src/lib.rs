@@ -16,13 +16,13 @@
 //!   pinning, and explicit tier swapping (GPU↔CPU with second-level spill
 //!   to disk under DRAM pressure).
 //! - **Quotas**: per-owner page budgets so one tenant cannot exhaust HBM.
-//! - **Journal** ([`journal`]): an append-only, checksummed record format
-//!   that persists the store across process restarts, with
-//!   truncate-and-continue recovery from torn tail records. The store is
-//!   its journal's one writer: [`store::KvStore::open_journal`] writes a
-//!   base snapshot, [`store::KvStore::persist_journal`] appends what
-//!   changed and compacts past a threshold, and
-//!   [`store::KvStore::restore_from_journal`] replays it. See
+//! - **Records** ([`journal`]): the checksummed record codec the store's
+//!   state travels in. The store holds no file: its batches are frames of
+//!   the kernel's write-ahead log. [`store::KvStore::snapshot`] encodes
+//!   the whole store as one batch, [`store::KvStore::drain_changes`]
+//!   encodes what changed in its linked files and the admin's since the
+//!   last one, and [`store::KvStore::restore`] rebuilds a store from the
+//!   records of complete batches (a snapshot's byte for byte). See
 //!   `docs/KVFS.md`.
 //!
 //! The store is a plain single-threaded value (`&mut self` API): the Symphony
@@ -54,9 +54,7 @@ pub mod page;
 pub mod store;
 
 pub use error::KvError;
-pub use journal::{
-    Journal, JournalConfig, JournalHeader, JournalWriter, Record, RestoreReport,
-};
+pub use journal::{JournalConfig, Record, RestoreReport};
 pub use page::{KvEntry, PageId, Tier, PAGE_TOKENS_DEFAULT};
 pub use store::{
     FileId, FileStat, KvStats, KvStore, KvStoreConfig, Mode, OwnerId, Residency, SwapReport,

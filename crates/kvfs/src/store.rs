@@ -1,15 +1,14 @@
 //! The KV file store: namespace, access control, quotas, and the
 //! fork/extract/merge operations of §4.2.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use symphony_model::CtxFingerprint;
-use symphony_telemetry::{Counter, Gauge, MetricsRegistry};
+use symphony_telemetry::{Counter, MetricsRegistry};
 
 use crate::error::KvError;
-use crate::journal::{
-    self, Journal, JournalConfig, JournalHeader, JournalWriter, Record, RestoreReport,
-};
+use crate::journal::{self, Record, RestoreReport};
 use crate::page::{KvEntry, Migrated, PageId, PagePool, Tier, PAGE_TOKENS_DEFAULT};
 
 /// A tenant identity (a Symphony process, a baseline engine, or "the admin").
@@ -171,6 +170,16 @@ struct FileMeta {
     links: usize,
 }
 
+impl FileMeta {
+    /// Whether a delta batch describes the file: a restored store keeps
+    /// the files the namespace names and the admin's. An unlinked file of
+    /// any other owner belongs to a program that recovery runs again, or
+    /// to one whose exit removed it.
+    fn durable(&self) -> bool {
+        self.links > 0 || self.owner == OwnerId::ADMIN
+    }
+}
+
 #[derive(Debug, Default, Clone, Copy)]
 struct Quota {
     used_pages: usize,
@@ -208,8 +217,6 @@ struct KvCounters {
     cow_copies: Counter,
     copied_entries: Counter,
     clean_dropped_tokens: Counter,
-    compactions: Counter,
-    journal_bytes: Gauge,
 }
 
 impl KvCounters {
@@ -222,8 +229,6 @@ impl KvCounters {
             cow_copies: registry.counter("kvfs.cow_copies"),
             copied_entries: registry.counter("kvfs.copied_entries"),
             clean_dropped_tokens: registry.counter("kvfs.clean_dropped_tokens"),
-            compactions: registry.counter("kvfs.compactions"),
-            journal_bytes: registry.gauge("kvfs.journal_bytes"),
         }
     }
 }
@@ -259,19 +264,23 @@ impl SwapReport {
     }
 }
 
-/// Change tracking for incremental journal persistence.
+/// Change tracking for delta batches.
 ///
 /// The dirty sets say *which* live entities changed since the last
-/// [`KvStore::persist_journal`] drain; the shadow maps remember the namespace,
-/// live-file set, and quota limits as the journal last described them, so
-/// the drain can emit a structural diff (removes, unlinks, links, quota
+/// [`KvStore::drain_changes`]; the shadow maps remember the namespace,
+/// described-file set, and quota limits as the last batch described them,
+/// so the drain can emit a structural diff (removes, unlinks, links, quota
 /// changes) instead of logging every operation. Entities born and removed
-/// between drains never touch the diff at all.
+/// between drains never touch the diff at all, and neither does a file
+/// no batch describes ([`FileMeta::durable`]).
 #[derive(Debug, Default)]
 struct DeltaLog {
     /// Live file ids whose metadata changed since the last drain.
     dirty_files: std::collections::BTreeSet<u64>,
-    /// Live file ids as of the last drain.
+    /// A linked file or the namespace changed since the last drain
+    /// ([`KvStore::has_published_changes`]).
+    published: bool,
+    /// The file ids the log describes as of the last drain.
     shadow_files: std::collections::BTreeSet<u64>,
     /// Namespace as of the last drain.
     shadow_namespace: BTreeMap<String, u64>,
@@ -279,12 +288,12 @@ struct DeltaLog {
     shadow_quotas: BTreeMap<u64, u64>,
 }
 
-/// The journal file a store writes and the change tracking its drains
-/// read: tracking is on exactly while a journal is attached.
-#[derive(Debug)]
-struct AttachedJournal {
-    file: Journal,
-    delta: DeltaLog,
+impl DeltaLog {
+    /// Notes that file `id` changed; a linked file's change is published.
+    fn file_changed(&mut self, id: u64, linked: bool) {
+        self.dirty_files.insert(id);
+        self.published |= linked;
+    }
 }
 
 /// Page tables of the files in `keep`, `id` itself left out.
@@ -319,9 +328,9 @@ pub struct KvStore {
     access_clock: u64,
     bytes_per_token: u64,
     counters: KvCounters,
-    /// `Some` while a journal is attached (see [`KvStore::open_journal`]);
+    /// `Some` while changes are tracked (see [`KvStore::track_changes`]);
     /// `None` keeps every mutation path at its original cost.
-    journal: Option<AttachedJournal>,
+    delta: Option<DeltaLog>,
 }
 
 impl KvStore {
@@ -348,7 +357,7 @@ impl KvStore {
             access_clock: 0,
             bytes_per_token: config.bytes_per_token,
             counters: KvCounters::register(registry),
-            journal: None,
+            delta: None,
         }
     }
 
@@ -469,10 +478,10 @@ impl KvStore {
     fn meta_and_pool(&mut self, id: FileId) -> Result<(&mut FileMeta, &mut PagePool), KvError> {
         // Every metadata mutation flows through here (or `touch`), which is
         // what makes the delta log's dirty-file set complete.
-        if let Some(j) = self.journal.as_mut() {
-            j.delta.dirty_files.insert(id.0);
-        }
         let m = self.files.get_mut(&id.0).ok_or(KvError::NotFound)?;
+        if let Some(d) = self.delta.as_mut() {
+            d.file_changed(id.0, m.links > 0);
+        }
         Ok((m, &mut self.pool))
     }
 
@@ -501,9 +510,10 @@ impl KvStore {
         let clock = self.access_clock;
         if let Some(m) = self.files.get_mut(&id.0) {
             m.last_access = clock;
-            // `last_access` is journalled state: reads dirty the file too.
-            if let Some(j) = self.journal.as_mut() {
-                j.delta.dirty_files.insert(id.0);
+            // `last_access` is logged state: reads dirty the file too,
+            // but publish nothing.
+            if let Some(d) = self.delta.as_mut() {
+                d.file_changed(id.0, false);
             }
         }
     }
@@ -550,6 +560,12 @@ impl KvStore {
         }
         self.credit(meta.owner, meta.pages.len());
         self.namespace.retain(|_, v| *v != id);
+        // The diff against the shadow says whether the file goes in the
+        // next batch; its dirty mark would only outlive it.
+        if let Some(d) = self.delta.as_mut() {
+            d.dirty_files.remove(&id.0);
+            d.published |= meta.links > 0;
+        }
         Ok(())
     }
 
@@ -563,6 +579,9 @@ impl KvStore {
         }
         self.namespace.insert(path.to_string(), id);
         self.meta_mut(id)?.links += 1;
+        if let Some(d) = self.delta.as_mut() {
+            d.published = true;
+        }
         Ok(())
     }
 
@@ -1167,8 +1186,8 @@ impl KvStore {
             if m.lock == Some(owner) {
                 m.lock = None;
                 released += 1;
-                if let Some(j) = self.journal.as_mut() {
-                    j.delta.dirty_files.insert(*id);
+                if let Some(d) = self.delta.as_mut() {
+                    d.file_changed(*id, m.links > 0);
                 }
             }
         }
@@ -1177,67 +1196,80 @@ impl KvStore {
 
     // ---- persistence -----------------------------------------------------------
 
-    /// Attaches a journal file at `path`, atomically replacing any file
-    /// there: writes the store as its base snapshot and starts change
-    /// tracking. From here on [`KvStore::persist_journal`] appends only
-    /// what changed, and rewrites the file as a snapshot whenever it
-    /// crosses `config.compact_threshold_bytes`, so its size is bounded by
-    /// the threshold plus one batch, not by history. Opening again
-    /// replaces the attached journal.
-    pub fn open_journal(
-        &mut self,
-        path: &std::path::Path,
-        config: JournalConfig,
-    ) -> std::io::Result<()> {
-        let file = Journal::create(path, &self.journal_bytes(), config)?;
+    /// Starts change tracking: from here on [`KvStore::drain_changes`]
+    /// encodes what changed since the store looked as it does now. The
+    /// kernel turns it on when it opens its log, right after writing the
+    /// store's [`KvStore::snapshot`] there (or replaying the log's batches
+    /// into it); calling it again restarts the tracking from the store as
+    /// it is.
+    pub fn track_changes(&mut self) {
         self.pool.enable_dirty_tracking();
         let mut delta = DeltaLog::default();
-        self.reset_delta_shadow(&mut delta);
-        self.counters.journal_bytes.set(file.bytes() as i64);
-        self.journal = Some(AttachedJournal { file, delta });
-        Ok(())
+        self.reset_delta_shadow(&mut delta, |_| true);
+        self.delta = Some(delta);
     }
 
-    /// Appends the changes since the journal was opened or last persisted
-    /// and flushes them, then compacts when the journal has crossed its
-    /// threshold. Returns `Ok(true)` when a compaction ran; a no-op
-    /// `Ok(false)` without an attached journal.
-    pub fn persist_journal(&mut self) -> std::io::Result<bool> {
-        let Some(mut j) = self.journal.take() else {
-            return Ok(false);
+    /// Whether something a restored store must show changed since the last
+    /// batch: a linked file's contents or metadata, or the namespace.
+    /// Changes to unlinked files alone say no (they belong to running
+    /// processes, which recovery re-executes), and so does a read's access
+    /// stamp; the next batch carries the stamp, and an unlinked file only
+    /// if it is the admin's. `false` while nothing is tracked.
+    pub fn has_published_changes(&self) -> bool {
+        self.delta.as_ref().is_some_and(|d| d.published)
+    }
+
+    /// Appends to `out` the batch of records that takes a reader from the
+    /// last batch to the store's durable files as they are
+    /// ([`FileMeta::durable`]) — their dirty pages, every page of one the
+    /// log does not describe yet, the metadata of those and of the dirty
+    /// ones, the structural diff — closed by a [`Record::PoolState`] in
+    /// which a page no durable file holds reads as free; and starts the
+    /// next batch's tracking. Encoded in place: a page's entries go from
+    /// the pool's arena to `out` without a copy of their own. Returns
+    /// `false`, appending nothing, when no record changed (files and pages
+    /// born and gone since the last batch leave none, and so do files no
+    /// batch describes) or nothing is tracked.
+    pub fn drain_changes(&mut self, out: &mut Vec<u8>) -> bool {
+        let Some(mut delta) = self.delta.take() else {
+            return false;
         };
-        let persisted = self.persist_into(&mut j);
-        self.journal = Some(j);
-        persisted
-    }
-
-    /// One drain into `j`: the change set (`change_set`) of the dirty pages
-    /// and files against the shadow, closed by a [`Record::PoolState`] so
-    /// append-only histories restore with byte-identical allocator state;
-    /// then flush, and compaction past the threshold.
-    fn persist_into(&mut self, j: &mut AttachedJournal) -> std::io::Result<bool> {
-        let pages = self.pool.take_dirty();
-        let recs = self.change_set(&j.delta, pages, j.delta.dirty_files.iter().copied());
-        if !recs.is_empty() {
-            for rec in &recs {
-                j.file.append(rec);
+        let dirty = self.pool.take_dirty();
+        let (mut kept, mut pages, mut files) = (Vec::new(), Vec::new(), Vec::new());
+        for (&id, m) in self.files.iter().filter(|(_, m)| m.durable()) {
+            let ids = m.pages.iter().map(|p| p.0);
+            kept.extend(ids.clone());
+            if !delta.shadow_files.contains(&id) {
+                pages.extend(ids);
+                files.push(id);
+            } else if delta.dirty_files.contains(&id) {
+                files.push(id);
             }
-            j.file.append(&self.pool_state());
         }
-        self.reset_delta_shadow(&mut j.delta);
-        j.file.flush()?;
-        let compacted = j.file.needs_compaction();
-        if compacted {
-            j.file.compact(&self.journal_bytes())?;
-            self.counters.compactions.inc();
+        kept.sort_unstable();
+        kept.dedup();
+        pages.extend(dirty.into_iter().filter(|p| kept.binary_search(p).is_ok()));
+        pages.sort_unstable();
+        pages.dedup();
+        let wrote = self.change_set(&delta, pages, files, FileMeta::durable, out);
+        if wrote {
+            let unkept = self.pool.iter().map(|(p, _)| p.0);
+            self.append_pool_state(unkept.filter(|p| kept.binary_search(p).is_err()), out);
         }
-        self.counters.journal_bytes.set(j.file.bytes() as i64);
-        Ok(compacted)
+        self.reset_delta_shadow(&mut delta, FileMeta::durable);
+        self.delta = Some(delta);
+        wrote
     }
 
-    fn reset_delta_shadow(&self, d: &mut DeltaLog) {
+    fn reset_delta_shadow(&self, d: &mut DeltaLog, described: impl Fn(&FileMeta) -> bool) {
         d.dirty_files.clear();
-        d.shadow_files = self.files.keys().copied().collect();
+        d.published = false;
+        d.shadow_files = self
+            .files
+            .iter()
+            .filter(|(_, m)| described(m))
+            .map(|(&id, _)| id)
+            .collect();
         d.shadow_namespace = self
             .namespace
             .iter()
@@ -1250,64 +1282,73 @@ impl KvStore {
             .collect();
     }
 
-    /// The records that take a journal from `since`'s shadow to the store:
-    /// the given pages, the metadata of those given files still live, then
-    /// the structural diff against the shadow. From [`DeltaLog::default`],
-    /// an empty store, that is the whole store: a snapshot. Pages and files
-    /// come in ascending id order.
+    /// Appends the records that take a reader from `since`'s shadow to the
+    /// store's `described` files: the given pages, the metadata of those
+    /// given files still live, then the structural diff against the shadow
+    /// (a file it names that is gone or no longer described is removed).
+    /// From [`DeltaLog::default`], an empty store, with every file
+    /// described, that is the whole store: a snapshot. Pages and files
+    /// come in ascending id order. Returns whether it appended anything.
     fn change_set(
         &self,
         since: &DeltaLog,
         pages: impl IntoIterator<Item = u32>,
         files: impl IntoIterator<Item = u64>,
-    ) -> Vec<Record> {
-        let mut recs = Vec::new();
+        described: impl Fn(&FileMeta) -> bool,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        let start = out.len();
         for p in pages {
             let id = PageId(p);
-            recs.push(Record::PageWrite {
-                page: p,
-                tier: self.pool.page(id).tier,
-                entries: self.pool.entries(id).to_vec(),
-            });
+            journal::append_record(
+                out,
+                &Record::PageWrite {
+                    page: p,
+                    tier: self.pool.page(id).tier,
+                    entries: Cow::Borrowed(self.pool.entries(id)),
+                },
+            );
         }
         for id in files {
             let Some(m) = self.files.get(&id) else {
                 continue; // dirtied, then removed: the diff below covers it
             };
-            recs.push(Record::FileMeta {
-                id,
-                owner: m.owner.0,
-                len: m.len as u64,
-                read_all: m.mode.read_all,
-                write_all: m.mode.write_all,
-                pinned: m.pinned,
-                lock: m.lock.map(|o| o.0),
-                last_access: m.last_access,
-                pages: m.pages.iter().map(|p| p.0).collect(),
-            });
+            journal::append_record(
+                out,
+                &Record::FileMeta {
+                    id,
+                    owner: m.owner.0,
+                    len: m.len as u64,
+                    read_all: m.mode.read_all,
+                    write_all: m.mode.write_all,
+                    pinned: m.pinned,
+                    lock: m.lock.map(|o| o.0),
+                    last_access: m.last_access,
+                    pages: m.pages.iter().map(|p| p.0).collect(),
+                },
+            );
         }
         // Structural diff. Removes come first (replay drops a removed
         // file's namespace entries itself), then unlinks of surviving
         // stale paths, then links — so a re-pointed path never collides.
         let mut removed = std::collections::BTreeSet::new();
         for &id in &since.shadow_files {
-            if !self.files.contains_key(&id) {
-                recs.push(Record::Remove { file: id });
+            if !self.files.get(&id).is_some_and(&described) {
+                journal::append_record(out, &Record::Remove { file: id });
                 removed.insert(id);
             }
         }
         for (path, &old_id) in &since.shadow_namespace {
             let stale = self.namespace.get(path).is_none_or(|cur| cur.0 != old_id);
             if stale && !removed.contains(&old_id) {
-                recs.push(Record::Unlink { path: path.clone() });
+                let path = Cow::Borrowed(path.as_str());
+                journal::append_record(out, &Record::Unlink { path });
             }
         }
         for (path, id) in &self.namespace {
             if since.shadow_namespace.get(path) != Some(&id.0) {
-                recs.push(Record::Link {
-                    path: path.clone(),
-                    id: id.0,
-                });
+                let path = Cow::Borrowed(path.as_str());
+                journal::append_record(out, &Record::Link { path, id: id.0 });
             }
         }
         // Limits set or changed, then limits lifted (an unlimited owner
@@ -1316,90 +1357,89 @@ impl KvStore {
         for (owner, q) in &self.quotas {
             let limit = limited(q);
             if limit.is_some() && since.shadow_quotas.get(&owner.0) != limit.as_ref() {
-                recs.push(Record::Quota {
-                    owner: owner.0,
-                    limit,
-                });
+                let owner = owner.0;
+                journal::append_record(out, &Record::Quota { owner, limit });
             }
         }
         for &owner in since.shadow_quotas.keys() {
             if self.quotas.get(&OwnerId(owner)).and_then(limited).is_none() {
-                recs.push(Record::Quota { owner, limit: None });
+                journal::append_record(out, &Record::Quota { owner, limit: None });
             }
         }
-        recs
+        out.len() > start
     }
 
-    /// The pool's exact slot geometry, the last record of every batch.
-    fn pool_state(&self) -> Record {
-        Record::PoolState {
-            slots_len: self.pool.slots_len() as u32,
-            free: self.pool.free_list().to_vec(),
+    /// Appends the record that closes every batch: the geometry, the id
+    /// and clock marks, and the pool's slot state, with the `unkept` pages
+    /// (live, but in no file the batch describes) after its free slots.
+    fn append_pool_state(&self, unkept: impl Iterator<Item = u32>, out: &mut Vec<u8>) {
+        let mut free = Cow::Borrowed(self.pool.free_list());
+        let mut unkept = unkept.peekable();
+        if unkept.peek().is_some() {
+            free.to_mut().extend(unkept);
         }
-    }
-
-    /// Serialises the whole store as a journal: the change set
-    /// (`change_set`) from an empty store, then the pool's exact slot
-    /// geometry. Replaying the bytes with
-    /// [`KvStore::restore_from_journal_bytes`] under the same config
-    /// rebuilds a byte-identical store (its own `journal_bytes` matches).
-    pub fn journal_bytes(&self) -> Vec<u8> {
-        let mut w = JournalWriter::new(&JournalHeader {
+        let rec = Record::PoolState {
             page_tokens: self.pool.page_tokens() as u64,
             bytes_per_token: self.bytes_per_token,
             next_file: self.next_file,
             access_clock: self.access_clock,
-        });
+            slots_len: self.pool.slots_len() as u32,
+            free,
+        };
+        journal::append_record(out, &rec);
+    }
+
+    /// Appends the whole store to `out` as one batch: the change set
+    /// (`change_set`) from an empty store, then the closing
+    /// [`Record::PoolState`]. [`KvStore::restore`] of its records under
+    /// the same config rebuilds a byte-identical store (whose own snapshot
+    /// matches).
+    pub fn snapshot(&self, out: &mut Vec<u8>) {
         let pages = self.pool.iter().map(|(pid, _)| pid.0);
         let files = self.files.keys().copied();
-        for rec in self.change_set(&DeltaLog::default(), pages, files) {
-            w.append(&rec);
-        }
-        w.append(&self.pool_state());
-        w.finish()
+        self.change_set(&DeltaLog::default(), pages, files, |_| true, out);
+        self.append_pool_state(std::iter::empty(), out);
     }
 
-    /// Restores a store from a journal file. I/O errors surface as
-    /// [`KvError::JournalTorn`] (an unreadable journal and a torn one get
-    /// the same cold-start handling from callers).
-    pub fn restore_from_journal(
-        path: &std::path::Path,
-        config: KvStoreConfig,
-        registry: &MetricsRegistry,
-    ) -> Result<(KvStore, RestoreReport), KvError> {
-        let bytes = std::fs::read(path).map_err(|_| KvError::JournalTorn)?;
-        KvStore::restore_from_journal_bytes(config, registry, &bytes)
-    }
-
-    /// Replays journal bytes into a fresh store.
+    /// Replays a record sequence — complete batches, as a log reader keeps
+    /// them ([`crate::journal`]) — into a fresh store. `torn` says the
+    /// reader dropped a cut batch; it is reported as
+    /// `RestoreReport::torn = Some(KvError::JournalTorn)`.
     ///
-    /// A torn tail (crash mid-append) is truncate-and-continue: the longest
-    /// valid record prefix is replayed and the tear is reported as
-    /// `RestoreReport::torn = Some(KvError::JournalTorn)`. Hard failures —
-    /// an unusable header, mismatched geometry
-    /// ([`KvError::JournalIncompatible`]), or a restoring config too small
-    /// to hold the journal's pages — fail the whole restore with a typed
-    /// error. Cumulative `kvfs.*` counters are process-lifetime metrics and
-    /// start at zero in the restored store.
-    pub fn restore_from_journal_bytes(
+    /// A record that does not replay cleanly (a file naming an unwritten
+    /// page, a link to a missing file, ...) ends the replay like a tear:
+    /// what replayed before it is kept. Hard failures — a batch written
+    /// under another geometry ([`KvError::JournalIncompatible`]), or a
+    /// restoring config too small to hold the pages — fail the whole
+    /// restore with a typed error. Cumulative `kvfs.*` counters are
+    /// process-lifetime metrics and start at zero in the restored store.
+    pub fn restore(
         config: KvStoreConfig,
         registry: &MetricsRegistry,
-        bytes: &[u8],
+        records: Vec<Record<'static>>,
+        torn: bool,
     ) -> Result<(KvStore, RestoreReport), KvError> {
-        let (header, records, tail_torn) = journal::read_journal(bytes)?;
-        if header.page_tokens != config.page_tokens as u64
-            || header.bytes_per_token != config.bytes_per_token
-        {
+        let pt = config.page_tokens;
+        // Every batch names the geometry it was written under; a store of
+        // another shape would misread the first page.
+        let other_shape = |r: &Record<'_>| match r {
+            Record::PoolState {
+                page_tokens,
+                bytes_per_token,
+                ..
+            } => *page_tokens != pt as u64 || *bytes_per_token != config.bytes_per_token,
+            _ => false,
+        };
+        if records.iter().any(other_shape) {
             return Err(KvError::JournalIncompatible);
         }
-
-        let pt = config.page_tokens;
         let mut staged_pages: BTreeMap<u32, (Tier, Vec<KvEntry>)> = BTreeMap::new();
         let mut staged_files: BTreeMap<u64, FileMeta> = BTreeMap::new();
         let mut namespace: BTreeMap<String, FileId> = BTreeMap::new();
         let mut limits: BTreeMap<OwnerId, Option<usize>> = BTreeMap::new();
         let mut pool_state: Option<(usize, Vec<u32>)> = None;
-        let mut torn = tail_torn;
+        let (mut next_file, mut access_clock) = (1, 0);
+        let mut torn = torn;
 
         // An inconsistent record body (a file referencing unwritten pages,
         // a link to a missing file, ...) is treated exactly like a torn
@@ -1424,7 +1464,7 @@ impl KvStore {
                         torn = true;
                         break 'replay;
                     }
-                    staged_pages.insert(page, (tier, entries));
+                    staged_pages.insert(page, (tier, entries.into_owned()));
                 }
                 Record::FileMeta {
                     id,
@@ -1469,14 +1509,14 @@ impl KvStore {
                     );
                 }
                 Record::Link { path, id } => {
-                    if !staged_files.contains_key(&id) || namespace.contains_key(&path) {
+                    if !staged_files.contains_key(&id) || namespace.contains_key(path.as_ref()) {
                         torn = true;
                         break 'replay;
                     }
-                    namespace.insert(path, FileId(id));
+                    namespace.insert(path.into_owned(), FileId(id));
                 }
                 Record::Unlink { path } => {
-                    if namespace.remove(&path).is_none() {
+                    if namespace.remove(path.as_ref()).is_none() {
                         torn = true;
                         break 'replay;
                     }
@@ -1491,8 +1531,16 @@ impl KvStore {
                 Record::Quota { owner, limit } => {
                     limits.insert(OwnerId(owner), limit.map(|l| l as usize));
                 }
-                Record::PoolState { slots_len, free } => {
-                    pool_state = Some((slots_len as usize, free));
+                Record::PoolState {
+                    next_file: next,
+                    access_clock: clock,
+                    slots_len,
+                    free,
+                    ..
+                } => {
+                    next_file = next;
+                    access_clock = clock;
+                    pool_state = Some((slots_len as usize, free.into_owned()));
                 }
             }
         }
@@ -1508,17 +1556,12 @@ impl KvStore {
                 *refs.entry(p.0).or_insert(0) += 1;
             }
         }
-        let dropped_pages = staged_pages.keys().any(|p| !refs.contains_key(p));
-
         let mut store = KvStore::with_registry(config, registry);
-        let mut pages_restored = 0usize;
-        let mut tokens_restored = 0usize;
         for (&pid, (tier, entries)) in &staged_pages {
             let Some(&rc) = refs.get(&pid) else { continue };
             store.pool.install(PageId(pid), *tier, entries, rc)?;
-            pages_restored += 1;
-            tokens_restored += entries.len();
         }
+        let pages_restored = refs.len();
 
         store.files = staged_files;
         for (path, id) in namespace {
@@ -1535,22 +1578,25 @@ impl KvStore {
             store.quotas.entry(owner).or_default().limit_pages = limit;
         }
         let after_last = store.files.keys().last().map_or(1, |id| id + 1);
-        store.next_file = header.next_file.max(after_last);
-        // Delta batches appended after the base snapshot carry access times
-        // newer than the base header's clock; never let the clock run
-        // behind a restored `last_access` or post-restore touches would
-        // reuse timestamps and scramble LRU ordering.
+        store.next_file = next_file.max(after_last);
+        // A replay cut short of its last `PoolState` may carry access
+        // times newer than the clock that batch recorded; never let the
+        // clock run behind a restored `last_access` or post-restore
+        // touches would reuse timestamps and scramble LRU ordering.
         let max_access = store.files.values().map(|m| m.last_access).max().unwrap_or(0);
-        store.access_clock = header.access_clock.max(max_access);
+        store.access_clock = access_clock.max(max_access);
 
         // Adopt the recorded free-slot order only when it still exactly
-        // describes the restored pool, in a slot table no larger than a
-        // pool this size makes; otherwise rebuild canonically.
+        // describes the restored pool — every slot of a table no larger
+        // than a pool this size makes is live or free, once — and rebuild
+        // canonically otherwise. Pages a later batch freed were staged and
+        // dropped; the free stack names their slots.
         let usable_state = pool_state.filter(|(slots_len, free)| {
-            !dropped_pages
-                && *slots_len >= store.pool.slots_len()
+            let distinct = free.iter().collect::<std::collections::BTreeSet<_>>().len();
+            *slots_len >= store.pool.slots_len()
                 && *slots_len <= store.pool.capacity()
                 && free.len() == slots_len - pages_restored
+                && distinct == free.len()
                 && free
                     .iter()
                     .all(|&f| (f as usize) < *slots_len && !refs.contains_key(&f))
@@ -1561,22 +1607,32 @@ impl KvStore {
         }
 
         // Belt and braces: a restored store must satisfy every invariant
-        // `verify` checks; a failure here is a journal-layer bug and the
+        // `verify` checks; a failure here is a codec-layer bug and the
         // store cannot be trusted.
         store.verify().map_err(|_| KvError::JournalTorn)?;
 
-        // Growth observability survives recovery: gauge the journal just
-        // replayed without waiting for the next drain.
-        store.counters.journal_bytes.set(bytes.len() as i64);
-
         let report = RestoreReport {
-            files: store.files.len(),
-            pages: pages_restored,
-            tokens: tokens_restored,
-            links: store.namespace.len(),
             torn: torn.then_some(KvError::JournalTorn),
+            ..store.census()
         };
         Ok((store, report))
+    }
+
+    /// What the store holds, counted the way a restore reports it:
+    /// files, live pages, the tokens on them, and links (`torn` is
+    /// `None`).
+    pub fn census(&self) -> RestoreReport {
+        RestoreReport {
+            files: self.files.len(),
+            pages: self.pool.live_pages(),
+            tokens: self
+                .pool
+                .iter()
+                .map(|(pid, _)| self.pool.entries(pid).len())
+                .sum(),
+            links: self.namespace.len(),
+            torn: None,
+        }
     }
 
     // ---- introspection ---------------------------------------------------------
@@ -1717,6 +1773,40 @@ mod tests {
 
     fn store() -> KvStore {
         KvStore::new(KvStoreConfig::for_tests())
+    }
+
+    /// The store as one batch's frames.
+    fn snapshot_bytes(s: &KvStore) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.snapshot(&mut out);
+        out
+    }
+
+    /// The complete batches' records of a frame sequence, and whether it
+    /// was torn: cut mid-frame, or inside a batch.
+    fn read_batches(bytes: &[u8]) -> (Vec<Record<'static>>, bool) {
+        let (mut records, _, cut) = symphony_sim::seglog::scan(bytes, journal::decode_record);
+        let complete = records.iter().rposition(journal::closes_batch).map_or(0, |i| i + 1);
+        let dropped = complete < records.len();
+        records.truncate(complete);
+        (records, cut || dropped)
+    }
+
+    /// Frames to records to a store, as a log reader restores one.
+    fn restore_bytes(
+        config: KvStoreConfig,
+        bytes: &[u8],
+    ) -> Result<(KvStore, RestoreReport), KvError> {
+        let (records, torn) = read_batches(bytes);
+        KvStore::restore(config, &MetricsRegistry::new(), records, torn)
+    }
+
+    fn encode(records: &[Record<'_>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for r in records {
+            journal::append_record(&mut out, r);
+        }
+        out
     }
 
     const U1: OwnerId = OwnerId(1);
@@ -1896,33 +1986,24 @@ mod tests {
 
     #[test]
     fn a_lifted_quota_limit_reaches_the_delta_journal() {
-        let path = std::env::temp_dir().join(format!(
-            "symj_lifted_quota_{}.journal",
-            std::process::id()
-        ));
         let mut s = store();
         s.set_quota(U1, Some(4));
-        s.open_journal(&path, JournalConfig::default()).unwrap();
+        let mut bytes = snapshot_bytes(&s);
+        s.track_changes();
         s.set_quota(U1, None);
-        assert!(!s.persist_journal().unwrap());
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        assert!(!s.has_published_changes(), "a quota publishes no file");
+        assert!(s.drain_changes(&mut bytes));
         let lifted = Record::Quota {
             owner: U1.0,
             limit: None,
         };
-        let (_, records, torn) = crate::journal::read_journal(&bytes).unwrap();
+        let (records, torn) = read_batches(&bytes);
         assert!(!torn);
         assert!(records.contains(&lifted), "{records:?}");
         // Replayed over the base snapshot, the limit is gone again.
-        let (r, _) = KvStore::restore_from_journal_bytes(
-            KvStoreConfig::for_tests(),
-            &MetricsRegistry::new(),
-            &bytes,
-        )
-        .unwrap();
+        let (r, _) = restore_bytes(KvStoreConfig::for_tests(), &bytes).unwrap();
         assert!(r.quotas.is_empty());
-        assert_eq!(r.journal_bytes(), s.journal_bytes());
+        assert_eq!(snapshot_bytes(&r), snapshot_bytes(&s));
     }
 
     #[test]
@@ -2330,13 +2411,7 @@ mod tests {
         s.swap_out(f, U1).unwrap();
         s.swap_in(f, U1).unwrap();
         assert_eq!(s.backing_pages(), 2);
-        let bytes = s.journal_bytes();
-        let (mut r, _) = KvStore::restore_from_journal_bytes(
-            KvStoreConfig::for_tests(),
-            &MetricsRegistry::new(),
-            &bytes,
-        )
-        .unwrap();
+        let (mut r, _) = restore_bytes(KvStoreConfig::for_tests(), &snapshot_bytes(&s)).unwrap();
         assert_eq!((r.gpu_pages_used(), r.cpu_pages_used()), (2, 0));
         assert_eq!(r.backing_pages(), 0);
         assert_eq!(
@@ -2419,15 +2494,13 @@ mod tests {
         s.append(h, U2, &entries(0..5)).unwrap();
         s.demote_to_disk(h, U2).unwrap();
         s.lock(g, U2).unwrap();
-        let bytes = s.journal_bytes();
-        let (r, report) =
-            KvStore::restore_from_journal_bytes(KvStoreConfig::for_tests(), &MetricsRegistry::new(), &bytes)
-                .unwrap();
+        let bytes = snapshot_bytes(&s);
+        let (r, report) = restore_bytes(KvStoreConfig::for_tests(), &bytes).unwrap();
         assert_eq!(report.files, 3);
         assert_eq!(report.links, 1);
         assert_eq!(report.torn, None);
         r.verify().unwrap();
-        assert_eq!(r.journal_bytes(), bytes, "restore is byte-identical");
+        assert_eq!(snapshot_bytes(&r), bytes, "restore is byte-identical");
         assert_eq!(r.read_all_unchecked(f).unwrap(), entries(0..10));
         assert_eq!(r.lookup("rag/doc.kv"), Some(f));
         assert!(r.stat(f).unwrap().pinned);
@@ -2454,26 +2527,17 @@ mod tests {
         s.append(f, U1, &entries(0..10)).unwrap();
         let g = s.fork(f, U1).unwrap();
         s.link(f, "a", U1).unwrap();
-        let bytes = s.journal_bytes();
+        let bytes = snapshot_bytes(&s);
         // Tack a batch onto the record stream: a remove (of a file sharing
         // pages) and an unlink, closed like every batch by the pool state
         // (which neither changes).
-        let (header, mut records, torn) = crate::journal::read_journal(&bytes).unwrap();
+        let (mut records, torn) = read_batches(&bytes);
         assert!(!torn);
         let pool = records.last().cloned().unwrap();
         records.push(Record::Remove { file: g.0 });
-        records.push(Record::Unlink { path: "a".to_string() });
+        records.push(Record::Unlink { path: "a".into() });
         records.push(pool);
-        let mut w = JournalWriter::new(&header);
-        for r in &records {
-            w.append(r);
-        }
-        let (r, report) = KvStore::restore_from_journal_bytes(
-            KvStoreConfig::for_tests(),
-            &MetricsRegistry::new(),
-            &w.finish(),
-        )
-        .unwrap();
+        let (r, report) = restore_bytes(KvStoreConfig::for_tests(), &encode(&records)).unwrap();
         assert_eq!(report.torn, None);
         r.verify().unwrap();
         assert_eq!(r.len(g), Err(KvError::NotFound));
@@ -2492,19 +2556,24 @@ mod tests {
         let f = s.create(U1).unwrap();
         s.append(f, U1, &entries(0..10)).unwrap();
         s.link(f, "keep", U1).unwrap();
-        let bytes = s.journal_bytes();
-        // Tear the tail mid-record: everything before the cut that parses
-        // cleanly must be restored, and the tear must be typed.
-        let cut = bytes.len() - 7;
-        let (r, report) = KvStore::restore_from_journal_bytes(
-            KvStoreConfig::for_tests(),
-            &MetricsRegistry::new(),
-            &bytes[..cut],
-        )
-        .unwrap();
+        let mut bytes = snapshot_bytes(&s);
+        let whole = bytes.len();
+        s.track_changes();
+        s.append(f, U1, &entries(10..14)).unwrap();
+        assert!(s.has_published_changes(), "a linked file grew");
+        assert!(s.drain_changes(&mut bytes));
+        // Tear the second batch mid-record: the first batch is restored,
+        // the cut one is not, and the tear is typed.
+        let (r, report) =
+            restore_bytes(KvStoreConfig::for_tests(), &bytes[..bytes.len() - 7]).unwrap();
         assert_eq!(report.torn, Some(KvError::JournalTorn));
         r.verify().unwrap();
         assert_eq!(r.read_all_unchecked(f).unwrap(), entries(0..10));
+        // Cut exactly between batches, nothing is torn.
+        let (_, report) = restore_bytes(KvStoreConfig::for_tests(), &bytes[..whole]).unwrap();
+        assert_eq!(report.torn, None);
+        let (r, _) = restore_bytes(KvStoreConfig::for_tests(), &bytes).unwrap();
+        assert_eq!(r.read_all_unchecked(f).unwrap(), entries(0..14));
     }
 
     #[test]
@@ -2516,26 +2585,19 @@ mod tests {
         let mut s = store();
         let f = s.create(U1).unwrap();
         s.append(f, U1, &entries(0..3)).unwrap();
-        let (header, records, _) = crate::journal::read_journal(&s.journal_bytes()).unwrap();
+        let (mut records, _) = read_batches(&snapshot_bytes(&s));
         let far = u32::MAX - 1;
-        let mut w = JournalWriter::new(&header);
-        for mut r in records {
-            match &mut r {
+        for r in &mut records {
+            match r {
                 Record::PageWrite { page, .. } => *page = far,
                 Record::FileMeta { pages, .. } => *pages = vec![far],
                 _ => {}
             }
-            w.append(&r);
         }
-        let bytes = w.finish();
+        let bytes = encode(&records);
         assert!(bytes.len() < 200, "a small journal: {} B", bytes.len());
         assert_eq!(
-            KvStore::restore_from_journal_bytes(
-                KvStoreConfig::for_tests(),
-                &MetricsRegistry::new(),
-                &bytes
-            )
-            .err(),
+            restore_bytes(KvStoreConfig::for_tests(), &bytes).err(),
             Some(KvError::JournalTorn)
         );
     }
@@ -2551,27 +2613,26 @@ mod tests {
         let mut s = store();
         let f = s.create(U1).unwrap();
         s.append(f, U1, &entries(0..3)).unwrap();
-        let (header, records, _) = crate::journal::read_journal(&s.journal_bytes()).unwrap();
+        let (records, _) = read_batches(&snapshot_bytes(&s));
         // The journal with its one page at `id` in a slot table of `slots`.
         let journal = |id: u32, slots: u32| {
-            let mut w = JournalWriter::new(&header);
-            for mut r in records.clone() {
-                match &mut r {
+            let mut records = records.clone();
+            for r in &mut records {
+                match r {
                     Record::PageWrite { page, .. } => *page = id,
                     Record::FileMeta { pages, .. } => *pages = vec![id],
-                    Record::PoolState { slots_len, free } => {
+                    Record::PoolState {
+                        slots_len, free, ..
+                    } => {
                         *slots_len = slots;
                         *free = (0..slots).rev().filter(|&p| p != id).collect();
                     }
                     _ => {}
                 }
-                w.append(&r);
             }
-            w.finish()
+            encode(&records)
         };
-        let restore = |bytes: Vec<u8>| {
-            KvStore::restore_from_journal_bytes(config, &MetricsRegistry::new(), &bytes)
-        };
+        let restore = |bytes: Vec<u8>| restore_bytes(config, &bytes);
 
         let (last, report) = restore(journal(capacity - 1, capacity)).unwrap();
         assert_eq!(report.torn, None);
@@ -2591,12 +2652,17 @@ mod tests {
     #[test]
     fn journal_geometry_mismatch_is_incompatible() {
         let s = store();
-        let bytes = s.journal_bytes();
+        let bytes = snapshot_bytes(&s);
         let mut other = KvStoreConfig::for_tests();
         other.page_tokens = 8;
         assert_eq!(
-            KvStore::restore_from_journal_bytes(other, &MetricsRegistry::new(), &bytes)
-                .err(),
+            restore_bytes(other, &bytes).err(),
+            Some(KvError::JournalIncompatible)
+        );
+        other = KvStoreConfig::for_tests();
+        other.bytes_per_token = 1;
+        assert_eq!(
+            restore_bytes(other, &bytes).err(),
             Some(KvError::JournalIncompatible)
         );
     }

@@ -107,3 +107,31 @@ fn a_files_pages_cost_the_heap_nothing_once_the_pool_has_grown() {
     );
     assert_eq!(store.live_pages(), 0);
 }
+
+/// A drain encodes the store's changes straight into the log's buffer:
+/// each page's row is lent from the arena, and no record list is built.
+/// A freshly appended and linked 64-page file drains in at most one
+/// allocation per page; copying every page's entries into a record of its
+/// own made 535.
+#[test]
+fn a_drain_allocates_at_most_once_per_drained_page() {
+    const PAGES: usize = 64;
+    let mut store = KvStore::new(KvStoreConfig {
+        page_tokens: PAGE_TOKENS,
+        gpu_pages: 256,
+        cpu_pages: 0,
+        disk_pages: 0,
+        bytes_per_token: 1,
+    });
+    store.track_changes();
+    let f = store.create(OWNER).unwrap();
+    store.append(f, OWNER, &entries(PAGES * PAGE_TOKENS)).unwrap();
+    store.link(f, "doc.kv", OWNER).unwrap();
+    let mut log = Vec::new();
+    let before = ALLOCATIONS.with(Cell::get);
+    assert!(store.drain_changes(&mut log));
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    println!("draining {PAGES} pages made {made} allocations, {} bytes", log.len());
+    assert!(made <= PAGES, "draining {PAGES} pages made {made} allocations");
+    assert!(!store.drain_changes(&mut log), "nothing changed since");
+}

@@ -1,31 +1,28 @@
-//! Property tests for the KVFS journal.
+//! Property tests for the KV store's batches.
 //!
-//! Two families:
+//! Three families:
 //!
 //! 1. **Round trip** — a random operation sequence (creates, appends,
 //!    copy-on-write forks, truncates, removes, links, pins, tier moves,
-//!    quotas) runs against a store, the store is snapshotted to a journal,
+//!    quotas) runs against a store, the store is snapshotted to one batch,
 //!    and the restore must reproduce the *observable* state exactly —
 //!    including CoW page sharing (same pool usage, not deep copies), pins,
-//!    locks, namespace, and the journal's own byte-identity fixed point.
-//! 2. **Torn tail chaos** — the snapshot bytes are cut at every possible
-//!    length; replay must never panic, must flag the tear with the typed
-//!    `KvError::JournalTorn` detail, and must restore a consistent prefix.
+//!    locks, namespace, and the snapshot's own byte-identity fixed point.
+//! 2. **Torn tail chaos** — a snapshot followed by delta batches is cut at
+//!    every possible length; replay must never panic, must flag a cut
+//!    batch with the typed `KvError::JournalTorn` detail, and must restore
+//!    exactly the state the last complete batch described: the store the
+//!    ops so far built, less the unlinked files no batch describes.
 //! 3. **Delta equivalence** — the same op sequence run against a store
-//!    with a journal open, persisted in batches through the production
-//!    `KvStore::persist_journal`, must restore to the same observable
-//!    state as the live store.
-//! 4. **Compaction** — rewriting any journal prefix to its
-//!    snapshot-equivalent form must restore byte-identically at every
-//!    truncation point, and a crash before the atomic rename must leave
-//!    the old journal untouched and valid.
+//!    that tracks its changes, drained in batches through the production
+//!    `KvStore::drain_changes`, must restore to the same observable state
+//!    as the live store's linked files (no op creates a file for the
+//!    admin).
 
 use proptest::prelude::*;
-use symphony_kvfs::{
-    FileId, Journal, JournalConfig, KvEntry, KvError, KvStore, KvStoreConfig, OwnerId,
-};
+use symphony_kvfs::journal;
+use symphony_kvfs::{FileId, KvEntry, KvError, KvStore, KvStoreConfig, OwnerId, RestoreReport};
 use symphony_model::CtxFingerprint;
-use symphony_sim::seglog::{Head, SegLog};
 use symphony_telemetry::MetricsRegistry;
 
 #[derive(Debug, Clone)]
@@ -167,6 +164,39 @@ fn build_store(ops: &[Op]) -> (KvStore, Vec<FileId>) {
     (store, live)
 }
 
+/// The store `ops` build as a restore from its delta batches shows it:
+/// its linked files alone (no op creates a file for the admin), with the
+/// ids of those files. A locked file is removed by its holder.
+fn durable_projection(ops: &[Op]) -> (KvStore, Vec<FileId>) {
+    let (mut store, _) = build_store(ops);
+    let mut kept = Vec::new();
+    for st in store.list_files() {
+        if st.links > 0 {
+            kept.push(st.id);
+        } else {
+            store.remove(st.id, st.locked_by.unwrap_or(OwnerId::ADMIN)).unwrap();
+        }
+    }
+    store.verify().unwrap();
+    (store, kept)
+}
+
+/// The store as one batch's frames.
+fn snapshot(store: &KvStore) -> Vec<u8> {
+    let mut out = Vec::new();
+    store.snapshot(&mut out);
+    out
+}
+
+/// Restores frames the way a log reader does: the records of the complete
+/// batches, a cut one dropped and reported.
+fn restore(bytes: &[u8], registry: &MetricsRegistry) -> Result<(KvStore, RestoreReport), KvError> {
+    let (mut records, _, cut) = symphony_sim::seglog::scan(bytes, journal::decode_record);
+    let complete = records.iter().rposition(journal::closes_batch).map_or(0, |i| i + 1);
+    let dropped = complete < records.len();
+    records.truncate(complete);
+    KvStore::restore(config(), registry, records, cut || dropped)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -176,117 +206,138 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..50)
     ) {
         let (store, live) = build_store(&ops);
-        let bytes = store.journal_bytes();
-        let (restored, report) =
-            KvStore::restore_from_journal_bytes(config(), &MetricsRegistry::new(), &bytes)
-                .unwrap();
+        let bytes = snapshot(&store);
+        let (restored, report) = restore(&bytes, &MetricsRegistry::new()).unwrap();
         prop_assert_eq!(report.torn, None);
         restored.verify().unwrap();
 
         // Byte-identity fixed point: the restored store writes the exact
-        // same journal.
-        prop_assert_eq!(restored.journal_bytes(), bytes);
-
-        // Observable state: contents, stat fields, pool usage (CoW shares
-        // restore as shares, so the tier counts match exactly).
-        prop_assert_eq!(restored.gpu_pages_used(), store.gpu_pages_used());
-        // Backing copies are not journalled: a restored store holds only
-        // the resident copy of each page.
-        prop_assert_eq!(
-            restored.cpu_pages_used() + restored.disk_pages_used(),
-            store.cpu_pages_used() + store.disk_pages_used() - store.backing_pages()
-        );
-        prop_assert_eq!(restored.backing_pages(), 0);
-        prop_assert_eq!(restored.live_pages(), store.live_pages());
-        for f in live {
-            let a = store.stat(f).unwrap();
-            let b = restored.stat(f).unwrap();
-            prop_assert_eq!(a.owner, b.owner);
-            prop_assert_eq!(a.len, b.len);
-            prop_assert_eq!(a.pages, b.pages);
-            prop_assert_eq!(a.pinned, b.pinned);
-            prop_assert_eq!(a.locked_by, b.locked_by);
-            prop_assert_eq!(a.residency, b.residency);
-            prop_assert_eq!(a.last_access, b.last_access);
-            prop_assert_eq!(a.links, b.links);
-            prop_assert_eq!(
-                restored.read_all_unchecked(f).unwrap(),
-                store.read_all_unchecked(f).unwrap()
-            );
-            prop_assert_eq!(store.quota_used(a.owner), restored.quota_used(a.owner));
-        }
+        // same snapshot.
+        prop_assert_eq!(snapshot(&restored), bytes);
+        assert_same_observable_state(&store, &restored, &live)?;
     }
 
     #[test]
     fn torn_tail_restores_consistent_prefix_at_every_cut(
-        ops in proptest::collection::vec(op_strategy(), 1..20)
+        ops in proptest::collection::vec(op_strategy(), 1..16)
     ) {
-        let (store, _) = build_store(&ops);
-        let bytes = store.journal_bytes();
+        let chain = build_delta_chain(&ops, 3);
+        let bytes = &chain.bytes;
         let registry = MetricsRegistry::new();
-        // Every cut length: no panic; either a typed hard error (header
-        // unusable) or a verified store with the tear reported — except at
-        // the header's end, which is a complete, empty journal.
-        for cut in 0..bytes.len() {
-            match KvStore::restore_from_journal_bytes(config(), &registry, &bytes[..cut]) {
-                Err(KvError::JournalTorn) => {} // header unusable: nothing restored
-                Err(e) => prop_assert!(false, "unexpected hard error at cut {}: {:?}", cut, e),
-                Ok((prefix, report)) => {
-                    let torn = (cut > Head::<4>::LEN).then_some(KvError::JournalTorn);
-                    prop_assert_eq!(
-                        report.torn,
-                        torn,
-                        "a cut journal must read as torn (cut {})",
-                        cut
-                    );
-                    prefix.verify().unwrap();
-                    // Every restored file must be fully readable.
-                    for st in prefix.list_files() {
-                        prop_assert_eq!(
-                            prefix.read_all_unchecked(st.id).unwrap().len(),
-                            st.len
-                        );
-                    }
-                }
+        // Cut between batches, the restore is the store the ops so far
+        // built, less the files no batch describes.
+        let mut states = Vec::new();
+        for (&end, &applied) in chain.ends.iter().zip(&chain.applied) {
+            let (restored, report) = restore(&bytes[..end], &registry).unwrap();
+            prop_assert_eq!(report.torn, None);
+            let (projection, kept) = durable_projection(&ops[..applied]);
+            prop_assert_eq!(restored.list_files().len(), kept.len());
+            assert_same_observable_state(&projection, &restored, &kept)?;
+            states.push(snapshot(&restored));
+        }
+        // Every cut length: no panic, and a verified store that is exactly
+        // what the last complete batch before the cut restores, with the
+        // tear reported unless the cut falls between batches.
+        for cut in 0..=bytes.len() {
+            let (prefix, report) = restore(&bytes[..cut], &registry)
+                .unwrap_or_else(|e| panic!("cut {cut}: {e:?}"));
+            // Nothing at all is a fresh store, complete.
+            let last = chain.ends.iter().rposition(|&end| end <= cut).unwrap_or(0);
+            let at_end = cut == 0 || chain.ends.contains(&cut);
+            prop_assert_eq!(
+                report.torn,
+                (!at_end).then_some(KvError::JournalTorn),
+                "cut {}",
+                cut
+            );
+            prefix.verify().unwrap();
+            prop_assert_eq!(
+                snapshot(&prefix),
+                states[last].clone(),
+                "cut {} restores the state its last batch described",
+                cut
+            );
+            // Every restored file must be fully readable.
+            for st in prefix.list_files() {
+                prop_assert_eq!(prefix.read_all_unchecked(st.id).unwrap().len(), st.len);
             }
         }
-        // The untouched journal is not torn.
-        let (_, report) =
-            KvStore::restore_from_journal_bytes(config(), &registry, &bytes).unwrap();
-        prop_assert_eq!(report.torn, None);
     }
 }
 
-/// Builds a journal the way a live kernel does: the store opens it
-/// ([`KvStore::open_journal`]), then persists its changes every `batch`
-/// ops ([`KvStore::persist_journal`]). Returns the final store, its live
-/// file ids, and the on-disk journal bytes.
-fn build_delta_journal(ops: &[Op], batch: usize, tag: &str) -> (KvStore, Vec<FileId>, Vec<u8>) {
-    let path = std::env::temp_dir().join(format!(
-        "symj_prop_{tag}_{}_{:?}.journal",
-        std::process::id(),
-        std::thread::current().id()
-    ));
+/// A store's log the way a live kernel writes one: the store's snapshot,
+/// change tracking from there, and a drained batch every `batch` ops and
+/// at the end.
+struct DeltaChain {
+    bytes: Vec<u8>,
+    /// Where each batch ends in `bytes`.
+    ends: Vec<usize>,
+    /// How many ops each batch had seen.
+    applied: Vec<usize>,
+}
+
+fn build_delta_chain(ops: &[Op], batch: usize) -> DeltaChain {
     let mut store = KvStore::new(config());
-    store.open_journal(&path, never_compact()).unwrap();
-    let mut live = Vec::new();
-    let mut next_token = 0u32;
+    let bytes = snapshot(&store);
+    let mut chain = DeltaChain {
+        ends: vec![bytes.len()],
+        applied: vec![0],
+        bytes,
+    };
+    store.track_changes();
+    let (mut live, mut next_token) = (Vec::new(), 0u32);
+    let mut drain = |store: &mut KvStore, applied| {
+        if store.drain_changes(&mut chain.bytes) {
+            chain.ends.push(chain.bytes.len());
+            chain.applied.push(applied);
+        }
+    };
     for (k, op) in ops.iter().enumerate() {
         apply_op(&mut store, &mut live, &mut next_token, op);
         if (k + 1) % batch == 0 {
-            store.persist_journal().unwrap();
+            drain(&mut store, k + 1);
         }
     }
-    store.persist_journal().unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    (store, live, bytes)
+    drain(&mut store, ops.len());
+    // Nothing changed since the last drain: nothing more to write.
+    assert!(!store.drain_changes(&mut chain.bytes));
+    chain
 }
 
-fn never_compact() -> JournalConfig {
-    JournalConfig {
-        compact_threshold_bytes: u64::MAX,
+fn assert_same_observable_state(
+    store: &KvStore,
+    restored: &KvStore,
+    live: &[FileId],
+) -> Result<(), TestCaseError> {
+    // Contents, stat fields, pool usage (CoW shares restore as shares, so
+    // the tier counts match exactly).
+    prop_assert_eq!(restored.gpu_pages_used(), store.gpu_pages_used());
+    // Backing copies are not logged: a restored store holds only the
+    // resident copy of each page.
+    prop_assert_eq!(
+        restored.cpu_pages_used() + restored.disk_pages_used(),
+        store.cpu_pages_used() + store.disk_pages_used() - store.backing_pages()
+    );
+    prop_assert_eq!(restored.backing_pages(), 0);
+    prop_assert_eq!(restored.live_pages(), store.live_pages());
+    for &f in live {
+        let a = store.stat(f).unwrap();
+        let b = restored.stat(f).unwrap();
+        prop_assert_eq!(a.owner, b.owner);
+        prop_assert_eq!(a.len, b.len);
+        prop_assert_eq!(a.pages, b.pages);
+        prop_assert_eq!(a.pinned, b.pinned);
+        prop_assert_eq!(a.locked_by, b.locked_by);
+        prop_assert_eq!(a.residency, b.residency);
+        prop_assert_eq!(a.last_access, b.last_access);
+        prop_assert_eq!(a.links, b.links);
+        prop_assert_eq!(
+            restored.read_all_unchecked(f).unwrap(),
+            store.read_all_unchecked(f).unwrap()
+        );
+        prop_assert_eq!(store.quota_used(a.owner), restored.quota_used(a.owner));
     }
+    Ok(())
 }
 
 proptest! {
@@ -296,164 +347,12 @@ proptest! {
     fn delta_journal_restores_live_state(
         ops in proptest::collection::vec(op_strategy(), 1..40)
     ) {
-        let (store, live, bytes) = build_delta_journal(&ops, 5, "delta");
-        let (restored, report) =
-            KvStore::restore_from_journal_bytes(config(), &MetricsRegistry::new(), &bytes)
-                .unwrap();
+        let chain = build_delta_chain(&ops, 5);
+        let (restored, report) = restore(&chain.bytes, &MetricsRegistry::new()).unwrap();
         prop_assert_eq!(report.torn, None);
         restored.verify().unwrap();
-        prop_assert_eq!(restored.gpu_pages_used(), store.gpu_pages_used());
-        // Backing copies are not journalled: a restored store holds only
-        // the resident copy of each page.
-        prop_assert_eq!(
-            restored.cpu_pages_used() + restored.disk_pages_used(),
-            store.cpu_pages_used() + store.disk_pages_used() - store.backing_pages()
-        );
-        prop_assert_eq!(restored.backing_pages(), 0);
-        prop_assert_eq!(restored.live_pages(), store.live_pages());
-        for f in live {
-            let a = store.stat(f).unwrap();
-            let b = restored.stat(f).unwrap();
-            prop_assert_eq!(a.owner, b.owner);
-            prop_assert_eq!(a.len, b.len);
-            prop_assert_eq!(a.pages, b.pages);
-            prop_assert_eq!(a.pinned, b.pinned);
-            prop_assert_eq!(a.locked_by, b.locked_by);
-            prop_assert_eq!(a.residency, b.residency);
-            prop_assert_eq!(a.last_access, b.last_access);
-            prop_assert_eq!(a.links, b.links);
-            prop_assert_eq!(
-                restored.read_all_unchecked(f).unwrap(),
-                store.read_all_unchecked(f).unwrap()
-            );
-            prop_assert_eq!(store.quota_used(a.owner), restored.quota_used(a.owner));
-        }
+        let (projection, kept) = durable_projection(&ops);
+        prop_assert_eq!(restored.list_files().len(), kept.len());
+        assert_same_observable_state(&projection, &restored, &kept)?;
     }
-}
-
-proptest! {
-    // Every truncation point restores three times (prefix, compact,
-    // recompact), so keep the op sequences short.
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn compaction_is_restore_identical_at_every_cut(
-        ops in proptest::collection::vec(op_strategy(), 1..12)
-    ) {
-        let (_store, _live, bytes) = build_delta_journal(&ops, 3, "cut");
-        let registry = MetricsRegistry::new();
-        for cut in 0..=bytes.len() {
-            // A prefix too short even for the header has nothing to
-            // compact; every other cut restores to *some* consistent
-            // store, and compaction is defined as that store's canonical
-            // snapshot.
-            let Ok((prefix, _)) =
-                KvStore::restore_from_journal_bytes(config(), &registry, &bytes[..cut])
-            else {
-                continue;
-            };
-            let compacted = prefix.journal_bytes();
-            let (recovered, report) =
-                KvStore::restore_from_journal_bytes(config(), &registry, &compacted)
-                    .unwrap();
-            prop_assert_eq!(report.torn, None, "compacted journal must be whole (cut {})", cut);
-            recovered.verify().unwrap();
-            // Byte identity: restoring the compacted journal reproduces
-            // the exact store the uncompacted prefix restored to.
-            prop_assert_eq!(
-                recovered.journal_bytes(),
-                compacted,
-                "compact→restore must be a fixed point (cut {})",
-                cut
-            );
-        }
-    }
-}
-
-#[test]
-fn crash_mid_compaction_preserves_the_old_journal() {
-    let path = |tag: &str| {
-        std::env::temp_dir().join(format!("symj_prop_crash_{tag}_{}.journal", std::process::id()))
-    };
-    let (kept, compacting) = (path("kept"), path("compacting"));
-    let admin = OwnerId::ADMIN;
-    // Twin stores, the same history: one journal never compacts, so it
-    // holds what the other's held on disk between flush and compaction.
-    let mut twin = KvStore::new(config());
-    twin.open_journal(&kept, never_compact()).unwrap();
-    let mut store = KvStore::new(config());
-    store
-        .open_journal(&compacting, JournalConfig { compact_threshold_bytes: 1 })
-        .unwrap();
-    let history = |s: &mut KvStore| {
-        let f = s.create(admin).unwrap();
-        s.append(f, admin, &[entry(1), entry(2), entry(3)]).unwrap();
-        s.link(f, "p/crash", admin).unwrap();
-        f
-    };
-    let f = history(&mut twin);
-    assert_eq!(history(&mut store), f);
-    assert!(!twin.persist_journal().unwrap());
-    let before = std::fs::read(&kept).unwrap();
-
-    // Crash after writing the temp file but before the atomic rename:
-    // the live journal is byte-for-byte untouched and still restores.
-    SegLog::replace_crash_before_rename(&kept, &twin.journal_bytes()).unwrap();
-    assert_eq!(std::fs::read(&kept).unwrap(), before, "old journal must survive the crash");
-    let (recovered, report) =
-        KvStore::restore_from_journal_bytes(config(), &MetricsRegistry::new(), &before).unwrap();
-    assert_eq!(report.torn, None);
-    assert_eq!(recovered.read_all_unchecked(f).unwrap().len(), 3);
-
-    // The real compaction (a threshold of 1 byte trips) lands atomically
-    // and restores identically.
-    assert!(store.persist_journal().unwrap(), "threshold of 1 byte must trip");
-    let snap = store.journal_bytes();
-    assert_eq!(std::fs::read(&compacting).unwrap(), snap);
-    let (rec2, rep2) =
-        KvStore::restore_from_journal_bytes(config(), &MetricsRegistry::new(), &snap).unwrap();
-    assert_eq!(rep2.torn, None);
-    assert_eq!(
-        rec2.read_all_unchecked(f).unwrap(),
-        store.read_all_unchecked(f).unwrap()
-    );
-    for p in [kept, compacting] {
-        let tmp = p.with_file_name(format!("{}.tmp", p.file_name().unwrap().to_string_lossy()));
-        std::fs::remove_file(p).ok();
-        std::fs::remove_file(tmp).ok();
-    }
-}
-
-/// `Journal::create` over an existing journal replaces it by rename, like
-/// compaction: killed between staging and rename the old journal is still
-/// whole, and a finished create never truncated it in place.
-#[test]
-fn recreating_over_a_journal_never_exposes_a_partial_file() {
-    use std::io::Read;
-    let path =
-        std::env::temp_dir().join(format!("symj_prop_recreate_{}.journal", std::process::id()));
-    let admin = OwnerId::ADMIN;
-    let mut store = KvStore::new(config());
-    let f = store.create(admin).unwrap();
-    store.append(f, admin, &[entry(1), entry(2)]).unwrap();
-    let old = store.journal_bytes();
-    store.append(f, admin, &[entry(3)]).unwrap();
-    let new = store.journal_bytes();
-    drop(Journal::create(&path, &old, JournalConfig::default()).unwrap());
-    let mut reader = std::fs::File::open(&path).unwrap();
-
-    SegLog::replace_crash_before_rename(&path, &new).unwrap();
-    let on_disk = std::fs::read(&path).unwrap();
-    assert_eq!(on_disk, old, "old journal must survive the crash");
-    let (_, _, torn) = symphony_kvfs::journal::read_journal(&on_disk).unwrap();
-    assert!(!torn, "and still be complete");
-
-    drop(Journal::create(&path, &new, JournalConfig::default()).unwrap());
-    assert_eq!(std::fs::read(&path).unwrap(), new);
-    // Whoever had the old journal open still reads all of it: it was
-    // replaced, not rewritten.
-    let mut seen = Vec::new();
-    reader.read_to_end(&mut seen).unwrap();
-    assert_eq!(seen, old);
-    std::fs::remove_file(&path).ok();
 }

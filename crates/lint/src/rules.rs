@@ -438,9 +438,10 @@ pub fn explain(rule: Rule) -> &'static str {
              and `set_len` in non-test code of the deterministic crates (the\n\
              d3 list), everywhere but crates/sim/src/seglog.rs.\n\
              \n\
-             The KVFS journal and the kernel WAL are two tag spaces over one\n\
-             file discipline: one checksummed header, one torn-tail rule, one\n\
-             pending buffer, replace-by-rename, and one stated durability\n\
+             The kernel WAL is the one durable file, and the KV store's\n\
+             batches are frames in it: one tag space over one file\n\
+             discipline: one checksummed header, one torn-tail rule, one\n\
+             pending buffer, create-by-rename, and one stated durability\n\
              scope (write(2), no fsync). State that survives a restart is\n\
              exactly where a second, slightly different copy of that\n\
              discipline — truncate in place here, rename there — turns into a\n\
@@ -449,9 +450,9 @@ pub fn explain(rule: Rule) -> &'static str {
              crates/bench (the report layer that writes results/*.json) is\n\
              outside the rule's crate list.\n\
              \n\
-             Fix: hold a `SegLog`; `create`/`replace` to put a whole file in\n\
-             place, `push`+`flush` or `append` to add frames, `truncate_to`\n\
-             to cut a torn tail."
+             Fix: hold a `SegLog`; `create` to put a whole file in place,\n\
+             frames into `pending` then `flush`, or `append`, to add them,\n\
+             `truncate_to` to cut a torn tail."
         }
         Rule::U1 => {
             "u1: every public function has a caller\n\

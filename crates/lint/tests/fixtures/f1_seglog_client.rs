@@ -15,8 +15,8 @@ fn reopen(path: &std::path::Path) -> std::io::Result<SegLog> {
     Ok(log)
 }
 
-fn swap(log: &mut SegLog, bytes: &[u8]) -> std::io::Result<()> {
+fn swap(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<SegLog> {
     // `offset_len` is not `set_len`: patterns match at word boundaries.
     let offset_len = bytes.len();
-    log.replace(&bytes[..offset_len])
+    SegLog::create(path, &bytes[..offset_len])
 }

@@ -10,12 +10,12 @@
 //!
 //! Framing reuses the workspace-wide `[tag u8][len u32][payload][crc u32]`
 //! discipline from [`symphony_sim::frame`] — the same bytes-on-disk rules
-//! as the KVFS journal (`SYMJ`) and the kernel WAL (`SYMW`), proven by
-//! their torn-tail chaos suites. On a stream transport there is no "torn
-//! tail", only frames that have not finished arriving; [`FrameReader`]
-//! separates that (wait for more bytes) from corruption (typed
-//! [`WireError`], connection must die), and gives back the buffer it
-//! drained.
+//! as the kernel WAL (`SYMW`), which carries the KV store's batches too,
+//! proven by its torn-tail chaos suites. On a stream transport there is
+//! no "torn tail", only frames that have not finished arriving;
+//! [`FrameReader`] separates that (wait for more bytes) from corruption
+//! (typed [`WireError`], connection must die), and gives back the buffer
+//! it drained.
 //!
 //! Inside a payload (version 2), every integer and every string's length
 //! is an unsigned LEB128 varint, so a per-token STREAM frame is about 23

@@ -381,11 +381,12 @@ fn the_kernels_counters_carry_what_its_records_carried() {
 
 #[test]
 fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
-    // The durable path with no server around it: WAL and KV journal open,
-    // the session events taken straight from the sink, and no reap call
-    // anywhere. The programs come two ways: as durable images that parse
-    // and exec a LipScript program on a pool worker, and inline, as
-    // `LipBody`s whose admission frames journal their text.
+    // The durable path with no server around it: the WAL open (the KV
+    // store's batches ride in it), the session events taken straight from
+    // the sink, and no reap call anywhere. The programs come two ways: as
+    // durable images that parse and exec a LipScript program on a pool
+    // worker, and inline, as `LipBody`s whose admission frames journal
+    // their text.
     for inline in [false, true] {
         durable_sessions_keep_nothing(inline);
     }
@@ -394,16 +395,10 @@ fn a_durable_kernel_with_a_sink_keeps_nothing_per_session() {
 fn durable_sessions_keep_nothing(inline: bool) {
     let dir = std::env::temp_dir();
     let tag = format!("symphony-residue-{}-{inline}", std::process::id());
-    let (wal, journal) = (
-        dir.join(format!("{tag}.wal")),
-        dir.join(format!("{tag}.kvj")),
-    );
+    let wal = dir.join(format!("{tag}.wal"));
     let mut cfg = KernelConfig::for_tests();
     cfg.wal = Some(WalConfig::new(&wal));
     let mut kernel = standard_kernel(cfg);
-    kernel
-        .open_kv_journal(&journal, symphony_kvfs::JournalConfig::default())
-        .expect("journal opens");
     let events: Arc<Mutex<Vec<SessionEvent>>> = Arc::default();
     let sink = Arc::clone(&events);
     kernel.set_session_sink(Box::new(move |ev| sink.lock().unwrap().push(ev)));
@@ -464,7 +459,6 @@ fn durable_sessions_keep_nothing(inline: bool) {
             );
         }
         kernel.run();
-        kernel.persist_kv_delta().expect("journal persists");
         let mut ok = 0;
         let mut usages = Vec::new();
         for ev in events.lock().unwrap().drain(..) {
@@ -510,7 +504,6 @@ fn durable_sessions_keep_nothing(inline: bool) {
     assert_eq!(handoffs == Some(0), inline, "{handoffs:?}");
     drop(kernel);
     std::fs::remove_file(&wal).ok();
-    std::fs::remove_file(&journal).ok();
 }
 
 #[test]

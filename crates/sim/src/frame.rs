@@ -1,11 +1,12 @@
 //! The shared frame codec: `[tag u8][len u32][payload][crc u32]`.
 //!
 //! One framing discipline runs through every byte stream in Symphony — the
-//! KVFS journal (`SYMJ`), the kernel write-ahead log (`SYMW`) and the RPC
-//! wire protocol (`SYMR`) all append and walk frames through this module,
-//! so the checksum, the length prefix and the torn-tail rules can never
-//! drift apart between them. Each consumer brings its own magic header and
-//! tag space; the codec is agnostic to both.
+//! kernel write-ahead log (`SYMW`, the KV store's batches among its
+//! frames) and the RPC wire protocol (`SYMR`) both append and walk frames
+//! through this module, so the checksum, the length prefix and the
+//! torn-tail rules can never drift apart between them. Each consumer
+//! brings its own magic header and tag space; the codec is agnostic to
+//! both.
 //!
 //! * the CRC is FNV-1a (32-bit) over tag + payload;
 //! * the header's length and the CRC are little-endian `u32`s; inside a
@@ -275,7 +276,7 @@ mod tests {
 
     #[test]
     fn frame_crc_is_fnv1a_over_tag_then_payload() {
-        // Pinned: every SYMJ/SYMW log on disk and every SYMR frame on the
+        // Pinned: every SYMW log on disk and every SYMR frame on the
         // wire carries these checksums.
         let ramp: Vec<u8> = (0..=255).collect();
         assert_eq!(frame_crc(7, b"hello"), 0xea7b_9d96);

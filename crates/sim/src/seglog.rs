@@ -1,12 +1,13 @@
 //! The segment log: the one on-disk shape of every durable file.
 //!
 //! A log file is a checksummed header followed by [`crate::frame`] frames.
-//! The KVFS journal (`SYMJ`) and the kernel write-ahead log (`SYMW`) are
-//! two *clients*: each brings a [`Head`], a tag space and a payload
-//! decoder. Everything about the file itself is here and nowhere else: the
-//! header ([`encode_head`], [`parse_head`]), the torn-tail rule ([`scan`]),
-//! the pending buffer and the ways a file is cut back or replaced
-//! ([`SegLog`]). docs/RESILIENCE.md, "Log file format", is the prose.
+//! A client brings a [`Head`], a tag space and a payload decoder; the
+//! kernel write-ahead log (`SYMW`) is the one client, and the KV store's
+//! batches are frames in it. Everything about the file itself is here and
+//! nowhere else: the header ([`encode_head`], [`parse_head`]), the
+//! torn-tail rule ([`scan`]), the pending buffer and the ways a file is
+//! created, reopened and cut back ([`SegLog`]). docs/RESILIENCE.md, "Log
+//! file format", is the prose.
 //!
 //! Nothing here calls `fsync`: "durable" means handed to `write(2)`, which
 //! survives a process crash, not a power cut. This is the place to change
@@ -120,7 +121,6 @@ pub fn tag_counts<const N: usize>(
 /// end.
 #[derive(Debug)]
 pub struct SegLog {
-    path: PathBuf,
     file: File,
     /// Bytes handed to `write(2)`: the file's length.
     len: u64,
@@ -137,7 +137,7 @@ impl SegLog {
     pub fn create(path: &Path, bytes: &[u8]) -> io::Result<SegLog> {
         let file = write_sibling(path, bytes)?;
         std::fs::rename(sibling(path), path)?;
-        Ok(SegLog::over(path, file, bytes.len() as u64))
+        Ok(SegLog::over(file, bytes.len() as u64))
     }
 
     /// Opens the existing log at `path` for appending. The caller decides
@@ -146,22 +146,23 @@ impl SegLog {
     pub fn open(path: &Path) -> io::Result<SegLog> {
         let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
         let len = file.seek(SeekFrom::End(0))?;
-        Ok(SegLog::over(path, file, len))
+        Ok(SegLog::over(file, len))
     }
 
-    fn over(path: &Path, file: File, len: u64) -> SegLog {
+    fn over(file: File, len: u64) -> SegLog {
         SegLog {
-            path: path.to_path_buf(),
             file,
             len,
             pending: Vec::new(),
         }
     }
 
-    /// Buffers one frame; nothing reaches the file before
-    /// [`SegLog::flush`].
-    pub fn push(&mut self, tag: u8, payload: &[u8]) {
-        append_frame(&mut self.pending, tag, payload);
+    /// The frames pushed and not yet written: a client appends whole
+    /// frames here ([`crate::frame::append_frame`], or a batch encoded in
+    /// place), and nothing reaches the file before [`SegLog::flush`]. The
+    /// buffer keeps its capacity across flushes.
+    pub fn pending(&mut self) -> &mut Vec<u8> {
+        &mut self.pending
     }
 
     /// Writes the buffered frames to the file, in push order.
@@ -195,18 +196,10 @@ impl SegLog {
         Ok(())
     }
 
-    /// Rewrites the log as exactly `bytes`, atomically like
-    /// [`SegLog::create`]. Buffered frames are dropped: `bytes` must
-    /// already say what they said.
-    pub fn replace(&mut self, bytes: &[u8]) -> io::Result<()> {
-        *self = SegLog::create(&self.path, bytes)?;
-        Ok(())
-    }
-
-    /// Fault-injection twin of [`SegLog::create`] and [`SegLog::replace`]:
-    /// writes the sibling temp file and "crashes" before the rename, so
-    /// the log at `path` is untouched. Chaos tests use it to show that a
-    /// crash mid-replace cannot lose the old file.
+    /// Fault-injection twin of [`SegLog::create`]: writes the sibling temp
+    /// file and "crashes" before the rename, so the log at `path` is
+    /// untouched. Chaos tests use it to show that a crash while creating a
+    /// log over an old one cannot lose the old file.
     #[doc(hidden)]
     // lint:allow(u1): a crash injector the torn-replace tests drive
     pub fn replace_crash_before_rename(path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -216,11 +209,6 @@ impl SegLog {
     /// Bytes in the file.
     pub fn disk_len(&self) -> u64 {
         self.len
-    }
-
-    /// Bytes buffered and not yet written.
-    pub fn pending_len(&self) -> u64 {
-        self.pending.len() as u64
     }
 }
 

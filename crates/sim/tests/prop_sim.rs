@@ -113,11 +113,11 @@ proptest! {
         prop_assert_eq!(log.disk_len(), (head.len() + cut) as u64);
         log.truncate_to((head.len() + valid_len) as u64).unwrap();
         for (tag, payload) in &appended {
-            log.push(*tag, payload);
+            append_frame(log.pending(), *tag, payload);
         }
-        prop_assert_eq!(log.pending_len(), toy_body(&appended).len() as u64);
+        prop_assert_eq!(log.pending().len(), toy_body(&appended).len());
         log.flush().unwrap();
-        prop_assert_eq!(log.pending_len(), 0);
+        prop_assert_eq!(log.pending().len(), 0);
         let (read_fields, records, torn) = toy_read(&path);
         prop_assert_eq!(read_fields, fields);
         prop_assert!(!torn);
@@ -139,11 +139,11 @@ proptest! {
         let before = [&head[..], &toy_body(&base)[..]].concat();
         let mut log = SegLog::create(&path, &before).unwrap();
         for (tag, payload) in &waiting {
-            log.push(*tag, payload);
+            append_frame(log.pending(), *tag, payload);
         }
         prop_assert_eq!(&std::fs::read(&path).unwrap(), &before);
         log.append(urgent.0, &urgent.1).unwrap();
-        prop_assert_eq!(log.pending_len(), toy_body(&waiting).len() as u64);
+        prop_assert_eq!(log.pending().len(), toy_body(&waiting).len());
         let (_, records, _) = toy_read(&path);
         prop_assert_eq!(&records, &[base.clone(), vec![urgent.clone()]].concat());
         log.flush().unwrap();
@@ -153,35 +153,39 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Replacing a log is all-or-nothing, and the handle follows the new
-    /// file.
+    /// Creating a log over an old one replaces it all-or-nothing, and the
+    /// handle writes to the new file.
     #[test]
     fn segment_log_replace_is_atomic(
         old in proptest::collection::vec(toy_record(), 0..6),
         new in proptest::collection::vec(toy_record(), 0..6),
-        unflushed in toy_record(),
         after in toy_record(),
     ) {
+        use std::io::Read;
         let path = toy_path("replace");
         let head = seglog::encode_head(&TOY, [3, 4]);
         let old_bytes = [&head[..], &toy_body(&old)[..]].concat();
         let new_bytes = [&head[..], &toy_body(&new)[..]].concat();
-        let mut log = SegLog::create(&path, &old_bytes).unwrap();
+        drop(SegLog::create(&path, &old_bytes).unwrap());
+        let mut reader = std::fs::File::open(&path).unwrap();
 
         // Killed after staging the replacement, before the rename.
         SegLog::replace_crash_before_rename(&path, &new_bytes).unwrap();
         prop_assert_eq!(&std::fs::read(&path).unwrap(), &old_bytes);
 
-        log.push(unflushed.0, &unflushed.1);
-        log.replace(&new_bytes).unwrap();
+        let mut log = SegLog::create(&path, &new_bytes).unwrap();
         prop_assert_eq!(&std::fs::read(&path).unwrap(), &new_bytes);
         prop_assert_eq!(log.disk_len(), new_bytes.len() as u64);
-        prop_assert_eq!(log.pending_len(), 0, "the replacement subsumes the buffer");
-        log.push(after.0, &after.1);
+        append_frame(log.pending(), after.0, &after.1);
         log.flush().unwrap();
         let (_, records, torn) = toy_read(&path);
         prop_assert!(!torn);
         prop_assert_eq!(records, [new, vec![after]].concat());
+        // Whoever had the old file open still reads all of it: it was
+        // replaced, not rewritten in place.
+        let mut seen = Vec::new();
+        reader.read_to_end(&mut seen).unwrap();
+        prop_assert_eq!(seen, old_bytes);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(path.with_extension("log.tmp")).ok();
     }
