@@ -20,8 +20,6 @@
 //! never shrinks, so once it has grown, allocating, filling, copying and
 //! freeing a page touch no heap.
 
-use std::collections::BTreeSet;
-
 use symphony_model::CtxFingerprint;
 use symphony_tokenizer::TokenId;
 
@@ -114,10 +112,12 @@ pub(crate) struct PagePool {
     /// under sustained pressure sweeps the pool once, not once per page.
     reclaim_from: usize,
     /// Pages whose content or tier changed since the last
-    /// [`PagePool::take_dirty`] drain. `None` (the default) disables
-    /// tracking entirely so the hot paths pay only an `Option` check;
-    /// the store enables it when a delta journal is opened.
-    dirty: Option<BTreeSet<u32>>,
+    /// [`PagePool::take_dirty`] drain: one bit per slot, 64 slots a word,
+    /// grown with the slot table, so marking a page never allocates.
+    /// `None` (the default) disables tracking entirely so the hot paths
+    /// pay only an `Option` check; the store enables it when a delta
+    /// journal is opened.
+    dirty: Option<Vec<u64>>,
 }
 
 impl PagePool {
@@ -148,24 +148,24 @@ impl PagePool {
 
     /// Starts tracking content/tier changes for delta journalling.
     pub(crate) fn enable_dirty_tracking(&mut self) {
-        self.dirty = Some(BTreeSet::new());
+        self.dirty = Some(vec![0; self.slots.len().div_ceil(64)]);
     }
 
     /// Drains the dirty set, returning the still-live page ids in
     /// ascending order. Empty when tracking is disabled.
     pub(crate) fn take_dirty(&mut self) -> Vec<u32> {
-        match self.dirty.as_mut() {
-            Some(d) => {
-                let drained = std::mem::take(d);
-                drained
-                    .into_iter()
-                    .filter(|&i| {
-                        (i as usize) < self.slots.len() && self.slots[i as usize].is_some()
-                    })
-                    .collect()
+        let mut drained = Vec::new();
+        for (w, word) in self.dirty.iter_mut().flatten().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.slots[i].is_some() {
+                    drained.push(i as u32);
+                }
             }
-            None => Vec::new(),
         }
+        drained
     }
 
     /// Marks a page dirty for the next delta drain (no-op while disabled).
@@ -174,7 +174,7 @@ impl PagePool {
     /// which call this.
     fn mark_dirty(&mut self, id: PageId) {
         if let Some(d) = self.dirty.as_mut() {
-            d.insert(id.0);
+            d[id.0 as usize / 64] |= 1 << (id.0 % 64);
         }
     }
 
@@ -290,6 +290,9 @@ impl PagePool {
     fn grow_to(&mut self, slots: usize) {
         if slots > self.slots.len() {
             self.slots.resize_with(slots, || None);
+            if let Some(d) = self.dirty.as_mut() {
+                d.resize(slots.div_ceil(64), 0);
+            }
             let zero = KvEntry::new(0, 0, CtxFingerprint(0));
             self.arena.resize(slots * self.page_tokens, zero);
         }
@@ -368,7 +371,7 @@ impl PagePool {
         if let Some(d) = self.dirty.as_mut() {
             // A freed slot has no content to journal; if it is reallocated
             // later, `alloc` re-marks it.
-            d.remove(&id.0);
+            d[id.0 as usize / 64] &= !(1 << (id.0 % 64));
         }
     }
 

@@ -87,8 +87,10 @@ fn cycle(store: &mut KvStore, pages: usize) -> usize {
     made
 }
 
-#[test]
-fn a_files_pages_cost_the_heap_nothing_once_the_pool_has_grown() {
+/// A 4-page and a 64-page cycle's allocations on a store grown to a
+/// 64-page cycle's size — its arena, slot table, free list and, when
+/// `tracked`, the dirty bitmap change tracking keeps beside them.
+fn small_and_large_cycles(tracked: bool) -> (usize, usize) {
     let mut store = KvStore::new(KvStoreConfig {
         page_tokens: PAGE_TOKENS,
         gpu_pages: 256,
@@ -96,16 +98,36 @@ fn a_files_pages_cost_the_heap_nothing_once_the_pool_has_grown() {
         disk_pages: 0,
         bytes_per_token: 1,
     });
-    // Grow the arena, the slot table and the free list to a 64-page
-    // cycle's size.
+    if tracked {
+        store.track_changes();
+    }
     cycle(&mut store, 64);
     let small = cycle(&mut store, 4);
     let large = cycle(&mut store, 64);
+    assert_eq!(store.live_pages(), 0);
+    (small, large)
+}
+
+#[test]
+fn a_files_pages_cost_the_heap_nothing_once_the_pool_has_grown() {
+    let (small, large) = small_and_large_cycles(false);
     assert!(
         large <= small + PAGE_LIST_GROWTH,
         "a 64-page cycle made {large} allocations, a 4-page one {small}"
     );
-    assert_eq!(store.live_pages(), 0);
+}
+
+/// With change tracking on, as in every kernel with a WAL, a page marked
+/// dirty sets a bit of a bitmap the pool has already grown: a file's life
+/// still costs no allocation per page. While the dirty set was an ordered
+/// set of page ids, every page marked was a node of it.
+#[test]
+fn a_tracked_files_pages_cost_the_heap_nothing_once_the_pool_has_grown() {
+    let (small, large) = small_and_large_cycles(true);
+    assert!(
+        large <= small + PAGE_LIST_GROWTH,
+        "tracked: a 64-page cycle made {large} allocations, a 4-page one {small}"
+    );
 }
 
 /// A drain encodes the store's changes straight into the log's buffer:

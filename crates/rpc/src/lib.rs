@@ -14,8 +14,9 @@
 //! proven by its torn-tail chaos suites. On a stream transport there is
 //! no "torn tail", only frames that have not finished arriving;
 //! [`FrameReader`] separates that (wait for more bytes) from corruption
-//! (typed [`WireError`], connection must die), and gives back the buffer
-//! it drained.
+//! (typed [`WireError`], connection must die). It reads a frame where it
+//! lies, in the transport's bytes: only a frame split across two reads is
+//! ever copied, and a reader keeps nothing once it has drained.
 //!
 //! Inside a payload (version 2), every integer and every string's length
 //! is an unsigned LEB128 varint, so a per-token STREAM frame is about 23
@@ -28,6 +29,8 @@
 //! Everything here is pure data-in/data-out: no sockets, no clocks, no
 //! allocator tricks — which is what lets the protocol round-trip under
 //! property tests and keeps the serving loop deterministic.
+
+use std::ops::ControlFlow;
 
 use symphony_sim::frame::{
     self, append_frame_with, push_str, push_u32, push_u64, push_varint, Cursor, FRAME_OVERHEAD,
@@ -48,8 +51,9 @@ pub const WIRE_VERSION: u32 = 2;
 pub const DEFAULT_MAX_FRAME: u32 = 1 << 20;
 
 /// Bytes a transport reads from its socket at a time (the TCP shell's
-/// read buffer), and the most buffer capacity a [`FrameReader`] keeps once
-/// it has handed out everything it was fed.
+/// read buffer). A [`FrameReader`] reads the frames in such a read where
+/// they lie: it copies only a frame split across two reads, and keeps no
+/// buffer at all once it has drained.
 pub const READ_SIZE: usize = 16 * 1024;
 
 /// Session id `0` is reserved: in an [`ServerMsg::Error`] it marks a
@@ -624,24 +628,51 @@ impl WireError {
     }
 }
 
-/// Incremental frame decoder for a byte stream: feed arbitrary slices,
-/// pop complete `(tag, payload)` frames. Short input is "not yet", never
-/// an error; a completed frame with a bad CRC (or an oversized length
-/// prefix) is a [`WireError`] and the reader is poisoned.
+/// Incremental frame decoder for a byte stream: a frame is read where it
+/// lies. [`FrameReader::read`] takes whatever a transport read and hands
+/// out every complete frame in it as a slice of those bytes. Only a frame
+/// split across two reads is copied: once its header is in and under the
+/// cap, the reader reserves the length it announces, gathers the frame
+/// there, and frees that buffer as soon as the frame is handed out. So a
+/// reader that has drained holds no buffer at all, however large the
+/// frames it has read, and whole frames cost it no allocation.
 ///
-/// The buffer holds at most one frame plus one read's worth of bytes, and
-/// it does not stay at its high-water mark: each time the last byte fed has
-/// been handed out as a frame, a buffer larger than [`READ_SIZE`] (the TCP
-/// shell's read size) is given back, so a drained reader holds at most
-/// that. A connection that once sent a 1 MiB SUBMIT holds no more than
-/// 16 KiB, not 1 MiB, for as long as it idles afterwards, and one fed a
-/// read at a time keeps the buffer the next read needs.
+/// Short input is "not yet", never an error; a completed frame with a bad
+/// CRC (or an oversized length prefix, caught from the 5 header bytes) is
+/// a [`WireError`] and the reader is poisoned.
+///
+/// [`FrameReader::feed`] and [`FrameReader::next_frame`] are a forward
+/// for callers that pop one owned frame at a time; they read through the
+/// same path and free what they were fed once they have handed it out.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    buf: Vec<u8>,
+    /// The frame split across reads: what has arrived of it, header first.
+    /// Empty, with no capacity, between frames.
+    split: Vec<u8>,
+    /// What [`FrameReader::feed`] was given that [`FrameReader::next_frame`]
+    /// has not read yet, from `pos` on. Empty, with no capacity, once read.
+    fed: Vec<u8>,
     pos: usize,
     max_frame: u32,
     poisoned: bool,
+}
+
+/// A frame's tag and length prefix.
+const HEADER: usize = 5;
+
+/// The whole size of the frame at the front of `avail`, once its header is
+/// in; [`WireError::TooLarge`] if it announces more than `max` payload bytes.
+fn frame_size(avail: &[u8], max: u32) -> Result<Option<usize>, WireError> {
+    match frame::announced_len(avail) {
+        Some(len) if len > max => Err(WireError::TooLarge { len, max }),
+        Some(len) => Ok(Some(FRAME_OVERHEAD + len as usize)),
+        None => Ok(None),
+    }
+}
+
+/// The tag and payload of `whole`, one complete frame, if its checksum holds.
+fn check(whole: &[u8]) -> Result<(u8, &[u8]), WireError> {
+    frame::next_frame(&mut Cursor::new(whole)).ok_or(WireError::Corrupt)
 }
 
 impl FrameReader {
@@ -653,70 +684,132 @@ impl FrameReader {
     /// A reader with an explicit payload cap.
     pub fn with_max_frame(max_frame: u32) -> Self {
         FrameReader {
-            buf: Vec::new(),
-            pos: 0,
             max_frame,
-            poisoned: false,
+            ..Default::default()
         }
     }
 
-    /// Appends raw received bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        // Reclaim the consumed prefix before growing once it is the larger
-        // part of the buffer, keeping the buffer bounded by one frame plus
-        // one read's worth of bytes.
-        if self.pos > self.buf.len() - self.pos {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Pops the next complete frame. `Ok(None)` means "need more bytes".
-    /// After an `Err` the reader stays poisoned and returns the same
-    /// error forever — the connection is unrecoverable.
-    pub fn next_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+    /// Reads `bytes`, the next bytes of the stream, and calls `f` with the
+    /// tag and payload of every frame they complete, in order: a frame
+    /// split across reads from the reader's buffer, every other one as a
+    /// slice of `bytes`. A trailing partial frame is kept for the next
+    /// call. Returns how many of `bytes` it took: all of them, unless `f`
+    /// broke, in which case the bytes after that frame are left to the
+    /// caller. After an `Err` the reader is poisoned: it holds nothing and
+    /// returns [`WireError::Corrupt`] forever.
+    pub fn read(
+        &mut self,
+        bytes: &[u8],
+        f: impl FnMut(u8, &[u8]) -> ControlFlow<()>,
+    ) -> Result<usize, WireError> {
         if self.poisoned {
             return Err(WireError::Corrupt);
         }
-        let avail = &self.buf[self.pos..];
-        let Some(len) = frame::announced_len(avail) else {
-            return Ok(None);
-        };
-        if len > self.max_frame {
+        let read = self.read_frames(bytes, f);
+        if read.is_err() {
             self.poisoned = true;
-            return Err(WireError::TooLarge {
-                len,
-                max: self.max_frame,
-            });
+            self.split = Vec::new();
         }
-        if avail.len() < FRAME_OVERHEAD + len as usize {
-            return Ok(None);
-        }
-        let mut c = Cursor::new(avail);
-        let Some((tag, payload)) = frame::next_frame(&mut c) else {
-            self.poisoned = true;
-            return Err(WireError::Corrupt);
-        };
-        let frame = (tag, payload.to_vec());
-        self.pos += c.pos();
-        if self.pos == self.buf.len() {
-            // Everything fed has been handed out. A buffer of a read's
-            // worth is kept for the next read; a larger one is given back
-            // whole rather than shrunk where it lies.
-            self.pos = 0;
-            if self.buf.capacity() > READ_SIZE {
-                self.buf = Vec::new();
-            } else {
-                self.buf.clear();
+        read
+    }
+
+    fn read_frames(
+        &mut self,
+        bytes: &[u8],
+        mut f: impl FnMut(u8, &[u8]) -> ControlFlow<()>,
+    ) -> Result<usize, WireError> {
+        let mut rest = bytes;
+        if !self.split.is_empty() {
+            let Some(after) = self.fill_split(rest)? else {
+                return Ok(bytes.len());
+            };
+            rest = after;
+            let whole = std::mem::take(&mut self.split);
+            let (tag, payload) = check(&whole)?;
+            if f(tag, payload).is_break() {
+                return Ok(bytes.len() - rest.len());
             }
         }
-        Ok(Some(frame))
+        loop {
+            match frame_size(rest, self.max_frame)? {
+                Some(size) if size <= rest.len() => {
+                    let (tag, payload) = check(&rest[..size])?;
+                    rest = &rest[size..];
+                    if f(tag, payload).is_break() {
+                        return Ok(bytes.len() - rest.len());
+                    }
+                }
+                size => {
+                    if !rest.is_empty() {
+                        self.split.reserve_exact(size.unwrap_or(HEADER));
+                        self.split.extend_from_slice(rest);
+                    }
+                    return Ok(bytes.len());
+                }
+            }
+        }
+    }
+
+    /// Moves the front of `bytes` into the split frame: the rest of its
+    /// header, then the rest of the frame that header announces. Returns
+    /// what is left of `bytes` once the frame is whole, `None` if `bytes`
+    /// ran out first.
+    fn fill_split<'a>(&mut self, mut bytes: &'a [u8]) -> Result<Option<&'a [u8]>, WireError> {
+        loop {
+            let size = frame_size(&self.split, self.max_frame)?;
+            let want = size.unwrap_or(HEADER) - self.split.len();
+            let take = want.min(bytes.len());
+            self.split.reserve_exact(want);
+            self.split.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if take < want {
+                return Ok(None);
+            }
+            if size.is_some() {
+                return Ok(Some(bytes));
+            }
+        }
+    }
+
+    /// Appends raw received bytes for [`FrameReader::next_frame`].
+    pub fn feed(&mut self, bytes: &[u8]) {
+        if self.poisoned {
+            return;
+        }
+        // Reclaim the consumed prefix before growing once it is the larger
+        // part of the buffer, keeping the buffer bounded by what the
+        // caller fed and has not popped.
+        if self.pos > self.fed.len() - self.pos {
+            self.fed.drain(..self.pos);
+            self.pos = 0;
+        }
+        self.fed.extend_from_slice(bytes);
+    }
+
+    /// Bytes received but not yet handed out as frames.
+    pub fn pending(&self) -> usize {
+        self.fed.len() - self.pos + self.split.len()
+    }
+
+    /// Pops the next complete frame of what was fed, as
+    /// [`FrameReader::read`] would hand it out, copied. `Ok(None)` means
+    /// "need more bytes"; by then everything fed has been read, and the
+    /// reader holds no more than a split frame's buffer. After an `Err` the
+    /// reader stays poisoned and returns [`WireError::Corrupt`] from then on —
+    /// the connection is unrecoverable.
+    pub fn next_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+        let fed = std::mem::take(&mut self.fed);
+        let start = std::mem::take(&mut self.pos);
+        let mut frame = None;
+        let took = self.read(&fed[start..], |tag, payload| {
+            frame = Some((tag, payload.to_vec()));
+            ControlFlow::Break(())
+        })?;
+        if start + took < fed.len() {
+            self.fed = fed;
+            self.pos = start + took;
+        }
+        Ok(frame)
     }
 }
 
@@ -813,6 +906,81 @@ mod tests {
         }
         assert_eq!(seen, sample_msgs());
         assert_eq!(r.pending(), 0);
+    }
+
+    /// Every client message of [`sample_msgs`] read in two calls, cut at
+    /// `cut`: the messages decoded and the reader's split buffer after each.
+    fn read_in_two(wire: &[u8], cut: usize) -> (Vec<ClientMsg>, [usize; 2]) {
+        let mut r = FrameReader::new();
+        let mut seen = Vec::new();
+        let mut held = [0; 2];
+        for (i, piece) in [&wire[..cut], &wire[cut..]].into_iter().enumerate() {
+            let took = r.read(piece, |tag, payload| {
+                seen.push(ClientMsg::decode(tag, payload).unwrap());
+                ControlFlow::Continue(())
+            });
+            assert_eq!(took, Ok(piece.len()));
+            held[i] = r.split.capacity();
+        }
+        (seen, held)
+    }
+
+    #[test]
+    fn read_copies_only_a_frame_split_across_reads() {
+        let mut wire = Vec::new();
+        for m in sample_msgs() {
+            m.encode(&mut wire);
+        }
+        let hello = FRAME_OVERHEAD + 16;
+        // Cut between frames: nothing is copied.
+        assert_eq!(read_in_two(&wire, hello), (sample_msgs(), [0, 0]));
+        // Cut inside the SUBMIT's payload: its whole size is reserved,
+        // and freed once the second read completes it.
+        let (seen, held) = read_in_two(&wire, hello + 8);
+        let mut submit = Vec::new();
+        sample_msgs()[1].encode(&mut submit);
+        assert_eq!((seen, held), (sample_msgs(), [submit.len(), 0]));
+        // Cut inside its header: the header first, then the frame.
+        let (seen, held) = read_in_two(&wire, hello + 2);
+        assert_eq!(seen, sample_msgs());
+        assert_eq!(held, [HEADER, 0]);
+    }
+
+    #[test]
+    fn a_break_leaves_the_rest_to_the_caller() {
+        let mut wire = Vec::new();
+        for m in sample_msgs() {
+            m.encode(&mut wire);
+        }
+        let mut r = FrameReader::new();
+        let mut seen = Vec::new();
+        let mut at = 0;
+        while at < wire.len() {
+            at += r
+                .read(&wire[at..], |tag, payload| {
+                    seen.push(ClientMsg::decode(tag, payload).unwrap());
+                    ControlFlow::Break(())
+                })
+                .unwrap();
+        }
+        assert_eq!(seen, sample_msgs());
+        assert_eq!(r.pending(), 0);
+    }
+
+    #[test]
+    fn an_oversized_header_split_across_reads_is_rejected_unbuffered() {
+        let mut r = FrameReader::with_max_frame(16);
+        let nothing = |_: u8, _: &[u8]| ControlFlow::Continue(());
+        assert_eq!(r.read(&[op::SUBMIT, 0, 0], nothing), Ok(3));
+        assert_eq!(
+            r.read(&[0, 0x40], nothing),
+            Err(WireError::TooLarge {
+                len: 0x4000_0000,
+                max: 16
+            })
+        );
+        assert_eq!(r.split.capacity(), 0);
+        assert_eq!(r.read(&[], nothing), Err(WireError::Corrupt));
     }
 
     #[test]

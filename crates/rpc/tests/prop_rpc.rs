@@ -16,6 +16,12 @@
 //!    produce frames; it must never panic and never silently alter a
 //!    frame while leaving its checksum valid.
 //!
+//! Each family also reads its stream through [`FrameReader::read`] cut at
+//! random points, which hands out frames where they lie and copies only
+//! one split across two reads: it must yield the frames one whole `feed`
+//! does, and the same first error after the same frames. Whole frames are
+//! read without allocating at all.
+//!
 //! Beside them, the version-2 payload codec at its edges: every message
 //! round-trips at boundary integers, every malformed varint or string
 //! length is `BAD_FRAME` without allocating more than the payload holds,
@@ -24,6 +30,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+use std::ops::ControlFlow;
 
 use proptest::prelude::*;
 use symphony_rpc::{
@@ -36,15 +44,18 @@ thread_local! {
     /// [`largest_allocation`] last reset it. `const`-initialised and without
     /// a destructor, so the allocator can touch it at any time.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Allocations (and reallocations) this thread has made, likewise.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Largest;
 
 // SAFETY: every request is passed to `System` unchanged and its answer
-// handed back unchanged; the counter beside it is a thread-local integer.
+// handed back unchanged; the counters beside it are thread-local integers.
 unsafe impl GlobalAlloc for Largest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LARGEST.with(|l| l.set(l.get().max(layout.size())));
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's contract is `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -56,6 +67,7 @@ unsafe impl GlobalAlloc for Largest {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LARGEST.with(|l| l.set(l.get().max(new_size)));
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -70,6 +82,112 @@ fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
     LARGEST.with(|l| l.set(0));
     let out = f();
     (out, LARGEST.with(Cell::get))
+}
+
+/// Runs `f` and returns its result with the number of allocations it made
+/// on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// What a reader makes of a stream: every frame it hands out, in order,
+/// and the error that stopped it, if one did.
+type Outcome = (Vec<(u8, Vec<u8>)>, Option<WireError>);
+
+/// `wire` fed whole and popped a frame at a time.
+fn fed_whole(wire: &[u8]) -> Outcome {
+    let mut r = FrameReader::new();
+    r.feed(wire);
+    let mut frames = Vec::new();
+    loop {
+        match r.next_frame() {
+            Ok(Some(frame)) => frames.push(frame),
+            Ok(None) => return (frames, None),
+            Err(e) => return (frames, Some(e)),
+        }
+    }
+}
+
+/// `wire` read in place, in pieces cut at `cuts` (each taken modulo the
+/// stream's length plus one, so a cut may fall anywhere, twice, or at
+/// either end).
+fn read_in_pieces(wire: &[u8], cuts: &[usize]) -> Outcome {
+    let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+    cuts.sort_unstable();
+    cuts.push(wire.len());
+    let mut r = FrameReader::new();
+    let mut frames = Vec::new();
+    let mut at = 0;
+    for end in cuts {
+        let read = r.read(&wire[at..end], |tag, payload| {
+            frames.push((tag, payload.to_vec()));
+            ControlFlow::Continue(())
+        });
+        match read {
+            Ok(took) => assert_eq!(took, end - at, "a read that never breaks takes all"),
+            Err(e) => return (frames, Some(e)),
+        }
+        at = end;
+    }
+    (frames, None)
+}
+
+/// SUBMIT frames of programs of a few hundred bytes each, back to back.
+fn submits(n: u64) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for session in 1..=n {
+        ClientMsg::Submit {
+            session,
+            not_before_ns: session * 1_000,
+            fuel: 0,
+            name: format!("agent-{session}"),
+            args: format!("question {session}"),
+            source: "emit(str(len(tokenize(args()))));\n".repeat(8),
+        }
+        .encode(&mut wire);
+    }
+    wire
+}
+
+#[test]
+fn whole_frames_are_read_without_allocating() {
+    let wire = submits(16);
+    let mut r = FrameReader::new();
+    let mut frames = 0;
+    let (took, made) = allocations(|| {
+        r.read(&wire, |tag, _| {
+            assert_eq!(tag, op::SUBMIT);
+            frames += 1;
+            ControlFlow::Continue(())
+        })
+    });
+    assert_eq!((took, frames, made), (Ok(wire.len()), 16, 0));
+    assert_eq!(r.pending(), 0);
+}
+
+#[test]
+fn a_frame_split_across_reads_is_copied_once_and_not_kept() {
+    let wire = submits(2);
+    let first = wire.len() / 2;
+    for cut in [2, first - 7, first + 3, wire.len() - 1] {
+        let mut r = FrameReader::new();
+        let mut frames = 0;
+        let mut count = |_: u8, _: &[u8]| {
+            frames += 1;
+            ControlFlow::Continue(())
+        };
+        let (_, made) = allocations(|| {
+            r.read(&wire[..cut], &mut count).unwrap();
+            r.read(&wire[cut..], &mut count).unwrap()
+        });
+        // The split frame's buffer, reserved whole once its header was in;
+        // a cut inside the header reserves the header first.
+        let expected = if cut % first < 5 { 2 } else { 1 };
+        assert_eq!(made, expected, "cut at {cut}");
+        assert_eq!((frames, r.pending()), (2, 0), "cut at {cut}");
+    }
 }
 
 /// The frame `msg` encodes to, split into its tag and payload.
@@ -319,13 +437,24 @@ fn drain_client(r: &mut FrameReader) -> Vec<ClientMsg> {
     out
 }
 
+/// Random cut points for [`read_in_pieces`].
+fn any_cuts() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(any::<usize>(), 0..8)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(48)
+    ))]
 
     #[test]
     fn client_stream_round_trips_in_arbitrary_chunks(
         msgs in proptest::collection::vec(any_client_msg(), 1..8),
         chunk in 1usize..64,
+        cuts in any_cuts(),
     ) {
         let mut wire = Vec::new();
         for m in &msgs {
@@ -339,10 +468,15 @@ proptest! {
         }
         prop_assert_eq!(seen, msgs);
         prop_assert_eq!(r.pending(), 0);
+        let whole = fed_whole(&wire);
+        prop_assert_eq!(read_in_pieces(&wire, &cuts), whole);
     }
 
     #[test]
-    fn server_stream_round_trips(msgs in proptest::collection::vec(any_server_msg(), 1..8)) {
+    fn server_stream_round_trips(
+        msgs in proptest::collection::vec(any_server_msg(), 1..8),
+        cuts in any_cuts(),
+    ) {
         let mut wire = Vec::new();
         for m in &msgs {
             m.encode(&mut wire);
@@ -354,11 +488,14 @@ proptest! {
             seen.push(ServerMsg::decode(tag, &payload).expect("decodes"));
         }
         prop_assert_eq!(seen, msgs);
+        let whole = fed_whole(&wire);
+        prop_assert_eq!(read_in_pieces(&wire, &cuts), whole);
     }
 
     #[test]
     fn torn_stream_yields_exact_prefix_then_waits(
         msgs in proptest::collection::vec(any_client_msg(), 1..5),
+        cuts in any_cuts(),
     ) {
         let mut wire = Vec::new();
         let mut boundaries = Vec::new();
@@ -375,6 +512,8 @@ proptest! {
             prop_assert_eq!(&seen, &msgs[..complete]);
             // Whatever remains is "not yet", never an error.
             prop_assert_eq!(r.next_frame(), Ok(None));
+            let whole = fed_whole(&wire[..cut]);
+            prop_assert_eq!(read_in_pieces(&wire[..cut], &cuts), whole);
         }
     }
 
@@ -426,5 +565,23 @@ proptest! {
                 let _ = ClientMsg::decode(tag, &payload);
             }
         }
+    }
+
+    #[test]
+    fn single_bit_corruption_reads_in_pieces_as_fed_whole(
+        msgs in proptest::collection::vec(any_client_msg(), 1..5),
+        bit in any::<usize>(),
+        cuts in any_cuts(),
+    ) {
+        let mut wire = Vec::new();
+        for m in &msgs {
+            m.encode(&mut wire);
+        }
+        let pos = bit % (wire.len() * 8);
+        wire[pos / 8] ^= 1 << (pos % 8);
+        // The same frames before the flip, then the same verdict on the
+        // frame it hit, whether the stream came whole or in pieces.
+        let whole = fed_whole(&wire);
+        prop_assert_eq!(read_in_pieces(&wire, &cuts), whole);
     }
 }

@@ -18,6 +18,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use symphony_rpc::{ClientMsg, FrameReader, ServerMsg, SessionStatus, WIRE_VERSION};
@@ -147,58 +148,74 @@ fn tcp_session(addr: &str, spec: &ReplaySpec) -> Result<String, String> {
     let mut first_seen = vec![false; spec.sessions + 1];
     let mut completed = 0usize;
     let mut streamed_tokens = 0u64;
-    loop {
-        while let Some((tag, payload)) = reader.next_frame().map_err(|e| e.to_string())? {
-            let msg = ServerMsg::decode(tag, &payload).map_err(|e| e.to_string())?;
-            let t_ms = start.elapsed().as_secs_f64() * 1e3;
-            match msg {
-                ServerMsg::Stream {
-                    session, tokens, ..
-                } => {
-                    streamed_tokens += tokens;
-                    if let Some(seen) = first_seen.get_mut(session as usize) {
-                        if !*seen {
-                            *seen = true;
-                            ttft.push(t_ms);
-                        }
-                    }
-                }
-                ServerMsg::Done { status, .. } => {
-                    latency.push(t_ms);
-                    if status == SessionStatus::Ok {
-                        completed += 1;
-                    }
-                }
-                ServerMsg::Error { code, detail, .. } => {
-                    eprintln!("symphony-client: server error {code}: {detail}");
-                }
-                ServerMsg::ByeOk => {
-                    let p = |v: &mut Vec<f64>, p: f64| -> f64 {
-                        if v.is_empty() {
-                            return f64::NAN;
-                        }
-                        v.sort_by(|a, b| a.total_cmp(b));
-                        let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-                        v[idx]
-                    };
-                    return Ok(format!(
-                        "programs: {} submitted, {completed} completed, {streamed_tokens} streamed tokens\n\
-                         client-observed ttft:    p50 {:.2} ms  p99 {:.2} ms\n\
-                         client-observed latency: p50 {:.2} ms  p99 {:.2} ms\n",
-                        spec.sessions,
-                        p(&mut ttft, 50.0),
-                        p(&mut ttft, 99.0),
-                        p(&mut latency, 50.0),
-                        p(&mut latency, 99.0),
-                    ));
-                }
-                _ => {}
-            }
-        }
+    // Set when the frames read so far end the run: BYE_OK, or a frame that
+    // does not decode.
+    let mut end: Option<Result<(), String>> = None;
+    while end.is_none() {
         let n = sock.read(&mut buf).map_err(|e| format!("read: {e}"))?;
         if n == 0 {
             return Err("server hung up before BYE_OK".into());
         }
-        reader.feed(&buf[..n]);
+        reader
+            .read(&buf[..n], |tag, payload| {
+                let msg = match ServerMsg::decode(tag, payload) {
+                    Ok(msg) => msg,
+                    Err(e) => {
+                        end = Some(Err(e.to_string()));
+                        return ControlFlow::Break(());
+                    }
+                };
+                let t_ms = start.elapsed().as_secs_f64() * 1e3;
+                match msg {
+                    ServerMsg::Stream {
+                        session, tokens, ..
+                    } => {
+                        streamed_tokens += tokens;
+                        if let Some(seen) = first_seen.get_mut(session as usize) {
+                            if !*seen {
+                                *seen = true;
+                                ttft.push(t_ms);
+                            }
+                        }
+                    }
+                    ServerMsg::Done { status, .. } => {
+                        latency.push(t_ms);
+                        if status == SessionStatus::Ok {
+                            completed += 1;
+                        }
+                    }
+                    ServerMsg::Error { code, detail, .. } => {
+                        eprintln!("symphony-client: server error {code}: {detail}");
+                    }
+                    ServerMsg::ByeOk => {
+                        end = Some(Ok(()));
+                        return ControlFlow::Break(());
+                    }
+                    _ => {}
+                }
+                ControlFlow::Continue(())
+            })
+            .map_err(|e| e.to_string())?;
     }
+    if let Some(Err(e)) = end {
+        return Err(e);
+    }
+    let p = |v: &mut Vec<f64>, p: f64| -> f64 {
+        if v.is_empty() {
+            return f64::NAN;
+        }
+        v.sort_by(|a, b| a.total_cmp(b));
+        let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
+        v[idx]
+    };
+    Ok(format!(
+        "programs: {} submitted, {completed} completed, {streamed_tokens} streamed tokens\n\
+         client-observed ttft:    p50 {:.2} ms  p99 {:.2} ms\n\
+         client-observed latency: p50 {:.2} ms  p99 {:.2} ms\n",
+        spec.sessions,
+        p(&mut ttft, 50.0),
+        p(&mut ttft, 99.0),
+        p(&mut latency, 50.0),
+        p(&mut latency, 99.0),
+    ))
 }

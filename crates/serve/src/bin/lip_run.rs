@@ -22,6 +22,7 @@
 //! usage error.
 
 use std::io::Write;
+use std::ops::ControlFlow;
 
 use symphony::SimTime;
 use symphony_rpc::{ClientMsg, FrameReader, ServerMsg, SessionStatus, WIRE_VERSION};
@@ -110,9 +111,9 @@ fn main() {
     let mut ok = false;
     loop {
         let idle = core.pump_for(SLICE);
-        reader.feed(&core.take_output(conn));
-        while let Ok(Some((tag, payload))) = reader.next_frame() {
-            match ServerMsg::decode(tag, &payload) {
+        let out = core.take_output(conn);
+        let _ = reader.read(&out, |tag, payload| {
+            match ServerMsg::decode(tag, payload) {
                 Ok(ServerMsg::Stream { text, .. }) if !text.is_empty() => {
                     let _ = stdout.write_all(text.as_bytes());
                     ends_line = text.ends_with('\n');
@@ -145,7 +146,8 @@ fn main() {
                 }
                 _ => {}
             }
-        }
+            ControlFlow::Continue(())
+        });
         if idle {
             break;
         }

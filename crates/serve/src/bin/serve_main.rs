@@ -15,6 +15,7 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -126,16 +127,25 @@ fn selftest_client(addr: &str) -> Result<String, String> {
         .map_err(|e| e.to_string())?;
     let mut reader = FrameReader::new();
     let mut buf = [0u8; 16 * 1024];
+    // `buf[at..end]`: what the last socket read holds that is not read yet.
+    let (mut at, mut end) = (0, 0);
     let mut recv = |sock: &mut TcpStream, reader: &mut FrameReader| -> Result<ServerMsg, String> {
         loop {
-            if let Some((tag, payload)) = reader.next_frame().map_err(|e| e.to_string())? {
-                return ServerMsg::decode(tag, &payload).map_err(|e| e.to_string());
+            let mut msg = None;
+            at += reader
+                .read(&buf[at..end], |tag, payload| {
+                    msg = Some(ServerMsg::decode(tag, payload));
+                    ControlFlow::Break(())
+                })
+                .map_err(|e| e.to_string())?;
+            if let Some(msg) = msg {
+                return msg.map_err(|e| e.to_string());
             }
             let n = sock.read(&mut buf).map_err(|e| format!("read: {e}"))?;
             if n == 0 {
                 return Err("server hung up".into());
             }
-            reader.feed(&buf[..n]);
+            (at, end) = (0, n);
         }
     };
     let send = |sock: &mut TcpStream, msg: &ClientMsg| -> Result<(), String> {

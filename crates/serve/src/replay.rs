@@ -16,6 +16,7 @@
 //! server's preloaded `doc{n}.kv` corpus.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 
 use symphony::{Kernel, KernelConfig, Mode, SimDuration, ToolOutcome, ToolSpec};
 use symphony_rpc::{ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, WIRE_VERSION};
@@ -484,7 +485,6 @@ pub fn run_replay_on(spec: &ReplaySpec, mut core: ServerCore) -> (ReplayReport, 
 
     // Open + HELLO every connection.
     let conn_ids: Vec<u64> = (0..spec.conns).map(|_| core.open_conn()).collect();
-    let mut readers: BTreeMap<u64, FrameReader> = BTreeMap::new();
     for (i, &conn) in conn_ids.iter().enumerate() {
         let tenant = (i as u64 % spec.tenants) + 1;
         let mut wire = Vec::new();
@@ -494,7 +494,6 @@ pub fn run_replay_on(spec: &ReplaySpec, mut core: ServerCore) -> (ReplayReport, 
         }
         .encode(&mut wire);
         core.feed(conn, &wire);
-        readers.insert(conn, FrameReader::new());
     }
 
     // Collapse send windows on the first `slow_conns` connections.
@@ -564,12 +563,11 @@ pub fn run_replay_on(spec: &ReplaySpec, mut core: ServerCore) -> (ReplayReport, 
     for &conn in &conn_ids {
         let bytes = core.take_output(conn);
         wire_bytes += bytes.len() as u64;
-        // lint:allow(k1): reader was inserted for every conn above
-        let reader = readers.get_mut(&conn).expect("reader exists");
-        reader.feed(&bytes);
-        while let Some((tag, payload)) = reader.next_frame().ok().flatten() {
-            let Ok(msg) = ServerMsg::decode(tag, &payload) else {
-                continue;
+        // The whole output of the connection, taken once: the frames in it
+        // are read where they lie, up to the first that fails its check.
+        let _ = FrameReader::new().read(&bytes, |tag, payload| {
+            let Ok(msg) = ServerMsg::decode(tag, payload) else {
+                return ControlFlow::Continue(());
             };
             match msg {
                 ServerMsg::Stream {
@@ -606,7 +604,8 @@ pub fn run_replay_on(spec: &ReplaySpec, mut core: ServerCore) -> (ReplayReport, 
                 }
                 _ => {}
             }
-        }
+            ControlFlow::Continue(())
+        });
     }
 
     // Every other connection that closed left a frame saying why (BYE_OK,

@@ -28,8 +28,12 @@
 //! So what a server that stays up keeps is bounded by what is live, not by
 //! how many sessions it has served. Totals over the served sessions stay
 //! in the kernel's `kernel.procs.exited` and `kernel.usage.*` counters.
+//! Nor does an open connection keep the buffers it has drained: its frames
+//! are read where they lie in what the transport fed, and its output
+//! buffer goes once the transport has taken all of it.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 
 use symphony::telemetry::{Counter, EventKind, MetricsRegistry};
@@ -321,39 +325,38 @@ impl ServerCore {
 
     /// Feeds received bytes into a connection and processes every
     /// complete frame. Unknown or closed connections ignore input (the
-    /// transport races its own teardown). Call [`ServerCore::pump`]
+    /// transport races its own teardown), and so does the rest of `bytes`
+    /// once a frame has closed the connection. Call [`ServerCore::pump`]
     /// afterwards to run the kernel and collect streamed output.
+    ///
+    /// Each frame is handled where it lies in `bytes`; the connection's
+    /// reader copies only a frame split across two reads, and holds nothing
+    /// once it has drained.
     pub fn feed(&mut self, conn: u64, bytes: &[u8]) {
-        {
-            let Some(c) = self.conns.get_mut(&conn) else {
-                return;
-            };
-            if matches!(c.state, ConnState::Closed(_)) {
-                return;
-            }
-            c.reader.feed(bytes);
-            self.metrics.bytes_in.add(bytes.len() as u64);
+        let Some(c) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        if matches!(c.state, ConnState::Closed(_)) {
+            return;
         }
-        loop {
-            let frame = {
-                // lint:allow(k1): conn presence was checked above and feed is single-threaded
-                let c = self.conns.get_mut(&conn).expect("conn exists");
-                if matches!(c.state, ConnState::Closed(_)) {
-                    return;
-                }
-                c.reader.next_frame()
-            };
-            match frame {
-                Ok(None) => return,
-                Ok(Some((tag, payload))) => {
-                    self.metrics.frames_in.inc();
-                    self.handle_frame(conn, tag, &payload);
-                }
-                Err(e) => {
-                    self.fatal(conn, e.err_code(), &e.to_string());
-                    return;
-                }
+        // Out of its `Conn` for the call, so each frame's handler has the
+        // core to itself and the payload stays borrowed.
+        let mut reader = std::mem::take(&mut c.reader);
+        self.metrics.bytes_in.add(bytes.len() as u64);
+        let read = reader.read(bytes, |tag, payload| {
+            self.metrics.frames_in.inc();
+            self.handle_frame(conn, tag, payload);
+            if self.conn_is_closed(conn) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
+        });
+        if let Err(e) = read {
+            self.fatal(conn, e.err_code(), &e.to_string());
+        }
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.reader = reader;
         }
     }
 
@@ -416,10 +419,15 @@ impl ServerCore {
     }
 
     /// Drops the first `n` bytes of [`ServerCore::pending`]: the
-    /// transport has taken them.
+    /// transport has taken them. Once it has taken all of them the buffer
+    /// is given back, so a drained connection holds none.
     pub fn consume(&mut self, conn: u64, n: usize) {
         if let Some(c) = self.conns.get_mut(&conn) {
-            c.out.drain(..n.min(c.out.len()));
+            if n >= c.out.len() {
+                c.out = Vec::new();
+            } else {
+                c.out.drain(..n);
+            }
         }
     }
 
@@ -762,6 +770,11 @@ impl ServerCore {
                 let tenant = self.conns.get(&conn).map(|c| c.tenant).unwrap_or(0);
                 if let Some(c) = self.conns.get_mut(&conn) {
                     c.sessions.remove(&session);
+                    if c.sessions.is_empty() {
+                        // An emptied map keeps its root node; an idle
+                        // connection keeps none.
+                        c.sessions = BTreeMap::new();
+                    }
                 }
                 if let Some(n) = self.live_by_tenant.get_mut(&tenant) {
                     *n = n.saturating_sub(1);

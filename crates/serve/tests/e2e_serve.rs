@@ -4,12 +4,26 @@
 //! TCP client would use: encode client frames, feed, pump, drain, decode
 //! server frames. No test reaches around the protocol.
 
+use std::ops::ControlFlow;
+
 use symphony::{KernelConfig, SimDuration};
 use symphony_rpc::{
     ClientMsg, ErrCode, FrameReader, ServerMsg, SessionStatus, CONN_SCOPE, WIRE_VERSION,
 };
 use symphony_serve::replay::{agent_source, hostile_source, rag_source, standard_kernel};
 use symphony_serve::{run_replay, CloseReason, ReplaySpec, ServeConfig, ServerCore, WorkloadKind};
+
+/// Every server message `wire` completes, read in place.
+fn server_msgs(reader: &mut FrameReader, wire: &[u8]) -> Vec<ServerMsg> {
+    let mut out = Vec::new();
+    reader
+        .read(wire, |tag, payload| {
+            out.push(ServerMsg::decode(tag, payload).expect("decodable server frame"));
+            ControlFlow::Continue(())
+        })
+        .expect("clean client wire");
+    out
+}
 
 /// A client end of one loopback connection.
 struct Client {
@@ -45,12 +59,7 @@ impl Client {
     }
 
     fn drain(&mut self, core: &mut ServerCore) -> Vec<ServerMsg> {
-        self.reader.feed(&core.take_output(self.conn));
-        let mut out = Vec::new();
-        while let Some((tag, payload)) = self.reader.next_frame().expect("clean client wire") {
-            out.push(ServerMsg::decode(tag, &payload).expect("decodable server frame"));
-        }
-        out
+        server_msgs(&mut self.reader, &core.take_output(self.conn))
     }
 
     fn submit(&mut self, core: &mut ServerCore, session: u64, source: &str, args: &str) {
@@ -143,10 +152,7 @@ fn first_frame_must_be_hello() {
     let mut wire = Vec::new();
     ClientMsg::Ping { nonce: 7 }.encode(&mut wire);
     core.feed(conn, &wire);
-    let mut reader = FrameReader::new();
-    reader.feed(&core.take_output(conn));
-    let (tag, payload) = reader.next_frame().unwrap().unwrap();
-    let msg = ServerMsg::decode(tag, &payload).unwrap();
+    let msg = server_msgs(&mut FrameReader::new(), &core.take_output(conn)).remove(0);
     assert!(
         matches!(
             msg,
@@ -172,10 +178,7 @@ fn version_mismatch_is_refused() {
         let mut wire = Vec::new();
         ClientMsg::Hello { version, tenant: 1 }.encode(&mut wire);
         core.feed(conn, &wire);
-        let mut reader = FrameReader::new();
-        reader.feed(&core.take_output(conn));
-        let (tag, payload) = reader.next_frame().unwrap().unwrap();
-        let msg = ServerMsg::decode(tag, &payload).unwrap();
+        let msg = server_msgs(&mut FrameReader::new(), &core.take_output(conn)).remove(0);
         assert!(
             matches!(
                 msg,

@@ -11,9 +11,11 @@
 //! holds while it runs: a slice of session events, not a burst's. The
 //! door's image cache gets the same treatment, and so does the tokenizer,
 //! which outlives every server in the process: neither the words of new
-//! prompts nor a tenant's 16 KiB words may stay behind. Nor may the largest frame a
-//! connection ever sent: a drained frame reader, the server's or a
-//! client's, keeps one read's worth of buffer.
+//! prompts nor a tenant's 16 KiB words may stay behind. Nor may any frame
+//! a connection sent or was sent: a frame reader, the server's or a
+//! client's, copies only a frame split across two reads and keeps nothing
+//! once it has drained, and a connection whose output the transport has
+//! taken holds no output buffer either.
 //!
 //! The count is per thread: a served LipScript session runs on the thread
 //! that pumps the server and on no other, so what this thread allocated and
@@ -27,6 +29,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -620,12 +623,25 @@ fn the_image_cache_is_bounded_and_keeps_no_rejects() {
     assert_eq!(core.live_sessions(), 0);
 }
 
+/// The first frame of `wire`, whole frames only, decoded.
+fn first_reply(wire: &[u8]) -> ServerMsg {
+    let mut reply = None;
+    FrameReader::new()
+        .read(wire, |tag, payload| {
+            reply = Some(ServerMsg::decode(tag, payload).expect("decodes"));
+            ControlFlow::Break(())
+        })
+        .expect("clean server wire");
+    reply.expect("a reply")
+}
+
 #[test]
-fn a_connection_idle_after_a_1_mib_submit_holds_a_reads_worth_of_buffer() {
+fn a_connection_idle_after_a_1_mib_submit_holds_no_buffer() {
     // One SUBMIT as large as a frame may be, arriving a read at a time as
     // over TCP. Its source is far over the door's limit, so it is refused
-    // and the connection stays open, idle: what it holds afterwards is its
-    // reader's buffer, which once held the whole frame.
+    // and the connection stays open, idle: its reader gathered the split
+    // frame in a buffer of the frame's size and freed it once the frame
+    // was whole, and the transport took the reply.
     let (mut core, conn) = server();
     let mut wire = Vec::new();
     ClientMsg::Submit {
@@ -642,10 +658,7 @@ fn a_connection_idle_after_a_1_mib_submit_holds_a_reads_worth_of_buffer() {
         core.feed(conn, read);
     }
     core.pump();
-    let mut reader = FrameReader::new();
-    reader.feed(&core.take_output(conn));
-    let (tag, payload) = reader.next_frame().expect("clean").expect("a reply");
-    let reply = ServerMsg::decode(tag, &payload).expect("decodes");
+    let reply = first_reply(&core.take_output(conn));
     assert!(
         matches!(
             reply,
@@ -657,16 +670,17 @@ fn a_connection_idle_after_a_1_mib_submit_holds_a_reads_worth_of_buffer() {
         "{reply:?}"
     );
     assert!(!core.is_closed(conn));
-    drop((reader, payload, reply));
+    drop(reply);
     let held = live_bytes() - before;
     eprintln!("idle after a {} B SUBMIT: {held} B held", wire.len());
-    assert!(held <= READ_SIZE as isize, "{held} B held (> {READ_SIZE})");
+    assert_eq!(held, 0, "{held} B held");
 }
 
 #[test]
-fn a_client_reader_that_drained_a_burst_holds_a_reads_worth_of_buffer() {
+fn a_client_reader_that_drained_a_burst_holds_no_buffer() {
     // 40 KiB of per-token STREAM frames fed at once, as a client that read
-    // a whole burst would, and every frame popped.
+    // a whole burst would, and every frame popped: the reader gives back
+    // what it was fed once it has handed all of it out.
     let mut burst = Vec::new();
     let mut at_ns = 0;
     while burst.len() < 40 * 1024 {
@@ -693,5 +707,91 @@ fn a_client_reader_that_drained_a_burst_holds_a_reads_worth_of_buffer() {
     assert_eq!(reader.pending(), 0);
     let held = live_bytes() - before;
     eprintln!("{frames} frames, {} B drained: {held} B held", burst.len());
-    assert!(held <= READ_SIZE as isize, "{held} B held (> {READ_SIZE})");
+    assert_eq!(held, 0, "{held} B held");
+}
+
+/// HELLOs `n` new connections of tenant 1 and takes their HELLO_OKs.
+fn open_conns(core: &mut ServerCore, n: usize) -> Vec<u64> {
+    let mut hello = Vec::new();
+    ClientMsg::Hello {
+        version: WIRE_VERSION,
+        tenant: 1,
+    }
+    .encode(&mut hello);
+    let conns: Vec<u64> = (0..n).map(|_| core.open_conn()).collect();
+    for &conn in &conns {
+        core.feed(conn, &hello);
+    }
+    core.pump();
+    for &conn in &conns {
+        assert!(matches!(
+            first_reply(&core.take_output(conn)),
+            ServerMsg::HelloOk { .. }
+        ));
+    }
+    conns
+}
+
+/// Sends each of `conns` a burst of `BURST` agent SUBMITs in reads that
+/// split its frames, as a socket delivers them, runs them all to their
+/// DONE, and drains every connection's output as a socket takes it, a
+/// segment at a time through `pending` and `consume`.
+fn serve_bursts(core: &mut ServerCore, conns: &[u64], first_session: u64) {
+    const BURST: u64 = 4;
+    const SEGMENT: usize = 1460;
+    let source = agent_source(1, 4);
+    for &conn in conns {
+        let mut wire = Vec::new();
+        for i in 0..BURST {
+            let session = first_session + i;
+            ClientMsg::Submit {
+                session,
+                not_before_ns: 0,
+                fuel: 0,
+                name: format!("s{session}"),
+                args: format!("question number {session}"),
+                source: source.clone(),
+            }
+            .encode(&mut wire);
+        }
+        for read in wire.chunks(300) {
+            core.feed(conn, read);
+        }
+    }
+    core.pump();
+    assert_eq!(core.live_sessions(), 0);
+    for &conn in conns {
+        let mut done = 0;
+        while !core.pending(conn).is_empty() {
+            let n = core.pending(conn).len().min(SEGMENT);
+            core.consume(conn, n);
+            done += n;
+        }
+        assert!(done > 0, "conn {conn} streamed nothing");
+    }
+}
+
+#[test]
+fn connections_that_drained_a_burst_hold_no_buffers() {
+    // 256 connections, each sent a burst of SUBMITs in reads that split
+    // frames and drained of its output: not one keeps a reader buffer or
+    // an output buffer. The same bursts on 256 other connections first
+    // grow everything else to its high-water mark — the kernel's tables,
+    // the image cache, the event queues — so that what the second round
+    // leaves is what its connections hold.
+    const CONNS: usize = 256;
+    let cfg = ServeConfig {
+        max_live_sessions: 4 * CONNS,
+        tenant_session_quota: 4 * CONNS,
+        ..ServeConfig::default()
+    };
+    let mut core = ServerCore::new(standard_kernel(KernelConfig::for_tests()), cfg);
+    let warm = open_conns(&mut core, CONNS);
+    serve_bursts(&mut core, &warm, 1);
+    let conns = open_conns(&mut core, CONNS);
+    let before = live_bytes();
+    serve_bursts(&mut core, &conns, 1);
+    let held = live_bytes() - before;
+    eprintln!("{CONNS} connections drained of a burst each: {held} B held");
+    assert_eq!(held, 0, "{held} B held by {CONNS} drained connections");
 }

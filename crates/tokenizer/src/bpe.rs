@@ -382,17 +382,22 @@ impl Bpe {
     }
 
     /// Decodes token IDs back into a string (lossy only on invalid UTF-8
-    /// boundaries, which cannot arise from `encode` output).
+    /// boundaries, which cannot arise from `encode` output). One
+    /// allocation, sized up front, becomes the string; only invalid UTF-8
+    /// takes a second, for the lossy copy.
     pub fn decode(&self, tokens: &[TokenId]) -> String {
-        let mut bytes = Vec::new();
-        for &t in tokens {
-            if let Some(b) = self.vocab.get(t) {
-                if !self.vocab.is_special(t) {
-                    bytes.extend_from_slice(b);
-                }
-            }
+        let texts = || {
+            tokens
+                .iter()
+                .filter(|&&t| !self.vocab.is_special(t))
+                .filter_map(|&t| self.vocab.get(t))
+        };
+        let mut bytes = Vec::with_capacity(texts().map(<[u8]>::len).sum());
+        for b in texts() {
+            bytes.extend_from_slice(b);
         }
-        String::from_utf8_lossy(&bytes).into_owned()
+        String::from_utf8(bytes)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 }
 

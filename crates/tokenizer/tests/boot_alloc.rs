@@ -6,6 +6,11 @@
 //! list at run time took more than 1 400 allocations, one per token. A
 //! counting allocator counts this thread's allocations around the call.
 //! The file holds one test, so nothing else in the process asks first.
+//!
+//! The same test then counts `Bpe::decode`, which the kernel calls once for
+//! every token it emits: one allocation, the string's, however many tokens
+//! it joins (a one-token decode made 2 and a 7-token one 5 while the bytes
+//! were gathered in a growing buffer and then copied into the string).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,4 +73,13 @@ fn the_first_default_tokenizer_allocates_only_its_memo() {
     assert_eq!(bpe.vocab().len(), 256 + 1144 + 5);
     let text = "retrieval augmented generation";
     assert_eq!(bpe.decode(&bpe.encode(text)), text);
+
+    let tokens = bpe.encode(&"the rain in spain ".repeat(4));
+    for n in [1, 7] {
+        let before = ALLOCATIONS.with(Cell::get);
+        let decoded = bpe.decode(&tokens[..n]);
+        let made = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(made, 1, "a {n}-token decode made {made} allocations");
+        assert!(!decoded.is_empty());
+    }
 }
