@@ -680,8 +680,10 @@ impl Kernel {
     }
 
     /// Preloads a KV file under `path` as the admin (e.g. a shared system
-    /// prompt), computing its fingerprint chain without charging GPU time —
-    /// the moral equivalent of shipping precomputed KV with the deployment.
+    /// prompt): the store extends the model's fingerprint chain over
+    /// `tokens` itself ([`KvStore::append_chain`]), without charging GPU
+    /// time — the moral equivalent of shipping precomputed KV with the
+    /// deployment.
     /// A preload that fails leaves the store as it found it: a taken `path`
     /// is refused before any work is done, and a file that could not be
     /// filled (no GPU pages left) is removed again.
@@ -695,19 +697,10 @@ impl Kernel {
         if self.store.lookup(path).is_some() {
             return Err(KvError::AlreadyExists.into());
         }
-        let fpr = self.gpu.model().fingerprinter();
-        let mut fp = fpr.origin();
-        let entries: Vec<symphony_kvfs::KvEntry> = tokens
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                fp = fpr.advance(fp, t, i as u32);
-                symphony_kvfs::KvEntry::new(t, i as u32, fp)
-            })
-            .collect();
+        let origin = self.gpu.model().fingerprinter().origin();
         let f = self.store.create(OwnerId::ADMIN)?;
         let filled = (|| {
-            self.store.append(f, OwnerId::ADMIN, &entries)?;
+            self.store.append_chain(f, OwnerId::ADMIN, tokens, origin)?;
             self.store.chmod(f, OwnerId::ADMIN, mode)?;
             if pinned {
                 self.store.pin(f, OwnerId::ADMIN)?;

@@ -33,8 +33,9 @@ use symphony_sim::frame::{append_frame_with, push_u32, push_u64, Cursor};
 
 use crate::page::{KvEntry, Tier};
 
-/// One typed record. Encoding borrows what it can (a page's row of the
-/// pool's arena, the free-slot stack); decoding owns it.
+/// One typed record. Encoding borrows what it can (a page's entries,
+/// derived into a buffer the drain reuses, the free-slot stack); decoding
+/// owns it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record<'a> {
     /// A page's full contents and tier.

@@ -13,12 +13,23 @@
 //! explicit error so callers can run eviction policies — the central
 //! mechanism/policy split the paper argues for.
 //!
-//! Every page's entries live in one arena the pool owns, as a paged KV
-//! cache's block table indexes one pool of blocks: slot *i*'s row is the
-//! `page_tokens` entries from `i * page_tokens`, and a page records only
-//! how much of its row is in use. The arena grows with the slot table and
-//! never shrinks, so once it has grown, allocating, filling, copying and
-//! freeing a page touch no heap.
+//! A page keeps its tokens, not its entries. Every page's tokens live in
+//! one arena the pool owns, as a paged KV cache's block table indexes one
+//! pool of blocks: slot *i*'s row is the `page_tokens` tokens from
+//! `i * page_tokens`, 4 bytes a token, and a page records only how much of
+//! its row is in use. A token's position and fingerprint (the stand-in for
+//! its K/V tensors) are one step of a chain, so a *regular* page keeps
+//! only its first entry's position and fingerprint, the slot's head: entry
+//! *i* sits at the head's position + *i*, and its fingerprint is the chain
+//! continued through [`CtxFingerprint::then`]. A page whose entries stop
+//! being one chain (a multi-range extract or a merge joins two, a `pred`
+//! skips a position, a caller brings fingerprints of its own) keeps its
+//! exact `(position, fingerprint)` pairs in a row of a side table, taken
+//! from a free list when the page turns irregular and handed back when it
+//! is emptied or freed. Readers derive entries ([`PagePool::entries`])
+//! with at most one page of chain steps. The arenas grow with the slot
+//! table and never shrink, so once they have grown, allocating, filling,
+//! copying and freeing a page touch no heap.
 
 use symphony_model::CtxFingerprint;
 use symphony_tokenizer::TokenId;
@@ -52,6 +63,124 @@ impl KvEntry {
     }
 }
 
+/// An entry's place in its context: its position and the fingerprint
+/// after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Anchor {
+    position: u32,
+    fingerprint: CtxFingerprint,
+}
+
+impl Anchor {
+    const ZERO: Anchor = Anchor {
+        position: 0,
+        fingerprint: CtxFingerprint(0),
+    };
+
+    /// Where a chain from `fingerprint` starts: the anchor before
+    /// position 0. Positions wrap, so it sits at `u32::MAX`.
+    pub(crate) fn origin(fingerprint: CtxFingerprint) -> Self {
+        Anchor {
+            position: u32::MAX,
+            fingerprint,
+        }
+    }
+
+    pub(crate) fn of(e: &KvEntry) -> Self {
+        Anchor {
+            position: e.position,
+            fingerprint: e.fingerprint,
+        }
+    }
+
+    /// The anchor of `token` placed right after this one: the chain's next
+    /// step.
+    fn then(self, token: TokenId) -> Self {
+        let position = self.position.wrapping_add(1);
+        Anchor {
+            position,
+            fingerprint: self.fingerprint.then(token, position),
+        }
+    }
+}
+
+/// The `exact` row of a regular page: it has none.
+const REGULAR: u32 = u32::MAX;
+
+/// A slot's head: its first entry's position and fingerprint, and the
+/// side-table row of an irregular page ([`REGULAR`] for a chain). Flat
+/// rather than an [`Anchor`] and a row, so it packs into 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    fingerprint: CtxFingerprint,
+    position: u32,
+    exact: u32,
+}
+
+impl Head {
+    fn chain(first: Anchor) -> Self {
+        Head {
+            fingerprint: first.fingerprint,
+            position: first.position,
+            exact: REGULAR,
+        }
+    }
+
+    fn anchor(self) -> Anchor {
+        Anchor {
+            position: self.position,
+            fingerprint: self.fingerprint,
+        }
+    }
+}
+
+/// A page's entries, derived as they are read ([`PagePool::entries`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Entries<'a> {
+    tokens: std::slice::Iter<'a, TokenId>,
+    rows: Rows<'a>,
+}
+
+#[derive(Debug, Clone)]
+enum Rows<'a> {
+    /// A regular page: the head, then one chain step a token.
+    Chain { head: Anchor, prev: Option<Anchor> },
+    /// An irregular page's side-table row.
+    Exact(std::slice::Iter<'a, Anchor>),
+}
+
+impl<'a> Entries<'a> {
+    fn chain(tokens: &'a [TokenId], head: Anchor) -> Self {
+        Entries {
+            tokens: tokens.iter(),
+            rows: Rows::Chain { head, prev: None },
+        }
+    }
+}
+
+impl Iterator for Entries<'_> {
+    type Item = KvEntry;
+
+    fn next(&mut self) -> Option<KvEntry> {
+        let &token = self.tokens.next()?;
+        let at = match &mut self.rows {
+            Rows::Chain { head, prev } => {
+                let at = prev.map_or(*head, |p| p.then(token));
+                *prev = Some(at);
+                at
+            }
+            Rows::Exact(rows) => *rows.next()?,
+        };
+        Some(KvEntry::new(token, at.position, at.fingerprint))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.tokens.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
+
 /// Identifier of a page slot in the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u32);
@@ -69,7 +198,7 @@ pub enum Tier {
     Disk,
 }
 
-/// A page slot. Its entries are the first `len` of its arena row.
+/// A page slot. Its tokens are the first `len` of its arena row.
 #[derive(Debug, Clone)]
 pub(crate) struct Page {
     pub len: u32,
@@ -94,9 +223,16 @@ pub(crate) enum Migrated {
 #[derive(Debug)]
 pub(crate) struct PagePool {
     slots: Vec<Option<Page>>,
-    /// Every slot's row of `page_tokens` entries, in slot order: always
+    /// Every slot's row of `page_tokens` tokens, in slot order: always
     /// `slots.len() * page_tokens` long.
-    arena: Vec<KvEntry>,
+    tokens: Vec<TokenId>,
+    /// Every slot's head, in slot order.
+    heads: Vec<Head>,
+    /// The side table: rows of `page_tokens` anchors, one for each
+    /// irregular page and the rest on `exact_free`. It never shrinks, so
+    /// its length is the most irregular pages the pool has held at once.
+    exact: Vec<Anchor>,
+    exact_free: Vec<u32>,
     free: Vec<u32>,
     page_tokens: usize,
     gpu_capacity: usize,
@@ -130,7 +266,10 @@ impl PagePool {
         assert!(page_tokens > 0, "page size must be positive");
         PagePool {
             slots: Vec::new(),
-            arena: Vec::new(),
+            tokens: Vec::new(),
+            heads: Vec::new(),
+            exact: Vec::new(),
+            exact_free: Vec::new(),
             free: Vec::new(),
             page_tokens,
             gpu_capacity,
@@ -279,50 +418,185 @@ impl PagePool {
         }
     }
 
-    /// Where a page's row starts in the arena.
+    /// Where a page's row starts in the token arena.
     fn row(&self, id: PageId) -> usize {
         id.0 as usize * self.page_tokens
     }
 
-    /// Grows the slot table, and the arena with it, to `slots` slots. A
-    /// new row is zeroed; a freed one keeps its last page's entries, and
-    /// only a page's `len` says what is live.
+    /// Grows the slot table, and the token arena and heads with it, to
+    /// `slots` slots. A new row is zeroed; a freed one keeps its last
+    /// page's tokens, and only a page's `len` says what is live.
     fn grow_to(&mut self, slots: usize) {
         if slots > self.slots.len() {
             self.slots.resize_with(slots, || None);
             if let Some(d) = self.dirty.as_mut() {
                 d.resize(slots.div_ceil(64), 0);
             }
-            let zero = KvEntry::new(0, 0, CtxFingerprint(0));
-            self.arena.resize(slots * self.page_tokens, zero);
+            self.tokens.resize(slots * self.page_tokens, 0);
+            self.heads.resize(slots, Head::chain(Anchor::ZERO));
         }
     }
 
-    /// A page's entries.
-    pub(crate) fn entries(&self, id: PageId) -> &[KvEntry] {
+    /// A page's entries, derived from its tokens and its head (or its
+    /// side-table row) as they are read.
+    pub(crate) fn entries(&self, id: PageId) -> Entries<'_> {
+        let len = self.page(id).len as usize;
         let start = self.row(id);
-        &self.arena[start..start + self.page(id).len as usize]
+        let tokens = &self.tokens[start..start + len];
+        let head = self.heads[id.0 as usize];
+        if head.exact == REGULAR {
+            return Entries::chain(tokens, head.anchor());
+        }
+        Entries {
+            tokens: tokens.iter(),
+            rows: Rows::Exact(self.exact_row(head.exact)[..len].iter()),
+        }
     }
 
-    /// Appends `new` to a page's entries; they must fit in its row. The
+    /// A page's last entry.
+    pub(crate) fn last(&self, id: PageId) -> Option<KvEntry> {
+        self.entries(id).last()
+    }
+
+    /// Side-table row `row`.
+    fn exact_row(&self, row: u32) -> &[Anchor] {
+        &self.exact[row as usize * self.page_tokens..][..self.page_tokens]
+    }
+
+    fn exact_row_mut(&mut self, row: u32) -> &mut [Anchor] {
+        &mut self.exact[row as usize * self.page_tokens..][..self.page_tokens]
+    }
+
+    /// A side-table row for a page that turns irregular: a free one, or a
+    /// new one at the end of the table.
+    fn take_exact_row(&mut self) -> u32 {
+        self.exact_free.pop().unwrap_or_else(|| {
+            let row = self.exact.len() / self.page_tokens;
+            self.exact
+                .resize(self.exact.len() + self.page_tokens, Anchor::ZERO);
+            row as u32
+        })
+    }
+
+    /// Turns a regular page irregular: its first `len` entries' anchors,
+    /// derived from its head, go into a side-table row of its own.
+    fn make_exact(&mut self, id: PageId, len: usize) {
+        let row = self.take_exact_row();
+        let slot = id.0 as usize;
+        let start = self.row(id);
+        let derived = Entries::chain(&self.tokens[start..start + len], self.heads[slot].anchor());
+        let at = row as usize * self.page_tokens;
+        for (to, e) in self.exact[at..at + len].iter_mut().zip(derived) {
+            *to = Anchor::of(&e);
+        }
+        self.heads[slot].exact = row;
+    }
+
+    /// Gives a slot's side-table row, if it holds one, back to the free
+    /// list: the slot is empty, or about to be written whole.
+    fn free_exact(&mut self, id: PageId) {
+        let head = &mut self.heads[id.0 as usize];
+        if head.exact != REGULAR {
+            self.exact_free.push(head.exact);
+            head.exact = REGULAR;
+        }
+    }
+
+    /// Appends `new` to a page's entries; they must fit in its row. A page
+    /// stays regular while each new entry is the chain's next step from the
+    /// one before it, and turns irregular at the first that is not. The
     /// lower-tier copy no longer matches after the edit, so the backing
     /// copy is dropped and the page is marked for the next delta drain.
     pub(crate) fn append_row(&mut self, id: PageId, new: &[KvEntry]) {
+        let Some(first) = new.first() else {
+            return;
+        };
         self.unback(id);
         self.mark_dirty(id);
-        let start = self.row(id);
         let len = self.page(id).len as usize;
-        self.arena[start..start + self.page_tokens][len..len + new.len()].copy_from_slice(new);
+        let at = self.row(id) + len;
+        for (to, e) in self.tokens[at..at + new.len()].iter_mut().zip(new) {
+            *to = e.token;
+        }
+        let slot = id.0 as usize;
+        // An empty page is regular (emptying one frees its row).
+        let (mut prev, rest) = match self.last(id) {
+            None => {
+                self.heads[slot] = Head::chain(Anchor::of(first));
+                (Anchor::of(first), &new[1..])
+            }
+            Some(last) => (Anchor::of(&last), new),
+        };
+        if self.heads[slot].exact == REGULAR
+            && !rest.iter().all(|e| {
+                prev = prev.then(e.token);
+                prev == Anchor::of(e)
+            })
+        {
+            self.make_exact(id, len);
+        }
+        let row = self.heads[slot].exact;
+        if row != REGULAR {
+            for (to, e) in self.exact_row_mut(row)[len..len + new.len()]
+                .iter_mut()
+                .zip(new)
+            {
+                *to = Anchor::of(e);
+            }
+        }
         self.page_mut(id).len = (len + new.len()) as u32;
     }
 
+    /// Appends `tokens` to a page as the chain continued from `prev`, the
+    /// anchor of the entry before the first of them, and returns the last
+    /// new entry's anchor. Each token's fingerprint is derived once. A
+    /// regular page whose last entry is `prev` stays regular and takes
+    /// only the tokens; the rest is [`PagePool::append_row`]'s.
+    pub(crate) fn extend_chain(
+        &mut self,
+        id: PageId,
+        tokens: &[TokenId],
+        mut prev: Anchor,
+    ) -> Anchor {
+        if tokens.is_empty() {
+            return prev;
+        }
+        self.unback(id);
+        self.mark_dirty(id);
+        let len = self.page(id).len as usize;
+        let at = self.row(id) + len;
+        self.tokens[at..at + tokens.len()].copy_from_slice(tokens);
+        let slot = id.0 as usize;
+        if len > 0
+            && self.heads[slot].exact == REGULAR
+            && self.last(id).map(|e| Anchor::of(&e)) != Some(prev)
+        {
+            self.make_exact(id, len);
+        }
+        let row = self.heads[slot].exact;
+        for (i, &token) in tokens.iter().enumerate() {
+            prev = prev.then(token);
+            if row != REGULAR {
+                self.exact_row_mut(row)[len + i] = prev;
+            } else if len + i == 0 {
+                self.heads[slot] = Head::chain(prev);
+            }
+        }
+        self.page_mut(id).len = (len + tokens.len()) as u32;
+        prev
+    }
+
     /// Shortens a page to its first `len` entries, unbacking and marking
-    /// it as [`PagePool::append_row`] does.
+    /// it as [`PagePool::append_row`] does. An emptied page is regular
+    /// again.
     pub(crate) fn truncate_row(&mut self, id: PageId, len: usize) {
         self.unback(id);
         self.mark_dirty(id);
         let page = self.page_mut(id);
         page.len = (page.len as usize).min(len) as u32;
+        if page.len == 0 {
+            self.free_exact(id);
+        }
     }
 
     /// Allocates an empty page in `tier` with refcount 1.
@@ -365,6 +639,7 @@ impl PagePool {
             tier = page.tier;
         }
         self.unback(id);
+        self.free_exact(id);
         self.slots[id.0 as usize] = None;
         self.free.push(id.0);
         self.sub_used(tier);
@@ -436,14 +711,13 @@ impl PagePool {
         if self.slots[idx].is_some() {
             return Err(KvError::JournalTorn);
         }
-        let start = self.row(id);
-        self.arena[start..start + entries.len()].copy_from_slice(entries);
         self.slots[idx] = Some(Page {
-            len: entries.len() as u32,
+            len: 0,
             refcount,
             tier,
             backing: None,
         });
+        self.append_row(id, entries);
         self.add_used(tier);
         Ok(())
     }
@@ -500,13 +774,29 @@ impl PagePool {
     }
 
     /// Copies `src`'s entries over `dst`'s (copy-on-write divergence): one
-    /// move within the arena.
+    /// move within the token arena, the head, and an irregular page's
+    /// side-table row into a row of `dst`'s own.
     pub(crate) fn copy_entries_into(&mut self, src: PageId, dst: PageId) {
-        let len = self.page(src).len;
+        let len = self.page(src).len as usize;
         let (from, to) = (self.row(src), self.row(dst));
-        self.arena.copy_within(from..from + len as usize, to);
-        self.page_mut(dst).len = len;
+        self.tokens.copy_within(from..from + len, to);
+        self.free_exact(dst);
+        let head = self.heads[src.0 as usize];
+        self.heads[dst.0 as usize] = Head::chain(head.anchor());
+        if head.exact != REGULAR {
+            let row = self.take_exact_row();
+            let pt = self.page_tokens;
+            let at = head.exact as usize * pt;
+            self.exact.copy_within(at..at + len, row as usize * pt);
+            self.heads[dst.0 as usize].exact = row;
+        }
+        self.page_mut(dst).len = len as u32;
         self.mark_dirty(dst);
+    }
+
+    /// The most pages that were irregular at once: the side table's rows.
+    pub(crate) fn irregular_pages_peak(&self) -> usize {
+        self.exact.len() / self.page_tokens
     }
 
     /// Number of live pages (for invariant checks).
@@ -514,18 +804,24 @@ impl PagePool {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Checks the arena's shape (one row per slot, no live page longer
-    /// than its row) and per-tier accounting: `used = resident + backing`,
-    /// and only GPU pages are backed, by a lower tier.
+    /// Checks the arenas' shape (one token row and one head per slot, no
+    /// live page longer than its row), the side table's rows (each free or
+    /// held by one live, non-empty page), and per-tier accounting:
+    /// `used = resident + backing`, and only GPU pages are backed, by a
+    /// lower tier.
     pub(crate) fn verify(&self) -> Result<(), String> {
-        if self.arena.len() != self.slots.len() * self.page_tokens {
+        if self.tokens.len() != self.slots.len() * self.page_tokens
+            || self.heads.len() != self.slots.len()
+        {
             return Err(format!(
-                "arena holds {} entries for {} slots of {}",
-                self.arena.len(),
+                "arena holds {} tokens and {} heads for {} slots of {}",
+                self.tokens.len(),
+                self.heads.len(),
                 self.slots.len(),
                 self.page_tokens
             ));
         }
+        self.verify_exact()?;
         let mut used = [0usize; 3];
         let mut backed = [0usize; 3];
         let slot = |t: Tier| match t {
@@ -567,6 +863,38 @@ impl PagePool {
         Ok(())
     }
 
+    fn verify_exact(&self) -> Result<(), String> {
+        if !self.exact.len().is_multiple_of(self.page_tokens) {
+            return Err(format!("side table of {} anchors", self.exact.len()));
+        }
+        let mut held = vec![false; self.irregular_pages_peak()];
+        let mut hold = |row: u32, by: &str| match held.get_mut(row as usize) {
+            Some(h) if !*h => {
+                *h = true;
+                Ok(())
+            }
+            _ => Err(format!(
+                "side-table row {row} ({by}) is out of range or held twice"
+            )),
+        };
+        for &row in &self.exact_free {
+            hold(row, "free")?;
+        }
+        for (i, head) in self.heads.iter().enumerate() {
+            if head.exact == REGULAR {
+                continue;
+            }
+            match &self.slots[i] {
+                Some(page) if page.len > 0 => hold(head.exact, &format!("page {i}"))?,
+                _ => return Err(format!("slot {i} holds a side-table row but no entries")),
+            }
+        }
+        match held.iter().position(|h| !h) {
+            Some(row) => Err(format!("side-table row {row} is neither free nor held")),
+            None => Ok(()),
+        }
+    }
+
     /// Iterates over live pages.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (PageId, &Page)> {
         self.slots
@@ -582,6 +910,68 @@ mod tests {
 
     fn entry(i: u32) -> KvEntry {
         KvEntry::new(i, i, CtxFingerprint(i as u64))
+    }
+
+    /// `n` entries of a chain from `origin`, tokens from `first`.
+    fn chain(origin: Anchor, first: u32, n: u32) -> impl Iterator<Item = KvEntry> {
+        let mut at = origin;
+        (first..first + n).map(move |t| {
+            at = at.then(t);
+            KvEntry::new(t, at.position, at.fingerprint)
+        })
+    }
+
+    /// A page's entries, collected.
+    fn read<C: FromIterator<KvEntry>>(pool: &PagePool, id: PageId) -> C {
+        pool.entries(id).collect()
+    }
+
+    #[test]
+    fn a_chain_keeps_only_its_tokens_and_head() {
+        let mut pool = PagePool::new(4, 4, 0, 0);
+        let origin = Anchor::origin(CtxFingerprint(5));
+        let whole: Vec<_> = chain(origin, 10, 4).collect();
+        let p = pool.alloc(Tier::Gpu).unwrap();
+        pool.append_row(p, &whole[..1]);
+        pool.append_row(p, &whole[1..]);
+        // The same chain, extended from its origin by the pool itself.
+        let q = pool.alloc(Tier::Gpu).unwrap();
+        let last = pool.extend_chain(q, &[10, 11], origin);
+        assert_eq!(pool.extend_chain(q, &[12, 13], last), Anchor::of(&whole[3]));
+        assert_eq!(read::<Vec<_>>(&pool, p), whole);
+        assert_eq!(read::<Vec<_>>(&pool, q), whole);
+        assert_eq!(pool.irregular_pages_peak(), 0);
+        pool.verify().unwrap();
+    }
+
+    #[test]
+    fn a_broken_chain_keeps_exact_rows_until_emptied_or_freed() {
+        let mut pool = PagePool::new(4, 4, 0, 0);
+        let mut entries: Vec<_> = chain(Anchor::origin(CtxFingerprint(5)), 10, 4).collect();
+        entries[2].position += 1; // a skipped position, mid-page
+        let p = pool.alloc(Tier::Gpu).unwrap();
+        pool.append_row(p, &entries[..2]);
+        pool.append_row(p, &entries[2..]);
+        assert_eq!(read::<Vec<_>>(&pool, p), entries);
+        assert_eq!(pool.irregular_pages_peak(), 1);
+        // A copy gets a row of its own; freeing the copy hands it back.
+        let q = pool.alloc(Tier::Gpu).unwrap();
+        pool.copy_entries_into(p, q);
+        assert_eq!(read::<Vec<_>>(&pool, q), entries);
+        assert_eq!(pool.irregular_pages_peak(), 2);
+        pool.release(q);
+        pool.verify().unwrap();
+        // Emptied, the page is a chain again, and its row is free.
+        pool.truncate_row(p, 0);
+        pool.append_row(p, &entries[..2]);
+        assert_eq!(read::<Vec<_>>(&pool, p), entries[..2]);
+        assert_eq!(pool.exact_free.len(), 2);
+        pool.verify().unwrap();
+        // A restored page is classified from its entries.
+        pool.install(PageId(3), Tier::Gpu, &entries, 1).unwrap();
+        assert_eq!(read::<Vec<_>>(&pool, PageId(3)), entries);
+        assert_eq!(pool.exact_free.len(), 1);
+        pool.verify().unwrap();
     }
 
     #[test]

@@ -6,10 +6,11 @@ use std::collections::BTreeMap;
 
 use symphony_model::CtxFingerprint;
 use symphony_telemetry::{Counter, MetricsRegistry};
+use symphony_tokenizer::TokenId;
 
 use crate::error::KvError;
 use crate::journal::{self, Record, RestoreReport};
-use crate::page::{KvEntry, Migrated, PageId, PagePool, Tier, PAGE_TOKENS_DEFAULT};
+use crate::page::{Anchor, KvEntry, Migrated, PageId, PagePool, Tier, PAGE_TOKENS_DEFAULT};
 
 /// A tenant identity (a Symphony process, a baseline engine, or "the admin").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -404,6 +405,14 @@ impl KvStore {
         self.pool.live_pages()
     }
 
+    /// The most pages that were *irregular* at once: pages whose entries
+    /// are not one fingerprint chain, so they keep each entry's position
+    /// and fingerprint beside its token (docs/KVFS.md "Page storage").
+    /// Zero for a store whose every file was written as a chain.
+    pub fn irregular_pages_peak(&self) -> usize {
+        self.pool.irregular_pages_peak()
+    }
+
     /// KV bytes per token (byte-denominated statistics).
     pub fn bytes_per_token(&self) -> u64 {
         self.bytes_per_token
@@ -653,7 +662,8 @@ impl KvStore {
         let m = self.meta(id)?;
         Ok(m.pages
             .last()
-            .and_then(|&p| self.pool.entries(p).last().map(|e| e.fingerprint)))
+            .and_then(|&p| self.pool.last(p))
+            .map(|e| e.fingerprint))
     }
 
     /// Position following the last entry (0 for an empty file).
@@ -661,7 +671,7 @@ impl KvStore {
     /// position can be written, but nothing follows it.
     pub fn next_position(&self, id: FileId) -> Result<u32, KvError> {
         let m = self.meta(id)?;
-        let last = m.pages.last().and_then(|&p| self.pool.entries(p).last());
+        let last = m.pages.last().and_then(|&p| self.pool.last(p));
         match last {
             None => Ok(0),
             Some(e) => e.position.checked_add(1).ok_or(KvError::BadRange),
@@ -687,9 +697,8 @@ impl KvStore {
         while out.len() < count {
             let page = m.pages[idx / pt];
             let within = idx % pt;
-            let entries = self.pool.entries(page);
-            let take = (count - out.len()).min(entries.len() - within);
-            out.extend_from_slice(&entries[within..within + take]);
+            let take = (count - out.len()).min(self.pool.page(page).len as usize - within);
+            out.extend(self.pool.entries(page).skip(within).take(take));
             idx += take;
         }
         self.touch(id);
@@ -701,7 +710,7 @@ impl KvStore {
         let m = self.meta(id)?;
         let mut out = Vec::with_capacity(m.len);
         for &p in &m.pages {
-            out.extend_from_slice(self.pool.entries(p));
+            out.extend(self.pool.entries(p));
         }
         Ok(out)
     }
@@ -736,7 +745,52 @@ impl KvStore {
         entries: &[KvEntry],
     ) -> Result<(), KvError> {
         self.check_write(id, caller)?;
-        if entries.is_empty() {
+        self.append_with(id, entries.len(), |pool, page, range| {
+            pool.append_row(page, &entries[range]);
+        })
+    }
+
+    /// Appends `tokens` as the chain's continuation: each at the position
+    /// after the one before, with the fingerprint
+    /// [`CtxFingerprint::then`] steps to from the file's tail fingerprint
+    /// (from `origin` when the file is empty). That is what
+    /// [`KvStore::append`] stores for the entries a
+    /// `symphony_model::Fingerprinter` chain computes, without the caller
+    /// building them; each fingerprint is derived once. Fails like `append`,
+    /// and with [`KvError::BadRange`] when a position would pass
+    /// `u32::MAX`.
+    pub fn append_chain(
+        &mut self,
+        id: FileId,
+        caller: OwnerId,
+        tokens: &[TokenId],
+        origin: CtxFingerprint,
+    ) -> Result<(), KvError> {
+        self.check_write(id, caller)?;
+        let tail = self.meta(id)?.pages.last().and_then(|&p| self.pool.last(p));
+        let (mut prev, first) = match tail {
+            Some(e) => (Anchor::of(&e), u64::from(e.position) + 1),
+            None => (Anchor::origin(origin), 0),
+        };
+        if first + tokens.len() as u64 > u64::from(u32::MAX) + 1 {
+            return Err(KvError::BadRange);
+        }
+        self.append_with(id, tokens.len(), |pool, page, range| {
+            prev = pool.extend_chain(page, &tokens[range], prev);
+        })
+    }
+
+    /// The body of [`KvStore::append`] and [`KvStore::append_chain`]: checks
+    /// capacity and quota for `n` entries, copy-on-writes a shared tail,
+    /// and has `fill` write each stretch of the entries (a range of
+    /// `0..n`, in order) into the page that takes it.
+    fn append_with(
+        &mut self,
+        id: FileId,
+        n: usize,
+        mut fill: impl FnMut(&mut PagePool, PageId, core::ops::Range<usize>),
+    ) -> Result<(), KvError> {
+        if n == 0 {
             return Ok(());
         }
         let pt = self.pool.page_tokens();
@@ -757,7 +811,7 @@ impl KvStore {
         }
         let writes_into_tail = tail_free > 0;
         let cow_pages = usize::from(writes_into_tail && tail_shared);
-        let overflow = entries.len().saturating_sub(tail_free);
+        let overflow = n.saturating_sub(tail_free);
         let new_pages = overflow.div_ceil(pt);
         // Upfront capacity and quota checks (COW replaces a page in this
         // file, so quota only grows by `new_pages`).
@@ -785,21 +839,22 @@ impl KvStore {
             self.counters.cow_copies.inc();
         }
 
-        let mut remaining = entries;
+        let mut done = 0;
         if writes_into_tail {
-            let take = remaining.len().min(tail_free);
+            done = n.min(tail_free);
             let tail = *self.meta(id)?.pages.last().ok_or(KvError::BadRange)?;
-            self.pool.append_row(tail, &remaining[..take]);
-            remaining = &remaining[take..];
+            fill(&mut self.pool, tail, 0..done);
         }
         // One lookup (and one dirty mark) for all the pages this call adds.
         let (m, pool) = self.meta_and_pool(id)?;
-        for chunk in remaining.chunks(pt) {
+        while done < n {
+            let take = (n - done).min(pt);
             let p = pool.alloc(Tier::Gpu)?;
-            pool.append_row(p, chunk);
+            fill(pool, p, done..done + take);
             m.pages.push(p);
+            done += take;
         }
-        m.len += entries.len();
+        m.len += n;
         self.touch(id);
         Ok(())
     }
@@ -1225,11 +1280,11 @@ impl KvStore {
     /// log does not describe yet, the metadata of those and of the dirty
     /// ones, the structural diff — closed by a [`Record::PoolState`] in
     /// which a page no durable file holds reads as free; and starts the
-    /// next batch's tracking. Encoded in place: a page's entries go from
-    /// the pool's arena to `out` without a copy of their own. Returns
-    /// `false`, appending nothing, when no record changed (files and pages
-    /// born and gone since the last batch leave none, and so do files no
-    /// batch describes) or nothing is tracked.
+    /// next batch's tracking. Encoded in place: each page's entries are
+    /// derived into one buffer the drain reuses and encoded from there to
+    /// `out`. Returns `false`, appending nothing, when no record changed
+    /// (files and pages born and gone since the last batch leave none, and
+    /// so do files no batch describes) or nothing is tracked.
     pub fn drain_changes(&mut self, out: &mut Vec<u8>) -> bool {
         let Some(mut delta) = self.delta.take() else {
             return false;
@@ -1298,14 +1353,18 @@ impl KvStore {
         out: &mut Vec<u8>,
     ) -> bool {
         let start = out.len();
+        // One buffer for every page's derived entries.
+        let mut row = Vec::new();
         for p in pages {
             let id = PageId(p);
+            row.clear();
+            row.extend(self.pool.entries(id));
             journal::append_record(
                 out,
                 &Record::PageWrite {
                     page: p,
                     tier: self.pool.page(id).tier,
-                    entries: Cow::Borrowed(self.pool.entries(id)),
+                    entries: Cow::Borrowed(&row),
                 },
             );
         }
@@ -1625,11 +1684,7 @@ impl KvStore {
         RestoreReport {
             files: self.files.len(),
             pages: self.pool.live_pages(),
-            tokens: self
-                .pool
-                .iter()
-                .map(|(pid, _)| self.pool.entries(pid).len())
-                .sum(),
+            tokens: self.pool.iter().map(|(_, page)| page.len as usize).sum(),
             links: self.namespace.len(),
             torn: None,
         }
@@ -1715,7 +1770,11 @@ impl KvStore {
         self.pool.verify()?;
         // File lengths must match page contents.
         for (idf, m) in &self.files {
-            let total: usize = m.pages.iter().map(|&p| self.pool.entries(p).len()).sum();
+            let total: usize = m
+                .pages
+                .iter()
+                .map(|&p| self.pool.page(p).len as usize)
+                .sum();
             if total != m.len {
                 return Err(format!(
                     "file {idf}: len {} but pages hold {total} entries",
@@ -1724,7 +1783,7 @@ impl KvStore {
             }
             // Only the last page may be partially filled.
             for (i, &p) in m.pages.iter().enumerate() {
-                let n = self.pool.entries(p).len();
+                let n = self.pool.page(p).len as usize;
                 if i + 1 < m.pages.len() && n != self.pool.page_tokens() {
                     return Err(format!("file {idf}: interior page {i} not full ({n})"));
                 }

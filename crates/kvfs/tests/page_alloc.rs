@@ -1,23 +1,33 @@
-//! What a KV file's life allocates once the page pool has grown.
+//! What a KV file's life allocates once the page pool has grown, and what
+//! its pages cost the pool.
 //!
-//! Every page's entries live in one arena the pool owns, so allocating,
+//! Every page's tokens live in one arena the pool owns, so allocating,
 //! filling, copying and freeing a page reuse a row of it: a file of 64
 //! pages costs the heap what a file of 4 does, apart from its page list
 //! (which may double a few more times). While each page was its own
 //! `Vec`, every page allocated once more. A counting allocator counts
 //! this thread's allocations around one cycle of create, append, fork,
-//! copy-on-write, truncate, swap out and in, and remove.
+//! copy-on-write, truncate, swap out and in, and remove; the cycle's
+//! entries carry fingerprints of their own, so every page keeps the side
+//! table's exact rows as well. The same allocator keeps this thread's
+//! live heap bytes, which price a chain file's page.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use symphony_kvfs::{KvEntry, KvStore, KvStoreConfig, OwnerId};
-use symphony_model::CtxFingerprint;
+use symphony_model::{CtxFingerprint, Fingerprinter};
 
 thread_local! {
     /// Allocations this thread has made. `const`-initialised and without
     /// a destructor, so counting allocates nothing.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed, likewise.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn count(allocated: usize, freed: usize) {
+    LIVE.with(|n| n.set(n.get() + allocated as isize - freed as isize));
 }
 
 struct Counting;
@@ -27,17 +37,20 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size(), 0);
         // SAFETY: the caller's contract is `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size(), 0);
         // SAFETY: the caller's contract is `System::alloc_zeroed`'s.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, layout.size());
         // SAFETY: `ptr` came from `alloc` or `alloc_zeroed` above, that is
         // from `System`.
         unsafe { System.dealloc(ptr, layout) }
@@ -45,6 +58,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size, layout.size());
         // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -156,4 +170,43 @@ fn a_drain_allocates_at_most_once_per_drained_page() {
     println!("draining {PAGES} pages made {made} allocations, {} bytes", log.len());
     assert!(made <= PAGES, "draining {PAGES} pages made {made} allocations");
     assert!(!store.drain_changes(&mut log), "nothing changed since");
+}
+
+/// A page whose entries are one fingerprint chain keeps its 16 tokens at
+/// 4 bytes each, a 16-byte head (its first entry's position and
+/// fingerprint) and its 12-byte slot: a 512-page chain file adds 95 bytes
+/// of live heap a page, its page list's 4 included (the warm-up's slot is
+/// already there). While the pool kept every entry as a 16-byte
+/// `KvEntry`, it added 271.
+#[test]
+fn a_chain_files_pages_cost_the_pool_at_most_100_bytes_each() {
+    const PAGES: usize = 512;
+    let mut store = KvStore::new(KvStoreConfig {
+        page_tokens: PAGE_TOKENS,
+        gpu_pages: PAGES,
+        cpu_pages: 0,
+        disk_pages: 0,
+        bytes_per_token: 1,
+    });
+    let fpr = Fingerprinter::new(1);
+    let mut fp = fpr.origin();
+    let chain: Vec<KvEntry> = (0..(PAGES * PAGE_TOKENS) as u32)
+        .map(|i| {
+            fp = fpr.advance(fp, i % 5_000, i);
+            KvEntry::new(i % 5_000, i, fp)
+        })
+        .collect();
+    // The owner's quota record, made once, is not a page's.
+    let warm = store.create(OWNER).unwrap();
+    store.append(warm, OWNER, &chain[..1]).unwrap();
+    store.remove(warm, OWNER).unwrap();
+    let f = store.create(OWNER).unwrap();
+    let before = LIVE.with(Cell::get);
+    store.append(f, OWNER, &chain).unwrap();
+    let per_page = (LIVE.with(Cell::get) - before) as usize / PAGES;
+    println!("a {PAGES}-page chain file: {per_page} B of live heap a page");
+    assert!(per_page <= 100, "{per_page} B a page");
+    assert_eq!(store.irregular_pages_peak(), 0);
+    assert_eq!(store.read_all_unchecked(f).unwrap(), chain);
+    store.verify().unwrap();
 }

@@ -12,25 +12,68 @@
 //! Pages are rows of one arena that a freed page leaves as it was, so
 //! `Refill` writes freed rows again; every appended token is unique, so a
 //! stale entry showing through a reused row fails the contents check.
+//!
+//! A page keeps only its tokens and its first entry's position and
+//! fingerprint while its entries are one chain, and exact rows in a side
+//! table once they are not. So appends continue each file's chain
+//! (`Append`, `AppendChain`), or break it mid-append with a skipped
+//! position or a fingerprint of the caller's own; `Extract` takes several
+//! ranges and `Merge` joins files, both seams of two chains. Every read
+//! the store answers — whole files, windows of them, the tail fingerprint
+//! and the next position — is checked against the full entries the shadow
+//! holds after every operation, and `verify` checks the side table's rows.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use symphony_kvfs::{FileId, KvEntry, KvStore, KvStoreConfig, OwnerId};
+use symphony_kvfs::{FileId, KvEntry, KvError, KvStore, KvStoreConfig, OwnerId};
 use symphony_model::CtxFingerprint;
 
 #[derive(Debug, Clone)]
 enum Op {
     Create,
-    Append { file: usize, count: usize },
-    Fork { file: usize },
-    Remove { file: usize },
-    Truncate { file: usize, frac: f64 },
-    Extract { file: usize, a: f64, b: f64 },
-    Merge { a: usize, b: usize },
-    SwapOut { file: usize },
-    SwapIn { file: usize },
-    Demote { file: usize },
+    /// `count` entries continuing the file's chain, broken at `at` as
+    /// `seam` says.
+    Append {
+        file: usize,
+        count: usize,
+        seam: Seam,
+        at: usize,
+    },
+    /// `count` tokens the store chains on itself.
+    AppendChain {
+        file: usize,
+        count: usize,
+    },
+    Fork {
+        file: usize,
+    },
+    Remove {
+        file: usize,
+    },
+    Truncate {
+        file: usize,
+        frac: f64,
+    },
+    /// The ranges between cut points (each a fraction of the file), taken
+    /// in ascending pairs: one range is a chain, two or more join.
+    Extract {
+        file: usize,
+        cuts: Vec<f64>,
+    },
+    Merge {
+        a: usize,
+        b: usize,
+    },
+    SwapOut {
+        file: usize,
+    },
+    SwapIn {
+        file: usize,
+    },
+    Demote {
+        file: usize,
+    },
     /// Out, in, out again: the second eviction finds every page backed.
     Bounce {
         file: usize,
@@ -48,14 +91,33 @@ enum Op {
     },
 }
 
+/// How an append departs from the file's chain.
+#[derive(Debug, Clone, Copy)]
+enum Seam {
+    /// It does not: every entry is the chain's next step.
+    None,
+    /// The entry at `at` skips a position; the chain goes on from there.
+    Gap,
+    /// Entries from `at` on carry fingerprints of the caller's own.
+    Foreign,
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
+    let seam = prop_oneof![
+        3 => Just(Seam::None),
+        1 => Just(Seam::Gap),
+        1 => Just(Seam::Foreign),
+    ];
     prop_oneof![
         2 => Just(Op::Create),
-        6 => (0usize..8, 1usize..40).prop_map(|(file, count)| Op::Append { file, count }),
+        6 => (0usize..8, 1usize..40, seam, 0usize..40)
+            .prop_map(|(file, count, seam, at)| Op::Append { file, count, seam, at }),
+        2 => (0usize..8, 1usize..40).prop_map(|(file, count)| Op::AppendChain { file, count }),
         3 => (0usize..8).prop_map(|file| Op::Fork { file }),
         2 => (0usize..8).prop_map(|file| Op::Remove { file }),
         2 => (0usize..8, 0.0f64..1.0).prop_map(|(file, frac)| Op::Truncate { file, frac }),
-        2 => (0usize..8, 0.0f64..1.0, 0.0f64..1.0).prop_map(|(file, a, b)| Op::Extract { file, a, b }),
+        3 => (0usize..8, proptest::collection::vec(0.0f64..1.0, 2..7))
+            .prop_map(|(file, cuts)| Op::Extract { file, cuts }),
         2 => (0usize..8, 0usize..8).prop_map(|(a, b)| Op::Merge { a, b }),
         1 => (0usize..8).prop_map(|file| Op::SwapOut { file }),
         1 => (0usize..8).prop_map(|file| Op::SwapIn { file }),
@@ -68,6 +130,76 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn entry(i: u32) -> KvEntry {
     KvEntry::new(i, i, CtxFingerprint(0x1234_5678_u64 ^ i as u64))
+}
+
+/// Where every file's chain starts.
+const ORIGIN: CtxFingerprint = CtxFingerprint(0x0516_1a2b);
+
+/// `count` entries of tokens `first..` after `have`: the chain continued
+/// from its last entry (from [`ORIGIN`] before position 0), apart from
+/// the `seam` at index `at`.
+fn continue_chain(
+    have: &[KvEntry],
+    first: u32,
+    count: usize,
+    seam: Seam,
+    at: usize,
+) -> Vec<KvEntry> {
+    let (mut position, mut fp) = match have.last() {
+        Some(e) => (e.position + 1, e.fingerprint),
+        None => (0, ORIGIN),
+    };
+    (0..count)
+        .map(|i| {
+            let token = first + i as u32;
+            match seam {
+                Seam::Gap if i == at => position += 5,
+                Seam::Foreign if i >= at => return entry(token),
+                _ => {}
+            }
+            fp = fp.then(token, position);
+            position += 1;
+            KvEntry::new(token, position - 1, fp)
+        })
+        .collect()
+}
+
+/// A mutation's result, `None` if the GPU tier was full: every mutation
+/// checks capacity before it changes anything, and the reads after the
+/// operation check that it did not.
+fn fits<T>(r: Result<T, KvError>) -> Option<T> {
+    match r {
+        Ok(v) => Some(v),
+        Err(KvError::NoGpuMemory) => None,
+        Err(e) => panic!("unexpected {e:?}"),
+    }
+}
+
+/// Every read the store answers about `f`, against its full entries.
+fn check_reads(store: &mut KvStore, f: FileId, expected: &[KvEntry]) -> Result<(), TestCaseError> {
+    let owner = OwnerId(1);
+    prop_assert_eq!(
+        &store.read_all_unchecked(f).unwrap(),
+        expected,
+        "file {}",
+        f.0
+    );
+    for start in (0..expected.len()).step_by(3) {
+        let count = (expected.len() - start).min(7);
+        prop_assert_eq!(
+            &store.read(f, owner, start, count).unwrap(),
+            &expected[start..start + count]
+        );
+    }
+    prop_assert_eq!(
+        store.tail_fingerprint(f).unwrap(),
+        expected.last().map(|e| e.fingerprint)
+    );
+    prop_assert_eq!(
+        store.next_position(f).unwrap(),
+        expected.last().map_or(0, |e| e.position + 1)
+    );
+    Ok(())
 }
 
 /// Picks the `idx`-th live file (wrapping), if any.
@@ -102,16 +234,27 @@ proptest! {
                     let f = store.create(owner).unwrap();
                     model.insert(f.0, Vec::new());
                 }
-                Op::Append { file, count } => {
+                Op::Append { file, count, seam, at } => {
                     if let Some(f) = pick(&model, file) {
-                        let new: Vec<KvEntry> =
-                            (0..count as u32).map(|i| entry(next_token + i)).collect();
+                        let new = continue_chain(&model[&f.0], next_token, count, seam, at);
                         next_token += count as u32;
                         // Appending to a CPU-resident partial tail is an
                         // expected error; swap in first to keep the op alive.
                         let _ = store.swap_in(f, owner);
-                        store.append(f, owner, &new).unwrap();
-                        model.get_mut(&f.0).unwrap().extend(new);
+                        if fits(store.append(f, owner, &new)).is_some() {
+                            model.get_mut(&f.0).unwrap().extend(new);
+                        }
+                    }
+                }
+                Op::AppendChain { file, count } => {
+                    if let Some(f) = pick(&model, file) {
+                        let new = continue_chain(&model[&f.0], next_token, count, Seam::None, 0);
+                        let tokens: Vec<u32> = new.iter().map(|e| e.token).collect();
+                        next_token += count as u32;
+                        let _ = store.swap_in(f, owner);
+                        if fits(store.append_chain(f, owner, &tokens, ORIGIN)).is_some() {
+                            model.get_mut(&f.0).unwrap().extend(new);
+                        }
                     }
                 }
                 Op::Fork { file } => {
@@ -132,31 +275,36 @@ proptest! {
                         let len = model[&f.0].len();
                         let new_len = (len as f64 * frac) as usize;
                         let _ = store.swap_in(f, owner);
-                        store.truncate(f, owner, new_len).unwrap();
-                        model.get_mut(&f.0).unwrap().truncate(new_len);
+                        if fits(store.truncate(f, owner, new_len)).is_some() {
+                            model.get_mut(&f.0).unwrap().truncate(new_len);
+                        }
                     }
                 }
-                Op::Extract { file, a, b } => {
+                Op::Extract { file, cuts } => {
                     if let Some(f) = pick(&model, file) {
                         let len = model[&f.0].len();
-                        let (mut lo, mut hi) =
-                            ((len as f64 * a) as usize, (len as f64 * b) as usize);
-                        if lo > hi {
-                            std::mem::swap(&mut lo, &mut hi);
-                        }
-                        if lo < hi {
-                            let g = store.extract(f, owner, std::slice::from_ref(&(lo..hi))).unwrap();
-                            model.insert(g.0, model[&f.0][lo..hi].to_vec());
+                        let mut at: Vec<usize> = cuts.iter().map(|c| (len as f64 * c) as usize).collect();
+                        at.sort_unstable();
+                        let ranges: Vec<_> = at.chunks_exact(2).map(|w| w[0]..w[1]).collect();
+                        let picked: Vec<KvEntry> = ranges
+                            .iter()
+                            .flat_map(|r| model[&f.0][r.clone()].iter().copied())
+                            .collect();
+                        if !picked.is_empty() {
+                            if let Some(g) = fits(store.extract(f, owner, &ranges)) {
+                                model.insert(g.0, picked);
+                            }
                         }
                     }
                 }
                 Op::Merge { a, b } => {
                     if let (Some(fa), Some(fb)) = (pick(&model, a), pick(&model, b)) {
                         if !model[&fa.0].is_empty() || !model[&fb.0].is_empty() {
-                            let g = store.merge(&[fa, fb], owner).unwrap();
-                            let mut joined = model[&fa.0].clone();
-                            joined.extend(model[&fb.0].iter().copied());
-                            model.insert(g.0, joined);
+                            if let Some(g) = fits(store.merge(&[fa, fb], owner)) {
+                                let mut joined = model[&fa.0].clone();
+                                joined.extend(model[&fb.0].iter().copied());
+                                model.insert(g.0, joined);
+                            }
                         }
                     }
                 }
@@ -203,15 +351,16 @@ proptest! {
                             let new: Vec<KvEntry> =
                                 (0..count as u32).map(|i| entry(next_token + i)).collect();
                             next_token += count as u32;
-                            store.append(f, owner, &new).unwrap();
-                            model.get_mut(&f.0).unwrap().extend(new);
-                            // The append rewrote the partial tail page (if
-                            // any) and added pages; exactly those lost
-                            // their backing copy and have to move.
-                            let touched = old_len % 4 + count;
-                            let out = store.swap_out(f, owner).unwrap();
-                            prop_assert_eq!(out.total(), touched);
-                            prop_assert_eq!(out.dropped_tokens, old_len - old_len % 4);
+                            if fits(store.append(f, owner, &new)).is_some() {
+                                model.get_mut(&f.0).unwrap().extend(new);
+                                // The append rewrote the partial tail page
+                                // (if any) and added pages; exactly those
+                                // lost their backing copy and have to move.
+                                let touched = old_len % 4 + count;
+                                let out = store.swap_out(f, owner).unwrap();
+                                prop_assert_eq!(out.total(), touched);
+                                prop_assert_eq!(out.dropped_tokens, old_len - old_len % 4);
+                            }
                         }
                     }
                 }
@@ -232,8 +381,7 @@ proptest! {
             // Invariants after every operation.
             store.verify().unwrap();
             for (&id, expected) in &model {
-                let got = store.read_all_unchecked(FileId(id)).unwrap();
-                prop_assert_eq!(&got, expected, "file {} contents diverged", id);
+                check_reads(&mut store, FileId(id), expected)?;
             }
         }
 

@@ -15,6 +15,18 @@ use crate::TokenId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CtxFingerprint(pub u64);
 
+impl CtxFingerprint {
+    /// The context extended by one `(token, position)` pair. The step
+    /// reads no model seed (only [`Fingerprinter::origin`] does), so a
+    /// chain can be continued from any of its fingerprints: KVFS keeps a
+    /// page's first fingerprint and derives the rest from its tokens.
+    pub fn then(self, token: TokenId, position: u32) -> CtxFingerprint {
+        let t = (token as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let p = (position as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+        CtxFingerprint(mix(self.0 ^ t ^ p.rotate_left(17) ^ 0xA24B_AED4_963E_E407))
+    }
+}
+
 /// Produces and chains context fingerprints for one model identity.
 ///
 /// Distinct model seeds yield unrelated fingerprint spaces, so a 7B draft
@@ -42,11 +54,10 @@ impl Fingerprinter {
         CtxFingerprint(mix(self.seed ^ 0x5151_5151_5151_5151))
     }
 
-    /// Extends a context by one `(token, position)` pair.
+    /// Extends a context by one `(token, position)` pair
+    /// ([`CtxFingerprint::then`]).
     pub fn advance(&self, fp: CtxFingerprint, token: TokenId, position: u32) -> CtxFingerprint {
-        let t = (token as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let p = (position as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        CtxFingerprint(mix(fp.0 ^ t ^ p.rotate_left(17) ^ 0xA24B_AED4_963E_E407))
+        fp.then(token, position)
     }
 
     /// Folds a whole token run into a context.

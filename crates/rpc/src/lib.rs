@@ -632,8 +632,11 @@ impl WireError {
 /// lies. [`FrameReader::read`] takes whatever a transport read and hands
 /// out every complete frame in it as a slice of those bytes. Only a frame
 /// split across two reads is copied: once its header is in and under the
-/// cap, the reader reserves the length it announces, gathers the frame
-/// there, and frees that buffer as soon as the frame is handed out. So a
+/// cap, the reader gathers the frame in a buffer that grows with the bytes
+/// that arrive, at most one [`READ_SIZE`] ahead of them (a frame that
+/// small is reserved whole), and frees that buffer as soon as the frame
+/// is handed out. A peer that sends a header announcing a large frame and
+/// stalls has the reader hold no more than a read's worth. So a
 /// reader that has drained holds no buffer at all, however large the
 /// frames it has read, and whole frames cost it no allocation.
 ///
@@ -741,7 +744,7 @@ impl FrameReader {
                 }
                 size => {
                     if !rest.is_empty() {
-                        self.split.reserve_exact(size.unwrap_or(HEADER));
+                        self.make_room(rest.len(), size);
                         self.split.extend_from_slice(rest);
                     }
                     return Ok(bytes.len());
@@ -759,7 +762,7 @@ impl FrameReader {
             let size = frame_size(&self.split, self.max_frame)?;
             let want = size.unwrap_or(HEADER) - self.split.len();
             let take = want.min(bytes.len());
-            self.split.reserve_exact(want);
+            self.make_room(take, size);
             self.split.extend_from_slice(&bytes[..take]);
             bytes = &bytes[take..];
             if take < want {
@@ -768,6 +771,21 @@ impl FrameReader {
             if size.is_some() {
                 return Ok(Some(bytes));
             }
+        }
+    }
+
+    /// Makes room in the split frame for `more` bytes of a frame of `size`
+    /// bytes (`None` until its header is in). The buffer grows to what will
+    /// have arrived rounded up to a whole [`READ_SIZE`], never past the
+    /// frame, so a header announcing a large frame reserves at most one
+    /// read beyond the bytes the peer has sent; a frame of a read or less
+    /// is reserved whole, once.
+    fn make_room(&mut self, more: usize, size: Option<usize>) {
+        let arrived = self.split.len() + more;
+        if arrived > self.split.capacity() {
+            let room = (arrived / READ_SIZE + 1) * READ_SIZE;
+            let room = room.min(size.unwrap_or(HEADER));
+            self.split.reserve_exact(room - self.split.len());
         }
     }
 
@@ -944,6 +962,40 @@ mod tests {
         let (seen, held) = read_in_two(&wire, hello + 2);
         assert_eq!(seen, sample_msgs());
         assert_eq!(held, [HEADER, 0]);
+    }
+
+    #[test]
+    fn a_stalled_large_frame_reserves_one_read_ahead_of_its_bytes() {
+        let mut wire = Vec::new();
+        ClientMsg::Submit {
+            session: 1,
+            not_before_ns: 0,
+            fuel: 0,
+            name: "big".into(),
+            args: String::new(),
+            source: "x".repeat(DEFAULT_MAX_FRAME as usize - 64),
+        }
+        .encode(&mut wire);
+        let mut r = FrameReader::new();
+        let mut frames = 0;
+        let mut count = |_: u8, _: &[u8]| {
+            frames += 1;
+            ControlFlow::Continue(())
+        };
+        // The header alone, announcing about 1 MiB: one read's worth.
+        assert_eq!(r.read(&wire[..HEADER], &mut count), Ok(HEADER));
+        assert!(r.split.capacity() <= READ_SIZE, "{}", r.split.capacity());
+        // Each read keeps the buffer within a read of what has arrived.
+        let mut at = HEADER;
+        while at < wire.len() {
+            let end = (at + READ_SIZE).min(wire.len());
+            assert_eq!(r.read(&wire[at..end], &mut count), Ok(end - at));
+            at = end;
+            if at < wire.len() {
+                assert!(r.split.capacity() <= at + READ_SIZE, "at {at}");
+            }
+        }
+        assert_eq!((frames, r.split.capacity()), (1, 0));
     }
 
     #[test]

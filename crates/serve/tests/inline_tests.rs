@@ -356,3 +356,41 @@ fn failing_sessions_exit_with_the_same_status_either_way() {
     let status = failing_run(hurried, &generating, roomy, |_, _| {});
     failed_with(status, "syscall failed: process deadline exceeded");
 }
+
+/// What the served workloads write is one fingerprint chain a page: the
+/// preloaded prompt and documents, agents' prefills and decodes, RAG
+/// readers' forks of a document and the publisher's prefill all continue
+/// their file's chain, so no page needs the side table's exact positions
+/// and fingerprints (docs/KVFS.md "Page storage").
+#[test]
+fn served_programs_and_preloads_write_only_chain_pages() {
+    let mut kernel = serving_kernel(KernelConfig::for_tests());
+    assert!(kernel.store().live_pages() > 0);
+    assert_eq!(kernel.store().irregular_pages_peak(), 0, "preload_kv");
+    let jobs = [
+        ("agent-1", "what is a lip?".to_string(), agent_source(3, 8)),
+        ("agent-2", "serve programs".to_string(), agent_source(2, 12)),
+        (
+            "rag-0",
+            "0|how do kv files fork?".to_string(),
+            rag_source(10),
+        ),
+        ("rag-3", "3|who schedules?".to_string(), rag_source(6)),
+        ("pub-1", "16|12345|900".to_string(), PUBLISHER.to_string()),
+    ];
+    for (name, args, src) in &jobs {
+        let opts = SpawnOpts::default();
+        admit(
+            &mut kernel,
+            Way::Inline,
+            name,
+            args,
+            src,
+            InterpLimits::default(),
+            opts,
+        );
+    }
+    assert_eq!(kernel.run(), jobs.len());
+    assert!(kernel.store().stats().cow_copies > 0, "the readers forked");
+    assert_eq!(kernel.store().irregular_pages_peak(), 0);
+}
