@@ -67,12 +67,12 @@ impl KvEntry {
 /// after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Anchor {
-    position: u32,
-    fingerprint: CtxFingerprint,
+    pub(crate) position: u32,
+    pub(crate) fingerprint: CtxFingerprint,
 }
 
 impl Anchor {
-    const ZERO: Anchor = Anchor {
+    pub(crate) const ZERO: Anchor = Anchor {
         position: 0,
         fingerprint: CtxFingerprint(0),
     };
@@ -95,12 +95,17 @@ impl Anchor {
 
     /// The anchor of `token` placed right after this one: the chain's next
     /// step.
-    fn then(self, token: TokenId) -> Self {
+    pub(crate) fn then(self, token: TokenId) -> Self {
         let position = self.position.wrapping_add(1);
         Anchor {
             position,
             fingerprint: self.fingerprint.then(token, position),
         }
+    }
+
+    /// The entry of `token` at this anchor.
+    pub(crate) fn entry(self, token: TokenId) -> KvEntry {
+        KvEntry::new(token, self.position, self.fingerprint)
     }
 }
 
@@ -171,7 +176,7 @@ impl Iterator for Entries<'_> {
             }
             Rows::Exact(rows) => *rows.next()?,
         };
-        Some(KvEntry::new(token, at.position, at.fingerprint))
+        Some(at.entry(token))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -502,88 +507,46 @@ impl PagePool {
         }
     }
 
-    /// Appends `new` to a page's entries; they must fit in its row. A page
-    /// stays regular while each new entry is the chain's next step from the
-    /// one before it, and turns irregular at the first that is not. The
-    /// lower-tier copy no longer matches after the edit, so the backing
-    /// copy is dropped and the page is marked for the next delta drain.
-    pub(crate) fn append_row(&mut self, id: PageId, new: &[KvEntry]) {
-        let Some(first) = new.first() else {
-            return;
-        };
-        self.unback(id);
-        self.mark_dirty(id);
-        let len = self.page(id).len as usize;
-        let at = self.row(id) + len;
-        for (to, e) in self.tokens[at..at + new.len()].iter_mut().zip(new) {
-            *to = e.token;
-        }
-        let slot = id.0 as usize;
-        // An empty page is regular (emptying one frees its row).
-        let (mut prev, rest) = match self.last(id) {
-            None => {
-                self.heads[slot] = Head::chain(Anchor::of(first));
-                (Anchor::of(first), &new[1..])
-            }
-            Some(last) => (Anchor::of(&last), new),
-        };
-        if self.heads[slot].exact == REGULAR
-            && !rest.iter().all(|e| {
-                prev = prev.then(e.token);
-                prev == Anchor::of(e)
-            })
-        {
-            self.make_exact(id, len);
-        }
-        let row = self.heads[slot].exact;
-        if row != REGULAR {
-            for (to, e) in self.exact_row_mut(row)[len..len + new.len()]
-                .iter_mut()
-                .zip(new)
-            {
-                *to = Anchor::of(e);
-            }
-        }
-        self.page_mut(id).len = (len + new.len()) as u32;
-    }
-
-    /// Appends `tokens` to a page as the chain continued from `prev`, the
-    /// anchor of the entry before the first of them, and returns the last
-    /// new entry's anchor. Each token's fingerprint is derived once. A
-    /// regular page whose last entry is `prev` stays regular and takes
-    /// only the tokens; the rest is [`PagePool::append_row`]'s.
-    pub(crate) fn extend_chain(
+    /// Appends `new` to a page's entries; they must fit in its row. `tail`
+    /// is the anchor of the page's last entry (unread while the page is
+    /// empty), and the last new entry's anchor is returned, so a writer
+    /// that keeps its file's tail never derives it. A page stays regular
+    /// while each new entry is the chain's next step from the one before
+    /// it, and turns irregular at the first that is not. The lower-tier
+    /// copy no longer matches after the edit, so the backing copy is
+    /// dropped and the page is marked for the next delta drain.
+    pub(crate) fn append_row(
         &mut self,
         id: PageId,
-        tokens: &[TokenId],
-        mut prev: Anchor,
+        new: impl Iterator<Item = KvEntry>,
+        mut tail: Anchor,
     ) -> Anchor {
-        if tokens.is_empty() {
-            return prev;
-        }
-        self.unback(id);
-        self.mark_dirty(id);
+        let slot = id.0 as usize;
         let len = self.page(id).len as usize;
         let at = self.row(id) + len;
-        self.tokens[at..at + tokens.len()].copy_from_slice(tokens);
-        let slot = id.0 as usize;
-        if len > 0
-            && self.heads[slot].exact == REGULAR
-            && self.last(id).map(|e| Anchor::of(&e)) != Some(prev)
-        {
-            self.make_exact(id, len);
-        }
-        let row = self.heads[slot].exact;
-        for (i, &token) in tokens.iter().enumerate() {
-            prev = prev.then(token);
-            if row != REGULAR {
-                self.exact_row_mut(row)[len + i] = prev;
-            } else if len + i == 0 {
-                self.heads[slot] = Head::chain(prev);
+        let mut n = 0;
+        for e in new {
+            let here = Anchor::of(&e);
+            self.tokens[at + n] = e.token;
+            // An empty page is regular (emptying one frees its row).
+            if len + n == 0 {
+                self.heads[slot] = Head::chain(here);
+            } else if self.heads[slot].exact == REGULAR && tail.then(e.token) != here {
+                self.make_exact(id, len + n);
             }
+            let row = self.heads[slot].exact;
+            if row != REGULAR {
+                self.exact_row_mut(row)[len + n] = here;
+            }
+            tail = here;
+            n += 1;
         }
-        self.page_mut(id).len = (len + tokens.len()) as u32;
-        prev
+        if n > 0 {
+            self.unback(id);
+            self.mark_dirty(id);
+            self.page_mut(id).len = (len + n) as u32;
+        }
+        tail
     }
 
     /// Shortens a page to its first `len` entries, unbacking and marking
@@ -717,7 +680,7 @@ impl PagePool {
             tier,
             backing: None,
         });
-        self.append_row(id, entries);
+        self.append_row(id, entries.iter().copied(), Anchor::ZERO);
         self.add_used(tier);
         Ok(())
     }
@@ -926,20 +889,22 @@ mod tests {
         pool.entries(id).collect()
     }
 
+    /// Appends `new` to a page, its tail derived.
+    fn push(pool: &mut PagePool, id: PageId, new: &[KvEntry]) {
+        let tail = pool.last(id).map_or(Anchor::ZERO, |e| Anchor::of(&e));
+        pool.append_row(id, new.iter().copied(), tail);
+    }
+
     #[test]
     fn a_chain_keeps_only_its_tokens_and_head() {
         let mut pool = PagePool::new(4, 4, 0, 0);
-        let origin = Anchor::origin(CtxFingerprint(5));
-        let whole: Vec<_> = chain(origin, 10, 4).collect();
+        let whole: Vec<_> = chain(Anchor::origin(CtxFingerprint(5)), 10, 4).collect();
         let p = pool.alloc(Tier::Gpu).unwrap();
-        pool.append_row(p, &whole[..1]);
-        pool.append_row(p, &whole[1..]);
-        // The same chain, extended from its origin by the pool itself.
-        let q = pool.alloc(Tier::Gpu).unwrap();
-        let last = pool.extend_chain(q, &[10, 11], origin);
-        assert_eq!(pool.extend_chain(q, &[12, 13], last), Anchor::of(&whole[3]));
+        let first = pool.append_row(p, whole[..1].iter().copied(), Anchor::ZERO);
+        assert_eq!(first, Anchor::of(&whole[0]));
+        let last = pool.append_row(p, whole[1..].iter().copied(), first);
+        assert_eq!(last, Anchor::of(&whole[3]));
         assert_eq!(read::<Vec<_>>(&pool, p), whole);
-        assert_eq!(read::<Vec<_>>(&pool, q), whole);
         assert_eq!(pool.irregular_pages_peak(), 0);
         pool.verify().unwrap();
     }
@@ -950,8 +915,8 @@ mod tests {
         let mut entries: Vec<_> = chain(Anchor::origin(CtxFingerprint(5)), 10, 4).collect();
         entries[2].position += 1; // a skipped position, mid-page
         let p = pool.alloc(Tier::Gpu).unwrap();
-        pool.append_row(p, &entries[..2]);
-        pool.append_row(p, &entries[2..]);
+        push(&mut pool, p, &entries[..2]);
+        push(&mut pool, p, &entries[2..]);
         assert_eq!(read::<Vec<_>>(&pool, p), entries);
         assert_eq!(pool.irregular_pages_peak(), 1);
         // A copy gets a row of its own; freeing the copy hands it back.
@@ -963,7 +928,7 @@ mod tests {
         pool.verify().unwrap();
         // Emptied, the page is a chain again, and its row is free.
         pool.truncate_row(p, 0);
-        pool.append_row(p, &entries[..2]);
+        push(&mut pool, p, &entries[..2]);
         assert_eq!(read::<Vec<_>>(&pool, p), entries[..2]);
         assert_eq!(pool.exact_free.len(), 2);
         pool.verify().unwrap();
@@ -1013,7 +978,7 @@ mod tests {
     fn migrate_moves_between_tiers() {
         let mut pool = PagePool::new(4, 2, 2, 0);
         let p = pool.alloc(Tier::Gpu).unwrap();
-        pool.append_row(p, &[entry(1), entry(2)]);
+        push(&mut pool, p, &[entry(1), entry(2)]);
         let moved = pool.migrate(p, Tier::Cpu).unwrap();
         assert_eq!(moved, Migrated::Copied(2));
         assert_eq!(pool.gpu_used(), 0);
@@ -1036,7 +1001,7 @@ mod tests {
     fn disk_tier_allocates_and_migrates() {
         let mut pool = PagePool::new(4, 1, 1, 1);
         let p = pool.alloc(Tier::Gpu).unwrap();
-        pool.append_row(p, &[entry(7)]);
+        push(&mut pool, p, &[entry(7)]);
         assert_eq!(pool.migrate(p, Tier::Disk).unwrap(), Migrated::Copied(1));
         assert_eq!(pool.page(p).tier, Tier::Disk);
         assert_eq!(pool.disk_used(), 1);

@@ -163,6 +163,10 @@ pub struct FileStat {
 struct FileMeta {
     pages: Vec<crate::page::PageId>,
     len: usize,
+    /// The last entry's position and fingerprint ([`Anchor::ZERO`] while
+    /// the file is empty), kept by every write so that reading the tail
+    /// and appending to it derive nothing.
+    tail: Anchor,
     owner: OwnerId,
     mode: Mode,
     pinned: bool,
@@ -538,6 +542,7 @@ impl KvStore {
             FileMeta {
                 pages: Vec::new(),
                 len: 0,
+                tail: Anchor::ZERO,
                 owner,
                 mode: Mode::PRIVATE,
                 pinned: false,
@@ -660,10 +665,7 @@ impl KvStore {
     /// Fingerprint of the last entry (the context `pred` continues from).
     pub fn tail_fingerprint(&self, id: FileId) -> Result<Option<CtxFingerprint>, KvError> {
         let m = self.meta(id)?;
-        Ok(m.pages
-            .last()
-            .and_then(|&p| self.pool.last(p))
-            .map(|e| e.fingerprint))
+        Ok((m.len > 0).then_some(m.tail.fingerprint))
     }
 
     /// Position following the last entry (0 for an empty file).
@@ -671,10 +673,9 @@ impl KvStore {
     /// position can be written, but nothing follows it.
     pub fn next_position(&self, id: FileId) -> Result<u32, KvError> {
         let m = self.meta(id)?;
-        let last = m.pages.last().and_then(|&p| self.pool.last(p));
-        match last {
-            None => Ok(0),
-            Some(e) => e.position.checked_add(1).ok_or(KvError::BadRange),
+        match m.len {
+            0 => Ok(0),
+            _ => m.tail.position.checked_add(1).ok_or(KvError::BadRange),
         }
     }
 
@@ -745,9 +746,7 @@ impl KvStore {
         entries: &[KvEntry],
     ) -> Result<(), KvError> {
         self.check_write(id, caller)?;
-        self.append_with(id, entries.len(), |pool, page, range| {
-            pool.append_row(page, &entries[range]);
-        })
+        self.append_entries(id, entries.iter().copied())
     }
 
     /// Appends `tokens` as the chain's continuation: each at the position
@@ -755,10 +754,9 @@ impl KvStore {
     /// [`CtxFingerprint::then`] steps to from the file's tail fingerprint
     /// (from `origin` when the file is empty). That is what
     /// [`KvStore::append`] stores for the entries a
-    /// `symphony_model::Fingerprinter` chain computes, without the caller
-    /// building them; each fingerprint is derived once. Fails like `append`,
-    /// and with [`KvError::BadRange`] when a position would pass
-    /// `u32::MAX`.
+    /// `symphony_model::Fingerprinter` chain computes, derived as they are
+    /// written rather than built by the caller. Fails like `append`, and
+    /// with [`KvError::BadRange`] when a position would pass `u32::MAX`.
     pub fn append_chain(
         &mut self,
         id: FileId,
@@ -767,29 +765,32 @@ impl KvStore {
         origin: CtxFingerprint,
     ) -> Result<(), KvError> {
         self.check_write(id, caller)?;
-        let tail = self.meta(id)?.pages.last().and_then(|&p| self.pool.last(p));
-        let (mut prev, first) = match tail {
-            Some(e) => (Anchor::of(&e), u64::from(e.position) + 1),
-            None => (Anchor::origin(origin), 0),
+        let m = self.meta(id)?;
+        let (mut at, first) = match m.len {
+            0 => (Anchor::origin(origin), 0),
+            _ => (m.tail, u64::from(m.tail.position) + 1),
         };
         if first + tokens.len() as u64 > u64::from(u32::MAX) + 1 {
             return Err(KvError::BadRange);
         }
-        self.append_with(id, tokens.len(), |pool, page, range| {
-            prev = pool.extend_chain(page, &tokens[range], prev);
-        })
+        self.append_entries(
+            id,
+            tokens.iter().map(move |&t| {
+                at = at.then(t);
+                at.entry(t)
+            }),
+        )
     }
 
-    /// The body of [`KvStore::append`] and [`KvStore::append_chain`]: checks
-    /// capacity and quota for `n` entries, copy-on-writes a shared tail,
-    /// and has `fill` write each stretch of the entries (a range of
-    /// `0..n`, in order) into the page that takes it.
-    fn append_with(
+    /// The body of [`KvStore::append`] and [`KvStore::append_chain`]:
+    /// checks capacity and quota, copy-on-writes a shared tail, and writes
+    /// the entries into the tail and the pages it adds.
+    fn append_entries(
         &mut self,
         id: FileId,
-        n: usize,
-        mut fill: impl FnMut(&mut PagePool, PageId, core::ops::Range<usize>),
+        mut entries: impl ExactSizeIterator<Item = KvEntry>,
     ) -> Result<(), KvError> {
+        let n = entries.len();
         if n == 0 {
             return Ok(());
         }
@@ -839,22 +840,26 @@ impl KvStore {
             self.counters.cow_copies.inc();
         }
 
-        let mut done = 0;
-        if writes_into_tail {
-            done = n.min(tail_free);
-            let tail = *self.meta(id)?.pages.last().ok_or(KvError::BadRange)?;
-            fill(&mut self.pool, tail, 0..done);
-        }
-        // One lookup (and one dirty mark) for all the pages this call adds.
+        // One lookup (and one dirty mark) for the tail and all the pages
+        // this call adds.
         let (m, pool) = self.meta_and_pool(id)?;
-        while done < n {
-            let take = (n - done).min(pt);
+        let mut tail = m.tail;
+        let mut left = n;
+        if writes_into_tail {
+            let take = n.min(tail_free);
+            let page = *m.pages.last().ok_or(KvError::BadRange)?;
+            tail = pool.append_row(page, entries.by_ref().take(take), tail);
+            left -= take;
+        }
+        while left > 0 {
+            let take = left.min(pt);
             let p = pool.alloc(Tier::Gpu)?;
-            fill(pool, p, done..done + take);
+            tail = pool.append_row(p, entries.by_ref().take(take), tail);
             m.pages.push(p);
-            done += take;
+            left -= take;
         }
         m.len += n;
+        m.tail = tail;
         self.touch(id);
         Ok(())
     }
@@ -897,7 +902,10 @@ impl KvStore {
                 self.pool.truncate_row(last, within);
             }
         }
-        self.meta_mut(id)?.len = new_len;
+        let tail = self.meta(id)?.pages.last().and_then(|&p| self.pool.last(p));
+        let m = self.meta_mut(id)?;
+        m.len = new_len;
+        m.tail = tail.map_or(Anchor::ZERO, |e| Anchor::of(&e));
         self.touch(id);
         Ok(())
     }
@@ -911,9 +919,9 @@ impl KvStore {
     /// fork a shared prefix "without duplicating the actual tensors".
     pub fn fork(&mut self, id: FileId, caller: OwnerId) -> Result<FileId, KvError> {
         self.check_read(id, caller)?;
-        let (pages, len) = {
+        let (pages, len, tail) = {
             let m = self.meta(id)?;
-            (m.pages.clone(), m.len)
+            (m.pages.clone(), m.len, m.tail)
         };
         self.charge(caller, pages.len())?;
         for &p in &pages {
@@ -926,6 +934,7 @@ impl KvStore {
             FileMeta {
                 pages,
                 len,
+                tail,
                 owner: caller,
                 mode: Mode::PRIVATE,
                 pinned: false,
@@ -1555,6 +1564,7 @@ impl KvStore {
                         FileMeta {
                             pages: pages.into_iter().map(PageId).collect(),
                             len: len as usize,
+                            tail: Anchor::ZERO,
                             owner: OwnerId(owner),
                             mode: Mode {
                                 read_all,
@@ -1623,6 +1633,11 @@ impl KvStore {
         let pages_restored = refs.len();
 
         store.files = staged_files;
+        for m in store.files.values_mut() {
+            if let Some(e) = m.pages.last().and_then(|&p| store.pool.last(p)) {
+                m.tail = Anchor::of(&e);
+            }
+        }
         for (path, id) in namespace {
             if let Some(m) = store.files.get_mut(&id.0) {
                 m.links += 1;
@@ -1779,6 +1794,13 @@ impl KvStore {
                 return Err(format!(
                     "file {idf}: len {} but pages hold {total} entries",
                     m.len
+                ));
+            }
+            let last = m.pages.last().and_then(|&p| self.pool.last(p));
+            if m.tail != last.map_or(Anchor::ZERO, |e| Anchor::of(&e)) {
+                return Err(format!(
+                    "file {idf}: tail {:?} but last entry {last:?}",
+                    m.tail
                 ));
             }
             // Only the last page may be partially filled.

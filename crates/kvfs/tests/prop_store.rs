@@ -164,15 +164,36 @@ fn continue_chain(
         .collect()
 }
 
-/// A mutation's result, `None` if the GPU tier was full: every mutation
-/// checks capacity before it changes anything, and the reads after the
-/// operation check that it did not.
-fn fits<T>(r: Result<T, KvError>) -> Option<T> {
+/// The store's GPU tier, in pages. Merges and multi-range extracts can
+/// fill it, so a write that needs pages may be refused.
+const GPU_PAGES: usize = 256;
+
+/// The result of a write that needs GPU pages: it must succeed when `room`
+/// says the tier has the pages it needs, and otherwise be refused with
+/// `NoGpuMemory`. Every write checks capacity before it changes anything;
+/// the reads after the operation check that a refused one did not.
+fn needs_room<T: std::fmt::Debug>(
+    room: bool,
+    r: Result<T, KvError>,
+) -> Result<Option<T>, TestCaseError> {
     match r {
-        Ok(v) => Some(v),
-        Err(KvError::NoGpuMemory) => None,
-        Err(e) => panic!("unexpected {e:?}"),
+        Ok(v) if room => Ok(Some(v)),
+        Err(KvError::NoGpuMemory) if !room => Ok(None),
+        r => Err(TestCaseError::fail(format!(
+            "room for the write {room}, but {r:?}"
+        ))),
     }
+}
+
+/// Swaps `f` into the GPU tier before a write to it (appending to a
+/// CPU-resident partial tail is an expected error). `false` only when the
+/// tier is full; the write is not tried then.
+fn swap_in_to_write(store: &mut KvStore, f: FileId) -> Result<bool, TestCaseError> {
+    if store.swap_in(f, OwnerId(1)).is_ok() {
+        return Ok(true);
+    }
+    prop_assert_eq!(store.gpu_pages_used(), GPU_PAGES);
+    Ok(false)
 }
 
 /// Every read the store answers about `f`, against its full entries.
@@ -219,7 +240,7 @@ proptest! {
         let owner = OwnerId(1);
         let mut store = KvStore::new(KvStoreConfig {
             page_tokens: 4,
-            gpu_pages: 256,
+            gpu_pages: GPU_PAGES,
             // A tight DRAM tier so swap-out exercises the disk spill path.
             cpu_pages: 8,
             disk_pages: 256,
@@ -238,11 +259,11 @@ proptest! {
                     if let Some(f) = pick(&model, file) {
                         let new = continue_chain(&model[&f.0], next_token, count, seam, at);
                         next_token += count as u32;
-                        // Appending to a CPU-resident partial tail is an
-                        // expected error; swap in first to keep the op alive.
-                        let _ = store.swap_in(f, owner);
-                        if fits(store.append(f, owner, &new)).is_some() {
-                            model.get_mut(&f.0).unwrap().extend(new);
+                        if swap_in_to_write(&mut store, f)? {
+                            let room = store.can_append(f, count).unwrap();
+                            if needs_room(room, store.append(f, owner, &new))?.is_some() {
+                                model.get_mut(&f.0).unwrap().extend(new);
+                            }
                         }
                     }
                 }
@@ -251,9 +272,12 @@ proptest! {
                         let new = continue_chain(&model[&f.0], next_token, count, Seam::None, 0);
                         let tokens: Vec<u32> = new.iter().map(|e| e.token).collect();
                         next_token += count as u32;
-                        let _ = store.swap_in(f, owner);
-                        if fits(store.append_chain(f, owner, &tokens, ORIGIN)).is_some() {
-                            model.get_mut(&f.0).unwrap().extend(new);
+                        if swap_in_to_write(&mut store, f)? {
+                            let room = store.can_append(f, count).unwrap();
+                            let r = store.append_chain(f, owner, &tokens, ORIGIN);
+                            if needs_room(room, r)?.is_some() {
+                                model.get_mut(&f.0).unwrap().extend(new);
+                            }
                         }
                     }
                 }
@@ -275,8 +299,13 @@ proptest! {
                         let len = model[&f.0].len();
                         let new_len = (len as f64 * frac) as usize;
                         let _ = store.swap_in(f, owner);
-                        if fits(store.truncate(f, owner, new_len)).is_some() {
-                            model.get_mut(&f.0).unwrap().truncate(new_len);
+                        // It needs a page only to copy a shared boundary
+                        // page, so with one free it must succeed.
+                        let full = store.gpu_pages_used() == GPU_PAGES;
+                        match store.truncate(f, owner, new_len) {
+                            Ok(()) => model.get_mut(&f.0).unwrap().truncate(new_len),
+                            Err(KvError::NoGpuMemory) if full => {}
+                            Err(e) => return Err(TestCaseError::fail(format!("truncate: {e:?}"))),
                         }
                     }
                 }
@@ -291,7 +320,8 @@ proptest! {
                             .flat_map(|r| model[&f.0][r.clone()].iter().copied())
                             .collect();
                         if !picked.is_empty() {
-                            if let Some(g) = fits(store.extract(f, owner, &ranges)) {
+                            let room = store.gpu_pages_used() + picked.len().div_ceil(4) <= GPU_PAGES;
+                            if let Some(g) = needs_room(room, store.extract(f, owner, &ranges))? {
                                 model.insert(g.0, picked);
                             }
                         }
@@ -299,10 +329,11 @@ proptest! {
                 }
                 Op::Merge { a, b } => {
                     if let (Some(fa), Some(fb)) = (pick(&model, a), pick(&model, b)) {
-                        if !model[&fa.0].is_empty() || !model[&fb.0].is_empty() {
-                            if let Some(g) = fits(store.merge(&[fa, fb], owner)) {
-                                let mut joined = model[&fa.0].clone();
-                                joined.extend(model[&fb.0].iter().copied());
+                        let mut joined = model[&fa.0].clone();
+                        joined.extend(model[&fb.0].iter().copied());
+                        if !joined.is_empty() {
+                            let room = store.gpu_pages_used() + joined.len().div_ceil(4) <= GPU_PAGES;
+                            if let Some(g) = needs_room(room, store.merge(&[fa, fb], owner))? {
                                 model.insert(g.0, joined);
                             }
                         }
@@ -351,7 +382,8 @@ proptest! {
                             let new: Vec<KvEntry> =
                                 (0..count as u32).map(|i| entry(next_token + i)).collect();
                             next_token += count as u32;
-                            if fits(store.append(f, owner, &new)).is_some() {
+                            let room = store.can_append(f, count).unwrap();
+                            if needs_room(room, store.append(f, owner, &new))?.is_some() {
                                 model.get_mut(&f.0).unwrap().extend(new);
                                 // The append rewrote the partial tail page
                                 // (if any) and added pages; exactly those
