@@ -13,9 +13,10 @@
 //! Sections are `[skip]` or `[allow.<rule-id>]`; the only key is `paths`,
 //! a single-line array of double-quoted workspace-relative path *prefixes*.
 //! Anything else is a hard configuration error — a linter that silently
-//! ignores its own config is worse than none.
+//! ignores its own config is worse than none. `r1` takes no `[allow.r1]`:
+//! a retired mechanism comes back only by deleting its row.
 
-use crate::rules::Rule;
+use crate::rules::{Rule, ALL_RULES};
 
 /// Parsed lint configuration: path-prefix skip list and per-rule allows.
 #[derive(Debug, Clone, Default)]
@@ -48,12 +49,21 @@ impl Config {
                     Section::Skip
                 } else if let Some(id) = name.strip_prefix("allow.") {
                     match Rule::parse(id) {
+                        Some(Rule::R1) => {
+                            return Err(format!(
+                                "lint.toml:{lineno}: r1 takes no [allow.r1]: a retired \
+                                 mechanism comes back only by deleting its row from \
+                                 `RETIRED` (crates/lint/src/rules.rs)"
+                            ))
+                        }
                         Some(r) => Section::Allow(r),
                         None => {
+                            let known: Vec<&str> = ALL_RULES.iter().map(Rule::id).collect();
                             return Err(format!(
                                 "lint.toml:{lineno}: unknown rule `{id}` in [allow.*] \
-                                 (known: d1 d2 d3 k1 o1 o2 f1 u1)"
-                            ))
+                                 (known: {})",
+                                known.join(" ")
+                            ));
                         }
                     }
                 } else {
@@ -152,7 +162,11 @@ mod tests {
 
     #[test]
     fn rejects_unknown_rule_and_section() {
-        assert!(Config::parse("[allow.zz]\npaths=[\"a\"]").is_err());
+        let err = Config::parse("[allow.zz]\npaths=[\"a\"]").unwrap_err();
+        assert!(
+            err.ends_with("(known: d1 d2 d3 k1 o1 o2 f1 u1 r1)"),
+            "the message lists every rule: {err}"
+        );
         assert!(Config::parse("[wat]\n").is_err());
         assert!(Config::parse("paths = [\"a\"]\n").is_err());
     }

@@ -8,7 +8,7 @@
 //! *never panic on a syscall path*. This crate makes both machine-checked
 //! properties. It walks every workspace `.rs` file with a lightweight,
 //! string/char/comment-aware tokenizer (see [`sanitize`]) — no `syn`, per
-//! the vendored-only `third_party/` policy — and enforces eight rules:
+//! the vendored-only `third_party/` policy — and enforces nine rules:
 //!
 //! | rule | invariant it guards |
 //! |------|---------------------|
@@ -20,10 +20,13 @@
 //! | `o2` | every telemetry span `*Enter`/`*Begin` has a `*Exit`/`*End` twin |
 //! | `f1` | no file opens/overwrites/renames/truncations outside `sim::seglog` |
 //! | `u1` | no `pub fn` without a caller outside the tests (whole workspace) |
+//! | `r1` | no retired mechanism comes back: the `RETIRED` table's banned strings |
 //!
 //! Violations can be suppressed inline with
 //! `// lint:allow(rule-id): reason` (the reason is mandatory) or by path
-//! prefix in `lint.toml`. See `docs/LINTS.md` for the full catalogue.
+//! prefix in `lint.toml`, except `r1`'s: it reads raw lines of every file
+//! under its rows' scopes and honours neither. See `docs/LINTS.md` for the
+//! full catalogue.
 
 mod config;
 mod rules;
@@ -31,7 +34,7 @@ mod sanitize;
 mod unused;
 
 pub use config::Config;
-pub use rules::{explain, Rule, ALL_RULES};
+pub use rules::{explain, Ban, Bans, Retired, Rule, ALL_RULES, RETIRED};
 pub use sanitize::{classify, sanitize};
 
 use std::path::Path;
@@ -104,24 +107,26 @@ pub fn render_json(violations: &[Violation]) -> String {
     out
 }
 
-/// Lints one file's source text with the per-file rules (every rule but
-/// `u1`, which needs the whole workspace: see [`lint_sources`]). `path`
-/// must be workspace-relative and `/`-separated — rule applicability
+/// Lints one file's text with the per-file rules (every rule but `u1`,
+/// which needs the whole workspace: see [`lint_sources`]). `path` must be
+/// workspace-relative and `/`-separated — rule applicability
 /// (deterministic crates, kernel paths, binaries vs. libraries, test
-/// directories) is derived from it.
+/// directories) is derived from it. `r1` reads any file in its scopes;
+/// the other rules read `.rs` files that `cfg` does not skip.
 pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Vec<Violation> {
-    if cfg.is_skipped(path) {
-        return Vec::new();
-    }
-    let lines = classify(&sanitize(src));
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let mut out = Vec::new();
-    for rule in ALL_RULES {
-        if !rule.applies_to(path) || cfg.is_allowed(*rule, path) {
-            continue;
-        }
-        for v in rules::check(*rule, path, &lines) {
-            report(v, &raw_lines, &mut out);
+    // No skip, allow or inline suppression reaches r1: a retired
+    // mechanism comes back only by deleting its row.
+    let mut out = rules::check_retired(path, src);
+    if path.ends_with(".rs") && !cfg.is_skipped(path) {
+        let lines = classify(&sanitize(src));
+        let raw_lines: Vec<&str> = src.lines().collect();
+        for rule in ALL_RULES {
+            if !rule.applies_to(path) || cfg.is_allowed(*rule, path) {
+                continue;
+            }
+            for v in rules::check(*rule, path, &lines) {
+                report(v, &raw_lines, &mut out);
+            }
         }
     }
     out.sort_by(|a, b| (a.line, a.rule.id()).cmp(&(b.line, b.rule.id())));
@@ -132,14 +137,14 @@ pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Vec<Violation> {
 /// workspace: the per-file rules on each, then `u1` across all of them.
 /// Results are sorted by `(path, line, rule)`.
 pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Vec<Violation> {
-    let files: Vec<_> = files
-        .iter()
-        .filter(|(path, _)| !cfg.is_skipped(path))
-        .collect();
     let mut out = Vec::new();
-    for (path, src) in &files {
+    for (path, src) in files {
         out.extend(lint_source(path, src, cfg));
     }
+    let files: Vec<_> = files
+        .iter()
+        .filter(|(path, _)| path.ends_with(".rs") && !cfg.is_skipped(path))
+        .collect();
     let lines: Vec<_> = files
         .iter()
         .map(|(_, src)| classify(&sanitize(src)))
@@ -233,22 +238,30 @@ fn suppression_for(raw_lines: &[&str], line: usize, rule: Rule) -> Suppression {
     Suppression::None
 }
 
-/// Walks the workspace at `root` and lints every `.rs` file outside the
-/// configured skip list ([`lint_sources`]). Two runs over the same tree
-/// render byte-identical reports.
+/// Walks the workspace at `root` and lints every `.rs` file, and every
+/// other file in `r1`'s scopes ([`lint_sources`]). Two runs over the same
+/// tree render byte-identical reports.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Violation>> {
     let mut paths = Vec::new();
-    collect_rs_files(root, root, &mut paths)?;
+    collect_files(root, root, &mut paths)?;
     paths.sort();
     let mut files = Vec::with_capacity(paths.len());
     for rel in paths {
-        let src = std::fs::read_to_string(root.join(&rel))?;
+        let src = if rel.ends_with(".rs") {
+            std::fs::read_to_string(root.join(&rel))?
+        } else if Rule::R1.applies_to(&rel) {
+            // As `grep` reads it: a byte that is not UTF-8 cannot be part
+            // of a banned string.
+            String::from_utf8_lossy(&std::fs::read(root.join(&rel))?).into_owned()
+        } else {
+            continue;
+        };
         files.push((rel, src));
     }
     Ok(lint_sources(&files, cfg))
 }
 
-fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
+fn collect_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -261,8 +274,8 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
             if matches!(name, "target" | "third_party" | ".git" | ".github") {
                 continue;
             }
-            collect_rs_files(root, &path, out)?;
-        } else if name.ends_with(".rs") {
+            collect_files(root, &path, out)?;
+        } else {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)

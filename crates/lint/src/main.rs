@@ -52,10 +52,11 @@ fn parse_args() -> Result<Args, String> {
                      \x20      k1 (kernel panics) o1 (library printing) o2 (span pairs)\n\
                      \x20      f1 (durable writes) u1 (public fn without a caller;\n\
                      \x20      lexical: a dead method sharing a live one's name is missed)\n\
+                     \x20      r1 (retired mechanisms; `--explain r1` lists the table)\n\
                      \n\
                      Suppress inline with `// lint:allow(rule): reason` (reason\n\
-                     mandatory) or by path prefix in lint.toml. `--explain <rule>`\n\
-                     prints the rationale. See docs/LINTS.md."
+                     mandatory) or by path prefix in lint.toml; r1 takes neither.\n\
+                     `--explain <rule>` prints the rationale. See docs/LINTS.md."
                 );
                 std::process::exit(0);
             }

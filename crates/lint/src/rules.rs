@@ -25,6 +25,8 @@ pub enum Rule {
     F1,
     /// No public function without a caller outside the tests.
     U1,
+    /// No retired mechanism comes back: the [`RETIRED`] table.
+    R1,
 }
 
 /// Every rule, in report order.
@@ -37,6 +39,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::O2,
     Rule::F1,
     Rule::U1,
+    Rule::R1,
 ];
 
 /// Crates whose output feeds golden traces / fingerprint comparisons:
@@ -81,6 +84,402 @@ const KERNEL_PATHS: &[&str] = &[
     "crates/lipscript/src/verify.rs",
 ];
 
+/// A banned string of a [`Retired`] row.
+#[derive(Debug, Clone, Copy)]
+pub enum Ban {
+    /// Anywhere in a line, as `grep` matches a fixed string.
+    Fixed(&'static str),
+    /// With no letter, digit or `_` on either side, as `grep -w` matches:
+    /// a longer identifier that contains it is not a hit.
+    Word(&'static str),
+}
+
+impl Ban {
+    /// The banned string itself.
+    pub fn text(&self) -> &'static str {
+        match *self {
+            Ban::Fixed(s) | Ban::Word(s) => s,
+        }
+    }
+
+    fn found_in(&self, line: &str) -> bool {
+        let word = |c: char| c.is_alphanumeric() || c == '_';
+        match *self {
+            Ban::Fixed(s) => line.contains(s),
+            Ban::Word(s) => line.match_indices(s).any(|(at, _)| {
+                !line[..at].chars().next_back().is_some_and(word)
+                    && !line[at + s.len()..].chars().next().is_some_and(word)
+            }),
+        }
+    }
+}
+
+/// Strings banned under a set of path scopes.
+#[derive(Debug)]
+pub struct Bans {
+    /// Workspace-relative scopes. One ending in `/` covers every file
+    /// under it, any other names one file, and a `*` segment stands for
+    /// any one path segment (`crates/*/src/` is every crate's sources).
+    pub under: &'static [&'static str],
+    /// The banned strings.
+    pub strings: &'static [Ban],
+}
+
+impl Bans {
+    /// Whether one of the scopes covers `path`.
+    fn cover(&self, path: &str) -> bool {
+        self.under.iter().any(|scope| {
+            let mut segments = path.split('/');
+            for want in scope.split('/') {
+                if want.is_empty() {
+                    return true;
+                }
+                match segments.next() {
+                    Some(seg) if want == "*" || want == seg => {}
+                    _ => return false,
+                }
+            }
+            segments.next().is_none()
+        })
+    }
+}
+
+/// One row of `r1`: a mechanism a simplification retired, and the strings
+/// that would bring it back.
+#[derive(Debug)]
+pub struct Retired {
+    /// A short statement of the fact the row keeps.
+    pub name: &'static str,
+    /// What is banned where.
+    pub bans: &'static [Bans],
+    /// Why a hit is a second mechanism beside the one that stayed.
+    pub reason: &'static str,
+    /// The commit that retired it (`git show <commit>`).
+    pub commit: &'static str,
+}
+
+use Ban::{Fixed, Word};
+
+/// What the codebase has retired. `r1` reports a banned string on any raw
+/// line (code, comment or string literal) of any file, Rust or not, under
+/// its scopes; it honours no `lint.toml` section and no `lint:allow`. A
+/// simplification that deletes a mechanism adds a row here.
+pub const RETIRED: &[Retired] = &[
+    Retired {
+        name: "One seat",
+        bans: &[Bans {
+            under: &[
+                "crates/core/src/kernel.rs",
+                "crates/core/src/proc.rs",
+                "crates/core/src/recovery.rs",
+                "crates/core/src/syscall.rs",
+            ],
+            strings: &[
+                Fixed("mpsc"),
+                Fixed("Sender"),
+                Fixed("Receiver"),
+                Fixed("JobHandle"),
+                Fixed("UpCall"),
+                Fixed("spawn_lip"),
+            ],
+        }],
+        reason: "the kernel steps every LIP body one way, and only \
+                 crates/core/src/hosted.rs knows that a native closure runs on a \
+                 pooled OS thread behind a channel pair; a channel, a job handle or \
+                 an upcall in the kernel's own files would be a second way to run a \
+                 body",
+        commit: "055bdba",
+    },
+    Retired {
+        name: "One place builds a distribution",
+        bans: &[Bans {
+            under: &[
+                "crates/gpu/src/exec.rs",
+                "crates/core/src/kernel.rs",
+                "crates/core/src/recovery.rs",
+                "crates/core/src/syscall.rs",
+                "crates/baseline/src/engine.rs",
+            ],
+            strings: &[Fixed("next_dist")],
+        }],
+        reason: "a `pred` reply carries context fingerprints, and \
+                 `symphony_model::Preds`/`DistRef` build a distribution where a \
+                 program reads one; an executor, kernel, recovery or baseline engine \
+                 that calls the model itself would be an eager per-token build \
+                 beside the lazy one",
+        commit: "68fe635",
+    },
+    Retired {
+        name: "One answer to a pred that does not fit",
+        bans: &[Bans {
+            under: &["crates/*/src/"],
+            strings: &[
+                Fixed("AdmissionPolicy"),
+                Fixed("RequeuePred"),
+                Fixed("SysError::Busy"),
+                Fixed("preds_shed"),
+                Fixed("preds_requeued"),
+                Fixed("PredShed"),
+                Fixed("PredRequeue"),
+            ],
+        }],
+        reason: "a `pred` the KV pool cannot hold is answered `Kv(NoGpuMemory)` \
+                 once the continuous loop has evicted, preempted or waited for a \
+                 landing copy, and what to do next is the program's policy; a \
+                 kernel-side requeue or shed would be a second answer",
+        commit: "d5ef467",
+    },
+    Retired {
+        name: "The WAL journals no pred",
+        bans: &[Bans {
+            under: &["crates/core/src/"],
+            strings: &[
+                Fixed("TAG_PRED_EFFECT"),
+                Fixed("Effect::Pred"),
+                Fixed("EffectClass::Pred"),
+                Fixed("pred_effect"),
+                Fixed("drop_pending"),
+            ],
+        }],
+        reason: "a `pred` reply is a pure function of the file it extends, so no \
+                 frame records one: a checkpoint lists each durable process's \
+                 completion record, and every frame is written when it is made; a \
+                 marker frame, its effect class or a buffered frame a crash must \
+                 drop would be a second durability class",
+        commit: "a02fd76",
+    },
+    Retired {
+        name: "A failed tool call has one answer",
+        bans: &[Bans {
+            under: &["crates/*/src/"],
+            strings: &[
+                Fixed("RetryPolicy"),
+                Fixed("BreakerBank"),
+                Fixed("BreakerPolicy"),
+                Fixed("BreakerStateView"),
+                Fixed("BreakerVerdict"),
+                Fixed("tool_retry"),
+                Fixed("tool_calls_exhausted"),
+                Fixed("SysError::Unavailable"),
+                Fixed("ToolRetry"),
+                Fixed("BreakerTrip"),
+                Fixed("BreakerReject"),
+            ],
+        }],
+        reason: "every `call_tool` is one attempt: the kernel injects faults, \
+                 clamps the attempt to its timeout and journals it, and what to do \
+                 about a failure is the program's policy; a kernel-side retry \
+                 planner or circuit breaker would be a second answer",
+        commit: "a18197d",
+    },
+    Retired {
+        name: "A durable program is admitted once",
+        bans: &[Bans {
+            under: &["crates/core/src/"],
+            strings: &[
+                Fixed("ProcSched"),
+                Fixed("TAG_PROC_SCHED"),
+                Fixed("proc_sched"),
+                Fixed("resume_programs"),
+                Fixed("programs_resumed"),
+            ],
+        }],
+        reason: "`admit` writes a durable program's one admission frame when it \
+                 installs it, whether it starts now or at a later arrival, and \
+                 `Kernel::recover(config, resolve)` boots and re-admits in one call; \
+                 a schedule frame beside the spawn frame, or a second call that \
+                 finishes a half-booted kernel, would be a second admission record",
+        commit: "5a40a7a",
+    },
+    Retired {
+        name: "Each durable fact is written once",
+        bans: &[
+            Bans {
+                under: &["crates/core/src/"],
+                strings: &[
+                    Fixed("TAG_IPC_RECV"),
+                    Fixed("Effect::Recv"),
+                    Fixed("recv_counts"),
+                    Fixed("rebuild_mailboxes"),
+                ],
+            },
+            Bans {
+                under: &["crates/kvfs/src/"],
+                strings: &[
+                    Fixed("Record::End"),
+                    Fixed("TAG_END"),
+                    Fixed("END_FRAME_LEN"),
+                ],
+            },
+        ],
+        reason: "a delivered message is journalled once, by its send frame: a \
+                 recovered `recv` number k is answered by the k-th delivered send \
+                 to its process, so there is no receive frame and no rebuilt \
+                 mailbox; a KV batch is complete when its last record is its \
+                 closing `PoolState`, so there is no seal a flush must cut off and \
+                 write again",
+        commit: "11f6354",
+    },
+    Retired {
+        name: "One door for a LipScript program",
+        bans: &[Bans {
+            under: &["crates/*/src/bin/"],
+            strings: &[Fixed(".admit("), Fixed("LipBody")],
+        }],
+        reason: "a program file reaches a kernel through `ServerCore`'s SUBMIT, \
+                 which parses, verifies and admits it, and `lip_run` is one more \
+                 client of that door; a binary that builds a `LipBody` or calls \
+                 `Kernel::admit` itself is a second door, with its own copy of the \
+                 environment and of admission",
+        commit: "7d05511",
+    },
+    Retired {
+        name: "One admission call",
+        bans: &[Bans {
+            under: &["crates/", "examples/", "src/", "tests/"],
+            strings: &[
+                Word("spawn_process_with_limits"),
+                Word("schedule_process"),
+                Word("admit_inline"),
+                Word("spawn_durable"),
+                Word("default_limits"),
+            ],
+        }],
+        reason: "a program enters the kernel through `Kernel::admit(name, args, \
+                 SpawnOpts { at, limits, durable }, body)`, whatever its body: \
+                 durability is a flag, not a body kind, and limits are the \
+                 program's, not a kernel default",
+        commit: "c52b314",
+    },
+    Retired {
+        name: "A durable LipScript program is its text",
+        bans: &[
+            Bans {
+                under: &["crates/core/src/recovery.rs"],
+                strings: &[Fixed("ProgramImage")],
+            },
+            Bans {
+                under: &["crates/core/src/", "crates/serve/src/", "crates/bench/src/"],
+                strings: &[Fixed("run_lip")],
+            },
+        ],
+        reason: "a durable LipScript program's admission frame carries its limits \
+                 and text, and `Kernel::recover`'s resolver turns that image back \
+                 into a `Body` (`symphony_lipscript::rebuild`); recovery that named \
+                 a `ProgramImage` would map a name back to a closure, and product \
+                 code that reached `run_lip` (crates/lipscript/src/inline.rs keeps \
+                 it for the benchmark's durable workload alone) would bring back \
+                 the parse-on-a-pool-worker detour",
+        commit: "90844b3",
+    },
+    Retired {
+        name: "LipScript is tested where it runs",
+        bans: &[
+            Bans {
+                under: &[
+                    "crates/lipscript/tests/prop_verify.rs",
+                    "crates/lipscript/tests/verify_tests.rs",
+                    "crates/lipscript/src/reference.rs",
+                ],
+                strings: &[Fixed("MockHost")],
+            },
+            Bans {
+                under: &["crates/lipscript/src/host.rs"],
+                strings: &[
+                    Fixed("HostCall::Spawn"),
+                    Word("Syscall::Join"),
+                    Word("Syscall::SendMsg"),
+                    Word("Syscall::Recv"),
+                    Word("Syscall::LookupProcess"),
+                    Word("Syscall::Sleep"),
+                    Word("Syscall::Now"),
+                ],
+            },
+        ],
+        reason: "the verifier's soundness properties, its suite's runs and the \
+                 reference differential admit programs inline on a test kernel \
+                 (crates/lipscript/tests/harness), the way a served program runs; \
+                 `MockHost` is a second implementation of the system calls, kept \
+                 for the interpreter's timings alone, and it answers no thread, IPC \
+                 or clock call, which only a scheduler can",
+        commit: "cefaf94",
+    },
+    Retired {
+        name: "One KV entry table",
+        bans: &[Bans {
+            under: &["crates/kvfs/src/page.rs"],
+            strings: &[
+                Fixed("entries: Vec<KvEntry>"),
+                Fixed("Vec::with_capacity(self.page_tokens)"),
+            ],
+        }],
+        reason: "every page's entries are rows of the page pool's one arena, so \
+                 allocating, filling, copying and freeing a page touch no heap once \
+                 the arena has grown; a `Vec` of entries per page, or a buffer sized \
+                 per page at allocation, is a second place a page's entries live \
+                 and one heap allocation per page",
+        commit: "7bace9a",
+    },
+    Retired {
+        name: "One durable log",
+        bans: &[
+            Bans {
+                under: &["crates/*/src/"],
+                strings: &[
+                    Fixed("persist_kv("),
+                    Fixed("journal_write"),
+                    Fixed("kvfs.journal_frames"),
+                    Fixed("journal_frames_"),
+                    Fixed("set_journal_len_metric"),
+                    Fixed("note_compaction"),
+                    Fixed("SysError::Shutdown"),
+                    Word("struct Journal"),
+                    Fixed("AttachedJournal"),
+                    Fixed("open_journal"),
+                    Fixed("persist_journal"),
+                    Fixed("restore_from_journal("),
+                    Fixed("JOURNAL_MAGIC"),
+                    Fixed("JOURNAL_VERSION"),
+                ],
+            },
+            Bans {
+                under: &["crates/core/src/", "crates/bench/src/"],
+                strings: &[Fixed(".take_delta("), Fixed(".enable_delta_log(")],
+            },
+            Bans {
+                under: &["crates/kvfs/src/"],
+                strings: &[
+                    Fixed("SegLog"),
+                    Fixed("Journal::create"),
+                    Fixed("compact_threshold"),
+                ],
+            },
+        ],
+        reason: "the kernel WAL is the only durable log: the KV store encodes its \
+                 changes as batches of frames (`KvStore::snapshot`/`drain_changes`) \
+                 and the kernel writes them at its boundaries; a file, log handle \
+                 or compaction threshold in the store, `kvfs::Journal`, a shutdown \
+                 snapshot path, a journal fault site, per-tag frame gauges or a \
+                 kernel driving the delta log by hand would be a second writer \
+                 (only the gauges' names: `journal_frames` alone is E13's pinned \
+                 per-tag counts)",
+        commit: "b7d06e3",
+    },
+    Retired {
+        name: "KV rows hold tokens",
+        bans: &[Bans {
+            under: &["crates/kvfs/src/page.rs"],
+            strings: &[Fixed("Vec<KvEntry>")],
+        }],
+        reason: "a page keeps its tokens (4 B each) and one head, its first \
+                 entry's position and fingerprint; the rest of a chain is derived \
+                 as it is read, and only an irregular page keeps exact rows, in a \
+                 side table (docs/KVFS.md \"Page storage\"); a `Vec<KvEntry>` in \
+                 the pool is 16 B a token again",
+        commit: "fc93ff6",
+    },
+];
+
 impl Rule {
     /// Stable lowercase id used in reports, suppressions and `lint.toml`.
     pub fn id(&self) -> &'static str {
@@ -93,6 +492,7 @@ impl Rule {
             Rule::O2 => "o2",
             Rule::F1 => "f1",
             Rule::U1 => "u1",
+            Rule::R1 => "r1",
         }
     }
 
@@ -127,6 +527,15 @@ impl Rule {
             Rule::O2 => path.starts_with("crates/telemetry/src/"),
             // Whole-workspace: `crate::unused` runs it over every file.
             Rule::U1 => false,
+            // The table spells out every banned string, so the crate that
+            // holds it and its tests is the one place exempt.
+            Rule::R1 => {
+                !path.starts_with("crates/lint/")
+                    && RETIRED
+                        .iter()
+                        .flat_map(|row| row.bans)
+                        .any(|bans| bans.cover(path))
+            }
         }
     }
 }
@@ -228,7 +637,9 @@ pub(crate) fn check(rule: Rule, path: &str, lines: &Lines) -> Vec<Violation> {
             },
         ),
         Rule::O2 => return check_span_pairs(path, lines),
-        Rule::U1 => return Vec::new(),
+        // u1 reads the whole workspace (`crate::unused`), r1 raw lines
+        // (`check_retired`).
+        Rule::U1 | Rule::R1 => return Vec::new(),
         Rule::F1 => (
             &[
                 "OpenOptions",
@@ -269,6 +680,42 @@ pub(crate) fn check(rule: Rule, path: &str, lines: &Lines) -> Vec<Violation> {
                     snippet: code.trim().to_string(),
                 });
             }
+        }
+    }
+    out
+}
+
+/// r1 over one file's raw lines: every banned string of every row whose
+/// scopes cover `path`. Strings and comments count, as they do for `grep`.
+pub(crate) fn check_retired(path: &str, src: &str) -> Vec<Violation> {
+    if !Rule::R1.applies_to(path) {
+        return Vec::new();
+    }
+    let live: Vec<(&Retired, &Ban)> = RETIRED
+        .iter()
+        .flat_map(|row| {
+            row.bans
+                .iter()
+                .filter(|bans| bans.cover(path))
+                .flat_map(move |bans| bans.strings.iter().map(move |ban| (row, ban)))
+        })
+        .collect();
+    let mut out = Vec::new();
+    for (i, line) in src.lines().enumerate() {
+        for (row, ban) in live.iter().filter(|(_, ban)| ban.found_in(line)) {
+            out.push(Violation {
+                rule: Rule::R1,
+                path: path.to_string(),
+                line: i + 1,
+                message: format!(
+                    "`{}` is retired (\"{}\", {}): {}",
+                    ban.text(),
+                    row.name,
+                    row.commit,
+                    row.reason
+                ),
+                snippet: line.trim().to_string(),
+            });
         }
     }
     out
@@ -323,8 +770,8 @@ fn check_span_pairs(path: &str, lines: &Lines) -> Vec<Violation> {
 }
 
 /// `--explain` documentation for one rule.
-pub fn explain(rule: Rule) -> &'static str {
-    match rule {
+pub fn explain(rule: Rule) -> String {
+    let text = match rule {
         Rule::D1 => {
             "d1: no wall-clock time in deterministic code\n\
              \n\
@@ -479,5 +926,48 @@ pub fn explain(rule: Rule) -> &'static str {
              or fault injector tests drive, a probe for a property no other\n\
              API can observe, or a documented contract for clients."
         }
+        Rule::R1 => return explain_retired(),
+    };
+    text.to_string()
+}
+
+/// `--explain r1`: the rule, then every row of [`RETIRED`].
+fn explain_retired() -> String {
+    let mut out = String::from(
+        "r1: a retired mechanism stays retired\n\
+         \n\
+         Each row below names a mechanism a simplification deleted, the\n\
+         strings that would bring it back, and where they are banned. The\n\
+         rule matches raw lines, comments and string literals included, of\n\
+         every file under a row's scopes, Rust or not, as `grep -r` does. A\n\
+         fixed string matches anywhere in a line; a word (marked `-w`)\n\
+         only with no letter, digit or `_` on either side. A scope ending in\n\
+         `/` covers the files under it, and `*` stands for one path segment.\n\
+         It honours no lint.toml section and no `lint:allow`: a mechanism\n\
+         comes back only by deleting its row from `RETIRED`\n\
+         (crates/lint/src/rules.rs), where the deletion is reviewed.\n\
+         crates/lint/ is exempt, since the table spells out every string.\n\
+         \n\
+         Fix: use the mechanism that stayed; the row's reason names it.\n",
+    );
+    for row in RETIRED {
+        out.push_str(&format!("\n{} ({})\n", row.name, row.commit));
+        for bans in row.bans {
+            let strings: Vec<String> = bans
+                .strings
+                .iter()
+                .map(|ban| match ban {
+                    Ban::Fixed(s) => format!("`{s}`"),
+                    Ban::Word(s) => format!("-w `{s}`"),
+                })
+                .collect();
+            out.push_str(&format!(
+                "  bans {} in {}\n",
+                strings.join(" "),
+                bans.under.join(" ")
+            ));
+        }
+        out.push_str(&format!("  because {}\n", row.reason));
     }
+    out
 }

@@ -7,7 +7,9 @@
 //! here via [`lint_source`] under *pseudo-paths* chosen to put each snippet
 //! in the rule's scope.
 
-use symphony_lint::{lint_source, lint_sources, render_json, Config, Rule, Violation};
+use symphony_lint::{
+    lint_source, lint_sources, render_json, Ban, Config, Rule, Violation, RETIRED,
+};
 
 fn lint(pseudo_path: &str, src: &str) -> Vec<Violation> {
     lint_source(pseudo_path, src, &Config::default())
@@ -385,4 +387,131 @@ fn u1_reports_definitions_in_crate_sources_only() {
     assert!(lint_sources(&files, &cfg).is_empty());
     let cfg = Config::parse("[allow.u1]\npaths = [\"crates/demo/\"]\n").unwrap();
     assert!(lint_sources(&files, &cfg).is_empty());
+}
+
+/// The `r1` findings in one synthetic file, as `(line, message)`.
+fn r1(path: &str, src: &str) -> Vec<(usize, String)> {
+    lint(path, src)
+        .into_iter()
+        .filter(|v| v.rule == Rule::R1)
+        .map(|v| (v.line, v.message))
+        .collect()
+}
+
+/// Files a scope covers: the file it names, or a Rust and a non-Rust file
+/// under the directory it names (`*` filled in), one of them nested.
+fn inside(scope: &str) -> Vec<String> {
+    let scope = scope.replace('*', "core");
+    if scope.ends_with('/') {
+        vec![
+            format!("{scope}planted.rs"),
+            format!("{scope}deep/Planted.toml"),
+        ]
+    } else {
+        vec![scope]
+    }
+}
+
+/// A file just outside a scope: beside the file it names, or in the
+/// directory that holds the directory it names.
+fn outside(scope: &str) -> String {
+    let scope = scope.replace('*', "core");
+    let dir = scope.trim_end_matches('/');
+    match dir.rsplit_once('/') {
+        Some((parent, _)) => format!("{parent}/planted.rs"),
+        None => "planted.rs".to_string(),
+    }
+}
+
+#[test]
+fn r1_flags_every_retired_string_in_its_scopes_and_nowhere_else() {
+    let mut checked = 0;
+    for row in RETIRED {
+        for bans in row.bans {
+            for ban in bans.strings {
+                let text = ban.text();
+                // Another row may ban a string that contains this one.
+                let mine = format!("`{text}` is retired (\"{}\", {})", row.name, row.commit);
+                let own = |hits: Vec<(usize, String)>| -> Vec<(usize, String)> {
+                    hits.into_iter()
+                        .filter(|(_, m)| m.starts_with(&mine))
+                        .collect()
+                };
+                // In code, in a comment and in a string literal: r1 reads
+                // raw lines, as `grep` does.
+                let planted = format!(
+                    "fn planted() {{}}\nlet _ = x.{text};\n// {text}\nconst S: &str = \"{text}\";\n"
+                );
+                for scope in bans.under {
+                    for path in inside(scope) {
+                        let hits = own(r1(&path, &planted));
+                        let lines: Vec<usize> = hits.iter().map(|(line, _)| *line).collect();
+                        assert_eq!(
+                            lines,
+                            [2, 3, 4],
+                            "{} `{text}` in {path}: {hits:?}",
+                            row.name
+                        );
+                        assert!(
+                            hits[0].1.ends_with(row.reason),
+                            "a hit names its row and reason: {hits:?}"
+                        );
+                        // Inside a longer identifier (`struct JournalConfig`
+                        // against `struct Journal`): a fixed string is still
+                        // a hit, a word is not.
+                        let longer = format!("let _ = x_{text}_x;\n{text}Config;\n");
+                        let hits = own(r1(&path, &longer));
+                        match ban {
+                            Ban::Fixed(_) => assert_eq!(hits.len(), 2, "`{text}` in {path}"),
+                            Ban::Word(_) => {
+                                assert!(hits.is_empty(), "`{text}` in {path}: {hits:?}")
+                            }
+                        }
+                        checked += 1;
+                    }
+                    let path = outside(scope);
+                    let hits = r1(&path, &planted);
+                    assert!(
+                        hits.is_empty(),
+                        "`{text}` outside {scope}, in {path}: {hits:?}"
+                    );
+                }
+                // The table's own crate spells out every string.
+                assert!(r1("crates/lint/src/rules.rs", &planted).is_empty());
+            }
+        }
+    }
+    assert!(checked > 100, "{checked}");
+}
+
+#[test]
+fn r1_answers_to_no_suppression_allow_or_skip() {
+    let path = "crates/kvfs/src/store.rs";
+    let src = "// lint:allow(r1): the reason\nlet a = SegLog::new();\n\
+               let b = SegLog::new(); // lint:allow(all): the reason\n\
+               // lint:allow(r1, all): the reason\nlet c = SegLog::new();\n";
+    let all = Config::parse(&format!(
+        "[skip]\npaths = [\"crates/\"]\n{}",
+        symphony_lint::ALL_RULES
+            .iter()
+            .filter(|rule| **rule != Rule::R1)
+            .map(|rule| format!("[allow.{}]\npaths = [\"crates/\"]\n", rule.id()))
+            .collect::<String>()
+    ))
+    .unwrap();
+    let files = [(path.to_string(), src.to_string())];
+    for cfg in [Config::default(), all.clone()] {
+        let lines: Vec<usize> = lint_sources(&files, &cfg)
+            .iter()
+            .filter(|v| v.rule == Rule::R1)
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(lines, [2, 3, 5]);
+    }
+    // A config that names it is refused, and one built by hand is ignored.
+    let err = Config::parse("[allow.r1]\npaths = [\"crates/\"]\n").unwrap_err();
+    assert!(err.contains("r1"), "{err}");
+    let mut cfg = all;
+    cfg.allow.push((Rule::R1, "crates/".to_string()));
+    assert_eq!(lint_source(path, src, &cfg).len(), 3);
 }
