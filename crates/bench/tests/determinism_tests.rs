@@ -7,7 +7,10 @@
 //! stats — the regression net under the fault-injection subsystem, whose
 //! RNG streams must not perturb fault-free runs.
 
-use symphony::sampling::{generate, GenOpts};
+#[path = "../../core/tests/decode/mod.rs"]
+mod decode;
+
+use decode::{generate, GenOpts};
 use symphony::{
     Body, Kernel, KernelConfig, SimDuration, SpawnOpts, TimedEvent, ToolOutcome, ToolSpec,
 };

@@ -12,7 +12,10 @@
 //!    events and produces bit-identical kernel results, so the default
 //!    path pays only a branch.
 
-use symphony::sampling::{generate, GenOpts};
+#[path = "../../core/tests/decode/mod.rs"]
+mod decode;
+
+use decode::{generate, GenOpts};
 use symphony::{EventKind, Kernel, KernelConfig, SimDuration, ToolOutcome, ToolSpec};
 
 /// Everything observable about a finished run, comparable with `==`.

@@ -4,7 +4,10 @@
 //! holds the launch rule both presets share (one decision per virtual
 //! instant) and the differential test that pins where they coincide.
 
-use symphony::sampling::{self, GenOpts};
+#[path = "decode/mod.rs"]
+mod decode;
+
+use decode::GenOpts;
 use symphony::{
     BatchPolicy, Body, ContinuousConfig, EventKind, ExecMode, ExitStatus, Kernel, KernelConfig,
     KvError, MlfqConfig, Pid, QueueDiscipline, SimDuration, SpawnOpts, SysError,
@@ -37,7 +40,7 @@ fn run_workload(mut cfg: KernelConfig, cost_us: u64) -> (Kernel, Vec<Pid>) {
             Body::hosted(|ctx| {
                 let prompt = ctx.tokenize(&ctx.args())?;
                 let kv = ctx.kv_create()?;
-                sampling::generate(
+                decode::generate(
                     ctx,
                     kv,
                     &prompt,
@@ -139,7 +142,7 @@ fn continuous_modes_agree_with_static_outputs() {
                         max_tokens: 6,
                         ..Default::default()
                     };
-                    sampling::generate(ctx, kv, &prompt, &opts)?;
+                    decode::generate(ctx, kv, &prompt, &opts)?;
                     ctx.kv_link(kv, &format!("out{i}.kv"))
                 }),
             ));
@@ -212,7 +215,7 @@ fn iteration_interleaves_decode_with_chunked_prefill() {
     let early = k.spawn_process("decoder", "short start", |ctx| {
         let prompt = ctx.tokenize(&ctx.args())?;
         let kv = ctx.kv_create()?;
-        sampling::generate(
+        decode::generate(
             ctx,
             kv,
             &prompt,
@@ -265,7 +268,7 @@ fn preemption_under_tiny_pool_completes_everyone() {
             pids.push(k.spawn_process(&format!("p{i}"), &args, |ctx| {
                 let prompt = ctx.tokenize(&ctx.args())?;
                 let kv = ctx.kv_create()?;
-                sampling::generate(
+                decode::generate(
                     ctx,
                     kv,
                     &prompt,

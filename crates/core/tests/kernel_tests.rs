@@ -1,7 +1,10 @@
 //! End-to-end kernel tests: LIPs exercising the full syscall surface on the
 //! virtual clock.
 
-use symphony::sampling::{self, Constraint, GenOpts, JsonConstraint, TrieConstraint};
+#[path = "decode/mod.rs"]
+mod decode;
+
+use decode::{Constraint, GenOpts, JsonGrammar, TrieConstraint};
 use symphony::{
     BatchPolicy, Body, Ctx, Dist, EventKind, ExecMode, ExitStatus, FaultPlan, InlineBody, Kernel,
     KernelConfig, KvError, Limits, Mode, Next, SimDuration, SimTime, SpawnOpts, SysError, SysReply,
@@ -27,7 +30,7 @@ fn basic_completion_lip() {
     let pid = k.spawn_process("basic", "hello world", |ctx| {
         let prompt = ctx.tokenize(&ctx.args())?;
         let kv = ctx.kv_create()?;
-        let out = sampling::generate(ctx, kv, &prompt, &GenOpts::default())?;
+        let out = decode::generate(ctx, kv, &prompt, &GenOpts::default())?;
         assert!(out.tokens.len() <= 256);
         ctx.kv_remove(kv)?;
         Ok(())
@@ -50,7 +53,7 @@ fn generation_advances_virtual_time() {
     let pid = k.spawn_process("timed", "a b c", |ctx| {
         let prompt = ctx.tokenize(&ctx.args())?;
         let kv = ctx.kv_create()?;
-        sampling::generate(ctx, kv, &prompt, &GenOpts { max_tokens: 10, ..Default::default() })?;
+        decode::generate(ctx, kv, &prompt, &GenOpts { max_tokens: 10, ..Default::default() })?;
         Ok(())
     });
     k.run();
@@ -76,7 +79,7 @@ fn deterministic_across_runs() {
             pids.push(k.spawn_process(&format!("p{i}"), &args, |ctx| {
                 let prompt = ctx.tokenize(&ctx.args())?;
                 let kv = ctx.kv_create()?;
-                sampling::generate(
+                decode::generate(
                     ctx,
                     kv,
                     &prompt,
@@ -276,7 +279,7 @@ fn shared_prefix_fork_equivalence() {
         let kv = ctx.kv_fork(prefix)?;
         assert_eq!(ctx.kv_next_pos(kv)?, n_sys);
         let q = ctx.tokenize(&ctx.args())?;
-        sampling::generate(ctx, kv, &q, &GenOpts { max_tokens: 24, ..Default::default() })?;
+        decode::generate(ctx, kv, &q, &GenOpts { max_tokens: 24, ..Default::default() })?;
         Ok(())
     });
     let scratch = k.spawn_process("scratch", "the question", move |ctx| {
@@ -284,7 +287,7 @@ fn shared_prefix_fork_equivalence() {
         let sys = ctx.tokenize(&"system prompt about the cache design ".repeat(12))?;
         let mut all = sys;
         all.extend(ctx.tokenize(&ctx.args())?);
-        sampling::generate(ctx, kv, &all, &GenOpts { max_tokens: 24, ..Default::default() })?;
+        decode::generate(ctx, kv, &all, &GenOpts { max_tokens: 24, ..Default::default() })?;
         Ok(())
     });
     k.run();
@@ -313,7 +316,7 @@ fn parallel_generation_with_threads_and_fork() {
             let branch = ctx.kv_fork(prefix)?;
             tids.push(ctx.spawn(move |tctx| {
                 let suffix = tctx.tokenize(&format!("branch {i} query"))?;
-                let out = sampling::generate(
+                let out = decode::generate(
                     tctx,
                     branch,
                     &suffix,
@@ -907,7 +910,7 @@ fn constrained_generation_emits_valid_json() {
     let pid = k.spawn_process("json", "respond with json", |ctx| {
         let prompt = ctx.tokenize(&ctx.args())?;
         let kv = ctx.kv_create()?;
-        let mut constraint = JsonConstraint::new(
+        let mut constraint = JsonGrammar::new(
             symphony_tokenizer::Bpe::default_tokenizer().vocab(),
         );
         let opts = GenOpts {
@@ -916,7 +919,7 @@ fn constrained_generation_emits_valid_json() {
             emit: true,
             ..Default::default()
         };
-        let tokens = sampling::generate_constrained(ctx, kv, &prompt, &mut constraint, &opts)?;
+        let tokens = decode::generate_constrained(ctx, kv, &prompt, &mut constraint, &opts)?;
         assert!(!tokens.is_empty());
         assert!(constraint.is_complete(), "grammar must complete");
         Ok(())
@@ -948,7 +951,7 @@ fn trie_constrained_choice() {
         let kv = ctx.kv_create()?;
         let mut c = TrieConstraint::new(options.clone());
         let got =
-            sampling::generate_constrained(ctx, kv, &prompt, &mut c, &GenOpts::default())?;
+            decode::generate_constrained(ctx, kv, &prompt, &mut c, &GenOpts::default())?;
         assert!(options.contains(&got), "{got:?} must be one of the options");
         Ok(())
     });
@@ -984,7 +987,7 @@ fn speculative_decoding_with_truncate() {
                 .collect();
             let dists = ctx.pred(kv, &pairs)?;
             let (accepted, next) =
-                symphony::sampling::verify_greedy(&draft, &dist, dists.iter());
+                decode::greedy_accept(&draft, &dist, dists.iter());
             if accepted < draft.len() {
                 // Roll back the rejected suffix.
                 let keep = ctx.kv_len(kv)? - (draft.len() - accepted);
@@ -1110,7 +1113,7 @@ fn durability_changes_what_is_logged_not_what_happens() {
         let prompt = ctx.tokenize(&ctx.args())?;
         let kv = ctx.kv_create()?;
         let opts = GenOpts { max_tokens: 6, temperature: 0.0, ..Default::default() };
-        let gen = sampling::generate(ctx, kv, &prompt, &opts)?;
+        let gen = decode::generate(ctx, kv, &prompt, &opts)?;
         let doc = ctx.call_tool("search", "q")?;
         let me = ctx.lookup_process("prog")?.ok_or(SysError::NotFound)?;
         ctx.send_msg(me, &doc)?;

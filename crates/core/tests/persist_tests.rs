@@ -2,7 +2,10 @@
 //! store, replay at boot, golden-trace equivalence against a cold kernel,
 //! and torn-tail recovery from a log cut at any point.
 
-use symphony::sampling::{self, GenOpts};
+#[path = "decode/mod.rs"]
+mod decode;
+
+use decode::GenOpts;
 use symphony::{Body, Kernel, KernelConfig, Mode, SpawnOpts, WalConfig};
 use symphony_kvfs::KvError;
 use symphony_sim::frame::{read_frames, FRAME_OVERHEAD};
@@ -55,7 +58,7 @@ fn rag_workload(k: &mut Kernel) -> String {
             let prefix = ctx.kv_open("sys.kv")?;
             let kv = ctx.kv_fork(prefix)?;
             let q = ctx.tokenize(&ctx.args())?;
-            sampling::generate(ctx, kv, &q, &GenOpts { max_tokens: 16, ..Default::default() })?;
+            decode::generate(ctx, kv, &q, &GenOpts { max_tokens: 16, ..Default::default() })?;
             ctx.kv_remove(kv)?;
             Ok(())
         }));
@@ -97,7 +100,7 @@ fn warm_restart_restores_pinned_prefix() {
         let kv = ctx.kv_fork(prefix)?;
         assert_eq!(ctx.kv_next_pos(kv)?, n);
         let q = ctx.tokenize(&ctx.args())?;
-        sampling::generate(ctx, kv, &q, &GenOpts { max_tokens: 8, ..Default::default() })?;
+        decode::generate(ctx, kv, &q, &GenOpts { max_tokens: 8, ..Default::default() })?;
         Ok(())
     });
     warm.run();
@@ -190,7 +193,7 @@ fn a_journal_cut_anywhere_warm_boots() {
         let pid = warm.spawn_process("after-tear", "still serving", |ctx| {
             let prompt = ctx.tokenize(&ctx.args())?;
             let kv = ctx.kv_create()?;
-            sampling::generate(ctx, kv, &prompt, &GenOpts { max_tokens: 8, ..Default::default() })?;
+            decode::generate(ctx, kv, &prompt, &GenOpts { max_tokens: 8, ..Default::default() })?;
             ctx.kv_remove(kv)?;
             Ok(())
         });

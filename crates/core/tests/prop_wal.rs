@@ -16,7 +16,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use symphony::sampling::{self, GenOpts};
+#[path = "decode/mod.rs"]
+mod decode;
+
+use decode::GenOpts;
 use symphony::{
     Body, FaultPlan, Kernel, KernelConfig, ProgramImage, SimDuration, SpawnOpts, SysError,
     ToolOutcome, ToolSpec, WalConfig, WalError,
@@ -46,7 +49,7 @@ fn worker_image() -> ProgramImage {
         let args = ctx.args();
         let prompt = ctx.tokenize(&format!("query {args}"))?;
         let kv = ctx.kv_create()?;
-        let gen = sampling::generate(
+        let gen = decode::generate(
             ctx,
             kv,
             &prompt,

@@ -20,7 +20,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use symphony::sampling::{self, GenOpts};
+#[path = "decode/mod.rs"]
+mod decode;
+
+use decode::GenOpts;
 use symphony::{
     Body, ContinuousConfig, Dist, EventKind, ExecMode, ExitStatus, FaultPlan, Kernel, KernelConfig,
     Preds, ProgramImage, QueueDiscipline, SimDuration, SimTime, SpawnOpts, SysError, ToolOutcome,
@@ -79,7 +82,7 @@ fn agent_image() -> ProgramImage {
         let args = ctx.args();
         let prompt = ctx.tokenize(&format!("investigate topic {args} thoroughly"))?;
         let kv = ctx.kv_create()?;
-        let gen = sampling::generate(
+        let gen = decode::generate(
             ctx,
             kv,
             &prompt,
@@ -133,7 +136,7 @@ fn late_image() -> ProgramImage {
     Arc::new(|ctx| {
         let prompt = ctx.tokenize(&ctx.args())?;
         let kv = ctx.kv_create()?;
-        let gen = sampling::generate(
+        let gen = decode::generate(
             ctx,
             kv,
             &prompt,
@@ -938,7 +941,7 @@ fn writer_image() -> ProgramImage {
             temperature: 0.0,
             ..Default::default()
         };
-        let note = sampling::generate(ctx, kv, &prompt, &opts)?;
+        let note = decode::generate(ctx, kv, &prompt, &opts)?;
         while ctx.lookup_process("peer")?.is_some() {
             ctx.sleep(SimDuration::from_millis(1))?;
         }
@@ -1245,7 +1248,7 @@ fn reader_image() -> ProgramImage {
             emit: false,
             ..Default::default()
         };
-        let gen = sampling::generate(ctx, kv, &q, &opts)?;
+        let gen = decode::generate(ctx, kv, &q, &opts)?;
         ctx.emit(&format!("from {from}: {}", ctx.detokenize(&gen.tokens)?))?;
         ctx.kv_remove(kv)?;
         Ok(())

@@ -1,7 +1,10 @@
 //! Cross-crate integration tests: the properties that hold *across* serving
 //! systems built on the shared substrate.
 
-use symphony::sampling::{generate, GenOpts};
+#[path = "../crates/core/tests/decode/mod.rs"]
+mod decode;
+
+use decode::{generate, GenOpts};
 use symphony::{Kernel, KernelConfig};
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
 use symphony_gpu::DeviceSpec;
