@@ -9,6 +9,7 @@
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage/configuration error.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -43,7 +44,7 @@ fn parse_args() -> Result<Args, String> {
                 args.explain = Some(it.next().ok_or("--explain expects a rule id")?)
             }
             "--help" | "-h" => {
-                println!(
+                print_out(&format!(
                     "symphony-lint: determinism & kernel-safety checks\n\
                      \n\
                      USAGE: symphony-lint [--format json|human] [--root DIR] [--explain RULE]\n\
@@ -56,14 +57,26 @@ fn parse_args() -> Result<Args, String> {
                      \n\
                      Suppress inline with `// lint:allow(rule): reason` (reason\n\
                      mandatory) or by path prefix in lint.toml; r1 takes neither.\n\
-                     `--explain <rule>` prints the rationale. See docs/LINTS.md."
-                );
+                     `--explain <rule>` prints the rationale. See docs/LINTS.md.\n"
+                ));
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
     Ok(args)
+}
+
+/// Writes `text` to stdout through one lock. A reader that closed the
+/// pipe early (`--explain r1 | head`) has had all it wanted, so a broken
+/// pipe ends the write quietly; any other failure is reported.
+fn print_out(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("symphony-lint: writing the report: {e}");
+        }
+    }
 }
 
 /// Finds the workspace root: the nearest ancestor of the current directory
@@ -96,7 +109,7 @@ fn main() -> ExitCode {
     if let Some(id) = args.explain {
         return match Rule::parse(&id) {
             Some(rule) => {
-                println!("{}", explain(rule));
+                print_out(&format!("{}\n", explain(rule)));
                 ExitCode::SUCCESS
             }
             None => {
@@ -137,21 +150,20 @@ fn main() -> ExitCode {
         }
     };
     if args.json {
-        print!("{}", render_json(&violations));
+        print_out(&render_json(&violations));
     } else {
-        for v in &violations {
-            println!("{}", v.render());
-        }
+        let mut report: String = violations.iter().map(|v| v.render() + "\n").collect();
         if violations.is_empty() {
-            println!("symphony-lint: clean ({} rules)", ALL_RULES.len());
+            report += &format!("symphony-lint: clean ({} rules)\n", ALL_RULES.len());
         } else {
-            println!(
+            report += &format!(
                 "symphony-lint: {} violation(s). Fix them, or suppress with \
                  `// lint:allow(rule): reason` / lint.toml. `--explain <rule>` \
-                 documents each rule.",
+                 documents each rule.\n",
                 violations.len()
             );
         }
+        print_out(&report);
     }
     if violations.is_empty() {
         ExitCode::SUCCESS

@@ -74,3 +74,23 @@ fn the_retired_section_renders_every_row_and_no_other() {
         }
     }
 }
+
+/// `symphony-lint --explain r1 | head`: a reader that closes the pipe
+/// before the report is written ends the run quietly, exit 0, not with a
+/// panic from a failed `println!`.
+#[test]
+fn a_closed_stdout_ends_the_report_quietly() {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_symphony-lint"))
+        .args(["--explain", "r1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the binary starts");
+    // The read end goes before the child has written a byte.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("the binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
