@@ -96,18 +96,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// and the error that stopped it, if one did.
 type Outcome = (Vec<(u8, Vec<u8>)>, Option<WireError>);
 
-/// `wire` fed whole and popped a frame at a time.
-fn fed_whole(wire: &[u8]) -> Outcome {
-    let mut r = FrameReader::new();
-    r.feed(wire);
-    let mut frames = Vec::new();
-    loop {
-        match r.next_frame() {
-            Ok(Some(frame)) => frames.push(frame),
-            Ok(None) => return (frames, None),
-            Err(e) => return (frames, Some(e)),
-        }
-    }
+/// `wire` read in one piece.
+fn read_whole(wire: &[u8]) -> Outcome {
+    read_in_pieces(wire, &[])
 }
 
 /// `wire` read in place, in pieces cut at `cuts` (each taken modulo the
@@ -468,7 +459,7 @@ proptest! {
         }
         prop_assert_eq!(seen, msgs);
         prop_assert_eq!(r.pending(), 0);
-        let whole = fed_whole(&wire);
+        let whole = read_whole(&wire);
         prop_assert_eq!(read_in_pieces(&wire, &cuts), whole);
     }
 
@@ -488,7 +479,7 @@ proptest! {
             seen.push(ServerMsg::decode(tag, &payload).expect("decodes"));
         }
         prop_assert_eq!(seen, msgs);
-        let whole = fed_whole(&wire);
+        let whole = read_whole(&wire);
         prop_assert_eq!(read_in_pieces(&wire, &cuts), whole);
     }
 
@@ -512,7 +503,7 @@ proptest! {
             prop_assert_eq!(&seen, &msgs[..complete]);
             // Whatever remains is "not yet", never an error.
             prop_assert_eq!(r.next_frame(), Ok(None));
-            let whole = fed_whole(&wire[..cut]);
+            let whole = read_whole(&wire[..cut]);
             prop_assert_eq!(read_in_pieces(&wire[..cut], &cuts), whole);
         }
     }
@@ -568,7 +559,7 @@ proptest! {
     }
 
     #[test]
-    fn single_bit_corruption_reads_in_pieces_as_fed_whole(
+    fn single_bit_corruption_reads_in_pieces_as_read_whole(
         msgs in proptest::collection::vec(any_client_msg(), 1..5),
         bit in any::<usize>(),
         cuts in any_cuts(),
@@ -581,7 +572,7 @@ proptest! {
         wire[pos / 8] ^= 1 << (pos % 8);
         // The same frames before the flip, then the same verdict on the
         // frame it hit, whether the stream came whole or in pieces.
-        let whole = fed_whole(&wire);
+        let whole = read_whole(&wire);
         prop_assert_eq!(read_in_pieces(&wire, &cuts), whole);
     }
 }

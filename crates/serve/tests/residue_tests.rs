@@ -176,17 +176,17 @@ fn submit_with_fuel(
 
 /// The DONE frames in a connection's output: session and status, in order.
 fn dones(wire: &[u8]) -> Vec<(u64, SessionStatus)> {
-    let mut reader = FrameReader::new();
-    reader.feed(wire);
     let mut dones = Vec::new();
-    while let Some((tag, payload)) = reader.next_frame().expect("clean server wire") {
+    let read = FrameReader::new().read(wire, |tag, payload| {
         if let Ok(ServerMsg::Done {
             session, status, ..
-        }) = ServerMsg::decode(tag, &payload)
+        }) = ServerMsg::decode(tag, payload)
         {
             dones.push((session, status));
         }
-    }
+        ControlFlow::Continue(())
+    });
+    read.expect("clean server wire");
     dones
 }
 
@@ -678,9 +678,9 @@ fn a_connection_idle_after_a_1_mib_submit_holds_no_buffer() {
 
 #[test]
 fn a_client_reader_that_drained_a_burst_holds_no_buffer() {
-    // 40 KiB of per-token STREAM frames fed at once, as a client that read
-    // a whole burst would, and every frame popped: the reader gives back
-    // what it was fed once it has handed all of it out.
+    // 40 KiB of per-token STREAM frames read at once, as a client that read
+    // a whole burst would: the reader hands every frame out in place and
+    // keeps nothing of the burst.
     let mut burst = Vec::new();
     let mut at_ns = 0;
     while burst.len() < 40 * 1024 {
@@ -695,15 +695,16 @@ fn a_client_reader_that_drained_a_burst_holds_no_buffer() {
     }
     let before = live_bytes();
     let mut reader = FrameReader::new();
-    reader.feed(&burst);
     let mut frames = 0;
-    while let Some((tag, payload)) = reader.next_frame().expect("clean") {
+    let read = reader.read(&burst, |tag, payload| {
         assert!(matches!(
-            ServerMsg::decode(tag, &payload),
+            ServerMsg::decode(tag, payload),
             Ok(ServerMsg::Stream { .. })
         ));
         frames += 1;
-    }
+        ControlFlow::Continue(())
+    });
+    assert_eq!(read.expect("clean"), burst.len());
     assert_eq!(reader.pending(), 0);
     let held = live_bytes() - before;
     eprintln!("{frames} frames, {} B drained: {held} B held", burst.len());

@@ -5,7 +5,9 @@
 //! half-closes mid-session, one that sends a corrupt or oversized frame,
 //! and one that writes a byte at a time.
 
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
+use std::ops::ControlFlow;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -71,6 +73,8 @@ impl Drop for Server {
 struct Client {
     sock: TcpStream,
     reader: FrameReader,
+    /// Frames read but not yet handed out by [`Client::recv`].
+    frames: VecDeque<ServerMsg>,
 }
 
 impl Client {
@@ -81,6 +85,7 @@ impl Client {
         let mut c = Client {
             sock,
             reader: FrameReader::new(),
+            frames: VecDeque::new(),
         };
         c.send(&ClientMsg::Hello {
             version: WIRE_VERSION,
@@ -106,12 +111,20 @@ impl Client {
     fn recv(&mut self) -> Option<ServerMsg> {
         let mut buf = [0u8; 16 * 1024];
         loop {
-            if let Some((tag, payload)) = self.reader.next_frame().expect("clean server wire") {
-                return Some(ServerMsg::decode(tag, &payload).expect("decodable server frame"));
+            if let Some(msg) = self.frames.pop_front() {
+                return Some(msg);
             }
             match self.sock.read(&mut buf) {
                 Ok(0) => return None,
-                Ok(n) => self.reader.feed(&buf[..n]),
+                Ok(n) => {
+                    let frames = &mut self.frames;
+                    let read = self.reader.read(&buf[..n], |tag, payload| {
+                        let msg = ServerMsg::decode(tag, payload).expect("decodable server frame");
+                        frames.push_back(msg);
+                        ControlFlow::Continue(())
+                    });
+                    read.expect("clean server wire");
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => panic!("no frame from the server for {STALL:?}: {e}"),
             }
