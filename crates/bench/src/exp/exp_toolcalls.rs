@@ -13,15 +13,13 @@
 //! Expected shape: the gap grows linearly in the number of calls; the
 //! stateless variant adds recompute on top of the round trips.
 
-use crate::{ExpArgs, Report, Table, Telemetry};
+use crate::{lip, ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
-use symphony::sampling::{generate, GenOpts};
-use symphony::{Ctx, Kernel, KernelConfig, SimDuration, SysError, ToolOutcome, ToolSpec};
+use symphony::{Kernel, KernelConfig, SimDuration, SpawnOpts, ToolOutcome, ToolSpec};
 
-const RTT: SimDuration = SimDuration::from_millis(40);
+/// The agent task in all three execution models.
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/toolcalls.lip");
 const TOOL_LATENCY: SimDuration = SimDuration::from_millis(25);
-const SEGMENT_TOKENS: usize = 16;
-const PROMPT: &str = "an agent plan with several external lookups and calculations";
 
 #[derive(Debug, Clone, Serialize)]
 struct Point {
@@ -29,63 +27,6 @@ struct Point {
     calls: usize,
     latency_ms: f64,
     pred_tokens: u64,
-}
-
-fn gen_opts() -> GenOpts {
-    GenOpts {
-        max_tokens: SEGMENT_TOKENS,
-        temperature: 0.0,
-        emit: false,
-        ..Default::default()
-    }
-}
-
-/// Server-side: tools run inside the serving system, KV persists.
-fn server_lip(ctx: &mut Ctx, calls: usize) -> Result<(), SysError> {
-    let kv = ctx.kv_create()?;
-    let mut next = ctx.tokenize(PROMPT)?;
-    for i in 0..calls {
-        generate(ctx, kv, &next, &gen_opts())?;
-        let result = ctx.call_tool("api", &format!("call {i}"))?;
-        next = ctx.tokenize(&result)?;
-    }
-    generate(ctx, kv, &next, &gen_opts())?;
-    Ok(())
-}
-
-/// Client-executed tools with a stateful server: one RTT per call, KV kept.
-fn client_stateful(ctx: &mut Ctx, calls: usize) -> Result<(), SysError> {
-    let kv = ctx.kv_create()?;
-    let mut next = ctx.tokenize(PROMPT)?;
-    for i in 0..calls {
-        generate(ctx, kv, &next, &gen_opts())?;
-        // Round trip to the client, which runs the tool, and back.
-        ctx.sleep(RTT)?;
-        let result = ctx.call_tool("api", &format!("call {i}"))?;
-        ctx.sleep(RTT)?;
-        next = ctx.tokenize(&result)?;
-    }
-    generate(ctx, kv, &next, &gen_opts())?;
-    Ok(())
-}
-
-/// Stateless prompt API: each round recreates the whole context.
-fn client_prompt(ctx: &mut Ctx, calls: usize) -> Result<(), SysError> {
-    let mut transcript = ctx.tokenize(PROMPT)?;
-    for i in 0..calls {
-        // Fresh request: re-prefill everything accumulated so far.
-        let kv = ctx.kv_create()?;
-        let out = generate(ctx, kv, &transcript, &gen_opts())?;
-        transcript.extend(&out.tokens);
-        ctx.kv_remove(kv)?;
-        ctx.sleep(RTT)?;
-        let result = ctx.call_tool("api", &format!("call {i}"))?;
-        ctx.sleep(RTT)?;
-        transcript.extend(ctx.tokenize(&result)?);
-    }
-    let kv = ctx.kv_create()?;
-    generate(ctx, kv, &transcript, &gen_opts())?;
-    Ok(())
 }
 
 /// Runs one `(mode, calls)` point. The designated run may record events
@@ -107,16 +48,8 @@ fn run_mode(
             ToolOutcome::Ok(format!("api result for {args}"))
         }),
     );
-    let mode_owned = mode.to_string();
-    let pid = kernel.spawn_process(mode, &calls.to_string(), move |ctx| {
-        let calls: usize = ctx.args().parse().map_err(|_| SysError::BadArgument)?;
-        match mode_owned.as_str() {
-            "server-lip" => server_lip(ctx, calls),
-            "client-stateful" => client_stateful(ctx, calls),
-            "client-prompt" => client_prompt(ctx, calls),
-            _ => Err(SysError::BadArgument),
-        }
-    });
+    let args = format!("{mode} {calls}");
+    let pid = kernel.admit(mode, &args, SpawnOpts::default(), lip::program(PROGRAM));
     kernel.run();
     let rec = kernel.record(pid).expect("record");
     assert!(rec.status.is_ok(), "{mode}: {:?}", rec.status);

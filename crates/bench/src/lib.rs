@@ -8,6 +8,7 @@
 
 pub mod exp;
 pub mod fig3;
+mod lip;
 pub mod report;
 pub mod telemetry_cli;
 
