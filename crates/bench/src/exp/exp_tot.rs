@@ -5,11 +5,12 @@
 //! the full context independently. Fork saves both memory (one prefix +
 //! per-branch tails) and GPU time (no duplicate prefill).
 
-use crate::{ExpArgs, Report, Table};
+use crate::{lip, ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig, Mode, SysError};
+use symphony::{Kernel, KernelConfig, Mode, SpawnOpts};
 
+/// The branching step, with or without `kv_fork`.
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/tot.lip");
 const PREFIX_TOKENS: usize = 600;
 const TOKENS_PER_BRANCH: usize = 24;
 
@@ -32,54 +33,9 @@ fn run_point(fork: bool, branching: usize) -> Point {
     kernel
         .preload_kv("problem.kv", &prefix_tokens, Mode::SHARED_READ, true)
         .expect("preload");
-    let prefix_text = std::sync::Arc::new(prefix_text);
-
-    let text = prefix_text.clone();
-    let pid = kernel.spawn_process("tot", &branching.to_string(), move |ctx| {
-        let branching: usize = ctx.args().parse().map_err(|_| SysError::BadArgument)?;
-        let mut tids = Vec::new();
-        for b in 0..branching {
-            let text = text.clone();
-            let prefix = if fork {
-                Some(ctx.kv_open("problem.kv")?)
-            } else {
-                None
-            };
-            tids.push(ctx.spawn(move |tctx| {
-                let kv = match prefix {
-                    Some(p) => tctx.kv_fork(p)?,
-                    None => {
-                        // Independent context: re-prefill everything.
-                        let f = tctx.kv_create()?;
-                        let toks = tctx.tokenize(&text)?;
-                        tctx.pred_positions(f, &toks, 0)?;
-                        f
-                    }
-                };
-                debug_assert_eq!(tctx.kv_len(kv)?, n_prefix);
-                let seed = tctx.tokenize(&format!("hypothesis {b}:"))?;
-                generate(
-                    tctx,
-                    kv,
-                    &seed,
-                    &GenOpts {
-                        max_tokens: TOKENS_PER_BRANCH,
-                        temperature: 0.8,
-                        emit: false,
-                        ..Default::default()
-                    },
-                )?;
-                tctx.kv_remove(kv)?;
-                Ok(())
-            })?);
-        }
-        for t in tids {
-            if !ctx.join(t)?.is_ok() {
-                return Err(SysError::ThreadFailed);
-            }
-        }
-        Ok(())
-    });
+    let mode = if fork { "fork" } else { "independent" };
+    let args = format!("{branching} {mode}\n{prefix_text}");
+    let pid = kernel.admit("tot", &args, SpawnOpts::default(), lip::program(PROGRAM));
 
     // Peak page usage is observable after the run via high-water marks we
     // sample here by polling is unavailable; instead measure allocated pages
