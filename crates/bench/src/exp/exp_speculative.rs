@@ -12,14 +12,15 @@
 //! `alpha^k` decays, so time/token improves steeply for small `k` and
 //! saturates (or degrades) at large `k` — the classic speculation curve.
 
-use crate::{ExpArgs, Report, Table};
+use crate::{lip, ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony::sampling::verify_greedy;
-use symphony::{Kernel, KernelConfig, SysError};
+use symphony::{Kernel, KernelConfig, SpawnOpts};
 use symphony_model::surrogate::VocabInfo;
 use symphony_model::Surrogate;
 use symphony_tokenizer::Bpe;
 
+/// The drafting, verifying and truncating loop.
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/speculative.lip");
 const TARGET_TOKENS: usize = 96;
 const RUNS: usize = 12;
 const ALPHA: f64 = 0.8;
@@ -69,85 +70,13 @@ fn run_point(draft_len: usize) -> (f64, f64, f64) {
         let prompt_text = format!("a drafting context number {i}");
         let truth = greedy_truth(&kernel_cfg, &prompt_text, TARGET_TOKENS + 16);
         let truth_str: Vec<String> = truth.iter().map(|t| t.to_string()).collect();
-        let args = format!("{draft_len}|{prompt_text}|{}", truth_str.join(","));
-        pids.push(kernel.spawn_process(&format!("spec{i}"), &args, |ctx| {
-            let args = ctx.args();
-            let mut parts = args.splitn(3, '|');
-            let k: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or(SysError::BadArgument)?;
-            let text = parts.next().ok_or(SysError::BadArgument)?.to_string();
-            let truth: Vec<u32> = parts
-                .next()
-                .ok_or(SysError::BadArgument)?
-                .split(',')
-                .filter_map(|s| s.parse().ok())
-                .collect();
-            let target = truth.len().min(TARGET_TOKENS);
-
-            let prompt = ctx.tokenize(&text)?;
-            let kv = ctx.kv_create()?;
-            let mut dist = ctx
-                .pred_positions(kv, &prompt, 0)?
-                .last()
-                .ok_or(SysError::BadArgument)?;
-            let mut pos = prompt.len() as u32;
-            let mut produced = 0usize;
-            let mut drafted = 0usize;
-            let mut accepted_total = 0usize;
-            while produced < target {
-                if k == 0 {
-                    // Plain autoregressive baseline.
-                    let t = dist.argmax();
-                    ctx.emit_tokens(&[t])?;
-                    dist = ctx
-                        .pred(kv, &[(t, pos)])?
-                        .last()
-                        .ok_or(SysError::BadArgument)?;
-                    pos += 1;
-                    produced += 1;
-                    continue;
-                }
-                // Draft k tokens with agreement probability ALPHA.
-                let draft: Vec<u32> = (0..k.min(target - produced))
-                    .map(|j| {
-                        let truth_tok = truth[produced + j];
-                        if ctx.rng_f64() < ALPHA {
-                            truth_tok
-                        } else {
-                            truth_tok.wrapping_add(1) % 1500
-                        }
-                    })
-                    .collect();
-                drafted += draft.len();
-                let pairs: Vec<(u32, u32)> = draft
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &t)| (t, pos + j as u32))
-                    .collect();
-                let dists = ctx.pred(kv, &pairs)?;
-                let (accepted, next) = verify_greedy(&draft, &dist, dists.iter());
-                accepted_total += accepted;
-                if accepted < draft.len() {
-                    let keep = ctx.kv_len(kv)? - (draft.len() - accepted);
-                    ctx.kv_truncate(kv, keep)?;
-                }
-                ctx.emit_tokens(&draft[..accepted])?;
-                produced += accepted;
-                pos += accepted as u32;
-                // Commit the correction/bonus token from the target.
-                ctx.emit_tokens(&[next])?;
-                dist = ctx
-                    .pred(kv, &[(next, pos)])?
-                    .last()
-                    .ok_or(SysError::BadArgument)?;
-                pos += 1;
-                produced += 1;
-            }
-            ctx.emit(&format!("|{accepted_total}|{drafted}"))?;
-            Ok(())
-        }));
+        let args = format!(
+            "{draft_len}|{}|{TARGET_TOKENS}|{prompt_text}|{}",
+            (ALPHA * 100.0).round(),
+            truth_str.join(",")
+        );
+        let body = lip::program(PROGRAM);
+        pids.push(kernel.admit(&format!("spec{i}"), &args, SpawnOpts::default(), body));
     }
     kernel.run();
 
