@@ -6,13 +6,16 @@
 //! token is identical — and every constrained output is valid by
 //! construction.
 
-use crate::{ExpArgs, Report, Table};
+use crate::{lip, ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony::sampling::{generate, generate_constrained, GenOpts, JsonConstraint, TrieConstraint};
-use symphony::{Kernel, KernelConfig, SysError};
+use symphony::{Kernel, KernelConfig, SpawnOpts};
+use symphony_lipscript::InterpLimits;
 use symphony_tokenizer::Bpe;
 
+/// The decoding loop under each mask.
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/constrained.lip");
 const RUNS: usize = 24;
+const OPTIONS: [&str; 3] = ["accepted", "rejected", "needs review"];
 
 #[derive(Debug, Clone, Serialize)]
 struct Point {
@@ -29,40 +32,29 @@ fn run_mode(mode: &'static str) -> Point {
     cfg.model = cfg.model.with_mean_output_tokens(48);
     let mut kernel = Kernel::new(cfg);
     let mut pids = Vec::new();
+    // The grammar's mask runs over the whole vocabulary each step.
+    let limits = InterpLimits {
+        fuel: 1_000_000_000,
+        memory_cells: 1_000_000_000,
+        ..InterpLimits::default()
+    };
+    let constraint = match mode {
+        "unconstrained" => Vec::new(),
+        "json" => lip::json_table(Bpe::default_tokenizer().vocab()),
+        _ => OPTIONS.map(String::from).to_vec(),
+    };
+    let kind = match mode {
+        "unconstrained" => "free",
+        kind => kind,
+    };
     for i in 0..RUNS {
-        let args = format!("produce structured output for case {i}");
-        pids.push(
-            kernel.spawn_process(&format!("{mode}{i}"), &args, move |ctx| {
-                let prompt = ctx.tokenize(&ctx.args())?;
-                let kv = ctx.kv_create()?;
-                let opts = GenOpts {
-                    max_tokens: 48,
-                    temperature: 0.8,
-                    emit: true,
-                    ..Default::default()
-                };
-                match mode {
-                    "unconstrained" => {
-                        generate(ctx, kv, &prompt, &opts)?;
-                    }
-                    "json" => {
-                        let mut c = JsonConstraint::new(Bpe::default_tokenizer().vocab());
-                        generate_constrained(ctx, kv, &prompt, &mut c, &opts)?;
-                    }
-                    "trie" => {
-                        let options = vec![
-                            ctx.tokenize("accepted")?,
-                            ctx.tokenize("rejected")?,
-                            ctx.tokenize("needs review")?,
-                        ];
-                        let mut c = TrieConstraint::new(options);
-                        generate_constrained(ctx, kv, &prompt, &mut c, &opts)?;
-                    }
-                    _ => return Err(SysError::BadArgument),
-                }
-                Ok(())
-            }),
-        );
+        let head = [
+            format!("{kind} 48 80"),
+            format!("produce structured output for case {i}"),
+        ];
+        let args = [&head[..], &constraint].concat().join("\n");
+        let body = lip::program_with(PROGRAM, limits);
+        pids.push(kernel.admit(&format!("{mode}{i}"), &args, SpawnOpts::default(), body));
     }
     let wall = std::time::Instant::now();
     kernel.run();
@@ -82,7 +74,7 @@ fn run_mode(mode: &'static str) -> Point {
         }
         let ok = match mode {
             "json" => json_valid(&rec.output),
-            "trie" => ["accepted", "rejected", "needs review"].contains(&rec.output.as_str()),
+            "trie" => OPTIONS.contains(&rec.output.as_str()),
             _ => true,
         };
         valid += usize::from(ok);

@@ -21,3 +21,18 @@ pub(crate) fn program_with(program: &str, limits: InterpLimits) -> Body {
         .unwrap_or_else(|e| panic!("an E-series program parses: {e}"));
     Body::Inline(Box::new(body))
 }
+
+/// The JSON grammar's token table as `constrained.lip` reads it: a
+/// `<token>\t<text>` line per token of `vocab` made only of characters the
+/// grammar accepts somewhere (its punctuation and its string alphabet), in
+/// token order. Any other token is rejected in every state, so leaving it
+/// out changes no mask.
+pub(crate) fn json_table(vocab: &symphony_tokenizer::Vocab) -> Vec<String> {
+    let fits = |b: &u8| b.is_ascii_alphanumeric() || b"{}[]:,\"_ -.".contains(b);
+    (0..vocab.len() as u32)
+        .filter(|&t| !vocab.is_special(t))
+        .map(|t| (t, vocab.bytes(t)))
+        .filter(|(_, bytes)| !bytes.is_empty() && bytes.iter().all(fits))
+        .map(|(t, bytes)| format!("{t}\t{}", String::from_utf8_lossy(bytes)))
+        .collect()
+}
