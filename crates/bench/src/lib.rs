@@ -8,7 +8,7 @@
 
 pub mod exp;
 pub mod fig3;
-mod lip;
+pub mod lip;
 pub mod report;
 pub mod telemetry_cli;
 

@@ -27,7 +27,7 @@ pub(crate) fn program_with(program: &str, limits: InterpLimits) -> Body {
 /// grammar accepts somewhere (its punctuation and its string alphabet), in
 /// token order. Any other token is rejected in every state, so leaving it
 /// out changes no mask.
-pub(crate) fn json_table(vocab: &symphony_tokenizer::Vocab) -> Vec<String> {
+pub fn json_table(vocab: &symphony_tokenizer::Vocab) -> Vec<String> {
     let fits = |b: &u8| b.is_ascii_alphanumeric() || b"{}[]:,\"_ -.".contains(b);
     (0..vocab.len() as u32)
         .filter(|&t| !vocab.is_special(t))

@@ -147,6 +147,7 @@ builtins! {
     KvLen = "kv_len"(Kv) -> Int asks,
     KvNextPos = "kv_next_pos"(Kv) -> Int asks,
     KvTruncate = "kv_truncate"(Kv, Int) -> Nil asks,
+    KvRead = "kv_read"(Kv, Int, Int) -> List asks,
     KvExtract = "kv_extract"(Kv, Int, Int) -> Kv asks,
     KvMerge = "kv_merge"(List) -> Kv asks,
     KvLink = "kv_link"(Kv, Str) -> Nil asks,
@@ -504,6 +505,16 @@ pub(crate) fn begin(
             }
             let len = n as usize;
             return sys(Syscall::KvTruncate { kv, len });
+        }
+        Builtin::KvRead => {
+            let kv = first_kv()?;
+            let start = as_int(args[1], "start", span)?;
+            let count = as_int(args[2], "count", span)?;
+            if start < 0 || count < 0 {
+                return Err(type_err("bad read range", span));
+            }
+            let (start, count) = (start as usize, count as usize);
+            return sys(Syscall::KvRead { kv, start, count });
         }
         Builtin::KvExtract => {
             let kv = first_kv()?;

@@ -217,6 +217,11 @@ impl Host for MockHost {
                 let next = last.map_or(Some(0), |&(_, p)| p.checked_add(1));
                 R::Int(next.ok_or_else(out_of_bounds)? as i64)
             }
+            Syscall::KvRead { kv, start, count } => {
+                let f = self.file(kv)?;
+                let read = start.checked_add(count).and_then(|end| f.get(start..end));
+                R::Tokens(read.ok_or_else(out_of_bounds)?.iter().map(|&(t, _)| t).collect())
+            }
             Syscall::KvTruncate { kv, len } => {
                 let f = self.file(kv)?;
                 if len > f.len() {

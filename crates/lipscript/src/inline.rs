@@ -209,9 +209,11 @@ pub fn lift(reply: SysReply) -> HostResult<HostReply> {
         SysReply::Msg { from, data } => HostReply::Msg(from.0, data),
         SysReply::MaybePid(found) => HostReply::MaybePid(found.map(|p| p.0)),
         SysReply::Time(t) => HostReply::Float(t.as_secs_f64() * 1e3),
+        // `kv_read`: the entries' tokens.
+        SysReply::Entries(entries) => HostReply::Tokens(entries.iter().map(|e| e.token).collect()),
         SysReply::Err(e) => return Err(e.to_string()),
         // Replies to system calls no builtin makes.
-        SysReply::Start | SysReply::Entries(_) | SysReply::Stat(_) => {
+        SysReply::Start | SysReply::Stat(_) => {
             return Err(SysError::BadArgument.to_string())
         }
     })

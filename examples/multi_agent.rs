@@ -2,12 +2,20 @@
 //!
 //! A researcher agent calls tools and generates findings; a writer agent
 //! waits for the findings over IPC and produces the summary. All
-//! coordination happens inside the serving system — zero client round trips.
+//! coordination happens inside the serving system — zero client round
+//! trips. Both are one LipScript program (`examples/lipscript/multi_agent.lip`)
+//! in two roles.
 //!
 //! Run with: `cargo run --example multi_agent`
 
-use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig, SimDuration, ToolOutcome, ToolSpec};
+use symphony::{Body, Kernel, KernelConfig, SimDuration, SpawnOpts, ToolOutcome, ToolSpec};
+use symphony_lipscript::{InterpLimits, LipBody};
+
+/// Both agents' program, after the decoding prelude it calls.
+const PROGRAM: &str = concat!(
+    include_str!("lipscript/decode.lip"),
+    include_str!("lipscript/multi_agent.lip")
+);
 
 fn main() {
     let mut kernel = Kernel::new(KernelConfig::for_tests());
@@ -27,55 +35,12 @@ fn main() {
         }),
     );
 
-    let writer = kernel.spawn_process("writer", "", |ctx| {
-        // Block until the researcher reports; the kernel parks this thread.
-        let findings = ctx.recv_msg()?;
-        let prompt = ctx.tokenize(&format!("summarize: {}", findings.data))?;
-        let kv = ctx.kv_create()?;
-        let out = generate(
-            ctx,
-            kv,
-            &prompt,
-            &GenOpts { max_tokens: 16, emit: false, ..Default::default() },
-        )?;
-        ctx.emit(&format!(
-            "summary of {} chars in {} tokens",
-            findings.data.len(),
-            out.tokens.len()
-        ))?;
-        // Acknowledge back to the researcher.
-        ctx.send_msg(findings.from, "received")?;
-        Ok(())
-    });
-    let _ = writer;
-
-    let researcher = kernel.spawn_process("researcher", "llm serving systems", |ctx| {
-        let t0 = ctx.now()?;
-        let web = ctx.call_tool("search", &ctx.args())?;
-        let arithmetic = ctx.call_tool("calculator", "13 + 29")?;
-        let kv = ctx.kv_create()?;
-        let prompt = ctx.tokenize(&format!("notes on {web} and {arithmetic}"))?;
-        let notes = generate(
-            ctx,
-            kv,
-            &prompt,
-            &GenOpts { max_tokens: 12, emit: false, ..Default::default() },
-        )?;
-        let note_text = ctx.detokenize(&notes.tokens)?;
-        // Hand off to the writer by name.
-        let writer = ctx
-            .lookup_process("writer")?
-            .ok_or(symphony::SysError::NotFound)?;
-        ctx.send_msg(writer, &format!("{web} | {note_text}"))?;
-        let ack = ctx.recv_msg()?;
-        let t1 = ctx.now()?;
-        ctx.emit(&format!(
-            "handoff acknowledged ({}) after {}",
-            ack.data,
-            t1.duration_since(t0)
-        ))?;
-        Ok(())
-    });
+    let mut admit = |name: &str, args: &str| {
+        let body = LipBody::parse(PROGRAM, InterpLimits::default()).expect("the program parses");
+        kernel.admit(name, args, SpawnOpts::default(), Body::Inline(Box::new(body)))
+    };
+    let writer = admit("writer", "writer");
+    let researcher = admit("researcher", "researcher llm serving systems");
 
     kernel.run();
 

@@ -1,48 +1,31 @@
 //! Quickstart: serve one LLM Inference Program.
 //!
-//! The LIP owns the generation loop: it prefills its prompt with one `pred`
-//! system call, then samples and extends token by token — the paper's core
-//! "separation of generation and model computation".
+//! The program arrives as LipScript text (`examples/lipscript/quickstart.lip`,
+//! after the decoding prelude `decode.lip` it calls) and owns the
+//! generation loop: it prefills its prompt with one `pred` system call,
+//! then samples and extends token by token — the paper's core "separation
+//! of generation and model computation".
 //!
 //! Run with: `cargo run --example quickstart`
 
-use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig};
+use symphony::{Body, Kernel, KernelConfig, SpawnOpts};
+use symphony_lipscript::{InterpLimits, LipBody};
+
+/// What the client sends: the prelude, then the program.
+const PROGRAM: &str = concat!(
+    include_str!("lipscript/decode.lip"),
+    include_str!("lipscript/quickstart.lip")
+);
 
 fn main() {
     let mut kernel = Kernel::new(KernelConfig::for_tests());
 
-    let pid = kernel.spawn_process(
+    let body = LipBody::parse(PROGRAM, InterpLimits::default()).expect("the program parses");
+    let pid = kernel.admit(
         "quickstart",
         "the design of the serving system",
-        |ctx| {
-            // Tokenise the request and create a fresh KV file for it.
-            let prompt = ctx.tokenize(&ctx.args())?;
-            let kv = ctx.kv_create()?;
-
-            // The generation loop lives HERE, in the program — not in the
-            // server. `generate` is ordinary library code over `pred`.
-            let out = generate(
-                ctx,
-                kv,
-                &prompt,
-                &GenOpts {
-                    max_tokens: 48,
-                    temperature: 0.7,
-                    top_p: Some(0.9),
-                    emit: true,
-                    ..Default::default()
-                },
-            )?;
-
-            ctx.emit(&format!(
-                "\n[generated {} tokens, eos={}]",
-                out.tokens.len(),
-                out.stopped_on_eos
-            ))?;
-            ctx.kv_remove(kv)?;
-            Ok(())
-        },
+        SpawnOpts::default(),
+        Body::Inline(Box::new(body)),
     );
 
     kernel.run();

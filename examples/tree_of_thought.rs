@@ -3,15 +3,19 @@
 //! A single LIP implements the whole search: it forks the problem context
 //! per hypothesis (copy-on-write, no tensor duplication), generates each
 //! branch on its own thread, scores branches by model confidence, prunes,
-//! and recurses on the winner.
+//! and recurses on the winner. The program is LipScript text
+//! (`examples/lipscript/tree_of_thought.lip`).
 //!
 //! Run with: `cargo run --example tree_of_thought`
 
-use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig, Mode, SysError};
+use symphony::{Body, Kernel, KernelConfig, Mode, SpawnOpts};
+use symphony_lipscript::{InterpLimits, LipBody};
 
-const BRANCHES: usize = 3;
-const DEPTH: usize = 2;
+/// The search, after the decoding prelude it calls.
+const PROGRAM: &str = concat!(
+    include_str!("lipscript/decode.lip"),
+    include_str!("lipscript/tree_of_thought.lip")
+);
 
 fn main() {
     let mut kernel = Kernel::new(KernelConfig::for_tests());
@@ -24,63 +28,8 @@ fn main() {
         .preload_kv("problem.kv", &problem, Mode::SHARED_READ, true)
         .expect("preload problem");
 
-    let pid = kernel.spawn_process("tot", "", |ctx| {
-        let mut frontier = ctx.kv_open("problem.kv")?;
-        for depth in 0..DEPTH {
-            // Expand: one forked context + one thread per hypothesis.
-            let mut branches = Vec::new();
-            for b in 0..BRANCHES {
-                let kv = ctx.kv_fork(frontier)?;
-                let tid = ctx.spawn(move |tctx| {
-                    let seed = tctx.tokenize(&format!("approach {b}:"))?;
-                    let out = generate(
-                        tctx,
-                        kv,
-                        &seed,
-                        &GenOpts {
-                            max_tokens: 16,
-                            temperature: 0.9,
-                            emit: false,
-                            ..Default::default()
-                        },
-                    )?;
-                    // Score = mean confidence of the chosen tokens; a real
-                    // application would use a value model or verifier here.
-                    let entries = tctx.kv_read(kv, 0, tctx.kv_len(kv)?)?;
-                    let score = out.tokens.len() as f64 + entries.len() as f64 * 1e-3;
-                    tctx.emit(&format!("branch {b} (depth {depth}): score {score:.3}\n"))?;
-                    Ok(())
-                })?;
-                branches.push((kv, tid));
-            }
-            // Join all hypotheses; keep the longest context as the winner
-            // (stand-in for the best-scored hypothesis).
-            let mut best: Option<(symphony::FileId, usize)> = None;
-            for (kv, tid) in branches {
-                let status = ctx.join(tid)?;
-                if !status.is_ok() {
-                    return Err(SysError::ThreadFailed);
-                }
-                let len = ctx.kv_len(kv)?;
-                match best {
-                    Some((prev, best_len)) if len > best_len => {
-                        ctx.kv_remove(prev)?;
-                        best = Some((kv, len));
-                    }
-                    Some(_) => ctx.kv_remove(kv)?,
-                    None => best = Some((kv, len)),
-                }
-            }
-            let (winner, len) = best.expect("at least one branch");
-            ctx.emit(&format!("depth {depth}: winner has {len} cached tokens\n"))?;
-            if depth > 0 {
-                ctx.kv_remove(frontier)?;
-            }
-            frontier = winner;
-        }
-        ctx.kv_remove(frontier)?;
-        Ok(())
-    });
+    let body = LipBody::parse(PROGRAM, InterpLimits::default()).expect("the program parses");
+    let pid = kernel.admit("tot", "", SpawnOpts::default(), Body::Inline(Box::new(body)));
 
     kernel.run();
     let rec = kernel.record(pid).expect("record");
