@@ -3,68 +3,44 @@
 //! The watermark biases a pseudo-random "green list" of tokens at every
 //! step and a detector later verifies provenance from tokens alone. A
 //! prompt API cannot express this — it needs the full distribution each
-//! step — but in Symphony it is a few lines of LIP code over `pred`.
+//! step — but in Symphony it is LIP code over `pred`
+//! (`examples/lipscript/watermark.lip`, with the bias and the detector in
+//! the decoding prelude `decode.lip`).
 //!
 //! Run with: `cargo run --example watermark`
 
-use symphony::sampling::Watermark;
-use symphony::{Kernel, KernelConfig, SysError};
+use symphony::{Body, Kernel, KernelConfig, SpawnOpts};
+use symphony_lipscript::{InterpLimits, LipBody};
 
-const TOKENS: usize = 220;
+/// The sampler and detector, after the decoding prelude they call.
+const PROGRAM: &str = concat!(
+    include_str!("lipscript/decode.lip"),
+    include_str!("lipscript/watermark.lip")
+);
 
 fn main() {
     let mut kernel = Kernel::new(KernelConfig::for_tests());
-
-    let run = |kernel: &mut Kernel, name: &'static str, marked: bool| {
-        kernel.spawn_process(name, "a paragraph about provenance", move |ctx| {
-            let wm = Watermark::new(0x5EED, ctx.specials().bos);
-            let prompt = ctx.tokenize(&ctx.args())?;
-            let kv = ctx.kv_create()?;
-            let mut dist = ctx
-                .pred_positions(kv, &prompt, 0)?
-                .last()
-                .ok_or(SysError::BadArgument)?;
-            let mut prev = *prompt.last().expect("non-empty prompt");
-            let mut pos = prompt.len() as u32;
-            let mut out = Vec::new();
-            while out.len() < TOKENS {
-                let d = if marked { wm.bias(&dist, prev) } else { dist.clone() };
-                let t = {
-                    let d = d.top_p(0.9);
-                    let u = ctx.rng_f64();
-                    d.sample_with(u, ctx.specials().bos)
-                };
-                if t == ctx.eos() {
-                    // Keep generating past EOS for a stable-length sample.
-                    prev = t;
-                    pos += 1;
-                    dist = ctx
-                        .pred(kv, &[(t, pos - 1)])?
-                        .last()
-                        .ok_or(SysError::BadArgument)?;
-                    continue;
-                }
-                out.push(t);
-                dist = ctx
-                    .pred(kv, &[(t, pos)])?
-                    .last()
-                    .ok_or(SysError::BadArgument)?;
-                prev = t;
-                pos += 1;
-            }
-            // Report the detector's z-score on our own output.
-            let z = wm.detect(&out);
-            ctx.emit(&format!("{z:.2}"))?;
-            Ok(())
-        })
+    let bos = kernel.tokenizer().specials().bos;
+    // The bias hashes every candidate of every step in the interpreter.
+    let limits = InterpLimits {
+        fuel: 1_000_000_000,
+        memory_cells: 1_000_000_000,
+        ..InterpLimits::default()
     };
-
-    let marked = run(&mut kernel, "watermarked", true);
-    let clean = run(&mut kernel, "clean", false);
+    let mut run = |name: &str, mode: &str| {
+        let body = LipBody::parse(PROGRAM, limits).expect("the program parses");
+        let args = format!("{mode} {bos}\na paragraph about provenance");
+        kernel.admit(name, &args, SpawnOpts::default(), Body::Inline(Box::new(body)))
+    };
+    let marked = run("watermarked", "marked");
+    let clean = run("clean", "clean");
     kernel.run();
 
-    let z_marked: f64 = kernel.record(marked).unwrap().output.parse().unwrap();
-    let z_clean: f64 = kernel.record(clean).unwrap().output.parse().unwrap();
+    let z = |pid| -> f64 {
+        let rec = kernel.record(pid).expect("record");
+        rec.output.parse().unwrap_or_else(|_| panic!("{:?}", rec.status))
+    };
+    let (z_marked, z_clean) = (z(marked), z(clean));
     println!("detector z-score, watermarked generation: {z_marked:.2}  (threshold ~4)");
     println!("detector z-score, clean generation:       {z_clean:.2}");
     assert!(z_marked > z_clean, "watermark must raise the detector score");
