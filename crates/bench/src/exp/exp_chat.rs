@@ -9,12 +9,14 @@
 //! Expected shape: retained per-turn latency stays flat as the
 //! conversation grows; recompute latency grows with transcript length.
 
-use crate::{ExpArgs, Report, Table};
+use crate::{lip, ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony::sampling::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig, SysError};
+use symphony::{Kernel, KernelConfig, SpawnOpts};
 use symphony_sim::SimDuration;
 use symphony_workloads::ChatWorkload;
+
+/// One chat session, retained or recomputed.
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/chat.lip");
 
 const SESSIONS: usize = 10;
 const ANSWER_TOKENS: usize = 32;
@@ -38,44 +40,15 @@ fn run_sessions(retain: bool) -> Vec<Vec<f64>> {
     cfg.model = cfg.model.with_mean_output_tokens(ANSWER_TOKENS as u32);
     let mut kernel = Kernel::new(cfg);
     let mut pids = Vec::new();
+    let mode = if retain { "retain" } else { "recompute" };
     for (i, session) in sessions().into_iter().enumerate() {
-        pids.push(kernel.spawn_process(&format!("chat{i}"), "", move |ctx| {
-            let opts = GenOpts {
-                max_tokens: 96,
-                temperature: 0.0,
-                emit: false,
-                ..Default::default()
-            };
-            let mut latencies = Vec::new();
-            if retain {
-                // One KV file for the whole conversation.
-                let kv = ctx.kv_create()?;
-                for (turn, gap) in session.turns.iter().zip(&session.gaps) {
-                    ctx.sleep(*gap)?;
-                    let t0 = ctx.now()?;
-                    let user = ctx.tokenize(&format!("\nuser: {turn}\nassistant:"))?;
-                    generate(ctx, kv, &user, &opts)?;
-                    latencies.push(ctx.now()?.duration_since(t0).as_millis_f64());
-                }
-                ctx.kv_remove(kv)?;
-            } else {
-                // Stateless: re-prefill the whole transcript each turn.
-                let mut transcript: Vec<u32> = Vec::new();
-                for (turn, gap) in session.turns.iter().zip(&session.gaps) {
-                    ctx.sleep(*gap)?;
-                    let t0 = ctx.now()?;
-                    transcript.extend(ctx.tokenize(&format!("\nuser: {turn}\nassistant:"))?);
-                    let kv = ctx.kv_create()?;
-                    let out = generate(ctx, kv, &transcript, &opts)?;
-                    transcript.extend(&out.tokens);
-                    ctx.kv_remove(kv)?;
-                    latencies.push(ctx.now()?.duration_since(t0).as_millis_f64());
-                }
-            }
-            let line: Vec<String> = latencies.iter().map(|l| format!("{l:.3}")).collect();
-            ctx.emit(&line.join(","))?;
-            Ok(())
-        }));
+        let mut args = mode.to_string();
+        for (turn, gap) in session.turns.iter().zip(&session.gaps) {
+            assert!(!turn.contains(['\t', '\n']), "a turn is one line");
+            args += &format!("\n{}\t{turn}", gap.as_nanos());
+        }
+        let body = lip::program(PROGRAM);
+        pids.push(kernel.admit(&format!("chat{i}"), &args, SpawnOpts::default(), body));
     }
     kernel.run();
 
@@ -83,8 +56,11 @@ fn run_sessions(retain: bool) -> Vec<Vec<f64>> {
     for &pid in &pids {
         let rec = kernel.record(pid).expect("record");
         assert!(rec.status.is_ok(), "{:?}", rec.status);
-        for (round, lat) in rec.output.split(',').enumerate() {
-            let lat: f64 = lat.parse().map_err(|_| SysError::BadArgument).unwrap();
+        for (round, ns) in rec.output.split(',').enumerate() {
+            let ns: u64 = ns.parse().expect("a latency in ns");
+            // Rounded to the microsecond, as the table always read it.
+            let ms = format!("{:.3}", SimDuration::from_nanos(ns).as_millis_f64());
+            let lat: f64 = ms.parse().expect("a number");
             if per_round.len() <= round {
                 per_round.push(Vec::new());
             }

@@ -161,7 +161,7 @@ builtins! {
     Send = "send"(Int, Str) -> Nil asks,
     Recv = "recv"() -> List asks,
     Lookup = "lookup"(Str) -> Any asks,
-    SleepMs = "sleep_ms"(Int) -> Nil asks,
+    SleepMs = "sleep_ms"(Num) -> Nil asks,
     NowMs = "now_ms"() -> Float asks,
     Spawn = "spawn"(Str, List) -> Thread asks,
     Join = "join"(Thread) -> Bool asks,
@@ -577,11 +577,20 @@ pub(crate) fn begin(
             return sys(Syscall::LookupProcess { name });
         }
         Builtin::SleepMs => {
-            let ms = as_int(args[0], "milliseconds", span)?;
-            if ms < 0 {
-                return Err(type_err("sleep duration must be >= 0", span));
-            }
-            let dur = SimDuration::from_millis(ms as u64);
+            let negative = || type_err("sleep duration must be >= 0", span);
+            // Whole milliseconds exactly; a fraction to the nearest
+            // nanosecond. Both saturate past the end of time.
+            let dur = match args[0] {
+                Value::Int(ms) if *ms < 0 => return Err(negative()),
+                Value::Int(ms) => SimDuration::from_millis(*ms as u64),
+                other => {
+                    let ms = as_f64(other, "milliseconds", span)?;
+                    if !(ms >= 0.0) {
+                        return Err(negative());
+                    }
+                    SimDuration::from_nanos((ms * 1e6).round() as u64)
+                }
+            };
             return sys(Syscall::Sleep { dur });
         }
         Builtin::NowMs => return sys(Syscall::Now),
