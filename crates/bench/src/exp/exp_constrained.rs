@@ -12,8 +12,11 @@ use symphony::{Kernel, KernelConfig, SpawnOpts};
 use symphony_lipscript::InterpLimits;
 use symphony_tokenizer::Bpe;
 
-/// The decoding loop under each mask.
-const PROGRAM: &str = include_str!("../../../../examples/lipscript/constrained.lip");
+/// The decoding loop under each mask, after the prelude's masks.
+const PROGRAM: &str = concat!(
+    include_str!("../../../../examples/lipscript/decode_constrained.lip"),
+    include_str!("../../../../examples/lipscript/constrained.lip")
+);
 const RUNS: usize = 24;
 const OPTIONS: [&str; 3] = ["accepted", "rejected", "needs review"];
 

@@ -18,16 +18,17 @@
 //! crash-free goodput — recovery re-pays only the `pred`s completed since
 //! the last checkpoint, not the whole fleet.
 
-use std::sync::Arc;
-
-use crate::{ExpArgs, Report, Table};
+use crate::{lip, ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony::sampling::{self, GenOpts};
 use symphony::{
-    wal, Body, Kernel, KernelConfig, ProgramImage, SimDuration, SimTime, SpawnOpts, ToolOutcome,
-    ToolSpec, WalConfig, DEFAULT_CHECKPOINT_EVERY,
+    wal, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts, ToolOutcome, ToolSpec, WalConfig,
+    DEFAULT_CHECKPOINT_EVERY,
 };
 use symphony_sim::Rng;
+
+/// One fleet agent. Admitted durably as text, it is rebuilt from its
+/// admission frame after a crash.
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/fleet_agent.lip");
 
 /// Restart cap per sweep point — a backstop, not an expected ceiling.
 const MAX_RESTARTS: u64 = 50;
@@ -102,29 +103,6 @@ impl Scale {
     }
 }
 
-/// One fleet agent: decode a short plan, consult the (deterministic,
-/// journalled) tool, decode a follow-up, report. Everything after the last
-/// checkpoint is what a crash costs.
-fn agent_image(max_tokens: usize) -> ProgramImage {
-    Arc::new(move |ctx| {
-        let args = ctx.args();
-        let prompt = ctx.tokenize(&format!("plan the task {args} step by step"))?;
-        let kv = ctx.kv_create()?;
-        let opts = GenOpts {
-            max_tokens,
-            temperature: 0.0,
-            ..Default::default()
-        };
-        sampling::generate(ctx, kv, &prompt, &opts)?;
-        let doc = ctx.call_tool("web", &args)?;
-        let follow = ctx.tokenize(&doc)?;
-        let done = sampling::generate(ctx, kv, &follow, &opts)?;
-        ctx.emit(&format!("{args}:{}", done.tokens.len()))?;
-        ctx.kv_remove(kv)?;
-        Ok(())
-    })
-}
-
 fn register_tools(k: &mut Kernel) {
     k.register_tool(
         "web",
@@ -146,15 +124,14 @@ fn make_config(
 }
 
 fn spawn_fleet(k: &mut Kernel, scale: &Scale) {
-    let image = agent_image(scale.max_tokens);
     for i in 0..scale.agents {
         let at = SimTime::ZERO + scale.arrival_gap * i as u64;
         let opts = SpawnOpts {
             durable: true,
             ..SpawnOpts::at(at)
         };
-        let (name, args) = (format!("agent{i}"), format!("{i}"));
-        k.admit(&name, &args, opts, Body::from(image.clone()));
+        let (name, args) = (format!("agent{i}"), format!("{i} {}", scale.max_tokens));
+        k.admit(&name, &args, opts, lip::program(PROGRAM));
     }
 }
 
@@ -175,11 +152,7 @@ fn gpu_tokens(k: &Kernel) -> u64 {
 fn run_point(scale: &Scale, every: SimDuration, crash_every: u64, tag: &str) -> Point {
     let wal_path =
         std::env::temp_dir().join(format!("symphony-e14-{}-{tag}.wal", std::process::id()));
-    let max_tokens = scale.max_tokens;
-    let resolver = move |name: &str, _: Option<&[u8]>| {
-        name.starts_with("agent")
-            .then(|| Body::from(agent_image(max_tokens)))
-    };
+    let resolver = |_: &str, image: Option<&[u8]>| image.and_then(symphony_lipscript::rebuild);
     // The crash schedule is bench-side and deterministic: re-seeding the
     // kernel's own fault stream after recovery would re-kill the identical
     // boundary forever (re-execution repeats the boundary sequence).

@@ -1,6 +1,7 @@
 //! The E-series programs as a server receives them: LipScript text from
 //! `examples/lipscript/`, after the shared decoding prelude
-//! (`decode.lip`), admitted as bodies the kernel steps inline.
+//! (`decode.lip`), admitted as bodies the kernel steps inline. A program
+//! that masks its steps brings `decode_constrained.lip` along in its text.
 
 use symphony::Body;
 use symphony_lipscript::{InterpLimits, LipBody};

@@ -1,11 +1,15 @@
-//! The decoding prelude (`examples/lipscript/decode.lip`) against Rust
+//! The decoding prelude (`examples/lipscript/decode*.lip`) against Rust
 //! references: its 64-bit green-list hash bit for bit, and its JSON
 //! automaton on documents it must accept and reject.
 
 use symphony::{Body, Kernel, KernelConfig, SpawnOpts};
 use symphony_lipscript::{InterpLimits, LipBody};
 
-const PRELUDE: &str = include_str!("../../../examples/lipscript/decode.lip");
+const PRELUDE: &str = concat!(
+    include_str!("../../../examples/lipscript/decode.lip"),
+    include_str!("../../../examples/lipscript/decode_constrained.lip"),
+    include_str!("../../../examples/lipscript/decode_watermark.lip")
+);
 
 /// Runs `program` after the prelude on a test kernel; what it emitted.
 fn run(program: &str) -> String {

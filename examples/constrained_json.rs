@@ -17,6 +17,7 @@ use symphony_tokenizer::Bpe;
 /// The masked decoding loop, after the decoding prelude it calls.
 const PROGRAM: &str = concat!(
     include_str!("lipscript/decode.lip"),
+    include_str!("lipscript/decode_constrained.lip"),
     include_str!("lipscript/constrained.lip")
 );
 

@@ -5,7 +5,7 @@
 //! prompt API cannot express this — it needs the full distribution each
 //! step — but in Symphony it is LIP code over `pred`
 //! (`examples/lipscript/watermark.lip`, with the bias and the detector in
-//! the decoding prelude `decode.lip`).
+//! the prelude's `decode_watermark.lip`).
 //!
 //! Run with: `cargo run --example watermark`
 
@@ -15,6 +15,7 @@ use symphony_lipscript::{InterpLimits, LipBody};
 /// The sampler and detector, after the decoding prelude they call.
 const PROGRAM: &str = concat!(
     include_str!("lipscript/decode.lip"),
+    include_str!("lipscript/decode_watermark.lip"),
     include_str!("lipscript/watermark.lip")
 );
 
