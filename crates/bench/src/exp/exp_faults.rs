@@ -18,9 +18,9 @@
 //! with latency (backoff + re-attempts) — graceful degradation, not a
 //! free lunch.
 
+use crate::native::greedy;
 use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
-use symphony::sampling::{generate, GenOpts};
 use symphony::{
     Body, Ctx, FaultPlan, Kernel, KernelConfig, Limits, SimDuration, SpawnOpts, SysError,
     ToolOutcome, ToolSpec,
@@ -103,21 +103,15 @@ fn run_cell(
     let mut pids = Vec::new();
     for a in 0..AGENTS {
         let body = Body::hosted(move |ctx| {
-            let opts = GenOpts {
-                max_tokens: 8,
-                temperature: 0.0,
-                emit: false,
-                ..Default::default()
-            };
             let kv = ctx.kv_create()?;
             let mut next = ctx.tokenize("an agent plan with several lookups")?;
             for i in 0..CALLS_PER_AGENT {
-                generate(ctx, kv, &next, &opts)?;
+                greedy(ctx, kv, &next, 8)?;
                 // A call that fails on its last attempt aborts the task.
                 let result = call_api(ctx, &format!("call {i}"), attempts)?;
                 next = ctx.tokenize(&result)?;
             }
-            generate(ctx, kv, &next, &opts)?;
+            greedy(ctx, kv, &next, 8)?;
             Ok::<(), SysError>(())
         });
         pids.push(kernel.admit(&format!("agent{a}"), "", admission, body));

@@ -6,9 +6,9 @@
 //! resume. We measure the throughput of background completions that must
 //! squeeze into the remaining memory, with and without offload.
 
+use crate::native::greedy;
 use crate::{ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
-use symphony::sampling::{generate, GenOpts};
 use symphony::{
     Body, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts, SysError, ToolOutcome, ToolSpec,
 };
@@ -81,16 +81,7 @@ fn run_point(
                     ctx.sleep(SimDuration::from_millis(20 + 5 * attempt))?;
                     continue;
                 }
-                match generate(
-                    ctx,
-                    kv,
-                    &q,
-                    &GenOpts {
-                        max_tokens: 16,
-                        emit: false,
-                        ..Default::default()
-                    },
-                ) {
+                match greedy(ctx, kv, &q, 16) {
                     Ok(_) => {
                         done = true;
                         break;
@@ -125,16 +116,7 @@ fn run_point(
                 Err(e) => return Err(e), // no retry: measures raw headroom
             }
             let q = [prompt[0]];
-            generate(
-                ctx,
-                kv,
-                &q,
-                &GenOpts {
-                    max_tokens: 12,
-                    emit: false,
-                    ..Default::default()
-                },
-            )?;
+            greedy(ctx, kv, &q, 12)?;
             ctx.kv_remove(kv)?;
             Ok(())
         });

@@ -10,9 +10,9 @@
 //! latency.
 
 use crate::fig3::{run_symphony_point_persist, Fig3Config, Scale};
+use crate::native::greedy;
 use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony::sampling::{self, GenOpts};
 use symphony::{
     Body, Ctx, Kernel, KernelConfig, Mode, SimDuration, SimTime, SpawnOpts, SysError, ToolOutcome,
     ToolSpec,
@@ -116,16 +116,7 @@ fn agent_lip(ctx: &mut Ctx) -> Result<(), SysError> {
         }
     };
     let task = ctx.tokenize(&ctx.args())?;
-    sampling::generate(
-        ctx,
-        kv,
-        &task,
-        &GenOpts {
-            max_tokens: 16,
-            emit: false,
-            ..Default::default()
-        },
-    )?;
+    greedy(ctx, kv, &task, 16)?;
     ctx.kv_remove(kv)?;
     Ok(())
 }

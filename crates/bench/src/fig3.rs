@@ -20,7 +20,7 @@
 //! index) is unaffected.
 
 use serde::Serialize;
-use symphony::sampling::{self, GenOpts};
+use crate::native::greedy;
 use symphony::{
     BatchPolicy, Body, Ctx, Kernel, KernelConfig, Mode, SimDuration, SpawnOpts, SysError,
     ToolOutcome, ToolSpec,
@@ -231,15 +231,9 @@ fn try_serve_rag(
     };
 
     let q = ctx.tokenize(&format!("\n{query}"))?;
-    let opts = GenOpts {
-        max_tokens: 512,
-        temperature: 0.0,
-        emit: false,
-        ..Default::default()
-    };
-    match sampling::generate(ctx, kv, &q, &opts) {
+    match greedy(ctx, kv, &q, 512) {
         Ok(out) => {
-            ctx.emit_tokens(&out.tokens)?;
+            ctx.emit_tokens(&out)?;
             ctx.kv_remove(kv)?;
             Ok(())
         }

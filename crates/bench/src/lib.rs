@@ -9,6 +9,7 @@
 pub mod exp;
 pub mod fig3;
 pub mod lip;
+pub mod native;
 pub mod report;
 pub mod telemetry_cli;
 

@@ -72,7 +72,6 @@ mod hosted;
 pub mod kernel;
 mod proc;
 mod recovery;
-pub mod sampling;
 pub mod sched;
 pub mod syscall;
 pub mod tools;

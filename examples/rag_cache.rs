@@ -4,10 +4,14 @@
 //! the serving system — decides what to cache: popular documents are
 //! prefilled once, published in KVFS, pinned, and forked by later requests.
 //!
+//! The program is a native closure: it reads a missing cache file as a
+//! miss, which a LipScript program cannot yet (a failed system call ends
+//! it).
+//!
 //! Run with: `cargo run --example rag_cache`
 
-use symphony::sampling::{generate, GenOpts};
 use symphony::{Body, Kernel, KernelConfig, Mode, SimDuration, SpawnOpts, ToolOutcome, ToolSpec};
+use symphony_bench::native::greedy;
 use symphony_sim::{Rng, Zipf};
 use symphony_tokenizer::CorpusGen;
 
@@ -70,16 +74,7 @@ fn main() {
                 }
             };
             let q = ctx.tokenize("\nexplain this topic")?;
-            generate(
-                ctx,
-                kv,
-                &q,
-                &GenOpts {
-                    max_tokens: 12,
-                    emit: false,
-                    ..Default::default()
-                },
-            )?;
+            greedy(ctx, kv, &q, 12)?;
             ctx.emit(if hit { "hit" } else { "miss" })?;
             ctx.kv_remove(kv)?;
             Ok(())
