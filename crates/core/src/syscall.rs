@@ -394,6 +394,7 @@ impl Ctx {
     }
 
     /// Reads cached entries (token inspection).
+    // lint:allow(u1): native LIPs in the kernel's tests inspect entries through it; a LipScript program calls `kv_read`
     pub fn kv_read(
         &self,
         kv: FileId,

@@ -478,6 +478,20 @@ pub const RETIRED: &[Retired] = &[
                  the pool is 16 B a token again",
         commit: "fc93ff6",
     },
+    Retired {
+        name: "The E-series runs programs",
+        bans: &[Bans {
+            under: &["crates/", "examples/", "src/", "tests/"],
+            strings: &[
+                Fixed("symphony::sampling"),
+                Fixed("sampling::generate"),
+                Fixed("JsonConstraint"),
+                Fixed("verify_greedy"),
+            ],
+        }],
+        reason: "the generation loops of the experiments and examples are                  LipScript a served program can call (`examples/lipscript/decode.lip`                  and its constrained and watermark parts); a Rust decoding library                  in core would be a second copy that no served program reaches,                  and the closures over it programs the server never receives",
+        commit: "fcbed76",
+    },
 ];
 
 impl Rule {
