@@ -58,7 +58,7 @@ fn run_sessions(retain: bool) -> Vec<Vec<f64>> {
         assert!(rec.status.is_ok(), "{:?}", rec.status);
         for (round, ns) in rec.output.split(',').enumerate() {
             let ns: u64 = ns.parse().expect("a latency in ns");
-            // Rounded to the microsecond, as the table always read it.
+            // To the microsecond: the resolution the per-round means use.
             let ms = format!("{:.3}", SimDuration::from_nanos(ns).as_millis_f64());
             let lat: f64 = ms.parse().expect("a number");
             if per_round.len() <= round {

@@ -40,7 +40,9 @@ fn green(key: u64, prev: u32, token: u32) -> bool {
 
 #[test]
 fn the_green_list_hash_matches_64_bit_arithmetic() {
-    let pairs: Vec<(u32, u32)> = (0..400u32).map(|i| (i * 7919 % 1900, i * 104_729 % 1900)).collect();
+    let pairs: Vec<(u32, u32)> = (0..400u32)
+        .map(|i| (i * 7919 % 1900, i * 104_729 % 1900))
+        .collect();
     let list: Vec<String> = pairs.iter().map(|(p, t)| format!("[{p}, {t}]")).collect();
     let out = run(&format!(
         "let xt = xor_table();
@@ -52,7 +54,10 @@ fn the_green_list_hash_matches_64_bit_arithmetic() {
          emit(bits);",
         list.join(", ")
     ));
-    let want: String = pairs.iter().map(|&(p, t)| if green(24301, p, t) { '1' } else { '0' }).collect();
+    let want: String = pairs
+        .iter()
+        .map(|&(p, t)| if green(24301, p, t) { '1' } else { '0' })
+        .collect();
     assert_eq!(out, want);
     let greens = want.chars().filter(|&c| c == '1').count();
     assert!((70..=130).contains(&greens), "{greens} of 400 green");
@@ -61,12 +66,36 @@ fn the_green_list_hash_matches_64_bit_arithmetic() {
 #[test]
 fn the_json_automaton_accepts_documents_and_rejects_the_rest() {
     let accepts = [
-        "{}", "[]", "123", "-5", "\"hi\"", "true", "false", "null", "{\"a\":1}",
-        "{\"a\":1,\"b\":\"x\"}", "[1,2,3]", "{\"a\":[1,{\"b\":null}],\"c\":true}", "[[],{}]",
+        "{}",
+        "[]",
+        "123",
+        "-5",
+        "\"hi\"",
+        "true",
+        "false",
+        "null",
+        "{\"a\":1}",
+        "{\"a\":1,\"b\":\"x\"}",
+        "[1,2,3]",
+        "{\"a\":[1,{\"b\":null}],\"c\":true}",
+        "[[],{}]",
     ];
     let rejects = [
-        "{", "}", "{\"a\"}", "{\"a\":}", "[1,]", "{,}", "tru", "truex", "--1", "{\"a\":1",
-        "\"unterminated", "12a", "{\"a\" 1}", "[1 2]", "{}x",
+        "{",
+        "}",
+        "{\"a\"}",
+        "{\"a\":}",
+        "[1,]",
+        "{,}",
+        "tru",
+        "truex",
+        "--1",
+        "{\"a\":1",
+        "\"unterminated",
+        "12a",
+        "{\"a\" 1}",
+        "[1 2]",
+        "{}x",
     ];
     let quoted: Vec<String> = accepts
         .iter()

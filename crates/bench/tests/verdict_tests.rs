@@ -138,7 +138,10 @@ fn fig3_verdict_fails_when_two_systems_swap_rows() {
 fn e1_adaptive_tracks_immediate_then_the_window() {
     let rows = rows("exp_batching");
     let lat = |policy: &str, load: &str| {
-        num(find(&rows, &[("policy", policy), ("load_rps", load)]), "mean_latency_ms")
+        num(
+            find(&rows, &[("policy", policy), ("load_rps", load)]),
+            "mean_latency_ms",
+        )
     };
     let (low, high) = ("10", "600");
     assert!((lat("adaptive", low) / lat("immediate", low) - 1.0).abs() < 0.05);
@@ -156,7 +159,10 @@ fn e2_round_trips_cost_two_rtts_per_call() {
         let at = |mode: &str| find(&rows, &[("mode", mode), ("calls", calls)]);
         let gap = num(at("client-stateful"), "latency_ms") - num(at("server-lip"), "latency_ms");
         let want = 2.0 * 40.0 * calls.parse::<f64>().unwrap();
-        assert!((gap - want).abs() < 1.0, "{calls} calls: gap {gap} ms, want {want}");
+        assert!(
+            (gap - want).abs() < 1.0,
+            "{calls} calls: gap {gap} ms, want {want}"
+        );
         assert!(num(at("client-prompt"), "pred_tokens") > num(at("server-lip"), "pred_tokens"));
     }
 }
@@ -193,12 +199,17 @@ fn e5_fork_keeps_one_prefix_and_flat_latency() {
     assert!(num(fork, "peak_pages") * 5.0 <= num(indep, "peak_pages"));
     assert!(num(fork, "gpu_tokens") * 10.0 <= num(indep, "gpu_tokens"));
     let branching = ["2", "4", "8", "16"];
-    let fork_lat: Vec<f64> = branching.iter().map(|b| num(at("fork", b), "latency_ms")).collect();
+    let fork_lat: Vec<f64> = branching
+        .iter()
+        .map(|b| num(at("fork", b), "latency_ms"))
+        .collect();
     let max = fork_lat.iter().copied().fold(f64::MIN, f64::max);
     let min = fork_lat.iter().copied().fold(f64::MAX, f64::min);
     assert!(max / min < 1.5, "fork latency {fork_lat:?}");
-    let indep_lat: Vec<f64> =
-        branching.iter().map(|b| num(at("independent", b), "latency_ms")).collect();
+    let indep_lat: Vec<f64> = branching
+        .iter()
+        .map(|b| num(at("independent", b), "latency_ms"))
+        .collect();
     assert!(indep_lat.windows(2).all(|w| w[1] > w[0]), "{indep_lat:?}");
 }
 
@@ -209,7 +220,11 @@ fn e5_fork_keeps_one_prefix_and_flat_latency() {
 fn e6_offload_frees_memory_for_background_work() {
     let rows = rows("exp_offload");
     let at = |offload: &str, disk: &str| find(&rows, &[("offload", offload), ("disk_tier", disk)]);
-    let (off, on, disk) = (at("false", "false"), at("true", "false"), at("true", "true"));
+    let (off, on, disk) = (
+        at("false", "false"),
+        at("true", "false"),
+        at("true", "true"),
+    );
     assert!(num(off, "bg_failures") > 0.0);
     assert_eq!(num(on, "bg_failures"), 0.0);
     assert_eq!(num(disk, "bg_failures"), 0.0);
@@ -226,10 +241,16 @@ fn e6_offload_frees_memory_for_background_work() {
 fn e7_the_lip_is_flat_in_buffer_size() {
     let rows = rows("exp_editor");
     let lat = |mode: &str, words: &str| {
-        num(find(&rows, &[("mode", mode), ("buffer_words", words)]), "mean_keystroke_latency_ms")
+        num(
+            find(&rows, &[("mode", mode), ("buffer_words", words)]),
+            "mean_keystroke_latency_ms",
+        )
     };
     let lip = ["200", "800", "2000"].map(|w| lat("symphony-incremental", w));
-    let (min, max) = (lip.iter().copied().fold(f64::MAX, f64::min), lip.iter().copied().fold(0.0, f64::max));
+    let (min, max) = (
+        lip.iter().copied().fold(f64::MAX, f64::min),
+        lip.iter().copied().fold(0.0, f64::max),
+    );
     assert!(max / min < 1.10, "{lip:?}");
     for mode in ["prompt-apc", "prompt-nocache"] {
         assert!(lat(mode, "200") < lat(mode, "800") && lat(mode, "800") < lat(mode, "2000"));
@@ -246,9 +267,14 @@ fn e7_the_lip_is_flat_in_buffer_size() {
 fn e9_retention_beats_recompute_from_the_second_round() {
     let rows = rows("exp_chat");
     let lat = |mode: &str, round: usize| {
-        num(find(&rows, &[("mode", mode), ("round", &round.to_string())]), "mean_turn_latency_ms")
+        num(
+            find(&rows, &[("mode", mode), ("round", &round.to_string())]),
+            "mean_turn_latency_ms",
+        )
     };
-    let gaps: Vec<f64> = (2..=8).map(|r| lat("recompute", r) - lat("retained", r)).collect();
+    let gaps: Vec<f64> = (2..=8)
+        .map(|r| lat("recompute", r) - lat("retained", r))
+        .collect();
     assert!(gaps.iter().all(|&g| g > 0.0), "{gaps:?}");
     let last = *gaps.last().unwrap();
     assert!(gaps.iter().all(|&g| g <= last), "{gaps:?}");
@@ -298,9 +324,18 @@ fn e12_iteration_level_admission_and_chunking_stack() {
     for workload in ["agent", "rag"] {
         let at = |mode: &str| find(&rows, &[("workload", workload), ("mode", mode)]);
         let (stat, cont, chunk) = (at("static"), at("continuous"), at("cont+chunked"));
-        assert!(num(cont, "p50_itl_ms") <= 0.75 * num(stat, "p50_itl_ms"), "{workload}");
-        assert!(num(cont, "throughput_tok_s") > num(stat, "throughput_tok_s"), "{workload}");
-        assert!(num(chunk, "p99_itl_ms") * 10.0 <= num(stat, "p99_itl_ms"), "{workload}");
+        assert!(
+            num(cont, "p50_itl_ms") <= 0.75 * num(stat, "p50_itl_ms"),
+            "{workload}"
+        );
+        assert!(
+            num(cont, "throughput_tok_s") > num(stat, "throughput_tok_s"),
+            "{workload}"
+        );
+        assert!(
+            num(chunk, "p99_itl_ms") * 10.0 <= num(stat, "p99_itl_ms"),
+            "{workload}"
+        );
     }
 }
 
@@ -312,8 +347,14 @@ fn e13_a_warm_restart_keeps_the_cache() {
     for workload in ["rag", "agent"] {
         let at = |boot: &str| find(&rows, &[("workload", workload), ("boot", boot)]);
         let (cold, warm) = (at("cold"), at("warm"));
-        assert!(num(warm, "cache_hit_rate") > num(cold, "cache_hit_rate"), "{workload}");
-        assert!(num(cold, "mean_latency_ms") >= 1.3 * num(warm, "mean_latency_ms"), "{workload}");
+        assert!(
+            num(warm, "cache_hit_rate") > num(cold, "cache_hit_rate"),
+            "{workload}"
+        );
+        assert!(
+            num(cold, "mean_latency_ms") >= 1.3 * num(warm, "mean_latency_ms"),
+            "{workload}"
+        );
         assert!(num(warm, "restored_files") > 0.0);
         for r in [cold, warm] {
             assert_eq!(num(r, "failed"), 0.0);
@@ -336,7 +377,12 @@ fn e14_recovery_repays_only_the_tail() {
     }
     let tokens: Vec<f64> = ["1", "5", "25", "100"]
         .iter()
-        .map(|c| num(find(&rows, &[("checkpoint_ms", c), ("crash_every", "400")]), "total_tokens"))
+        .map(|c| {
+            num(
+                find(&rows, &[("checkpoint_ms", c), ("crash_every", "400")]),
+                "total_tokens",
+            )
+        })
         .collect();
     assert!(tokens.windows(2).all(|w| w[1] >= w[0]), "{tokens:?}");
     assert!(tokens[3] > 2.0 * tokens[0], "{tokens:?}");
@@ -347,9 +393,17 @@ fn e14_recovery_repays_only_the_tail() {
 #[test]
 fn e15_the_two_tails_disagree_on_rag() {
     let rows = rows("exp_profile");
-    let rag: Vec<&Row> = rows.iter().filter(|r| text(r, "workload") == "rag").collect();
+    let rag: Vec<&Row> = rows
+        .iter()
+        .filter(|r| text(r, "workload") == "rag")
+        .collect();
     let best = |key: &str| {
-        text(rag.iter().min_by(|a, b| num(a, key).total_cmp(&num(b, key))).unwrap(), "mode")
+        text(
+            rag.iter()
+                .min_by(|a, b| num(a, key).total_cmp(&num(b, key)))
+                .unwrap(),
+            "mode",
+        )
     };
     assert_ne!(best("pred_p99_ms"), best("prog_p99_ms"));
     assert!(rows.iter().all(|r| num(r, "min_coverage") == 1.0));
@@ -367,17 +421,33 @@ fn e16_ttft_follows_rtt_and_quota_holds_the_tail() {
     for sessions in ["16", "48", "96"] {
         for admission in ["open", "quota=8"] {
             let at = |rtt: &str| {
-                let keys = [("workload", "agent"), ("sessions", sessions), ("admission", admission), ("rtt_ms", rtt)];
+                let keys = [
+                    ("workload", "agent"),
+                    ("sessions", sessions),
+                    ("admission", admission),
+                    ("rtt_ms", rtt),
+                ];
                 num(find(&rows, &keys), "ttft_p50_ms")
             };
-            assert!((at("80") - at("2") - 78.0).abs() < 2.0, "{sessions} {admission}");
+            assert!(
+                (at("80") - at("2") - 78.0).abs() < 2.0,
+                "{sessions} {admission}"
+            );
         }
         for rtt in ["2", "20", "80"] {
             let at = |sessions: &str| {
-                let keys = [("workload", "agent"), ("sessions", sessions), ("admission", "quota=8"), ("rtt_ms", rtt)];
+                let keys = [
+                    ("workload", "agent"),
+                    ("sessions", sessions),
+                    ("admission", "quota=8"),
+                    ("rtt_ms", rtt),
+                ];
                 find(&rows, &keys)
             };
-            assert_eq!(num(at(sessions), "latency_p99_ms"), num(at("16"), "latency_p99_ms"));
+            assert_eq!(
+                num(at(sessions), "latency_p99_ms"),
+                num(at("16"), "latency_p99_ms")
+            );
             let excess = sessions.parse::<f64>().unwrap() - 16.0;
             assert_eq!(num(at(sessions), "shed"), excess);
         }
@@ -393,7 +463,10 @@ fn e17_the_verifier_sheds_the_flood() {
     let at = |cell: &str| find(&rows, &[("cell", cell)]);
     let on = at("flood-verify-on");
     assert_eq!(num(on, "verify_rejected"), num(on, "hostile"));
-    assert_eq!(num(on, "completed"), num(on, "sessions") - num(on, "hostile"));
+    assert_eq!(
+        num(on, "completed"),
+        num(on, "sessions") - num(on, "hostile")
+    );
     let off = at("flood-verify-off");
     assert_eq!(num(off, "accepted"), num(off, "sessions"));
     assert!(num(at("mlfq-hints"), "short_p99_ms") < num(at("mlfq-no-hints"), "short_p99_ms"));

@@ -103,7 +103,14 @@ pub(crate) fn generate_constrained<C: Constraint>(
         let masked = dist
             .constrain(&constraint.allowed())
             .ok_or(SysError::BadArgument)?;
-        let tok = pick(ctx, &masked, &GenOpts { top_p: None, ..*opts });
+        let tok = pick(
+            ctx,
+            &masked,
+            &GenOpts {
+                top_p: None,
+                ..*opts
+            },
+        );
         constraint.advance(tok);
         if opts.emit {
             ctx.emit_tokens(&[tok])?;

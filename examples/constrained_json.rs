@@ -32,7 +32,12 @@ fn main() {
     let mut admit = |name: &str, lines: Vec<String>| {
         let body = LipBody::parse(PROGRAM, limits).expect("the program parses");
         let args = lines.join("\n");
-        kernel.admit(name, &args, SpawnOpts::default(), Body::Inline(Box::new(body)))
+        kernel.admit(
+            name,
+            &args,
+            SpawnOpts::default(),
+            Body::Inline(Box::new(body)),
+        )
     };
 
     // At most 80 tokens at temperature 0.8, masked by the JSON grammar.

@@ -30,14 +30,22 @@ fn main() {
         "calculator",
         ToolSpec::fixed(SimDuration::from_millis(5), |expr| {
             // A toy evaluator: sums a "+"-separated list.
-            let sum: i64 = expr.split('+').filter_map(|t| t.trim().parse::<i64>().ok()).sum();
+            let sum: i64 = expr
+                .split('+')
+                .filter_map(|t| t.trim().parse::<i64>().ok())
+                .sum();
             ToolOutcome::Ok(sum.to_string())
         }),
     );
 
     let mut admit = |name: &str, args: &str| {
         let body = LipBody::parse(PROGRAM, InterpLimits::default()).expect("the program parses");
-        kernel.admit(name, args, SpawnOpts::default(), Body::Inline(Box::new(body)))
+        kernel.admit(
+            name,
+            args,
+            SpawnOpts::default(),
+            Body::Inline(Box::new(body)),
+        )
     };
     let writer = admit("writer", "writer");
     let researcher = admit("researcher", "researcher llm serving systems");

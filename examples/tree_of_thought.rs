@@ -29,7 +29,12 @@ fn main() {
         .expect("preload problem");
 
     let body = LipBody::parse(PROGRAM, InterpLimits::default()).expect("the program parses");
-    let pid = kernel.admit("tot", "", SpawnOpts::default(), Body::Inline(Box::new(body)));
+    let pid = kernel.admit(
+        "tot",
+        "",
+        SpawnOpts::default(),
+        Body::Inline(Box::new(body)),
+    );
 
     kernel.run();
     let rec = kernel.record(pid).expect("record");

@@ -31,7 +31,12 @@ fn main() {
     let mut run = |name: &str, mode: &str| {
         let body = LipBody::parse(PROGRAM, limits).expect("the program parses");
         let args = format!("{mode} {bos}\na paragraph about provenance");
-        kernel.admit(name, &args, SpawnOpts::default(), Body::Inline(Box::new(body)))
+        kernel.admit(
+            name,
+            &args,
+            SpawnOpts::default(),
+            Body::Inline(Box::new(body)),
+        )
     };
     let marked = run("watermarked", "marked");
     let clean = run("clean", "clean");
@@ -39,12 +44,17 @@ fn main() {
 
     let z = |pid| -> f64 {
         let rec = kernel.record(pid).expect("record");
-        rec.output.parse().unwrap_or_else(|_| panic!("{:?}", rec.status))
+        rec.output
+            .parse()
+            .unwrap_or_else(|_| panic!("{:?}", rec.status))
     };
     let (z_marked, z_clean) = (z(marked), z(clean));
     println!("detector z-score, watermarked generation: {z_marked:.2}  (threshold ~4)");
     println!("detector z-score, clean generation:       {z_clean:.2}");
-    assert!(z_marked > z_clean, "watermark must raise the detector score");
+    assert!(
+        z_marked > z_clean,
+        "watermark must raise the detector score"
+    );
     println!(
         "\nThe serving system was never modified: the bias runs inside the LIP\n\
          on the distributions `pred` returns."
