@@ -16,7 +16,7 @@ use symphony_sim::SimDuration;
 use symphony_workloads::ChatWorkload;
 
 /// One chat session, retained or recomputed.
-const PROGRAM: &str = include_str!("../../../../examples/lipscript/chat.lip");
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/with_prelude/chat.lip");
 
 const SESSIONS: usize = 10;
 const ANSWER_TOKENS: usize = 32;

@@ -14,8 +14,8 @@ use symphony_tokenizer::Bpe;
 
 /// The decoding loop under each mask, after the prelude's masks.
 const PROGRAM: &str = concat!(
-    include_str!("../../../../examples/lipscript/decode_constrained.lip"),
-    include_str!("../../../../examples/lipscript/constrained.lip")
+    include_str!("../../../../examples/lipscript/with_prelude/decode_constrained.lip"),
+    include_str!("../../../../examples/lipscript/with_prelude/constrained.lip")
 );
 const RUNS: usize = 24;
 const OPTIONS: [&str; 3] = ["accepted", "rejected", "needs review"];

@@ -28,7 +28,7 @@ use symphony_sim::Rng;
 
 /// One fleet agent. Admitted durably as text, it is rebuilt from its
 /// admission frame after a crash.
-const PROGRAM: &str = include_str!("../../../../examples/lipscript/fleet_agent.lip");
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/with_prelude/fleet_agent.lip");
 
 /// Restart cap per sweep point — a backstop, not an expected ceiling.
 const MAX_RESTARTS: u64 = 50;

@@ -20,7 +20,7 @@ use symphony_model::Surrogate;
 use symphony_tokenizer::Bpe;
 
 /// The drafting, verifying and truncating loop.
-const PROGRAM: &str = include_str!("../../../../examples/lipscript/speculative.lip");
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/with_prelude/speculative.lip");
 const TARGET_TOKENS: usize = 96;
 const RUNS: usize = 12;
 const ALPHA: f64 = 0.8;

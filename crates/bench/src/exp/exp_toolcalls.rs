@@ -18,7 +18,7 @@ use serde::Serialize;
 use symphony::{Kernel, KernelConfig, SimDuration, SpawnOpts, ToolOutcome, ToolSpec};
 
 /// The agent task in all three execution models.
-const PROGRAM: &str = include_str!("../../../../examples/lipscript/toolcalls.lip");
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/with_prelude/toolcalls.lip");
 const TOOL_LATENCY: SimDuration = SimDuration::from_millis(25);
 
 #[derive(Debug, Clone, Serialize)]

@@ -10,7 +10,7 @@ use serde::Serialize;
 use symphony::{Kernel, KernelConfig, Mode, SpawnOpts};
 
 /// The branching step, with or without `kv_fork`.
-const PROGRAM: &str = include_str!("../../../../examples/lipscript/tot.lip");
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/with_prelude/tot.lip");
 const PREFIX_TOKENS: usize = 600;
 const TOKENS_PER_BRANCH: usize = 24;
 

@@ -11,6 +11,11 @@ pub mod fig3;
 pub mod lip;
 pub mod native;
 pub mod report;
+// The prelude's sampling functions, tested where the kernel runs them;
+// the files live beside the integration tests, out of the crate's source.
+#[cfg(test)]
+#[path = "../tests/sampling/mod.rs"]
+mod sampling;
 pub mod telemetry_cli;
 
 pub use report::{Report, Table};

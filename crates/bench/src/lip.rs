@@ -1,5 +1,5 @@
 //! The E-series programs as a server receives them: LipScript text from
-//! `examples/lipscript/`, after the shared decoding prelude
+//! `examples/lipscript/with_prelude/`, after the shared decoding prelude
 //! (`decode.lip`), admitted as bodies the kernel steps inline. A program
 //! that masks its steps brings `decode_constrained.lip` along in its text.
 
@@ -7,7 +7,7 @@ use symphony::Body;
 use symphony_lipscript::{InterpLimits, LipBody};
 
 /// The decoding loops every program is written against.
-const PRELUDE: &str = include_str!("../../../examples/lipscript/decode.lip");
+const PRELUDE: &str = include_str!("../../../examples/lipscript/with_prelude/decode.lip");
 
 /// `program` after the prelude, with the default interpreter limits.
 pub(crate) fn program(program: &str) -> Body {

@@ -1,7 +1,7 @@
 //! Decoding loops for tests that run native LIPs: the autoregressive loop,
 //! its constrained form with a token trie and a JSON grammar, and greedy
 //! draft acceptance. Served programs write these in LipScript (the shared
-//! prelude under `examples/lipscript/`); a test that drives a `Ctx` by hand
+//! prelude under `examples/lipscript/with_prelude/`); a test that drives a `Ctx` by hand
 //! includes this file by path (`#[path = ".../decode/mod.rs"] mod decode;`)
 //! and makes the same system calls, in the same order, with the same draws.
 

@@ -489,7 +489,7 @@ pub const RETIRED: &[Retired] = &[
                 Fixed("verify_greedy"),
             ],
         }],
-        reason: "the generation loops of the experiments and examples are                  LipScript a served program can call (`examples/lipscript/decode.lip`                  and its constrained and watermark parts); a Rust decoding library                  in core would be a second copy that no served program reaches,                  and the closures over it programs the server never receives",
+        reason: "the generation loops of the experiments and examples are                  LipScript a served program can call (`examples/lipscript/with_prelude/decode.lip`                  and its constrained and watermark parts); a Rust decoding library                  in core would be a second copy that no served program reaches,                  and the closures over it programs the server never receives",
         commit: "fcbed76",
     },
 ];

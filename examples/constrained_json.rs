@@ -5,7 +5,7 @@
 //! support needed. This example forces syntactically valid JSON via a
 //! byte-level pushdown automaton lifted to tokens, and a multiple-choice
 //! answer via a token trie. Both are one LipScript program
-//! (`examples/lipscript/constrained.lip`) with a different mask.
+//! (`examples/lipscript/with_prelude/constrained.lip`) with a different mask.
 //!
 //! Run with: `cargo run --example constrained_json`
 
@@ -16,9 +16,9 @@ use symphony_tokenizer::Bpe;
 
 /// The masked decoding loop, after the decoding prelude it calls.
 const PROGRAM: &str = concat!(
-    include_str!("lipscript/decode.lip"),
-    include_str!("lipscript/decode_constrained.lip"),
-    include_str!("lipscript/constrained.lip")
+    include_str!("lipscript/with_prelude/decode.lip"),
+    include_str!("lipscript/with_prelude/decode_constrained.lip"),
+    include_str!("lipscript/with_prelude/constrained.lip")
 );
 
 fn main() {

@@ -3,7 +3,7 @@
 //! A researcher agent calls tools and generates findings; a writer agent
 //! waits for the findings over IPC and produces the summary. All
 //! coordination happens inside the serving system — zero client round
-//! trips. Both are one LipScript program (`examples/lipscript/multi_agent.lip`)
+//! trips. Both are one LipScript program (`examples/lipscript/with_prelude/multi_agent.lip`)
 //! in two roles.
 //!
 //! Run with: `cargo run --example multi_agent`
@@ -13,8 +13,8 @@ use symphony_lipscript::{InterpLimits, LipBody};
 
 /// Both agents' program, after the decoding prelude it calls.
 const PROGRAM: &str = concat!(
-    include_str!("lipscript/decode.lip"),
-    include_str!("lipscript/multi_agent.lip")
+    include_str!("lipscript/with_prelude/decode.lip"),
+    include_str!("lipscript/with_prelude/multi_agent.lip")
 );
 
 fn main() {

@@ -1,6 +1,6 @@
 //! Quickstart: serve one LLM Inference Program.
 //!
-//! The program arrives as LipScript text (`examples/lipscript/quickstart.lip`,
+//! The program arrives as LipScript text (`examples/lipscript/with_prelude/quickstart.lip`,
 //! after the decoding prelude `decode.lip` it calls) and owns the
 //! generation loop: it prefills its prompt with one `pred` system call,
 //! then samples and extends token by token — the paper's core "separation
@@ -13,8 +13,8 @@ use symphony_lipscript::{InterpLimits, LipBody};
 
 /// What the client sends: the prelude, then the program.
 const PROGRAM: &str = concat!(
-    include_str!("lipscript/decode.lip"),
-    include_str!("lipscript/quickstart.lip")
+    include_str!("lipscript/with_prelude/decode.lip"),
+    include_str!("lipscript/with_prelude/quickstart.lip")
 );
 
 fn main() {

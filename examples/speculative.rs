@@ -4,7 +4,7 @@
 //! distribution alone, standing in for a small draft model), verifies them
 //! with ONE multi-token `pred`, and rolls the KV file back to the accepted
 //! prefix with `kv_truncate` — no serving-system support required. The
-//! program is LipScript text (`examples/lipscript/speculate.lip`).
+//! program is LipScript text (`examples/lipscript/with_prelude/speculate.lip`).
 //!
 //! Run with: `cargo run --example speculative`
 
@@ -13,8 +13,8 @@ use symphony_lipscript::{InterpLimits, LipBody};
 
 /// The drafting loop, after the decoding prelude it calls.
 const PROGRAM: &str = concat!(
-    include_str!("lipscript/decode.lip"),
-    include_str!("lipscript/speculate.lip")
+    include_str!("lipscript/with_prelude/decode.lip"),
+    include_str!("lipscript/with_prelude/speculate.lip")
 );
 
 fn main() {

@@ -4,7 +4,7 @@
 //! per hypothesis (copy-on-write, no tensor duplication), generates each
 //! branch on its own thread, scores branches by model confidence, prunes,
 //! and recurses on the winner. The program is LipScript text
-//! (`examples/lipscript/tree_of_thought.lip`).
+//! (`examples/lipscript/with_prelude/tree_of_thought.lip`).
 //!
 //! Run with: `cargo run --example tree_of_thought`
 
@@ -13,8 +13,8 @@ use symphony_lipscript::{InterpLimits, LipBody};
 
 /// The search, after the decoding prelude it calls.
 const PROGRAM: &str = concat!(
-    include_str!("lipscript/decode.lip"),
-    include_str!("lipscript/tree_of_thought.lip")
+    include_str!("lipscript/with_prelude/decode.lip"),
+    include_str!("lipscript/with_prelude/tree_of_thought.lip")
 );
 
 fn main() {

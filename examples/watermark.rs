@@ -4,7 +4,7 @@
 //! step and a detector later verifies provenance from tokens alone. A
 //! prompt API cannot express this — it needs the full distribution each
 //! step — but in Symphony it is LIP code over `pred`
-//! (`examples/lipscript/watermark.lip`, with the bias and the detector in
+//! (`examples/lipscript/with_prelude/watermark.lip`, with the bias and the detector in
 //! the prelude's `decode_watermark.lip`).
 //!
 //! Run with: `cargo run --example watermark`
@@ -14,9 +14,9 @@ use symphony_lipscript::{InterpLimits, LipBody};
 
 /// The sampler and detector, after the decoding prelude they call.
 const PROGRAM: &str = concat!(
-    include_str!("lipscript/decode.lip"),
-    include_str!("lipscript/decode_watermark.lip"),
-    include_str!("lipscript/watermark.lip")
+    include_str!("lipscript/with_prelude/decode.lip"),
+    include_str!("lipscript/with_prelude/decode_watermark.lip"),
+    include_str!("lipscript/with_prelude/watermark.lip")
 );
 
 fn main() {
