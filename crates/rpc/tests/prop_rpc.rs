@@ -559,7 +559,7 @@ proptest! {
     }
 
     #[test]
-    fn single_bit_corruption_reads_in_pieces_as_read_whole(
+    fn single_bit_corruption_reads_in_pieces_as_fed_whole(
         msgs in proptest::collection::vec(any_client_msg(), 1..5),
         bit in any::<usize>(),
         cuts in any_cuts(),
