@@ -7,14 +7,18 @@
 //! - `prompt-apc`: a prompt server with automatic prefix caching — each
 //!   keystroke resubmits the buffer; the cache absorbs most of it.
 //! - `prompt-nocache`: a stateless prompt server re-prefills everything.
+//! - `prompt-apc-lip` and `prompt-nocache-lip`: the same two prompt
+//!   servers written as a program ([`PromptServer`]), one process per
+//!   keystroke on the incremental LIP's kernel.
 //!
 //! Expected: incremental per-keystroke latency is near-constant in buffer
 //! size; no-cache grows linearly; APC sits close to incremental but pays
 //! block-granular re-prefill and request overhead.
 
+use crate::prompt_server::PromptServer;
 use crate::{ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony::{Kernel, KernelConfig, SysError};
+use symphony::{Kernel, KernelConfig, SpawnOpts, SysError};
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
 use symphony_sim::{SimDuration, SimTime};
 use symphony_tokenizer::Bpe;
@@ -35,10 +39,16 @@ fn trace(buffer_words: usize) -> symphony_workloads::EditorTrace {
     EditorWorkload::new(buffer_words, KEYSTROKES, SimDuration::from_millis(250), 11).next_trace()
 }
 
-fn run_symphony(buffer_words: usize) -> Point {
+/// The kernel of E7's programs: the paper's setup, with answers that do
+/// not end on their own.
+fn kernel_config() -> KernelConfig {
     let mut cfg = KernelConfig::paper_setup();
     cfg.model = cfg.model.with_mean_output_tokens(100_000);
-    let mut kernel = Kernel::new(cfg);
+    cfg
+}
+
+fn run_symphony(buffer_words: usize) -> Point {
+    let mut kernel = Kernel::new(kernel_config());
     let tr = trace(buffer_words);
     let tr2 = tr.clone();
     let pid = kernel.spawn_process("editor", "", move |ctx| {
@@ -134,6 +144,48 @@ fn run_prompt(buffer_words: usize, apc: bool) -> Point {
     }
 }
 
+/// [`run_prompt`] with the prompt server as a program: each keystroke is
+/// one [`PromptServer`] process, admitted at the keystroke with the whole
+/// buffer as its args.
+fn run_prompt_lip(buffer_words: usize, apc: bool) -> Point {
+    let server = if apc {
+        PromptServer::with_apc(kernel_config().page_tokens, SUGGESTION_TOKENS)
+    } else {
+        PromptServer::without_cache(SUGGESTION_TOKENS)
+    };
+    let mut kernel = Kernel::new(kernel_config());
+    let tr = trace(buffer_words);
+    let mut buffer = tr.initial_buffer.clone();
+    let mut at = SimTime::ZERO;
+    let mut pids = Vec::with_capacity(tr.appends.len());
+    for (i, (chunk, gap)) in tr.appends.iter().zip(&tr.gaps).enumerate() {
+        at += *gap;
+        buffer.push_str(chunk);
+        let name = format!("keystroke{i}");
+        pids.push(kernel.admit(&name, &buffer, SpawnOpts::at(at), server.body()));
+    }
+    kernel.run();
+    let mut lat = symphony_sim::Series::new();
+    let mut total_pred_tokens = 0;
+    for pid in pids {
+        let rec = kernel.record(pid).expect("record");
+        assert!(rec.status.is_ok(), "{:?}", rec.status);
+        lat.add(rec.latency().expect("exited").as_millis_f64());
+        total_pred_tokens += rec.usage.pred_tokens;
+    }
+    Point {
+        mode: if apc {
+            "prompt-apc-lip"
+        } else {
+            "prompt-nocache-lip"
+        }
+        .into(),
+        buffer_words,
+        mean_keystroke_latency_ms: lat.mean(),
+        total_pred_tokens,
+    }
+}
+
 pub(super) fn run(_args: &ExpArgs) -> Report {
     let mut results = Vec::new();
     let mut table = Table::new(
@@ -143,7 +195,9 @@ pub(super) fn run(_args: &ExpArgs) -> Report {
             "incremental",
             "prompt+apc",
             "prompt-nocache",
-            "pred tokens i/a/n",
+            "apc-lip",
+            "nocache-lip",
+            "pred tokens i/a/n/al/nl",
         ],
     );
     for buffer_words in [200usize, 800, 2000] {
@@ -151,17 +205,25 @@ pub(super) fn run(_args: &ExpArgs) -> Report {
         let s = run_symphony(buffer_words);
         let a = run_prompt(buffer_words, true);
         let n = run_prompt(buffer_words, false);
+        let al = run_prompt_lip(buffer_words, true);
+        let nl = run_prompt_lip(buffer_words, false);
         table.row(vec![
             buffer_words.to_string(),
             format!("{:.1}ms", s.mean_keystroke_latency_ms),
             format!("{:.1}ms", a.mean_keystroke_latency_ms),
             format!("{:.1}ms", n.mean_keystroke_latency_ms),
+            format!("{:.1}ms", al.mean_keystroke_latency_ms),
+            format!("{:.1}ms", nl.mean_keystroke_latency_ms),
             format!(
-                "{}/{}/{}",
-                s.total_pred_tokens, a.total_pred_tokens, n.total_pred_tokens
+                "{}/{}/{}/{}/{}",
+                s.total_pred_tokens,
+                a.total_pred_tokens,
+                n.total_pred_tokens,
+                al.total_pred_tokens,
+                nl.total_pred_tokens
             ),
         ]);
-        results.extend([s, a, n]);
+        results.extend([s, a, n, al, nl]);
     }
     table.print();
     println!("\nShape check: incremental latency is ~flat in buffer size; no-cache grows");

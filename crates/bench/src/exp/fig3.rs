@@ -2,12 +2,21 @@
 //!
 //! Four systems share one substrate: Symphony (LIP-controlled caching), a
 //! 2024-era vLLM without automatic prefix caching (the paper's comparator),
-//! a stronger vLLM *with* automatic prefix caching, and TGI.
+//! a stronger vLLM *with* automatic prefix caching, and TGI. The two vLLMs
+//! run twice: as engines with their own batching loop, and as one program
+//! on Symphony's kernel (`-lip`; TGI as a program is vLLM without APC).
 
 use crate::fig3::{sweep, Fig3Config, PointResult, Scale};
 use crate::{ExpArgs, Report, Table};
 
-const SYSTEMS: &[&str] = &["symphony", "vllm-noapc", "vllm", "tgi"];
+const SYSTEMS: &[&str] = &[
+    "symphony",
+    "vllm-noapc",
+    "vllm",
+    "tgi",
+    "vllm-noapc-lip",
+    "vllm-lip",
+];
 
 pub(super) fn run(args: &ExpArgs) -> Report {
     let quick = args.smoke;
@@ -80,6 +89,8 @@ fn print_panels(results: &[PointResult], paretos: &[f64], loads: &[f64]) {
             "vllm-noapc",
             "vllm+apc",
             "tgi",
+            "noapc-lip",
+            "apc-lip",
             "sym hit%",
         ],
     );
@@ -103,6 +114,8 @@ fn print_panels(results: &[PointResult], paretos: &[f64], loads: &[f64]) {
                 norm(by(results, "vllm-noapc", p, l)),
                 norm(by(results, "vllm", p, l)),
                 norm(by(results, "tgi", p, l)),
+                norm(by(results, "vllm-noapc-lip", p, l)),
+                norm(by(results, "vllm-lip", p, l)),
                 format!("{:.0}%", s.cache_hit_rate * 100.0),
             ]);
         }
@@ -120,6 +133,8 @@ fn print_panels(results: &[PointResult], paretos: &[f64], loads: &[f64]) {
             "vllm-noapc",
             "vllm+apc",
             "tgi",
+            "noapc-lip",
+            "apc-lip",
             "gpu%",
             "failed",
         ],
@@ -165,6 +180,8 @@ fn print_panels(results: &[PointResult], paretos: &[f64], loads: &[f64]) {
                 norm(by(results, "vllm-noapc", p, l)),
                 norm(by(results, "vllm", p, l)),
                 norm(by(results, "tgi", p, l)),
+                norm(by(results, "vllm-noapc-lip", p, l)),
+                norm(by(results, "vllm-lip", p, l)),
                 format!("{:.0}%", s.gpu_util * 100.0),
                 failed,
             ]);

@@ -19,15 +19,15 @@
 //! application can do. The axis behaviour (Symphony wins at small Pareto
 //! index) is unaffected.
 
+use crate::native::{greedy, with_backoff};
+use crate::prompt_server::{split_response, PromptServer};
 use serde::Serialize;
-use crate::native::greedy;
 use symphony::{
-    BatchPolicy, Body, Ctx, Kernel, KernelConfig, Mode, SimDuration, SpawnOpts, SysError,
-    ToolOutcome, ToolSpec,
+    BatchPolicy, Body, Ctx, Kernel, KernelConfig, Mode, Pid, ProcessRecord, SimDuration, SpawnOpts,
+    SysError, ToolOutcome, ToolSpec,
 };
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
 use symphony_gpu::DeviceSpec;
-use symphony_kvfs::KvError;
 use symphony_model::ModelConfig;
 use symphony_sim::{LogNormal, Rng, SimTime};
 use symphony_tokenizer::Bpe;
@@ -179,18 +179,7 @@ pub fn rag_lip(ctx: &mut Ctx) -> Result<(), SysError> {
     // exponential backoff, so sleeping requests never pin pages. This is
     // the flip side of application-controlled memory: the application also
     // owns overload behaviour.
-    for attempt in 0..40u32 {
-        match try_serve_rag(ctx, topic, top_k, &query) {
-            Ok(()) => return Ok(()),
-            Err(e) if is_oom(&e) => {
-                let base = 100u64 << attempt.min(6);
-                let jitter = ctx.rng_u64() % base.max(1);
-                ctx.sleep(SimDuration::from_millis(base + jitter))?;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(SysError::Kv(KvError::NoGpuMemory))
+    with_backoff(ctx, |ctx| try_serve_rag(ctx, topic, top_k, &query))
 }
 
 /// One attempt at serving the request; holds no KV on failure.
@@ -244,10 +233,6 @@ fn try_serve_rag(
     }
 }
 
-fn is_oom(e: &SysError) -> bool {
-    matches!(e, SysError::Kv(KvError::NoGpuMemory))
-}
-
 /// Builds the shared workload for one point (same seed ⇒ same requests for
 /// every system).
 fn workload(cfg: &Fig3Config, pareto: f64, load: f64) -> Vec<RagRequest> {
@@ -273,6 +258,33 @@ pub fn run_symphony_point(
     run_symphony_point_persist(cfg, scale, pareto, load, None, None).0
 }
 
+/// The kernel every system of a point runs on: work-conserving batching,
+/// no residency management (a `pred` that does not fit fails, and the
+/// program decides what happens next), and the scale's model and pool.
+fn kernel_config(cfg: &Fig3Config, scale: &Scale) -> KernelConfig {
+    KernelConfig {
+        model: scale.model,
+        model_seed: scale.model_seed,
+        device: scale.device,
+        // The policy trade-off itself is studied in exp E1.
+        exec: symphony::ExecMode::Static(BatchPolicy::Immediate),
+        max_batch: 64,
+        page_tokens: scale.page_tokens,
+        cpu_swap_bytes: 256_000_000_000,
+        disk_swap_bytes: 0,
+        journal_path: None,
+        gpu_kv_bytes_override: scale.gpu_kv_override,
+        syscall_cost: SimDuration::from_micros(2),
+        offload_on_io_wait: false,
+        offload_min_latency: SimDuration::from_millis(20),
+        seed: cfg.seed,
+        telemetry: false,
+        causal: false,
+        faults: symphony::FaultPlan::none(),
+        wal: None,
+    }
+}
+
 /// Runs Symphony at one point with optional warm-restart logging (E13):
 /// boots its KV store from the kernel log at `boot_journal` when the file
 /// exists, and writes its own kernel log to `persist_to`, whose KV batches
@@ -287,26 +299,9 @@ pub fn run_symphony_point_persist(
     persist_to: Option<&std::path::Path>,
 ) -> (PointResult, Option<symphony::RestoreReport>) {
     let kcfg = KernelConfig {
-        model: scale.model,
-        model_seed: scale.model_seed,
-        device: scale.device,
-        // Work-conserving continuous batching, matching the baselines'
-        // scheduler (the policy trade-off itself is studied in exp E1).
-        exec: symphony::ExecMode::Static(BatchPolicy::Immediate),
-        max_batch: 64,
-        page_tokens: scale.page_tokens,
-        cpu_swap_bytes: 256_000_000_000,
-        disk_swap_bytes: 0,
         journal_path: boot_journal.map(|p| p.to_path_buf()),
-        gpu_kv_bytes_override: scale.gpu_kv_override,
-        syscall_cost: SimDuration::from_micros(2),
-        offload_on_io_wait: false,
-        offload_min_latency: SimDuration::from_millis(20),
-        seed: cfg.seed,
-        telemetry: false,
-        causal: false,
-        faults: symphony::FaultPlan::none(),
         wal: persist_to.map(symphony::WalConfig::new),
+        ..kernel_config(cfg, scale)
     };
     let mut kernel = Kernel::new(kcfg);
     let texts = std::sync::Arc::new(doc_texts(cfg));
@@ -322,65 +317,20 @@ pub fn run_symphony_point_persist(
     }
     let requests = workload(cfg, pareto, load);
     let top_k = cfg.cache_top_k;
-    let mut pids = Vec::with_capacity(requests.len());
+    let mut runs = Vec::with_capacity(requests.len());
     for (i, r) in requests.iter().enumerate() {
         let args = format!("{}|{}|{}", r.topic, top_k, r.query);
         let name = format!("rag{i}");
-        pids.push(kernel.admit(&name, &args, SpawnOpts::at(r.at), Body::hosted(rag_lip)));
+        let pid = kernel.admit(&name, &args, SpawnOpts::at(r.at), Body::hosted(rag_lip));
+        runs.push((pid, r.at));
     }
     kernel.run();
     let restored = kernel.restored().copied();
-
-    // Collect metrics.
-    let mut lat = symphony_sim::Series::new();
-    let mut lat_per_tok = symphony_sim::Series::new();
-    let mut completed = 0usize;
-    let mut failed = 0usize;
-    let mut tokens = 0u64;
-    let mut misses = 0u64;
-    let mut makespan = SimTime::ZERO;
-    for &pid in &pids {
-        let rec = kernel.record(pid).expect("record");
-        let Some(exit) = rec.exited_at else {
-            failed += 1;
-            continue;
-        };
-        makespan = makespan.max(exit);
-        if !rec.status.is_ok() {
-            if std::env::var_os("FIG3_DEBUG").is_some() {
-                eprintln!("fig3 failure pid={:?}: {:?}", pid, rec.status);
-            }
-            failed += 1;
-            continue;
-        }
-        completed += 1;
-        tokens += rec.usage.emitted_tokens;
-        misses += u64::from(rec.usage.tool_calls > 0);
-        let l = exit.duration_since(rec.spawned_at).as_secs_f64();
-        lat.add(l);
-        if rec.usage.emitted_tokens > 0 {
-            lat_per_tok.add(l * 1e3 / rec.usage.emitted_tokens as f64);
-        }
-    }
-    let span = makespan.as_secs_f64().max(1e-9);
-    let point = PointResult {
-        system: "symphony".into(),
-        pareto_index: pareto,
-        load_rps: load,
-        completed,
-        failed,
-        mean_latency_s: lat.mean(),
-        p95_latency_s: lat.percentiles(&[0.95])[0].unwrap_or(0.0),
-        latency_per_token_ms: lat_per_tok.mean(),
-        throughput_tok_s: tokens as f64 / span,
-        throughput_req_s: completed as f64 / span,
-        cache_hit_rate: if completed > 0 {
-            1.0 - misses as f64 / completed as f64
-        } else {
-            0.0
-        },
-        gpu_util: kernel.gpu_metrics().busy.as_secs_f64() / span,
-    };
+    // A hit is a request that did not fetch its document.
+    let point = measure("symphony", pareto, load, &kernel, &runs, |recs| {
+        let misses = recs.iter().filter(|r| r.usage.tool_calls > 0).count();
+        1.0 - misses as f64 / recs.len() as f64
+    });
     (point, restored)
 }
 
@@ -470,7 +420,106 @@ pub fn run_engine_point(
     }
 }
 
-/// Runs all three systems over the full `(pareto, load)` grid.
+/// Runs a baseline written as a program (`vllm-lip` or `vllm-noapc-lip`)
+/// at one `(pareto, load)` point, on Symphony's kernel: the client fetches
+/// the document as for [`run_engine_point`], then submits document and
+/// query as one prompt, a [`PromptServer`] process admitted when its fetch
+/// is done. Latency counts from the request's arrival, fetch included.
+pub fn run_prompt_point(
+    which: &str,
+    cfg: &Fig3Config,
+    scale: &Scale,
+    pareto: f64,
+    load: f64,
+) -> PointResult {
+    let server = match which {
+        "vllm-lip" => PromptServer::with_apc(scale.page_tokens, 512),
+        "vllm-noapc-lip" => PromptServer::without_cache(512),
+        other => panic!("unknown prompt server {other}"),
+    };
+    let mut kernel = Kernel::new(kernel_config(cfg, scale));
+    let texts = doc_texts(cfg);
+    let bpe = Bpe::default_tokenizer();
+    let requests = workload(cfg, pareto, load);
+    // The fetch costs the same retrieval latency Symphony's tool pays.
+    let fetch = LogNormal::from_mean_cv(cfg.retrieval.as_secs_f64(), 0.3);
+    let mut rng = Rng::new(cfg.seed ^ 0xC11E);
+    let mut runs = Vec::with_capacity(requests.len());
+    let mut prompt_tokens = Vec::with_capacity(requests.len());
+    for (i, r) in requests.iter().enumerate() {
+        let fetch_done = r.at + SimDuration::from_secs_f64(fetch.sample(&mut rng));
+        let prompt = format!("{}\n{}", texts[r.topic], r.query);
+        prompt_tokens.push(bpe.encode(&prompt).len() as u64);
+        let name = format!("prompt{i}");
+        let pid = kernel.admit(&name, &prompt, SpawnOpts::at(fetch_done), server.body());
+        runs.push((pid, r.at));
+    }
+    kernel.run();
+    // Token-level, as vLLM counts it: each response reports the prompt
+    // tokens its request took from the table.
+    let prompt_total: u64 = prompt_tokens.iter().sum();
+    measure(which, pareto, load, &kernel, &runs, |recs| {
+        let cached: u64 = recs.iter().map(|r| split_response(&r.output).1).sum();
+        cached as f64 / prompt_total as f64
+    })
+}
+
+/// One point's figures from the kernel's records of `runs` (each a
+/// process and the arrival its latency counts from); `hit_rate` reads the
+/// records of the requests that completed.
+fn measure(
+    system: &str,
+    pareto: f64,
+    load: f64,
+    kernel: &Kernel,
+    runs: &[(Pid, SimTime)],
+    hit_rate: impl FnOnce(&[&ProcessRecord]) -> f64,
+) -> PointResult {
+    let mut lat = symphony_sim::Series::new();
+    let mut lat_per_tok = symphony_sim::Series::new();
+    let mut ok = Vec::with_capacity(runs.len());
+    let mut failed = 0usize;
+    let mut tokens = 0u64;
+    let mut makespan = SimTime::ZERO;
+    for &(pid, arrival) in runs {
+        let rec = kernel.record(pid).expect("record");
+        let Some(exit) = rec.exited_at else {
+            failed += 1;
+            continue;
+        };
+        makespan = makespan.max(exit);
+        if !rec.status.is_ok() {
+            failed += 1;
+            continue;
+        }
+        tokens += rec.usage.emitted_tokens;
+        let l = exit.duration_since(arrival).as_secs_f64();
+        lat.add(l);
+        if rec.usage.emitted_tokens > 0 {
+            lat_per_tok.add(l * 1e3 / rec.usage.emitted_tokens as f64);
+        }
+        ok.push(rec);
+    }
+    let completed = ok.len();
+    let span = makespan.as_secs_f64().max(1e-9);
+    PointResult {
+        system: system.into(),
+        pareto_index: pareto,
+        load_rps: load,
+        completed,
+        failed,
+        mean_latency_s: lat.mean(),
+        p95_latency_s: lat.percentiles(&[0.95])[0].unwrap_or(0.0),
+        latency_per_token_ms: lat_per_tok.mean(),
+        throughput_tok_s: tokens as f64 / span,
+        throughput_req_s: completed as f64 / span,
+        cache_hit_rate: if completed > 0 { hit_rate(&ok) } else { 0.0 },
+        gpu_util: kernel.gpu_metrics().busy.as_secs_f64() / span,
+    }
+}
+
+/// Runs every system over the full `(pareto, load)` grid: Symphony, the
+/// three baseline engines, and the two baselines written as programs.
 pub fn sweep(
     cfg: &Fig3Config,
     scale: &Scale,
@@ -485,6 +534,8 @@ pub fn sweep(
             out.push(run_engine_point("vllm", cfg, scale, p, l));
             out.push(run_engine_point("vllm-noapc", cfg, scale, p, l));
             out.push(run_engine_point("tgi", cfg, scale, p, l));
+            out.push(run_prompt_point("vllm-lip", cfg, scale, p, l));
+            out.push(run_prompt_point("vllm-noapc-lip", cfg, scale, p, l));
         }
     }
     out

@@ -10,6 +10,7 @@ pub mod exp;
 pub mod fig3;
 pub mod lip;
 pub mod native;
+pub mod prompt_server;
 pub mod report;
 // The prelude's sampling functions, tested where the kernel runs them;
 // the files live beside the integration tests, out of the crate's source.

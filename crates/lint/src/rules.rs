@@ -199,14 +199,15 @@ pub const RETIRED: &[Retired] = &[
                 "crates/core/src/recovery.rs",
                 "crates/core/src/syscall.rs",
                 "crates/baseline/src/engine.rs",
+                "crates/bench/src/prompt_server.rs",
             ],
             strings: &[Fixed("next_dist")],
         }],
         reason: "a `pred` reply carries context fingerprints, and \
                  `symphony_model::Preds`/`DistRef` build a distribution where a \
-                 program reads one; an executor, kernel, recovery or baseline engine \
-                 that calls the model itself would be an eager per-token build \
-                 beside the lazy one",
+                 program reads one; an executor, kernel, recovery, baseline engine \
+                 or prompt server that calls the model itself would be an eager \
+                 per-token build beside the lazy one",
         commit: "68fe635",
     },
     Retired {
@@ -798,8 +799,8 @@ pub fn explain(rule: Rule) -> String {
              silently re-introduces host-speed dependence, and the golden\n\
              trace suites cannot tell you *where*. Real-time reads are only\n\
              legitimate where the point is to measure the host: the bench\n\
-             experiments that report wall time and the baseline engine's\n\
-             env-gated debug timers —\n\
+             experiments that report wall time, the client's `--connect`\n\
+             timing of a live TCP server and a test that times the host —\n\
              those paths are allowlisted in lint.toml or carry an inline\n\
              `lint:allow(d1): reason`.\n\
              \n\

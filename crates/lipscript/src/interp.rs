@@ -382,7 +382,12 @@ impl Core {
                     (Int(a), Float(b)) => (*a as f64, *b),
                     (Float(a), Int(b)) => (*a, *b as f64),
                     (Float(a), Float(b)) => (*a, *b),
-                    _ => return Err(type_err(l, r)),
+                    // Equality is total: a float is unequal to a non-number.
+                    _ => match op {
+                        BinOp::Eq => return Ok(Value::Bool(false)),
+                        BinOp::Ne => return Ok(Value::Bool(true)),
+                        _ => return Err(type_err(l, r)),
+                    },
                 };
                 match op {
                     BinOp::Add => Float(a + b),

@@ -467,11 +467,8 @@ impl Req {
 fn binop_faults(op: BinOp, l: Ty, r: Ty) -> bool {
     let num = l.is_num() && r.is_num();
     match op {
-        BinOp::And | BinOp::Or => false,
-        // Float compares promote; a float against a non-number faults.
-        BinOp::Eq | BinOp::Ne => {
-            (l == Ty::Float && !r.is_num()) || (r == Ty::Float && !l.is_num())
-        }
+        // Equality is total: a float against a non-number is unequal.
+        BinOp::And | BinOp::Or | BinOp::Eq | BinOp::Ne => false,
         BinOp::Add => {
             !(num || l == Ty::Str || r == Ty::Str || (l == Ty::List && r == Ty::List))
         }

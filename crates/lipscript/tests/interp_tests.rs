@@ -333,6 +333,18 @@ fn on_kernel(src: &str) -> (symphony::ExitStatus, String) {
 }
 
 #[test]
+fn a_float_is_unequal_to_a_non_number() {
+    // `nucleus != nil` used to fail "cannot apply Ne to float and nil".
+    let src = r#"let p = 0.9;
+        emit(str(p != nil) + " " + str(p == nil) + " " + str(p == "0.9") + " " + str([p] != p));"#;
+    let (status, output) = on_kernel(src);
+    assert!(status.is_ok(), "{status:?}");
+    assert_eq!(output, "true false false true");
+    let e = runtime_err("return 0.9 < nil;");
+    assert!(e.to_string().contains("cannot apply Lt"), "{e}");
+}
+
+#[test]
 fn pred_positions_past_u32_fail_at_the_call() {
     // Position 2^32 used to wrap to 0 (in a debug build, crash the thread).
     let src = "let kv = kv_create(); pred(kv, [1], 4294967296); emit(str(kv_next_pos(kv)));";

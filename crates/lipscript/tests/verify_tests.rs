@@ -229,6 +229,11 @@ fn pred_on_non_kv_is_error() {
 fn arithmetic_on_list_and_int_is_error() {
     let r = vet("let x = [1] - 2;");
     assert_eq!(codes(&r), vec![(DiagCode::TypeMisuse, Severity::Error)]);
+    // Ordering a float against nil faults; equality is total.
+    let r = vet("let x = 0.9 < nil;");
+    assert_eq!(codes(&r), vec![(DiagCode::TypeMisuse, Severity::Error)]);
+    let r = vet("let x = 0.9 != nil; let y = 1.5 == \"a\"; let z = [1] == 2.0;");
+    assert!(r.diags.is_empty(), "{:?}", r.diags);
 }
 
 #[test]

@@ -5,10 +5,12 @@
 mod decode;
 
 use decode::{generate, GenOpts};
-use symphony::{Kernel, KernelConfig};
+use symphony::{Kernel, KernelConfig, SpawnOpts, TokenId};
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
+use symphony_bench::prompt_server::{split_response, PromptServer};
 use symphony_gpu::DeviceSpec;
-use symphony_model::ModelConfig;
+use symphony_model::surrogate::VocabInfo;
+use symphony_model::{ModelConfig, Surrogate};
 use symphony_sim::SimTime;
 use symphony_tokenizer::Bpe;
 
@@ -24,13 +26,44 @@ fn small(preset: EngineConfig) -> EngineConfig {
     }
 }
 
-/// The same logical prompt, served greedily by Symphony (a LIP) and by both
-/// baseline engines, must produce the same tokens: all three run the same
-/// surrogate model, so only scheduling may differ — never output.
+/// The oracle: greedy decoding by its definition, with no kernel, KV
+/// store, batching or cache — at each step the surrogate's argmax after a
+/// fingerprint of the whole context so far.
+fn reference_greedy(cfg: &KernelConfig, prompt: &[TokenId], max_tokens: usize) -> Vec<TokenId> {
+    let bpe = Bpe::default_tokenizer();
+    let model =
+        Surrogate::new(cfg.model, cfg.model_seed).with_vocab(VocabInfo::from_tokenizer(bpe));
+    let fpr = model.fingerprinter();
+    let mut context = prompt.to_vec();
+    while context.len() < prompt.len() + max_tokens {
+        let fp = context
+            .iter()
+            .zip(0u32..)
+            .fold(fpr.origin(), |fp, (&t, pos)| fpr.advance(fp, t, pos));
+        let next = model.next_dist(fp).argmax();
+        if next == bpe.specials().eos {
+            break;
+        }
+        context.push(next);
+    }
+    context.split_off(prompt.len())
+}
+
+/// The same logical prompt, served greedily by Symphony (a LIP), by both
+/// baseline engines and by the prompt server written as a program (with
+/// and without its prefix table), says what the reference decoder says:
+/// all run the same surrogate model, so only scheduling may differ —
+/// never output.
 #[test]
 fn symphony_and_baselines_agree_on_greedy_output() {
     let prompt_text = "compare the memory management of the serving systems";
     let bpe = Bpe::default_tokenizer();
+    let reference = bpe.decode(&reference_greedy(
+        &KernelConfig::for_tests(),
+        &bpe.encode(prompt_text),
+        24,
+    ));
+    assert!(!reference.is_empty());
 
     // Symphony.
     let mut kernel = Kernel::new(KernelConfig::for_tests());
@@ -52,10 +85,21 @@ fn symphony_and_baselines_agree_on_greedy_output() {
         Ok(())
     });
     kernel.run();
-    let symphony_out = kernel.record(pid).unwrap().output.clone();
-    assert!(!symphony_out.is_empty());
+    assert_eq!(kernel.record(pid).unwrap().output, reference, "symphony");
 
-    // Baselines (same model seed as KernelConfig::for_tests).
+    // The prompt server, as a program on the same kernel.
+    for server in [
+        PromptServer::with_apc(4, 24),
+        PromptServer::without_cache(24),
+    ] {
+        let mut kernel = Kernel::new(KernelConfig::for_tests());
+        let pid = kernel.admit("prompt", prompt_text, SpawnOpts::default(), server.body());
+        kernel.run();
+        let rec = kernel.record(pid).unwrap();
+        assert_eq!(split_response(&rec.output).0, reference, "{server:?}");
+    }
+
+    // Baseline engines (same model seed as KernelConfig::for_tests).
     let request = PromptRequest {
         id: 1,
         arrival: SimTime::ZERO,
@@ -68,10 +112,7 @@ fn symphony_and_baselines_agree_on_greedy_output() {
         let mut engine = Engine::new(cfg);
         let (completions, _) = engine.run(vec![request.clone()]);
         let engine_out = bpe.decode(&completions[0].tokens);
-        assert_eq!(
-            symphony_out, engine_out,
-            "{name} must generate identical greedy output"
-        );
+        assert_eq!(engine_out, reference, "{name}");
     }
 }
 
