@@ -14,14 +14,13 @@
 //!   filling a batch plausibly takes: it tracks immediate at low load and
 //!   fixed-window at high load — the §4.4 design.
 
-use crate::{ExpArgs, Report, Table, Telemetry};
+use crate::{lip, ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
-use symphony::{
-    BatchPolicy, Body, ExecMode, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts, SysError,
-};
+use symphony::{BatchPolicy, ExecMode, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts};
 use symphony_sim::{PoissonProcess, Rng};
 
-const PROMPT_TOKENS: usize = 48;
+/// The classification request: one `pred` over at most 48 prompt tokens.
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/with_prelude/classify.lip");
 const REQUESTS: usize = 300;
 
 #[derive(Debug, Clone, Serialize)]
@@ -55,24 +54,7 @@ fn run_point(
     for i in 0..REQUESTS {
         at += arrivals.next_gap(&mut rng);
         let args = format!("classify this input snippet number {i} into a label");
-        let body = Body::hosted(|ctx| {
-            // Classification-style request: ONE pred, read the distribution,
-            // emit the verdict. No decode loop.
-            let mut prompt = ctx.tokenize(&ctx.args())?;
-            prompt.truncate(PROMPT_TOKENS);
-            let kv = ctx.kv_create()?;
-            let dist = ctx
-                .pred_positions(kv, &prompt, 0)?
-                .last()
-                .ok_or(SysError::BadArgument)?;
-            ctx.emit(if dist.entropy() > 2.0 {
-                "uncertain"
-            } else {
-                "confident"
-            })?;
-            ctx.kv_remove(kv)?;
-            Ok(())
-        });
+        let body = lip::program(PROGRAM);
         pids.push(kernel.admit(&format!("p{i}"), &args, SpawnOpts::at(at), body));
     }
     kernel.run();

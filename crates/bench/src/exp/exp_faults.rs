@@ -18,22 +18,23 @@
 //! with latency (backoff + re-attempts) — graceful degradation, not a
 //! free lunch.
 
-use crate::native::greedy;
-use crate::{ExpArgs, Report, Table, Telemetry};
+use crate::{lip, ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{
-    Body, Ctx, FaultPlan, Kernel, KernelConfig, Limits, SimDuration, SpawnOpts, SysError,
-    ToolOutcome, ToolSpec,
+    FaultPlan, Kernel, KernelConfig, Limits, SimDuration, SpawnOpts, ToolOutcome, ToolSpec,
 };
+
+/// The agent, retry policy and all (args: "<attempts per call> <calls>").
+const AGENT: &str = include_str!("../../../../examples/lipscript/with_prelude/retry_agent.lip");
 
 const AGENTS: usize = 24;
 const CALLS_PER_AGENT: usize = 4;
 const TOOL_LATENCY: SimDuration = SimDuration::from_millis(25);
 const TOOL_TIMEOUT: SimDuration = SimDuration::from_millis(100);
 const SEED: u64 = 0xE11;
-/// `retry4`'s attempts per call, and the backoff before its first retry.
+/// `retry4`'s attempts per call (its backoff, 5 ms before the first
+/// retry, is the program's).
 const RETRY_ATTEMPTS: u32 = 4;
-const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(5);
 
 #[derive(Debug, Clone, Serialize)]
 struct Point {
@@ -46,22 +47,6 @@ struct Point {
     injected_hangs: u64,
     tool_attempts: u64,
     tool_timeouts: u64,
-}
-
-/// One tool call, retried by the program: up to `attempts` tries, with a
-/// jittered exponential backoff slept between them.
-fn call_api(ctx: &mut Ctx, args: &str, attempts: u32) -> Result<String, SysError> {
-    let mut failures = 0;
-    loop {
-        match ctx.call_tool("api", args) {
-            Err(SysError::Fault(_) | SysError::Timeout) if failures + 1 < attempts => {
-                let jitter = 0.9 + 0.2 * ctx.rng_f64();
-                ctx.sleep(RETRY_BACKOFF * (f64::from(1u32 << failures) * jitter))?;
-                failures += 1;
-            }
-            result => return result,
-        }
-    }
 }
 
 fn run_cell(
@@ -101,20 +86,10 @@ fn run_cell(
         ..SpawnOpts::default()
     };
     let mut pids = Vec::new();
+    let args = format!("{attempts} {CALLS_PER_AGENT}");
     for a in 0..AGENTS {
-        let body = Body::hosted(move |ctx| {
-            let kv = ctx.kv_create()?;
-            let mut next = ctx.tokenize("an agent plan with several lookups")?;
-            for i in 0..CALLS_PER_AGENT {
-                greedy(ctx, kv, &next, 8)?;
-                // A call that fails on its last attempt aborts the task.
-                let result = call_api(ctx, &format!("call {i}"), attempts)?;
-                next = ctx.tokenize(&result)?;
-            }
-            greedy(ctx, kv, &next, 8)?;
-            Ok::<(), SysError>(())
-        });
-        pids.push(kernel.admit(&format!("agent{a}"), "", admission, body));
+        let body = lip::program(AGENT);
+        pids.push(kernel.admit(&format!("agent{a}"), &args, admission, body));
     }
     kernel.run();
     let (mut ok, mut lat_sum) = (0usize, 0.0f64);

@@ -6,12 +6,20 @@
 //! resume. We measure the throughput of background completions that must
 //! squeeze into the remaining memory, with and without offload.
 
-use crate::native::greedy;
-use crate::{ExpArgs, Report, Table, Telemetry};
+use crate::{lip, ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
-use symphony::{
-    Body, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts, SysError, ToolOutcome, ToolSpec,
-};
+use symphony::{Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts, ToolOutcome, ToolSpec};
+
+/// The agent (args: its context), after the decoding loop that hands a
+/// refused `pred` back to it: it owns the fallback when restoring its
+/// context fails.
+const AGENT: &str = concat!(
+    include_str!("../../../../examples/lipscript/with_prelude/decode_try.lip"),
+    include_str!("../../../../examples/lipscript/with_prelude/offload_agent.lip")
+);
+/// A background completion (args: its prompt), with no retry.
+const BACKGROUND: &str =
+    include_str!("../../../../examples/lipscript/with_prelude/offload_background.lip");
 
 const AGENTS: usize = 6;
 const AGENT_CONTEXT_TOKENS: usize = 3_000;
@@ -58,69 +66,21 @@ fn run_point(
     );
 
     let doc = symphony_tokenizer::CorpusGen::new(9).paragraph(AGENT_CONTEXT_TOKENS);
-    let doc = std::sync::Arc::new(doc);
     let mut agents = Vec::new();
     for i in 0..AGENTS {
-        let doc = doc.clone();
         let at = SimTime::ZERO + SimDuration::from_millis(10 * i as u64);
-        let body = Body::hosted(move |ctx| {
-            let kv = ctx.kv_create()?;
-            let toks = ctx.tokenize(&doc)?;
-            ctx.pred_positions(kv, &toks, 0)?;
-            // Long blocking tool call: the kernel may offload `kv`.
-            ctx.call_tool("slow-api", "q")?;
-            // The kernel restores offloaded files on I/O completion, but
-            // under pressure the restore can fail; the application owns the
-            // fallback: ensure residency, generate, and back off (holding
-            // the context in host memory, not HBM) on any memory error.
-            let q = ctx.tokenize("\nsummarize")?;
-            let base = ctx.kv_len(kv)?;
-            let mut done = false;
-            for attempt in 0..200u64 {
-                if ctx.kv_swap_in(kv).is_err() {
-                    ctx.sleep(SimDuration::from_millis(20 + 5 * attempt))?;
-                    continue;
-                }
-                match greedy(ctx, kv, &q, 16) {
-                    Ok(_) => {
-                        done = true;
-                        break;
-                    }
-                    Err(SysError::Kv(symphony_kvfs::KvError::NoGpuMemory)) => {
-                        ctx.kv_truncate(kv, base)?;
-                        let _ = ctx.kv_swap_out(kv);
-                        ctx.sleep(SimDuration::from_millis(30 + 5 * attempt))?;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if !done {
-                return Err(SysError::Kv(symphony_kvfs::KvError::NoGpuMemory));
-            }
-            ctx.kv_remove(kv)?;
-            Ok(())
-        });
-        agents.push(kernel.admit(&format!("agent{i}"), "", SpawnOpts::at(at), body));
+        let body = lip::program(AGENT);
+        agents.push(kernel.admit(&format!("agent{i}"), &doc, SpawnOpts::at(at), body));
     }
     // Background completions arrive while the agents block on I/O.
+    let prompt = symphony_tokenizer::CorpusGen::new(50).paragraph(700);
     let mut bg = Vec::new();
     for i in 0..BG_JOBS {
         // Arrive while every agent sits inside its 3 s tool call (the
         // agents' prefills serialise on the GPU and finish by ~3.3 s).
         let at = SimTime::ZERO + SimDuration::from_millis(3_600 + 40 * i as u64);
-        let body = Body::hosted(move |ctx| {
-            let prompt = ctx.tokenize(&symphony_tokenizer::CorpusGen::new(50).paragraph(700))?;
-            let kv = ctx.kv_create()?;
-            match ctx.pred_positions(kv, &prompt, 0) {
-                Ok(_) => {}
-                Err(e) => return Err(e), // no retry: measures raw headroom
-            }
-            let q = [prompt[0]];
-            greedy(ctx, kv, &q, 12)?;
-            ctx.kv_remove(kv)?;
-            Ok(())
-        });
-        bg.push(kernel.admit(&format!("bg{i}"), "", SpawnOpts::at(at), body));
+        let body = lip::program(BACKGROUND);
+        bg.push(kernel.admit(&format!("bg{i}"), &prompt, SpawnOpts::at(at), body));
     }
     kernel.run();
 
@@ -193,10 +153,4 @@ pub(super) fn run(opts: &ExpArgs) -> Report {
     println!("price of agents paying PCIe swap time on resume; with DRAM squeezed to");
     println!("two contexts the overflow spills to NVMe and resume gets dearer still.");
     Report::new(&results).with_telemetry(captured)
-}
-
-// Referenced to keep the import used when assertions compile out.
-#[allow(dead_code)]
-fn _t(e: SysError) -> SysError {
-    e
 }

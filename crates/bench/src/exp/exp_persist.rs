@@ -10,13 +10,9 @@
 //! latency.
 
 use crate::fig3::{run_symphony_point_persist, Fig3Config, Scale};
-use crate::native::greedy;
-use crate::{ExpArgs, Report, Table};
+use crate::{lip, ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony::{
-    Body, Ctx, Kernel, KernelConfig, Mode, SimDuration, SimTime, SpawnOpts, SysError, ToolOutcome,
-    ToolSpec,
-};
+use symphony::{Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts, ToolOutcome, ToolSpec};
 
 const AGENTS: usize = 24;
 /// Cold-boot agents arrive in waves, and the log grows across them the
@@ -95,31 +91,11 @@ fn rag_points(smoke: bool, journal: &std::path::Path) -> (Point, Point) {
 
 // ---- shared-system-prompt agent workload ----------------------------------
 
-/// One agent session: fork the published system prompt if present,
-/// otherwise fetch + prefill + publish it (pinned), then run the task turn.
-fn agent_lip(ctx: &mut Ctx) -> Result<(), SysError> {
-    let kv = match ctx.kv_open("agent/system.kv") {
-        Ok(sys) => ctx.kv_fork(sys)?,
-        Err(_) => {
-            let text = ctx.call_tool("fetch-system", "")?;
-            let toks = ctx.tokenize(&text)?;
-            let f = ctx.kv_create()?;
-            ctx.pred_positions(f, &toks, 0)?;
-            // Racing sessions may have published first; losing is fine.
-            if ctx.kv_link(f, "agent/system.kv").is_ok() {
-                ctx.kv_chmod(f, Mode::SHARED_READ)?;
-                ctx.kv_pin(f)?;
-                ctx.kv_fork(f)?
-            } else {
-                f
-            }
-        }
-    };
-    let task = ctx.tokenize(&ctx.args())?;
-    greedy(ctx, kv, &task, 16)?;
-    ctx.kv_remove(kv)?;
-    Ok(())
-}
+/// One agent session (args: its task): fork the published system prompt
+/// if present, otherwise fetch + prefill + publish it (pinned), then run
+/// the task turn.
+const AGENT: &str =
+    include_str!("../../../../examples/lipscript/with_prelude/system_prompt_agent.lip");
 
 fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
     let mut cfg = if smoke {
@@ -154,7 +130,7 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
         for i in 0..AGENTS {
             let at = SimTime::ZERO + SimDuration::from_millis(25 * i as u64);
             let (name, args) = (format!("agent{i}"), format!("plan step {i}"));
-            pids.push(kernel.admit(&name, &args, SpawnOpts::at(at), Body::hosted(agent_lip)));
+            pids.push(kernel.admit(&name, &args, SpawnOpts::at(at), lip::program(AGENT)));
         }
         kernel.run();
     } else {
@@ -170,7 +146,7 @@ fn agent_run(smoke: bool, journal: &std::path::Path, warm: bool) -> Point {
                 }
                 let at = base + SimDuration::from_millis(25 * j as u64);
                 let (name, args) = (format!("agent{i}"), format!("plan step {i}"));
-                pids.push(kernel.admit(&name, &args, SpawnOpts::at(at), Body::hosted(agent_lip)));
+                pids.push(kernel.admit(&name, &args, SpawnOpts::at(at), lip::program(AGENT)));
             }
             kernel.run();
             let on_disk = std::fs::metadata(journal).map(|m| m.len()).unwrap_or(0);

@@ -19,15 +19,16 @@
 //! application can do. The axis behaviour (Symphony wins at small Pareto
 //! index) is unaffected.
 
-use crate::native::{greedy, with_backoff};
+use crate::lip;
 use crate::prompt_server::{split_response, PromptServer};
 use serde::Serialize;
 use symphony::{
-    BatchPolicy, Body, Ctx, Kernel, KernelConfig, Mode, Pid, ProcessRecord, SimDuration, SpawnOpts,
-    SysError, ToolOutcome, ToolSpec,
+    BatchPolicy, Kernel, KernelConfig, Pid, ProcessRecord, SimDuration, SpawnOpts, ToolOutcome,
+    ToolSpec,
 };
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
 use symphony_gpu::DeviceSpec;
+use symphony_lipscript::InterpLimits;
 use symphony_model::ModelConfig;
 use symphony_sim::{LogNormal, Rng, SimTime};
 use symphony_tokenizer::Bpe;
@@ -154,84 +155,28 @@ pub struct PointResult {
     pub gpu_util: f64,
 }
 
-/// The Symphony RAG LIP (the paper's §5 program).
-///
-/// Args format: `"topic|top_k|query"`. Policy: documents for topics below
-/// `top_k` are prefilled once, published under `rag/doc<topic>.kv`, pinned,
-/// and forked by later requests; other topics are prefilled privately and
-/// discarded. On GPU memory exhaustion the LIP retries with backoff —
-/// application-level handling of a resource the application is managing.
-pub fn rag_lip(ctx: &mut Ctx) -> Result<(), SysError> {
-    let args = ctx.args();
-    let mut parts = args.splitn(3, '|');
-    let topic: usize = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or(SysError::BadArgument)?;
-    let top_k: usize = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or(SysError::BadArgument)?;
-    let query = parts.next().ok_or(SysError::BadArgument)?.to_string();
+/// The Symphony RAG LIP (the paper's §5 program): `examples/lipscript/
+/// with_prelude/rag.lip`, after the decoding loop that hands a refused
+/// `pred` back to it. Args: `"topic|top_k|query"`. Documents of topics
+/// below `top_k` are prefilled once, published under `rag/doc<topic>.kv`,
+/// pinned, and forked by later requests; other topics are prefilled
+/// privately and discarded. When the GPU's KV pool is full the LIP
+/// releases everything it holds and retries after a jittered exponential
+/// backoff — application-level handling of a resource the application is
+/// managing.
+const RAG_LIP: &str = concat!(
+    include_str!("../../../examples/lipscript/with_prelude/decode_try.lip"),
+    include_str!("../../../examples/lipscript/with_prelude/rag.lip")
+);
 
-    // Application-level congestion control: on GPU memory exhaustion the
-    // LIP releases *everything* it holds and restarts after a jittered
-    // exponential backoff, so sleeping requests never pin pages. This is
-    // the flip side of application-controlled memory: the application also
-    // owns overload behaviour.
-    with_backoff(ctx, |ctx| try_serve_rag(ctx, topic, top_k, &query))
-}
-
-/// One attempt at serving the request; holds no KV on failure.
-fn try_serve_rag(
-    ctx: &mut Ctx,
-    topic: usize,
-    top_k: usize,
-    query: &str,
-) -> Result<(), SysError> {
-    let path = format!("rag/doc{topic}.kv");
-    let kv = match ctx.kv_open(&path) {
-        Ok(doc) => ctx.kv_fork(doc)?,
-        Err(_) => {
-            // Miss: fetch and prefill the document.
-            let text = ctx.call_tool("retrieve", &topic.to_string())?;
-            let doc_tokens = ctx.tokenize(&text)?;
-            let f = ctx.kv_create()?;
-            if let Err(e) = ctx.pred_positions(f, &doc_tokens, 0) {
-                let _ = ctx.kv_remove(f);
-                return Err(e);
-            }
-            if topic < top_k {
-                // Publish the document prefix for future requests. Another
-                // request may have raced us; losing the race is fine.
-                if ctx.kv_link(f, &path).is_ok() {
-                    ctx.kv_chmod(f, Mode::SHARED_READ)?;
-                    ctx.kv_pin(f)?;
-                    // Continue on a fork so the published file stays
-                    // document-only.
-                    ctx.kv_fork(f)?
-                } else {
-                    f
-                }
-            } else {
-                f
-            }
-        }
-    };
-
-    let q = ctx.tokenize(&format!("\n{query}"))?;
-    match greedy(ctx, kv, &q, 512) {
-        Ok(out) => {
-            ctx.emit_tokens(&out)?;
-            ctx.kv_remove(kv)?;
-            Ok(())
-        }
-        Err(e) => {
-            let _ = ctx.kv_remove(kv);
-            Err(e)
-        }
-    }
-}
+/// The RAG LIP's sandbox: roomy enough that only the program's own policy
+/// ends a request, since a retry re-prefills its document and the memory
+/// meter never credits what a failed attempt let go of.
+const RAG_LIMITS: InterpLimits = InterpLimits {
+    fuel: 1_000_000_000,
+    memory_cells: 1_000_000_000,
+    max_depth: 64,
+};
 
 /// Builds the shared workload for one point (same seed ⇒ same requests for
 /// every system).
@@ -321,7 +266,8 @@ pub fn run_symphony_point_persist(
     for (i, r) in requests.iter().enumerate() {
         let args = format!("{}|{}|{}", r.topic, top_k, r.query);
         let name = format!("rag{i}");
-        let pid = kernel.admit(&name, &args, SpawnOpts::at(r.at), Body::hosted(rag_lip));
+        let body = lip::program_with(RAG_LIP, RAG_LIMITS);
+        let pid = kernel.admit(&name, &args, SpawnOpts::at(r.at), body);
         runs.push((pid, r.at));
     }
     kernel.run();

@@ -9,7 +9,6 @@
 pub mod exp;
 pub mod fig3;
 pub mod lip;
-pub mod native;
 pub mod prompt_server;
 pub mod report;
 // The prelude's sampling functions, tested where the kernel runs them;

@@ -14,16 +14,15 @@
 //!   when a `pred` does not fit. Each entry is a published KV file.
 //! - **Preemption** is the program's: when a `pred` does not fit and no
 //!   entry is left to evict, the request releases its file and retries
-//!   after a backoff ([`with_backoff`]), recomputing its prompt.
+//!   after a backoff (the one Fig. 3's RAG LIP uses), recomputing its
+//!   prompt.
 //! - **No table** is vLLM as the paper ran it (APC off) and TGI alike: the
 //!   kernel has no admission that reserves a request's whole output, so
 //!   the two are the same program.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use symphony::{Body, Ctx, FileId, Mode, SysError, TokenId};
-
-use crate::native::{greedy_with, with_backoff};
+use symphony::{Body, Ctx, FileId, KvError, Mode, SimDuration, SysError, TokenId};
 
 /// One cached prefix: the published file at `path` holds `tokens`' KV.
 #[derive(Debug, Clone)]
@@ -238,7 +237,7 @@ impl PromptServer {
     /// One attempt; holds no KV when it fails.
     fn attempt(&self, ctx: &mut Ctx, prompt: &[TokenId]) -> Result<(), SysError> {
         let (kv, covered) = self.open(ctx, prompt)?;
-        let out = greedy_with(ctx, kv, &prompt[covered..], self.max_tokens, &mut |ctx| {
+        let out = greedy(ctx, kv, &prompt[covered..], self.max_tokens, &mut |ctx| {
             self.evict(ctx)
         });
         let out = match out {
@@ -313,4 +312,68 @@ impl PromptServer {
             _ => ctx.kv_remove(kv),
         }
     }
+}
+
+/// The engine's decoding loop: extends `kv` past `prompt` (non-empty)
+/// greedily until EOS or `max_tokens`, asking `make_room` for pages
+/// whenever a `pred` does not fit (`NoGpuMemory`) and sending the same
+/// `pred` again while it says it freed some. The tokens, EOS excluded. It
+/// makes `decode.lip`'s system calls: `kv_next_pos`, one `pred` over the
+/// prompt, then per token its argmax and a `pred`.
+fn greedy(
+    ctx: &mut Ctx,
+    kv: FileId,
+    prompt: &[TokenId],
+    max_tokens: usize,
+    make_room: &mut dyn FnMut(&mut Ctx) -> bool,
+) -> Result<Vec<TokenId>, SysError> {
+    let mut pred = |ctx: &mut Ctx, tokens: &[(TokenId, u32)]| loop {
+        match ctx.pred(kv, tokens) {
+            Err(SysError::Kv(KvError::NoGpuMemory)) if make_room(ctx) => {}
+            reply => return reply?.last().ok_or(SysError::BadArgument),
+        }
+    };
+    let start = ctx.kv_next_pos(kv)?;
+    // A position past `u32::MAX` is refused, as `Ctx::pred_positions` does.
+    let prefill = (0u32..)
+        .zip(prompt)
+        .map(|(i, &t)| start.checked_add(i).map(|pos| (t, pos)))
+        .collect::<Option<Vec<_>>>()
+        .ok_or(SysError::BadArgument)?;
+    let mut dist = pred(ctx, &prefill)?;
+    let mut pos = start + prompt.len() as u32;
+    let mut tokens = Vec::new();
+    let eos = ctx.eos();
+    while tokens.len() < max_tokens {
+        let tok = dist.argmax();
+        if tok == eos {
+            break;
+        }
+        tokens.push(tok);
+        dist = pred(ctx, &[(tok, pos)])?;
+        pos += 1;
+    }
+    Ok(tokens)
+}
+
+/// Runs `attempt` until it succeeds. After each `NoGpuMemory` it sleeps a
+/// jittered exponential backoff (100 ms doubling to 6.4 s, plus up to as
+/// much again; Fig. 3's RAG LIP backs off the same way), so an attempt
+/// must release every page it holds before it fails: a sleeping request
+/// pins nothing. Any other error ends it; so does the fortieth full pool.
+fn with_backoff(
+    ctx: &mut Ctx,
+    mut attempt: impl FnMut(&mut Ctx) -> Result<(), SysError>,
+) -> Result<(), SysError> {
+    for n in 0..40u32 {
+        match attempt(ctx) {
+            Err(SysError::Kv(KvError::NoGpuMemory)) => {
+                let base = 100u64 << n.min(6);
+                let jitter = ctx.rng_u64() % base;
+                ctx.sleep(SimDuration::from_millis(base + jitter))?;
+            }
+            done => return done,
+        }
+    }
+    Err(SysError::Kv(KvError::NoGpuMemory))
 }

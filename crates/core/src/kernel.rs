@@ -1293,6 +1293,12 @@ impl Kernel {
         if s.done > 0 {
             let _ = self.store.truncate(s.req.file, s.req.owner, s.start_len);
         }
+        // Work that did not happen is not counted: the tokens go back to
+        // the process's `pred_tokens` and its `max_pred_tokens` budget.
+        if let Some(p) = self.procs.get_mut(s.pid.0).filter(|p| p.live.is_some()) {
+            let usage = &mut p.record.usage;
+            usage.pred_tokens = usage.pred_tokens.saturating_sub(s.req.tokens.len() as u64);
+        }
         s.tid
     }
 

@@ -1071,6 +1071,41 @@ fn gpu_oom_surfaces_to_lip_which_can_evict() {
 }
 
 #[test]
+fn a_rolled_back_pred_counts_none_of_its_tokens() {
+    let mut cfg = KernelConfig::for_tests();
+    // 800 pages of 4 tokens.
+    cfg.gpu_kv_bytes_override = Some(800 * 4 * cfg.model.kv_bytes_per_token());
+    let mut k = Kernel::new(cfg);
+    // A budget of exactly the work that completes: had the refused
+    // prefill used some of it, the retry would be over it.
+    let opts = SpawnOpts {
+        limits: Limits {
+            max_pred_tokens: Some(3_400),
+            ..Limits::default()
+        },
+        ..SpawnOpts::default()
+    };
+    let body = Body::hosted(|ctx| {
+        let held = ctx.kv_create()?;
+        ctx.pred_positions(held, &(1..=400).collect::<Vec<_>>(), 0)?;
+        let doc: Vec<u32> = (1..=3_000).collect();
+        let kv = ctx.kv_create()?;
+        // 750 pages, with 700 free.
+        let err = ctx.pred_positions(kv, &doc, 0).unwrap_err();
+        assert_eq!(err, SysError::Kv(KvError::NoGpuMemory));
+        ctx.kv_remove(held)?;
+        ctx.pred_positions(kv, &doc, 0)?;
+        ctx.kv_remove(kv)
+    });
+    let pid = k.admit("prefill", "", opts, body);
+    k.run();
+    let rec = k.record(pid).unwrap();
+    assert!(rec.status.is_ok(), "{:?}", rec.status);
+    assert_eq!(rec.usage.pred_calls, 3, "a refused call is still a call");
+    assert_eq!(rec.usage.pred_tokens, 3_400);
+}
+
+#[test]
 fn emit_and_args_roundtrip() {
     let mut k = kernel();
     let pid = k.spawn_process("echo", "the argument string", |ctx| {

@@ -44,7 +44,7 @@ fn parse_args() -> Result<Args, String> {
                 args.explain = Some(it.next().ok_or("--explain expects a rule id")?)
             }
             "--help" | "-h" => {
-                print_out(&format!(
+                print_out(
                     "symphony-lint: determinism & kernel-safety checks\n\
                      \n\
                      USAGE: symphony-lint [--format json|human] [--root DIR] [--explain RULE]\n\
@@ -57,8 +57,8 @@ fn parse_args() -> Result<Args, String> {
                      \n\
                      Suppress inline with `// lint:allow(rule): reason` (reason\n\
                      mandatory) or by path prefix in lint.toml; r1 takes neither.\n\
-                     `--explain <rule>` prints the rationale. See docs/LINTS.md.\n"
-                ));
+                     `--explain <rule>` prints the rationale. See docs/LINTS.md.\n",
+                );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),

@@ -47,6 +47,11 @@ pub enum ExprKind {
     Call(String, Vec<Expr>),
     /// Indexing: `xs[i]`.
     Index(Box<Expr>, Box<Expr>),
+    /// `try call`: the call's value, or the error value of a system call
+    /// the kernel refused. The parser only makes one around a call of a
+    /// builtin that asks the host; around anything else it is the
+    /// expression itself.
+    Try(Box<Expr>),
 }
 
 /// An expression with its position.

@@ -21,14 +21,14 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use symphony::{FileId, Pid, SimDuration, Syscall, Tid};
+use symphony::{FileId, Mode, Pid, SimDuration, Syscall, Tid};
 use symphony_model::Dist;
 
 use crate::error::{RuntimeError, RuntimeErrorKind, Span};
 use crate::host::{HostCall, HostReply, HostResult};
 use crate::image::Image;
 use crate::interp::{fail, Core, Fallible};
-use crate::value::Value;
+use crate::value::{err_kind, Value};
 use crate::verify::{Req, Ty};
 
 /// Declares every builtin once: its variant, its name, what it requires of
@@ -124,6 +124,10 @@ builtins! {
     Split = "split"(Str, Str) -> List pure,
     Print = "print"(Any) -> Nil asks,
     Rand = "rand"() -> Float asks,
+    RandInt = "rand_int"(Int) -> Int asks,
+    // Failed system calls, as `try` gives them.
+    IsErr = "is_err"(Any) -> Bool pure,
+    ErrKind = "err_kind"(Err) -> Str pure,
     // Distribution operations.
     Sample = "sample"(Dist) -> Int asks,
     SampleT = "sample_t"(Dist, Num) -> Int asks,
@@ -154,6 +158,9 @@ builtins! {
     KvUnlink = "kv_unlink"(Str) -> Nil asks,
     KvPin = "kv_pin"(Kv) -> Nil asks,
     KvUnpin = "kv_unpin"(Kv) -> Nil asks,
+    KvChmod = "kv_chmod"(Kv, Str) -> Nil asks,
+    KvSwapIn = "kv_swap_in"(Kv) -> Nil asks,
+    KvSwapOut = "kv_swap_out"(Kv) -> Nil asks,
     Emit = "emit"(Str) -> Nil asks,
     EmitToken = "emit_token"(Int) -> Nil asks,
     EmitTokens = "emit_tokens"(List) -> Nil asks,
@@ -397,6 +404,22 @@ pub(crate) fn begin(
             return sys(Syscall::Emit { text });
         }
         Builtin::Rand => return ask(HostCall::Rand),
+        Builtin::RandInt => {
+            let n = as_int(args[0], "bound", span)?;
+            if n < 1 {
+                return Err(type_err("bound must be >= 1", span));
+            }
+            return ask(HostCall::RandInt(n as u64));
+        }
+        Builtin::IsErr => Ok(Value::Bool(matches!(args[0], Value::Err(_)))),
+        Builtin::ErrKind => match args[0] {
+            Value::Err(e) => {
+                let kind = err_kind(e);
+                core.charge(1 + kind.len() as u64 / 8, span)?;
+                Ok(Value::Str(kind))
+            }
+            other => Err(type_err(format!("err_kind of {}", other.type_name()), span)),
+        },
 
         // ---- distribution operations ---------------------------------------
         Builtin::Sample => {
@@ -545,6 +568,26 @@ pub(crate) fn begin(
         }
         Builtin::KvPin => return sys(Syscall::KvPin { kv: first_kv()? }),
         Builtin::KvUnpin => return sys(Syscall::KvUnpin { kv: first_kv()? }),
+        Builtin::KvChmod => {
+            let kv = first_kv()?;
+            // Who besides the owner may read (`r`) and write (`w`).
+            let mode = match as_str(args[1], "mode", span)? {
+                "" => Mode::PRIVATE,
+                "r" => Mode::SHARED_READ,
+                "w" => Mode {
+                    read_all: false,
+                    write_all: true,
+                },
+                "rw" => Mode {
+                    read_all: true,
+                    write_all: true,
+                },
+                other => return Err(type_err(format!("mode {other:?} is not r, w or rw"), span)),
+            };
+            return sys(Syscall::KvChmod { kv, mode });
+        }
+        Builtin::KvSwapIn => return sys(Syscall::KvSwapIn { kv: first_kv()? }),
+        Builtin::KvSwapOut => return sys(Syscall::KvSwapOut { kv: first_kv()? }),
         Builtin::Emit => {
             let text = as_str(args[0], "text", span)?.to_string();
             return sys(Syscall::Emit { text });
@@ -585,7 +628,8 @@ pub(crate) fn begin(
                 Value::Int(ms) => SimDuration::from_millis(*ms as u64),
                 other => {
                     let ms = as_f64(other, "milliseconds", span)?;
-                    if !(ms >= 0.0) {
+                    // NaN is not a duration either.
+                    if ms.is_nan() || ms < 0.0 {
                         return Err(negative());
                     }
                     SimDuration::from_nanos((ms * 1e6).round() as u64)
@@ -619,10 +663,20 @@ pub(crate) fn begin(
 }
 
 /// Second half of a host-calling builtin: the reply as a value, charged to
-/// the memory budget where it allocates. A host error becomes the
-/// program's [`RuntimeErrorKind::Host`] at the call's span.
-pub(crate) fn finish(core: &mut Core, reply: HostResult<HostReply>, span: Span) -> Fallible<Value> {
-    let reply = reply.map_err(|m| err(RuntimeErrorKind::Host(m), span))?;
+/// the memory budget where it allocates. A host error is the call's value
+/// ([`Value::Err`]) when the call is `caught` (under `try`); otherwise it
+/// becomes the program's [`RuntimeErrorKind::Host`] at the call's span.
+pub(crate) fn finish(
+    core: &mut Core,
+    reply: HostResult<HostReply>,
+    span: Span,
+    caught: bool,
+) -> Fallible<Value> {
+    let reply = match reply {
+        Ok(reply) => reply,
+        Err(e) if caught => return Ok(Value::Err(e)),
+        Err(e) => return Err(err(RuntimeErrorKind::Host(e.to_string()), span)),
+    };
     Ok(match reply {
         HostReply::Unit => Value::Nil,
         HostReply::Handle(h) => Value::Handle(h),
@@ -681,11 +735,13 @@ mod tests {
             Value::Nil,
             Value::Str("f".into()),
             Value::Str("7".into()),
+            Value::Str("rw".into()),
             Value::List(vec![Value::Int(2), Value::Int(3)]),
             Value::Dist(Dist::from_weights(vec![(1, 2.0), (2, 1.0)], 0.1, 10).into()),
             Value::Handle(0),
             Value::List(vec![Value::Handle(0)]),
             Value::Thread(0),
+            Value::Err(symphony::SysError::Timeout),
         ];
         let ty = |v: &Value| match v {
             Value::Int(_) => Ty::Int,
@@ -696,6 +752,7 @@ mod tests {
             Value::Dist(_) => Ty::Dist,
             Value::Handle(_) => Ty::Kv,
             Value::Thread(_) => Ty::Thread,
+            Value::Err(_) => Ty::Err,
             Value::Nil => Ty::Nil,
         };
         // A host on which a call with these samples can succeed: handle 0
@@ -734,7 +791,7 @@ mod tests {
                 Builtin::NowMs => Some("now"),
                 Builtin::EmitToken => Some("emit_tokens"),
                 Builtin::PredAt => Some("pred"),
-                Builtin::Rand | Builtin::Sample | Builtin::SampleT => None,
+                Builtin::Rand | Builtin::RandInt | Builtin::Sample | Builtin::SampleT => None,
                 Builtin::Args | Builtin::Eos | Builtin::Spawn => None,
                 _ if builtin.is_pure() => None,
                 _ => Some(name),
@@ -769,7 +826,7 @@ mod tests {
                 }
                 let value = match begun {
                     Begun::Done(v) => Some(v),
-                    Begun::Ask(call) => finish(&mut core, reply(call), Span::default()).ok(),
+                    Begun::Ask(call) => finish(&mut core, reply(call), Span::default(), false).ok(),
                 };
                 if let Some(t) = value.as_ref().map(ty) {
                     let ret = builtin.ret();

@@ -19,8 +19,8 @@
 //! and `symphony-exp exp_lipscript` (E8). It answers what their programs
 //! ask — args, EOS, random draws, a toy tokenizer, a fake model, a KV
 //! table, output and tools — and nothing that needs a scheduler: a
-//! `spawn`, `join`, `send`, `recv`, `lookup`, `sleep_ms` or `now_ms` is its
-//! error.
+//! `spawn`, `join`, `send`, `recv`, `lookup`, `sleep_ms` or `now_ms` is
+//! `SysError::BadArgument`.
 //!
 //! [`HostCall`] is the sandbox boundary: a program can do nothing but the
 //! system calls its builtins build and the few requests its own thread
@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use symphony::{FileId, Syscall};
+use symphony::{FileId, KvError, SysError, Syscall};
 use symphony_model::{Dist, DistRef};
 
 use crate::image::Image;
@@ -36,8 +36,9 @@ use crate::inline::{lift, lower};
 use crate::interp::InterpLimits;
 use crate::value::Value;
 
-/// Host call result; errors are surfaced to the program as runtime errors.
-pub type HostResult<T> = Result<T, String>;
+/// Host call result. A failed call is the kernel's own error: it ends the
+/// program, unless the call is under `try`, which makes it a value.
+pub type HostResult<T> = Result<T, SysError>;
 
 /// One request from a running program to its host: what the thread's own
 /// state answers, a thread to start, or a kernel system call as it is.
@@ -47,6 +48,8 @@ pub enum HostCall {
     Args,
     Eos,
     Rand,
+    /// An integer in `[0, n)`: the host RNG's next 64 bits, modulo `n`.
+    RandInt(u64),
     /// Draws a token from the distribution with the host's RNG stream.
     Sample(Dist),
     /// Starts a thread running `func(args...)`.
@@ -124,7 +127,7 @@ impl MockHost {
         self.files
             .get_mut(kv.0 as usize)
             .and_then(|f| f.as_mut())
-            .ok_or_else(|| "kv: file not found".to_string())
+            .ok_or(SysError::Kv(KvError::NotFound))
     }
 
     fn new_file(&mut self, contents: Vec<(u32, u32)>) -> HostReply {
@@ -132,12 +135,17 @@ impl MockHost {
         HostReply::Handle(self.files.len() as u64 - 1)
     }
 
-    /// Deterministic uniform draw in `[0, 1)` (xorshift).
-    fn rand_f64(&mut self) -> f64 {
+    /// Deterministic random bits (xorshift).
+    fn rand_u64(&mut self) -> u64 {
         self.rng_state ^= self.rng_state << 13;
         self.rng_state ^= self.rng_state >> 7;
         self.rng_state ^= self.rng_state << 17;
-        (self.rng_state >> 11) as f64 / (1u64 << 53) as f64
+        self.rng_state
+    }
+
+    /// Deterministic uniform draw in `[0, 1)`.
+    fn rand_f64(&mut self) -> f64 {
+        (self.rand_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -168,18 +176,19 @@ fn detokenize(toks: &[u32]) -> String {
 impl Host for MockHost {
     fn call(&mut self, call: HostCall) -> HostResult<HostReply> {
         use HostReply as R;
-        let not_found = || "kv: file not found".to_string();
-        let out_of_bounds = || "kv: index or range out of bounds".to_string();
+        let not_found = || SysError::Kv(KvError::NotFound);
+        let out_of_bounds = || SysError::Kv(KvError::BadRange);
         let call = match call {
             HostCall::Args => return Ok(R::Text(self.args.clone())),
             HostCall::Eos => return Ok(R::Int(MOCK_EOS as i64)),
             HostCall::Rand => return Ok(R::Float(self.rand_f64())),
+            HostCall::RandInt(n) => return Ok(R::Int((self.rand_u64() % n) as i64)),
             HostCall::Sample(dist) => {
                 let u = self.rand_f64();
                 return Ok(R::Int(dist.sample_with(u, MOCK_VOCAB_HINT) as i64));
             }
             HostCall::Sys(call) => call,
-            _ => return Err("mock host: no spawn".to_string()),
+            _ => return Err(SysError::BadArgument),
         };
         Ok(match call {
             // One token per whitespace-separated word: a stable toy mapping.
@@ -248,7 +257,7 @@ impl Host for MockHost {
             Syscall::KvLink { kv, path } => {
                 self.file(kv)?;
                 if self.names.contains_key(&path) {
-                    return Err("kv: path already exists".into());
+                    return Err(SysError::Kv(KvError::AlreadyExists));
                 }
                 self.names.insert(path, kv.0);
                 R::Unit
@@ -257,7 +266,11 @@ impl Host for MockHost {
                 self.names.remove(&path).ok_or_else(not_found)?;
                 R::Unit
             }
-            Syscall::KvPin { kv } | Syscall::KvUnpin { kv } => {
+            Syscall::KvPin { kv }
+            | Syscall::KvUnpin { kv }
+            | Syscall::KvChmod { kv, .. }
+            | Syscall::KvSwapIn { kv }
+            | Syscall::KvSwapOut { kv } => {
                 self.file(kv)?;
                 R::Unit
             }
@@ -270,15 +283,14 @@ impl Host for MockHost {
                 R::Unit
             }
             Syscall::CallTool { name, args } => {
-                let out = self
-                    .tools
-                    .get(&name)
-                    .ok_or_else(|| "not found".to_string())?;
+                let Some(out) = self.tools.get(&name) else {
+                    return Err(SysError::NoSuchTool(name));
+                };
                 R::Text(out.replace("{args}", &args))
             }
             // Threads, IPC and the clock are the kernel's: a program that
             // needs them is tested where it runs.
-            other => return Err(format!("mock host: no {}", other.name())),
+            _ => return Err(SysError::BadArgument),
         })
     }
 }

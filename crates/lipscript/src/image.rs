@@ -22,7 +22,8 @@
 //!   scope ever does, and the verifier reports it once, not at every read
 //!   that follows.
 //! - **Call sites** are resolved to a [`Builtin`], a function's index, or
-//!   neither.
+//!   neither. A `try` is no node of its own: it marks the call it wraps
+//!   (`Callee::Try`), which keeps the call's span and fuel.
 //! - **Names** are kept once each, in one string of NUL-ended names (one
 //!   allocation per image, however many it names), and numbered by where
 //!   they start in it. Every node that declares, reads or writes a
@@ -69,6 +70,9 @@ impl Run {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Callee {
     Builtin(Builtin),
+    /// A builtin that asks the host, called under `try`: an error the host
+    /// answers is the call's value.
+    Try(Builtin),
     /// `functions[i]`: the first definition of the name, as long as no
     /// builtin has it.
     User(u32),
@@ -432,9 +436,15 @@ impl<'p> Lowerer<'p> {
             let node = self.expr(e);
             let height = self.height(node);
             self.heights[first as usize + i] = height;
+            // A `try` is the call it wraps.
+            let mut inner = e;
+            while let ExprKind::Try(call) = &inner.kind {
+                inner = call;
+            }
+            let span = inner.span;
             self.nodes[first as usize + i] = Entry {
                 node,
-                span: e.span,
+                span,
                 pure: height != IMPURE,
             };
         }
@@ -487,6 +497,12 @@ impl<'p> Lowerer<'p> {
             ExprKind::Un(op, a) => Node::Un(*op, self.exprs([&**a])),
             ExprKind::Bin(op, a, b) => Node::Bin(*op, self.exprs([&**a, &**b])),
             ExprKind::Index(a, b) => Node::Index(self.exprs([&**a, &**b])),
+            ExprKind::Try(call) => match self.expr(call) {
+                Node::Call(Callee::Builtin(b), args) if !b.is_pure() => {
+                    Node::Call(Callee::Try(b), args)
+                }
+                node => node,
+            },
             ExprKind::Call(name, args) => {
                 let callee = if let Some(b) = Builtin::from_name(name) {
                     Callee::Builtin(b)

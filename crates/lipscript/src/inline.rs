@@ -176,6 +176,7 @@ pub fn lower(call: HostCall, env: &mut ThreadEnv) -> Result<HostReply, Syscall> 
         HostCall::Args => return Ok(HostReply::Text(env.args())),
         HostCall::Eos => return Ok(HostReply::Int(env.eos() as i64)),
         HostCall::Rand => return Ok(HostReply::Float(env.rng_f64())),
+        HostCall::RandInt(n) => return Ok(HostReply::Int((env.rng_u64() % n) as i64)),
         HostCall::Sample(dist) => return Ok(HostReply::Int(env.sample(&dist) as i64)),
         HostCall::Spawn {
             image,
@@ -194,7 +195,7 @@ pub fn lower(call: HostCall, env: &mut ThreadEnv) -> Result<HostReply, Syscall> 
 }
 
 /// Turns the kernel's reply into the host reply the interpreter resumes
-/// with; a kernel error becomes the program's host error, as text.
+/// with; a kernel error is the program's host error, as it is.
 pub fn lift(reply: SysReply) -> HostResult<HostReply> {
     Ok(match reply {
         SysReply::Unit => HostReply::Unit,
@@ -211,10 +212,8 @@ pub fn lift(reply: SysReply) -> HostResult<HostReply> {
         SysReply::Time(t) => HostReply::Float(t.as_secs_f64() * 1e3),
         // `kv_read`: the entries' tokens.
         SysReply::Entries(entries) => HostReply::Tokens(entries.iter().map(|e| e.token).collect()),
-        SysReply::Err(e) => return Err(e.to_string()),
+        SysReply::Err(e) => return Err(e),
         // Replies to system calls no builtin makes.
-        SysReply::Start | SysReply::Stat(_) => {
-            return Err(SysError::BadArgument.to_string())
-        }
+        SysReply::Start | SysReply::Stat(_) => return Err(SysError::BadArgument),
     })
 }

@@ -72,6 +72,8 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use symphony::SysError;
+
 use crate::ast::{BinOp, Program, UnOp};
 use crate::builtins::{self, Begun, MAX_ARITY};
 use crate::error::{RuntimeError, RuntimeErrorKind, Span};
@@ -740,9 +742,9 @@ impl Interpreter {
                             Frame::Host { node } => {
                                 let reply = reply
                                     .take()
-                                    .unwrap_or_else(|| Err("resumed without a reply".to_string()));
-                                let span = nodes[node as usize].span;
-                                values.push(builtins::finish(core, reply, span)?);
+                                    .unwrap_or(Err(SysError::Internal("resumed without a reply")));
+                                let Entry { node, span, .. } = nodes[node as usize];
+                                values.push(builtins::finish(core, reply, span, caught(node))?);
                                 frames.pop();
                             }
                             Frame::Body { caller_base } => {
@@ -819,7 +821,9 @@ impl Interpreter {
                             }
                         }
                         Acted::Ask(call) => match answer(call) {
-                            Some(reply) => values.push(builtins::finish(core, reply, span)?),
+                            Some(reply) => {
+                                values.push(builtins::finish(core, reply, span, caught(node))?)
+                            }
                             None => {
                                 wait_as(frames, recorded, Frame::Host { node: id });
                                 return Ok(None);
@@ -974,6 +978,11 @@ fn eval_pure(core: &mut Core, image: &Arc<Image>, frame: &[Value], id: u32) -> F
         }
         _ => unreachable!("not a pure expression"),
     }
+}
+
+/// Whether `node` is a call under `try`, whose host error is its value.
+fn caught(node: Node) -> bool {
+    matches!(node, Node::Call(Callee::Try(_), _))
 }
 
 /// How far [`gather`] got.
@@ -1149,7 +1158,7 @@ fn act(
             Core::store_index(list, i, v, span)?;
             return Ok(Acted::Finished);
         }
-        Node::Call(Callee::Builtin(builtin), _) => {
+        Node::Call(Callee::Builtin(builtin) | Callee::Try(builtin), _) => {
             builtins::check_arity(builtin, run.n as usize, span)?;
             let mut args = [&NIL; MAX_ARITY];
             for (arg, id) in args.iter_mut().zip(ids) {

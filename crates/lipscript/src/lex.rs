@@ -21,6 +21,7 @@ pub enum Tok {
     Break,
     Continue,
     Return,
+    Try,
     True,
     False,
     Nil,
@@ -318,6 +319,7 @@ impl<'a> Lexer<'a> {
                     "break" => Tok::Break,
                     "continue" => Tok::Continue,
                     "return" => Tok::Return,
+                    "try" => Tok::Try,
                     "true" => Tok::True,
                     "false" => Tok::False,
                     "nil" => Tok::Nil,
@@ -409,7 +411,7 @@ mod tests {
 
     #[test]
     fn keywords_vs_identifiers() {
-        let t = toks("while whilex for fork in india");
+        let t = toks("while whilex for fork in india try tryst");
         assert_eq!(
             t,
             vec![
@@ -419,6 +421,8 @@ mod tests {
                 Tok::Ident("fork".into()),
                 Tok::In,
                 Tok::Ident("india".into()),
+                Tok::Try,
+                Tok::Ident("tryst".into()),
                 Tok::Eof
             ]
         );

@@ -1,6 +1,7 @@
 //! Recursive-descent / precedence-climbing parser.
 
 use crate::ast::{BinOp, Expr, ExprKind, FnDef, Program, Stmt, StmtKind, UnOp};
+use crate::builtins::Builtin;
 use crate::error::{LipError, Span};
 use crate::lex::{lex, Tok, Token};
 
@@ -271,6 +272,26 @@ impl Parser {
                     span,
                 })
             }
+            Tok::Try => {
+                self.bump();
+                let call = self.primary()?;
+                let asks = match &call.kind {
+                    ExprKind::Call(name, _) => {
+                        Builtin::from_name(name).is_some_and(|b| !b.is_pure())
+                    }
+                    _ => false,
+                };
+                if !asks {
+                    return Err(LipError::Parse {
+                        message: "`try` takes a call of a builtin that asks the host".into(),
+                        span: call.span,
+                    });
+                }
+                Ok(Expr {
+                    kind: ExprKind::Try(Box::new(call)),
+                    span,
+                })
+            }
             _ => self.postfix(),
         }
     }
@@ -468,6 +489,28 @@ mod tests {
         assert!(parse("while x { }").is_err());
         assert!(parse("let x = 1").is_err(), "missing semicolon");
         assert!(parse("{ unterminated").is_err());
+    }
+
+    #[test]
+    fn try_wraps_a_call_that_asks_the_host() {
+        let p = parse("let f = try kv_open(\"doc.kv\"); let ok = !is_err(try kv_len(f));").unwrap();
+        let StmtKind::Let(_, e) = &p.top[0].kind else {
+            panic!()
+        };
+        let ExprKind::Try(call) = &e.kind else {
+            panic!("expected try: {e:?}")
+        };
+        assert!(matches!(&call.kind, ExprKind::Call(name, _) if name == "kv_open"));
+        // A pure builtin, a function and a bare name have no host to
+        // refuse them.
+        for src in [
+            "let n = try len(xs);",
+            "fn f() { } let x = try f();",
+            "let x = try kv;",
+        ] {
+            let e = parse(src).unwrap_err();
+            assert!(e.to_string().contains("`try`"), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -74,6 +74,7 @@ pub fn print_expr(e: &Expr) -> String {
             format!("{name}({})", inner.join(", "))
         }
         ExprKind::Index(base, idx) => format!("{}[{}]", print_expr(base), print_expr(idx)),
+        ExprKind::Try(call) => format!("(try {})", print_expr(call)),
     }
 }
 
@@ -181,6 +182,7 @@ mod tests {
             "let d = pred(kv, [t], pos)[0]; xs[0] = -1; let n = !done;",
             "let e = a || b && !c; return nil;",
             "fn g() { return; }",
+            "let f = try kv_open(\"a\"); if (is_err(f)) { emit(err_kind(f)); }",
         ] {
             fixpoint(src);
         }

@@ -253,6 +253,22 @@ impl Reference {
     }
 
     fn eval(&mut self, expr: &Expr, env: &mut Env, host: &mut dyn Host) -> Fallible<Value> {
+        self.eval_caught(expr, false, env, host)
+    }
+
+    /// [`Reference::eval`]; a builtin's host error is the value of a call
+    /// that is `caught`, the operand of a `try`.
+    fn eval_caught(
+        &mut self,
+        expr: &Expr,
+        caught: bool,
+        env: &mut Env,
+        host: &mut dyn Host,
+    ) -> Fallible<Value> {
+        // A `try` is the call it wraps: it burns nothing of its own.
+        if let ExprKind::Try(call) = &expr.kind {
+            return self.eval_caught(call, true, env, host);
+        }
         self.core.burn(expr.span)?;
         match &expr.kind {
             ExprKind::Int(v) => Ok(Value::Int(*v)),
@@ -290,6 +306,7 @@ impl Reference {
                 let i = self.eval(idx, env, host)?;
                 Core::index_owned(base, &i, expr.span)
             }
+            ExprKind::Try(_) => unreachable!("a `try` is the call it wraps"),
             ExprKind::Call(name, args) => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
@@ -303,7 +320,7 @@ impl Reference {
                 match builtins::begin(&mut self.core, &self.image, builtin, &vals, expr.span)? {
                     Begun::Done(v) => Ok(v),
                     Begun::Ask(call) => {
-                        builtins::finish(&mut self.core, host.call(call), expr.span)
+                        builtins::finish(&mut self.core, host.call(call), expr.span, caught)
                     }
                 }
             }
@@ -322,6 +339,7 @@ mod tests {
     use crate::interp::{Interpreter, Step};
     use crate::parse::parse;
     use crate::printer::print_program;
+    use symphony::SysError;
 
     /// Everything observable about one run, but its output: a transcript
     /// host prints nothing, and what the machine printed is in the calls.
@@ -382,9 +400,9 @@ mod tests {
                 Some((call, Some(reply))) if *call == made => reply.clone(),
                 Some((call, None)) if *call == made => {
                     self.parked = true;
-                    Err("the machine is parked here".into())
+                    Err(SysError::Internal("the machine is parked here"))
                 }
-                _ => Err("not the machine's next call".into()),
+                _ => Err(SysError::Internal("not the machine's next call")),
             };
             self.asked.push(made);
             reply
@@ -664,6 +682,45 @@ mod tests {
         }
     }
 
+    /// A `try` makes the kernel's refusal the call's value, wherever the
+    /// call sits; what is not the kernel's answer still ends the program.
+    #[test]
+    fn a_refused_call_under_try_is_a_value() {
+        let (out, output) = agree_under_all_limits(
+            r#"
+            fn open(path) { return try kv_open(path); }
+            let kv = kv_create();
+            kv_remove(kv);
+            let gone = [try kv_len(kv), try kv_fork(kv)][1];
+            let tool = try call_tool("nope", "q");
+            let fine = try call_tool("echo", "q");
+            let missing = open("missing.kv");
+            emit(str(missing) + " " + err_kind(tool) + " " + fine);
+            if (is_err(try kv_remove(kv)) && !missing) {
+                emit(" falsy");
+            }
+            let draws = [rand_int(6), try rand_int(1000000)];
+            return [is_err(gone), err_kind(gone), is_err(fine), missing == open("x"), draws];
+            "#,
+            Entry::Top,
+        );
+        assert!(out.result.starts_with("Ok("), "{}", out.result);
+        assert_eq!(output, "<err:NotFound> NoSuchTool echoed q falsy");
+        // A program fault under `try` is not the kernel's: it still ends
+        // the program, at the call.
+        for src in [
+            "return try kv_len(1);",
+            "return try kv_chmod(kv_create(), \"x\");",
+            "return try rand_int(0);",
+            "let e = try kv_open(\"no\");\nreturn e + 1;",
+            "return err_kind(try kv_create());",
+            "return try kv_len(kv_open(\"no\"));",
+        ] {
+            let (out, _) = agree_under_all_limits(src, Entry::Top);
+            assert!(out.result.starts_with("Err("), "{src}: {}", out.result);
+        }
+    }
+
     #[test]
     fn runtime_errors_keep_their_kind_and_span() {
         for src in [
@@ -896,7 +953,7 @@ mod tests {
         /// and a memory limit drawn below what the program needs.
         #[test]
         fn machine_agrees_with_the_reference(
-            p in super::arb::arb_program(),
+            p in super::arb::arb_program_with_try(),
             cut in (0u64..1000, 0u64..1000),
         ) {
             let program = Arc::new(parse(&print_program(&p)).expect("printed programs parse"));

@@ -2,6 +2,7 @@
 
 use core::fmt;
 
+use symphony::SysError;
 use symphony_model::DistRef;
 
 /// A LipScript runtime value.
@@ -28,8 +29,26 @@ pub enum Value {
     Handle(u64),
     /// A thread handle returned by `spawn`.
     Thread(u64),
+    /// A failed system call, as a `try` made it a value: the kernel's
+    /// error.
+    Err(SysError),
     /// Absent value.
     Nil,
+}
+
+/// The name of an error's kind, as `err_kind` gives it: the KVFS error's
+/// for a failed KV operation (`NoGpuMemory`, `NotFound`, ...), the
+/// system call error's otherwise (`NotFound`, `Fault`, `Timeout`, ...).
+pub fn err_kind(e: &SysError) -> String {
+    let name = match e {
+        SysError::Kv(kv) => format!("{kv:?}"),
+        other => format!("{other:?}"),
+    };
+    // A variant with a payload debug-prints it in parentheses.
+    match name.find('(') {
+        Some(at) => name[..at].to_string(),
+        None => name,
+    }
 }
 
 impl Value {
@@ -44,11 +63,13 @@ impl Value {
             Value::Dist(_) => "dist",
             Value::Handle(_) => "kv_handle",
             Value::Thread(_) => "thread",
+            Value::Err(_) => "error",
             Value::Nil => "nil",
         }
     }
 
-    /// Truthiness: `false`, `0`, `0.0`, `""`, `[]` and `nil` are false.
+    /// Truthiness: `false`, `0`, `0.0`, `""`, `[]`, `nil` and an error are
+    /// false.
     pub fn truthy(&self) -> bool {
         match self {
             Value::Bool(b) => *b,
@@ -56,7 +77,7 @@ impl Value {
             Value::Float(f) => *f != 0.0,
             Value::Str(s) => !s.is_empty(),
             Value::List(l) => !l.is_empty(),
-            Value::Nil => false,
+            Value::Nil | Value::Err(_) => false,
             Value::Dist(_) | Value::Handle(_) | Value::Thread(_) => true,
         }
     }
@@ -95,6 +116,7 @@ impl fmt::Display for Value {
             Value::Dist(d) => write!(f, "<dist argmax={}>", d.get().argmax()),
             Value::Handle(h) => write!(f, "<kv:{h}>"),
             Value::Thread(t) => write!(f, "<thread:{t}>"),
+            Value::Err(e) => write!(f, "<err:{}>", err_kind(e)),
             Value::Nil => write!(f, "nil"),
         }
     }
@@ -114,6 +136,7 @@ mod tests {
         assert!(!Value::List(vec![]).truthy());
         assert!(Value::Bool(true).truthy());
         assert!(Value::Handle(0).truthy());
+        assert!(!Value::Err(SysError::Timeout).truthy());
     }
 
     #[test]
@@ -124,6 +147,13 @@ mod tests {
             "[1, \"a\"]"
         );
         assert_eq!(Value::Nil.to_string(), "nil");
+        let full = SysError::Kv(symphony::KvError::NoGpuMemory);
+        assert_eq!(Value::Err(full).to_string(), "<err:NoGpuMemory>");
+        assert_eq!(
+            Value::Err(SysError::Fault("tool")).to_string(),
+            "<err:Fault>"
+        );
+        assert_eq!(Value::Err(SysError::NotFound).to_string(), "<err:NotFound>");
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //!    `break`/`continue` outside loops, variables only assigned on some
 //!    paths (the `Undefined` nodes and unknown callees lowering left).
 //! 2. **Abstract typing** — a flat lattice (int / float / bool / string /
-//!    list / dist / kv / thread / nil / ⊤) propagated flow-insensitively
-//!    per function body; only *definite* misuse is reported (indexing an
-//!    int, `join` on a non-thread, `pred` on a non-kv, `kv_*` after
-//!    `kv_remove` of the same binding in straight-line code).
+//!    list / dist / kv / thread / error / nil / ⊤) propagated
+//!    flow-insensitively per function body; only *definite* misuse is
+//!    reported (indexing an int, `join` on a non-thread, `pred` on a
+//!    non-kv, `kv_*` after `kv_remove` of the same binding in straight-line
+//!    code). A `try` call is its builtin's return type joined with error,
+//!    so ⊤; its arguments are checked as the bare call's, and its use of
+//!    a removed binding is not V007, since the kernel's refusal is a value.
+//!    Its cost is the bare call's: `try` burns no fuel of its own.
 //! 3. **Effects & cost** — the program's syscall effect set (pred, tools,
 //!    IPC, spawns, named `kv_open`/`kv_link` paths) and conservative upper
 //!    bounds on fuel, `pred` calls, spawned threads and KV files created,
@@ -375,6 +379,7 @@ pub(crate) enum Ty {
     Dist,
     Kv,
     Thread,
+    Err,
     Nil,
     Any,
 }
@@ -402,6 +407,7 @@ impl Ty {
             Ty::Dist => "dist",
             Ty::Kv => "kv handle",
             Ty::Thread => "thread",
+            Ty::Err => "error",
             Ty::Nil => "nil",
             Ty::Any => "unknown",
         }
@@ -422,6 +428,7 @@ pub(crate) enum Req {
     Dist,
     Kv,
     Thread,
+    Err,
     /// `int()` coercion: int, float, bool or string.
     IntLike,
 }
@@ -438,6 +445,7 @@ impl Req {
             Req::Dist => t == Ty::Dist,
             Req::Kv => t == Ty::Kv,
             Req::Thread => t == Ty::Thread,
+            Req::Err => t == Ty::Err,
             Req::IntLike => matches!(t, Ty::Int | Ty::Float | Ty::Bool | Ty::Str),
         }
     }
@@ -453,6 +461,7 @@ impl Req {
             Req::Dist => "a dist",
             Req::Kv => "a kv handle",
             Req::Thread => "a thread handle",
+            Req::Err => "an error",
             Req::IntLike => "an int, float, bool or string",
         }
     }
@@ -587,6 +596,8 @@ impl<'i> Checker<'i> {
             },
             Node::Bin(op, first) => self.ty_of_bin(op, first),
             Node::Call(Callee::Builtin(b), _) => b.ret(),
+            // The call's value, or the error its host answered.
+            Node::Call(Callee::Try(b), _) => b.ret().join(Ty::Err),
             Node::Index(first) => match self.ty_of(first) {
                 Ty::Str => Ty::Str,
                 _ => Ty::Any,
@@ -939,7 +950,8 @@ impl<'i> Checker<'i> {
                     self.check_expr(a, definite);
                 }
                 match callee {
-                    Callee::Builtin(b) => self.check_builtin_call(b, args, span, definite),
+                    Callee::Builtin(b) => self.check_builtin_call(b, args, span, definite, false),
+                    Callee::Try(b) => self.check_builtin_call(b, args, span, definite, true),
                     Callee::User(f) => {
                         let func = &image.functions[f as usize];
                         let want = func.params.len();
@@ -966,7 +978,16 @@ impl<'i> Checker<'i> {
         }
     }
 
-    fn check_builtin_call(&mut self, b: Builtin, args: Run, span: Span, definite: bool) {
+    /// A call of `b`; `caught` when it is under `try`, where what the host
+    /// answers cannot fault.
+    fn check_builtin_call(
+        &mut self,
+        b: Builtin,
+        args: Run,
+        span: Span,
+        definite: bool,
+        caught: bool,
+    ) {
         let image = self.image;
         let name = b.name();
         let want = b.arity();
@@ -1003,8 +1024,9 @@ impl<'i> Checker<'i> {
                 );
             }
         }
-        // V007: straight-line use of a removed KV binding.
-        if b.takes_kv() {
+        // V007: straight-line use of a removed KV binding. Under `try` the
+        // kernel's refusal is a value, and a remove may not have happened.
+        if b.takes_kv() && !caught {
             if let Some(v) = name_of(image, first) {
                 if self.removed[v] {
                     self.diag(
@@ -1353,7 +1375,7 @@ impl<'i> CostPass<'i> {
             Node::Call(callee, args) => {
                 let c = args.ids().fold(base, |c, a| c.add(self.expr_cost(a)));
                 match callee {
-                    Callee::Builtin(b) => c.add(self.builtin_cost(b, args)),
+                    Callee::Builtin(b) | Callee::Try(b) => c.add(self.builtin_cost(b, args)),
                     Callee::User(f) => c.add(self.fn_cost(f)),
                     Callee::Unknown(_) => c,
                 }

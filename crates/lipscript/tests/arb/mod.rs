@@ -1,9 +1,17 @@
 //! Random LipScript programs, as ASTs: any statement kind, expressions
-//! nested a few levels, calls that sometimes name real builtins. Shared by
-//! the verifier's no-false-positives property (`tests/prop_verify.rs`) and
+//! nested a few levels, calls that sometimes name real builtins, and — in
+//! [`arb_program_with_try`] — `try` around calls that ask the host, most
+//! of which the kernel refuses (a missing file or tool, a removed handle),
+//! with `is_err` and `err_kind` to read what came back. Shared by the
+//! verifier's no-false-positives property (`tests/prop_verify.rs`) and
 //! the machine-vs-reference differential suite (`src/reference.rs`, which
 //! includes this file by path because the reference evaluator is
 //! `#[cfg(test)]` and so out of an integration test's reach).
+//! [`arb_program`] is the generator without `try`, kept as it was so the
+//! programs `reports_are_pinned` draws from it do not change.
+
+// Each test crate that includes this uses part of it.
+#![allow(dead_code)]
 
 use proptest::prelude::*;
 use symphony_lipscript::ast::{BinOp, Expr, ExprKind, FnDef, Program, Stmt, StmtKind, UnOp};
@@ -44,7 +52,23 @@ fn arb_callee() -> impl Strategy<Value = String> {
     ]
 }
 
-fn arb_expr() -> impl Strategy<Value = Expr> {
+/// Builtins that ask the host, for `try` to wrap: calls the kernel
+/// answers with an error as often as not.
+fn arb_host_callee() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("kv_open".to_string()),
+        Just("kv_len".to_string()),
+        Just("kv_remove".to_string()),
+        Just("kv_fork".to_string()),
+        Just("kv_create".to_string()),
+        Just("kv_swap_in".to_string()),
+        Just("call_tool".to_string()),
+        Just("tokenize".to_string()),
+        Just("rand_int".to_string()),
+    ]
+}
+
+fn arb_expr(with_try: bool) -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         (-100i64..100).prop_map(ExprKind::Int),
         (-1000i32..1000).prop_map(|v| ExprKind::Float(v as f64 / 8.0)),
@@ -57,8 +81,8 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
         kind,
         span: Default::default(),
     });
-    leaf.prop_recursive(3, 20, 4, |inner| {
-        prop_oneof![
+    leaf.prop_recursive(3, 20, 4, move |inner| {
+        let plain = prop_oneof![
             (
                 prop_oneof![
                     Just(BinOp::Add),
@@ -84,16 +108,38 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             proptest::collection::vec(inner.clone(), 0..4).prop_map(ExprKind::List),
             (arb_callee(), proptest::collection::vec(inner.clone(), 0..3))
                 .prop_map(|(n, args)| ExprKind::Call(n, args)),
-            (inner.clone(), inner).prop_map(|(b, i)| ExprKind::Index(Box::new(b), Box::new(i))),
+            (inner.clone(), inner.clone())
+                .prop_map(|(b, i)| ExprKind::Index(Box::new(b), Box::new(i))),
         ]
         .prop_map(|kind| Expr {
             kind,
             span: Default::default(),
-        })
+        });
+        if !with_try {
+            return plain.boxed();
+        }
+        let expr = |kind| Expr {
+            kind,
+            span: Default::default(),
+        };
+        let caught = (
+            arb_host_callee(),
+            proptest::collection::vec(inner.clone(), 0..3),
+        )
+            .prop_map(move |(n, args)| {
+                expr(ExprKind::Try(Box::new(expr(ExprKind::Call(n, args)))))
+            });
+        let read = (
+            prop_oneof![Just("is_err".to_string()), Just("err_kind".to_string())],
+            inner,
+        )
+            .prop_map(move |(n, arg)| expr(ExprKind::Call(n, vec![arg])));
+        prop_oneof![6 => plain, 2 => caught, 1 => read].boxed()
     })
 }
 
-fn arb_stmt() -> impl Strategy<Value = Stmt> {
+fn arb_stmt(with_try: bool) -> impl Strategy<Value = Stmt> {
+    let arb_expr = move || arb_expr(with_try);
     let simple = prop_oneof![
         (arb_ident(), arb_expr()).prop_map(|(n, e)| StmtKind::Let(n, e)),
         (arb_ident(), arb_expr()).prop_map(|(n, e)| StmtKind::Assign(n, e)),
@@ -108,7 +154,7 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
         kind,
         span: Default::default(),
     });
-    simple.prop_recursive(2, 12, 3, |inner| {
+    simple.prop_recursive(2, 12, 3, move |inner| {
         prop_oneof![
             (
                 arb_expr(),
@@ -132,17 +178,28 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
     })
 }
 
+/// A random program without `try`.
 pub(crate) fn arb_program() -> impl Strategy<Value = Program> {
+    programs(false)
+}
+
+/// A random program in which about a quarter of the expressions that are
+/// not leaves are a `try` around a host call or a read of its value.
+pub(crate) fn arb_program_with_try() -> impl Strategy<Value = Program> {
+    programs(true)
+}
+
+fn programs(with_try: bool) -> impl Strategy<Value = Program> {
     (
         proptest::collection::vec(
             (
                 arb_ident(),
                 proptest::collection::vec(arb_ident(), 0..3),
-                proptest::collection::vec(arb_stmt(), 0..4),
+                proptest::collection::vec(arb_stmt(with_try), 0..4),
             ),
             0..3,
         ),
-        proptest::collection::vec(arb_stmt(), 0..6),
+        proptest::collection::vec(arb_stmt(with_try), 0..6),
     )
         .prop_map(|(fns, top)| Program {
             functions: fns

@@ -864,3 +864,102 @@ fn a_lazy_pred_reply_meters_as_an_eager_one() {
     let built = kernel.metrics_snapshot().counter("gpu.dists_built");
     assert_eq!(built, Some(4));
 }
+
+#[test]
+fn a_nan_or_negative_sleep_is_refused() {
+    for src in ["sleep_ms(0.0 / 0.0);", "sleep_ms(-0.5);", "sleep_ms(-1);"] {
+        let ran = harness::run_src(src);
+        let e = ran.result.expect("it ends").unwrap_err();
+        assert!(e.to_string().contains("sleep duration must be >= 0"), "{src}: {e}");
+    }
+}
+
+/// A full KV pool, on the kernel: the program sees the refused prefill as
+/// an error value, frees its own pages and sends the same `pred` again.
+#[test]
+fn a_program_retries_a_pred_the_pool_refused() {
+    use symphony::{Body, Kernel, KernelConfig, SpawnOpts};
+    use symphony_lipscript::LipBody;
+
+    let src = r#"
+        let held = kv_create();
+        pred(held, range(1, 401), 0);
+        let kv = kv_create();
+        let doc = range(1, 3001);
+        let first = try pred(kv, doc, 0);
+        emit(str(is_err(first)) + " " + err_kind(first) + " " + str(first) + "; ");
+        kv_remove(held);
+        let second = try pred(kv, doc, 0);
+        emit(str(is_err(second)) + " " + str(len(second)) + " " + str(kv_len(kv)));
+        if (first) { emit(" an error is truthy"); }
+    "#;
+    let mut cfg = KernelConfig::for_tests();
+    // 800 pages of 4 tokens: the 750-page prefill fits only once the
+    // 100-page file is gone.
+    cfg.gpu_kv_bytes_override = Some(800 * 4 * cfg.model.kv_bytes_per_token());
+    let mut kernel = Kernel::new(cfg);
+    let body = LipBody::parse(src, InterpLimits::default()).expect("parses");
+    let pid = kernel.admit("retry", "", SpawnOpts::default(), Body::Inline(Box::new(body)));
+    kernel.run();
+    let rec = kernel.record(pid).unwrap();
+    assert!(rec.status.is_ok(), "{:?}", rec.status);
+    assert_eq!(rec.output, "true NoGpuMemory <err:NoGpuMemory>; false 3000 3000");
+    assert_eq!(rec.usage.pred_tokens, 3_400, "the refused prefill counts nothing");
+}
+
+/// `kv_chmod`, `kv_swap_out` and `kv_swap_in` are the kernel's calls:
+/// another process may open a file shared for reading, and the kernel
+/// refuses it a write, which its `try` reads.
+#[test]
+fn modes_and_swaps_are_system_calls() {
+    use symphony::{Body, Kernel, KernelConfig, SimDuration, SimTime, SpawnOpts};
+    use symphony_lipscript::LipBody;
+
+    let writer = r#"
+        let kv = kv_create();
+        pred(kv, [1, 2, 3], 0);
+        kv_link(kv, "shared.kv");
+        kv_chmod(kv, "r");
+        kv_swap_out(kv);
+        kv_swap_in(kv);
+        sleep_ms(1000);
+    "#;
+    let reader = r#"
+        let f = kv_open("shared.kv");
+        emit(str(kv_len(f)) + " " + err_kind(try kv_truncate(f, 1)));
+    "#;
+    let mut kernel = Kernel::new(KernelConfig::for_tests());
+    let mut admit = |name, src, at| {
+        let body = LipBody::parse(src, InterpLimits::default()).expect("parses");
+        let opts = SpawnOpts::at(SimTime::ZERO + SimDuration::from_millis(at));
+        kernel.admit(name, "", opts, Body::Inline(Box::new(body)))
+    };
+    let w = admit("writer", writer, 0);
+    let r = admit("reader", reader, 500);
+    kernel.run();
+    for pid in [w, r] {
+        let rec = kernel.record(pid).unwrap();
+        assert!(rec.status.is_ok(), "{:?}", rec.status);
+    }
+    assert_eq!(kernel.record(r).unwrap().output, "3 PermissionDenied");
+    assert!(kernel.kv_stats().swapped_out_tokens >= 3);
+}
+
+/// `rand_int(n)` is the thread's next 64 random bits modulo `n`, the draw
+/// a native LIP makes with `Ctx::rng_u64() % n`.
+#[test]
+fn rand_int_draws_as_a_native_thread_does() {
+    use symphony::{Kernel, KernelConfig};
+
+    let (status, output) = on_kernel("emit(str([rand_int(1000), rand_int(7), rand()]));");
+    assert!(status.is_ok(), "{status:?}");
+    let mut kernel = Kernel::new(KernelConfig::for_tests());
+    let pid = kernel.spawn_process("native", "", |ctx| {
+        let (a, b, c) = (ctx.rng_u64() % 1000, ctx.rng_u64() % 7, ctx.rng_f64());
+        ctx.emit(&format!("[{a}, {b}, {c}]"))
+    });
+    kernel.run();
+    assert_eq!(output, kernel.record(pid).unwrap().output);
+    let e = runtime_err("return rand_int(0);");
+    assert!(e.to_string().contains("bound must be >= 1"), "{e}");
+}

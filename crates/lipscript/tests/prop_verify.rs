@@ -17,16 +17,18 @@ use symphony_lipscript::InterpLimits;
 
 mod arb;
 mod harness;
-use arb::arb_program;
+use arb::{arb_program, arb_program_with_try};
 
 /// Every report the verifier gives — codes, spans, messages, bounds,
-/// effect sets — on 4 096 random programs from a fixed seed and on the
-/// shipped examples, folded into one FNV-1a digest. A change to how the
-/// verifier reads programs has to leave this alone, or re-pin it and say
-/// which reports moved and why.
+/// effect sets — on 4 096 random programs from a fixed seed, on the
+/// shipped examples, and on 1 024 random programs with `try` from a second
+/// seed, folded into one FNV-1a digest (in that order: the first two parts
+/// alone fold to the digest pinned before `try` existed). A change to how
+/// the verifier reads programs has to leave this alone, or re-pin it and
+/// say which reports moved and why.
 #[test]
 fn reports_are_pinned() {
-    const PINNED: u64 = 0x0cd0_1bc1_a544_5139;
+    const PINNED: u64 = 0x1395_45c4_50f9_ce5b;
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     let mut fold = |report: &str| {
         for b in report.bytes() {
@@ -46,6 +48,13 @@ fn reports_are_pinned() {
         let report = verify_source(&src).expect("the example parses");
         fold(&format!("{report:?}"));
     }
+    let programs = arb_program_with_try();
+    let mut rng = TestRng::new(0x0007_7e1e_c7ed);
+    for _ in 0..1024 {
+        let src = print_program(&programs.gen_value(&mut rng));
+        let report = verify_source(&src).expect("printed programs parse");
+        fold(&format!("{report:?}"));
+    }
     assert_eq!(digest, PINNED, "reports moved: {digest:#018x}");
 }
 
@@ -62,7 +71,7 @@ proptest! {
     /// diagnostic. (The reverse — rejecting programs that would fault — is
     /// covered by unit tests; it is intentionally incomplete.)
     #[test]
-    fn successful_programs_are_admissible(p in arb_program()) {
+    fn successful_programs_are_admissible(p in arb_program_with_try()) {
         // Round-trip through the printer so the verifier sees exactly what
         // a submitted source string would parse to (with real spans).
         let src = print_program(&p);
@@ -84,7 +93,7 @@ proptest! {
     /// The fuel bound is sound: a program that runs to completion with a
     /// finite `fuel_bound` used no more fuel than that bound.
     #[test]
-    fn fuel_used_stays_within_the_fuel_bound(p in arb_program()) {
+    fn fuel_used_stays_within_the_fuel_bound(p in arb_program_with_try()) {
         let src = print_program(&p);
         let program = match symphony_lipscript::parse::parse(&src) {
             Ok(prog) => Arc::new(prog),

@@ -288,6 +288,31 @@ fn kv_remove_that_a_short_circuit_skips_does_not_poison_after() {
 }
 
 #[test]
+fn a_kv_call_under_try_is_not_a_use_after_remove() {
+    // The kernel's refusal is the call's value: the use does not fault.
+    let src = "let kv = kv_create(); kv_remove(kv); emit(str(is_err(try kv_len(kv))));";
+    let ran = harness::run_src(src);
+    assert!(matches!(ran.result, Some(Ok(_))), "{src}: {ran:?}");
+    assert!(vet(src).diags.is_empty(), "{:?}", vet(src).diags);
+    // A remove under `try` may not have happened, so what follows it is
+    // not definitely a use after remove.
+    let r = vet("let kv = kv_create(); try kv_remove(kv); kv_len(kv);");
+    assert!(r.diags.is_empty(), "{:?}", r.diags);
+    // What `try` does not catch is checked as the bare call's.
+    let r = vet("let kv = kv_create(); try kv_len(1);");
+    assert_eq!(codes(&r), vec![(DiagCode::TypeMisuse, Severity::Error)]);
+    let r = vet("emit(err_kind(kv_create()));");
+    assert_eq!(codes(&r), vec![(DiagCode::TypeMisuse, Severity::Error)]);
+    // A `try` call's value may be either: no misuse is definite.
+    let r = vet("let f = try kv_open(\"x\"); emit(err_kind(f)); kv_len(f);");
+    assert!(r.diags.is_empty(), "{:?}", r.diags);
+    // Its cost is the bare call's.
+    let bare = vet("let kv = kv_create(); pred(kv, [1], 0);").effects;
+    let caught = vet("let kv = try kv_create(); try pred(kv, [1], 0);").effects;
+    assert_eq!((bare.fuel_bound, bare.pred_bound), (caught.fuel_bound, caught.pred_bound));
+}
+
+#[test]
 fn shadowed_builtin_and_duplicate_fn_warn() {
     let r = vet("fn len(x) { return 0; } fn f() { return 1; } fn f() { return 2; } f();");
     let mut cs: Vec<DiagCode> = r.diags.iter().map(|d| d.code).collect();

@@ -4,24 +4,28 @@
 //! the serving system — decides what to cache: popular documents are
 //! prefilled once, published in KVFS, pinned, and forked by later requests.
 //!
-//! The program is a native closure: it reads a missing cache file as a
-//! miss, which a LipScript program cannot yet (a failed system call ends
-//! it).
+//! The program is LipScript text (`examples/lipscript/with_prelude/rag_cache.lip`,
+//! after the decoding prelude `decode.lip`): it reads a missing cache file
+//! as a miss, the error value of its `try kv_open`.
 //!
 //! Run with: `cargo run --example rag_cache`
 
-use symphony::{Body, Kernel, KernelConfig, Mode, SimDuration, SpawnOpts, ToolOutcome, ToolSpec};
-use symphony_bench::native::greedy;
+use symphony::{Body, Kernel, KernelConfig, SimDuration, SpawnOpts, ToolOutcome, ToolSpec};
+use symphony_lipscript::{InterpLimits, LipBody};
 use symphony_sim::{Rng, Zipf};
 use symphony_tokenizer::CorpusGen;
 
+/// What each request sends: the prelude, then the program.
+const PROGRAM: &str = concat!(
+    include_str!("lipscript/with_prelude/decode.lip"),
+    include_str!("lipscript/with_prelude/rag_cache.lip")
+);
 const DOCS: usize = 8;
 const CACHE_TOP_K: usize = 3;
 const REQUESTS: usize = 20;
 
 fn main() {
     let mut kernel = Kernel::new(KernelConfig::for_tests());
-    let bpe = kernel.tokenizer();
 
     // A small document corpus served by a retrieval tool.
     let docs: Vec<String> = (0..DOCS)
@@ -40,7 +44,6 @@ fn main() {
             }),
         );
     }
-    let _ = bpe;
 
     // Zipf-popular topics, Poisson-ish arrival via fixed spacing.
     let popularity = Zipf::from_pareto_index(DOCS, 0.7);
@@ -49,36 +52,9 @@ fn main() {
     for i in 0..REQUESTS {
         let topic = popularity.sample(&mut rng);
         let at = symphony::SimTime::ZERO + SimDuration::from_millis(60 * i as u64);
-        let args = format!("{topic}");
-        let body = Body::hosted(|ctx| {
-            let topic: usize = ctx
-                .args()
-                .parse()
-                .map_err(|_| symphony::SysError::BadArgument)?;
-            let path = format!("doc{topic}.kv");
-            let (kv, hit) = match ctx.kv_open(&path) {
-                Ok(doc) => (ctx.kv_fork(doc)?, true),
-                Err(_) => {
-                    let text = ctx.call_tool("retrieve", &topic.to_string())?;
-                    let tokens = ctx.tokenize(&text)?;
-                    let f = ctx.kv_create()?;
-                    ctx.pred_positions(f, &tokens, 0)?;
-                    // Application policy: publish only popular topics.
-                    if topic < CACHE_TOP_K && ctx.kv_link(f, &path).is_ok() {
-                        ctx.kv_chmod(f, Mode::SHARED_READ)?;
-                        ctx.kv_pin(f)?;
-                        (ctx.kv_fork(f)?, false)
-                    } else {
-                        (f, false)
-                    }
-                }
-            };
-            let q = ctx.tokenize("\nexplain this topic")?;
-            greedy(ctx, kv, &q, 12)?;
-            ctx.emit(if hit { "hit" } else { "miss" })?;
-            ctx.kv_remove(kv)?;
-            Ok(())
-        });
+        let args = format!("{topic} {CACHE_TOP_K}");
+        let body = LipBody::parse(PROGRAM, InterpLimits::default()).expect("the program parses");
+        let body = Body::Inline(Box::new(body));
         let pid = kernel.admit(&format!("rag{i}"), &args, SpawnOpts::at(at), body);
         pids.push((topic, pid));
     }
