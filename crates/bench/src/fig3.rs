@@ -155,23 +155,16 @@ pub struct PointResult {
     pub gpu_util: f64,
 }
 
-/// The Symphony RAG LIP (the paper's §5 program): `examples/lipscript/
-/// with_prelude/rag.lip`, after the decoding loop that hands a refused
-/// `pred` back to it. Args: `"topic|top_k|query"`. Documents of topics
-/// below `top_k` are prefilled once, published under `rag/doc<topic>.kv`,
-/// pinned, and forked by later requests; other topics are prefilled
-/// privately and discarded. When the GPU's KV pool is full the LIP
-/// releases everything it holds and retries after a jittered exponential
-/// backoff — application-level handling of a resource the application is
-/// managing.
+/// The Symphony RAG LIP (the paper's §5 program, args
+/// `"topic|top_k|query"`), after the decoding loop that hands it a refused
+/// `pred`: it pins the `top_k` topics' documents, and on a full KV pool it
+/// releases what it holds and backs off — the application owns both.
 const RAG_LIP: &str = concat!(
     include_str!("../../../examples/lipscript/with_prelude/decode_try.lip"),
     include_str!("../../../examples/lipscript/with_prelude/rag.lip")
 );
 
-/// The RAG LIP's sandbox: roomy enough that only the program's own policy
-/// ends a request, since a retry re-prefills its document and the memory
-/// meter never credits what a failed attempt let go of.
+/// Room for 40 attempts' prefills: the memory meter credits nothing back.
 const RAG_LIMITS: InterpLimits = InterpLimits {
     fuel: 1_000_000_000,
     memory_cells: 1_000_000_000,

@@ -327,30 +327,19 @@ fn greedy(
     max_tokens: usize,
     make_room: &mut dyn FnMut(&mut Ctx) -> bool,
 ) -> Result<Vec<TokenId>, SysError> {
-    let mut pred = |ctx: &mut Ctx, tokens: &[(TokenId, u32)]| loop {
-        match ctx.pred(kv, tokens) {
+    let mut pred = |ctx: &mut Ctx, tokens: &[TokenId], at: u32| loop {
+        match ctx.pred_positions(kv, tokens, at) {
             Err(SysError::Kv(KvError::NoGpuMemory)) if make_room(ctx) => {}
             reply => return reply?.last().ok_or(SysError::BadArgument),
         }
     };
-    let start = ctx.kv_next_pos(kv)?;
-    // A position past `u32::MAX` is refused, as `Ctx::pred_positions` does.
-    let prefill = (0u32..)
-        .zip(prompt)
-        .map(|(i, &t)| start.checked_add(i).map(|pos| (t, pos)))
-        .collect::<Option<Vec<_>>>()
-        .ok_or(SysError::BadArgument)?;
-    let mut dist = pred(ctx, &prefill)?;
-    let mut pos = start + prompt.len() as u32;
-    let mut tokens = Vec::new();
-    let eos = ctx.eos();
-    while tokens.len() < max_tokens {
-        let tok = dist.argmax();
-        if tok == eos {
-            break;
-        }
-        tokens.push(tok);
-        dist = pred(ctx, &[(tok, pos)])?;
+    let mut pos = ctx.kv_next_pos(kv)?;
+    let mut dist = pred(ctx, prompt, pos)?;
+    pos += prompt.len() as u32;
+    let (eos, mut tokens) = (ctx.eos(), Vec::new());
+    while tokens.len() < max_tokens && dist.argmax() != eos {
+        tokens.push(dist.argmax());
+        dist = pred(ctx, &tokens[tokens.len() - 1..], pos)?;
         pos += 1;
     }
     Ok(tokens)

@@ -493,6 +493,25 @@ pub const RETIRED: &[Retired] = &[
         reason: "the generation loops of the experiments and examples are                  LipScript a served program can call (`examples/lipscript/with_prelude/decode.lip`                  and its constrained and watermark parts); a Rust decoding library                  in core would be a second copy that no served program reaches,                  and the closures over it programs the server never receives",
         commit: "fcbed76",
     },
+    Retired {
+        name: "A program owns its failures in LipScript",
+        bans: &[Bans {
+            under: &["crates/bench/src/", "examples/"],
+            strings: &[
+                Fixed("crate::native"),
+                Fixed("symphony_bench::native"),
+                Fixed("pub mod native"),
+            ],
+        }],
+        reason: "a program that catches a failed system call (a missing file, a \
+                 full KV pool, a faulted tool) is LipScript that reads the call's \
+                 error value (`try`, `is_err`, `err_kind`), with its greedy loop in \
+                 `examples/lipscript/with_prelude/decode_try.lip`; a Rust helper \
+                 module of decoding loops and backoffs in the bench crate would be \
+                 a second copy of `decode.lip`'s loop, for closures the server \
+                 never receives",
+        commit: "e18b526",
+    },
 ];
 
 impl Rule {

@@ -571,20 +571,18 @@ pub(crate) fn begin(
         Builtin::KvChmod => {
             let kv = first_kv()?;
             // Who besides the owner may read (`r`) and write (`w`).
-            let mode = match as_str(args[1], "mode", span)? {
-                "" => Mode::PRIVATE,
-                "r" => Mode::SHARED_READ,
-                "w" => Mode {
-                    read_all: false,
-                    write_all: true,
+            let mode = as_str(args[1], "mode", span)?;
+            if !matches!(mode, "" | "r" | "w" | "rw") {
+                return Err(type_err(format!("mode {mode:?} is not r, w or rw"), span));
+            }
+            let (read_all, write_all) = (mode.contains('r'), mode.contains('w'));
+            return sys(Syscall::KvChmod {
+                kv,
+                mode: Mode {
+                    read_all,
+                    write_all,
                 },
-                "rw" => Mode {
-                    read_all: true,
-                    write_all: true,
-                },
-                other => return Err(type_err(format!("mode {other:?} is not r, w or rw"), span)),
-            };
-            return sys(Syscall::KvChmod { kv, mode });
+            });
         }
         Builtin::KvSwapIn => return sys(Syscall::KvSwapIn { kv: first_kv()? }),
         Builtin::KvSwapOut => return sys(Syscall::KvSwapOut { kv: first_kv()? }),

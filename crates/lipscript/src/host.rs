@@ -266,11 +266,7 @@ impl Host for MockHost {
                 self.names.remove(&path).ok_or_else(not_found)?;
                 R::Unit
             }
-            Syscall::KvPin { kv }
-            | Syscall::KvUnpin { kv }
-            | Syscall::KvChmod { kv, .. }
-            | Syscall::KvSwapIn { kv }
-            | Syscall::KvSwapOut { kv } => {
+            Syscall::KvPin { kv } | Syscall::KvUnpin { kv } => {
                 self.file(kv)?;
                 R::Unit
             }

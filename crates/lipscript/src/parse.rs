@@ -492,28 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn try_wraps_a_call_that_asks_the_host() {
-        let p = parse("let f = try kv_open(\"doc.kv\"); let ok = !is_err(try kv_len(f));").unwrap();
-        let StmtKind::Let(_, e) = &p.top[0].kind else {
-            panic!()
-        };
-        let ExprKind::Try(call) = &e.kind else {
-            panic!("expected try: {e:?}")
-        };
-        assert!(matches!(&call.kind, ExprKind::Call(name, _) if name == "kv_open"));
-        // A pure builtin, a function and a bare name have no host to
-        // refuse them.
-        for src in [
-            "let n = try len(xs);",
-            "fn f() { } let x = try f();",
-            "let x = try kv;",
-        ] {
-            let e = parse(src).unwrap_err();
-            assert!(e.to_string().contains("`try`"), "{src}: {e}");
-        }
-    }
-
-    #[test]
     fn empty_list_and_nil() {
         let p = parse("let xs = []; let n = nil;").unwrap();
         assert_eq!(p.top.len(), 2);

@@ -45,10 +45,7 @@ pub fn err_kind(e: &SysError) -> String {
         other => format!("{other:?}"),
     };
     // A variant with a payload debug-prints it in parentheses.
-    match name.find('(') {
-        Some(at) => name[..at].to_string(),
-        None => name,
-    }
+    name.split('(').next().unwrap_or_default().to_string()
 }
 
 impl Value {

@@ -870,7 +870,8 @@ fn a_nan_or_negative_sleep_is_refused() {
     for src in ["sleep_ms(0.0 / 0.0);", "sleep_ms(-0.5);", "sleep_ms(-1);"] {
         let ran = harness::run_src(src);
         let e = ran.result.expect("it ends").unwrap_err();
-        assert!(e.to_string().contains("sleep duration must be >= 0"), "{src}: {e}");
+        let refused = e.to_string().contains("sleep duration must be >= 0");
+        assert!(refused, "{src}: {e}");
     }
 }
 
@@ -899,12 +900,15 @@ fn a_program_retries_a_pred_the_pool_refused() {
     cfg.gpu_kv_bytes_override = Some(800 * 4 * cfg.model.kv_bytes_per_token());
     let mut kernel = Kernel::new(cfg);
     let body = LipBody::parse(src, InterpLimits::default()).expect("parses");
-    let pid = kernel.admit("retry", "", SpawnOpts::default(), Body::Inline(Box::new(body)));
+    let body = Body::Inline(Box::new(body));
+    let pid = kernel.admit("retry", "", SpawnOpts::default(), body);
     kernel.run();
     let rec = kernel.record(pid).unwrap();
     assert!(rec.status.is_ok(), "{:?}", rec.status);
-    assert_eq!(rec.output, "true NoGpuMemory <err:NoGpuMemory>; false 3000 3000");
-    assert_eq!(rec.usage.pred_tokens, 3_400, "the refused prefill counts nothing");
+    let want = "true NoGpuMemory <err:NoGpuMemory>; false 3000 3000";
+    assert_eq!(rec.output, want);
+    // The refused prefill counts nothing.
+    assert_eq!(rec.usage.pred_tokens, 3_400);
 }
 
 /// `kv_chmod`, `kv_swap_out` and `kv_swap_in` are the kernel's calls:
@@ -962,4 +966,28 @@ fn rand_int_draws_as_a_native_thread_does() {
     assert_eq!(output, kernel.record(pid).unwrap().output);
     let e = runtime_err("return rand_int(0);");
     assert!(e.to_string().contains("bound must be >= 1"), "{e}");
+}
+
+#[test]
+fn try_wraps_a_call_that_asks_the_host() {
+    use symphony_lipscript::ast::{ExprKind, StmtKind};
+
+    let p = parse("let f = try kv_open(\"doc.kv\"); let n = (try kv_len(f))[0];").unwrap();
+    let StmtKind::Let(_, e) = &p.top[0].kind else {
+        panic!()
+    };
+    let ExprKind::Try(call) = &e.kind else {
+        panic!("expected try: {e:?}")
+    };
+    assert!(matches!(&call.kind, ExprKind::Call(name, _) if name == "kv_open"));
+    // A pure builtin, a function and a bare name have no host to refuse
+    // them.
+    for src in [
+        "let n = try len(xs);",
+        "fn f() { } let x = try f();",
+        "let x = try kv;",
+    ] {
+        let e = parse(src).unwrap_err();
+        assert!(e.to_string().contains("`try` takes a call"), "{src}: {e}");
+    }
 }

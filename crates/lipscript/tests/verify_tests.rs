@@ -309,7 +309,8 @@ fn a_kv_call_under_try_is_not_a_use_after_remove() {
     // Its cost is the bare call's.
     let bare = vet("let kv = kv_create(); pred(kv, [1], 0);").effects;
     let caught = vet("let kv = try kv_create(); try pred(kv, [1], 0);").effects;
-    assert_eq!((bare.fuel_bound, bare.pred_bound), (caught.fuel_bound, caught.pred_bound));
+    assert_eq!(bare.fuel_bound, caught.fuel_bound);
+    assert_eq!(bare.pred_bound, caught.pred_bound);
 }
 
 #[test]
