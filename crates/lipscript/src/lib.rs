@@ -10,7 +10,9 @@
 //!
 //! - **Syntax**: a small C/JS-like imperative language — `let`, assignment,
 //!   `if`/`else`, `while`, `for x in xs`, top-level `fn` definitions,
-//!   integers/floats/strings/bools/lists, and `nil`.
+//!   integers/floats/strings/bools/lists, and `nil`; `try` before a
+//!   system call makes the kernel's refusal a value (`is_err`,
+//!   `err_kind`) instead of the end of the program.
 //! - **Builtins** ([`builtins`]): the `pred`/`kv_*`/tool/IPC system calls
 //!   plus distribution operations (`sample`, `argmax`, `top_k`,
 //!   `constrain`, ...) and list/string utilities.
