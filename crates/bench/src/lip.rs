@@ -1,7 +1,8 @@
 //! The E-series programs as a server receives them: LipScript text from
 //! `examples/lipscript/with_prelude/`, after the shared decoding prelude
 //! (`decode.lip`), admitted as bodies the kernel steps inline. A program
-//! that masks its steps brings `decode_constrained.lip` along in its text.
+//! that masks its steps brings `decode_constrained.lip` along in its text,
+//! and one that takes a refused `pred` back brings `decode_try.lip`.
 
 use symphony::Body;
 use symphony_lipscript::{InterpLimits, LipBody};
