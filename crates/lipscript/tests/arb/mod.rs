@@ -122,18 +122,33 @@ fn arb_expr(with_try: bool) -> impl Strategy<Value = Expr> {
             kind,
             span: Default::default(),
         };
-        let caught = (
-            arb_host_callee(),
-            proptest::collection::vec(inner.clone(), 0..3),
-        )
-            .prop_map(move |(n, args)| {
-                expr(ExprKind::Try(Box::new(expr(ExprKind::Call(n, args)))))
-            });
+        let call = move |name: &str, args| expr(ExprKind::Call(name.to_string(), args));
+        // Calls typed well enough to reach the kernel, which refuses most
+        // of them: a missing file or tool, a cut past a file's end, a
+        // handle that may be gone.
+        let path = "[a-z.]{0,4}"
+            .prop_map(move |s| expr(ExprKind::Str(s)))
+            .boxed();
+        let int = (-2i64..4).prop_map(move |v| expr(ExprKind::Int(v))).boxed();
+        let refused = prop_oneof![
+            path.clone().prop_map(move |p| call("kv_open", vec![p])),
+            (path.clone(), path).prop_map(move |(t, a)| call("call_tool", vec![t, a])),
+            int.clone()
+                .prop_map(move |n| call("kv_truncate", vec![call("kv_create", vec![]), n])),
+            arb_ident().prop_map(move |v| call("kv_len", vec![expr(ExprKind::Var(v))])),
+            int.prop_map(move |n| call("rand_int", vec![n])),
+            (
+                arb_host_callee(),
+                proptest::collection::vec(inner.clone(), 0..3)
+            )
+                .prop_map(move |(n, args)| call(&n, args)),
+        ];
+        let caught = refused.prop_map(move |c| expr(ExprKind::Try(Box::new(c))));
         let read = (
             prop_oneof![Just("is_err".to_string()), Just("err_kind".to_string())],
             inner,
         )
-            .prop_map(move |(n, arg)| expr(ExprKind::Call(n, vec![arg])));
+            .prop_map(move |(n, arg)| call(&n, vec![arg]));
         prop_oneof![6 => plain, 2 => caught, 1 => read].boxed()
     })
 }
