@@ -164,7 +164,10 @@ const RAG_LIP: &str = concat!(
     include_str!("../../../examples/lipscript/with_prelude/rag.lip")
 );
 
-/// Room for 40 attempts' prefills: the memory meter credits nothing back.
+/// Room for every attempt a request may make: the memory meter credits
+/// nothing back, and 40 attempts of a 3 000-token prefill and a 512-token
+/// answer (`push` charges the list it copies) come to ≈ 9 M cells, past
+/// the default 4 M.
 const RAG_LIMITS: InterpLimits = InterpLimits {
     fuel: 1_000_000_000,
     memory_cells: 1_000_000_000,
