@@ -261,7 +261,8 @@ pub(crate) struct PendingPred {
     delay_recorded: bool,
     /// Completion time of a copy this sequence waits on — its KV coming
     /// in over H2D, or victims leaving over D2H to free its pages. Set
-    /// when the copy is booked and cleared when the sequence next
+    /// when the copy is booked (a swap-in as soon as the `pred` arrives
+    /// mid-iteration, if there is room) and cleared when the sequence next
     /// executes: until then it sits out of iterations and is not a
     /// preemption candidate (its transfer was paid for but not yet used).
     ready_at: Option<SimTime>,
@@ -318,9 +319,12 @@ pub(crate) struct KernelMetrics {
     /// GPU pages that keep a lower-tier backing copy, sampled after each
     /// batch.
     backing_pages: Gauge,
-    /// KV files swapped out to free GPU pages for an executing sequence
-    /// (only where the loop manages residency).
+    /// Active sequences swapped out (and sent back to the wait queue) to
+    /// free GPU pages for a peer (only where the loop manages residency).
     preemptions: Counter,
+    /// Idle KV files swapped out to free GPU pages for a `pred` (only where
+    /// the loop manages residency).
+    evictions: Counter,
     /// Prefill chunks executed (requests that spanned more than one
     /// iteration).
     prefill_chunks: Counter,
@@ -422,6 +426,7 @@ impl KernelMetrics {
             disk_pages_used: registry.gauge("kvfs.disk_pages_used"),
             backing_pages: registry.gauge("kvfs.backing_pages"),
             preemptions: registry.counter("sched.preemptions"),
+            evictions: registry.counter("sched.evictions"),
             prefill_chunks: registry.counter("sched.prefill_chunks"),
             iteration_tokens: registry.histogram("sched.iteration_tokens", &occupancy_bounds()),
             ridge_tokens: registry.gauge("sched.ridge_tokens"),
@@ -480,6 +485,9 @@ pub struct Kernel {
     /// at most: the GPU is busy while this is `Some`, and no iteration
     /// launches then.
     in_flight: Option<(u64, Vec<(Tid, SysReply)>)>,
+    /// Files of the sequences the in-flight iteration finishes: they left
+    /// `active` at launch, but their `pred`s run until it is done.
+    finishing: Vec<FileId>,
     next_batch: u64,
     timer_armed_until: Option<SimTime>,
     // Processes and threads (see `crate::proc`).
@@ -639,6 +647,7 @@ impl Kernel {
             idle_since: None,
             last_iteration: SimDuration::ZERO,
             in_flight: None,
+            finishing: Vec::new(),
             next_batch: 0,
             timer_armed_until: None,
             threads: IdSlab::new(),
@@ -799,12 +808,18 @@ impl Kernel {
     }
 
     /// Sequences preempted (KV swapped out) by the GPU loop to free GPU
-    /// pages. Always 0 under the static preset, which leaves residency to
-    /// the programs.
+    /// pages for a peer. Always 0 under the static preset, which leaves
+    /// residency to the programs.
     pub fn preemptions(&self) -> u64 {
         self.registry
             .counter_value("sched.preemptions")
             .unwrap_or(0)
+    }
+
+    /// Idle KV files the GPU loop swapped out to free GPU pages. Always 0
+    /// under the static preset.
+    pub fn evictions(&self) -> u64 {
+        self.registry.counter_value("sched.evictions").unwrap_or(0)
     }
 
     /// Prefill chunks executed (requests that spanned more than one GPU
@@ -995,6 +1010,7 @@ impl Kernel {
                     debug_assert!(false, "BatchDone for unknown batch {batch_id}");
                     return;
                 };
+                self.finishing.clear();
                 let now = self.events.now();
                 self.bus.emit(now, || EventKind::BatchEnd { id: batch_id });
                 for (tid, reply) in results {
@@ -1085,11 +1101,21 @@ impl Kernel {
 
     // ---- the GPU loop -------------------------------------------------------------
 
-    /// Adds a `pred` to the wait queue.
-    fn pool_pred(&mut self, pred: PendingPred) {
+    /// Adds a `pred` to the wait queue. Where the loop manages residency
+    /// and an iteration is in flight, a `pred` on a file with pages off
+    /// the GPU has its swap-in booked now, not at the next iteration
+    /// boundary: the copy lanes run beside the SMs, so the bytes cross
+    /// while the iteration runs. On an idle GPU the `pred` meets the next
+    /// launch decision first, and phase 1 books it there.
+    fn pool_pred(&mut self, mut pred: PendingPred) {
         let now = self.events.now();
         if let LaunchGate::Batch(gate) = &mut self.preset.gate {
             gate.on_arrival(now);
+        }
+        if self.preset.manages_residency && self.in_flight.is_some() {
+            let take = pred.req.tokens.len().min(self.preset.slice);
+            let who = (pred.pid, pred.tid);
+            pred.ready_at = self.book_swap_in(pred.req.file, who, take, None);
         }
         self.cqueue.push(pred.pid.0, pred.critical, pred);
     }
@@ -1220,12 +1246,45 @@ impl Kernel {
         self.gpu.copy_out(not_before, moved, bpt)
     }
 
-    /// Frees GPU pages on behalf of active sequence `i`: evicts the idle
-    /// LRU file, else preempts the lowest-priority resident peer (highest
+    /// The files of pending reads: every queued `pred`'s, every active
+    /// sequence's not in `retire` or `preempted`, and those the in-flight
+    /// iteration finishes. No idle-file eviction takes a page one of them
+    /// references.
+    fn pending_files(&self, retire: &[usize], preempted: &[usize]) -> Vec<FileId> {
+        let active = self
+            .active
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| !retire.contains(j) && !preempted.contains(j))
+            .map(|(_, s)| s.req.file);
+        active
+            .chain(self.cqueue.iter().map(|s| s.req.file))
+            .chain(self.finishing.iter().copied())
+            .collect()
+    }
+
+    /// Swaps out the idle file LRU-2 picks ([`KvStore::evict_lru`]),
+    /// leaving on the GPU every page a file in `exclude` references.
+    /// Returns when the victim's dirty bytes have left over D2H, or `None`
+    /// when no idle file has pages to give.
+    fn evict_idle(&mut self, exclude: &[FileId]) -> Option<SimTime> {
+        let now = self.events.now();
+        let (victim, moved) = self.store.evict_lru(exclude)?;
+        self.kmetrics.evictions.inc();
+        self.bus.emit(now, || EventKind::Preempt {
+            file: victim.0,
+            tokens: moved.total() as u64,
+            victim_tid: 0,
+        });
+        Some(self.copy_out(now, moved))
+    }
+
+    /// Frees GPU pages on behalf of active sequence `i`: evicts an idle
+    /// file, else preempts the lowest-priority resident peer (highest
     /// MLFQ level, then latest arrival) and records it in `preempted`.
     /// Forks of one document share its pages, and swap moves whole pages:
-    /// an idle victim leaves behind whatever a running sequence also
-    /// references, a preempted peer whatever a still-landing one does.
+    /// an idle victim leaves behind whatever a pending read also
+    /// references, a preempted peer whatever a still-landing copy does.
     /// Returns when the victim's dirty bytes have left over D2H, or `None`
     /// when nothing is evictable.
     fn evict_for(
@@ -1234,54 +1293,46 @@ impl Kernel {
         retire: &[usize],
         preempted: &mut Vec<usize>,
     ) -> Option<SimTime> {
+        let exclude = self.pending_files(retire, preempted);
+        if let Some(done) = self.evict_idle(&exclude) {
+            return Some(done);
+        }
         let now = self.events.now();
-        let exclude: Vec<FileId> = self
+        let landing: Vec<FileId> = self
             .active
             .iter()
-            .enumerate()
-            .filter(|(j, _)| !retire.contains(j) && !preempted.contains(j))
-            .map(|(_, s)| s.req.file)
+            .chain(self.cqueue.iter())
+            .filter(|s| s.ready_at.is_some())
+            .map(|s| s.req.file)
             .collect();
-        let (victim, moved, vtid) = match self.store.evict_lru(&exclude) {
-            Some((victim, moved)) => (victim, moved, 0),
-            None => {
-                let landing: Vec<FileId> = self
-                    .active
-                    .iter()
-                    .filter(|s| s.ready_at.is_some())
-                    .map(|s| s.req.file)
-                    .collect();
-                let j = self.lowest_priority_peer(i, retire, preempted, &landing)?;
-                let (vfile, vtid, vpid) = {
-                    let v = &self.active[j];
-                    (v.req.file, v.tid, v.pid)
-                };
-                let moved = self
-                    .store
-                    .swap_out_except(vfile, OwnerId::ADMIN, &landing)
-                    .ok()?;
-                if self.causal {
-                    // Swap dependency: the victim's eviction funds this
-                    // sequence's pages.
-                    let (spid, stid) = (self.active[i].pid, self.active[i].tid);
-                    self.bus.emit(now, || EventKind::CausalEdge {
-                        edge: EdgeKind::Preempt,
-                        src_pid: vpid.0,
-                        src_tid: vtid.0,
-                        src_at: now,
-                        dst_pid: spid.0,
-                        dst_tid: stid.0,
-                    });
-                }
-                preempted.push(j);
-                (vfile, moved, vtid.0)
-            }
+        let j = self.lowest_priority_peer(i, retire, preempted, &landing)?;
+        let (vfile, vtid, vpid) = {
+            let v = &self.active[j];
+            (v.req.file, v.tid, v.pid)
         };
+        let moved = self
+            .store
+            .swap_out_except(vfile, OwnerId::ADMIN, &landing)
+            .ok()?;
+        if self.causal {
+            // Swap dependency: the victim's eviction funds this
+            // sequence's pages.
+            let (spid, stid) = (self.active[i].pid, self.active[i].tid);
+            self.bus.emit(now, || EventKind::CausalEdge {
+                edge: EdgeKind::Preempt,
+                src_pid: vpid.0,
+                src_tid: vtid.0,
+                src_at: now,
+                dst_pid: spid.0,
+                dst_tid: stid.0,
+            });
+        }
+        preempted.push(j);
         self.kmetrics.preemptions.inc();
         self.bus.emit(now, || EventKind::Preempt {
-            file: victim.0,
+            file: vfile.0,
             tokens: moved.total() as u64,
-            victim_tid: vtid,
+            victim_tid: vtid.0,
         });
         Some(self.copy_out(now, moved))
     }
@@ -1331,59 +1382,80 @@ impl Kernel {
         self.active = kept;
     }
 
-    /// Brings non-resident participants' KV back to the GPU (files evicted
-    /// by an earlier preemption, or swapped while their owner was between
-    /// `pred`s) and returns the peers preempted to make room. A swap-in is
-    /// only worth its PCIe time if the sequence can then actually *run*,
-    /// so require headroom for the file's off-GPU pages plus its next
-    /// chunk — otherwise the swapped-in file refills exactly the pages a
-    /// preemption just freed and the iteration appends nothing, forever.
-    /// Make headroom by evicting idle LRU files first, then by preempting
-    /// the lowest-priority resident peer. The copy starts once the
-    /// victims' dirty bytes have left, and the sequence joins iterations
-    /// once it lands.
-    fn swap_in_admitted(&mut self) -> Vec<usize> {
+    /// Books the H2D copy that brings `file`'s off-GPU pages back for the
+    /// `pred` of `who` (pid, tid), whose next slice is `take` tokens. A
+    /// swap-in is only worth its PCIe time if the sequence can then
+    /// actually *run*, so require headroom for the file's off-GPU pages
+    /// plus that slice — otherwise the swapped-in file refills exactly the
+    /// pages a preemption just freed and the iteration appends nothing,
+    /// forever. Headroom comes from idle files; in phase 1, where `peers`
+    /// is the admitted sequence's index and the preempted list, also from
+    /// preempting peers. A queued `pred` (`peers` is `None`) never
+    /// preempts a running one. The copy starts once the victims' dirty
+    /// bytes have left. Returns when it lands, or `None` when nothing is
+    /// off the GPU or it cannot fit.
+    fn book_swap_in(
+        &mut self,
+        file: FileId,
+        who: (Pid, Tid),
+        take: usize,
+        mut peers: Option<(usize, &mut Vec<usize>)>,
+    ) -> Option<SimTime> {
         let now = self.events.now();
+        let off_gpu = self.store.pages_off_gpu(file).unwrap_or(0);
+        if off_gpu == 0 {
+            return None;
+        }
+        let need_pages = off_gpu + take.div_ceil(self.store.page_tokens().max(1));
+        let mut freed_at = now;
+        while self.store.gpu_pages_free() < need_pages {
+            let freed = match &mut peers {
+                Some((i, preempted)) => self.evict_for(*i, &[], preempted),
+                None => {
+                    let mut exclude = self.pending_files(&[], &[]);
+                    exclude.push(file);
+                    self.evict_idle(&exclude)
+                }
+            };
+            match freed {
+                Some(done) => freed_at = freed_at.max(done),
+                None => return None,
+            }
+        }
+        let moved = self.store.swap_in(file, OwnerId::ADMIN).ok()?;
+        let ready_at = self.copy_in(freed_at, moved);
+        self.inflight.push((file, ready_at));
+        let (pid, tid) = who;
+        self.bus.emit(now, || EventKind::KvSwap {
+            pid: pid.0,
+            tid: tid.0,
+            file: file.0,
+            tokens: moved.total() as u64,
+            disk_tokens: moved.disk_tokens as u64,
+            dir: SwapDir::In,
+            done_at: ready_at,
+        });
+        Some(ready_at)
+    }
+
+    /// Brings admitted sequences' KV back to the GPU where no copy was
+    /// booked at arrival (files evicted by an earlier preemption, or with
+    /// no room then) and returns the peers preempted to make room. The
+    /// sequence joins iterations once its copy lands.
+    fn swap_in_admitted(&mut self) -> Vec<usize> {
         let chunk = self.preset.slice;
-        let pt = self.store.page_tokens().max(1);
         let mut preempted: Vec<usize> = Vec::new();
         for i in 0..self.active.len() {
             if preempted.contains(&i) {
                 continue;
             }
-            let (file, spid, stid, take) = {
+            let (file, who, take) = {
                 let s = &self.active[i];
                 let take = (s.req.tokens.len() - s.done).min(chunk);
-                (s.req.file, s.pid, s.tid, take)
+                (s.req.file, (s.pid, s.tid), take)
             };
-            let off_gpu = self.store.pages_off_gpu(file).unwrap_or(0);
-            if off_gpu == 0 {
-                continue;
-            }
-            let need_pages = off_gpu + take.div_ceil(pt);
-            let mut freed_at = now;
-            while self.store.gpu_pages_free() < need_pages {
-                match self.evict_for(i, &[], &mut preempted) {
-                    Some(done) => freed_at = freed_at.max(done),
-                    None => break,
-                }
-            }
-            if self.store.gpu_pages_free() < need_pages {
-                continue; // cannot fit this iteration; retry later
-            }
-            if let Ok(moved) = self.store.swap_in(file, OwnerId::ADMIN) {
-                let ready_at = self.copy_in(freed_at, moved);
+            if let Some(ready_at) = self.book_swap_in(file, who, take, Some((i, &mut preempted))) {
                 self.active[i].ready_at = Some(ready_at);
-                self.inflight.push((file, ready_at));
-                self.bus.emit(now, || EventKind::KvSwap {
-                    pid: spid.0,
-                    tid: stid.0,
-                    file: file.0,
-                    tokens: moved.total() as u64,
-                    disk_tokens: moved.disk_tokens as u64,
-                    dir: SwapDir::In,
-                    done_at: ready_at,
-                });
             }
         }
         preempted
@@ -1629,8 +1701,12 @@ impl Kernel {
         replies.sort_by_key(|&(i, _, _)| i);
         let replies = replies.into_iter().map(|(_, tid, r)| (tid, r)).collect();
 
-        // 6. Rebuild the active set: drop retired sequences, move preempted
-        // ones back to the wait queue.
+        // 6. Rebuild the active set: drop retired sequences (their files
+        // stay `finishing` until the batch is done), move preempted ones
+        // back to the wait queue.
+        let active = &self.active;
+        self.finishing
+            .extend(retire.iter().map(|&i| active[i].req.file));
         self.rebuild_active(&retire, &preempted);
 
         self.kmetrics

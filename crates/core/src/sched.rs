@@ -415,6 +415,11 @@ impl<T> ProgramQueue<T> {
         self.levels.iter().find_map(VecDeque::front)
     }
 
+    /// Every queued entry, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.levels.iter().flatten()
+    }
+
     /// Records executed service. Only critical-path tokens move a program
     /// down the ladder.
     pub fn charge(&mut self, pid: u64, critical: bool, tokens: u64) {

@@ -588,6 +588,165 @@ fn bystander_decodes_at_full_speed_while_a_peer_swaps_in() {
     }
 }
 
+/// What the trace says about `pid`'s `pred`s: when each joined the wait
+/// queue, and every swap-in booked for it as `(booked at, done_at)`.
+struct PredTrace {
+    enqueued: Vec<u64>,
+    swap_ins: Vec<(u64, u64)>,
+}
+
+fn pred_trace(k: &Kernel, pid: Pid) -> PredTrace {
+    let mut tids = Vec::new();
+    let mut out = PredTrace {
+        enqueued: Vec::new(),
+        swap_ins: Vec::new(),
+    };
+    for e in k.telemetry_events() {
+        match e.kind {
+            EventKind::ThreadSpawn { pid: p, tid } if p == pid.0 => tids.push(tid),
+            EventKind::PredEnqueue { tid, .. } if tids.contains(&tid) => {
+                out.enqueued.push(e.at.as_nanos())
+            }
+            EventKind::KvSwap {
+                pid: p,
+                dir: symphony::telemetry::SwapDir::In,
+                done_at,
+                ..
+            } if p == pid.0 => out.swap_ins.push((e.at.as_nanos(), done_at.as_nanos())),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The H2D time of `tokens` tokens of KV on the test device.
+fn transfer_ns(tokens: usize) -> u64 {
+    let cfg = KernelConfig::for_tests();
+    cfg.device
+        .transfer_time(tokens as u64 * cfg.model.kv_bytes_per_token())
+        .as_nanos()
+}
+
+#[test]
+fn a_swap_in_starts_when_its_pred_arrives() {
+    // The copy lanes run beside the SMs: a `pred` on a swapped-out
+    // document that arrives while an iteration is in flight has its copy
+    // booked at once, not at the next iteration boundary, and runs in the
+    // first iteration launched once the bytes have landed.
+    const DOC: usize = 400;
+    let mut cfg = fifo_continuous();
+    cfg.telemetry = true;
+    cfg.causal = true;
+    let mut k = Kernel::new(cfg);
+    preload_docs(&mut k, &[32, DOC], false);
+    let doc1 = k.store().lookup("doc1.kv").unwrap();
+    k.store_mut()
+        .swap_out(doc1, symphony::OwnerId::ADMIN)
+        .unwrap();
+    k.spawn_process("bystander", "", reader(0, 40));
+    let at = symphony::SimTime::ZERO + SimDuration::from_micros(3_100);
+    let peer = k.admit("peer", "", SpawnOpts::at(at), Body::hosted(reader(1, 1)));
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    assert!(k.record(peer).unwrap().status.is_ok());
+
+    let trace = pred_trace(&k, peer);
+    let arrived = trace.enqueued[0];
+    let batches = batches(&k);
+    assert!(
+        batches.iter().any(|&(b, e, _)| b < arrived && arrived < e),
+        "the peer should arrive mid-iteration"
+    );
+    let done_at = arrived + transfer_ns(DOC);
+    assert_eq!(
+        trace.swap_ins,
+        vec![(arrived, done_at)],
+        "booked on arrival"
+    );
+    // It joins the first iteration launched once its bytes are in.
+    let joined = k
+        .telemetry_events()
+        .iter()
+        .find_map(|e| match e.kind {
+            EventKind::PredExec { pid, batch, .. } if pid == peer.0 => Some(batch),
+            _ => None,
+        })
+        .unwrap();
+    let first_after = batches.iter().position(|&(b, _, _)| b >= done_at).unwrap();
+    assert_eq!(joined as usize, first_after);
+}
+
+#[test]
+fn a_queued_preds_file_is_not_evicted_for_a_later_arrival() {
+    // Reader A's document comes in as its `pred` arrives; A then waits in
+    // the queue for its copy and a batch. Reader B arrives for another
+    // swapped-out document, and making room for it has two idle
+    // candidates: A's document (opened before the other) and an unread
+    // one. A pending read's pages stay: B's copy evicts the unread
+    // document, and A's document crosses PCIe once.
+    const DOC: usize = 200; // 50 pages
+    let mut cfg = fifo_continuous();
+    cfg.telemetry = true;
+    // Room for the bystander's document and fork, the unread document
+    // and one more document with its next page, not two.
+    cfg.gpu_kv_bytes_override = Some(125 * 4 * 512);
+    let mut k = Kernel::new(cfg);
+    // One at a time: the pool cannot hold all four documents at once.
+    let preload = |k: &mut Kernel, d: u32, len: usize| {
+        k.preload_kv(
+            &format!("doc{d}.kv"),
+            &doc_tokens(len, d),
+            symphony::Mode::SHARED_READ,
+            false,
+        )
+        .unwrap()
+    };
+    preload(&mut k, 0, 32);
+    for d in [1, 2] {
+        let file = preload(&mut k, d, DOC);
+        k.store_mut()
+            .swap_out(file, symphony::OwnerId::ADMIN)
+            .unwrap();
+    }
+    let unread = preload(&mut k, 3, DOC);
+    k.spawn_process("bystander", "", reader(0, 30));
+    let at = |us| symphony::SimTime::ZERO + SimDuration::from_micros(us);
+    let mut admit =
+        |name, us, d| k.admit(name, "", SpawnOpts::at(at(us)), Body::hosted(reader(d, 1)));
+    let (a, b) = (admit("a", 2_100, 1), admit("b", 2_300, 2));
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    for pid in [a, b] {
+        assert!(k.record(pid).unwrap().status.is_ok());
+    }
+
+    let (ta, tb) = (pred_trace(&k, a), pred_trace(&k, b));
+    assert_eq!(
+        ta.swap_ins,
+        vec![(ta.enqueued[0], ta.enqueued[0] + transfer_ns(DOC))],
+        "A's document came in once, as its pred arrived"
+    );
+    assert!(
+        ta.swap_ins[0].1 > tb.enqueued[0],
+        "B should arrive while A's copy is still landing"
+    );
+    assert_eq!(tb.swap_ins.len(), 1);
+    assert_eq!(
+        tb.swap_ins[0].0, tb.enqueued[0],
+        "B's copy is booked on arrival"
+    );
+    let victims: Vec<u64> = k
+        .telemetry_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Preempt { file, .. } => Some(file),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(victims, vec![unread.0]);
+    assert_eq!((k.evictions(), k.preemptions()), (1, 0));
+}
+
 #[test]
 fn tiny_pools_never_strand_or_fail_anyone() {
     // Readers forking three shared documents plus fresh prefills, over

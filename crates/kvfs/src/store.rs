@@ -155,6 +155,10 @@ pub struct FileStat {
     pub residency: Residency,
     /// Logical last-access stamp (monotone counter, for LRU policies).
     pub last_access: u64,
+    /// The access stamp before `last_access` (0 until the file's second
+    /// access, and after a restore): what [`KvStore::evict_lru`] orders by
+    /// first.
+    pub prev_access: u64,
     /// Paths linked to this file.
     pub links: usize,
 }
@@ -172,6 +176,9 @@ struct FileMeta {
     pinned: bool,
     lock: Option<OwnerId>,
     last_access: u64,
+    /// The access before `last_access`. Not logged: a restored file starts
+    /// with 0, as if it had been touched once.
+    prev_access: u64,
     links: usize,
 }
 
@@ -522,6 +529,7 @@ impl KvStore {
         self.access_clock += 1;
         let clock = self.access_clock;
         if let Some(m) = self.files.get_mut(&id.0) {
+            m.prev_access = m.last_access;
             m.last_access = clock;
             // `last_access` is logged state: reads dirty the file too,
             // but publish nothing.
@@ -548,6 +556,7 @@ impl KvStore {
                 pinned: false,
                 lock: None,
                 last_access: 0,
+                prev_access: 0,
                 links: 0,
             },
         );
@@ -940,6 +949,7 @@ impl KvStore {
                 pinned: false,
                 lock: None,
                 last_access: 0,
+                prev_access: 0,
                 links: 0,
             },
         );
@@ -1206,20 +1216,23 @@ impl KvStore {
             .any(|(pa, pb)| pa == pb && self.pool.page(*pa).tier == Tier::Gpu)
     }
 
-    /// Preemption eviction hook: frees GPU pages by swapping out the
-    /// least-recently-used file that has any to give, skipping pinned,
-    /// locked and `exclude`d files (the scheduler excludes files of
-    /// sequences still executing). Pages an excluded file also references
-    /// stay put — an idle parent document must not be yanked from under
-    /// its running fork — so a file made only of such pages is no
-    /// candidate. Returns the victim and the per-lane token counts, or
-    /// `None` when no file is evictable. Deterministic: ties on
-    /// `last_access` break by file id.
+    /// Preemption eviction hook: frees GPU pages by swapping out the file
+    /// whose second-to-last access is oldest (LRU-2) among those that have
+    /// any to give, skipping pinned, locked and `exclude`d files (the
+    /// scheduler excludes files of sequences executing or waiting).
+    /// A file accessed once goes before one accessed twice, however
+    /// recent its one access: a single read of a cold document does not
+    /// push out one that is read often. Pages an excluded file also
+    /// references stay put — an idle parent document must not be yanked
+    /// from under its running fork — so a file made only of such pages is
+    /// no candidate. Returns the victim and the per-lane token counts, or
+    /// `None` when no file is evictable. Deterministic: candidates order
+    /// by (`prev_access`, `last_access`, file id).
     pub fn evict_lru(&mut self, exclude: &[FileId]) -> Option<(FileId, SwapReport)> {
         // Scan the file table directly instead of materialising a full
         // `list_files()` stat vector: this runs on the preemption hot path.
         let pool = &self.pool;
-        let mut candidates: Vec<(u64, u64)> = self
+        let mut candidates: Vec<(u64, u64, u64)> = self
             .files
             .iter()
             .filter(|&(id, m)| {
@@ -1228,12 +1241,12 @@ impl KvStore {
                     && !exclude.contains(&FileId(*id))
                     && m.pages.iter().any(|&p| pool.page(p).tier == Tier::Gpu)
             })
-            .map(|(&id, m)| (m.last_access, id))
+            .map(|(&id, m)| (m.prev_access, m.last_access, id))
             .collect();
         candidates.sort_unstable();
         let victim = candidates
             .into_iter()
-            .map(|(_, id)| FileId(id))
+            .map(|(_, _, id)| FileId(id))
             .find(|&c| self.movable_gpu_pages(c, exclude) > 0)?;
         // The victim just passed the evictability filter, so the swap
         // should succeed; if it does not, report "nothing evictable"
@@ -1573,6 +1586,7 @@ impl KvStore {
                             pinned,
                             lock: lock.map(OwnerId),
                             last_access,
+                            prev_access: 0,
                             links: 0,
                         },
                     );
@@ -1719,6 +1733,7 @@ impl KvStore {
             locked_by: m.lock,
             residency: self.residency(id)?,
             last_access: m.last_access,
+            prev_access: m.prev_access,
             links: m.links,
         })
     }
@@ -2345,10 +2360,47 @@ mod tests {
         assert_eq!(s.residency(doc).unwrap(), Residency::Mixed);
         assert_eq!(s.residency(fork).unwrap(), Residency::Gpu);
         // With nobody running, the shared pages are fair game again and
-        // move with whichever file goes first.
+        // move with whichever file goes first: the parent, whose access
+        // before its last (its first append) predates the fork's (its
+        // creation). Its two shared pages leave; the fork keeps its tail.
         let (victim, moved) = s.evict_lru(&[]).unwrap();
-        assert_eq!((victim, moved.total()), (fork, 10));
+        assert_eq!((victim, moved.total()), (doc, 8));
         assert_eq!(s.residency(doc).unwrap(), Residency::Cpu);
+        assert_eq!(s.residency(fork).unwrap(), Residency::Mixed);
+        s.verify().unwrap();
+    }
+
+    #[test]
+    fn evict_lru_keeps_a_file_opened_twice_over_one_opened_once_since() {
+        let mut s = store();
+        let twice = s.create(U1).unwrap();
+        s.append(twice, U1, &entries(0..4)).unwrap();
+        s.link(twice, "twice.kv", U1).unwrap();
+        let once = s.create(U1).unwrap();
+        s.append(once, U1, &entries(0..4)).unwrap();
+        s.link(once, "once.kv", U1).unwrap();
+        s.open("twice.kv", U1).unwrap();
+        s.open("twice.kv", U1).unwrap();
+        s.open("once.kv", U1).unwrap();
+        // Plain LRU would take `twice`: `once` was opened last. But
+        // `once`'s access before that was its append, older than
+        // `twice`'s first open.
+        let (st_once, st_twice) = (s.stat(once).unwrap(), s.stat(twice).unwrap());
+        assert!(st_once.last_access > st_twice.last_access);
+        assert!(st_once.prev_access < st_twice.prev_access);
+        assert_eq!(s.evict_lru(&[]).unwrap().0, once);
+        assert_eq!(s.evict_lru(&[]).unwrap().0, twice);
+        s.swap_in(twice, U1).unwrap();
+        // Forks are touched once, at creation: they tie on the access
+        // before the last (0), which breaks by the last — the older fork
+        // goes first, and the page it shares (clean, so dropped) with it.
+        let a = s.fork(twice, U1).unwrap();
+        let b = s.fork(twice, U1).unwrap();
+        assert_eq!(s.stat(a).unwrap().prev_access, 0);
+        assert_eq!(s.stat(b).unwrap().prev_access, 0);
+        let (victim, moved) = s.evict_lru(&[]).unwrap();
+        assert_eq!((victim, moved.dropped_tokens), (a, 4));
+        assert_eq!(s.residency(b).unwrap(), Residency::Cpu);
         s.verify().unwrap();
     }
 

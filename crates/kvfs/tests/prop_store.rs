@@ -22,6 +22,12 @@
 //! the store answers — whole files, windows of them, the tail fingerprint
 //! and the next position — is checked against the full entries the shadow
 //! holds after every operation, and `verify` checks the side table's rows.
+//!
+//! `Evict` runs the kernel's eviction hook with some files excluded, as
+//! the kernel excludes those of pending reads: the victim must be the
+//! LRU-2 choice among the eligible files, the excluded files keep every
+//! GPU page they had, and the reads after it find every file's contents
+//! unchanged.
 
 use std::collections::BTreeMap;
 
@@ -89,6 +95,11 @@ enum Op {
         file: usize,
         count: usize,
     },
+    /// `evict_lru` with the picked files excluded, as the kernel excludes
+    /// those of pending reads.
+    Evict {
+        exclude: Vec<usize>,
+    },
 }
 
 /// How an append departs from the file's chain.
@@ -125,6 +136,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (0usize..8).prop_map(|file| Op::Bounce { file }),
         2 => (0usize..8, 1usize..7).prop_map(|(file, count)| Op::MutateBounced { file, count }),
         2 => (0usize..8, 1usize..40).prop_map(|(file, count)| Op::Refill { file, count }),
+        2 => proptest::collection::vec(0usize..8, 0..3).prop_map(|exclude| Op::Evict { exclude }),
     ]
 }
 
@@ -167,6 +179,9 @@ fn continue_chain(
 /// The store's GPU tier, in pages. Merges and multi-range extracts can
 /// fill it, so a write that needs pages may be refused.
 const GPU_PAGES: usize = 256;
+
+/// The store's disk tier, in pages: the last place an eviction spills to.
+const DISK_PAGES: usize = 256;
 
 /// The result of a write that needs GPU pages: it must succeed when `room`
 /// says the tier has the pages it needs, and otherwise be refused with
@@ -223,6 +238,28 @@ fn check_reads(store: &mut KvStore, f: FileId, expected: &[KvEntry]) -> Result<(
     Ok(())
 }
 
+/// The file [`KvStore::evict_lru`] must pick: among files that are not
+/// pinned, locked or excluded and would free a GPU page the excluded files
+/// do not reference, the one whose access before the last is oldest
+/// (LRU-2), then whose last access is, then the lowest id.
+fn lru2_victim(
+    store: &KvStore,
+    model: &BTreeMap<u64, Vec<KvEntry>>,
+    exclude: &[FileId],
+) -> Option<FileId> {
+    model
+        .keys()
+        .map(|&id| (FileId(id), store.stat(FileId(id)).unwrap()))
+        .filter(|(f, st)| {
+            !st.pinned
+                && st.locked_by.is_none()
+                && !exclude.contains(f)
+                && store.movable_gpu_pages(*f, exclude) > 0
+        })
+        .min_by_key(|(f, st)| (st.prev_access, st.last_access, f.0))
+        .map(|(f, _)| f)
+}
+
 /// Picks the `idx`-th live file (wrapping), if any.
 fn pick(model: &BTreeMap<u64, Vec<KvEntry>>, idx: usize) -> Option<FileId> {
     if model.is_empty() {
@@ -233,7 +270,12 @@ fn pick(model: &BTreeMap<u64, Vec<KvEntry>>, idx: usize) -> Option<FileId> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256)
+    ))]
 
     #[test]
     fn store_matches_shadow_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
@@ -243,7 +285,7 @@ proptest! {
             gpu_pages: GPU_PAGES,
             // A tight DRAM tier so swap-out exercises the disk spill path.
             cpu_pages: 8,
-            disk_pages: 256,
+            disk_pages: DISK_PAGES,
             bytes_per_token: 1,
         });
         let mut model: BTreeMap<u64, Vec<KvEntry>> = BTreeMap::new();
@@ -406,6 +448,24 @@ proptest! {
                         next_token += count as u32;
                         store.append(g, owner, &new).unwrap();
                         model.insert(g.0, new);
+                    }
+                }
+                Op::Evict { exclude } => {
+                    let exclude: Vec<FileId> =
+                        exclude.iter().filter_map(|&i| pick(&model, i)).collect();
+                    let expected = lru2_victim(&store, &model, &exclude);
+                    let off_before: Vec<usize> =
+                        exclude.iter().map(|&f| store.pages_off_gpu(f).unwrap()).collect();
+                    match store.evict_lru(&exclude) {
+                        Some((victim, _)) => prop_assert_eq!(Some(victim), expected),
+                        // The victim's pages had nowhere to go.
+                        None if expected.is_some() => {
+                            prop_assert_eq!(store.disk_pages_used(), DISK_PAGES)
+                        }
+                        None => {}
+                    }
+                    for (&f, before) in exclude.iter().zip(off_before) {
+                        prop_assert_eq!(store.pages_off_gpu(f).unwrap(), before, "file {}", f.0);
                     }
                 }
             }

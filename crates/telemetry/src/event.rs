@@ -98,9 +98,9 @@ pub enum EventKind {
         done: u32,
         total: u32,
     },
-    /// A KV file was swapped out to free GPU pages for an executing
-    /// request (scheduler track). `victim_tid` is the preempted sequence's
-    /// thread, or 0 when the victim was an idle file.
+    /// A KV file was swapped out to free GPU pages for a `pred`, executing
+    /// or arriving (scheduler track). `victim_tid` is the preempted
+    /// sequence's thread, or 0 when the victim was an idle file.
     Preempt {
         file: u64,
         tokens: u64,
