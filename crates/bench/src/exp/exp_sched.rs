@@ -10,9 +10,10 @@
 //!   still monolithic. Decoders rejoin every iteration, but one long
 //!   prefill still pins the iteration length.
 //! - `cont+chunked`: prefills split across iterations, each iteration
-//!   sized to the roofline ridge (decoders first, prefills share what is
-//!   left of 78 tokens on A100/13B) — the iteration length, and therefore
-//!   p99 ITL, stays about one weight stream, and a prefill that is
+//!   sized to its own roofline (decoders first, prefills share the tokens
+//!   whose compute the iteration's weight and KV streams still hide: at
+//!   least the ridge, 78 on A100/13B) — the iteration length, and
+//!   therefore p99 ITL, stays about one stream, and a prefill that is
 //!   compute-bound either way loses nothing. Its first token queues behind
 //!   the decoders instead of stalling them: TTFT is the side that pays.
 //! - `program-aware`: chunked, plus a non-clairvoyant MLFQ over *programs*:
@@ -370,9 +371,9 @@ pub(super) fn run(opts: &ExpArgs) -> Report {
         );
     }
     println!(
-        "Chunked iterations are sized to the roofline ridge: decoders first, prefills\n\
-         share the tokens whose compute one weight stream still hides, so a decoder\n\
-         waits about one stream per token whatever prefills run beside it. MLFQ\n\
+        "Chunked iterations are sized to their own roofline: decoders first, prefills\n\
+         share the tokens whose compute the weight and KV streams still hide, so a\n\
+         decoder waits about one stream per token whatever prefills run beside it. MLFQ\n\
          additionally orders the wait queue by accumulated critical-path service,\n\
          favouring fresh programs."
     );

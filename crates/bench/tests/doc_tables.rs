@@ -5,7 +5,8 @@
 //! numeric cell of a checked table is read back with the precision it is
 //! printed at, and the result field it stands for, rounded the same way,
 //! must print the same digits. Checked: Fig. 3's heavy-skew table
-//! (latency per token, normalized to Symphony) and E7's table.
+//! (latency per token, normalized to Symphony), E7's, E12's and E15's
+//! tables.
 
 use serde_json::Value;
 
@@ -164,6 +165,97 @@ fn e7_table(doc: &str, results: &[Value]) -> Result<(), String> {
     Ok(())
 }
 
+/// The `(workload, mode)` keys of a row whose first two cells name them.
+fn workload_mode(row: &[String]) -> [(&'static str, Value); 2] {
+    [
+        ("workload", Value::String(row[0].clone())),
+        ("mode", Value::String(row[1].clone())),
+    ]
+}
+
+/// E12's table: per workload and executor mode, the gaps, TTFT,
+/// throughput and iteration counts.
+fn e12_table(doc: &str, results: &[Value]) -> Result<(), String> {
+    const COLUMNS: [&str; 6] = [
+        "p50_itl_ms",
+        "p99_itl_ms",
+        "mean_ttft_ms",
+        "throughput_tok_s",
+        "batches",
+        "prefill_chunks",
+    ];
+    let table = table_after(doc, "## E12 —")?;
+    if table.len() != results.len() {
+        return Err(format!("{} rows, want {}", table.len(), results.len()));
+    }
+    for row in &table {
+        if row.len() != 2 + COLUMNS.len() {
+            return Err(format!("{row:?}: want {} cells", 2 + COLUMNS.len()));
+        }
+        let keys = workload_mode(row);
+        for (cell, column) in row[2..].iter().zip(COLUMNS) {
+            let want = field(results, &keys, column)?;
+            agrees(cell, want, &format!("{} {}: {column}", row[0], row[1]))?;
+        }
+    }
+    Ok(())
+}
+
+/// E15's table: per workload and mode, the per-program and per-`pred`
+/// p99, and the phase that holds most of the programs' time (with its
+/// share where printed).
+fn e15_table(doc: &str, results: &[Value]) -> Result<(), String> {
+    let table = table_after(doc, "## E15 —")?;
+    if table.len() != results.len() {
+        return Err(format!("{} rows, want {}", table.len(), results.len()));
+    }
+    for row in &table {
+        if row.len() != 5 {
+            return Err(format!("{row:?}: want 5 cells"));
+        }
+        let keys = workload_mode(row);
+        let what = format!("{} {}", row[0], row[1]);
+        agrees(&row[2], field(results, &keys, "prog_p99_ms")?, &what)?;
+        agrees(&row[3], field(results, &keys, "pred_p99_ms")?, &what)?;
+        let mut found = results
+            .iter()
+            .filter(|r| keys.iter().all(|(k, v)| get(r, k) == Some(v)));
+        let phases: Vec<(String, f64)> = match found.next().and_then(|r| get(r, "phase_ns")) {
+            Some(Value::Array(phases)) => phases
+                .iter()
+                .filter_map(|p| match p {
+                    Value::Array(pair) => match (pair.first(), pair.get(1)) {
+                        (Some(Value::String(name)), Some(Value::Number(ns))) => {
+                            Some((name.clone(), *ns))
+                        }
+                        _ => None,
+                    },
+                    _ => None,
+                })
+                .collect(),
+            other => return Err(format!("{what}: phase_ns is {other:?}")),
+        };
+        let total: f64 = phases.iter().map(|p| p.1).sum();
+        let (top, ns) = phases
+            .iter()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .ok_or_else(|| format!("{what}: no phases"))?;
+        let (name, share) = match row[4].split_once(" (") {
+            Some((name, share)) => (name, Some(share.trim_end_matches(')'))),
+            None => (row[4].as_str(), None),
+        };
+        if name != top {
+            return Err(format!(
+                "{what}: the table prints {name:?}, the top phase is {top:?}"
+            ));
+        }
+        if let Some(share) = share {
+            agrees(share, ns / total * 100.0, &format!("{what}: {top}'s share"))?;
+        }
+    }
+    Ok(())
+}
+
 #[test]
 fn fig3s_heavy_skew_table_prints_its_results() {
     fig3_table(EXPERIMENTS, &rows("fig3")).unwrap();
@@ -186,4 +278,35 @@ fn a_wrong_number_in_either_table_fails() {
     );
     assert_ne!(e7, EXPERIMENTS, "the planted cell is there");
     assert!(e7_table(&e7, &rows("exp_editor")).is_err());
+}
+
+#[test]
+fn e12s_table_prints_its_results() {
+    e12_table(EXPERIMENTS, &rows("exp_sched")).unwrap();
+}
+
+#[test]
+fn e15s_table_prints_its_results() {
+    e15_table(EXPERIMENTS, &rows("exp_profile")).unwrap();
+}
+
+#[test]
+fn a_wrong_number_in_e12s_or_e15s_table_fails() {
+    let plant = |from: &str, to: &str| {
+        let doc = EXPERIMENTS.replacen(from, to, 1);
+        assert_ne!(doc, EXPERIMENTS, "the planted cell {from:?} is there");
+        doc
+    };
+    let e12 = plant(
+        "| agent | cont+chunked-b8 | 48.0 ms | 476.5 ms |",
+        "| agent | cont+chunked-b8 | 48.0 ms | 476.6 ms |",
+    );
+    assert!(e12_table(&e12, &rows("exp_sched")).is_err());
+    let e15 = plant(
+        "| fleet | continuous | 3927 ms |",
+        "| fleet | continuous | 3928 ms |",
+    );
+    assert!(e15_table(&e15, &rows("exp_profile")).is_err());
+    let share = plant("queue-wait (61%)", "queue-wait (62%)");
+    assert!(e15_table(&share, &rows("exp_profile")).is_err());
 }

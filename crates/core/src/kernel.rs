@@ -25,7 +25,7 @@ use symphony_kvfs::{
     SwapReport,
 };
 use symphony_model::surrogate::VocabInfo;
-use symphony_model::{ModelConfig, Preds, Surrogate, TokenId};
+use symphony_model::{ModelConfig, Preds, Surrogate, TokenId, WorkEstimate};
 use symphony_sim::{EventQueue, IdSlab, Rng, SimDuration, SimTime};
 use symphony_telemetry::{
     export_chrome_trace, latency_bounds_ns, occupancy_bounds, percent_bounds, Counter, EdgeKind,
@@ -171,15 +171,18 @@ impl KernelConfig {
 /// What [`ExecMode`] lowers to, once, in `Kernel::build`: the four things
 /// the GPU loop reads as data.
 struct LoopPreset {
-    /// Most tokens one sequence contributes to an iteration: the mode's
-    /// `chunk_tokens`, and never more than the budget (or one KV page, if
-    /// that is larger).
-    slice: usize,
-    /// New tokens the sequences of one iteration share: the roofline ridge
-    /// ([`GpuExecutor::ridge_tokens`]) where prefills are chunked,
-    /// unbounded where a slice is the whole request. Handed out
-    /// shortest-remaining first; once it is spent every remaining sequence
-    /// still advances one KV page (see `launch_iteration`, phase 2).
+    /// The mode's `chunk_tokens`: the most tokens one sequence contributes
+    /// to an iteration, and never more than that iteration's budget (or one
+    /// KV page, if that is larger). Unbounded where a slice is the whole
+    /// request.
+    chunk: usize,
+    /// The floor of the new tokens the sequences of one iteration share:
+    /// the roofline ridge ([`GpuExecutor::ridge_tokens`]) where prefills
+    /// are chunked, unbounded otherwise. Phase 2 of `launch_iteration`
+    /// raises it to the most tokens that keep that iteration memory-bound
+    /// ([`GpuExecutor::roofline_budget`]), hands it out shortest-remaining
+    /// first, and once it is spent every remaining sequence still advances
+    /// one KV page.
     budget: usize,
     gate: LaunchGate,
     /// The kernel keeps admitted sequences' KV on the GPU itself: swaps it
@@ -187,6 +190,20 @@ struct LoopPreset {
     /// the program's business and a `pred` that does not fit or whose file
     /// is off the GPU fails.
     manages_residency: bool,
+}
+
+impl LoopPreset {
+    /// The most tokens one sequence takes from an iteration whose budget
+    /// is `budget`.
+    fn cap(&self, budget: usize, page: usize) -> usize {
+        self.chunk.min(budget.max(page))
+    }
+
+    /// A sequence's slice at the budget's floor: what a swap-in reserves
+    /// headroom for beside the file's own pages.
+    fn slice(&self, page: usize) -> usize {
+        self.cap(self.budget, page)
+    }
 }
 
 /// When an idle GPU with work waiting may start an iteration. Either gate
@@ -261,8 +278,8 @@ pub(crate) struct PendingPred {
     delay_recorded: bool,
     /// Completion time of a copy this sequence waits on — its KV coming
     /// in over H2D, or victims leaving over D2H to free its pages. Set
-    /// when the copy is booked (a swap-in as soon as the `pred` arrives
-    /// mid-iteration, if there is room) and cleared when the sequence next
+    /// when the copy is booked (a swap-in as soon as the `pred` arrives,
+    /// if there is room) and cleared when the sequence next
     /// executes: until then it sits out of iterations and is not a
     /// preemption candidate (its transfer was paid for but not yet used).
     ready_at: Option<SimTime>,
@@ -330,8 +347,8 @@ pub(crate) struct KernelMetrics {
     prefill_chunks: Counter,
     /// New tokens per iteration, one sample per `BatchBegin`.
     iteration_tokens: Histogram,
-    /// The iteration token budget's source, [`GpuExecutor::ridge_tokens`];
-    /// set once at build.
+    /// The floor of the iteration token budget,
+    /// [`GpuExecutor::ridge_tokens`]; set once at build.
     ridge_tokens: Gauge,
     /// Virtual time a launch was held for runnable threads, one sample per
     /// held launch.
@@ -606,7 +623,7 @@ impl Kernel {
         let (preset, discipline) = match config.exec {
             ExecMode::Static(policy) => (
                 LoopPreset {
-                    slice: usize::MAX,
+                    chunk: usize::MAX,
                     budget: usize::MAX,
                     gate: LaunchGate::Batch(BatchGate::new(policy, config.max_batch)),
                     manages_residency: false,
@@ -614,15 +631,16 @@ impl Kernel {
                 QueueDiscipline::Fifo,
             ),
             ExecMode::Continuous(c) => {
-                // Chunked prefills share one ridge of tokens per iteration;
-                // whole-request slices are by definition unbudgeted.
-                let (slice, budget) = match c.chunk_tokens {
-                    Some(chunk) => (chunk.clamp(1, ridge.max(store.page_tokens())), ridge),
+                // Chunked prefills share at least a ridge of tokens per
+                // iteration; whole-request slices are by definition
+                // unbudgeted.
+                let (chunk, budget) = match c.chunk_tokens {
+                    Some(chunk) => (chunk.max(1), ridge),
                     None => (usize::MAX, usize::MAX),
                 };
                 (
                     LoopPreset {
-                        slice,
+                        chunk,
                         budget,
                         gate: LaunchGate::ThreadsParked,
                         manages_residency: true,
@@ -1101,19 +1119,18 @@ impl Kernel {
 
     // ---- the GPU loop -------------------------------------------------------------
 
-    /// Adds a `pred` to the wait queue. Where the loop manages residency
-    /// and an iteration is in flight, a `pred` on a file with pages off
-    /// the GPU has its swap-in booked now, not at the next iteration
-    /// boundary: the copy lanes run beside the SMs, so the bytes cross
-    /// while the iteration runs. On an idle GPU the `pred` meets the next
-    /// launch decision first, and phase 1 books it there.
+    /// Adds a `pred` to the wait queue. Where the loop manages residency,
+    /// a `pred` on a file with pages off the GPU has its swap-in booked
+    /// now, not at the next launch: the copy lanes run beside the SMs, so
+    /// the bytes cross while an iteration runs or the launch gate waits.
     fn pool_pred(&mut self, mut pred: PendingPred) {
         let now = self.events.now();
         if let LaunchGate::Batch(gate) = &mut self.preset.gate {
             gate.on_arrival(now);
         }
-        if self.preset.manages_residency && self.in_flight.is_some() {
-            let take = pred.req.tokens.len().min(self.preset.slice);
+        if self.preset.manages_residency {
+            let slice = self.preset.slice(self.store.page_tokens());
+            let take = pred.req.tokens.len().min(slice);
             let who = (pred.pid, pred.tid);
             pred.ready_at = self.book_swap_in(pred.req.file, who, take, None);
         }
@@ -1443,7 +1460,7 @@ impl Kernel {
     /// no room then) and returns the peers preempted to make room. The
     /// sequence joins iterations once its copy lands.
     fn swap_in_admitted(&mut self) -> Vec<usize> {
-        let chunk = self.preset.slice;
+        let chunk = self.preset.slice(self.store.page_tokens());
         let mut preempted: Vec<usize> = Vec::new();
         for i in 0..self.active.len() {
             if preempted.contains(&i) {
@@ -1470,7 +1487,8 @@ impl Kernel {
     /// non-resident file's slice goes to the GPU and fails there.
     fn launch_iteration(&mut self) {
         let now = self.events.now();
-        let chunk = self.preset.slice;
+        let page = self.store.page_tokens().max(1);
+        let chunk = self.preset.slice(page);
         let manages_residency = self.preset.manages_residency;
 
         // 1. Where the loop manages residency, start swapping admitted
@@ -1524,12 +1542,38 @@ impl Kernel {
         };
         let mut order: Vec<usize> = (0..parts.len()).collect();
         order.sort_by_key(|&k| remaining(k));
-        let page = self.store.page_tokens().max(1);
-        let mut budget_left = self.preset.budget;
+        let preset = &self.preset;
+        let pack = |budget: usize, takes: &mut [usize]| {
+            let cap = preset.cap(budget, page);
+            let mut budget_left = budget;
+            for &k in &order {
+                takes[k] = remaining(k).min(cap).min(budget_left.max(page));
+                budget_left = budget_left.saturating_sub(takes[k]);
+            }
+        };
         let mut takes = vec![0usize; parts.len()];
-        for k in order {
-            takes[k] = remaining(k).min(chunk).min(budget_left.max(page));
-            budget_left = budget_left.saturating_sub(takes[k]);
+        pack(preset.budget, &mut takes);
+        // Where the ridge cuts someone, the budget grows while the batch
+        // stays memory-bound: decoders' KV reads leave compute idle that a
+        // prefill's chunk can fill at no cost to the iteration.
+        let most: usize = (0..parts.len())
+            .map(|k| remaining(k).min(preset.chunk))
+            .sum();
+        if takes.iter().sum::<usize>() < most {
+            let model = self.gpu.model().config();
+            let pasts: Vec<u64> = parts
+                .iter()
+                .map(|&i| self.store.len(self.active[i].req.file).unwrap_or(0) as u64)
+                .collect();
+            let budget = self.gpu.roofline_budget(most, |b| {
+                pack(b, &mut takes);
+                let mut work = WorkEstimate::default();
+                for (&take, &past) in takes.iter().zip(&pasts) {
+                    work.accumulate(&model.forward_work(take as u64, past));
+                }
+                work
+            });
+            pack(budget, &mut takes);
         }
         // Requests go to the GPU in admission order, whatever the packing
         // order was: reply order, CoW order and fault draws do not move.
@@ -1613,7 +1657,7 @@ impl Kernel {
         // terminally failed sequences, collect KV-exhausted ones.
         let mut replies: Vec<(usize, Tid, SysReply)> = Vec::new();
         let mut retire: Vec<usize> = Vec::new();
-        let mut failed_mem: Vec<usize> = Vec::new();
+        let mut failed_mem: Vec<(usize, usize)> = Vec::new();
         for (k, res) in results.into_iter().enumerate() {
             let i = parts[k];
             let take = requests[k].tokens.len();
@@ -1645,7 +1689,7 @@ impl Kernel {
                     }
                     self.cqueue.charge(cpid.0, ccrit, take as u64);
                 }
-                Err(ExecError::Kv(KvError::NoGpuMemory)) => failed_mem.push(i),
+                Err(ExecError::Kv(KvError::NoGpuMemory)) => failed_mem.push((i, take)),
                 Err(e) => {
                     let stid = self.roll_back(i);
                     let reply = match e {
@@ -1666,12 +1710,14 @@ impl Kernel {
         // evicted), roll the `pred` back and fail it with `NoGpuMemory`:
         // what to do next is the program's policy. `preempted` carries over
         // phase 1's swap-in victims so phase 6 returns them to the queue too.
-        for &i in &failed_mem {
+        for &(i, take) in &failed_mem {
             if preempted.contains(&i) {
                 continue; // became a victim of an earlier recovery
             }
             let file = self.active[i].req.file;
-            let need = (self.active[i].req.tokens.len() - self.active[i].done).min(chunk);
+            let need = (self.active[i].req.tokens.len() - self.active[i].done)
+                .min(chunk)
+                .max(take);
             let mut freed_at = now;
             while manages_residency && !self.store.can_append(file, need).unwrap_or(false) {
                 match self.evict_for(i, &retire, &mut preempted) {

@@ -224,14 +224,16 @@ pub struct ContinuousConfig {
     /// Maximum tokens one request contributes to a single iteration.
     /// `None` runs each request's whole remaining prompt in one iteration
     /// (continuous batching without chunked prefill). With `Some`, the
-    /// sequences of an iteration also share one token budget — the ridge
-    /// of the device × model roofline (`GpuExecutor::ridge_tokens`: 78 on
+    /// sequences of an iteration also share one token budget — the most
+    /// tokens that keep that iteration memory-bound
+    /// (`GpuExecutor::roofline_budget`), never less than the ridge of the
+    /// device × model roofline (`GpuExecutor::ridge_tokens`: 78 on
     /// A100-80G, the most tokens whose compute one weight stream still
     /// hides) — handed out shortest-remaining first, and a sequence the
     /// budget no longer covers still advances one KV page. So decoders'
-    /// inter-token gap stays about one weight stream whatever prefills
-    /// run beside them, a prefill (compute-bound either way) loses
-    /// nothing, and this field only binds below the ridge.
+    /// inter-token gap stays about one stream of the iteration's bytes
+    /// whatever prefills run beside them, a prefill (compute-bound either
+    /// way) loses nothing, and this field only binds below the budget.
     pub chunk_tokens: Option<usize>,
     /// Admission order for waiting `pred` calls.
     pub discipline: QueueDiscipline,

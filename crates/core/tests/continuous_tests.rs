@@ -677,6 +677,56 @@ fn a_swap_in_starts_when_its_pred_arrives() {
 }
 
 #[test]
+fn a_swap_in_starts_when_its_pred_arrives_on_an_idle_gpu() {
+    // The same on an idle GPU whose launch gate holds for a spinning
+    // thread: the copy is booked as the `pred` arrives, not when the gate
+    // opens, and the bytes cross while it is held.
+    const DOC: usize = 400;
+    let mut cfg = fifo_continuous();
+    cfg.syscall_cost = SimDuration::from_micros(2);
+    cfg.telemetry = true;
+    cfg.causal = true;
+    let mut k = Kernel::new(cfg);
+    preload_docs(&mut k, &[DOC], false);
+    let doc0 = k.store().lookup("doc0.kv").unwrap();
+    k.store_mut()
+        .swap_out(doc0, symphony::OwnerId::ADMIN)
+        .unwrap();
+    // One iteration gives the gate a bound to hold for; the spinner is
+    // runnable from before the peer arrives until well after.
+    k.spawn_process("warm-up", "", decoder(1));
+    k.spawn_process("spinner", "", |ctx| {
+        for _ in 0..20_000 {
+            ctx.now()?;
+        }
+        Ok(())
+    });
+    let at = symphony::SimTime::ZERO + SimDuration::from_millis(10);
+    let peer = k.admit("peer", "", SpawnOpts::at(at), Body::hosted(reader(0, 1)));
+    k.run();
+    assert_eq!(k.live_threads(), 0);
+    assert!(k.record(peer).unwrap().status.is_ok());
+
+    let trace = pred_trace(&k, peer);
+    let arrived = trace.enqueued[0];
+    let batches = batches(&k);
+    assert!(
+        batches.iter().all(|&(b, e, _)| e <= arrived || arrived < b),
+        "the GPU should be idle when the peer arrives"
+    );
+    let launched = batches.iter().map(|b| b.0).find(|&b| b >= arrived);
+    assert!(
+        launched > Some(arrived),
+        "the gate should hold the launch past the arrival ({launched:?})"
+    );
+    assert_eq!(
+        trace.swap_ins,
+        vec![(arrived, arrived + transfer_ns(DOC))],
+        "booked on arrival"
+    );
+}
+
+#[test]
 fn a_queued_preds_file_is_not_evicted_for_a_later_arrival() {
     // Reader A's document comes in as its `pred` arrives; A then waits in
     // the queue for its copy and a batch. Reader B arrives for another
@@ -1137,7 +1187,7 @@ fn blocked_threads_are_not_waited_for() {
     assert_eq!(gate_holds(&k), (0, 0), "a launch was held for a blocked thread");
 }
 
-// ---- every iteration is sized to the roofline ridge -----------------------
+// ---- every chunked iteration is sized to its own roofline ----------------
 
 /// `paper_setup()` — Llama-13B on an A100-80G, where one weight stream
 /// hides 78 tokens of linear-layer compute — under FIFO continuous batching
@@ -1365,6 +1415,114 @@ fn simultaneous_prefills_share_one_budget() {
         }
         other => panic!("sched.iteration_tokens missing: {other:?}"),
     }
+}
+
+#[test]
+fn a_prefill_takes_the_compute_long_decoders_leave_idle() {
+    // Four readers decode on 2 000-token documents: each iteration streams
+    // their KV beside the weights, ≈ 3.3 ms of HBM time whose compute side
+    // idles. A publisher's 3 000-token prefill beside them gets that
+    // compute: iterations carry more than the ridge and stay memory-bound,
+    // so the prefill needs fewer of them and the readers' gap holds.
+    const DOC: usize = 2_000;
+    const READERS: usize = 4;
+    const PREFILL: usize = 3_000;
+    let run = |publisher: bool| {
+        let mut cfg = paper_budgeted();
+        cfg.causal = true;
+        let mut k = Kernel::new(cfg);
+        preload_docs(&mut k, &[DOC; READERS], false);
+        let readers: Vec<Pid> = (0..READERS)
+            .map(|d| k.spawn_process(&format!("r{d}"), "", reader(d, 64)))
+            .collect();
+        let at = symphony::SimTime::ZERO + SimDuration::from_millis(40);
+        let publisher = publisher.then(|| {
+            k.admit(
+                "publisher",
+                "",
+                SpawnOpts::at(at),
+                Body::hosted(prefill_stamped(PREFILL, 9)),
+            )
+        });
+        k.run();
+        assert_eq!(k.live_threads(), 0);
+        let gap = median(readers.iter().flat_map(|&r| gaps(&stamps(&k, r))).collect());
+        (k, readers, publisher, gap)
+    };
+    let (_, _, _, alone) = run(false);
+    let (k, readers, publisher, gap) = run(true);
+    let publisher = publisher.unwrap();
+    assert!(k.record(publisher).unwrap().status.is_ok());
+
+    // Each iteration's members, as `(tokens, past)`: a reader's past starts
+    // at its document, the publisher's at nothing.
+    let mut past: std::collections::BTreeMap<u64, u64> = readers
+        .iter()
+        .map(|r| (r.0, DOC as u64))
+        .chain([(publisher.0, 0)])
+        .collect();
+    let mut members: Vec<Vec<(u64, u64, u64)>> = Vec::new();
+    for e in k.telemetry_events() {
+        if let EventKind::PredExec {
+            pid, batch, tokens, ..
+        } = e.kind
+        {
+            let batch = batch as usize;
+            members.resize(members.len().max(batch + 1), Vec::new());
+            let p = past.get_mut(&pid).unwrap();
+            members[batch].push((pid, u64::from(tokens), *p));
+            *p += u64::from(tokens);
+        }
+    }
+    let cfg = paper_budgeted();
+    let ridge = ridge(&k);
+    let memory_bound = |its: &[(u64, u64, u64)]| {
+        let (mut flops, mut bytes) = (0.0, cfg.model.weight_bytes());
+        for &(_, tokens, past) in its {
+            let w = cfg.model.forward_work(tokens, past);
+            flops += w.flops;
+            bytes += w.kv_read_bytes + w.kv_write_bytes;
+        }
+        flops / (cfg.device.peak_flops * cfg.device.mfu) <= bytes as f64 / cfg.device.hbm_bandwidth
+    };
+    let chunked: Vec<&Vec<(u64, u64, u64)>> = members
+        .iter()
+        .filter(|its| its.iter().any(|&(pid, _, _)| pid == publisher.0))
+        .collect();
+    let over = chunked
+        .iter()
+        .filter(|its| its.iter().map(|m| m.1).sum::<u64>() > ridge)
+        .count();
+    assert!(
+        over * 2 > chunked.len(),
+        "{over} of {} chunked iterations carried more than the ridge",
+        chunked.len()
+    );
+    for (id, its) in chunked.iter().enumerate() {
+        assert!(
+            memory_bound(its),
+            "chunked iteration {id} is compute-bound: {its:?}"
+        );
+    }
+    // At the ridge these iterations would have left the prefill unfinished:
+    // it got what the readers left of 78 tokens, or a page.
+    let page = cfg.page_tokens as u64;
+    let at_ridge: u64 = chunked
+        .iter()
+        .map(|its| (ridge - (its.len() as u64 - 1)).max(page))
+        .sum();
+    assert!(
+        at_ridge < PREFILL as u64,
+        "{} iterations hold {at_ridge} tokens at the ridge",
+        chunked.len()
+    );
+    // A memory-bound iteration costs its bytes: the readers' median gap is
+    // theirs alone plus the prefill's own KV stream, no more.
+    assert!(
+        gap * 20 <= alone * 21,
+        "median gap {gap} ns against {alone} ns alone"
+    );
+    budgeted_iterations(&k);
 }
 
 // ---- one launch decision per virtual instant, under every gate ------------

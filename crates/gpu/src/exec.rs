@@ -199,12 +199,18 @@ impl GpuExecutor {
     }
 
     fn roofline_parts(&self, work: &WorkEstimate) -> (SimDuration, SimDuration) {
-        let compute = work.flops / (self.device.peak_flops * self.device.mfu);
-        let memory = work.total_bytes() as f64 / self.device.hbm_bandwidth;
+        let (compute, memory) = self.roofline_secs(work);
         (
             SimDuration::from_secs_f64(compute),
             SimDuration::from_secs_f64(memory),
         )
+    }
+
+    /// The roofline's compute and memory sides of `work`, in seconds.
+    fn roofline_secs(&self, work: &WorkEstimate) -> (f64, f64) {
+        let compute = work.flops / (self.device.peak_flops * self.device.mfu);
+        let memory = work.total_bytes() as f64 / self.device.hbm_bandwidth;
+        (compute, memory)
     }
 
     /// The ridge of this device × model roofline, in tokens per iteration:
@@ -213,14 +219,46 @@ impl GpuExecutor {
     /// (`params × dtype_bytes` over HBM). Up to the ridge a token is free;
     /// past it every token lengthens the iteration for the whole batch.
     /// `params` cancels, so the ridge is a property of the device and the
-    /// weight precision: 78 on an A100-80G in FP16. The
-    /// scheduler reads its per-iteration token budget from here, so the
-    /// policy cannot drift from the cost model above.
+    /// weight precision: 78 on an A100-80G in FP16. It is the floor of
+    /// the scheduler's per-iteration token budget: an iteration whose
+    /// sequences also read KV hides more ([`GpuExecutor::roofline_budget`]).
     pub fn ridge_tokens(&self) -> usize {
         let dtype_bytes = f64::from(self.model.config().dtype_bytes);
         let ridge = dtype_bytes * self.device.peak_flops * self.device.mfu
             / (2.0 * self.device.hbm_bandwidth);
         (ridge as usize).max(1)
+    }
+
+    /// Whether `work`'s compute hides under its HBM traffic (weights, KV
+    /// read and KV written): the roofline's memory side is at least as long
+    /// as its compute side, so [`GpuExecutor::batch_time`] charges bytes.
+    pub fn memory_bound(&self, work: &WorkEstimate) -> bool {
+        let (compute, memory) = self.roofline_secs(work);
+        compute <= memory
+    }
+
+    /// An iteration's token budget: the largest `b` in `ridge..=most` whose
+    /// batch `work(b)` is still [memory-bound](GpuExecutor::memory_bound),
+    /// or the ridge if none above it is. Decoders on long contexts stream
+    /// KV bytes whose compute side idles; the budget hands that idle
+    /// compute to the prefill beside them, so an iteration costs what its
+    /// bytes cost. `work` must grow with `b` (more tokens never take
+    /// compute away); it is probed `O(log(most − ridge))` times.
+    pub fn roofline_budget(
+        &self,
+        most: usize,
+        mut work: impl FnMut(usize) -> WorkEstimate,
+    ) -> usize {
+        let (mut lo, mut hi) = (self.ridge_tokens(), most);
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if self.memory_bound(&work(mid)) {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        lo
     }
 
     /// Books a swap-in's traffic on the host→device lane, starting no
@@ -557,6 +595,62 @@ mod tests {
             "half-ridge chunks: {} s against {whole} s unchunked",
             chunked(ridge / 2)
         );
+    }
+
+    #[test]
+    fn the_budget_is_the_largest_batch_its_bytes_still_hide() {
+        let cfg = ModelConfig::llama_13b();
+        let gpu = GpuExecutor::new(DeviceSpec::a100_80g(), Surrogate::new(cfg, 7));
+        let ridge = gpu.ridge_tokens();
+        // No KV traffic: linear compute against the weight stream alone,
+        // which is the ridge.
+        let linear = |b: usize| symphony_model::WorkEstimate {
+            flops: 2.0 * cfg.params * b as f64,
+            weight_bytes: cfg.weight_bytes(),
+            ..Default::default()
+        };
+        assert_eq!(gpu.roofline_budget(4_096, linear), 78);
+        assert_eq!(
+            gpu.roofline_budget(4_096, |b| cfg.forward_work(b as u64, 0)),
+            ridge
+        );
+        // Two decoders on `ctx`-token contexts; a prefill takes the rest.
+        let batch = |ctx: u64, b: usize| {
+            let mut w = cfg.forward_work(b as u64 - 2, 0);
+            for _ in 0..2 {
+                w.accumulate(&cfg.forward_work(1, ctx));
+            }
+            w
+        };
+        let mut last = ridge;
+        for ctx in (0..=8_000).step_by(400) {
+            let b = gpu.roofline_budget(4_096, |b| batch(ctx, b));
+            assert!(
+                b >= last,
+                "{ctx}-token contexts: budget {b} fell below {last}"
+            );
+            last = b;
+            if b > ridge {
+                assert!(
+                    gpu.memory_bound(&batch(ctx, b)),
+                    "{ctx}: {b} is compute-bound"
+                );
+                assert!(
+                    !gpu.memory_bound(&batch(ctx, b + 1)),
+                    "{ctx}: {b} is not the largest"
+                );
+            }
+        }
+        // Two 1.6k-token readers stream ≈ 1.3 ms of KV, which hides ≈ 7.9
+        // tokens of linear compute; attention takes a share of the last.
+        assert_eq!(gpu.roofline_budget(4_096, |b| batch(1_600, b)) - ridge, 7);
+        assert!(last > ridge + 30, "8k-token contexts hide {last} tokens");
+        // The cap binds first: the batch is memory-bound there.
+        assert_eq!(
+            gpu.roofline_budget(ridge + 3, |b| batch(8_000, b)),
+            ridge + 3
+        );
+        assert!(gpu.memory_bound(&batch(8_000, ridge + 3)));
     }
 
     #[test]
