@@ -2,8 +2,8 @@
 //!
 //! Per-keystroke autocompletion over a growing buffer, three ways:
 //!
-//! - `symphony-incremental`: one LIP keeps the buffer's KV file for the
-//!   whole session and appends only newly typed tokens.
+//! - `symphony-incremental`: one LIP (`editor.lip`) keeps the buffer's KV
+//!   file for the whole session and appends only newly typed tokens.
 //! - `prompt-apc`: a prompt server with automatic prefix caching — each
 //!   keystroke resubmits the buffer; the cache absorbs most of it.
 //! - `prompt-nocache`: a stateless prompt server re-prefills everything.
@@ -16,13 +16,16 @@
 //! block-granular re-prefill and request overhead.
 
 use crate::prompt_server::PromptServer;
-use crate::{ExpArgs, Report, Table};
+use crate::{lip, ExpArgs, Report, Table};
 use serde::Serialize;
-use symphony::{Kernel, KernelConfig, SpawnOpts, SysError};
+use symphony::{Kernel, KernelConfig, SpawnOpts};
 use symphony_baseline::{Engine, EngineConfig, PromptRequest};
 use symphony_sim::{SimDuration, SimTime};
 use symphony_tokenizer::Bpe;
-use symphony_workloads::EditorWorkload;
+use symphony_workloads::{EditorTrace, EditorWorkload};
+
+/// The incremental session (§2).
+const PROGRAM: &str = include_str!("../../../../examples/lipscript/with_prelude/editor.lip");
 
 const KEYSTROKES: usize = 24;
 const SUGGESTION_TOKENS: usize = 4;
@@ -35,7 +38,7 @@ struct Point {
     total_pred_tokens: u64,
 }
 
-fn trace(buffer_words: usize) -> symphony_workloads::EditorTrace {
+fn trace(buffer_words: usize) -> EditorTrace {
     EditorWorkload::new(buffer_words, KEYSTROKES, SimDuration::from_millis(250), 11).next_trace()
 }
 
@@ -47,59 +50,36 @@ fn kernel_config() -> KernelConfig {
     cfg
 }
 
+/// The session as `editor.lip`'s args: the suggestion length, the buffer,
+/// then a `<gap ns>\t<text>` line per keystroke.
+fn session_args(tr: &EditorTrace) -> String {
+    let mut args = format!("{SUGGESTION_TOKENS}\n{}", tr.initial_buffer);
+    for (chunk, gap) in tr.appends.iter().zip(&tr.gaps) {
+        args.push_str(&format!("\n{}\t{chunk}", gap.as_nanos()));
+    }
+    args
+}
+
 fn run_symphony(buffer_words: usize) -> Point {
     let mut kernel = Kernel::new(kernel_config());
-    let tr = trace(buffer_words);
-    let tr2 = tr.clone();
-    let pid = kernel.spawn_process("editor", "", move |ctx| {
-        let kv = ctx.kv_create()?;
-        let initial = ctx.tokenize(&tr2.initial_buffer)?;
-        let mut dist = ctx
-            .pred_positions(kv, &initial, 0)?
-            .last()
-            .ok_or(SysError::BadArgument)?;
-        let mut pos = initial.len() as u32;
-        let mut latencies_ns: Vec<u64> = Vec::new();
-        for (chunk, gap) in tr2.appends.iter().zip(&tr2.gaps) {
-            ctx.sleep(*gap)?;
-            let t0 = ctx.now()?;
-            let typed = ctx.tokenize(chunk)?;
-            if !typed.is_empty() {
-                dist = ctx
-                    .pred_positions(kv, &typed, pos)?
-                    .last()
-                    .ok_or(SysError::BadArgument)?;
-                pos += typed.len() as u32;
-            }
-            // Probe a short suggestion on a fork, keeping the buffer exact.
-            let probe = ctx.kv_fork(kv)?;
-            let mut d = dist.clone();
-            for p in (pos..).take(SUGGESTION_TOKENS) {
-                let t = d.argmax();
-                if t == ctx.eos() {
-                    break;
-                }
-                d = ctx
-                    .pred(probe, &[(t, p)])?
-                    .last()
-                    .ok_or(SysError::BadArgument)?;
-            }
-            ctx.kv_remove(probe)?;
-            let t1 = ctx.now()?;
-            latencies_ns.push(t1.duration_since(t0).as_nanos());
-        }
-        let mean = latencies_ns.iter().sum::<u64>() as f64 / latencies_ns.len().max(1) as f64 / 1e6;
-        ctx.emit(&format!("{mean}"))?;
-        ctx.kv_remove(kv)?;
-        Ok(())
-    });
+    let args = session_args(&trace(buffer_words));
+    let pid = kernel.admit("editor", &args, SpawnOpts::default(), lip::program(PROGRAM));
     kernel.run();
     let rec = kernel.record(pid).expect("record");
     assert!(rec.status.is_ok(), "{:?}", rec.status);
+    // The program's first line: the keystrokes' summed latency and count.
+    let (sum_ns, count) = rec
+        .output
+        .lines()
+        .next()
+        .and_then(|l| l.split_once('\t'))
+        .expect("the session's marks");
+    let sum_ns: u64 = sum_ns.parse().expect("summed latency");
+    let count: usize = count.parse().expect("keystrokes");
     Point {
         mode: "symphony-incremental".into(),
         buffer_words,
-        mean_keystroke_latency_ms: rec.output.parse().expect("mean latency"),
+        mean_keystroke_latency_ms: sum_ns as f64 / count.max(1) as f64 / 1e6,
         total_pred_tokens: rec.usage.pred_tokens,
     }
 }

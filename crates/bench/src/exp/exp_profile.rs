@@ -19,6 +19,9 @@
 //! - `rag`: long retrieval prefill, KV swapped out across a rerank tool
 //!   call and swapped back in for the answer decode.
 //!
+//! All three programs are LipScript
+//! (`examples/lipscript/with_prelude/profile.lip`).
+//!
 //! The headline: under contended admission, per-pred p99 and per-program
 //! p99 can crown *different* scheduler configs — request-level metrics
 //! optimise the syscall, program-level metrics optimise what the client
@@ -28,16 +31,22 @@
 //! arrows*; its collapsed-stack flamegraph input is always written to
 //! `exp_profile.folded` beside the report.
 
-use super::{base_config, tokens};
+use super::base_config;
 use crate::report::write_file;
-use crate::{ExpArgs, Report, Table, Telemetry};
+use crate::{lip, ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{
-    analyze, build_forest, collapsed_stacks, render_report, Body, ContinuousConfig, Ctx, ExecMode,
-    Kernel, MlfqConfig, QueueDiscipline, SimDuration, SimTime, SpawnOpts, SysError, ToolOutcome,
-    ToolSpec, PHASES,
+    analyze, build_forest, collapsed_stacks, render_report, ContinuousConfig, ExecMode, Kernel,
+    MlfqConfig, QueueDiscipline, SimDuration, SimTime, SpawnOpts, ToolOutcome, ToolSpec, PHASES,
 };
 use symphony_sim::{PoissonProcess, Rng, Series};
+
+/// The coordinator, its workers and the RAG request, after the synthetic
+/// token streams they prefill.
+const PROGRAM: &str = concat!(
+    include_str!("../../../../examples/lipscript/with_prelude/synthetic.lip"),
+    include_str!("../../../../examples/lipscript/with_prelude/profile.lip")
+);
 
 #[derive(Debug, Clone, Copy)]
 struct Scale {
@@ -134,84 +143,6 @@ struct Point {
     spans: usize,
 }
 
-/// One fleet worker: prefill a plan, fetch evidence on a helper thread
-/// (spawn/join causal edges), decode, and report to the coordinator over
-/// IPC (a cross-process send→recv edge).
-fn worker_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
-    let kv = ctx.kv_create()?;
-    let prompt = tokens(seed, s.worker_prompt, 0);
-    let mut dist = ctx.pred(kv, &prompt)?.last().ok_or(SysError::BadArgument)?;
-    let mut pos = s.worker_prompt as u32;
-    let helper = ctx.spawn(move |hctx| {
-        hctx.call_tool("search", &format!("evidence {seed}"))?;
-        Ok(())
-    })?;
-    for _ in 0..s.worker_decode {
-        let tok = dist.argmax();
-        dist = ctx
-            .pred(kv, &[(tok, pos)])?
-            .last()
-            .ok_or(SysError::BadArgument)?;
-        pos += 1;
-    }
-    ctx.join(helper)?;
-    let coord = ctx
-        .lookup_process("coordinator")?
-        .ok_or(SysError::NotFound)?;
-    ctx.send_msg(coord, &format!("report {seed}: {pos} tokens"))?;
-    ctx.kv_remove(kv)?;
-    Ok(())
-}
-
-/// The coordinator: recv one report per worker, fold it into its context,
-/// then decode a summary. Its e2e latency is dominated by waiting on the
-/// slowest worker — which only a critical path that crosses the IPC edge
-/// can attribute.
-fn coordinator_lip(ctx: &mut Ctx, s: Scale) -> Result<(), SysError> {
-    let workers: usize = ctx.args().parse().map_err(|_| SysError::BadArgument)?;
-    let kv = ctx.kv_create()?;
-    let prompt = tokens(9_999, s.coord_prompt, 0);
-    let mut dist = ctx.pred(kv, &prompt)?.last().ok_or(SysError::BadArgument)?;
-    let mut pos = s.coord_prompt as u32;
-    for _ in 0..workers {
-        let msg = ctx.recv_msg()?;
-        let obs = tokens(msg.data.len(), s.obs_tokens, pos);
-        dist = ctx.pred(kv, &obs)?.last().ok_or(SysError::BadArgument)?;
-        pos += s.obs_tokens as u32;
-    }
-    for _ in 0..s.coord_decode {
-        let tok = dist.argmax();
-        dist = ctx
-            .pred(kv, &[(tok, pos)])?
-            .last()
-            .ok_or(SysError::BadArgument)?;
-        pos += 1;
-    }
-    ctx.emit(&format!("summary over {workers} reports"))?;
-    ctx.kv_remove(kv)?;
-    Ok(())
-}
-
-/// The RAG LIP: long retrieval prefill, KV swapped out across the rerank
-/// tool call (freeing HBM), swapped back in for the answer decode.
-fn rag_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
-    let kv = ctx.kv_create()?;
-    let prompt = tokens(seed, s.rag_prompt, 0);
-    let mut dist = ctx.pred(kv, &prompt)?.last().ok_or(SysError::BadArgument)?;
-    ctx.kv_swap_out(kv)?;
-    ctx.call_tool("rerank", &format!("query {seed}"))?;
-    ctx.kv_swap_in(kv)?;
-    for pos in (s.rag_prompt as u32..).take(s.rag_decode) {
-        let tok = dist.argmax();
-        dist = ctx
-            .pred(kv, &[(tok, pos)])?
-            .last()
-            .ok_or(SysError::BadArgument)?;
-    }
-    ctx.kv_remove(kv)?;
-    Ok(())
-}
-
 struct RunOutput {
     point: Point,
     /// Per-program breakdowns (critical-path report / flamegraph input).
@@ -257,22 +188,27 @@ fn run_point(
     match workload {
         Workload::Fleet => {
             // The coordinator arrives first so workers can look it up.
-            kernel.spawn_process("coordinator", &s.workers.to_string(), move |ctx| {
-                coordinator_lip(ctx, s)
-            });
+            let args = format!(
+                "coordinator {} {} {} {}",
+                s.workers, s.coord_prompt, s.obs_tokens, s.coord_decode
+            );
+            let body = lip::program(PROGRAM);
+            kernel.admit("coordinator", &args, SpawnOpts::default(), body);
             let arrivals = PoissonProcess::new(s.fleet_rate_rps);
             for i in 0..s.workers {
                 at += arrivals.next_gap(&mut rng);
-                let body = Body::hosted(move |ctx| worker_lip(ctx, i, s));
-                kernel.admit(&format!("worker{i}"), "", SpawnOpts::at(at), body);
+                let args = format!("worker {i} {} {}", s.worker_prompt, s.worker_decode);
+                let body = lip::program(PROGRAM);
+                kernel.admit(&format!("worker{i}"), &args, SpawnOpts::at(at), body);
             }
         }
         Workload::Rag => {
             let arrivals = PoissonProcess::new(s.rag_rate_rps);
             for i in 0..s.rag_requests {
                 at += arrivals.next_gap(&mut rng);
-                let body = Body::hosted(move |ctx| rag_lip(ctx, i, s));
-                kernel.admit(&format!("rag{i}"), "", SpawnOpts::at(at), body);
+                let args = format!("rag {i} {} {}", s.rag_prompt, s.rag_decode);
+                let body = lip::program(PROGRAM);
+                kernel.admit(&format!("rag{i}"), &args, SpawnOpts::at(at), body);
             }
         }
     }

@@ -22,17 +22,25 @@
 //!
 //! Two workloads: `agent` (long prompt, several decode+tool rounds — the
 //! paper's LIP shape) and `rag` (very long prefill, short answer).
-//! Inter-token latency is measured inside the LIP with `ctx.now()` around
-//! each decode `pred`, i.e. exactly what a streaming client observes.
+//! Both are LipScript (`examples/lipscript/with_prelude/sched.lip`), and
+//! each measures its own latency with `now_ns()` around each decode
+//! `pred`, i.e. exactly what a streaming client observes.
 
-use super::{base_config, tokens};
-use crate::{ExpArgs, Report, Table, Telemetry};
+use super::base_config;
+use crate::{lip, ExpArgs, Report, Table, Telemetry};
 use serde::Serialize;
 use symphony::{
-    Body, ContinuousConfig, Ctx, ExecMode, Kernel, MlfqConfig, QueueDiscipline, SimDuration,
-    SimTime, SpawnOpts, SysError, ToolOutcome, ToolSpec,
+    ContinuousConfig, ExecMode, Kernel, MlfqConfig, QueueDiscipline, SimDuration, SimTime,
+    SpawnOpts, ToolOutcome, ToolSpec,
 };
 use symphony_sim::{PoissonProcess, Rng, Series};
+
+/// The agent and the RAG request, after the synthetic token streams they
+/// prefill.
+const PROGRAM: &str = concat!(
+    include_str!("../../../../examples/lipscript/with_prelude/synthetic.lip"),
+    include_str!("../../../../examples/lipscript/with_prelude/sched.lip")
+);
 
 #[derive(Debug, Clone, Copy)]
 struct Scale {
@@ -108,78 +116,7 @@ struct Point {
     batches: u64,
 }
 
-fn join_ns(v: &[u64]) -> String {
-    v.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
-}
-
-/// The agent LIP: one long prompt prefill, then `segments` rounds of
-/// decode followed by a server-side tool call whose observation is
-/// prefilled into the context. Emits its own latency marks.
-fn agent_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
-    let t_start = ctx.now()?;
-    let kv = ctx.kv_create()?;
-    let prompt = tokens(seed, s.agent_prompt, 0);
-    let mut dist = ctx.pred(kv, &prompt)?.last().ok_or(SysError::BadArgument)?;
-    let ttft = ctx.now()?.duration_since(t_start);
-    let mut pos = s.agent_prompt as u32;
-    let mut itl: Vec<u64> = Vec::new();
-    for seg in 0..s.segments {
-        let mut last = ctx.now()?;
-        for _ in 0..s.segment_decode {
-            let tok = dist.argmax();
-            dist = ctx
-                .pred(kv, &[(tok, pos)])?
-                .last()
-                .ok_or(SysError::BadArgument)?;
-            pos += 1;
-            let t = ctx.now()?;
-            itl.push(t.duration_since(last).as_nanos());
-            last = t;
-        }
-        if seg + 1 < s.segments {
-            ctx.call_tool("api", "lookup")?;
-            let obs = tokens(seed + seg + 1, s.obs_tokens, pos);
-            dist = ctx.pred(kv, &obs)?.last().ok_or(SysError::BadArgument)?;
-            pos += s.obs_tokens as u32;
-        }
-    }
-    ctx.emit(&format!(
-        "ttft_ns={};itl_ns={}",
-        ttft.as_nanos(),
-        join_ns(&itl)
-    ))?;
-    Ok(())
-}
-
-/// The RAG LIP: one very long prefill (retrieved documents), one short
-/// streamed answer.
-fn rag_lip(ctx: &mut Ctx, seed: usize, s: Scale) -> Result<(), SysError> {
-    let t_start = ctx.now()?;
-    let kv = ctx.kv_create()?;
-    let prompt = tokens(seed, s.rag_prompt, 0);
-    let mut dist = ctx.pred(kv, &prompt)?.last().ok_or(SysError::BadArgument)?;
-    let ttft = ctx.now()?.duration_since(t_start);
-    let mut itl: Vec<u64> = Vec::new();
-    let mut last = ctx.now()?;
-    for pos in (s.rag_prompt as u32..).take(s.rag_decode) {
-        let tok = dist.argmax();
-        dist = ctx
-            .pred(kv, &[(tok, pos)])?
-            .last()
-            .ok_or(SysError::BadArgument)?;
-        let t = ctx.now()?;
-        itl.push(t.duration_since(last).as_nanos());
-        last = t;
-    }
-    ctx.emit(&format!(
-        "ttft_ns={};itl_ns={}",
-        ttft.as_nanos(),
-        join_ns(&itl)
-    ))?;
-    Ok(())
-}
-
-/// Parses the `ttft_ns=..;itl_ns=..` marks a LIP emitted.
+/// Parses the `ttft_ns=..;itl_ns=..` marks a program emitted.
 fn parse_marks(out: &str) -> (u64, Vec<u64>) {
     let rest = out.strip_prefix("ttft_ns=").expect("marks prefix");
     let (ttft, itl) = rest.split_once(";itl_ns=").expect("marks separator");
@@ -223,11 +160,14 @@ fn run_point(
     for i in 0..n {
         at += arrivals.next_gap(&mut rng);
         let name = format!("{mode_name}-{i}");
-        let body = match workload {
-            Workload::Agent => Body::hosted(move |ctx| agent_lip(ctx, i, s)),
-            Workload::Rag => Body::hosted(move |ctx| rag_lip(ctx, i, s)),
+        let args = match workload {
+            Workload::Agent => format!(
+                "agent {i} {} {} {} {}",
+                s.agent_prompt, s.segments, s.segment_decode, s.obs_tokens
+            ),
+            Workload::Rag => format!("rag {i} {} {}", s.rag_prompt, s.rag_decode),
         };
-        pids.push(kernel.admit(&name, "", SpawnOpts::at(at), body));
+        pids.push(kernel.admit(&name, &args, SpawnOpts::at(at), lip::program(PROGRAM)));
     }
     kernel.run();
 
