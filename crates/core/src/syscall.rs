@@ -417,11 +417,13 @@ impl Ctx {
     }
 
     /// Explicitly swaps a file out to host memory.
+    // lint:allow(u1): native LIPs in the kernel's and the experiments' tests swap files out through it; a LipScript program calls `kv_swap_out`
     pub fn kv_swap_out(&self, kv: FileId) -> Result<(), SysError> {
         self.call(Syscall::KvSwapOut { kv })
     }
 
     /// Swaps a file back into GPU memory.
+    // lint:allow(u1): native LIPs in the kernel's and the experiments' tests swap files in through it; a LipScript program calls `kv_swap_in`
     pub fn kv_swap_in(&self, kv: FileId) -> Result<(), SysError> {
         self.call(Syscall::KvSwapIn { kv })
     }
@@ -449,23 +451,27 @@ impl Ctx {
     /// Invokes a server-side tool; blocks this thread for the tool's
     /// (virtual) latency. While blocked, the kernel may offload this
     /// process's KV files to host memory.
+    // lint:allow(u1): native LIPs in the kernel's and the experiments' tests call tools through it; a LipScript program calls `call_tool`
     pub fn call_tool(&self, name: &str, args: &str) -> Result<String, SysError> {
         let (name, args) = (name.to_string(), args.to_string());
         self.call(Syscall::CallTool { name, args })
     }
 
     /// Sends an IPC message to another process.
+    // lint:allow(u1): native LIPs in the kernel's and the experiments' tests send messages through it; a LipScript program calls `send`
     pub fn send_msg(&self, to: Pid, data: &str) -> Result<(), SysError> {
         let data = data.to_string();
         self.call(Syscall::SendMsg { to, data })
     }
 
     /// Receives the next IPC message, blocking until one arrives.
+    // lint:allow(u1): native LIPs in the kernel's and the experiments' tests receive messages through it; a LipScript program calls `recv`
     pub fn recv_msg(&self) -> Result<Message, SysError> {
         self.call(Syscall::Recv)
     }
 
     /// Finds a live process by its spawn name.
+    // lint:allow(u1): native LIPs in the kernel's and the experiments' tests find processes through it; a LipScript program calls `lookup`
     pub fn lookup_process(&self, name: &str) -> Result<Option<Pid>, SysError> {
         let name = name.to_string();
         self.call(Syscall::LookupProcess { name })
